@@ -6,7 +6,6 @@
 //
 //	gqa-bench -exp table4|table5|table6|table7|exp1|table8|fig6|table9|table10|table11|table12
 //	gqa-bench -exp ablations     # TA stopping, pruning, paths, BFS
-//	gqa-bench -exp store -json BENCH_store.json   # frozen CSR vs mutable store
 //	gqa-bench -exp shard -json BENCH_shard.json   # sharded scatter-gather matching
 //	gqa-bench -exp all
 //
@@ -21,7 +20,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"net"
 	"os"
 	"reflect"
@@ -42,7 +40,7 @@ import (
 	"gqa/internal/store"
 )
 
-var jsonPath = flag.String("json", "", "write the parallel or store experiment's comparison table as JSON to this path (e.g. BENCH_parallel.json, BENCH_store.json)")
+var jsonPath = flag.String("json", "", "write the experiment's comparison table as JSON to this path (e.g. BENCH_parallel.json, BENCH_shard.json)")
 
 func main() {
 	exp := flag.String("exp", "all", "experiment id (table4..table12, exp1, fig6, ablations, parallel, all)")
@@ -66,7 +64,6 @@ func main() {
 		{"table12", table12, "complexity validation (understanding-stage scaling)"},
 		{"ablations", ablations, "design-choice ablations"},
 		{"parallel", parallelExp, "seq-vs-par top-k matcher speedup"},
-		{"store", storeExp, "frozen CSR snapshot vs mutable adjacency store"},
 		{"shard", shardExp, "sharded scatter-gather matching: K sweep, identity, incremental re-freeze"},
 		{"shardrpc", shardrpcExp, "multi-process sharding: in-process K=4 vs RPC over loopback shard servers"},
 		{"coldstart", coldstartExp, "boot-time comparison: N-Triples parse vs GQASNAP1 vs GQAFRZ1"},
@@ -568,9 +565,8 @@ func parallelExp() {
 	}
 	if *jsonPath != "" {
 		// The pipeline-metric state after the runs: matcher effort
-		// (rounds/seeds/steps), FollowPath traffic, predicate-index hit
-		// rate — the workload's observability fingerprint rides along with
-		// the timings.
+		// (rounds/seeds/steps), FollowPath traffic — the workload's
+		// observability fingerprint rides along with the timings.
 		report.Metrics = obs.Default.Snapshot()
 		writeJSON(*jsonPath, report)
 	}
@@ -588,171 +584,6 @@ func writeJSON(path string, report any) {
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s\n", path)
-}
-
-// ------------------------------------------------------------------- store
-
-// storeExp measures the frozen CSR snapshot against the mutable
-// adjacency-list store: per-operation micro timings (neighborhood-pruning
-// probes, per-predicate scans, bound-subject matches, triple membership)
-// over a hub-heavy graph with more predicates than signature bits, freeze
-// build cost, and the end-to-end sequential top-k search. Frozen results
-// are verified identical to mutable before timing. With -json PATH the
-// comparison is written as JSON (the BENCH_store.json artifact).
-func storeExp() {
-	// Hub-heavy graph, 160 predicates: with more predicates than the 64
-	// signature bits, consecutive IDs collide mod 64 and the mutable 1-bit
-	// signature false-positives into full adjacency scans — the regime a
-	// real KB's predicate count puts every hub in.
-	build := func() (*store.Graph, []store.ID, []store.ID) {
-		r := rand.New(rand.NewSource(1))
-		g := store.New()
-		const nv, np = 2000, 160
-		verts := make([]store.ID, nv)
-		for i := range verts {
-			verts[i] = g.Intern(rdf.Resource(fmt.Sprintf("v%d", i)))
-		}
-		preds := make([]store.ID, np)
-		for i := range preds {
-			preds[i] = g.Intern(rdf.Ontology(fmt.Sprintf("p%d", i)))
-		}
-		for i := 0; i < 200; i++ { // hubs
-			for j := 0; j < 64; j++ {
-				g.AddSPO(verts[i], preds[r.Intn(np)], verts[r.Intn(nv)])
-			}
-		}
-		for i := 200; i < nv; i++ { // tail
-			for j := 0; j < 4; j++ {
-				g.AddSPO(verts[i], preds[r.Intn(np)], verts[r.Intn(nv)])
-			}
-		}
-		return g, verts, preds
-	}
-	gm, verts, preds := build()
-	gf, _, _ := build()
-
-	freezeStart := time.Now()
-	sn := gf.Freeze()
-	freezeNs := time.Since(freezeStart).Nanoseconds()
-
-	// Best-of-3 passes of a tight loop; ns/op at this granularity is
-	// coarser than testing.B but stable enough for the comparison table.
-	measure := func(iters int, fn func(i int)) float64 {
-		best := 0.0
-		for r := 0; r < 3; r++ {
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				fn(i)
-			}
-			if d := float64(time.Since(start).Nanoseconds()) / float64(iters); best == 0 || d < best {
-				best = d
-			}
-		}
-		return best
-	}
-
-	type microRow struct {
-		Op        string  `json:"op"`
-		MutableNs float64 `json:"mutable_ns_per_op"`
-		FrozenNs  float64 `json:"frozen_ns_per_op"`
-		Speedup   float64 `json:"speedup"`
-	}
-	hubs, tail := verts[:200], verts[200:]
-	sink := 0
-	micro := []microRow{
-		{Op: "has_adjacent_pred/hub",
-			MutableNs: measure(2e6, func(i int) { gm.HasAdjacentPred(hubs[i%len(hubs)], preds[i%len(preds)]) }),
-			FrozenNs:  measure(2e6, func(i int) { sn.HasAdjacentPred(hubs[i%len(hubs)], preds[i%len(preds)]) })},
-		{Op: "has_adjacent_pred/tail",
-			MutableNs: measure(2e6, func(i int) { gm.HasAdjacentPred(tail[i%len(tail)], preds[i%len(preds)]) }),
-			FrozenNs:  measure(2e6, func(i int) { sn.HasAdjacentPred(tail[i%len(tail)], preds[i%len(preds)]) })},
-		{Op: "out_by_pred/hub",
-			MutableNs: measure(2e6, func(i int) { gm.OutByPred(hubs[i%len(hubs)], preds[i%len(preds)]) }),
-			FrozenNs:  measure(2e6, func(i int) { sn.OutPred(hubs[i%len(hubs)], preds[i%len(preds)]) })},
-		{Op: "match_bound_s/hub",
-			MutableNs: measure(1e6, func(i int) {
-				gm.Match(hubs[i%len(hubs)], preds[i%len(preds)], store.Any, func(store.Spo) bool { sink++; return true })
-			}),
-			FrozenNs: measure(1e6, func(i int) {
-				sn.Match(hubs[i%len(hubs)], preds[i%len(preds)], store.Any, func(store.Spo) bool { sink++; return true })
-			})},
-		{Op: "has",
-			MutableNs: measure(2e6, func(i int) { gm.Has(verts[i%len(verts)], preds[i%len(preds)], verts[(i*7)%len(verts)]) }),
-			FrozenNs:  measure(2e6, func(i int) { sn.Has(verts[i%len(verts)], preds[i%len(preds)], verts[(i*7)%len(verts)]) })},
-	}
-	fmt.Println("operation                mutable      frozen     speedup")
-	for i := range micro {
-		micro[i].Speedup = micro[i].MutableNs / micro[i].FrozenNs
-		fmt.Printf("%-24s %8.1fns %9.1fns %8.2f×\n",
-			micro[i].Op, micro[i].MutableNs, micro[i].FrozenNs, micro[i].Speedup)
-	}
-
-	// End-to-end: the sequential top-k subgraph search over identical
-	// graphs, one mutable and one frozen.
-	const reps = 5
-	qm, qq := matcherWorkload(400, 40)
-	qf, qfq := matcherWorkload(400, 40)
-	qf.Freeze()
-	baseline, _ := core.FindTopKMatches(qm, qq, core.MatchOptions{TopK: 10, Parallelism: 1})
-	frozenRes, _ := core.FindTopKMatches(qf, qfq, core.MatchOptions{TopK: 10, Parallelism: 1})
-	identical := len(baseline) == len(frozenRes)
-	for i := range baseline {
-		if !identical {
-			break
-		}
-		identical = baseline[i].Score == frozenRes[i].Score &&
-			fmt.Sprint(baseline[i].Assignment) == fmt.Sprint(frozenRes[i].Assignment)
-	}
-	bestOf := func(g *store.Graph, q *core.QueryGraph) int64 {
-		best := time.Duration(0)
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			core.FindTopKMatches(g, q, core.MatchOptions{TopK: 10, Parallelism: 1})
-			if d := time.Since(start); best == 0 || d < best {
-				best = d
-			}
-		}
-		return best.Nanoseconds()
-	}
-	mutNs := bestOf(qm, qq)
-	frozNs := bestOf(qf, qfq)
-	fmt.Printf("top-k seq: mutable %s, frozen %s (%.2f×), identical=%v\n",
-		time.Duration(mutNs).Round(time.Microsecond), time.Duration(frozNs).Round(time.Microsecond),
-		float64(mutNs)/float64(frozNs), identical)
-	fmt.Printf("freeze: %s for %d triples / %d terms, snapshot %d bytes\n",
-		time.Duration(freezeNs).Round(time.Microsecond), sn.NumTriples(), sn.NumTerms(), sn.Bytes())
-
-	report := struct {
-		GOMAXPROCS int        `json:"gomaxprocs"`
-		NumCPU     int        `json:"num_cpu"`
-		Micro      []microRow `json:"micro"`
-		TopKSeq    struct {
-			MutableNs int64   `json:"mutable_ns_per_op"`
-			FrozenNs  int64   `json:"frozen_ns_per_op"`
-			Speedup   float64 `json:"speedup"`
-			Identical bool    `json:"identical_to_mutable"`
-		} `json:"topk_seq"`
-		Freeze struct {
-			BuildNs int64 `json:"build_ns"`
-			Bytes   int64 `json:"snapshot_bytes"`
-			Triples int   `json:"triples"`
-			Terms   int   `json:"terms"`
-		} `json:"freeze"`
-		Metrics map[string]any `json:"metrics"`
-	}{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Micro: micro}
-	report.TopKSeq.MutableNs = mutNs
-	report.TopKSeq.FrozenNs = frozNs
-	report.TopKSeq.Speedup = float64(mutNs) / float64(frozNs)
-	report.TopKSeq.Identical = identical
-	report.Freeze.BuildNs = freezeNs
-	report.Freeze.Bytes = sn.Bytes()
-	report.Freeze.Triples = sn.NumTriples()
-	report.Freeze.Terms = sn.NumTerms()
-
-	if *jsonPath != "" {
-		report.Metrics = obs.Default.Snapshot()
-		writeJSON(*jsonPath, report)
-	}
 }
 
 // ------------------------------------------------------------------- shard
@@ -796,11 +627,7 @@ func shardExp() {
 	fmt.Println("shards  p50/op       bytes/op   boundary  speedup  identical")
 	for _, k := range []int{1, 2, 4, 8} {
 		g.SetShards(k)
-		g.Freeze()
-		boundary := 0
-		if ss, ok := g.FrozenView().(*store.ShardSet); ok {
-			boundary = ss.BoundaryEdges()
-		}
+		boundary := g.Freeze().BoundaryEdges()
 		matches, stats := core.FindTopKMatches(g, q, opts)
 		identical := reflect.DeepEqual(matches, baseMatches) &&
 			reflect.DeepEqual(stats, baseStats)
@@ -912,7 +739,7 @@ func shardExp() {
 
 // ---------------------------------------------------------------- shardrpc
 
-// shardrpcExp compares the in-process K=4 ShardSet against the same four
+// shardrpcExp compares the in-process K=4 snapshot against the same four
 // shards served over the RPC boundary (loopback ShardServers, the exact
 // wire path of a gqa-shard deployment), over the whole benchmark
 // workload. The identity gate — byte-identical answers, Explain lines,

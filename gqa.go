@@ -72,7 +72,7 @@ type Options struct {
 	// groups and gathers at the round barrier. Answers, explain output, and
 	// match statistics are byte-identical at every shard count; what
 	// changes is incremental cost — a mutation re-freezes only the shards
-	// it touched. Zero or one keeps the monolithic snapshot; negative
+	// it touched. Zero or one keeps the one-part snapshot; negative
 	// values are treated as zero, and counts above the vertex count are
 	// clamped to it (empty residue classes would only add merge overhead).
 	Shards int
@@ -158,7 +158,7 @@ func (s *System) SetAggregation(on bool) { s.core.Opts.EnableAggregation = on }
 func (s *System) SetParallelism(p int) { s.core.Opts.Parallelism = p }
 
 // SetShards re-partitions the frozen store into k vertex-hash shards (see
-// Options.Shards; k ≤ 1 restores the monolithic snapshot) and freezes at
+// Options.Shards; k ≤ 1 restores the one-part snapshot) and freezes at
 // the new layout so the first question pays no freeze. The binaries use it
 // to honor their -shards flag over systems built with default options.
 // Answers are byte-identical at every shard count. The requested count is

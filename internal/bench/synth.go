@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"gqa/internal/dict"
 	"gqa/internal/rdf"
@@ -187,7 +188,7 @@ func NewSynthPhrases(sg *SynthGraph, opts SynthPhraseOptions) *SynthPhraseSet {
 		}
 		for len(set.Pairs) < opts.Support {
 			start := sg.Entities[rng.Intn(len(sg.Entities))]
-			ends := dict.FollowPath(sg.Graph, start, path)
+			ends := walkPath(sg.Graph, start, path)
 			if len(ends) == 0 {
 				// Plant the path so support exists.
 				cur := start
@@ -224,6 +225,38 @@ func NewSynthPhrases(sg *SynthGraph, opts SynthPhraseOptions) *SynthPhraseSet {
 		out.GoldLen[phrase] = length
 	}
 	return out
+}
+
+// walkPath returns the distinct vertices reachable from v along path by
+// simple routes, walking the builder's adjacency in insertion order. The
+// generator interleaves these walks with planting edges, so it reads the
+// mutable graph directly rather than freezing after every plant (the
+// query-time walk over a frozen view is dict.FollowPath).
+func walkPath(g *store.Graph, v store.ID, path dict.Path) []store.ID {
+	var ends []store.ID
+	route := []store.ID{v}
+	var walk func(depth int)
+	walk = func(depth int) {
+		st := path[depth]
+		adj := g.Out(route[depth])
+		if !st.Forward {
+			adj = g.In(route[depth])
+		}
+		for _, e := range adj {
+			if e.Pred != st.Pred || slices.Contains(route, e.To) {
+				continue
+			}
+			if depth < len(path)-1 {
+				route = append(route, e.To)
+				walk(depth + 1)
+				route = route[:depth+1]
+			} else if !slices.Contains(ends, e.To) {
+				ends = append(ends, e.To)
+			}
+		}
+	}
+	walk(0)
+	return ends
 }
 
 // randomWalkEnd walks `steps` undirected non-schema edges from start,

@@ -92,12 +92,11 @@ type MatchOptions struct {
 	// the trace.
 	Span *obs.Span
 	// View pins the frozen view the search reads. Nil — the default —
-	// captures the graph's current view (monolithic snapshot or shard set)
-	// at search start, falling back to the mutable indexes on an unfrozen
-	// graph. A caller that pins a view explicitly gets a search that never
-	// touches mutable graph state, so it is safe to run concurrently with
-	// Add/Remove on the same graph (the concurrent-mutation tests rely on
-	// this).
+	// captures the graph's current view at search start (freezing first if
+	// the graph mutated since its last snapshot). A caller that pins a view
+	// explicitly gets a search that never touches the graph at all, so it
+	// is safe to run concurrently with Add/Remove on the same graph (the
+	// concurrent-mutation tests rely on this).
 	View store.View
 }
 
@@ -119,21 +118,21 @@ func (o *MatchOptions) defaults() {
 // freely; all mutable search state lives in the per-worker searchState and
 // the internally synchronized resultSet.
 type matcher struct {
-	g *store.Graph
-	// view is the frozen view captured once at search start — the
-	// monolithic CSR snapshot, or the sharded set when the graph runs with
-	// SetShards(k>1); nil when the graph is unfrozen. Hot probes —
-	// neighborhood pruning, per-predicate degrees for selectivity ordering,
-	// path traversal — go through it directly instead of re-loading the
-	// graph's view pointer per call, and a non-nil view is the only graph
-	// surface the search reads (see MatchOptions.View).
-	view store.View
-	q    *QueryGraph
-	opts MatchOptions
+	// view is the frozen view captured once at search start and the only
+	// graph surface the search reads (see MatchOptions.View): neighborhood
+	// pruning, per-predicate degrees for selectivity ordering and path
+	// traversal all go through it. bound is the same view as a
+	// *store.Snapshot scoped to this request — set when the view is one
+	// (not a test decorator), so remote reads inherit the request budget —
+	// and nil otherwise; its methods are nil-safe no-ops on local parts.
+	view  store.View
+	bound *store.Snapshot
+	q     *QueryGraph
+	opts  MatchOptions
 
 	// shardRounds counts, per shard, the rounds in which at least one seed
-	// landed on that shard. Allocated only when view is a ShardSet with
-	// more than one shard; updated by the coordinator in roundTasks, so
+	// landed on that shard. Allocated only when the snapshot has more than
+	// one shard; updated by the coordinator in roundTasks, so
 	// the counts are independent of how the pool scheduled the seeds. They
 	// surface as span attributes (shard_fanout, shard_rounds), never in
 	// MatchStats — stats stay byte-identical across shard counts.
@@ -211,15 +210,16 @@ func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match,
 	if view == nil {
 		view = g.FrozenView()
 	}
-	// A remote view binds to this request so its RPC calls inherit the
-	// request budget's deadline and failures degrade (never hang) the
-	// search; in-process views are unaffected.
-	if rb, ok := view.(store.RequestBindable); ok {
-		view = rb.BindRequest(opts.Budget, opts.Span)
-	}
-	m := &matcher{g: g, view: view, q: q, opts: opts, res: newResultSet(opts.MaxMatches)}
-	if ss, ok := view.(store.ShardedView); ok && ss.NumShards() > 1 {
-		m.shardRounds = make([]int, ss.NumShards())
+	m := &matcher{view: view, q: q, opts: opts, res: newResultSet(opts.MaxMatches)}
+	// A snapshot over remote parts binds to this request so its RPC calls
+	// inherit the request budget's deadline and failures degrade (never
+	// hang) the search; over local parts binding is the identity.
+	if sn, ok := view.(*store.Snapshot); ok {
+		m.bound = sn.BindRequest(opts.Budget, opts.Span)
+		m.view = m.bound
+		if k := sn.NumShards(); k > 1 {
+			m.shardRounds = make([]int, k)
+		}
 	}
 	m.statePool.New = func() any { return newSearchState(len(q.Vertices), len(q.Edges)) }
 	var stats MatchStats
@@ -318,10 +318,8 @@ func (m *matcher) finishStats(stats *MatchStats, returned int) {
 	stats.Truncated = m.opts.Budget.Exhausted()
 	if stats.Truncated == "" {
 		// An unbudgeted request has no tracker to trip, but a bound remote
-		// view still knows its reads failed — surface the degradation.
-		if dr, ok := m.view.(store.DegradeReporter); ok {
-			stats.Truncated = dr.DegradeReason()
-		}
+		// snapshot still knows its reads failed — surface the degradation.
+		stats.Truncated = m.bound.DegradeReason()
 	}
 
 	matchRoundsTotal.Add(int64(stats.Rounds))
@@ -366,12 +364,10 @@ func (m *matcher) finishStats(stats *MatchStats, returned int) {
 		sp.SetInt("shard_fanout", int64(fanout))
 		sp.SetStr("shard_rounds", b.String())
 	}
-	// A bound remote view flushes its per-request RPC counters here
+	// A bound remote snapshot flushes its per-request RPC counters here
 	// (rpc_calls / rpc_retries / rpc_hedges / rpc_errors); the flight
 	// recorder lifts them into the wide event.
-	if ann, ok := m.view.(store.SpanAnnotator); ok {
-		ann.AnnotateSpan(sp)
-	}
+	m.bound.AnnotateSpan(sp)
 }
 
 // seedTask is one unit of parallel work: enumerate every match in which
@@ -394,8 +390,8 @@ type seedTask struct {
 // chooseNext would take), so selective seeds fill the top-k early and the
 // TA threshold can stop sooner. The sort is stable over a deterministic
 // expansion (anchors in order, instances in adjacency order) and the cost
-// is a pure graph statistic, so every parallelism level — and the frozen
-// and mutable paths — sees the same task order.
+// is a pure graph statistic, so every parallelism level and shard count
+// sees the same task order.
 func (m *matcher) roundTasks(anchors []int, round int) []seedTask {
 	var tasks []seedTask
 	for _, vi := range anchors {
@@ -432,49 +428,36 @@ func (m *matcher) roundTasks(anchors []int, round int) []seedTask {
 }
 
 // instancesOf returns the instance entities of class c (the subjects of
-// ⟨s, rdf:type, c⟩ triples). Through a pinned view the answer is the
-// class's in-span over rdf:type — the same (Pred,To)-sorted CSR run on the
-// monolithic snapshot and the sharded set, so the seed order is identical
-// at every shard count. Without a view it falls back to the mutable
-// instance index.
+// ⟨s, rdf:type, c⟩ triples): the class's in-span over rdf:type — the same
+// (Pred,To)-sorted run at every shard count, so the seed order is too.
 func (m *matcher) instancesOf(c store.ID) []store.ID {
-	if m.view != nil {
-		tid := m.view.TypeID()
-		if tid == store.None {
-			return nil
-		}
-		span := m.view.InPred(c, tid)
-		out := make([]store.ID, len(span))
-		for i := range span {
-			out[i] = span[i].To
-		}
-		return out
+	tid := m.view.TypeID()
+	if tid == store.None {
+		return nil
 	}
-	return m.g.InstancesOf(c)
+	span := m.view.InPred(c, tid)
+	out := make([]store.ID, len(span))
+	for i := range span {
+		out[i] = span[i].To
+	}
+	return out
 }
 
 // instanceCount is len(instancesOf(c)) without materializing the slice —
-// a binary-searched degree on a view.
+// a binary-searched degree.
 func (m *matcher) instanceCount(c store.ID) int {
-	if m.view != nil {
-		tid := m.view.TypeID()
-		if tid == store.None {
-			return 0
-		}
-		return m.view.InPredDegree(c, tid)
+	tid := m.view.TypeID()
+	if tid == store.None {
+		return 0
 	}
-	return len(m.g.InstancesOf(c))
+	return m.view.InPredDegree(c, tid)
 }
 
-// hasType answers "is w an instance of class c" through the pinned view
-// when one exists (a binary-searched membership probe; cross-shard probes
-// route through the boundary index) and the mutable graph otherwise.
+// hasType answers "is w an instance of class c": a binary-searched
+// membership probe (cross-shard probes route through the boundary index).
 func (m *matcher) hasType(w, c store.ID) bool {
-	if m.view != nil {
-		tid := m.view.TypeID()
-		return tid != store.None && m.view.Has(w, tid, c)
-	}
-	return m.g.HasType(w, c)
+	tid := m.view.TypeID()
+	return tid != store.None && m.view.Has(w, tid, c)
 }
 
 // seedCost estimates the first extension a seed (vi, u) pays: the smallest
@@ -514,8 +497,8 @@ func (m *matcher) runTasks(tasks []seedTask) {
 		}
 		return
 	}
-	if ss, ok := m.view.(store.ShardedView); ok && ss.NumShards() > 1 && len(tasks) > 1 {
-		m.runTasksSharded(ss.NumShards(), tasks, p)
+	if k := len(m.shardRounds); k > 1 && len(tasks) > 1 {
+		m.runTasksSharded(k, tasks, p)
 		return
 	}
 	ch := make(chan *seedTask)
@@ -757,13 +740,9 @@ func (m *matcher) passesNeighborhood(vi int, u store.ID) bool {
 }
 
 // hasAdjPred answers the §4.2.2 adjacency test through the captured view
-// when the graph is frozen (2-bit signature + CSR binary search, per shard
-// on a sharded view) and the mutable graph otherwise.
+// (2-bit signature + CSR binary search in the owning part).
 func (m *matcher) hasAdjPred(u, p store.ID) bool {
-	if m.view != nil {
-		return m.view.HasAdjacentPred(u, p)
-	}
-	return m.g.HasAdjacentPred(u, p)
+	return m.view.HasAdjacentPred(u, p)
 }
 
 // thresholdReached evaluates the TA stopping rule: the upper bound on any
@@ -1048,20 +1027,12 @@ func (m *matcher) extend(st *searchState) {
 }
 
 // predDegree returns the exact out- or in-degree of u over predicate p —
-// the statistic the frozen snapshot makes a binary search (the mutable
-// graph answers with a signature-gated scan, so both paths compute the
-// same number and the selectivity ordering below is identical on either).
+// a binary search on the frozen view.
 func (m *matcher) predDegree(u, p store.ID, forward bool) int {
-	if m.view != nil {
-		if forward {
-			return m.view.OutPredDegree(u, p)
-		}
-		return m.view.InPredDegree(u, p)
-	}
 	if forward {
-		return m.g.OutPredDegree(u, p)
+		return m.view.OutPredDegree(u, p)
 	}
-	return m.g.InPredDegree(u, p)
+	return m.view.InPredDegree(u, p)
 }
 
 // frontierCost is the exact size of the extension frontier reachable()
@@ -1071,7 +1042,7 @@ func (m *matcher) predDegree(u, p store.ID, forward bool) int {
 // entering u — contributes its per-predicate degree. The cost depends only
 // on u and the query edge (not on which endpoint u sits at: both
 // orientations are always tried), so it is identical at every parallelism
-// level and on the frozen and mutable paths alike.
+// level and shard count.
 func (m *matcher) frontierCost(u store.ID, ei int) int {
 	cost := 0
 	for _, pc := range m.q.Edges[ei].Candidates {
@@ -1138,8 +1109,8 @@ func (m *matcher) reachable(u store.ID, p dict.Path, reversed bool) []store.ID {
 	if reversed {
 		a, b = b, a
 	}
-	out := dict.FollowPathView(m.g, m.view, u, a)
-	more := dict.FollowPathView(m.g, m.view, u, b)
+	out := dict.FollowPath(m.view, u, a)
+	more := dict.FollowPath(m.view, u, b)
 	// Each FollowPath result is already distinct; only the cross-direction
 	// overlap needs deduping. Typical frontiers are small, so a nested scan
 	// beats allocating a map; large ones fall back to one.
@@ -1232,7 +1203,7 @@ func (m *matcher) finish(st *searchState) {
 			// Choose the best candidate path connecting the endpoints.
 			found := false
 			for _, pc := range e.Candidates {
-				if dict.PathConnectsView(m.g, m.view, st.assign[e.From], st.assign[e.To], pc.Path) {
+				if dict.PathConnects(m.view, st.assign[e.From], st.assign[e.To], pc.Path) {
 					st.paths[ei], st.pscore[ei] = pc.Path, pc.Score
 					filled = append(filled, ei)
 					found = true
@@ -1264,21 +1235,9 @@ func (m *matcher) enumerateUnanchored() {
 	m.probes.Add(1)
 	st := m.getState()
 	defer m.putState(st)
-	// Enumerate through the pinned view when one exists so this path, too,
-	// reads no mutable graph state.
-	n := m.g.NumTerms()
-	if m.view != nil {
-		n = m.view.NumTerms()
-	}
-	term := m.g.Term
-	degree := m.g.Degree
-	if m.view != nil {
-		term = m.view.Term
-		degree = m.view.Degree
-	}
-	for v := 0; v < n && !m.res.full(); v++ {
+	for v, n := 0, m.view.NumTerms(); v < n && !m.res.full(); v++ {
 		u := store.ID(v)
-		if !term(u).IsIRI() || degree(u) == 0 {
+		if !m.view.Term(u).IsIRI() || m.view.Degree(u) == 0 {
 			continue
 		}
 		if !m.opts.Budget.Candidate() {

@@ -280,8 +280,7 @@ func benchSetup(nInst, fanout int) (*store.Graph, *QueryGraph) {
 
 // BenchmarkFindTopKMatches compares the sequential search to the pool at
 // increasing widths on the same workload (the seq-vs-par speedup table;
-// cmd/gqa-bench emits the same comparison as BENCH_parallel.json), plus a
-// seq-frozen variant running on the CSR snapshot of an identical graph.
+// cmd/gqa-bench emits the same comparison as BENCH_parallel.json).
 func BenchmarkFindTopKMatches(b *testing.B) {
 	g, q := benchSetup(400, 40)
 	for _, p := range []int{1, 2, 4, 8} {
@@ -299,15 +298,4 @@ func BenchmarkFindTopKMatches(b *testing.B) {
 			}
 		})
 	}
-	gf, qf := benchSetup(400, 40)
-	gf.Freeze()
-	b.Run("seq-frozen", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			matches, _ := FindTopKMatches(gf, qf, MatchOptions{TopK: 10, Parallelism: 1})
-			if len(matches) == 0 {
-				b.Fatal("no matches")
-			}
-		}
-	})
 }

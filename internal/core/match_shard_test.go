@@ -68,8 +68,8 @@ func TestShardMetamorphicInvariance(t *testing.T) {
 	}
 }
 
-// TestShardConcurrentAddDuringMatch pins MatchOptions.View to a ShardSet
-// and mutates a different shard of the live graph while the search runs.
+// TestShardConcurrentAddDuringMatch pins MatchOptions.View to a sharded
+// snapshot and mutates a different shard of the live graph while the search runs.
 // Under -race this proves the pinned-view search touches zero mutable
 // graph state; the results must equal a quiescent run over the same view.
 func TestShardConcurrentAddDuringMatch(t *testing.T) {
@@ -83,10 +83,9 @@ func TestShardConcurrentAddDuringMatch(t *testing.T) {
 		churn[i] = g.Intern(rdf.Resource(fmt.Sprintf("churn%d", i)))
 	}
 	g.SetShards(k)
-	g.Freeze()
 	view := g.FrozenView()
-	if _, ok := view.(*store.ShardSet); !ok {
-		t.Fatalf("FrozenView is %T, want *store.ShardSet", view)
+	if sn, ok := view.(*store.Snapshot); !ok || sn.NumShards() != k {
+		t.Fatalf("FrozenView is %T, want a %d-shard *store.Snapshot", view, k)
 	}
 	opts := MatchOptions{TopK: 10, MaxMatches: 1 << 20, Parallelism: 4, View: view}
 	want, wantStats := FindTopKMatches(g, q, opts)

@@ -3,12 +3,16 @@ package core
 // A brute-force reference implementation of Definition 3/6 and property
 // tests checking that the TA-style matcher agrees with it on random query
 // graphs over random RDF graphs — the strongest correctness evidence for
-// the paper's central algorithm.
+// the paper's central algorithm. The reference reads only the mutable
+// builder (Out/In/InstancesOf/HasType) and walks paths itself, so it
+// shares no code with the frozen read path the matcher runs on.
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"net"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -127,7 +131,7 @@ func checkAssignment(g *store.Graph, q *QueryGraph, assign, via []store.ID, scor
 	for ei, e := range q.Edges {
 		found := false
 		for _, pc := range e.Candidates {
-			if dict.PathConnects(g, assign[e.From], assign[e.To], pc.Path) {
+			if naivePathConnects(g, assign[e.From], assign[e.To], pc.Path) {
 				m.EdgePaths[ei] = pc.Path
 				score += math.Log(pc.Score)
 				found = true
@@ -140,6 +144,75 @@ func checkAssignment(g *store.Graph, q *QueryGraph, assign, via []store.ID, scor
 	}
 	m.Score = score
 	return m, true
+}
+
+// naivePathConnects is Definition 3 condition 3 by exhaustive walk over the
+// builder's adjacency lists: some simple route realizes p from u to w, or
+// from w to u.
+func naivePathConnects(g *store.Graph, u, w store.ID, p dict.Path) bool {
+	return naiveReaches(g, []store.ID{u}, w, p) || naiveReaches(g, []store.ID{w}, u, p)
+}
+
+// naiveReaches reports whether the remaining steps lead from the end of
+// route to target without revisiting a vertex on the route.
+func naiveReaches(g *store.Graph, route []store.ID, target store.ID, steps dict.Path) bool {
+	cur := route[len(route)-1]
+	if len(steps) == 0 {
+		return cur == target
+	}
+	adj := g.Out(cur)
+	if !steps[0].Forward {
+		adj = g.In(cur)
+	}
+next:
+	for _, e := range adj {
+		if e.Pred != steps[0].Pred {
+			continue
+		}
+		for _, seen := range route {
+			if seen == e.To {
+				continue next
+			}
+		}
+		if naiveReaches(g, append(route[:len(route):len(route)], e.To), target, steps[1:]) {
+			return true
+		}
+	}
+	return false
+}
+
+// loopbackView shards g four ways, sends every part through the GQASHR1
+// file format, serves each from a shard server on loopback TCP, and
+// returns the dialed snapshot — the deployment shape in which every read
+// the matcher makes crosses a process boundary's worth of code.
+func loopbackView(t *testing.T, g *store.Graph) store.View {
+	t.Helper()
+	k := g.SetShards(4)
+	addrs := make([]string, k)
+	for i := range addrs {
+		var buf bytes.Buffer
+		if err := store.SaveShardPart(&buf, g, i); err != nil {
+			t.Fatal(err)
+		}
+		part, err := store.LoadShardPart(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := store.NewShardServer(part)
+		go srv.Serve(ln) //nolint:errcheck // returns net.ErrClosed after Close
+		t.Cleanup(srv.Close)
+		addrs[i] = ln.Addr().String()
+	}
+	sn, err := store.DialShards(addrs, g.Terms(), store.RemoteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sn.Close)
+	return sn
 }
 
 // randomQuerySetup builds a random graph and a random 2–3 vertex query
@@ -227,44 +300,61 @@ func matchKey(m Match) string {
 
 // TestQuickMatcherAgreesWithBruteForce: the top-k matcher must find
 // exactly the assignments the brute-force reference finds within the
-// retained score range, with identical scores.
+// retained score range, with identical scores — in every deployment shape
+// of the store: one part, four in-process parts, and four parts behind
+// loopback shard servers.
 func TestQuickMatcherAgreesWithBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g, q := randomQuerySetup(r)
-		ref := bruteForceMatches(g, q)
-		got, _ := FindTopKMatches(g, q, MatchOptions{TopK: 1000, Exhaustive: true})
-
-		refByKey := make(map[string]float64, len(ref))
-		for _, m := range ref {
-			if old, ok := refByKey[matchKey(m)]; !ok || m.Score > old {
-				refByKey[matchKey(m)] = m.Score
+	shapes := []struct {
+		name  string
+		count int
+		view  func(t *testing.T, g *store.Graph) store.View
+	}{
+		{"k1", 60, func(t *testing.T, g *store.Graph) store.View { return g.FrozenView() }},
+		{"k4", 60, func(t *testing.T, g *store.Graph) store.View { g.SetShards(4); return g.FrozenView() }},
+		{"remote-k4", 20, loopbackView},
+	}
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			f := func(seed int64) bool { return matcherAgreesWithBruteForce(t, seed, shape.view) }
+			if err := quick.Check(f, &quick.Config{MaxCount: shape.count}); err != nil {
+				t.Fatal(err)
 			}
+		})
+	}
+}
+
+func matcherAgreesWithBruteForce(t *testing.T, seed int64, view func(*testing.T, *store.Graph) store.View) bool {
+	r := rand.New(rand.NewSource(seed))
+	g, q := randomQuerySetup(r)
+	ref := bruteForceMatches(g, q)
+	got, _ := FindTopKMatches(g, q, MatchOptions{TopK: 1000, Exhaustive: true, View: view(t, g)})
+
+	refByKey := make(map[string]float64, len(ref))
+	for _, m := range ref {
+		if old, ok := refByKey[matchKey(m)]; !ok || m.Score > old {
+			refByKey[matchKey(m)] = m.Score
 		}
-		gotByKey := make(map[string]float64, len(got))
-		for _, m := range got {
-			gotByKey[matchKey(m)] = m.Score
-		}
-		if len(refByKey) != len(gotByKey) {
-			t.Logf("seed %d: ref %d matches, got %d (query %s)", seed, len(refByKey), len(gotByKey), q)
+	}
+	gotByKey := make(map[string]float64, len(got))
+	for _, m := range got {
+		gotByKey[matchKey(m)] = m.Score
+	}
+	if len(refByKey) != len(gotByKey) {
+		t.Logf("seed %d: ref %d matches, got %d (query %s)", seed, len(refByKey), len(gotByKey), q)
+		return false
+	}
+	for k, rs := range refByKey {
+		gs, ok := gotByKey[k]
+		if !ok {
+			t.Logf("seed %d: missing assignment %s", seed, k)
 			return false
 		}
-		for k, rs := range refByKey {
-			gs, ok := gotByKey[k]
-			if !ok {
-				t.Logf("seed %d: missing assignment %s", seed, k)
-				return false
-			}
-			if math.Abs(gs-rs) > 1e-9 {
-				t.Logf("seed %d: score mismatch %s: %f vs %f", seed, k, gs, rs)
-				return false
-			}
+		if math.Abs(gs-rs) > 1e-9 {
+			t.Logf("seed %d: score mismatch %s: %f vs %f", seed, k, gs, rs)
+			return false
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
+	return true
 }
 
 // TestQuickTATopKIsPrefixOfExhaustive: with early termination on, the

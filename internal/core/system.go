@@ -282,7 +282,6 @@ func (s *System) AnswerContext(ctx context.Context, question string) (out *Resul
 	tr.Check()
 	evalStart := time.Now()
 	msp := sp.Child("core.match")
-	pxBuilds, pxHits := store.PredIndexStats()
 	matches, stats := FindTopKMatches(s.Graph, res.Query, MatchOptions{
 		TopK:           s.Opts.TopK,
 		DisablePruning: s.Opts.DisablePruning,
@@ -291,14 +290,6 @@ func (s *System) AnswerContext(ctx context.Context, question string) (out *Resul
 		Budget:         tr,
 		Span:           msp,
 	})
-	if msp.Enabled() {
-		// Predicate-index traffic is process-global; under concurrent
-		// questions the delta includes neighbors' lookups, but it still
-		// tells cold cache (builds dominate) from warm (hits dominate).
-		b2, h2 := store.PredIndexStats()
-		msp.SetInt("predindex_builds", b2-pxBuilds)
-		msp.SetInt("predindex_hits", h2-pxHits)
-	}
 	msp.Finish()
 	res.Matches = matches
 	res.Stats = stats

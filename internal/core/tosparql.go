@@ -116,7 +116,7 @@ func ResolvedSPARQL(g *store.Graph, q *QueryGraph, m *Match) (*sparql.Query, err
 // pathRealized reports whether path runs u → w (true) or w → u (false;
 // Definition 3's either-orientation rule).
 func pathRealized(g *store.Graph, u, w store.ID, path dict.Path) bool {
-	for _, dst := range dict.FollowPath(g, u, path) {
+	for _, dst := range dict.FollowPath(g.FrozenView(), u, path) {
 		if dst == w {
 			return true
 		}

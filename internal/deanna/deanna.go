@@ -221,6 +221,7 @@ func (s *System) buildDisambiguationGraph(q *core.QueryGraph, edges []edgeCands,
 		}
 	}
 	// Vertex-candidate × incident-edge-candidate coherence.
+	view := s.Graph.FrozenView()
 	for ei, e := range q.Edges {
 		for ci, pred := range edges[ei].preds {
 			for _, vi := range []int{e.From, e.To} {
@@ -229,12 +230,12 @@ func (s *System) buildDisambiguationGraph(q *core.QueryGraph, edges []edgeCands,
 					co := 0.0
 					if c.IsClass {
 						for _, inst := range s.Graph.InstancesOf(c.ID) {
-							if s.Graph.HasAdjacentPred(inst, pred) {
+							if view.HasAdjacentPred(inst, pred) {
 								co = 1
 								break
 							}
 						}
-					} else if s.Graph.HasAdjacentPred(c.ID, pred) {
+					} else if view.HasAdjacentPred(c.ID, pred) {
 						co = 1
 					}
 					dg.ve[[4]int{vi, cj, ei, ci}] = co

@@ -156,10 +156,11 @@ func (m *Maintainer) PredicateRemoved(p store.ID) {
 // gain paths), then the corpus is rescored.
 func (m *Maintainer) PredicateAdded(p store.ID) int {
 	remined := 0
+	view := m.g.FrozenView()
 	for i, set := range m.sets {
 		affected := false
 		for _, pair := range set.Pairs {
-			if m.g.HasAdjacentPred(pair[0], p) || m.g.HasAdjacentPred(pair[1], p) {
+			if view.HasAdjacentPred(pair[0], p) || view.HasAdjacentPred(pair[1], p) {
 				affected = true
 				break
 			}

@@ -238,26 +238,17 @@ const followPathDedupeScan = 32
 // query time to evaluate predicate-path edges of the semantic query graph.
 //
 // The walk is a DFS over one shared route buffer (the earlier BFS copied
-// the route per frontier state, which dominated matcher allocations). On a
-// frozen graph each step is a binary-searched CSR span (see
-// store/frozen.go and store/shard.go); the mutable path keeps the
-// OutByPred/InByPred hub cache. Target order follows the traversal and is
-// not significant; results are a set (first-reached order).
-func FollowPath(g *store.Graph, v store.ID, p Path) []store.ID {
-	return FollowPathView(g, g.FrozenView(), v, p)
-}
-
-// FollowPathView is FollowPath over an explicitly pinned frozen view.
-// When view is non-nil every step reads the view only — never the mutable
-// graph — so a caller holding a captured View (the sharded matcher, the
+// the route per frontier state, which dominated matcher allocations).
+// Every step reads one per-predicate span of the view — never the mutable
+// graph — so a caller holding a captured View (the matcher, the
 // concurrent-mutation tests) walks a consistent frozen surface while the
-// graph mutates underneath. A nil view falls back to g's mutable indexes.
-func FollowPathView(g *store.Graph, view store.View, v store.ID, p Path) []store.ID {
+// graph mutates underneath. Target order follows the traversal and is not
+// significant; results are a set (first-reached order).
+func FollowPath(view store.View, v store.ID, p Path) []store.ID {
 	followPathCalls.Inc()
 	if len(p) == 0 {
 		return []store.ID{v}
 	}
-	sn := view
 	route := make([]store.ID, 1, len(p)+1)
 	route[0] = v
 	var out []store.ID
@@ -301,26 +292,14 @@ func FollowPathView(g *store.Graph, view store.View, v store.ID, p Path) []store
 	}
 	walk = func(u store.ID, depth int) {
 		st := p[depth]
-		if sn != nil {
-			var span []store.Edge
-			if st.Forward {
-				span = sn.OutPred(u, st.Pred)
-			} else {
-				span = sn.InPred(u, st.Pred)
-			}
-			for i := range span {
-				visit(span[i].To, depth)
-			}
-			return
-		}
-		var ids []store.ID
+		var span []store.Edge
 		if st.Forward {
-			ids = g.OutByPred(u, st.Pred)
+			span = view.OutPred(u, st.Pred)
 		} else {
-			ids = g.InByPred(u, st.Pred)
+			span = view.InPred(u, st.Pred)
 		}
-		for _, w := range ids {
-			visit(w, depth)
+		for i := range span {
+			visit(span[i].To, depth)
 		}
 	}
 	walk(v, 0)
@@ -330,19 +309,13 @@ func FollowPathView(g *store.Graph, view store.View, v store.ID, p Path) []store
 // PathConnects reports whether the path leads from u to w (in the recorded
 // direction) or from w to u (reversed) via a simple route — the
 // either-orientation edge test Definition 3 needs.
-func PathConnects(g *store.Graph, u, w store.ID, p Path) bool {
-	return PathConnectsView(g, g.FrozenView(), u, w, p)
-}
-
-// PathConnectsView is PathConnects over an explicitly pinned frozen view
-// (see FollowPathView for the contract).
-func PathConnectsView(g *store.Graph, view store.View, u, w store.ID, p Path) bool {
-	for _, dst := range FollowPathView(g, view, u, p) {
+func PathConnects(view store.View, u, w store.ID, p Path) bool {
+	for _, dst := range FollowPath(view, u, p) {
 		if dst == w {
 			return true
 		}
 	}
-	for _, dst := range FollowPathView(g, view, w, p) {
+	for _, dst := range FollowPath(view, w, p) {
 		if dst == u {
 			return true
 		}

@@ -162,12 +162,12 @@ func TestFollowPath(t *testing.T) {
 		{Pred: hasChild, Forward: true},
 		{Pred: hasChild, Forward: true},
 	}
-	got := FollowPath(g, ids["Ted_Kennedy"], uncle)
+	got := FollowPath(g.FrozenView(), ids["Ted_Kennedy"], uncle)
 	if len(got) != 1 || got[0] != ids["John_F_Kennedy_Jr"] {
 		t.Fatalf("FollowPath = %v", got)
 	}
 	// No route from JFK Jr forward along "uncle".
-	if got := FollowPath(g, ids["John_F_Kennedy_Jr"], uncle); got != nil {
+	if got := FollowPath(g.FrozenView(), ids["John_F_Kennedy_Jr"], uncle); got != nil {
 		t.Fatalf("unexpected routes: %v", got)
 	}
 }
@@ -180,14 +180,14 @@ func TestPathConnectsEitherOrientation(t *testing.T) {
 		{Pred: hasChild, Forward: true},
 		{Pred: hasChild, Forward: true},
 	}
-	if !PathConnects(g, ids["Ted_Kennedy"], ids["John_F_Kennedy_Jr"], uncle) {
+	if !PathConnects(g.FrozenView(), ids["Ted_Kennedy"], ids["John_F_Kennedy_Jr"], uncle) {
 		t.Fatal("uncle path should connect Ted → JFK Jr")
 	}
 	// Also from the other side (Definition 3 allows either direction).
-	if !PathConnects(g, ids["John_F_Kennedy_Jr"], ids["Ted_Kennedy"], uncle) {
+	if !PathConnects(g.FrozenView(), ids["John_F_Kennedy_Jr"], ids["Ted_Kennedy"], uncle) {
 		t.Fatal("uncle path should connect with swapped endpoints")
 	}
-	if PathConnects(g, ids["Joseph_Kennedy"], ids["male"], uncle) {
+	if PathConnects(g.FrozenView(), ids["Joseph_Kennedy"], ids["male"], uncle) {
 		t.Fatal("uncle path must not connect Joseph → male")
 	}
 }
@@ -202,7 +202,7 @@ func TestQuickFollowPathMatchesSimplePaths(t *testing.T) {
 		to := verts[r.Intn(len(verts))]
 		for _, p := range SimplePathsDFS(g, from, to, 3) {
 			found := false
-			for _, dst := range FollowPath(g, from, p) {
+			for _, dst := range FollowPath(g.FrozenView(), from, p) {
 				if dst == to {
 					found = true
 					break

@@ -99,8 +99,8 @@ func TestWorkloadRemoteShardDifferential(t *testing.T) {
 	mono := core.NewSystem(g, d, core.Options{TopK: 10})
 
 	remote := buildRemoteSystem(t, addrs, store.RemoteOptions{})
-	if _, ok := remote.Graph.FrozenView().(*store.RemoteShardSet); !ok {
-		t.Fatalf("remote system's view is %T, want *store.RemoteShardSet", remote.Graph.FrozenView())
+	if sn, ok := remote.Graph.FrozenView().(*store.Snapshot); !ok || sn == remote.Graph.Frozen() {
+		t.Fatalf("remote system's view is %T, want the dialed *store.Snapshot, not the local freeze", remote.Graph.FrozenView())
 	}
 
 	qs := bench.Workload()

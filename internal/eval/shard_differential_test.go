@@ -6,6 +6,7 @@ import (
 
 	"gqa/internal/bench"
 	"gqa/internal/core"
+	"gqa/internal/store"
 )
 
 // TestWorkloadShardDifferential pins the sharding contract end to end:
@@ -36,8 +37,8 @@ func TestWorkloadShardDifferential(t *testing.T) {
 	if mono.Graph.Frozen() == nil {
 		t.Fatal("baseline system has no monolithic snapshot")
 	}
-	if _, ok := sharded.Graph.FrozenView().(interface{ NumShards() int }); !ok {
-		t.Fatalf("sharded system's view is %T, want a ShardSet", sharded.Graph.FrozenView())
+	if sn, ok := sharded.Graph.FrozenView().(*store.Snapshot); !ok || sn.NumShards() != 8 {
+		t.Fatalf("sharded system's view is %T, want an 8-shard *store.Snapshot", sharded.Graph.FrozenView())
 	}
 
 	qs := bench.Workload()

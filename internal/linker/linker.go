@@ -70,12 +70,11 @@ func New(g *store.Graph, opts Options) *Linker {
 	if l.minSim == 0 {
 		l.minSim = 0.34
 	}
-	// On a frozen graph Entities() serves the snapshot's precomputed list
-	// and the literal pass below answers from CSR degrees, so indexing a
-	// large graph skips the per-vertex map probes of the mutable path.
-	// FrozenView covers both the monolithic snapshot and the sharded set.
-	sn := g.FrozenView()
-	for _, id := range g.Entities() {
+	// The frozen view serves the precomputed entity list, and the literal
+	// pass below answers from its degrees, so indexing a large graph skips
+	// per-vertex map probes and adjacency walks.
+	view := g.FrozenView()
+	for _, id := range view.Entities() {
 		l.index(id, false)
 	}
 	for _, id := range g.Classes() {
@@ -92,19 +91,9 @@ func New(g *store.Graph, opts Options) *Linker {
 		}
 		// Pure rdfs:label strings are names of other vertices, not data
 		// values; indexing them would only duplicate their owners.
-		dataValue := false
-		if sn != nil {
-			// Any in-edge besides rdfs:label ones marks a data value; two
-			// O(log d) degree reads answer that without walking adjacency.
-			dataValue = sn.InDegree(id) > sn.InPredDegree(id, g.LabelPredID())
-		} else {
-			for _, e := range g.In(id) {
-				if e.Pred != g.LabelPredID() {
-					dataValue = true
-					break
-				}
-			}
-		}
+		// Any in-edge besides rdfs:label ones marks a data value; two
+		// O(log d) degree reads answer that without walking adjacency.
+		dataValue := view.InDegree(id) > view.InPredDegree(id, g.LabelPredID())
 		if dataValue {
 			l.index(id, false)
 		}

@@ -86,22 +86,17 @@ func evalTracked(g *store.Graph, q *Query, tr *budget.Tracker) (*Result, error) 
 	binding := make(map[string]store.ID)
 	order := planOrder(g, q.Patterns)
 
-	// Capture the frozen CSR snapshot once for the whole evaluation: every
-	// pattern scan then dispatches through sorted-span binary searches
-	// without re-loading the graph's snapshot pointer per call. An
-	// unfrozen graph keeps the mutable index dispatch.
-	match := g.Match
-	var boundView store.View
-	if fv := g.FrozenView(); fv != nil {
-		// A remote view binds to this evaluation's tracker so shard-RPC
-		// deadlines follow the request budget and an unreachable shard
-		// degrades (Truncated = "shard-unavailable") instead of hanging.
-		if rb, ok := fv.(store.RequestBindable); ok {
-			fv = rb.BindRequest(tr, nil)
-			boundView = fv
-		}
-		match = fv.Match
+	// Capture the frozen view once for the whole evaluation. A snapshot
+	// over remote parts binds to this evaluation's tracker so shard-RPC
+	// deadlines follow the request budget and an unreachable shard degrades
+	// (Truncated = "shard-unavailable") instead of hanging.
+	view := g.FrozenView()
+	var bound *store.Snapshot
+	if sn, ok := view.(*store.Snapshot); ok {
+		bound = sn.BindRequest(tr, nil)
+		view = bound
 	}
+	match := view.Match
 
 	limit := q.Limit
 	want := -1 // unlimited
@@ -170,10 +165,8 @@ func evalTracked(g *store.Graph, q *Query, tr *budget.Tracker) (*Result, error) 
 	}
 	walk(0)
 	res.Truncated = tr.Exhausted()
-	if res.Truncated == "" && boundView != nil {
-		if dr, ok := boundView.(store.DegradeReporter); ok {
-			res.Truncated = dr.DegradeReason()
-		}
+	if res.Truncated == "" {
+		res.Truncated = bound.DegradeReason()
 	}
 
 	// FILTER constraints on the complete bindings.

@@ -1,40 +1,43 @@
 package store
 
-// Frozen CSR snapshots: an immutable, compact read-only view of a loaded
-// Graph, in the spirit of gStore's read-optimized storage [33]. The mutable
-// Graph is a load-optimized pile of maps and unsorted adjacency slices; a
-// Snapshot recompacts it once into flat CSR arrays with each vertex's edge
-// list sorted by (Pred, To), so the hot operations of §4.2.2 neighborhood
-// pruning — HasAdjacentPred, per-predicate neighbor lookups, and bound-s /
-// bound-o pattern scans — become binary searches over contiguous memory:
-// no map hashing, no RWMutex, no lazily built cache (the predindex.go hub
-// cache is subsumed on the frozen path).
+// The frozen graph. The mutable Graph is a load-optimized builder — maps
+// and unsorted adjacency slices; every query reads a Snapshot instead: the
+// graph recompacted into K ≥ 1 immutable parts (shard.go) of flat CSR
+// arrays, so the hot operations of §4.2.2 neighborhood pruning —
+// HasAdjacentPred, per-predicate neighbor runs, bound-s / bound-o pattern
+// scans — are binary searches over contiguous memory with no map hashing
+// and no lock. The same type serves a graph whose parts live in other
+// processes: its reader is then the shard-RPC client (remote.go) and
+// nothing above the reader can tell.
 //
-// Not to be confused with the binary serialization format in snapshot.go
-// (Graph.Snapshot / LoadSnapshot), which is an on-disk interchange format;
-// a *Snapshot here is the in-memory frozen query structure.
+// Not to be confused with the binary interchange format in snapshot.go
+// (Graph.Snapshot / LoadSnapshot); a *Snapshot here is the in-memory
+// frozen query structure.
 //
-// Contract: Freeze builds a Snapshot from the graph's current state and
-// installs it; any subsequent Add/Remove invalidates the installed pointer
-// (Frozen returns nil) and bumps the graph's generation, so re-freezing
-// reflects the mutation. A *Snapshot already handed out stays valid and
-// fully self-contained forever: it shares nothing mutable with the graph,
-// so concurrent snapshot readers are safe during background mutation of
-// the mutable Graph (mutating the Graph itself still follows the
-// single-writer contract).
+// Contract: FrozenView/Freeze never return nil — they return the snapshot
+// at the graph's current mutation generation, building it first when the
+// graph mutated since the last one (one build however many readers ask at
+// once; on a sharded graph only the parts whose shard generation moved are
+// rebuilt). A *Snapshot already handed out stays valid and self-contained
+// forever: it shares nothing mutable with the graph, so its readers are
+// safe while the Graph is mutated. Freezing itself reads the mutable
+// structures and follows the graph's single-writer contract: it must not
+// run concurrently with Add/Remove.
 
 import (
 	"context"
-	"sort"
+	"sync/atomic"
 	"time"
 
+	"gqa/internal/budget"
 	"gqa/internal/faultpoint"
 	"gqa/internal/obs"
 	"gqa/internal/rdf"
 )
 
-// Snapshot-build metrics: how long a freeze takes and how much memory the
-// frozen arrays hold — the observable cost of snapshot mode.
+// Freeze metrics: how long a freeze takes, how much memory the frozen
+// arrays hold, and how many parts were actually rebuilt (clean parts are
+// reused and not counted) with how many boundary-index entries.
 var (
 	snapshotBuildSeconds = obs.DefaultHistogram("gqa_store_snapshot_build_seconds",
 		"Time to build one frozen CSR snapshot from the mutable graph.", nil)
@@ -42,91 +45,137 @@ var (
 		"Size of the most recently built snapshot's CSR arrays in bytes.")
 	snapshotBuilds = obs.DefaultCounter("gqa_store_snapshot_builds_total",
 		"Frozen CSR snapshots built (freezes after load or mutation).")
+	shardFreezes = obs.DefaultCounter("gqa_store_shard_freezes_total",
+		"Part CSRs rebuilt during freezes (clean shards are reused, not counted).")
+	shardBoundaryEdges = obs.DefaultCounter("gqa_store_shard_boundary_edges_total",
+		"Cross-shard boundary-index edges built across part rebuilds.")
 )
 
-// Vertex role bits precomputed at freeze so Entities/Stats/IsEntity become
-// array reads instead of per-vertex map probes.
-const (
-	roleIRI     = 1 << iota // term is an IRI
-	roleLiteral             // term is a literal
-	roleClass               // vertex classified as a class (Definition 3)
-	rolePred                // term is used as a predicate
-	roleEntity              // IRI, not a class, not a predicate, degree > 0
-)
-
-// Snapshot is the frozen CSR view. All slices are private and immutable
-// after build; methods never touch the originating Graph, so a Snapshot is
-// safe for unlimited concurrent readers even while the mutable Graph is
-// being mutated.
+// Snapshot is the frozen read surface and the one View implementation:
+// the global facts every read shares (term table, merged entity and
+// predicate lists, stats) plus a reader for everything per-vertex. It is
+// immutable and safe for unlimited concurrent readers.
 type Snapshot struct {
 	gen   uint64
+	k     int
 	terms []rdf.Term // frozen slice header; term storage is append-only
+	rd    reader
+	parts localParts // the arrays behind rd; nil when the parts are remote
 
-	// Out- and in-adjacency in CSR form: vertex v's edges occupy
-	// edges[off[v]:off[v+1]], sorted by (Pred, To). For the in side,
-	// Edge.To is the *subject* of the underlying triple (as with Graph.In).
-	outOff   []uint32
-	outEdges []Edge
-	inOff    []uint32
-	inEdges  []Edge
-
-	// Predicate-major CSR replacing the byPred map: predIDs is sorted
-	// ascending; predicate predIDs[i]'s triples occupy
-	// predTriples[predOff[i]:predOff[i+1]], sorted by (S, O).
-	predIDs     []ID
-	predOff     []uint32
-	predTriples []Spo
-
-	// Two-hash-bit vertex signature (widened from the mutable graph's
-	// single bit): predicate p incident to v sets bit h1(p) in sig[v][0]
-	// and bit h2(p) in sig[v][1]. HasAdjacentPred requires both bits,
-	// cutting Bloom false positives quadratically before any span search;
-	// the two words sit side by side so the test costs one cache line.
-	sig [][2]uint64
-
-	roles    []uint8
-	entities []ID // ascending, precomputed from roles
+	rdfType  ID
+	nTriples int
+	predIDs  []ID // ascending union of the parts' predicate lists
+	entities []ID // ascending union of the parts' entity lists
 	stats    Stats
-
-	rdfType, subClass, labelPred ID
-	nTriples                     int
-	bytes                        int64
+	bytes    int64
 }
 
-func sigBits(p ID) (lo, hi uint64) {
-	lo = 1 << (uint(p) % 64)
-	// Fibonacci hashing for the second, independent bit.
-	hi = 1 << ((uint64(p) * 0x9E3779B97F4A7C15) >> 58)
-	return lo, hi
+// SetShards configures vertex-hash sharding: k > 1 partitions the next
+// freeze into k parts; k <= 1 restores the single-part layout. Switching
+// drops the installed snapshot. Not safe to call concurrently with reads
+// or mutation.
+//
+// The requested count is validated, not trusted: a negative k is treated
+// as 0, and k is clamped to the current vertex count — residue classes
+// beyond NumTerms would be permanently empty parts that every k-way merge
+// and scatter round still pays for. The effective shard count is returned
+// (0 when unsharded); callers that care can log the clamp.
+func (g *Graph) SetShards(k int) int {
+	g.freezeMu.Lock()
+	defer g.freezeMu.Unlock()
+	if n := len(g.terms); k > n {
+		k = n
+	}
+	if k <= 1 {
+		k = 0
+	}
+	g.shardK = k
+	g.shardGens = make([]atomic.Uint64, k)
+	g.snap.Store(nil)
+	g.lastSharded = nil
+	return k
 }
 
-// Freeze returns the frozen CSR snapshot of the graph's current state,
-// building one only when the installed snapshot is missing or stale
-// (i.e. the graph mutated since). Calling Freeze on an unchanged graph is
-// a pointer load. Freeze must not run concurrently with mutation (the
-// graph's single-writer contract); concurrent Freeze calls from readers
-// are safe.
+// NumShards returns the configured shard count (0 when unsharded).
+func (g *Graph) NumShards() int { return g.shardK }
+
+// GenVector returns the graph's generation vector: the global mutation
+// generation followed by each shard's generation when sharded. It is the
+// invalidation token sharded cache keys use — a mutation bumps exactly
+// the dirtied shards' entries.
+func (g *Graph) GenVector() []uint64 {
+	out := make([]uint64, 1+len(g.shardGens))
+	out[0] = g.gen.Load()
+	for i := range g.shardGens {
+		out[i+1] = g.shardGens[i].Load()
+	}
+	return out
+}
+
+// GenKey renders the generation vector as a compact cache-key component:
+// "g<gen>" unsharded, "g<gen>:<s0>.<s1>...." sharded.
+func (g *Graph) GenKey() string {
+	vec := g.GenVector()
+	buf := make([]byte, 0, 8+8*len(vec))
+	buf = append(buf, 'g')
+	buf = appendUint(buf, vec[0])
+	for i, sg := range vec[1:] {
+		if i == 0 {
+			buf = append(buf, ':')
+		} else {
+			buf = append(buf, '.')
+		}
+		buf = appendUint(buf, sg)
+	}
+	return string(buf)
+}
+
+func appendUint(b []byte, v uint64) []byte {
+	if v == 0 {
+		return append(b, '0')
+	}
+	var tmp [20]byte
+	i := len(tmp)
+	for v > 0 {
+		i--
+		tmp[i] = byte('0' + v%10)
+		v /= 10
+	}
+	return append(b, tmp[i:]...)
+}
+
+// FrozenView returns the graph's read surface: the remote view when one is
+// installed (SetRemoteView), otherwise the snapshot at the current
+// generation, frozen on demand. It never returns nil.
+func (g *Graph) FrozenView() View {
+	if rv := g.remoteView.Load(); rv != nil {
+		return *rv
+	}
+	return g.Freeze()
+}
+
+// Freeze returns the snapshot of the graph's current state, building one
+// only when the installed snapshot is missing or stale. Calling Freeze on
+// an unchanged graph is a pointer load.
 func (g *Graph) Freeze() *Snapshot { return g.FreezeCtx(context.Background()) }
 
 // FreezeCtx is Freeze with a trace span ("store.freeze") recorded on the
-// context's trace when one is present.
-//
-// On a sharded graph (SetShards with k > 1) the freeze builds the
-// per-shard ShardSet instead — rebuilding only shards whose generation
-// moved, see shard.go — and returns nil: sharded callers read through
-// FrozenView, which serves the ShardSet.
+// context's trace when a build happens.
 func (g *Graph) FreezeCtx(ctx context.Context) *Snapshot {
-	if g.shardK > 1 {
-		g.freezeShards(ctx)
-		return nil
+	if sn := g.Frozen(); sn != nil {
+		return sn
 	}
-	gen := g.gen.Load()
-	if sn := g.snap.Load(); sn != nil && sn.gen == gen {
+	g.freezeMu.Lock()
+	defer g.freezeMu.Unlock()
+	if sn := g.Frozen(); sn != nil {
 		return sn
 	}
 	sp := obs.TraceFrom(ctx).Root().Child("store.freeze")
 	start := time.Now()
-	sn := buildSnapshot(g, gen)
+	sn, rebuilt := g.buildSnapshot(max(g.shardK, 1), g.lastSharded)
+	if sn.k > 1 {
+		g.lastSharded = sn
+	}
 	g.snap.Store(sn)
 	snapshotBuildSeconds.ObserveDuration(time.Since(start))
 	snapshotBytes.Set(sn.bytes)
@@ -135,139 +184,152 @@ func (g *Graph) FreezeCtx(ctx context.Context) *Snapshot {
 		sp.SetInt("terms", int64(len(sn.terms)))
 		sp.SetInt("triples", int64(sn.nTriples))
 		sp.SetInt("bytes", sn.bytes)
+		sp.SetInt("shards", int64(sn.k))
+		sp.SetInt("shards_rebuilt", int64(rebuilt))
 	}
 	sp.Finish()
 	return sn
 }
 
 // Frozen returns the installed snapshot, or nil when the graph has never
-// been frozen or has mutated since the last Freeze. Hot paths capture the
-// result once per operation rather than per lookup.
-func (g *Graph) Frozen() *Snapshot { return g.snap.Load() }
+// been frozen or has mutated since — a peek that never builds.
+func (g *Graph) Frozen() *Snapshot {
+	if sn := g.snap.Load(); sn != nil && sn.gen == g.gen.Load() {
+		return sn
+	}
+	return nil
+}
+
+// buildSnapshot freezes the graph into k parts at its current generation,
+// reusing prev's parts wherever the shard's generation has not moved, and
+// reports how many parts it rebuilt.
+func (g *Graph) buildSnapshot(k int, prev *Snapshot) (*Snapshot, int) {
+	gen := g.gen.Load()
+	parts := make(localParts, k)
+	rebuilt := 0
+	for i := range parts {
+		pgen := gen
+		if k > 1 {
+			pgen = g.shardGens[i].Load()
+		}
+		if prev != nil && prev.k == k && prev.parts[i].gen == pgen {
+			parts[i] = prev.parts[i]
+			continue
+		}
+		parts[i] = buildShardPart(g, i, k, pgen)
+		rebuilt++
+		shardFreezes.Inc()
+		shardBoundaryEdges.Add(int64(len(parts[i].boundary)))
+	}
+	sn := &Snapshot{
+		gen: gen, k: k, terms: g.terms, rd: parts, parts: parts,
+		rdfType: g.rdfType, nTriples: len(g.triples),
+	}
+	// Global assembly. Triples/Predicates/Classes are O(1) reads of the
+	// live graph; literals are recounted over the term table so a literal
+	// interned since a clean part's build still shows up.
+	entityLists, predLists := make([][]ID, k), make([][]ID, k)
+	for i, p := range parts {
+		entityLists[i], predLists[i] = p.entities, p.predIDs
+		sn.bytes += p.bytes
+	}
+	sn.entities = mergeIDLists(entityLists)
+	sn.predIDs = mergeIDLists(predLists)
+	sn.stats = Stats{
+		Entities:   len(sn.entities),
+		Classes:    len(g.classes),
+		Triples:    len(g.triples),
+		Predicates: len(g.preds),
+	}
+	for _, t := range sn.terms {
+		if t.IsLiteral() {
+			sn.stats.Literals++
+		}
+	}
+	return sn, rebuilt
+}
+
+// mergeIDLists k-way-merges ascending ID lists into one ascending,
+// deduplicated list (predicate lists can repeat an ID across shards). The
+// inputs are immutable, so a lone list is returned as is.
+func mergeIDLists(lists [][]ID) []ID {
+	if len(lists) == 1 {
+		return lists[0]
+	}
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	out := make([]ID, 0, total)
+	for {
+		best := -1
+		for i, l := range lists {
+			if len(l) > 0 && (best < 0 || l[0] < lists[best][0]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		v := lists[best][0]
+		lists[best] = lists[best][1:]
+		if len(out) == 0 || out[len(out)-1] != v {
+			out = append(out, v)
+		}
+	}
+}
+
+// mergeSpoGroups streams the union of (S, O)-sorted groups in global
+// (S, O) order (subjects partition by shard, so heads never tie). It
+// returns false when fn stopped the iteration.
+func mergeSpoGroups(groups [][]Spo, fn func(Spo) bool) bool {
+	for {
+		best := -1
+		for i, gr := range groups {
+			if len(gr) == 0 {
+				continue
+			}
+			if best < 0 {
+				best = i
+				continue
+			}
+			a, b := gr[0], groups[best][0]
+			if a.S < b.S || (a.S == b.S && a.O < b.O) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return true
+		}
+		spo := groups[best][0]
+		groups[best] = groups[best][1:]
+		if !fn(spo) {
+			return false
+		}
+	}
+}
+
+// ----------------------------------------------------------- the View
 
 // Generation returns the graph mutation generation the snapshot was built
 // at (each Add/Remove bumps the graph's generation).
 func (sn *Snapshot) Generation() uint64 { return sn.gen }
 
-// Bytes returns the approximate heap size of the snapshot's arrays.
+// NumShards returns K, the number of parts (1 for an unsharded graph).
+func (sn *Snapshot) NumShards() int { return sn.k }
+
+// Bytes returns the approximate heap size of the local parts' arrays.
 func (sn *Snapshot) Bytes() int64 { return sn.bytes }
 
-func buildSnapshot(g *Graph, gen uint64) *Snapshot {
-	n := len(g.terms)
-	sn := &Snapshot{
-		gen:       gen,
-		terms:     g.terms,
-		rdfType:   g.rdfType,
-		subClass:  g.subClass,
-		labelPred: g.labelPred,
-		nTriples:  len(g.triples),
+// BoundaryEdges returns the total cross-shard out-edges indexed across
+// all local parts.
+func (sn *Snapshot) BoundaryEdges() int {
+	n := 0
+	for _, p := range sn.parts {
+		n += len(p.boundary)
 	}
-
-	sn.outOff, sn.outEdges = buildCSR(g.out)
-	sn.inOff, sn.inEdges = buildCSR(g.in)
-
-	// Two-hash-bit signatures over both directions.
-	sn.sig = make([][2]uint64, n)
-	setSig := func(v int, es []Edge) {
-		for _, e := range es {
-			lo, hi := sigBits(e.Pred)
-			sn.sig[v][0] |= lo
-			sn.sig[v][1] |= hi
-		}
-	}
-	for v := 0; v < n; v++ {
-		setSig(v, sn.outSpan(ID(v)))
-		setSig(v, sn.inSpan(ID(v)))
-	}
-
-	// Predicate-major CSR, predicates ascending, groups sorted by (S, O).
-	sn.predIDs = make([]ID, 0, len(g.preds))
-	for p := range g.preds {
-		sn.predIDs = append(sn.predIDs, p)
-	}
-	sort.Slice(sn.predIDs, func(i, j int) bool { return sn.predIDs[i] < sn.predIDs[j] })
-	sn.predOff = make([]uint32, len(sn.predIDs)+1)
-	sn.predTriples = make([]Spo, 0, len(g.triples))
-	for i, p := range sn.predIDs {
-		start := len(sn.predTriples)
-		sn.predTriples = append(sn.predTriples, g.byPred[p]...)
-		group := sn.predTriples[start:]
-		sort.Slice(group, func(a, b int) bool {
-			if group[a].S != group[b].S {
-				return group[a].S < group[b].S
-			}
-			return group[a].O < group[b].O
-		})
-		sn.predOff[i+1] = uint32(len(sn.predTriples))
-	}
-
-	// Role bitmap + precomputed entity list and Table-4 stats.
-	sn.roles = make([]uint8, n)
-	sn.stats = Stats{
-		Triples:    len(g.triples),
-		Predicates: len(g.preds),
-		Classes:    len(g.classes),
-	}
-	for v := 0; v < n; v++ {
-		id := ID(v)
-		var r uint8
-		t := g.terms[v]
-		switch {
-		case t.IsIRI():
-			r |= roleIRI
-		case t.IsLiteral():
-			r |= roleLiteral
-			sn.stats.Literals++
-		}
-		if _, ok := g.classes[id]; ok {
-			r |= roleClass
-		}
-		if _, ok := g.preds[id]; ok {
-			r |= rolePred
-		}
-		deg := sn.outOff[v+1] - sn.outOff[v] + sn.inOff[v+1] - sn.inOff[v]
-		if r&roleIRI != 0 && r&(roleClass|rolePred) == 0 && deg > 0 {
-			r |= roleEntity
-			sn.entities = append(sn.entities, id)
-			sn.stats.Entities++
-		}
-		sn.roles[v] = r
-	}
-
-	sn.bytes = int64(len(sn.outEdges)+len(sn.inEdges))*8 +
-		int64(len(sn.outOff)+len(sn.inOff)+len(sn.predOff))*4 +
-		int64(len(sn.predTriples))*12 +
-		int64(len(sn.sig))*16 +
-		int64(len(sn.roles)) +
-		int64(len(sn.entities)+len(sn.predIDs))*4
-	return sn
+	return n
 }
-
-// buildCSR flattens per-vertex adjacency into offset+edge arrays with each
-// vertex's span sorted by (Pred, To).
-func buildCSR(adj [][]Edge) ([]uint32, []Edge) {
-	off := make([]uint32, len(adj)+1)
-	total := 0
-	for _, es := range adj {
-		total += len(es)
-	}
-	edges := make([]Edge, 0, total)
-	for v, es := range adj {
-		start := len(edges)
-		edges = append(edges, es...)
-		span := edges[start:]
-		sort.Slice(span, func(i, j int) bool {
-			if span[i].Pred != span[j].Pred {
-				return span[i].Pred < span[j].Pred
-			}
-			return span[i].To < span[j].To
-		})
-		off[v+1] = uint32(len(edges))
-	}
-	return off, edges
-}
-
-// ---------------------------------------------------------------- accessors
 
 // NumTerms returns the number of interned terms at freeze time.
 func (sn *Snapshot) NumTerms() int { return len(sn.terms) }
@@ -275,163 +337,86 @@ func (sn *Snapshot) NumTerms() int { return len(sn.terms) }
 // NumTriples returns the number of distinct triples at freeze time.
 func (sn *Snapshot) NumTriples() int { return sn.nTriples }
 
-// Term returns the term for id (IDs are stable across freezes).
-func (sn *Snapshot) Term(id ID) rdf.Term { return sn.terms[id] }
-
-func (sn *Snapshot) outSpan(v ID) []Edge {
-	if int(v) >= len(sn.outOff)-1 {
-		return nil
-	}
-	return sn.outEdges[sn.outOff[v]:sn.outOff[v+1]]
-}
-
-func (sn *Snapshot) inSpan(v ID) []Edge {
-	if int(v) >= len(sn.inOff)-1 {
-		return nil
-	}
-	return sn.inEdges[sn.inOff[v]:sn.inOff[v+1]]
-}
-
-// Out returns v's outgoing edges sorted by (Pred, To). The slice aliases
-// the snapshot's arrays and must not be modified.
-func (sn *Snapshot) Out(v ID) []Edge { return sn.outSpan(v) }
-
-// In returns v's incoming edges sorted by (Pred, To); Edge.To is the
-// subject of the underlying triple.
-func (sn *Snapshot) In(v ID) []Edge { return sn.inSpan(v) }
-
-// OutDegree and InDegree are O(1) span widths.
-func (sn *Snapshot) OutDegree(v ID) int { return len(sn.outSpan(v)) }
-func (sn *Snapshot) InDegree(v ID) int  { return len(sn.inSpan(v)) }
-
-// Degree returns the total (in+out) degree of v.
-func (sn *Snapshot) Degree(v ID) int { return sn.OutDegree(v) + sn.InDegree(v) }
-
-// lowerBoundPred returns the first index in a (Pred, To)-sorted span with
-// Pred >= p. Hand-rolled hybrid search: binary steps while the window is
-// wide, then a linear tail scan — most vertices have single-digit degree,
-// where a handful of predictable compares beats log2(n) mispredicted
-// branches. This sits under every hot lookup.
-func lowerBoundPred(edges []Edge, p ID) int {
-	lo, hi := 0, len(edges)
-	for hi-lo > 8 {
-		mid := int(uint(lo+hi) >> 1)
-		if edges[mid].Pred < p {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	for lo < hi && edges[lo].Pred < p {
-		lo++
-	}
-	return lo
-}
-
-// predSpan searches a (Pred, To)-sorted edge span for the contiguous run
-// of predicate p, with the same hybrid strategy as lowerBoundPred for the
-// run's end.
-func predSpan(edges []Edge, p ID) []Edge {
-	lo := lowerBoundPred(edges, p)
-	j, hi := lo, len(edges)
-	for hi-j > 8 {
-		mid := int(uint(j+hi) >> 1)
-		if edges[mid].Pred <= p {
-			j = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	for j < hi && edges[j].Pred == p {
-		j++
-	}
-	return edges[lo:j]
-}
-
-// spanHasPred reports whether the sorted span contains any edge with
-// predicate p (existence only — no need to locate the run's end).
-func spanHasPred(edges []Edge, p ID) bool {
-	i := lowerBoundPred(edges, p)
-	return i < len(edges) && edges[i].Pred == p
-}
-
-// OutPred returns v's outgoing edges labeled p, sorted by To — the CSR
-// replacement for Graph.OutByPred (a binary search instead of a scan or
-// cache build; no allocation).
-func (sn *Snapshot) OutPred(v, p ID) []Edge { return predSpan(sn.outSpan(v), p) }
-
-// InPred returns v's incoming edges labeled p (Edge.To is the subject).
-func (sn *Snapshot) InPred(v, p ID) []Edge { return predSpan(sn.inSpan(v), p) }
-
-// OutPredDegree and InPredDegree are the exact per-vertex per-predicate
-// degrees the selectivity-ordered matcher plans with.
-func (sn *Snapshot) OutPredDegree(v, p ID) int { return len(sn.OutPred(v, p)) }
-func (sn *Snapshot) InPredDegree(v, p ID) int  { return len(sn.InPred(v, p)) }
-
-// HasAdjacentPred reports whether v has any incident edge (either
-// direction) labeled p — the §4.2.2 neighborhood pruning test. The 2-bit
-// signature rejects most misses in O(1); survivors cost two binary
-// searches over contiguous spans.
-func (sn *Snapshot) HasAdjacentPred(v, p ID) bool {
-	if int(v) >= len(sn.sig) {
-		return false
-	}
-	lo, hi := sigBits(p)
-	s := &sn.sig[v]
-	if s[0]&lo == 0 || s[1]&hi == 0 {
-		return false
-	}
-	return spanHasPred(sn.outSpan(v), p) || spanHasPred(sn.inSpan(v), p)
-}
-
-// Has reports whether the triple is present, by binary search in s's
-// sorted out-span rather than the mutable graph's triples map.
-func (sn *Snapshot) Has(s, p, o ID) bool {
-	span := sn.outSpan(s)
-	lo, hi := 0, len(span)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		e := span[mid]
-		if e.Pred < p || (e.Pred == p && e.To < o) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(span) && span[lo].Pred == p && span[lo].To == o
-}
-
-// predGroup returns the (S, O)-sorted triple group of predicate p.
-func (sn *Snapshot) predGroup(p ID) []Spo {
-	i := sort.Search(len(sn.predIDs), func(i int) bool { return sn.predIDs[i] >= p })
-	if i == len(sn.predIDs) || sn.predIDs[i] != p {
-		return nil
-	}
-	return sn.predTriples[sn.predOff[i]:sn.predOff[i+1]]
-}
-
-// PredCount returns the number of triples using predicate p.
-func (sn *Snapshot) PredCount(p ID) int { return len(sn.predGroup(p)) }
-
 // NumPredicates returns the number of distinct predicates at freeze time.
 func (sn *Snapshot) NumPredicates() int { return len(sn.predIDs) }
 
+// Term returns the term for id (IDs are stable across freezes).
+func (sn *Snapshot) Term(id ID) rdf.Term { return sn.terms[id] }
+
+// TypeID returns the interned ID of rdf:type at freeze time, or None.
+func (sn *Snapshot) TypeID() ID { return sn.rdfType }
+
+// Stats returns the freeze-time summary statistics (Table 4 shape).
+func (sn *Snapshot) Stats() Stats { return sn.stats }
+
+// Entities returns all entity vertex IDs in ascending order. The returned
+// slice is a copy and may be retained or modified by the caller.
+func (sn *Snapshot) Entities() []ID {
+	if len(sn.entities) == 0 {
+		return nil
+	}
+	return append([]ID(nil), sn.entities...)
+}
+
+// Out and In return v's full adjacency spans sorted by (Pred, To); for In,
+// Edge.To is the subject of the underlying triple. The slices may alias
+// the snapshot's arrays and must not be modified.
+func (sn *Snapshot) Out(v ID) []Edge { return sn.rd.outSpan(v) }
+func (sn *Snapshot) In(v ID) []Edge  { return sn.rd.inSpan(v) }
+
+// OutPred and InPred return v's edges labeled p, sorted by To.
+func (sn *Snapshot) OutPred(v, p ID) []Edge { return sn.rd.outPred(v, p) }
+func (sn *Snapshot) InPred(v, p ID) []Edge  { return sn.rd.inPred(v, p) }
+
+// OutPredDegree and InPredDegree are the exact per-vertex per-predicate
+// degrees the selectivity-ordered matcher plans with.
+func (sn *Snapshot) OutPredDegree(v, p ID) int { return len(sn.rd.outPred(v, p)) }
+func (sn *Snapshot) InPredDegree(v, p ID) int  { return len(sn.rd.inPred(v, p)) }
+
+// OutDegree, InDegree and Degree are span widths.
+func (sn *Snapshot) OutDegree(v ID) int { out, _ := sn.rd.degrees(v); return out }
+func (sn *Snapshot) InDegree(v ID) int  { _, in := sn.rd.degrees(v); return in }
+func (sn *Snapshot) Degree(v ID) int    { out, in := sn.rd.degrees(v); return out + in }
+
+// HasAdjacentPred reports whether v has any incident edge (either
+// direction) labeled p — the §4.2.2 neighborhood pruning test.
+func (sn *Snapshot) HasAdjacentPred(v, p ID) bool { return sn.rd.hasAdjacentPred(v, p) }
+
+// Has reports whether the triple is present.
+func (sn *Snapshot) Has(s, p, o ID) bool { return sn.rd.has(s, p, o) }
+
+// IsClass and IsEntity read the role bitmap computed at freeze time.
+func (sn *Snapshot) IsClass(v ID) bool  { return sn.rd.role(v)&roleClass != 0 }
+func (sn *Snapshot) IsEntity(v ID) bool { return sn.rd.role(v)&roleEntity != 0 }
+
+// PredCount returns the number of triples using predicate p.
+func (sn *Snapshot) PredCount(p ID) int {
+	n := 0
+	for _, gr := range sn.rd.predGroups(p) {
+		n += len(gr)
+	}
+	return n
+}
+
 // Match calls fn for every triple matching the (s, p, o) pattern (Any is
-// the wildcard), stopping early if fn returns false. Dispatch mirrors
-// Graph.Match but every bound position resolves by binary search over the
-// CSR arrays; iteration order is (Pred, To)-sorted rather than insertion
-// order.
+// the wildcard), stopping early if fn returns false. Every bound position
+// resolves to one span read in the owning part; predicate-major scans
+// merge the parts' groups back into global (S, O) order, so the iteration
+// order — (Pred, To) within a vertex, (P, S, O) across the graph — is the
+// same at every K.
 func (sn *Snapshot) Match(s, p, o ID, fn func(Spo) bool) {
 	faultpoint.Hit(faultpoint.StoreMatch)
 	switch {
 	case s != Any && p != Any && o != Any:
-		if sn.Has(s, p, o) {
+		if sn.rd.has(s, p, o) {
 			fn(Spo{s, p, o})
 		}
 	case s != Any:
-		span := sn.outSpan(s)
+		var span []Edge
 		if p != Any {
-			span = predSpan(span, p)
+			span = sn.rd.outPred(s, p)
+		} else {
+			span = sn.rd.outSpan(s)
 		}
 		for _, e := range span {
 			if o != Any && e.To != o {
@@ -442,9 +427,11 @@ func (sn *Snapshot) Match(s, p, o ID, fn func(Spo) bool) {
 			}
 		}
 	case o != Any:
-		span := sn.inSpan(o)
+		var span []Edge
 		if p != Any {
-			span = predSpan(span, p)
+			span = sn.rd.inPred(o, p)
+		} else {
+			span = sn.rd.inSpan(o)
 		}
 		for _, e := range span {
 			if !fn(Spo{e.To, e.Pred, o}) {
@@ -452,14 +439,10 @@ func (sn *Snapshot) Match(s, p, o ID, fn func(Spo) bool) {
 			}
 		}
 	case p != Any:
-		for _, spo := range sn.predGroup(p) {
-			if !fn(spo) {
-				return
-			}
-		}
+		mergeSpoGroups(sn.rd.predGroups(p), fn)
 	default:
-		for _, spo := range sn.predTriples {
-			if !fn(spo) {
+		for _, pid := range sn.predIDs {
+			if !mergeSpoGroups(sn.rd.predGroups(pid), fn) {
 				return
 			}
 		}
@@ -473,26 +456,52 @@ func (sn *Snapshot) Count(s, p, o ID) int {
 	return n
 }
 
-// IsClass reports whether v was classified as a class at freeze time.
-func (sn *Snapshot) IsClass(v ID) bool {
-	return int(v) < len(sn.roles) && sn.roles[v]&roleClass != 0
-}
+// ---------------------------------------------------- per-request binding
 
-// IsEntity reads the precomputed role bitmap — the freeze-time answer to
-// Graph.IsEntity without per-vertex map probes.
-func (sn *Snapshot) IsEntity(v ID) bool {
-	return int(v) < len(sn.roles) && sn.roles[v]&roleEntity != 0
-}
-
-// Entities returns all entity vertex IDs in ascending order. The returned
-// slice is a copy and may be retained or modified by the caller.
-func (sn *Snapshot) Entities() []ID {
-	if len(sn.entities) == 0 {
-		return nil
+// BindRequest scopes a snapshot whose reads can fail or stall — one over
+// remote parts — to a single request: per-call deadlines derive from the
+// tracker's deadline, an unrecoverable read failure trips the tracker
+// (FailShardUnavailable) so the request degrades instead of hanging, and
+// RPC telemetry lands under sp. The bound copy must be used only for that
+// request. A snapshot over local parts returns itself.
+func (sn *Snapshot) BindRequest(b *budget.Tracker, sp *obs.Span) *Snapshot {
+	rr, ok := sn.rd.(*rpcReader)
+	if !ok {
+		return sn
 	}
-	return append([]ID(nil), sn.entities...)
+	bound := *sn
+	bound.rd = &rpcReader{shardClient: rr.shardClient, req: &rpcReq{b: b, sp: sp}}
+	return &bound
 }
 
-// Stats returns the freeze-time summary statistics (Table 4 shape),
-// precomputed during the role pass.
-func (sn *Snapshot) Stats() Stats { return sn.stats }
+// DegradeReason reports "shard-unavailable" once any read of this bound
+// snapshot failed past its retries and answered empty — the degradation
+// signal for requests without a budget tracker, where there was nothing
+// to trip. It is "" for an unbound, local or nil snapshot.
+func (sn *Snapshot) DegradeReason() string {
+	if sn == nil {
+		return ""
+	}
+	if rr, ok := sn.rd.(*rpcReader); ok && rr.req != nil && rr.req.errs.Load() > 0 {
+		return budget.ReasonShard
+	}
+	return ""
+}
+
+// AnnotateSpan flushes a bound snapshot's per-request RPC counters onto
+// the search span (rpc_calls / rpc_retries / rpc_hedges / rpc_errors); the
+// flight recorder lifts them into the wide event. A no-op on an unbound,
+// local or nil snapshot.
+func (sn *Snapshot) AnnotateSpan(sp *obs.Span) {
+	if sn == nil || !sp.Enabled() {
+		return
+	}
+	rr, ok := sn.rd.(*rpcReader)
+	if !ok || rr.req == nil {
+		return
+	}
+	sp.SetInt("rpc_calls", rr.req.calls.Load())
+	sp.SetInt("rpc_retries", rr.req.retries.Load())
+	sp.SetInt("rpc_hedges", rr.req.hedges.Load())
+	sp.SetInt("rpc_errors", rr.req.errs.Load())
+}

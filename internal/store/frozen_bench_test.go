@@ -1,10 +1,7 @@
 package store
 
-// Microbenchmarks for the frozen CSR read path vs the mutable graph, over
-// an identical synthetic graph with hub vertices (where the predindex
-// cache and the CSR binary searches actually diverge). Run via
-// `make bench-store`; gqa-bench -exp store records the same comparisons
-// in BENCH_store.json.
+// Microbenchmarks for the frozen read path at K = 1 and K = 4, over a
+// synthetic graph with hub vertices, plus the freeze itself.
 
 import (
 	"fmt"
@@ -15,11 +12,10 @@ import (
 )
 
 // frozenBenchGraph builds a deterministic graph with a skewed degree
-// distribution: a few hundred hubs far above predIndexMinDegree and a
-// long-tail of small vertices. The 160 predicates matter: with more
-// predicates than signature bits, consecutive IDs collide mod 64 and the
-// mutable 1-bit signature starts false-positiving into full adjacency
-// scans — the regime a real KB's predicate count puts every hub in.
+// distribution: a few hundred hubs of degree 64 and a long tail of small
+// vertices. The 160 predicates matter: with more predicates than
+// signature bits, consecutive IDs collide mod 64 — the regime a real KB's
+// predicate count puts every hub in.
 func frozenBenchGraph() (*Graph, []ID, []ID) {
 	r := rand.New(rand.NewSource(1))
 	g := New()
@@ -46,38 +42,36 @@ func frozenBenchGraph() (*Graph, []ID, []ID) {
 	return g, verts, preds
 }
 
-func BenchmarkHasAdjacentPred(b *testing.B) {
-	gm, verts, preds := frozenBenchGraph()
-	gf, _, _ := frozenBenchGraph()
-	sn := gf.Freeze()
-	// Hub probes dominate real pruning cost (class anchors and popular
-	// entities have the large adjacency lists); the tail case shows the
-	// small-degree floor where both paths are a handful of compares.
-	bench := func(b *testing.B, vs []ID, probe func(v, p ID) bool) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			probe(vs[i%len(vs)], preds[i%len(preds)])
-		}
+// benchSnapshots runs fn against the graph frozen into one part and four.
+func benchSnapshots(b *testing.B, fn func(b *testing.B, sn *Snapshot, verts, preds []ID)) {
+	for _, k := range []int{1, 4} {
+		g, verts, preds := frozenBenchGraph()
+		g.SetShards(k)
+		sn := g.Freeze()
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			fn(b, sn, verts, preds)
+		})
 	}
-	hubs, tail := verts[:200], verts[200:]
-	b.Run("mutable/hub", func(b *testing.B) { bench(b, hubs, gm.HasAdjacentPred) })
-	b.Run("frozen/hub", func(b *testing.B) { bench(b, hubs, sn.HasAdjacentPred) })
-	b.Run("mutable/tail", func(b *testing.B) { bench(b, tail, gm.HasAdjacentPred) })
-	b.Run("frozen/tail", func(b *testing.B) { bench(b, tail, sn.HasAdjacentPred) })
 }
 
-func BenchmarkOutByPred(b *testing.B) {
-	gm, verts, preds := frozenBenchGraph()
-	gf, _, _ := frozenBenchGraph()
-	sn := gf.Freeze()
-	b.Run("mutable", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			gm.OutByPred(verts[i%200], preds[i%len(preds)])
+func BenchmarkHasAdjacentPred(b *testing.B) {
+	// Hub probes dominate real pruning cost (class anchors and popular
+	// entities have the large adjacency lists); the tail case shows the
+	// small-degree floor of a handful of compares.
+	benchSnapshots(b, func(b *testing.B, sn *Snapshot, verts, preds []ID) {
+		for name, vs := range map[string][]ID{"hub": verts[:200], "tail": verts[200:]} {
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					sn.HasAdjacentPred(vs[i%len(vs)], preds[i%len(preds)])
+				}
+			})
 		}
 	})
-	b.Run("frozen", func(b *testing.B) {
-		b.ReportAllocs()
+}
+
+func BenchmarkOutPred(b *testing.B) {
+	benchSnapshots(b, func(b *testing.B, sn *Snapshot, verts, preds []ID) {
 		for i := 0; i < b.N; i++ {
 			sn.OutPred(verts[i%200], preds[i%len(preds)])
 		}
@@ -85,32 +79,20 @@ func BenchmarkOutByPred(b *testing.B) {
 }
 
 func BenchmarkStoreMatchBoundS(b *testing.B) {
-	gm, verts, preds := frozenBenchGraph()
-	gf, _, _ := frozenBenchGraph()
-	sn := gf.Freeze()
 	sink := 0
-	bench := func(b *testing.B, match func(s, p, o ID, fn func(Spo) bool)) {
-		b.ReportAllocs()
+	benchSnapshots(b, func(b *testing.B, sn *Snapshot, verts, preds []ID) {
 		for i := 0; i < b.N; i++ {
-			match(verts[i%200], preds[i%len(preds)], Any, func(Spo) bool { sink++; return true })
+			sn.Match(verts[i%200], preds[i%len(preds)], Any, func(Spo) bool { sink++; return true })
 		}
-	}
-	b.Run("mutable", func(b *testing.B) { bench(b, gm.Match) })
-	b.Run("frozen", func(b *testing.B) { bench(b, sn.Match) })
+	})
 }
 
 func BenchmarkStoreHas(b *testing.B) {
-	gm, verts, preds := frozenBenchGraph()
-	gf, _, _ := frozenBenchGraph()
-	sn := gf.Freeze()
-	bench := func(b *testing.B, has func(s, p, o ID) bool) {
-		b.ReportAllocs()
+	benchSnapshots(b, func(b *testing.B, sn *Snapshot, verts, preds []ID) {
 		for i := 0; i < b.N; i++ {
-			has(verts[i%len(verts)], preds[i%len(preds)], verts[(i*7)%len(verts)])
+			sn.Has(verts[i%len(verts)], preds[i%len(preds)], verts[(i*7)%len(verts)])
 		}
-	}
-	b.Run("mutable", func(b *testing.B) { bench(b, gm.Has) })
-	b.Run("frozen", func(b *testing.B) { bench(b, sn.Has) })
+	})
 }
 
 func BenchmarkFreeze(b *testing.B) {

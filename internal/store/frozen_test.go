@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -15,7 +16,8 @@ import (
 
 // randomRichGraph builds a random graph exercising every vertex role:
 // entities, classes (via rdf:type and rdfs:subClassOf), labeled vertices,
-// literal objects, and a few hub vertices above the predindex threshold.
+// literal objects, and a few hub vertices whose spans take the binary (not
+// the linear-tail) leg of the span searches.
 func randomRichGraph(r *rand.Rand) *Graph {
 	g := New()
 	nv := 20 + r.Intn(30)
@@ -36,8 +38,8 @@ func randomRichGraph(r *rand.Rand) *Graph {
 	for i := 0; i < ne; i++ {
 		g.AddSPO(verts[r.Intn(nv)], preds[r.Intn(np)], verts[r.Intn(nv)])
 	}
-	// A couple of hubs well above predIndexMinDegree.
-	for i := 0; i < 2*predIndexMinDegree; i++ {
+	// A couple of hubs.
+	for i := 0; i < 32; i++ {
 		g.AddSPO(verts[0], preds[0], verts[r.Intn(nv)])
 		g.AddSPO(verts[r.Intn(nv)], preds[np-1], verts[1])
 	}
@@ -84,109 +86,99 @@ func sortedIDs(ids []ID) []ID {
 	return ids
 }
 
-// TestFrozenEquivalence compares every snapshot operation against the
-// mutable graph's answer across random graphs: Match under all binding
-// patterns, Has, HasAdjacentPred, per-predicate neighbors and degrees,
-// PredCount, IsEntity/IsClass, Entities, and Stats.
+// naivePred scans a builder adjacency list for predicate p — the oracle
+// for every per-predicate frozen read.
+func naivePred(edges []Edge, p ID) []ID {
+	var out []ID
+	for _, e := range edges {
+		if e.Pred == p {
+			out = append(out, e.To)
+		}
+	}
+	return sortedIDs(out)
+}
+
+func edgeTargets(span []Edge) []ID {
+	var out []ID
+	for _, e := range span {
+		out = append(out, e.To)
+	}
+	return sortedIDs(out)
+}
+
+// TestFrozenEquivalence compares every snapshot operation, at one part and
+// at four, against the builder's own structures read naively (adjacency
+// scans, the triple set, per-vertex classification) across random graphs:
+// Match under all binding patterns, Has, HasAdjacentPred, per-predicate
+// neighbors and degrees, total degrees, PredCount, IsEntity/IsClass,
+// Entities, and Stats.
 func TestFrozenEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g := randomRichGraph(r)
-
-		// Capture every mutable-path answer before freezing (Freeze makes
-		// the graph's own methods delegate to the snapshot).
+		k := []int{1, 4}[seed%2]
+		g.SetShards(k)
 		n := ID(g.NumTerms())
-		type vpAnswer struct {
-			hasAdj   bool
-			outDeg   int
-			inDeg    int
-			outNbrs  []ID
-			inNbrs   []ID
-			outSpos  []Spo
-			inSpos   []Spo
-			isEntity bool
-			isClass  bool
-		}
-		answers := map[[2]ID]*vpAnswer{}
 		var pids []ID
 		for p := ID(0); p < n; p++ {
 			if g.PredCount(p) > 0 {
 				pids = append(pids, p)
 			}
 		}
-		for v := ID(0); v < n; v++ {
-			for _, p := range pids {
-				answers[[2]ID{v, p}] = &vpAnswer{
-					hasAdj:   g.HasAdjacentPred(v, p),
-					outDeg:   g.OutPredDegree(v, p),
-					inDeg:    g.InPredDegree(v, p),
-					outNbrs:  sortedIDs(append([]ID(nil), g.OutByPred(v, p)...)),
-					inNbrs:   sortedIDs(append([]ID(nil), g.InByPred(v, p)...)),
-					outSpos:  collectVia(g.Match, v, p, Any),
-					inSpos:   collectVia(g.Match, Any, p, v),
-					isEntity: g.IsEntity(v),
-					isClass:  g.IsClass(v),
-				}
-			}
-		}
-		wantEntities := append([]ID(nil), g.Entities()...)
-		wantStats := g.Stats()
 		wantAll := collectVia(g.Match, Any, Any, Any)
-		wantPredCounts := map[ID]int{}
-		for _, p := range pids {
-			wantPredCounts[p] = g.PredCount(p)
-		}
 
 		sn := g.Freeze()
-		if sn == nil {
-			t.Fatal("Freeze returned nil")
+		if sn.NumShards() != k {
+			t.Fatalf("seed %d: %d shards, want %d", seed, sn.NumShards(), k)
 		}
-		if sn.NumTerms() != int(n) || sn.NumTriples() != g.NumTriples() {
-			t.Fatalf("seed %d: snapshot sizes %d/%d, graph %d/%d",
-				seed, sn.NumTerms(), sn.NumTriples(), n, g.NumTriples())
+		if sn.NumTerms() != int(n) || sn.NumTriples() != g.NumTriples() || sn.NumPredicates() != g.NumPredicates() {
+			t.Fatalf("seed %d: snapshot sizes %d/%d/%d, graph %d/%d/%d", seed,
+				sn.NumTerms(), sn.NumTriples(), sn.NumPredicates(), n, g.NumTriples(), g.NumPredicates())
 		}
 		for v := ID(0); v < n; v++ {
 			for _, p := range pids {
-				want := answers[[2]ID{v, p}]
-				if got := sn.HasAdjacentPred(v, p); got != want.hasAdj {
-					t.Fatalf("seed %d: HasAdjacentPred(%d,%d) = %v, mutable %v", seed, v, p, got, want.hasAdj)
+				wantOut, wantIn := naivePred(g.Out(v), p), naivePred(g.In(v), p)
+				if got, want := sn.HasAdjacentPred(v, p), len(wantOut)+len(wantIn) > 0; got != want {
+					t.Fatalf("seed %d: HasAdjacentPred(%d,%d) = %v, builder %v", seed, v, p, got, want)
 				}
-				if got := sn.OutPredDegree(v, p); got != want.outDeg {
-					t.Fatalf("seed %d: OutPredDegree(%d,%d) = %d, mutable %d", seed, v, p, got, want.outDeg)
+				if got := sn.OutPredDegree(v, p); got != len(wantOut) {
+					t.Fatalf("seed %d: OutPredDegree(%d,%d) = %d, builder %d", seed, v, p, got, len(wantOut))
 				}
-				if got := sn.InPredDegree(v, p); got != want.inDeg {
-					t.Fatalf("seed %d: InPredDegree(%d,%d) = %d, mutable %d", seed, v, p, got, want.inDeg)
+				if got := sn.InPredDegree(v, p); got != len(wantIn) {
+					t.Fatalf("seed %d: InPredDegree(%d,%d) = %d, builder %d", seed, v, p, got, len(wantIn))
 				}
-				var outNbrs, inNbrs []ID
-				for _, e := range sn.OutPred(v, p) {
-					outNbrs = append(outNbrs, e.To)
+				if got := edgeTargets(sn.OutPred(v, p)); !reflect.DeepEqual(got, wantOut) {
+					t.Fatalf("seed %d: OutPred(%d,%d) = %v, builder %v", seed, v, p, got, wantOut)
 				}
-				for _, e := range sn.InPred(v, p) {
-					inNbrs = append(inNbrs, e.To)
+				if got := edgeTargets(sn.InPred(v, p)); !reflect.DeepEqual(got, wantIn) {
+					t.Fatalf("seed %d: InPred(%d,%d) = %v, builder %v", seed, v, p, got, wantIn)
 				}
-				if !reflect.DeepEqual(sortedIDs(outNbrs), want.outNbrs) {
-					t.Fatalf("seed %d: OutPred(%d,%d) = %v, mutable %v", seed, v, p, outNbrs, want.outNbrs)
+				if got, want := collectVia(sn.Match, v, p, Any), collectVia(g.Match, v, p, Any); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: Match(%d,%d,Any) = %v, builder %v", seed, v, p, got, want)
 				}
-				if !reflect.DeepEqual(sortedIDs(inNbrs), want.inNbrs) {
-					t.Fatalf("seed %d: InPred(%d,%d) = %v, mutable %v", seed, v, p, inNbrs, want.inNbrs)
-				}
-				if got := collectVia(sn.Match, v, p, Any); !reflect.DeepEqual(got, want.outSpos) {
-					t.Fatalf("seed %d: Match(%d,%d,Any) = %v, mutable %v", seed, v, p, got, want.outSpos)
-				}
-				if got := collectVia(sn.Match, Any, p, v); !reflect.DeepEqual(got, want.inSpos) {
-					t.Fatalf("seed %d: Match(Any,%d,%d) = %v, mutable %v", seed, p, v, got, want.inSpos)
+				if got, want := collectVia(sn.Match, Any, p, v), collectVia(g.Match, Any, p, v); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: Match(Any,%d,%d) = %v, builder %v", seed, p, v, got, want)
 				}
 			}
-			if got := sn.IsEntity(v); got != answers[[2]ID{v, pids[0]}].isEntity {
+			if sn.OutDegree(v) != len(g.Out(v)) || sn.InDegree(v) != len(g.In(v)) || sn.Degree(v) != g.Degree(v) {
+				t.Fatalf("seed %d: degrees of %d diverge", seed, v)
+			}
+			if got, want := collectVia(sn.Match, v, Any, Any), collectVia(g.Match, v, Any, Any); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: Match(%d,Any,Any) differs", seed, v)
+			}
+			if got, want := collectVia(sn.Match, Any, Any, v), collectVia(g.Match, Any, Any, v); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: Match(Any,Any,%d) differs", seed, v)
+			}
+			if sn.IsEntity(v) != g.IsEntity(v) {
 				t.Fatalf("seed %d: IsEntity(%d) mismatch", seed, v)
 			}
-			if got := sn.IsClass(v); got != answers[[2]ID{v, pids[0]}].isClass {
+			if sn.IsClass(v) != g.IsClass(v) {
 				t.Fatalf("seed %d: IsClass(%d) mismatch", seed, v)
 			}
 		}
 		for _, p := range pids {
-			if got := sn.PredCount(p); got != wantPredCounts[p] {
-				t.Fatalf("seed %d: PredCount(%d) = %d, mutable %d", seed, p, got, wantPredCounts[p])
+			if got := sn.PredCount(p); got != g.PredCount(p) {
+				t.Fatalf("seed %d: PredCount(%d) = %d, builder %d", seed, p, got, g.PredCount(p))
 			}
 			if got := collectVia(sn.Match, Any, p, Any); !reflect.DeepEqual(got, collectVia(g.Match, Any, p, Any)) {
 				t.Fatalf("seed %d: Match(Any,%d,Any) differs", seed, p)
@@ -206,23 +198,15 @@ func TestFrozenEquivalence(t *testing.T) {
 		// Negative probes.
 		for i := 0; i < 200; i++ {
 			s, p, o := ID(r.Intn(int(n))), ID(r.Intn(int(n))), ID(r.Intn(int(n)))
-			_, want := g.triples[Spo{s, p, o}]
-			if got := sn.Has(s, p, o); got != want {
+			if got, want := sn.Has(s, p, o), g.Has(s, p, o); got != want {
 				t.Fatalf("seed %d: Has(%d,%d,%d) = %v, want %v", seed, s, p, o, got, want)
 			}
 		}
-		if got := sn.Entities(); !reflect.DeepEqual(got, wantEntities) {
-			t.Fatalf("seed %d: Entities = %v, mutable %v", seed, got, wantEntities)
+		if got, want := sn.Entities(), g.Entities(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: Entities = %v, builder %v", seed, got, want)
 		}
-		if got := sn.Stats(); got != wantStats {
-			t.Fatalf("seed %d: Stats = %+v, mutable %+v", seed, got, wantStats)
-		}
-		// The graph's own methods now delegate and must agree too.
-		if got := g.Entities(); !reflect.DeepEqual(got, wantEntities) {
-			t.Fatalf("seed %d: delegated Entities differ", seed)
-		}
-		if got := g.Stats(); got != wantStats {
-			t.Fatalf("seed %d: delegated Stats differ", seed)
+		if got, want := sn.Stats(), g.Stats(); got != want {
+			t.Fatalf("seed %d: Stats = %+v, builder %+v", seed, got, want)
 		}
 	}
 }
@@ -382,5 +366,61 @@ func TestFreezeMetricsExposed(t *testing.T) {
 	}
 	if sn := g.Frozen(); sn.Bytes() <= 0 {
 		t.Fatal("snapshot must report a positive byte size")
+	}
+}
+
+// TestFreezeShardedReturnsSnapshot is the regression for the sharded
+// freeze: Freeze and FreezeCtx on a SetShards(4) graph return the K=4
+// snapshot FrozenView serves — they used to return nil there, so
+// `g.Freeze().Bytes()` dereferenced nil once a graph was sharded.
+func TestFreezeShardedReturnsSnapshot(t *testing.T) {
+	g := randomRichGraph(rand.New(rand.NewSource(3)))
+	g.SetShards(4)
+	sn := g.Freeze()
+	if sn == nil || sn.NumShards() != 4 || sn.Bytes() <= 0 {
+		t.Fatalf("sharded Freeze = %v", sn)
+	}
+	if got := g.FreezeCtx(context.Background()); got != sn {
+		t.Fatal("FreezeCtx on an unchanged sharded graph rebuilt the snapshot")
+	}
+	if g.FrozenView() != View(sn) || g.Frozen() != sn {
+		t.Fatal("FrozenView/Frozen do not serve the snapshot Freeze returned")
+	}
+}
+
+// TestFrozenViewBuildsOnce: FrozenView on a stale graph freezes on demand,
+// and however many readers arrive at once exactly one of them builds (run
+// under -race: the others must wait for, then share, that build).
+func TestFrozenViewBuildsOnce(t *testing.T) {
+	for _, k := range []int{1, 4} {
+		g := randomRichGraph(rand.New(rand.NewSource(8)))
+		g.SetShards(k)
+		g.Freeze()
+		a, _ := g.Lookup(rdf.Resource("v0"))
+		p, _ := g.Lookup(rdf.Ontology("p0"))
+		g.AddSPO(a, p, g.Intern(rdf.Resource("late")))
+		if g.Frozen() != nil {
+			t.Fatal("graph not stale after Add")
+		}
+		builds := obs.DefaultCounter("gqa_store_snapshot_builds_total", "")
+		before := builds.Value()
+		views := make([]View, 16)
+		var wg sync.WaitGroup
+		for i := range views {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				views[i] = g.FrozenView()
+			}(i)
+		}
+		wg.Wait()
+		if got := builds.Value() - before; got != 1 {
+			t.Fatalf("k=%d: %d concurrent FrozenView calls caused %d builds, want 1", k, len(views), got)
+		}
+		for i, v := range views {
+			if v == nil || v != views[0] || v.Generation() != g.Generation() {
+				t.Fatalf("k=%d: reader %d got view %v", k, i, v)
+			}
+		}
 	}
 }

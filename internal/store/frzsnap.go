@@ -115,15 +115,14 @@ const (
 // errors are surfaced, not swallowed.
 func SaveFrozen(w io.Writer, g *Graph) error {
 	sn := g.Freeze()
-	if sn == nil {
-		// Sharded graph: Freeze installed a ShardSet, not a Snapshot. The
-		// GQAFRZ1 format stays monolithic (sharding is a runtime layout,
-		// reapplied via SetShards after boot), so build one directly
-		// without installing it.
-		sn = buildSnapshot(g, g.gen.Load())
+	if sn.k > 1 {
+		// The format is single-part (sharding is a runtime layout,
+		// reapplied via SetShards after boot), so build that layout
+		// directly without installing it.
+		sn, _ = g.buildSnapshot(1, nil)
 	}
 	start := time.Now()
-	secs := encodeFrozenSections(sn)
+	secs := encodeFrozenSections(sn, g.subClass, g.labelPred)
 	var dir []byte
 	for _, s := range secs {
 		dir = binary.LittleEndian.AppendUint64(dir, uint64(len(s)))
@@ -162,8 +161,9 @@ func frzContentHash(dir []byte) uint64 {
 	return ch.Sum64()
 }
 
-func encodeFrozenSections(sn *Snapshot) [frzSectionCount][]byte {
+func encodeFrozenSections(sn *Snapshot, subClass, labelPred ID) [frzSectionCount][]byte {
 	var secs [frzSectionCount][]byte
+	p := sn.parts[0]
 
 	tb := binary.LittleEndian.AppendUint32(nil, uint32(len(sn.terms)))
 	for _, t := range sn.terms {
@@ -177,21 +177,21 @@ func encodeFrozenSections(sn *Snapshot) [frzSectionCount][]byte {
 
 	mb := make([]byte, 0, frzMetaSize)
 	mb = binary.LittleEndian.AppendUint32(mb, uint32(sn.rdfType))
-	mb = binary.LittleEndian.AppendUint32(mb, uint32(sn.subClass))
-	mb = binary.LittleEndian.AppendUint32(mb, uint32(sn.labelPred))
+	mb = binary.LittleEndian.AppendUint32(mb, uint32(subClass))
+	mb = binary.LittleEndian.AppendUint32(mb, uint32(labelPred))
 	mb = binary.LittleEndian.AppendUint64(mb, uint64(sn.nTriples))
 	secs[frzMeta] = mb
 
-	secs[frzOutOff] = encodeFrzU32s(sn.outOff)
-	secs[frzOutEdges] = encodeFrzEdges(sn.outEdges)
-	secs[frzInOff] = encodeFrzU32s(sn.inOff)
-	secs[frzInEdges] = encodeFrzEdges(sn.inEdges)
-	secs[frzPredIDs] = encodeFrzIDs(sn.predIDs)
-	secs[frzPredOff] = encodeFrzU32s(sn.predOff)
-	secs[frzPredTriples] = encodeFrzSpos(sn.predTriples)
-	secs[frzSig] = encodeFrzSigs(sn.sig)
-	secs[frzRoles] = append([]byte(nil), sn.roles...)
-	secs[frzEntities] = encodeFrzIDs(sn.entities)
+	secs[frzOutOff] = encodeFrzU32s(p.outOff)
+	secs[frzOutEdges] = encodeFrzEdges(p.outEdges)
+	secs[frzInOff] = encodeFrzU32s(p.inOff)
+	secs[frzInEdges] = encodeFrzEdges(p.inEdges)
+	secs[frzPredIDs] = encodeFrzIDs(p.predIDs)
+	secs[frzPredOff] = encodeFrzU32s(p.predOff)
+	secs[frzPredTriples] = encodeFrzSpos(p.predTriples)
+	secs[frzSig] = encodeFrzSigs(p.sig)
+	secs[frzRoles] = append([]byte(nil), p.roles...)
+	secs[frzEntities] = encodeFrzIDs(p.entities)
 	return secs
 }
 
@@ -405,9 +405,10 @@ func loadFrozen(cr *countingReader) (*Graph, error) {
 		return nil, fmt.Errorf("store: frozen snapshot: trailing data at byte offset %d", cr.n-1)
 	}
 
-	sn := &Snapshot{
+	p := &shardPart{
 		gen:         gen,
-		terms:       terms,
+		k:           1,
+		nTerms:      len(terms),
 		outOff:      decodeFrzU32s(payloads[frzOutOff]),
 		outEdges:    decodeFrzEdges(payloads[frzOutEdges]),
 		inOff:       decodeFrzU32s(payloads[frzInOff]),
@@ -417,21 +418,12 @@ func loadFrozen(cr *countingReader) (*Graph, error) {
 		predTriples: decodeFrzSpos(payloads[frzPredTriples]),
 		sig:         decodeFrzSigs(payloads[frzSig]),
 		roles:       append(make([]uint8, 0, n), payloads[frzRoles]...),
-		rdfType:     rdfTypeID,
-		subClass:    subClassID,
-		labelPred:   labelPredID,
-		nTriples:    int(nTriples),
 	}
 	if ents := decodeFrzIDs(payloads[frzEntities]); len(ents) > 0 {
-		sn.entities = ents
+		p.entities = ents
 	}
-	sn.bytes = int64(len(sn.outEdges)+len(sn.inEdges))*8 +
-		int64(len(sn.outOff)+len(sn.inOff)+len(sn.predOff))*4 +
-		int64(len(sn.predTriples))*12 +
-		int64(len(sn.sig))*16 +
-		int64(len(sn.roles)) +
-		int64(len(sn.entities)+len(sn.predIDs))*4
-	return assembleFrozen(sn)
+	p.bytes = p.arrayBytes()
+	return assembleFrozen(p, terms, rdfTypeID, subClassID, labelPredID)
 }
 
 // readFrozenSection reads exactly length bytes, growing the buffer
@@ -589,17 +581,19 @@ func decodeFrzSigs(b []byte) [][2]uint64 {
 // maps) so the returned graph behaves exactly like one built by Intern+Add
 // — including further mutation — with the validated snapshot installed at
 // its saved generation.
-func assembleFrozen(sn *Snapshot) (*Graph, error) {
+func assembleFrozen(pt *shardPart, terms []rdf.Term, rdfType, subClass, labelPred ID) (*Graph, error) {
 	fail := func(format string, args ...any) (*Graph, error) {
 		return nil, fmt.Errorf("store: frozen snapshot: "+format, args...)
 	}
-	n := len(sn.terms)
-	nT := uint32(sn.nTriples)
+	n := len(terms)
+	nTriples := len(pt.predTriples)
+	nT := uint32(nTriples)
+	parts := localParts{pt}
 
 	// Term index. A duplicate means the file disagrees with the interner:
 	// the same key could not have been assigned two IDs.
 	index := make(map[string]ID, n)
-	for i, t := range sn.terms {
+	for i, t := range terms {
 		k := t.Key()
 		if prev, dup := index[k]; dup {
 			return fail("section terms: term %d duplicates term %d (%s)", i, prev, t)
@@ -611,7 +605,7 @@ func assembleFrozen(sn *Snapshot) (*Graph, error) {
 	// for this term sequence (the last term whose value matches wins,
 	// mirroring Intern's switch).
 	wantType, wantSub, wantLabel := None, None, None
-	for i, t := range sn.terms {
+	for i, t := range terms {
 		switch t.Value() {
 		case rdf.RDFType:
 			wantType = ID(i)
@@ -621,16 +615,16 @@ func assembleFrozen(sn *Snapshot) (*Graph, error) {
 			wantLabel = ID(i)
 		}
 	}
-	if sn.rdfType != wantType || sn.subClass != wantSub || sn.labelPred != wantLabel {
+	if rdfType != wantType || subClass != wantSub || labelPred != wantLabel {
 		return fail("section meta: vocabulary IDs (%d,%d,%d) disagree with term dictionary (want %d,%d,%d)",
-			sn.rdfType, sn.subClass, sn.labelPred, wantType, wantSub, wantLabel)
+			rdfType, subClass, labelPred, wantType, wantSub, wantLabel)
 	}
 
 	// CSR offsets: monotone, anchored at 0, ending at the triple count.
 	for _, c := range [2]struct {
 		name string
 		off  []uint32
-	}{{"outOff", sn.outOff}, {"inOff", sn.inOff}} {
+	}{{"outOff", pt.outOff}, {"inOff", pt.inOff}} {
 		if c.off[0] != 0 {
 			return fail("section %s: first offset %d, want 0", c.name, c.off[0])
 		}
@@ -643,29 +637,29 @@ func assembleFrozen(sn *Snapshot) (*Graph, error) {
 			return fail("section %s: final offset %d, want triple count %d", c.name, last, nT)
 		}
 	}
-	if sn.predOff[0] != 0 {
-		return fail("section predOff: first offset %d, want 0", sn.predOff[0])
+	if pt.predOff[0] != 0 {
+		return fail("section predOff: first offset %d, want 0", pt.predOff[0])
 	}
-	for i := 1; i < len(sn.predOff); i++ {
-		if sn.predOff[i] <= sn.predOff[i-1] {
+	for i := 1; i < len(pt.predOff); i++ {
+		if pt.predOff[i] <= pt.predOff[i-1] {
 			return fail("section predOff: offset %d not strictly increasing (every predicate has at least one triple)", i)
 		}
 	}
-	if last := sn.predOff[len(sn.predOff)-1]; last != nT {
+	if last := pt.predOff[len(pt.predOff)-1]; last != nT {
 		return fail("section predOff: final offset %d, want triple count %d", last, nT)
 	}
 
 	// Predicate-major groups define the triple set: strictly ascending
 	// predicates, each group strictly (S,O)-sorted with matching P.
-	trip := make(map[Spo]struct{}, sn.nTriples)
-	for i, p := range sn.predIDs {
+	trip := make(map[Spo]struct{}, nTriples)
+	for i, p := range pt.predIDs {
 		if int(p) >= n {
 			return fail("section predIDs: predicate %d out of range (%d terms)", p, n)
 		}
-		if i > 0 && p <= sn.predIDs[i-1] {
+		if i > 0 && p <= pt.predIDs[i-1] {
 			return fail("section predIDs: not strictly ascending at index %d", i)
 		}
-		group := sn.predTriples[sn.predOff[i]:sn.predOff[i+1]]
+		group := pt.predTriples[pt.predOff[i]:pt.predOff[i+1]]
 		for j, spo := range group {
 			if spo.P != p {
 				return fail("section predTriples: triple %d of predicate %d has P=%d", j, p, spo.P)
@@ -686,13 +680,14 @@ func assembleFrozen(sn *Snapshot) (*Graph, error) {
 	// Adjacency spans: in range, strictly (Pred,To)-sorted, and every edge
 	// must be a triple the predicate-major view also knows — combined with
 	// the equal counts already enforced, the three views describe the same
-	// triple set, so the frozen and mutable paths cannot silently diverge.
+	// triple set, so the loaded snapshot and the rebuilt builder cannot
+	// silently diverge.
 	for _, c := range [2]struct {
 		name  string
 		off   []uint32
 		edges []Edge
 		in    bool
-	}{{"outEdges", sn.outOff, sn.outEdges, false}, {"inEdges", sn.inOff, sn.inEdges, true}} {
+	}{{"outEdges", pt.outOff, pt.outEdges, false}, {"inEdges", pt.inOff, pt.inEdges, true}} {
 		for v := 0; v < n; v++ {
 			span := c.edges[c.off[v]:c.off[v+1]]
 			for j, e := range span {
@@ -719,15 +714,15 @@ func assembleFrozen(sn *Snapshot) (*Graph, error) {
 	// Signatures are derived state: recompute and compare instead of trust.
 	for v := 0; v < n; v++ {
 		var want [2]uint64
-		for _, span := range [2][]Edge{sn.outSpan(ID(v)), sn.inSpan(ID(v))} {
+		for _, span := range [2][]Edge{parts.outSpan(ID(v)), parts.inSpan(ID(v))} {
 			for _, e := range span {
 				lo, hi := sigBits(e.Pred)
 				want[0] |= lo
 				want[1] |= hi
 			}
 		}
-		if sn.sig[v] != want {
-			return fail("section sig: vertex %d signature %x, derived %x", v, sn.sig[v], want)
+		if pt.sig[v] != want {
+			return fail("section sig: vertex %d signature %x, derived %x", v, pt.sig[v], want)
 		}
 	}
 
@@ -737,15 +732,15 @@ func assembleFrozen(sn *Snapshot) (*Graph, error) {
 	// it is trusted — but it must at least cover the classes the surviving
 	// triples imply.
 	isPred := make([]bool, n)
-	for _, p := range sn.predIDs {
+	for _, p := range pt.predIDs {
 		isPred[p] = true
 	}
-	stats := Stats{Triples: sn.nTriples, Predicates: len(sn.predIDs)}
+	stats := Stats{Triples: nTriples, Predicates: len(pt.predIDs)}
 	var wantEnts []ID
 	for v := 0; v < n; v++ {
-		stored := sn.roles[v]
+		stored := pt.roles[v]
 		var r uint8
-		t := sn.terms[v]
+		t := terms[v]
 		switch {
 		case t.IsIRI():
 			r |= roleIRI
@@ -757,7 +752,7 @@ func assembleFrozen(sn *Snapshot) (*Graph, error) {
 		if isPred[v] {
 			r |= rolePred
 		}
-		deg := sn.outOff[v+1] - sn.outOff[v] + sn.inOff[v+1] - sn.inOff[v]
+		deg := pt.outOff[v+1] - pt.outOff[v] + pt.inOff[v+1] - pt.inOff[v]
 		if r&roleIRI != 0 && r&(roleClass|rolePred) == 0 && deg > 0 {
 			r |= roleEntity
 			wantEnts = append(wantEnts, ID(v))
@@ -770,67 +765,70 @@ func assembleFrozen(sn *Snapshot) (*Graph, error) {
 			stats.Classes++
 		}
 	}
-	if len(wantEnts) != len(sn.entities) {
-		return fail("section entities: %d entities, derived %d", len(sn.entities), len(wantEnts))
+	if len(wantEnts) != len(pt.entities) {
+		return fail("section entities: %d entities, derived %d", len(pt.entities), len(wantEnts))
 	}
 	for i := range wantEnts {
-		if sn.entities[i] != wantEnts[i] {
-			return fail("section entities: entry %d is %d, derived %d", i, sn.entities[i], wantEnts[i])
+		if pt.entities[i] != wantEnts[i] {
+			return fail("section entities: entry %d is %d, derived %d", i, pt.entities[i], wantEnts[i])
 		}
 	}
-	if sn.rdfType != None {
-		for _, spo := range sn.predGroup(sn.rdfType) {
-			if sn.roles[spo.O]&roleClass == 0 {
-				return fail("section roles: vertex %d is an rdf:type object but lacks the class role", spo.O)
-			}
+	// K = 1: a predicate has at most one group.
+	group := func(p ID) []Spo {
+		if gs := parts.predGroups(p); len(gs) > 0 {
+			return gs[0]
+		}
+		return nil
+	}
+	for _, spo := range group(rdfType) {
+		if pt.roles[spo.O]&roleClass == 0 {
+			return fail("section roles: vertex %d is an rdf:type object but lacks the class role", spo.O)
 		}
 	}
-	if sn.subClass != None {
-		for _, spo := range sn.predGroup(sn.subClass) {
-			if sn.roles[spo.S]&roleClass == 0 || sn.roles[spo.O]&roleClass == 0 {
-				return fail("section roles: rdfs:subClassOf endpoints %d/%d lack the class role", spo.S, spo.O)
-			}
+	for _, spo := range group(subClass) {
+		if pt.roles[spo.S]&roleClass == 0 || pt.roles[spo.O]&roleClass == 0 {
+			return fail("section roles: rdfs:subClassOf endpoints %d/%d lack the class role", spo.S, spo.O)
 		}
 	}
-	sn.stats = stats
 
 	// Mutable mirror. Adjacency and predicate-major backing arrays are
 	// copies: Remove shifts entries in place within a vertex's own window,
 	// which must never write through to the immutable snapshot.
 	g := New()
-	g.terms = sn.terms
+	g.terms = terms
 	g.index = index
-	g.rdfType, g.subClass, g.labelPred = sn.rdfType, sn.subClass, sn.labelPred
-	outBack := append([]Edge(nil), sn.outEdges...)
-	inBack := append([]Edge(nil), sn.inEdges...)
+	g.rdfType, g.subClass, g.labelPred = rdfType, subClass, labelPred
+	outBack := append([]Edge(nil), pt.outEdges...)
+	inBack := append([]Edge(nil), pt.inEdges...)
 	g.out = make([][]Edge, n)
 	g.in = make([][]Edge, n)
-	g.sig = make([]uint64, n)
 	for v := 0; v < n; v++ {
-		a, b := sn.outOff[v], sn.outOff[v+1]
+		a, b := pt.outOff[v], pt.outOff[v+1]
 		g.out[v] = outBack[a:b:b]
-		a, b = sn.inOff[v], sn.inOff[v+1]
+		a, b = pt.inOff[v], pt.inOff[v+1]
 		g.in[v] = inBack[a:b:b]
-		g.sig[v] = sn.sig[v][0]
 	}
 	g.triples = trip
-	predBack := append([]Spo(nil), sn.predTriples...)
-	for i, p := range sn.predIDs {
-		a, b := sn.predOff[i], sn.predOff[i+1]
+	predBack := append([]Spo(nil), pt.predTriples...)
+	for i, p := range pt.predIDs {
+		a, b := pt.predOff[i], pt.predOff[i+1]
 		g.byPred[p] = predBack[a:b:b]
 		g.preds[p] = int(b - a)
 	}
 	for v := 0; v < n; v++ {
-		if sn.roles[v]&roleClass != 0 {
+		if pt.roles[v]&roleClass != 0 {
 			g.classes[ID(v)] = struct{}{}
 		}
 	}
-	if sn.rdfType != None {
-		for _, spo := range sn.predGroup(sn.rdfType) {
-			g.instances[spo.O] = append(g.instances[spo.O], spo.S)
-		}
+	for _, spo := range group(rdfType) {
+		g.instances[spo.O] = append(g.instances[spo.O], spo.S)
 	}
-	g.gen.Store(sn.gen)
-	g.snap.Store(sn)
+	pt.literals = stats.Literals
+	g.gen.Store(pt.gen)
+	g.snap.Store(&Snapshot{
+		gen: pt.gen, k: 1, terms: terms, rd: parts, parts: parts,
+		rdfType: rdfType, nTriples: nTriples, predIDs: pt.predIDs,
+		entities: pt.entities, stats: stats, bytes: pt.bytes,
+	})
 	return g, nil
 }

@@ -56,31 +56,41 @@ func saveFrozenBytes(t *testing.T, g *Graph) []byte {
 	return buf.Bytes()
 }
 
-// refixFrozenChecksums recomputes every section CRC, the content hash, and
-// the header CRC in place, assuming section lengths are unchanged — so a
-// test can corrupt a payload byte while keeping the checksums internally
-// consistent, forcing rejection through semantic validation rather than a
-// CRC mismatch.
-func refixFrozenChecksums(b []byte) {
-	off := frzHeaderSize
-	for i := 0; i < frzSectionCount; i++ {
-		d := frzHeaderFixed + i*frzDirEntrySize
+// refixChecksums recomputes every section CRC, the content hash, and the
+// header CRC of a GQAFRZ1 or GQASHR1 file in place, assuming section
+// lengths are unchanged — so a test can corrupt a payload byte while
+// keeping the checksums internally consistent, forcing rejection through
+// semantic validation rather than a CRC mismatch. Both formats share the
+// layout: headerFixed bytes ending in the content hash, a 12-byte directory
+// entry per section, the header CRC, then the payloads.
+func refixChecksums(b []byte, headerFixed, sections int) {
+	crcOff := headerFixed + sections*frzDirEntrySize
+	off := crcOff + 4
+	for i := 0; i < sections; i++ {
+		d := headerFixed + i*frzDirEntrySize
 		length := int(binary.LittleEndian.Uint64(b[d : d+8]))
 		binary.LittleEndian.PutUint32(b[d+8:d+12], crc32.ChecksumIEEE(b[off:off+length]))
 		off += length
 	}
-	binary.LittleEndian.PutUint64(b[24:32], frzContentHash(b[frzHeaderFixed:frzHeaderSize-4]))
-	binary.LittleEndian.PutUint32(b[frzHeaderSize-4:frzHeaderSize], crc32.ChecksumIEEE(b[:frzHeaderSize-4]))
+	binary.LittleEndian.PutUint64(b[headerFixed-8:headerFixed], frzContentHash(b[headerFixed:crcOff]))
+	binary.LittleEndian.PutUint32(b[crcOff:crcOff+4], crc32.ChecksumIEEE(b[:crcOff]))
 }
 
-func frzSectionRange(b []byte, sec int) (int, int) {
-	off := frzHeaderSize
+// sectionRange returns the payload byte range of section sec.
+func sectionRange(b []byte, headerFixed, sections, sec int) (int, int) {
+	off := headerFixed + sections*frzDirEntrySize + 4
 	for i := 0; i < sec; i++ {
-		d := frzHeaderFixed + i*frzDirEntrySize
+		d := headerFixed + i*frzDirEntrySize
 		off += int(binary.LittleEndian.Uint64(b[d : d+8]))
 	}
-	d := frzHeaderFixed + sec*frzDirEntrySize
+	d := headerFixed + sec*frzDirEntrySize
 	return off, off + int(binary.LittleEndian.Uint64(b[d:d+8]))
+}
+
+func refixFrozenChecksums(b []byte) { refixChecksums(b, frzHeaderFixed, frzSectionCount) }
+
+func frzSectionRange(b []byte, sec int) (int, int) {
+	return sectionRange(b, frzHeaderFixed, frzSectionCount, sec)
 }
 
 // TestFrozenDiskDifferential is the load-vs-rebuild harness: random rich
@@ -96,7 +106,7 @@ func TestFrozenDiskDifferential(t *testing.T) {
 		// A few removals so monotone class state and retracted instances are
 		// part of what round-trips.
 		sn0 := g.Freeze()
-		spos := append([]Spo(nil), sn0.predTriples...)
+		spos := append([]Spo(nil), sn0.parts[0].predTriples...)
 		for i := 0; i < 3 && i < len(spos); i++ {
 			g.Remove(spos[i*len(spos)/3].S, spos[i*len(spos)/3].P, spos[i*len(spos)/3].O)
 		}
@@ -209,7 +219,7 @@ func TestFrozenLoadedGraphMutates(t *testing.T) {
 		nBefore := sn.NumTriples()
 
 		mutate := func(gg *Graph) {
-			spos := append([]Spo(nil), sn.predTriples...)
+			spos := append([]Spo(nil), sn.parts[0].predTriples...)
 			for i := 0; i < 4 && i < len(spos); i++ {
 				spo := spos[i*len(spos)/4]
 				if !gg.Remove(spo.S, spo.P, spo.O) {

@@ -5,13 +5,15 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 )
 
-// Fuzz targets for the two on-disk formats. Both assert the hostile-input
-// contract: arbitrary bytes must produce either a loaded graph or an error
-// — never a panic — and allocation must stay proportional to the input, so
+// Fuzz targets for the on-disk formats and the shard server's request
+// handler. All assert the hostile-input contract: arbitrary bytes must
+// produce either a loaded structure (or an answer frame) or an error —
+// never a panic — and allocation must stay proportional to the input, so
 // a lying length field cannot balloon memory. Accepted inputs must
 // round-trip: a graph that loads re-serializes and re-loads equivalently
 // (byte-identically for the canonical GQAFRZ1 format).
@@ -152,6 +154,146 @@ func FuzzLoadFrozen(f *testing.F) {
 		}
 		if !bytes.Equal(buf.Bytes(), data) {
 			t.Fatalf("accepted input is not canonical: %d bytes in, %d bytes out", len(data), buf.Len())
+		}
+	})
+}
+
+// shardPartSeedCorpus is the GQASHR1 corruption matrix: valid parts, every
+// kind of truncation, a CRC-detected flip, a directory length lie behind a
+// re-fixed header CRC, and checksum-consistent corruptions of an offset
+// array and the meta section that only the semantic pass can catch.
+func shardPartSeedCorpus(tb testing.TB) [][]byte {
+	save := func(g *Graph, k, shard int) []byte {
+		g.SetShards(k)
+		var buf bytes.Buffer
+		if err := SaveShardPart(&buf, g, shard); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	valid := save(tinyFrozenGraph(), 2, 1)
+	rich := save(randomRichGraph(rand.New(rand.NewSource(1))), 3, 0)
+	flip := append([]byte(nil), valid...)
+	flip[shrHeaderSize+3] ^= 0x10
+	lie := append([]byte(nil), valid...)
+	d := shrHeaderFixed + shrOutEdges*shrDirEntrySize
+	binary.LittleEndian.PutUint64(lie[d:d+8], 1<<40)
+	binary.LittleEndian.PutUint32(lie[shrHeaderSize-4:shrHeaderSize], crc32.ChecksumIEEE(lie[:shrHeaderSize-4]))
+	badOff := append([]byte(nil), rich...)
+	lo, _ := sectionRange(badOff, shrHeaderFixed, shrSectionCount, shrOutOff)
+	badOff[lo+4] ^= 0x7f // second out offset
+	refixChecksums(badOff, shrHeaderFixed, shrSectionCount)
+	badMeta := append([]byte(nil), rich...)
+	lo, _ = sectionRange(badMeta, shrHeaderFixed, shrSectionCount, shrMeta)
+	badMeta[lo] = 0x09 // shard index ≥ k
+	refixChecksums(badMeta, shrHeaderFixed, shrSectionCount)
+	return [][]byte{
+		valid,
+		rich,
+		valid[:shrHeaderSize],
+		valid[:len(valid)-1],
+		append(append([]byte(nil), valid...), 0xAB),
+		flip,
+		lie,
+		badOff,
+		badMeta,
+		[]byte(shardMagic),
+		{},
+	}
+}
+
+// FuzzLoadShardPart: arbitrary bytes either load into a part that
+// re-serializes to an equal part, or are rejected — never a panic, never
+// an allocation a lying length field inflated.
+func FuzzLoadShardPart(f *testing.F) {
+	for _, s := range shardPartSeedCorpus(f) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sp *ShardPart
+		var err error
+		allocBound(t, 1<<22+1024*uint64(len(data)), func() {
+			sp, err = LoadShardPart(bytes.NewReader(data))
+		})
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := sp.Save(&buf); err != nil {
+			t.Fatalf("re-serialize: %v", err)
+		}
+		sp2, err := LoadShardPart(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("re-load: %v", err)
+		}
+		if !reflect.DeepEqual(sp, sp2) {
+			t.Fatal("round trip changed the part")
+		}
+		// Whatever loads must be servable: every read a coordinator could
+		// send for any vertex stays in bounds.
+		srv := NewShardServer(sp)
+		for v := ID(0); int(v) <= sp.NumTerms(); v++ {
+			for _, op := range []byte{shrOpOut, shrOpIn, shrOpDegrees, shrOpRole} {
+				mustAnswer(t, srv, reqV(op, v))
+			}
+			mustAnswer(t, srv, reqVP(shrOpHasAdj, v, v))
+			mustAnswer(t, srv, reqSPO(shrOpHas, v, v, v))
+			mustAnswer(t, srv, reqV(shrOpPredGrp, v))
+		}
+	})
+}
+
+// mustAnswer sends one request payload through the server's handler and
+// fails on a severed connection, a malformed frame, or a handler panic
+// (which handle recovers into an error frame — a bug all the same).
+func mustAnswer(t *testing.T, srv *ShardServer, req []byte) {
+	t.Helper()
+	resp, ok := srv.handle(req)
+	if !ok || len(resp) == 0 || resp[0] > shrStatusErr {
+		t.Fatalf("request %x: response %x, ok=%v", req, resp, ok)
+	}
+	if resp[0] == shrStatusErr && bytes.Contains(resp, []byte("panic")) {
+		t.Fatalf("request %x: handler panicked: %s", req, resp[1:])
+	}
+}
+
+// FuzzShardServerHandle feeds arbitrary connection bytes through the
+// framing layer into the request handler of a server holding a valid part:
+// every frame the reader accepts must be answered with a well-formed OK or
+// error frame, never a panic, whatever opcode, argument count or vertex ID
+// it carries.
+func FuzzShardServerHandle(f *testing.F) {
+	g := randomRichGraph(rand.New(rand.NewSource(1)))
+	g.SetShards(3)
+	srv := NewShardServer(g.Freeze().Part(1))
+	frame := func(payload []byte) []byte {
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, payload); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	owned, foreign, beyond := ID(4), ID(5), ID(g.NumTerms())
+	for op := byte(0); op <= shrOpEntities+1; op++ {
+		f.Add(frame([]byte{op}))
+		for _, v := range []ID{owned, foreign, beyond, None} {
+			f.Add(frame(reqV(op, v)))
+			f.Add(frame(reqVP(op, v, owned)))
+			f.Add(frame(reqSPO(op, v, owned, foreign)))
+		}
+	}
+	f.Add(frame(nil))                                                           // empty request
+	f.Add(append(frame(reqV(shrOpOut, owned)), frame(reqV(shrOpIn, owned))...)) // two frames back to back
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, shrOpPing})                            // length beyond the request cap
+	f.Add(frame(reqV(shrOpOut, owned))[:6])                                     // truncated mid-payload
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		for {
+			req, err := readFrame(r, maxShardReqFrame)
+			if err != nil {
+				return // the connection would be dropped here
+			}
+			mustAnswer(t, srv, req)
 		}
 	})
 }

@@ -40,7 +40,10 @@ type Spo struct {
 	S, P, O ID
 }
 
-// Graph is an in-memory RDF graph. The zero value is not usable; call New.
+// Graph is the mutable in-memory RDF graph: the builder. It interns terms,
+// accepts Add/Remove, and enumerates its triples in insertion order for the
+// offline miner; every query reads the frozen Snapshot it compacts into
+// (FrozenView, see frozen.go). The zero value is not usable; call New.
 // Graph is safe for concurrent reads after loading completes; mutation is
 // not synchronized.
 type Graph struct {
@@ -49,15 +52,6 @@ type Graph struct {
 
 	out [][]Edge // out[s]: edges s --p--> o
 	in  [][]Edge // in[o]: edges s --p--> o stored as (p, s)
-
-	// sig[v] is a 64-bit signature of the predicates incident to v (both
-	// directions), in the spirit of gStore's vertex signatures [33]: bit
-	// (pred mod 64) is set when such an edge exists. It lets
-	// HasAdjacentPred — the hot operation of neighborhood pruning
-	// (§4.2.2) and DEANNA's coherence tests — reject without scanning
-	// adjacency. The signature is a Bloom-style over-approximation and is
-	// not cleared on Remove (false positives only cost a scan).
-	sig []uint64
 
 	triples map[Spo]struct{} // set for dedup + O(1) Has
 	byPred  map[ID][]Spo     // predicate-major index
@@ -70,39 +64,31 @@ type Graph struct {
 	instances map[ID][]ID     // class → direct instances
 	preds     map[ID]int      // predicate → triple count
 
-	// pidx caches predicate-grouped adjacency for hub vertices (see
-	// predindex.go). It is the one structure that mutates during
-	// concurrent reads, so it carries its own lock.
-	pidx predIndex
-
 	// gen counts mutations (every Add/Remove bumps it); snap holds the
-	// frozen CSR snapshot built at some generation, cleared on mutation.
-	// See frozen.go for the freeze contract.
-	gen  atomic.Uint64
-	snap atomic.Pointer[Snapshot]
+	// snapshot frozen at some generation, cleared on mutation. Builds are
+	// serialized by freezeMu. See frozen.go for the freeze contract.
+	gen      atomic.Uint64
+	snap     atomic.Pointer[Snapshot]
+	freezeMu sync.Mutex
 
-	// Vertex-hash sharding (see shard.go). shardK is the configured shard
-	// count (0 = unsharded); shardGens carries one mutation generation per
+	// Vertex-hash sharding. shardK is the configured shard count (0 =
+	// unsharded, one part); shardGens carries one mutation generation per
 	// shard — Add/Remove bumps only the endpoint shards' entries, so the
-	// next freeze rebuilds exactly the dirty shards. shards is the
-	// installed ShardSet (cleared on any mutation, like snap); lastShards
-	// keeps the most recent assembly under shardMu so clean shards can be
-	// reused across freezes (the delta overlay).
-	shardK     int
-	shardGens  []atomic.Uint64
-	shards     atomic.Pointer[ShardSet]
-	shardMu    sync.Mutex
-	lastShards *ShardSet
+	// next freeze rebuilds exactly the dirty parts and takes the clean ones
+	// from lastSharded, the most recent sharded snapshot (under freezeMu).
+	shardK      int
+	shardGens   []atomic.Uint64
+	lastSharded *Snapshot
 
-	// remoteView, when set, overrides FrozenView with a connected
-	// multi-process shard view (see remote.go and SetRemoteView): every
-	// frozen read — matcher, SPARQL evaluator, linker, dict paths — then
-	// routes through the shard-RPC client instead of local arrays.
+	// remoteView, when set, overrides FrozenView with a snapshot whose
+	// parts are served by other processes (see remote.go and
+	// SetRemoteView): every read — matcher, SPARQL evaluator, linker, dict
+	// paths — then routes through the shard-RPC client.
 	remoteView atomic.Pointer[View]
 }
 
 // SetRemoteView installs (or, with nil, removes) a remote shard view as
-// the graph's frozen read surface. The coordinator keeps its local graph
+// the graph's read surface. The coordinator keeps its local graph
 // for the dictionary and term table; adjacency and pattern reads go over
 // the wire. The caller owns consistency: the remote shards must serve the
 // same frozen data the local graph holds (DialShards validates the
@@ -142,7 +128,6 @@ func (g *Graph) Intern(t rdf.Term) ID {
 	g.index[key] = id
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
-	g.sig = append(g.sig, 0)
 	switch t.Value() {
 	case rdf.RDFType:
 		g.rdfType = id
@@ -202,14 +187,10 @@ func (g *Graph) addIDs(s, p, o ID) {
 	// First use of predicate p flips its vertex's rolePred bit, so its
 	// shard must re-run the role pass too, not just the endpoints'.
 	g.dirtyShards(s, o, p, g.preds[p] == 0)
-	g.pidx.invalidate(s, o)
 	g.out[s] = append(g.out[s], Edge{Pred: p, To: o})
 	g.in[o] = append(g.in[o], Edge{Pred: p, To: s})
 	g.byPred[p] = append(g.byPred[p], spo)
 	g.preds[p]++
-	bit := uint64(1) << (uint(p) % 64)
-	g.sig[s] |= bit
-	g.sig[o] |= bit
 	if p == g.rdfType && g.rdfType != None {
 		g.markClass(o)
 		g.instances[o] = append(g.instances[o], s)
@@ -234,9 +215,8 @@ func (g *Graph) invalidateFrozen() {
 
 // dirtyShards bumps the shard generations a mutation of triple (s, p, o)
 // invalidates — the endpoint shards, plus p's shard when the mutation
-// flips p's existence as a predicate (predFlip) — and drops the installed
-// ShardSet. Handed-out ShardSets remain valid pre-mutation views; the
-// next freeze rebuilds only the shards bumped here.
+// flips p's existence as a predicate (predFlip). The next freeze rebuilds
+// only the parts bumped here.
 func (g *Graph) dirtyShards(s, o, p ID, predFlip bool) {
 	k := g.shardK
 	if k <= 1 {
@@ -250,7 +230,6 @@ func (g *Graph) dirtyShards(s, o, p ID, predFlip bool) {
 	if ps := int(p) % k; predFlip && ps != ss && ps != os {
 		g.shardGens[ps].Add(1)
 	}
-	g.shards.Store(nil)
 }
 
 // Generation returns the graph's mutation generation: a counter bumped by
@@ -274,7 +253,6 @@ func (g *Graph) Remove(s, p, o ID) bool {
 	// Last use of predicate p clears its vertex's rolePred bit (the preds
 	// entry is deleted below), so its shard re-runs the role pass.
 	g.dirtyShards(s, o, p, g.preds[p] == 1)
-	g.pidx.invalidate(s, o)
 	g.out[s] = removeEdge(g.out[s], Edge{Pred: p, To: o})
 	g.in[o] = removeEdge(g.in[o], Edge{Pred: p, To: s})
 	g.byPred[p] = removeSpo(g.byPred[p], spo)
@@ -417,13 +395,9 @@ func (g *Graph) IsClass(v ID) bool {
 }
 
 // IsEntity reports whether v is an entity vertex: an IRI that occurs as a
-// subject or object and is neither a class nor used as a predicate. On a
-// frozen graph this reads the snapshot's precomputed role bitmap instead
-// of probing the class and predicate maps.
+// subject or object and is neither a class nor used as a predicate. This
+// is the definition the freeze's role pass precomputes (View.IsEntity).
 func (g *Graph) IsEntity(v ID) bool {
-	if fv := g.FrozenView(); fv != nil {
-		return fv.IsEntity(v)
-	}
 	if !g.terms[v].IsIRI() || g.IsClass(v) {
 		return false
 	}
@@ -508,12 +482,9 @@ func (g *Graph) Predicates() []ID {
 // PredCount returns the number of triples using predicate p.
 func (g *Graph) PredCount(p ID) int { return g.preds[p] }
 
-// Entities returns all entity vertex IDs in ascending order. On a frozen
-// graph the list was precomputed during the freeze's role pass.
+// Entities returns all entity vertex IDs in ascending order, by per-vertex
+// classification; readers take the precomputed View.Entities instead.
 func (g *Graph) Entities() []ID {
-	if fv := g.FrozenView(); fv != nil {
-		return fv.Entities()
-	}
 	var out []ID
 	for v := range g.terms {
 		if g.IsEntity(ID(v)) {
@@ -556,12 +527,9 @@ type Stats struct {
 	Predicates int
 }
 
-// Stats computes summary statistics. On a frozen graph they were
-// precomputed during the freeze's role pass.
+// Stats computes summary statistics from the mutable structures; readers
+// take the precomputed View.Stats instead.
 func (g *Graph) Stats() Stats {
-	if fv := g.FrozenView(); fv != nil {
-		return fv.Stats()
-	}
 	st := Stats{
 		Triples:    g.NumTriples(),
 		Predicates: g.NumPredicates(),

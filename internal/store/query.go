@@ -1,8 +1,10 @@
 package store
 
-// Pattern scans: the SPARQL engine and the DEANNA baseline evaluate basic
-// graph patterns against the store through Match, which dispatches on which
-// positions are bound. Wildcard positions use the sentinel Any.
+// Builder enumeration: the offline side of the pipeline — support-set
+// sampling, path mining, dictionary maintenance — walks the mutable graph
+// through Match and the neighbor walks below, in insertion order. Online
+// reads take the frozen View (frozen.go), whose Match has the same
+// dispatch over sorted spans.
 
 import "gqa/internal/faultpoint"
 
@@ -12,23 +14,11 @@ const Any ID = None
 // Match calls fn for every triple matching the (s, p, o) pattern, where any
 // position may be Any. Iteration stops early if fn returns false.
 //
-// Dispatch picks the cheapest available index:
-//
-//	bound s+p    → per-predicate neighbor lookup (hub cache above the
-//	               degree threshold, direct scan below)
-//	bound s      → scan out[s]
-//	bound o (+p) → the mirror image over in[o]
-//	bound p only → scan the predicate-major index
-//	none bound   → scan everything
-//
-// On a frozen graph the whole dispatch is delegated to the snapshot's CSR
-// binary searches (see frozen.go); iteration order there is (Pred, To)-
-// sorted rather than insertion order.
+// A bound s scans out[s], a bound o scans in[o], a bound p alone scans the
+// predicate-major index — each in insertion order, which the miners'
+// first-N sampling depends on — and the unbound pattern ranges over the
+// triple set in no particular order.
 func (g *Graph) Match(s, p, o ID, fn func(Spo) bool) {
-	if fv := g.FrozenView(); fv != nil {
-		fv.Match(s, p, o, fn)
-		return
-	}
 	faultpoint.Hit(faultpoint.StoreMatch)
 	switch {
 	case s != Any && p != Any && o != Any:
@@ -37,14 +27,6 @@ func (g *Graph) Match(s, p, o ID, fn func(Spo) bool) {
 		}
 	case s != Any:
 		if int(s) >= len(g.out) {
-			return
-		}
-		if p != Any && o == Any && len(g.out[s]) >= predIndexMinDegree {
-			for _, to := range g.OutByPred(s, p) {
-				if !fn(Spo{s, p, to}) {
-					return
-				}
-			}
 			return
 		}
 		for _, e := range g.out[s] {
@@ -60,14 +42,6 @@ func (g *Graph) Match(s, p, o ID, fn func(Spo) bool) {
 		}
 	case o != Any:
 		if int(o) >= len(g.in) {
-			return
-		}
-		if p != Any && len(g.in[o]) >= predIndexMinDegree {
-			for _, from := range g.InByPred(o, p) {
-				if !fn(Spo{from, p, o}) {
-					return
-				}
-			}
 			return
 		}
 		for _, e := range g.in[o] {
@@ -142,63 +116,6 @@ func (g *Graph) EdgesBetween(u, v ID) []Neighbor {
 		}
 	}
 	return out
-}
-
-// HasAdjacentPred reports whether v has any incident edge (either
-// direction) labeled p. It implements the neighborhood-based pruning test
-// of §4.2.2: a candidate vertex with no adjacent edge mapping to the query
-// edge's predicate candidates cannot occur in any match. The vertex
-// signature rejects most misses in O(1); on a frozen graph the snapshot's
-// wider 2-bit signature and binary-searched spans answer instead.
-func (g *Graph) HasAdjacentPred(v, p ID) bool {
-	if fv := g.FrozenView(); fv != nil {
-		return fv.HasAdjacentPred(v, p)
-	}
-	if g.sig[v]&(uint64(1)<<(uint(p)%64)) == 0 {
-		return false
-	}
-	for _, e := range g.out[v] {
-		if e.Pred == p {
-			return true
-		}
-	}
-	for _, e := range g.in[v] {
-		if e.Pred == p {
-			return true
-		}
-	}
-	return false
-}
-
-// OutPredDegree returns the number of outgoing edges of v labeled p — the
-// exact frontier size the selectivity-ordered matcher plans with. The
-// signature rejects most zero cases before the scan; the frozen snapshot
-// answers the same question with a binary search.
-func (g *Graph) OutPredDegree(v, p ID) int {
-	if g.sig[v]&(uint64(1)<<(uint(p)%64)) == 0 {
-		return 0
-	}
-	n := 0
-	for _, e := range g.out[v] {
-		if e.Pred == p {
-			n++
-		}
-	}
-	return n
-}
-
-// InPredDegree returns the number of incoming edges of v labeled p.
-func (g *Graph) InPredDegree(v, p ID) int {
-	if g.sig[v]&(uint64(1)<<(uint(p)%64)) == 0 {
-		return 0
-	}
-	n := 0
-	for _, e := range g.in[v] {
-		if e.Pred == p {
-			n++
-		}
-	}
-	return n
 }
 
 // ObjectsOf returns the distinct objects of (s, p, *) in first-seen order.

@@ -1,18 +1,16 @@
 package store
 
-// RemoteShardSet: the coordinator side of multi-process sharding. It
-// implements the same store.View surface (plus NumShards) as the
-// in-process ShardSet, but every adjacency, membership, and
-// predicate-major read routes over the shard RPC protocol (shardrpc.go)
-// to the gqa-shard server owning the vertex — so the matcher's
-// scatter-gather rounds, the SPARQL evaluator, and the dict path walks
-// all run unchanged over the wire. The identity argument is the same as
-// the in-process ShardSet's, one level up: each shard server serves the
-// exact arrays its part file froze, per-vertex spans stay the identical
-// (Pred,To)-sorted runs, and predicate-major scans gather the per-shard
-// (S,O)-sorted groups and k-way-merge them locally with the same merge
-// the ShardSet uses — so remote answers are byte-identical to local
-// ones.
+// The coordinator side of multi-process sharding: the second reader. A
+// Snapshot built by DialShards holds the global facts locally (term table,
+// merged entity and predicate lists, stats) and routes every primitive
+// read — one per method of the reader interface — over the shard RPC
+// protocol (shardrpc.go) to the gqa-shard server owning the vertex, so the
+// matcher's scatter-gather rounds, the SPARQL evaluator and the dict path
+// walks run unchanged over the wire. Each server answers from the exact
+// arrays its part file froze, through the same localParts reader an
+// in-process snapshot uses, and the View above merges predicate-major
+// groups with the same merge — so remote answers are byte-identical to
+// local ones.
 //
 // The robustness work lives here, not in the server: per-call deadlines
 // derived from the request budget (a call never outlives the request it
@@ -26,6 +24,7 @@ package store
 // exactly like a deadline trip, and never hangs.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -181,7 +180,7 @@ func (p *shardConnPool) closeAll() {
 	}
 }
 
-// rpcReq is the per-request state a bound view carries: the budget the
+// rpcReq is the per-request state a bound reader carries: the budget the
 // calls derive deadlines from (and trip on failure), the span RPC
 // telemetry lands on, and the request's own call counters.
 type rpcReq struct {
@@ -194,45 +193,45 @@ type rpcReq struct {
 	errs    atomic.Int64
 }
 
-// RemoteShardSet is the connected client over K shard servers. Construct
-// with DialShards; a RemoteShardSet is safe for concurrent use by many
-// requests. It implements View and ShardedView; BindRequest scopes it to
-// one request's budget and span.
-type RemoteShardSet struct {
-	k        int
-	gen      uint64
-	terms    []rdf.Term
-	rdfType  ID
-	nTriples int
-	predIDs  []ID
-	entities []ID
-	stats    Stats
-
+// shardClient is the connection state shared by every reader over one set
+// of shard servers; safe for concurrent use by many requests.
+type shardClient struct {
+	k     int
 	opts  RemoteOptions
 	pools []*shardConnPool
+}
+
+// rpcReader is the reader over K shard servers. req is nil on the shared
+// unbound reader — reads outside a request scope (the linker's
+// construction-time probes) get default per-call deadlines and degrade to
+// empty with nothing to trip — and set on the per-request copy
+// Snapshot.BindRequest makes.
+type rpcReader struct {
+	*shardClient
+	req *rpcReq
 }
 
 // DialShards connects to one shard server per address (addrs[i] must
 // serve shard i of K=len(addrs)), validates that every part describes
 // the same frozen graph — matching global generation, term count, triple
 // count, and stats — and that it matches the coordinator's term table,
-// then assembles the global structures (merged entity and predicate
-// lists) the way ShardSet.assemble does. terms is the coordinator's
-// interned term table; the remote view serves Term lookups from it
-// locally (the dictionary never crosses the wire).
-func DialShards(addrs []string, terms []rdf.Term, opts RemoteOptions) (*RemoteShardSet, error) {
+// then assembles the snapshot's global structures (merged entity and
+// predicate lists) as a local freeze does. terms is the coordinator's
+// interned term table; Term lookups are served from it locally (the
+// dictionary never crosses the wire). Close the snapshot when done.
+func DialShards(addrs []string, terms []rdf.Term, opts RemoteOptions) (*Snapshot, error) {
 	k := len(addrs)
 	if k < 2 {
 		return nil, fmt.Errorf("store: DialShards needs at least 2 shard addresses, have %d", k)
 	}
 	opts.fill()
-	r := &RemoteShardSet{k: k, terms: terms, opts: opts, pools: make([]*shardConnPool, k)}
+	r := &rpcReader{shardClient: &shardClient{k: k, opts: opts, pools: make([]*shardConnPool, k)}}
 	for i, addr := range addrs {
 		r.pools[i] = &shardConnPool{addr: addr, size: opts.PoolSize}
 	}
-	var metas = make([]shardMeta, k)
+	metas := make([]shardMeta, k)
 	for i := 0; i < k; i++ {
-		resp, err := r.call(nil, i, []byte{shrOpMeta})
+		resp, err := r.call(i, []byte{shrOpMeta})
 		if err != nil {
 			return nil, fmt.Errorf("store: DialShards: shard %d (%s): %w", i, addrs[i], err)
 		}
@@ -257,93 +256,36 @@ func DialShards(addrs []string, terms []rdf.Term, opts RemoteOptions) (*RemoteSh
 	if int(m0.nTerms) != len(terms) {
 		return nil, fmt.Errorf("store: DialShards: shard set froze %d terms, coordinator holds %d — generation mismatch", m0.nTerms, len(terms))
 	}
-	r.gen = m0.gen
-	r.rdfType = ID(m0.rdfType)
-	r.nTriples = int(m0.nTriples)
-	r.stats = m0.stats
-
 	entityLists := make([][]ID, k)
 	predLists := make([][]ID, k)
 	for i := 0; i < k; i++ {
-		resp, err := r.call(nil, i, []byte{shrOpEntities})
+		resp, err := r.call(i, []byte{shrOpEntities})
 		if err != nil {
 			return nil, fmt.Errorf("store: DialShards: shard %d entities: %w", i, err)
 		}
 		entityLists[i] = decodeFrzIDs(resp)
-		resp, err = r.call(nil, i, []byte{shrOpPredIDs})
+		resp, err = r.call(i, []byte{shrOpPredIDs})
 		if err != nil {
 			return nil, fmt.Errorf("store: DialShards: shard %d predicates: %w", i, err)
 		}
 		predLists[i] = decodeFrzIDs(resp)
 	}
-	r.entities = mergeIDLists(entityLists)
-	r.predIDs = mergeIDLists(predLists)
-	return r, nil
+	return &Snapshot{
+		gen: m0.gen, k: k, terms: terms, rd: r,
+		rdfType: ID(m0.rdfType), nTriples: int(m0.nTriples), stats: m0.stats,
+		entities: mergeIDLists(entityLists), predIDs: mergeIDLists(predLists),
+	}, nil
 }
 
-// mergeIDLists k-way-merges ascending ID lists into one ascending,
-// deduplicated list (the remote twin of mergeAscending).
-func mergeIDLists(lists [][]ID) []ID {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	out := make([]ID, 0, total)
-	for {
-		best := -1
-		for i, l := range lists {
-			if len(l) == 0 {
-				continue
-			}
-			if best < 0 || l[0] < lists[best][0] {
-				best = i
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		v := lists[best][0]
-		lists[best] = lists[best][1:]
-		if len(out) == 0 || out[len(out)-1] != v {
-			out = append(out, v)
+// Close tears down every pooled connection of a snapshot over remote
+// parts; in-flight calls on checked-out connections finish (or fail) on
+// their own deadlines. A no-op on a local snapshot.
+func (sn *Snapshot) Close() {
+	if rr, ok := sn.rd.(*rpcReader); ok {
+		for _, p := range rr.pools {
+			p.closeAll()
 		}
 	}
-}
-
-// Close tears down every pooled connection. In-flight calls on checked-
-// out connections finish (or fail) on their own deadlines.
-func (r *RemoteShardSet) Close() {
-	for _, p := range r.pools {
-		p.closeAll()
-	}
-}
-
-// Addrs returns the connected shard addresses in shard order.
-func (r *RemoteShardSet) Addrs() []string {
-	out := make([]string, r.k)
-	for i, p := range r.pools {
-		out[i] = p.addr
-	}
-	return out
-}
-
-// Ping probes every shard server once (no retries) and returns the first
-// failure — the health check gqa-serve runs at boot and readiness time.
-func (r *RemoteShardSet) Ping() error {
-	for i := range r.pools {
-		if _, err := r.attempt(nil, i, []byte{shrOpPing}); err != nil {
-			return fmt.Errorf("store: shard %d (%s): %w", i, r.pools[i].addr, err)
-		}
-	}
-	return nil
-}
-
-// BindRequest scopes the view to one request: calls derive deadlines
-// from b, failures trip b (FailShardUnavailable), and the search span sp
-// receives the request's RPC counters (AnnotateSpan) and rpc.gather
-// children.
-func (r *RemoteShardSet) BindRequest(b *budget.Tracker, sp *obs.Span) View {
-	return &boundRemote{r: r, st: &rpcReq{b: b, sp: sp}}
 }
 
 // ------------------------------------------------------------- transport
@@ -355,7 +297,8 @@ type errServer struct{ msg string }
 func (e *errServer) Error() string { return "shard server: " + e.msg }
 
 // attempt performs exactly one call on one pooled (or fresh) connection.
-func (r *RemoteShardSet) attempt(st *rpcReq, shard int, req []byte) ([]byte, error) {
+func (r *rpcReader) attempt(shard int, req []byte) ([]byte, error) {
+	st := r.req
 	rpcCallsTotal.Inc()
 	if st != nil {
 		st.calls.Add(1)
@@ -399,7 +342,8 @@ func (r *RemoteShardSet) attempt(st *rpcReq, shard int, req []byte) ([]byte, err
 // backoff on transient transport errors, fail-fast while the shard's
 // breaker cooldown runs, and no attempt at all once the request's budget
 // is exhausted (a doomed round must not serialize K call timeouts).
-func (r *RemoteShardSet) call(st *rpcReq, shard int, req []byte) ([]byte, error) {
+func (r *rpcReader) call(shard int, req []byte) ([]byte, error) {
+	st := r.req
 	pool := r.pools[shard]
 	if pool.isDown() {
 		return nil, errShardDown
@@ -423,7 +367,7 @@ func (r *RemoteShardSet) call(st *rpcReq, shard int, req []byte) ([]byte, error)
 			}
 			time.Sleep(r.opts.RetryBackoff << (attempt - 1))
 		}
-		resp, err := r.attempt(st, shard, req)
+		resp, err := r.attempt(shard, req)
 		if err == nil {
 			return resp, nil
 		}
@@ -444,9 +388,9 @@ func (r *RemoteShardSet) call(st *rpcReq, shard int, req []byte) ([]byte, error)
 // has not answered within HedgeAfter, a second identical call races it
 // and the first success wins. Used by the gather (predicate-major scans
 // fan out to every shard, so one straggler shard gates the whole merge).
-func (r *RemoteShardSet) callHedged(st *rpcReq, shard int, req []byte) ([]byte, error) {
+func (r *rpcReader) callHedged(shard int, req []byte) ([]byte, error) {
 	if r.opts.HedgeAfter <= 0 {
-		return r.call(st, shard, req)
+		return r.call(shard, req)
 	}
 	type result struct {
 		b   []byte
@@ -455,7 +399,7 @@ func (r *RemoteShardSet) callHedged(st *rpcReq, shard int, req []byte) ([]byte, 
 	ch := make(chan result, 2)
 	launch := func() {
 		go func() {
-			b, err := r.call(st, shard, req)
+			b, err := r.call(shard, req)
 			ch <- result{b, err}
 		}()
 	}
@@ -479,8 +423,8 @@ func (r *RemoteShardSet) callHedged(st *rpcReq, shard int, req []byte) ([]byte, 
 			}
 		case <-timer.C:
 			rpcHedgesTotal.Inc()
-			if st != nil {
-				st.hedges.Add(1)
+			if r.req != nil {
+				r.req.hedges.Add(1)
 			}
 			launch()
 			inflight++
@@ -492,17 +436,15 @@ func (r *RemoteShardSet) callHedged(st *rpcReq, shard int, req []byte) ([]byte, 
 // tripped so the pipeline reports Answer.Degraded = "shard-unavailable",
 // and the read returns empty. On an unbudgeted caller (nil tracker) the
 // read still returns empty — degraded, never hung.
-func (r *RemoteShardSet) degrade(st *rpcReq) {
+func (r *rpcReader) degrade() {
 	rpcDegradedTotal.Inc()
-	if st != nil {
-		st.errs.Add(1)
-		st.b.FailShardUnavailable()
+	if r.req != nil {
+		r.req.errs.Add(1)
+		r.req.b.FailShardUnavailable()
 	}
 }
 
-// ----------------------------------------------------------- typed calls
-
-func (r *RemoteShardSet) shardOf(v ID) int { return int(v) % r.k }
+// ------------------------------------------------------ the reader methods
 
 func reqV(op byte, v ID) []byte {
 	b := make([]byte, 0, 5)
@@ -526,69 +468,54 @@ func appendID(b []byte, v ID) []byte {
 	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
-func (r *RemoteShardSet) edges(st *rpcReq, shard int, req []byte) []Edge {
-	resp, err := r.call(st, shard, req)
+// edges is one span-returning round trip to the shard owning v.
+func (r *rpcReader) edges(v ID, req []byte) []Edge {
+	resp, err := r.call(int(v)%r.k, req)
 	if err != nil {
-		r.degrade(st)
+		r.degrade()
 		return nil
 	}
 	return decodeFrzEdges(resp)
 }
 
-func (r *RemoteShardSet) outSpanRPC(st *rpcReq, v ID) []Edge {
-	return r.edges(st, r.shardOf(v), reqV(shrOpOut, v))
-}
-
-func (r *RemoteShardSet) inSpanRPC(st *rpcReq, v ID) []Edge {
-	return r.edges(st, r.shardOf(v), reqV(shrOpIn, v))
-}
-
-func (r *RemoteShardSet) outPredRPC(st *rpcReq, v, p ID) []Edge {
-	return r.edges(st, r.shardOf(v), reqVP(shrOpOutPred, v, p))
-}
-
-func (r *RemoteShardSet) inPredRPC(st *rpcReq, v, p ID) []Edge {
-	return r.edges(st, r.shardOf(v), reqVP(shrOpInPred, v, p))
-}
-
-func (r *RemoteShardSet) degreesRPC(st *rpcReq, v ID) (int, int) {
-	resp, err := r.call(st, r.shardOf(v), reqV(shrOpDegrees, v))
-	if err != nil || len(resp) != 8 {
-		r.degrade(st)
-		return 0, 0
+// fixed is one round trip whose answer is exactly n bytes.
+func (r *rpcReader) fixed(v ID, req []byte, n int) []byte {
+	resp, err := r.call(int(v)%r.k, req)
+	if err != nil || len(resp) != n {
+		r.degrade()
+		return make([]byte, n)
 	}
-	return int(uint32(resp[0]) | uint32(resp[1])<<8 | uint32(resp[2])<<16 | uint32(resp[3])<<24),
-		int(uint32(resp[4]) | uint32(resp[5])<<8 | uint32(resp[6])<<16 | uint32(resp[7])<<24)
+	return resp
 }
 
-func (r *RemoteShardSet) boolRPC(st *rpcReq, shard int, req []byte) bool {
-	resp, err := r.call(st, shard, req)
-	if err != nil || len(resp) != 1 {
-		r.degrade(st)
-		return false
-	}
-	return resp[0] != 0
+func (r *rpcReader) outSpan(v ID) []Edge    { return r.edges(v, reqV(shrOpOut, v)) }
+func (r *rpcReader) inSpan(v ID) []Edge     { return r.edges(v, reqV(shrOpIn, v)) }
+func (r *rpcReader) outPred(v, p ID) []Edge { return r.edges(v, reqVP(shrOpOutPred, v, p)) }
+func (r *rpcReader) inPred(v, p ID) []Edge  { return r.edges(v, reqVP(shrOpInPred, v, p)) }
+func (r *rpcReader) role(v ID) uint8        { return r.fixed(v, reqV(shrOpRole, v), 1)[0] }
+
+func (r *rpcReader) degrees(v ID) (out, in int) {
+	resp := r.fixed(v, reqV(shrOpDegrees, v), 8)
+	return int(binary.LittleEndian.Uint32(resp)), int(binary.LittleEndian.Uint32(resp[4:]))
 }
 
-func (r *RemoteShardSet) roleRPC(st *rpcReq, v ID) uint8 {
-	resp, err := r.call(st, r.shardOf(v), reqV(shrOpRole, v))
-	if err != nil || len(resp) != 1 {
-		r.degrade(st)
-		return 0
-	}
-	return resp[0]
+func (r *rpcReader) hasAdjacentPred(v, p ID) bool {
+	return r.fixed(v, reqVP(shrOpHasAdj, v, p), 1)[0] != 0
 }
 
-// gatherGroups is the over-the-wire scatter-gather of a predicate-major
+func (r *rpcReader) has(s, p, o ID) bool {
+	return r.fixed(s, reqSPO(shrOpHas, s, p, o), 1)[0] != 0
+}
+
+// predGroups is the over-the-wire scatter-gather of a predicate-major
 // scan: every shard's (S,O)-sorted group for p is fetched concurrently
-// (with hedging against stragglers), and the survivors merge locally in
-// global (S,O) order. A failed leg degrades the request; the merge runs
-// over whatever arrived, so a doomed scan still terminates promptly with
-// partial (budget-flagged) results.
-func (r *RemoteShardSet) gatherGroups(st *rpcReq, p ID) [][]Spo {
+// (with hedging against stragglers). A failed leg degrades the request;
+// the caller merges whatever arrived, so a doomed scan still terminates
+// promptly with partial (budget-flagged) results.
+func (r *rpcReader) predGroups(p ID) [][]Spo {
 	var parent *obs.Span
-	if st != nil {
-		parent = st.sp
+	if r.req != nil {
+		parent = r.req.sp
 	}
 	sp := parent.Child("rpc.gather")
 	req := reqV(shrOpPredGrp, p)
@@ -599,10 +526,10 @@ func (r *RemoteShardSet) gatherGroups(st *rpcReq, p ID) [][]Spo {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			resp, err := r.callHedged(st, shard, req)
+			resp, err := r.callHedged(shard, req)
 			if err != nil {
 				failed.Add(1)
-				r.degrade(st)
+				r.degrade()
 				return
 			}
 			results[shard] = decodeFrzSpos(resp)
@@ -618,157 +545,10 @@ func (r *RemoteShardSet) gatherGroups(st *rpcReq, p ID) [][]Spo {
 	if sp.Enabled() {
 		sp.SetInt("shards", int64(r.k))
 		sp.SetInt("failed", failed.Load())
-		if st != nil {
-			sp.SetInt("hedges", st.hedges.Load())
+		if r.req != nil {
+			sp.SetInt("hedges", r.req.hedges.Load())
 		}
 	}
 	sp.Finish()
 	return groups
-}
-
-// ------------------------------------------------------- the View surface
-
-// The unbound methods serve callers outside a request scope (the linker's
-// construction-time probes, ad-hoc reads): no budget, default per-call
-// deadlines, degradation to empty reads without a reason to trip.
-
-func (r *RemoteShardSet) Generation() uint64 { return r.gen }
-func (r *RemoteShardSet) NumShards() int     { return r.k }
-func (r *RemoteShardSet) NumTerms() int      { return len(r.terms) }
-func (r *RemoteShardSet) NumTriples() int    { return r.nTriples }
-func (r *RemoteShardSet) Term(id ID) rdf.Term {
-	return r.terms[id]
-}
-func (r *RemoteShardSet) TypeID() ID { return r.rdfType }
-func (r *RemoteShardSet) Stats() Stats {
-	return r.stats
-}
-
-func (r *RemoteShardSet) Entities() []ID {
-	if len(r.entities) == 0 {
-		return nil
-	}
-	return append([]ID(nil), r.entities...)
-}
-
-func (r *RemoteShardSet) Match(s, p, o ID, fn func(Spo) bool) { r.match(nil, s, p, o, fn) }
-func (r *RemoteShardSet) Has(s, p, o ID) bool                 { return r.has(nil, s, p, o) }
-func (r *RemoteShardSet) HasAdjacentPred(v, p ID) bool        { return r.hasAdj(nil, v, p) }
-func (r *RemoteShardSet) OutPred(v, p ID) []Edge              { return r.outPredRPC(nil, v, p) }
-func (r *RemoteShardSet) InPred(v, p ID) []Edge               { return r.inPredRPC(nil, v, p) }
-func (r *RemoteShardSet) OutPredDegree(v, p ID) int           { return len(r.outPredRPC(nil, v, p)) }
-func (r *RemoteShardSet) InPredDegree(v, p ID) int            { return len(r.inPredRPC(nil, v, p)) }
-func (r *RemoteShardSet) OutDegree(v ID) int                  { d, _ := r.degreesRPC(nil, v); return d }
-func (r *RemoteShardSet) InDegree(v ID) int                   { _, d := r.degreesRPC(nil, v); return d }
-func (r *RemoteShardSet) Degree(v ID) int                     { a, b := r.degreesRPC(nil, v); return a + b }
-func (r *RemoteShardSet) IsEntity(v ID) bool                  { return r.roleRPC(nil, v)&roleEntity != 0 }
-func (r *RemoteShardSet) IsClass(v ID) bool                   { return r.roleRPC(nil, v)&roleClass != 0 }
-
-func (r *RemoteShardSet) has(st *rpcReq, s, p, o ID) bool {
-	return r.boolRPC(st, r.shardOf(s), reqSPO(shrOpHas, s, p, o))
-}
-
-func (r *RemoteShardSet) hasAdj(st *rpcReq, v, p ID) bool {
-	return r.boolRPC(st, r.shardOf(v), reqVP(shrOpHasAdj, v, p))
-}
-
-// match mirrors ShardSet.Match dispatch exactly; only the transport
-// differs, so the emitted triple order is identical.
-func (r *RemoteShardSet) match(st *rpcReq, s, p, o ID, fn func(Spo) bool) {
-	faultpoint.Hit(faultpoint.StoreMatch)
-	switch {
-	case s != Any && p != Any && o != Any:
-		if r.has(st, s, p, o) {
-			fn(Spo{s, p, o})
-		}
-	case s != Any:
-		var span []Edge
-		if p != Any {
-			span = r.outPredRPC(st, s, p)
-		} else {
-			span = r.outSpanRPC(st, s)
-		}
-		for _, e := range span {
-			if o != Any && e.To != o {
-				continue
-			}
-			if !fn(Spo{s, e.Pred, e.To}) {
-				return
-			}
-		}
-	case o != Any:
-		var span []Edge
-		if p != Any {
-			span = r.inPredRPC(st, o, p)
-		} else {
-			span = r.inSpanRPC(st, o)
-		}
-		for _, e := range span {
-			if !fn(Spo{e.To, e.Pred, o}) {
-				return
-			}
-		}
-	case p != Any:
-		mergeSpoGroups(r.gatherGroups(st, p), fn)
-	default:
-		for _, pid := range r.predIDs {
-			if !mergeSpoGroups(r.gatherGroups(st, pid), fn) {
-				return
-			}
-		}
-	}
-}
-
-// --------------------------------------------------------- bound wrapper
-
-// boundRemote is the per-request face of a RemoteShardSet: same data,
-// same order, with the request's budget driving deadlines/degradation
-// and its span collecting RPC telemetry.
-type boundRemote struct {
-	r  *RemoteShardSet
-	st *rpcReq
-}
-
-func (v *boundRemote) Generation() uint64             { return v.r.gen }
-func (v *boundRemote) NumShards() int                 { return v.r.k }
-func (v *boundRemote) NumTerms() int                  { return len(v.r.terms) }
-func (v *boundRemote) NumTriples() int                { return v.r.nTriples }
-func (v *boundRemote) Term(id ID) rdf.Term            { return v.r.terms[id] }
-func (v *boundRemote) TypeID() ID                     { return v.r.rdfType }
-func (v *boundRemote) Stats() Stats                   { return v.r.stats }
-func (v *boundRemote) Entities() []ID                 { return v.r.Entities() }
-func (v *boundRemote) Match(s, p, o ID, fn func(Spo) bool) { v.r.match(v.st, s, p, o, fn) }
-func (v *boundRemote) Has(s, p, o ID) bool            { return v.r.has(v.st, s, p, o) }
-func (v *boundRemote) HasAdjacentPred(a, p ID) bool   { return v.r.hasAdj(v.st, a, p) }
-func (v *boundRemote) OutPred(a, p ID) []Edge         { return v.r.outPredRPC(v.st, a, p) }
-func (v *boundRemote) InPred(a, p ID) []Edge          { return v.r.inPredRPC(v.st, a, p) }
-func (v *boundRemote) OutPredDegree(a, p ID) int      { return len(v.r.outPredRPC(v.st, a, p)) }
-func (v *boundRemote) InPredDegree(a, p ID) int       { return len(v.r.inPredRPC(v.st, a, p)) }
-func (v *boundRemote) OutDegree(a ID) int             { d, _ := v.r.degreesRPC(v.st, a); return d }
-func (v *boundRemote) InDegree(a ID) int              { _, d := v.r.degreesRPC(v.st, a); return d }
-func (v *boundRemote) Degree(a ID) int                { x, y := v.r.degreesRPC(v.st, a); return x + y }
-func (v *boundRemote) IsEntity(a ID) bool             { return v.r.roleRPC(v.st, a)&roleEntity != 0 }
-func (v *boundRemote) IsClass(a ID) bool              { return v.r.roleRPC(v.st, a)&roleClass != 0 }
-
-// DegradeReason reports "shard-unavailable" once any of this request's
-// reads failed past retries — the fallback degradation signal for
-// unbudgeted requests (nil tracker), where there was nothing to trip.
-func (v *boundRemote) DegradeReason() string {
-	if v.st.errs.Load() > 0 {
-		return budget.ReasonShard
-	}
-	return ""
-}
-
-// AnnotateSpan flushes the request's RPC counters onto the search span
-// (the matcher calls it once the pool has joined); the flight recorder
-// lifts them into the wide event's rpc_* fields.
-func (v *boundRemote) AnnotateSpan(sp *obs.Span) {
-	if !sp.Enabled() {
-		return
-	}
-	sp.SetInt("rpc_calls", v.st.calls.Load())
-	sp.SetInt("rpc_retries", v.st.retries.Load())
-	sp.SetInt("rpc_hedges", v.st.hedges.Load())
-	sp.SetInt("rpc_errors", v.st.errs.Load())
 }

@@ -1,73 +1,51 @@
 package store
 
-// Vertex-hash sharded frozen snapshots. A ShardSet partitions the graph
-// into K shards by vertex residue (shard(v) = v mod K) and freezes each
-// shard into its own CSR arrays, so that:
+// Frozen parts. A frozen graph is K ≥ 1 immutable parts: part s of K owns
+// the vertices v with v mod K == s, at dense local index v div K, and
+// holds their full out- and in-adjacency as CSR arrays with every span
+// sorted by (Pred, To). A monolithic snapshot is simply K = 1. Because a
+// vertex lives wholly in one part, every per-vertex read is one-part and
+// returns the same sorted span at every K; the predicate-major index is
+// restricted to owned subjects, and since subjects partition by residue a
+// k-way merge of the per-part (S, O)-sorted groups reproduces the global
+// order exactly. That order identity is what keeps answers byte-identical
+// across shard counts and across the process boundary.
 //
-//   - the top-k matcher can scatter one TA round's seeds across shards
-//     and gather at the round barrier (internal/core), and
-//   - Add/Remove dirties only the generations of the endpoint shards —
-//     the next freeze rebuilds exactly the dirty shards and reuses every
-//     clean shard's arrays wholesale (the delta overlay), instead of
-//     recompacting the whole graph.
-//
-// Each shard owns the full out- and in-adjacency of its vertices, so a
-// cross-shard edge (s, p, o) with shard(s) ≠ shard(o) appears twice: in
-// shard(s)'s out-CSR and shard(o)'s in-CSR. Cross-shard out-edges are
-// additionally listed in the shard's boundary index — a compact
-// (localVertex, pred, remoteShard, remoteVertex) list sorted for binary
-// search — so a cross-shard membership probe (ShardSet.Has) pays one
-// indexed hop in the source shard instead of a full-graph search.
-//
-// Order contract: every ShardSet read returns exactly what the
-// monolithic Snapshot would, in the same order. Per-vertex spans are the
-// identical (Pred, To)-sorted runs (a vertex lives wholly in one shard);
-// predicate-major scans k-way-merge the per-shard (S, O)-sorted groups,
-// and since subjects partition by residue the merge reproduces the
-// global (S, O) order exactly. internal/store's differential tests pin
-// this equivalence method by method.
+// A cross-part edge (s, p, o) appears twice — in s's part's out-CSR and
+// o's part's in-CSR — and is additionally listed in s's part's boundary
+// index, a (Local, Pred, To)-sorted list binary-searched by membership
+// probes whose endpoints live in different parts.
 
-import (
-	"context"
-	"sort"
-	"sync/atomic"
-	"time"
+import "sort"
 
-	"gqa/internal/faultpoint"
-	"gqa/internal/obs"
-	"gqa/internal/rdf"
+// Vertex role bits precomputed at freeze so Entities/Stats/IsEntity are
+// array reads instead of per-vertex map probes.
+const (
+	roleIRI     = 1 << iota // term is an IRI
+	roleLiteral             // term is a literal
+	roleClass               // vertex classified as a class (Definition 3)
+	rolePred                // term is used as a predicate
+	roleEntity              // IRI, not a class, not a predicate, degree > 0
 )
 
-// Sharded-freeze metrics: how many shard CSRs were actually rebuilt
-// (clean shards are reused and not counted — the delta-overlay win) and
-// how many boundary-index entries those rebuilds produced.
-var (
-	shardFreezes = obs.DefaultCounter("gqa_store_shard_freezes_total",
-		"Shard CSRs rebuilt during sharded freezes (clean shards are reused, not counted).")
-	shardBoundaryEdges = obs.DefaultCounter("gqa_store_shard_boundary_edges_total",
-		"Cross-shard boundary-index edges built across shard rebuilds.")
-)
-
-// BoundaryEdge is one cross-shard out-edge in a shard's boundary index:
-// the source vertex as its dense local index, the predicate, and the
-// remote endpoint with its owning shard. The list is sorted by
-// (Local, Pred, To), so a membership probe is a binary search.
+// BoundaryEdge is one cross-part out-edge in a part's boundary index: the
+// source vertex as its dense local index, the predicate, and the remote
+// endpoint with its owning shard.
 type BoundaryEdge struct {
-	Local  uint32 // dense local index of the source vertex in this shard
+	Local  uint32 // dense local index of the source vertex in this part
 	Pred   ID
 	Remote uint32 // owning shard of To (To mod K), precomputed
 	To     ID
 }
 
-// shardPart is one shard's frozen arrays. Dense local indexing: shard s
-// of K owns global vertices v with v mod K == s, at local index v div K.
-// All fields are immutable after build; a part built at shard generation
-// gen is reused verbatim by later freezes while its shard stays clean.
+// shardPart is one part's frozen arrays. All fields are immutable after
+// build; a part built at generation gen is reused verbatim by later
+// freezes while its shard stays clean.
 type shardPart struct {
-	gen    uint64 // shard mutation generation at build (Graph.shardGens)
+	gen    uint64 // shard mutation generation at build (the graph's, when K = 1)
 	shard  int
 	k      int
-	nTerms int // global term count at build (bounds guard for later interns)
+	nTerms int // global term count at build
 
 	// Full adjacency of owned vertices in local-indexed CSR form, spans
 	// sorted (Pred, To); the in side stores the subject in Edge.To.
@@ -82,321 +60,91 @@ type shardPart struct {
 	predOff     []uint32
 	predTriples []Spo
 
-	boundary []BoundaryEdge // cross-shard out-edges, sorted (Local, Pred, To)
+	boundary []BoundaryEdge // cross-part out-edges, sorted (Local, Pred, To)
 
-	sig      [][2]uint64 // two-hash-bit signatures, local-indexed
-	roles    []uint8     // role bitmap, local-indexed
-	entities []ID        // owned entity vertices, ascending global IDs
-	literals int         // owned literal terms
+	// Two-hash-bit vertex signature, in the spirit of gStore's vertex
+	// signatures [33]: predicate p incident to v sets bit h1(p) in sig[v][0]
+	// and bit h2(p) in sig[v][1]. hasAdjacentPred requires both bits, so
+	// most misses are rejected from one cache line before any span search.
+	sig      [][2]uint64
+	roles    []uint8 // role bitmap, local-indexed
+	entities []ID    // owned entity vertices, ascending global IDs
+	literals int     // owned literal terms
 	bytes    int64
 }
 
-// ShardSet is the sharded frozen view: K immutable shard parts plus the
-// global assembly (merged entity list, merged predicate list, stats).
-// Like a Snapshot, a handed-out ShardSet shares nothing mutable with the
-// graph and stays a valid pre-mutation read surface forever.
-type ShardSet struct {
-	gen   uint64 // global mutation generation at assembly
-	k     int
-	terms []rdf.Term
-	parts []*shardPart
-
-	rdfType  ID
-	nTriples int
-	predIDs  []ID // merged ascending union of the parts' predicate lists
-	entities []ID // merged ascending union of the parts' entity lists
-	stats    Stats
-	bytes    int64
+func sigBits(p ID) (lo, hi uint64) {
+	lo = 1 << (uint(p) % 64)
+	// Fibonacci hashing for the second, independent bit.
+	hi = 1 << ((uint64(p) * 0x9E3779B97F4A7C15) >> 58)
+	return lo, hi
 }
 
-// SetShards configures vertex-hash sharding: k > 1 partitions the next
-// freeze into k shards (and routes all frozen reads through the
-// ShardSet); k <= 1 restores the monolithic snapshot path. Switching
-// drops any installed frozen state, so call Freeze after. Not safe to
-// call concurrently with reads or mutation.
-//
-// The requested count is validated, not trusted: a negative k is treated
-// as 0 (monolithic, like every k <= 1), and k is clamped to the current
-// vertex count — residue classes beyond NumTerms would be permanently
-// empty shard parts that every k-way merge and scatter round still pays
-// for. The effective shard count is returned (0 when monolithic); callers
-// that care (the facade, gqa-serve) can log the clamp.
-func (g *Graph) SetShards(k int) int {
-	g.shardMu.Lock()
-	defer g.shardMu.Unlock()
-	if n := len(g.terms); k > n {
-		k = n
+// localCount is how many of n densely numbered vertices shard of k owns.
+func localCount(n, shard, k int) int {
+	if n <= shard {
+		return 0
 	}
-	if k <= 1 {
-		k = 0
-	}
-	g.shardK = k
-	g.shards.Store(nil)
-	g.lastShards = nil
-	g.shardGens = nil
-	if k > 1 {
-		g.shardGens = make([]atomic.Uint64, k)
-		g.snap.Store(nil)
-	}
-	return k
+	return (n-shard-1)/k + 1
 }
 
-// NumShards returns the configured shard count (0 when unsharded).
-func (g *Graph) NumShards() int { return g.shardK }
-
-// GenVector returns the graph's generation vector: the global mutation
-// generation followed by each shard's generation when sharded. It is the
-// invalidation token sharded cache keys use — a mutation bumps exactly
-// the dirtied shards' entries.
-func (g *Graph) GenVector() []uint64 {
-	if g.shardK <= 1 {
-		return []uint64{g.gen.Load()}
-	}
-	out := make([]uint64, 1+g.shardK)
-	out[0] = g.gen.Load()
-	for i := range g.shardGens {
-		out[i+1] = g.shardGens[i].Load()
-	}
-	return out
-}
-
-// GenKey renders the generation vector as a compact cache-key component:
-// "g<gen>" unsharded, "g<gen>:<s0>.<s1>...." sharded.
-func (g *Graph) GenKey() string {
-	vec := g.GenVector()
-	buf := make([]byte, 0, 8+8*len(vec))
-	buf = append(buf, 'g')
-	buf = appendUint(buf, vec[0])
-	for i, sg := range vec[1:] {
-		if i == 0 {
-			buf = append(buf, ':')
-		} else {
-			buf = append(buf, '.')
-		}
-		buf = appendUint(buf, sg)
-	}
-	return string(buf)
-}
-
-func appendUint(b []byte, v uint64) []byte {
-	if v == 0 {
-		return append(b, '0')
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for v > 0 {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(b, tmp[i:]...)
-}
-
-// freezeShards builds (or refreshes) the ShardSet at the graph's current
-// generation. Only shards whose generation moved since their last build
-// are recompacted; clean shards reuse their previous arrays wholesale —
-// the delta overlay that makes a single-shard mutation's re-freeze cost
-// ~1/K of a full freeze. Same contract as Freeze: must not run
-// concurrently with mutation; concurrent calls from readers are safe
-// (serialized by shardMu).
-func (g *Graph) freezeShards(ctx context.Context) *ShardSet {
-	gen := g.gen.Load()
-	if ss := g.shards.Load(); ss != nil && ss.gen == gen {
-		return ss
-	}
-	g.shardMu.Lock()
-	defer g.shardMu.Unlock()
-	gen = g.gen.Load()
-	if ss := g.shards.Load(); ss != nil && ss.gen == gen {
-		return ss
-	}
-	sp := obs.TraceFrom(ctx).Root().Child("store.freeze")
-	start := time.Now()
-	k := g.shardK
-	ss := &ShardSet{
-		gen:      gen,
-		k:        k,
-		terms:    g.terms,
-		parts:    make([]*shardPart, k),
-		rdfType:  g.rdfType,
-		nTriples: len(g.triples),
-	}
-	rebuilt := 0
-	for i := 0; i < k; i++ {
-		sgen := g.shardGens[i].Load()
-		if g.lastShards != nil && g.lastShards.parts[i].gen == sgen {
-			ss.parts[i] = g.lastShards.parts[i]
-			continue
-		}
-		part := buildShardPart(g, i, k, sgen)
-		ss.parts[i] = part
-		rebuilt++
-		shardFreezes.Inc()
-		shardBoundaryEdges.Add(int64(len(part.boundary)))
-	}
-	ss.assemble(g)
-	g.lastShards = ss
-	g.shards.Store(ss)
-	snapshotBuildSeconds.ObserveDuration(time.Since(start))
-	snapshotBytes.Set(ss.bytes)
-	snapshotBuilds.Inc()
-	if sp.Enabled() {
-		sp.SetInt("terms", int64(len(ss.terms)))
-		sp.SetInt("triples", int64(ss.nTriples))
-		sp.SetInt("bytes", ss.bytes)
-		sp.SetInt("shards", int64(k))
-		sp.SetInt("shards_rebuilt", int64(rebuilt))
-	}
-	sp.Finish()
-	return ss
-}
-
-// assemble derives the ShardSet's global structures from its parts: the
-// merged entity and predicate lists (k-way merges of ascending lists)
-// and the Table-4 stats. Triples/Predicates/Classes are read from the
-// live graph (O(1) lengths — assemble runs under the freeze's
-// single-writer contract); Entities sum over the parts' role passes.
-// Literals are recounted with one cheap term scan so literals interned
-// since a clean shard's build still show up.
-func (ss *ShardSet) assemble(g *Graph) {
-	total := 0
-	for _, p := range ss.parts {
-		total += len(p.entities)
-		ss.bytes += p.bytes
-	}
-	ss.entities = mergeAscending(ss.parts, total, func(p *shardPart) []ID { return p.entities })
-	np := 0
-	for _, p := range ss.parts {
-		np += len(p.predIDs)
-	}
-	ss.predIDs = mergeAscending(ss.parts, np, func(p *shardPart) []ID { return p.predIDs })
-	lits := 0
-	for _, t := range ss.terms {
-		if t.IsLiteral() {
-			lits++
-		}
-	}
-	ss.stats = Stats{
-		Entities:   total,
-		Classes:    len(g.classes),
-		Literals:   lits,
-		Triples:    len(g.triples),
-		Predicates: len(g.preds),
-	}
-}
-
-// mergeAscending k-way-merges one ascending ID list per part into a
-// single ascending list, deduplicating across parts (predicate lists can
-// repeat an ID across shards; entity lists cannot, but dedup is free).
-func mergeAscending(parts []*shardPart, capHint int, pick func(*shardPart) []ID) []ID {
-	lists := make([][]ID, 0, len(parts))
-	for _, p := range parts {
-		if l := pick(p); len(l) > 0 {
-			lists = append(lists, l)
-		}
-	}
-	out := make([]ID, 0, capHint)
-	for {
-		best := -1
-		for i, l := range lists {
-			if len(l) == 0 {
-				continue
-			}
-			if best < 0 || l[0] < lists[best][0] {
-				best = i
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		v := lists[best][0]
-		lists[best] = lists[best][1:]
-		if len(out) == 0 || out[len(out)-1] != v {
-			out = append(out, v)
-		}
-	}
-}
-
-// buildShardPart recompacts one shard from the mutable graph: the full
-// local CSRs, signatures, roles, owned-subject predicate CSR, and the
-// boundary index, at the shard's current generation.
-func buildShardPart(g *Graph, shard, k int, sgen uint64) *shardPart {
+// buildShardPart recompacts one part from the mutable graph: the local
+// CSRs, boundary index, signatures, owned-subject predicate CSR and roles.
+func buildShardPart(g *Graph, shard, k int, gen uint64) *shardPart {
 	n := len(g.terms)
-	nLocal := 0
-	if n > shard {
-		nLocal = (n-shard-1)/k + 1
-	}
-	p := &shardPart{gen: sgen, shard: shard, k: k, nTerms: n}
-
+	nLocal := localCount(n, shard, k)
+	p := &shardPart{gen: gen, shard: shard, k: k, nTerms: n}
 	p.outOff, p.outEdges = buildLocalCSR(g.out, shard, k, nLocal)
 	p.inOff, p.inEdges = buildLocalCSR(g.in, shard, k, nLocal)
 
-	// Boundary index: cross-shard out-edges, gathered in local order from
-	// the already-sorted spans, so the list arrives sorted (Local, Pred,
-	// To) without a second sort.
+	// Predicate-major CSR by counting sort: count the owned triples per
+	// predicate, turn the counts into group offsets, then scatter. The
+	// scatter walks subjects ascending and each span in (Pred, To) order, so
+	// every group fills in (S, O) order with no comparison sort; the same
+	// walk yields the boundary index already sorted (Local, Pred, To).
+	cursor := make([]uint32, n) // per predicate: triple count, then next free slot
+	for _, e := range p.outEdges {
+		cursor[e.Pred]++
+	}
+	p.predIDs, p.predOff = []ID{}, []uint32{0}
+	for id, c := range cursor {
+		if c > 0 {
+			start := p.predOff[len(p.predOff)-1]
+			p.predIDs = append(p.predIDs, ID(id))
+			p.predOff = append(p.predOff, start+c)
+			cursor[id] = start
+		}
+	}
+	p.predTriples = make([]Spo, len(p.outEdges))
+	p.sig = make([][2]uint64, nLocal)
 	for l := 0; l < nLocal; l++ {
+		s := ID(shard + l*k)
 		for _, e := range p.outEdges[p.outOff[l]:p.outOff[l+1]] {
+			lo, hi := sigBits(e.Pred)
+			p.sig[l][0] |= lo
+			p.sig[l][1] |= hi
+			p.predTriples[cursor[e.Pred]] = Spo{S: s, P: e.Pred, O: e.To}
+			cursor[e.Pred]++
 			if rs := int(e.To) % k; rs != shard {
 				p.boundary = append(p.boundary, BoundaryEdge{
 					Local: uint32(l), Pred: e.Pred, Remote: uint32(rs), To: e.To,
 				})
 			}
 		}
-	}
-
-	// Two-hash-bit signatures over both directions.
-	p.sig = make([][2]uint64, nLocal)
-	setSig := func(l int, es []Edge) {
-		for _, e := range es {
+		for _, e := range p.inEdges[p.inOff[l]:p.inOff[l+1]] {
 			lo, hi := sigBits(e.Pred)
 			p.sig[l][0] |= lo
 			p.sig[l][1] |= hi
 		}
 	}
-	for l := 0; l < nLocal; l++ {
-		setSig(l, p.outEdges[p.outOff[l]:p.outOff[l+1]])
-		setSig(l, p.inEdges[p.inOff[l]:p.inOff[l+1]])
-	}
 
-	// Owned-subject predicate-major CSR: collect the shard's triples from
-	// the out spans, sort (P, S, O), then run-length the groups.
-	trips := make([]Spo, 0, len(p.outEdges))
-	for l := 0; l < nLocal; l++ {
-		s := ID(shard + l*k)
-		for _, e := range p.outEdges[p.outOff[l]:p.outOff[l+1]] {
-			trips = append(trips, Spo{S: s, P: e.Pred, O: e.To})
-		}
-	}
-	sort.Slice(trips, func(a, b int) bool {
-		if trips[a].P != trips[b].P {
-			return trips[a].P < trips[b].P
-		}
-		if trips[a].S != trips[b].S {
-			return trips[a].S < trips[b].S
-		}
-		return trips[a].O < trips[b].O
-	})
-	p.predTriples = trips
-	p.predOff = append(p.predOff, 0)
-	for i := 0; i < len(trips); {
-		j := i
-		for j < len(trips) && trips[j].P == trips[i].P {
-			j++
-		}
-		p.predIDs = append(p.predIDs, trips[i].P)
-		p.predOff = append(p.predOff, uint32(j))
-		i = j
-	}
-
-	// Role bitmap and owned entity list (same classification as
-	// buildSnapshot, restricted to owned vertices; locals ascend in
-	// global ID order, so entities come out ascending).
+	// Role bitmap and owned entity list (locals ascend in global ID order,
+	// so entities come out ascending).
 	p.roles = make([]uint8, nLocal)
 	for l := 0; l < nLocal; l++ {
 		id := ID(shard + l*k)
 		var r uint8
-		t := g.terms[id]
-		switch {
+		switch t := g.terms[id]; {
 		case t.IsIRI():
 			r |= roleIRI
 		case t.IsLiteral():
@@ -416,15 +164,19 @@ func buildShardPart(g *Graph, shard, k int, sgen uint64) *shardPart {
 		}
 		p.roles[l] = r
 	}
+	p.bytes = p.arrayBytes()
+	return p
+}
 
-	p.bytes = int64(len(p.outEdges)+len(p.inEdges))*8 +
+// arrayBytes is the approximate heap size of the part's arrays.
+func (p *shardPart) arrayBytes() int64 {
+	return int64(len(p.outEdges)+len(p.inEdges))*8 +
 		int64(len(p.outOff)+len(p.inOff)+len(p.predOff))*4 +
 		int64(len(p.predTriples))*12 +
 		int64(len(p.boundary))*16 +
 		int64(len(p.sig))*16 +
 		int64(len(p.roles)) +
 		int64(len(p.entities)+len(p.predIDs))*4
-	return p
 }
 
 // buildLocalCSR flattens the owned rows of a global adjacency table into
@@ -451,251 +203,169 @@ func buildLocalCSR(adj [][]Edge, shard, k, nLocal int) ([]uint32, []Edge) {
 	return off, edges
 }
 
-// ------------------------------------------------------------- accessors
+// ------------------------------------------------------ sorted-span search
 
-// Generation returns the global mutation generation the set was
-// assembled at.
-func (ss *ShardSet) Generation() uint64 { return ss.gen }
-
-// NumShards returns K.
-func (ss *ShardSet) NumShards() int { return ss.k }
-
-// Bytes returns the approximate heap size of all shard arrays.
-func (ss *ShardSet) Bytes() int64 { return ss.bytes }
-
-// BoundaryEdges returns the total cross-shard out-edges indexed across
-// all shards.
-func (ss *ShardSet) BoundaryEdges() int {
-	n := 0
-	for _, p := range ss.parts {
-		n += len(p.boundary)
+// lowerBoundPred returns the first index in a (Pred, To)-sorted span with
+// Pred >= p. Hand-rolled hybrid search: binary steps while the window is
+// wide, then a linear tail scan — most vertices have single-digit degree,
+// where a handful of predictable compares beats log2(n) mispredicted
+// branches. This sits under every hot lookup.
+func lowerBoundPred(edges []Edge, p ID) int {
+	lo, hi := 0, len(edges)
+	for hi-lo > 8 {
+		mid := int(uint(lo+hi) >> 1)
+		if edges[mid].Pred < p {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return n
+	for lo < hi && edges[lo].Pred < p {
+		lo++
+	}
+	return lo
 }
 
-// NumTerms returns the number of interned terms at assembly time.
-func (ss *ShardSet) NumTerms() int { return len(ss.terms) }
+// predSpan searches a (Pred, To)-sorted edge span for the contiguous run
+// of predicate p, with the same hybrid strategy as lowerBoundPred for the
+// run's end.
+func predSpan(edges []Edge, p ID) []Edge {
+	lo := lowerBoundPred(edges, p)
+	j, hi := lo, len(edges)
+	for hi-j > 8 {
+		mid := int(uint(j+hi) >> 1)
+		if edges[mid].Pred <= p {
+			j = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for j < hi && edges[j].Pred == p {
+		j++
+	}
+	return edges[lo:j]
+}
 
-// NumTriples returns the number of distinct triples at assembly time.
-func (ss *ShardSet) NumTriples() int { return ss.nTriples }
+// spanHasPred reports whether the sorted span contains any edge with
+// predicate p (existence only — no need to locate the run's end).
+func spanHasPred(edges []Edge, p ID) bool {
+	i := lowerBoundPred(edges, p)
+	return i < len(edges) && edges[i].Pred == p
+}
 
-// Term returns the term for id.
-func (ss *ShardSet) Term(id ID) rdf.Term { return ss.terms[id] }
+// spanHas reports whether the (Pred, To)-sorted span contains (p, o).
+func spanHas(span []Edge, p, o ID) bool {
+	lo, hi := 0, len(span)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		e := span[mid]
+		if e.Pred < p || (e.Pred == p && e.To < o) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(span) && span[lo].Pred == p && span[lo].To == o
+}
 
-// TypeID returns the interned ID of rdf:type, or None.
-func (ss *ShardSet) TypeID() ID { return ss.rdfType }
+// ------------------------------------------------------- the local reader
 
-func (ss *ShardSet) outSpan(v ID) []Edge {
-	p := ss.parts[int(v)%ss.k]
-	l := int(v) / ss.k
-	if l >= len(p.outOff)-1 {
+// localParts is the in-process reader: element i is part i of
+// K = len(localParts). A frozen graph holds all K; a shard server holds
+// only its own and leaves the rest nil, so a read for a vertex another
+// server owns answers empty instead of faulting.
+type localParts []*shardPart
+
+// locate returns the part owning v and v's local index there, or a nil
+// part when v is out of range (None, a term interned after the part was
+// built) or owned by a part this process does not hold.
+func (ps localParts) locate(v ID) (*shardPart, int) {
+	k := uint32(len(ps))
+	p, l := ps[uint32(v)%k], uint32(v)/k
+	if p == nil || l >= uint32(len(p.roles)) {
+		return nil, 0
+	}
+	return p, int(l)
+}
+
+func (ps localParts) outSpan(v ID) []Edge {
+	p, l := ps.locate(v)
+	if p == nil {
 		return nil
 	}
 	return p.outEdges[p.outOff[l]:p.outOff[l+1]]
 }
 
-func (ss *ShardSet) inSpan(v ID) []Edge {
-	p := ss.parts[int(v)%ss.k]
-	l := int(v) / ss.k
-	if l >= len(p.inOff)-1 {
+func (ps localParts) inSpan(v ID) []Edge {
+	p, l := ps.locate(v)
+	if p == nil {
 		return nil
 	}
 	return p.inEdges[p.inOff[l]:p.inOff[l+1]]
 }
 
-// Out and In return v's full adjacency spans sorted (Pred, To) — the
-// same runs the monolithic Snapshot holds, served from v's shard.
-func (ss *ShardSet) Out(v ID) []Edge { return ss.outSpan(v) }
-func (ss *ShardSet) In(v ID) []Edge  { return ss.inSpan(v) }
+func (ps localParts) outPred(v, p ID) []Edge { return predSpan(ps.outSpan(v), p) }
+func (ps localParts) inPred(v, p ID) []Edge  { return predSpan(ps.inSpan(v), p) }
 
-// OutPred and InPred are per-predicate runs (binary search in the
-// owning shard's span).
-func (ss *ShardSet) OutPred(v, p ID) []Edge { return predSpan(ss.outSpan(v), p) }
-func (ss *ShardSet) InPred(v, p ID) []Edge  { return predSpan(ss.inSpan(v), p) }
-
-// Per-predicate and total degrees.
-func (ss *ShardSet) OutPredDegree(v, p ID) int { return len(ss.OutPred(v, p)) }
-func (ss *ShardSet) InPredDegree(v, p ID) int  { return len(ss.InPred(v, p)) }
-func (ss *ShardSet) OutDegree(v ID) int        { return len(ss.outSpan(v)) }
-func (ss *ShardSet) InDegree(v ID) int         { return len(ss.inSpan(v)) }
-func (ss *ShardSet) Degree(v ID) int           { return ss.OutDegree(v) + ss.InDegree(v) }
-
-// HasAdjacentPred is the §4.2.2 pruning test over the owning shard's
-// 2-bit signature and spans.
-func (ss *ShardSet) HasAdjacentPred(v, p ID) bool {
-	part := ss.parts[int(v)%ss.k]
-	l := int(v) / ss.k
-	if l >= len(part.sig) {
-		return false
-	}
-	lo, hi := sigBits(p)
-	s := &part.sig[l]
-	if s[0]&lo == 0 || s[1]&hi == 0 {
-		return false
-	}
-	return spanHasPred(ss.outSpan(v), p) || spanHasPred(ss.inSpan(v), p)
+func (ps localParts) degrees(v ID) (out, in int) {
+	return len(ps.outSpan(v)), len(ps.inSpan(v))
 }
 
-// Has reports whether the triple is present. An intra-shard triple is a
-// binary search in s's out-span; a cross-shard triple is one indexed hop
-// through s's shard's boundary index — never a full-graph probe.
-func (ss *ShardSet) Has(s, p, o ID) bool {
-	sh := int(s) % ss.k
-	if int(o)%ss.k == sh {
-		span := ss.outSpan(s)
-		i := sort.Search(len(span), func(i int) bool {
-			e := span[i]
-			return e.Pred > p || (e.Pred == p && e.To >= o)
-		})
-		return i < len(span) && span[i].Pred == p && span[i].To == o
+func (ps localParts) hasAdjacentPred(v, pred ID) bool {
+	p, l := ps.locate(v)
+	if p == nil {
+		return false
 	}
-	part := ss.parts[sh]
-	l := uint32(int(s) / ss.k)
-	b := part.boundary
+	lo, hi := sigBits(pred)
+	if s := &p.sig[l]; s[0]&lo == 0 || s[1]&hi == 0 {
+		return false
+	}
+	return spanHasPred(p.outEdges[p.outOff[l]:p.outOff[l+1]], pred) ||
+		spanHasPred(p.inEdges[p.inOff[l]:p.inOff[l+1]], pred)
+}
+
+// has answers an intra-part triple by binary search in s's out span and a
+// cross-part triple by one hop through s's part's boundary index.
+func (ps localParts) has(s, pred, o ID) bool {
+	p, l := ps.locate(s)
+	if p == nil {
+		return false
+	}
+	if int(o)%p.k == p.shard {
+		return spanHas(p.outEdges[p.outOff[l]:p.outOff[l+1]], pred, o)
+	}
+	lu, b := uint32(l), p.boundary
 	i := sort.Search(len(b), func(i int) bool {
 		e := &b[i]
-		if e.Local != l {
-			return e.Local > l
+		if e.Local != lu {
+			return e.Local > lu
 		}
-		if e.Pred != p {
-			return e.Pred > p
+		if e.Pred != pred {
+			return e.Pred > pred
 		}
 		return e.To >= o
 	})
-	return i < len(b) && b[i].Local == l && b[i].Pred == p && b[i].To == o
+	return i < len(b) && b[i].Local == lu && b[i].Pred == pred && b[i].To == o
 }
 
-// predGroups returns each shard's (S, O)-sorted group for predicate p
-// (nil-length groups omitted).
-func (ss *ShardSet) predGroups(p ID) [][]Spo {
+func (ps localParts) role(v ID) uint8 {
+	p, l := ps.locate(v)
+	if p == nil {
+		return 0
+	}
+	return p.roles[l]
+}
+
+func (ps localParts) predGroups(pred ID) [][]Spo {
 	var groups [][]Spo
-	for _, part := range ss.parts {
-		i := sort.Search(len(part.predIDs), func(i int) bool { return part.predIDs[i] >= p })
-		if i == len(part.predIDs) || part.predIDs[i] != p {
+	for _, p := range ps {
+		if p == nil {
 			continue
 		}
-		groups = append(groups, part.predTriples[part.predOff[i]:part.predOff[i+1]])
+		i := sort.Search(len(p.predIDs), func(i int) bool { return p.predIDs[i] >= pred })
+		if i < len(p.predIDs) && p.predIDs[i] == pred && p.predOff[i+1] > p.predOff[i] {
+			groups = append(groups, p.predTriples[p.predOff[i]:p.predOff[i+1]])
+		}
 	}
 	return groups
 }
-
-// mergeSpoGroups streams the union of (S, O)-sorted groups in global
-// (S, O) order (subjects partition by shard, so heads never tie). It
-// returns false when fn stopped the iteration.
-func mergeSpoGroups(groups [][]Spo, fn func(Spo) bool) bool {
-	for {
-		best := -1
-		for i, gr := range groups {
-			if len(gr) == 0 {
-				continue
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			a, b := gr[0], groups[best][0]
-			if a.S < b.S || (a.S == b.S && a.O < b.O) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return true
-		}
-		spo := groups[best][0]
-		groups[best] = groups[best][1:]
-		if !fn(spo) {
-			return false
-		}
-	}
-}
-
-// PredCount returns the number of triples using predicate p.
-func (ss *ShardSet) PredCount(p ID) int {
-	n := 0
-	for _, gr := range ss.predGroups(p) {
-		n += len(gr)
-	}
-	return n
-}
-
-// NumPredicates returns the number of distinct predicates.
-func (ss *ShardSet) NumPredicates() int { return len(ss.predIDs) }
-
-// Match mirrors Snapshot.Match exactly — same dispatch, same sorted
-// iteration order — with every bound position resolved inside the owning
-// shard and predicate-major scans k-way-merged back into global order.
-func (ss *ShardSet) Match(s, p, o ID, fn func(Spo) bool) {
-	faultpoint.Hit(faultpoint.StoreMatch)
-	switch {
-	case s != Any && p != Any && o != Any:
-		if ss.Has(s, p, o) {
-			fn(Spo{s, p, o})
-		}
-	case s != Any:
-		span := ss.outSpan(s)
-		if p != Any {
-			span = predSpan(span, p)
-		}
-		for _, e := range span {
-			if o != Any && e.To != o {
-				continue
-			}
-			if !fn(Spo{s, e.Pred, e.To}) {
-				return
-			}
-		}
-	case o != Any:
-		span := ss.inSpan(o)
-		if p != Any {
-			span = predSpan(span, p)
-		}
-		for _, e := range span {
-			if !fn(Spo{e.To, e.Pred, o}) {
-				return
-			}
-		}
-	case p != Any:
-		mergeSpoGroups(ss.predGroups(p), fn)
-	default:
-		for _, pid := range ss.predIDs {
-			if !mergeSpoGroups(ss.predGroups(pid), fn) {
-				return
-			}
-		}
-	}
-}
-
-// Count returns the number of triples matching the pattern.
-func (ss *ShardSet) Count(s, p, o ID) int {
-	n := 0
-	ss.Match(s, p, o, func(Spo) bool { n++; return true })
-	return n
-}
-
-func (ss *ShardSet) role(v ID) uint8 {
-	part := ss.parts[int(v)%ss.k]
-	l := int(v) / ss.k
-	if l >= len(part.roles) {
-		return 0
-	}
-	return part.roles[l]
-}
-
-// IsClass reports whether v was classified as a class at its shard's
-// build time.
-func (ss *ShardSet) IsClass(v ID) bool { return ss.role(v)&roleClass != 0 }
-
-// IsEntity reads the owning shard's precomputed role bitmap.
-func (ss *ShardSet) IsEntity(v ID) bool { return ss.role(v)&roleEntity != 0 }
-
-// Entities returns all entity vertex IDs ascending (a private copy of
-// the merged per-shard lists).
-func (ss *ShardSet) Entities() []ID {
-	if len(ss.entities) == 0 {
-		return nil
-	}
-	return append([]ID(nil), ss.entities...)
-}
-
-// Stats returns the assembly-time summary statistics.
-func (ss *ShardSet) Stats() Stats { return ss.stats }

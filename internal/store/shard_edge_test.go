@@ -32,8 +32,8 @@ func TestSetShardsValidation(t *testing.T) {
 		if g.NumShards() != 0 {
 			t.Fatalf("NumShards = %d after SetShards(-5), want 0", g.NumShards())
 		}
-		if g.Freeze() == nil {
-			t.Fatal("monolithic freeze after SetShards(-5) returned no snapshot")
+		if k := g.Freeze().NumShards(); k != 1 {
+			t.Fatalf("freeze after SetShards(-5) has %d parts, want 1", k)
 		}
 	})
 
@@ -42,8 +42,7 @@ func TestSetShardsValidation(t *testing.T) {
 		if got := g.SetShards(64); got != 3 {
 			t.Fatalf("SetShards(64) on a 3-term graph = %d, want 3", got)
 		}
-		g.Freeze()
-		ss := g.FrozenView().(*ShardSet)
+		ss := g.Freeze()
 		if ss.NumShards() != 3 {
 			t.Fatalf("frozen shard count = %d, want 3", ss.NumShards())
 		}
@@ -80,8 +79,8 @@ func TestZeroVertexGraphSharding(t *testing.T) {
 		t.Fatalf("NumShards = %d on an empty graph, want 0", g.NumShards())
 	}
 	sn := g.Freeze()
-	if sn == nil {
-		t.Fatal("empty graph did not freeze into a monolithic snapshot")
+	if sn.NumShards() != 1 {
+		t.Fatalf("empty graph froze into %d parts, want 1", sn.NumShards())
 	}
 	if sn.NumTerms() != 0 || sn.NumTriples() != 0 {
 		t.Fatalf("empty snapshot has %d terms / %d triples", sn.NumTerms(), sn.NumTriples())

@@ -11,33 +11,33 @@ import (
 	"gqa/internal/rdf"
 )
 
-// collectExact gathers a Match iteration without sorting — the ShardSet's
-// order contract is that every scan streams in exactly the monolithic
-// snapshot's order, not merely the same set.
+// collectExact gathers a Match iteration without sorting — the order
+// contract is that every scan streams in exactly the single-part
+// snapshot's order at every shard count, not merely the same set.
 func collectExact(match func(s, p, o ID, fn func(Spo) bool), s, p, o ID) []Spo {
 	var out []Spo
 	match(s, p, o, func(t Spo) bool { out = append(out, t); return true })
 	return out
 }
 
-// TestShardSetEquivalence pins the order-identity contract: every ShardSet
-// read returns exactly what the monolithic Snapshot returns, in the same
-// order, across random graphs and shard counts (including k > number of
-// vertices in some shards).
-func TestShardSetEquivalence(t *testing.T) {
+// TestShardCountEquivalence pins the order-identity contract: every read
+// of a K-part snapshot returns exactly what the one-part snapshot of the
+// same graph returns, in the same order, across random graphs and shard
+// counts (including k > number of vertices in some shards).
+func TestShardCountEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
-		for _, k := range []int{2, 3, 8} {
+		for _, k := range []int{2, 3, 4, 8} {
 			r := rand.New(rand.NewSource(seed))
 			g := randomRichGraph(r)
-			sn := buildSnapshot(g, g.gen.Load())
+			sn := g.Freeze()
+			if sn.NumShards() != 1 {
+				t.Fatalf("seed %d: unsharded Freeze has %d parts, want 1", seed, sn.NumShards())
+			}
 
 			g.SetShards(k)
-			if g.Freeze() != nil {
-				t.Fatalf("seed %d k %d: sharded Freeze returned a monolithic snapshot", seed, k)
-			}
-			ss, ok := g.FrozenView().(*ShardSet)
-			if !ok {
-				t.Fatalf("seed %d k %d: FrozenView is %T, want *ShardSet", seed, k, g.FrozenView())
+			ss := g.Freeze()
+			if ss.NumShards() != k || g.FrozenView() != View(ss) {
+				t.Fatalf("seed %d k %d: sharded Freeze has %d parts (FrozenView %T)", seed, k, ss.NumShards(), g.FrozenView())
 			}
 
 			if ss.NumTerms() != sn.NumTerms() || ss.NumTriples() != sn.NumTriples() {
@@ -155,13 +155,11 @@ func TestShardDeltaOverlay(t *testing.T) {
 		g.AddSPO(verts[i], p, verts[i+1])
 	}
 	g.SetShards(k)
-	g.Freeze()
-	ss1 := g.FrozenView().(*ShardSet)
+	ss1 := g.Freeze()
 
-	// Clean re-freeze: the whole set is the same pointer.
-	g.Freeze()
-	if g.FrozenView().(*ShardSet) != ss1 {
-		t.Fatal("clean Freeze rebuilt the ShardSet")
+	// Clean re-freeze: the whole snapshot is the same pointer.
+	if g.Freeze() != ss1 || g.FrozenView() != View(ss1) {
+		t.Fatal("clean Freeze rebuilt the snapshot")
 	}
 
 	// Pick an intra-shard pair not already connected.
@@ -181,8 +179,7 @@ func TestShardDeltaOverlay(t *testing.T) {
 	}
 	before := obs.DefaultCounter("gqa_store_shard_freezes_total", "").Value()
 	g.AddSPO(s, p, o)
-	g.Freeze()
-	ss2 := g.FrozenView().(*ShardSet)
+	ss2 := g.Freeze()
 	if rebuilt := obs.DefaultCounter("gqa_store_shard_freezes_total", "").Value() - before; rebuilt != 1 {
 		t.Fatalf("re-freeze rebuilt %d shards, want 1", rebuilt)
 	}
@@ -203,7 +200,7 @@ func TestShardDeltaOverlay(t *testing.T) {
 	}
 	// The handed-out pre-mutation set still answers pre-mutation reads.
 	if ss1.Has(s, p, o) {
-		t.Fatal("pre-mutation ShardSet sees the new triple")
+		t.Fatal("pre-mutation snapshot sees the new triple")
 	}
 
 	// A cross-shard Add dirties both endpoint shards.
@@ -261,8 +258,7 @@ func TestShardBoundaryIndex(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	g := randomRichGraph(r)
 	g.SetShards(4)
-	g.Freeze()
-	ss := g.FrozenView().(*ShardSet)
+	ss := g.Freeze()
 	want := 0
 	for v := ID(0); v < ID(g.NumTerms()); v++ {
 		for _, e := range ss.Out(v) {

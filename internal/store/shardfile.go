@@ -1,7 +1,7 @@
 package store
 
 // GQASHR1: the per-shard frozen snapshot format behind the multi-process
-// sharding layer. One file holds exactly one shard part of a ShardSet —
+// sharding layer. One file holds exactly one part of a K > 1 Snapshot —
 // the local CSRs, boundary index, signatures, roles, and owned-entity
 // list that `cmd/gqa-shard` serves over the shard RPC protocol (see
 // shardrpc.go) — plus the assembly-time global metadata (generation,
@@ -62,7 +62,7 @@ const (
 )
 
 // shardMeta is the fixed-size meta section: the part's identity within
-// its ShardSet and the assembly-time global facts every part of one
+// its snapshot and the assembly-time global facts every part of one
 // export must agree on.
 type shardMeta struct {
 	shard    uint32
@@ -76,8 +76,8 @@ type shardMeta struct {
 	stats    Stats  // global Table-4 stats at export
 }
 
-// ShardPart is one loaded (or exported) shard of a frozen ShardSet: the
-// unit gqa-shard serves. Obtain one from LoadShardPart or ShardSet.Part.
+// ShardPart is one loaded (or exported) part of a sharded Snapshot: the
+// unit gqa-shard serves. Obtain one from LoadShardPart or Snapshot.Part.
 type ShardPart struct {
 	part *shardPart
 	meta shardMeta
@@ -96,43 +96,38 @@ func (sp *ShardPart) Generation() uint64 { return sp.meta.gen }
 // NumTerms returns the global term count at export time.
 func (sp *ShardPart) NumTerms() int { return int(sp.meta.nTerms) }
 
-// Part wraps shard i of the set for serving or export — the in-process
-// handle the loopback tests and SaveShardPart build from.
-func (ss *ShardSet) Part(i int) *ShardPart {
-	p := ss.parts[i]
+// Part wraps local part i of the snapshot for serving or export — the
+// in-process handle the loopback tests and SaveShardPart build from.
+func (sn *Snapshot) Part(i int) *ShardPart {
+	p := sn.parts[i]
 	return &ShardPart{
 		part: p,
 		meta: shardMeta{
 			shard:    uint32(i),
-			k:        uint32(ss.k),
-			gen:      ss.gen,
+			k:        uint32(sn.k),
+			gen:      sn.gen,
 			shardGen: p.gen,
-			nTerms:   uint64(len(ss.terms)),
-			nTriples: uint64(ss.nTriples),
-			rdfType:  uint32(ss.rdfType),
+			nTerms:   uint64(len(sn.terms)),
+			nTriples: uint64(sn.nTriples),
+			rdfType:  uint32(sn.rdfType),
 			literals: uint64(p.literals),
-			stats:    ss.stats,
+			stats:    sn.stats,
 		},
 	}
 }
 
 // SaveShardPart freezes the sharded graph (a pointer load when already
-// frozen) and writes shard `shard` of the ShardSet in GQASHR1 format.
-// The graph must be sharded (SetShards(k>1)) and shard must be in
-// [0, k).
+// frozen) and writes part `shard` of its snapshot in GQASHR1 format. The
+// graph must be sharded (SetShards(k>1)) and shard must be in [0, k).
 func SaveShardPart(w io.Writer, g *Graph, shard int) error {
-	if g.NumShards() <= 1 {
+	sn := g.Freeze()
+	if sn.k <= 1 {
 		return fmt.Errorf("store: shard part export needs a sharded graph (SetShards), have %d shards", g.NumShards())
 	}
-	g.Freeze()
-	ss := g.shards.Load()
-	if ss == nil {
-		return fmt.Errorf("store: shard part export: graph did not freeze into a ShardSet")
+	if shard < 0 || shard >= sn.k {
+		return fmt.Errorf("store: shard part export: shard %d out of range [0,%d)", shard, sn.k)
 	}
-	if shard < 0 || shard >= ss.k {
-		return fmt.Errorf("store: shard part export: shard %d out of range [0,%d)", shard, ss.k)
-	}
-	return ss.Part(shard).Save(w)
+	return sn.Part(shard).Save(w)
 }
 
 // Save writes the part in GQASHR1 format.
@@ -167,22 +162,8 @@ func (sp *ShardPart) Save(w io.Writer) error {
 
 func encodeShardSections(sp *ShardPart) [shrSectionCount][]byte {
 	var secs [shrSectionCount][]byte
-	p, m := sp.part, &sp.meta
-
-	mb := make([]byte, 0, shrMetaSize)
-	mb = binary.LittleEndian.AppendUint32(mb, m.shard)
-	mb = binary.LittleEndian.AppendUint32(mb, m.k)
-	mb = binary.LittleEndian.AppendUint64(mb, m.gen)
-	mb = binary.LittleEndian.AppendUint64(mb, m.shardGen)
-	mb = binary.LittleEndian.AppendUint64(mb, m.nTerms)
-	mb = binary.LittleEndian.AppendUint64(mb, m.nTriples)
-	mb = binary.LittleEndian.AppendUint32(mb, m.rdfType)
-	mb = binary.LittleEndian.AppendUint64(mb, m.literals)
-	for _, v := range [5]int{m.stats.Entities, m.stats.Classes, m.stats.Literals, m.stats.Triples, m.stats.Predicates} {
-		mb = binary.LittleEndian.AppendUint64(mb, uint64(v))
-	}
-	secs[shrMeta] = mb
-
+	p := sp.part
+	secs[shrMeta] = encodeShardMeta(&sp.meta)
 	secs[shrOutOff] = encodeFrzU32s(p.outOff)
 	secs[shrOutEdges] = encodeFrzEdges(p.outEdges)
 	secs[shrInOff] = encodeFrzU32s(p.inOff)
@@ -275,25 +256,9 @@ func LoadShardPart(r io.Reader) (*ShardPart, error) {
 		return fail("trailing bytes after last section")
 	}
 
-	mb := secs[shrMeta]
-	if len(mb) != shrMetaSize {
-		return fail("meta section is %d bytes, want %d", len(mb), shrMetaSize)
-	}
-	var m shardMeta
-	m.shard = binary.LittleEndian.Uint32(mb[0:])
-	m.k = binary.LittleEndian.Uint32(mb[4:])
-	m.gen = binary.LittleEndian.Uint64(mb[8:])
-	m.shardGen = binary.LittleEndian.Uint64(mb[16:])
-	m.nTerms = binary.LittleEndian.Uint64(mb[24:])
-	m.nTriples = binary.LittleEndian.Uint64(mb[32:])
-	m.rdfType = binary.LittleEndian.Uint32(mb[40:])
-	m.literals = binary.LittleEndian.Uint64(mb[44:])
-	m.stats = Stats{
-		Entities:   int(binary.LittleEndian.Uint64(mb[52:])),
-		Classes:    int(binary.LittleEndian.Uint64(mb[60:])),
-		Literals:   int(binary.LittleEndian.Uint64(mb[68:])),
-		Triples:    int(binary.LittleEndian.Uint64(mb[76:])),
-		Predicates: int(binary.LittleEndian.Uint64(mb[84:])),
+	m, err := decodeShardMeta(secs[shrMeta])
+	if err != nil {
+		return fail("meta section: %w", err)
 	}
 	if m.k < 2 {
 		return fail("shard count %d, want >= 2", m.k)
@@ -305,10 +270,7 @@ func LoadShardPart(r io.Reader) (*ShardPart, error) {
 		return fail("implausible term count %d", m.nTerms)
 	}
 	shard, k, n := int(m.shard), int(m.k), int(m.nTerms)
-	nLocal := 0
-	if n > shard {
-		nLocal = (n-shard-1)/k + 1
-	}
+	nLocal := localCount(n, shard, k)
 
 	p := &shardPart{
 		gen:         m.shardGen,
@@ -331,13 +293,7 @@ func LoadShardPart(r io.Reader) (*ShardPart, error) {
 	if err := validateShardPart(p, nLocal); err != nil {
 		return nil, fmt.Errorf("store: shard part: %w", err)
 	}
-	p.bytes = int64(len(p.outEdges)+len(p.inEdges))*8 +
-		int64(len(p.outOff)+len(p.inOff)+len(p.predOff))*4 +
-		int64(len(p.predTriples))*12 +
-		int64(len(p.boundary))*16 +
-		int64(len(p.sig))*16 +
-		int64(len(p.roles)) +
-		int64(len(p.entities)+len(p.predIDs))*4
+	p.bytes = p.arrayBytes()
 	return &ShardPart{part: p, meta: m}, nil
 }
 
@@ -364,8 +320,8 @@ func validateShardPart(p *shardPart, nLocal int) error {
 			return fmt.Errorf("%s offsets do not cover the edge array", name)
 		}
 		for i := 1; i < len(off); i++ {
-			if off[i] < off[i-1] {
-				return fmt.Errorf("%s offsets not monotone at %d", name, i)
+			if off[i] < off[i-1] || off[i] > uint32(len(edges)) {
+				return fmt.Errorf("%s offsets not monotone within the edge array at %d", name, i)
 			}
 			span := edges[off[i-1]:off[i]]
 			for j := 1; j < len(span); j++ {
@@ -407,8 +363,8 @@ func validateShardPart(p *shardPart, nLocal int) error {
 		}
 	}
 	for i := 0; i < len(p.predIDs); i++ {
-		if p.predOff[i+1] < p.predOff[i] {
-			return fmt.Errorf("predOff not monotone at %d", i)
+		if p.predOff[i+1] < p.predOff[i] || p.predOff[i+1] > uint32(len(p.predTriples)) {
+			return fmt.Errorf("predOff not monotone within predTriples at %d", i)
 		}
 		group := p.predTriples[p.predOff[i]:p.predOff[i+1]]
 		for j, t := range group {

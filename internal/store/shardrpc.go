@@ -1,14 +1,14 @@
 package store
 
 // The shard RPC protocol: the wire boundary between a coordinator's
-// RemoteShardSet (remote.go) and a gqa-shard server holding one GQASHR1
-// part. The protocol is deliberately minimal — length-prefixed binary
-// frames over TCP, one outstanding request per connection — because the
-// read surface it carries is the store.View hot path: tiny fixed-size
-// requests (an op byte plus at most three IDs) and responses that are
-// raw little-endian dumps of the same arrays the in-process ShardSet
-// would have returned, in the same order. Identity of the served bytes
-// is what keeps remote answers byte-identical to local ones.
+// rpcReader (remote.go) and a gqa-shard server holding one GQASHR1 part.
+// The protocol is deliberately minimal — length-prefixed binary frames
+// over TCP, one outstanding request per connection — because what it
+// carries is the reader interface (view.go), one opcode per method: tiny
+// fixed-size requests (an op byte plus at most three IDs) and responses
+// that are raw little-endian dumps of the spans the in-process localParts
+// reader returns, in the same order. Identity of the served bytes is what
+// keeps remote answers byte-identical to local ones.
 //
 // Framing: every message is [u32 length][payload], length = len(payload),
 // little-endian. A request payload is [op byte][args]; a response payload
@@ -25,37 +25,10 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 
 	"gqa/internal/faultpoint"
 )
-
-// Sorted-array lower bounds shared by the part-local reads below and the
-// remote client's merge bookkeeping.
-func lowerBoundEdge(span []Edge, p, o ID) int {
-	return sort.Search(len(span), func(i int) bool {
-		e := span[i]
-		return e.Pred > p || (e.Pred == p && e.To >= o)
-	})
-}
-
-func lowerBoundBoundary(b []BoundaryEdge, l uint32, p, o ID) int {
-	return sort.Search(len(b), func(i int) bool {
-		e := &b[i]
-		if e.Local != l {
-			return e.Local > l
-		}
-		if e.Pred != p {
-			return e.Pred > p
-		}
-		return e.To >= o
-	})
-}
-
-func lowerBoundID(ids []ID, p ID) int {
-	return sort.Search(len(ids), func(i int) bool { return ids[i] >= p })
-}
 
 // Op codes. Order is wire contract; add new ops at the end only.
 const (
@@ -126,6 +99,7 @@ var ErrShardCut = errShardCut
 // connection.
 type ShardServer struct {
 	part *ShardPart
+	rd   localParts // the served part at its shard's slot; every other slot nil
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -136,7 +110,9 @@ type ShardServer struct {
 
 // NewShardServer wraps a loaded part for serving.
 func NewShardServer(part *ShardPart) *ShardServer {
-	return &ShardServer{part: part, conns: make(map[net.Conn]struct{})}
+	rd := make(localParts, part.part.k)
+	rd[part.part.shard] = part.part
+	return &ShardServer{part: part, rd: rd, conns: make(map[net.Conn]struct{})}
 }
 
 // Serve accepts connections on ln until Close. It always returns a
@@ -240,7 +216,7 @@ func (s *ShardServer) handle(req []byte) (resp []byte, ok bool) {
 		return ID(binary.LittleEndian.Uint32(args[4*i:]))
 	}
 	need := func(n int) bool { return len(args) == 4*n }
-	p := s.part.part
+	p, rd := s.part.part, s.rd
 	out := []byte{shrStatusOK}
 	switch op {
 	case shrOpPing:
@@ -251,49 +227,53 @@ func (s *ShardServer) handle(req []byte) (resp []byte, ok bool) {
 		if !need(1) {
 			return shardErrResp("out: want 1 arg"), true
 		}
-		return append(out, encodeFrzEdges(p.localOutSpan(arg(0)))...), true
+		return append(out, encodeFrzEdges(rd.outSpan(arg(0)))...), true
 	case shrOpIn:
 		if !need(1) {
 			return shardErrResp("in: want 1 arg"), true
 		}
-		return append(out, encodeFrzEdges(p.localInSpan(arg(0)))...), true
+		return append(out, encodeFrzEdges(rd.inSpan(arg(0)))...), true
 	case shrOpOutPred:
 		if !need(2) {
 			return shardErrResp("outPred: want 2 args"), true
 		}
-		return append(out, encodeFrzEdges(predSpan(p.localOutSpan(arg(0)), arg(1)))...), true
+		return append(out, encodeFrzEdges(rd.outPred(arg(0), arg(1)))...), true
 	case shrOpInPred:
 		if !need(2) {
 			return shardErrResp("inPred: want 2 args"), true
 		}
-		return append(out, encodeFrzEdges(predSpan(p.localInSpan(arg(0)), arg(1)))...), true
+		return append(out, encodeFrzEdges(rd.inPred(arg(0), arg(1)))...), true
 	case shrOpDegrees:
 		if !need(1) {
 			return shardErrResp("degrees: want 1 arg"), true
 		}
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(p.localOutSpan(arg(0)))))
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(p.localInSpan(arg(0)))))
-		return out, true
+		od, id := rd.degrees(arg(0))
+		out = binary.LittleEndian.AppendUint32(out, uint32(od))
+		return binary.LittleEndian.AppendUint32(out, uint32(id)), true
 	case shrOpHasAdj:
 		if !need(2) {
 			return shardErrResp("hasAdj: want 2 args"), true
 		}
-		return append(out, boolByte(p.localHasAdjacentPred(arg(0), arg(1)))), true
+		return append(out, boolByte(rd.hasAdjacentPred(arg(0), arg(1)))), true
 	case shrOpHas:
 		if !need(3) {
 			return shardErrResp("has: want 3 args"), true
 		}
-		return append(out, boolByte(p.localHas(arg(0), arg(1), arg(2)))), true
+		return append(out, boolByte(rd.has(arg(0), arg(1), arg(2)))), true
 	case shrOpRole:
 		if !need(1) {
 			return shardErrResp("role: want 1 arg"), true
 		}
-		return append(out, p.localRole(arg(0))), true
+		return append(out, rd.role(arg(0))), true
 	case shrOpPredGrp:
 		if !need(1) {
 			return shardErrResp("predGroup: want 1 arg"), true
 		}
-		return append(out, encodeFrzSpos(p.localPredGroup(arg(0)))...), true
+		var group []Spo
+		if gs := rd.predGroups(arg(0)); len(gs) > 0 {
+			group = gs[0]
+		}
+		return append(out, encodeFrzSpos(group)...), true
 	case shrOpPredIDs:
 		return append(out, encodeFrzIDs(p.predIDs)...), true
 	case shrOpEntities:
@@ -333,7 +313,7 @@ func encodeShardMeta(m *shardMeta) []byte {
 func decodeShardMeta(b []byte) (shardMeta, error) {
 	var m shardMeta
 	if len(b) != shrMetaSize {
-		return m, fmt.Errorf("meta response is %d bytes, want %d", len(b), shrMetaSize)
+		return m, fmt.Errorf("shard meta is %d bytes, want %d", len(b), shrMetaSize)
 	}
 	m.shard = binary.LittleEndian.Uint32(b[0:])
 	m.k = binary.LittleEndian.Uint32(b[4:])
@@ -351,82 +331,4 @@ func decodeShardMeta(b []byte) (shardMeta, error) {
 		Predicates: int(binary.LittleEndian.Uint64(b[84:])),
 	}
 	return m, nil
-}
-
-// ---------------------------------------------------------------------
-// Part-local reads: the shardPart methods the server dispatches to. They
-// mirror the ShardSet methods exactly, restricted to one part; every
-// vertex argument is a global ID the part owns (v mod k == shard) — an
-// unowned or out-of-range vertex yields the empty answer, matching what
-// the ShardSet would have asked this shard for.
-
-func (p *shardPart) localIndex(v ID) int {
-	if int(v)%p.k != p.shard {
-		return -1
-	}
-	return int(v) / p.k
-}
-
-func (p *shardPart) localOutSpan(v ID) []Edge {
-	l := p.localIndex(v)
-	if l < 0 || l >= len(p.outOff)-1 {
-		return nil
-	}
-	return p.outEdges[p.outOff[l]:p.outOff[l+1]]
-}
-
-func (p *shardPart) localInSpan(v ID) []Edge {
-	l := p.localIndex(v)
-	if l < 0 || l >= len(p.inOff)-1 {
-		return nil
-	}
-	return p.inEdges[p.inOff[l]:p.inOff[l+1]]
-}
-
-func (p *shardPart) localHasAdjacentPred(v, pred ID) bool {
-	l := p.localIndex(v)
-	if l < 0 || l >= len(p.sig) {
-		return false
-	}
-	lo, hi := sigBits(pred)
-	s := &p.sig[l]
-	if s[0]&lo == 0 || s[1]&hi == 0 {
-		return false
-	}
-	return spanHasPred(p.localOutSpan(v), pred) || spanHasPred(p.localInSpan(v), pred)
-}
-
-// localHas mirrors ShardSet.Has for a subject this part owns: intra-shard
-// triples binary-search the out span, cross-shard triples the boundary
-// index.
-func (p *shardPart) localHas(s, pred, o ID) bool {
-	l := p.localIndex(s)
-	if l < 0 {
-		return false
-	}
-	if int(o)%p.k == p.shard {
-		span := p.localOutSpan(s)
-		i := lowerBoundEdge(span, pred, o)
-		return i < len(span) && span[i].Pred == pred && span[i].To == o
-	}
-	lu := uint32(l)
-	b := p.boundary
-	i := lowerBoundBoundary(b, lu, pred, o)
-	return i < len(b) && b[i].Local == lu && b[i].Pred == pred && b[i].To == o
-}
-
-func (p *shardPart) localRole(v ID) uint8 {
-	l := p.localIndex(v)
-	if l < 0 || l >= len(p.roles) {
-		return 0
-	}
-	return p.roles[l]
-}
-
-func (p *shardPart) localPredGroup(pred ID) []Spo {
-	i := lowerBoundID(p.predIDs, pred)
-	if i == len(p.predIDs) || p.predIDs[i] != pred {
-		return nil
-	}
-	return p.predTriples[p.predOff[i]:p.predOff[i+1]]
 }

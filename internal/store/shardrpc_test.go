@@ -72,8 +72,7 @@ func TestShardPartRoundtrip(t *testing.T) {
 	g := randomRichGraph(r)
 	const k = 4
 	g.SetShards(k)
-	g.Freeze()
-	ss := g.FrozenView().(*ShardSet)
+	ss := g.Freeze()
 	for i := 0; i < k; i++ {
 		var buf bytes.Buffer
 		if err := SaveShardPart(&buf, g, i); err != nil {
@@ -124,17 +123,20 @@ func TestShardPartCorruptionRejected(t *testing.T) {
 
 // edgesEqual and sposEqual live in frzsnap_test.go / query_test.go.
 
+// rpcOf returns the shard-RPC reader behind a dialed (or bound) snapshot.
+func rpcOf(sn *Snapshot) *rpcReader { return sn.rd.(*rpcReader) }
+
 // TestRemoteShardSetEquivalence is the wire-level differential: every
-// read on a RemoteShardSet over loopback shard servers returns exactly
-// what the monolithic Snapshot returns, in the same order — the same
-// contract TestShardSetEquivalence pins for the in-process ShardSet, one
-// process boundary later.
+// read on a snapshot over loopback shard servers returns exactly what the
+// one-part local snapshot returns, in the same order — the same contract
+// TestShardCountEquivalence pins for in-process parts, one process
+// boundary later.
 func TestRemoteShardSetEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		for _, k := range []int{2, 4} {
 			r := rand.New(rand.NewSource(seed))
 			g := randomRichGraph(r)
-			sn := buildSnapshot(g, g.gen.Load())
+			sn := g.Freeze()
 			addrs, _ := startLoopbackShards(t, g, k)
 			rss, err := DialShards(addrs, g.Terms(), RemoteOptions{})
 			if err != nil {
@@ -239,7 +241,7 @@ func TestRemoteFailureModes(t *testing.T) {
 		DownCooldown: 50 * time.Millisecond,
 	}
 	// A vertex with outgoing edges, for a read that must touch the wire.
-	sn := buildSnapshot(g, g.gen.Load())
+	sn := g.Freeze()
 	var probe Spo
 	sn.Match(Any, Any, Any, func(s Spo) bool { probe = s; return false })
 
@@ -268,7 +270,7 @@ func TestRemoteFailureModes(t *testing.T) {
 			defer rss.Close()
 			if tc.point == faultpoint.RPCDial {
 				// Drain pooled connections so the read must dial.
-				for _, p := range rss.pools {
+				for _, p := range rpcOf(rss).pools {
 					p.closeAll()
 				}
 			}
@@ -290,7 +292,7 @@ func TestRemoteFailureModes(t *testing.T) {
 			if got := tr.Exhausted(); got != budget.ReasonShard {
 				t.Fatalf("budget reason = %q, want %q", got, budget.ReasonShard)
 			}
-			st := bv.(*boundRemote).st
+			st := rpcOf(bv).req
 			if st.calls.Load() != tc.wantCalls {
 				t.Fatalf("calls = %d, want %d", st.calls.Load(), tc.wantCalls)
 			}
@@ -305,7 +307,7 @@ func TestRemoteFailureModes(t *testing.T) {
 				t.Fatalf("degradation took %s — unbounded retry?", elapsed)
 			}
 			// The shard is marked down: the next read fails fast.
-			if !rss.pools[int(probe.S)%2].isDown() && tc.wantRetry > 0 {
+			if !rpcOf(rss).pools[int(probe.S)%2].isDown() && tc.wantRetry > 0 {
 				t.Fatal("shard not marked down after exhausted retries")
 			}
 			faultpoint.Reset()
@@ -332,7 +334,7 @@ func TestRemoteFailureModes(t *testing.T) {
 		if e := time.Since(start); e > 500*time.Millisecond {
 			t.Fatalf("deadline-bounded call took %s", e)
 		}
-		st := bv.(*boundRemote).st
+		st := rpcOf(bv).req
 		if st.calls.Load() != 1 {
 			t.Fatalf("calls = %d, want 1 (deadline must stop retries)", st.calls.Load())
 		}
@@ -349,7 +351,7 @@ func TestRemoteFailureModes(t *testing.T) {
 		defer rss.Close()
 		faultpoint.Set(faultpoint.RPCCall, faultpoint.Fault{Err: errors.New("synthetic server failure")})
 		defer faultpoint.Reset()
-		_, err = rss.call(nil, 0, []byte{shrOpPing})
+		_, err = rpcOf(rss).call(0, []byte{shrOpPing})
 		if err == nil || !strings.Contains(err.Error(), "synthetic server failure") {
 			t.Fatalf("err = %v, want the server-reported error", err)
 		}
@@ -366,7 +368,7 @@ func TestRemoteFailureModes(t *testing.T) {
 func TestRemoteHedgedGather(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	g := randomRichGraph(r)
-	sn := buildSnapshot(g, g.gen.Load())
+	sn := g.Freeze()
 	addrs, _ := startLoopbackShards(t, g, 2)
 	rss, err := DialShards(addrs, g.Terms(), RemoteOptions{
 		CallTimeout: 2 * time.Second,
@@ -395,7 +397,7 @@ func TestRemoteHedgedGather(t *testing.T) {
 	if !sposEqual(got, want) {
 		t.Fatalf("hedged gather diverges: got %d triples, want %d", len(got), len(want))
 	}
-	if bv.(*boundRemote).st.hedges.Load() == 0 {
+	if rpcOf(bv).req.hedges.Load() == 0 {
 		t.Fatal("no hedge launched despite every shard straggling")
 	}
 }
@@ -439,5 +441,58 @@ func TestRemoteShardKilledDegrades(t *testing.T) {
 	bv.Match(Any, Any, Any, func(Spo) bool { return true })
 	if e := time.Since(start); e > time.Second {
 		t.Fatalf("post-breaker scan took %s", e)
+	}
+}
+
+// TestOutOfRangeVerticesReadEmpty: a vertex the snapshot does not know —
+// None, or the first ID past the term table — answers empty on every View
+// read, in every deployment shape, instead of faulting.
+func TestOutOfRangeVerticesReadEmpty(t *testing.T) {
+	shapes := []struct {
+		name string
+		view func(t *testing.T, g *Graph) View
+	}{
+		{"k1", func(t *testing.T, g *Graph) View { return g.FrozenView() }},
+		{"k4", func(t *testing.T, g *Graph) View { g.SetShards(4); return g.FrozenView() }},
+		{"remote-k4", func(t *testing.T, g *Graph) View {
+			addrs, _ := startLoopbackShards(t, g, 4)
+			sn, err := DialShards(addrs, g.Terms(), RemoteOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(sn.Close)
+			return sn
+		}},
+	}
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			g := randomRichGraph(rand.New(rand.NewSource(21)))
+			view := shape.view(t, g)
+			var known Spo
+			view.Match(Any, Any, Any, func(s Spo) bool { known = s; return false })
+			for _, v := range []ID{None, ID(view.NumTerms())} {
+				if view.Has(v, known.P, known.O) || view.Has(known.S, known.P, v) || view.HasAdjacentPred(v, known.P) {
+					t.Errorf("vertex %d: membership probe answered true", v)
+				}
+				if n := len(view.OutPred(v, known.P)) + len(view.InPred(v, known.P)); n != 0 {
+					t.Errorf("vertex %d: %d edges in per-predicate spans", v, n)
+				}
+				if n := view.OutPredDegree(v, known.P) + view.InPredDegree(v, known.P) +
+					view.OutDegree(v) + view.InDegree(v) + view.Degree(v); n != 0 {
+					t.Errorf("vertex %d: degrees sum to %d", v, n)
+				}
+				if view.IsEntity(v) || view.IsClass(v) {
+					t.Errorf("vertex %d: has a role", v)
+				}
+				if v == None {
+					continue // None in a Match position is the wildcard
+				}
+				for _, pat := range [][3]ID{{v, Any, Any}, {v, known.P, Any}, {Any, Any, v}, {Any, known.P, v}, {v, known.P, known.O}, {Any, v, Any}} {
+					if got := collectExact(view.Match, pat[0], pat[1], pat[2]); len(got) != 0 {
+						t.Errorf("Match%v yielded %v", pat, got)
+					}
+				}
+			}
+		})
 	}
 }

@@ -1,29 +1,19 @@
 package store
 
-// View is the read-only frozen query surface shared by the monolithic
-// Snapshot and the sharded ShardSet. Every hot read the online pipeline
-// performs — pattern scans, neighborhood pruning, per-predicate degrees,
-// role tests — goes through this interface when the graph is frozen, so
-// the matcher, the SPARQL evaluator, dict.FollowPath, and the linker are
-// agnostic to whether the graph froze into one CSR or K vertex-hash
-// shards. Both implementations return identical results in identical
-// order: a ShardSet's per-vertex spans are the same (Pred, To)-sorted
-// runs a Snapshot holds, and its predicate-major scans k-way-merge the
-// per-shard (S, O)-sorted groups back into the global sorted order
-// (subjects partition by shard, so the merge is exact). That order
-// identity is what makes K=1 and K=8 answers byte-identical.
+import "gqa/internal/rdf"
+
+// View is the read-only query surface of a frozen graph. Every read the
+// online pipeline performs — pattern scans, neighborhood pruning,
+// per-predicate degrees, role tests — goes through it; the mutable Graph
+// only builds (Add/Remove/Intern) and enumerates in insertion order for
+// the offline miner. *Snapshot is the one implementation; the interface
+// exists so tests and the benchmark can wrap it in counting decorators.
 //
-// A View is immutable and fully self-contained: like a handed-out
-// Snapshot, it stays a valid pre-mutation read surface forever, even
-// while the mutable Graph is concurrently mutated.
-
-import (
-	"gqa/internal/budget"
-	"gqa/internal/obs"
-	"gqa/internal/rdf"
-)
-
-// View is implemented by *Snapshot and *ShardSet.
+// A View is immutable and self-contained: it stays a valid pre-mutation
+// read surface forever, even while the Graph it froze from is mutated.
+// A vertex at or beyond NumTerms (including None) answers empty on every
+// adjacency, membership, degree and role read; only Term, a table lookup,
+// panics on an ID that was never interned.
 type View interface {
 	// Generation is the graph mutation generation the view was built at.
 	Generation() uint64
@@ -63,67 +53,22 @@ type View interface {
 	TypeID() ID
 }
 
-// ShardedView is a View partitioned into K vertex-hash shards — the
-// in-process ShardSet or the RemoteShardSet client over K shard servers.
-// The matcher switches to scatter-gather rounds (grouping each round's
-// seeds by the shard owning the seed entity) whenever its view reports
-// more than one shard, without caring whether the shards share its
-// address space.
-type ShardedView interface {
-	View
-	NumShards() int
-}
-
-// RequestBindable is implemented by views whose reads can fail or stall —
-// today the RemoteShardSet. BindRequest scopes the view to one request:
-// per-call deadlines derive from the tracker's deadline, an unrecoverable
-// read failure trips the tracker (FailShardUnavailable) so the request
-// degrades instead of hanging, and RPC telemetry lands on sp. The
-// returned View is cheap (one small allocation) and must be used only
-// for that request. In-process views never implement this — binding is
-// the identity there.
-type RequestBindable interface {
-	BindRequest(b *budget.Tracker, sp *obs.Span) View
-}
-
-// SpanAnnotator lets a bound view flush per-request counters onto the
-// search span after the search completes (the matcher calls it from its
-// stats pass). Implemented by the bound RemoteShardSet.
-type SpanAnnotator interface {
-	AnnotateSpan(sp *obs.Span)
-}
-
-// DegradeReporter lets a bound view report that some of its reads failed
-// and returned empty — the degradation signal for requests whose budget
-// tracker is nil (no deadline, no limits), where FailShardUnavailable
-// had no tracker to trip. The engine consults it after the search when
-// the budget itself reports no exhaustion, so failed remote reads always
-// surface as Truncated/Degraded = "shard-unavailable".
-type DegradeReporter interface {
-	DegradeReason() string
-}
-
-// TypeID returns the interned ID of rdf:type at freeze time, or None.
-func (sn *Snapshot) TypeID() ID { return sn.rdfType }
-
-// FrozenView returns the graph's current frozen read surface: the
-// connected remote shard view when one is installed (SetRemoteView), the
-// installed ShardSet when the graph is sharded (SetShards), the installed
-// Snapshot otherwise, or nil when the graph has mutated since the last
-// freeze (callers then fall back to the mutable structures, exactly as
-// with Frozen).
-func (g *Graph) FrozenView() View {
-	if rv := g.remoteView.Load(); rv != nil {
-		return *rv
-	}
-	if g.shardK > 1 {
-		if ss := g.shards.Load(); ss != nil {
-			return ss
-		}
-		return nil
-	}
-	if sn := g.snap.Load(); sn != nil {
-		return sn
-	}
-	return nil
+// reader is the primitive read set every View method is written over, one
+// method per data opcode of the shard-RPC protocol (shardrpc.go). It has
+// exactly two implementers: localParts, the in-process frozen arrays (also
+// what a shard server answers from), and *rpcReader, the client that sends
+// each read to the shard server owning the vertex. Spans are (Pred, To)-
+// sorted and may alias immutable storage; an unknown vertex reads empty.
+type reader interface {
+	outSpan(v ID) []Edge
+	inSpan(v ID) []Edge
+	outPred(v, p ID) []Edge
+	inPred(v, p ID) []Edge
+	degrees(v ID) (out, in int)
+	hasAdjacentPred(v, p ID) bool
+	has(s, p, o ID) bool
+	role(v ID) uint8
+	// predGroups returns every shard's (S, O)-sorted triple group of
+	// predicate p, empty groups omitted.
+	predGroups(p ID) [][]Spo
 }
