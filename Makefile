@@ -48,17 +48,23 @@ serve-smoke:
 serve-sweep-smoke:
 	$(GO) run ./cmd/gqa-bench -exp serve -serve-duration 500ms -serve-levels 0.5,4
 
-# Snapshot round-trip smoke (tier-1): generate the KB in both snapshot
-# formats, boot gqa-cli from each, and require one known answer — so a
-# format or loader regression fails the gate end to end, not just in
-# unit tests.
+# File-format smoke (tier-1), one format end to end through the real
+# binaries: the K=1 file boots gqa-cli and answers a known question, part
+# 0 of 2 boots gqa-shard, and gqa-shard refuses the K=1 file with a
+# message that says what it was handed — so a format, loader or
+# entry-point regression fails the gate, not just the unit tests.
 snapshot-smoke:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
-	$(GO) run ./cmd/gqa-gen snapshot -o "$$tmp/kb.snap" && \
+	$(GO) build -o "$$tmp/gqa-shard" ./cmd/gqa-shard && \
 	$(GO) run ./cmd/gqa-gen frozen -o "$$tmp/kb.frz" && \
-	$(GO) run ./cmd/gqa-cli -snapshot "$$tmp/kb.snap" "Who is the mayor of Berlin?" | grep -q "Klaus Wowereit" && \
+	$(GO) run ./cmd/gqa-gen frozen -shard 0/2 -o "$$tmp/p0" && \
 	$(GO) run ./cmd/gqa-cli -frozen "$$tmp/kb.frz" "Who is the mayor of Berlin?" | grep -q "Klaus Wowereit" && \
-	echo "snapshot-smoke: both formats answered"
+	{ "$$tmp/gqa-shard" -part "$$tmp/p0" -addr 127.0.0.1:0 2>"$$tmp/shard.log" & pid=$$!; \
+	  for i in $$(seq 50); do grep -q "listening on" "$$tmp/shard.log" && break; sleep 0.1; done; \
+	  kill $$pid; wait $$pid 2>/dev/null; grep -q "listening on" "$$tmp/shard.log"; } && \
+	{ ! "$$tmp/gqa-shard" -part "$$tmp/kb.frz" 2>"$$tmp/refused.log"; } && \
+	grep -q "a K=1 snapshot, not a shard part" "$$tmp/refused.log" && \
+	echo "snapshot-smoke: K=1 file answered, part 0/2 served, K=1 file refused as a part"
 
 # Deterministic replay of the fuzz seed corpora (f.Add entries + any
 # checked-in testdata): runs each fuzz target as a plain test, no engine.
@@ -70,7 +76,6 @@ fuzz:
 	$(GO) test -fuzz FuzzParseSPARQL -fuzztime 30s ./internal/sparql/
 	$(GO) test -fuzz FuzzEvalBudget -fuzztime 30s ./internal/sparql/
 	$(GO) test -fuzz FuzzParseNTriples -fuzztime 30s ./internal/rdf/
-	$(GO) test -fuzz FuzzLoadSnapshot -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzLoadFrozen -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzLoadShardPart -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzShardServerHandle -fuzztime 30s ./internal/store/
@@ -104,8 +109,8 @@ flight-smoke:
 shard-smoke:
 	$(GO) test -run TestShardSmokeBinary -v ./internal/serve
 
-# Multi-process sharding smoke (tier-1): export 4 GQASHR1 shard parts
-# with gqa-gen, boot 4 real gqa-shard servers plus a gqa-serve
+# Multi-process sharding smoke (tier-1): export 4 shard parts with
+# gqa-gen, boot 4 real gqa-shard servers plus a gqa-serve
 # coordinator with -shard-addrs, require one known answer over HTTP (the
 # frozen reads crossing the process boundary), the gqa_rpc_* series on
 # /metrics, and a clean SIGTERM shutdown of the whole topology.
@@ -136,9 +141,9 @@ bench-obs:
 	$(GO) run ./cmd/gqa-bench -exp obs -json BENCH_obs.json
 
 # Cold-start benchmark: time-to-servable for N-Triples parse+freeze vs
-# GQASNAP1 load+freeze vs GQAFRZ1 load, plus the small-graph constants as
-# Go benchmarks, recorded in BENCH_coldstart.json (the ≥5× frozen-vs-NT
-# floor over the serving-scale bench graphs is the headline).
+# GQAFRZ1 load, plus the small-graph constants as Go benchmarks, recorded
+# in BENCH_coldstart.json (the ≥5× frozen-vs-NT floor over the
+# serving-scale bench graphs is the headline).
 bench-coldstart:
-	$(GO) test -run XXX -bench 'BenchmarkLoadFrozenKB|BenchmarkSaveFrozenKB|BenchmarkLoadSnapshotKB' -benchmem -count 5 ./internal/store/
+	$(GO) test -run XXX -bench 'BenchmarkLoadFrozenKB|BenchmarkSaveFrozenKB' -benchmem -count 5 ./internal/store/
 	$(GO) run ./cmd/gqa-bench -exp coldstart -json BENCH_coldstart.json

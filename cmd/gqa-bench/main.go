@@ -66,7 +66,7 @@ func main() {
 		{"parallel", parallelExp, "seq-vs-par top-k matcher speedup"},
 		{"shard", shardExp, "sharded scatter-gather matching: K sweep, identity, incremental re-freeze"},
 		{"shardrpc", shardrpcExp, "multi-process sharding: in-process K=4 vs RPC over loopback shard servers"},
-		{"coldstart", coldstartExp, "boot-time comparison: N-Triples parse vs GQASNAP1 vs GQAFRZ1"},
+		{"coldstart", coldstartExp, "boot-time comparison: N-Triples parse vs GQAFRZ1 load"},
 		{"cache", cacheExp, "answer cache: cold vs warm vs coalesced latency"},
 		{"serve", serveExp, "overload sweep: admission control, shedding, latency curve over a live listener"},
 		{"obs", obsExp, "flight-recorder overhead: wide events + tail sampling, on vs off"},
@@ -604,12 +604,11 @@ func shardExp() {
 		reps   = 5
 	)
 	type krun struct {
-		Shards        int     `json:"shards"`
-		P50NsPerOp    int64   `json:"p50_ns_per_op"`
-		BytesPerOp    int64   `json:"bytes_per_op"`
-		Speedup       float64 `json:"speedup_vs_k1"`
-		BoundaryEdges int     `json:"boundary_edges"`
-		Identical     bool    `json:"identical_to_k1"`
+		Shards     int     `json:"shards"`
+		P50NsPerOp int64   `json:"p50_ns_per_op"`
+		BytesPerOp int64   `json:"bytes_per_op"`
+		Speedup    float64 `json:"speedup_vs_k1"`
+		Identical  bool    `json:"identical_to_k1"`
 	}
 
 	g, q := matcherWorkload(nInst, fanout)
@@ -624,10 +623,9 @@ func shardExp() {
 	var k1Ns int64
 	fmt.Printf("GOMAXPROCS=%d NumCPU=%d — %d seed tasks per search\n",
 		runtime.GOMAXPROCS(0), runtime.NumCPU(), nInst)
-	fmt.Println("shards  p50/op       bytes/op   boundary  speedup  identical")
+	fmt.Println("shards  p50/op       bytes/op   speedup  identical")
 	for _, k := range []int{1, 2, 4, 8} {
 		g.SetShards(k)
-		boundary := g.Freeze().BoundaryEdges()
 		matches, stats := core.FindTopKMatches(g, q, opts)
 		identical := reflect.DeepEqual(matches, baseMatches) &&
 			reflect.DeepEqual(stats, baseStats)
@@ -650,9 +648,9 @@ func shardExp() {
 		}
 		speedup := float64(k1Ns) / float64(p50)
 		runs = append(runs, krun{Shards: k, P50NsPerOp: p50, BytesPerOp: bytesPerOp,
-			Speedup: speedup, BoundaryEdges: boundary, Identical: identical})
-		fmt.Printf("%-7d %-12s %-10d %-9d %6.2f×  %v\n", k,
-			time.Duration(p50).Round(time.Microsecond), bytesPerOp, boundary, speedup, identical)
+			Speedup: speedup, Identical: identical})
+		fmt.Printf("%-7d %-12s %-10d %6.2f×  %v\n", k,
+			time.Duration(p50).Round(time.Microsecond), bytesPerOp, speedup, identical)
 	}
 
 	// Incremental re-freeze on the 20k synthetic graph. Baseline: one Add
@@ -751,7 +749,7 @@ func shardrpcExp() {
 		k    = 4
 		reps = 5
 	)
-	// Export the shard parts through the GQASHR1 format and serve them.
+	// Export the shard parts through the file format and serve them.
 	gExp := must(bench.BuildKB())
 	gExp.SetShards(k)
 	gExp.Freeze()
@@ -859,12 +857,11 @@ func shardrpcExp() {
 // --------------------------------------------------------------- coldstart
 
 // coldstartExp measures how long it takes to go from bytes on disk to a
-// servable (frozen) graph along the three boot paths: parsing N-Triples
-// and freezing, loading the GQASNAP1 interchange snapshot and freezing,
-// and loading the GQAFRZ1 frozen snapshot (which arrives frozen). Every
-// path is verified to produce the same frozen snapshot shape before
-// timing. With -json PATH the comparison is written as JSON (the
-// BENCH_coldstart.json artifact); frz_vs_nt_speedup is the headline.
+// servable (frozen) graph along the two boot paths: parsing N-Triples
+// and freezing, and loading the GQAFRZ1 frozen snapshot (which arrives
+// frozen). Each path is verified to produce the same frozen snapshot
+// shape before timing. With -json PATH the comparison is written as JSON
+// (the BENCH_coldstart.json artifact); frz_vs_nt_speedup is the headline.
 func coldstartExp() {
 	type pathRow struct {
 		Format  string  `json:"format"`
@@ -879,7 +876,7 @@ func coldstartExp() {
 		Paths          []pathRow `json:"paths"`
 		FrzVsNtSpeedup float64   `json:"frz_vs_nt_speedup"`
 	}
-	// Round-robin the three boot paths within each repetition (with a GC
+	// Round-robin the boot paths within each repetition (with a GC
 	// between samples) so a noisy stretch of CPU cannot penalize one path
 	// only; per-path best-of then clips what noise remains.
 	const reps = 9
@@ -916,11 +913,8 @@ func coldstartExp() {
 	minSpeedup := 0.0 // across the serving-scale synthetic datasets
 	fmt.Println("dataset        format    bytes      load→servable  speedup")
 	for _, ds := range datasets {
-		var nt, snap, frz bytes.Buffer
+		var nt, frz bytes.Buffer
 		if err := gqa.SaveGraph(&nt, ds.g); err != nil {
-			must(0, err)
-		}
-		if err := ds.g.Snapshot(&snap); err != nil {
 			must(0, err)
 		}
 		if err := store.SaveFrozen(&frz, ds.g); err != nil {
@@ -938,15 +932,10 @@ func coldstartExp() {
 				return g
 			},
 			func() *store.Graph {
-				g := must(store.LoadSnapshot(bytes.NewReader(snap.Bytes())))
-				g.Freeze()
-				return g
-			},
-			func() *store.Graph {
 				return must(store.LoadFrozen(bytes.NewReader(frz.Bytes())))
 			},
 		})
-		ntNs, snapNs, frzNs := ns[0], ns[1], ns[2]
+		ntNs, frzNs := ns[0], ns[1]
 		for _, g := range graphs {
 			sn := g.Frozen()
 			if sn == nil || sn.NumTriples() != want.NumTriples() || sn.NumTerms() != want.NumTerms() {
@@ -957,7 +946,6 @@ func coldstartExp() {
 		row := dsRow{Dataset: ds.name, Triples: want.NumTriples(), Terms: want.NumTerms()}
 		for _, p := range []pathRow{
 			{Format: "ntriples", Bytes: nt.Len(), NsPerOp: ntNs, Speedup: 1},
-			{Format: "gqasnap1", Bytes: snap.Len(), NsPerOp: snapNs, Speedup: float64(ntNs) / float64(snapNs)},
 			{Format: "gqafrz1", Bytes: frz.Len(), NsPerOp: frzNs, Speedup: float64(ntNs) / float64(frzNs)},
 		} {
 			row.Paths = append(row.Paths, p)

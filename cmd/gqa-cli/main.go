@@ -4,16 +4,15 @@
 // Usage:
 //
 //	gqa-cli [-graph graph.nt -dict dict.tsv] [-explain] [-trace] [-parallel N] [-cache N] [question ...]
-//	gqa-cli [-snapshot kb.snap | -frozen kb.frz] [-dict dict.tsv] [question ...]
+//	gqa-cli -frozen kb.frz [-dict dict.tsv] [question ...]
 //
 // Without a graph source it runs over the bundled mini-DBpedia benchmark
 // knowledge base with a freshly mined paraphrase dictionary. Questions
 // given as arguments are answered and the program exits; otherwise a REPL
 // starts. Lines starting with "sparql " are evaluated as SPARQL instead.
 //
-// -snapshot loads a GQASNAP1 binary snapshot (gqa-gen snapshot); -frozen
-// loads a GQAFRZ1 frozen snapshot (gqa-gen frozen) straight into the
-// query-ready CSR form — the fastest cold start. With either, -dict is
+// -frozen loads a GQAFRZ1 frozen snapshot (gqa-gen frozen) straight into
+// the query-ready CSR form — the fastest cold start. With it, -dict is
 // optional: when omitted the paraphrase dictionary is mined from the
 // loaded graph.
 //
@@ -44,7 +43,6 @@ import (
 
 func main() {
 	graphPath := flag.String("graph", "", "N-Triples graph file (default: bundled mini-DBpedia)")
-	snapPath := flag.String("snapshot", "", "GQASNAP1 binary snapshot to load instead of -graph")
 	frzPath := flag.String("frozen", "", "GQAFRZ1 frozen snapshot to load instead of -graph")
 	dictPath := flag.String("dict", "", "paraphrase dictionary file (gqa-mine output)")
 	explain := flag.Bool("explain", false, "show the top matches behind each answer")
@@ -55,7 +53,7 @@ func main() {
 	cacheSize := flag.Int("cache", 256, "answer-cache capacity in entries (0 = disabled); re-asking a question in the REPL hits the cache")
 	flag.Parse()
 
-	sys, err := buildSystem(*graphPath, *snapPath, *frzPath, *dictPath, *aggregate)
+	sys, err := buildSystem(*graphPath, *frzPath, *dictPath, *aggregate)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gqa-cli:", err)
 		os.Exit(1)
@@ -91,23 +89,17 @@ func main() {
 	}
 }
 
-func buildSystem(graphPath, snapPath, frzPath, dictPath string, aggregate bool) (*gqa.System, error) {
+func buildSystem(graphPath, frzPath, dictPath string, aggregate bool) (*gqa.System, error) {
 	var (
 		sys *gqa.System
 		err error
 	)
-	sources := 0
-	for _, p := range []string{graphPath, snapPath, frzPath} {
-		if p != "" {
-			sources++
-		}
-	}
-	if sources > 1 {
-		return nil, fmt.Errorf("-graph, -snapshot and -frozen are mutually exclusive")
+	if graphPath != "" && frzPath != "" {
+		return nil, fmt.Errorf("-graph and -frozen are mutually exclusive")
 	}
 	switch {
-	case snapPath != "" || frzPath != "":
-		sys, err = loadSnapshotSystem(snapPath, frzPath, dictPath)
+	case frzPath != "":
+		sys, err = loadFrozenSystem(frzPath, dictPath)
 	case graphPath == "":
 		sys, err = gqa.BenchmarkSystem()
 	default:
@@ -139,17 +131,10 @@ func buildSystem(graphPath, snapPath, frzPath, dictPath string, aggregate bool) 
 	return sys, nil
 }
 
-// loadSnapshotSystem builds a system from a GQASNAP1 or GQAFRZ1 file.
-// Exactly one of snapPath/frzPath is non-empty. Without -dict the
+// loadFrozenSystem builds a system from a GQAFRZ1 file. Without -dict the
 // paraphrase dictionary is mined from the loaded graph itself.
-func loadSnapshotSystem(snapPath, frzPath, dictPath string) (*gqa.System, error) {
-	path := snapPath
-	load := store.LoadSnapshot
-	if frzPath != "" {
-		path = frzPath
-		load = store.LoadFrozen
-	}
-	gf, err := os.Open(path)
+func loadFrozenSystem(frzPath, dictPath string) (*gqa.System, error) {
+	gf, err := os.Open(frzPath)
 	if err != nil {
 		return nil, err
 	}
@@ -160,12 +145,9 @@ func loadSnapshotSystem(snapPath, frzPath, dictPath string) (*gqa.System, error)
 			return nil, err
 		}
 		defer df.Close()
-		if frzPath != "" {
-			return gqa.LoadSystemFrozen(gf, df)
-		}
-		return gqa.LoadSystemSnapshot(gf, df)
+		return gqa.LoadSystemFrozen(gf, df)
 	}
-	g, err := load(gf)
+	g, err := store.LoadFrozen(gf)
 	if err != nil {
 		return nil, err
 	}

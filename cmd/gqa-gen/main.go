@@ -5,16 +5,17 @@
 // Usage:
 //
 //	gqa-gen kb [-o kb.nt]                          # the curated mini-DBpedia
-//	gqa-gen snapshot [-o kb.snap]                  # same KB, binary snapshot
 //	gqa-gen frozen [-o kb.frz]                     # same KB, GQAFRZ1 frozen snapshot
-//	gqa-gen frozen -shard s/K [-o kb.s.shard]      # one GQASHR1 shard part for gqa-shard
+//	gqa-gen frozen -shard s/K [-o kb.s.shard]      # part s of K of it, for gqa-shard
 //	gqa-gen phrases [-o phrases.tsv]               # its phrase support file
 //	gqa-gen synth [-entities N] [-degree D] [-preds P] [-seed S] [-frozen] [-o g.nt]
 //	gqa-gen synthphrases [-phrases N] [-support M] [-goldfrac F] ...
 //
-// The frozen format serializes the query-ready CSR snapshot itself
+// The frozen format serializes the query-ready CSR arrays themselves
 // (checksummed, validated on load), so gqa-serve and gqa-cli can boot from
-// it without re-parsing or re-indexing anything.
+// it without re-parsing or re-indexing anything; a shard part is the same
+// format holding one part of a K-way split, without the term dictionary.
+// N-Triples (kb, synth) is the interchange format.
 package main
 
 import (
@@ -45,7 +46,7 @@ func main() {
 	support := fs.Int("support", 10, "support pairs per phrase")
 	goldfrac := fs.Float64("goldfrac", 1.0, "per-hop extraction quality")
 	frozen := fs.Bool("frozen", false, "emit a GQAFRZ1 frozen snapshot instead of N-Triples (synth)")
-	shard := fs.String("shard", "", `export one shard part as "s/K" (frozen; emits a GQASHR1 file for gqa-shard)`)
+	shard := fs.String("shard", "", `export one shard part as "s/K" (frozen; emits part s of K for gqa-shard)`)
 	fs.Parse(os.Args[2:])
 
 	w := bufio.NewWriter(os.Stdout)
@@ -66,14 +67,6 @@ func main() {
 			die(err)
 		}
 		writeGraph(w, g)
-	case "snapshot":
-		g, err := bench.BuildKB()
-		if err != nil {
-			die(err)
-		}
-		if err := g.Snapshot(w); err != nil {
-			die(err)
-		}
 	case "frozen":
 		g, err := bench.BuildKB()
 		if err != nil {
@@ -141,7 +134,7 @@ func parseShardSpec(spec string) (s, k int, err error) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: gqa-gen {kb|snapshot|frozen|phrases|synth|synthphrases} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: gqa-gen {kb|frozen|phrases|synth|synthphrases} [flags]")
 	os.Exit(2)
 }
 

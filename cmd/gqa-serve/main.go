@@ -22,16 +22,17 @@
 // -snapshot enables instant cold start: when the file exists and validates,
 // the graph boots from the GQAFRZ1 frozen snapshot (a bulk checksummed read
 // straight into the query-ready CSR arrays — no N-Triples parse, no
-// freeze). When it is missing or rejected, the graph is built the usual way
-// and the frozen snapshot is written back (atomically, via rename) so the
-// next restart is instant. Rolling restarts pay the parse cost once.
+// freeze). When it is missing or rejected (corrupt, or written by an older
+// format version), the graph is built the usual way and the frozen
+// snapshot is written back (atomically, via rename) so the next restart is
+// instant. Rolling restarts pay the parse cost once.
 //
 // -shards partitions the frozen store into K vertex-hash shards (see the
-// README's Sharding section): per-shard CSR snapshots with a boundary
-// index, scatter-gather matching, and per-shard incremental re-freeze
-// after mutations. Answers are byte-identical at every K. The GQAFRZ1
-// snapshot format stays monolithic — sharding is a runtime layout applied
-// after boot — so -shards composes freely with -snapshot.
+// README's Sharding section): per-shard CSR snapshots, scatter-gather
+// matching, and per-shard incremental re-freeze after mutations. Answers
+// are byte-identical at every K. The -snapshot file is always the K=1
+// part — sharding is a runtime layout applied after boot — so -shards
+// composes freely with -snapshot.
 //
 // Endpoints:
 //

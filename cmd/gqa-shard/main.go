@@ -1,8 +1,9 @@
 // Command gqa-shard serves one shard of a frozen graph over the shard
-// RPC protocol. It loads a GQASHR1 part file (exported by `gqa-gen
-// frozen -shard s/K`), listens on a TCP address, and answers the
-// coordinator's read calls — adjacency spans, membership probes, role
-// bits, and predicate-major groups for the scatter-gather merge. One
+// RPC protocol. It loads part s of a K ≥ 2 export (`gqa-gen frozen -shard
+// s/K`; a K=1 frozen snapshot is refused), listens on a TCP address, and
+// answers the coordinator's read calls — adjacency spans, membership
+// probes, role bits, and predicate-major groups for the scatter-gather
+// merge. One
 // gqa-shard process per shard plus a gqa-serve coordinator started with
 // -shard-addrs is the multi-process deployment of the sharded store.
 //
@@ -29,7 +30,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "TCP listen address")
-	partPath := flag.String("part", "", "GQASHR1 shard part file (required)")
+	partPath := flag.String("part", "", "shard part file from `gqa-gen frozen -shard s/K` (required)")
 	flag.Parse()
 	log.SetFlags(0)
 	log.SetPrefix("gqa-shard: ")

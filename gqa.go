@@ -67,9 +67,9 @@ type Options struct {
 	// output is canonically ordered to be byte-identical to sequential.
 	Parallelism int
 	// Shards partitions the frozen store into K vertex-hash shards, each
-	// with its own CSR snapshot, boundary index, and mutation generation;
-	// the matcher then scatters each TA round's seeds across per-shard
-	// groups and gathers at the round barrier. Answers, explain output, and
+	// with its own CSR snapshot and mutation generation; the matcher then
+	// scatters each TA round's seeds across per-shard groups and gathers
+	// at the round barrier. Answers, explain output, and
 	// match statistics are byte-identical at every shard count; what
 	// changes is incremental cost — a mutation re-freezes only the shards
 	// it touched. Zero or one keeps the one-part snapshot; negative
@@ -394,28 +394,11 @@ func SaveGraph(w io.Writer, g *store.Graph) error {
 	return rdf.Write(w, triples)
 }
 
-// SaveSnapshot writes the graph in the compact binary snapshot format,
-// which loads an order of magnitude faster than N-Triples.
-func SaveSnapshot(w io.Writer, g *store.Graph) error { return g.Snapshot(w) }
-
-// LoadSystemSnapshot assembles a System from a binary graph snapshot and
-// an encoded dictionary.
-func LoadSystemSnapshot(snapshot, dictionary io.Reader) (*System, error) {
-	g, err := store.LoadSnapshot(snapshot)
-	if err != nil {
-		return nil, fmt.Errorf("gqa: loading snapshot: %w", err)
-	}
-	d, err := dict.Decode(dictionary, g)
-	if err != nil {
-		return nil, fmt.Errorf("gqa: loading dictionary: %w", err)
-	}
-	return NewSystem(g, d, Options{}), nil
-}
-
 // SaveFrozenSnapshot writes the graph's frozen CSR snapshot in the GQAFRZ1
-// format (freezing first if needed). Unlike SaveSnapshot's interchange
-// format, the frozen format serializes the query-ready arrays themselves,
-// so loading it skips interning, sorting, and the freeze entirely — the
+// format (freezing first if needed). Unlike SaveGraph's N-Triples — the
+// interchange format, and the one to rebuild from when a frozen file is
+// rejected — it serializes the query-ready arrays themselves, so loading it
+// skips parsing, interning, sorting, and the freeze entirely: the
 // instant-cold-start path for gqa-serve.
 func SaveFrozenSnapshot(w io.Writer, g *store.Graph) error { return store.SaveFrozen(w, g) }
 

@@ -157,20 +157,20 @@ func TestFacadeResolvedSPARQL(t *testing.T) {
 	}
 }
 
-func TestSnapshotSystemRoundTrip(t *testing.T) {
+func TestFrozenSystemRoundTrip(t *testing.T) {
 	g := bench.MustKB()
 	d, _, err := bench.BuildDictionary(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var snapBuf, dictBuf bytes.Buffer
-	if err := SaveSnapshot(&snapBuf, g); err != nil {
+	if err := SaveFrozenSnapshot(&snapBuf, g); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Encode(&dictBuf, g); err != nil {
 		t.Fatal(err)
 	}
-	s, err := LoadSystemSnapshot(&snapBuf, &dictBuf)
+	s, err := LoadSystemFrozen(&snapBuf, &dictBuf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -454,7 +454,7 @@ func (m *matcher) instanceCount(c store.ID) int {
 }
 
 // hasType answers "is w an instance of class c": a binary-searched
-// membership probe (cross-shard probes route through the boundary index).
+// membership probe in w's out span, wherever c lives.
 func (m *matcher) hasType(w, c store.ID) bool {
 	tid := m.view.TypeID()
 	return tid != store.None && m.view.Has(w, tid, c)

@@ -181,7 +181,7 @@ next:
 	return false
 }
 
-// loopbackView shards g four ways, sends every part through the GQASHR1
+// loopbackView shards g four ways, sends every part through the shard-part
 // file format, serves each from a shard server on loopback TCP, and
 // returns the dialed snapshot — the deployment shape in which every read
 // the matcher makes crosses a process boundary's worth of code.

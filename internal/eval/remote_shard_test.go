@@ -13,7 +13,7 @@ import (
 )
 
 // startRemoteShards builds the benchmark KB, shards it K ways, exports
-// every part through the GQASHR1 file format, and serves each from an
+// every part through the shard-part file format, and serves each from an
 // in-process loopback ShardServer — the exact topology of K gqa-shard
 // processes, minus the process boundary. Returns the shard addresses in
 // shard order and the live servers.

@@ -126,7 +126,6 @@ func TestMetricNamingConvention(t *testing.T) {
 	// by internal/store whether or not a remote view is connected).
 	for _, name := range []string{
 		"gqa_store_shard_freezes_total",
-		"gqa_store_shard_boundary_edges_total",
 		"gqa_cache_bypass_total",
 		"gqa_rpc_calls_total",
 		"gqa_rpc_retries_total",

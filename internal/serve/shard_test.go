@@ -109,7 +109,7 @@ scan:
 	}
 	mresp.Body.Close()
 	metrics := mbody.String()
-	for _, name := range []string{"gqa_store_shard_freezes_total", "gqa_store_shard_boundary_edges_total"} {
+	for _, name := range []string{"gqa_store_shard_freezes_total"} {
 		if !strings.Contains(metrics, name) {
 			t.Errorf("/metrics missing %s on a sharded boot", name)
 		}

@@ -43,7 +43,7 @@ func waitForLine(t *testing.T, name string, stderr *bufio.Scanner, marker string
 }
 
 // TestShardRPCSmokeBinary is the `make shard-rpc-smoke` tier-1 gate: the
-// full multi-process deployment, end to end. It exports 4 GQASHR1 shard
+// full multi-process deployment, end to end. It exports 4 shard
 // parts with gqa-gen, boots 4 real gqa-shard servers, boots a gqa-serve
 // coordinator with -shard-addrs pointing at them, answers a known
 // question over HTTP (every frozen read crossing the process boundary),

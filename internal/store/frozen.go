@@ -10,10 +10,6 @@ package store
 // processes: its reader is then the shard-RPC client (remote.go) and
 // nothing above the reader can tell.
 //
-// Not to be confused with the binary interchange format in snapshot.go
-// (Graph.Snapshot / LoadSnapshot); a *Snapshot here is the in-memory
-// frozen query structure.
-//
 // Contract: FrozenView/Freeze never return nil — they return the snapshot
 // at the graph's current mutation generation, building it first when the
 // graph mutated since the last one (one build however many readers ask at
@@ -37,7 +33,7 @@ import (
 
 // Freeze metrics: how long a freeze takes, how much memory the frozen
 // arrays hold, and how many parts were actually rebuilt (clean parts are
-// reused and not counted) with how many boundary-index entries.
+// reused and not counted).
 var (
 	snapshotBuildSeconds = obs.DefaultHistogram("gqa_store_snapshot_build_seconds",
 		"Time to build one frozen CSR snapshot from the mutable graph.", nil)
@@ -47,8 +43,6 @@ var (
 		"Frozen CSR snapshots built (freezes after load or mutation).")
 	shardFreezes = obs.DefaultCounter("gqa_store_shard_freezes_total",
 		"Part CSRs rebuilt during freezes (clean shards are reused, not counted).")
-	shardBoundaryEdges = obs.DefaultCounter("gqa_store_shard_boundary_edges_total",
-		"Cross-shard boundary-index edges built across part rebuilds.")
 )
 
 // Snapshot is the frozen read surface and the one View implementation:
@@ -219,7 +213,6 @@ func (g *Graph) buildSnapshot(k int, prev *Snapshot) (*Snapshot, int) {
 		parts[i] = buildShardPart(g, i, k, pgen)
 		rebuilt++
 		shardFreezes.Inc()
-		shardBoundaryEdges.Add(int64(len(parts[i].boundary)))
 	}
 	sn := &Snapshot{
 		gen: gen, k: k, terms: g.terms, rd: parts, parts: parts,
@@ -320,16 +313,6 @@ func (sn *Snapshot) NumShards() int { return sn.k }
 
 // Bytes returns the approximate heap size of the local parts' arrays.
 func (sn *Snapshot) Bytes() int64 { return sn.bytes }
-
-// BoundaryEdges returns the total cross-shard out-edges indexed across
-// all local parts.
-func (sn *Snapshot) BoundaryEdges() int {
-	n := 0
-	for _, p := range sn.parts {
-		n += len(p.boundary)
-	}
-	return n
-}
 
 // NumTerms returns the number of interned terms at freeze time.
 func (sn *Snapshot) NumTerms() int { return len(sn.terms) }

@@ -51,24 +51,3 @@ func BenchmarkSaveFrozenKB(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkLoadSnapshotKB(b *testing.B) {
-	g, err := bench.BuildKB()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := g.Snapshot(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g2, err := store.LoadSnapshot(bytes.NewReader(data))
-		if err != nil {
-			b.Fatal(err)
-		}
-		g2.Freeze()
-	}
-}

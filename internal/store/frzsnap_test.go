@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gqa/internal/rdf"
@@ -47,7 +48,7 @@ func tinyFrozenGraph() *Graph {
 	return g
 }
 
-func saveFrozenBytes(t *testing.T, g *Graph) []byte {
+func saveFrozenBytes(t testing.TB, g *Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := SaveFrozen(&buf, g); err != nil {
@@ -56,41 +57,47 @@ func saveFrozenBytes(t *testing.T, g *Graph) []byte {
 	return buf.Bytes()
 }
 
+// savePartBytes shards g k ways (unless it already is) and returns the
+// file of part shard.
+func savePartBytes(tb testing.TB, g *Graph, k, shard int) []byte {
+	tb.Helper()
+	if g.NumShards() != k {
+		g.SetShards(k)
+	}
+	var buf bytes.Buffer
+	if err := SaveShardPart(&buf, g, shard); err != nil {
+		tb.Fatalf("SaveShardPart(%d/%d): %v", shard, k, err)
+	}
+	return buf.Bytes()
+}
+
 // refixChecksums recomputes every section CRC, the content hash, and the
-// header CRC of a GQAFRZ1 or GQASHR1 file in place, assuming section
-// lengths are unchanged — so a test can corrupt a payload byte while
-// keeping the checksums internally consistent, forcing rejection through
-// semantic validation rather than a CRC mismatch. Both formats share the
-// layout: headerFixed bytes ending in the content hash, a 12-byte directory
-// entry per section, the header CRC, then the payloads.
-func refixChecksums(b []byte, headerFixed, sections int) {
-	crcOff := headerFixed + sections*frzDirEntrySize
-	off := crcOff + 4
-	for i := 0; i < sections; i++ {
-		d := headerFixed + i*frzDirEntrySize
+// header CRC of a file in place from the lengths its directory declares —
+// so a test can corrupt a payload byte while keeping the checksums
+// internally consistent, forcing rejection through semantic validation
+// rather than a CRC mismatch.
+func refixChecksums(b []byte) {
+	crcOff := frzHeaderSize - 4
+	off := frzHeaderSize
+	for i := 0; i < frzSectionCount; i++ {
+		d := frzHeaderFixed + i*frzDirEntrySize
 		length := int(binary.LittleEndian.Uint64(b[d : d+8]))
 		binary.LittleEndian.PutUint32(b[d+8:d+12], crc32.ChecksumIEEE(b[off:off+length]))
 		off += length
 	}
-	binary.LittleEndian.PutUint64(b[headerFixed-8:headerFixed], frzContentHash(b[headerFixed:crcOff]))
-	binary.LittleEndian.PutUint32(b[crcOff:crcOff+4], crc32.ChecksumIEEE(b[:crcOff]))
+	binary.LittleEndian.PutUint64(b[frzHeaderFixed-8:frzHeaderFixed], frzContentHash(b[frzHeaderFixed:crcOff]))
+	binary.LittleEndian.PutUint32(b[crcOff:], crc32.ChecksumIEEE(b[:crcOff]))
 }
 
 // sectionRange returns the payload byte range of section sec.
-func sectionRange(b []byte, headerFixed, sections, sec int) (int, int) {
-	off := headerFixed + sections*frzDirEntrySize + 4
+func sectionRange(b []byte, sec int) (int, int) {
+	off := frzHeaderSize
 	for i := 0; i < sec; i++ {
-		d := headerFixed + i*frzDirEntrySize
+		d := frzHeaderFixed + i*frzDirEntrySize
 		off += int(binary.LittleEndian.Uint64(b[d : d+8]))
 	}
-	d := headerFixed + sec*frzDirEntrySize
+	d := frzHeaderFixed + sec*frzDirEntrySize
 	return off, off + int(binary.LittleEndian.Uint64(b[d:d+8]))
-}
-
-func refixFrozenChecksums(b []byte) { refixChecksums(b, frzHeaderFixed, frzSectionCount) }
-
-func frzSectionRange(b []byte, sec int) (int, int) {
-	return sectionRange(b, frzHeaderFixed, frzSectionCount, sec)
 }
 
 // TestFrozenDiskDifferential is the load-vs-rebuild harness: random rich
@@ -263,98 +270,152 @@ func TestFrozenEmptyGraph(t *testing.T) {
 	}
 }
 
-// TestFrozenCorruptionMatrix is the hostile-input battery: every truncation
-// point, every single-bit flip, every directory length lie, and a set of
-// checksum-consistent payload corruptions must be rejected with an error —
-// never a panic, never a silently wrong graph.
+// TestFrozenCorruptionMatrix is the hostile-input battery, run over both
+// kinds of file through their own entry points: every truncation point,
+// every single-bit flip, every directory length lie, and every
+// checksum-consistent payload bit flip must be rejected with an error —
+// never a panic, never a silently wrong graph. The only bits exempt from
+// the last battery are the ones the format documents as authoritative,
+// which only the CRC layer protects: the term bytes and the class role at
+// K=1 (classification is monotone — a class survives losing its last type
+// edge — so a flipped class bit that leaves the entity derivation unchanged
+// describes a different valid graph); for a part of K>1, which has no term
+// dictionary to check against, also the term-kind and predicate role bits,
+// in-edges whose subject another part owns, and the global facts in meta
+// (generations, term/triple counts, rdf:type ID, stats).
 func TestFrozenCorruptionMatrix(t *testing.T) {
-	valid := saveFrozenBytes(t, tinyFrozenGraph())
-	if _, err := LoadFrozen(bytes.NewReader(valid)); err != nil {
-		t.Fatalf("valid snapshot rejected: %v", err)
+	const partK, partShard = 3, 1
+	loadFrozen := func(b []byte) error { _, err := LoadFrozen(bytes.NewReader(b)); return err }
+	loadPart := func(b []byte) error { _, err := LoadShardPart(bytes.NewReader(b)); return err }
+	files := []struct {
+		name          string
+		valid         []byte
+		load          func([]byte) error
+		authoritative func(valid []byte, sec, off, bit int) bool // off is relative to the section
+	}{
+		{"K=1 file", saveFrozenBytes(t, tinyFrozenGraph()), loadFrozen,
+			func(_ []byte, sec, _, bit int) bool {
+				return sec == frzTerms || (sec == frzRoles && uint8(1<<bit) == roleClass)
+			}},
+		{"part 1 of K=3", savePartBytes(t, randomRichGraph(rand.New(rand.NewSource(3))), partK, partShard), loadPart,
+			func(valid []byte, sec, off, bit int) bool {
+				switch sec {
+				case frzMeta: // all but shard, k and the owned literal count
+					return (off >= 8 && off < 44) || off >= 52
+				case frzRoles:
+					return uint8(1<<bit) < roleEntity
+				case frzInEdges:
+					lo, _ := sectionRange(valid, frzInEdges)
+					subject := binary.LittleEndian.Uint32(valid[lo+off/8*8+4:])
+					return subject%partK != partShard
+				}
+				return false
+			}},
 	}
-
-	mustFail := func(what string, data []byte) {
-		t.Helper()
-		defer func() {
-			if p := recover(); p != nil {
-				t.Fatalf("%s: LoadFrozen panicked: %v", what, p)
+	for _, f := range files {
+		t.Run(f.name, func(t *testing.T) {
+			valid := f.valid
+			if err := f.load(valid); err != nil {
+				t.Fatalf("valid file rejected: %v", err)
 			}
-		}()
-		if _, err := LoadFrozen(bytes.NewReader(data)); err == nil {
-			t.Fatalf("%s: corrupt snapshot accepted", what)
-		}
-	}
-
-	// Every truncation point, including the empty file.
-	for i := 0; i < len(valid); i++ {
-		mustFail(fmt.Sprintf("truncate at %d", i), valid[:i])
-	}
-	// Trailing garbage after a valid stream.
-	mustFail("trailing byte", append(append([]byte(nil), valid...), 0x00))
-
-	// Every single-bit flip anywhere in the file: the header CRC covers the
-	// header and directory, the per-section CRCs cover every payload byte.
-	for i := 0; i < len(valid); i++ {
-		for bit := 0; bit < 8; bit++ {
-			mut := append([]byte(nil), valid...)
-			mut[i] ^= 1 << bit
-			mustFail(fmt.Sprintf("bit flip at byte %d bit %d", i, bit), mut)
-		}
-	}
-
-	// Directory length lies, with the header CRC re-fixed so the lie itself
-	// is reachable: the cross-section length checks or the section CRCs
-	// must reject it.
-	for sec := 0; sec < frzSectionCount; sec++ {
-		d := frzHeaderFixed + sec*frzDirEntrySize
-		orig := binary.LittleEndian.Uint64(valid[d : d+8])
-		for _, lie := range []uint64{0, orig + 1, orig * 2, orig + 12, 1 << 40} {
-			if lie == orig {
-				continue
+			mustFail := func(what string, data []byte) {
+				t.Helper()
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("%s: loader panicked: %v", what, p)
+					}
+				}()
+				if err := f.load(data); err == nil {
+					t.Fatalf("%s: corrupt file accepted", what)
+				}
 			}
+
+			// Every truncation point, including the empty file.
+			for i := 0; i < len(valid); i++ {
+				mustFail(fmt.Sprintf("truncate at %d", i), valid[:i])
+			}
+			// Trailing garbage after a valid stream.
+			mustFail("trailing byte", append(append([]byte(nil), valid...), 0x00))
+
+			// Every single-bit flip anywhere in the file: the header CRC covers the
+			// header and directory, the per-section CRCs cover every payload byte.
+			for i := 0; i < len(valid); i++ {
+				for bit := 0; bit < 8; bit++ {
+					mut := append([]byte(nil), valid...)
+					mut[i] ^= 1 << bit
+					mustFail(fmt.Sprintf("bit flip at byte %d bit %d", i, bit), mut)
+				}
+			}
+
+			// Directory length lies, with the header CRC re-fixed so the lie itself
+			// is reachable: the cross-section length checks (ragged lengths
+			// included) or the section CRCs must reject it.
+			for sec := 0; sec < frzSectionCount; sec++ {
+				d := frzHeaderFixed + sec*frzDirEntrySize
+				orig := binary.LittleEndian.Uint64(valid[d : d+8])
+				for _, lie := range []uint64{0, orig + 1, orig * 2, orig + 12, 1 << 40} {
+					if lie == orig {
+						continue
+					}
+					mut := append([]byte(nil), valid...)
+					binary.LittleEndian.PutUint64(mut[d:d+8], lie)
+					binary.LittleEndian.PutUint32(mut[frzHeaderSize-4:frzHeaderSize], crc32.ChecksumIEEE(mut[:frzHeaderSize-4]))
+					mustFail(fmt.Sprintf("section %s length %d→%d", frzSectionNames[sec], orig, lie), mut)
+				}
+			}
+
+			// Checksum-consistent corruption: flip one payload bit, then re-fix
+			// every CRC and the content hash. The semantic validation pass must
+			// still reject, with an error that says where — this is the "no silent
+			// wrong answers" guarantee.
+			for sec := 0; sec < frzSectionCount; sec++ {
+				lo, hi := sectionRange(valid, sec)
+				for off := lo; off < hi; off++ {
+					for bit := 0; bit < 8; bit++ {
+						if f.authoritative(valid, sec, off-lo, bit) {
+							continue
+						}
+						mut := append([]byte(nil), valid...)
+						mut[off] ^= 1 << bit
+						refixChecksums(mut)
+						err := f.load(mut)
+						if err == nil {
+							t.Fatalf("section %s: consistent corruption at byte %d bit %d accepted", frzSectionNames[sec], off-lo, bit)
+						}
+						if msg := err.Error(); !strings.Contains(msg, "section ") || !strings.Contains(msg, "byte offset ") {
+							t.Fatalf("section %s byte %d bit %d: error does not name a section and byte offset: %v", frzSectionNames[sec], off-lo, bit, err)
+						}
+					}
+				}
+			}
+
+			// Version and magic tampering with a re-fixed header CRC; a foreign
+			// magic is named in the error.
 			mut := append([]byte(nil), valid...)
-			binary.LittleEndian.PutUint64(mut[d:d+8], lie)
+			binary.LittleEndian.PutUint32(mut[8:12], frozenVersion+1)
 			binary.LittleEndian.PutUint32(mut[frzHeaderSize-4:frzHeaderSize], crc32.ChecksumIEEE(mut[:frzHeaderSize-4]))
-			mustFail(fmt.Sprintf("section %s length %d→%d", frzSectionNames[sec], orig, lie), mut)
-		}
-	}
-
-	// Checksum-consistent corruption: flip payload bytes in the derived and
-	// structural sections, then re-fix every CRC and the content hash. The
-	// semantic validation pass (offset monotonicity, sortedness, range
-	// checks, triple-set agreement, signature/role/entity recomputation)
-	// must still reject — this is the "no silent wrong answers" guarantee.
-	// The terms section is excluded: term bytes are authoritative data, not
-	// derived state, so only the CRC layer protects them. Likewise the
-	// roleClass bit inside the roles section: classification is monotone
-	// (a class survives losing its last type edge), so the bit is
-	// authoritative history, and a flip that leaves the entity derivation
-	// unchanged describes a different valid graph rather than corruption.
-	for sec := frzMeta; sec < frzSectionCount; sec++ {
-		lo, hi := frzSectionRange(valid, sec)
-		for off := lo; off < hi; off++ {
-			for bit := 0; bit < 8; bit++ {
-				if sec == frzRoles && uint8(1<<bit) == roleClass {
-					continue
-				}
-				mut := append([]byte(nil), valid...)
-				mut[off] ^= 1 << bit
-				refixFrozenChecksums(mut)
-				if _, err := LoadFrozen(bytes.NewReader(mut)); err == nil {
-					t.Fatalf("section %s: consistent corruption at byte %d bit %d accepted", frzSectionNames[sec], off-lo, bit)
-				}
+			mustFail("future version", mut)
+			mut = append([]byte(nil), valid...)
+			copy(mut, "GQASNAP1")
+			if err := f.load(mut); err == nil || !strings.Contains(err.Error(), "GQASNAP1") {
+				t.Fatalf("wrong magic: err = %v, want one naming the magic found", err)
 			}
-		}
+		})
 	}
+}
 
-	// Version and magic tampering with a re-fixed header CRC.
-	mut := append([]byte(nil), valid...)
-	binary.LittleEndian.PutUint32(mut[8:12], frozenVersion+1)
-	binary.LittleEndian.PutUint32(mut[frzHeaderSize-4:frzHeaderSize], crc32.ChecksumIEEE(mut[:frzHeaderSize-4]))
-	mustFail("future version", mut)
-	mut = append([]byte(nil), valid...)
-	copy(mut, "GQASNAP1")
-	mustFail("wrong magic", mut)
+// TestFrozenWrongKind: both kinds of file share one container, so feeding
+// one to the other's entry point must fail with a message that says which
+// kind it was, not with a shape mismatch deep in validation.
+func TestFrozenWrongKind(t *testing.T) {
+	whole := saveFrozenBytes(t, tinyFrozenGraph())
+	if _, err := LoadShardPart(bytes.NewReader(whole)); err == nil || !strings.Contains(err.Error(), "a K=1 snapshot, not a shard part") {
+		t.Fatalf("LoadShardPart(K=1 file): err = %v", err)
+	}
+	part := savePartBytes(t, tinyFrozenGraph(), 4, 1)
+	if _, err := LoadFrozen(bytes.NewReader(part)); err == nil || !strings.Contains(err.Error(), "part 1/4 of a sharded export, not a K=1 snapshot") {
+		t.Fatalf("LoadFrozen(part 1/4): err = %v", err)
+	}
 }
 
 // TestFrozenGenerationPreserved: the loaded graph reports the exact

@@ -12,9 +12,7 @@ package store
 // across shard counts and across the process boundary.
 //
 // A cross-part edge (s, p, o) appears twice — in s's part's out-CSR and
-// o's part's in-CSR — and is additionally listed in s's part's boundary
-// index, a (Local, Pred, To)-sorted list binary-searched by membership
-// probes whose endpoints live in different parts.
+// o's part's in-CSR; a membership probe reads s's out span wherever o lives.
 
 import "sort"
 
@@ -27,16 +25,6 @@ const (
 	rolePred                // term is used as a predicate
 	roleEntity              // IRI, not a class, not a predicate, degree > 0
 )
-
-// BoundaryEdge is one cross-part out-edge in a part's boundary index: the
-// source vertex as its dense local index, the predicate, and the remote
-// endpoint with its owning shard.
-type BoundaryEdge struct {
-	Local  uint32 // dense local index of the source vertex in this part
-	Pred   ID
-	Remote uint32 // owning shard of To (To mod K), precomputed
-	To     ID
-}
 
 // shardPart is one part's frozen arrays. All fields are immutable after
 // build; a part built at generation gen is reused verbatim by later
@@ -59,8 +47,6 @@ type shardPart struct {
 	predIDs     []ID
 	predOff     []uint32
 	predTriples []Spo
-
-	boundary []BoundaryEdge // cross-part out-edges, sorted (Local, Pred, To)
 
 	// Two-hash-bit vertex signature, in the spirit of gStore's vertex
 	// signatures [33]: predicate p incident to v sets bit h1(p) in sig[v][0]
@@ -89,7 +75,7 @@ func localCount(n, shard, k int) int {
 }
 
 // buildShardPart recompacts one part from the mutable graph: the local
-// CSRs, boundary index, signatures, owned-subject predicate CSR and roles.
+// CSRs, signatures, owned-subject predicate CSR and roles.
 func buildShardPart(g *Graph, shard, k int, gen uint64) *shardPart {
 	n := len(g.terms)
 	nLocal := localCount(n, shard, k)
@@ -100,8 +86,7 @@ func buildShardPart(g *Graph, shard, k int, gen uint64) *shardPart {
 	// Predicate-major CSR by counting sort: count the owned triples per
 	// predicate, turn the counts into group offsets, then scatter. The
 	// scatter walks subjects ascending and each span in (Pred, To) order, so
-	// every group fills in (S, O) order with no comparison sort; the same
-	// walk yields the boundary index already sorted (Local, Pred, To).
+	// every group fills in (S, O) order with no comparison sort.
 	cursor := make([]uint32, n) // per predicate: triple count, then next free slot
 	for _, e := range p.outEdges {
 		cursor[e.Pred]++
@@ -125,11 +110,6 @@ func buildShardPart(g *Graph, shard, k int, gen uint64) *shardPart {
 			p.sig[l][1] |= hi
 			p.predTriples[cursor[e.Pred]] = Spo{S: s, P: e.Pred, O: e.To}
 			cursor[e.Pred]++
-			if rs := int(e.To) % k; rs != shard {
-				p.boundary = append(p.boundary, BoundaryEdge{
-					Local: uint32(l), Pred: e.Pred, Remote: uint32(rs), To: e.To,
-				})
-			}
 		}
 		for _, e := range p.inEdges[p.inOff[l]:p.inOff[l+1]] {
 			lo, hi := sigBits(e.Pred)
@@ -173,7 +153,6 @@ func (p *shardPart) arrayBytes() int64 {
 	return int64(len(p.outEdges)+len(p.inEdges))*8 +
 		int64(len(p.outOff)+len(p.inOff)+len(p.predOff))*4 +
 		int64(len(p.predTriples))*12 +
-		int64(len(p.boundary))*16 +
 		int64(len(p.sig))*16 +
 		int64(len(p.roles)) +
 		int64(len(p.entities)+len(p.predIDs))*4
@@ -268,6 +247,12 @@ func spanHas(span []Edge, p, o ID) bool {
 	return lo < len(span) && span[lo].Pred == p && span[lo].To == o
 }
 
+// lowerBoundID returns the first index in an ascending ID list with
+// ids[i] >= id.
+func lowerBoundID(ids []ID, id ID) int {
+	return sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
+}
+
 // ------------------------------------------------------- the local reader
 
 // localParts is the in-process reader: element i is part i of
@@ -324,29 +309,7 @@ func (ps localParts) hasAdjacentPred(v, pred ID) bool {
 		spanHasPred(p.inEdges[p.inOff[l]:p.inOff[l+1]], pred)
 }
 
-// has answers an intra-part triple by binary search in s's out span and a
-// cross-part triple by one hop through s's part's boundary index.
-func (ps localParts) has(s, pred, o ID) bool {
-	p, l := ps.locate(s)
-	if p == nil {
-		return false
-	}
-	if int(o)%p.k == p.shard {
-		return spanHas(p.outEdges[p.outOff[l]:p.outOff[l+1]], pred, o)
-	}
-	lu, b := uint32(l), p.boundary
-	i := sort.Search(len(b), func(i int) bool {
-		e := &b[i]
-		if e.Local != lu {
-			return e.Local > lu
-		}
-		if e.Pred != pred {
-			return e.Pred > pred
-		}
-		return e.To >= o
-	})
-	return i < len(b) && b[i].Local == lu && b[i].Pred == pred && b[i].To == o
-}
+func (ps localParts) has(s, pred, o ID) bool { return spanHas(ps.outSpan(s), pred, o) }
 
 func (ps localParts) role(v ID) uint8 {
 	p, l := ps.locate(v)
@@ -362,7 +325,7 @@ func (ps localParts) predGroups(pred ID) [][]Spo {
 		if p == nil {
 			continue
 		}
-		i := sort.Search(len(p.predIDs), func(i int) bool { return p.predIDs[i] >= pred })
+		i := lowerBoundID(p.predIDs, pred)
 		if i < len(p.predIDs) && p.predIDs[i] == pred && p.predOff[i+1] > p.predOff[i] {
 			groups = append(groups, p.predTriples[p.predOff[i]:p.predOff[i+1]])
 		}

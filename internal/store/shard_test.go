@@ -20,6 +20,49 @@ func collectExact(match func(s, p, o ID, fn func(Spo) bool), s, p, o ID) []Spo {
 	return out
 }
 
+// hasRow is one membership probe and the answer it must get.
+type hasRow struct {
+	s, p, o ID
+	want    bool
+}
+
+// crossPartHasRows builds the probes whose endpoints live in different
+// parts of a k-way split of sn (the K=1 snapshot, the reference): for a
+// sample of cross-part edges (s, p, o), the present edge itself, the same
+// endpoints under a predicate that does not connect them, and the same
+// subject and predicate with an absent object on another part. Every such
+// probe is answered from s's out span in s's part, wherever o lives.
+func crossPartHasRows(t *testing.T, sn *Snapshot, k int) []hasRow {
+	t.Helper()
+	var rows []hasRow
+	n := ID(sn.NumTerms())
+	for s := ID(0); s < n && len(rows) < 60; s++ {
+		for _, e := range sn.Out(s) {
+			if int(e.To)%k == int(s)%k {
+				continue
+			}
+			rows = append(rows, hasRow{s, e.Pred, e.To, true})
+			for _, p := range sn.predIDs {
+				if !sn.Has(s, p, e.To) {
+					rows = append(rows, hasRow{s, p, e.To, false})
+					break
+				}
+			}
+			for o := ID(0); o < n; o++ {
+				if int(o)%k != int(s)%k && !sn.Has(s, e.Pred, o) {
+					rows = append(rows, hasRow{s, e.Pred, o, false})
+					break
+				}
+			}
+			break
+		}
+	}
+	if len(rows) < 3 {
+		t.Fatalf("k %d: no cross-part edge to probe", k)
+	}
+	return rows
+}
+
 // TestShardCountEquivalence pins the order-identity contract: every read
 // of a K-part snapshot returns exactly what the one-part snapshot of the
 // same graph returns, in the same order, across random graphs and shard
@@ -92,13 +135,18 @@ func TestShardCountEquivalence(t *testing.T) {
 				}
 			}
 
-			// Has across random triples, hitting both the intra-shard span
-			// search and the cross-shard boundary index, present and absent.
+			// Has across random triples, intra- and cross-part, then the
+			// cross-part table: present, wrong predicate, absent object.
 			for i := 0; i < 400; i++ {
 				s, p, o := ID(r.Intn(int(n))), ID(r.Intn(int(n))), ID(r.Intn(int(n)))
 				if ss.Has(s, p, o) != sn.Has(s, p, o) {
 					t.Fatalf("seed %d k %d: Has(%d,%d,%d) = %v, want %v",
 						seed, k, s, p, o, ss.Has(s, p, o), sn.Has(s, p, o))
+				}
+			}
+			for _, row := range crossPartHasRows(t, sn, k) {
+				if got := ss.Has(row.s, row.p, row.o); got != row.want {
+					t.Fatalf("seed %d k %d: cross-part Has(%d,%d,%d) = %v, want %v", seed, k, row.s, row.p, row.o, got, row.want)
 				}
 			}
 			for v := ID(0); v < n; v++ {
@@ -249,25 +297,5 @@ func TestShardGenKey(t *testing.T) {
 	}
 	if got, want := len(g.GenVector()), 3; got != want {
 		t.Fatalf("GenVector length %d, want %d", got, want)
-	}
-}
-
-// TestShardBoundaryIndex checks the boundary metric and that the index
-// covers exactly the cross-shard out-edges.
-func TestShardBoundaryIndex(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	g := randomRichGraph(r)
-	g.SetShards(4)
-	ss := g.Freeze()
-	want := 0
-	for v := ID(0); v < ID(g.NumTerms()); v++ {
-		for _, e := range ss.Out(v) {
-			if int(e.To)%4 != int(v)%4 {
-				want++
-			}
-		}
-	}
-	if got := ss.BoundaryEdges(); got != want {
-		t.Fatalf("BoundaryEdges %d, want %d", got, want)
 	}
 }

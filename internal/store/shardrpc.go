@@ -1,7 +1,7 @@
 package store
 
 // The shard RPC protocol: the wire boundary between a coordinator's
-// rpcReader (remote.go) and a gqa-shard server holding one GQASHR1 part.
+// rpcReader (remote.go) and a gqa-shard server holding one part of a K ≥ 2 export (frzsnap.go).
 // The protocol is deliberately minimal — length-prefixed binary frames
 // over TCP, one outstanding request per connection — because what it
 // carries is the reader interface (view.go), one opcode per method: tiny
@@ -292,43 +292,4 @@ func boolByte(b bool) byte {
 		return 1
 	}
 	return 0
-}
-
-func encodeShardMeta(m *shardMeta) []byte {
-	mb := make([]byte, 0, shrMetaSize)
-	mb = binary.LittleEndian.AppendUint32(mb, m.shard)
-	mb = binary.LittleEndian.AppendUint32(mb, m.k)
-	mb = binary.LittleEndian.AppendUint64(mb, m.gen)
-	mb = binary.LittleEndian.AppendUint64(mb, m.shardGen)
-	mb = binary.LittleEndian.AppendUint64(mb, m.nTerms)
-	mb = binary.LittleEndian.AppendUint64(mb, m.nTriples)
-	mb = binary.LittleEndian.AppendUint32(mb, m.rdfType)
-	mb = binary.LittleEndian.AppendUint64(mb, m.literals)
-	for _, v := range [5]int{m.stats.Entities, m.stats.Classes, m.stats.Literals, m.stats.Triples, m.stats.Predicates} {
-		mb = binary.LittleEndian.AppendUint64(mb, uint64(v))
-	}
-	return mb
-}
-
-func decodeShardMeta(b []byte) (shardMeta, error) {
-	var m shardMeta
-	if len(b) != shrMetaSize {
-		return m, fmt.Errorf("shard meta is %d bytes, want %d", len(b), shrMetaSize)
-	}
-	m.shard = binary.LittleEndian.Uint32(b[0:])
-	m.k = binary.LittleEndian.Uint32(b[4:])
-	m.gen = binary.LittleEndian.Uint64(b[8:])
-	m.shardGen = binary.LittleEndian.Uint64(b[16:])
-	m.nTerms = binary.LittleEndian.Uint64(b[24:])
-	m.nTriples = binary.LittleEndian.Uint64(b[32:])
-	m.rdfType = binary.LittleEndian.Uint32(b[40:])
-	m.literals = binary.LittleEndian.Uint64(b[44:])
-	m.stats = Stats{
-		Entities:   int(binary.LittleEndian.Uint64(b[52:])),
-		Classes:    int(binary.LittleEndian.Uint64(b[60:])),
-		Literals:   int(binary.LittleEndian.Uint64(b[68:])),
-		Triples:    int(binary.LittleEndian.Uint64(b[76:])),
-		Predicates: int(binary.LittleEndian.Uint64(b[84:])),
-	}
-	return m, nil
 }
