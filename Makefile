@@ -3,15 +3,16 @@
 # served concurrently and the budget/degradation layer must stay
 # data-race free. fuzz-seeds replays the checked-in fuzz corpus seeds
 # (one deterministic pass, no fuzzing engine) so the parser regressions
-# they encode are part of the gate. serve-sweep-smoke drives the real
-# admission-controlled HTTP server through a short overload sweep so the
-# 429/shedding path stays exercised end to end.
+# they encode are part of the gate. The *-smoke targets drive the real
+# binaries end to end. Every gate here is a test that can fail; how fast
+# the system is comes from one place, benchmark/ (BENCHMARK.json), which
+# bench-build compiles and runs for three seconds.
 
 GO ?= go
 
-.PHONY: tier1 vet build bench-build test race fuzz fuzz-seeds bench bench-cache bench-serve bench-coldstart bench-obs bench-shard bench-shard-rpc serve-smoke serve-sweep-smoke snapshot-smoke flight-smoke shard-smoke shard-rpc-smoke
+.PHONY: tier1 vet build bench-build test race fuzz fuzz-seeds bench serve-smoke snapshot-smoke flight-smoke shard-smoke shard-rpc-smoke
 
-tier1: vet build bench-build race fuzz-seeds serve-sweep-smoke snapshot-smoke flight-smoke shard-smoke shard-rpc-smoke
+tier1: vet build bench-build race fuzz-seeds snapshot-smoke flight-smoke shard-smoke shard-rpc-smoke
 
 vet:
 	$(GO) vet ./...
@@ -40,13 +41,6 @@ race:
 # internal/serve; cmd/gqa-serve is the thin binary over it.)
 serve-smoke:
 	$(GO) test -run TestServeSmoke -v ./internal/serve
-
-# Short overload sweep (tier-1): a half-saturation baseline plus a 4x
-# overload level through the live admission-controlled listener. 500ms
-# windows keep the p99-ratio acceptance stable; no -json so the recorded
-# BENCH_serve.json artifact is not clobbered by the quick gate.
-serve-sweep-smoke:
-	$(GO) run ./cmd/gqa-bench -exp serve -serve-duration 500ms -serve-levels 0.5,4
 
 # File-format smoke (tier-1), one format end to end through the real
 # binaries: the K=1 file boots gqa-cli and answers a known question, part
@@ -80,21 +74,11 @@ fuzz:
 	$(GO) test -fuzz FuzzLoadShardPart -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzShardServerHandle -fuzztime 30s ./internal/store/
 
+# Go micro-benchmarks, for measuring while you work (among them the cold
+# start pair, BenchmarkLoadFrozenKB/ntriples against /gqafrz1). A number
+# that is quoted or gated comes from benchmark/, not from here.
 bench:
 	$(GO) test -bench . -benchmem ./...
-
-# Answer-cache benchmark: cold (pipeline) vs warm (generation-keyed hit)
-# vs coalesced latency over the benchmark workload, recorded in
-# BENCH_cache.json (warm_speedup is the headline number).
-bench-cache:
-	$(GO) run ./cmd/gqa-bench -exp cache -json BENCH_cache.json
-
-# Serving overload benchmark: closed-loop saturation probe, then an
-# open-loop offered-load sweep (0.5/1/2/4× saturation) against the live
-# admission-controlled server, recorded in BENCH_serve.json (the
-# acceptance block — p99 ratio and shed counts — is the headline).
-bench-serve:
-	$(GO) run ./cmd/gqa-bench -exp serve -json BENCH_serve.json
 
 # Flight-recorder smoke (tier-1): build the real gqa-serve binary, boot it
 # with -flight-log, ask one question over HTTP, and assert the wide event
@@ -117,33 +101,3 @@ shard-smoke:
 shard-rpc-smoke:
 	$(GO) test -run TestShardRPCSmokeBinary -v ./internal/serve
 
-# Sharded-matching benchmark: K ∈ {1,2,4,8} sweep over the matcher
-# workload (identity to K=1 is the acceptance gate, not speedup, so the
-# result is meaningful on single-core boxes too), plus the incremental
-# re-freeze comparison (whole graph vs one dirty shard after a single
-# Add) on the 20k synthetic graph, recorded in BENCH_shard.json.
-bench-shard:
-	$(GO) run ./cmd/gqa-bench -exp shard -json BENCH_shard.json
-
-# Multi-process sharding benchmark: the in-process K=4 ShardSet vs the
-# same shards served over loopback shard-RPC servers, over the whole
-# benchmark workload, recorded in BENCH_shardrpc.json (identity.pass —
-# byte-identical answers across the process boundary — is the gate; the
-# p50/p99 delta is the price of the wire).
-bench-shard-rpc:
-	$(GO) run ./cmd/gqa-bench -exp shardrpc -json BENCH_shardrpc.json
-
-# Flight-recorder overhead benchmark: the full traced pipeline with the
-# recorder on vs off (best-of interleaved reps), plus the benchmark-asserted
-# zero-allocation disabled path, recorded in BENCH_obs.json (the <=1.05
-# on/off ratio is the headline).
-bench-obs:
-	$(GO) run ./cmd/gqa-bench -exp obs -json BENCH_obs.json
-
-# Cold-start benchmark: time-to-servable for N-Triples parse+freeze vs
-# GQAFRZ1 load, plus the small-graph constants as Go benchmarks, recorded
-# in BENCH_coldstart.json (the ≥5× frozen-vs-NT floor over the
-# serving-scale bench graphs is the headline).
-bench-coldstart:
-	$(GO) test -run XXX -bench 'BenchmarkLoadFrozenKB|BenchmarkSaveFrozenKB' -benchmem -count 5 ./internal/store/
-	$(GO) run ./cmd/gqa-bench -exp coldstart -json BENCH_coldstart.json

@@ -1,7 +1,7 @@
 // Command gqa-serve exposes the answering pipeline over HTTP: a small
 // serving front end with the observability surface and overload
 // protection wired in. The server itself lives in internal/serve so the
-// load generator (gqa-bench -exp serve) and tests drive the same code.
+// benchmark (benchmark/, workload serve-zipf) and tests drive the same code.
 //
 // Usage:
 //

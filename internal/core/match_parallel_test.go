@@ -279,8 +279,9 @@ func benchSetup(nInst, fanout int) (*store.Graph, *QueryGraph) {
 }
 
 // BenchmarkFindTopKMatches compares the sequential search to the pool at
-// increasing widths on the same workload (the seq-vs-par speedup table;
-// cmd/gqa-bench emits the same comparison as BENCH_parallel.json).
+// increasing widths on the same many-seed workload. For measuring while
+// you work: what the pool buys on realistic questions is benchmark/'s
+// core.match_parallel_speedup.
 func BenchmarkFindTopKMatches(b *testing.B) {
 	g, q := benchSetup(400, 40)
 	for _, p := range []int{1, 2, 4, 8} {

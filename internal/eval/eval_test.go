@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"reflect"
 	"testing"
 
 	"gqa/internal/bench"
@@ -39,26 +40,40 @@ func TestWorkloadEndToEnd(t *testing.T) {
 	}
 }
 
+// TestWorkloadDeanna pins the other half of Table 8: the baseline's row
+// (EXPERIMENTS.md: processed 80, right 70) and the paper's claim, that the
+// graph data driven approach answers more questions right than DEANNA.
 func TestWorkloadDeanna(t *testing.T) {
 	ours, base, _, err := BuildSystems()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = ours
-	results := RunDeanna(base, bench.Workload())
-	sum := Summarize(results)
+	qs := bench.Workload()
+	sum := Summarize(RunDeanna(base, qs))
 	t.Logf("deanna: %+v", sum)
+	if sum.Processed != 80 || sum.Right != 70 {
+		t.Errorf("DEANNA processed %d, right %d; want 80, 70", sum.Processed, sum.Right)
+	}
+	if got := Summarize(RunOurs(ours, qs)).Right; got <= sum.Right {
+		t.Errorf("ours right = %d, want more than DEANNA's %d", got, sum.Right)
+	}
 }
 
+// TestFailureBreakdownShape pins the whole Table 10 mix: a question that
+// moves between buckets changed why it fails, even when Right holds.
 func TestFailureBreakdownShape(t *testing.T) {
 	ours, _, _, err := BuildSystems()
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := RunOurs(ours, bench.Workload())
-	fb := FailureBreakdown(results)
-	t.Logf("failures: %v", fb)
-	if fb[core.FailureAggregation] == 0 {
-		t.Error("no aggregation failures recorded")
+	got := FailureBreakdown(RunOurs(ours, bench.Workload()))
+	want := map[core.FailureKind]int{
+		core.FailureAggregation:        8,
+		core.FailureEntityLinking:      6,
+		core.FailureRelationExtraction: 6,
+		core.FailureNoMatch:            1,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("failure breakdown = %v, want %v", got, want)
 	}
 }

@@ -1,0 +1,207 @@
+package eval
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"gqa/internal/bench"
+	"gqa/internal/core"
+	"gqa/internal/dict"
+	"gqa/internal/store"
+)
+
+// workloadKB is one benchmark repository: how to build it (a fresh graph
+// and dictionary per call, always with the same term-ID assignment) and
+// the questions asked of it.
+type workloadKB struct {
+	name      string
+	build     func() (*store.Graph, *dict.Dictionary, error)
+	questions func() []bench.Question
+}
+
+var (
+	qaldKB = workloadKB{"qald", func() (*store.Graph, *dict.Dictionary, error) {
+		g, err := bench.BuildKB()
+		if err != nil {
+			return nil, nil, err
+		}
+		d, _, err := bench.BuildDictionary(g)
+		return g, d, err
+	}, bench.Workload}
+	yagoKB = workloadKB{"yago", func() (*store.Graph, *dict.Dictionary, error) {
+		g, err := bench.BuildYagoKB()
+		if err != nil {
+			return nil, nil, err
+		}
+		d, err := bench.BuildYagoDictionary(g)
+		return g, d, err
+	}, bench.YagoWorkload}
+)
+
+func (kb workloadKB) mustBuild(t *testing.T) (*store.Graph, *dict.Dictionary) {
+	t.Helper()
+	g, d, err := kb.build()
+	if err != nil {
+		t.Fatalf("building %s: %v", kb.name, err)
+	}
+	return g, d
+}
+
+// inProcess is the K-shard in-process shape: the KB frozen into k
+// vertex-hash parts (k = 1 is the monolithic snapshot).
+func inProcess(k int) func(*testing.T, workloadKB) *core.System {
+	return func(t *testing.T, kb workloadKB) *core.System {
+		g, d := kb.mustBuild(t)
+		if k > 1 {
+			g.SetShards(k)
+		}
+		if sn := g.Freeze(); sn.NumShards() != k || g.FrozenView() != store.View(sn) {
+			t.Fatalf("frozen view is %T with %d shards, want the %d-shard *store.Snapshot",
+				g.FrozenView(), sn.NumShards(), k)
+		}
+		return core.NewSystem(g, d, core.Options{TopK: 10})
+	}
+}
+
+// fromDisk is the instant-cold-start shape, the graph gqa-serve -snapshot
+// boots from: the KB saved as a GQAFRZ1 file and loaded back. The loaded
+// graph must arrive frozen, at the exact mutation generation it was saved
+// at, so generation-keyed cache entries stay coherent across restarts. The
+// dictionary is the in-memory one, as in every other shape (the file keeps
+// the term-ID assignment, so it applies unchanged): its own text encoding
+// rounds scores at ~1e-7, which is no property of a graph layout.
+func fromDisk(t *testing.T, kb workloadKB) *core.System {
+	g, d := kb.mustBuild(t)
+	var frz bytes.Buffer
+	if err := store.SaveFrozen(&frz, g); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := store.LoadFrozen(&frz)
+	if err != nil {
+		t.Fatalf("LoadFrozen: %v", err)
+	}
+	if got, want := loaded.Generation(), g.Generation(); got != want {
+		t.Fatalf("frozen boot generation = %d, want the saved graph's %d", got, want)
+	}
+	if loaded.Frozen() == nil {
+		t.Fatal("frozen boot did not install the snapshot (first Frozen() must be free)")
+	}
+	return core.NewSystem(loaded, d, core.Options{TopK: 10})
+}
+
+// remoteK4 is the multi-process shape minus the process boundary: 4 shard
+// parts exported through the file format, each served by a loopback
+// ShardServer, and a coordinator whose every frozen read crosses the wire.
+func remoteK4(t *testing.T, kb workloadKB) *core.System {
+	addrs, _ := startRemoteShards(t, kb, 4)
+	sys := buildRemoteSystem(t, kb, addrs, store.RemoteOptions{})
+	if sn, ok := sys.Graph.FrozenView().(*store.Snapshot); !ok || sn == sys.Graph.Frozen() {
+		t.Fatalf("remote system's view is %T, want the dialed *store.Snapshot, not the local freeze",
+			sys.Graph.FrozenView())
+	}
+	return sys
+}
+
+// observed is everything one answered question shows a caller.
+type observed struct {
+	// fingerprint is the result in term IDs: failure kind, degradation,
+	// boolean, answers, and every match's assignment, justification, edge
+	// paths and score.
+	fingerprint string
+	// rendered is the result through the shape's own term table: the
+	// answer labels and the Explain line of every match.
+	rendered string
+	// stats is the search's work counters. Parallelism, the one field that
+	// echoes an input (the resolved worker count), is cleared.
+	stats core.MatchStats
+}
+
+func observe(t *testing.T, sys *core.System, question string) observed {
+	t.Helper()
+	res, err := sys.Answer(question)
+	if err != nil {
+		t.Fatalf("%q: %v", question, err)
+	}
+	var fp, rd strings.Builder
+	fmt.Fprintf(&fp, "failure=%v degraded=%q", res.Failure, res.Degraded)
+	if res.Boolean != nil {
+		fmt.Fprintf(&fp, " bool=%v", *res.Boolean)
+	}
+	fmt.Fprintf(&fp, " answers=%v\n", res.Answers)
+	fmt.Fprintf(&rd, "labels=%q\n", res.AnswerLabels(sys.Graph))
+	for i := range res.Matches {
+		m := &res.Matches[i]
+		fmt.Fprintf(&fp, "  assign=%v via=%v score=%.15f paths=[", m.Assignment, m.Via, m.Score)
+		for _, p := range m.EdgePaths {
+			fmt.Fprintf(&fp, "%s|", p.Key())
+		}
+		fp.WriteString("]\n")
+		rd.WriteString(core.RenderMatch(sys.Graph, res.Query, m))
+		rd.WriteByte('\n')
+	}
+	res.Stats.Parallelism = 0
+	return observed{fp.String(), rd.String(), res.Stats}
+}
+
+// TestWorkloadIdentity is the one identity gate over deployment shapes:
+// however the frozen graph is laid out (one part, 4 or 8 in-process
+// shards, a file loaded from disk, 4 shard servers over loopback) and
+// however wide the matcher's worker pool (P = 1, 2, 8), every question of
+// both workloads must produce byte-identical answers, byte-identical
+// labels and Explain lines, and identical MatchStats to the monolithic
+// sequential run. Sharding may regroup seeds by shard, the pool may
+// reorder work, the wire may add latency, retries and telemetry — the
+// search tree, the thresholds and the harvested matches must coincide
+// exactly, and a healthy remote topology never degrades (the fingerprint
+// carries Degraded). No budget is set, so the determinism guarantee of
+// MatchOptions.Parallelism applies in full. Run under -race in tier 1.
+//
+// A new layout or matcher strategy is one more row or column here, not a
+// new test family.
+func TestWorkloadIdentity(t *testing.T) {
+	shapes := []struct {
+		name  string
+		build func(*testing.T, workloadKB) *core.System
+	}{
+		{"k1", inProcess(1)},
+		{"k4", inProcess(4)},
+		{"k8", inProcess(8)},
+		{"disk-k1", fromDisk},
+		{"remote-k4", remoteK4},
+	}
+	for _, kb := range []workloadKB{qaldKB, yagoKB} {
+		qs := kb.questions()
+		base := inProcess(1)(t, kb)
+		base.Opts.Parallelism = 1
+		want := make([]observed, len(qs))
+		for i, q := range qs {
+			want[i] = observe(t, base, q.Text)
+		}
+		for _, shape := range shapes {
+			t.Run(kb.name+"/"+shape.name, func(t *testing.T) {
+				sys := shape.build(t, kb)
+				for _, p := range []int{1, 2, 8} {
+					sys.Opts.Parallelism = p
+					for i, q := range qs {
+						got := observe(t, sys, q.Text)
+						if got.fingerprint != want[i].fingerprint {
+							t.Errorf("P=%d %q diverged from K=1/P=1:\n got: %s\nwant: %s",
+								p, q.Text, got.fingerprint, want[i].fingerprint)
+						}
+						if got.rendered != want[i].rendered {
+							t.Errorf("P=%d %q labels or explain lines diverged:\n got: %s\nwant: %s",
+								p, q.Text, got.rendered, want[i].rendered)
+						}
+						if !reflect.DeepEqual(got.stats, want[i].stats) {
+							t.Errorf("P=%d %q search stats diverged:\n got: %+v\nwant: %+v",
+								p, q.Text, got.stats, want[i].stats)
+						}
+					}
+				}
+			})
+		}
+	}
+}

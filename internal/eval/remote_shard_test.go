@@ -3,7 +3,6 @@ package eval
 import (
 	"bytes"
 	"net"
-	"reflect"
 	"testing"
 	"time"
 
@@ -12,17 +11,14 @@ import (
 	"gqa/internal/store"
 )
 
-// startRemoteShards builds the benchmark KB, shards it K ways, exports
+// startRemoteShards builds the workload's KB, shards it K ways, exports
 // every part through the shard-part file format, and serves each from an
 // in-process loopback ShardServer — the exact topology of K gqa-shard
 // processes, minus the process boundary. Returns the shard addresses in
 // shard order and the live servers.
-func startRemoteShards(t *testing.T, k int) ([]string, []*store.ShardServer) {
+func startRemoteShards(t *testing.T, kb workloadKB, k int) ([]string, []*store.ShardServer) {
 	t.Helper()
-	g, err := bench.BuildKB()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, _ := kb.mustBuild(t)
 	if got := g.SetShards(k); got != k {
 		t.Fatalf("SetShards(%d) = %d", k, got)
 	}
@@ -54,16 +50,9 @@ func startRemoteShards(t *testing.T, k int) ([]string, []*store.ShardServer) {
 // buildRemoteSystem is the coordinator: the full local graph (dictionary,
 // linker, and term table are local) with every frozen read routed to the
 // remote shard servers.
-func buildRemoteSystem(t *testing.T, addrs []string, ropts store.RemoteOptions) *core.System {
+func buildRemoteSystem(t *testing.T, kb workloadKB, addrs []string, ropts store.RemoteOptions) *core.System {
 	t.Helper()
-	g, err := bench.BuildKB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _, err := bench.BuildDictionary(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, d := kb.mustBuild(t)
 	g.Freeze()
 	sys := core.NewSystem(g, d, core.Options{TopK: 10})
 	rss, err := store.DialShards(addrs, g.Terms(), ropts)
@@ -78,77 +67,13 @@ func buildRemoteSystem(t *testing.T, addrs []string, ropts store.RemoteOptions) 
 	return sys
 }
 
-// TestWorkloadRemoteShardDifferential is the multi-process identity gate:
-// a coordinator answering over 4 loopback shard servers must produce
-// byte-identical answers, byte-identical rendered Explain lines, and
-// byte-identical MatchStats to the K=1 monolithic in-process baseline,
-// over the whole benchmark workload, at P=1 and P=8. The RPC boundary
-// may add latency, retries, and telemetry — never a different answer.
-func TestWorkloadRemoteShardDifferential(t *testing.T) {
-	addrs, _ := startRemoteShards(t, 4)
-
-	g, err := bench.BuildKB()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _, err := bench.BuildDictionary(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Freeze()
-	mono := core.NewSystem(g, d, core.Options{TopK: 10})
-
-	remote := buildRemoteSystem(t, addrs, store.RemoteOptions{})
-	if sn, ok := remote.Graph.FrozenView().(*store.Snapshot); !ok || sn == remote.Graph.Frozen() {
-		t.Fatalf("remote system's view is %T, want the dialed *store.Snapshot, not the local freeze", remote.Graph.FrozenView())
-	}
-
-	qs := bench.Workload()
-	for _, p := range []int{1, 8} {
-		mono.Opts.Parallelism = p
-		remote.Opts.Parallelism = p
-		for _, q := range qs {
-			mres, err := mono.Answer(q.Text)
-			if err != nil {
-				t.Fatalf("P=%d mono %q: %v", p, q.Text, err)
-			}
-			rres, err := remote.Answer(q.Text)
-			if err != nil {
-				t.Fatalf("P=%d remote %q: %v", p, q.Text, err)
-			}
-			if rres.Degraded != "" {
-				t.Fatalf("P=%d %q degraded over healthy shards: %q", p, q.Text, rres.Degraded)
-			}
-			if got, want := answerFingerprint(rres), answerFingerprint(mres); got != want {
-				t.Errorf("P=%d %q remote diverged from monolithic:\n got: %s\nwant: %s",
-					p, q.Text, got, want)
-			}
-			for i := range mres.Matches {
-				if i >= len(rres.Matches) {
-					break
-				}
-				mr := core.RenderMatch(mono.Graph, mres.Query, &mres.Matches[i])
-				rr := core.RenderMatch(remote.Graph, rres.Query, &rres.Matches[i])
-				if mr != rr {
-					t.Errorf("P=%d %q match %d explain diverged:\n got: %s\nwant: %s",
-						p, q.Text, i, rr, mr)
-				}
-			}
-			if !reflect.DeepEqual(rres.Stats, mres.Stats) {
-				t.Errorf("P=%d %q search stats diverged:\n got: %+v\nwant: %+v",
-					p, q.Text, rres.Stats, mres.Stats)
-			}
-		}
-	}
-}
-
 // TestRemoteShardKilledMidWorkload kills one of four shard servers in
 // the middle of the workload: every later question must come back
 // promptly with Degraded = "shard-unavailable" (or a clean answer, when
 // its search never touched the dead shard) — degraded, never hung.
 func TestRemoteShardKilledMidWorkload(t *testing.T) {
-	addrs, servers := startRemoteShards(t, 4)
-	sys := buildRemoteSystem(t, addrs, store.RemoteOptions{
+	addrs, servers := startRemoteShards(t, qaldKB, 4)
+	sys := buildRemoteSystem(t, qaldKB, addrs, store.RemoteOptions{
 		CallTimeout:  200 * time.Millisecond,
 		Retries:      1,
 		RetryBackoff: time.Millisecond,

@@ -13,104 +13,146 @@ import (
 	"gqa/internal/faultpoint"
 )
 
-// TestOverloadShedsWith429 drives the real HTTP server past a tiny
-// admission gate (1 in-flight, 4 queued) with the matcher slowed by a
-// faultpoint, and asserts the overload contract end to end: excess
-// requests get 429 queue-full with a Retry-After header, and — the core
-// admission guarantee — rejected requests never ran the pipeline
-// (gqa_core_questions_total moved by exactly the number of 200s).
+// TestOverloadShedsWith429 drives the real HTTP server through a tiny
+// admission gate with the matcher slowed by a faultpoint, on both sides of
+// capacity, and asserts the admission contract end to end. Below capacity
+// (offered concurrency <= MaxInFlight, the queue sized 8x like the
+// default) nothing is shed, queued or degraded. Past it (12 requests at 1
+// in-flight + 4 queued) the excess gets 429 queue-full with a Retry-After
+// header. On both sides — the core admission guarantee — only a 200 ran
+// the pipeline (gqa_core_questions_total moved by exactly the number of
+// 200s).
 func TestOverloadShedsWith429(t *testing.T) {
-	sys, err := gqa.BenchmarkSystem()
-	if err != nil {
-		t.Fatalf("building benchmark system: %v", err)
-	}
-	sys.SetCache(0) // every request must do real pipeline work
-	base, _ := startServerWith(t, sys, Config{
-		Timeout:     30 * time.Second,
-		MaxInFlight: 1,
-		MaxQueue:    4,
-	})
-
-	// Each question now takes >= 200ms, so all 12 concurrent requests
-	// arrive while the first still holds the only slot — the outcome split
-	// is deterministic, not a scheduling race.
-	faultpoint.Set(faultpoint.MatcherWorker, faultpoint.Fault{Delay: 200 * time.Millisecond})
-	defer faultpoint.Reset()
-
-	questionsBefore := metricValue(t, base, "gqa_core_questions_total")
-	waitedBefore := metricValue(t, base, "gqa_admission_queue_wait_seconds_count")
-
-	// 12 copies of a real question at once against capacity 1+4: at least
-	// 7 must be shed. With the cache (and thus coalescing) off, every
-	// admitted copy does full pipeline work, so the faultpoint delay bites.
-	const n = 12
-	type outcome struct {
-		status     int
-		retryAfter string
-		reason     string
-	}
-	outcomes := make([]outcome, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := http.Get(base + "/answer?q=" + url.QueryEscape("Who is the mayor of Berlin?"))
+	for _, tc := range []struct {
+		name        string
+		maxInFlight int
+		maxQueue    int
+		n           int // concurrent copies of one question
+	}{
+		{name: "under-capacity", maxInFlight: 2, maxQueue: 16, n: 2},
+		{name: "over-capacity", maxInFlight: 1, maxQueue: 4, n: 12},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, err := gqa.BenchmarkSystem()
 			if err != nil {
-				t.Errorf("request %d: %v", i, err)
+				t.Fatalf("building benchmark system: %v", err)
+			}
+			// With the cache (and thus coalescing) off, every admitted copy
+			// does full pipeline work, so the faultpoint delay bites.
+			sys.SetCache(0)
+			base, _ := startServerWith(t, sys, Config{
+				Timeout:     30 * time.Second,
+				MaxInFlight: tc.maxInFlight,
+				MaxQueue:    tc.maxQueue,
+			})
+
+			// Each question now takes >= 200ms, so all n concurrent requests
+			// arrive while the first still holds its slot — the outcome
+			// split is deterministic, not a scheduling race.
+			faultpoint.Set(faultpoint.MatcherWorker, faultpoint.Fault{Delay: 200 * time.Millisecond})
+			defer faultpoint.Reset()
+
+			questionsBefore := metricValue(t, base, "gqa_core_questions_total")
+			waitedBefore := metricValue(t, base, "gqa_admission_queue_wait_seconds_count")
+			shedBefore := metricValue(t, base, "gqa_admission_shed_total")
+			rejectedBefore := metricValue(t, base, "gqa_admission_rejected_total")
+
+			type outcome struct {
+				status     int
+				retryAfter string
+				shedTier   string
+				reason     string
+				degraded   string
+			}
+			outcomes := make([]outcome, tc.n)
+			var wg sync.WaitGroup
+			for i := 0; i < tc.n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					resp, err := http.Get(base + "/answer?q=" + url.QueryEscape("Who is the mayor of Berlin?"))
+					if err != nil {
+						t.Errorf("request %d: %v", i, err)
+						return
+					}
+					defer resp.Body.Close()
+					var body struct {
+						Reason   string `json:"reason"`
+						Degraded string `json:"degraded"`
+					}
+					if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+						t.Errorf("request %d: status %d body not JSON: %v", i, resp.StatusCode, err)
+					}
+					outcomes[i] = outcome{
+						status:     resp.StatusCode,
+						retryAfter: resp.Header.Get("Retry-After"),
+						shedTier:   resp.Header.Get("X-Gqa-Shed-Tier"),
+						reason:     body.Reason,
+						degraded:   body.Degraded,
+					}
+				}(i)
+			}
+			wg.Wait()
+
+			var ok, shed int
+			for i, o := range outcomes {
+				switch o.status {
+				case http.StatusOK:
+					ok++
+				case http.StatusTooManyRequests:
+					shed++
+					if o.reason != "queue-full" {
+						t.Errorf("request %d: 429 reason = %q, want queue-full", i, o.reason)
+					}
+					if o.retryAfter == "" || o.retryAfter == "0" {
+						t.Errorf("request %d: 429 Retry-After = %q, want >= 1s", i, o.retryAfter)
+					}
+				default:
+					t.Errorf("request %d: status %d, want 200 or 429", i, o.status)
+				}
+			}
+			if ok == 0 {
+				t.Error("no request was served at all")
+			}
+			// The admission guarantee: a rejected request never consumed
+			// pipeline work, so the question counter moved by exactly the
+			// served count.
+			if after := metricValue(t, base, "gqa_core_questions_total"); after != questionsBefore+float64(ok) {
+				t.Errorf("gqa_core_questions_total moved by %v, want %d (one per 200, zero per 429)",
+					after-questionsBefore, ok)
+			}
+			waited := metricValue(t, base, "gqa_admission_queue_wait_seconds_count") - waitedBefore
+
+			if tc.n <= tc.maxInFlight {
+				// Every request found a free slot at under a quarter of the
+				// gate's pressure range: full service, nothing shed.
+				for i, o := range outcomes {
+					if o.status != http.StatusOK || o.shedTier != "" || o.degraded != "" {
+						t.Errorf("request %d below capacity: status %d, X-Gqa-Shed-Tier %q, degraded %q; want 200, none, none",
+							i, o.status, o.shedTier, o.degraded)
+					}
+				}
+				if d := metricValue(t, base, "gqa_admission_shed_total") - shedBefore; d != 0 {
+					t.Errorf("gqa_admission_shed_total moved by %v below capacity, want 0", d)
+				}
+				if d := metricValue(t, base, "gqa_admission_rejected_total") - rejectedBefore; d != 0 {
+					t.Errorf("gqa_admission_rejected_total moved by %v below capacity, want 0", d)
+				}
+				if waited != 0 {
+					t.Errorf("%v requests queued below capacity, want 0", waited)
+				}
 				return
 			}
-			defer resp.Body.Close()
-			o := outcome{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After")}
-			if resp.StatusCode == http.StatusTooManyRequests {
-				var body struct {
-					Reason string `json:"reason"`
-				}
-				if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-					t.Errorf("request %d: 429 body not JSON: %v", i, err)
-				}
-				o.reason = body.Reason
+			capacity := tc.maxInFlight + tc.maxQueue
+			if shed < tc.n-capacity {
+				t.Errorf("shed %d of %d requests, want >= %d (capacity is %d in-flight + %d queued)",
+					shed, tc.n, tc.n-capacity, tc.maxInFlight, tc.maxQueue)
 			}
-			outcomes[i] = o
-		}(i)
-	}
-	wg.Wait()
-
-	var ok, shed int
-	for i, o := range outcomes {
-		switch o.status {
-		case http.StatusOK:
-			ok++
-		case http.StatusTooManyRequests:
-			shed++
-			if o.reason != "queue-full" {
-				t.Errorf("request %d: 429 reason = %q, want queue-full", i, o.reason)
+			// Admitted-but-queued requests flowed through the wait histogram.
+			if waited <= 0 {
+				t.Errorf("gqa_admission_queue_wait_seconds_count moved by %v, want > 0 (requests queued)", waited)
 			}
-			if o.retryAfter == "" || o.retryAfter == "0" {
-				t.Errorf("request %d: 429 Retry-After = %q, want >= 1s", i, o.retryAfter)
-			}
-		default:
-			t.Errorf("request %d: status %d, want 200 or 429", i, o.status)
-		}
-	}
-	if shed < n-5 {
-		t.Errorf("shed %d of %d requests, want >= %d (capacity is 1 in-flight + 4 queued)",
-			shed, n, n-5)
-	}
-	if ok == 0 {
-		t.Error("no request was served at all under overload")
-	}
-
-	// The admission guarantee: a rejected request never consumed pipeline
-	// work, so the question counter moved by exactly the served count.
-	if after := metricValue(t, base, "gqa_core_questions_total"); after != questionsBefore+float64(ok) {
-		t.Errorf("gqa_core_questions_total moved by %v, want %d (one per 200, zero per 429)",
-			after-questionsBefore, ok)
-	}
-	// Admitted-but-queued requests flowed through the wait histogram.
-	if after := metricValue(t, base, "gqa_admission_queue_wait_seconds_count"); after <= waitedBefore {
-		t.Errorf("gqa_admission_queue_wait_seconds_count = %v, want > %v (requests queued)",
-			after, waitedBefore)
+		})
 	}
 }
 

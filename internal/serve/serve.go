@@ -1,8 +1,8 @@
 // Package serve implements the gqa-serve HTTP front end: the answering
 // pipeline behind an overload-resilient admission layer, plus the
 // observability and health surfaces. It lives outside cmd/gqa-serve so
-// the load generator (gqa-bench -exp serve) and the test suite drive the
-// exact server the binary ships.
+// the benchmark (benchmark/, workload serve-zipf) and the test suite
+// drive the exact server the binary ships.
 //
 // Request flow for /answer:
 //

@@ -247,19 +247,21 @@ func get(t *testing.T, u string) string {
 }
 
 // metricValue scrapes /metrics and returns the value of the named series
-// (full series name including any label set), or 0 when absent.
+// (full series name including any label set), or 0 when absent. Given a
+// bare family name it returns the sum over the family's label sets.
 func metricValue(t *testing.T, base, series string) float64 {
 	t.Helper()
+	var sum float64
 	for _, line := range strings.Split(get(t, base+"/metrics"), "\n") {
-		rest, ok := strings.CutPrefix(line, series+" ")
-		if !ok {
+		rest, ok := strings.CutPrefix(line, series)
+		if !ok || rest == "" || (rest[0] != '{' && rest[0] != ' ') {
 			continue
 		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+		v, err := strconv.ParseFloat(rest[strings.LastIndexByte(rest, ' ')+1:], 64)
 		if err != nil {
 			t.Fatalf("parsing metric line %q: %v", line, err)
 		}
-		return v
+		sum += v
 	}
-	return 0
+	return sum
 }
