@@ -127,6 +127,14 @@ type matcher struct {
 	// and nil otherwise; its methods are nil-safe no-ops on local parts.
 	view  store.View
 	bound *store.Snapshot
+	// hints is whether bound fetches over the wire (a request-bound
+	// snapshot over remote parts), decided once here: then, and only then,
+	// the search tells it each frontier's reads ahead (the hint* methods) so
+	// they cross in one frame per shard. On local parts no hint is built.
+	hints bool
+	// walks, per query edge, is what reachable walks over it: every
+	// multi-step candidate path in both orientations. Built with hints.
+	walks [][]dict.Path
 	q     *QueryGraph
 	opts  MatchOptions
 
@@ -217,6 +225,7 @@ func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match,
 	if sn, ok := view.(*store.Snapshot); ok {
 		m.bound = sn.BindRequest(opts.Budget, opts.Span)
 		m.view = m.bound
+		m.hints = m.bound.Prefetches()
 		if k := sn.NumShards(); k > 1 {
 			m.shardRounds = make([]int, k)
 		}
@@ -236,6 +245,19 @@ func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match,
 	// Neighborhood-based pruning (§4.2.2): drop entity candidates lacking
 	// an adjacent predicate compatible with every incident edge.
 	m.cands = make([][]VertexCandidate, len(q.Vertices))
+	if m.hints {
+		m.walks = make([][]dict.Path, len(q.Edges))
+		for ei := range q.Edges {
+			for _, pc := range q.Edges[ei].Candidates {
+				if len(pc.Path) > 1 {
+					m.walks[ei] = append(m.walks[ei], pc.Path, pc.Path.Reverse())
+				}
+			}
+		}
+		if !opts.DisablePruning {
+			m.hintNeighborhood()
+		}
+	}
 	for vi := range q.Vertices {
 		for _, c := range q.Vertices[vi].Candidates {
 			if !opts.DisablePruning && !c.IsClass && !m.passesNeighborhood(vi, c.ID) {
@@ -365,8 +387,9 @@ func (m *matcher) finishStats(stats *MatchStats, returned int) {
 		sp.SetStr("shard_rounds", b.String())
 	}
 	// A bound remote snapshot flushes its per-request RPC counters here
-	// (rpc_calls / rpc_retries / rpc_hedges / rpc_errors); the flight
-	// recorder lifts them into the wide event.
+	// (frames: rpc_calls / rpc_retries / rpc_hedges / rpc_errors; reads:
+	// rpc_reads / rpc_read_hits / rpc_batch_reads); the flight recorder
+	// lifts them into the wide event.
 	m.bound.AnnotateSpan(sp)
 }
 
@@ -402,11 +425,17 @@ func (m *matcher) roundTasks(anchors []int, round int) []seedTask {
 		m.probes.Add(1)
 		if c.IsClass {
 			for _, u := range m.instancesOf(c.ID) {
-				tasks = append(tasks, seedTask{vi: vi, u: u, via: c.ID, score: c.Score, cost: m.seedCost(vi, u)})
+				tasks = append(tasks, seedTask{vi: vi, u: u, via: c.ID, score: c.Score})
 			}
 		} else {
-			tasks = append(tasks, seedTask{vi: vi, u: c.ID, via: store.None, score: c.Score, cost: m.seedCost(vi, c.ID)})
+			tasks = append(tasks, seedTask{vi: vi, u: c.ID, via: store.None, score: c.Score})
 		}
+	}
+	if m.hints {
+		m.hintSeeds(tasks)
+	}
+	for i := range tasks {
+		tasks[i].cost = m.seedCost(tasks[i].vi, tasks[i].u)
 	}
 	sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].cost < tasks[j].cost })
 	if m.shardRounds != nil && len(tasks) > 0 {
@@ -1009,6 +1038,9 @@ func (m *matcher) extend(st *searchState) {
 	}
 	for _, pc := range e.Candidates {
 		targets := m.reachable(from, pc.Path, reversedEdge)
+		if m.hints {
+			m.hintFrontier(st, next, bridge, targets)
+		}
 		for _, w := range targets {
 			if m.used(st, w) {
 				continue
@@ -1055,6 +1087,131 @@ func (m *matcher) frontierCost(u store.ID, ei int) int {
 		cost += m.predDegree(u, last.Pred, !last.Forward)
 	}
 	return cost
+}
+
+// frontierReads appends the reads frontierCost(u, ei) makes — which are
+// also the first hop of each walk reachable starts from u over edge ei.
+func (m *matcher) frontierReads(reads []store.Read, u store.ID, ei int) []store.Read {
+	for _, pc := range m.q.Edges[ei].Candidates {
+		if len(pc.Path) == 0 {
+			continue
+		}
+		first := pc.Path[0]
+		last := pc.Path[len(pc.Path)-1]
+		reads = append(reads,
+			store.ReadPred(u, first.Pred, first.Forward),
+			store.ReadPred(u, last.Pred, !last.Forward))
+	}
+	return reads
+}
+
+// hintNeighborhood tells a remote view the adjacency probes the pruning
+// pass is about to make: passesNeighborhood's, for every entity candidate.
+func (m *matcher) hintNeighborhood() {
+	var reads []store.Read
+	for vi := range m.q.Vertices {
+		for _, c := range m.q.Vertices[vi].Candidates {
+			if c.IsClass {
+				continue
+			}
+			for _, ei := range m.adj[vi] {
+				for _, pc := range m.q.Edges[ei].Candidates {
+					if len(pc.Path) > 0 {
+						reads = append(reads,
+							store.ReadHasAdjacentPred(c.ID, pc.Path[0].Pred),
+							store.ReadHasAdjacentPred(c.ID, pc.Path[len(pc.Path)-1].Pred))
+					}
+				}
+			}
+		}
+	}
+	m.bound.Prefetch(reads)
+}
+
+// hintSeeds tells a remote view the reads that cost a round's seeds, and
+// the hops behind them that the seeds' first extension walks: a frame per
+// shard per hop per round, however many instances a class unrolled to.
+func (m *matcher) hintSeeds(tasks []seedTask) {
+	var reads []store.Read
+	for i := range tasks {
+		for _, ei := range m.adj[tasks[i].vi] {
+			reads = m.frontierReads(reads, tasks[i].u, ei)
+		}
+	}
+	m.bound.Prefetch(reads)
+	for lo := 0; lo < len(tasks); {
+		vi, hi := tasks[lo].vi, lo
+		var seeds []store.ID
+		for ; hi < len(tasks) && tasks[hi].vi == vi; hi++ {
+			seeds = append(seeds, tasks[hi].u)
+		}
+		var walks []dict.Path
+		for _, ei := range m.adj[vi] {
+			walks = append(walks, m.walks[ei]...)
+		}
+		dict.PrefetchPaths(m.bound, seeds, walks)
+		lo = hi
+	}
+}
+
+// hintFrontier tells a remote view what extend is about to read for every
+// target of a frontier bound to query vertex next. First the type probes
+// vertexAccepts makes and — for the edges at next that will still have an
+// open end once next is bound — the spans frontierCost and then reachable
+// read one level down; then, for the targets those probes accept, the
+// further hops of that level's multi-step walks. The probes it makes itself
+// to tell which targets are accepted are the ones extend's own loop makes
+// next, so a hint never reads what the search would not.
+func (m *matcher) hintFrontier(st *searchState, next, bridge int, targets []store.ID) {
+	if len(targets) == 0 {
+		return
+	}
+	tid := m.view.TypeID()
+	var open []int // edges at next whose other end stays unbound
+	for _, ei := range m.adj[next] {
+		e := &m.q.Edges[ei]
+		other := e.From
+		if other == next {
+			other = e.To
+		}
+		if ei != bridge && !st.done[other] {
+			open = append(open, ei)
+		}
+	}
+	var fresh []store.ID // the targets extend will try: not bound already
+	var reads []store.Read
+	for _, w := range targets {
+		if m.used(st, w) {
+			continue
+		}
+		fresh = append(fresh, w)
+		if !m.q.Vertices[next].Unconstrained && tid != store.None {
+			for _, c := range m.cands[next] {
+				if c.IsClass {
+					reads = append(reads, store.ReadHas(w, tid, c.ID))
+				}
+			}
+		}
+		for _, ei := range open {
+			reads = m.frontierReads(reads, w, ei)
+		}
+	}
+	m.bound.Prefetch(reads)
+
+	var walks []dict.Path
+	for _, ei := range open {
+		walks = append(walks, m.walks[ei]...)
+	}
+	if len(walks) == 0 {
+		return
+	}
+	accepted := fresh[:0]
+	for _, w := range fresh {
+		if _, ok := m.vertexAccepts(next, w); ok {
+			accepted = append(accepted, w)
+		}
+	}
+	dict.PrefetchPaths(m.bound, accepted, walks)
 }
 
 // chooseNext picks the next unmatched vertex. Among query edges bridging

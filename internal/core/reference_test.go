@@ -298,32 +298,45 @@ func matchKey(m Match) string {
 	return s
 }
 
-// TestQuickMatcherAgreesWithBruteForce: the top-k matcher must find
-// exactly the assignments the brute-force reference finds within the
-// retained score range, with identical scores — in every deployment shape
-// of the store: one part, four in-process parts, and four parts behind
-// loopback shard servers.
-func TestQuickMatcherAgreesWithBruteForce(t *testing.T) {
-	shapes := []struct {
-		name  string
-		count int
-		view  func(t *testing.T, g *store.Graph) store.View
-	}{
-		{"k1", 60, func(t *testing.T, g *store.Graph) store.View { return g.FrozenView() }},
-		{"k4", 60, func(t *testing.T, g *store.Graph) store.View { g.SetShards(4); return g.FrozenView() }},
-		{"remote-k4", 20, loopbackView},
-	}
-	for _, shape := range shapes {
+// viewOf builds the read surface of one deployment shape over g.
+type viewOf func(t *testing.T, g *store.Graph) store.View
+
+// storeShapes are the deployment shapes of the store that every quick
+// property of the matcher runs over: one part, four in-process parts, and
+// four parts behind loopback shard servers (where the reads go through the
+// request's read set and travel in batches). A remote case dials four
+// servers, so that shape runs a third of the cases.
+var storeShapes = []struct {
+	name   string
+	divide int
+	view   viewOf
+}{
+	{"k1", 1, func(t *testing.T, g *store.Graph) store.View { return g.FrozenView() }},
+	{"k4", 1, func(t *testing.T, g *store.Graph) store.View { g.SetShards(4); return g.FrozenView() }},
+	{"remote-k4", 3, loopbackView},
+}
+
+// quickOverShapes checks a seeded property count times in every shape.
+func quickOverShapes(t *testing.T, count int, property func(t *testing.T, seed int64, view viewOf) bool) {
+	for _, shape := range storeShapes {
 		t.Run(shape.name, func(t *testing.T) {
-			f := func(seed int64) bool { return matcherAgreesWithBruteForce(t, seed, shape.view) }
-			if err := quick.Check(f, &quick.Config{MaxCount: shape.count}); err != nil {
+			f := func(seed int64) bool { return property(t, seed, shape.view) }
+			if err := quick.Check(f, &quick.Config{MaxCount: count / shape.divide}); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 }
 
-func matcherAgreesWithBruteForce(t *testing.T, seed int64, view func(*testing.T, *store.Graph) store.View) bool {
+// TestQuickMatcherAgreesWithBruteForce: the top-k matcher must find
+// exactly the assignments the brute-force reference finds within the
+// retained score range, with identical scores — in every deployment shape
+// of the store.
+func TestQuickMatcherAgreesWithBruteForce(t *testing.T) {
+	quickOverShapes(t, 60, matcherAgreesWithBruteForce)
+}
+
+func matcherAgreesWithBruteForce(t *testing.T, seed int64, view viewOf) bool {
 	r := rand.New(rand.NewSource(seed))
 	g, q := randomQuerySetup(r)
 	ref := bruteForceMatches(g, q)
@@ -359,14 +372,15 @@ func matcherAgreesWithBruteForce(t *testing.T, seed int64, view func(*testing.T,
 
 // TestQuickTATopKIsPrefixOfExhaustive: with early termination on, the
 // returned matches must be exactly the top-k score buckets of the
-// exhaustive result.
+// exhaustive result — in every deployment shape of the store.
 func TestQuickTATopKIsPrefixOfExhaustive(t *testing.T) {
-	f := func(seed int64) bool {
+	quickOverShapes(t, 60, func(t *testing.T, seed int64, view viewOf) bool {
 		r := rand.New(rand.NewSource(seed))
 		g, q := randomQuerySetup(r)
 		k := 1 + r.Intn(3)
-		ta, _ := FindTopKMatches(g, q, MatchOptions{TopK: k})
-		ex, _ := FindTopKMatches(g, q, MatchOptions{TopK: k, Exhaustive: true})
+		v := view(t, g)
+		ta, _ := FindTopKMatches(g, q, MatchOptions{TopK: k, View: v})
+		ex, _ := FindTopKMatches(g, q, MatchOptions{TopK: k, Exhaustive: true, View: v})
 		if len(ta) != len(ex) {
 			t.Logf("seed %d k=%d: TA %d matches, exhaustive %d", seed, k, len(ta), len(ex))
 			return false
@@ -392,20 +406,19 @@ func TestQuickTATopKIsPrefixOfExhaustive(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 // TestQuickPruningNeverChangesResults: neighborhood pruning is an
-// optimization, not a semantics change.
+// optimization, not a semantics change — in every deployment shape of the
+// store.
 func TestQuickPruningNeverChangesResults(t *testing.T) {
-	f := func(seed int64) bool {
+	quickOverShapes(t, 80, func(t *testing.T, seed int64, view viewOf) bool {
 		r := rand.New(rand.NewSource(seed))
 		g, q := randomQuerySetup(r)
-		a, _ := FindTopKMatches(g, q, MatchOptions{TopK: 1000, Exhaustive: true})
-		b, _ := FindTopKMatches(g, q, MatchOptions{TopK: 1000, Exhaustive: true, DisablePruning: true})
+		v := view(t, g)
+		a, _ := FindTopKMatches(g, q, MatchOptions{TopK: 1000, Exhaustive: true, View: v})
+		b, _ := FindTopKMatches(g, q, MatchOptions{TopK: 1000, Exhaustive: true, DisablePruning: true, View: v})
 		if len(a) != len(b) {
 			t.Logf("seed %d: %d vs %d matches", seed, len(a), len(b))
 			return false
@@ -416,8 +429,5 @@ func TestQuickPruningNeverChangesResults(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }

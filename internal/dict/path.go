@@ -244,10 +244,20 @@ const followPathDedupeScan = 32
 // concurrent-mutation tests) walks a consistent frozen surface while the
 // graph mutates underneath. Target order follows the traversal and is not
 // significant; results are a set (first-reached order).
+//
+// A multi-step path over a view that fetches over the wire is first walked
+// hop by hop (PrefetchPaths), so each hop costs a frame per shard, not one
+// per vertex. A one-step path, and any view over local parts, builds no
+// hint.
 func FollowPath(view store.View, v store.ID, p Path) []store.ID {
 	followPathCalls.Inc()
 	if len(p) == 0 {
 		return []store.ID{v}
+	}
+	if len(p) > 1 {
+		if sn, ok := view.(*store.Snapshot); ok && sn.Prefetches() {
+			PrefetchPaths(sn, []store.ID{v}, []Path{p})
+		}
 	}
 	route := make([]store.ID, 1, len(p)+1)
 	route[0] = v
@@ -304,6 +314,53 @@ func FollowPath(view store.View, v store.ID, p Path) []store.ID {
 	}
 	walk(v, 0)
 	return out
+}
+
+// PrefetchPaths tells a snapshot that fetches over the wire (one for which
+// sn.Prefetches() holds) the reads FollowPath makes walking every one of
+// paths from every one of starts. It walks them breadth-first and in step:
+// hop d of all the walks is hinted as one store.Prefetch — a frame per
+// owning shard — and what arrived is then followed to the level hop d+1
+// leaves from. It follows only what the snapshot holds (Prefetched), so it
+// makes no read of its own: whatever did not arrive is left to FollowPath,
+// and to fail there if it must. The levels ignore route simplicity, so
+// they cover every span FollowPath reads and at most a few it prunes.
+func PrefetchPaths(sn *store.Snapshot, starts []store.ID, paths []Path) {
+	levels := make([][]store.ID, len(paths))
+	for i := range levels {
+		levels[i] = starts
+	}
+	for d := 0; ; d++ {
+		var reads []store.Read
+		for i, p := range paths {
+			if d < len(p) {
+				for _, u := range levels[i] {
+					reads = append(reads, store.ReadPred(u, p[d].Pred, p[d].Forward))
+				}
+			}
+		}
+		if len(reads) == 0 {
+			return
+		}
+		sn.Prefetch(reads)
+		for i, p := range paths {
+			level := levels[i]
+			levels[i] = nil
+			if d+1 >= len(p) {
+				continue // the last hop's spans are the walk's result, not a level
+			}
+			seen := make(map[store.ID]struct{})
+			for _, u := range level {
+				span, _ := sn.Prefetched(store.ReadPred(u, p[d].Pred, p[d].Forward))
+				for j := range span {
+					if _, dup := seen[span[j].To]; !dup {
+						seen[span[j].To] = struct{}{}
+						levels[i] = append(levels[i], span[j].To)
+					}
+				}
+			}
+		}
+	}
 }
 
 // PathConnects reports whether the path leads from u to w (in the recorded

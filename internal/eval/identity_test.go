@@ -20,26 +20,50 @@ type workloadKB struct {
 	name      string
 	build     func() (*store.Graph, *dict.Dictionary, error)
 	questions func() []bench.Question
+	// wideRound, when set, is how many seeds some question's search must
+	// run: the shape that workload is in the table for.
+	wideRound int64
 }
 
 var (
-	qaldKB = workloadKB{"qald", func() (*store.Graph, *dict.Dictionary, error) {
+	qaldKB = workloadKB{name: "qald", build: func() (*store.Graph, *dict.Dictionary, error) {
 		g, err := bench.BuildKB()
 		if err != nil {
 			return nil, nil, err
 		}
 		d, _, err := bench.BuildDictionary(g)
 		return g, d, err
-	}, bench.Workload}
-	yagoKB = workloadKB{"yago", func() (*store.Graph, *dict.Dictionary, error) {
+	}, questions: bench.Workload}
+	yagoKB = workloadKB{name: "yago", build: func() (*store.Graph, *dict.Dictionary, error) {
 		g, err := bench.BuildYagoKB()
 		if err != nil {
 			return nil, nil, err
 		}
 		d, err := bench.BuildYagoDictionary(g)
 		return g, d, err
-	}, bench.YagoWorkload}
+	}, questions: bench.YagoWorkload}
+	// nlscaleKB is the generated people KB, small: "Which people live in
+	// C?" anchors at a class that unrolls to every person, the shape where
+	// one round's seeds number a hundred (and over remote shards are
+	// costed from one batch per shard). 100 people is as large as it goes:
+	// past 64 x (the city anchor's one candidate + 1) seeds the matcher
+	// stops anchoring at the class at all.
+	nlscaleKB = workloadKB{name: "nlscale", wideRound: 100, build: func() (*store.Graph, *dict.Dictionary, error) {
+		kb, err := newNLScale()
+		if err != nil {
+			return nil, nil, err
+		}
+		return kb.Graph, kb.Dict, nil
+	}, questions: func() []bench.Question {
+		kb, err := newNLScale()
+		if err != nil {
+			panic(err)
+		}
+		return kb.Questions
+	}}
 )
+
+func newNLScale() (*bench.NLScaleKB, error) { return bench.NewNLScaleKB(100, 9, 3) }
 
 func (kb workloadKB) mustBuild(t *testing.T) (*store.Graph, *dict.Dictionary) {
 	t.Helper()
@@ -150,7 +174,7 @@ func observe(t *testing.T, sys *core.System, question string) observed {
 // however the frozen graph is laid out (one part, 4 or 8 in-process
 // shards, a file loaded from disk, 4 shard servers over loopback) and
 // however wide the matcher's worker pool (P = 1, 2, 8), every question of
-// both workloads must produce byte-identical answers, byte-identical
+// the three workloads must produce byte-identical answers, byte-identical
 // labels and Explain lines, and identical MatchStats to the monolithic
 // sequential run. Sharding may regroup seeds by shard, the pool may
 // reorder work, the wire may add latency, retries and telemetry — the
@@ -172,13 +196,18 @@ func TestWorkloadIdentity(t *testing.T) {
 		{"disk-k1", fromDisk},
 		{"remote-k4", remoteK4},
 	}
-	for _, kb := range []workloadKB{qaldKB, yagoKB} {
+	for _, kb := range []workloadKB{qaldKB, yagoKB, nlscaleKB} {
 		qs := kb.questions()
 		base := inProcess(1)(t, kb)
 		base.Opts.Parallelism = 1
 		want := make([]observed, len(qs))
+		var seeds int64
 		for i, q := range qs {
 			want[i] = observe(t, base, q.Text)
+			seeds = max(seeds, want[i].stats.Seeds)
+		}
+		if seeds < kb.wideRound {
+			t.Errorf("%s: no question ran %d seeds (most: %d), the shape the row is here for", kb.name, kb.wideRound, seeds)
 		}
 		for _, shape := range shapes {
 			t.Run(kb.name+"/"+shape.name, func(t *testing.T) {

@@ -119,13 +119,16 @@ type Event struct {
 	ShardFanout int    `json:"shard_fanout,omitempty"`
 	ShardRounds string `json:"shard_rounds,omitempty"`
 	// RPC telemetry from the core.match span when the store is served by
-	// remote shard servers: call attempts, retries after transient
-	// transport errors, and hedged second attempts. All zero (and omitted)
-	// for in-process stores.
-	RPCCalls   int64   `json:"rpc_calls,omitempty"`
-	RPCRetries int64   `json:"rpc_retries,omitempty"`
-	RPCHedges  int64   `json:"rpc_hedges,omitempty"`
-	Stages     []Stage `json:"stages,omitempty"`
+	// remote shard servers: frames attempted, retries after transient
+	// transport errors, hedged second attempts, and the per-vertex reads
+	// those frames served — asked, and answered from the request's read
+	// set without a frame. All zero (and omitted) for in-process stores.
+	RPCCalls    int64   `json:"rpc_calls,omitempty"`
+	RPCRetries  int64   `json:"rpc_retries,omitempty"`
+	RPCHedges   int64   `json:"rpc_hedges,omitempty"`
+	RPCReads    int64   `json:"rpc_reads,omitempty"`
+	RPCReadHits int64   `json:"rpc_read_hits,omitempty"`
+	Stages      []Stage `json:"stages,omitempty"`
 }
 
 // droppedTotal counts wide events discarded because the ingest queue was
@@ -256,6 +259,8 @@ func (r *Recorder) handle(j job) {
 		ev.RPCCalls = lastIntAttr(tr, "core.match", "rpc_calls")
 		ev.RPCRetries = lastIntAttr(tr, "core.match", "rpc_retries")
 		ev.RPCHedges = lastIntAttr(tr, "core.match", "rpc_hedges")
+		ev.RPCReads = lastIntAttr(tr, "core.match", "rpc_reads")
+		ev.RPCReadHits = lastIntAttr(tr, "core.match", "rpc_read_hits")
 	}
 	if ev.Stages == nil && tr != nil {
 		for _, st := range tr.Stages() {
@@ -511,6 +516,14 @@ func appendEventJSON(buf []byte, ev *Event) []byte {
 	if ev.RPCHedges > 0 {
 		buf = append(buf, `,"rpc_hedges":`...)
 		buf = strconv.AppendInt(buf, ev.RPCHedges, 10)
+	}
+	if ev.RPCReads > 0 {
+		buf = append(buf, `,"rpc_reads":`...)
+		buf = strconv.AppendInt(buf, ev.RPCReads, 10)
+	}
+	if ev.RPCReadHits > 0 {
+		buf = append(buf, `,"rpc_read_hits":`...)
+		buf = strconv.AppendInt(buf, ev.RPCReadHits, 10)
 	}
 	if len(ev.Stages) > 0 {
 		buf = append(buf, `,"stages":[`...)

@@ -61,6 +61,13 @@ func TestEventJSONRoundTrip(t *testing.T) {
 		TotalUs:      250000,
 		Results:      3,
 		Err:          `parse: unexpected "quote"`,
+		ShardFanout:  3,
+		ShardRounds:  "2,0,1,1",
+		RPCCalls:     52,
+		RPCRetries:   2,
+		RPCHedges:    1,
+		RPCReads:     1100,
+		RPCReadHits:  1040,
 		Stages:       []Stage{{Name: "nlp.parse", Us: 120}, {Name: "core.match", Us: 2400}},
 	}
 	line := appendEventJSON(nil, &full)
@@ -79,7 +86,8 @@ func TestEventJSONRoundTrip(t *testing.T) {
 	// Minimal event: optional fields are omitted from the line entirely.
 	min := Event{Time: full.Time, TraceID: "id", Status: "ok", TotalUs: 10}
 	line = appendEventJSON(nil, &min)
-	for _, field := range []string{"client", "qhash", "failure", "cache", "shed_tier", "degraded", "queue_wait_us", "err", "stages"} {
+	for _, field := range []string{"client", "qhash", "failure", "cache", "shed_tier", "degraded", "queue_wait_us", "err",
+		"shard_fanout", "shard_rounds", "rpc_calls", "rpc_retries", "rpc_hedges", "rpc_reads", "rpc_read_hits", "stages"} {
 		if strings.Contains(string(line), `"`+field+`"`) {
 			t.Errorf("minimal event carries optional field %q: %s", field, line)
 		}
@@ -241,6 +249,10 @@ func TestRecorderEndToEnd(t *testing.T) {
 	p.Finish()
 	m := tr.Root().Child("core.match")
 	time.Sleep(time.Millisecond)
+	// What a search over remote shards stamps (store.AnnotateSpan).
+	m.SetInt("rpc_calls", 52)
+	m.SetInt("rpc_reads", 1100)
+	m.SetInt("rpc_read_hits", 1040)
 	m.Finish()
 	wrap.Finish()
 
@@ -266,6 +278,9 @@ func TestRecorderEndToEnd(t *testing.T) {
 	}
 	if doc.Event.TraceID != id || doc.Event.Results != 2 {
 		t.Errorf("event in TraceJSON = %+v", doc.Event)
+	}
+	if ev := doc.Event; ev.RPCCalls != 52 || ev.RPCReads != 1100 || ev.RPCReadHits != 1040 {
+		t.Errorf("RPC telemetry not lifted from the core.match span: %+v", ev)
 	}
 	if !strings.Contains(string(doc.Trace), `"name":"nlp.parse"`) {
 		t.Errorf("trace JSON missing span tree: %s", doc.Trace)

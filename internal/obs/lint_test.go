@@ -132,6 +132,9 @@ func TestMetricNamingConvention(t *testing.T) {
 		"gqa_rpc_hedges_total",
 		"gqa_rpc_errors_total",
 		"gqa_rpc_degraded_total",
+		"gqa_rpc_reads_total",
+		"gqa_rpc_read_hits_total",
+		"gqa_rpc_batch_reads_total",
 	} {
 		if !strings.Contains(b.String(), "# TYPE "+name+" counter") {
 			t.Errorf("metric %s missing from the exposition", name)

@@ -153,6 +153,13 @@ func TestShardRPCSmokeBinary(t *testing.T) {
 	if strings.Contains(metrics, "gqa_rpc_calls_total 0\n") {
 		t.Error("gqa_rpc_calls_total is 0 — the answer never crossed the RPC boundary")
 	}
+	// The real binaries speak the batch opcode and the coordinator keeps a
+	// read set: the one question both read ahead in batches and re-read.
+	for _, name := range []string{"gqa_rpc_batch_reads_total", "gqa_rpc_read_hits_total"} {
+		if !strings.Contains(metrics, "\n"+name+" ") || strings.Contains(metrics, "\n"+name+" 0\n") {
+			t.Errorf("%s is missing or 0 after a question over four gqa-shard processes", name)
+		}
+	}
 
 	// Clean SIGTERM shutdown: the coordinator drains, every shard exits 0.
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {

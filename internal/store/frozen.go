@@ -445,8 +445,10 @@ func (sn *Snapshot) Count(s, p, o ID) int {
 // remote parts — to a single request: per-call deadlines derive from the
 // tracker's deadline, an unrecoverable read failure trips the tracker
 // (FailShardUnavailable) so the request degrades instead of hanging, and
-// RPC telemetry lands under sp. The bound copy must be used only for that
-// request. A snapshot over local parts returns itself.
+// RPC telemetry lands under sp. The bound copy also remembers every read
+// it has made (the read set, remote.go), so within the request a repeated
+// read costs no frame. It must be used only for that request. A snapshot
+// over local parts returns itself.
 func (sn *Snapshot) BindRequest(b *budget.Tracker, sp *obs.Span) *Snapshot {
 	rr, ok := sn.rd.(*rpcReader)
 	if !ok {
@@ -457,34 +459,76 @@ func (sn *Snapshot) BindRequest(b *budget.Tracker, sp *obs.Span) *Snapshot {
 	return &bound
 }
 
+// boundRemote returns the reader of a request-bound snapshot over remote
+// parts, or nil for a local, unbound or nil snapshot.
+func (sn *Snapshot) boundRemote() *rpcReader {
+	if sn == nil {
+		return nil
+	}
+	if rr, ok := sn.rd.(*rpcReader); ok && rr.req != nil {
+		return rr
+	}
+	return nil
+}
+
+// Prefetches reports whether Prefetch does anything on this snapshot: only
+// on a request-bound snapshot over remote parts. Callers test it once and
+// build no hint at all on local parts.
+func (sn *Snapshot) Prefetches() bool { return sn.boundRemote() != nil }
+
+// Prefetch tells a request-bound snapshot over remote parts which reads
+// are about to be made, so it can fetch those it has not made yet in one
+// frame per owning shard instead of one per read. It is advisory: it
+// returns nothing, fails silently, and changes no answer — a read whose
+// prefetch did not arrive goes to its shard as it would have anyway. A
+// no-op on a local, unbound or nil snapshot.
+func (sn *Snapshot) Prefetch(reads []Read) {
+	if rr := sn.boundRemote(); rr != nil && len(reads) > 0 {
+		rr.prefetch(reads)
+	}
+}
+
+// Prefetched returns the span of a read the bound snapshot's request has
+// already made or prefetched, without touching the wire — so a caller
+// walking ahead of the search (dict.PrefetchPaths) can follow what arrived
+// and can neither fail nor degrade the request over what did not. ok is
+// false for a read not held, and on a local, unbound or nil snapshot.
+func (sn *Snapshot) Prefetched(r Read) (span []Edge, ok bool) {
+	rr := sn.boundRemote()
+	if rr == nil {
+		return nil, false
+	}
+	rep, ok := rr.req.lookup(r)
+	return rep.edges, ok
+}
+
 // DegradeReason reports "shard-unavailable" once any read of this bound
 // snapshot failed past its retries and answered empty — the degradation
 // signal for requests without a budget tracker, where there was nothing
 // to trip. It is "" for an unbound, local or nil snapshot.
 func (sn *Snapshot) DegradeReason() string {
-	if sn == nil {
-		return ""
-	}
-	if rr, ok := sn.rd.(*rpcReader); ok && rr.req != nil && rr.req.errs.Load() > 0 {
+	if rr := sn.boundRemote(); rr != nil && rr.req.errs.Load() > 0 {
 		return budget.ReasonShard
 	}
 	return ""
 }
 
 // AnnotateSpan flushes a bound snapshot's per-request RPC counters onto
-// the search span (rpc_calls / rpc_retries / rpc_hedges / rpc_errors); the
+// the search span: frames (rpc_calls / rpc_retries / rpc_hedges /
+// rpc_errors) and the reads they carried (rpc_reads asked, rpc_read_hits
+// served from the read set, rpc_batch_reads sent ahead in batches). The
 // flight recorder lifts them into the wide event. A no-op on an unbound,
 // local or nil snapshot.
 func (sn *Snapshot) AnnotateSpan(sp *obs.Span) {
-	if sn == nil || !sp.Enabled() {
-		return
-	}
-	rr, ok := sn.rd.(*rpcReader)
-	if !ok || rr.req == nil {
+	rr := sn.boundRemote()
+	if rr == nil || !sp.Enabled() {
 		return
 	}
 	sp.SetInt("rpc_calls", rr.req.calls.Load())
 	sp.SetInt("rpc_retries", rr.req.retries.Load())
 	sp.SetInt("rpc_hedges", rr.req.hedges.Load())
 	sp.SetInt("rpc_errors", rr.req.errs.Load())
+	sp.SetInt("rpc_reads", rr.req.reads.Load())
+	sp.SetInt("rpc_read_hits", rr.req.readHits.Load())
+	sp.SetInt("rpc_batch_reads", rr.req.batchReads.Load())
 }

@@ -151,10 +151,16 @@ func FuzzLoadShardPart(f *testing.F) {
 	})
 }
 
+// reqV, reqVP and reqSPO build a request payload of one, two or three ID
+// arguments under any op byte, valid for that op or not.
+func reqV(op byte, v ID) []byte         { return appendID([]byte{op}, v) }
+func reqVP(op byte, v, p ID) []byte     { return appendID(reqV(op, v), p) }
+func reqSPO(op byte, s, p, o ID) []byte { return appendID(reqVP(op, s, p), o) }
+
 // mustAnswer sends one request payload through the server's handler and
 // fails on a severed connection, a malformed frame, or a handler panic
 // (which handle recovers into an error frame — a bug all the same).
-func mustAnswer(t *testing.T, srv *ShardServer, req []byte) {
+func mustAnswer(t *testing.T, srv *ShardServer, req []byte) []byte {
 	t.Helper()
 	resp, ok := srv.handle(req)
 	if !ok || len(resp) == 0 || resp[0] > shrStatusErr {
@@ -163,13 +169,15 @@ func mustAnswer(t *testing.T, srv *ShardServer, req []byte) {
 	if resp[0] == shrStatusErr && bytes.Contains(resp, []byte("panic")) {
 		t.Fatalf("request %x: handler panicked: %s", req, resp[1:])
 	}
+	return resp
 }
 
 // FuzzShardServerHandle feeds arbitrary connection bytes through the
 // framing layer into the request handler of a server holding a valid part:
 // every frame the reader accepts must be answered with a well-formed OK or
 // error frame, never a panic, whatever opcode, argument count or vertex ID
-// it carries.
+// it carries — and an accepted batch with what each of its reads is
+// answered alone.
 func FuzzShardServerHandle(f *testing.F) {
 	g := randomRichGraph(rand.New(rand.NewSource(1)))
 	g.SetShards(3)
@@ -182,7 +190,7 @@ func FuzzShardServerHandle(f *testing.F) {
 		return buf.Bytes()
 	}
 	owned, foreign, beyond := ID(4), ID(5), ID(g.NumTerms())
-	for op := byte(0); op <= shrOpEntities+1; op++ {
+	for op := byte(0); op <= shrOpBatch+1; op++ {
 		f.Add(frame([]byte{op}))
 		for _, v := range []ID{owned, foreign, beyond, None} {
 			f.Add(frame(reqV(op, v)))
@@ -194,6 +202,25 @@ func FuzzShardServerHandle(f *testing.F) {
 	f.Add(append(frame(reqV(shrOpOut, owned)), frame(reqV(shrOpIn, owned))...)) // two frames back to back
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, shrOpPing})                            // length beyond the request cap
 	f.Add(frame(reqV(shrOpOut, owned))[:6])                                     // truncated mid-payload
+
+	// Batches. A valid one mixes every batchable op over owned, foreign,
+	// out-of-range and None vertices; the rest break the envelope one way
+	// each.
+	var mixed [][]byte
+	for _, v := range []ID{owned, foreign, beyond, None} {
+		mixed = append(mixed,
+			reqV(shrOpOut, v), reqV(shrOpIn, v), reqVP(shrOpOutPred, v, owned), reqVP(shrOpInPred, v, owned),
+			reqV(shrOpDegrees, v), reqVP(shrOpHasAdj, v, owned), reqSPO(shrOpHas, v, owned, foreign), reqV(shrOpRole, v))
+	}
+	f.Add(frame(batchReq(mixed...)))
+	f.Add(frame(batchReq(reqV(shrOpOut, owned), reqVP(shrOpOut, owned, owned))))              // a sub-read with a bad argument count
+	f.Add(frame(batchReq(reqV(shrOpOut, owned), batchReq(reqV(shrOpIn, owned)))))             // nested batch
+	f.Add(frame(batchReq(reqV(shrOpPredGrp, owned))))                                         // an op that is not a per-vertex read
+	f.Add(frame(append(batchReq(reqV(shrOpOut, owned)), 0)))                                  // zero-length sub-request
+	f.Add(frame(append(batchReq(reqV(shrOpOut, owned)), 9, shrOpIn, 4, 0)))                   // sub-length running past the frame
+	f.Add(frame(batchReq(repeatReq(reqV(shrOpRole, owned), maxBatchReads)...)))               // a full batch
+	f.Add(frame(batchReq(repeatReq(reqV(shrOpRole, owned), maxBatchReads+1)...)))             // 257 reads
+	f.Add(frame(append(batchReq(repeatReq(reqSPO(shrOpHas, 4, 4, 4), maxBatchReads)...), 0))) // one byte over the request cap
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {
@@ -201,7 +228,53 @@ func FuzzShardServerHandle(f *testing.F) {
 			if err != nil {
 				return // the connection would be dropped here
 			}
-			mustAnswer(t, srv, req)
+			resp := mustAnswer(t, srv, req)
+			if len(req) > 0 && req[0] == shrOpBatch && resp[0] == shrStatusOK {
+				checkBatchReply(t, srv, req[1:], resp[1:])
+			}
 		}
 	})
+}
+
+// batchReq frames sub-requests as one batch request payload.
+func batchReq(subs ...[]byte) []byte {
+	b := []byte{shrOpBatch}
+	for _, sub := range subs {
+		b = append(append(b, byte(len(sub))), sub...)
+	}
+	return b
+}
+
+func repeatReq(req []byte, n int) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = req
+	}
+	return out
+}
+
+// checkBatchReply holds an accepted batch to its contract: one sub-reply
+// per sub-request, in order, each either unanswered (empty) or exactly the
+// payload the sub-request is answered with alone.
+func checkBatchReply(t *testing.T, srv *ShardServer, subs, replies []byte) {
+	t.Helper()
+	for i := 0; len(subs) > 0; i++ {
+		sub := subs[1 : 1+int(subs[0])]
+		subs = subs[1+len(sub):]
+		if len(replies) < 4 {
+			t.Fatalf("batch: reply ends before sub-reply %d", i)
+		}
+		n := binary.LittleEndian.Uint32(replies)
+		if uint64(n) > uint64(len(replies)-4) {
+			t.Fatalf("batch: sub-reply %d runs past the reply", i)
+		}
+		got := replies[4 : 4+n]
+		replies = replies[4+n:]
+		if want := srv.answer(sub); len(got) != 0 && !bytes.Equal(got, want) {
+			t.Fatalf("batch: sub-request %x answered %x, alone %x", sub, got, want)
+		}
+	}
+	if len(replies) != 0 {
+		t.Fatalf("batch: %d bytes after the last sub-reply", len(replies))
+	}
 }

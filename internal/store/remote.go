@@ -22,6 +22,14 @@ package store
 // request's budget is tripped with reason "shard-unavailable" and the
 // read returns empty — the search degrades to the best partial answer,
 // exactly like a deadline trip, and never hangs.
+//
+// What keeps the wire cheap lives here too. A bound reader keeps a read
+// set for the life of its request — every reply it has decoded, keyed by
+// the read — so a question crosses the wire once per distinct read, and
+// Prefetch lets a caller that knows a frontier's reads ahead fetch them in
+// one batch frame per owning shard. Both only change how many frames carry
+// an answer, never the answer: the set serves what the single read
+// decoded, and a prefetch that fails stores nothing.
 
 import (
 	"encoding/binary"
@@ -50,8 +58,17 @@ var (
 		"Shard-RPC calls that failed after exhausting their retries.")
 	rpcDegradedTotal = obs.DefaultCounter("gqa_rpc_degraded_total",
 		"Reads degraded to empty results because a shard stayed unreachable.")
+	rpcReadsTotal = obs.DefaultCounter("gqa_rpc_reads_total",
+		"Per-vertex reads asked of request-bound shard-RPC readers (served from the read set or the wire).")
+	rpcReadHitsTotal = obs.DefaultCounter("gqa_rpc_read_hits_total",
+		"Per-vertex reads served from a request's read set without a frame.")
+	rpcBatchReadsTotal = obs.DefaultCounter("gqa_rpc_batch_reads_total",
+		"Per-vertex reads sent ahead of need inside batch frames.")
+	// A loopback call takes 10–40 µs, under TimeBuckets' first bound, so
+	// the ladder starts two decades lower.
 	rpcCallSeconds = obs.DefaultHistogram("gqa_rpc_call_seconds",
-		"Latency of individual shard-RPC call attempts (successful or not).", nil)
+		"Latency of individual shard-RPC call attempts (successful or not).",
+		append([]float64{5e-6, 10e-6, 25e-6, 50e-6}, obs.TimeBuckets...))
 )
 
 // RemoteOptions tunes the shard-RPC client. The zero value gets serving
@@ -182,15 +199,50 @@ func (p *shardConnPool) closeAll() {
 
 // rpcReq is the per-request state a bound reader carries: the budget the
 // calls derive deadlines from (and trip on failure), the span RPC
-// telemetry lands on, and the request's own call counters.
+// telemetry lands on, the request's own counters, and its read set.
 type rpcReq struct {
 	b  *budget.Tracker
 	sp *obs.Span
 
-	calls   atomic.Int64
+	calls   atomic.Int64 // frames attempted (retries and hedges included)
 	retries atomic.Int64
 	hedges  atomic.Int64
 	errs    atomic.Int64
+
+	reads      atomic.Int64 // per-vertex reads asked of the reader
+	readHits   atomic.Int64 // ... served from the read set
+	batchReads atomic.Int64 // reads sent ahead inside batch frames
+
+	// The read set: every successful per-vertex read of this request,
+	// decoded. A bound snapshot is one immutable generation serving one
+	// request, so an entry is never invalidated and dies with the request.
+	// held counts entries plus the edges they hold; past readSetCap nothing
+	// more is added, which bounds an unbudgeted request's memory.
+	mu   sync.RWMutex
+	set  map[Read]readReply
+	held int
+}
+
+// readSetCap bounds a read set: entries plus held edges (8 bytes each).
+const readSetCap = 1 << 20
+
+func (st *rpcReq) lookup(k Read) (readReply, bool) {
+	st.mu.RLock()
+	rep, ok := st.set[k]
+	st.mu.RUnlock()
+	return rep, ok
+}
+
+func (st *rpcReq) store(k Read, rep readReply) {
+	st.mu.Lock()
+	if _, dup := st.set[k]; !dup && st.held < readSetCap {
+		if st.set == nil {
+			st.set = make(map[Read]readReply)
+		}
+		st.set[k] = rep
+		st.held += 1 + len(rep.edges)
+	}
+	st.mu.Unlock()
 }
 
 // shardClient is the connection state shared by every reader over one set
@@ -446,65 +498,241 @@ func (r *rpcReader) degrade() {
 
 // ------------------------------------------------------ the reader methods
 
-func reqV(op byte, v ID) []byte {
-	b := make([]byte, 0, 5)
-	b = append(b, op)
-	return appendID(b, v)
+// Read names one per-vertex read of a frozen graph — one of the reader
+// primitives with its arguments — for Snapshot.Prefetch. It is also the
+// read set's key and, through appendTo, the read's request payload.
+type Read struct {
+	op      byte
+	v, p, o ID // arguments the op does not take stay zero
 }
 
-func reqVP(op byte, v, p ID) []byte {
-	b := make([]byte, 0, 9)
-	b = append(b, op)
-	return appendID(appendID(b, v), p)
+// ReadPred is the read behind OutPred(v, p) / OutPredDegree (out) or
+// InPred(v, p) / InPredDegree (!out).
+func ReadPred(v, p ID, out bool) Read {
+	if out {
+		return Read{op: shrOpOutPred, v: v, p: p}
+	}
+	return Read{op: shrOpInPred, v: v, p: p}
 }
 
-func reqSPO(op byte, s, p, o ID) []byte {
-	b := make([]byte, 0, 13)
-	b = append(b, op)
-	return appendID(appendID(appendID(b, s), p), o)
+// ReadHas is the read behind Has(s, p, o).
+func ReadHas(s, p, o ID) Read { return Read{op: shrOpHas, v: s, p: p, o: o} }
+
+// ReadHasAdjacentPred is the read behind HasAdjacentPred(v, p).
+func ReadHasAdjacentPred(v, p ID) Read { return Read{op: shrOpHasAdj, v: v, p: p} }
+
+// readReply is a decoded reply: the span of a span-returning op, or the
+// fixed bytes (1, or 8 for degrees) of the others.
+type readReply struct {
+	edges []Edge
+	fixed [8]byte
+}
+
+// appendTo appends the read's request payload: the op byte and the IDs it
+// takes.
+func (k Read) appendTo(b []byte) []byte {
+	b = appendID(append(b, k.op), k.v)
+	switch k.op {
+	case shrOpOutPred, shrOpInPred, shrOpHasAdj:
+		b = appendID(b, k.p)
+	case shrOpHas:
+		b = appendID(appendID(b, k.p), k.o)
+	}
+	return b
+}
+
+// decode turns the body of an OK reply to k into its readReply; a body the
+// op cannot have answered is an error.
+func (k Read) decode(body []byte) (readReply, error) {
+	var rep readReply
+	switch k.op {
+	case shrOpOut, shrOpIn, shrOpOutPred, shrOpInPred:
+		if len(body)%8 != 0 {
+			return rep, fmt.Errorf("span reply of %d bytes", len(body))
+		}
+		rep.edges = decodeFrzEdges(body)
+	default:
+		want := 1
+		if k.op == shrOpDegrees {
+			want = 8
+		}
+		if len(body) != want {
+			return rep, fmt.Errorf("reply of %d bytes, want %d", len(body), want)
+		}
+		copy(rep.fixed[:], body)
+	}
+	return rep, nil
 }
 
 func appendID(b []byte, v ID) []byte {
 	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
-// edges is one span-returning round trip to the shard owning v.
-func (r *rpcReader) edges(v ID, req []byte) []Edge {
-	resp, err := r.call(int(v)%r.k, req)
+// read answers one per-vertex read: from the request's read set when this
+// request has made (or prefetched) it before, otherwise by one round trip
+// to the shard owning k.v. Only a successful reply enters the set; a
+// failed read degrades the request and answers empty, and the next ask
+// goes to the wire again.
+func (r *rpcReader) read(k Read) readReply {
+	st := r.req
+	if st != nil {
+		st.reads.Add(1)
+		rpcReadsTotal.Inc()
+		if rep, ok := st.lookup(k); ok {
+			st.readHits.Add(1)
+			rpcReadHitsTotal.Inc()
+			return rep
+		}
+	}
+	var rep readReply
+	body, err := r.call(int(k.v)%r.k, k.appendTo(make([]byte, 0, maxReadReq)))
+	if err == nil {
+		rep, err = k.decode(body)
+	}
 	if err != nil {
 		r.degrade()
-		return nil
+		return readReply{}
 	}
-	return decodeFrzEdges(resp)
+	if st != nil {
+		st.store(k, rep)
+	}
+	return rep
 }
 
-// fixed is one round trip whose answer is exactly n bytes.
-func (r *rpcReader) fixed(v ID, req []byte, n int) []byte {
-	resp, err := r.call(int(v)%r.k, req)
-	if err != nil || len(resp) != n {
-		r.degrade()
-		return make([]byte, n)
-	}
-	return resp
-}
-
-func (r *rpcReader) outSpan(v ID) []Edge    { return r.edges(v, reqV(shrOpOut, v)) }
-func (r *rpcReader) inSpan(v ID) []Edge     { return r.edges(v, reqV(shrOpIn, v)) }
-func (r *rpcReader) outPred(v, p ID) []Edge { return r.edges(v, reqVP(shrOpOutPred, v, p)) }
-func (r *rpcReader) inPred(v, p ID) []Edge  { return r.edges(v, reqVP(shrOpInPred, v, p)) }
-func (r *rpcReader) role(v ID) uint8        { return r.fixed(v, reqV(shrOpRole, v), 1)[0] }
+func (r *rpcReader) outSpan(v ID) []Edge    { return r.read(Read{op: shrOpOut, v: v}).edges }
+func (r *rpcReader) inSpan(v ID) []Edge     { return r.read(Read{op: shrOpIn, v: v}).edges }
+func (r *rpcReader) outPred(v, p ID) []Edge { return r.read(ReadPred(v, p, true)).edges }
+func (r *rpcReader) inPred(v, p ID) []Edge  { return r.read(ReadPred(v, p, false)).edges }
+func (r *rpcReader) role(v ID) uint8        { return r.read(Read{op: shrOpRole, v: v}).fixed[0] }
 
 func (r *rpcReader) degrees(v ID) (out, in int) {
-	resp := r.fixed(v, reqV(shrOpDegrees, v), 8)
-	return int(binary.LittleEndian.Uint32(resp)), int(binary.LittleEndian.Uint32(resp[4:]))
+	f := r.read(Read{op: shrOpDegrees, v: v}).fixed
+	return int(binary.LittleEndian.Uint32(f[:])), int(binary.LittleEndian.Uint32(f[4:]))
 }
 
 func (r *rpcReader) hasAdjacentPred(v, p ID) bool {
-	return r.fixed(v, reqVP(shrOpHasAdj, v, p), 1)[0] != 0
+	return r.read(ReadHasAdjacentPred(v, p)).fixed[0] != 0
 }
 
-func (r *rpcReader) has(s, p, o ID) bool {
-	return r.fixed(s, reqSPO(shrOpHas, s, p, o), 1)[0] != 0
+func (r *rpcReader) has(s, p, o ID) bool { return r.read(ReadHas(s, p, o)).fixed[0] != 0 }
+
+// prefetch fetches the reads not yet in the request's read set, one batch
+// frame per owning shard (a shard with more than maxBatchReads of them
+// gets its frames one after another), all shards in flight together,
+// through the same call path every read takes — budget deadline, retries,
+// breaker. It is advisory: a frame that fails, or a sub-reply the server
+// left unanswered, stores nothing and reports nothing, and the read that
+// needed it takes the single-read path and degrades the request there if
+// it must. So a prefetch changes how many frames carry an answer, never
+// the answer or the way it fails.
+func (r *rpcReader) prefetch(reads []Read) {
+	st := r.req
+	byShard := make([][]Read, r.k)
+	var asked map[Read]struct{} // hints repeat reads; made on the first one to send
+	st.mu.RLock()
+	if st.held < readSetCap {
+		for i, k := range reads {
+			if _, have := st.set[k]; have {
+				continue
+			}
+			if _, dup := asked[k]; dup {
+				continue
+			}
+			if asked == nil {
+				asked = make(map[Read]struct{}, len(reads)-i)
+			}
+			asked[k] = struct{}{}
+			s := int(k.v) % r.k
+			byShard[s] = append(byShard[s], k)
+		}
+	}
+	st.mu.RUnlock()
+	if asked == nil {
+		return
+	}
+
+	fetch := func(shard int) {
+		for rs := byShard[shard]; len(rs) > 0; {
+			n := min(len(rs), maxBatchReads)
+			if !r.fetchBatch(shard, rs[:n]) {
+				return // the shard is failing; leave the rest to the reads themselves
+			}
+			rs = rs[n:]
+		}
+	}
+	// The last shard with work runs on this goroutine, so a frontier that
+	// lives on one shard starts none.
+	var wg sync.WaitGroup
+	last := -1
+	for shard, rs := range byShard {
+		if len(rs) == 0 {
+			continue
+		}
+		if last >= 0 {
+			wg.Add(1)
+			go func(shard int) {
+				defer wg.Done()
+				fetch(shard)
+			}(last)
+		}
+		last = shard
+	}
+	if last >= 0 {
+		fetch(last)
+	}
+	wg.Wait()
+}
+
+// fetchBatch sends one batch frame and stores its replies, and reports
+// whether the shard answered it. The replies are stored only if the frame
+// parses to exactly one well-formed sub-reply per read asked; within such
+// a frame an unanswered sub-reply, or one carrying an error status, is
+// skipped and left to the single read.
+func (r *rpcReader) fetchBatch(shard int, reads []Read) bool {
+	st := r.req
+	req := make([]byte, 1, 1+len(reads)*(1+maxReadReq))
+	req[0] = shrOpBatch
+	for _, k := range reads {
+		at := len(req)
+		req = k.appendTo(append(req, 0))
+		req[at] = byte(len(req) - at - 1)
+	}
+	st.batchReads.Add(int64(len(reads)))
+	rpcBatchReadsTotal.Add(int64(len(reads)))
+	body, err := r.call(shard, req)
+	if err != nil {
+		return false
+	}
+	replies := make([]readReply, len(reads))
+	answered := make([]bool, len(reads))
+	for i, k := range reads {
+		if len(body) < 4 {
+			return true
+		}
+		n := binary.LittleEndian.Uint32(body)
+		body = body[4:]
+		if uint64(n) > uint64(len(body)) {
+			return true
+		}
+		sub := body[:n]
+		body = body[n:]
+		if len(sub) == 0 || sub[0] != shrStatusOK {
+			continue
+		}
+		if replies[i], err = k.decode(sub[1:]); err != nil {
+			return true
+		}
+		answered[i] = true
+	}
+	if len(body) != 0 {
+		return true
+	}
+	for i, k := range reads {
+		if answered[i] {
+			st.store(k, replies[i])
+		}
+	}
+	return true
 }
 
 // predGroups is the over-the-wire scatter-gather of a predicate-major
@@ -518,7 +746,7 @@ func (r *rpcReader) predGroups(p ID) [][]Spo {
 		parent = r.req.sp
 	}
 	sp := parent.Child("rpc.gather")
-	req := reqV(shrOpPredGrp, p)
+	req := Read{op: shrOpPredGrp, v: p}.appendTo(nil)
 	results := make([][]Spo, r.k)
 	var failed atomic.Int64
 	var wg sync.WaitGroup

@@ -14,10 +14,21 @@ package store
 // little-endian. A request payload is [op byte][args]; a response payload
 // is [status byte][body], status 0 = OK (body is the op's result
 // encoding) and 1 = error (body is the error string). Requests are tiny
-// by construction and capped at 64 bytes; responses are capped at 1 GiB
-// on the client. A server handler panic (bug, or the armed rpc.call
-// faultpoint) is recovered into an error frame when possible, so one
-// poisoned request does not take the shard down.
+// by construction and capped at maxShardReqFrame, the size of a full
+// batch; responses are capped at 1 GiB on the client. A server handler
+// panic (bug, or the armed rpc.call faultpoint) is recovered into an error
+// frame when possible, so one poisoned request does not take the shard
+// down.
+//
+// A batch (shrOpBatch) is the one request that is not a single read: up
+// to maxBatchReads per-vertex data reads, each [u8 length][the read's own
+// request payload], answered by as many [u32 length][the payload that
+// read would have been answered alone], in order. The server answers each
+// sub-read by re-entering its own dispatch, so a batch carries no logic
+// of its own and a batched reply is the single reply by construction.
+// Past maxBatchReply bytes of reply the server stops reading and marks
+// every remaining sub-reply unanswered (length 0 — an answered one always
+// carries its status byte); the client reads those one at a time.
 
 import (
 	"encoding/binary"
@@ -45,14 +56,25 @@ const (
 	shrOpPredGrp             // p → this shard's (S,O)-sorted triple group
 	shrOpPredIDs             // → this shard's ascending predicate list
 	shrOpEntities            // → this shard's ascending owned-entity list
+	shrOpBatch               // up to maxBatchReads per-vertex reads (shrOpOut … shrOpRole) → their replies
 )
 
 const (
 	shrStatusOK  = 0
 	shrStatusErr = 1
 
-	maxShardReqFrame  = 64
+	// maxReadReq is the longest single data read: an op byte and three IDs.
+	maxReadReq = 13
+	// maxBatchReads caps the sub-reads of one batch; maxShardReqFrame is
+	// the batch that cap and maxReadReq allow, and the largest request a
+	// server reads at all.
+	maxBatchReads     = 256
+	maxShardReqFrame  = 1 + maxBatchReads*(1+maxReadReq)
 	maxShardRespFrame = 1 << 30
+	// maxBatchReply is the reply size past which a server leaves the rest
+	// of a batch unanswered, so a frontier of wide spans cannot make one
+	// frame unboundedly large.
+	maxBatchReply = 1 << 20
 )
 
 // writeFrame writes one length-prefixed frame.
@@ -194,8 +216,11 @@ func (s *ShardServer) serveConn(conn net.Conn) {
 	}
 }
 
-// handle runs one request and returns the response payload. ok=false
-// means the connection should be severed without a reply.
+// handle runs one request frame and returns the response payload. ok=false
+// means the connection should be severed without a reply. It is the
+// fault-injection and recovery wrapper around answer: the armed rpc.call
+// faultpoint fires once per frame, and a panic anywhere below — in any
+// sub-read of a batch — becomes this frame's error reply.
 func (s *ShardServer) handle(req []byte) (resp []byte, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -208,10 +233,19 @@ func (s *ShardServer) handle(req []byte) (resp []byte, ok bool) {
 		}
 		return shardErrResp(err.Error()), true
 	}
+	return s.answer(req), true
+}
+
+// answer is the pure dispatch: one request payload in, its response
+// payload out. A batch re-enters it once per sub-read.
+func (s *ShardServer) answer(req []byte) []byte {
 	if len(req) == 0 {
-		return shardErrResp("empty request"), true
+		return shardErrResp("empty request")
 	}
 	op, args := req[0], req[1:]
+	if op == shrOpBatch {
+		return s.answerBatch(args)
+	}
 	arg := func(i int) ID {
 		return ID(binary.LittleEndian.Uint32(args[4*i:]))
 	}
@@ -220,67 +254,100 @@ func (s *ShardServer) handle(req []byte) (resp []byte, ok bool) {
 	out := []byte{shrStatusOK}
 	switch op {
 	case shrOpPing:
-		return out, true
+		return out
 	case shrOpMeta:
-		return append(out, encodeShardMeta(&s.part.meta)...), true
+		return append(out, encodeShardMeta(&s.part.meta)...)
 	case shrOpOut:
 		if !need(1) {
-			return shardErrResp("out: want 1 arg"), true
+			return shardErrResp("out: want 1 arg")
 		}
-		return append(out, encodeFrzEdges(rd.outSpan(arg(0)))...), true
+		return append(out, encodeFrzEdges(rd.outSpan(arg(0)))...)
 	case shrOpIn:
 		if !need(1) {
-			return shardErrResp("in: want 1 arg"), true
+			return shardErrResp("in: want 1 arg")
 		}
-		return append(out, encodeFrzEdges(rd.inSpan(arg(0)))...), true
+		return append(out, encodeFrzEdges(rd.inSpan(arg(0)))...)
 	case shrOpOutPred:
 		if !need(2) {
-			return shardErrResp("outPred: want 2 args"), true
+			return shardErrResp("outPred: want 2 args")
 		}
-		return append(out, encodeFrzEdges(rd.outPred(arg(0), arg(1)))...), true
+		return append(out, encodeFrzEdges(rd.outPred(arg(0), arg(1)))...)
 	case shrOpInPred:
 		if !need(2) {
-			return shardErrResp("inPred: want 2 args"), true
+			return shardErrResp("inPred: want 2 args")
 		}
-		return append(out, encodeFrzEdges(rd.inPred(arg(0), arg(1)))...), true
+		return append(out, encodeFrzEdges(rd.inPred(arg(0), arg(1)))...)
 	case shrOpDegrees:
 		if !need(1) {
-			return shardErrResp("degrees: want 1 arg"), true
+			return shardErrResp("degrees: want 1 arg")
 		}
 		od, id := rd.degrees(arg(0))
 		out = binary.LittleEndian.AppendUint32(out, uint32(od))
-		return binary.LittleEndian.AppendUint32(out, uint32(id)), true
+		return binary.LittleEndian.AppendUint32(out, uint32(id))
 	case shrOpHasAdj:
 		if !need(2) {
-			return shardErrResp("hasAdj: want 2 args"), true
+			return shardErrResp("hasAdj: want 2 args")
 		}
-		return append(out, boolByte(rd.hasAdjacentPred(arg(0), arg(1)))), true
+		return append(out, boolByte(rd.hasAdjacentPred(arg(0), arg(1))))
 	case shrOpHas:
 		if !need(3) {
-			return shardErrResp("has: want 3 args"), true
+			return shardErrResp("has: want 3 args")
 		}
-		return append(out, boolByte(rd.has(arg(0), arg(1), arg(2)))), true
+		return append(out, boolByte(rd.has(arg(0), arg(1), arg(2))))
 	case shrOpRole:
 		if !need(1) {
-			return shardErrResp("role: want 1 arg"), true
+			return shardErrResp("role: want 1 arg")
 		}
-		return append(out, rd.role(arg(0))), true
+		return append(out, rd.role(arg(0)))
 	case shrOpPredGrp:
 		if !need(1) {
-			return shardErrResp("predGroup: want 1 arg"), true
+			return shardErrResp("predGroup: want 1 arg")
 		}
 		var group []Spo
 		if gs := rd.predGroups(arg(0)); len(gs) > 0 {
 			group = gs[0]
 		}
-		return append(out, encodeFrzSpos(group)...), true
+		return append(out, encodeFrzSpos(group)...)
 	case shrOpPredIDs:
-		return append(out, encodeFrzIDs(p.predIDs)...), true
+		return append(out, encodeFrzIDs(p.predIDs)...)
 	case shrOpEntities:
-		return append(out, encodeFrzIDs(p.entities)...), true
+		return append(out, encodeFrzIDs(p.entities)...)
 	default:
-		return shardErrResp(fmt.Sprintf("unknown op %d", op)), true
+		return shardErrResp(fmt.Sprintf("unknown op %d", op))
 	}
+}
+
+// answerBatch answers the sub-reads of one batch in order. The frame is
+// refused whole — an error reply, nothing answered — when it is not a list
+// of at most maxBatchReads well-delimited per-vertex data reads; a sub-read
+// that is well delimited but wrong in itself (a bad argument count) gets
+// the error reply it would have got alone.
+func (s *ShardServer) answerBatch(subs []byte) []byte {
+	out := []byte{shrStatusOK}
+	for n := 0; len(subs) > 0; n++ {
+		l := int(subs[0])
+		switch {
+		case n == maxBatchReads:
+			return shardErrResp(fmt.Sprintf("batch: more than %d reads", maxBatchReads))
+		case l == 0:
+			return shardErrResp(fmt.Sprintf("batch: read %d is empty", n))
+		case l > len(subs)-1:
+			return shardErrResp(fmt.Sprintf("batch: read %d runs %d bytes past the frame", n, l-(len(subs)-1)))
+		}
+		sub := subs[1 : 1+l]
+		subs = subs[1+l:]
+		if op := sub[0]; op < shrOpOut || op > shrOpRole {
+			return shardErrResp(fmt.Sprintf("batch: read %d: op %d is not a per-vertex read", n, op))
+		}
+		if len(out) > maxBatchReply {
+			out = binary.LittleEndian.AppendUint32(out, 0) // unanswered
+			continue
+		}
+		r := s.answer(sub)
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(r)))
+		out = append(out, r...)
+	}
+	return out
 }
 
 func shardErrResp(msg string) []byte {

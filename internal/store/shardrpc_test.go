@@ -3,16 +3,20 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gqa/internal/budget"
 	"gqa/internal/faultpoint"
+	"gqa/internal/rdf"
 )
 
 func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
@@ -58,6 +62,51 @@ func startLoopbackShards(t *testing.T, g *Graph, k int) ([]string, []*ShardServe
 		t.Cleanup(srv.Close)
 	}
 	return addrs, servers
+}
+
+// startFrameShards is startLoopbackShards with the test between the
+// framing and the handler: every request frame of every shard goes to
+// answer together with the shard's real server, and what answer returns is
+// sent back (ok=false severs the connection unanswered). It is how a test
+// breaks one kind of frame — a batch — and leaves the others alone, which
+// the process-wide rpc.call faultpoint cannot.
+func startFrameShards(t *testing.T, g *Graph, k int, answer func(srv *ShardServer, req []byte) (resp []byte, ok bool)) []string {
+	t.Helper()
+	g.SetShards(k)
+	g.Freeze()
+	addrs := make([]string, k)
+	for i, part := range exportShardParts(t, g, k) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		addrs[i] = ln.Addr().String()
+		srv := NewShardServer(part)
+		go func() {
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				// Ends when the client closes its pooled connection.
+				go func() {
+					defer conn.Close()
+					for {
+						req, err := readFrame(conn, maxShardReqFrame)
+						if err != nil {
+							return
+						}
+						resp, ok := answer(srv, req)
+						if !ok || writeFrame(conn, resp) != nil {
+							return
+						}
+					}
+				}()
+			}
+		}()
+	}
+	return addrs
 }
 
 // TestShardPartRoundtrip pins the part files: every part of a sharded
@@ -333,6 +382,224 @@ func TestRemoteFailureModes(t *testing.T) {
 			t.Fatalf("err %T is not a server error", err)
 		}
 	})
+
+	// A batch frame fails like any frame — same deadline, retries and
+	// breaker — but on its own it fails silently: nothing degrades until a
+	// read needs what the batch would have brought. Only batch frames are
+	// broken here; single reads reach the real handler.
+	type frameFunc = func(srv *ShardServer, req []byte) ([]byte, bool)
+	var breakBatch atomic.Pointer[frameFunc] // a delayed server goroutine outlives its row
+	faddrs := startFrameShards(t, g, 2, func(srv *ShardServer, req []byte) ([]byte, bool) {
+		if req[0] == shrOpBatch {
+			return (*breakBatch.Load())(srv, req)
+		}
+		return srv.handle(req)
+	})
+	hints := []Read{ReadPred(probe.S, probe.P, true), ReadHas(probe.S, probe.P, probe.O)}
+	want := sn.OutPred(probe.S, probe.P)
+	batchCases := []struct {
+		name       string
+		batch      frameFunc
+		wantCalls  int64 // frames for the prefetch and the two reads after it
+		wantRetry  int64
+		wantHits   int64
+		wantFailed bool // the reads after the prefetch degrade
+	}{
+		// The shard exhausts the batch's retries and is marked down, so the
+		// reads that follow fail fast: three frames in all.
+		{"batch cut mid-stream", func(*ShardServer, []byte) ([]byte, bool) { return nil, false }, 3, 2, 0, true},
+		{"batch delayed past call timeout", func(srv *ShardServer, req []byte) ([]byte, bool) {
+			time.Sleep(300 * time.Millisecond)
+			return srv.handle(req)
+		}, 3, 2, 0, true},
+		// What a server from before the batch opcode answers. An error frame
+		// is deterministic: one attempt, then the reads go one by one.
+		{"batch refused by an old server", func(*ShardServer, []byte) ([]byte, bool) {
+			return shardErrResp("unknown op 14"), true
+		}, 3, 0, 0, false},
+		{"batch reply one sub-reply short", func(srv *ShardServer, req []byte) ([]byte, bool) {
+			resp, ok := srv.handle(req)
+			n := binary.LittleEndian.Uint32(resp[1:])
+			return resp[:1+4+n], ok // the first sub-reply only
+		}, 3, 0, 0, false},
+		{"batch sub-reply of a wrong length", func(srv *ShardServer, req []byte) ([]byte, bool) {
+			resp, ok := srv.handle(req)
+			binary.LittleEndian.PutUint32(resp[len(resp)-6:], 1) // has answers 2 bytes: now 1, and 1 stray
+			return resp, ok
+		}, 3, 0, 0, false},
+		{"batch answered", func(srv *ShardServer, req []byte) ([]byte, bool) { return srv.handle(req) }, 1, 0, 2, false},
+	}
+	for _, tc := range batchCases {
+		t.Run(tc.name, func(t *testing.T) {
+			rss, err := DialShards(faddrs, g.Terms(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rss.Close()
+			breakBatch.Store(&tc.batch)
+			ctx, cancel := contextWithTimeout(2 * time.Second)
+			defer cancel()
+			tr := budget.New(ctx, budget.Limits{})
+			bv := rss.BindRequest(tr, nil)
+			st := rpcOf(bv).req
+
+			start := time.Now()
+			bv.Prefetch(hints)
+			if reason, errs := tr.Exhausted(), st.errs.Load(); reason != "" || errs != 0 {
+				t.Fatalf("the prefetch alone degraded the request: reason %q, %d errors", reason, errs)
+			}
+			span, has := bv.OutPred(probe.S, probe.P), bv.Has(probe.S, probe.P, probe.O)
+			if elapsed := time.Since(start); elapsed > 1500*time.Millisecond {
+				t.Fatalf("prefetch and reads took %s — unbounded retry?", elapsed)
+			}
+
+			if tc.wantFailed {
+				if len(span) != 0 || has {
+					t.Fatalf("reads behind a failed shard answered %d edges, has=%v", len(span), has)
+				}
+				if got := tr.Exhausted(); got != budget.ReasonShard {
+					t.Fatalf("budget reason = %q, want %q", got, budget.ReasonShard)
+				}
+			} else {
+				if !edgesEqual(span, want) || !has {
+					t.Fatalf("reads after the prefetch answered %v, has=%v; want %v, true", span, has, want)
+				}
+				if reason, errs := tr.Exhausted(), st.errs.Load(); reason != "" || errs != 0 {
+					t.Fatalf("request degraded: reason %q, %d errors", reason, errs)
+				}
+			}
+			if st.calls.Load() != tc.wantCalls || st.retries.Load() != tc.wantRetry {
+				t.Fatalf("calls = %d, retries = %d; want %d, %d", st.calls.Load(), st.retries.Load(), tc.wantCalls, tc.wantRetry)
+			}
+			if st.readHits.Load() != tc.wantHits || st.reads.Load() != 2 || st.batchReads.Load() != 2 {
+				t.Fatalf("reads = %d, hits = %d, batched = %d; want 2, %d, 2",
+					st.reads.Load(), st.readHits.Load(), st.batchReads.Load(), tc.wantHits)
+			}
+		})
+	}
+}
+
+// TestShardServerBatch pins the batch envelope at the server: a well-formed
+// batch is answered read by read with what each read is answered alone
+// (a read that is wrong in itself gets its own error reply), and a frame
+// that is not a list of at most maxBatchReads per-vertex reads is refused
+// whole.
+func TestShardServerBatch(t *testing.T) {
+	g := randomRichGraph(rand.New(rand.NewSource(3)))
+	g.SetShards(2)
+	srv := NewShardServer(g.Freeze().Part(0))
+	v := ID(0)
+
+	subs := [][]byte{
+		ReadPred(v, 1, true).appendTo(nil), Read{op: shrOpDegrees, v: v}.appendTo(nil),
+		{shrOpOut, 1, 2},                        // bad argument count: that read's own error
+		Read{op: shrOpRole, v: 1}.appendTo(nil), // a vertex another shard owns: empty, not an error
+	}
+	resp := srv.answer(batchReq(subs...))
+	if resp[0] != shrStatusOK {
+		t.Fatalf("valid batch refused: %s", resp[1:])
+	}
+	checkBatchReply(t, srv, batchReq(subs...)[1:], resp[1:])
+
+	refused := []struct {
+		name string
+		req  []byte
+		want string
+	}{
+		{"nested batch", batchReq(subs[0], batchReq(subs[1])), "not a per-vertex read"},
+		{"predicate-major scan", batchReq(Read{op: shrOpPredGrp, v: 1}.appendTo(nil)), "not a per-vertex read"},
+		{"empty read", append(batchReq(subs[0]), 0), "is empty"},
+		{"read past the frame", append(batchReq(subs[0]), 9, shrOpIn, 0), "past the frame"},
+		{"one read too many", batchReq(repeatReq(subs[0], maxBatchReads+1)...), "more than 256 reads"},
+	}
+	for _, tc := range refused {
+		resp := srv.answer(tc.req)
+		if resp[0] != shrStatusErr || !strings.Contains(string(resp[1:]), tc.want) {
+			t.Errorf("%s: answered %q, want an error naming %q", tc.name, resp, tc.want)
+		}
+	}
+	if full := batchReq(repeatReq(ReadHas(v, v, v).appendTo(nil), maxBatchReads)...); len(full) != maxShardReqFrame {
+		t.Errorf("a full batch of the longest read is %d bytes, the request cap is %d", len(full), maxShardReqFrame)
+	} else if resp := srv.answer(full); resp[0] != shrStatusOK {
+		t.Errorf("a full batch was refused: %s", resp[1:])
+	}
+
+	// The armed rpc.call faultpoint fires once per frame, however many
+	// reads the frame carries.
+	faultpoint.Set(faultpoint.RPCCall, faultpoint.Fault{Delay: time.Microsecond})
+	defer faultpoint.Reset()
+	if _, ok := srv.handle(batchReq(subs...)); !ok || faultpoint.Hits(faultpoint.RPCCall) != 1 {
+		t.Errorf("a batch of %d reads hit the rpc.call faultpoint %d times, want 1", len(subs), faultpoint.Hits(faultpoint.RPCCall))
+	}
+	// A panic inside one sub-read is that frame's error reply, not a dead
+	// server: a part whose out-CSR lost its offsets faults on any out read.
+	broken := *srv.part.part
+	broken.outOff = nil
+	srv.rd[0] = &broken
+	resp, ok := srv.handle(batchReq(subs[1], subs[0]))
+	if !ok || resp[0] != shrStatusErr || !strings.Contains(string(resp[1:]), "shard server panic") {
+		t.Errorf("a panicking sub-read answered %q, ok=%v; want the frame's error reply", resp, ok)
+	}
+}
+
+// TestBatchReplyCap: past maxBatchReply bytes of reply the server stops
+// reading and marks the rest of the batch unanswered, and the client keeps
+// what was answered and reads the rest one at a time — same answers, and a
+// frame that cannot grow without bound.
+func TestBatchReplyCap(t *testing.T) {
+	// Eight hubs of 20 000 in-edges each: 160 KB a span, so the seventh
+	// reply crosses the 1 MiB cap.
+	const hubs, fan = 8, 20000
+	g := New()
+	p := g.Intern(rdf.Ontology("p"))
+	hub := make([]ID, hubs)
+	for i := range hub {
+		hub[i] = g.Intern(rdf.Resource(fmt.Sprintf("hub%d", i)))
+	}
+	for i := 0; i < fan; i++ {
+		s := g.Intern(rdf.Resource(fmt.Sprintf("s%d", i)))
+		for _, h := range hub {
+			g.AddSPO(s, p, h)
+		}
+	}
+	local := g.Freeze()
+	var batches atomic.Int64
+	addrs := startFrameShards(t, g, 2, func(srv *ShardServer, req []byte) ([]byte, bool) {
+		resp, ok := srv.handle(req)
+		if req[0] == shrOpBatch {
+			batches.Add(1)
+			if len(resp) > maxBatchReply+8*fan+64 {
+				t.Errorf("batch reply of %d bytes, cap %d plus one span", len(resp), maxBatchReply)
+			}
+		}
+		return resp, ok
+	})
+	rss, err := DialShards(addrs, g.Terms(), RemoteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rss.Close()
+	bv := rss.BindRequest(nil, nil)
+	var reads []Read
+	for _, h := range hub {
+		if int(h)%2 == 1 { // all on one shard, so one frame: eight spans
+			reads = append(reads, ReadPred(h, p, false), Read{op: shrOpIn, v: h})
+		}
+	}
+	bv.Prefetch(reads)
+	for _, h := range hub {
+		if !edgesEqual(bv.InPred(h, p), local.InPred(h, p)) || !edgesEqual(bv.In(h), local.In(h)) {
+			t.Fatalf("in-spans of hub %d diverge after a capped batch", h)
+		}
+	}
+	st := rpcOf(bv).req
+	if batches.Load() != 1 || st.readHits.Load() == 0 || st.readHits.Load() >= int64(len(reads)) {
+		t.Fatalf("%d batch frames, %d of %d prefetched reads served from the set; want 1 frame and some but not all",
+			batches.Load(), st.readHits.Load(), len(reads))
+	}
+	if st.errs.Load() != 0 {
+		t.Fatalf("%d reads failed", st.errs.Load())
+	}
 }
 
 // TestRemoteHedgedGather pins the hedge path: with every shard answering
