@@ -14,9 +14,12 @@ import (
 	"time"
 
 	"gqa/internal/bench"
+	"gqa/internal/dict"
 	"gqa/internal/faultpoint"
+	"gqa/internal/flight"
 	"gqa/internal/obs"
 	"gqa/internal/rdf"
+	"gqa/internal/store"
 )
 
 // cacheMetric returns the current value of one of the process-wide cache
@@ -60,8 +63,11 @@ func TestCacheDifferentialByteIdentical(t *testing.T) {
 	}
 
 	sys.SetCache(1024)
-	h0, m0 := cacheMetric("gqa_cache_hits_total"), cacheMetric("gqa_cache_misses_total")
-	for pass, want := range map[string]int64{"cold": 0, "warm": int64(len(qs))} {
+	m0 := cacheMetric("gqa_cache_misses_total")
+	// Cold before warm — a slice, not a map, whose iteration order is
+	// random. The cold pass hits nothing, the warm pass everything.
+	for p, pass := range []string{"cold", "warm"} {
+		want := int64(p * len(qs))
 		hBefore := cacheMetric("gqa_cache_hits_total")
 		for i, q := range qs {
 			ans, lines, err := sys.ExplainContext(ctx, q.Text)
@@ -80,7 +86,6 @@ func TestCacheDifferentialByteIdentical(t *testing.T) {
 	if misses := cacheMetric("gqa_cache_misses_total") - m0; misses != int64(len(qs)) {
 		t.Errorf("cold pass misses = %d, want %d", misses, len(qs))
 	}
-	_ = h0
 }
 
 // TestCacheCoalescing: K concurrent identical questions on a cold cache
@@ -228,6 +233,51 @@ func TestDegradedAnswerNotCached(t *testing.T) {
 	}
 	if d := cacheMetric("gqa_cache_hits_total") - h0; d != 1 {
 		t.Errorf("complete answer was not cached (hits delta %d, want 1)", d)
+	}
+}
+
+// TestMatchCapIsLoud: a class with one instance more than the matcher holds
+// at once (MaxMatches, 10000), asked for by a type-only question, so every
+// instance is a match tied at the cut. The answer must say it is partial
+// (Degraded "matches"), be counted under that reason, reach the flight
+// recorder's wide event, and not be cached.
+func TestMatchCapIsLoud(t *testing.T) {
+	g := store.New()
+	typ := g.Intern(rdf.NewIRI(rdf.RDFType))
+	widget := g.Intern(rdf.Ontology("Widget"))
+	g.AddSPO(widget, g.Intern(rdf.NewIRI(rdf.RDFSLabel)), g.Intern(rdf.NewLiteral("widget")))
+	for i := 0; i <= 10000; i++ {
+		g.AddSPO(g.Intern(rdf.Resource(fmt.Sprintf("w%05d", i))), typ, widget)
+	}
+	sys := NewSystem(g, dict.New(), Options{Cache: CacheConfig{Entries: 8}})
+	rec, err := flight.New(flight.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	sys.SetFlight(rec)
+
+	degraded := obs.DefaultCounter("gqa_core_degraded_total", "", obs.L("reason", "matches"))
+	d0, m0 := degraded.Value(), cacheMetric("gqa_cache_misses_total")
+	for ask := 1; ask <= 2; ask++ {
+		ans, err := sys.AnswerContext(context.Background(), "Give me all widgets.")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.Degraded != "matches" || len(ans.IRIs) != 10000 {
+			t.Fatalf("ask %d: Degraded = %q with %d answers, want \"matches\" with the 10000 held",
+				ask, ans.Degraded, len(ans.IRIs))
+		}
+	}
+	if d := cacheMetric("gqa_cache_misses_total") - m0; d != 2 {
+		t.Errorf("two capped asks: misses delta %d, want 2 (a capped answer must not be cached)", d)
+	}
+	if d := degraded.Value() - d0; d != 2 {
+		t.Errorf("gqa_core_degraded_total{reason=\"matches\"} moved by %d, want 2", d)
+	}
+	rec.Sync()
+	if events := string(rec.SlowestJSON()); !strings.Contains(events, `"degraded":"matches"`) {
+		t.Errorf("no wide event carries the reason: %s", events)
 	}
 }
 

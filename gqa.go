@@ -48,8 +48,9 @@ import (
 
 // Options configures a System.
 type Options struct {
-	// TopK is the number of distinct match scores retained (default 10,
-	// as in the paper's experiments).
+	// TopK is k: the search keeps the k best matches, counted in matches,
+	// together with every match tied with the k-th (default 10, as in the
+	// paper's experiments). Answers come from the best score alone.
 	TopK int
 	// MaxCandidates caps each argument's entity-linking candidate list
 	// (default 10).
@@ -288,9 +289,11 @@ type Answer struct {
 	SPARQL string
 	// Degraded is set when a budget (Options.Budget or the caller's
 	// context) ran out before the search completed: "deadline",
-	// "canceled", "steps", or "candidates". The answer then reflects the
-	// best partial top-k found in time — possibly empty — rather than the
-	// full search. An answer produced under a load-shedding tier
+	// "canceled", "steps", or "candidates"; when a remote shard could not
+	// be read ("shard-unavailable"); or when more matches tied at the
+	// top-k cut than the matcher holds at once ("matches"). The answer then
+	// reflects the best partial top-k found — possibly empty — rather than
+	// the full search. An answer produced under a load-shedding tier
 	// (AnswerShed) carries a "shed:tierN" prefix: alone when the search
 	// still completed, joined as "shed:tierN/steps" when the shrunken
 	// budget cut it short. Empty for a complete, trustworthy answer served

@@ -37,6 +37,11 @@ const (
 	// retries (a shard server down or unreachable mid-round). The search
 	// degrades to the best partial result, exactly like a deadline trip.
 	ReasonShard = "shard-unavailable"
+	// ReasonMatches marks a search the matcher's MaxMatches cap ended: more
+	// matches tied at the top-k cut than it holds at once. No Tracker
+	// reports it (it is not a limit of this package); it is listed here
+	// because it travels the same way, as MatchStats.Truncated.
+	ReasonMatches = "matches"
 )
 
 // Interned reason values so exhaustion never allocates on the hot path.

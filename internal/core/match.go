@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
@@ -57,24 +58,35 @@ func (m *Match) key() string {
 
 // MatchOptions tunes the top-k search.
 type MatchOptions struct {
-	// TopK is the number of distinct match scores kept (the paper returns
-	// every match tied on a kept score). Zero means 10.
+	// TopK is k, counted in matches: the search returns every match whose
+	// score is at least the score of the k-th best match (all of them when
+	// fewer than k exist) — the top k, ties at the cut included. Zero means
+	// 10, the paper's k.
 	TopK int
 	// DisablePruning turns off the neighborhood-based candidate filter of
 	// §4.2.2 (ablation).
 	DisablePruning bool
-	// Exhaustive disables the TA-style early-termination rule and scans
-	// every candidate (ablation for Algorithm 3's stopping strategy).
+	// Exhaustive disables Algorithm 3's threshold in both places it acts —
+	// the stopping rule between rounds and the score bound inside a seed —
+	// so every candidate is scanned and every match enumerated (ablation,
+	// and what the brute-force oracle is compared with). What is returned
+	// follows the same top-k rule.
 	Exhaustive bool
-	// MaxMatches is a safety cap on enumerated matches (default 10000).
+	// MaxMatches caps the matches held at once (default 10000). Only
+	// matches at or above the cut are held, so the cap is met only by more
+	// than MaxMatches matches tied at the cut; the search then ends with
+	// MatchStats.Truncated = "matches".
 	MaxMatches int
 	// Parallelism is the number of worker goroutines the anchored search
 	// may use. Anchor-rooted exploration is independent per seed entity, so
 	// the search fans the seeds of each TA round across a bounded pool and
 	// joins before the stopping rule runs. Zero means GOMAXPROCS; one runs
-	// the exact sequential search inline. Results are identical at every
-	// parallelism level for a non-truncated search: the final canonical
-	// order (descending score, then match key) hides scheduling.
+	// the exact sequential search inline. The returned matches are
+	// identical at every parallelism level for a non-truncated search: a
+	// branch is cut only below a score that is at most the final cut, and
+	// the final canonical order (descending score, then match key) hides
+	// scheduling. How much work was cut (MatchStats.Steps, MatchesFound)
+	// depends on the schedule when the level is above one.
 	Parallelism int
 	// Budget bounds the search (wall-clock deadline, cancellation, step and
 	// candidate-expansion limits). Nil means unlimited; the search then
@@ -101,7 +113,7 @@ type MatchOptions struct {
 }
 
 func (o *MatchOptions) defaults() {
-	if o.TopK == 0 {
+	if o.TopK <= 0 {
 		o.TopK = 10
 	}
 	if o.MaxMatches == 0 {
@@ -150,17 +162,34 @@ type matcher struct {
 	// slices) across the many seeds of one search; states are reset on Get.
 	statePool sync.Pool
 
-	cands  [][]VertexCandidate // pruned candidate lists per vertex
-	adj    [][]int             // vertex → incident edge indices
-	res    *resultSet          // shared top-k (mutex-guarded)
-	probes atomic.Int64        // anchored searches performed (stats)
-	// seeds and steps aggregate per-worker effort exactly: every worker
-	// adds to the shared atomics, so the totals are independent of how the
-	// pool scheduled the work — MatchStats reads them once after the pool
-	// has joined and reports identical values at every parallelism level
-	// (for a non-truncated search).
+	cands [][]VertexCandidate // pruned candidate lists per vertex
+	adj   [][]int             // vertex → incident edge indices
+
+	// The terms of Definition 6, taken once per search. vlog[vi][i] is what
+	// binding vertex vi through cands[vi][i] adds to a match's score and
+	// elog[ei][i] what realizing edge ei by its i-th candidate path adds;
+	// vbest and ebest are the largest term of each vertex and edge, what an
+	// unbound slot can still hope for (0 for an unconstrained vertex). A
+	// searchState starts from vbest/ebest and overwrites a slot as it is
+	// bound, so one sum (searchState.total) is the score of a complete
+	// assignment and the upper bound of a partial one.
+	vlog, elog   [][]float64
+	vbest, ebest []float64
+	// bounded is whether the search cuts a branch whose bound is below the
+	// result set's cut (everywhere but under MatchOptions.Exhaustive).
+	bounded bool
+
+	res    *resultSet   // shared top-k (mutex-guarded)
+	probes atomic.Int64 // anchored searches performed (stats)
+	// seeds, steps and cuts aggregate per-worker effort through shared
+	// atomics, read once after the pool has joined. Which seeds run is
+	// decided at the round barrier, so seeds is the same at every
+	// parallelism level; steps and cuts are what the bound left of each
+	// seed, which depends on when the cut rose — on the schedule, above
+	// one worker.
 	seeds atomic.Int64 // runSeed calls (class candidates unrolled)
 	steps atomic.Int64 // extend() invocations across all workers
+	cuts  atomic.Int64 // branches skipped because their bound was below the cut
 
 	panicMu    sync.Mutex
 	panicVal   any
@@ -168,9 +197,13 @@ type matcher struct {
 }
 
 // MatchStats reports search effort, used by the ablation benchmarks and
-// surfaced on trace spans. The per-worker counts (Seeds, Steps,
-// MatchesFound) aggregate through shared atomics, so for a non-truncated
-// search every non-timing field is identical at every parallelism level.
+// surfaced on trace spans. For a non-truncated search every field but
+// Steps and MatchesFound is identical at every parallelism level and store
+// layout: the cut at a round barrier is, and the barrier decides Rounds,
+// EarlyStopped and Seeds. Steps and MatchesFound count what the score
+// bound left to do inside the seeds, and the bound rises as matches
+// arrive: identical across store layouts at Parallelism 1, dependent on
+// the schedule above it.
 type MatchStats struct {
 	AnchorsProbed  int
 	CandidatesKept int
@@ -183,31 +216,43 @@ type MatchStats struct {
 	// Steps counts extend() invocations summed exactly across workers.
 	Steps int64
 	// MatchesFound counts complete matches offered to the result set
-	// (record attempts, before dedup).
+	// (record attempts, before dedup and before the cut).
 	MatchesFound int64
-	// MatchesKept is the number of distinct assignments retained.
+	// MatchesKept is the number of matches held at the end: the size of
+	// the returned set.
 	MatchesKept int
 	// Parallelism is the resolved worker count the search ran with.
 	Parallelism int
-	// Truncated is the budget-exhaustion reason ("deadline", "canceled",
-	// "steps", "candidates") when the search was cut short, "" for a
-	// complete search. A truncated search still returns the best partial
-	// top-k discovered before the budget ran out.
+	// Truncated is why the search was cut short — a budget-exhaustion
+	// reason ("deadline", "canceled", "steps", "candidates"), a failed
+	// remote read ("shard-unavailable"), or "matches" when the MaxMatches
+	// cap refused a match — and "" for a complete search. A truncated
+	// search still returns the best partial top-k discovered before it
+	// stopped.
 	Truncated string
 }
 
 // FindTopKMatches runs Algorithm 3: sort candidate lists, advance cursors
 // in round-robin, run an exploration-based (VF2-style) subgraph search from
-// every cursor candidate, and stop once the current k-th score beats the
-// upper bound of Equation 3.
+// every cursor candidate, and stop once the score of the k-th best match
+// found (the cut) beats the upper bound of Equation 3. The same threshold
+// acts inside a seed: a partial assignment whose best possible score is
+// below the cut is not extended, and a candidate path that cannot reach the
+// cut is not walked. It returns the top k matches, ties at the cut
+// included.
 //
 // Each round's cursor candidates expand to seed entities that a bounded
 // worker pool (MatchOptions.Parallelism) explores concurrently; the pool
 // joins at the round barrier so the TA stopping rule evaluates the same
-// complete rounds it does sequentially. Matches are returned in canonical
-// order — descending score, ties by ascending assignment key — so the
-// output is byte-identical across parallelism levels whenever the search
-// ran to completion (no budget truncation, no MaxMatches cap).
+// complete rounds it does sequentially. The cut is shared by all workers
+// and only rises, so a worker cuts only what is below the final cut, and
+// matches are returned in canonical order — descending score, ties by
+// ascending assignment key: the output is byte-identical across
+// parallelism levels whenever the search ran to completion
+// (MatchStats.Truncated is empty — no budget ran out, no remote read
+// failed, the MaxMatches cap refused nothing). The work it took is not:
+// with more than one worker, how early the cut rose under a seed depends on
+// the schedule, and MatchStats.Steps and MatchesFound with it.
 //
 // A panic inside a worker (matcher bug, armed faultpoint) never wedges the
 // pool: it is captured, the pool drains, and the first panic is rethrown
@@ -218,7 +263,8 @@ func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match,
 	if view == nil {
 		view = g.FrozenView()
 	}
-	m := &matcher{view: view, q: q, opts: opts, res: newResultSet(opts.MaxMatches)}
+	m := &matcher{view: view, q: q, opts: opts, bounded: !opts.Exhaustive,
+		res: newResultSet(opts.TopK, opts.MaxMatches)}
 	// A snapshot over remote parts binds to this request so its RPC calls
 	// inherit the request budget's deadline and failures degrade (never
 	// hang) the search; over local parts binding is the identity.
@@ -276,16 +322,17 @@ func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match,
 			return nil, stats
 		}
 	}
+	m.scoreTerms()
 
 	anchors := m.anchorVertices()
 	if len(anchors) == 0 {
 		// Every vertex is unconstrained (an all-wh question): enumerate
 		// graph vertices as the anchor for vertex 0. This degenerate path
-		// stays sequential: its MaxMatches cutoff is order-sensitive, and
-		// determinism outranks speed for a query shape with no candidate
-		// signal.
+		// stays sequential: which matches a MaxMatches refusal leaves out
+		// is order-sensitive, and determinism outranks speed for a query
+		// shape with no candidate signal.
 		m.enumerateUnanchored()
-		matches := m.res.harvest(opts.TopK)
+		matches := m.res.harvest()
 		m.finishStats(&stats, len(matches))
 		return matches, stats
 	}
@@ -322,9 +369,54 @@ func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match,
 		}
 	}
 	m.rethrow()
-	matches := m.res.harvest(opts.TopK)
+	matches := m.res.harvest()
 	m.finishStats(&stats, len(matches))
 	return matches, stats
+}
+
+// vertexTerm is what a vertex bound with confidence score adds to a match's
+// log-space score. A score that is not positive adds nothing.
+func vertexTerm(score float64) float64 {
+	if score > 0 {
+		return math.Log(score)
+	}
+	return 0
+}
+
+// scoreTerms fills vlog, elog, vbest and ebest from the pruned candidate
+// lists. The best term of a slot is the largest of its own terms, not the
+// term of its first candidate, so the bound holds whatever the list order.
+func (m *matcher) scoreTerms() {
+	best := func(terms []float64) float64 {
+		if len(terms) == 0 {
+			return 0
+		}
+		b := terms[0]
+		for _, t := range terms[1:] {
+			b = max(b, t)
+		}
+		return b
+	}
+	nv, ne := len(m.q.Vertices), len(m.q.Edges)
+	m.vlog, m.vbest = make([][]float64, nv), make([]float64, nv)
+	for vi := range m.q.Vertices {
+		if m.q.Vertices[vi].Unconstrained {
+			continue // binds anything with δ = 1: term 0
+		}
+		m.vlog[vi] = make([]float64, len(m.cands[vi]))
+		for i, c := range m.cands[vi] {
+			m.vlog[vi][i] = vertexTerm(c.Score)
+		}
+		m.vbest[vi] = best(m.vlog[vi])
+	}
+	m.elog, m.ebest = make([][]float64, ne), make([]float64, ne)
+	for ei := range m.q.Edges {
+		m.elog[ei] = make([]float64, len(m.q.Edges[ei].Candidates))
+		for i, pc := range m.q.Edges[ei].Candidates {
+			m.elog[ei][i] = math.Log(pc.Score)
+		}
+		m.ebest[ei] = best(m.elog[ei])
+	}
 }
 
 // finishStats folds the matcher's shared atomics into the caller's stats,
@@ -342,6 +434,9 @@ func (m *matcher) finishStats(stats *MatchStats, returned int) {
 		// An unbudgeted request has no tracker to trip, but a bound remote
 		// snapshot still knows its reads failed — surface the degradation.
 		stats.Truncated = m.bound.DegradeReason()
+	}
+	if stats.Truncated == "" && m.res.refused.Load() {
+		stats.Truncated = budget.ReasonMatches
 	}
 
 	matchRoundsTotal.Add(int64(stats.Rounds))
@@ -361,6 +456,10 @@ func (m *matcher) finishStats(stats *MatchStats, returned int) {
 	sp.SetInt("matches_found", stats.MatchesFound)
 	sp.SetInt("matches_kept", int64(stats.MatchesKept))
 	sp.SetInt("returned", int64(returned))
+	if cut := m.res.cut(); !math.IsInf(cut, -1) {
+		sp.SetFloat("cut_score", cut)
+	}
+	sp.SetInt("bound_cuts", m.cuts.Load())
 	sp.SetInt("workers", int64(stats.Parallelism))
 	sp.SetBool("early_stopped", stats.EarlyStopped)
 	if stats.Truncated != "" {
@@ -395,14 +494,14 @@ func (m *matcher) finishStats(stats *MatchStats, returned int) {
 
 // seedTask is one unit of parallel work: enumerate every match in which
 // query vertex vi is bound to entity u, justified by the class via (or
-// directly when via is store.None) with vertex confidence score. cost is
+// directly when via is store.None), which adds term to the score. cost is
 // the seed's cheapest incident-edge frontier, used to order the round.
 type seedTask struct {
-	vi    int
-	u     store.ID
-	via   store.ID
-	score float64
-	cost  int
+	vi   int
+	u    store.ID
+	via  store.ID
+	term float64
+	cost int
 }
 
 // roundTasks expands the TA cursors at position round into per-seed work
@@ -421,14 +520,14 @@ func (m *matcher) roundTasks(anchors []int, round int) []seedTask {
 		if round >= len(m.cands[vi]) {
 			continue
 		}
-		c := m.cands[vi][round]
+		c, term := m.cands[vi][round], m.vlog[vi][round]
 		m.probes.Add(1)
 		if c.IsClass {
 			for _, u := range m.instancesOf(c.ID) {
-				tasks = append(tasks, seedTask{vi: vi, u: u, via: c.ID, score: c.Score})
+				tasks = append(tasks, seedTask{vi: vi, u: u, via: c.ID, term: term})
 			}
 		} else {
-			tasks = append(tasks, seedTask{vi: vi, u: c.ID, via: store.None, score: c.Score})
+			tasks = append(tasks, seedTask{vi: vi, u: c.ID, via: store.None, term: term})
 		}
 	}
 	if m.hints {
@@ -634,7 +733,7 @@ func (m *matcher) runSeed(t *seedTask) {
 	defer m.putState(st)
 	st.assign[t.vi] = t.u
 	st.via[t.vi] = t.via
-	st.score[t.vi] = t.score
+	st.vterm[t.vi] = t.term
 	st.done[t.vi] = true
 	m.extend(st)
 }
@@ -644,11 +743,15 @@ func (m *matcher) runSeed(t *seedTask) {
 // and each carries six per-vertex/per-edge slices.
 func (m *matcher) getState() *searchState {
 	st := m.statePool.Get().(*searchState)
-	st.reset()
+	st.reset(m)
 	return st
 }
 
-func (m *matcher) putState(st *searchState) { m.statePool.Put(st) }
+// putState also folds the state's count of bound cuts into the search's.
+func (m *matcher) putState(st *searchState) {
+	m.cuts.Add(st.cuts)
+	m.statePool.Put(st)
+}
 
 func (m *matcher) notePanic(v any) {
 	m.panicMu.Lock()
@@ -666,9 +769,9 @@ func (m *matcher) panicked() bool {
 }
 
 // aborted reports whether the search should stop dispatching work: the
-// budget tripped or a worker panicked.
+// budget tripped, the MaxMatches cap refused a match, or a worker panicked.
 func (m *matcher) aborted() bool {
-	return m.opts.Budget.Done() || m.panicked()
+	return m.opts.Budget.Done() || m.res.refused.Load() || m.panicked()
 }
 
 // rethrow re-raises the first captured worker panic on the calling
@@ -774,150 +877,166 @@ func (m *matcher) hasAdjPred(u, p store.ID) bool {
 	return m.view.HasAdjacentPred(u, p)
 }
 
-// thresholdReached evaluates the TA stopping rule: the upper bound on any
-// undiscovered match (every anchor candidate at position > round, every
-// edge at its best) must not beat the current k-th best score. It runs at
-// the round barrier only, after the pool has joined, so it sees the same
-// complete rounds the sequential algorithm sees.
+// thresholdReached evaluates the TA stopping rule at the round barrier,
+// after the pool has joined, so it sees the same complete rounds the
+// sequential algorithm sees: stop when the cut — the score of the k-th best
+// match found — is above the upper bound on any undiscovered match. The
+// bound is a search state's own sum with every slot at its best, and every
+// anchor at its next candidate (the lists are sorted, so nothing further
+// down is better): a match not yet discovered binds each anchor past this
+// round. Anchor-cost skipping leaves the skipped vertices at their best
+// term — sound, since nothing bounds the position of their candidate in an
+// undiscovered match. The test is strict: an undiscovered match that ties
+// the cut belongs to the result.
 func (m *matcher) thresholdReached(anchors []int, round int) bool {
-	theta, full := m.res.kthScore(m.opts.TopK)
-	if !full {
+	theta := m.res.cut()
+	if math.IsInf(theta, -1) {
 		return false
 	}
-	up := 0.0
-	anchored := make(map[int]bool, len(anchors))
+	st := m.getState()
+	defer m.putState(st)
 	for _, vi := range anchors {
-		anchored[vi] = true
 		if round+1 >= len(m.cands[vi]) {
 			// This list is exhausted: every match containing one of its
 			// candidates has been enumerated, so no undiscovered match
 			// exists at all.
 			return true
 		}
-		up += math.Log(m.cands[vi][round+1].Score)
+		st.vterm[vi] = m.vlog[vi][round+1]
 	}
-	// Constrained vertices that were not anchored (anchor-cost skipping)
-	// contribute their best score — sound, since nothing bounds the
-	// position of their candidate in an undiscovered match.
-	for vi := range m.q.Vertices {
-		if m.q.Vertices[vi].Unconstrained || anchored[vi] || len(m.cands[vi]) == 0 {
-			continue
-		}
-		up += math.Log(m.cands[vi][0].Score)
-	}
-	for _, e := range m.q.Edges {
-		if len(e.Candidates) > 0 {
-			up += math.Log(e.Candidates[0].Score)
-		}
-	}
-	return theta >= up
+	return theta > st.total()
 }
 
-// resultSet is the top-k state shared by every worker of one search. All
-// mutable state sits behind one mutex; the match count is additionally
-// mirrored in an atomic so the MaxMatches cap check in the hot extend
-// loop stays lock-free.
+// resultSet is the top-k state shared by every worker of one search: the
+// matches whose score is at least the cut θ, the score of the k-th best of
+// them (−∞ until k are held). θ only rises, and a match that falls below it
+// is let go, so what is held at the end is the returned set: the k best
+// matches, ties at the cut included. All mutable state sits behind one
+// mutex; θ, the count and the refusal flag are mirrored in atomics so the
+// hot extend loop reads them lock-free.
 type resultSet struct {
+	topK       int
 	maxMatches int
-	count      atomic.Int64 // == len(found), read lock-free by full()
-	attempts   atomic.Int64 // record calls (complete matches offered)
+	count      atomic.Int64  // == len(results)
+	attempts   atomic.Int64  // record calls (complete matches offered)
+	theta      atomic.Uint64 // θ, as math.Float64bits
+	refused    atomic.Bool   // the MaxMatches cap turned a match away
 
 	mu      sync.Mutex
-	found   map[string]*Match
-	results []*Match // maintained sorted by descending score
+	found   map[string]*Match // by assignmentKey
+	results []*Match          // maintained sorted by descending score
 }
 
-// counts returns the cumulative record attempts and distinct matches kept —
-// the coordinator reads deltas around each round for the round trace span.
+// counts returns the cumulative record attempts and the matches held — the
+// coordinator reads deltas around each round for the round trace span.
 func (rs *resultSet) counts() (attempts, kept int64) {
 	return rs.attempts.Load(), rs.count.Load()
 }
 
-func newResultSet(maxMatches int) *resultSet {
-	return &resultSet{maxMatches: maxMatches, found: make(map[string]*Match)}
+func newResultSet(topK, maxMatches int) *resultSet {
+	rs := &resultSet{topK: topK, maxMatches: maxMatches, found: make(map[string]*Match)}
+	rs.theta.Store(math.Float64bits(math.Inf(-1)))
+	return rs
 }
 
-// full reports whether the MaxMatches safety cap is reached. It may lag a
-// concurrent record by an instant (the cap is a safety valve, not an exact
-// quota); record itself re-checks under the lock.
-func (rs *resultSet) full() bool {
-	return rs.count.Load() >= int64(rs.maxMatches)
+// cut returns θ. It may lag a concurrent record by an instant, always on
+// the low side, which only delays a cut.
+func (rs *resultSet) cut() float64 { return math.Float64frombits(rs.theta.Load()) }
+
+// assignmentKey appends an assignment's fixed-width binary form to buf:
+// the key of found. A lookup indexes the map with string(key) in place,
+// which does not allocate; only holding a new match copies it.
+func assignmentKey(buf []byte, assignment []store.ID) []byte {
+	for _, u := range assignment {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(u))
+	}
+	return buf
 }
 
-// record registers a discovered match, deduplicating by assignment key and
-// keeping the best-scoring justification per assignment. The final score
-// per key is its maximum over all discoveries, so the recorded state is
-// independent of the order workers find matches in.
+// record registers a discovered match, deduplicating by assignment and
+// keeping the best-scoring justification per assignment. A match below θ
+// is dropped at the door. The final score per assignment is its maximum
+// over all discoveries and θ is at most the final θ throughout, so the
+// state at the end of a complete search is independent of the order workers
+// find matches in. A new assignment that arrives while MaxMatches are held
+// is refused, which ends the search (MatchStats.Truncated = "matches").
 func (rs *resultSet) record(match *Match) {
 	rs.attempts.Add(1)
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if len(rs.found) >= rs.maxMatches {
+	if match.Score < rs.cut() {
 		return
 	}
-	k := match.key()
-	if prev, ok := rs.found[k]; ok {
+	var kb [64]byte
+	key := assignmentKey(kb[:0], match.Assignment)
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if match.Score < rs.cut() {
+		return
+	}
+	if prev, ok := rs.found[string(key)]; ok {
 		if match.Score > prev.Score {
-			// Same assignment, better justification. The slices must be
-			// copied, not aliased: match points at the worker's live
-			// backtracking state, which mutates after record returns.
+			// Same assignment, better justification: move the one entry up
+			// to behind the matches already at its new score. The slices
+			// must be copied, not aliased: match points at the worker's
+			// live backtracking state, which mutates after record returns.
+			i := sort.Search(len(rs.results), func(i int) bool { return rs.results[i].Score <= prev.Score })
+			for rs.results[i] != prev {
+				i++
+			}
 			prev.Score = match.Score
 			prev.Via = append(prev.Via[:0], match.Via...)
 			prev.EdgePaths = append(prev.EdgePaths[:0], match.EdgePaths...)
-			sort.SliceStable(rs.results, func(i, j int) bool { return rs.results[i].Score > rs.results[j].Score })
+			pos := sort.Search(i, func(j int) bool { return rs.results[j].Score < prev.Score })
+			copy(rs.results[pos+1:i+1], rs.results[pos:i])
+			rs.results[pos] = prev
+			rs.raiseCut()
 		}
+		return
+	}
+	if len(rs.results) >= rs.maxMatches {
+		rs.refused.Store(true)
 		return
 	}
 	cp := *match
 	cp.Assignment = append([]store.ID(nil), match.Assignment...)
 	cp.Via = append([]store.ID(nil), match.Via...)
 	cp.EdgePaths = append([]dict.Path(nil), match.EdgePaths...)
-	rs.found[k] = &cp
+	rs.found[string(key)] = &cp
 	pos := sort.Search(len(rs.results), func(i int) bool { return rs.results[i].Score < cp.Score })
 	rs.results = append(rs.results, nil)
 	copy(rs.results[pos+1:], rs.results[pos:])
 	rs.results[pos] = &cp
-	rs.count.Store(int64(len(rs.found)))
+	rs.raiseCut()
 }
 
-// kthScore returns the current k-th distinct score and whether k distinct
-// scores exist yet.
-func (rs *resultSet) kthScore(topK int) (float64, bool) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	distinct := 0
-	last := math.Inf(1)
-	for _, r := range rs.results {
-		if r.Score != last {
-			distinct++
-			last = r.Score
-		}
-		if distinct == topK {
-			return last, true
+// raiseCut lifts θ to the score of the k-th best held match, if that is
+// above it, and lets go of the matches now below. Called with mu held after
+// results changed.
+func (rs *resultSet) raiseCut() {
+	if len(rs.results) >= rs.topK {
+		if kth := rs.results[rs.topK-1].Score; kth > rs.cut() {
+			rs.theta.Store(math.Float64bits(kth))
+			n := len(rs.results)
+			var kb [64]byte
+			for ; rs.results[n-1].Score < kth; n-- {
+				delete(rs.found, string(assignmentKey(kb[:0], rs.results[n-1].Assignment)))
+				rs.results[n-1] = nil
+			}
+			rs.results = rs.results[:n]
 		}
 	}
-	return math.Inf(-1), false
+	rs.count.Store(int64(len(rs.results)))
 }
 
-// harvest returns the matches carrying the top-k distinct scores, in
-// canonical order: descending score, ties by ascending assignment key.
-// Which matches qualify depends only on the score multiset, and each
-// match's final score is order-independent (record keeps the per-key
-// maximum), so for a non-truncated search the harvest is byte-identical
+// harvest returns the held matches — the top k, ties at the cut included —
+// in canonical order: descending score, ties by ascending assignment key.
+// Which matches are held at the end depends only on the scores, and each
+// match's final score is order-independent (record keeps the maximum per
+// assignment), so for a non-truncated search the harvest is byte-identical
 // at every parallelism level.
-func (rs *resultSet) harvest(topK int) []Match {
+func (rs *resultSet) harvest() []Match {
 	rs.mu.Lock()
 	var out []Match
-	distinct := 0
-	last := math.Inf(1)
 	for _, r := range rs.results {
-		if r.Score != last {
-			distinct++
-			last = r.Score
-			if distinct > topK {
-				break
-			}
-		}
 		out = append(out, *r)
 	}
 	rs.mu.Unlock()
@@ -930,7 +1049,7 @@ func (rs *resultSet) harvest(topK int) []Match {
 }
 
 // canonicalOrder sorts matches by descending score, ties by ascending
-// assignment key (keys are unique: found dedups by key).
+// assignment key (keys are unique: found dedups by assignment).
 type canonicalOrder struct {
 	matches []Match
 	keys    []string
@@ -948,46 +1067,78 @@ func (s *canonicalOrder) Swap(i, j int) {
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
+// searchState is one worker's partial assignment. vterm and eterm hold the
+// Definition 6 term of every vertex and edge slot: the bound candidate's,
+// or the slot's best (matcher.vbest, ebest) while it is unbound.
 type searchState struct {
 	assign []store.ID
 	via    []store.ID
-	score  []float64 // δ per vertex (1.0 for unconstrained)
+	vterm  []float64
 	paths  []dict.Path
-	pscore []float64
+	eterm  []float64
 	done   []bool
+	cuts   int64 // branches this state skipped below the cut
 }
 
 func newSearchState(nVerts, nEdges int) *searchState {
-	st := &searchState{
+	return &searchState{
 		assign: make([]store.ID, nVerts),
 		via:    make([]store.ID, nVerts),
-		score:  make([]float64, nVerts),
+		vterm:  make([]float64, nVerts),
 		paths:  make([]dict.Path, nEdges),
-		pscore: make([]float64, nEdges),
+		eterm:  make([]float64, nEdges),
 		done:   make([]bool, nVerts),
 	}
-	for i := range st.assign {
-		st.assign[i] = store.None
-		st.via[i] = store.None
-	}
-	return st
 }
 
-// reset returns a (possibly dirty, possibly panic-abandoned) state to the
-// newSearchState condition for pool reuse.
-func (st *searchState) reset() {
+// reset puts a new or used (possibly dirty, possibly panic-abandoned) state
+// into the empty assignment of m's query: nothing bound, every slot at its
+// best term.
+func (st *searchState) reset(m *matcher) {
 	for i := range st.assign {
-		st.assign[i], st.via[i], st.score[i], st.done[i] = store.None, store.None, 0, false
+		st.assign[i], st.via[i], st.done[i] = store.None, store.None, false
 	}
-	for i := range st.paths {
-		st.paths[i], st.pscore[i] = nil, 0
+	clear(st.paths)
+	copy(st.vterm, m.vbest)
+	copy(st.eterm, m.ebest)
+	st.cuts = 0
+}
+
+// total sums the state's terms, vertices then edges, in slot order. For a
+// complete assignment that is its Definition 6 score; for a partial one it
+// is an upper bound on the score of every completion, and not only in
+// exact arithmetic: a completion replaces terms by smaller or equal ones in
+// the same sum, and floating-point addition is monotone in each operand, so
+// the computed bound is never below the computed score.
+func (st *searchState) total() float64 {
+	sum := 0.0
+	for _, t := range st.vterm {
+		sum += t
 	}
+	for _, t := range st.eterm {
+		sum += t
+	}
+	return sum
+}
+
+// below reports whether no completion of st can enter the result set: its
+// bound is under the cut. Strictly under — a completion that ties the cut
+// is part of the result. While fewer than k matches are held there is no
+// cut and nothing to sum.
+func (m *matcher) below(st *searchState) bool {
+	if !m.bounded {
+		return false
+	}
+	theta := m.res.cut()
+	return !math.IsInf(theta, -1) && st.total() < theta
 }
 
 // extend grows the partial assignment by one vertex (VF2-style: always a
 // vertex adjacent to the matched region when one exists) until complete.
+// Before it walks a candidate path, and again before it descends under a
+// target, it asks whether the assignment so far can still reach the cut.
 func (m *matcher) extend(st *searchState) {
-	if m.res.full() {
+	if m.res.refused.Load() {
 		return
 	}
 	m.steps.Add(1)
@@ -1007,25 +1158,8 @@ func (m *matcher) extend(st *searchState) {
 			// everything; such degenerate queries yield no useful match.
 			return
 		}
-		for _, c := range m.cands[next] {
-			us := []store.ID{c.ID}
-			via := store.None
-			if c.IsClass {
-				us = m.instancesOf(c.ID)
-				via = c.ID
-			}
-			for _, u := range us {
-				if !m.opts.Budget.Candidate() {
-					return
-				}
-				if m.used(st, u) {
-					continue
-				}
-				st.assign[next], st.via[next], st.score[next], st.done[next] = u, via, c.Score, true
-				m.extend(st)
-				st.assign[next], st.via[next], st.done[next] = store.None, store.None, false
-			}
-		}
+		m.startComponent(st, next)
+		st.vterm[next] = m.vbest[next]
 		return
 	}
 
@@ -1036,7 +1170,12 @@ func (m *matcher) extend(st *searchState) {
 		from = st.assign[e.To]
 		reversedEdge = true
 	}
-	for _, pc := range e.Candidates {
+	for ci, pc := range e.Candidates {
+		st.paths[bridge], st.eterm[bridge] = pc.Path, m.elog[bridge][ci]
+		if m.below(st) {
+			st.cuts++
+			continue
+		}
 		targets := m.reachable(from, pc.Path, reversedEdge)
 		if m.hints {
 			m.hintFrontier(st, next, bridge, targets)
@@ -1049,11 +1188,44 @@ func (m *matcher) extend(st *searchState) {
 			if !ok {
 				continue
 			}
-			st.assign[next], st.via[next], st.score[next], st.done[next] = w, vc.via, vc.score, true
-			st.paths[bridge], st.pscore[bridge] = pc.Path, pc.Score
+			st.assign[next], st.via[next], st.vterm[next], st.done[next] = w, vc.via, vc.term, true
+			if m.below(st) {
+				st.cuts++
+			} else {
+				m.extend(st)
+			}
+			st.assign[next], st.via[next], st.vterm[next], st.done[next] = store.None, store.None, m.vbest[next], false
+		}
+	}
+	st.paths[bridge], st.eterm[bridge] = nil, m.ebest[bridge]
+}
+
+// startComponent binds next, the first vertex of a component no edge joins
+// to the matched region, from its own candidate list. The caller restores
+// the vertex's term.
+func (m *matcher) startComponent(st *searchState, next int) {
+	for ci, c := range m.cands[next] {
+		st.vterm[next] = m.vlog[next][ci]
+		if m.below(st) {
+			st.cuts++
+			continue
+		}
+		us := []store.ID{c.ID}
+		via := store.None
+		if c.IsClass {
+			us = m.instancesOf(c.ID)
+			via = c.ID
+		}
+		for _, u := range us {
+			if !m.opts.Budget.Candidate() {
+				return
+			}
+			if m.used(st, u) {
+				continue
+			}
+			st.assign[next], st.via[next], st.done[next] = u, via, true
 			m.extend(st)
 			st.assign[next], st.via[next], st.done[next] = store.None, store.None, false
-			st.paths[bridge], st.pscore[bridge] = nil, 0
 		}
 	}
 }
@@ -1139,29 +1311,57 @@ func (m *matcher) hintSeeds(tasks []seedTask) {
 		}
 	}
 	m.bound.Prefetch(reads)
+	st := m.getState()
+	defer m.putState(st)
 	for lo := 0; lo < len(tasks); {
+		// The seeds of one vertex in one round come from one candidate, so
+		// they share a term and with it which walks the cut leaves them.
 		vi, hi := tasks[lo].vi, lo
 		var seeds []store.ID
 		for ; hi < len(tasks) && tasks[hi].vi == vi; hi++ {
 			seeds = append(seeds, tasks[hi].u)
 		}
+		st.vterm[vi] = tasks[lo].term
 		var walks []dict.Path
 		for _, ei := range m.adj[vi] {
-			walks = append(walks, m.walks[ei]...)
+			walks = m.liveWalks(walks, st, ei)
 		}
+		st.vterm[vi] = m.vbest[vi]
 		dict.PrefetchPaths(m.bound, seeds, walks)
 		lo = hi
 	}
+}
+
+// liveWalks appends the multi-step walks over edge ei (m.walks[ei], two per
+// multi-step candidate path) that extend would still make from st: those
+// of the candidate paths whose bound, with the edge realized by that path,
+// is not below the cut.
+func (m *matcher) liveWalks(walks []dict.Path, st *searchState, ei int) []dict.Path {
+	w := m.walks[ei]
+	for ci, pc := range m.q.Edges[ei].Candidates {
+		if len(pc.Path) <= 1 {
+			continue
+		}
+		st.eterm[ei] = m.elog[ei][ci]
+		if !m.below(st) {
+			walks = append(walks, w[0], w[1])
+		}
+		w = w[2:]
+	}
+	st.eterm[ei] = m.ebest[ei]
+	return walks
 }
 
 // hintFrontier tells a remote view what extend is about to read for every
 // target of a frontier bound to query vertex next. First the type probes
 // vertexAccepts makes and — for the edges at next that will still have an
 // open end once next is bound — the spans frontierCost and then reachable
-// read one level down; then, for the targets those probes accept, the
-// further hops of that level's multi-step walks. The probes it makes itself
-// to tell which targets are accepted are the ones extend's own loop makes
-// next, so a hint never reads what the search would not.
+// read one level down; then, for the targets those probes accept and the cut
+// lets extend descend under, the further hops of the multi-step walks the
+// cut leaves to that level. The probes it makes itself to tell which
+// targets are accepted are the ones extend's own loop makes next, and it
+// asks the cut what extend asks, so a hint never reads what the search
+// would not.
 func (m *matcher) hintFrontier(st *searchState, next, bridge int, targets []store.ID) {
 	if len(targets) == 0 {
 		return
@@ -1198,20 +1398,47 @@ func (m *matcher) hintFrontier(st *searchState, next, bridge int, targets []stor
 	}
 	m.bound.Prefetch(reads)
 
-	var walks []dict.Path
+	multiStep := false
 	for _, ei := range open {
-		walks = append(walks, m.walks[ei]...)
+		multiStep = multiStep || len(m.walks[ei]) > 0
 	}
-	if len(walks) == 0 {
+	if !multiStep {
 		return
 	}
-	accepted := fresh[:0]
+	type target struct {
+		w    store.ID
+		term float64
+	}
+	var accepted []target
 	for _, w := range fresh {
-		if _, ok := m.vertexAccepts(next, w); ok {
-			accepted = append(accepted, w)
+		if vc, ok := m.vertexAccepts(next, w); ok {
+			accepted = append(accepted, target{w, vc.term})
 		}
 	}
-	dict.PrefetchPaths(m.bound, accepted, walks)
+	// The cut sees a target only through its term (nearly always one term
+	// for the whole frontier): one hint per group of equal terms.
+	for len(accepted) > 0 {
+		term := accepted[0].term
+		var group []store.ID
+		rest := accepted[:0]
+		for _, t := range accepted {
+			if t.term == term {
+				group = append(group, t.w)
+			} else {
+				rest = append(rest, t)
+			}
+		}
+		accepted = rest
+		st.vterm[next] = term
+		if !m.below(st) {
+			var walks []dict.Path
+			for _, ei := range open {
+				walks = m.liveWalks(walks, st, ei)
+			}
+			dict.PrefetchPaths(m.bound, group, walks)
+		}
+	}
+	st.vterm[next] = m.vbest[next]
 }
 
 // chooseNext picks the next unmatched vertex. Among query edges bridging
@@ -1299,6 +1526,7 @@ func (m *matcher) reachable(u store.ID, p dict.Path, reversed bool) []store.ID {
 type acceptance struct {
 	via   store.ID
 	score float64
+	term  float64 // what score adds to a match's score (vertexTerm)
 }
 
 // vertexAccepts checks Definition 3 conditions 1–2 for matching graph
@@ -1310,15 +1538,15 @@ func (m *matcher) vertexAccepts(vi int, w store.ID) (acceptance, bool) {
 		return acceptance{via: store.None, score: 1.0}, true
 	}
 	best := acceptance{via: store.None, score: -1}
-	for _, c := range m.cands[vi] {
+	for ci, c := range m.cands[vi] {
 		switch {
 		case !c.IsClass && c.ID == w:
 			if c.Score > best.score {
-				best = acceptance{via: store.None, score: c.Score}
+				best = acceptance{via: store.None, score: c.Score, term: m.vlog[vi][ci]}
 			}
 		case c.IsClass && m.hasType(w, c.ID):
 			if c.Score > best.score {
-				best = acceptance{via: c.ID, score: c.Score}
+				best = acceptance{via: c.ID, score: c.Score, term: m.vlog[vi][ci]}
 			}
 		}
 	}
@@ -1345,46 +1573,42 @@ func (m *matcher) finish(st *searchState) {
 	var filled []int
 	defer func() {
 		for _, ei := range filled {
-			st.paths[ei], st.pscore[ei] = nil, 0
+			st.paths[ei], st.eterm[ei] = nil, m.ebest[ei]
 		}
 	}()
-	score := 0.0
-	for vi := range m.q.Vertices {
-		if st.score[vi] > 0 {
-			score += math.Log(st.score[vi])
-		}
-	}
 	for ei := range m.q.Edges {
+		if st.paths[ei] != nil {
+			continue
+		}
+		// Choose the best candidate path connecting the endpoints.
 		e := &m.q.Edges[ei]
-		if st.paths[ei] == nil {
-			// Choose the best candidate path connecting the endpoints.
-			found := false
-			for _, pc := range e.Candidates {
-				if dict.PathConnects(m.view, st.assign[e.From], st.assign[e.To], pc.Path) {
-					st.paths[ei], st.pscore[ei] = pc.Path, pc.Score
-					filled = append(filled, ei)
-					found = true
-					break
-				}
-			}
-			if !found {
-				return
+		found := false
+		for ci, pc := range e.Candidates {
+			if dict.PathConnects(m.view, st.assign[e.From], st.assign[e.To], pc.Path) {
+				st.paths[ei], st.eterm[ei] = pc.Path, m.elog[ei][ci]
+				filled = append(filled, ei)
+				found = true
+				break
 			}
 		}
-		score += math.Log(st.pscore[ei])
+		if !found {
+			return
+		}
 	}
 	m.res.record(&Match{
 		Assignment: st.assign,
 		Via:        st.via,
 		EdgePaths:  st.paths,
-		Score:      score,
+		Score:      st.total(),
 	})
 }
 
 // enumerateUnanchored handles the degenerate all-wh query ("Who married
 // whom?") by trying every graph vertex as the binding of vertex 0. Such
 // queries carry no candidate-list signal, so exhaustive anchoring is the
-// only sound strategy; MaxMatches bounds the work.
+// only sound strategy, and with one score per candidate path every match of
+// the best path ties: past MaxMatches of them the search stops, truncated
+// ("matches"), and says so.
 func (m *matcher) enumerateUnanchored() {
 	if len(m.q.Vertices) == 0 {
 		return
@@ -1392,7 +1616,7 @@ func (m *matcher) enumerateUnanchored() {
 	m.probes.Add(1)
 	st := m.getState()
 	defer m.putState(st)
-	for v, n := 0, m.view.NumTerms(); v < n && !m.res.full(); v++ {
+	for v, n := 0, m.view.NumTerms(); v < n && !m.res.refused.Load(); v++ {
 		u := store.ID(v)
 		if !m.view.Term(u).IsIRI() || m.view.Degree(u) == 0 {
 			continue
@@ -1402,7 +1626,7 @@ func (m *matcher) enumerateUnanchored() {
 		}
 		// extend backtracks everything it bound, so only the anchor slot
 		// needs rebinding between iterations.
-		st.assign[0], st.score[0], st.done[0] = u, 1.0, true
+		st.assign[0], st.done[0] = u, true
 		m.extend(st)
 	}
 }

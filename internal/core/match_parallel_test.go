@@ -21,11 +21,20 @@ func runAt(g *store.Graph, q *QueryGraph, p int) ([]Match, MatchStats) {
 	return FindTopKMatches(g, q, MatchOptions{TopK: 5, MaxMatches: 1 << 20, Parallelism: p})
 }
 
+// scheduleFree is stats without the fields that may differ between two
+// complete runs of one search above one worker: the resolved worker count,
+// and Steps and MatchesFound — what the score bound left to do inside the
+// seeds, which depends on when the shared cut rose.
+func scheduleFree(stats MatchStats) MatchStats {
+	stats.Parallelism, stats.Steps, stats.MatchesFound = 0, 0, 0
+	return stats
+}
+
 // TestQuickParallelIdenticalToSequential is the differential harness at
 // the matcher level: across random graphs and queries, the parallel
 // search (P = 2, 8) must return byte-identical matches — assignments,
-// justifications, edge paths, scores, order — and identical search
-// effort to the sequential baseline (P = 1).
+// justifications, edge paths, scores, order — and the same rounds, seeds,
+// stop and result size as the sequential baseline (P = 1).
 func TestQuickParallelIdenticalToSequential(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -36,13 +45,9 @@ func TestQuickParallelIdenticalToSequential(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: P=%d matches differ\n got %v\nwant %v", seed, p, got, want)
 			}
-			// Every non-timing stat must aggregate exactly across the
-			// pool: per-seed step and expansion counts flow through
-			// shared atomics, so the totals are scheduling-independent.
-			// Only the resolved worker count may differ.
-			norm := gotStats
-			norm.Parallelism = wantStats.Parallelism
-			if !reflect.DeepEqual(norm, wantStats) {
+			// What the round barrier decides is scheduling-independent,
+			// because the cut at a barrier is.
+			if scheduleFree(gotStats) != scheduleFree(wantStats) {
 				t.Fatalf("seed %d: P=%d stats differ:\n got %+v\nwant %+v", seed, p, gotStats, wantStats)
 			}
 		}

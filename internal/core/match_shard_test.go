@@ -21,8 +21,10 @@ func runSharded(g *store.Graph, q *QueryGraph, k, p int) ([]Match, MatchStats) {
 
 // TestShardedIdenticalToMonolithic is the scatter-gather differential
 // harness: across random graphs and queries, the sharded search (K = 2, 8)
-// must return byte-identical matches AND byte-identical MatchStats to the
-// monolithic frozen baseline, at sequential and parallel widths.
+// must return byte-identical matches to the monolithic frozen baseline at
+// sequential and parallel widths, AND byte-identical MatchStats: all of
+// them at P = 1, where the search tree is one, and all that the round
+// barrier decides at P = 4 (scheduleFree).
 func TestShardedIdenticalToMonolithic(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -34,7 +36,10 @@ func TestShardedIdenticalToMonolithic(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d: K=%d P=%d matches differ\n got %v\nwant %v", seed, k, p, got, want)
 				}
-				if !reflect.DeepEqual(gotStats, wantStats) {
+				if p > 1 {
+					gotStats, wantStats = scheduleFree(gotStats), scheduleFree(wantStats)
+				}
+				if gotStats != wantStats {
 					t.Fatalf("seed %d: K=%d P=%d stats differ:\n got %+v\nwant %+v", seed, k, p, gotStats, wantStats)
 				}
 			}
@@ -113,7 +118,7 @@ func TestShardConcurrentAddDuringMatch(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("iter %d: concurrent mutation changed pinned-view matches", i)
 		}
-		if !reflect.DeepEqual(gotStats, wantStats) {
+		if scheduleFree(gotStats) != scheduleFree(wantStats) {
 			t.Fatalf("iter %d: concurrent mutation changed pinned-view stats:\n got %+v\nwant %+v", i, gotStats, wantStats)
 		}
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
-	"math"
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"gqa/internal/dict"
@@ -189,32 +191,165 @@ func TestMatcherPathEdge(t *testing.T) {
 	}
 }
 
-func TestTopKDistinctScores(t *testing.T) {
-	// Many tied matches: top-k counts distinct scores, so ties all return.
+// fanPath is one candidate path of fanQuery's edge: a predicate, the path's
+// score, and how many fans point at each center over it.
+type fanPath struct {
+	pred  string
+	score float64
+	fans  []int
+}
+
+// fanQuery builds the star the top-k tests share: fans point at centers over
+// the predicate of the path they were given, and the query asks who —[like]→
+// center, with the centers as the one constrained vertex's candidates and
+// the paths as the edge's.
+func fanQuery(centerScores []float64, paths []fanPath) (*store.Graph, *QueryGraph, []store.ID) {
 	g := store.New()
-	r := func(n string) store.ID { return g.Intern(rdf.Resource(n)) }
-	pred := g.Intern(rdf.Ontology("likes"))
-	center := r("center")
-	for i := 0; i < 7; i++ {
-		g.AddSPO(r("fan"+string(rune('A'+i))), pred, center)
+	var centers []VertexCandidate
+	for ci, score := range centerScores {
+		centers = append(centers, VertexCandidate{ID: g.Intern(rdf.Resource(fmt.Sprintf("center%d", ci))), Score: score})
 	}
-	p := dict.Path{{Pred: pred, Forward: true}}
-	phrase := dict.New().Add("like", []dict.Entry{{Path: p, Score: 1}})
+	var preds []store.ID
+	var entries []dict.Entry
+	var cands []EdgeCandidate
+	for _, fp := range paths {
+		pred := g.Intern(rdf.Ontology(fp.pred))
+		preds = append(preds, pred)
+		for ci, n := range fp.fans {
+			for i := 0; i < n; i++ {
+				g.AddSPO(g.Intern(rdf.Resource(fmt.Sprintf("%s-fan%d-%d", fp.pred, ci, i))), pred, centers[ci].ID)
+			}
+		}
+		p := dict.Path{{Pred: pred, Forward: true}}
+		entries = append(entries, dict.Entry{Path: p, Score: fp.score})
+		cands = append(cands, EdgeCandidate{Path: p, Score: fp.score})
+	}
 	q := &QueryGraph{
 		Vertices: []Vertex{
 			{Arg: Argument{Text: "who", Wh: true}, Unconstrained: true, Select: true},
-			{Arg: Argument{Text: "center"}, Candidates: []VertexCandidate{{ID: center, Score: 1}}},
+			{Arg: Argument{Text: "center"}, Candidates: centers},
 		},
-		Edges: []Edge{{From: 0, To: 1, Phrase: phrase,
-			Candidates: []EdgeCandidate{{Path: p, Score: 1}}}},
+		Edges: []Edge{{From: 0, To: 1, Phrase: dict.New().Add("like", entries), Candidates: cands}},
 	}
+	return g, q, preds
+}
+
+// spanCounter is a view that counts the span reads over one predicate: the
+// reads a walk over it makes.
+type spanCounter struct {
+	store.View
+	pred  store.ID
+	reads int
+}
+
+func (c *spanCounter) OutPred(v, p store.ID) []store.Edge {
+	if p == c.pred {
+		c.reads++
+	}
+	return c.View.OutPred(v, p)
+}
+
+func (c *spanCounter) InPred(v, p store.ID) []store.Edge {
+	if p == c.pred {
+		c.reads++
+	}
+	return c.View.InPred(v, p)
+}
+
+// TestTopKCountsMatchesTiesIncluded: k counts matches, and every match tied
+// with the k-th comes along. Seven matches tied at k = 1 are seven matches;
+// twelve at the best score and thirty at a lower one are twelve at k = 10 —
+// and since ten were held before the lower path's turn came, that path is
+// never walked.
+func TestTopKCountsMatchesTiesIncluded(t *testing.T) {
+	g, q, _ := fanQuery([]float64{1}, []fanPath{{"likes", 1, []int{7}}})
 	matches, _ := FindTopKMatches(g, q, MatchOptions{TopK: 1})
 	if len(matches) != 7 {
-		t.Fatalf("got %d matches, want all 7 tied at one distinct score", len(matches))
+		t.Fatalf("got %d matches, want all 7 tied with the first", len(matches))
 	}
 	for _, m := range matches {
-		if math.Abs(m.Score-matches[0].Score) > 1e-12 {
+		if m.Score != matches[0].Score {
 			t.Fatal("scores not tied")
+		}
+	}
+
+	g, q, preds := fanQuery([]float64{1}, []fanPath{{"likes", 0.9, []int{12}}, {"knows", 0.3, []int{30}}})
+	for _, exhaustive := range []bool{false, true} {
+		view := &spanCounter{View: g.FrozenView(), pred: preds[1]}
+		matches, stats := FindTopKMatches(g, q, MatchOptions{TopK: 10, Exhaustive: exhaustive, Parallelism: 1, View: view})
+		if len(matches) != 12 || stats.MatchesKept != 12 || matches[11].Score != matches[0].Score {
+			t.Fatalf("exhaustive=%v: got %d matches (%d kept), want the 12 at the best score", exhaustive, len(matches), stats.MatchesKept)
+		}
+		if !exhaustive && (view.reads != 0 || stats.MatchesFound != 12) {
+			t.Errorf("the path below the cut was walked: %d span reads, %d matches found", view.reads, stats.MatchesFound)
+		}
+		if exhaustive && (view.reads == 0 || stats.MatchesFound != 42) {
+			t.Errorf("exhaustive search skipped the lower path: %d span reads, %d matches found", view.reads, stats.MatchesFound)
+		}
+	}
+}
+
+// TestTieAtRoundBound: two anchor candidates of equal score, and k matches
+// under the first. After its round the cut equals the bound on what the
+// second can still give, and a match that ties the cut belongs to the
+// result: the search must go on (it would stop on cut ≥ bound).
+func TestTieAtRoundBound(t *testing.T) {
+	g, q, _ := fanQuery([]float64{0.8, 0.8}, []fanPath{{"likes", 1, []int{3, 2}}})
+	matches, stats := FindTopKMatches(g, q, MatchOptions{TopK: 3})
+	if len(matches) != 5 || stats.Rounds != 2 {
+		t.Fatalf("got %d matches in %d rounds, want all 5 tied matches from 2 rounds", len(matches), stats.Rounds)
+	}
+}
+
+// TestResultSetAgainstModel drives the result set with random offers — few
+// assignments, few distinct scores, so ties, better justifications and
+// matches falling below a rising cut all occur — and requires what it holds
+// at the end to be what the definition says: every assignment whose best
+// offer scores at least the k-th best of those, at that score, carrying the
+// justification of the first offer that reached it, in canonical order.
+func TestResultSetAgainstModel(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		k := 1 + r.Intn(4)
+		rs := newResultSet(k, 1000)
+		best := map[[2]store.ID]Match{}
+		for i := 0; i < 5+r.Intn(60); i++ {
+			a := [2]store.ID{store.ID(r.Intn(5)), store.ID(40 + r.Intn(5))}
+			offer := Match{Assignment: a[:], Via: []store.ID{store.ID(i)}, Score: -float64(1 + r.Intn(4))}
+			if old, ok := best[a]; !ok || offer.Score > old.Score {
+				best[a] = offer
+			}
+			rs.record(&offer)
+		}
+		var want []Match
+		for _, m := range best {
+			want = append(want, m)
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].Score != want[j].Score {
+				return want[i].Score > want[j].Score
+			}
+			return want[i].key() < want[j].key()
+		})
+		if len(want) > k {
+			n := k
+			for n < len(want) && want[n].Score == want[k-1].Score {
+				n++
+			}
+			want = want[:n]
+		}
+		got := rs.harvest()
+		if len(got) != len(want) || int(rs.count.Load()) != len(want) || len(rs.found) != len(want) {
+			t.Fatalf("seed %d k=%d: holds %d matches (count %d, index %d), want %d",
+				seed, k, len(got), rs.count.Load(), len(rs.found), len(want))
+		}
+		for i := range want {
+			if got[i].key() != want[i].key() || got[i].Score != want[i].Score || got[i].Via[0] != want[i].Via[0] {
+				t.Fatalf("seed %d k=%d: match %d is %+v, want %+v", seed, k, i, got[i], want[i])
+			}
+		}
+		if len(want) >= k && rs.cut() != want[len(want)-1].Score {
+			t.Fatalf("seed %d k=%d: cut %v, want the k-th best score %v", seed, k, rs.cut(), want[len(want)-1].Score)
 		}
 	}
 }

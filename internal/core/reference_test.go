@@ -9,11 +9,14 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -370,9 +373,71 @@ func matcherAgreesWithBruteForce(t *testing.T, seed int64, view viewOf) bool {
 	return true
 }
 
+// TestQuickTopKIsBruteForceTopK is the oracle over what the search returns
+// with its threshold on (the stopping rule between rounds and the score
+// bound inside a seed): for a random k, exactly the brute-force assignments
+// (each at its best score) that score at least the k-th best of them, with
+// the same scores, in canonical order — in every deployment shape.
+func TestQuickTopKIsBruteForceTopK(t *testing.T) {
+	quickOverShapes(t, 90, func(t *testing.T, seed int64, view viewOf) bool {
+		r := rand.New(rand.NewSource(seed))
+		g, q := randomQuerySetup(r)
+		k := 1 + r.Intn(5)
+		got, stats := FindTopKMatches(g, q, MatchOptions{TopK: k, View: view(t, g)})
+
+		best := map[string]Match{}
+		for _, m := range bruteForceMatches(g, q) {
+			if old, ok := best[matchKey(m)]; !ok || m.Score > old.Score {
+				best[matchKey(m)] = m
+			}
+		}
+		var want []Match
+		for _, m := range best {
+			want = append(want, m)
+		}
+		canonical := func(a, b Match) int {
+			if c := cmp.Compare(b.Score, a.Score); c != 0 {
+				return c
+			}
+			return cmp.Compare(base36Key(a), base36Key(b))
+		}
+		slices.SortFunc(want, canonical)
+		if len(want) > k {
+			n := k
+			for n < len(want) && want[n].Score == want[k-1].Score {
+				n++
+			}
+			want = want[:n]
+		}
+		if len(got) != len(want) || stats.MatchesKept != len(want) || stats.Truncated != "" {
+			t.Logf("seed %d k=%d: got %d matches (%d kept, truncated %q), brute force says %d (query %s)",
+				seed, k, len(got), stats.MatchesKept, stats.Truncated, len(want), q)
+			return false
+		}
+		for i := range want {
+			if matchKey(got[i]) != matchKey(want[i]) || math.Abs(got[i].Score-want[i].Score) > 1e-9 {
+				t.Logf("seed %d k=%d: match %d is %s at %f, brute force says %s at %f",
+					seed, k, i, matchKey(got[i]), got[i].Score, matchKey(want[i]), want[i].Score)
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// base36Key is the documented tie order of the canonical result: the
+// assignment's IDs in base 36, each followed by a dot, compared as text.
+func base36Key(m Match) string {
+	s := ""
+	for _, u := range m.Assignment {
+		s += strconv.FormatUint(uint64(u), 36) + "."
+	}
+	return s
+}
+
 // TestQuickTATopKIsPrefixOfExhaustive: with early termination on, the
-// returned matches must be exactly the top-k score buckets of the
-// exhaustive result — in every deployment shape of the store.
+// returned matches must be exactly the top k (ties at the cut included) of
+// the exhaustive result — in every deployment shape of the store.
 func TestQuickTATopKIsPrefixOfExhaustive(t *testing.T) {
 	quickOverShapes(t, 60, func(t *testing.T, seed int64, view viewOf) bool {
 		r := rand.New(rand.NewSource(seed))

@@ -17,9 +17,10 @@ import (
 )
 
 // Pipeline metrics. Stage latencies are labeled by the Timing stages of
-// Table 3 / Figure 6; degradations are labeled by the budget-exhaustion
-// reason. Both label sets are closed, so every series is pre-registered
-// and the answer path only does atomic updates.
+// Table 3 / Figure 6; degradations are labeled by the reason the search
+// was cut short (the budget package's Reason constants). Both label sets
+// are closed, so every series is pre-registered and the answer path only
+// does atomic updates.
 var (
 	questionsTotal = obs.DefaultCounter("gqa_core_questions_total",
 		"Natural-language questions answered (aggregation rewrites counted once).")
@@ -38,6 +39,7 @@ var (
 		budget.ReasonCandidates: degradedCounter(budget.ReasonCandidates),
 		budget.ReasonRows:       degradedCounter(budget.ReasonRows),
 		budget.ReasonShard:      degradedCounter(budget.ReasonShard),
+		budget.ReasonMatches:    degradedCounter(budget.ReasonMatches),
 	}
 )
 
@@ -49,7 +51,7 @@ func stageHist(stage string) *obs.Histogram {
 
 func degradedCounter(reason string) *obs.Counter {
 	return obs.DefaultCounter("gqa_core_degraded_total",
-		"Degraded (budget-truncated) answers by exhaustion reason.",
+		"Degraded (truncated) answers by reason.",
 		obs.L("reason", reason))
 }
 
@@ -71,7 +73,9 @@ type System struct {
 
 // Options configures the online pipeline.
 type Options struct {
-	// TopK matches returned (paper experiments use k = 10).
+	// TopK is k: the k best matches are returned, counted in matches, ties
+	// at the cut included (see MatchOptions.TopK). Zero means 10, the k of
+	// the paper's experiments.
 	TopK int
 	// MaxVertexCandidates caps entity-linking lists.
 	MaxVertexCandidates int
@@ -170,9 +174,10 @@ type Result struct {
 	Failure    FailureKind
 	Timing     Timing
 	Stats      MatchStats
-	// Degraded is the budget-exhaustion reason ("deadline", "canceled",
-	// "steps", "candidates") when the pipeline was cut short and the
-	// result holds the best partial answers found in time; "" otherwise.
+	// Degraded is why the pipeline was cut short (MatchStats.Truncated: a
+	// budget reason, "shard-unavailable", or "matches" when more matches
+	// tied at the top-k cut than the matcher holds) and the result holds
+	// the best partial answers found; "" otherwise.
 	Degraded string
 }
 

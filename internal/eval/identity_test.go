@@ -3,7 +3,6 @@ package eval
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -23,6 +22,11 @@ type workloadKB struct {
 	// wideRound, when set, is how many seeds some question's search must
 	// run: the shape that workload is in the table for.
 	wideRound int64
+	// boundCut, when set, says the workload is in the table for the score
+	// bound inside a seed: some question must have more than k matches in
+	// two score classes or more, and the search that returns its top k must
+	// take at most a tenth of the steps it takes to enumerate them all.
+	boundCut bool
 }
 
 var (
@@ -64,6 +68,17 @@ var (
 )
 
 func newNLScale() (*bench.NLScaleKB, error) { return bench.NewNLScaleKB(100, 9, 3) }
+
+// cinemaKB is the generated films × cast × directors KB, the shape of
+// benchmark/'s match-local workload: under the answers of "Which actors
+// played in a film directed by D?" lie some twenty times as many co-star
+// readings, which the search must leave unread in every shape alike. Its
+// second question names two directors at once, equally well: the second
+// ties the first at the round bound.
+var cinemaKB = workloadKB{name: "cinema", boundCut: true, build: func() (*store.Graph, *dict.Dictionary, error) {
+	kb := bench.NewCinemaKB()
+	return kb.Graph, kb.Dict, nil
+}, questions: func() []bench.Question { return bench.NewCinemaKB().Questions }}
 
 func (kb workloadKB) mustBuild(t *testing.T) (*store.Graph, *dict.Dictionary) {
 	t.Helper()
@@ -143,6 +158,14 @@ type observed struct {
 	stats core.MatchStats
 }
 
+// scheduleFree is stats without Steps and MatchesFound, the two counters of
+// work inside the seeds: the score bound rises as matches arrive, so above
+// one worker they depend on the schedule (core.MatchStats).
+func scheduleFree(stats core.MatchStats) core.MatchStats {
+	stats.Steps, stats.MatchesFound = 0, 0
+	return stats
+}
+
 func observe(t *testing.T, sys *core.System, question string) observed {
 	t.Helper()
 	res, err := sys.Answer(question)
@@ -170,18 +193,45 @@ func observe(t *testing.T, sys *core.System, question string) observed {
 	return observed{fp.String(), rd.String(), res.Stats}
 }
 
+// boundCuts is the witness of a boundCut row: with k out of the way and the
+// threshold off, some question shows more than the default k = 10 matches
+// in at least two score classes, at ten times the steps of its top-k search
+// (whose stats are in want).
+func boundCuts(t *testing.T, kb workloadKB, qs []bench.Question, want []observed) bool {
+	all := inProcess(1)(t, kb)
+	all.Opts = core.Options{TopK: 1 << 20, Exhaustive: true, Parallelism: 1}
+	for i, q := range qs {
+		res, err := all.Answer(q.Text)
+		if err != nil {
+			t.Fatalf("%q: %v", q.Text, err)
+		}
+		classes := make(map[float64]bool)
+		for _, m := range res.Matches {
+			classes[m.Score] = true
+		}
+		if len(res.Matches) > 10 && len(classes) >= 2 && res.Stats.Steps >= 10*want[i].stats.Steps {
+			return true
+		}
+	}
+	return false
+}
+
 // TestWorkloadIdentity is the one identity gate over deployment shapes:
 // however the frozen graph is laid out (one part, 4 or 8 in-process
 // shards, a file loaded from disk, 4 shard servers over loopback) and
 // however wide the matcher's worker pool (P = 1, 2, 8), every question of
-// the three workloads must produce byte-identical answers, byte-identical
+// the four workloads must produce byte-identical answers, byte-identical
 // labels and Explain lines, and identical MatchStats to the monolithic
-// sequential run. Sharding may regroup seeds by shard, the pool may
-// reorder work, the wire may add latency, retries and telemetry — the
-// search tree, the thresholds and the harvested matches must coincide
-// exactly, and a healthy remote topology never degrades (the fingerprint
-// carries Degraded). No budget is set, so the determinism guarantee of
-// MatchOptions.Parallelism applies in full. Run under -race in tier 1.
+// sequential run — all of the stats at P = 1, where the search tree is one
+// in every shape, and at P > 1 all but Steps and MatchesFound, which count
+// what the score bound left of each seed and so depend on when a worker saw
+// the cut rise. Sharding may regroup seeds by shard, the pool may reorder
+// work, the wire may add latency, retries and telemetry — the rounds, the
+// thresholds and the harvested matches must coincide exactly, and no search
+// is ever cut short: a healthy remote topology never degrades and no
+// question meets the match cap (the fingerprint carries Degraded). No
+// budget is set, so the determinism guarantee of MatchOptions.Parallelism
+// applies in full. Run under -race in tier 1.
 //
 // A new layout or matcher strategy is one more row or column here, not a
 // new test family.
@@ -196,7 +246,7 @@ func TestWorkloadIdentity(t *testing.T) {
 		{"disk-k1", fromDisk},
 		{"remote-k4", remoteK4},
 	}
-	for _, kb := range []workloadKB{qaldKB, yagoKB, nlscaleKB} {
+	for _, kb := range []workloadKB{qaldKB, yagoKB, nlscaleKB, cinemaKB} {
 		qs := kb.questions()
 		base := inProcess(1)(t, kb)
 		base.Opts.Parallelism = 1
@@ -205,9 +255,15 @@ func TestWorkloadIdentity(t *testing.T) {
 		for i, q := range qs {
 			want[i] = observe(t, base, q.Text)
 			seeds = max(seeds, want[i].stats.Seeds)
+			if want[i].stats.Truncated != "" {
+				t.Errorf("%s: %q was cut short (%s): nothing here may be", kb.name, q.Text, want[i].stats.Truncated)
+			}
 		}
 		if seeds < kb.wideRound {
 			t.Errorf("%s: no question ran %d seeds (most: %d), the shape the row is here for", kb.name, kb.wideRound, seeds)
+		}
+		if kb.boundCut && !boundCuts(t, kb, qs, want) {
+			t.Errorf("%s: no question has more than k matches in two score classes and a top-k search ten times cheaper than their enumeration, the shape the row is here for", kb.name)
 		}
 		for _, shape := range shapes {
 			t.Run(kb.name+"/"+shape.name, func(t *testing.T) {
@@ -224,9 +280,13 @@ func TestWorkloadIdentity(t *testing.T) {
 							t.Errorf("P=%d %q labels or explain lines diverged:\n got: %s\nwant: %s",
 								p, q.Text, got.rendered, want[i].rendered)
 						}
-						if !reflect.DeepEqual(got.stats, want[i].stats) {
+						gotStats, wantStats := got.stats, want[i].stats
+						if p > 1 {
+							gotStats, wantStats = scheduleFree(gotStats), scheduleFree(wantStats)
+						}
+						if gotStats != wantStats {
 							t.Errorf("P=%d %q search stats diverged:\n got: %+v\nwant: %+v",
-								p, q.Text, got.stats, want[i].stats)
+								p, q.Text, gotStats, wantStats)
 						}
 					}
 				}

@@ -46,3 +46,17 @@ func TestNLScale(t *testing.T) {
 		t.Errorf("per-question latency %v too high", perQ)
 	}
 }
+
+// TestCinemaGold: the cinema KB's questions — the cast of one director, and
+// of two who share a name — are answered exactly by their generator's gold
+// sets, so the identity row built on it compares right answers.
+func TestCinemaGold(t *testing.T) {
+	kb := bench.NewCinemaKB()
+	sys := core.NewSystem(kb.Graph, kb.Dict, core.Options{TopK: 10})
+	for _, r := range RunOurs(sys, kb.Questions) {
+		if r.Outcome != OutcomeRight {
+			t.Errorf("%s %q: %s (failure %v, %d answers, %d gold)",
+				r.Question.ID, r.Question.Text, r.Outcome, r.Failure, len(r.Answers), len(r.Question.Gold))
+		}
+	}
+}

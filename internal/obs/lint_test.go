@@ -8,6 +8,7 @@ package obs_test
 import (
 	"context"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -139,5 +140,19 @@ func TestMetricNamingConvention(t *testing.T) {
 		if !strings.Contains(b.String(), "# TYPE "+name+" counter") {
 			t.Errorf("metric %s missing from the exposition", name)
 		}
+	}
+
+	// The degradation reasons are a closed label set, pre-registered whole:
+	// a reason the pipeline can report without a series here would vanish
+	// from the dashboards, and one nobody listed is a typo.
+	var reasons []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, `gqa_core_degraded_total{reason="`); ok {
+			reasons = append(reasons, rest[:strings.IndexByte(rest, '"')])
+		}
+	}
+	want := []string{"canceled", "candidates", "deadline", "matches", "rows", "shard-unavailable", "steps"}
+	if !slices.Equal(reasons, want) {
+		t.Errorf("gqa_core_degraded_total reasons = %q, want exactly %q", reasons, want)
 	}
 }

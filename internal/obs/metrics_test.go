@@ -21,6 +21,7 @@ func buildFixtureRegistry() *Registry {
 	c.Inc()
 	r.Counter("gqa_test_degraded_total", "Degraded answers by reason.", L("reason", "deadline")).Add(3)
 	r.Counter("gqa_test_degraded_total", "Degraded answers by reason.", L("reason", "steps")).Add(1)
+	r.Counter("gqa_test_degraded_total", "Degraded answers by reason.", L("reason", "matches"))
 
 	// Closed label sets, admission-style: every series of the set is
 	// pre-registered before traffic (most still zero), the shape
