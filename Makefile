@@ -6,13 +6,13 @@
 # they encode are part of the gate. The *-smoke targets drive the real
 # binaries end to end. Every gate here is a test that can fail; how fast
 # the system is comes from one place, benchmark/ (BENCHMARK.json), which
-# bench-build compiles and runs twice for three seconds.
+# bench-build compiles and runs three times for three seconds.
 
 GO ?= go
 
-.PHONY: tier1 vet build bench-build test race fuzz fuzz-seeds bench serve-smoke snapshot-smoke flight-smoke shard-smoke shard-rpc-smoke
+.PHONY: tier1 vet build bench-build test race fuzz fuzz-seeds bench loc serve-smoke snapshot-smoke flight-smoke shard-rpc-smoke
 
-tier1: vet build bench-build race fuzz-seeds snapshot-smoke flight-smoke shard-smoke shard-rpc-smoke
+tier1: vet build bench-build race fuzz-seeds snapshot-smoke flight-smoke shard-rpc-smoke
 
 vet:
 	$(GO) vet ./...
@@ -27,11 +27,15 @@ build:
 # shortest run the harness accepts as valid (five rounds of each kind) —
 # and match-local for as long: its verification (every cinema gold set
 # right, no reference answer degraded) is the only place the matcher's
-# score bound and its match cap meet a 100k-triple graph.
+# score bound and its match cap meet a 100k-triple graph. Then match-rpc:
+# its verification (every answer identical to a local K = 1 copy) is the
+# only tier-1 place the matcher meets the prefetching RPC client on the
+# benchmark's own fixture.
 bench-build:
 	cd benchmark && GOFLAGS=-mod=mod GOWORK=off $(GO) vet . && GOFLAGS=-mod=mod GOWORK=off $(GO) build -o /dev/null .
 	bash benchmark/run.sh --workload qald --seconds 3
 	bash benchmark/run.sh --workload match-local --seconds 3
+	bash benchmark/run.sh --workload match-rpc --seconds 3
 
 test:
 	$(GO) test ./...
@@ -84,18 +88,19 @@ fuzz:
 bench:
 	$(GO) test -bench . -benchmem ./...
 
+# The size a deletion is gated on (CHANGES.md quotes both per PR): Go lines
+# that are not blank, not a comment line and not in a _test.go file,
+# outside benchmark/ — and the same count for the matcher alone.
+loc:
+	@printf 'non-test Go code lines outside benchmark/: %s\n' \
+		"$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | grep -cvE '^[[:space:]]*(//.*)?$$')"
+	@printf 'internal/core/match.go: %s\n' "$$(grep -cvE '^[[:space:]]*(//.*)?$$' internal/core/match.go)"
+
 # Flight-recorder smoke (tier-1): build the real gqa-serve binary, boot it
 # with -flight-log, ask one question over HTTP, and assert the wide event
 # lands in the JSONL log with the trace ID the response header carried.
 flight-smoke:
 	$(GO) test -run TestFlightSmokeBinary -v ./internal/serve
-
-# Sharded-store smoke (tier-1): boot the real gqa-serve binary from a
-# GQAFRZ1 snapshot with -shards 4, require one known answer over HTTP and
-# the gqa_store_shard_* series on /metrics — a sharded-boot regression
-# fails the gate end to end.
-shard-smoke:
-	$(GO) test -run TestShardSmokeBinary -v ./internal/serve
 
 # Multi-process sharding smoke (tier-1): export 4 shard parts with
 # gqa-gen, boot 4 real gqa-shard servers plus a gqa-serve

@@ -55,18 +55,16 @@ func normalizeQuestion(q string) string {
 }
 
 // cacheKey assembles the cache key for one input. kind separates the
-// answer and SPARQL namespaces; the generation key and salt components are
-// the invalidation tokens; the fingerprint covers every option that shapes
-// a non-degraded result (Parallelism and Budget are deliberately absent —
-// parallel answers are byte-identical to sequential, and budget-shaped
-// answers are degraded and never cached). On a sharded store the
-// generation key is the full generation vector (global plus per-shard), so
-// re-sharding or a single-shard mutation retires stale entries while
-// answers cached before an unrelated salt bump still need no recompute.
+// answer and SPARQL namespaces; the graph's mutation generation and the
+// salt are the invalidation tokens (any Add/Remove retires every entry —
+// how the store is laid out in parts changes no answer, so it is not in
+// the key); the fingerprint covers every option that shapes a non-degraded
+// result (Budget is deliberately absent — budget-shaped answers are
+// degraded and never cached).
 func (s *System) cacheKey(kind, input string) string {
 	o := s.core.Opts
-	return fmt.Sprintf("%s\x00%s\x00%s.s%d\x00k%d.c%d.h%t.a%t",
-		kind, input, s.graph.GenKey(), s.cacheSalt.Load(),
+	return fmt.Sprintf("%s\x00%s\x00g%d.s%d\x00k%d.c%d.h%t.a%t",
+		kind, input, s.graph.Generation(), s.cacheSalt.Load(),
 		o.TopK, o.MaxVertexCandidates, o.DisableHeuristicRules, o.EnableAggregation)
 }
 

@@ -6,8 +6,10 @@ package gqa
 // never-cache-degraded rule.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -233,6 +235,68 @@ func TestDegradedAnswerNotCached(t *testing.T) {
 	}
 	if d := cacheMetric("gqa_cache_hits_total") - h0; d != 1 {
 		t.Errorf("complete answer was not cached (hits delta %d, want 1)", d)
+	}
+}
+
+// TestDeadShardAnswerNotCached: the store served by four loopback shard
+// servers (the topology benchmark/'s match-rpc builds), the shard that owns
+// Berlin dead. The pruning pass then reads "Berlin has no mayor edge" off a
+// shard that did not answer and is left with no candidate: the answer must
+// say shard-unavailable, not no-match, and asking again must run the
+// pipeline again.
+func TestDeadShardAnswerNotCached(t *testing.T) {
+	const k = 4
+	sys := benchmarkSystem(t)
+	sys.SetCache(64)
+	g := sys.Graph()
+	g.SetShards(k)
+	addrs := make([]string, k)
+	servers := make([]*store.ShardServer, k)
+	for i := range addrs {
+		var buf bytes.Buffer
+		if err := store.SaveShardPart(&buf, g, i); err != nil {
+			t.Fatal(err)
+		}
+		part, err := store.LoadShardPart(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[i] = store.NewShardServer(part)
+		go servers[i].Serve(ln) //nolint:errcheck // returns net.ErrClosed after Close
+		t.Cleanup(servers[i].Close)
+		addrs[i] = ln.Addr().String()
+	}
+	rss, err := store.DialShards(addrs, g.Terms(), store.RemoteOptions{
+		CallTimeout: 200 * time.Millisecond, Retries: 1, RetryBackoff: time.Millisecond, DownCooldown: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rss.Close)
+	g.SetRemoteView(rss)
+
+	berlin, ok := g.LookupIRI(rdf.Resource("Berlin").Value())
+	if !ok {
+		t.Fatal("no Berlin in the benchmark KB")
+	}
+	servers[int(berlin)%k].Close()
+
+	q0 := cacheMetric("gqa_core_questions_total")
+	for ask := 1; ask <= 2; ask++ {
+		ans, err := sys.Answer("Who is the mayor of Berlin?")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.Degraded != "shard-unavailable" {
+			t.Fatalf("ask %d: Degraded = %q (failure %q, labels %v), want \"shard-unavailable\"",
+				ask, ans.Degraded, ans.Failure, ans.Labels)
+		}
+	}
+	if runs := cacheMetric("gqa_core_questions_total") - q0; runs != 2 {
+		t.Errorf("pipeline ran %d times for two asks with the shard dead, want 2", runs)
 	}
 }
 

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	gqa-cli [-graph graph.nt -dict dict.tsv] [-explain] [-trace] [-parallel N] [-cache N] [question ...]
+//	gqa-cli [-graph graph.nt -dict dict.tsv] [-explain] [-trace] [-cache N] [question ...]
 //	gqa-cli -frozen kb.frz [-dict dict.tsv] [question ...]
 //
 // Without a graph source it runs over the bundled mini-DBpedia benchmark
@@ -19,9 +19,6 @@
 // -timeout bounds each question's wall-clock time; when it expires the
 // engine returns the best partial answer found so far, flagged
 // "degraded: deadline".
-//
-// -parallel sets the matcher's worker count per question (0 = GOMAXPROCS,
-// 1 = the sequential search). Answers are byte-identical at every setting.
 //
 // -trace prints each question's span tree after the answer: per-stage
 // timings, candidate counts, matcher rounds, and budget spent.
@@ -49,7 +46,6 @@ func main() {
 	trace := flag.Bool("trace", false, "print each question's span tree (stage timings and counters)")
 	aggregate := flag.Bool("aggregate", false, "enable the counting/superlative extension")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per question (0 = unlimited), e.g. 500ms")
-	parallel := flag.Int("parallel", 0, "matcher worker goroutines per question (0 = GOMAXPROCS, 1 = sequential); answers are identical at every setting")
 	cacheSize := flag.Int("cache", 256, "answer-cache capacity in entries (0 = disabled); re-asking a question in the REPL hits the cache")
 	flag.Parse()
 
@@ -58,7 +54,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gqa-cli:", err)
 		os.Exit(1)
 	}
-	sys.SetParallelism(*parallel)
 	sys.SetCache(*cacheSize)
 
 	if flag.NArg() > 0 {

@@ -6,9 +6,9 @@
 // Usage:
 //
 //	gqa-serve [-addr host:port] [-graph graph.nt -dict dict.tsv]
-//	          [-snapshot path.frz] [-shards K]
+//	          [-snapshot path.frz]
 //	          [-shard-addrs host:p0,host:p1,...]
-//	          [-aggregate] [-parallel N] [-timeout d]
+//	          [-aggregate] [-timeout d]
 //	          [-cache N] [-max-question N]
 //	          [-max-inflight N] [-max-queue N]
 //	          [-client-qps QPS] [-client-burst N]
@@ -26,13 +26,6 @@
 // format version), the graph is built the usual way and the frozen
 // snapshot is written back (atomically, via rename) so the next restart is
 // instant. Rolling restarts pay the parse cost once.
-//
-// -shards partitions the frozen store into K vertex-hash shards (see the
-// README's Sharding section): per-shard CSR snapshots, scatter-gather
-// matching, and per-shard incremental re-freeze after mutations. Answers
-// are byte-identical at every K. The -snapshot file is always the K=1
-// part — sharding is a runtime layout applied after boot — so -shards
-// composes freely with -snapshot.
 //
 // Endpoints:
 //
@@ -106,10 +99,8 @@ func main() {
 	graphPath := flag.String("graph", "", "N-Triples graph file (default: bundled mini-DBpedia)")
 	dictPath := flag.String("dict", "", "paraphrase dictionary file (gqa-mine output)")
 	snapPath := flag.String("snapshot", "", "GQAFRZ1 frozen snapshot: load on boot when valid, else rebuild and save here")
-	shards := flag.Int("shards", 0, "partition the frozen store into K vertex-hash shards (0 or 1 = monolithic)")
 	shardAddrs := flag.String("shard-addrs", "", "comma-separated gqa-shard addresses in shard order: serve frozen reads from remote shard servers")
 	aggregate := flag.Bool("aggregate", false, "enable the counting/superlative extension")
-	parallel := flag.Int("parallel", 0, "matcher worker goroutines per question (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 5*time.Second, "wall-clock budget per question (0 = unlimited)")
 	cacheSize := flag.Int("cache", 4096, "answer-cache capacity in entries (0 = disabled)")
 	maxQuestion := flag.Int("max-question", 1024, "maximum accepted question length in bytes")
@@ -129,11 +120,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gqa-serve:", err)
 		os.Exit(1)
 	}
-	sys.SetParallelism(*parallel)
 	sys.SetCache(*cacheSize)
-	if *shards > 1 {
-		sys.SetShards(*shards)
-	}
 	if *shardAddrs != "" {
 		// Multi-process sharding: the coordinator keeps the local graph for
 		// the dictionary, linker, and term table, but serves every frozen

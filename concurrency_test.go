@@ -130,74 +130,6 @@ func TestConcurrentAnswerContextMixedDeadlines(t *testing.T) {
 	}
 }
 
-// TestConcurrentAnswerParallelMatching layers the two levels of
-// concurrency on top of each other: many goroutines share one System
-// while the matcher inside each call runs its own worker pool (P=4), so
-// several pools race over the shared graph, dictionary, and the store's
-// lazily-built predicate index at once. Answers must match a serial
-// sequential-matcher reference exactly. Run under -race in CI via
-// `go test -race ./...` (the tier-1 Makefile target).
-func TestConcurrentAnswerParallelMatching(t *testing.T) {
-	sys := benchmarkSystem(t)
-	questions := []string{
-		"Who is the mayor of Berlin?",
-		"Which movies did Antonio Banderas star in?",
-		"Who was married to an actor that played in Philadelphia?",
-		"Is Berlin the capital of Germany?",
-		"Give me all companies in Munich.",
-		"Who is the uncle of John F. Kennedy Jr.?",
-	}
-	sys.SetParallelism(1)
-	reference := make(map[string][]string)
-	for _, q := range questions {
-		ans, err := sys.Answer(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reference[q] = ans.Labels
-	}
-	sys.SetParallelism(4)
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	fail := func(err error) {
-		select {
-		case errs <- err:
-		default:
-		}
-	}
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 3; i++ {
-				q := questions[(w+i)%len(questions)]
-				ans, err := sys.Answer(q)
-				if err != nil {
-					fail(err)
-					return
-				}
-				want := reference[q]
-				if len(ans.Labels) != len(want) {
-					fail(fmt.Errorf("%q: labels %v, want %v", q, ans.Labels, want))
-					return
-				}
-				for j := range want {
-					if ans.Labels[j] != want[j] {
-						fail(fmt.Errorf("%q: label %d = %q, want %q", q, j, ans.Labels[j], want[j]))
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
 // TestConcurrentSPARQL: the query path is read-only too.
 func TestConcurrentSPARQL(t *testing.T) {
 	sys := benchmarkSystem(t)

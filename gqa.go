@@ -62,21 +62,6 @@ type Options struct {
 	// paper's future work). Superlative adjectives are interpreted via
 	// RegisterSuperlative.
 	EnableAggregation bool
-	// Parallelism is the number of worker goroutines the top-k subgraph
-	// search may use per question. Zero means GOMAXPROCS; one forces the
-	// sequential search. Answers are identical at every setting — parallel
-	// output is canonically ordered to be byte-identical to sequential.
-	Parallelism int
-	// Shards partitions the frozen store into K vertex-hash shards, each
-	// with its own CSR snapshot and mutation generation; the matcher then
-	// scatters each TA round's seeds across per-shard groups and gathers
-	// at the round barrier. Answers, explain output, and
-	// match statistics are byte-identical at every shard count; what
-	// changes is incremental cost — a mutation re-freezes only the shards
-	// it touched. Zero or one keeps the one-part snapshot; negative
-	// values are treated as zero, and counts above the vertex count are
-	// clamped to it (empty residue classes would only add merge overhead).
-	Shards int
 	// Budget bounds the resources each Answer/Query call may consume
 	// (wall-clock timeout, search steps, candidate expansions, SPARQL
 	// rows). The zero value means unlimited — identical behavior to an
@@ -130,9 +115,6 @@ func NewSystem(g *store.Graph, d *dict.Dictionary, opts Options) *System {
 	if d == nil {
 		d = dict.New()
 	}
-	if opts.Shards > 1 {
-		g.SetShards(opts.Shards)
-	}
 	g.Freeze()
 	return &System{
 		graph:  g,
@@ -145,7 +127,6 @@ func NewSystem(g *store.Graph, d *dict.Dictionary, opts Options) *System {
 			MaxVertexCandidates:   opts.MaxCandidates,
 			DisableHeuristicRules: opts.DisableHeuristicRules,
 			EnableAggregation:     opts.EnableAggregation,
-			Parallelism:           opts.Parallelism,
 			Budget:                opts.Budget.limits(),
 		}),
 	}
@@ -153,24 +134,6 @@ func NewSystem(g *store.Graph, d *dict.Dictionary, opts Options) *System {
 
 // SetAggregation toggles the counting/superlative extension at runtime.
 func (s *System) SetAggregation(on bool) { s.core.Opts.EnableAggregation = on }
-
-// SetParallelism adjusts the matcher worker count at runtime (see
-// Options.Parallelism). Not safe to call concurrently with Answer.
-func (s *System) SetParallelism(p int) { s.core.Opts.Parallelism = p }
-
-// SetShards re-partitions the frozen store into k vertex-hash shards (see
-// Options.Shards; k ≤ 1 restores the one-part snapshot) and freezes at
-// the new layout so the first question pays no freeze. The binaries use it
-// to honor their -shards flag over systems built with default options.
-// Answers are byte-identical at every shard count. The requested count is
-// validated like Options.Shards (negative → monolithic, clamped to the
-// vertex count); the effective count is returned. Not safe to call
-// concurrently with Answer.
-func (s *System) SetShards(k int) int {
-	k = s.graph.SetShards(k)
-	s.graph.Freeze()
-	return k
-}
 
 // SetCache replaces the answer cache with a fresh one holding up to
 // entries results (zero disables caching — the exact uncached code path).

@@ -2,15 +2,10 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
-	"runtime"
-	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"gqa/internal/budget"
 	"gqa/internal/dict"
@@ -19,22 +14,18 @@ import (
 	"gqa/internal/store"
 )
 
-// Matcher metrics. The per-unit counts accumulate in matcher-local atomics
-// during the search and flush here once per FindTopKMatches call, so the
-// hot extend loop adds no registry traffic. The workers gauge tracks pool
-// occupancy: how many matcher goroutines exist right now across all
-// in-flight questions.
+// Matcher metrics. The per-unit counts accumulate in the matcher during the
+// search and flush here once per FindTopKMatches call, so the hot extend
+// loop adds no registry traffic.
 var (
 	matchRoundsTotal = obs.DefaultCounter("gqa_core_match_rounds_total",
 		"TA rounds executed across all searches.")
 	matchSeedsTotal = obs.DefaultCounter("gqa_core_match_seeds_total",
 		"Seed explorations run (class candidates unrolled to instances).")
 	matchStepsTotal = obs.DefaultCounter("gqa_core_match_steps_total",
-		"Search extend() steps across all workers.")
+		"Search extend() steps across all searches.")
 	matchRecordsTotal = obs.DefaultCounter("gqa_core_match_records_total",
-		"Complete matches offered to the shared top-k result set.")
-	matchWorkers = obs.DefaultGauge("gqa_core_match_workers",
-		"Matcher worker goroutines currently running (pool occupancy).")
+		"Complete matches offered to the top-k result set.")
 )
 
 // Match is a subgraph match of Q^S over the RDF graph (Definition 3): an
@@ -77,31 +68,24 @@ type MatchOptions struct {
 	// than MaxMatches matches tied at the cut; the search then ends with
 	// MatchStats.Truncated = "matches".
 	MaxMatches int
-	// Parallelism is the number of worker goroutines the anchored search
-	// may use. Anchor-rooted exploration is independent per seed entity, so
-	// the search fans the seeds of each TA round across a bounded pool and
-	// joins before the stopping rule runs. Zero means GOMAXPROCS; one runs
-	// the exact sequential search inline. The returned matches are
-	// identical at every parallelism level for a non-truncated search: a
-	// branch is cut only below a score that is at most the final cut, and
-	// the final canonical order (descending score, then match key) hides
-	// scheduling. How much work was cut (MatchStats.Steps, MatchesFound)
-	// depends on the schedule when the level is above one.
+	// Parallelism is accepted and ignored: the search runs on the caller's
+	// goroutine, one seed after another. The field outlives the worker pool
+	// it sized only because benchmark/trace.go sets it (twice, for
+	// core.match_p1_us_p50 and core.match_parallel_speedup) and only a
+	// benchmark PR may edit that directory; it goes with those metrics
+	// (ROADMAP item 7(f)).
 	Parallelism int
 	// Budget bounds the search (wall-clock deadline, cancellation, step and
 	// candidate-expansion limits). Nil means unlimited; the search then
 	// behaves bit-identically to the budget-free engine. When the budget is
 	// exhausted the search stops where it stands and harvest returns the
 	// best partial top-k found so far, with MatchStats.Truncated naming the
-	// reason. The Tracker is shared by all workers (its counters are
-	// atomic), so enforcement stays exact under concurrency.
+	// reason.
 	Budget *budget.Tracker
 	// Span, when non-nil, receives the search's trace: per-round child
 	// spans (seed counts, result-set record/keep deltas, round timing) and
 	// whole-search attributes. Nil — the default — disables tracing with
-	// zero overhead: no span is touched from worker goroutines either way
-	// (only the coordinator writes), so the hot path never synchronizes on
-	// the trace.
+	// zero overhead.
 	Span *obs.Span
 	// View pins the frozen view the search reads. Nil — the default —
 	// captures the graph's current view at search start (freezing first if
@@ -119,16 +103,11 @@ func (o *MatchOptions) defaults() {
 	if o.MaxMatches == 0 {
 		o.MaxMatches = 10000
 	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
 }
 
-// matcher carries the state of one top-k search. After planning (candidate
-// pruning, adjacency), every field except res, the state pool, and the
-// panic capture is read-only, so worker goroutines share the matcher
-// freely; all mutable search state lives in the per-worker searchState and
-// the internally synchronized resultSet.
+// matcher carries the state of one top-k search, which runs on one
+// goroutine: the plan (candidate pruning, adjacency, score terms), the
+// partial assignment st, the result set and the effort counters.
 type matcher struct {
 	// view is the frozen view captured once at search start and the only
 	// graph surface the search reads (see MatchOptions.View): neighborhood
@@ -152,15 +131,10 @@ type matcher struct {
 
 	// shardRounds counts, per shard, the rounds in which at least one seed
 	// landed on that shard. Allocated only when the snapshot has more than
-	// one shard; updated by the coordinator in roundTasks, so
-	// the counts are independent of how the pool scheduled the seeds. They
-	// surface as span attributes (shard_fanout, shard_rounds), never in
-	// MatchStats — stats stay byte-identical across shard counts.
+	// one shard; updated in roundTasks. They surface as span attributes
+	// (shard_fanout, shard_rounds), never in MatchStats — stats stay
+	// byte-identical across shard counts.
 	shardRounds []int
-
-	// statePool recycles searchState values (and their per-vertex/per-edge
-	// slices) across the many seeds of one search; states are reset on Get.
-	statePool sync.Pool
 
 	cands [][]VertexCandidate // pruned candidate lists per vertex
 	adj   [][]int             // vertex → incident edge indices
@@ -179,31 +153,22 @@ type matcher struct {
 	// result set's cut (everywhere but under MatchOptions.Exhaustive).
 	bounded bool
 
-	res    *resultSet   // shared top-k (mutex-guarded)
-	probes atomic.Int64 // anchored searches performed (stats)
-	// seeds, steps and cuts aggregate per-worker effort through shared
-	// atomics, read once after the pool has joined. Which seeds run is
-	// decided at the round barrier, so seeds is the same at every
-	// parallelism level; steps and cuts are what the bound left of each
-	// seed, which depends on when the cut rose — on the schedule, above
-	// one worker.
-	seeds atomic.Int64 // runSeed calls (class candidates unrolled)
-	steps atomic.Int64 // extend() invocations across all workers
-	cuts  atomic.Int64 // branches skipped because their bound was below the cut
+	// st is the search's one partial assignment, allocated once the score
+	// terms are known and reset (state) by each of its users in turn: every
+	// seed, and between seeds hintSeeds and thresholdReached.
+	st  *searchState
+	res *resultSet // the top-k held so far
 
-	panicMu    sync.Mutex
-	panicVal   any
-	panicStack []byte
+	probes int   // anchored searches performed (stats)
+	seeds  int64 // runSeed calls (class candidates unrolled)
+	steps  int64 // extend() invocations
+	cuts   int64 // branches skipped because their bound was below the cut
 }
 
 // MatchStats reports search effort, used by the ablation benchmarks and
-// surfaced on trace spans. For a non-truncated search every field but
-// Steps and MatchesFound is identical at every parallelism level and store
-// layout: the cut at a round barrier is, and the barrier decides Rounds,
-// EarlyStopped and Seeds. Steps and MatchesFound count what the score
-// bound left to do inside the seeds, and the bound rises as matches
-// arrive: identical across store layouts at Parallelism 1, dependent on
-// the schedule above it.
+// surfaced on trace spans. The search tree is one and its order is fixed,
+// so for a non-truncated search every field is identical at every store
+// layout.
 type MatchStats struct {
 	AnchorsProbed  int
 	CandidatesKept int
@@ -213,7 +178,7 @@ type MatchStats struct {
 	// Seeds counts seed explorations run (anchored searches after class
 	// candidates unroll to their instances).
 	Seeds int64
-	// Steps counts extend() invocations summed exactly across workers.
+	// Steps counts extend() invocations.
 	Steps int64
 	// MatchesFound counts complete matches offered to the result set
 	// (record attempts, before dedup and before the cut).
@@ -221,8 +186,6 @@ type MatchStats struct {
 	// MatchesKept is the number of matches held at the end: the size of
 	// the returned set.
 	MatchesKept int
-	// Parallelism is the resolved worker count the search ran with.
-	Parallelism int
 	// Truncated is why the search was cut short — a budget-exhaustion
 	// reason ("deadline", "canceled", "steps", "candidates"), a failed
 	// remote read ("shard-unavailable"), or "matches" when the MaxMatches
@@ -241,22 +204,17 @@ type MatchStats struct {
 // cut is not walked. It returns the top k matches, ties at the cut
 // included.
 //
-// Each round's cursor candidates expand to seed entities that a bounded
-// worker pool (MatchOptions.Parallelism) explores concurrently; the pool
-// joins at the round barrier so the TA stopping rule evaluates the same
-// complete rounds it does sequentially. The cut is shared by all workers
-// and only rises, so a worker cuts only what is below the final cut, and
-// matches are returned in canonical order — descending score, ties by
-// ascending assignment key: the output is byte-identical across
-// parallelism levels whenever the search ran to completion
+// Each round's cursor candidates expand to seed entities, explored one
+// after another on the caller's goroutine, cheapest first. The search tree
+// and the order it is walked in depend only on the query and on pure graph
+// statistics, and matches are returned in canonical order — descending
+// score, ties by ascending assignment key — so matches and MatchStats are
+// byte-identical across store layouts whenever the search ran to completion
 // (MatchStats.Truncated is empty — no budget ran out, no remote read
-// failed, the MaxMatches cap refused nothing). The work it took is not:
-// with more than one worker, how early the cut rose under a seed depends on
-// the schedule, and MatchStats.Steps and MatchesFound with it.
+// failed, the MaxMatches cap refused nothing).
 //
-// A panic inside a worker (matcher bug, armed faultpoint) never wedges the
-// pool: it is captured, the pool drains, and the first panic is rethrown
-// on the caller's goroutine for the facade's *PipelineError conversion.
+// A panic (matcher bug, armed faultpoint) unwinds through the caller, where
+// the facade turns it into a *PipelineError.
 func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match, MatchStats) {
 	opts.defaults()
 	view := opts.View
@@ -276,9 +234,7 @@ func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match,
 			m.shardRounds = make([]int, k)
 		}
 	}
-	m.statePool.New = func() any { return newSearchState(len(q.Vertices), len(q.Edges)) }
 	var stats MatchStats
-	stats.Parallelism = opts.Parallelism
 
 	m.adj = make([][]int, len(q.Vertices))
 	for ei, e := range q.Edges {
@@ -304,6 +260,7 @@ func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match,
 			m.hintNeighborhood()
 		}
 	}
+	matchable := true
 	for vi := range q.Vertices {
 		for _, c := range q.Vertices[vi].Candidates {
 			if !opts.DisablePruning && !c.IsClass && !m.passesNeighborhood(vi, c.ID) {
@@ -313,28 +270,34 @@ func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match,
 			m.cands[vi] = append(m.cands[vi], c)
 			stats.CandidatesKept++
 		}
-	}
-
-	// A constrained vertex whose candidate list is empty (after pruning)
-	// can never be matched; Definition 3 admits no subgraph.
-	for vi := range q.Vertices {
+		// A constrained vertex whose candidate list is empty (after pruning)
+		// can never be matched; Definition 3 admits no subgraph.
 		if !q.Vertices[vi].Unconstrained && len(m.cands[vi]) == 0 {
-			return nil, stats
+			matchable = false
 		}
 	}
+	if matchable {
+		m.search(&stats)
+	}
+	// The one exit: a search that found nothing to search still says why —
+	// the candidates may be gone only because a remote shard did not answer
+	// the pruning pass.
+	matches := m.res.harvest()
+	m.finishStats(&stats, len(matches))
+	return matches, stats
+}
+
+// search runs the rounds of Algorithm 3 over the pruned candidate lists.
+func (m *matcher) search(stats *MatchStats) {
 	m.scoreTerms()
+	m.st = newSearchState(len(m.q.Vertices), len(m.q.Edges))
 
 	anchors := m.anchorVertices()
 	if len(anchors) == 0 {
 		// Every vertex is unconstrained (an all-wh question): enumerate
-		// graph vertices as the anchor for vertex 0. This degenerate path
-		// stays sequential: which matches a MaxMatches refusal leaves out
-		// is order-sensitive, and determinism outranks speed for a query
-		// shape with no candidate signal.
+		// graph vertices as the anchor for vertex 0.
 		m.enumerateUnanchored()
-		matches := m.res.harvest()
-		m.finishStats(&stats, len(matches))
-		return matches, stats
+		return
 	}
 
 	maxLen := 0
@@ -343,35 +306,32 @@ func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match,
 			maxLen = l
 		}
 	}
-	for round := 0; round < maxLen && !opts.Budget.Done(); round++ {
+	for round := 0; round < maxLen && !m.opts.Budget.Done(); round++ {
 		stats.Rounds++
 		tasks := m.roundTasks(anchors, round)
-		// Per-round trace spans are written by the coordinator only — the
-		// round barrier has already joined the pool, so no worker touches
-		// the trace and the hot path never synchronizes on it.
-		rsp := opts.Span.Child("round")
-		recBefore, keptBefore := m.res.counts()
-		m.runTasks(tasks)
+		rsp := m.opts.Span.Child("round")
+		recBefore, keptBefore := m.res.attempts, len(m.res.results)
+		for i := range tasks {
+			if m.aborted() {
+				break
+			}
+			m.runSeed(&tasks[i])
+		}
 		if rsp.Enabled() {
-			recAfter, keptAfter := m.res.counts()
 			rsp.SetInt("round", int64(round))
 			rsp.SetInt("seeds", int64(len(tasks)))
-			rsp.SetInt("recorded", recAfter-recBefore)
-			rsp.SetInt("kept", keptAfter-keptBefore)
+			rsp.SetInt("recorded", m.res.attempts-recBefore)
+			rsp.SetInt("kept", int64(len(m.res.results)-keptBefore))
 		}
 		rsp.Finish()
 		if m.aborted() {
 			break
 		}
-		if !opts.Exhaustive && m.thresholdReached(anchors, round) {
+		if !m.opts.Exhaustive && m.thresholdReached(anchors, round) {
 			stats.EarlyStopped = true
 			break
 		}
 	}
-	m.rethrow()
-	matches := m.res.harvest()
-	m.finishStats(&stats, len(matches))
-	return matches, stats
 }
 
 // vertexTerm is what a vertex bound with confidence score adds to a match's
@@ -419,23 +379,22 @@ func (m *matcher) scoreTerms() {
 	}
 }
 
-// finishStats folds the matcher's shared atomics into the caller's stats,
-// flushes the per-search deltas into the process metrics, and annotates the
-// search span (a no-op on the nil span). Runs once per search, after every
-// worker has joined, so the reads are quiescent and exact.
+// finishStats folds the matcher's counters into the caller's stats, flushes
+// the per-search deltas into the process metrics, and annotates the search
+// span (a no-op on the nil span). Runs once per search, on its one exit.
 func (m *matcher) finishStats(stats *MatchStats, returned int) {
-	stats.AnchorsProbed = int(m.probes.Load())
-	stats.Seeds = m.seeds.Load()
-	stats.Steps = m.steps.Load()
-	stats.MatchesFound = m.res.attempts.Load()
-	stats.MatchesKept = int(m.res.count.Load())
+	stats.AnchorsProbed = m.probes
+	stats.Seeds = m.seeds
+	stats.Steps = m.steps
+	stats.MatchesFound = m.res.attempts
+	stats.MatchesKept = len(m.res.results)
 	stats.Truncated = m.opts.Budget.Exhausted()
 	if stats.Truncated == "" {
 		// An unbudgeted request has no tracker to trip, but a bound remote
 		// snapshot still knows its reads failed — surface the degradation.
 		stats.Truncated = m.bound.DegradeReason()
 	}
-	if stats.Truncated == "" && m.res.refused.Load() {
+	if stats.Truncated == "" && m.res.refused {
 		stats.Truncated = budget.ReasonMatches
 	}
 
@@ -456,11 +415,10 @@ func (m *matcher) finishStats(stats *MatchStats, returned int) {
 	sp.SetInt("matches_found", stats.MatchesFound)
 	sp.SetInt("matches_kept", int64(stats.MatchesKept))
 	sp.SetInt("returned", int64(returned))
-	if cut := m.res.cut(); !math.IsInf(cut, -1) {
+	if cut := m.res.theta; !math.IsInf(cut, -1) {
 		sp.SetFloat("cut_score", cut)
 	}
-	sp.SetInt("bound_cuts", m.cuts.Load())
-	sp.SetInt("workers", int64(stats.Parallelism))
+	sp.SetInt("bound_cuts", m.cuts)
 	sp.SetBool("early_stopped", stats.EarlyStopped)
 	if stats.Truncated != "" {
 		sp.SetStr("truncated", stats.Truncated)
@@ -492,7 +450,7 @@ func (m *matcher) finishStats(stats *MatchStats, returned int) {
 	m.bound.AnnotateSpan(sp)
 }
 
-// seedTask is one unit of parallel work: enumerate every match in which
+// seedTask is one unit of a round's work: enumerate every match in which
 // query vertex vi is bound to entity u, justified by the class via (or
 // directly when via is store.None), which adds term to the score. cost is
 // the seed's cheapest incident-edge frontier, used to order the round.
@@ -505,15 +463,14 @@ type seedTask struct {
 }
 
 // roundTasks expands the TA cursors at position round into per-seed work
-// items — the searchFromAnchor calls of the sequential algorithm, with
-// class candidates unrolled to their instances so the pool load-balances
-// over the real work. Seeds run cheapest-first: each is costed by the
-// smallest frontier among its vertex's incident edges (the first extension
-// chooseNext would take), so selective seeds fill the top-k early and the
-// TA threshold can stop sooner. The sort is stable over a deterministic
+// items — the searchFromAnchor calls of Algorithm 3, with class candidates
+// unrolled to their instances. Seeds run cheapest-first: each is costed by
+// the smallest frontier among its vertex's incident edges (the first
+// extension chooseNext would take), so selective seeds fill the top-k early
+// and the cut rises sooner. The sort is stable over a deterministic
 // expansion (anchors in order, instances in adjacency order) and the cost
-// is a pure graph statistic, so every parallelism level and shard count
-// sees the same task order.
+// is a pure graph statistic, so every store layout sees the same task
+// order.
 func (m *matcher) roundTasks(anchors []int, round int) []seedTask {
 	var tasks []seedTask
 	for _, vi := range anchors {
@@ -521,7 +478,7 @@ func (m *matcher) roundTasks(anchors []int, round int) []seedTask {
 			continue
 		}
 		c, term := m.cands[vi][round], m.vlog[vi][round]
-		m.probes.Add(1)
+		m.probes++
 		if c.IsClass {
 			for _, u := range m.instancesOf(c.ID) {
 				tasks = append(tasks, seedTask{vi: vi, u: u, via: c.ID, term: term})
@@ -538,9 +495,7 @@ func (m *matcher) roundTasks(anchors []int, round int) []seedTask {
 	}
 	sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].cost < tasks[j].cost })
 	if m.shardRounds != nil && len(tasks) > 0 {
-		// Coordinator-only shard telemetry: mark the shards seeded this
-		// round. Derived from the task list before execution, so the counts
-		// do not depend on parallelism or scheduling.
+		// Shard telemetry: mark the shards seeded this round.
 		k := len(m.shardRounds)
 		seen := make([]bool, k)
 		for i := range tasks {
@@ -604,133 +559,14 @@ func (m *matcher) seedCost(vi int, u store.ID) int {
 	return best
 }
 
-// runTasks executes one round's seeds. With an effective parallelism of
-// one the tasks run inline in submission order (the sequential search);
-// otherwise a bounded pool of goroutines drains a task channel and joins
-// before returning, so the caller's round barrier holds. Submission stops
-// early when the budget trips or a worker panicked — the early-terminate
-// propagation that keeps a wedged or pathological round from finishing its
-// full fan-out.
-func (m *matcher) runTasks(tasks []seedTask) {
-	p := m.opts.Parallelism
-	if p > len(tasks) {
-		p = len(tasks)
-	}
-	if p <= 1 {
-		for i := range tasks {
-			if m.aborted() {
-				return
-			}
-			m.runSeed(&tasks[i])
-		}
-		return
-	}
-	if k := len(m.shardRounds); k > 1 && len(tasks) > 1 {
-		m.runTasksSharded(k, tasks, p)
-		return
-	}
-	ch := make(chan *seedTask)
-	var wg sync.WaitGroup
-	matchWorkers.Add(int64(p))
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer matchWorkers.Add(-1)
-			for t := range ch {
-				m.runSeed(t)
-			}
-		}()
-	}
-	for i := range tasks {
-		if m.aborted() {
-			break
-		}
-		ch <- &tasks[i]
-	}
-	close(ch)
-	wg.Wait()
-}
-
-// shardGroup is one shard's slice of a round: the seeds whose root entity
-// that shard owns, in the round's global cost order.
-type shardGroup struct {
-	shard int
-	tasks []*seedTask
-}
-
-// runTasksSharded is the scatter phase of the sharded round: the round's
-// seeds partition by the shard owning each seed entity (shardOf(u) =
-// u mod K), the bounded pool drains whole per-shard groups, and each
-// worker walks its group sequentially in the round's cost order. The
-// gather is the same round barrier the monolithic pool uses — runTasks
-// returns only after every group drained — so thresholdReached evaluates
-// exactly the state a sequential round produces. Grouping by shard gives
-// each worker locality in one shard's CSR arrays; it cannot change the
-// result because the shared result set is order-independent (record keeps
-// the per-key max) and every seed still runs before the barrier.
-func (m *matcher) runTasksSharded(k int, tasks []seedTask, p int) {
-	groups := make([]shardGroup, 0, k)
-	bySh := make(map[int]int, k)
-	for i := range tasks {
-		s := int(tasks[i].u) % k
-		gi, ok := bySh[s]
-		if !ok {
-			gi = len(groups)
-			bySh[s] = gi
-			groups = append(groups, shardGroup{shard: s})
-		}
-		groups[gi].tasks = append(groups[gi].tasks, &tasks[i])
-	}
-	if p > len(groups) {
-		p = len(groups)
-	}
-	ch := make(chan *shardGroup)
-	var wg sync.WaitGroup
-	matchWorkers.Add(int64(p))
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer matchWorkers.Add(-1)
-			for grp := range ch {
-				for _, t := range grp.tasks {
-					if m.aborted() {
-						break
-					}
-					m.runSeed(t)
-				}
-			}
-		}()
-	}
-	for i := range groups {
-		if m.aborted() {
-			break
-		}
-		ch <- &groups[i]
-	}
-	close(ch)
-	wg.Wait()
-}
-
-// runSeed explores every match rooted at one seed assignment. A panic
-// (a matcher bug, or an armed matcher.worker/matcher.extend faultpoint)
-// is captured instead of killing the worker goroutine, so the pool always
-// drains; FindTopKMatches rethrows the first captured panic once the pool
-// has joined.
+// runSeed explores every match rooted at one seed assignment.
 func (m *matcher) runSeed(t *seedTask) {
-	defer func() {
-		if r := recover(); r != nil {
-			m.notePanic(r)
-		}
-	}()
 	faultpoint.Hit(faultpoint.MatcherWorker)
-	m.seeds.Add(1)
+	m.seeds++
 	if !m.opts.Budget.Candidate() {
 		return
 	}
-	st := m.getState()
-	defer m.putState(st)
+	st := m.state()
 	st.assign[t.vi] = t.u
 	st.via[t.vi] = t.via
 	st.vterm[t.vi] = t.term
@@ -738,64 +574,16 @@ func (m *matcher) runSeed(t *seedTask) {
 	m.extend(st)
 }
 
-// getState takes a reset searchState from the pool; putState returns it.
-// Pooling matters: a search runs one state per seed (hundreds per round),
-// and each carries six per-vertex/per-edge slices.
-func (m *matcher) getState() *searchState {
-	st := m.statePool.Get().(*searchState)
-	st.reset(m)
-	return st
+// state returns the search's one searchState as the empty assignment.
+func (m *matcher) state() *searchState {
+	m.st.reset(m)
+	return m.st
 }
 
-// putState also folds the state's count of bound cuts into the search's.
-func (m *matcher) putState(st *searchState) {
-	m.cuts.Add(st.cuts)
-	m.statePool.Put(st)
-}
-
-func (m *matcher) notePanic(v any) {
-	m.panicMu.Lock()
-	if m.panicVal == nil {
-		m.panicVal = v
-		m.panicStack = debug.Stack()
-	}
-	m.panicMu.Unlock()
-}
-
-func (m *matcher) panicked() bool {
-	m.panicMu.Lock()
-	defer m.panicMu.Unlock()
-	return m.panicVal != nil
-}
-
-// aborted reports whether the search should stop dispatching work: the
-// budget tripped, the MaxMatches cap refused a match, or a worker panicked.
+// aborted reports whether the search should stop running seeds: the budget
+// tripped, or the MaxMatches cap refused a match.
 func (m *matcher) aborted() bool {
-	return m.opts.Budget.Done() || m.res.refused.Load() || m.panicked()
-}
-
-// rethrow re-raises the first captured worker panic on the calling
-// goroutine. The pool has already joined, so recovery upstream (the
-// facade's *PipelineError conversion) leaves no goroutine behind.
-func (m *matcher) rethrow() {
-	m.panicMu.Lock()
-	v, stack := m.panicVal, m.panicStack
-	m.panicMu.Unlock()
-	if v != nil {
-		panic(&WorkerPanic{Value: v, Stack: stack})
-	}
-}
-
-// WorkerPanic wraps a panic captured inside a matcher worker goroutine
-// when it is rethrown on the caller's goroutine, preserving the original
-// panic value and worker stack for the facade's *PipelineError.
-type WorkerPanic struct {
-	Value any
-	Stack []byte
-}
-
-func (p *WorkerPanic) Error() string {
-	return fmt.Sprintf("matcher worker panic: %v", p.Value)
+	return m.opts.Budget.Done() || m.res.refused
 }
 
 // anchorVertices returns the constrained vertices usable as TA cursors.
@@ -877,24 +665,21 @@ func (m *matcher) hasAdjPred(u, p store.ID) bool {
 	return m.view.HasAdjacentPred(u, p)
 }
 
-// thresholdReached evaluates the TA stopping rule at the round barrier,
-// after the pool has joined, so it sees the same complete rounds the
-// sequential algorithm sees: stop when the cut — the score of the k-th best
-// match found — is above the upper bound on any undiscovered match. The
-// bound is a search state's own sum with every slot at its best, and every
-// anchor at its next candidate (the lists are sorted, so nothing further
-// down is better): a match not yet discovered binds each anchor past this
-// round. Anchor-cost skipping leaves the skipped vertices at their best
-// term — sound, since nothing bounds the position of their candidate in an
-// undiscovered match. The test is strict: an undiscovered match that ties
-// the cut belongs to the result.
+// thresholdReached evaluates the TA stopping rule after a complete round:
+// stop when the cut — the score of the k-th best match found — is above the
+// upper bound on any undiscovered match. The bound is a search state's own
+// sum with every slot at its best, and every anchor at its next candidate
+// (the lists are sorted, so nothing further down is better): a match not
+// yet discovered binds each anchor past this round. Anchor-cost skipping
+// leaves the skipped vertices at their best term — sound, since nothing
+// bounds the position of their candidate in an undiscovered match. The test
+// is strict: an undiscovered match that ties the cut belongs to the result.
 func (m *matcher) thresholdReached(anchors []int, round int) bool {
-	theta := m.res.cut()
+	theta := m.res.theta
 	if math.IsInf(theta, -1) {
 		return false
 	}
-	st := m.getState()
-	defer m.putState(st)
+	st := m.state()
 	for _, vi := range anchors {
 		if round+1 >= len(m.cands[vi]) {
 			// This list is exhausted: every match containing one of its
@@ -907,41 +692,25 @@ func (m *matcher) thresholdReached(anchors []int, round int) bool {
 	return theta > st.total()
 }
 
-// resultSet is the top-k state shared by every worker of one search: the
-// matches whose score is at least the cut θ, the score of the k-th best of
-// them (−∞ until k are held). θ only rises, and a match that falls below it
-// is let go, so what is held at the end is the returned set: the k best
-// matches, ties at the cut included. All mutable state sits behind one
-// mutex; θ, the count and the refusal flag are mirrored in atomics so the
-// hot extend loop reads them lock-free.
+// resultSet is the top-k state of one search: the matches whose score is at
+// least the cut θ, the score of the k-th best of them (−∞ until k are held).
+// θ only rises, and a match that falls below it is let go, so what is held
+// at the end is the returned set: the k best matches, ties at the cut
+// included.
 type resultSet struct {
 	topK       int
 	maxMatches int
-	count      atomic.Int64  // == len(results)
-	attempts   atomic.Int64  // record calls (complete matches offered)
-	theta      atomic.Uint64 // θ, as math.Float64bits
-	refused    atomic.Bool   // the MaxMatches cap turned a match away
+	attempts   int64   // record calls (complete matches offered)
+	theta      float64 // the cut θ: −∞ until topK matches are held
+	refused    bool    // the MaxMatches cap turned a match away
 
-	mu      sync.Mutex
 	found   map[string]*Match // by assignmentKey
 	results []*Match          // maintained sorted by descending score
 }
 
-// counts returns the cumulative record attempts and the matches held — the
-// coordinator reads deltas around each round for the round trace span.
-func (rs *resultSet) counts() (attempts, kept int64) {
-	return rs.attempts.Load(), rs.count.Load()
-}
-
 func newResultSet(topK, maxMatches int) *resultSet {
-	rs := &resultSet{topK: topK, maxMatches: maxMatches, found: make(map[string]*Match)}
-	rs.theta.Store(math.Float64bits(math.Inf(-1)))
-	return rs
+	return &resultSet{topK: topK, maxMatches: maxMatches, theta: math.Inf(-1), found: make(map[string]*Match)}
 }
-
-// cut returns θ. It may lag a concurrent record by an instant, always on
-// the low side, which only delays a cut.
-func (rs *resultSet) cut() float64 { return math.Float64frombits(rs.theta.Load()) }
 
 // assignmentKey appends an assignment's fixed-width binary form to buf:
 // the key of found. A lookup indexes the map with string(key) in place,
@@ -955,28 +724,21 @@ func assignmentKey(buf []byte, assignment []store.ID) []byte {
 
 // record registers a discovered match, deduplicating by assignment and
 // keeping the best-scoring justification per assignment. A match below θ
-// is dropped at the door. The final score per assignment is its maximum
-// over all discoveries and θ is at most the final θ throughout, so the
-// state at the end of a complete search is independent of the order workers
-// find matches in. A new assignment that arrives while MaxMatches are held
-// is refused, which ends the search (MatchStats.Truncated = "matches").
+// is dropped at the door. A new assignment that arrives while MaxMatches
+// are held is refused, which ends the search (MatchStats.Truncated =
+// "matches").
 func (rs *resultSet) record(match *Match) {
-	rs.attempts.Add(1)
-	if match.Score < rs.cut() {
+	rs.attempts++
+	if match.Score < rs.theta {
 		return
 	}
 	var kb [64]byte
 	key := assignmentKey(kb[:0], match.Assignment)
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if match.Score < rs.cut() {
-		return
-	}
 	if prev, ok := rs.found[string(key)]; ok {
 		if match.Score > prev.Score {
 			// Same assignment, better justification: move the one entry up
 			// to behind the matches already at its new score. The slices
-			// must be copied, not aliased: match points at the worker's
+			// must be copied, not aliased: match points at the search's
 			// live backtracking state, which mutates after record returns.
 			i := sort.Search(len(rs.results), func(i int) bool { return rs.results[i].Score <= prev.Score })
 			for rs.results[i] != prev {
@@ -993,7 +755,7 @@ func (rs *resultSet) record(match *Match) {
 		return
 	}
 	if len(rs.results) >= rs.maxMatches {
-		rs.refused.Store(true)
+		rs.refused = true
 		return
 	}
 	cp := *match
@@ -1009,12 +771,12 @@ func (rs *resultSet) record(match *Match) {
 }
 
 // raiseCut lifts θ to the score of the k-th best held match, if that is
-// above it, and lets go of the matches now below. Called with mu held after
-// results changed.
+// above it, and lets go of the matches now below. Called after results
+// changed.
 func (rs *resultSet) raiseCut() {
 	if len(rs.results) >= rs.topK {
-		if kth := rs.results[rs.topK-1].Score; kth > rs.cut() {
-			rs.theta.Store(math.Float64bits(kth))
+		if kth := rs.results[rs.topK-1].Score; kth > rs.theta {
+			rs.theta = kth
 			n := len(rs.results)
 			var kb [64]byte
 			for ; rs.results[n-1].Score < kth; n-- {
@@ -1024,22 +786,16 @@ func (rs *resultSet) raiseCut() {
 			rs.results = rs.results[:n]
 		}
 	}
-	rs.count.Store(int64(len(rs.results)))
 }
 
 // harvest returns the held matches — the top k, ties at the cut included —
-// in canonical order: descending score, ties by ascending assignment key.
-// Which matches are held at the end depends only on the scores, and each
-// match's final score is order-independent (record keeps the maximum per
-// assignment), so for a non-truncated search the harvest is byte-identical
-// at every parallelism level.
+// in canonical order: descending score, ties by ascending assignment key,
+// so the order matches tied in score were found in does not show.
 func (rs *resultSet) harvest() []Match {
-	rs.mu.Lock()
 	var out []Match
 	for _, r := range rs.results {
 		out = append(out, *r)
 	}
-	rs.mu.Unlock()
 	keys := make([]string, len(out))
 	for i := range out {
 		keys[i] = out[i].key()
@@ -1067,7 +823,7 @@ func (s *canonicalOrder) Swap(i, j int) {
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
-// searchState is one worker's partial assignment. vterm and eterm hold the
+// searchState is the search's partial assignment. vterm and eterm hold the
 // Definition 6 term of every vertex and edge slot: the bound candidate's,
 // or the slot's best (matcher.vbest, ebest) while it is unbound.
 type searchState struct {
@@ -1077,7 +833,6 @@ type searchState struct {
 	paths  []dict.Path
 	eterm  []float64
 	done   []bool
-	cuts   int64 // branches this state skipped below the cut
 }
 
 func newSearchState(nVerts, nEdges int) *searchState {
@@ -1091,9 +846,8 @@ func newSearchState(nVerts, nEdges int) *searchState {
 	}
 }
 
-// reset puts a new or used (possibly dirty, possibly panic-abandoned) state
-// into the empty assignment of m's query: nothing bound, every slot at its
-// best term.
+// reset puts a new or used state into the empty assignment of m's query:
+// nothing bound, every slot at its best term.
 func (st *searchState) reset(m *matcher) {
 	for i := range st.assign {
 		st.assign[i], st.via[i], st.done[i] = store.None, store.None, false
@@ -1101,7 +855,6 @@ func (st *searchState) reset(m *matcher) {
 	clear(st.paths)
 	copy(st.vterm, m.vbest)
 	copy(st.eterm, m.ebest)
-	st.cuts = 0
 }
 
 // total sums the state's terms, vertices then edges, in slot order. For a
@@ -1129,7 +882,7 @@ func (m *matcher) below(st *searchState) bool {
 	if !m.bounded {
 		return false
 	}
-	theta := m.res.cut()
+	theta := m.res.theta
 	return !math.IsInf(theta, -1) && st.total() < theta
 }
 
@@ -1138,10 +891,10 @@ func (m *matcher) below(st *searchState) bool {
 // Before it walks a candidate path, and again before it descends under a
 // target, it asks whether the assignment so far can still reach the cut.
 func (m *matcher) extend(st *searchState) {
-	if m.res.refused.Load() {
+	if m.res.refused {
 		return
 	}
-	m.steps.Add(1)
+	m.steps++
 	faultpoint.Hit(faultpoint.MatcherExtend)
 	if !m.opts.Budget.Step() {
 		return
@@ -1173,7 +926,7 @@ func (m *matcher) extend(st *searchState) {
 	for ci, pc := range e.Candidates {
 		st.paths[bridge], st.eterm[bridge] = pc.Path, m.elog[bridge][ci]
 		if m.below(st) {
-			st.cuts++
+			m.cuts++
 			continue
 		}
 		targets := m.reachable(from, pc.Path, reversedEdge)
@@ -1190,7 +943,7 @@ func (m *matcher) extend(st *searchState) {
 			}
 			st.assign[next], st.via[next], st.vterm[next], st.done[next] = w, vc.via, vc.term, true
 			if m.below(st) {
-				st.cuts++
+				m.cuts++
 			} else {
 				m.extend(st)
 			}
@@ -1207,7 +960,7 @@ func (m *matcher) startComponent(st *searchState, next int) {
 	for ci, c := range m.cands[next] {
 		st.vterm[next] = m.vlog[next][ci]
 		if m.below(st) {
-			st.cuts++
+			m.cuts++
 			continue
 		}
 		us := []store.ID{c.ID}
@@ -1245,8 +998,7 @@ func (m *matcher) predDegree(u, p store.ID, forward bool) int {
 // walk — the path's first predicate leaving u, and its last predicate
 // entering u — contributes its per-predicate degree. The cost depends only
 // on u and the query edge (not on which endpoint u sits at: both
-// orientations are always tried), so it is identical at every parallelism
-// level and shard count.
+// orientations are always tried), so it is identical at every shard count.
 func (m *matcher) frontierCost(u store.ID, ei int) int {
 	cost := 0
 	for _, pc := range m.q.Edges[ei].Candidates {
@@ -1311,8 +1063,7 @@ func (m *matcher) hintSeeds(tasks []seedTask) {
 		}
 	}
 	m.bound.Prefetch(reads)
-	st := m.getState()
-	defer m.putState(st)
+	st := m.state()
 	for lo := 0; lo < len(tasks); {
 		// The seeds of one vertex in one round come from one candidate, so
 		// they share a term and with it which walks the cut leaves them.
@@ -1613,10 +1364,9 @@ func (m *matcher) enumerateUnanchored() {
 	if len(m.q.Vertices) == 0 {
 		return
 	}
-	m.probes.Add(1)
-	st := m.getState()
-	defer m.putState(st)
-	for v, n := 0, m.view.NumTerms(); v < n && !m.res.refused.Load(); v++ {
+	m.probes++
+	st := m.state()
+	for v, n := 0, m.view.NumTerms(); v < n && !m.res.refused; v++ {
 		u := store.ID(v)
 		if !m.view.Term(u).IsIRI() || m.view.Degree(u) == 0 {
 			continue

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"gqa/internal/dict"
 	"gqa/internal/faultpoint"
@@ -14,44 +13,10 @@ import (
 	"gqa/internal/store"
 )
 
-// runAt runs the matcher over (g, q) at the given parallelism with
-// settings that avoid truncation (huge MaxMatches), so the determinism
-// guarantee applies.
-func runAt(g *store.Graph, q *QueryGraph, p int) ([]Match, MatchStats) {
-	return FindTopKMatches(g, q, MatchOptions{TopK: 5, MaxMatches: 1 << 20, Parallelism: p})
-}
-
-// scheduleFree is stats without the fields that may differ between two
-// complete runs of one search above one worker: the resolved worker count,
-// and Steps and MatchesFound — what the score bound left to do inside the
-// seeds, which depends on when the shared cut rose.
-func scheduleFree(stats MatchStats) MatchStats {
-	stats.Parallelism, stats.Steps, stats.MatchesFound = 0, 0, 0
-	return stats
-}
-
-// TestQuickParallelIdenticalToSequential is the differential harness at
-// the matcher level: across random graphs and queries, the parallel
-// search (P = 2, 8) must return byte-identical matches — assignments,
-// justifications, edge paths, scores, order — and the same rounds, seeds,
-// stop and result size as the sequential baseline (P = 1).
-func TestQuickParallelIdenticalToSequential(t *testing.T) {
-	for seed := int64(0); seed < 60; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		g, q := randomQuerySetup(r)
-		want, wantStats := runAt(g, q, 1)
-		for _, p := range []int{2, 8} {
-			got, gotStats := runAt(g, q, p)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d: P=%d matches differ\n got %v\nwant %v", seed, p, got, want)
-			}
-			// What the round barrier decides is scheduling-independent,
-			// because the cut at a barrier is.
-			if scheduleFree(gotStats) != scheduleFree(wantStats) {
-				t.Fatalf("seed %d: P=%d stats differ:\n got %+v\nwant %+v", seed, p, gotStats, wantStats)
-			}
-		}
-	}
+// runAll runs the matcher over (g, q) with settings that avoid truncation
+// (huge MaxMatches), so the determinism guarantee applies.
+func runAll(g *store.Graph, q *QueryGraph) ([]Match, MatchStats) {
+	return FindTopKMatches(g, q, MatchOptions{TopK: 5, MaxMatches: 1 << 20})
 }
 
 // rebuildRemapped reconstructs (g, q) with terms interned in internOrder
@@ -138,7 +103,7 @@ func TestQuickMetamorphicTripleShuffle(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g, q := randomQuerySetup(r)
-		base, _ := runAt(g, q, 4)
+		base, _ := runAll(g, q)
 		want := resultSignature(base, identityMap(g))
 
 		order := make([]store.ID, g.NumTerms())
@@ -148,7 +113,7 @@ func TestQuickMetamorphicTripleShuffle(t *testing.T) {
 		ts := sortedTriples(g)
 		r.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
 		g2, q2, _ := rebuildRemapped(g, q, order, ts)
-		got, _ := runAt(g2, q2, 4)
+		got, _ := runAll(g2, q2)
 		if sig := resultSignature(got, identityMap(g2)); !reflect.DeepEqual(sig, want) {
 			t.Fatalf("seed %d: triple shuffle changed results\n got %v\nwant %v", seed, sig, want)
 		}
@@ -163,7 +128,7 @@ func TestQuickMetamorphicVertexRelabel(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g, q := randomQuerySetup(r)
-		base, _ := runAt(g, q, 4)
+		base, _ := runAll(g, q)
 
 		order := make([]store.ID, g.NumTerms())
 		for i := range order {
@@ -173,7 +138,7 @@ func TestQuickMetamorphicVertexRelabel(t *testing.T) {
 		ts := sortedTriples(g)
 		r.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
 		g2, q2, idMap := rebuildRemapped(g, q, order, ts)
-		got, _ := runAt(g2, q2, 4)
+		got, _ := runAll(g2, q2)
 
 		// Compare in the relabeled ID space: push the baseline through
 		// idMap, leave the relabeled run as-is.
@@ -184,11 +149,13 @@ func TestQuickMetamorphicVertexRelabel(t *testing.T) {
 	}
 }
 
-// TestParallelWorkerPanicDrainsPool: an armed matcher.worker faultpoint
-// panics inside a pool goroutine. The pool must drain (no deadlock, no
-// leaked worker wedging later searches) and the panic must resurface on
-// the caller's goroutine as *WorkerPanic carrying the worker stack.
-func TestParallelWorkerPanicDrainsPool(t *testing.T) {
+// TestSeedPanicReachesCaller: an armed matcher.worker faultpoint panics
+// inside a seed. Nothing in the matcher catches it: it arrives on the
+// caller's goroutine as the value it was raised with (the facade's side of
+// this, the *PipelineError and its stack, is
+// TestFaultMatcherPanicBecomesStructuredError), and it leaves nothing
+// behind that a later search over the same inputs would meet.
+func TestSeedPanicReachesCaller(t *testing.T) {
 	g, ids := figure1Graph(t)
 	q := phillyQuery(ids)
 
@@ -196,51 +163,24 @@ func TestParallelWorkerPanicDrainsPool(t *testing.T) {
 	func() {
 		defer faultpoint.Reset()
 		defer func() {
-			r := recover()
-			wp, ok := r.(*WorkerPanic)
-			if !ok {
-				t.Fatalf("recovered %T (%v), want *WorkerPanic", r, r)
-			}
-			if len(wp.Stack) == 0 {
-				t.Fatal("WorkerPanic carries no stack")
-			}
-			if wp.Error() == "" {
-				t.Fatal("empty WorkerPanic message")
+			if r, want := recover(), "faultpoint "+faultpoint.MatcherWorker+": boom"; r != want {
+				t.Fatalf("recovered %T (%v), want the string %q", r, r, want)
 			}
 		}()
-		FindTopKMatches(g, q, MatchOptions{TopK: 10, Parallelism: 8})
+		FindTopKMatches(g, q, MatchOptions{TopK: 10})
 		t.Fatal("armed faultpoint did not panic")
 	}()
 
-	// The same matcher inputs must work normally after the fault clears —
-	// the panic left no global state behind.
-	matches, _ := FindTopKMatches(g, q, MatchOptions{TopK: 10, Parallelism: 8})
+	matches, _ := FindTopKMatches(g, q, MatchOptions{TopK: 10})
 	if len(matches) == 0 {
-		t.Fatal("no matches after recovery")
+		t.Fatal("no matches after the fault cleared")
 	}
 }
 
-// TestParallelDelayJitterKeepsDeterminism injects a per-seed delay, which
-// scrambles worker completion order as thoroughly as a loaded scheduler
-// would, and requires output still identical to sequential.
-func TestParallelDelayJitterKeepsDeterminism(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	g, q := randomQuerySetup(r)
-	want, _ := runAt(g, q, 1)
-
-	faultpoint.Set(faultpoint.MatcherWorker, faultpoint.Fault{Delay: 500 * time.Microsecond})
-	defer faultpoint.Reset()
-	got, _ := runAt(g, q, 8)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("delay jitter changed results\n got %v\nwant %v", got, want)
-	}
-}
-
-// benchSetup builds a synthetic matching workload heavy enough for the
-// pool to matter: a class with nInst instances (the single TA anchor, so
-// every instance becomes a seed task), each instance reaching ~fanout²
-// two-step routes that collapse onto a small leaf set — heavy traversal
-// per seed, bounded match count.
+// benchSetup builds a synthetic many-seed matching workload: a class with
+// nInst instances (the single TA anchor, so every instance becomes a seed
+// task), each instance reaching ~fanout² two-step routes that collapse onto
+// a small leaf set — heavy traversal per seed, bounded match count.
 func benchSetup(nInst, fanout int) (*store.Graph, *QueryGraph) {
 	g := store.New()
 	typ := g.Intern(rdf.NewIRI(rdf.RDFType))
@@ -283,25 +223,16 @@ func benchSetup(nInst, fanout int) (*store.Graph, *QueryGraph) {
 	return g, q
 }
 
-// BenchmarkFindTopKMatches compares the sequential search to the pool at
-// increasing widths on the same many-seed workload. For measuring while
-// you work: what the pool buys on realistic questions is benchmark/'s
-// core.match_parallel_speedup.
+// BenchmarkFindTopKMatches times the search on the many-seed workload. For
+// measuring while you work: what a question costs is benchmark/'s
+// core.match_us_p50.
 func BenchmarkFindTopKMatches(b *testing.B) {
 	g, q := benchSetup(400, 40)
-	for _, p := range []int{1, 2, 4, 8} {
-		name := fmt.Sprintf("par-%d", p)
-		if p == 1 {
-			name = "seq"
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		matches, _ := FindTopKMatches(g, q, MatchOptions{TopK: 10})
+		if len(matches) == 0 {
+			b.Fatal("no matches")
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				matches, _ := FindTopKMatches(g, q, MatchOptions{TopK: 10, Parallelism: p})
-				if len(matches) == 0 {
-					b.Fatal("no matches")
-				}
-			}
-		})
 	}
 }

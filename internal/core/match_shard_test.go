@@ -13,35 +13,28 @@ import (
 
 // runSharded freezes g at k shards (k = 1 reverts to the monolithic
 // snapshot) and runs the matcher with a non-truncating budget.
-func runSharded(g *store.Graph, q *QueryGraph, k, p int) ([]Match, MatchStats) {
+func runSharded(g *store.Graph, q *QueryGraph, k int) ([]Match, MatchStats) {
 	g.SetShards(k)
 	g.Freeze()
-	return FindTopKMatches(g, q, MatchOptions{TopK: 5, MaxMatches: 1 << 20, Parallelism: p})
+	return runAll(g, q)
 }
 
-// TestShardedIdenticalToMonolithic is the scatter-gather differential
-// harness: across random graphs and queries, the sharded search (K = 2, 8)
-// must return byte-identical matches to the monolithic frozen baseline at
-// sequential and parallel widths, AND byte-identical MatchStats: all of
-// them at P = 1, where the search tree is one, and all that the round
-// barrier decides at P = 4 (scheduleFree).
+// TestShardedIdenticalToMonolithic is the store-layout differential
+// harness: across random graphs and queries, the search over K = 2, 8 parts
+// must return byte-identical matches to the monolithic frozen baseline AND
+// byte-identical MatchStats — the search tree is one whatever the layout.
 func TestShardedIdenticalToMonolithic(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g, q := randomQuerySetup(r)
-		for _, p := range []int{1, 4} {
-			want, wantStats := runSharded(g, q, 1, p)
-			for _, k := range []int{2, 8} {
-				got, gotStats := runSharded(g, q, k, p)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d: K=%d P=%d matches differ\n got %v\nwant %v", seed, k, p, got, want)
-				}
-				if p > 1 {
-					gotStats, wantStats = scheduleFree(gotStats), scheduleFree(wantStats)
-				}
-				if gotStats != wantStats {
-					t.Fatalf("seed %d: K=%d P=%d stats differ:\n got %+v\nwant %+v", seed, k, p, gotStats, wantStats)
-				}
+		want, wantStats := runSharded(g, q, 1)
+		for _, k := range []int{2, 8} {
+			got, gotStats := runSharded(g, q, k)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: K=%d matches differ\n got %v\nwant %v", seed, k, got, want)
+			}
+			if gotStats != wantStats {
+				t.Fatalf("seed %d: K=%d stats differ:\n got %+v\nwant %+v", seed, k, gotStats, wantStats)
 			}
 		}
 	}
@@ -54,7 +47,7 @@ func TestShardMetamorphicInvariance(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g, q := randomQuerySetup(r)
-		base, _ := runSharded(g, q, 1, 4)
+		base, _ := runSharded(g, q, 1)
 		want := resultSignature(base, identityMap(g))
 
 		order := make([]store.ID, g.NumTerms())
@@ -65,7 +58,7 @@ func TestShardMetamorphicInvariance(t *testing.T) {
 		r.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
 		g2, q2, _ := rebuildRemapped(g, q, order, ts)
 		for _, k := range []int{2, 3, 8} {
-			got, _ := runSharded(g2, q2, k, 4)
+			got, _ := runSharded(g2, q2, k)
 			if sig := resultSignature(got, identityMap(g2)); !reflect.DeepEqual(sig, want) {
 				t.Fatalf("seed %d: shuffle+K=%d changed results\n got %v\nwant %v", seed, k, sig, want)
 			}
@@ -92,7 +85,7 @@ func TestShardConcurrentAddDuringMatch(t *testing.T) {
 	if sn, ok := view.(*store.Snapshot); !ok || sn.NumShards() != k {
 		t.Fatalf("FrozenView is %T, want a %d-shard *store.Snapshot", view, k)
 	}
-	opts := MatchOptions{TopK: 10, MaxMatches: 1 << 20, Parallelism: 4, View: view}
+	opts := MatchOptions{TopK: 10, MaxMatches: 1 << 20, View: view}
 	want, wantStats := FindTopKMatches(g, q, opts)
 	if len(want) == 0 {
 		t.Fatal("workload produced no matches")
@@ -118,7 +111,7 @@ func TestShardConcurrentAddDuringMatch(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("iter %d: concurrent mutation changed pinned-view matches", i)
 		}
-		if scheduleFree(gotStats) != scheduleFree(wantStats) {
+		if gotStats != wantStats {
 			t.Fatalf("iter %d: concurrent mutation changed pinned-view stats:\n got %+v\nwant %+v", i, gotStats, wantStats)
 		}
 	}

@@ -276,7 +276,7 @@ func TestTopKCountsMatchesTiesIncluded(t *testing.T) {
 	g, q, preds := fanQuery([]float64{1}, []fanPath{{"likes", 0.9, []int{12}}, {"knows", 0.3, []int{30}}})
 	for _, exhaustive := range []bool{false, true} {
 		view := &spanCounter{View: g.FrozenView(), pred: preds[1]}
-		matches, stats := FindTopKMatches(g, q, MatchOptions{TopK: 10, Exhaustive: exhaustive, Parallelism: 1, View: view})
+		matches, stats := FindTopKMatches(g, q, MatchOptions{TopK: 10, Exhaustive: exhaustive, View: view})
 		if len(matches) != 12 || stats.MatchesKept != 12 || matches[11].Score != matches[0].Score {
 			t.Fatalf("exhaustive=%v: got %d matches (%d kept), want the 12 at the best score", exhaustive, len(matches), stats.MatchesKept)
 		}
@@ -339,17 +339,17 @@ func TestResultSetAgainstModel(t *testing.T) {
 			want = want[:n]
 		}
 		got := rs.harvest()
-		if len(got) != len(want) || int(rs.count.Load()) != len(want) || len(rs.found) != len(want) {
-			t.Fatalf("seed %d k=%d: holds %d matches (count %d, index %d), want %d",
-				seed, k, len(got), rs.count.Load(), len(rs.found), len(want))
+		if len(got) != len(want) || len(rs.found) != len(want) {
+			t.Fatalf("seed %d k=%d: holds %d matches (index %d), want %d",
+				seed, k, len(got), len(rs.found), len(want))
 		}
 		for i := range want {
 			if got[i].key() != want[i].key() || got[i].Score != want[i].Score || got[i].Via[0] != want[i].Via[0] {
 				t.Fatalf("seed %d k=%d: match %d is %+v, want %+v", seed, k, i, got[i], want[i])
 			}
 		}
-		if len(want) >= k && rs.cut() != want[len(want)-1].Score {
-			t.Fatalf("seed %d k=%d: cut %v, want the k-th best score %v", seed, k, rs.cut(), want[len(want)-1].Score)
+		if len(want) >= k && rs.theta != want[len(want)-1].Score {
+			t.Fatalf("seed %d k=%d: cut %v, want the k-th best score %v", seed, k, rs.theta, want[len(want)-1].Score)
 		}
 	}
 }

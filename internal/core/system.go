@@ -90,10 +90,6 @@ type Options struct {
 	// paper's future work; see aggregate.go). Off by default so the
 	// failure taxonomy of Table 10 reproduces.
 	EnableAggregation bool
-	// Parallelism is the worker count for the top-k subgraph search (see
-	// MatchOptions.Parallelism). Zero means GOMAXPROCS; one forces the
-	// sequential search. Results are identical either way.
-	Parallelism int
 	// Budget bounds every AnswerContext call (step/candidate limits; the
 	// wall-clock deadline rides on the context). The zero value plus a
 	// plain Background context means no budget at all: the engine then
@@ -291,7 +287,6 @@ func (s *System) AnswerContext(ctx context.Context, question string) (out *Resul
 		TopK:           s.Opts.TopK,
 		DisablePruning: s.Opts.DisablePruning,
 		Exhaustive:     s.Opts.Exhaustive,
-		Parallelism:    s.Opts.Parallelism,
 		Budget:         tr,
 		Span:           msp,
 	})

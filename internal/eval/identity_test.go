@@ -153,17 +153,8 @@ type observed struct {
 	// rendered is the result through the shape's own term table: the
 	// answer labels and the Explain line of every match.
 	rendered string
-	// stats is the search's work counters. Parallelism, the one field that
-	// echoes an input (the resolved worker count), is cleared.
+	// stats is the search's work counters.
 	stats core.MatchStats
-}
-
-// scheduleFree is stats without Steps and MatchesFound, the two counters of
-// work inside the seeds: the score bound rises as matches arrive, so above
-// one worker they depend on the schedule (core.MatchStats).
-func scheduleFree(stats core.MatchStats) core.MatchStats {
-	stats.Steps, stats.MatchesFound = 0, 0
-	return stats
 }
 
 func observe(t *testing.T, sys *core.System, question string) observed {
@@ -189,7 +180,6 @@ func observe(t *testing.T, sys *core.System, question string) observed {
 		rd.WriteString(core.RenderMatch(sys.Graph, res.Query, m))
 		rd.WriteByte('\n')
 	}
-	res.Stats.Parallelism = 0
 	return observed{fp.String(), rd.String(), res.Stats}
 }
 
@@ -199,7 +189,7 @@ func observe(t *testing.T, sys *core.System, question string) observed {
 // (whose stats are in want).
 func boundCuts(t *testing.T, kb workloadKB, qs []bench.Question, want []observed) bool {
 	all := inProcess(1)(t, kb)
-	all.Opts = core.Options{TopK: 1 << 20, Exhaustive: true, Parallelism: 1}
+	all.Opts = core.Options{TopK: 1 << 20, Exhaustive: true}
 	for i, q := range qs {
 		res, err := all.Answer(q.Text)
 		if err != nil {
@@ -217,24 +207,18 @@ func boundCuts(t *testing.T, kb workloadKB, qs []bench.Question, want []observed
 }
 
 // TestWorkloadIdentity is the one identity gate over deployment shapes:
-// however the frozen graph is laid out (one part, 4 or 8 in-process
-// shards, a file loaded from disk, 4 shard servers over loopback) and
-// however wide the matcher's worker pool (P = 1, 2, 8), every question of
-// the four workloads must produce byte-identical answers, byte-identical
-// labels and Explain lines, and identical MatchStats to the monolithic
-// sequential run — all of the stats at P = 1, where the search tree is one
-// in every shape, and at P > 1 all but Steps and MatchesFound, which count
-// what the score bound left of each seed and so depend on when a worker saw
-// the cut rise. Sharding may regroup seeds by shard, the pool may reorder
-// work, the wire may add latency, retries and telemetry — the rounds, the
-// thresholds and the harvested matches must coincide exactly, and no search
-// is ever cut short: a healthy remote topology never degrades and no
-// question meets the match cap (the fingerprint carries Degraded). No
-// budget is set, so the determinism guarantee of MatchOptions.Parallelism
-// applies in full. Run under -race in tier 1.
+// however the frozen graph is laid out (one part, 4 or 8 in-process parts,
+// a file loaded from disk, 4 shard servers over loopback), every question
+// of the four workloads must produce byte-identical answers, byte-identical
+// labels and Explain lines, and the whole MatchStats of the one-part run:
+// the search tree is one in every shape. The wire may add latency, retries
+// and telemetry — the rounds, the steps, the thresholds and the harvested
+// matches must coincide exactly, and no search is ever cut short: a healthy
+// remote topology never degrades and no question meets the match cap (the
+// fingerprint carries Degraded). No budget is set. Run under -race in
+// tier 1.
 //
-// A new layout or matcher strategy is one more row or column here, not a
-// new test family.
+// A new layout is one more row here, not a new test family.
 func TestWorkloadIdentity(t *testing.T) {
 	shapes := []struct {
 		name  string
@@ -249,7 +233,6 @@ func TestWorkloadIdentity(t *testing.T) {
 	for _, kb := range []workloadKB{qaldKB, yagoKB, nlscaleKB, cinemaKB} {
 		qs := kb.questions()
 		base := inProcess(1)(t, kb)
-		base.Opts.Parallelism = 1
 		want := make([]observed, len(qs))
 		var seeds int64
 		for i, q := range qs {
@@ -268,26 +251,19 @@ func TestWorkloadIdentity(t *testing.T) {
 		for _, shape := range shapes {
 			t.Run(kb.name+"/"+shape.name, func(t *testing.T) {
 				sys := shape.build(t, kb)
-				for _, p := range []int{1, 2, 8} {
-					sys.Opts.Parallelism = p
-					for i, q := range qs {
-						got := observe(t, sys, q.Text)
-						if got.fingerprint != want[i].fingerprint {
-							t.Errorf("P=%d %q diverged from K=1/P=1:\n got: %s\nwant: %s",
-								p, q.Text, got.fingerprint, want[i].fingerprint)
-						}
-						if got.rendered != want[i].rendered {
-							t.Errorf("P=%d %q labels or explain lines diverged:\n got: %s\nwant: %s",
-								p, q.Text, got.rendered, want[i].rendered)
-						}
-						gotStats, wantStats := got.stats, want[i].stats
-						if p > 1 {
-							gotStats, wantStats = scheduleFree(gotStats), scheduleFree(wantStats)
-						}
-						if gotStats != wantStats {
-							t.Errorf("P=%d %q search stats diverged:\n got: %+v\nwant: %+v",
-								p, q.Text, gotStats, wantStats)
-						}
+				for i, q := range qs {
+					got := observe(t, sys, q.Text)
+					if got.fingerprint != want[i].fingerprint {
+						t.Errorf("%q diverged from K=1:\n got: %s\nwant: %s",
+							q.Text, got.fingerprint, want[i].fingerprint)
+					}
+					if got.rendered != want[i].rendered {
+						t.Errorf("%q labels or explain lines diverged:\n got: %s\nwant: %s",
+							q.Text, got.rendered, want[i].rendered)
+					}
+					if got.stats != want[i].stats {
+						t.Errorf("%q search stats diverged:\n got: %+v\nwant: %+v",
+							q.Text, got.stats, want[i].stats)
 					}
 				}
 			})

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -67,59 +68,62 @@ func buildRemoteSystem(t *testing.T, kb workloadKB, addrs []string, ropts store.
 	return sys
 }
 
-// TestRemoteShardKilledMidWorkload kills one of four shard servers in
-// the middle of the workload: every later question must come back
-// promptly with Degraded = "shard-unavailable" (or a clean answer, when
-// its search never touched the dead shard) — degraded, never hung.
+// TestRemoteShardKilledMidWorkload kills one of four shard servers — each
+// of the four in turn — under the workload. Every later question must come
+// back promptly, and either says Degraded = "shard-unavailable" or is the
+// healthy answer to the byte (its search never needed the dead shard):
+// degraded, never hung, and never a wrong answer passed off as a whole one.
+// The pruning pass is the hard case: a dead shard reads as "no adjacent
+// predicate", the candidates go, and a search left with nothing to search
+// must still say that it did not look.
 func TestRemoteShardKilledMidWorkload(t *testing.T) {
-	addrs, servers := startRemoteShards(t, qaldKB, 4)
-	sys := buildRemoteSystem(t, qaldKB, addrs, store.RemoteOptions{
-		CallTimeout:  200 * time.Millisecond,
-		Retries:      1,
-		RetryBackoff: time.Millisecond,
-		DownCooldown: time.Hour, // once down, stays down for the test
-	})
-
 	qs := bench.Workload()
-	if len(qs) < 4 {
-		t.Fatalf("workload too small: %d questions", len(qs))
+	healthy := inProcess(1)(t, qaldKB)
+	want := make([]string, len(qs))
+	for i, q := range qs {
+		want[i] = observe(t, healthy, q.Text).fingerprint
 	}
-	// Healthy warm-up over the first questions.
-	for _, q := range qs[:2] {
-		res, err := sys.Answer(q.Text)
-		if err != nil {
-			t.Fatalf("healthy %q: %v", q.Text, err)
-		}
-		if res.Degraded != "" {
-			t.Fatalf("healthy %q degraded: %q", q.Text, res.Degraded)
-		}
-	}
+	for dead := 0; dead < 4; dead++ {
+		t.Run(fmt.Sprintf("shard-%d", dead), func(t *testing.T) {
+			addrs, servers := startRemoteShards(t, qaldKB, 4)
+			sys := buildRemoteSystem(t, qaldKB, addrs, store.RemoteOptions{
+				CallTimeout:  200 * time.Millisecond,
+				Retries:      1,
+				RetryBackoff: time.Millisecond,
+				DownCooldown: time.Hour, // once down, stays down for the test
+			})
+			for i, q := range qs[:2] {
+				if got := observe(t, sys, q.Text).fingerprint; got != want[i] {
+					t.Fatalf("healthy %q:\n got: %s\nwant: %s", q.Text, got, want[i])
+				}
+			}
 
-	servers[2].Close()
+			servers[dead].Close()
 
-	sawDegraded := false
-	for _, q := range qs[2:] {
-		start := time.Now()
-		res, err := sys.Answer(q.Text)
-		elapsed := time.Since(start)
-		if err != nil {
-			t.Fatalf("post-kill %q: %v", q.Text, err)
-		}
-		// Generous bound: the first question after the kill pays the
-		// retries before the breaker opens; everything later fails fast.
-		if elapsed > 10*time.Second {
-			t.Fatalf("post-kill %q took %s — hung on a dead shard", q.Text, elapsed)
-		}
-		switch res.Degraded {
-		case "":
-			// This search never touched shard 2 — a clean answer is fine.
-		case "shard-unavailable":
-			sawDegraded = true
-		default:
-			t.Fatalf("post-kill %q: Degraded = %q, want \"\" or \"shard-unavailable\"", q.Text, res.Degraded)
-		}
-	}
-	if !sawDegraded {
-		t.Fatal("no question degraded with shard-unavailable after killing a shard")
+			sawDegraded := false
+			for i, q := range qs {
+				start := time.Now()
+				got := observe(t, sys, q.Text)
+				// Generous bound: the first question after the kill pays the
+				// retries before the breaker opens; everything later fails fast.
+				if elapsed := time.Since(start); elapsed > 10*time.Second {
+					t.Fatalf("post-kill %q took %s — hung on a dead shard", q.Text, elapsed)
+				}
+				switch got.stats.Truncated {
+				case "shard-unavailable":
+					sawDegraded = true
+				case "":
+					if got.fingerprint != want[i] {
+						t.Errorf("post-kill %q is not degraded and not the healthy answer:\n got: %s\nwant: %s",
+							q.Text, got.fingerprint, want[i])
+					}
+				default:
+					t.Fatalf("post-kill %q: Degraded = %q, want \"\" or \"shard-unavailable\"", q.Text, got.stats.Truncated)
+				}
+			}
+			if !sawDegraded {
+				t.Fatal("no question degraded with shard-unavailable after killing a shard")
+			}
+		})
 	}
 }

@@ -17,7 +17,7 @@ import (
 // these instead of magic strings.
 const (
 	MatcherExtend = "matcher.extend" // core: each subgraph-search extension
-	MatcherWorker = "matcher.worker" // core: each parallel-matcher seed task
+	MatcherWorker = "matcher.worker" // core: each seed
 	SparqlEval    = "sparql.eval"    // sparql: each backtracking join step
 	StoreMatch    = "store.match"    // store: each pattern scan
 	RPCDial       = "rpc.dial"       // store: each shard-RPC connection dial (client side)

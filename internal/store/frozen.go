@@ -72,7 +72,7 @@ type Snapshot struct {
 // The requested count is validated, not trusted: a negative k is treated
 // as 0, and k is clamped to the current vertex count — residue classes
 // beyond NumTerms would be permanently empty parts that every k-way merge
-// and scatter round still pays for. The effective shard count is returned
+// still pays for. The effective shard count is returned
 // (0 when unsharded); callers that care can log the clamp.
 func (g *Graph) SetShards(k int) int {
 	g.freezeMu.Lock()
@@ -92,51 +92,6 @@ func (g *Graph) SetShards(k int) int {
 
 // NumShards returns the configured shard count (0 when unsharded).
 func (g *Graph) NumShards() int { return g.shardK }
-
-// GenVector returns the graph's generation vector: the global mutation
-// generation followed by each shard's generation when sharded. It is the
-// invalidation token sharded cache keys use — a mutation bumps exactly
-// the dirtied shards' entries.
-func (g *Graph) GenVector() []uint64 {
-	out := make([]uint64, 1+len(g.shardGens))
-	out[0] = g.gen.Load()
-	for i := range g.shardGens {
-		out[i+1] = g.shardGens[i].Load()
-	}
-	return out
-}
-
-// GenKey renders the generation vector as a compact cache-key component:
-// "g<gen>" unsharded, "g<gen>:<s0>.<s1>...." sharded.
-func (g *Graph) GenKey() string {
-	vec := g.GenVector()
-	buf := make([]byte, 0, 8+8*len(vec))
-	buf = append(buf, 'g')
-	buf = appendUint(buf, vec[0])
-	for i, sg := range vec[1:] {
-		if i == 0 {
-			buf = append(buf, ':')
-		} else {
-			buf = append(buf, '.')
-		}
-		buf = appendUint(buf, sg)
-	}
-	return string(buf)
-}
-
-func appendUint(b []byte, v uint64) []byte {
-	if v == 0 {
-		return append(b, '0')
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for v > 0 {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(b, tmp[i:]...)
-}
 
 // FrozenView returns the graph's read surface: the remote view when one is
 // installed (SetRemoteView), otherwise the snapshot at the current

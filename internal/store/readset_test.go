@@ -99,20 +99,20 @@ func fanGraph(n int) (*store.Graph, *core.QueryGraph) {
 
 // TestRemoteReadSet pins what a question costs on the wire once reads are
 // remembered for the request and hinted a frontier ahead, by running the
-// real matcher (one worker) over counted loopback shards.
+// real matcher over counted loopback shards.
 func TestRemoteReadSet(t *testing.T) {
 	const k = 4
 	var frames, batches, inBatch [2]int64
 	for i, n := range []int{8, 60} {
 		g, q := fanGraph(n)
-		want, _ := core.FindTopKMatches(g, q, core.MatchOptions{Parallelism: 1})
+		want, _ := core.FindTopKMatches(g, q, core.MatchOptions{})
 		if len(want) != n {
 			t.Fatalf("n=%d: the local search found %d matches", n, len(want))
 		}
 		sn, w := countedShards(t, g)
 		tr := obs.NewTrace("question", "")
 		sp := tr.Root().Child("core.match")
-		got, _ := core.FindTopKMatches(g, q, core.MatchOptions{Parallelism: 1, View: sn, Span: sp})
+		got, _ := core.FindTopKMatches(g, q, core.MatchOptions{View: sn, Span: sp})
 		sp.Finish()
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("n=%d: remote matches diverge from local:\n got %v\nwant %v", n, got, want)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	"gqa/internal/obs"
@@ -271,31 +270,5 @@ func TestShardDeltaOverlay(t *testing.T) {
 	g.Freeze()
 	if rebuilt := obs.DefaultCounter("gqa_store_shard_freezes_total", "").Value() - before; rebuilt != 2 {
 		t.Fatalf("cross-shard re-freeze rebuilt %d shards, want 2", rebuilt)
-	}
-}
-
-// TestShardGenKey pins the cache-key component: unsharded keys keep the
-// "g<gen>" form; sharded keys append the per-shard generation vector and
-// move only on the dirtied shards.
-func TestShardGenKey(t *testing.T) {
-	g := New()
-	p := g.Intern(rdf.Ontology("p"))
-	a := g.Intern(rdf.Resource("a"))
-	b := g.Intern(rdf.Resource("b"))
-	if k := g.GenKey(); strings.Contains(k, ":") {
-		t.Fatalf("unsharded GenKey %q has a shard vector", k)
-	}
-	g.SetShards(2)
-	k1 := g.GenKey()
-	if !strings.Contains(k1, ":") {
-		t.Fatalf("sharded GenKey %q lacks a shard vector", k1)
-	}
-	g.AddSPO(a, p, b)
-	k2 := g.GenKey()
-	if k1 == k2 {
-		t.Fatal("GenKey did not change after a mutation")
-	}
-	if got, want := len(g.GenVector()), 3; got != want {
-		t.Fatalf("GenVector length %d, want %d", got, want)
 	}
 }

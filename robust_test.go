@@ -3,6 +3,7 @@ package gqa
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -164,20 +165,30 @@ func TestFaultSparqlPanicBecomesStructuredError(t *testing.T) {
 }
 
 // Matcher panic: same containment on the natural-language path; the error
-// must carry the question text.
+// must carry the question text, the value the panic was raised with, and
+// the stack it was raised on — the search runs on the caller's goroutine,
+// so the stack the facade captures is the matcher's own.
 func TestFaultMatcherPanicBecomesStructuredError(t *testing.T) {
 	sys := benchmarkSystem(t)
-	faultpoint.Reset()
-	defer faultpoint.Reset()
-	faultpoint.Set(faultpoint.MatcherExtend, faultpoint.Fault{PanicMsg: "injected matcher fault"})
+	for _, point := range []string{faultpoint.MatcherExtend, faultpoint.MatcherWorker} {
+		faultpoint.Reset()
+		faultpoint.Set(point, faultpoint.Fault{PanicMsg: "injected matcher fault"})
+		_, err := sys.Answer(runningExample)
+		faultpoint.Reset()
 
-	_, err := sys.Answer(runningExample)
-	var perr *PipelineError
-	if !errors.As(err, &perr) {
-		t.Fatalf("err = %v, want *PipelineError", err)
-	}
-	if perr.Stage != "answer" || perr.Input != runningExample {
-		t.Fatalf("PipelineError = %+v", perr)
+		var perr *PipelineError
+		if !errors.As(err, &perr) {
+			t.Fatalf("%s: err = %v, want *PipelineError", point, err)
+		}
+		if perr.Stage != "answer" || perr.Input != runningExample {
+			t.Fatalf("%s: PipelineError = %+v", point, perr)
+		}
+		if want := "faultpoint " + point + ": injected matcher fault"; perr.Value != want {
+			t.Errorf("%s: panic value %T (%v), want the string %q", point, perr.Value, perr.Value, want)
+		}
+		if !strings.Contains(string(perr.Stack), "(*matcher).runSeed") {
+			t.Errorf("%s: the stack does not name (*matcher).runSeed:\n%s", point, perr.Stack)
+		}
 	}
 }
 
