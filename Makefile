@@ -71,7 +71,7 @@ snapshot-smoke:
 # Deterministic replay of the fuzz seed corpora (f.Add entries + any
 # checked-in testdata): runs each fuzz target as a plain test, no engine.
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' ./internal/rdf/ ./internal/sparql/ ./internal/nlp/ ./internal/store/
+	$(GO) test -run 'Fuzz' ./internal/rdf/ ./internal/sparql/ ./internal/nlp/ ./internal/store/ ./internal/serve/
 
 # Short fuzz passes over the parser/evaluator targets (not part of tier1).
 fuzz:
@@ -81,6 +81,7 @@ fuzz:
 	$(GO) test -fuzz FuzzLoadFrozen -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzLoadShardPart -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzShardServerHandle -fuzztime 30s ./internal/store/
+	$(GO) test -fuzz FuzzRequestStringsStayJSON -fuzztime 30s ./internal/serve/
 
 # Go micro-benchmarks, for measuring while you work (among them the cold
 # start pair, BenchmarkLoadFrozenKB/ntriples against /gqafrz1). A number

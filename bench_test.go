@@ -93,7 +93,7 @@ func BenchmarkEndToEndDeanna(b *testing.B) {
 // BenchmarkQuestionUnderstanding (Figure 6, ours): parsing + relation
 // extraction + query-graph construction for the running example.
 func BenchmarkQuestionUnderstanding(b *testing.B) {
-	sys, err := BenchmarkSystem()
+	sys, err := Open(Source{}, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -350,23 +350,6 @@ func BenchmarkDictionaryMaintenance(b *testing.B) {
 			dict.Mine(g, sets, dict.MineOptions{MaxPathLen: 4, TopK: 3})
 		}
 	})
-}
-
-// BenchmarkParallelMining: the per-phrase parallel offline stage.
-func BenchmarkParallelMining(b *testing.B) {
-	sg := bench.NewSynthGraph(bench.SynthOptions{Seed: 2, Entities: 2000})
-	ps := bench.NewSynthPhrases(sg, bench.SynthPhraseOptions{Seed: 2, Phrases: 100, Support: 8})
-	for _, par := range []int{1, 4} {
-		b.Run(fmtInt("workers-", par), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				dict.Mine(sg.Graph, ps.Sets, dict.MineOptions{MaxPathLen: 4, TopK: 3, Parallelism: par})
-			}
-		})
-	}
-}
-
-func fmtInt(prefix string, n int) string {
-	return prefix + string(rune('0'+n))
 }
 
 // BenchmarkAggregationExtension: the rewrite overhead of a counting

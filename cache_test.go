@@ -18,7 +18,6 @@ import (
 	"gqa/internal/bench"
 	"gqa/internal/dict"
 	"gqa/internal/faultpoint"
-	"gqa/internal/flight"
 	"gqa/internal/obs"
 	"gqa/internal/rdf"
 	"gqa/internal/store"
@@ -46,8 +45,8 @@ func answerSignature(ans *Answer, lines []string) string {
 }
 
 // TestCacheDifferentialByteIdentical runs the whole benchmark workload
-// three ways on one system — uncached baseline, cache-cold (miss), and
-// cache-warm (hit) — and requires identical signatures, Explain lines
+// three ways over one graph and dictionary — uncached baseline, cache-cold
+// (miss), and cache-warm (hit) — and requires identical signatures, Explain lines
 // included: a hit must replay the match spans the pipeline would have
 // recorded.
 func TestCacheDifferentialByteIdentical(t *testing.T) {
@@ -64,7 +63,7 @@ func TestCacheDifferentialByteIdentical(t *testing.T) {
 		baseline[i] = answerSignature(ans, lines)
 	}
 
-	sys.SetCache(1024)
+	sys = NewSystem(sys.Graph(), sys.Dictionary(), Options{Cache: CacheConfig{Entries: 1024}})
 	m0 := cacheMetric("gqa_cache_misses_total")
 	// Cold before warm — a slice, not a map, whose iteration order is
 	// random. The cold pass hits nothing, the warm pass everything.
@@ -96,8 +95,7 @@ func TestCacheDifferentialByteIdentical(t *testing.T) {
 // same answer. A matcher delay holds the leader in flight long enough that
 // every waiter provably arrives before it finishes.
 func TestCacheCoalescing(t *testing.T) {
-	sys := benchmarkSystem(t)
-	sys.SetCache(64)
+	sys := cachedSystem(t, 64)
 	faultpoint.Reset()
 	defer faultpoint.Reset()
 	faultpoint.Set(faultpoint.MatcherExtend, faultpoint.Fault{Delay: 5 * time.Millisecond})
@@ -142,8 +140,7 @@ func TestCacheCoalescing(t *testing.T) {
 // so the next identical question misses (the cached entry's key no longer
 // matches) and runs on a re-frozen snapshot at the new generation.
 func TestCacheInvalidationOnMutation(t *testing.T) {
-	sys := benchmarkSystem(t)
-	sys.SetCache(64)
+	sys := cachedSystem(t, 64)
 	ctx := context.Background()
 	const q = "Who is the mayor of Berlin?"
 
@@ -192,8 +189,7 @@ func TestCacheInvalidationOnMutation(t *testing.T) {
 // runs the pipeline again, and an unconstrained re-ask produces the full
 // answer.
 func TestDegradedAnswerNotCached(t *testing.T) {
-	sys := benchmarkSystem(t)
-	sys.SetCache(64)
+	sys := cachedSystem(t, 64)
 	faultpoint.Reset()
 	defer faultpoint.Reset()
 	faultpoint.Set(faultpoint.MatcherExtend, faultpoint.Fault{Delay: 2 * time.Millisecond})
@@ -246,8 +242,7 @@ func TestDegradedAnswerNotCached(t *testing.T) {
 // pipeline again.
 func TestDeadShardAnswerNotCached(t *testing.T) {
 	const k = 4
-	sys := benchmarkSystem(t)
-	sys.SetCache(64)
+	sys := cachedSystem(t, 64)
 	g := sys.Graph()
 	g.SetShards(k)
 	addrs := make([]string, k)
@@ -303,8 +298,9 @@ func TestDeadShardAnswerNotCached(t *testing.T) {
 // TestMatchCapIsLoud: a class with one instance more than the matcher holds
 // at once (MaxMatches, 10000), asked for by a type-only question, so every
 // instance is a match tied at the cut. The answer must say it is partial
-// (Degraded "matches"), be counted under that reason, reach the flight
-// recorder's wide event, and not be cached.
+// (Degraded "matches"), be counted under that reason, and not be cached.
+// (That the reason reaches the wide event is internal/serve's
+// TestDegradedReasonReachesWideEvent.)
 func TestMatchCapIsLoud(t *testing.T) {
 	g := store.New()
 	typ := g.Intern(rdf.NewIRI(rdf.RDFType))
@@ -314,12 +310,6 @@ func TestMatchCapIsLoud(t *testing.T) {
 		g.AddSPO(g.Intern(rdf.Resource(fmt.Sprintf("w%05d", i))), typ, widget)
 	}
 	sys := NewSystem(g, dict.New(), Options{Cache: CacheConfig{Entries: 8}})
-	rec, err := flight.New(flight.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	sys.SetFlight(rec)
 
 	degraded := obs.DefaultCounter("gqa_core_degraded_total", "", obs.L("reason", "matches"))
 	d0, m0 := degraded.Value(), cacheMetric("gqa_cache_misses_total")
@@ -339,17 +329,12 @@ func TestMatchCapIsLoud(t *testing.T) {
 	if d := degraded.Value() - d0; d != 2 {
 		t.Errorf("gqa_core_degraded_total{reason=\"matches\"} moved by %d, want 2", d)
 	}
-	rec.Sync()
-	if events := string(rec.SlowestJSON()); !strings.Contains(events, `"degraded":"matches"`) {
-		t.Errorf("no wide event carries the reason: %s", events)
-	}
 }
 
 // TestReturnedAnswerIsPrivateCopy: mutating an answer a caller got from
 // the cache must not poison the stored entry.
 func TestReturnedAnswerIsPrivateCopy(t *testing.T) {
-	sys := benchmarkSystem(t)
-	sys.SetCache(64)
+	sys := cachedSystem(t, 64)
 	ctx := context.Background()
 	const q = "Who is the mayor of Berlin?"
 
@@ -438,8 +423,7 @@ func TestQueryCacheAndTruncationRule(t *testing.T) {
 // see — dictionary replacement, superlative registration — must also
 // retire cached answers.
 func TestCacheSaltInvalidation(t *testing.T) {
-	sys := benchmarkSystem(t)
-	sys.SetCache(64)
+	sys := cachedSystem(t, 64)
 	ctx := context.Background()
 	const q = "Who is the mayor of Berlin?"
 	if _, err := sys.AnswerContext(ctx, q); err != nil {

@@ -3,18 +3,19 @@
 //
 // Usage:
 //
-//	gqa-cli [-graph graph.nt -dict dict.tsv] [-explain] [-trace] [-cache N] [question ...]
-//	gqa-cli -frozen kb.frz [-dict dict.tsv] [question ...]
+//	gqa-cli [-graph graph.nt | -frozen kb.frz] [-dict dict.tsv] [-explain] [-trace] [-cache N] [question ...]
 //
-// Without a graph source it runs over the bundled mini-DBpedia benchmark
-// knowledge base with a freshly mined paraphrase dictionary. Questions
-// given as arguments are answered and the program exits; otherwise a REPL
-// starts. Lines starting with "sparql " are evaluated as SPARQL instead.
+// The flags name a gqa.Source and gqa.Open boots it. Without a graph
+// source it runs over the bundled mini-DBpedia benchmark knowledge base.
+// Questions given as arguments are answered and the program exits;
+// otherwise a REPL starts. Lines starting with "sparql " are evaluated as
+// SPARQL instead.
 //
 // -frozen loads a GQAFRZ1 frozen snapshot (gqa-gen frozen) straight into
-// the query-ready CSR form — the fastest cold start. With it, -dict is
-// optional: when omitted the paraphrase dictionary is mined from the
-// loaded graph.
+// the query-ready CSR form — the fastest cold start. Without -dict the
+// paraphrase dictionary is mined from the loaded graph with the bundled
+// relation-phrase support sets, which fit the bundled KB and graphs that
+// extend it; any other graph needs a dictionary from gqa-mine.
 //
 // -timeout bounds each question's wall-clock time; when it expires the
 // engine returns the best partial answer found so far, flagged
@@ -34,8 +35,6 @@ import (
 	"time"
 
 	"gqa"
-	"gqa/internal/bench"
-	"gqa/internal/store"
 )
 
 func main() {
@@ -49,12 +48,19 @@ func main() {
 	cacheSize := flag.Int("cache", 256, "answer-cache capacity in entries (0 = disabled); re-asking a question in the REPL hits the cache")
 	flag.Parse()
 
-	sys, err := buildSystem(*graphPath, *frzPath, *dictPath, *aggregate)
+	sys, err := gqa.Open(gqa.Source{Graph: *graphPath, Frozen: *frzPath, Dict: *dictPath},
+		gqa.Options{EnableAggregation: *aggregate, Cache: gqa.CacheConfig{Entries: *cacheSize}})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gqa-cli:", err)
 		os.Exit(1)
 	}
-	sys.SetCache(*cacheSize)
+	if *aggregate {
+		// Common DBpedia-flavored superlatives.
+		sys.RegisterSuperlative("youngest", "http://dbpedia.org/ontology/age", false)
+		sys.RegisterSuperlative("oldest", "http://dbpedia.org/ontology/age", true)
+		sys.RegisterSuperlative("highest", "http://dbpedia.org/ontology/elevation", true)
+		sys.RegisterSuperlative("tallest", "http://dbpedia.org/ontology/height", true)
+	}
 
 	if flag.NArg() > 0 {
 		for _, q := range flag.Args() {
@@ -82,75 +88,6 @@ func main() {
 			ask(sys, line, *explain, *trace, *timeout)
 		}
 	}
-}
-
-func buildSystem(graphPath, frzPath, dictPath string, aggregate bool) (*gqa.System, error) {
-	var (
-		sys *gqa.System
-		err error
-	)
-	if graphPath != "" && frzPath != "" {
-		return nil, fmt.Errorf("-graph and -frozen are mutually exclusive")
-	}
-	switch {
-	case frzPath != "":
-		sys, err = loadFrozenSystem(frzPath, dictPath)
-	case graphPath == "":
-		sys, err = gqa.BenchmarkSystem()
-	default:
-		if dictPath == "" {
-			return nil, fmt.Errorf("-dict is required with -graph (mine one with gqa-mine)")
-		}
-		var gf, df *os.File
-		if gf, err = os.Open(graphPath); err != nil {
-			return nil, err
-		}
-		defer gf.Close()
-		if df, err = os.Open(dictPath); err != nil {
-			return nil, err
-		}
-		defer df.Close()
-		sys, err = gqa.LoadSystem(gf, df)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if aggregate {
-		sys.SetAggregation(true)
-		// Common DBpedia-flavored superlatives.
-		sys.RegisterSuperlative("youngest", "http://dbpedia.org/ontology/age", false)
-		sys.RegisterSuperlative("oldest", "http://dbpedia.org/ontology/age", true)
-		sys.RegisterSuperlative("highest", "http://dbpedia.org/ontology/elevation", true)
-		sys.RegisterSuperlative("tallest", "http://dbpedia.org/ontology/height", true)
-	}
-	return sys, nil
-}
-
-// loadFrozenSystem builds a system from a GQAFRZ1 file. Without -dict the
-// paraphrase dictionary is mined from the loaded graph itself.
-func loadFrozenSystem(frzPath, dictPath string) (*gqa.System, error) {
-	gf, err := os.Open(frzPath)
-	if err != nil {
-		return nil, err
-	}
-	defer gf.Close()
-	if dictPath != "" {
-		df, err := os.Open(dictPath)
-		if err != nil {
-			return nil, err
-		}
-		defer df.Close()
-		return gqa.LoadSystemFrozen(gf, df)
-	}
-	g, err := store.LoadFrozen(gf)
-	if err != nil {
-		return nil, err
-	}
-	d, _, err := bench.BuildDictionary(g)
-	if err != nil {
-		return nil, err
-	}
-	return gqa.NewSystem(g, d, gqa.Options{}), nil
 }
 
 func withBudget(timeout time.Duration) (context.Context, context.CancelFunc) {

@@ -14,7 +14,7 @@
 //
 // With -builtin the bundled mini-DBpedia and its curated phrase dataset
 // are used. The output is the dictionary format read by gqa-cli and
-// gqa.LoadSystem.
+// gqa.Open.
 package main
 
 import (

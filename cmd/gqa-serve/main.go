@@ -16,8 +16,12 @@
 //	          [-flight-log events.jsonl] [-flight-slowest K]
 //	          [-slo-ms N] [-pprof]
 //
-// Without -graph/-dict it serves the bundled mini-DBpedia benchmark
-// knowledge base with a freshly mined paraphrase dictionary.
+// -graph and -dict name a gqa.Source and gqa.Open boots it, with the cache
+// and aggregation flags as its gqa.Options: without -graph it serves the
+// bundled mini-DBpedia benchmark knowledge base, without -dict it mines the
+// paraphrase dictionary from the bundled relation-phrase support sets
+// (which fit the bundled KB and graphs that extend it). All this binary
+// adds to the loader is the snapshot write-back policy below.
 //
 // -snapshot enables instant cold start: when the file exists and validates,
 // the graph boots from the GQAFRZ1 frozen snapshot (a bulk checksummed read
@@ -77,6 +81,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"log/slog"
 	"net"
@@ -88,7 +93,6 @@ import (
 	"time"
 
 	"gqa"
-	"gqa/internal/bench"
 	"gqa/internal/flight"
 	"gqa/internal/serve"
 	"gqa/internal/store"
@@ -115,12 +119,12 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.Parse()
 
-	sys, err := buildSystem(*graphPath, *dictPath, *snapPath, *aggregate)
+	sys, err := buildSystem(gqa.Source{Graph: *graphPath, Dict: *dictPath}, *snapPath,
+		gqa.Options{EnableAggregation: *aggregate, Cache: gqa.CacheConfig{Entries: *cacheSize}})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gqa-serve:", err)
 		os.Exit(1)
 	}
-	sys.SetCache(*cacheSize)
 	if *shardAddrs != "" {
 		// Multi-process sharding: the coordinator keeps the local graph for
 		// the dictionary, linker, and term table, but serves every frozen
@@ -209,20 +213,26 @@ func main() {
 	}
 }
 
-func buildSystem(graphPath, dictPath, snapPath string, aggregate bool) (*gqa.System, error) {
-	var (
-		sys *gqa.System
-		err error
-	)
+// buildSystem is the snapshot write-back policy around gqa.Open: boot from
+// the frozen snapshot when there is a valid one, else from the source
+// graph, and then leave a snapshot behind for the next start.
+func buildSystem(src gqa.Source, snapPath string, opts gqa.Options) (*gqa.System, error) {
 	if snapPath != "" {
-		sys, err = loadFrozenSystem(snapPath, dictPath)
+		start := time.Now()
+		sys, err := gqa.Open(gqa.Source{Frozen: snapPath, Dict: src.Dict}, opts)
 		switch {
 		case err == nil:
-			if aggregate {
-				sys.SetAggregation(true)
-			}
+			g := sys.Graph()
+			log.Printf("gqa-serve: cold start from frozen snapshot %s: %d triples, %d terms, generation %d, ready in %s",
+				snapPath, g.NumTriples(), g.NumTerms(), g.Generation(), time.Since(start).Round(time.Microsecond))
 			return sys, nil
-		case os.IsNotExist(err):
+		case errors.Is(err, fs.ErrNotExist):
+			// Open reports a missing -dict file with the same sentinel;
+			// only a missing snapshot is the not-yet case.
+			var pe *fs.PathError
+			if !errors.As(err, &pe) || pe.Path != snapPath {
+				return nil, err
+			}
 			log.Printf("gqa-serve: no frozen snapshot at %s yet, building from source", snapPath)
 		default:
 			// A corrupt or stale-format snapshot is not fatal: fall back to
@@ -230,71 +240,13 @@ func buildSystem(graphPath, dictPath, snapPath string, aggregate bool) (*gqa.Sys
 			log.Printf("gqa-serve: frozen snapshot rejected, rebuilding from source: %v", err)
 		}
 	}
-	if graphPath == "" {
-		sys, err = gqa.BenchmarkSystem()
-	} else {
-		if dictPath == "" {
-			return nil, fmt.Errorf("-dict is required with -graph (mine one with gqa-mine)")
-		}
-		var gf, df *os.File
-		if gf, err = os.Open(graphPath); err != nil {
-			return nil, err
-		}
-		defer gf.Close()
-		if df, err = os.Open(dictPath); err != nil {
-			return nil, err
-		}
-		defer df.Close()
-		sys, err = gqa.LoadSystem(gf, df)
-	}
+	sys, err := gqa.Open(src, opts)
 	if err != nil {
 		return nil, err
 	}
 	if snapPath != "" {
 		saveFrozenSnapshot(snapPath, sys)
 	}
-	if aggregate {
-		sys.SetAggregation(true)
-	}
-	return sys, nil
-}
-
-// loadFrozenSystem boots from a GQAFRZ1 frozen snapshot: the graph arrives
-// query-ready (validated, frozen, at its saved generation). The dictionary
-// comes from -dict when given, otherwise it is mined from the loaded graph
-// (which must then be the bundled benchmark KB).
-func loadFrozenSystem(snapPath, dictPath string) (*gqa.System, error) {
-	sf, err := os.Open(snapPath)
-	if err != nil {
-		return nil, err
-	}
-	defer sf.Close()
-	start := time.Now()
-	var sys *gqa.System
-	if dictPath != "" {
-		df, err := os.Open(dictPath)
-		if err != nil {
-			return nil, err
-		}
-		defer df.Close()
-		sys, err = gqa.LoadSystemFrozen(sf, df)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		g, err := store.LoadFrozen(sf)
-		if err != nil {
-			return nil, err
-		}
-		d, _, err := bench.BuildDictionary(g)
-		if err != nil {
-			return nil, err
-		}
-		sys = gqa.NewSystem(g, d, gqa.Options{})
-	}
-	g := sys.Graph()
-	log.Printf("gqa-serve: cold start from frozen snapshot %s: %d triples, %d terms, generation %d, ready in %s",
-		snapPath, g.NumTriples(), g.NumTerms(), g.Generation(), time.Since(start).Round(time.Microsecond))
 	return sys, nil
 }
 

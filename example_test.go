@@ -8,10 +8,10 @@ import (
 	"gqa"
 )
 
-// The zero-setup path: the bundled knowledge base with a freshly mined
-// paraphrase dictionary.
-func ExampleBenchmarkSystem() {
-	sys, err := gqa.BenchmarkSystem()
+// The zero-setup path: the zero Source is the bundled knowledge base with a
+// freshly mined paraphrase dictionary.
+func ExampleOpen() {
+	sys, err := gqa.Open(gqa.Source{}, gqa.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func ExampleBenchmarkSystem() {
 // The paper's running example: three readings of "Philadelphia", two of
 // "played in" — resolved by the data, not by upfront disambiguation.
 func ExampleSystem_Answer() {
-	sys, err := gqa.BenchmarkSystem()
+	sys, err := gqa.Open(gqa.Source{}, gqa.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func ExampleSystem_Answer() {
 
 // Boolean (ASK-style) questions return a truth value.
 func ExampleSystem_Answer_boolean() {
-	sys, err := gqa.BenchmarkSystem()
+	sys, err := gqa.Open(gqa.Source{}, gqa.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func ExampleSystem_Answer_boolean() {
 
 // SPARQL runs against the same graph, for power users.
 func ExampleSystem_Query() {
-	sys, err := gqa.BenchmarkSystem()
+	sys, err := gqa.Open(gqa.Source{}, gqa.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,11 +14,10 @@ import (
 )
 
 func main() {
-	sys, err := gqa.BenchmarkSystem()
+	sys, err := gqa.Open(gqa.Source{}, gqa.Options{EnableAggregation: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys.SetAggregation(true)
 	sys.RegisterSuperlative("youngest", "http://dbpedia.org/ontology/age", false)
 	sys.RegisterSuperlative("oldest", "http://dbpedia.org/ontology/age", true)
 

@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	sys, err := gqa.BenchmarkSystem()
+	sys, err := gqa.Open(gqa.Source{}, gqa.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

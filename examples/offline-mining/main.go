@@ -42,7 +42,7 @@ func main() {
 	}
 
 	// The dictionary serializes to a line format consumed by gqa-cli and
-	// gqa.LoadSystem.
+	// gqa.Open.
 	fmt.Println("\nencoded dictionary sample (first lines):")
 	var buf bytes.Buffer
 	if err := d.Encode(&buf, g); err != nil {

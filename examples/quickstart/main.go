@@ -13,9 +13,9 @@ import (
 )
 
 func main() {
-	// BenchmarkSystem loads the bundled knowledge base and mines its
-	// paraphrase dictionary (the offline stage) in-process.
-	sys, err := gqa.BenchmarkSystem()
+	// The zero Source is the bundled knowledge base; Open loads it and
+	// mines its paraphrase dictionary (the offline stage) in-process.
+	sys, err := gqa.Open(gqa.Source{}, gqa.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,12 +11,12 @@
 //
 // # Quick start
 //
-//	sys, err := gqa.LoadSystem(graphFile, dictFile)
+//	sys, err := gqa.Open(gqa.Source{Graph: "kb.nt", Dict: "dict.tsv"}, gqa.Options{})
 //	...
 //	ans, err := sys.Answer("Who is the mayor of Berlin?")
 //	fmt.Println(ans.Labels) // [Klaus Wowereit]
 //
-// Use BenchmarkSystem for a self-contained engine over the bundled
+// Open with the zero Source is a self-contained engine over the bundled
 // mini-DBpedia knowledge base with a freshly mined paraphrase dictionary.
 //
 // The deeper layers are importable individually for advanced use:
@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -38,7 +39,6 @@ import (
 	"gqa/internal/bench"
 	"gqa/internal/core"
 	"gqa/internal/dict"
-	"gqa/internal/flight"
 	"gqa/internal/obs"
 	"gqa/internal/qcache"
 	"gqa/internal/rdf"
@@ -72,15 +72,9 @@ type Options struct {
 	// engine. See the Caching section of the README for the key structure
 	// and invalidation contract.
 	Cache CacheConfig
-	// Flight is the flight recorder wide events are emitted to: one
-	// structured event per answered question, plus tail-sampled trace
-	// retention (see internal/flight and gqa-serve's /debug/flight/*
-	// endpoints). Nil disables recording at zero cost — the exact
-	// unrecorded code path, like a nil trace.
-	Flight *flight.Recorder
 }
 
-// CacheConfig sizes the answer cache (see Options.Cache and SetCache).
+// CacheConfig sizes the answer cache (see Options.Cache).
 type CacheConfig struct {
 	// Entries is the maximum number of cached results (answers and SPARQL
 	// result sets share the capacity). Zero disables caching.
@@ -95,7 +89,6 @@ type System struct {
 	core   *core.System
 	budget Budget
 	cache  *qcache.Cache
-	flight *flight.Recorder
 	// cacheSalt invalidates cached answers on engine mutations the graph
 	// generation cannot see: dictionary replacement (MineDictionary) and
 	// superlative registration both change answers without touching a
@@ -121,7 +114,6 @@ func NewSystem(g *store.Graph, d *dict.Dictionary, opts Options) *System {
 		dict:   d,
 		budget: opts.Budget,
 		cache:  qcache.New(opts.Cache.Entries),
-		flight: opts.Flight,
 		core: core.NewSystem(g, d, core.Options{
 			TopK:                  opts.TopK,
 			MaxVertexCandidates:   opts.MaxCandidates,
@@ -131,24 +123,6 @@ func NewSystem(g *store.Graph, d *dict.Dictionary, opts Options) *System {
 		}),
 	}
 }
-
-// SetAggregation toggles the counting/superlative extension at runtime.
-func (s *System) SetAggregation(on bool) { s.core.Opts.EnableAggregation = on }
-
-// SetCache replaces the answer cache with a fresh one holding up to
-// entries results (zero disables caching — the exact uncached code path).
-// The binaries use it to honor their -cache flag over systems built with
-// default options. Not safe to call concurrently with Answer.
-func (s *System) SetCache(entries int) { s.cache = qcache.New(entries) }
-
-// SetFlight installs (or, with nil, removes) the flight recorder wide
-// events are emitted to — the runtime form of Options.Flight. Not safe to
-// call concurrently with Answer.
-func (s *System) SetFlight(r *flight.Recorder) { s.flight = r }
-
-// Flight returns the installed flight recorder (nil when disabled); the
-// serving layer mounts its /debug/flight/* endpoints over it.
-func (s *System) Flight() *flight.Recorder { return s.flight }
 
 // RegisterSuperlative teaches the aggregation extension how to interpret a
 // superlative adjective: rank candidate answers by the numeric object of
@@ -163,34 +137,67 @@ func (s *System) RegisterSuperlative(adjective, predIRI string, max bool) bool {
 	return true
 }
 
-// LoadSystem reads an N-Triples graph and an encoded paraphrase dictionary
-// (the gqa-mine output format) and assembles a System with default
-// options.
-func LoadSystem(graph, dictionary io.Reader) (*System, error) {
-	g := store.New()
-	if err := g.Load(graph); err != nil {
+// Source names what Open builds a System from. The zero value is the
+// bundled mini-DBpedia knowledge base with a dictionary mined on the spot.
+type Source struct {
+	// Graph is an N-Triples file; Frozen is a GQAFRZ1 frozen snapshot
+	// (SaveFrozenSnapshot, gqa-gen frozen), which arrives validated and
+	// installed at its saved mutation generation, so the first Freeze is a
+	// pointer load. At most one of the two; neither means the bundled KB.
+	Graph  string
+	Frozen string
+	// Dict is an encoded paraphrase dictionary (gqa-mine output). Empty
+	// means mine one (Algorithm 1) from the bundled relation-phrase support
+	// sets, which fit the bundled KB and graphs that extend it.
+	Dict string
+}
+
+// Open is the one way to boot a System from files: it loads the graph the
+// source names, loads or mines the dictionary, and assembles the engine
+// with opts. A file that does not exist is reported with an error that
+// wraps fs.ErrNotExist.
+func Open(src Source, opts Options) (*System, error) {
+	var (
+		g   *store.Graph
+		err error
+	)
+	switch {
+	case src.Graph != "" && src.Frozen != "":
+		return nil, errors.New("gqa: a graph file and a frozen snapshot are mutually exclusive")
+	case src.Frozen != "":
+		g, err = readFile(src.Frozen, store.LoadFrozen)
+	case src.Graph != "":
+		g, err = readFile(src.Graph, func(r io.Reader) (*store.Graph, error) {
+			g := store.New()
+			return g, g.Load(r)
+		})
+	default:
+		g, err = bench.BuildKB()
+	}
+	if err != nil {
 		return nil, fmt.Errorf("gqa: loading graph: %w", err)
 	}
-	d, err := dict.Decode(dictionary, g)
+	var d *dict.Dictionary
+	if src.Dict != "" {
+		d, err = readFile(src.Dict, func(r io.Reader) (*dict.Dictionary, error) { return dict.Decode(r, g) })
+	} else if d, _, err = bench.BuildDictionary(g); err != nil {
+		err = fmt.Errorf("no dictionary file given and the bundled phrase set does not fit this graph (mine one with gqa-mine): %w", err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("gqa: loading dictionary: %w", err)
 	}
-	return NewSystem(g, d, Options{}), nil
+	return NewSystem(g, d, opts), nil
 }
 
-// BenchmarkSystem builds a self-contained System over the bundled
-// mini-DBpedia knowledge base, mining its paraphrase dictionary on the
-// spot (Algorithm 1). It is the zero-setup way to try the engine.
-func BenchmarkSystem() (*System, error) {
-	g, err := bench.BuildKB()
+// readFile opens path, hands it to load and closes it.
+func readFile[T any](path string, load func(io.Reader) (T, error)) (T, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
-	d, _, err := bench.BuildDictionary(g)
-	if err != nil {
-		return nil, err
-	}
-	return NewSystem(g, d, Options{}), nil
+	defer f.Close()
+	return load(f)
 }
 
 // MineDictionary runs the offline stage (Algorithm 1) over the system's
@@ -216,9 +223,8 @@ func (s *System) Metrics() map[string]any {
 // exposition format — the payload of gqa-serve's /metrics endpoint,
 // exposed here so any host process can mount its own scrape handler.
 func (s *System) WriteMetrics(w io.Writer) error {
-	// Scrape-time refresh for gauges whose owner is replaceable (SetCache):
-	// the cache reports its own occupancy instead of tracking deltas that
-	// would outlive a swapped-out instance.
+	// Scrape-time refresh: the registry is process-wide and a cache is one
+	// System's, so the system being scraped reports its own occupancy.
 	s.cache.SyncGauge()
 	return obs.Default.WritePrometheus(w)
 }
@@ -276,10 +282,10 @@ type Answer struct {
 	// Nil on untraced calls: tracing is strictly opt-in and the disabled
 	// path costs nothing. Render it with Trace.Tree() or Trace.JSON().
 	Trace *obs.Trace
-	// TraceID is the request's correlation ID: the same value the serving
-	// layer returns in the X-Gqa-Trace-Id header, the flight recorder logs
-	// on the wide event, and /debug/flight/trace/<id> resolves. Empty when
-	// the call was neither traced nor flight-recorded.
+	// TraceID is the correlation ID of the trace the call carried
+	// (obs.Trace.SetID): under gqa-serve the value of the X-Gqa-Trace-Id
+	// header, which the flight recorder logs on the wide event and
+	// /debug/flight/trace/<id> resolves. Empty otherwise.
 	TraceID string
 }
 
@@ -367,20 +373,3 @@ func SaveGraph(w io.Writer, g *store.Graph) error {
 // skips parsing, interning, sorting, and the freeze entirely: the
 // instant-cold-start path for gqa-serve.
 func SaveFrozenSnapshot(w io.Writer, g *store.Graph) error { return store.SaveFrozen(w, g) }
-
-// LoadSystemFrozen assembles a System from a GQAFRZ1 frozen snapshot and an
-// encoded dictionary. The returned system is immediately servable: the
-// snapshot arrives validated and pre-installed at its saved mutation
-// generation (so generation-keyed cache entries remain coherent), and the
-// first Freeze is a pointer load.
-func LoadSystemFrozen(frozen, dictionary io.Reader) (*System, error) {
-	g, err := store.LoadFrozen(frozen)
-	if err != nil {
-		return nil, fmt.Errorf("gqa: loading frozen snapshot: %w", err)
-	}
-	d, err := dict.Decode(dictionary, g)
-	if err != nil {
-		return nil, fmt.Errorf("gqa: loading dictionary: %w", err)
-	}
-	return NewSystem(g, d, Options{}), nil
-}

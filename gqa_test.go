@@ -2,6 +2,11 @@ package gqa
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -9,9 +14,13 @@ import (
 	"gqa/internal/dict"
 )
 
-func benchmarkSystem(t testing.TB) *System {
+func benchmarkSystem(t testing.TB) *System { return cachedSystem(t, 0) }
+
+// cachedSystem is the bundled KB behind an answer cache of that many
+// entries (zero: none).
+func cachedSystem(t testing.TB, entries int) *System {
 	t.Helper()
-	s, err := BenchmarkSystem()
+	s, err := Open(Source{}, Options{Cache: CacheConfig{Entries: entries}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,40 +91,89 @@ func TestFacadeExplain(t *testing.T) {
 	}
 }
 
-func TestLoadSystemRoundTrip(t *testing.T) {
-	// Serialize the benchmark KB + dictionary, reload through the public
-	// entry point, and verify behaviour is preserved.
+// savedKB writes the bundled KB as N-Triples and as a frozen snapshot, and
+// its mined dictionary, into a temp dir, returning the three paths.
+func savedKB(t *testing.T) (graph, frozen, dictionary string) {
+	t.Helper()
 	g := bench.MustKB()
 	d, _, err := bench.BuildDictionary(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var graphBuf, dictBuf bytes.Buffer
-	if err := SaveGraph(&graphBuf, g); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	save := func(name string, write func(w io.Writer) error) string {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	if err := d.Encode(&dictBuf, g); err != nil {
-		t.Fatal(err)
-	}
-	s, err := LoadSystem(&graphBuf, &dictBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans, err := s.Answer("Who is the mayor of Berlin?")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ans.OK || len(ans.Labels) != 1 || ans.Labels[0] != "Klaus Wowereit" {
-		t.Fatalf("answer = %+v", ans)
+	return save("kb.nt", func(w io.Writer) error { return SaveGraph(w, g) }),
+		save("kb.frz", func(w io.Writer) error { return SaveFrozenSnapshot(w, g) }),
+		save("dict.tsv", func(w io.Writer) error { return d.Encode(w, g) })
+}
+
+// TestLoadSystemRoundTrip: every cell of Open's matrix — (N-Triples |
+// frozen snapshot | bundled KB) × (dictionary file | mined) — boots a
+// system that answers like the bundled one, with the options it was given.
+func TestLoadSystemRoundTrip(t *testing.T) {
+	graph, frozen, dictionary := savedKB(t)
+	for _, src := range []Source{
+		{},
+		{Dict: dictionary},
+		{Graph: graph},
+		{Graph: graph, Dict: dictionary},
+		{Frozen: frozen},
+		{Frozen: frozen, Dict: dictionary},
+	} {
+		s, err := Open(src, Options{EnableAggregation: true, Cache: CacheConfig{Entries: 4}})
+		if err != nil {
+			t.Fatalf("Open(%+v): %v", src, err)
+		}
+		ans, err := s.Answer("Who is the mayor of Berlin?")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ans.OK || len(ans.Labels) != 1 || ans.Labels[0] != "Klaus Wowereit" {
+			t.Errorf("Open(%+v): answer = %+v", src, ans)
+		}
+		if !s.core.Opts.EnableAggregation || s.cache == nil {
+			t.Errorf("Open(%+v) dropped its options", src)
+		}
 	}
 }
 
 func TestLoadSystemErrors(t *testing.T) {
-	if _, err := LoadSystem(strings.NewReader("garbage"), strings.NewReader("")); err == nil {
-		t.Fatal("bad graph accepted")
+	graph, frozen, dictionary := savedKB(t)
+	dir := t.TempDir()
+	write := func(name, content string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	if _, err := LoadSystem(strings.NewReader(""), strings.NewReader("bad dict line")); err == nil {
-		t.Fatal("bad dictionary accepted")
+	for name, src := range map[string]Source{
+		"bad graph":               {Graph: write("bad.nt", "garbage"), Dict: dictionary},
+		"bad dictionary":          {Graph: graph, Dict: write("bad.tsv", "bad dict line")},
+		"N-Triples as a snapshot": {Frozen: graph, Dict: dictionary},
+		"two graph sources":       {Graph: graph, Frozen: frozen},
+		"no dictionary for a foreign graph": {Graph: write("foreign.nt",
+			"<http://example.org/a> <http://example.org/p> <http://example.org/b> .\n")},
+	} {
+		if _, err := Open(src, Options{}); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	// gqa-serve tells "no snapshot yet" from "snapshot rejected" by this.
+	for _, src := range []Source{{Frozen: filepath.Join(dir, "absent.frz")}, {Graph: filepath.Join(dir, "absent.nt")}, {Dict: filepath.Join(dir, "absent.tsv")}} {
+		if _, err := Open(src, Options{}); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("Open(%+v) = %v, want an error wrapping fs.ErrNotExist", src, err)
+		}
 	}
 }
 
@@ -157,22 +215,17 @@ func TestFacadeResolvedSPARQL(t *testing.T) {
 	}
 }
 
+// TestFrozenSystemRoundTrip: a system opened from a frozen snapshot arrives
+// frozen at the generation the snapshot was saved at.
 func TestFrozenSystemRoundTrip(t *testing.T) {
-	g := bench.MustKB()
-	d, _, err := bench.BuildDictionary(g)
+	_, frozen, dictionary := savedKB(t)
+	s, err := Open(Source{Frozen: frozen, Dict: dictionary}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snapBuf, dictBuf bytes.Buffer
-	if err := SaveFrozenSnapshot(&snapBuf, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Encode(&dictBuf, g); err != nil {
-		t.Fatal(err)
-	}
-	s, err := LoadSystemFrozen(&snapBuf, &dictBuf)
-	if err != nil {
-		t.Fatal(err)
+	g := s.Graph()
+	if sn := g.Frozen(); sn == nil || sn.Generation() != g.Generation() || g.Generation() != bench.MustKB().Generation() {
+		t.Fatalf("opened graph at generation %d is not frozen at the saved generation", g.Generation())
 	}
 	ans, err := s.Answer("Who was married to an actor that played in Philadelphia?")
 	if err != nil {

@@ -117,6 +117,9 @@ func (e *RejectError) Error() string {
 	return fmt.Sprintf("admission: rejected (%s)", e.Reason)
 }
 
+// maxClients bounds the tracked per-client buckets (LRU-evicted).
+const maxClients = 1024
+
 // Config sizes a Controller. The zero value gets sensible serving
 // defaults (see New).
 type Config struct {
@@ -132,9 +135,6 @@ type Config struct {
 	// ClientBurst is the per-client bucket capacity. Default
 	// max(2×ClientQPS, 1) when ClientQPS is set.
 	ClientBurst float64
-	// MaxClients bounds the tracked per-client buckets (LRU-evicted).
-	// Default 1024.
-	MaxClients int
 	// SeedServiceTime pre-seeds the p50 service-time estimate before any
 	// request has completed, so deadline-aware drop works from the first
 	// burst. Zero leaves the estimate at 0 until observed.
@@ -178,9 +178,6 @@ func New(cfg Config) *Controller {
 	}
 	if cfg.ClientQPS > 0 && cfg.ClientBurst <= 0 {
 		cfg.ClientBurst = max(2*cfg.ClientQPS, 1)
-	}
-	if cfg.MaxClients <= 0 {
-		cfg.MaxClients = 1024
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -461,12 +458,12 @@ type clientBucket struct {
 // takeTokenLocked takes one admission token for key, refilling from the
 // elapsed time since the bucket was last touched. Returns (0, true) on
 // success or (retry hint, false) when the bucket is empty. Buckets are
-// LRU-bounded at MaxClients so hostile key cardinality cannot grow state.
+// LRU-bounded at maxClients so hostile key cardinality cannot grow state.
 func (c *Controller) takeTokenLocked(key string, now time.Time) (time.Duration, bool) {
 	el, ok := c.clients[key]
 	var b *clientBucket
 	if !ok {
-		if c.lru.Len() >= c.cfg.MaxClients {
+		if c.lru.Len() >= maxClients {
 			oldest := c.lru.Back()
 			delete(c.clients, oldest.Value.(*clientBucket).key)
 			c.lru.Remove(oldest)

@@ -172,7 +172,7 @@ func TestSynthPhrasesSupportIsReal(t *testing.T) {
 		// The first Support pairs must be connected by the gold path.
 		connected := 0
 		for _, pair := range set.Pairs {
-			if dict.PathConnects(sg.Graph.FrozenView(), pair[0], pair[1], gold) {
+			if _, ok := dict.PathConnects(sg.Graph.FrozenView(), pair[0], pair[1], gold); ok {
 				connected++
 			}
 		}

@@ -35,6 +35,7 @@ type Match struct {
 	Assignment []store.ID  // per query vertex: the matched entity u_i
 	Via        []store.ID  // per vertex: the class c_i justifying it, or store.None
 	EdgePaths  []dict.Path // per query edge: the chosen predicate path
+	EdgeRev    uint64      // bit ei: edge ei's path was matched running To → From (Definition 3 allows either); edges past 63 have no bit
 	Score      float64     // Definition 6 (log-space, ≤ 0)
 }
 
@@ -747,6 +748,7 @@ func (rs *resultSet) record(match *Match) {
 			prev.Score = match.Score
 			prev.Via = append(prev.Via[:0], match.Via...)
 			prev.EdgePaths = append(prev.EdgePaths[:0], match.EdgePaths...)
+			prev.EdgeRev = match.EdgeRev
 			pos := sort.Search(i, func(j int) bool { return rs.results[j].Score < prev.Score })
 			copy(rs.results[pos+1:i+1], rs.results[pos:i])
 			rs.results[pos] = prev
@@ -831,6 +833,7 @@ type searchState struct {
 	via    []store.ID
 	vterm  []float64
 	paths  []dict.Path
+	rev    uint64 // per edge with a path: the orientation it was matched in (Match.EdgeRev)
 	eterm  []float64
 	done   []bool
 }
@@ -843,6 +846,14 @@ func newSearchState(nVerts, nEdges int) *searchState {
 		paths:  make([]dict.Path, nEdges),
 		eterm:  make([]float64, nEdges),
 		done:   make([]bool, nVerts),
+	}
+}
+
+// setRev records the orientation edge ei's path was matched in.
+func (st *searchState) setRev(ei int, rev bool) {
+	st.rev &^= 1 << ei
+	if rev {
+		st.rev |= 1 << ei
 	}
 }
 
@@ -929,11 +940,12 @@ func (m *matcher) extend(st *searchState) {
 			m.cuts++
 			continue
 		}
-		targets := m.reachable(from, pc.Path, reversedEdge)
+		targets, nFwd := m.reachable(from, pc.Path, reversedEdge)
 		if m.hints {
 			m.hintFrontier(st, next, bridge, targets)
 		}
-		for _, w := range targets {
+		for ti, w := range targets {
+			st.setRev(bridge, ti >= nFwd)
 			if m.used(st, w) {
 				continue
 			}
@@ -1234,10 +1246,12 @@ func (m *matcher) chooseNext(st *searchState) (vertex, bridge int) {
 
 // reachable returns the vertices connected to u by path p in either
 // orientation (Definition 3 condition 3). reversed means u sits at the
-// edge's To side, so the recorded path is read backwards first.
-func (m *matcher) reachable(u store.ID, p dict.Path, reversed bool) []store.ID {
+// edge's To side, so the recorded path is read backwards first. The first
+// nFwd targets are those p reaches running From → To; the rest it reaches
+// only running To → From.
+func (m *matcher) reachable(u store.ID, p dict.Path, reversed bool) (targets []store.ID, nFwd int) {
 	if !m.opts.Budget.Step() {
-		return nil
+		return nil, 0
 	}
 	a := p
 	b := p.Reverse()
@@ -1245,6 +1259,7 @@ func (m *matcher) reachable(u store.ID, p dict.Path, reversed bool) []store.ID {
 		a, b = b, a
 	}
 	out := dict.FollowPath(m.view, u, a)
+	nFwd = len(out)
 	more := dict.FollowPath(m.view, u, b)
 	// Each FollowPath result is already distinct; only the cross-direction
 	// overlap needs deduping. Typical frontiers are small, so a nested scan
@@ -1259,7 +1274,7 @@ func (m *matcher) reachable(u store.ID, p dict.Path, reversed bool) []store.ID {
 			}
 			out = append(out, w)
 		}
-		return out
+		return out, nFwd
 	}
 	seen := make(map[store.ID]struct{}, len(out))
 	for _, w := range out {
@@ -1271,7 +1286,7 @@ func (m *matcher) reachable(u store.ID, p dict.Path, reversed bool) []store.ID {
 			out = append(out, w)
 		}
 	}
-	return out
+	return out, nFwd
 }
 
 type acceptance struct {
@@ -1335,8 +1350,9 @@ func (m *matcher) finish(st *searchState) {
 		e := &m.q.Edges[ei]
 		found := false
 		for ci, pc := range e.Candidates {
-			if dict.PathConnects(m.view, st.assign[e.From], st.assign[e.To], pc.Path) {
+			if fwd, ok := dict.PathConnects(m.view, st.assign[e.From], st.assign[e.To], pc.Path); ok {
 				st.paths[ei], st.eterm[ei] = pc.Path, m.elog[ei][ci]
+				st.setRev(ei, !fwd)
 				filled = append(filled, ei)
 				found = true
 				break
@@ -1350,6 +1366,7 @@ func (m *matcher) finish(st *searchState) {
 		Assignment: st.assign,
 		Via:        st.via,
 		EdgePaths:  st.paths,
+		EdgeRev:    st.rev,
 		Score:      st.total(),
 	})
 }

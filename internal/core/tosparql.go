@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 
-	"gqa/internal/dict"
 	"gqa/internal/sparql"
 	"gqa/internal/store"
 )
@@ -21,11 +20,13 @@ import (
 //   - a class-justified vertex becomes a variable constrained by an
 //     rdf:type pattern (the resolved reading keeps the class generality);
 //   - an entity-matched vertex becomes that entity constant;
-//   - each edge is rendered in its realized orientation, predicate paths
-//     expanding to chains over fresh intermediate variables.
+//   - each edge is rendered in the orientation the match recorded
+//     (Match.EdgeRev), predicate paths expanding to chains over fresh
+//     intermediate variables.
 //
-// Evaluating the result over the same graph reproduces the match's
-// bindings (property-tested).
+// It reads the graph's term table only — never an edge, so on a remote
+// store it sends nothing. Evaluating the result over the same graph
+// reproduces the match's bindings (property-tested).
 func ResolvedSPARQL(g *store.Graph, q *QueryGraph, m *Match) (*sparql.Query, error) {
 	out := &sparql.Query{Kind: sparql.KindSelect, Distinct: true}
 	sel := q.SelectVertex()
@@ -72,18 +73,19 @@ func ResolvedSPARQL(g *store.Graph, q *QueryGraph, m *Match) (*sparql.Query, err
 		}
 	}
 
+	if len(q.Edges) > 64 {
+		return nil, fmt.Errorf("core: a match of %d edges has no SPARQL rendering (orientation is kept for 64)", len(q.Edges))
+	}
 	fresh := 0
 	for ei, e := range q.Edges {
 		path := m.EdgePaths[ei]
 		if len(path) == 0 {
 			return nil, fmt.Errorf("core: match has no path for edge %d", ei)
 		}
-		from, to := e.From, e.To
-		// Determine the realized orientation: the recorded path runs
-		// From→To or To→From (Definition 3 allows either).
-		forward := pathRealized(g, m.Assignment[from], m.Assignment[to], path)
-		src, dst := terms[from], terms[to]
-		if !forward {
+		// The orientation is the one the matcher matched the path in: it
+		// runs From→To, or To→From (Definition 3 allows either).
+		src, dst := terms[e.From], terms[e.To]
+		if m.EdgeRev>>ei&1 != 0 {
 			src, dst = dst, src
 		}
 		chain := []sparql.Term{src, dst}
@@ -111,15 +113,4 @@ func ResolvedSPARQL(g *store.Graph, q *QueryGraph, m *Match) (*sparql.Query, err
 	}
 	addDistinct(terms)
 	return out, nil
-}
-
-// pathRealized reports whether path runs u → w (true) or w → u (false;
-// Definition 3's either-orientation rule).
-func pathRealized(g *store.Graph, u, w store.ID, path dict.Path) bool {
-	for _, dst := range dict.FollowPath(g.FrozenView(), u, path) {
-		if dst == w {
-			return true
-		}
-	}
-	return false
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -137,5 +138,55 @@ func TestQuickResolvedSPARQLReproducesMatch(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResolvedSPARQLOrientationWidth: a match keeps the orientation of 64
+// edges. A chain of 64 whose last link runs against the others renders, bit
+// 63 included, to SPARQL that finds the far end; one edge more and there is
+// no rendering (the facade then leaves Answer.SPARQL empty), not a wrong one.
+func TestResolvedSPARQLOrientationWidth(t *testing.T) {
+	for _, nEdges := range []int{64, 65} {
+		g := store.New()
+		next := g.Intern(rdf.Ontology("next"))
+		verts := make([]store.ID, nEdges+1)
+		for i := range verts {
+			verts[i] = g.Intern(rdf.Resource(fmt.Sprintf("n%02d", i)))
+		}
+		for i := 0; i < nEdges-1; i++ {
+			g.AddSPO(verts[i], next, verts[i+1])
+		}
+		g.AddSPO(verts[nEdges], next, verts[nEdges-1]) // the last link points back
+		path := dict.Path{{Pred: next, Forward: true}}
+		phrase := dict.New().Add("next to", []dict.Entry{{Path: path, Score: 1}})
+		q := &QueryGraph{Vertices: []Vertex{{Arg: Argument{Text: "n00"}, Candidates: []VertexCandidate{{ID: verts[0], Score: 1}}}}}
+		for i := 1; i <= nEdges; i++ {
+			q.Vertices = append(q.Vertices, Vertex{Arg: Argument{Text: "what", Wh: true}, Unconstrained: true, Select: i == nEdges})
+			q.Edges = append(q.Edges, Edge{From: i - 1, To: i, Phrase: phrase, Candidates: []EdgeCandidate{{Path: path, Score: 1}}})
+		}
+		matches, _ := FindTopKMatches(g, q, MatchOptions{TopK: 5})
+		if len(matches) != 1 {
+			t.Fatalf("%d edges: %d matches, want the chain", nEdges, len(matches))
+		}
+		sq, err := ResolvedSPARQL(g, q, &matches[0])
+		if nEdges > 64 {
+			if err == nil {
+				t.Errorf("%d edges rendered; orientation is kept for 64", nEdges)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if matches[0].EdgeRev != 1<<63 {
+			t.Errorf("EdgeRev = %b, want only the last edge reversed", matches[0].EdgeRev)
+		}
+		out, err := sparql.Eval(g, sq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Rows) != 1 || out.Rows[0]["answer"] != g.Term(verts[nEdges]) {
+			t.Fatalf("rows = %v, want the chain's far end", out.Rows)
+		}
 	}
 }

@@ -12,22 +12,25 @@ import (
 // §3: "re-mine the mappings for newly introduced predicates, or delete all
 // mappings for the predicates when they are removed from the dataset."
 //
-// It caches the per-phrase term-frequency tables and the corpus document
-// frequencies of Algorithm 1, so a vocabulary change re-runs path search
-// only for the phrases it can affect and rescores everything else from the
-// cache.
+// It holds Algorithm 1's state — PS(rel_i) as per-phrase term-frequency
+// tables, and the corpus document frequencies — and is the one
+// implementation of the algorithm: minePhrase is the path search, rebuild
+// the tf-idf scoring, and Mine is a Maintainer nobody updates. A vocabulary
+// change re-runs path search only for the phrases it can affect and
+// rescores everything else from the tables.
 type Maintainer struct {
 	g    *store.Graph
 	sets []SupportSet
 	opts MineOptions
 
-	tf    []map[string]int  // per phrase: path key → #pairs containing it
+	tf    []map[string]int  // per phrase: path key → #pairs whose path set contains it (Definition 4's tf)
 	paths []map[string]Path // per phrase: path key → path
-	df    map[string]int    // corpus: path key → #phrases containing it
+	df    map[string]int    // corpus: path key → #phrases whose PS contains it
 	dict  *Dictionary
+	stats MineStats // path searches run so far, and the corpus size at the last rebuild
 }
 
-// NewMaintainer runs a full mine and retains the state needed for
+// NewMaintainer runs Algorithm 1 in full and retains the state needed for
 // incremental updates.
 func NewMaintainer(g *store.Graph, sets []SupportSet, opts MineOptions) *Maintainer {
 	opts.defaults()
@@ -58,12 +61,14 @@ func (m *Maintainer) minePhrase(i int) {
 	tf := make(map[string]int)
 	paths := make(map[string]Path)
 	for _, pair := range m.sets[i].Pairs {
+		m.stats.PairsProbed++
 		var found []Path
 		if m.opts.Unidirectional {
 			found = SimplePathsDFS(m.g, pair[0], pair[1], m.opts.MaxPathLen)
 		} else {
 			found = SimplePathsBidirectional(m.g, pair[0], pair[1], m.opts.MaxPathLen)
 		}
+		m.stats.PathsFound += len(found)
 		seen := make(map[string]bool, len(found))
 		for _, p := range found {
 			k := p.Key()
@@ -81,12 +86,20 @@ func (m *Maintainer) minePhrase(i int) {
 	}
 }
 
-// rebuild rescoreds every phrase from the cached statistics (Definition 4)
-// and swaps in a fresh dictionary.
+// rebuild scores every phrase's paths by tf-idf from the tables (Definition
+// 4), keeps each phrase's top k with confidences normalized into (0, 1] as
+// the paper's Table 6 does, and swaps in a fresh dictionary.
 func (m *Maintainer) rebuild() {
+	m.stats.Phrases, m.stats.DistinctPath = len(m.sets), len(m.df)
 	d := New()
 	n := float64(len(m.sets))
 	nTriples := float64(m.g.NumTriples() + 1)
+	// rarity extends the tf-idf intuition to the predicates inside a path:
+	// among paths with (near-)equal tf-idf, the one built from rarer
+	// predicates is the better semantic representative — ⟨hasChild⁻¹,
+	// hasChild, hasChild⟩ over a detour through the ubiquitous hasGender.
+	// The term is scaled so it only breaks ties, never overturns a real
+	// tf-idf difference.
 	rarity := func(p Path) float64 {
 		if len(p) == 0 {
 			return 0
@@ -102,6 +115,8 @@ func (m *Maintainer) rebuild() {
 		for k, tf := range m.tf[i] {
 			idf := math.Log(n / float64(m.df[k]+1))
 			if idf <= 0 {
+				// A path occurring in (nearly) every phrase's path sets
+				// carries no signal — the hasGender example of §3.
 				continue
 			}
 			p := m.paths[i][k]
@@ -111,6 +126,8 @@ func (m *Maintainer) rebuild() {
 			if entries[a].Score != entries[b].Score {
 				return entries[a].Score > entries[b].Score
 			}
+			// Prefer shorter paths on ties, then lexicographic key, for
+			// deterministic output.
 			if len(entries[a].Path) != len(entries[b].Path) {
 				return len(entries[a].Path) < len(entries[b].Path)
 			}
@@ -151,23 +168,49 @@ func (m *Maintainer) PredicateRemoved(p store.ID) {
 	m.rebuild()
 }
 
-// PredicateAdded reacts to new triples with predicate p: phrases with a
-// support pair adjacent to the new predicate are re-mined (only those can
-// gain paths), then the corpus is rescored.
+// PredicateAdded reacts to new triples with predicate p, returning how many
+// phrases it mined again. A support pair (u, w) gains a path only through a
+// p edge, and only one of at most θ steps: some edge of p has one end i hops
+// from u and the other j hops from w with i + 1 + j ≤ θ. One breadth-first
+// search out of every endpoint of a p edge, to depth θ−1 and blind to edge
+// direction like the path search, gives each vertex's distance to the
+// nearest such endpoint; a phrase is mined again when a pair of its own
+// passes that test on those distances (which can only overestimate what it
+// gained), and the corpus is then rescored.
 func (m *Maintainer) PredicateAdded(p store.ID) int {
+	near := make(map[store.ID]int)
+	var frontier []store.ID
+	reach := func(v store.ID, d int) {
+		if _, ok := near[v]; !ok {
+			near[v] = d
+			frontier = append(frontier, v)
+		}
+	}
+	m.g.Match(store.Any, p, store.Any, func(t store.Spo) bool {
+		reach(t.S, 0)
+		reach(t.O, 0)
+		return true
+	})
+	for d := 1; d < m.opts.MaxPathLen; d++ {
+		level := frontier
+		frontier = nil
+		for _, v := range level {
+			m.g.UndirectedNeighbors(v, func(n store.Neighbor) bool {
+				reach(n.To, d)
+				return true
+			})
+		}
+	}
 	remined := 0
-	view := m.g.FrozenView()
 	for i, set := range m.sets {
-		affected := false
 		for _, pair := range set.Pairs {
-			if view.HasAdjacentPred(pair[0], p) || view.HasAdjacentPred(pair[1], p) {
-				affected = true
+			du, okU := near[pair[0]]
+			dw, okW := near[pair[1]]
+			if okU && okW && du+1+dw <= m.opts.MaxPathLen {
+				m.minePhrase(i)
+				remined++
 				break
 			}
-		}
-		if affected {
-			m.minePhrase(i)
-			remined++
 		}
 	}
 	m.rebuild()

@@ -1,17 +1,81 @@
 package dict
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"gqa/internal/rdf"
 	"gqa/internal/store"
 )
 
+// TestMaintainerMatchesFullMine: after any sequence of PredicateRemoved,
+// PredicateAdded and AddPhrase, each following the graph mutation it
+// reports, the maintained dictionary is byte for byte what Mine builds from
+// scratch on the mutated graph. The graphs are small and dense enough that
+// a new edge regularly opens a path between two vertices it does not touch.
 func TestMaintainerMatchesFullMine(t *testing.T) {
-	g, sets, _ := minedFixture(t)
-	m := NewMaintainer(g, sets, MineOptions{MaxPathLen: 4, TopK: 3})
-	full, _ := Mine(g, sets, MineOptions{MaxPathLen: 4, TopK: 3})
-	assertSameDict(t, m.Dictionary(), full, g)
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := store.New()
+		verts := make([]store.ID, 14)
+		for i := range verts {
+			verts[i] = g.Intern(rdf.Resource(fmt.Sprintf("v%d", i)))
+		}
+		preds := make([]store.ID, 5)
+		for i := range preds {
+			preds[i] = g.Intern(rdf.Ontology(fmt.Sprintf("p%d", i)))
+		}
+		addEdges := func(p store.ID, n int) {
+			for ; n > 0; n-- {
+				g.AddSPO(verts[rng.Intn(len(verts))], p, verts[rng.Intn(len(verts))])
+			}
+		}
+		for _, p := range preds[:4] { // preds[4] is first seen by PredicateAdded
+			addEdges(p, 5)
+		}
+		randomSet := func(i int) SupportSet {
+			set := SupportSet{Phrase: fmt.Sprintf("phrase%d of", i)}
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				set.Pairs = append(set.Pairs, [2]store.ID{verts[rng.Intn(len(verts))], verts[rng.Intn(len(verts))]})
+			}
+			return set
+		}
+		sets := []SupportSet{randomSet(0), randomSet(1), randomSet(2)}
+		opts := MineOptions{MaxPathLen: 2 + rng.Intn(3), TopK: 3}
+		m := NewMaintainer(g, sets, opts)
+		for step := 0; step < 8; step++ {
+			var op string
+			switch p := preds[rng.Intn(len(preds))]; rng.Intn(3) {
+			case 0:
+				op = "PredicateRemoved"
+				g.RemovePredicate(p)
+				m.PredicateRemoved(p)
+			case 1:
+				op = "PredicateAdded"
+				addEdges(p, 1+rng.Intn(3))
+				m.PredicateAdded(p)
+			default:
+				op = "AddPhrase"
+				sets = append(sets, randomSet(len(sets)))
+				m.AddPhrase(sets[len(sets)-1])
+			}
+			full, _ := Mine(g, sets, opts)
+			if got, want := encoded(t, m.Dictionary(), g), encoded(t, full, g); got != want {
+				t.Fatalf("seed %d step %d (%s, θ=%d): maintained dictionary\n%s\nfresh Mine\n%s", seed, step, op, opts.MaxPathLen, got, want)
+			}
+		}
+	}
+}
+
+func encoded(t *testing.T, d *Dictionary, g *store.Graph) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := d.Encode(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
 }
 
 func assertSameDict(t *testing.T, a, b *Dictionary, g *store.Graph) {

@@ -1,11 +1,6 @@
 package dict
 
-import (
-	"math"
-	"sort"
-
-	"gqa/internal/store"
-)
+import "gqa/internal/store"
 
 // SupportSet is the miner's input for one relation phrase: its supporting
 // entity pairs as they occur in the RDF graph (Table 2 of the paper). This
@@ -27,11 +22,6 @@ type MineOptions struct {
 	// Bidirectional selects the meet-in-the-middle path search (default)
 	// versus the reference DFS; exposed for the ablation benchmark.
 	Unidirectional bool
-	// Parallelism is the number of worker goroutines for the path-search
-	// phase, which is embarrassingly parallel per phrase (the paper's
-	// offline stage takes 30 hours single-threaded at DBpedia scale).
-	// Zero or one means sequential; results are deterministic either way.
-	Parallelism int
 }
 
 func (o *MineOptions) defaults() {
@@ -54,148 +44,9 @@ type MineStats struct {
 // Mine runs Algorithm 1: for every relation phrase, enumerate simple
 // predicate paths (length ≤ θ) between its supporting entity pairs, weight
 // each path by tf-idf (Definition 4), and keep the top-k as the phrase's
-// dictionary entries with normalized confidence probabilities.
+// dictionary entries with normalized confidence probabilities. It is a
+// Maintainer that is never updated: mine every phrase, then score.
 func Mine(g *store.Graph, sets []SupportSet, opts MineOptions) (*Dictionary, MineStats) {
-	opts.defaults()
-	var stats MineStats
-	stats.Phrases = len(sets)
-
-	// PS(rel_i): for each phrase, the per-pair path sets. tf(L, PS) counts
-	// the supporting pairs whose path set contains L (Definition 4).
-	type phrasePaths struct {
-		tf    map[string]int  // path key → #pairs containing it
-		paths map[string]Path // path key → path
-	}
-	perPhrase := make([]phrasePaths, len(sets))
-	df := make(map[string]int) // path key → #phrases whose PS contains it
-
-	minePhrase := func(i int) (phrasePaths, int, int) {
-		set := sets[i]
-		pp := phrasePaths{tf: make(map[string]int), paths: make(map[string]Path)}
-		pairs, paths := 0, 0
-		for _, pair := range set.Pairs {
-			pairs++
-			var found []Path
-			if opts.Unidirectional {
-				found = SimplePathsDFS(g, pair[0], pair[1], opts.MaxPathLen)
-			} else {
-				found = SimplePathsBidirectional(g, pair[0], pair[1], opts.MaxPathLen)
-			}
-			paths += len(found)
-			seen := make(map[string]bool, len(found))
-			for _, p := range found {
-				k := p.Key()
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				pp.tf[k]++
-				pp.paths[k] = p
-			}
-		}
-		return pp, pairs, paths
-	}
-
-	if opts.Parallelism > 1 {
-		// Phase 1 in parallel: the graph is only read; each worker owns
-		// disjoint output slots, so results are deterministic.
-		type res struct{ pairs, paths int }
-		results := make([]res, len(sets))
-		work := make(chan int)
-		done := make(chan struct{})
-		for w := 0; w < opts.Parallelism; w++ {
-			go func() {
-				for i := range work {
-					pp, pairs, paths := minePhrase(i)
-					perPhrase[i] = pp
-					results[i] = res{pairs, paths}
-				}
-				done <- struct{}{}
-			}()
-		}
-		for i := range sets {
-			work <- i
-		}
-		close(work)
-		for w := 0; w < opts.Parallelism; w++ {
-			<-done
-		}
-		for _, r := range results {
-			stats.PairsProbed += r.pairs
-			stats.PathsFound += r.paths
-		}
-	} else {
-		for i := range sets {
-			pp, pairs, paths := minePhrase(i)
-			perPhrase[i] = pp
-			stats.PairsProbed += pairs
-			stats.PathsFound += paths
-		}
-	}
-	for i := range sets {
-		for k := range perPhrase[i].tf {
-			df[k]++
-		}
-	}
-	stats.DistinctPath = len(df)
-
-	d := New()
-	n := float64(len(sets))
-	nTriples := float64(g.NumTriples() + 1)
-	// predRarity extends the tf-idf intuition to the predicates inside a
-	// path: among paths with (near-)equal tf-idf, the one built from rarer
-	// predicates is the better semantic representative — ⟨hasChild⁻¹,
-	// hasChild, hasChild⟩ over a detour through the ubiquitous hasGender.
-	// The term is scaled so it only breaks ties, never overturns a real
-	// tf-idf difference.
-	predRarity := func(p Path) float64 {
-		if len(p) == 0 {
-			return 0
-		}
-		sum := 0.0
-		for _, s := range p {
-			sum += math.Log(nTriples / float64(g.PredCount(s.Pred)+1))
-		}
-		return sum / float64(len(p))
-	}
-	for i, set := range sets {
-		pp := perPhrase[i]
-		entries := make([]Entry, 0, len(pp.tf))
-		for k, tf := range pp.tf {
-			idf := math.Log(n / float64(df[k]+1))
-			if idf <= 0 {
-				// A path occurring in (nearly) every phrase's path sets
-				// carries no signal — the hasGender example of §3.
-				continue
-			}
-			path := pp.paths[k]
-			entries = append(entries, Entry{Path: path, Score: float64(tf)*idf + 1e-4*predRarity(path)})
-		}
-		sort.SliceStable(entries, func(a, b int) bool {
-			if entries[a].Score != entries[b].Score {
-				return entries[a].Score > entries[b].Score
-			}
-			// Prefer shorter paths on ties, then lexicographic key, for
-			// deterministic output.
-			if len(entries[a].Path) != len(entries[b].Path) {
-				return len(entries[a].Path) < len(entries[b].Path)
-			}
-			return entries[a].Path.Key() < entries[b].Path.Key()
-		})
-		if len(entries) > opts.TopK {
-			entries = entries[:opts.TopK]
-		}
-		// Normalize to confidence probabilities in (0, 1], as the paper's
-		// Table 6 does.
-		if len(entries) > 0 {
-			max := entries[0].Score
-			for j := range entries {
-				entries[j].Score /= max
-			}
-		}
-		if len(entries) > 0 {
-			d.Add(set.Phrase, entries)
-		}
-	}
-	return d, stats
+	m := NewMaintainer(g, sets, opts)
+	return m.dict, m.stats
 }

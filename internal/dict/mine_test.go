@@ -253,27 +253,3 @@ func TestDecodeErrors(t *testing.T) {
 		t.Errorf("comment-only decode: %v, %d", err, d.Len())
 	}
 }
-
-func TestMineParallelMatchesSequential(t *testing.T) {
-	g, sets, _ := minedFixture(t)
-	seq, seqStats := Mine(g, sets, MineOptions{})
-	par, parStats := Mine(g, sets, MineOptions{Parallelism: 4})
-	if seqStats != parStats {
-		t.Fatalf("stats differ: %+v vs %+v", seqStats, parStats)
-	}
-	if seq.Len() != par.Len() {
-		t.Fatalf("dict sizes differ: %d vs %d", seq.Len(), par.Len())
-	}
-	for _, ps := range seq.Phrases() {
-		pp, ok := par.LookupLemmas(ps.Lemmas)
-		if !ok {
-			t.Fatalf("phrase %q missing from parallel mine", ps.Text)
-		}
-		for i := range ps.Entries {
-			if ps.Entries[i].Path.Key() != pp.Entries[i].Path.Key() ||
-				ps.Entries[i].Score != pp.Entries[i].Score {
-				t.Fatalf("phrase %q entry %d differs", ps.Text, i)
-			}
-		}
-	}
-}

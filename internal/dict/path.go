@@ -363,19 +363,20 @@ func PrefetchPaths(sn *store.Snapshot, starts []store.ID, paths []Path) {
 	}
 }
 
-// PathConnects reports whether the path leads from u to w (in the recorded
-// direction) or from w to u (reversed) via a simple route — the
-// either-orientation edge test Definition 3 needs.
-func PathConnects(view store.View, u, w store.ID, p Path) bool {
+// PathConnects reports whether the path connects u and w via a simple
+// route — the either-orientation edge test Definition 3 needs — and, when
+// it does, whether it leads from u to w (forward: the recorded direction)
+// or only from w to u.
+func PathConnects(view store.View, u, w store.ID, p Path) (forward, ok bool) {
 	for _, dst := range FollowPath(view, u, p) {
 		if dst == w {
-			return true
+			return true, true
 		}
 	}
 	for _, dst := range FollowPath(view, w, p) {
 		if dst == u {
-			return true
+			return false, true
 		}
 	}
-	return false
+	return false, false
 }

@@ -180,14 +180,14 @@ func TestPathConnectsEitherOrientation(t *testing.T) {
 		{Pred: hasChild, Forward: true},
 		{Pred: hasChild, Forward: true},
 	}
-	if !PathConnects(g.FrozenView(), ids["Ted_Kennedy"], ids["John_F_Kennedy_Jr"], uncle) {
-		t.Fatal("uncle path should connect Ted → JFK Jr")
+	if fwd, ok := PathConnects(g.FrozenView(), ids["Ted_Kennedy"], ids["John_F_Kennedy_Jr"], uncle); !ok || !fwd {
+		t.Fatalf("uncle path should connect Ted → JFK Jr, forward (got ok=%t forward=%t)", ok, fwd)
 	}
 	// Also from the other side (Definition 3 allows either direction).
-	if !PathConnects(g.FrozenView(), ids["John_F_Kennedy_Jr"], ids["Ted_Kennedy"], uncle) {
-		t.Fatal("uncle path should connect with swapped endpoints")
+	if fwd, ok := PathConnects(g.FrozenView(), ids["John_F_Kennedy_Jr"], ids["Ted_Kennedy"], uncle); !ok || fwd {
+		t.Fatalf("uncle path should connect with swapped endpoints, reversed (got ok=%t forward=%t)", ok, fwd)
 	}
-	if PathConnects(g.FrozenView(), ids["Joseph_Kennedy"], ids["male"], uncle) {
+	if _, ok := PathConnects(g.FrozenView(), ids["Joseph_Kennedy"], ids["male"], uncle); ok {
 		t.Fatal("uncle path must not connect Joseph → male")
 	}
 }

@@ -2,6 +2,8 @@ package eval
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"gqa/internal/bench"
 	"gqa/internal/core"
 	"gqa/internal/dict"
+	"gqa/internal/obs"
 	"gqa/internal/store"
 )
 
@@ -22,6 +25,11 @@ type workloadKB struct {
 	// wideRound, when set, is how many seeds some question's search must
 	// run: the shape that workload is in the table for.
 	wideRound int64
+	// rendered pins what a K = 1 run renders — labels, Explain lines and
+	// the resolved SPARQL of every match of every question — as of d5212e7,
+	// where each edge's orientation was still re-derived by walking its
+	// path again after the search.
+	rendered string
 	// boundCut, when set, says the workload is in the table for the score
 	// bound inside a seed: some question must have more than k matches in
 	// two score classes or more, and the search that returns its top k must
@@ -30,7 +38,7 @@ type workloadKB struct {
 }
 
 var (
-	qaldKB = workloadKB{name: "qald", build: func() (*store.Graph, *dict.Dictionary, error) {
+	qaldKB = workloadKB{name: "qald", rendered: "bf62f78672703e03644b2278442555012805652768b0d3a2c5b4a2021cffb5fd", build: func() (*store.Graph, *dict.Dictionary, error) {
 		g, err := bench.BuildKB()
 		if err != nil {
 			return nil, nil, err
@@ -38,7 +46,7 @@ var (
 		d, _, err := bench.BuildDictionary(g)
 		return g, d, err
 	}, questions: bench.Workload}
-	yagoKB = workloadKB{name: "yago", build: func() (*store.Graph, *dict.Dictionary, error) {
+	yagoKB = workloadKB{name: "yago", rendered: "47c53e1024f0ea896604ae977e74d9bc6c9ba4f00e056a0f20155801486fad95", build: func() (*store.Graph, *dict.Dictionary, error) {
 		g, err := bench.BuildYagoKB()
 		if err != nil {
 			return nil, nil, err
@@ -52,7 +60,7 @@ var (
 	// costed from one batch per shard). 100 people is as large as it goes:
 	// past 64 x (the city anchor's one candidate + 1) seeds the matcher
 	// stops anchoring at the class at all.
-	nlscaleKB = workloadKB{name: "nlscale", wideRound: 100, build: func() (*store.Graph, *dict.Dictionary, error) {
+	nlscaleKB = workloadKB{name: "nlscale", wideRound: 100, rendered: "f7bf130f65102f2ad60c0e549df357f9e0ebba663d3fc9ec6413b332384c99f6", build: func() (*store.Graph, *dict.Dictionary, error) {
 		kb, err := newNLScale()
 		if err != nil {
 			return nil, nil, err
@@ -75,7 +83,7 @@ func newNLScale() (*bench.NLScaleKB, error) { return bench.NewNLScaleKB(100, 9, 
 // readings, which the search must leave unread in every shape alike. Its
 // second question names two directors at once, equally well: the second
 // ties the first at the round bound.
-var cinemaKB = workloadKB{name: "cinema", boundCut: true, build: func() (*store.Graph, *dict.Dictionary, error) {
+var cinemaKB = workloadKB{name: "cinema", boundCut: true, rendered: "57b3d2c1eecc50756bc8cd69e112c7c9929ed9b3cc6215b6f9bdb739f73e4520", build: func() (*store.Graph, *dict.Dictionary, error) {
 	kb := bench.NewCinemaKB()
 	return kb.Graph, kb.Dict, nil
 }, questions: func() []bench.Question { return bench.NewCinemaKB().Questions }}
@@ -151,7 +159,7 @@ type observed struct {
 	// paths and score.
 	fingerprint string
 	// rendered is the result through the shape's own term table: the
-	// answer labels and the Explain line of every match.
+	// answer labels, and the Explain line and resolved SPARQL of every match.
 	rendered string
 	// stats is the search's work counters.
 	stats core.MatchStats
@@ -170,6 +178,11 @@ func observe(t *testing.T, sys *core.System, question string) observed {
 	}
 	fmt.Fprintf(&fp, " answers=%v\n", res.Answers)
 	fmt.Fprintf(&rd, "labels=%q\n", res.AnswerLabels(sys.Graph))
+	// The search is over: what renders its matches reads the term table,
+	// and must not send a frame the request's read set, budget and trace
+	// never see.
+	frames := obs.DefaultCounter("gqa_rpc_calls_total", "")
+	sent := frames.Value()
 	for i := range res.Matches {
 		m := &res.Matches[i]
 		fmt.Fprintf(&fp, "  assign=%v via=%v score=%.15f paths=[", m.Assignment, m.Via, m.Score)
@@ -179,6 +192,15 @@ func observe(t *testing.T, sys *core.System, question string) observed {
 		fp.WriteString("]\n")
 		rd.WriteString(core.RenderMatch(sys.Graph, res.Query, m))
 		rd.WriteByte('\n')
+		sq, err := core.ResolvedSPARQL(sys.Graph, res.Query, m)
+		if err != nil {
+			t.Fatalf("%q: match %d has no SPARQL: %v", question, i, err)
+		}
+		rd.WriteString(sq.String())
+		rd.WriteByte('\n')
+	}
+	if n := frames.Value() - sent; n != 0 {
+		t.Errorf("%q: rendering its matches sent %d shard frames after the search had ended", question, n)
 	}
 	return observed{fp.String(), rd.String(), res.Stats}
 }
@@ -235,12 +257,17 @@ func TestWorkloadIdentity(t *testing.T) {
 		base := inProcess(1)(t, kb)
 		want := make([]observed, len(qs))
 		var seeds int64
+		rendered := sha256.New()
 		for i, q := range qs {
 			want[i] = observe(t, base, q.Text)
+			rendered.Write([]byte(want[i].rendered))
 			seeds = max(seeds, want[i].stats.Seeds)
 			if want[i].stats.Truncated != "" {
 				t.Errorf("%s: %q was cut short (%s): nothing here may be", kb.name, q.Text, want[i].stats.Truncated)
 			}
+		}
+		if got := hex.EncodeToString(rendered.Sum(nil)); got != kb.rendered {
+			t.Errorf("%s: what a K=1 run renders hashes to %s, pinned %s", kb.name, got, kb.rendered)
 		}
 		if seeds < kb.wideRound {
 			t.Errorf("%s: no question ran %d seeds (most: %d), the shape the row is here for", kb.name, kb.wideRound, seeds)

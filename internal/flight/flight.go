@@ -22,9 +22,9 @@
 package flight
 
 import (
-	"context"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math/rand/v2"
@@ -96,8 +96,9 @@ type Stage struct {
 }
 
 // Event is one wide event: everything worth knowing about one request on
-// a single log line. Zero-valued optional fields are omitted from the
-// JSONL encoding.
+// a single log line. Its struct tags are its one encoding — the JSONL log
+// and the /debug/flight/* endpoints alike — and omit zero-valued optional
+// fields.
 type Event struct {
 	Time         time.Time `json:"ts"`
 	TraceID      string    `json:"trace_id"`
@@ -150,10 +151,9 @@ type Recorder struct {
 	slo   *sloTracker
 	rt    runtimeCollector
 
-	mu   sync.Mutex // guards f, size, buf (worker + Close)
+	mu   sync.Mutex // guards f, size (worker + Close)
 	f    *os.File
 	size int64
-	buf  []byte
 
 	jobs   chan job
 	closed atomic.Bool
@@ -384,6 +384,7 @@ func (r *Recorder) record(ev Event, tr *obs.Trace) string {
 	if ev.Time.IsZero() {
 		ev.Time = time.Now()
 	}
+	ev.Time = ev.Time.UTC() // one zone on every surface, whatever the host's
 	if r.closed.Load() {
 		return ev.TraceID
 	}
@@ -416,12 +417,16 @@ func (r *Recorder) writeEvent(ev *Event) {
 	if r.f == nil {
 		return
 	}
-	r.buf = appendEventJSON(r.buf[:0], ev)
-	r.buf = append(r.buf, '\n')
-	if r.size+int64(len(r.buf)) > r.cfg.MaxBytes && r.size > 0 {
+	// The log line is the event as the /debug/flight/* endpoints encode it.
+	line, err := json.Marshal(ev)
+	if err != nil {
+		return // no Event value fails to encode
+	}
+	line = append(line, '\n')
+	if r.size+int64(len(line)) > r.cfg.MaxBytes && r.size > 0 {
 		r.rotateLocked()
 	}
-	n, err := r.f.Write(r.buf)
+	n, err := r.f.Write(line)
 	r.size += int64(n)
 	if err != nil {
 		// A dead log file must not take serving down with it: drop the
@@ -452,96 +457,6 @@ func (r *Recorder) rotateLocked() {
 	r.f, r.size = f, 0
 }
 
-// appendEventJSON hand-rolls the JSONL encoding into buf (reused across
-// events; one request must not cost a fresh encoder allocation).
-func appendEventJSON(buf []byte, ev *Event) []byte {
-	buf = append(buf, `{"ts":"`...)
-	buf = ev.Time.UTC().AppendFormat(buf, time.RFC3339Nano)
-	buf = append(buf, `","trace_id":`...)
-	buf = strconv.AppendQuote(buf, ev.TraceID)
-	if ev.Client != "" {
-		buf = append(buf, `,"client":`...)
-		buf = strconv.AppendQuote(buf, ev.Client)
-	}
-	if ev.QHash != "" {
-		buf = append(buf, `,"qhash":`...)
-		buf = strconv.AppendQuote(buf, ev.QHash)
-	}
-	buf = append(buf, `,"status":`...)
-	buf = strconv.AppendQuote(buf, ev.Status)
-	if ev.Failure != "" {
-		buf = append(buf, `,"failure":`...)
-		buf = strconv.AppendQuote(buf, ev.Failure)
-	}
-	if ev.CacheOutcome != "" {
-		buf = append(buf, `,"cache":`...)
-		buf = strconv.AppendQuote(buf, ev.CacheOutcome)
-	}
-	if ev.ShedTier > 0 {
-		buf = append(buf, `,"shed_tier":`...)
-		buf = strconv.AppendInt(buf, int64(ev.ShedTier), 10)
-	}
-	if ev.Degraded != "" {
-		buf = append(buf, `,"degraded":`...)
-		buf = strconv.AppendQuote(buf, ev.Degraded)
-	}
-	if ev.QueueWaitUs > 0 {
-		buf = append(buf, `,"queue_wait_us":`...)
-		buf = strconv.AppendInt(buf, ev.QueueWaitUs, 10)
-	}
-	buf = append(buf, `,"total_us":`...)
-	buf = strconv.AppendInt(buf, ev.TotalUs, 10)
-	buf = append(buf, `,"results":`...)
-	buf = strconv.AppendInt(buf, int64(ev.Results), 10)
-	if ev.Err != "" {
-		buf = append(buf, `,"err":`...)
-		buf = strconv.AppendQuote(buf, ev.Err)
-	}
-	if ev.ShardFanout > 0 {
-		buf = append(buf, `,"shard_fanout":`...)
-		buf = strconv.AppendInt(buf, int64(ev.ShardFanout), 10)
-	}
-	if ev.ShardRounds != "" {
-		buf = append(buf, `,"shard_rounds":`...)
-		buf = strconv.AppendQuote(buf, ev.ShardRounds)
-	}
-	if ev.RPCCalls > 0 {
-		buf = append(buf, `,"rpc_calls":`...)
-		buf = strconv.AppendInt(buf, ev.RPCCalls, 10)
-	}
-	if ev.RPCRetries > 0 {
-		buf = append(buf, `,"rpc_retries":`...)
-		buf = strconv.AppendInt(buf, ev.RPCRetries, 10)
-	}
-	if ev.RPCHedges > 0 {
-		buf = append(buf, `,"rpc_hedges":`...)
-		buf = strconv.AppendInt(buf, ev.RPCHedges, 10)
-	}
-	if ev.RPCReads > 0 {
-		buf = append(buf, `,"rpc_reads":`...)
-		buf = strconv.AppendInt(buf, ev.RPCReads, 10)
-	}
-	if ev.RPCReadHits > 0 {
-		buf = append(buf, `,"rpc_read_hits":`...)
-		buf = strconv.AppendInt(buf, ev.RPCReadHits, 10)
-	}
-	if len(ev.Stages) > 0 {
-		buf = append(buf, `,"stages":[`...)
-		for i, st := range ev.Stages {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = append(buf, `{"name":`...)
-			buf = strconv.AppendQuote(buf, st.Name)
-			buf = append(buf, `,"us":`...)
-			buf = strconv.AppendInt(buf, st.Us, 10)
-			buf = append(buf, '}')
-		}
-		buf = append(buf, ']')
-	}
-	return append(buf, '}')
-}
-
 // NewID returns a fresh 64-bit random trace ID as 16 hex characters.
 // math/rand/v2's generator (OS-entropy seeded per process) is used rather
 // than crypto/rand: IDs only need to be collision-unlikely, and this runs
@@ -562,29 +477,4 @@ func HashQuestion(q string) string {
 	var b [8]byte
 	h.Sum(b[:0])
 	return hex.EncodeToString(b[:])
-}
-
-// ------------------------------------------------------------------ context
-
-// Info is the serving-layer context a wide event needs but the facade
-// cannot know: the admission client key and how long the request queued.
-type Info struct {
-	Client    string
-	QueueWait time.Duration
-}
-
-type infoKey struct{}
-
-// WithInfo returns a context carrying the request's serving-layer info.
-func WithInfo(ctx context.Context, info Info) context.Context {
-	return context.WithValue(ctx, infoKey{}, info)
-}
-
-// InfoFrom returns the serving-layer info on ctx (zero value when absent).
-func InfoFrom(ctx context.Context) Info {
-	if ctx == nil {
-		return Info{}
-	}
-	info, _ := ctx.Value(infoKey{}).(Info)
-	return info
 }

@@ -43,14 +43,15 @@ func TestDisabledRecorderZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEventJSONRoundTrip: the hand-rolled JSONL encoding is valid JSON
-// that decodes back into the same Event via the struct tags, and omits
-// zero-valued optional fields.
+// TestEventJSONRoundTrip: a logged line is valid JSON that decodes back
+// into the same Event — strings no Go-syntax quoting would get right
+// included — carries its time in UTC, and omits zero-valued optional
+// fields.
 func TestEventJSONRoundTrip(t *testing.T) {
 	full := Event{
-		Time:         time.Date(2026, 8, 8, 12, 34, 56, 789000000, time.UTC),
+		Time:         time.Date(2026, 8, 8, 14, 34, 56, 789000000, time.FixedZone("CEST", 2*60*60)),
 		TraceID:      "0123456789abcdef",
-		Client:       "10.0.0.7",
+		Client:       "10.0.0.7\x01\u2028<tab\t>",
 		QHash:        HashQuestion(`who "escaped"?`),
 		Status:       "error",
 		Failure:      "no-match",
@@ -70,30 +71,46 @@ func TestEventJSONRoundTrip(t *testing.T) {
 		RPCReadHits:  1040,
 		Stages:       []Stage{{Name: "nlp.parse", Us: 120}, {Name: "core.match", Us: 2400}},
 	}
-	line := appendEventJSON(nil, &full)
+	// Minimal event: optional fields are omitted from the line entirely.
+	min := Event{Time: full.Time, TraceID: "id", Status: "ok", TotalUs: 10}
+
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	rec, err := New(Config{Path: path, Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Record(full, nil)
+	rec.Record(min, nil)
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("logged %d lines, want 2:\n%s", len(lines), data)
+	}
 	var got Event
-	if err := json.Unmarshal(line, &got); err != nil {
-		t.Fatalf("encoded event is not valid JSON: %v\n%s", err, line)
+	if err := json.Unmarshal([]byte(lines[0]), &got); err != nil {
+		t.Fatalf("logged event is not valid JSON: %v\n%s", err, lines[0])
 	}
-	if !got.Time.Equal(full.Time) {
-		t.Errorf("ts round-trip: %v != %v", got.Time, full.Time)
+	if !strings.Contains(lines[0], `"ts":"2026-08-08T12:34:56.789Z"`) {
+		t.Errorf("ts is not UTC RFC 3339: %s", lines[0])
 	}
-	got.Time = full.Time
+	full.Time = full.Time.UTC()
 	if !reflect.DeepEqual(got, full) {
 		t.Errorf("event round-trip mismatch:\n got %+v\nwant %+v", got, full)
 	}
-
-	// Minimal event: optional fields are omitted from the line entirely.
-	min := Event{Time: full.Time, TraceID: "id", Status: "ok", TotalUs: 10}
-	line = appendEventJSON(nil, &min)
 	for _, field := range []string{"client", "qhash", "failure", "cache", "shed_tier", "degraded", "queue_wait_us", "err",
 		"shard_fanout", "shard_rounds", "rpc_calls", "rpc_retries", "rpc_hedges", "rpc_reads", "rpc_read_hits", "stages"} {
-		if strings.Contains(string(line), `"`+field+`"`) {
-			t.Errorf("minimal event carries optional field %q: %s", field, line)
+		if strings.Contains(lines[1], `"`+field+`"`) {
+			t.Errorf("minimal event carries optional field %q: %s", field, lines[1])
 		}
 	}
-	if err := json.Unmarshal(line, &got); err != nil {
-		t.Fatalf("minimal event is not valid JSON: %v\n%s", err, line)
+	if !json.Valid([]byte(lines[1])) {
+		t.Fatalf("minimal event is not valid JSON: %s", lines[1])
 	}
 }
 
@@ -413,18 +430,5 @@ func TestIDsAndHashes(t *testing.T) {
 	}
 	if len(HashQuestion("x")) != 16 {
 		t.Errorf("HashQuestion length = %d, want 16", len(HashQuestion("x")))
-	}
-}
-
-// TestInfoContext: serving-layer info rides the context; absence is the
-// zero value.
-func TestInfoContext(t *testing.T) {
-	if got := InfoFrom(nil); got != (Info{}) {
-		t.Errorf("InfoFrom(nil) = %+v, want zero", got)
-	}
-	ctx := WithInfo(t.Context(), Info{Client: "1.2.3.4", QueueWait: time.Millisecond})
-	got := InfoFrom(ctx)
-	if got.Client != "1.2.3.4" || got.QueueWait != time.Millisecond {
-		t.Errorf("InfoFrom = %+v", got)
 	}
 }

@@ -47,28 +47,25 @@ type Linker struct {
 	labels  map[store.ID][][]string
 	isClass map[store.ID]bool
 	maxDeg  float64
-	minSim  float64
 }
 
-// Options tunes linking behaviour.
-type Options struct {
-	// MinSimilarity is the lowest token-set similarity admitted as a
-	// candidate (default 0.34, permitting 1-of-3-token overlaps such as
-	// "Philadelphia" → "Philadelphia 76ers").
-	MinSimilarity float64
-}
+// minSimilarity is the lowest token-set similarity admitted as a candidate:
+// it permits 1-of-3-token overlaps such as "Philadelphia" → "Philadelphia
+// 76ers".
+const minSimilarity = 0.34
+
+// Options is empty: linking has nothing to tune. The type remains because
+// New's signature is compiled against outside this module's build
+// (benchmark/trace.go); ROADMAP item 7(f) removes it.
+type Options struct{}
 
 // New indexes all entities and classes of g.
-func New(g *store.Graph, opts Options) *Linker {
+func New(g *store.Graph, _ Options) *Linker {
 	l := &Linker{
 		g:       g,
 		byToken: make(map[string][]store.ID),
 		labels:  make(map[store.ID][][]string),
 		isClass: make(map[store.ID]bool),
-		minSim:  opts.MinSimilarity,
-	}
-	if l.minSim == 0 {
-		l.minSim = 0.34
 	}
 	// The frozen view serves the precomputed entity list, and the literal
 	// pass below answers from its degrees, so indexing a large graph skips
@@ -202,7 +199,7 @@ func (l *Linker) Link(mention string, limit int) []Candidate {
 				best = s
 			}
 		}
-		if best < l.minSim {
+		if best < minSimilarity {
 			continue
 		}
 		// A class is a candidate only when the mention is (up to lemmas)

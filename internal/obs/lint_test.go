@@ -1,12 +1,14 @@
 // Metric-naming lint. This lives in an external test package so it can
-// import the facade (and, through it, every instrumented package) without
-// a cycle: the point is to walk the real Default registry after a full
-// pipeline run, so any metric a production code path registers — at init
-// or lazily — is subject to the naming convention.
+// import the serving layer (and, through it, the facade, the admission
+// controller, the flight recorder and every instrumented package) without
+// a cycle: the point is to walk the real Default registry after a request
+// went all the way through, so any metric a production code path registers
+// — at init or lazily — is subject to the naming convention.
 package obs_test
 
 import (
-	"context"
+	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"slices"
 	"strings"
@@ -15,10 +17,7 @@ import (
 	"gqa"
 	"gqa/internal/flight"
 	"gqa/internal/obs"
-
-	// The facade does not depend on the serving-side admission controller;
-	// import it so its pre-registered series face the lint too.
-	_ "gqa/internal/admission"
+	"gqa/internal/serve"
 )
 
 // metricNamePattern is the repo convention: gqa_<pkg>_<name>, snake_case,
@@ -42,7 +41,7 @@ var knownPackages = map[string]bool{
 	"store":     true,
 }
 
-// TestMetricNamingConvention runs the full answering pipeline (so lazily
+// TestMetricNamingConvention serves one recorded question (so lazily
 // registered series exist too), then walks every # TYPE line of the
 // Default registry's exposition and enforces:
 //
@@ -52,7 +51,7 @@ var knownPackages = map[string]bool{
 //   - histograms end in a unit (_seconds or _bytes);
 //   - gauges never end in _total (they are not monotonic).
 func TestMetricNamingConvention(t *testing.T) {
-	sys, err := gqa.BenchmarkSystem()
+	sys, err := gqa.Open(gqa.Source{}, gqa.Options{})
 	if err != nil {
 		t.Fatalf("building benchmark system: %v", err)
 	}
@@ -61,10 +60,13 @@ func TestMetricNamingConvention(t *testing.T) {
 		t.Fatalf("flight.New: %v", err)
 	}
 	defer rec.Close()
-	sys.SetFlight(rec)
-	if _, err := sys.AnswerTraced(context.Background(), "Who is the mayor of Berlin?"); err != nil {
-		t.Fatalf("pipeline run: %v", err)
+	resp := httptest.NewRecorder()
+	serve.New(sys, serve.Config{Flight: rec}).ServeHTTP(resp,
+		httptest.NewRequest(http.MethodGet, "/answer?q=Who+is+the+mayor+of+Berlin%3F", nil))
+	if resp.Code != http.StatusOK {
+		t.Fatalf("pipeline run: status %d: %s", resp.Code, resp.Body)
 	}
+	rec.Sync()
 
 	var b strings.Builder
 	if err := obs.Default.WritePrometheus(&b); err != nil {

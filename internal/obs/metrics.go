@@ -38,7 +38,7 @@ type metric interface {
 	meta() *metricMeta
 	// writeSeries appends the series' exposition lines (no HELP/TYPE).
 	writeSeries(b *strings.Builder)
-	// snapshotValue returns the JSON-dump value of the series.
+	// snapshotValue returns the series' value in Snapshot.
 	snapshotValue() any
 }
 
@@ -171,62 +171,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 // Snapshot returns a point-in-time map of every series — counters and
 // gauges as int64, histograms as {count, sum, buckets} objects. The map
 // keys are the series keys (name plus rendered labels); the result
-// marshals directly to the expvar-style JSON dump.
+// marshals with encoding/json.
 func (r *Registry) Snapshot() map[string]any {
 	out := make(map[string]any)
 	for _, m := range r.sorted() {
 		out[m.meta().key()] = m.snapshotValue()
 	}
 	return out
-}
-
-// WriteJSON renders the Snapshot as indented JSON with sorted keys (the
-// expvar-style /debug/metrics dump).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	ms := r.sorted()
-	var b strings.Builder
-	b.WriteString("{\n")
-	for i, m := range ms {
-		fmt.Fprintf(&b, "  %s: %s", strconv.Quote(m.meta().key()), jsonValue(m.snapshotValue()))
-		if i < len(ms)-1 {
-			b.WriteByte(',')
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString("}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// jsonValue renders a snapshot value deterministically (sorted bucket
-// keys), avoiding encoding/json's map-order dependence on floats.
-func jsonValue(v any) string {
-	switch x := v.(type) {
-	case int64:
-		return strconv.FormatInt(x, 10)
-	case map[string]any:
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var b strings.Builder
-		b.WriteByte('{')
-		for i, k := range keys {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(strconv.Quote(k))
-			b.WriteString(": ")
-			b.WriteString(jsonValue(x[k]))
-		}
-		b.WriteByte('}')
-		return b.String()
-	case float64:
-		return formatFloat(x)
-	default:
-		return fmt.Sprintf("%v", x)
-	}
 }
 
 // ------------------------------------------------------------------ counter

@@ -71,16 +71,6 @@ func TestPrometheusExpositionGolden(t *testing.T) {
 	compareGolden(t, "exposition.prom", b.String())
 }
 
-// TestJSONDumpGolden locks the expvar-style JSON dump the same way.
-func TestJSONDumpGolden(t *testing.T) {
-	r := buildFixtureRegistry()
-	var b strings.Builder
-	if err := r.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	compareGolden(t, "dump.json", b.String())
-}
-
 func compareGolden(t *testing.T, name, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", name)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -225,7 +226,16 @@ func (a *Attr) jsonLiteral() string {
 		}
 		return "false"
 	}
-	return strconv.Quote(a.Str)
+	return jsonString(a.Str)
+}
+
+// jsonString renders s as a JSON string literal — the one path every string
+// of a trace takes into JSON. The input is whatever a client sent
+// (strconv.Quote would write Go syntax for it, \x01 or \xff, which no JSON
+// parser accepts); invalid UTF-8 comes out as U+FFFD.
+func jsonString(s string) string {
+	b, _ := json.Marshal(s) // a string always marshals
+	return string(b)
 }
 
 // duration returns the span's elapsed time; an unfinished span reads as
@@ -246,9 +256,9 @@ func (t *Trace) JSON() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var b strings.Builder
-	fmt.Fprintf(&b, `{"trace":%s,"input":%s,`, strconv.Quote(t.name), strconv.Quote(t.attr))
+	fmt.Fprintf(&b, `{"trace":%s,"input":%s,`, jsonString(t.name), jsonString(t.attr))
 	if t.id != "" {
-		fmt.Fprintf(&b, `"id":%s,`, strconv.Quote(t.id))
+		fmt.Fprintf(&b, `"id":%s,`, jsonString(t.id))
 	}
 	b.WriteString(`"span":`)
 	t.root.writeJSON(&b)
@@ -294,14 +304,14 @@ func (t *Trace) Stages() []StageDur {
 }
 
 func (s *Span) writeJSON(b *strings.Builder) {
-	fmt.Fprintf(b, `{"name":%s,"us":%d`, strconv.Quote(s.name), s.duration().Microseconds())
+	fmt.Fprintf(b, `{"name":%s,"us":%d`, jsonString(s.name), s.duration().Microseconds())
 	if len(s.attrs) > 0 {
 		b.WriteString(`,"attrs":{`)
 		for i := range s.attrs {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			b.WriteString(strconv.Quote(s.attrs[i].Key))
+			b.WriteString(jsonString(s.attrs[i].Key))
 			b.WriteByte(':')
 			b.WriteString(s.attrs[i].jsonLiteral())
 		}

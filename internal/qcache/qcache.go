@@ -138,8 +138,8 @@ func (c *Cache) Len() int {
 }
 
 // SyncGauge publishes the cache's current entry count to the
-// gqa_cache_entries gauge. Caches are replaceable (SetCache swaps them at
-// runtime), so the owner refreshes the gauge at scrape time instead of the
+// gqa_cache_entries gauge. The gauge is process-wide and a cache is one
+// System's, so the owner refreshes the gauge at scrape time instead of the
 // cache tracking deltas that would outlive it; a nil cache publishes 0.
 func (c *Cache) SyncGauge() {
 	entriesGauge.Set(int64(c.Len()))

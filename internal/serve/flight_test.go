@@ -69,11 +69,11 @@ func TestFlightDebugDisabled(t *testing.T) {
 // /debug/flight/slowest, both retrievable by the X-Gqa-Trace-Id the client
 // saw, and the slow one's per-stage durations sum to within its total.
 func TestFlightRetentionEndToEnd(t *testing.T) {
-	sys, err := gqa.BenchmarkSystem()
+	sys, err := gqa.Open(gqa.Source{}, gqa.Options{})
 	if err != nil {
 		t.Fatalf("building benchmark system: %v", err)
 	}
-	sys.SetCache(0) // every request must do (slowed) pipeline work
+	// No cache (the zero Options): every request does (slowed) pipeline work.
 	rec, err := flight.New(flight.Config{Slowest: 8, Recent: 64})
 	if err != nil {
 		t.Fatal(err)

@@ -33,13 +33,12 @@ func TestOverloadShedsWith429(t *testing.T) {
 		{name: "over-capacity", maxInFlight: 1, maxQueue: 4, n: 12},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sys, err := gqa.BenchmarkSystem()
+			sys, err := gqa.Open(gqa.Source{}, gqa.Options{})
 			if err != nil {
 				t.Fatalf("building benchmark system: %v", err)
 			}
-			// With the cache (and thus coalescing) off, every admitted copy
-			// does full pipeline work, so the faultpoint delay bites.
-			sys.SetCache(0)
+			// No cache (the zero Options), so no coalescing: every admitted
+			// copy does full pipeline work and the faultpoint delay bites.
 			base, _ := startServerWith(t, sys, Config{
 				Timeout:     30 * time.Second,
 				MaxInFlight: tc.maxInFlight,
@@ -214,11 +213,10 @@ func TestHotClientShedFirst(t *testing.T) {
 // push pressure past 25%, admitted requests carry X-Gqa-Shed-Tier and the
 // response's degraded field gains the shed:tier prefix.
 func TestShedTierSurfacesInResponse(t *testing.T) {
-	sys, err := gqa.BenchmarkSystem()
+	sys, err := gqa.Open(gqa.Source{}, gqa.Options{})
 	if err != nil {
 		t.Fatalf("building benchmark system: %v", err)
 	}
-	sys.SetCache(0)
 	// Capacity 1+2: with one slow question holding the slot and the queue
 	// occupied, pressure for a queued grant is 2/3 or 3/3 → tier >= 2.
 	base, _ := startServerWith(t, sys, Config{

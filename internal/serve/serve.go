@@ -61,9 +61,8 @@ type Config struct {
 	// X-Client header when present, else the remote host.
 	ClientQPS   float64
 	ClientBurst float64
-	// Flight is the flight recorder behind /debug/flight/*. New installs
-	// it on the system too (gqa.System.SetFlight) so answered questions
-	// emit wide events; rejected requests are recorded here directly.
+	// Flight is the flight recorder /answer records into, one wide event
+	// per answered or refused request, and /debug/flight/* reads back.
 	// Nil leaves recording off and the endpoints 404.
 	Flight *flight.Recorder
 	// Pprof mounts net/http/pprof under /debug/pprof/ when true. Off by
@@ -87,9 +86,7 @@ type Server struct {
 	mux      *http.ServeMux
 }
 
-// New builds a Server over an assembled engine. When cfg.Flight is set it
-// is installed on the system as well, so the facade emits one wide event
-// per answered question and the /debug/flight/* endpoints read them back.
+// New builds a Server over an assembled engine.
 func New(sys *gqa.System, cfg Config) *Server {
 	s := &Server{
 		sys: sys,
@@ -105,9 +102,6 @@ func New(sys *gqa.System, cfg Config) *Server {
 	}
 	if s.log == nil {
 		s.log = slog.Default()
-	}
-	if cfg.Flight != nil {
-		sys.SetFlight(cfg.Flight)
 	}
 	s.mux.HandleFunc("/answer", s.get(s.handleAnswer))
 	s.mux.HandleFunc("/metrics", s.get(s.handleMetrics))
@@ -224,6 +218,11 @@ func clientKey(r *http.Request) string {
 	return r.RemoteAddr
 }
 
+// handleAnswer serves /answer, and is the one place a request is recorded:
+// whatever became of it — answered, failed, or refused at admission — it
+// leaves here as one wide event built from what the handler holds (client,
+// queue wait, tier, trace, answer, error). Only a request that fails
+// validation, before it has a trace ID, is not recorded.
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	q := r.URL.Query().Get("q")
@@ -248,30 +247,51 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
 		defer cancel()
 	}
-
-	// Admission: a rejected request never consumes a pipeline slot.
-	ticket, err := s.adm.Admit(ctx, client)
-	if err != nil {
-		var rej *admission.RejectError
-		if errors.As(err, &rej) {
-			s.recordReject(id, q, client, rej, start)
-			writeReject(w, rej)
-			return
-		}
-		jsonError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	defer ticket.Release()
-	tier := ticket.Tier()
-	if tier > 0 {
-		w.Header().Set("X-Gqa-Shed-Tier", fmt.Sprintf("%d", tier))
-	}
-
 	tr := obs.NewTrace("answer", q)
 	tr.SetID(id)
-	ctx = flight.WithInfo(ctx, flight.Info{Client: client, QueueWait: ticket.QueueWait()})
-	ans, err := s.sys.AnswerShed(obs.WithTrace(ctx, tr), q, tier)
+	ev := flight.Event{TraceID: id, Client: client, Status: "ok"}
+
+	// Admission: a rejected request never consumes a pipeline slot.
+	var (
+		ans *gqa.Answer
+		rej *admission.RejectError
+	)
+	ticket, err := s.adm.Admit(ctx, client)
+	switch {
+	case errors.As(err, &rej):
+		// The finished trace makes the rejection resolvable by its ID at
+		// /debug/flight/trace/<id> like any other retained request.
+		tr.Root().SetStr("rejected", rej.Reason)
+		ev.Status = "rejected:" + rej.Reason
+		ev.TotalUs = time.Since(start).Microseconds()
+	case err != nil:
+		jsonError(w, http.StatusInternalServerError, err.Error())
+		return
+	default:
+		defer ticket.Release()
+		ev.ShedTier, ev.QueueWaitUs = ticket.Tier(), ticket.QueueWait().Microseconds()
+		if ev.ShedTier > 0 {
+			w.Header().Set("X-Gqa-Shed-Tier", fmt.Sprintf("%d", ev.ShedTier))
+		}
+		ev.Time = time.Now()
+		ans, err = s.sys.AnswerShed(obs.WithTrace(ctx, tr), q, ev.ShedTier)
+		ev.TotalUs = time.Since(ev.Time).Microseconds()
+		if err != nil {
+			ev.Status, ev.Err = "error", err.Error()
+		} else {
+			ev.Degraded, ev.Failure, ev.Results = ans.Degraded, ans.Failure, len(ans.Labels)
+			if ans.Boolean != nil && ev.Results == 0 {
+				ev.Results = 1
+			}
+		}
+	}
 	tr.Finish()
+	s.cfg.Flight.Record(ev, tr)
+
+	if rej != nil {
+		writeReject(w, rej)
+		return
+	}
 	if err != nil {
 		status := statusFor(ctx, err)
 		if status == statusNoWrite {
@@ -303,27 +323,6 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	if err := json.NewEncoder(w).Encode(&resp); err != nil {
 		s.log.Warn("writing /answer response", "trace_id", id, "err", err)
 	}
-}
-
-// recordReject emits the wide event for a request refused at admission —
-// the facade never saw it, so the serving layer records it directly. A
-// minimal finished trace makes the rejection resolvable by its ID at
-// /debug/flight/trace/<id> like any other retained request.
-func (s *Server) recordReject(id, q, client string, rej *admission.RejectError, start time.Time) {
-	if s.cfg.Flight == nil {
-		return
-	}
-	tr := obs.NewTrace("answer", q)
-	tr.SetID(id)
-	tr.Root().SetStr("rejected", rej.Reason)
-	tr.Finish()
-	s.cfg.Flight.Record(flight.Event{
-		TraceID: id,
-		Client:  client,
-		QHash:   flight.HashQuestion(q),
-		Status:  "rejected:" + rej.Reason,
-		TotalUs: time.Since(start).Microseconds(),
-	}, tr)
 }
 
 // statusNoWrite marks "do not write a response": the client disconnected,

@@ -21,7 +21,7 @@ import (
 // and returns its base URL (and the server, for drain tests).
 func startServer(t *testing.T, cfg Config) (string, *Server) {
 	t.Helper()
-	sys, err := gqa.BenchmarkSystem()
+	sys, err := gqa.Open(gqa.Source{}, gqa.Options{})
 	if err != nil {
 		t.Fatalf("building benchmark system: %v", err)
 	}

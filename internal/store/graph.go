@@ -43,7 +43,14 @@ type Spo struct {
 // Graph is the mutable in-memory RDF graph: the builder. It interns terms,
 // accepts Add/Remove, and enumerates its triples in insertion order for the
 // offline miner; every query reads the frozen Snapshot it compacts into
-// (FrozenView, see frozen.go). The zero value is not usable; call New.
+// (FrozenView, see frozen.go). Its read methods — Match, Has, Out, In,
+// Degree, IsClass, IsEntity, Entities, Stats, TypesOf, HasType, HasTriple —
+// are written over the adjacency lists, independently of the frozen arrays,
+// and are the tests' reference for them: TestFrozenEquivalence, the
+// shard-count and remote equivalence tables, the matcher's brute-force
+// reference and the file-format differentials compare a Snapshot against
+// them. The last three have no other caller and stay for that alone
+// (surface_test.go lists them). The zero value is not usable; call New.
 // Graph is safe for concurrent reads after loading completes; mutation is
 // not synchronized.
 type Graph struct {
@@ -460,23 +467,6 @@ func (g *Graph) LabelOf(v ID) string {
 		}
 	}
 	return g.terms[v].Label()
-}
-
-// Predicates returns all predicate IDs sorted by descending triple count
-// (ties broken by ID) — a convenient frequency order for reporting.
-func (g *Graph) Predicates() []ID {
-	out := make([]ID, 0, len(g.preds))
-	for p := range g.preds {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if g.preds[a] != g.preds[b] {
-			return g.preds[a] > g.preds[b]
-		}
-		return a < b
-	})
-	return out
 }
 
 // PredCount returns the number of triples using predicate p.

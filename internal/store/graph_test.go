@@ -197,23 +197,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestPredicatesSortedByFrequency(t *testing.T) {
-	g := smallGraph(t)
-	preds := g.Predicates()
-	if len(preds) != 7 {
-		t.Fatalf("got %d predicates", len(preds))
-	}
-	for i := 1; i < len(preds); i++ {
-		if g.PredCount(preds[i-1]) < g.PredCount(preds[i]) {
-			t.Fatal("predicates not sorted by descending count")
-		}
-	}
-	typeID := mustID(t, g, rdf.NewIRI(rdf.RDFType))
-	if preds[0] != typeID { // rdf:type has 2 triples, all others 1
-		t.Fatalf("most frequent should be rdf:type, got %v", g.Term(preds[0]))
-	}
-}
-
 func TestEntitiesAndClassesListing(t *testing.T) {
 	g := smallGraph(t)
 	if got := len(g.Entities()); got != 7 {

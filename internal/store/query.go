@@ -67,13 +67,6 @@ func (g *Graph) Match(s, p, o ID, fn func(Spo) bool) {
 	}
 }
 
-// Count returns the number of triples matching the pattern.
-func (g *Graph) Count(s, p, o ID) int {
-	n := 0
-	g.Match(s, p, o, func(Spo) bool { n++; return true })
-	return n
-}
-
 // Neighbor describes one undirected step from a vertex: the predicate, the
 // vertex reached, and whether the underlying edge points away from the
 // start (Forward) or toward it. The offline miner walks these (§3: "we
@@ -98,56 +91,4 @@ func (g *Graph) UndirectedNeighbors(v ID, fn func(Neighbor) bool) {
 			return
 		}
 	}
-}
-
-// EdgesBetween returns every (predicate, forward) pair connecting u and v in
-// either direction. It is the primitive Definition 3 condition 3 needs:
-// a query edge may match u→v or v→u.
-func (g *Graph) EdgesBetween(u, v ID) []Neighbor {
-	var out []Neighbor
-	for _, e := range g.out[u] {
-		if e.To == v {
-			out = append(out, Neighbor{Pred: e.Pred, To: v, Forward: true})
-		}
-	}
-	for _, e := range g.in[u] {
-		if e.To == v {
-			out = append(out, Neighbor{Pred: e.Pred, To: v, Forward: false})
-		}
-	}
-	return out
-}
-
-// ObjectsOf returns the distinct objects of (s, p, *) in first-seen order.
-func (g *Graph) ObjectsOf(s, p ID) []ID {
-	var out []ID
-	seen := make(map[ID]struct{})
-	for _, e := range g.out[s] {
-		if e.Pred != p {
-			continue
-		}
-		if _, dup := seen[e.To]; dup {
-			continue
-		}
-		seen[e.To] = struct{}{}
-		out = append(out, e.To)
-	}
-	return out
-}
-
-// SubjectsOf returns the distinct subjects of (*, p, o) in first-seen order.
-func (g *Graph) SubjectsOf(p, o ID) []ID {
-	var out []ID
-	seen := make(map[ID]struct{})
-	for _, e := range g.in[o] {
-		if e.Pred != p {
-			continue
-		}
-		if _, dup := seen[e.To]; dup {
-			continue
-		}
-		seen[e.To] = struct{}{}
-		out = append(out, e.To)
-	}
-	return out
 }

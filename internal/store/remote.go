@@ -88,8 +88,6 @@ type RemoteOptions struct {
 	// HedgeAfter launches a hedged second attempt when a gather leg has
 	// not answered within this delay. Zero disables hedging.
 	HedgeAfter time.Duration
-	// PoolSize caps idle pooled connections per shard.
-	PoolSize int
 	// DownCooldown is how long a shard that exhausted a call's retries
 	// fails fast before the next attempt probes it again.
 	DownCooldown time.Duration
@@ -113,13 +111,13 @@ func (o *RemoteOptions) fill() {
 	if o.HedgeAfter == 0 {
 		o.HedgeAfter = 50 * time.Millisecond
 	}
-	if o.PoolSize <= 0 {
-		o.PoolSize = 4
-	}
 	if o.DownCooldown <= 0 {
 		o.DownCooldown = 250 * time.Millisecond
 	}
 }
+
+// shardPoolSize caps the idle pooled connections per shard.
+const shardPoolSize = 4
 
 // errShardDown is returned without touching the network while a shard's
 // breaker cooldown is running.
@@ -279,7 +277,7 @@ func DialShards(addrs []string, terms []rdf.Term, opts RemoteOptions) (*Snapshot
 	opts.fill()
 	r := &rpcReader{shardClient: &shardClient{k: k, opts: opts, pools: make([]*shardConnPool, k)}}
 	for i, addr := range addrs {
-		r.pools[i] = &shardConnPool{addr: addr, size: opts.PoolSize}
+		r.pools[i] = &shardConnPool{addr: addr, size: shardPoolSize}
 	}
 	metas := make([]shardMeta, k)
 	for i := 0; i < k; i++ {

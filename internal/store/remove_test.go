@@ -9,6 +9,15 @@ import (
 	"gqa/internal/rdf"
 )
 
+// countMatch counts the triples Match yields for a pattern; with only p
+// bound that is a scan of the predicate-major index itself, not of the
+// PredCount counter beside it.
+func countMatch(g *Graph, s, p, o ID) int {
+	n := 0
+	g.Match(s, p, o, func(Spo) bool { n++; return true })
+	return n
+}
+
 func TestRemoveBasics(t *testing.T) {
 	g := New()
 	a := g.Intern(rdf.Resource("A"))
@@ -30,7 +39,7 @@ func TestRemoveBasics(t *testing.T) {
 	if g.PredCount(p) != 0 {
 		t.Fatal("predicate count not decremented")
 	}
-	if g.Count(Any, p, Any) != 0 {
+	if countMatch(g, Any, p, Any) != 0 {
 		t.Fatal("predicate index not cleaned")
 	}
 }
@@ -70,7 +79,7 @@ func TestRemovePredicate(t *testing.T) {
 	if n := g.RemovePredicate(p); n != 5 {
 		t.Fatalf("removed %d, want 5", n)
 	}
-	if g.Count(Any, p, Any) != 0 || g.Count(Any, q, Any) != 5 {
+	if countMatch(g, Any, p, Any) != 0 || countMatch(g, Any, q, Any) != 5 {
 		t.Fatal("wrong triples removed")
 	}
 }
@@ -150,7 +159,7 @@ func TestQuickAddRemoveConsistency(t *testing.T) {
 					n++
 				}
 			}
-			if g.Count(Any, p, Any) != n {
+			if countMatch(g, Any, p, Any) != n {
 				t.Logf("seed %d: pred index count mismatch", seed)
 				return false
 			}

@@ -159,7 +159,6 @@ func (s *System) AnswerContext(ctx context.Context, question string) (*Answer, e
 // under its normal key and serves it at any tier.
 func (s *System) AnswerShed(ctx context.Context, question string, tier int) (ans *Answer, err error) {
 	defer recoverPipeline("answer", question, &err)
-	start := time.Now()
 	eff, eng := s.budget, s.core
 	if tier > 0 {
 		eff = s.budget.Shed(tier)
@@ -188,7 +187,9 @@ func (s *System) AnswerShed(ctx context.Context, question string, tier int) (ans
 			ans = shedAnnotate(s.buildAnswer(res), tier)
 		}
 	}
-	s.flightRecord(ctx, question, ans, err, tier, start)
+	if ans != nil {
+		ans.TraceID = obs.TraceFrom(ctx).ID()
+	}
 	return ans, err
 }
 

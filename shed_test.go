@@ -106,8 +106,7 @@ func TestAnswerShedBudgetExhaustionCompounds(t *testing.T) {
 // shed call that hits the cache is not annotated either (it cost no
 // pipeline work, so nothing was shed).
 func TestAnswerShedCacheStaysClean(t *testing.T) {
-	sys := benchmarkSystem(t)
-	sys.SetCache(64)
+	sys := cachedSystem(t, 64)
 	const q = "Who is the mayor of Berlin?"
 
 	// Leader runs at tier 3: its own answer is annotated...
