@@ -1,8 +1,9 @@
 package gqa
 
 // Answer-cache layer of the facade. Serving traffic is heavily repetitive,
-// so AnswerContext and QueryContext consult a generation-aware LRU (see
-// internal/qcache) before running the pipeline:
+// so AnswerContext consults a generation-aware LRU (see internal/qcache)
+// before running the pipeline (SPARQL results are not cached: no endpoint
+// serves SPARQL, and QueryContext evaluates every time):
 //
 //   - Keys are (normalized input, graph mutation generation, options
 //     fingerprint, engine salt). Any graph mutation bumps the generation
@@ -11,7 +12,7 @@ package gqa
 //     the dictionary or registering a superlative bumps the salt.
 //   - Entries are immutable deep copies: the pipeline's answer is cloned
 //     into the cache, and every hit clones back out, so no caller can
-//     mutate a shared Answer or Result.
+//     mutate a shared Answer.
 //   - Degraded/truncated results are never cached. They reflect the
 //     caller's budget, not the data — a cached one would serve someone
 //     else's timeout forever.
@@ -29,7 +30,6 @@ import (
 
 	"gqa/internal/core"
 	"gqa/internal/obs"
-	"gqa/internal/sparql"
 )
 
 // cachedAnswer is one stored question result: the immutable master copy of
@@ -54,17 +54,16 @@ func normalizeQuestion(q string) string {
 	return strings.Join(strings.Fields(q), " ")
 }
 
-// cacheKey assembles the cache key for one input. kind separates the
-// answer and SPARQL namespaces; the graph's mutation generation and the
-// salt are the invalidation tokens (any Add/Remove retires every entry —
-// how the store is laid out in parts changes no answer, so it is not in
-// the key); the fingerprint covers every option that shapes a non-degraded
-// result (Budget is deliberately absent — budget-shaped answers are
-// degraded and never cached).
-func (s *System) cacheKey(kind, input string) string {
+// cacheKey assembles the cache key for one normalized question. The
+// graph's mutation generation and the salt are the invalidation tokens
+// (any Add/Remove retires every entry — how the store is laid out in parts
+// changes no answer, so it is not in the key); the fingerprint covers
+// every option that shapes a non-degraded result (Budget is deliberately
+// absent — budget-shaped answers are degraded and never cached).
+func (s *System) cacheKey(input string) string {
 	o := s.core.Opts
-	return fmt.Sprintf("%s\x00%s\x00g%d.s%d\x00k%d.c%d.h%t.a%t",
-		kind, input, s.graph.Generation(), s.cacheSalt.Load(),
+	return fmt.Sprintf("%s\x00g%d.s%d\x00k%d.c%d.h%t.a%t",
+		input, s.graph.Generation(), s.cacheSalt.Load(),
 		o.TopK, o.MaxVertexCandidates, o.DisableHeuristicRules, o.EnableAggregation)
 }
 
@@ -83,28 +82,6 @@ func (a *Answer) clone() *Answer {
 	return &cp
 }
 
-// cloneResult deep-copies a SPARQL result (rows are maps; terms are
-// immutable values).
-func cloneResult(r *sparql.Result) *sparql.Result {
-	cp := &sparql.Result{
-		Kind:      r.Kind,
-		Vars:      append([]string(nil), r.Vars...),
-		Boolean:   r.Boolean,
-		Truncated: r.Truncated,
-	}
-	if r.Rows != nil {
-		cp.Rows = make([]sparql.Row, len(r.Rows))
-		for i, row := range r.Rows {
-			m := make(sparql.Row, len(row))
-			for k, v := range row {
-				m[k] = v
-			}
-			cp.Rows[i] = m
-		}
-	}
-	return cp
-}
-
 // answerCached is AnswerShed's cache-enabled path: look up, coalesce, or
 // run the pipeline and store. Callers have already applied the timeout
 // and frozen the graph; eng carries any per-call shed budget. The shed
@@ -114,7 +91,7 @@ func cloneResult(r *sparql.Result) *sparql.Result {
 // written at tier 0 serve tier-3 callers and vice versa, which is exactly
 // what keeps an overloaded server fast.
 func (s *System) answerCached(ctx context.Context, question string, eng *core.System, tier int) (*Answer, error) {
-	key := s.cacheKey("a", normalizeQuestion(question))
+	key := s.cacheKey(normalizeQuestion(question))
 	sp := obs.TraceFrom(ctx).Root().Child("cache.lookup")
 	var leaderAns *Answer
 	v, outcome, err := s.cache.Do(ctx, key, func() (any, bool, error) {
@@ -161,33 +138,4 @@ func (s *System) answerCached(ctx context.Context, question string, eng *core.Sy
 		}
 	}
 	return ent.ans.clone(), nil
-}
-
-// queryCached is QueryContext's cache-enabled path. SPARQL text is keyed
-// verbatim (trimmed only): whitespace inside quoted literals is
-// significant, so no collapsing.
-func (s *System) queryCached(ctx context.Context, src string, q *sparql.Query) (*sparql.Result, error) {
-	key := s.cacheKey("q", strings.TrimSpace(src))
-	sp := obs.TraceFrom(ctx).Root().Child("cache.lookup")
-	var leaderRes *sparql.Result
-	v, outcome, err := s.cache.Do(ctx, key, func() (any, bool, error) {
-		res, err := sparql.EvalContext(ctx, s.graph, q, s.budget.limits())
-		if err != nil {
-			return nil, false, err
-		}
-		leaderRes = res
-		if res.Truncated != "" {
-			return nil, false, nil
-		}
-		return cloneResult(res), true, nil
-	})
-	sp.SetStr("outcome", string(outcome))
-	sp.Finish()
-	if err != nil {
-		return nil, err
-	}
-	if leaderRes != nil {
-		return leaderRes, nil
-	}
-	return cloneResult(v.(*sparql.Result)), nil
 }

@@ -34,7 +34,7 @@ func TestConcurrentAnswer(t *testing.T) {
 					return
 				}
 				if i%2 == 0 && !ans.OK && ans.Boolean == nil {
-					errs <- ErrNoAnswer
+					errs <- fmt.Errorf("no answer to %q", q)
 					return
 				}
 			}

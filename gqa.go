@@ -210,18 +210,11 @@ func (s *System) MineDictionary(sets []dict.SupportSet, maxPathLen, topK int) {
 	s.cacheSalt.Add(1)
 }
 
-// Metrics returns a point-in-time snapshot of every pipeline metric —
-// counters, gauges, and histogram states, keyed by metric name with its
-// rendered label set. Metrics are process-wide (all Systems share one
-// registry, as all questions share one process).
-func (s *System) Metrics() map[string]any {
-	s.cache.SyncGauge()
-	return obs.Default.Snapshot()
-}
-
 // WriteMetrics writes every pipeline metric in the Prometheus text
 // exposition format — the payload of gqa-serve's /metrics endpoint,
 // exposed here so any host process can mount its own scrape handler.
+// Metrics are process-wide (all Systems share one registry, as all
+// questions share one process).
 func (s *System) WriteMetrics(w io.Writer) error {
 	// Scrape-time refresh: the registry is process-wide and a cache is one
 	// System's, so the system being scraped reports its own occupancy.
@@ -355,9 +348,6 @@ func (s *System) ExplainContext(ctx context.Context, question string) (ans *Answ
 	}
 	return ans, ans.Trace.FindAttrs("match", "render"), nil
 }
-
-// ErrNoAnswer is a sentinel some callers prefer over inspecting Failure.
-var ErrNoAnswer = errors.New("gqa: no answer found")
 
 // SaveGraph serializes a graph as N-Triples, sorted deterministically.
 func SaveGraph(w io.Writer, g *store.Graph) error {

@@ -169,6 +169,17 @@ func TestLoadSystemErrors(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
+	// A snapshot of the previous format version is refused whole, by the
+	// message that names both versions (bytes 8–12 are the version field).
+	old, err := os.ReadFile(frozen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old[8] = 2
+	if _, err := Open(Source{Frozen: write("v2.frz", string(old))}, Options{}); err == nil ||
+		!strings.Contains(err.Error(), "version 2 is not readable by this build (version 3)") {
+		t.Errorf("Open(version 2 snapshot) = %v, want the version refusal", err)
+	}
 	// gqa-serve tells "no snapshot yet" from "snapshot rejected" by this.
 	for _, src := range []Source{{Frozen: filepath.Join(dir, "absent.frz")}, {Graph: filepath.Join(dir, "absent.nt")}, {Dict: filepath.Join(dir, "absent.tsv")}} {
 		if _, err := Open(src, Options{}); !errors.Is(err, fs.ErrNotExist) {

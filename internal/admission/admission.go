@@ -351,10 +351,6 @@ func (c *Controller) QueueDepth() int {
 	return len(c.queue)
 }
 
-// P50 reports the current p50 service-time estimate (the deadline-aware
-// drop threshold).
-func (c *Controller) P50() time.Duration { return c.svc.p50() }
-
 // granted finalizes an admission: metrics plus the caller's ticket.
 func (c *Controller) granted(tier int, wait time.Duration) *Ticket {
 	admittedTotal.Inc()

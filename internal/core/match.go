@@ -130,13 +130,6 @@ type matcher struct {
 	q     *QueryGraph
 	opts  MatchOptions
 
-	// shardRounds counts, per shard, the rounds in which at least one seed
-	// landed on that shard. Allocated only when the snapshot has more than
-	// one shard; updated in roundTasks. They surface as span attributes
-	// (shard_fanout, shard_rounds), never in MatchStats — stats stay
-	// byte-identical across shard counts.
-	shardRounds []int
-
 	cands [][]VertexCandidate // pruned candidate lists per vertex
 	adj   [][]int             // vertex → incident edge indices
 
@@ -231,9 +224,6 @@ func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match,
 		m.bound = sn.BindRequest(opts.Budget, opts.Span)
 		m.view = m.bound
 		m.hints = m.bound.Prefetches()
-		if k := sn.NumShards(); k > 1 {
-			m.shardRounds = make([]int, k)
-		}
 	}
 	var stats MatchStats
 
@@ -424,30 +414,10 @@ func (m *matcher) finishStats(stats *MatchStats, returned int) {
 	if stats.Truncated != "" {
 		sp.SetStr("truncated", stats.Truncated)
 	}
-	if m.shardRounds != nil {
-		// Shard telemetry lives on the span (and flows into flight-recorder
-		// wide events), never in MatchStats: stats stay byte-identical
-		// across shard counts. shard_fanout is the number of distinct
-		// shards seeded over the whole search; shard_rounds is the
-		// per-shard count of rounds with at least one seed.
-		fanout := 0
-		var b strings.Builder
-		for i, c := range m.shardRounds {
-			if c > 0 {
-				fanout++
-			}
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(strconv.Itoa(c))
-		}
-		sp.SetInt("shard_fanout", int64(fanout))
-		sp.SetStr("shard_rounds", b.String())
-	}
 	// A bound remote snapshot flushes its per-request RPC counters here
-	// (frames: rpc_calls / rpc_retries / rpc_hedges / rpc_errors; reads:
-	// rpc_reads / rpc_read_hits / rpc_batch_reads); the flight recorder
-	// lifts them into the wide event.
+	// (frames: rpc_calls / rpc_retries / rpc_errors; reads: rpc_reads /
+	// rpc_read_hits / rpc_batch_reads); the flight recorder lifts them
+	// into the wide event.
 	m.bound.AnnotateSpan(sp)
 }
 
@@ -495,19 +465,6 @@ func (m *matcher) roundTasks(anchors []int, round int) []seedTask {
 		tasks[i].cost = m.seedCost(tasks[i].vi, tasks[i].u)
 	}
 	sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].cost < tasks[j].cost })
-	if m.shardRounds != nil && len(tasks) > 0 {
-		// Shard telemetry: mark the shards seeded this round.
-		k := len(m.shardRounds)
-		seen := make([]bool, k)
-		for i := range tasks {
-			seen[int(tasks[i].u)%k] = true
-		}
-		for s, hit := range seen {
-			if hit {
-				m.shardRounds[s]++
-			}
-		}
-	}
 	return tasks
 }
 
@@ -661,7 +618,7 @@ func (m *matcher) passesNeighborhood(vi int, u store.ID) bool {
 }
 
 // hasAdjPred answers the §4.2.2 adjacency test through the captured view
-// (2-bit signature + CSR binary search in the owning part).
+// (a search of u's two sorted spans in the owning part).
 func (m *matcher) hasAdjPred(u, p store.ID) bool {
 	return m.view.HasAdjacentPred(u, p)
 }

@@ -113,20 +113,16 @@ type Event struct {
 	TotalUs      int64     `json:"total_us"`
 	Results      int       `json:"results"`
 	Err          string    `json:"err,omitempty"`
-	// ShardFanout is the number of distinct store shards the top-k search
-	// seeded; ShardRounds is the per-shard count of TA rounds with at least
-	// one seed, comma-joined ("4,0,3,1"). Both derive from the core.match
-	// span and are zero/empty on a monolithic (unsharded) store.
-	ShardFanout int    `json:"shard_fanout,omitempty"`
-	ShardRounds string `json:"shard_rounds,omitempty"`
 	// RPC telemetry from the core.match span when the store is served by
 	// remote shard servers: frames attempted, retries after transient
-	// transport errors, hedged second attempts, and the per-vertex reads
-	// those frames served — asked, and answered from the request's read
-	// set without a frame. All zero (and omitted) for in-process stores.
+	// transport errors, reads that failed past their retries and answered
+	// empty (what a shard-unavailable answer is made of), and the
+	// per-vertex reads those frames served — asked, and answered from the
+	// request's read set without a frame. All zero (and omitted) for
+	// in-process stores.
 	RPCCalls    int64   `json:"rpc_calls,omitempty"`
 	RPCRetries  int64   `json:"rpc_retries,omitempty"`
-	RPCHedges   int64   `json:"rpc_hedges,omitempty"`
+	RPCErrors   int64   `json:"rpc_errors,omitempty"`
 	RPCReads    int64   `json:"rpc_reads,omitempty"`
 	RPCReadHits int64   `json:"rpc_read_hits,omitempty"`
 	Stages      []Stage `json:"stages,omitempty"`
@@ -245,20 +241,10 @@ func (r *Recorder) handle(j job) {
 			ev.CacheOutcome = outs[len(outs)-1]
 		}
 	}
-	if ev.ShardFanout == 0 {
-		if fo := tr.FindAttrs("core.match", "shard_fanout"); len(fo) > 0 {
-			ev.ShardFanout, _ = strconv.Atoi(fo[len(fo)-1])
-		}
-	}
-	if ev.ShardRounds == "" {
-		if srs := tr.FindAttrs("core.match", "shard_rounds"); len(srs) > 0 {
-			ev.ShardRounds = srs[len(srs)-1]
-		}
-	}
 	if ev.RPCCalls == 0 {
 		ev.RPCCalls = lastIntAttr(tr, "core.match", "rpc_calls")
 		ev.RPCRetries = lastIntAttr(tr, "core.match", "rpc_retries")
-		ev.RPCHedges = lastIntAttr(tr, "core.match", "rpc_hedges")
+		ev.RPCErrors = lastIntAttr(tr, "core.match", "rpc_errors")
 		ev.RPCReads = lastIntAttr(tr, "core.match", "rpc_reads")
 		ev.RPCReadHits = lastIntAttr(tr, "core.match", "rpc_read_hits")
 	}

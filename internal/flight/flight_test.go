@@ -62,11 +62,9 @@ func TestEventJSONRoundTrip(t *testing.T) {
 		TotalUs:      250000,
 		Results:      3,
 		Err:          `parse: unexpected "quote"`,
-		ShardFanout:  3,
-		ShardRounds:  "2,0,1,1",
 		RPCCalls:     52,
 		RPCRetries:   2,
-		RPCHedges:    1,
+		RPCErrors:    1,
 		RPCReads:     1100,
 		RPCReadHits:  1040,
 		Stages:       []Stage{{Name: "nlp.parse", Us: 120}, {Name: "core.match", Us: 2400}},
@@ -104,7 +102,7 @@ func TestEventJSONRoundTrip(t *testing.T) {
 		t.Errorf("event round-trip mismatch:\n got %+v\nwant %+v", got, full)
 	}
 	for _, field := range []string{"client", "qhash", "failure", "cache", "shed_tier", "degraded", "queue_wait_us", "err",
-		"shard_fanout", "shard_rounds", "rpc_calls", "rpc_retries", "rpc_hedges", "rpc_reads", "rpc_read_hits", "stages"} {
+		"rpc_calls", "rpc_retries", "rpc_errors", "rpc_reads", "rpc_read_hits", "stages"} {
 		if strings.Contains(lines[1], `"`+field+`"`) {
 			t.Errorf("minimal event carries optional field %q: %s", field, lines[1])
 		}

@@ -132,7 +132,6 @@ func TestMetricNamingConvention(t *testing.T) {
 		"gqa_cache_bypass_total",
 		"gqa_rpc_calls_total",
 		"gqa_rpc_retries_total",
-		"gqa_rpc_hedges_total",
 		"gqa_rpc_errors_total",
 		"gqa_rpc_degraded_total",
 		"gqa_rpc_reads_total",

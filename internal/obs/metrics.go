@@ -29,17 +29,11 @@ var TimeBuckets = []float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// CountBuckets are default bounds for count-valued histograms (candidate
-// list sizes, rounds, rows).
-var CountBuckets = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 10000}
-
 // metric is the common behaviour of every registered series.
 type metric interface {
 	meta() *metricMeta
 	// writeSeries appends the series' exposition lines (no HELP/TYPE).
 	writeSeries(b *strings.Builder)
-	// snapshotValue returns the series' value in Snapshot.
-	snapshotValue() any
 }
 
 type metricMeta struct {
@@ -168,18 +162,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return err
 }
 
-// Snapshot returns a point-in-time map of every series — counters and
-// gauges as int64, histograms as {count, sum, buckets} objects. The map
-// keys are the series keys (name plus rendered labels); the result
-// marshals with encoding/json.
-func (r *Registry) Snapshot() map[string]any {
-	out := make(map[string]any)
-	for _, m := range r.sorted() {
-		out[m.meta().key()] = m.snapshotValue()
-	}
-	return out
-}
-
 // ------------------------------------------------------------------ counter
 
 // Counter is a monotonically increasing value. Inc/Add are one atomic op.
@@ -206,8 +188,6 @@ func (c *Counter) writeSeries(b *strings.Builder) {
 	b.WriteString(strconv.FormatInt(c.v.Load(), 10))
 	b.WriteByte('\n')
 }
-
-func (c *Counter) snapshotValue() any { return c.v.Load() }
 
 // -------------------------------------------------------------------- gauge
 
@@ -236,8 +216,6 @@ func (g *Gauge) writeSeries(b *strings.Builder) {
 	b.WriteByte('\n')
 }
 
-func (g *Gauge) snapshotValue() any { return g.v.Load() }
-
 // -------------------------------------------------------------- float gauge
 
 // FloatGauge is an instantaneous float64 value (quantiles, burn rates).
@@ -261,8 +239,6 @@ func (g *FloatGauge) writeSeries(b *strings.Builder) {
 	b.WriteString(formatFloat(g.Value()))
 	b.WriteByte('\n')
 }
-
-func (g *FloatGauge) snapshotValue() any { return g.Value() }
 
 // ---------------------------------------------------------------- histogram
 
@@ -405,22 +381,6 @@ func (h *Histogram) writeSeries(b *strings.Builder) {
 	b.WriteByte(' ')
 	b.WriteString(strconv.FormatInt(h.count.Load(), 10))
 	b.WriteByte('\n')
-}
-
-func (h *Histogram) snapshotValue() any {
-	buckets := make(map[string]any, len(h.bounds)+1)
-	cum := int64(0)
-	for i, bound := range h.bounds {
-		cum += h.counts[i].Load()
-		buckets[formatFloat(bound)] = cum
-	}
-	cum += h.counts[len(h.bounds)].Load()
-	buckets["+Inf"] = cum
-	return map[string]any{
-		"count":   h.count.Load(),
-		"sum":     h.Sum(),
-		"buckets": buckets,
-	}
 }
 
 // -------------------------------------------------------------- rendering

@@ -112,25 +112,6 @@ func TestRegisterIdempotent(t *testing.T) {
 	r.Gauge("gqa_test_x_total", "x")
 }
 
-// TestSnapshotValues: the snapshot map carries current values.
-func TestSnapshotValues(t *testing.T) {
-	r := buildFixtureRegistry()
-	s := r.Snapshot()
-	if got := s["gqa_test_questions_total"]; got != int64(42) {
-		t.Fatalf("counter snapshot = %v, want 42", got)
-	}
-	if got := s["gqa_test_pool_workers"]; got != int64(4) {
-		t.Fatalf("gauge snapshot = %v, want 4", got)
-	}
-	h, ok := s[`gqa_test_stage_seconds{stage="parse"}`].(map[string]any)
-	if !ok {
-		t.Fatalf("histogram snapshot missing: %v", s)
-	}
-	if h["count"] != int64(5) {
-		t.Fatalf("histogram count = %v, want 5", h["count"])
-	}
-}
-
 // TestConcurrentUpdates: counters and histograms stay exact under
 // concurrent hammering (run with -race).
 func TestConcurrentUpdates(t *testing.T) {

@@ -144,10 +144,6 @@ func (t Term) Label() string {
 	return strings.ReplaceAll(t.LocalName(), "_", " ")
 }
 
-// Equal reports whether two terms are identical (same kind, value, datatype
-// and language tag).
-func (t Term) Equal(u Term) bool { return t == u }
-
 // Key returns a string that uniquely identifies the term across kinds,
 // suitable for map keys. IRIs and literals with identical text never
 // collide.

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"gqa"
 	"gqa/internal/flight"
@@ -87,8 +90,9 @@ func FuzzRequestStringsStayJSON(f *testing.F) {
 
 // TestDegradedReasonReachesWideEvent: an answer cut short by the matcher's
 // match cap (a class of 10 001 instances asked for by type alone) says so
-// on the request's wide event, and a request refused at admission is
-// recorded by the same code with its own status.
+// on the request's wide event, a request refused at admission is recorded
+// by the same code with its own status, and an answer degraded because a
+// shard server is dead carries the count of reads that failed (rpc_errors).
 func TestDegradedReasonReachesWideEvent(t *testing.T) {
 	g := store.New()
 	typ := g.Intern(rdf.NewIRI(rdf.RDFType))
@@ -115,8 +119,49 @@ func TestDegradedReasonReachesWideEvent(t *testing.T) {
 	if w := ask(); w.Code != http.StatusTooManyRequests {
 		t.Fatalf("request while draining: status %d, want 429", w.Code)
 	}
+
+	// The bundled KB behind two loopback shard servers, Berlin's dead.
+	sys, err := gqa.Open(gqa.Source{}, gqa.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb := sys.Graph()
+	kb.SetShards(2)
+	addrs := make([]string, 2)
+	servers := make([]*store.ShardServer, 2)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[i] = store.NewShardServer(kb.Freeze().Part(i))
+		go servers[i].Serve(ln) //nolint:errcheck // returns net.ErrClosed after Close
+		t.Cleanup(servers[i].Close)
+		addrs[i] = ln.Addr().String()
+	}
+	rss, err := store.DialShards(addrs, kb.Terms(), store.RemoteOptions{
+		CallTimeout: 200 * time.Millisecond, Retries: 1, RetryBackoff: time.Millisecond, DownCooldown: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rss.Close)
+	kb.SetRemoteView(rss)
+	berlin, ok := kb.LookupIRI(rdf.Resource("Berlin").Value())
+	if !ok {
+		t.Fatal("no Berlin in the bundled KB")
+	}
+	servers[int(berlin)%2].Close()
+	w := httptest.NewRecorder()
+	New(sys, Config{Flight: rec}).ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/answer?q="+url.QueryEscape("Who is the mayor of Berlin?"), nil))
+	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"degraded":"shard-unavailable"`) {
+		t.Fatalf("dead-shard answer: status %d, body %.200s", w.Code, w.Body)
+	}
+
 	rec.Sync()
 	events := string(rec.SlowestJSON())
+	if regexp.MustCompile(`"degraded":"shard-unavailable"[^}]*"rpc_errors":[1-9]`).FindString(events) == "" {
+		t.Errorf("the shard-unavailable event carries no rpc_errors: %s", events)
+	}
 	for _, want := range []string{`"status":"ok"`, `"degraded":"matches"`, `"results":10000`, `"status":"rejected:draining"`} {
 		if !strings.Contains(events, want) {
 			t.Errorf("no wide event carries %s: %s", want, events)

@@ -126,9 +126,6 @@ func New(sys *gqa.System, cfg Config) *Server {
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Admission exposes the controller (the binary's drain loop and tests).
-func (s *Server) Admission() *admission.Controller { return s.adm }
-
 // BeginDrain flips /readyz to 503 and stops admitting: queued requests
 // are rejected with 429 "draining", new ones refused. In-flight questions
 // keep running; pair with http.Server.Shutdown to let them finish.

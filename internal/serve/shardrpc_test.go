@@ -145,7 +145,7 @@ func TestShardRPCSmokeBinary(t *testing.T) {
 	}
 	mresp.Body.Close()
 	metrics := mbody.String()
-	for _, name := range []string{"gqa_rpc_calls_total", "gqa_rpc_retries_total", "gqa_rpc_hedges_total", "gqa_rpc_errors_total"} {
+	for _, name := range []string{"gqa_rpc_calls_total", "gqa_rpc_retries_total", "gqa_rpc_errors_total"} {
 		if !strings.Contains(metrics, name) {
 			t.Errorf("/metrics missing %s on a multi-process boot", name)
 		}

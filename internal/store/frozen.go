@@ -469,11 +469,10 @@ func (sn *Snapshot) DegradeReason() string {
 }
 
 // AnnotateSpan flushes a bound snapshot's per-request RPC counters onto
-// the search span: frames (rpc_calls / rpc_retries / rpc_hedges /
-// rpc_errors) and the reads they carried (rpc_reads asked, rpc_read_hits
-// served from the read set, rpc_batch_reads sent ahead in batches). The
-// flight recorder lifts them into the wide event. A no-op on an unbound,
-// local or nil snapshot.
+// the search span: frames (rpc_calls / rpc_retries / rpc_errors) and the
+// reads they carried (rpc_reads asked, rpc_read_hits served from the read
+// set, rpc_batch_reads sent ahead in batches). The flight recorder lifts
+// them into the wide event. A no-op on an unbound, local or nil snapshot.
 func (sn *Snapshot) AnnotateSpan(sp *obs.Span) {
 	rr := sn.boundRemote()
 	if rr == nil || !sp.Enabled() {
@@ -481,7 +480,6 @@ func (sn *Snapshot) AnnotateSpan(sp *obs.Span) {
 	}
 	sp.SetInt("rpc_calls", rr.req.calls.Load())
 	sp.SetInt("rpc_retries", rr.req.retries.Load())
-	sp.SetInt("rpc_hedges", rr.req.hedges.Load())
 	sp.SetInt("rpc_errors", rr.req.errs.Load())
 	sp.SetInt("rpc_reads", rr.req.reads.Load())
 	sp.SetInt("rpc_read_hits", rr.req.readHits.Load())

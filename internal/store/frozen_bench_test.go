@@ -13,9 +13,8 @@ import (
 
 // frozenBenchGraph builds a deterministic graph with a skewed degree
 // distribution: a few hundred hubs of degree 64 and a long tail of small
-// vertices. The 160 predicates matter: with more predicates than
-// signature bits, consecutive IDs collide mod 64 — the regime a real KB's
-// predicate count puts every hub in.
+// vertices. The 160 predicates spread a hub's 64 edges over many short
+// predicate runs, the regime a real KB's predicate count puts every hub in.
 func frozenBenchGraph() (*Graph, []ID, []ID) {
 	r := rand.New(rand.NewSource(1))
 	g := New()

@@ -106,17 +106,24 @@ func edgeTargets(span []Edge) []ID {
 	return sortedIDs(out)
 }
 
-// TestFrozenEquivalence compares every snapshot operation, at one part and
-// at four, against the builder's own structures read naively (adjacency
-// scans, the triple set, per-vertex classification) across random graphs:
-// Match under all binding patterns, Has, HasAdjacentPred, per-predicate
-// neighbors and degrees, total degrees, PredCount, IsEntity/IsClass,
-// Entities, and Stats.
+// TestFrozenEquivalence compares every snapshot operation — at one part,
+// at four, and at four behind loopback shard servers — against the
+// builder's own structures read naively (adjacency scans, the triple set,
+// per-vertex classification) across random graphs that have seen both Add
+// and Remove: Match under all binding patterns, Has, HasAdjacentPred,
+// per-predicate neighbors and degrees, total degrees, PredCount,
+// IsEntity/IsClass, Entities, and Stats.
 func TestFrozenEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g := randomRichGraph(r)
-		k := []int{1, 4}[seed%2]
+		for _, spo := range collectVia(g.Match, Any, Any, Any) {
+			if r.Intn(4) == 0 {
+				g.Remove(spo.S, spo.P, spo.O)
+			}
+		}
+		// The shapes in turn: k1, k4, remote-k4.
+		k, remote := []int{1, 4, 4}[seed%3], seed%3 == 2
 		g.SetShards(k)
 		n := ID(g.NumTerms())
 		var pids []ID
@@ -128,6 +135,14 @@ func TestFrozenEquivalence(t *testing.T) {
 		wantAll := collectVia(g.Match, Any, Any, Any)
 
 		sn := g.Freeze()
+		if remote {
+			addrs, _ := startLoopbackShards(t, g, k)
+			var err error
+			if sn, err = DialShards(addrs, g.Terms(), RemoteOptions{}); err != nil {
+				t.Fatalf("seed %d: DialShards: %v", seed, err)
+			}
+			t.Cleanup(sn.Close)
+		}
 		if sn.NumShards() != k {
 			t.Fatalf("seed %d: %d shards, want %d", seed, sn.NumShards(), k)
 		}

@@ -1,13 +1,13 @@
 package store
 
 // GQAFRZ1: the one on-disk format. A file is part s of K of a frozen graph
-// (shard.go): the part's flat CSR arrays, two-hash-bit vertex signatures,
-// role bitmap and owned-entity list, dumped in their in-memory layout so a
-// load is a bulk read instead of a rebuild. A whole graph is the K = 1 case
-// and is the only one that carries the term dictionary (SaveFrozen /
-// LoadFrozen, which also rebuilds the mutable mirror); a part of a K ≥ 2
-// export (SaveShardPart / LoadShardPart) is what gqa-shard serves, and its
-// coordinator owns the dictionary.
+// (shard.go): the part's flat CSR arrays, role bitmap and owned-entity
+// list, dumped in their in-memory layout so a load is a bulk read instead
+// of a rebuild. A whole graph is the K = 1 case and is the only one that
+// carries the term dictionary (SaveFrozen / LoadFrozen, which also rebuilds
+// the mutable mirror); a part of a K ≥ 2 export (SaveShardPart /
+// LoadShardPart) is what gqa-shard serves, and its coordinator owns the
+// dictionary.
 //
 // Layout (all integers little-endian, fixed width — the format is
 // canonical: a file that loads re-serializes byte-identically):
@@ -24,7 +24,7 @@ package store
 //	EOF (trailing bytes are rejected)
 //
 // Sections, in order: meta, terms, outOff, outEdges, inOff, inEdges,
-// predIDs, predOff, predTriples, sig, roles, entities. meta is the 92-byte
+// predIDs, predOff, predTriples, roles, entities. meta is the 92-byte
 // shardMeta encoding the shard RPC's meta reply also uses; terms is a
 // uint32 count followed by records (kind byte, then value/datatype/lang
 // each as uint32 length + bytes) when K = 1 and empty otherwise; the rest
@@ -34,14 +34,15 @@ package store
 // Trust model: the CRCs catch accidental corruption; validatePart catches
 // files whose checksums are consistent but whose content is not — at every
 // K it re-derives what a part can know about itself (offsets, span order
-// and range, the predicate-major groups from the out spans, signatures,
-// the entity role, entity list and literal count, in-edges whose subject
-// the part owns) and compares. What a part cannot re-derive is
-// authoritative and CRC-only: the term bytes, the class role (classification
-// is monotone: a class survives its last type edge), and for K ≥ 2 the
-// term-kind and predicate role bits, in-edges from subjects another part
-// owns, and the global facts in meta (generations, counts, rdf:type, stats)
-// — those the coordinator cross-checks between parts at dial time. At K = 1
+// and range, the predicate-major groups from the out spans, the entity
+// role, entity list and literal count, in-edges whose subject the part
+// owns) and compares. What a part cannot re-derive is authoritative and
+// CRC-only: the term bytes, the class role (classification is monotone: a
+// class survives its last type edge), and for K ≥ 2 the term-kind and
+// predicate role bits, in-edges from subjects another part owns (the
+// edges, and which owned vertex's span holds them), and the global facts
+// in meta (generations, counts, rdf:type, stats) — those the coordinator
+// cross-checks between parts at dial time. At K = 1
 // assembleFrozen closes every one of them but the first two against the
 // term dictionary. A file that loads answers queries exactly like the graph
 // that saved it, or it is rejected with an error naming the section and its
@@ -78,7 +79,7 @@ var (
 
 const (
 	frozenMagic   = "GQAFRZ1\n"
-	frozenVersion = 2
+	frozenVersion = 3
 )
 
 // Section indexes. The order is part of the format: the directory and the
@@ -93,7 +94,6 @@ const (
 	frzPredIDs
 	frzPredOff
 	frzPredTriples
-	frzSig
 	frzRoles
 	frzEntities
 	frzSectionCount
@@ -101,13 +101,13 @@ const (
 
 var frzSectionNames = [frzSectionCount]string{
 	"meta", "terms", "outOff", "outEdges", "inOff", "inEdges",
-	"predIDs", "predOff", "predTriples", "sig", "roles", "entities",
+	"predIDs", "predOff", "predTriples", "roles", "entities",
 }
 
 // frzElemSize is the element width of each array section.
 var frzElemSize = [frzSectionCount]uint64{
 	frzOutOff: 4, frzOutEdges: 8, frzInOff: 4, frzInEdges: 8, frzPredIDs: 4,
-	frzPredOff: 4, frzPredTriples: 12, frzSig: 16, frzRoles: 1, frzEntities: 4,
+	frzPredOff: 4, frzPredTriples: 12, frzRoles: 1, frzEntities: 4,
 }
 
 const (
@@ -266,7 +266,6 @@ func (sp *ShardPart) Save(w io.Writer) error {
 	secs[frzPredIDs] = encodeFrzIDs(p.predIDs)
 	secs[frzPredOff] = encodeFrzU32s(p.predOff)
 	secs[frzPredTriples] = encodeFrzSpos(p.predTriples)
-	secs[frzSig] = encodeFrzSigs(p.sig)
 	secs[frzRoles] = p.roles
 	secs[frzEntities] = encodeFrzIDs(p.entities)
 
@@ -349,15 +348,6 @@ func encodeFrzSpos(v []Spo) []byte {
 		b = binary.LittleEndian.AppendUint32(b, uint32(t.S))
 		b = binary.LittleEndian.AppendUint32(b, uint32(t.P))
 		b = binary.LittleEndian.AppendUint32(b, uint32(t.O))
-	}
-	return b
-}
-
-func encodeFrzSigs(v [][2]uint64) []byte {
-	b := make([]byte, 0, 16*len(v))
-	for _, s := range v {
-		b = binary.LittleEndian.AppendUint64(b, s[0])
-		b = binary.LittleEndian.AppendUint64(b, s[1])
 	}
 	return b
 }
@@ -534,7 +524,6 @@ func (pr *partReader) load(wantShard bool) (*ShardPart, error) {
 		frzPredIDs:     {min(nOut, 1), min(nOut, m.nTerms)},
 		frzPredOff:     {nPreds + 1, nPreds + 1},
 		frzPredTriples: {nOut, nOut},
-		frzSig:         {nLocal, nLocal},
 		frzRoles:       {nLocal, nLocal},
 		frzEntities:    {0, nLocal},
 	}
@@ -573,7 +562,6 @@ func (pr *partReader) load(wantShard bool) (*ShardPart, error) {
 		predIDs:     decodeFrzIDs(payloads[frzPredIDs]),
 		predOff:     decodeFrzU32s(payloads[frzPredOff]),
 		predTriples: decodeFrzSpos(payloads[frzPredTriples]),
-		sig:         decodeFrzSigs(payloads[frzSig]),
 		roles:       append(make([]uint8, 0, nLocal), payloads[frzRoles]...),
 		literals:    int(m.literals),
 	}
@@ -702,22 +690,13 @@ func decodeFrzSpos(b []byte) []Spo {
 	return out
 }
 
-func decodeFrzSigs(b []byte) [][2]uint64 {
-	out := make([][2]uint64, len(b)/16)
-	for i := range out {
-		out[i][0] = binary.LittleEndian.Uint64(b[16*i:])
-		out[i][1] = binary.LittleEndian.Uint64(b[16*i+8:])
-	}
-	return out
-}
-
 // validatePart is the semantic pass over a decoded part, at every K: it
 // re-derives everything buildShardPart derives from the out and in spans
 // and compares, so a file with consistent checksums cannot hand the
-// readers an out-of-range offset, an unsorted span, or a signature that
-// prunes a right candidate. The array lengths were cross-checked by
-// load. Linear in the part's edges plus one binary search per
-// predicate run and per in-edge from an owned subject; no per-triple map.
+// readers an out-of-range offset or an unsorted span. The array lengths
+// were cross-checked by load. Linear in the part's edges plus one binary
+// search per predicate run and per in-edge from an owned subject; no
+// per-triple map.
 func validatePart(p *shardPart, m *shardMeta, pr *partReader) error {
 	nTerms := ID(p.nTerms)
 	for _, c := range [3]struct {
@@ -767,18 +746,14 @@ func validatePart(p *shardPart, m *shardMeta, pr *partReader) error {
 
 	// One walk over the owned vertices, ascending: the predicate-major
 	// groups must be exactly what the walk scatters (the cursor fill of
-	// buildShardPart, replayed as a comparison), the signature what the two
-	// spans set, and an edge with both endpoints owned must be in both CSRs.
+	// buildShardPart, replayed as a comparison), and an edge with both
+	// endpoints owned must be in both CSRs.
 	cursor := append([]uint32(nil), p.predOff[:len(p.predIDs)]...)
 	bothOut, bothIn := 0, 0
 	for l := range p.roles {
 		v := ID(p.shard + l*p.k)
-		var sig [2]uint64
 		gi := 0
 		for _, e := range p.outEdges[p.outOff[l]:p.outOff[l+1]] {
-			lo, hi := sigBits(e.Pred)
-			sig[0] |= lo
-			sig[1] |= hi
 			if gi < len(p.predIDs) && p.predIDs[gi] != e.Pred {
 				gi += lowerBoundID(p.predIDs[gi:], e.Pred)
 			}
@@ -792,18 +767,12 @@ func validatePart(p *shardPart, m *shardMeta, pr *partReader) error {
 			}
 		}
 		for _, e := range p.inEdges[p.inOff[l]:p.inOff[l+1]] {
-			lo, hi := sigBits(e.Pred)
-			sig[0] |= lo
-			sig[1] |= hi
 			if int(e.To)%p.k == p.shard {
 				bothIn++
 				if s := int(e.To) / p.k; !spanHas(p.outEdges[p.outOff[s]:p.outOff[s+1]], e.Pred, v) {
 					return pr.fail(frzInEdges, "in edge (%d,%d,%d) is not in its owned subject's out span", e.To, e.Pred, v)
 				}
 			}
-		}
-		if p.sig[l] != sig {
-			return pr.fail(frzSig, "local vertex %d signature %x, derived %x", l, p.sig[l], sig)
 		}
 	}
 	if bothIn != bothOut {

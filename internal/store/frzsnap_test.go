@@ -102,7 +102,7 @@ func sectionRange(b []byte, sec int) (int, int) {
 
 // TestFrozenDiskDifferential is the load-vs-rebuild harness: random rich
 // graphs → SaveFrozen → LoadFrozen must reproduce the in-memory Snapshot
-// field-for-field (reflect.DeepEqual over every CSR array, signature, role,
+// field-for-field (reflect.DeepEqual over every CSR array, role,
 // stat, and the generation), re-serialize byte-identically (the format is
 // canonical), and rebuild a mutable mirror that answers every read
 // operation like the original.
@@ -281,7 +281,8 @@ func TestFrozenEmptyGraph(t *testing.T) {
 // edge — so a flipped class bit that leaves the entity derivation unchanged
 // describes a different valid graph); for a part of K>1, which has no term
 // dictionary to check against, also the term-kind and predicate role bits,
-// in-edges whose subject another part owns, and the global facts in meta
+// in-edges whose subject another part owns (their bytes, and which owned
+// vertex's span an offset puts them in), and the global facts in meta
 // (generations, term/triple counts, rdf:type ID, stats).
 func TestFrozenCorruptionMatrix(t *testing.T) {
 	const partK, partShard = 3, 1
@@ -308,6 +309,20 @@ func TestFrozenCorruptionMatrix(t *testing.T) {
 					lo, _ := sectionRange(valid, frzInEdges)
 					subject := binary.LittleEndian.Uint32(valid[lo+off/8*8+4:])
 					return subject%partK != partShard
+				case frzInOff: // a boundary moved across in-edges of foreign subjects only
+					lo, _ := sectionRange(valid, frzInOff)
+					old := binary.LittleEndian.Uint32(valid[lo+off/4*4:])
+					moved := old ^ 1<<(off%4*8+bit)
+					elo, ehi := sectionRange(valid, frzInEdges)
+					if int(max(old, moved)) > (ehi-elo)/8 {
+						return false
+					}
+					for e := min(old, moved); e < max(old, moved); e++ {
+						if binary.LittleEndian.Uint32(valid[elo+int(e)*8+4:])%partK == partShard {
+							return false
+						}
+					}
+					return true
 				}
 				return false
 			}},
@@ -389,13 +404,20 @@ func TestFrozenCorruptionMatrix(t *testing.T) {
 				}
 			}
 
-			// Version and magic tampering with a re-fixed header CRC; a foreign
-			// magic is named in the error.
+			// Version and magic tampering with a re-fixed header CRC: the file
+			// of the previous version (it had a twelfth section) and of the next
+			// are refused by the version message, which names both versions;
+			// a foreign magic is named in the error.
+			for _, v := range []uint32{frozenVersion - 1, frozenVersion + 1} {
+				mut := append([]byte(nil), valid...)
+				binary.LittleEndian.PutUint32(mut[8:12], v)
+				binary.LittleEndian.PutUint32(mut[frzHeaderSize-4:frzHeaderSize], crc32.ChecksumIEEE(mut[:frzHeaderSize-4]))
+				want := fmt.Sprintf("version %d is not readable by this build (version %d)", v, frozenVersion)
+				if err := f.load(mut); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("file stamped version %d: err = %v, want %q", v, err, want)
+				}
+			}
 			mut := append([]byte(nil), valid...)
-			binary.LittleEndian.PutUint32(mut[8:12], frozenVersion+1)
-			binary.LittleEndian.PutUint32(mut[frzHeaderSize-4:frzHeaderSize], crc32.ChecksumIEEE(mut[:frzHeaderSize-4]))
-			mustFail("future version", mut)
-			mut = append([]byte(nil), valid...)
 			copy(mut, "GQASNAP1")
 			if err := f.load(mut); err == nil || !strings.Contains(err.Error(), "GQASNAP1") {
 				t.Fatalf("wrong magic: err = %v, want one naming the magic found", err)

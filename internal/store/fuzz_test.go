@@ -33,8 +33,8 @@ func allocBound(t *testing.T, limit uint64, fn func()) {
 // frozenSeedCorpus is the one seed set behind both load targets, so a seed
 // added for one entry point exercises the other: valid K=1 files and valid
 // parts, truncations, a CRC-detected flip, a directory length lie behind a
-// re-fixed header CRC, and checksum-consistent corruptions (a signature
-// bit, an offset, the meta section, a ragged section length) that only the
+// re-fixed header CRC, and checksum-consistent corruptions (a derived
+// role bit, an offset, the meta section, a ragged section length) that only the
 // semantic pass can catch.
 func frozenSeedCorpus(tb testing.TB) [][]byte {
 	rich := func() *Graph { return randomRichGraph(rand.New(rand.NewSource(1))) }
@@ -76,7 +76,7 @@ func frozenSeedCorpus(tb testing.TB) [][]byte {
 			append(append([]byte(nil), valid...), 0xAB),
 			flip,
 			lie,
-			consistent(frzSig, 0, 0x01),    // derived state
+			consistent(frzRoles, 0, 0x10),  // derived state: the entity role
 			consistent(frzOutOff, 4, 0x7f), // second out offset
 			consistent(frzMeta, 0, 0x09),   // shard index ≥ k
 			ragged,

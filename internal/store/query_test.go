@@ -197,49 +197,3 @@ func TestHasAdjacentPred(t *testing.T) {
 		t.Fatal("q is not adjacent to A")
 	}
 }
-
-// TestQuickSignatureConsistency: the Bloom-style vertex signature must
-// never make HasAdjacentPred wrong — no false negative, and a false
-// positive bit only ever costs a span search — including on a graph
-// re-frozen after removals.
-func TestQuickSignatureConsistency(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g, _ := randomGraph(r, 2+r.Intn(8), r.Intn(40))
-		// Random removals.
-		var all []Spo
-		g.Match(Any, Any, Any, func(t Spo) bool { all = append(all, t); return true })
-		for _, spo := range all {
-			if r.Intn(3) == 0 {
-				g.Remove(spo.S, spo.P, spo.O)
-			}
-		}
-		// Reference adjacency check for every (vertex, predicate) pair.
-		sn := g.Freeze()
-		for v := 0; v < g.NumTerms(); v++ {
-			id := ID(v)
-			for p := 0; p < g.NumTerms(); p++ {
-				pid := ID(p)
-				want := false
-				for _, e := range g.Out(id) {
-					if e.Pred == pid {
-						want = true
-					}
-				}
-				for _, e := range g.In(id) {
-					if e.Pred == pid {
-						want = true
-					}
-				}
-				if got := sn.HasAdjacentPred(id, pid); got != want {
-					t.Logf("seed %d: HasAdjacentPred(%d,%d) = %v, want %v", seed, id, pid, got, want)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}

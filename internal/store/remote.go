@@ -14,14 +14,13 @@ package store
 //
 // The robustness work lives here, not in the server: per-call deadlines
 // derived from the request budget (a call never outlives the request it
-// serves), bounded retries with doubling backoff on transport errors, a
-// hedged second attempt for straggler shards in the gather, per-shard
-// connection pools behind a down-marker breaker (a dead shard fails fast
-// for a cooldown instead of paying the full timeout on every probe), and
-// structured degradation: when a read has exhausted its retries the
-// request's budget is tripped with reason "shard-unavailable" and the
-// read returns empty — the search degrades to the best partial answer,
-// exactly like a deadline trip, and never hangs.
+// serves), bounded retries with doubling backoff on transport errors,
+// per-shard connection pools behind a down-marker breaker (a dead shard
+// fails fast for a cooldown instead of paying the full timeout on every
+// probe), and structured degradation: when a read has exhausted its
+// retries the request's budget is tripped with reason "shard-unavailable"
+// and the read returns empty — the search degrades to the best partial
+// answer, exactly like a deadline trip, and never hangs.
 //
 // What keeps the wire cheap lives here too. A bound reader keeps a read
 // set for the life of its request — every reply it has decoded, keyed by
@@ -49,11 +48,9 @@ import (
 // Shard-RPC client metrics (the gqa_rpc_* series).
 var (
 	rpcCallsTotal = obs.DefaultCounter("gqa_rpc_calls_total",
-		"Shard-RPC call attempts issued by the coordinator (retries and hedges included).")
+		"Shard-RPC call attempts issued by the coordinator (retries included).")
 	rpcRetriesTotal = obs.DefaultCounter("gqa_rpc_retries_total",
 		"Shard-RPC attempts that were retries after a transient transport error.")
-	rpcHedgesTotal = obs.DefaultCounter("gqa_rpc_hedges_total",
-		"Hedged second attempts launched against straggler shards during gathers.")
 	rpcErrorsTotal = obs.DefaultCounter("gqa_rpc_errors_total",
 		"Shard-RPC calls that failed after exhausting their retries.")
 	rpcDegradedTotal = obs.DefaultCounter("gqa_rpc_degraded_total",
@@ -85,9 +82,6 @@ type RemoteOptions struct {
 	Retries int
 	// RetryBackoff is the first retry's backoff; it doubles per retry.
 	RetryBackoff time.Duration
-	// HedgeAfter launches a hedged second attempt when a gather leg has
-	// not answered within this delay. Zero disables hedging.
-	HedgeAfter time.Duration
 	// DownCooldown is how long a shard that exhausted a call's retries
 	// fails fast before the next attempt probes it again.
 	DownCooldown time.Duration
@@ -107,9 +101,6 @@ func (o *RemoteOptions) fill() {
 	}
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 5 * time.Millisecond
-	}
-	if o.HedgeAfter == 0 {
-		o.HedgeAfter = 50 * time.Millisecond
 	}
 	if o.DownCooldown <= 0 {
 		o.DownCooldown = 250 * time.Millisecond
@@ -202,9 +193,8 @@ type rpcReq struct {
 	b  *budget.Tracker
 	sp *obs.Span
 
-	calls   atomic.Int64 // frames attempted (retries and hedges included)
+	calls   atomic.Int64 // frames attempted (retries included)
 	retries atomic.Int64
-	hedges  atomic.Int64
 	errs    atomic.Int64
 
 	reads      atomic.Int64 // per-vertex reads asked of the reader
@@ -432,54 +422,6 @@ func (r *rpcReader) call(shard int, req []byte) ([]byte, error) {
 	rpcErrorsTotal.Inc()
 	pool.markDown(r.opts.DownCooldown)
 	return nil, lastErr
-}
-
-// callHedged is call plus a hedged second attempt: when the first leg
-// has not answered within HedgeAfter, a second identical call races it
-// and the first success wins. Used by the gather (predicate-major scans
-// fan out to every shard, so one straggler shard gates the whole merge).
-func (r *rpcReader) callHedged(shard int, req []byte) ([]byte, error) {
-	if r.opts.HedgeAfter <= 0 {
-		return r.call(shard, req)
-	}
-	type result struct {
-		b   []byte
-		err error
-	}
-	ch := make(chan result, 2)
-	launch := func() {
-		go func() {
-			b, err := r.call(shard, req)
-			ch <- result{b, err}
-		}()
-	}
-	launch()
-	inflight := 1
-	timer := time.NewTimer(r.opts.HedgeAfter)
-	defer timer.Stop()
-	var firstErr error
-	for {
-		select {
-		case out := <-ch:
-			inflight--
-			if out.err == nil {
-				return out.b, nil
-			}
-			if firstErr == nil {
-				firstErr = out.err
-			}
-			if inflight == 0 {
-				return nil, firstErr
-			}
-		case <-timer.C:
-			rpcHedgesTotal.Inc()
-			if r.req != nil {
-				r.req.hedges.Add(1)
-			}
-			launch()
-			inflight++
-		}
-	}
 }
 
 // degrade records an unrecoverable read failure: the request's budget is
@@ -734,8 +676,8 @@ func (r *rpcReader) fetchBatch(shard int, reads []Read) bool {
 }
 
 // predGroups is the over-the-wire scatter-gather of a predicate-major
-// scan: every shard's (S,O)-sorted group for p is fetched concurrently
-// (with hedging against stragglers). A failed leg degrades the request;
+// scan: every shard's (S,O)-sorted group for p is fetched concurrently. A
+// failed leg degrades the request;
 // the caller merges whatever arrived, so a doomed scan still terminates
 // promptly with partial (budget-flagged) results.
 func (r *rpcReader) predGroups(p ID) [][]Spo {
@@ -752,7 +694,7 @@ func (r *rpcReader) predGroups(p ID) [][]Spo {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			resp, err := r.callHedged(shard, req)
+			resp, err := r.call(shard, req)
 			if err != nil {
 				failed.Add(1)
 				r.degrade()
@@ -771,9 +713,6 @@ func (r *rpcReader) predGroups(p ID) [][]Spo {
 	if sp.Enabled() {
 		sp.SetInt("shards", int64(r.k))
 		sp.SetInt("failed", failed.Load())
-		if r.req != nil {
-			sp.SetInt("hedges", r.req.hedges.Load())
-		}
 	}
 	sp.Finish()
 	return groups

@@ -48,22 +48,10 @@ type shardPart struct {
 	predOff     []uint32
 	predTriples []Spo
 
-	// Two-hash-bit vertex signature, in the spirit of gStore's vertex
-	// signatures [33]: predicate p incident to v sets bit h1(p) in sig[v][0]
-	// and bit h2(p) in sig[v][1]. hasAdjacentPred requires both bits, so
-	// most misses are rejected from one cache line before any span search.
-	sig      [][2]uint64
 	roles    []uint8 // role bitmap, local-indexed
 	entities []ID    // owned entity vertices, ascending global IDs
 	literals int     // owned literal terms
 	bytes    int64
-}
-
-func sigBits(p ID) (lo, hi uint64) {
-	lo = 1 << (uint(p) % 64)
-	// Fibonacci hashing for the second, independent bit.
-	hi = 1 << ((uint64(p) * 0x9E3779B97F4A7C15) >> 58)
-	return lo, hi
 }
 
 // localCount is how many of n densely numbered vertices shard of k owns.
@@ -75,7 +63,7 @@ func localCount(n, shard, k int) int {
 }
 
 // buildShardPart recompacts one part from the mutable graph: the local
-// CSRs, signatures, owned-subject predicate CSR and roles.
+// CSRs, owned-subject predicate CSR and roles.
 func buildShardPart(g *Graph, shard, k int, gen uint64) *shardPart {
 	n := len(g.terms)
 	nLocal := localCount(n, shard, k)
@@ -101,20 +89,11 @@ func buildShardPart(g *Graph, shard, k int, gen uint64) *shardPart {
 		}
 	}
 	p.predTriples = make([]Spo, len(p.outEdges))
-	p.sig = make([][2]uint64, nLocal)
 	for l := 0; l < nLocal; l++ {
 		s := ID(shard + l*k)
 		for _, e := range p.outEdges[p.outOff[l]:p.outOff[l+1]] {
-			lo, hi := sigBits(e.Pred)
-			p.sig[l][0] |= lo
-			p.sig[l][1] |= hi
 			p.predTriples[cursor[e.Pred]] = Spo{S: s, P: e.Pred, O: e.To}
 			cursor[e.Pred]++
-		}
-		for _, e := range p.inEdges[p.inOff[l]:p.inOff[l+1]] {
-			lo, hi := sigBits(e.Pred)
-			p.sig[l][0] |= lo
-			p.sig[l][1] |= hi
 		}
 	}
 
@@ -153,7 +132,6 @@ func (p *shardPart) arrayBytes() int64 {
 	return int64(len(p.outEdges)+len(p.inEdges))*8 +
 		int64(len(p.outOff)+len(p.inOff)+len(p.predOff))*4 +
 		int64(len(p.predTriples))*12 +
-		int64(len(p.sig))*16 +
 		int64(len(p.roles)) +
 		int64(len(p.entities)+len(p.predIDs))*4
 }
@@ -297,16 +275,7 @@ func (ps localParts) degrees(v ID) (out, in int) {
 }
 
 func (ps localParts) hasAdjacentPred(v, pred ID) bool {
-	p, l := ps.locate(v)
-	if p == nil {
-		return false
-	}
-	lo, hi := sigBits(pred)
-	if s := &p.sig[l]; s[0]&lo == 0 || s[1]&hi == 0 {
-		return false
-	}
-	return spanHasPred(p.outEdges[p.outOff[l]:p.outOff[l+1]], pred) ||
-		spanHasPred(p.inEdges[p.inOff[l]:p.inOff[l+1]], pred)
+	return spanHasPred(ps.outSpan(v), pred) || spanHasPred(ps.inSpan(v), pred)
 }
 
 func (ps localParts) has(s, pred, o ID) bool { return spanHas(ps.outSpan(s), pred, o) }

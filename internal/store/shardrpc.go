@@ -105,14 +105,10 @@ func readFrame(r io.Reader, limit uint32) ([]byte, error) {
 	return buf, nil
 }
 
-// errShardCut is what the armed rpc.call faultpoint uses to sever the
-// connection mid-response (the "mid-stream cut" failure mode).
+// errShardCut is the sentinel tests arm on the rpc.call faultpoint to make
+// the server drop the connection after reading a request instead of
+// answering it (the "mid-stream cut" failure mode).
 var errShardCut = errors.New("faultpoint: cut connection")
-
-// ErrShardCut is the sentinel tests arm on the rpc.call faultpoint to
-// make the server drop the connection after reading a request instead of
-// answering it.
-var ErrShardCut = errShardCut
 
 // ShardServer serves one shard part over the shard RPC protocol. Safe for
 // concurrent connections; every connection gets its own goroutine and
@@ -202,7 +198,7 @@ func (s *ShardServer) serveConn(conn net.Conn) {
 			return
 		}
 		// The server-side injection point: a delay makes this shard a
-		// straggler (client-visible timeout), ErrShardCut severs the
+		// straggler (client-visible timeout), errShardCut severs the
 		// connection after the request was read (mid-stream cut), any
 		// other error is reported as an error frame, and a panic message
 		// exercises the handler-panic recovery below.

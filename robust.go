@@ -241,8 +241,5 @@ func (s *System) QueryContext(ctx context.Context, query string) (res *sparql.Re
 		return nil, err
 	}
 	s.graph.FreezeCtx(ctx)
-	if s.cache != nil {
-		return s.queryCached(ctx, query, q)
-	}
 	return sparql.EvalContext(ctx, s.graph, q, s.budget.limits())
 }

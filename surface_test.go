@@ -6,15 +6,15 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// testOnlySurface is the allowlist of TestNoTestOnlySurface: the exported
-// functions and methods that only _test.go files call, each with the reason
-// it is there. An entry is a decision; anything else the test finds is drift.
+// testOnlySurface is the first allowlist of TestNoTestOnlySurface: the
+// exported functions, methods and variables that only _test.go files name,
+// each with the reason it is there. An entry is a decision; anything else
+// the test finds is drift.
 var testOnlySurface = map[string]string{
 	"gqa.SaveGraph": "library API: the N-Triples counterpart of SaveFrozenSnapshot (gqa-gen writes its files through internal/rdf)",
 
@@ -54,24 +54,36 @@ var testOnlySurface = map[string]string{
 	"internal/sparql.SortRows":              "deterministic row order for evaluator tests",
 }
 
-// TestNoTestOnlySurface fails when an exported function or method of the
-// root package or of a package under internal/ is referenced only from
-// _test.go files and is not on the allowlist above — so that surface kept
-// for tests is a decision somebody wrote down, not drift. It also fails on
-// an allowlist entry that is stale: gone, or called by code after all.
+// unreferencedSurface is the second allowlist: exported surface that no
+// file of the module names at all, each with the interface it satisfies for
+// a caller outside the module (error, http.Handler, fmt.Stringer,
+// sort.Interface). Anything else nothing names is dead. It is empty today:
+// every Error, ServeHTTP and String there is is also called by name.
+var unreferencedSurface = map[string]string{}
+
+// TestNoTestOnlySurface fails when an exported function, method or
+// package-level variable of the root package or of a package under
+// internal/ is referenced only from _test.go files and is not on
+// testOnlySurface, or is referenced from nowhere — not code, not tests, not
+// benchmark/, cmd/ or examples/ — and is not on unreferencedSurface: so
+// that surface kept for tests or for an interface is a decision somebody
+// wrote down, and surface with no reader at all goes. It also fails on an
+// allowlist entry that is stale: gone, or used after all.
 //
 // It reads syntax only (go/parser, no type information): a package-level
-// function counts as used where code names it through an import of its
-// package or, unqualified, inside its own package; a method counts as used
-// wherever code selects its name on any value. The second rule is loose — a
-// method sharing its name with a used one passes unseen — and never wrong
-// the other way. benchmark/, cmd/ and examples/ count as code.
+// function or variable counts as used where code names it through an import
+// of its package or, unqualified, inside its own package; a method counts as
+// used wherever code calls its name on any value (a call, not a selection:
+// a struct field of the same name is no use of it). The second rule is
+// loose — a method sharing its name with a called one passes unseen, a
+// method only ever taken as a value needs an entry — and never wrong the
+// other way. benchmark/, cmd/ and examples/ count as code.
 func TestNoTestOnlySurface(t *testing.T) {
 	fset := token.NewFileSet()
 	type decl struct{ pkgDir, name string } // name: "Func" or "Type.Method"
 	var decls []decl
 	// What code (files not ending in _test.go) and tests refer to: package
-	// functions as importPath+"."+name, methods as "."+name.
+	// functions and variables as importPath+"."+name, methods as "."+name.
 	used := map[bool]map[string]bool{false: {}, true: {}}
 
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -108,6 +120,15 @@ func TestNoTestOnlySurface(t *testing.T) {
 		}
 		if !isTest && f.Name.Name != "main" && (dir == "." || strings.HasPrefix(dir, "internal/")) {
 			for _, d := range f.Decls {
+				if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+					for _, spec := range gd.Specs {
+						for _, id := range spec.(*ast.ValueSpec).Names {
+							if id.IsExported() {
+								decls = append(decls, decl{dir, id.Name})
+							}
+						}
+					}
+				}
 				fn, ok := d.(*ast.FuncDecl)
 				if !ok || !fn.Name.IsExported() {
 					continue
@@ -143,12 +164,25 @@ func TestNoTestOnlySurface(t *testing.T) {
 					ast.Inspect(n.Body, visit)
 				}
 				return false
+			case *ast.ValueSpec:
+				// Likewise: a declared name is no use of it (a local
+				// variable's neither, which loses nothing).
+				if n.Type != nil {
+					ast.Inspect(n.Type, visit)
+				}
+				for _, v := range n.Values {
+					ast.Inspect(v, visit)
+				}
+				return false
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+					used[isTest]["."+sel.Sel.Name] = true
+				}
 			case *ast.SelectorExpr:
 				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
 					used[isTest][imports[x.Name]+"."+n.Sel.Name] = true
 					return false
 				}
-				used[isTest]["."+n.Sel.Name] = true
 				ast.Inspect(n.X, visit)
 				return false
 			case *ast.Ident:
@@ -163,7 +197,8 @@ func TestNoTestOnlySurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var drift []string
+	// Allowlist by who names the declaration: tests only, or nobody.
+	lists := map[bool]map[string]string{true: testOnlySurface, false: unreferencedSurface}
 	found := map[string]bool{}
 	for _, d := range decls {
 		key := "gqa." + d.name
@@ -173,30 +208,25 @@ func TestNoTestOnlySurface(t *testing.T) {
 			ref = "gqa/" + d.pkgDir + "." + d.name
 		}
 		if i := strings.IndexByte(d.name, '.'); i >= 0 {
-			ref = d.name[i:] // a method: any selection of its name
+			ref = d.name[i:] // a method: any call of its name
 		}
 		inCode, inTests := used[false][ref], used[true][ref]
 		if inCode {
 			continue
 		}
-		if !inTests {
-			// Called by nothing at all: interface satisfaction (Error,
-			// ServeHTTP through a mux) or API nobody in this module needs.
-			// Dead code is another lint's business.
-			continue
-		}
-		found[key] = true
-		if testOnlySurface[key] == "" {
-			drift = append(drift, key)
+		if lists[inTests][key] != "" {
+			found[key] = true
+		} else if inTests {
+			t.Errorf("%s is exported but only _test.go files use it: delete it, unexport it, or add it to testOnlySurface with the reason it stays", key)
+		} else {
+			t.Errorf("%s is exported but nothing in the module names it: delete it, or add it to unreferencedSurface with the interface it is there for", key)
 		}
 	}
-	sort.Strings(drift)
-	for _, key := range drift {
-		t.Errorf("%s is exported but only _test.go files use it: delete it, unexport it, or add it to testOnlySurface with the reason it stays", key)
-	}
-	for key := range testOnlySurface {
-		if !found[key] {
-			t.Errorf("testOnlySurface lists %s, which is gone or no longer test-only: drop the entry", key)
+	for _, list := range lists {
+		for key := range list {
+			if !found[key] {
+				t.Errorf("the allowlist names %s, which is gone or is used otherwise by now: drop or move the entry", key)
+			}
 		}
 	}
 }
