@@ -1,0 +1,62 @@
+package linker_test
+
+import (
+	"sync"
+	"testing"
+
+	"gqa/internal/bench"
+	"gqa/internal/linker"
+)
+
+// The nl-scale benchmark's KB at its size: 20 000 people whose first and
+// last names are each shared by about 830 of them, and an IRI local name
+// "Person_…" on every one, so the mention "people" (lemma "person") reaches
+// all 20 000.
+var nlScale = sync.OnceValues(func() (*bench.NLScaleKB, error) {
+	return bench.NewNLScaleKB(20000, 30, 5)
+})
+
+// sink keeps the compiler from dropping a benchmarked call.
+var sink []linker.Candidate
+
+func nlScaleKB(b *testing.B) *bench.NLScaleKB {
+	b.Helper()
+	kb, err := nlScale()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return kb
+}
+
+// BenchmarkLink times one Link at the cap BuildQueryGraph links with, on
+// the mention behind nl-scale's p95 ("people"), a three-token name (both
+// name tokens shared by ~830 people) and a miss.
+func BenchmarkLink(b *testing.B) {
+	lk := linker.New(nlScaleKB(b).Graph, linker.Options{})
+	for _, m := range []struct{ name, mention string }{
+		{"people", "people"},
+		{"name", "Jonas Kowalski 12345"},
+		{"miss", "Zanzibar"},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				sink = lk.Link(m.mention, 10)
+			}
+		})
+	}
+}
+
+// BenchmarkLinkerBuild times New over the same KB: what a System pays at
+// boot (linker.index_build_ms), frozen view already built.
+func BenchmarkLinkerBuild(b *testing.B) {
+	g := nlScaleKB(b).Graph
+	g.FrozenView()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if linker.New(g, linker.Options{}) == nil {
+			b.Fatal("nil Linker")
+		}
+	}
+}

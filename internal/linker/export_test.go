@@ -1,0 +1,11 @@
+package linker
+
+import "gqa/internal/store"
+
+// Reference is the pre-index Link (reference_test.go), named for the
+// differential tests of package linker_test, which import internal/bench
+// (and through it internal/core, which imports this package).
+type Reference = reference
+
+// NewReference builds the reference over g.
+func NewReference(g *store.Graph) *Reference { return newReference(g) }

@@ -8,10 +8,22 @@
 // and scores candidates by token-set similarity blended with a popularity
 // prior (vertex degree), which reproduces the service's observable
 // behaviour: multi-candidate ambiguity with plausible confidence ordering.
+//
+// The index is flat arrays built once by New. A vocabulary gives every
+// label token and every noun lemma of one a token ID; each linkable vertex
+// is a slot holding its ID, class flag, degree prior and labels; each label
+// is two sorted sets of token IDs, raw and lemma; and each token has the
+// ascending slots whose labels contain it. Link merges the postings of the
+// mention's tokens and scores every slot it meets from intersection counts.
+//
+// Snapshot rule: a Linker is the graph as it was when New ran — labels,
+// class flags and degrees alike. It holds no reference to the graph, so a
+// later mutation reaches linking only through a new Linker.
 package linker
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 	"time"
 	"unicode"
@@ -42,11 +54,22 @@ type Candidate struct {
 // Linker links mentions to graph vertices. Build one per graph with New;
 // it is safe for concurrent use after construction.
 type Linker struct {
-	g       *store.Graph
-	byToken map[string][]store.ID // normalized token → vertex IDs
-	labels  map[store.ID][][]string
-	isClass map[store.ID]bool
-	maxDeg  float64
+	vocab map[string]uint32 // label token or noun lemma → token ID
+
+	// postings[postOff[t]:postOff[t+1]] are the ascending slots with a
+	// label that contains raw token t.
+	postOff, postings []uint32
+
+	// Slot s is one linkable vertex: its ID, whether it links as a class,
+	// its degree prior, and its labels labOff[s]:labOff[s+1].
+	id      []store.ID
+	isClass []bool
+	prior   []float64
+	labOff  []uint32
+
+	// Label i's raw token IDs are toks[tokOff[i]:lemOff[i]] and its lemma
+	// IDs toks[lemOff[i]:tokOff[i+1]], each sorted and de-duplicated.
+	tokOff, lemOff, toks []uint32
 }
 
 // minSimilarity is the lowest token-set similarity admitted as a candidate:
@@ -59,23 +82,35 @@ const minSimilarity = 0.34
 // (benchmark/trace.go); ROADMAP item 7(f) removes it.
 type Options struct{}
 
-// New indexes all entities and classes of g.
+// builder is what New needs and the Linker does not keep.
+type builder struct {
+	*Linker
+	g     *store.Graph
+	slot  []uint32 // vertex ID → slot+1; 0 while the vertex has none
+	lemma []uint32 // token ID → its lemma's token ID, once seen in a label
+	buf   []string
+}
+
+const noLemma = ^uint32(0)
+
+// New indexes all entities and classes of g, and the literals that are
+// data values, as they are now: the Linker is a snapshot of g (see the
+// package comment), and g may be mutated or dropped after New returns.
 func New(g *store.Graph, _ Options) *Linker {
-	l := &Linker{
-		g:       g,
-		byToken: make(map[string][]store.ID),
-		labels:  make(map[store.ID][][]string),
-		isClass: make(map[store.ID]bool),
+	b := &builder{
+		Linker: &Linker{vocab: make(map[string]uint32), labOff: []uint32{0}, tokOff: []uint32{0}},
+		g:      g,
+		slot:   make([]uint32, g.NumTerms()),
 	}
 	// The frozen view serves the precomputed entity list, and the literal
 	// pass below answers from its degrees, so indexing a large graph skips
 	// per-vertex map probes and adjacency walks.
 	view := g.FrozenView()
 	for _, id := range view.Entities() {
-		l.index(id, false)
+		b.index(id, false)
 	}
 	for _, id := range g.Classes() {
-		l.index(id, true)
+		b.index(id, true)
 	}
 	// Literal vertices are linkable too: questions can name a literal
 	// object directly ("Who was called Scarface?" — the nickname is a
@@ -92,205 +127,298 @@ func New(g *store.Graph, _ Options) *Linker {
 		// O(log d) degree reads answer that without walking adjacency.
 		dataValue := view.InDegree(id) > view.InPredDegree(id, g.LabelPredID())
 		if dataValue {
-			l.index(id, false)
+			b.index(id, false)
 		}
 	}
-	for id := range l.labels {
-		if d := float64(g.Degree(id)); d > l.maxDeg {
-			l.maxDeg = d
+	b.post()
+	maxDeg := 0.0
+	for _, id := range b.id {
+		maxDeg = max(maxDeg, float64(g.Degree(id)))
+	}
+	b.prior = make([]float64, len(b.id))
+	if maxDeg > 0 {
+		for s, id := range b.id {
+			b.prior[s] = float64(g.Degree(id)) / maxDeg
 		}
 	}
-	return l
+	return b.Linker
 }
 
-func (l *Linker) index(id store.ID, isClass bool) {
-	l.isClass[id] = isClass
-	seen := make(map[string]bool)
-	addLabel := func(label string) {
-		toks := normalizeTokens(label)
-		if len(toks) == 0 {
-			return
-		}
-		key := strings.Join(toks, " ")
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		l.labels[id] = append(l.labels[id], toks)
-		for _, tok := range dedupe(toks) {
-			l.byToken[tok] = append(l.byToken[tok], id)
-		}
+// index gives id a slot holding its distinct labels. A vertex indexed
+// again (an entity that is also a class) keeps its labels and takes the
+// class flag of this pass.
+func (b *builder) index(id store.ID, isClass bool) {
+	if s := b.slot[id]; s > 0 {
+		b.isClass[s-1] = isClass
+		return
 	}
-	addLabel(l.g.Term(id).Label())
-	if lp := l.g.LabelPredID(); lp != store.None {
-		for _, e := range l.g.Out(id) {
-			if e.Pred == lp && l.g.Term(e.To).IsLiteral() {
-				addLabel(l.g.Term(e.To).Value())
+	first := len(b.lemOff)
+	b.addLabel(first, b.g.Term(id).Label())
+	if lp := b.g.LabelPredID(); lp != store.None {
+		for _, e := range b.g.Out(id) {
+			if e.Pred == lp && b.g.Term(e.To).IsLiteral() {
+				b.addLabel(first, b.g.Term(e.To).Value())
 			}
 		}
 	}
+	if len(b.lemOff) == first {
+		return // no label has a token: nothing links to it
+	}
+	b.id = append(b.id, id)
+	b.isClass = append(b.isClass, isClass)
+	b.labOff = append(b.labOff, uint32(len(b.lemOff)))
+	b.slot[id] = uint32(len(b.id))
 }
 
-// normalizeTokens lowercases, strips punctuation, splits on whitespace and
-// underscores, and adds noun lemmas so "movies" meets the class label
-// "movie". Each surface token contributes itself and (when different) its
-// lemma.
-func normalizeTokens(s string) []string {
-	fields := strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
+// addLabel appends label's two token-ID sets unless it has no token or
+// the vertex's labels from first on already hold its raw set.
+func (b *builder) addLabel(first int, label string) {
+	b.buf = appendTokens(b.buf[:0], label)
+	if len(b.buf) == 0 {
+		return
+	}
+	start := len(b.toks)
+	for _, t := range b.buf {
+		id := b.tokenID(t)
+		if b.lemma[id] == noLemma { // a token's lemma is looked up once
+			lem := b.tokenID(nlp.Lemma(t, "NNS")) // may grow b.lemma
+			b.lemma[id] = lem
+		}
+		b.toks = append(b.toks, id)
+	}
+	raw := sortedSet(b.toks[start:])
+	for i := first; i < len(b.lemOff); i++ {
+		if slices.Equal(b.toks[b.tokOff[i]:b.lemOff[i]], raw) {
+			b.toks = b.toks[:start]
+			return
+		}
+	}
+	mid := start + len(raw)
+	b.toks = b.toks[:mid]
+	for _, t := range raw {
+		b.toks = append(b.toks, b.lemma[t])
+	}
+	b.toks = b.toks[:mid+len(sortedSet(b.toks[mid:]))]
+	b.lemOff = append(b.lemOff, uint32(mid))
+	b.tokOff = append(b.tokOff, uint32(len(b.toks)))
+}
+
+// tokenID returns t's token ID, adding t to the vocabulary if it is new.
+func (b *builder) tokenID(t string) uint32 {
+	id, ok := b.vocab[t]
+	if !ok {
+		id = uint32(len(b.vocab))
+		b.vocab[strings.Clone(t)] = id
+		b.lemma = append(b.lemma, noLemma)
+	}
+	return id
+}
+
+// post lays out the postings: a counting pass over every slot's raw sets,
+// then a filling one. Slots are visited in ascending order, so each list
+// comes out sorted, and a token met twice in one slot counts once.
+func (b *builder) post() {
+	n := len(b.vocab)
+	last := make([]uint32, n) // token ID → slot+1 that last reached it
+	each := func(visit func(t, s uint32)) {
+		clear(last)
+		for s := range b.id {
+			for i := b.labOff[s]; i < b.labOff[s+1]; i++ {
+				for _, t := range b.toks[b.tokOff[i]:b.lemOff[i]] {
+					if last[t] != uint32(s)+1 {
+						last[t] = uint32(s) + 1
+						visit(t, uint32(s))
+					}
+				}
+			}
+		}
+	}
+	b.postOff = make([]uint32, n+1)
+	each(func(t, _ uint32) { b.postOff[t+1]++ })
+	for t := range n {
+		b.postOff[t+1] += b.postOff[t]
+	}
+	b.postings = make([]uint32, b.postOff[n])
+	next := slices.Clone(b.postOff[:n])
+	each(func(t, s uint32) {
+		b.postings[next[t]] = s
+		next[t]++
 	})
-	var out []string
-	for _, f := range fields {
-		if isStopToken(f) {
+}
+
+// appendTokens appends the tokens of s to dst: lowercased, split around
+// every rune that is neither a letter nor a digit, stop words dropped.
+func appendTokens(dst []string, s string) []string {
+	for _, f := range strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
+		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
+	}) {
+		switch f {
+		case "the", "a", "an", "of":
 			continue
 		}
-		out = append(out, f)
+		dst = append(dst, f)
 	}
-	return out
+	return dst
 }
 
-func isStopToken(w string) bool {
-	switch w {
-	case "the", "a", "an", "of":
-		return true
-	}
-	return false
+// sortedSet sorts s in place and returns its distinct prefix.
+func sortedSet[E cmp.Ordered](s []E) []E {
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
-func dedupe(ws []string) []string {
-	seen := make(map[string]bool, len(ws))
-	var out []string
-	for _, w := range ws {
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	return out
+// query is a tokenised mention: its distinct raw tokens and their noun
+// lemmas as sorted token IDs, and how many distinct tokens each set has —
+// a token no label has counts in the size but matches nothing.
+type query struct {
+	raw, lem   []uint32
+	nRaw, nLem int
 }
 
 // Link returns up to limit candidates for the mention, ranked by
-// descending confidence. A limit ≤ 0 means no cap.
+// descending confidence, ties by ascending ID. A limit ≤ 0 means no cap.
 func (l *Linker) Link(mention string, limit int) []Candidate {
 	start := time.Now()
+	out := l.link(mention, limit)
 	linkTotal.Inc()
-	mToks := normalizeTokens(mention)
-	if len(mToks) == 0 {
-		return nil
-	}
-	mLemmas := lemmaSet(mToks)
-
-	// Gather candidates sharing at least one token (raw or lemma).
-	cand := make(map[store.ID]struct{})
-	for _, t := range append(dedupe(mToks), mLemmas...) {
-		for _, id := range l.byToken[t] {
-			cand[id] = struct{}{}
-		}
-	}
-	var out []Candidate
-	for id := range cand {
-		best := 0.0
-		for _, lToks := range l.labels[id] {
-			s := similarity(mToks, lToks)
-			if ls := similarity(mLemmas, lemmaSet(lToks)); ls > s {
-				s = ls
-			}
-			if s > best {
-				best = s
-			}
-		}
-		if best < minSimilarity {
-			continue
-		}
-		// A class is a candidate only when the mention is (up to lemmas)
-		// contained in one of its labels: "Argentine films" names the
-		// class ⟨ArgentineFilm⟩, but "Gotham City" names an instance, not
-		// the class ⟨City⟩ — a lookup service returns no class for it.
-		if l.isClass[id] && !l.mentionContained(mLemmas, id) {
-			continue
-		}
-		out = append(out, Candidate{
-			ID:      id,
-			IsClass: l.isClass[id],
-			Score:   l.score(best, id),
-		})
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].ID < out[j].ID
-	})
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
 	linkCandidates.Add(int64(len(out)))
 	linkSeconds.ObserveDuration(time.Since(start))
 	return out
 }
 
-// score blends similarity with the degree prior. An exact label match is
-// dominated by similarity; popularity breaks ties among ambiguous
-// referents ("Philadelphia" the city vs. the film).
-func (l *Linker) score(sim float64, id store.ID) float64 {
-	prior := 0.0
-	if l.maxDeg > 0 {
-		prior = float64(l.g.Degree(id)) / l.maxDeg
+func (l *Linker) link(text string, limit int) []Candidate {
+	toks := sortedSet(appendTokens(nil, text))
+	if len(toks) == 0 {
+		return nil
 	}
-	return 0.85*sim + 0.15*prior
-}
+	lems := make([]string, len(toks))
+	for i, t := range toks {
+		lems[i] = nlp.Lemma(t, "NNS")
+	}
+	lems = sortedSet(lems)
+	m := query{raw: l.ids(toks), lem: l.ids(lems), nRaw: len(toks), nLem: len(lems)}
 
-// mentionContained reports whether every mention lemma occurs in some
-// single label of id (lemma-compared).
-func (l *Linker) mentionContained(mLemmas []string, id store.ID) bool {
-	for _, lToks := range l.labels[id] {
-		lset := make(map[string]bool)
-		for _, t := range lemmaSet(lToks) {
-			lset[t] = true
+	// A k-way merge of the postings of every mention token, raw or lemma,
+	// visits each slot that shares one once, in ascending order.
+	var lists [][]uint32
+	for _, t := range sortedSet(slices.Concat(m.raw, m.lem)) {
+		if p := l.postings[l.postOff[t]:l.postOff[t+1]]; len(p) > 0 {
+			lists = append(lists, p)
 		}
-		all := true
-		for _, m := range mLemmas {
-			if !lset[m] {
-				all = false
-				break
+	}
+	var out []Candidate
+	for len(lists) > 0 {
+		s := lists[0][0]
+		for _, p := range lists[1:] {
+			s = min(s, p[0])
+		}
+		n := 0
+		for _, p := range lists {
+			if p[0] == s {
+				p = p[1:]
+			}
+			if len(p) > 0 {
+				lists[n] = p
+				n++
 			}
 		}
-		if all {
-			return true
+		lists = lists[:n]
+		if c, ok := l.candidate(s, &m); ok {
+			out = keep(out, c, limit)
 		}
 	}
-	return false
+	if limit <= 0 {
+		slices.SortFunc(out, rank)
+	}
+	return out
 }
 
-func lemmaSet(toks []string) []string {
-	out := make([]string, len(toks))
-	for i, t := range toks {
-		out[i] = nlp.Lemma(t, "NNS")
-	}
-	return dedupe(out)
-}
-
-// similarity is the Jaccard coefficient over token sets, with a containment
-// boost: a mention fully contained in the label (or vice versa) scores at
-// least |small| / |large|.
-func similarity(a, b []string) float64 {
-	as, bs := dedupe(a), dedupe(b)
-	inA := make(map[string]bool, len(as))
-	for _, t := range as {
-		inA[t] = true
-	}
-	inter := 0
-	for _, t := range bs {
-		if inA[t] {
-			inter++
+// ids returns the sorted token IDs of the distinct tokens toks that the
+// vocabulary knows.
+func (l *Linker) ids(toks []string) []uint32 {
+	out := make([]uint32, 0, len(toks))
+	for _, t := range toks {
+		if id, ok := l.vocab[t]; ok {
+			out = append(out, id)
 		}
 	}
+	slices.Sort(out)
+	return out
+}
+
+// candidate scores slot s against the mention: the best similarity over
+// its labels, raw or lemma-compared, blended with its degree prior. An
+// exact label match is dominated by similarity; popularity breaks ties
+// among ambiguous referents ("Philadelphia" the city vs. the film).
+func (l *Linker) candidate(s uint32, m *query) (Candidate, bool) {
+	best, contained := 0.0, false
+	for i := l.labOff[s]; i < l.labOff[s+1]; i++ {
+		raw, lem := l.toks[l.tokOff[i]:l.lemOff[i]], l.toks[l.lemOff[i]:l.tokOff[i+1]]
+		inLem := intersect(m.lem, lem)
+		best = max(best, similarity(intersect(m.raw, raw), m.nRaw, len(raw)), similarity(inLem, m.nLem, len(lem)))
+		contained = contained || inLem == m.nLem
+	}
+	if best < minSimilarity {
+		return Candidate{}, false
+	}
+	// A class is a candidate only when the mention is (up to lemmas)
+	// contained in one of its labels: "Argentine films" names the class
+	// ⟨ArgentineFilm⟩, but "Gotham City" names an instance, not the class
+	// ⟨City⟩ — a lookup service returns no class for it.
+	if l.isClass[s] && !contained {
+		return Candidate{}, false
+	}
+	return Candidate{ID: l.id[s], IsClass: l.isClass[s], Score: 0.85*best + 0.15*l.prior[s]}, true
+}
+
+// rank orders candidates by descending score, then ascending ID.
+func rank(a, b Candidate) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// keep adds c to out. With limit > 0, out holds the best limit candidates
+// seen so far, in rank order; otherwise it collects everything unsorted.
+func keep(out []Candidate, c Candidate, limit int) []Candidate {
+	if limit <= 0 {
+		return append(out, c)
+	}
+	if len(out) == limit && rank(c, out[limit-1]) > 0 {
+		return out
+	}
+	i, _ := slices.BinarySearchFunc(out, c, rank)
+	out = slices.Insert(out, i, c)
+	return out[:min(len(out), limit)]
+}
+
+// intersect counts the elements two sorted, de-duplicated sets share.
+func intersect(a, b []uint32) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n, i, j = n+1, i+1, j+1
+		}
+	}
+	return n
+}
+
+// similarity is the Jaccard coefficient of two token sets of sizes na and
+// nb sharing inter tokens, with a containment boost: a set fully contained
+// in the other scores at least |small| / |large|.
+func similarity(inter, na, nb int) float64 {
 	if inter == 0 {
 		return 0
 	}
-	union := len(as) + len(bs) - inter
+	union := na + nb - inter
 	j := float64(inter) / float64(union)
-	small, large := len(as), len(bs)
+	small, large := na, nb
 	if small > large {
 		small, large = large, small
 	}

@@ -1,6 +1,8 @@
 package linker
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"gqa/internal/rdf"
@@ -154,22 +156,78 @@ func TestLinkMisses(t *testing.T) {
 
 func TestSimilarity(t *testing.T) {
 	cases := []struct {
-		a, b []string
-		want float64
+		name          string
+		inter, na, nb int
+		want          float64
 	}{
-		{[]string{"philadelphia"}, []string{"philadelphia"}, 1.0},
-		{[]string{"philadelphia"}, []string{"philadelphia", "film"}, 0.5},
-		{[]string{"queen", "elizabeth", "ii"}, []string{"elizabeth", "ii"}, 2.0 / 3.0},
-		{[]string{"x"}, []string{"y"}, 0},
+		{"philadelphia / philadelphia", 1, 1, 1, 1.0},
+		{"philadelphia / philadelphia film", 1, 1, 2, 0.5},
+		{"queen elizabeth ii / elizabeth ii", 2, 3, 2, 2.0 / 3.0},
+		{"x / y", 0, 1, 1, 0},
+		{"a b / b c: Jaccard, no containment", 1, 2, 2, 1.0 / 3.0},
+		{"a b c d / a b e: Jaccard 2/5 wins over nothing", 2, 4, 3, 2.0 / 5.0},
 	}
 	for _, c := range cases {
-		if got := similarity(c.a, c.b); got != c.want {
-			t.Errorf("similarity(%v, %v) = %f, want %f", c.a, c.b, got, c.want)
+		if got := similarity(c.inter, c.na, c.nb); got != c.want {
+			t.Errorf("%s: similarity(%d, %d, %d) = %f, want %f", c.name, c.inter, c.na, c.nb, got, c.want)
 		}
 	}
-	// Symmetry.
-	if similarity([]string{"a", "b"}, []string{"b"}) != similarity([]string{"b"}, []string{"a", "b"}) {
+	if similarity(1, 2, 1) != similarity(1, 1, 2) {
 		t.Error("similarity not symmetric")
+	}
+	// The counts come from intersect over sorted token-ID sets.
+	if got := intersect([]uint32{1, 3, 5, 9}, []uint32{0, 3, 4, 9, 12}); got != 2 {
+		t.Errorf("intersect = %d, want 2", got)
+	}
+}
+
+// TestLinkIsASnapshotOfNew: a Linker is the graph as New saw it. Before the
+// degree prior was precomputed, Link read the live degree against the
+// maximum fixed at New, so edges added afterwards pushed a score past 1
+// (1.90 here).
+func TestLinkIsASnapshotOfNew(t *testing.T) {
+	g, ids := phillyGraph(t)
+	l := New(g, Options{})
+	before := l.Link("Philadelphia 76ers", 0)
+	for i := range 20 {
+		if err := g.Add(rdf.T(rdf.Resource("Philadelphia_76ers"), rdf.Ontology("player"),
+			rdf.Resource(fmt.Sprintf("Player_%d", i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := l.Link("Philadelphia 76ers", 0)
+	if len(after) == 0 || after[0].ID != ids["Philadelphia_76ers"] {
+		t.Fatalf("Philadelphia 76ers: %v", after)
+	}
+	for _, c := range after {
+		if c.Score <= 0 || c.Score > 1 {
+			t.Errorf("%v: score %f out of (0, 1] after a mutation", g.Term(c.ID), c.Score)
+		}
+	}
+	if !slices.Equal(before, after) {
+		t.Errorf("a mutation after New moved Link:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// TestLinkRecordsEveryMention: every Link call, including one whose
+// mention normalises to nothing, moves the call counter, the latency
+// histogram's count and (by what it returns) the candidate counter alike.
+func TestLinkRecordsEveryMention(t *testing.T) {
+	g, _ := phillyGraph(t)
+	l := New(g, Options{})
+	calls, observed, cands := linkTotal.Value(), linkSeconds.Count(), linkCandidates.Value()
+	returned := 0
+	for _, m := range []string{"", "the of a", "Philadelphia", "Zanzibar"} {
+		returned += len(l.Link(m, 2))
+	}
+	if d := linkTotal.Value() - calls; d != 4 {
+		t.Errorf("gqa_linker_link_total moved %d, want 4", d)
+	}
+	if d := linkSeconds.Count() - observed; d != 4 {
+		t.Errorf("gqa_linker_link_seconds count moved %d, want 4 (one per Link call)", d)
+	}
+	if d := linkCandidates.Value() - cands; d != int64(returned) || returned != 2 {
+		t.Errorf("gqa_linker_candidates_total moved %d, Link returned %d, want 2", d, returned)
 	}
 }
 
