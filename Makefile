@@ -6,7 +6,7 @@
 # they encode are part of the gate. The *-smoke targets drive the real
 # binaries end to end. Every gate here is a test that can fail; how fast
 # the system is comes from one place, benchmark/ (BENCHMARK.json), which
-# bench-build compiles and runs three times for three seconds.
+# bench-build compiles and runs four times for three seconds.
 
 GO ?= go
 
@@ -30,12 +30,16 @@ build:
 # score bound and its match cap meet a 100k-triple graph. Then match-rpc:
 # its verification (every answer identical to a local K = 1 copy) is the
 # only tier-1 place the matcher meets the prefetching RPC client on the
-# benchmark's own fixture.
+# benchmark's own fixture. Last nl-scale: its verification (every answer
+# equal to the generator's gold on the 20 000-person KB) is the only
+# tier-1 place the linker's stop rule meets a 20 000-slot run of tied
+# scores.
 bench-build:
 	cd benchmark && GOFLAGS=-mod=mod GOWORK=off $(GO) vet . && GOFLAGS=-mod=mod GOWORK=off $(GO) build -o /dev/null .
 	bash benchmark/run.sh --workload qald --seconds 3
 	bash benchmark/run.sh --workload match-local --seconds 3
 	bash benchmark/run.sh --workload match-rpc --seconds 3
+	bash benchmark/run.sh --workload nl-scale --seconds 3
 
 test:
 	$(GO) test ./...

@@ -29,19 +29,27 @@ func nlScaleKB(b *testing.B) *bench.NLScaleKB {
 }
 
 // BenchmarkLink times one Link at the cap BuildQueryGraph links with, on
-// the mention behind nl-scale's p95 ("people"), a three-token name (both
-// name tokens shared by ~830 people) and a miss.
+// the two links of nl-scale's heavy template ("Which people live in
+// Ciudad 0123?": "people" reaches every person and stops at the tenth kept,
+// the place reaches every city and keeps one), a three-token name (both
+// name tokens shared by ~830 people) and a miss; and "people" with no
+// limit, which scores every slot it reaches.
 func BenchmarkLink(b *testing.B) {
 	lk := linker.New(nlScaleKB(b).Graph, linker.Options{})
-	for _, m := range []struct{ name, mention string }{
-		{"people", "people"},
-		{"name", "Jonas Kowalski 12345"},
-		{"miss", "Zanzibar"},
+	for _, m := range []struct {
+		name, mention string
+		limit         int
+	}{
+		{"people", "people", 10},
+		{"place", "Ciudad 0123", 10},
+		{"name", "Jonas Kowalski 12345", 10},
+		{"miss", "Zanzibar", 10},
+		{"people-all", "people", 0},
 	} {
 		b.Run(m.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for range b.N {
-				sink = lk.Link(m.mention, 10)
+				sink = lk.Link(m.mention, m.limit)
 			}
 		})
 	}

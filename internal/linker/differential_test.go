@@ -147,6 +147,25 @@ func TestLinkConcurrentUse(t *testing.T) {
 	wg.Wait()
 }
 
+// TestLinkStopsAtTheKth pins the stop rule by the slots Link scores. On
+// nl-scale's KB the mention "people" (lemma "person") reaches the class
+// ⟨Person⟩ and every person's IRI: at limit 10 the walk scores the class,
+// then persons in prior order until the tenth kept beats the bound; with
+// no limit it scores every slot it reaches.
+func TestLinkStopsAtTheKth(t *testing.T) {
+	nl, err := bench.NewNLScaleKB(2000, 30, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk := linker.New(nl.Graph, linker.Options{})
+	if n := lk.Scored("people", 10); n > 10 {
+		t.Errorf("Link(people, 10) scored %d slots, want at most 10", n)
+	}
+	if n := lk.Scored("people", 0); n != 2001 {
+		t.Errorf("Link(people, 0) scored %d slots, want all 2001 it reaches", n)
+	}
+}
+
 // words is the random graphs' vocabulary: singular/plural pairs (so a match
 // can come from lemmas only), stop words, digits, punctuation and case.
 var words = []string{
@@ -159,15 +178,19 @@ var words = []string{
 var mentionWords = append(slices.Clone(words), "zanzibar")
 
 // quickStats counts the shapes the property must have met at least once.
-type quickStats struct{ dual, ties, lemmaOnly, dataLiteral int }
+// straddle counts mentions whose full list ties at a cut: equal scores at
+// positions k−1 and k for a limit k the differential compares at.
+type quickStats struct{ dual, ties, straddle, lemmaOnly, dataLiteral int }
 
 // randomGraph builds a labelled graph from rng: entities named by one to
 // three words, rdfs:label literals (shared across vertices and repeating a
 // vertex's own name), classes with labels, random edges for degrees,
 // nickname literals that are data values — one of them also a pure label
-// elsewhere. With one graph in three an entity is also a class: the
-// graph's read view is frozen before a type edge makes the entity a class,
-// so the entity pass and the class pass both index it.
+// elsewhere — and a run of 3–12 entities with one label and one degree,
+// whose scores tie wherever a mention reaches them. With one graph in three
+// an entity is also a class: the graph's read view is frozen before a type
+// edge makes the entity a class, so the entity pass and the class pass
+// both index it.
 func randomGraph(rng *rand.Rand, st *quickStats) *store.Graph {
 	g := store.New()
 	add := func(s, p, o rdf.Term) { g.Add(rdf.T(s, p, o)) }
@@ -204,6 +227,14 @@ func randomGraph(rng *rand.Rand, st *quickStats) *store.Graph {
 	add(ents[0], lbl, shared)
 	add(ents[1], rdf.Ontology("nickname"), shared)
 	st.dataLiteral++
+	// The tied run: IRI tokens no mention has, one shared label, and the
+	// same two out-edges each.
+	tied := rdf.NewLiteral(phrase(" "))
+	for i := range 3 + rng.Intn(10) {
+		e := rdf.Resource(fmt.Sprintf("tied_%d", i))
+		add(e, lbl, tied)
+		add(e, rdf.Ontology("p0"), ents[0])
+	}
 	for range 1 + rng.Intn(3) {
 		c := rdf.Ontology(phrase(""))
 		add(c, lbl, rdf.NewLiteral(phrase(" ")))
@@ -246,6 +277,11 @@ func TestQuickLinkMatchesReference(t *testing.T) {
 					st.ties++
 				}
 			}
+			if slices.ContainsFunc(limits[1:], func(k int) bool {
+				return k < len(cands) && cands[k-1].Score == cands[k].Score
+			}) {
+				st.straddle++
+			}
 			if strings.EqualFold(m, "movies") && slices.ContainsFunc(cands, func(c linker.Candidate) bool {
 				return g.Term(c.ID).Label() == "movie"
 			}) {
@@ -257,7 +293,7 @@ func TestQuickLinkMatchesReference(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-	if st.dual == 0 || st.ties == 0 || st.lemmaOnly == 0 || st.dataLiteral == 0 {
+	if st.dual == 0 || st.ties == 0 || st.straddle == 0 || st.lemmaOnly == 0 || st.dataLiteral == 0 {
 		t.Errorf("the property missed a shape it is there for: %+v", st)
 	}
 	t.Logf("%+v", st)

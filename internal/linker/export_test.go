@@ -9,3 +9,10 @@ type Reference = reference
 
 // NewReference builds the reference over g.
 func NewReference(g *store.Graph) *Reference { return newReference(g) }
+
+// Scored is how many slots Link(mention, limit) scores: the work the stop
+// rule saves, counted without a clock.
+func (l *Linker) Scored(mention string, limit int) int {
+	_, n := l.link(mention, limit)
+	return n
+}

@@ -14,7 +14,16 @@
 // is a slot holding its ID, class flag, degree prior and labels; each label
 // is two sorted sets of token IDs, raw and lemma; and each token has the
 // ascending slots whose labels contain it. Link merges the postings of the
-// mention's tokens and scores every slot it meets from intersection counts.
+// mention's tokens and scores the slots it meets from intersection counts.
+//
+// Link stops at the k-th, as the paper's top-k search does (Algorithm 3):
+// a slot's size class [lo, hi] spans the sizes of all its label sets, and
+// similarity is at most min(n, L)/max(n, L) for sets of n and L tokens, so
+// a class bounds the similarity of every slot in it against the mention.
+// Slots are numbered by class, then by descending prior, then by ID; Link
+// visits the classes best bound first, in slot order inside each, and
+// leaves a class at the first slot whose bound cannot rank above the k-th
+// candidate kept.
 //
 // Snapshot rule: a Linker is the graph as it was when New ran — labels,
 // class flags and degrees alike. It holds no reference to the graph, so a
@@ -23,6 +32,7 @@ package linker
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"strings"
 	"time"
@@ -61,15 +71,26 @@ type Linker struct {
 	postOff, postings []uint32
 
 	// Slot s is one linkable vertex: its ID, whether it links as a class,
-	// its degree prior, and its labels labOff[s]:labOff[s+1].
+	// its degree prior, and its labels lab[s][0]:lab[s][1].
 	id      []store.ID
 	isClass []bool
 	prior   []float64
-	labOff  []uint32
+	lab     [][2]uint32
+
+	// classes partition the slots in order of (lo, hi); inside one, slots
+	// run by descending prior, then ascending ID.
+	classes []sizeClass
 
 	// Label i's raw token IDs are toks[tokOff[i]:lemOff[i]] and its lemma
 	// IDs toks[lemOff[i]:tokOff[i+1]], each sorted and de-duplicated.
 	tokOff, lemOff, toks []uint32
+}
+
+// sizeClass is the slots start:end whose label sets, raw and lemma alike,
+// have at fewest lo and at most hi tokens.
+type sizeClass struct {
+	lo, hi     int
+	start, end uint32
 }
 
 // minSimilarity is the lowest token-set similarity admitted as a candidate:
@@ -98,7 +119,7 @@ const noLemma = ^uint32(0)
 // package comment), and g may be mutated or dropped after New returns.
 func New(g *store.Graph, _ Options) *Linker {
 	b := &builder{
-		Linker: &Linker{vocab: make(map[string]uint32), labOff: []uint32{0}, tokOff: []uint32{0}},
+		Linker: &Linker{vocab: make(map[string]uint32), tokOff: []uint32{0}},
 		g:      g,
 		slot:   make([]uint32, g.NumTerms()),
 	}
@@ -130,7 +151,6 @@ func New(g *store.Graph, _ Options) *Linker {
 			b.index(id, false)
 		}
 	}
-	b.post()
 	maxDeg := 0.0
 	for _, id := range b.id {
 		maxDeg = max(maxDeg, float64(g.Degree(id)))
@@ -141,6 +161,8 @@ func New(g *store.Graph, _ Options) *Linker {
 			b.prior[s] = float64(g.Degree(id)) / maxDeg
 		}
 	}
+	b.renumber()
+	b.post()
 	return b.Linker
 }
 
@@ -166,7 +188,7 @@ func (b *builder) index(id store.ID, isClass bool) {
 	}
 	b.id = append(b.id, id)
 	b.isClass = append(b.isClass, isClass)
-	b.labOff = append(b.labOff, uint32(len(b.lemOff)))
+	b.lab = append(b.lab, [2]uint32{uint32(first), uint32(len(b.lemOff))})
 	b.slot[id] = uint32(len(b.id))
 }
 
@@ -214,6 +236,40 @@ func (b *builder) tokenID(t string) uint32 {
 	return id
 }
 
+// renumber orders the slots by size class, then by descending prior, then
+// by ascending ID, and records each class's range. A label's lemma set is
+// the image of its raw set, never larger, so a slot's class runs from its
+// smallest lemma set to its largest raw set. The class is the slot's, not
+// a label's: a slot reached through one label is scored on all of them.
+// Inside a class a slot sorts as a candidate whose score is its prior.
+// Only the slot arrays move; the labels stay where addLabel put them.
+func (b *builder) renumber() {
+	type slot struct {
+		lo, hi int
+		c      Candidate // Score holds the prior
+		lab    [2]uint32
+	}
+	slots := make([]slot, len(b.id))
+	for s, r := range b.lab {
+		k := slot{lo: math.MaxInt, c: Candidate{b.id[s], b.isClass[s], b.prior[s]}, lab: r}
+		for i := r[0]; i < r[1]; i++ {
+			k.lo = min(k.lo, int(b.tokOff[i+1]-b.lemOff[i]))
+			k.hi = max(k.hi, int(b.lemOff[i]-b.tokOff[i]))
+		}
+		slots[s] = k
+	}
+	slices.SortFunc(slots, func(x, y slot) int {
+		return cmp.Or(x.lo-y.lo, x.hi-y.hi, rank(x.c, y.c))
+	})
+	for s, k := range slots {
+		b.id[s], b.isClass[s], b.prior[s], b.lab[s] = k.c.ID, k.c.IsClass, k.c.Score, k.lab
+		if s == 0 || k.lo != slots[s-1].lo || k.hi != slots[s-1].hi {
+			b.classes = append(b.classes, sizeClass{lo: k.lo, hi: k.hi, start: uint32(s)})
+		}
+		b.classes[len(b.classes)-1].end = uint32(s) + 1
+	}
+}
+
 // post lays out the postings: a counting pass over every slot's raw sets,
 // then a filling one. Slots are visited in ascending order, so each list
 // comes out sorted, and a token met twice in one slot counts once.
@@ -222,8 +278,8 @@ func (b *builder) post() {
 	last := make([]uint32, n) // token ID → slot+1 that last reached it
 	each := func(visit func(t, s uint32)) {
 		clear(last)
-		for s := range b.id {
-			for i := b.labOff[s]; i < b.labOff[s+1]; i++ {
+		for s, r := range b.lab {
+			for i := r[0]; i < r[1]; i++ {
 				for _, t := range b.toks[b.tokOff[i]:b.lemOff[i]] {
 					if last[t] != uint32(s)+1 {
 						last[t] = uint32(s) + 1
@@ -279,17 +335,19 @@ type query struct {
 // descending confidence, ties by ascending ID. A limit ≤ 0 means no cap.
 func (l *Linker) Link(mention string, limit int) []Candidate {
 	start := time.Now()
-	out := l.link(mention, limit)
+	out, _ := l.link(mention, limit)
 	linkTotal.Inc()
 	linkCandidates.Add(int64(len(out)))
 	linkSeconds.ObserveDuration(time.Since(start))
 	return out
 }
 
-func (l *Linker) link(text string, limit int) []Candidate {
+// link is Link without its metrics; it also returns how many slots it
+// scored.
+func (l *Linker) link(text string, limit int) ([]Candidate, int) {
 	toks := sortedSet(appendTokens(nil, text))
 	if len(toks) == 0 {
-		return nil
+		return nil, 0
 	}
 	lems := make([]string, len(toks))
 	for i, t := range toks {
@@ -298,39 +356,98 @@ func (l *Linker) link(text string, limit int) []Candidate {
 	lems = sortedSet(lems)
 	m := query{raw: l.ids(toks), lem: l.ids(lems), nRaw: len(toks), nLem: len(lems)}
 
-	// A k-way merge of the postings of every mention token, raw or lemma,
-	// visits each slot that shares one once, in ascending order.
 	var lists [][]uint32
 	for _, t := range sortedSet(slices.Concat(m.raw, m.lem)) {
 		if p := l.postings[l.postOff[t]:l.postOff[t+1]]; len(p) > 0 {
 			lists = append(lists, p)
 		}
 	}
+	if len(lists) == 0 {
+		return nil, 0
+	}
+	// A class whose reach is below minSimilarity holds no candidate; the
+	// others go best reach first, so the kept slice fills with high scores.
+	// order and sub get constant capacities so that they live on the stack
+	// for the few classes and mention tokens a call usually has: on a small
+	// KB their allocations cost more than the walk saves.
+	type visit struct {
+		*sizeClass
+		reach float64
+	}
+	order := make([]visit, 0, 16)
+	for i := range l.classes {
+		c := &l.classes[i]
+		if r := max(c.reach(m.nRaw), c.reach(m.nLem)); r >= minSimilarity {
+			order = append(order, visit{c, r})
+		}
+	}
+	slices.SortStableFunc(order, func(a, b visit) int { return cmp.Compare(b.reach, a.reach) })
+
 	var out []Candidate
-	for len(lists) > 0 {
-		s := lists[0][0]
-		for _, p := range lists[1:] {
-			s = min(s, p[0])
-		}
-		n := 0
+	scored := 0
+	sub := make([][]uint32, 0, 8)
+	for _, v := range order {
+		// A k-way merge of the class's stretch of every mention token's
+		// postings visits each slot that shares a token once, in slot order.
+		sub = sub[:0]
 		for _, p := range lists {
-			if p[0] == s {
-				p = p[1:]
-			}
-			if len(p) > 0 {
-				lists[n] = p
-				n++
+			i, _ := slices.BinarySearch(p, v.start)
+			if j, _ := slices.BinarySearch(p[i:], v.end); j > 0 {
+				sub = append(sub, p[i:i+j])
 			}
 		}
-		lists = lists[:n]
-		if c, ok := l.candidate(s, &m); ok {
-			out = keep(out, c, limit)
+		for len(sub) > 0 {
+			s := sub[0][0]
+			for _, p := range sub[1:] {
+				s = min(s, p[0])
+			}
+			// The stop is exact. No slot from s on scores above
+			// score(reach, prior[s]): its similarity is at most reach, its
+			// prior at most prior[s], and score rounds monotonically in
+			// each. A later slot with an equal prior has a larger ID, so it
+			// ranks below that bound; one with a lower prior has a strictly
+			// lower bound: priors are deg/maxDeg with integer degrees, at
+			// least 1/maxDeg apart, and 0.15× that is far above one ulp of
+			// a sum ≤ 1.
+			if limit > 0 && len(out) == limit &&
+				rank(out[limit-1], Candidate{ID: l.id[s], Score: score(v.reach, l.prior[s])}) < 0 {
+				break
+			}
+			n := 0
+			for _, p := range sub {
+				if p[0] == s {
+					p = p[1:]
+				}
+				if len(p) > 0 {
+					sub[n] = p
+					n++
+				}
+			}
+			sub = sub[:n]
+			scored++
+			if c, ok := l.candidate(s, &m); ok {
+				out = keep(out, c, limit)
+			}
 		}
 	}
 	if limit <= 0 {
 		slices.SortFunc(out, rank)
 	}
-	return out
+	return out, scored
+}
+
+// reach bounds the similarity of a set of n tokens to any label set of c:
+// min(n, L)/max(n, L) for the nearest size L in [lo, hi]. It rounds as
+// similarity does, and a quotient rounds monotonically, so the bound holds
+// on the float64s too.
+func (c *sizeClass) reach(n int) float64 {
+	switch {
+	case n < c.lo:
+		return float64(n) / float64(c.lo)
+	case n > c.hi:
+		return float64(c.hi) / float64(n)
+	}
+	return 1
 }
 
 // ids returns the sorted token IDs of the distinct tokens toks that the
@@ -352,7 +469,7 @@ func (l *Linker) ids(toks []string) []uint32 {
 // among ambiguous referents ("Philadelphia" the city vs. the film).
 func (l *Linker) candidate(s uint32, m *query) (Candidate, bool) {
 	best, contained := 0.0, false
-	for i := l.labOff[s]; i < l.labOff[s+1]; i++ {
+	for i := l.lab[s][0]; i < l.lab[s][1]; i++ {
 		raw, lem := l.toks[l.tokOff[i]:l.lemOff[i]], l.toks[l.lemOff[i]:l.tokOff[i+1]]
 		inLem := intersect(m.lem, lem)
 		best = max(best, similarity(intersect(m.raw, raw), m.nRaw, len(raw)), similarity(inLem, m.nLem, len(lem)))
@@ -368,15 +485,26 @@ func (l *Linker) candidate(s uint32, m *query) (Candidate, bool) {
 	if l.isClass[s] && !contained {
 		return Candidate{}, false
 	}
-	return Candidate{ID: l.id[s], IsClass: l.isClass[s], Score: 0.85*best + 0.15*l.prior[s]}, true
+	return Candidate{ID: l.id[s], IsClass: l.isClass[s], Score: score(best, l.prior[s])}, true
 }
 
-// rank orders candidates by descending score, then ascending ID.
+// score blends similarity and prior. The stop rule's bound goes through it
+// too, so the two round alike wherever the compiler fuses x*y + z.
+func score(sim, prior float64) float64 {
+	return 0.85*sim + 0.15*prior
+}
+
+// rank orders candidates by descending score, then ascending ID. A score
+// is never NaN, so plain comparisons do, and rank inlines into the stop
+// test that runs once per slot.
 func rank(a, b Candidate) int {
-	if c := cmp.Compare(b.Score, a.Score); c != 0 {
-		return c
+	switch {
+	case a.Score > b.Score || a.Score == b.Score && a.ID < b.ID:
+		return -1
+	case a.Score == b.Score && a.ID == b.ID:
+		return 0
 	}
-	return cmp.Compare(a.ID, b.ID)
+	return 1
 }
 
 // keep adds c to out. With limit > 0, out holds the best limit candidates

@@ -2,7 +2,9 @@ package linker
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"gqa/internal/rdf"
@@ -268,6 +270,79 @@ func TestLinkLiteralVertices(t *testing.T) {
 		if g.Term(c.ID).IsLiteral() {
 			t.Fatalf("label literal leaked: %v", g.Term(c.ID))
 		}
+	}
+}
+
+// checkIndex asserts what the stop rule rests on: every label's set sizes
+// lie in its slot's class, the classes partition the slots in (lo, hi)
+// order, a class runs by descending prior then ascending ID, and every
+// postings list ascends strictly.
+func checkIndex(t *testing.T, name string, l *Linker) {
+	t.Helper()
+	next := uint32(0)
+	for ci, c := range l.classes {
+		if c.start != next || c.end <= c.start {
+			t.Errorf("%s: class %d is slots %d:%d, want a non-empty run from %d", name, ci, c.start, c.end, next)
+		}
+		next = c.end
+		if ci > 0 {
+			if p := l.classes[ci-1]; p.lo > c.lo || p.lo == c.lo && p.hi >= c.hi {
+				t.Errorf("%s: class [%d, %d] follows [%d, %d]", name, c.lo, c.hi, p.lo, p.hi)
+			}
+		}
+		for s := c.start; s < c.end; s++ {
+			for i := l.lab[s][0]; i < l.lab[s][1]; i++ {
+				for _, n := range []uint32{l.lemOff[i] - l.tokOff[i], l.tokOff[i+1] - l.lemOff[i]} {
+					if int(n) < c.lo || int(n) > c.hi {
+						t.Errorf("%s: slot %d has a label set of %d tokens, outside its class [%d, %d]", name, s, n, c.lo, c.hi)
+					}
+				}
+			}
+			if s > c.start && (l.prior[s] > l.prior[s-1] || l.prior[s] == l.prior[s-1] && l.id[s] <= l.id[s-1]) {
+				t.Errorf("%s: slot %d (prior %v, ID %d) follows prior %v, ID %d", name, s, l.prior[s], l.id[s], l.prior[s-1], l.id[s-1])
+			}
+		}
+	}
+	if int(next) != len(l.id) {
+		t.Errorf("%s: classes cover %d of %d slots", name, next, len(l.id))
+	}
+	for tok := range len(l.postOff) - 1 {
+		p := l.postings[l.postOff[tok]:l.postOff[tok+1]]
+		if !slices.IsSorted(p) || len(slices.Compact(slices.Clone(p))) != len(p) {
+			t.Errorf("%s: token %d's postings %v are not strictly ascending", name, tok, p)
+		}
+	}
+}
+
+// TestIndexInvariants checks the index on the Philadelphia graph and on
+// random graphs with plural and repeated words, so raw and lemma sizes of
+// one label differ, and slots with several labels of different sizes.
+func TestIndexInvariants(t *testing.T) {
+	g, _ := phillyGraph(t)
+	checkIndex(t, "philly", New(g, Options{}))
+	words := []string{"movie", "movies", "city", "cities", "box", "boxes", "New", "York", "the", "II"}
+	for seed := range int64(20) {
+		rng := rand.New(rand.NewSource(seed))
+		g := store.New()
+		phrase := func(sep string) string {
+			ws := make([]string, 1+rng.Intn(4))
+			for i := range ws {
+				ws[i] = words[rng.Intn(len(words))]
+			}
+			return strings.Join(ws, sep)
+		}
+		ents := make([]rdf.Term, 5+rng.Intn(30))
+		for i := range ents {
+			ents[i] = rdf.Resource(fmt.Sprint(phrase("_"), "_", i%4))
+			for range rng.Intn(3) {
+				g.Add(rdf.T(ents[i], rdf.NewIRI(rdf.RDFSLabel), rdf.NewLiteral(phrase(" "))))
+			}
+			g.Add(rdf.T(ents[i], rdf.Ontology("p"), ents[rng.Intn(i+1)]))
+		}
+		if rng.Intn(2) == 0 {
+			g.Add(rdf.T(ents[0], rdf.NewIRI(rdf.RDFType), rdf.Ontology(phrase(""))))
+		}
+		checkIndex(t, fmt.Sprint("seed ", seed), New(g, Options{}))
 	}
 }
 
