@@ -33,7 +33,8 @@ build:
 # benchmark's own fixture. Last nl-scale: its verification (every answer
 # equal to the generator's gold on the 20 000-person KB) is the only
 # tier-1 place the linker's stop rule meets a 20 000-slot run of tied
-# scores.
+# scores, and where its per-slot bound meets names whose two name tokens
+# are each on ~830 slots' postings.
 bench-build:
 	cd benchmark && GOFLAGS=-mod=mod GOWORK=off $(GO) vet . && GOFLAGS=-mod=mod GOWORK=off $(GO) build -o /dev/null .
 	bash benchmark/run.sh --workload qald --seconds 3
@@ -77,7 +78,10 @@ snapshot-smoke:
 fuzz-seeds:
 	$(GO) test -run 'Fuzz' ./internal/rdf/ ./internal/sparql/ ./internal/nlp/ ./internal/store/ ./internal/serve/
 
-# Short fuzz passes over the parser/evaluator targets (not part of tier1).
+# Short fuzz passes over the parser/evaluator targets (not part of tier1),
+# the question parser, and the lemmatiser whose token → lemma map the
+# linker's per-slot bound rests on. The nlp targets are anchored: -fuzz
+# must match exactly one target per run.
 fuzz:
 	$(GO) test -fuzz FuzzParseSPARQL -fuzztime 30s ./internal/sparql/
 	$(GO) test -fuzz FuzzEvalBudget -fuzztime 30s ./internal/sparql/
@@ -86,6 +90,8 @@ fuzz:
 	$(GO) test -fuzz FuzzLoadShardPart -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzShardServerHandle -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzRequestStringsStayJSON -fuzztime 30s ./internal/serve/
+	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/nlp/
+	$(GO) test -fuzz '^FuzzLemma$$' -fuzztime 30s ./internal/nlp/
 
 # Go micro-benchmarks, for measuring while you work (among them the cold
 # start pair, BenchmarkLoadFrozenKB/ntriples against /gqafrz1). A number

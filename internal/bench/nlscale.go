@@ -92,11 +92,6 @@ func NewNLScaleKB(nPeople, nQuestions int, seed int64) (*NLScaleKB, error) {
 		people[i+1].spouse = i
 		g.Add(rdf.T(people[i].term, spouse, people[i+1].term))
 	}
-	for _, lbls := range map[string][]string{
-		"Person": {"person", "people"}, "City": {"city"}, "Company": {"company"},
-	} {
-		_ = lbls
-	}
 	g.Add(rdf.T(person, lbl, rdf.NewLiteral("person")))
 	g.Add(rdf.T(city, lbl, rdf.NewLiteral("city")))
 	g.Add(rdf.T(company, lbl, rdf.NewLiteral("company")))

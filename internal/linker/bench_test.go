@@ -30,10 +30,11 @@ func nlScaleKB(b *testing.B) *bench.NLScaleKB {
 
 // BenchmarkLink times one Link at the cap BuildQueryGraph links with, on
 // the two links of nl-scale's heavy template ("Which people live in
-// Ciudad 0123?": "people" reaches every person and stops at the tenth kept,
-// the place reaches every city and keeps one), a three-token name (both
-// name tokens shared by ~830 people) and a miss; and "people" with no
-// limit, which scores every slot it reaches.
+// Ciudad 0123?": "people" reaches every person and stops at the tenth kept;
+// the place reaches every city but the per-slot bound reads one, the only
+// city sharing both tokens), a three-token name (both name tokens shared by
+// ~830 people, of whom the bound reads the ~35 sharing both) and a miss;
+// and "people" with no limit, which reads every slot it reaches.
 func BenchmarkLink(b *testing.B) {
 	lk := linker.New(nlScaleKB(b).Graph, linker.Options{})
 	for _, m := range []struct {

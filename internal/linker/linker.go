@@ -25,6 +25,16 @@
 // leaves a class at the first slot whose bound cannot rank above the k-th
 // candidate kept.
 //
+// Link reads only the labels that can pass. The merge counts, per slot,
+// how many of the mention's raw-token and lemma postings it is on; a label
+// shares no more raw tokens than the first count, and no more lemmas than
+// the second plus the slot's lemma-only IDs the mention has (a lemma no
+// raw token of the slot spells, as "city" of "cities", is on no list of
+// that slot). With the class's smallest set size those counts cap the
+// similarity of every label of the slot, and Link skips a slot whose cap
+// is below minSimilarity or cannot rank above the k-th: a name whose three
+// tokens a slot shares one of is skipped unread.
+//
 // Snapshot rule: a Linker is the graph as it was when New ran — labels,
 // class flags and degrees alike. It holds no reference to the graph, so a
 // later mutation reaches linking only through a new Linker.
@@ -84,6 +94,12 @@ type Linker struct {
 	// Label i's raw token IDs are toks[tokOff[i]:lemOff[i]] and its lemma
 	// IDs toks[lemOff[i]:tokOff[i+1]], each sorted and de-duplicated.
 	tokOff, lemOff, toks []uint32
+
+	// lemOnly[lemOnlyOff[s]:lemOnlyOff[s+1]] are the ascending lemma IDs of
+	// slot s's labels that are none of its raw tokens ("city" of a slot
+	// labelled "cities"): a mention lemma a label of s can share without s
+	// being on that lemma's postings. Most slots have none.
+	lemOnlyOff, lemOnly []uint32
 }
 
 // sizeClass is the slots start:end whose label sets, raw and lemma alike,
@@ -272,11 +288,13 @@ func (b *builder) renumber() {
 
 // post lays out the postings: a counting pass over every slot's raw sets,
 // then a filling one. Slots are visited in ascending order, so each list
-// comes out sorted, and a token met twice in one slot counts once.
+// comes out sorted, and a token met twice in one slot counts once. The
+// filling pass also collects each slot's lemma-only IDs: once a slot's raw
+// tokens are marked, a lemma still unmarked is none of them.
 func (b *builder) post() {
 	n := len(b.vocab)
 	last := make([]uint32, n) // token ID → slot+1 that last reached it
-	each := func(visit func(t, s uint32)) {
+	each := func(visit func(t, s uint32), done func(s uint32)) {
 		clear(last)
 		for s, r := range b.lab {
 			for i := r[0]; i < r[1]; i++ {
@@ -287,18 +305,32 @@ func (b *builder) post() {
 					}
 				}
 			}
+			done(uint32(s))
 		}
 	}
 	b.postOff = make([]uint32, n+1)
-	each(func(t, _ uint32) { b.postOff[t+1]++ })
+	each(func(t, _ uint32) { b.postOff[t+1]++ }, func(uint32) {})
 	for t := range n {
 		b.postOff[t+1] += b.postOff[t]
 	}
 	b.postings = make([]uint32, b.postOff[n])
 	next := slices.Clone(b.postOff[:n])
+	b.lemOnlyOff = make([]uint32, 1, len(b.lab)+1)
 	each(func(t, s uint32) {
 		b.postings[next[t]] = s
 		next[t]++
+	}, func(s uint32) {
+		start := len(b.lemOnly)
+		for i := b.lab[s][0]; i < b.lab[s][1]; i++ {
+			for _, t := range b.toks[b.lemOff[i]:b.tokOff[i+1]] {
+				if last[t] != s+1 {
+					last[t] = s + 1
+					b.lemOnly = append(b.lemOnly, t)
+				}
+			}
+		}
+		slices.Sort(b.lemOnly[start:])
+		b.lemOnlyOff = append(b.lemOnlyOff, uint32(len(b.lemOnly)))
 	})
 }
 
@@ -331,6 +363,20 @@ type query struct {
 	nRaw, nLem int
 }
 
+// query tokenises text; a text with no token gives nRaw == 0.
+func (l *Linker) query(text string) query {
+	toks := sortedSet(appendTokens(nil, text))
+	if len(toks) == 0 {
+		return query{}
+	}
+	lems := make([]string, len(toks))
+	for i, t := range toks {
+		lems[i] = nlp.Lemma(t, "NNS")
+	}
+	lems = sortedSet(lems)
+	return query{raw: l.ids(toks), lem: l.ids(lems), nRaw: len(toks), nLem: len(lems)}
+}
+
 // Link returns up to limit candidates for the mention, ranked by
 // descending confidence, ties by ascending ID. A limit ≤ 0 means no cap.
 func (l *Linker) Link(mention string, limit int) []Candidate {
@@ -342,34 +388,43 @@ func (l *Linker) Link(mention string, limit int) []Candidate {
 	return out
 }
 
-// link is Link without its metrics; it also returns how many slots it
-// scored.
+// link is Link without its metrics; it also returns how many slots'
+// labels it read.
 func (l *Linker) link(text string, limit int) ([]Candidate, int) {
-	toks := sortedSet(appendTokens(nil, text))
-	if len(toks) == 0 {
+	m := l.query(text)
+	if m.nRaw == 0 {
 		return nil, 0
 	}
-	lems := make([]string, len(toks))
-	for i, t := range toks {
-		lems[i] = nlp.Lemma(t, "NNS")
-	}
-	lems = sortedSet(lems)
-	m := query{raw: l.ids(toks), lem: l.ids(lems), nRaw: len(toks), nLem: len(lems)}
 
-	var lists [][]uint32
+	// A list is what is left of one mention token's postings,
+	// postings[at:end]. A token that is both a raw token and a lemma of the
+	// mention has one list, counted on both sides.
+	type list struct {
+		at, end  uint32
+		raw, lem int32 // 1 when the token is among the mention's raw tokens, its lemmas
+	}
+	lists := make([]list, 0, 8)
 	for _, t := range sortedSet(slices.Concat(m.raw, m.lem)) {
-		if p := l.postings[l.postOff[t]:l.postOff[t+1]]; len(p) > 0 {
-			lists = append(lists, p)
+		ls := list{at: l.postOff[t], end: l.postOff[t+1]}
+		if ls.at == ls.end {
+			continue
 		}
+		if slices.Contains(m.raw, t) {
+			ls.raw = 1
+		}
+		if slices.Contains(m.lem, t) {
+			ls.lem = 1
+		}
+		lists = append(lists, ls)
 	}
 	if len(lists) == 0 {
 		return nil, 0
 	}
 	// A class whose reach is below minSimilarity holds no candidate; the
 	// others go best reach first, so the kept slice fills with high scores.
-	// order and sub get constant capacities so that they live on the stack
-	// for the few classes and mention tokens a call usually has: on a small
-	// KB their allocations cost more than the walk saves.
+	// lists, order and sub get constant capacities so that they live on the
+	// stack for the few classes and mention tokens a call usually has: on a
+	// small KB their allocations cost more than the walk saves.
 	type visit struct {
 		*sizeClass
 		reach float64
@@ -385,45 +440,75 @@ func (l *Linker) link(text string, limit int) ([]Candidate, int) {
 
 	var out []Candidate
 	scored := 0
-	sub := make([][]uint32, 0, 8)
+	sub := make([]list, 0, 8)
 	for _, v := range order {
 		// A k-way merge of the class's stretch of every mention token's
 		// postings visits each slot that shares a token once, in slot order.
 		sub = sub[:0]
-		for _, p := range lists {
+		for _, ls := range lists {
+			p := l.postings[ls.at:ls.end]
 			i, _ := slices.BinarySearch(p, v.start)
 			if j, _ := slices.BinarySearch(p[i:], v.end); j > 0 {
-				sub = append(sub, p[i:i+j])
+				ls.at, ls.end = ls.at+uint32(i), ls.at+uint32(i+j)
+				sub = append(sub, ls)
 			}
 		}
+		counts, sim := [2]int{-1, -1}, 0.0
 		for len(sub) > 0 {
-			s := sub[0][0]
-			for _, p := range sub[1:] {
-				s = min(s, p[0])
+			s := l.postings[sub[0].at]
+			for _, ls := range sub[1:] {
+				s = min(s, l.postings[ls.at])
 			}
-			// The stop is exact. No slot from s on scores above
-			// score(reach, prior[s]): its similarity is at most reach, its
-			// prior at most prior[s], and score rounds monotonically in
-			// each. A later slot with an equal prior has a larger ID, so it
-			// ranks below that bound; one with a lower prior has a strictly
-			// lower bound: priors are deg/maxDeg with integer degrees, at
-			// least 1/maxDeg apart, and 0.15× that is far above one ulp of
-			// a sum ≤ 1.
+			// Advance and count the lists s heads; drop the spent ones.
+			var cRaw, cLem int32
+			for i := 0; i < len(sub); {
+				ls := &sub[i]
+				if l.postings[ls.at] == s {
+					cRaw, cLem = cRaw+ls.raw, cLem+ls.lem
+					if ls.at++; ls.at == ls.end {
+						sub[i] = sub[len(sub)-1]
+						sub = sub[:len(sub)-1]
+						continue
+					}
+				}
+				i++
+			}
+			// A label of s shares at most cRaw raw tokens with the
+			// mention, one per raw-token list s is on, and at most cLem
+			// lemmas through lemma lists plus the lemma-only IDs of s the
+			// mention has: a lemma no raw token of s spells puts s on no
+			// list ("cities" under "city box"). bound turns the counts into
+			// a cap on every label's similarity. The cap depends on s only
+			// through its counts, which most slots of a class share, so it
+			// is recomputed when they change.
+			lemOnly := l.lemOnly[l.lemOnlyOff[s]:l.lemOnlyOff[s+1]]
+			if c := [2]int{int(cRaw), int(cLem) + intersect(m.lem, lemOnly)}; c != counts {
+				counts, sim = c, max(v.bound(c[0], m.nRaw), v.bound(c[1], m.nLem))
+			}
+			// The skip is exact: score rounds monotonically in sim, so a
+			// skipped s is either below minSimilarity or ranks below the
+			// k-th. It skips rather than stops, since a later slot may be on
+			// more lists.
+			if sim < minSimilarity {
+				continue
+			}
 			if limit > 0 && len(out) == limit &&
-				rank(out[limit-1], Candidate{ID: l.id[s], Score: score(v.reach, l.prior[s])}) < 0 {
-				break
-			}
-			n := 0
-			for _, p := range sub {
-				if p[0] == s {
-					p = p[1:]
+				rank(out[limit-1], Candidate{ID: l.id[s], Score: score(sim, l.prior[s])}) < 0 {
+				// The stop is exact too. No slot from s on scores above
+				// score(reach, prior[s]): its similarity is at most reach,
+				// its prior at most prior[s], and score rounds monotonically
+				// in each. A later slot with an equal prior has a larger ID,
+				// so it ranks below that bound; one with a lower prior has a
+				// strictly lower bound: priors are deg/maxDeg with integer
+				// degrees, at least 1/maxDeg apart, and 0.15× that is far
+				// above one ulp of a sum ≤ 1. Since sim ≤ reach, every slot
+				// the stop would leave the skip leaves too, so testing the
+				// stop only here reads the same slots.
+				if rank(out[limit-1], Candidate{ID: l.id[s], Score: score(v.reach, l.prior[s])}) < 0 {
+					break
 				}
-				if len(p) > 0 {
-					sub[n] = p
-					n++
-				}
+				continue
 			}
-			sub = sub[:n]
 			scored++
 			if c, ok := l.candidate(s, &m); ok {
 				out = keep(out, c, limit)
@@ -448,6 +533,22 @@ func (c *sizeClass) reach(n int) float64 {
 		return float64(c.hi) / float64(n)
 	}
 	return 1
+}
+
+// bound caps the similarity to any label set of c of a mention set of n
+// tokens that shares at most inter of them. Jaccard inter/(n+L−inter)
+// grows with inter and falls with L ≥ lo. While inter < min(n, lo) neither
+// set can contain the other, so inter/(n+lo−inter) caps it; otherwise the
+// intersection is at most min(inter, n) and the union at least n, which
+// caps Jaccard and containment alike at min(inter, n)/n, and reach caps it
+// as well. Each cap is a quotient whose integers bound similarity's own
+// from above and below, and a quotient rounds monotonically, so the cap
+// holds on the float64s too.
+func (c *sizeClass) bound(inter, n int) float64 {
+	if inter < min(n, c.lo) {
+		return float64(inter) / float64(n+c.lo-inter)
+	}
+	return min(float64(min(inter, n))/float64(n), c.reach(n))
 }
 
 // ids returns the sorted token IDs of the distinct tokens toks that the

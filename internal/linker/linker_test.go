@@ -233,6 +233,31 @@ func TestLinkRecordsEveryMention(t *testing.T) {
 	}
 }
 
+// TestLinkLemmaOnlyMatch: the label "Cities Box" is on the postings of
+// "cities" and "box", not of "city", yet under the mention "city box" its
+// lemma set {city, box} matches in full. The per-slot bound must count the
+// slot's lemma-only "city": without it the slot, on one list of two, is
+// capped at 1/3 and skipped.
+func TestLinkLemmaOnlyMatch(t *testing.T) {
+	g := store.New()
+	if err := g.AddAll([]rdf.Triple{
+		rdf.T(rdf.Resource("Cities_Box"), rdf.Ontology("p"), rdf.Resource("Box")),
+		rdf.T(rdf.Resource("Box"), rdf.NewIRI(rdf.RDFType), rdf.Ontology("City")),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	l, ref := New(g, Options{}), newReference(g)
+	for _, limit := range []int{0, 1} {
+		got, want := l.Link("city box", limit), ref.Link("city box", limit)
+		if !slices.Equal(got, want) {
+			t.Errorf("Link(city box, %d) = %v, the reference %v", limit, got, want)
+		}
+		if len(got) == 0 || g.Term(got[0].ID).Label() != "Cities Box" {
+			t.Errorf("Link(city box, %d) = %v, want Cities_Box first", limit, got)
+		}
+	}
+}
+
 func TestLinkClassContainmentRule(t *testing.T) {
 	g, ids := phillyGraph(t)
 	l := New(g, Options{})
