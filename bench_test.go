@@ -352,8 +352,9 @@ func BenchmarkDictionaryMaintenance(b *testing.B) {
 	})
 }
 
-// BenchmarkAggregationExtension: the rewrite overhead of a counting
-// question versus its base query.
+// BenchmarkAggregationExtension: what the count operator costs a counting
+// question over its base question — one scan for the operator and the
+// base question's words parsed in the same stage.
 func BenchmarkAggregationExtension(b *testing.B) {
 	g := bench.MustKB()
 	d, _, err := bench.BuildDictionary(g)

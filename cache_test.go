@@ -234,6 +234,40 @@ func TestDegradedAnswerNotCached(t *testing.T) {
 	}
 }
 
+// TestDegradedAggregationNotCached: a count whose base question's search a
+// deadline cut short is degraded like any other answer — not an
+// aggregation failure stored for the next caller, who with no deadline must
+// get the count.
+func TestDegradedAggregationNotCached(t *testing.T) {
+	sys, err := Open(Source{}, Options{EnableAggregation: true, Cache: CacheConfig{Entries: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faultpoint.Reset()
+	defer faultpoint.Reset()
+	faultpoint.Set(faultpoint.MatcherExtend, faultpoint.Fault{Delay: 20 * time.Millisecond})
+	const q = "How many films did Antonio Banderas star in?"
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	cut, err := sys.AnswerContext(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut.Degraded != "deadline" {
+		t.Fatalf("deadline-cut count: Degraded = %q (failure %q), want \"deadline\"", cut.Degraded, cut.Failure)
+	}
+
+	faultpoint.Reset()
+	full, err := sys.AnswerContext(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Labels) != 1 || full.Labels[0] != "3" {
+		t.Fatalf("count after the deadline-cut ask: labels %q (failure %q), want [3]", full.Labels, full.Failure)
+	}
+}
+
 // TestDeadShardAnswerNotCached: the store served by four loopback shard
 // servers (the topology benchmark/'s match-rpc builds), the shard that owns
 // Berlin dead. The pruning pass then reads "Berlin has no mayor edge" off a

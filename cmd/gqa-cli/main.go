@@ -54,13 +54,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gqa-cli:", err)
 		os.Exit(1)
 	}
-	if *aggregate {
-		// Common DBpedia-flavored superlatives.
-		sys.RegisterSuperlative("youngest", "http://dbpedia.org/ontology/age", false)
-		sys.RegisterSuperlative("oldest", "http://dbpedia.org/ontology/age", true)
-		sys.RegisterSuperlative("highest", "http://dbpedia.org/ontology/elevation", true)
-		sys.RegisterSuperlative("tallest", "http://dbpedia.org/ontology/height", true)
-	}
 
 	if flag.NArg() > 0 {
 		for _, q := range flag.Args() {

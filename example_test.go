@@ -72,3 +72,34 @@ func ExampleSystem_Query() {
 	// Philadelphia (film)
 	// The Mask of Zorro
 }
+
+// The aggregation extension (the paper's future work) answers counting and
+// superlative questions: the four examples/aggregation asks. Opening with
+// EnableAggregation registers the bundled KB's superlatives.
+func ExampleSystem_Answer_aggregation() {
+	sys, err := gqa.Open(gqa.Source{}, gqa.Options{EnableAggregation: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, q := range []string{
+		"How many films did Antonio Banderas star in?",
+		"How many children did Margaret Thatcher have?",
+		"Who is the youngest player in the Premier League?",
+		"What is the longest river in Germany?", // no length data
+	} {
+		ans, err := sys.Answer(q)
+		if err != nil {
+			log.Fatal(err)
+		}
+		answer := strings.Join(ans.Labels, "; ")
+		if !ans.OK {
+			answer = "(no answer — " + ans.Failure + ")"
+		}
+		fmt.Printf("%-55s → %s\n", q, answer)
+	}
+	// Output:
+	// How many films did Antonio Banderas star in?            → 3
+	// How many children did Margaret Thatcher have?           → 2
+	// Who is the youngest player in the Premier League?       → Theo Walcott
+	// What is the longest river in Germany?                   → (no answer — aggregation)
+}

@@ -1,6 +1,9 @@
 // Aggregation: the paper's future-work extension in action — counting and
-// superlative questions answered by rewriting onto the base engine, plus
-// the equivalent explicit SPARQL with FILTER/ORDER BY.
+// superlative questions answered by a count or a ranking applied to the
+// answers of their base question, plus the equivalent explicit SPARQL with
+// FILTER/ORDER BY. Opening with EnableAggregation registers the bundled
+// KB's superlatives; RegisterSuperlative, called below for two of them,
+// adds or redefines one.
 //
 //	go run ./examples/aggregation
 package main

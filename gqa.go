@@ -59,8 +59,10 @@ type Options struct {
 	// §4.1.2 (the Table 9 ablation).
 	DisableHeuristicRules bool
 	// EnableAggregation turns on the counting/superlative extension (the
-	// paper's future work). Superlative adjectives are interpreted via
-	// RegisterSuperlative.
+	// paper's future work). The mini-DBpedia's superlatives (youngest and
+	// oldest by ⟨age⟩, highest by ⟨elevation⟩, tallest by ⟨height⟩) are
+	// registered for the predicates the graph has; RegisterSuperlative adds
+	// more.
 	EnableAggregation bool
 	// Budget bounds the resources each Answer/Query call may consume
 	// (wall-clock timeout, search steps, candidate expansions, SPARQL
@@ -109,18 +111,22 @@ func NewSystem(g *store.Graph, d *dict.Dictionary, opts Options) *System {
 		d = dict.New()
 	}
 	g.Freeze()
+	eng := core.NewSystem(g, d, core.Options{
+		TopK:                  opts.TopK,
+		MaxVertexCandidates:   opts.MaxCandidates,
+		DisableHeuristicRules: opts.DisableHeuristicRules,
+		EnableAggregation:     opts.EnableAggregation,
+		Budget:                opts.Budget.limits(),
+	})
+	if opts.EnableAggregation {
+		bench.RegisterSuperlatives(eng, g)
+	}
 	return &System{
 		graph:  g,
 		dict:   d,
 		budget: opts.Budget,
 		cache:  qcache.New(opts.Cache.Entries),
-		core: core.NewSystem(g, d, core.Options{
-			TopK:                  opts.TopK,
-			MaxVertexCandidates:   opts.MaxCandidates,
-			DisableHeuristicRules: opts.DisableHeuristicRules,
-			EnableAggregation:     opts.EnableAggregation,
-			Budget:                opts.Budget.limits(),
-		}),
+		core:   eng,
 	}
 }
 
@@ -247,7 +253,10 @@ type Answer struct {
 	// SPARQL is the fully disambiguated SPARQL query corresponding to the
 	// best match (Algorithm 3's "top-k SPARQL queries" artifact), when one
 	// exists. It evaluates to the same answers on the same graph and can
-	// be exported to any SPARQL endpoint.
+	// be exported to any SPARQL endpoint. It is empty for a count or a
+	// superlative the aggregation extension answered: the dialect has no
+	// COUNT, and ORDER BY would not reproduce the ranking's parse and tie
+	// rules.
 	SPARQL string
 	// Degraded is set when a budget (Options.Budget or the caller's
 	// context) ran out before the search completed: "deadline",
@@ -313,7 +322,7 @@ func (s *System) buildAnswer(res *core.Result) *Answer {
 		out.Labels = append(out.Labels, fmt.Sprintf("%d", *res.Count))
 		out.IRIs = append(out.IRIs, fmt.Sprintf(`"%d"`, *res.Count))
 	}
-	if len(res.Matches) > 0 && res.Query != nil {
+	if len(res.Matches) > 0 && res.Query != nil && !res.Aggregated {
 		if sq, err := core.ResolvedSPARQL(s.graph, res.Query, &res.Matches[0]); err == nil {
 			out.SPARQL = sq.String()
 		}

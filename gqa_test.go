@@ -7,6 +7,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -223,6 +225,72 @@ func TestFacadeResolvedSPARQL(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("resolved SPARQL rows: %v\n%s", res.Rows, ans.SPARQL)
+	}
+}
+
+// TestExplainFailedAggregation: a superlative whose base question's answers
+// have nothing to rank by fails as aggregation, and Explain shows no match
+// behind an answer it does not give.
+func TestExplainFailedAggregation(t *testing.T) {
+	s, err := Open(Source{}, Options{EnableAggregation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Registered already; registering it again changes nothing.
+	s.RegisterSuperlative("oldest", "http://dbpedia.org/ontology/age", true)
+	ans, lines, err := s.Explain("Which is the oldest company in Munich?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.Failure != "aggregation" || len(lines) != 0 {
+		t.Fatalf("failure %q with explain lines %q; want the aggregation failure and none", ans.Failure, lines)
+	}
+}
+
+// TestAnswerSPARQLEvaluatesToTheAnswer: Answer.SPARQL evaluates to the
+// answer itself — its rows are the answer's terms, or its truth value the
+// answer's boolean — on every workload question that has one, with the
+// aggregation extension on. A count or a superlative has none: no query of
+// the dialect yields "3", and an ORDER BY does not rank as the extension
+// does.
+func TestAnswerSPARQLEvaluatesToTheAnswer(t *testing.T) {
+	s, err := Open(Source{}, Options{EnableAggregation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, q := range bench.Workload() {
+		ans, err := s.Answer(q.Text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.SPARQL == "" {
+			continue
+		}
+		res, err := s.Query(ans.SPARQL)
+		if err != nil {
+			t.Fatalf("%s: resolved SPARQL does not evaluate: %v\n%s", q.ID, err, ans.SPARQL)
+		}
+		checked++
+		if ans.Boolean != nil {
+			if res.Boolean != *ans.Boolean {
+				t.Errorf("%s: SPARQL answers %v, the answer %v\n%s", q.ID, res.Boolean, *ans.Boolean, ans.SPARQL)
+			}
+			continue
+		}
+		var rows []string
+		for _, row := range res.Rows {
+			rows = append(rows, row["answer"].String())
+		}
+		want := append([]string(nil), ans.IRIs...)
+		sort.Strings(rows)
+		sort.Strings(want)
+		if !slices.Equal(rows, want) {
+			t.Errorf("%s %q: SPARQL rows %q, answer %q\n%s", q.ID, q.Text, rows, ans.Labels, ans.SPARQL)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no workload answer carried SPARQL")
 	}
 }
 

@@ -1,27 +1,28 @@
 package core
 
 // Aggregation extension (opt-in). The paper cannot answer counting or
-// superlative questions — 35% of its failures (Table 10) — and names
-// aggregation support as future work. This file implements the natural
-// extension on top of the existing machinery:
+// superlative questions — 35% of its failures (Table 10) — and sketches
+// the ORDER BY … LIMIT 1 rewrite as future work. As in NLAQ (PAPERS.md),
+// an aggregation here is an operator on the answers of Q^S: the parse
+// stage reduces the question to its base question, the pipeline
+// understands and matches that base question once, and then
 //
-//   - "How many X …?"        → answer the underlying "Which X …?" query
-//     and return the cardinality of its answer set;
-//   - "…the youngest X …?"   → answer the base query without the
-//     superlative and rank the answers by the numeric predicate registered
-//     for the adjective (the ORDER BY ASC/DESC LIMIT 1 rewrite the paper
-//     sketches for SPARQL).
+//   - "How many X …?" counts its answers;
+//   - "…the youngest X …?" keeps the answer that ranks first by the
+//     numeric predicate registered for the adjective, read through the
+//     frozen view the search read.
 //
 // Enabled with Options.EnableAggregation; off by default so the baseline
 // experiments reproduce the paper's failure taxonomy.
 
 import (
-	"context"
-	"sort"
+	"cmp"
 	"strconv"
 	"strings"
 
+	"gqa/internal/budget"
 	"gqa/internal/nlp"
+	"gqa/internal/obs"
 	"gqa/internal/store"
 )
 
@@ -43,146 +44,121 @@ func (s *System) RegisterSuperlative(adj string, pred store.ID, max bool) {
 	s.superlatives[adj] = Superlative{Adjective: adj, Pred: pred, Max: max}
 }
 
-// tryAggregate attempts the aggregation rewrites on an aggregation-flagged
-// question. It returns a completed Result, or nil when the question is not
-// rewritable (the caller then reports the paper's aggregation failure).
-func (s *System) tryAggregate(ctx context.Context, question string, y *nlp.DepTree) (*Result, error) {
-	if !s.Opts.EnableAggregation {
-		return nil, nil
-	}
-	// Counting: "How many X did … ?" → "Which X did … ?", count answers.
-	if reduced, ok := rewriteHowMany(y); ok {
-		inner, err := s.answerNonAggregate(ctx, reduced)
-		if err != nil {
-			return nil, err
-		}
-		if inner.Failure != FailureNone {
-			return nil, nil
-		}
-		n := len(inner.Answers)
-		inner.Question = question
-		inner.Count = &n
-		inner.Answers = nil
-		inner.Aggregated = true
-		return inner, nil
-	}
-	// Superlative: strip the registered adjective, rank the base answers.
-	if adj, reduced, ok := s.rewriteSuperlative(y); ok {
-		inner, err := s.answerNonAggregate(ctx, reduced)
-		if err != nil {
-			return nil, err
-		}
-		if inner.Failure != FailureNone || len(inner.Answers) == 0 {
-			return nil, nil
-		}
-		ranked := s.rankByPredicate(inner.Answers, adj)
-		if len(ranked) == 0 {
-			return nil, nil
-		}
-		inner.Question = question
-		inner.Answers = ranked[:1]
-		inner.Aggregated = true
-		return inner, nil
-	}
-	return nil, nil
+// aggregate is the operator an aggregation question applies to the answers
+// of its base question: count them, or keep the one sup ranks first.
+type aggregate struct {
+	count bool
+	sup   Superlative // the ranking, when !count
+	base  []nlp.Token // the base question's words
 }
 
-// rewriteHowMany turns "How many films did X star in?" into
-// "Which films did X star in?"; the possessive form "How many X did Y
-// have?" becomes "Give me the X of Y." so the noun relation ("children
-// of") carries the query.
-func rewriteHowMany(y *nlp.DepTree) (string, bool) {
-	if y.Size() < 3 {
-		return "", false
-	}
-	if y.Node(0).Lower != "how" || (y.Node(1).Lower != "many" && y.Node(1).Lower != "much") {
-		return "", false
-	}
-	last := y.Node(y.Size() - 1)
-	if last.Lemma == "have" || last.Lemma == "get" {
-		// Locate the do-support auxiliary separating X from Y.
-		didAt := -1
-		for i := 2; i < y.Size()-1; i++ {
-			if y.Node(i).Lemma == "do" {
-				didAt = i
-				break
-			}
-		}
-		if didAt > 2 && didAt < y.Size()-2 {
-			words := []string{"Give", "me", "the"}
-			for i := 2; i < didAt; i++ {
-				words = append(words, y.Node(i).Text)
-			}
-			words = append(words, "of")
-			for i := didAt + 1; i < y.Size()-1; i++ {
-				words = append(words, y.Node(i).Text)
-			}
-			return strings.Join(words, " ") + ".", true
-		}
-	}
-	words := []string{"Which"}
-	for i := 2; i < y.Size(); i++ {
-		words = append(words, y.Node(i).Text)
-	}
-	return strings.Join(words, " ") + "?", true
-}
-
-// rewriteSuperlative removes the first registered superlative adjective
-// from the question, returning it and the reduced question.
-func (s *System) rewriteSuperlative(y *nlp.DepTree) (Superlative, string, bool) {
+// aggregation scans y once. It reports whether y is an aggregation
+// question: "how many/much", or a superlative adjective that no relation
+// phrase materializes ("the largest city in" is ⟨largestCity⟩, the paper's
+// Q86, answerable as it stands). With the extension on it also returns the
+// operator, or nil when the question does not reduce:
+//
+//   - "How many films did X star in?" counts "Which films did X star in";
+//   - "How many children did Y have?" counts "Give me the children of Y",
+//     so the noun relation ("children of") carries the query;
+//   - otherwise the first registered superlative adjective leaves the
+//     words and ranks their answers.
+func (s *System) aggregation(y *nlp.DepTree) (bool, *aggregate) {
+	agg, supAt := false, -1
 	for i := 0; i < y.Size(); i++ {
 		n := y.Node(i)
-		if n.Tag != "JJS" {
-			continue
-		}
-		sup, ok := s.superlatives[n.Lower]
-		if !ok {
-			continue
-		}
-		var words []string
-		for j := 0; j < y.Size(); j++ {
-			if j == i {
-				continue
+		if n.Tag == "JJS" {
+			agg = agg || len(s.Dict.PhrasesWithWord(n.Lemma)) == 0
+			if _, ok := s.superlatives[n.Lower]; ok && supAt < 0 {
+				supAt = i
 			}
-			words = append(words, y.Node(j).Text)
 		}
-		return sup, strings.Join(words, " ") + "?", true
+		if (n.Lower == "many" || n.Lower == "much") && i > 0 && y.Node(i-1).Lower == "how" {
+			agg = true
+		}
 	}
-	return Superlative{}, "", false
+	if !agg || !s.Opts.EnableAggregation {
+		return agg, nil
+	}
+	word := func(w string) nlp.Token { return nlp.Token{Text: w, Lower: strings.ToLower(w)} }
+	nodes := func(base []nlp.Token, from, to int) []nlp.Token {
+		for i := from; i < to; i++ {
+			base = append(base, y.Node(i).Token)
+		}
+		return base
+	}
+	size := y.Size()
+	if size >= 3 && y.Node(0).Lower == "how" && (y.Node(1).Lower == "many" || y.Node(1).Lower == "much") {
+		if last := y.Node(size - 1).Lemma; last == "have" || last == "get" {
+			// The do-support auxiliary separates X from Y.
+			did := -1
+			for i := 2; i < size-1 && did < 0; i++ {
+				if y.Node(i).Lemma == "do" {
+					did = i
+				}
+			}
+			if did > 2 && did < size-2 {
+				base := nodes([]nlp.Token{word("Give"), word("me"), word("the")}, 2, did)
+				return true, &aggregate{count: true, base: nodes(append(base, word("of")), did+1, size-1)}
+			}
+		}
+		return true, &aggregate{count: true, base: nodes([]nlp.Token{word("Which")}, 2, size)}
+	}
+	if supAt >= 0 {
+		base := nodes(nodes(nil, 0, supAt), supAt+1, size)
+		return true, &aggregate{sup: s.superlatives[y.Node(supAt).Lower], base: base}
+	}
+	return true, nil
 }
 
-// rankByPredicate orders entities by the numeric object of sup.Pred
-// (entities without a parseable value are dropped).
-func (s *System) rankByPredicate(entities []store.ID, sup Superlative) []store.ID {
-	type scored struct {
-		id store.ID
-		v  float64
+// apply applies the operator to res, its base question's result; view is
+// the view the search read. A base question with no answer to aggregate is
+// the aggregation failure, which keeps res's Degraded: a result a budget
+// cut short is never cached.
+func (op *aggregate) apply(res *Result, view store.View, tr *budget.Tracker, sp *obs.Span) *Result {
+	switch {
+	case res.Failure != FailureNone:
+	case op.count:
+		n := len(res.Answers)
+		res.Count, res.Answers, res.Aggregated = &n, nil, true
+		return res
+	case len(res.Answers) > 0:
+		// A remote read is bound to the request like the search's, so a shard
+		// that fails it degrades the answer instead of leaving it unranked.
+		sn, _ := view.(*store.Snapshot)
+		if sn != nil {
+			sn = sn.BindRequest(tr, sp)
+			view = sn
+		}
+		best, ok := op.sup.best(view, res.Answers)
+		res.Degraded = cmp.Or(res.Degraded, sn.DegradeReason())
+		if ok {
+			res.Answers, res.Aggregated = []store.ID{best}, true
+			return res
+		}
 	}
-	var xs []scored
-	for _, e := range entities {
-		for _, edge := range s.Graph.Out(e) {
-			if edge.Pred != sup.Pred {
-				continue
-			}
-			t := s.Graph.Term(edge.To)
+	return &Result{Question: res.Question, Tree: res.Tree, Failure: FailureAggregation,
+		Timing: res.Timing, Stats: res.Stats, Degraded: res.Degraded}
+}
+
+// best returns the entity of es that ranks first: the smallest (under Max,
+// the largest) numeric object of sup.Pred, the earliest of equals. An
+// entity without a parseable value is not ranked.
+func (sup Superlative) best(view store.View, es []store.ID) (store.ID, bool) {
+	best, bestV, found := store.None, 0.0, false
+	for _, e := range es {
+		for _, edge := range view.OutPred(e, sup.Pred) {
+			t := view.Term(edge.To)
 			if !t.IsLiteral() {
 				continue
 			}
 			if v, err := strconv.ParseFloat(t.Value(), 64); err == nil {
-				xs = append(xs, scored{id: e, v: v})
+				if !found || sup.Max && v > bestV || !sup.Max && v < bestV {
+					best, bestV, found = e, v, true
+				}
 				break
 			}
 		}
 	}
-	sort.SliceStable(xs, func(i, j int) bool {
-		if sup.Max {
-			return xs[i].v > xs[j].v
-		}
-		return xs[i].v < xs[j].v
-	})
-	out := make([]store.ID, len(xs))
-	for i, x := range xs {
-		out[i] = x.id
-	}
-	return out
+	return best, found
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"gqa/internal/linker"
+	"gqa/internal/nlp"
 )
 
 func buildQS(t *testing.T, q string) (*System, *QueryGraph) {
@@ -126,19 +128,54 @@ func TestQueryGraphStringRendering(t *testing.T) {
 	}
 }
 
-func TestAggregateRewrites(t *testing.T) {
-	y := mustParse(t, "How many films did Antonio Banderas star in?")
-	got, ok := rewriteHowMany(y)
-	if !ok || got != "Which films did Antonio Banderas star in?" {
-		t.Fatalf("rewrite = %q, %v", got, ok)
+// TestAggregationReducesToTheBaseQuestion: the one scan finds the operator
+// and the base question's words, and parsing those words gives the tree the
+// base question's text parses to — the string the extension used to rebuild
+// and parse again, shown as want.
+func TestAggregationReducesToTheBaseQuestion(t *testing.T) {
+	s, ids := figure1System(t, Options{EnableAggregation: true})
+	for _, adj := range []string{"youngest", "highest", "oldest", "tallest"} {
+		s.RegisterSuperlative(adj, ids["spouse"], adj != "youngest")
 	}
-	y = mustParse(t, "How many children did Margaret Thatcher have?")
-	got, ok = rewriteHowMany(y)
-	if !ok || got != "Give me the children of Margaret Thatcher." {
-		t.Fatalf("possessive rewrite = %q, %v", got, ok)
+	for _, c := range []struct {
+		question, want string
+		count          bool
+	}{
+		{"How many films did Antonio Banderas star in?", "Which films did Antonio Banderas star in?", true},
+		{"How many children did Margaret Thatcher have?", "Give me the children of Margaret Thatcher.", true},
+		{"How many members does the Prodigy have?", "Give me the members of the Prodigy.", true},
+		{"How many children did J.F. Kennedy have?", "Give me the children of J.F. Kennedy.", true},
+		{"How many children did Obama's wife have?", "Give me the children of Obama 's wife.", true},
+		{"How much money did the U.S. spend?", "Which money did the U.S. spend?", true},
+		{"Who is the youngest player in the Premier League?", "Who is the player in the Premier League?", false},
+		{"What is the highest mountain in the world?", "What is the mountain in the world?", false},
+		{"Which is the oldest company in Munich?", "Which is the company in Munich?", false},
+		{"Who is the tallest basketball player?", "Who is the basketball player?", false},
+	} {
+		agg, op := s.aggregation(mustParse(t, c.question))
+		if !agg || op == nil || op.count != c.count {
+			t.Errorf("%q: aggregation = %v, %+v; want a count = %v operator", c.question, agg, op, c.count)
+			continue
+		}
+		var words []string
+		for _, tok := range op.base {
+			words = append(words, tok.Text)
+		}
+		if got := strings.Join(words, " "); got != c.want[:len(c.want)-1] {
+			t.Errorf("%q reduces to %q, want %q", c.question, got, c.want)
+		}
+		got, err := nlp.ParseTokens(op.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := mustParse(t, c.want); !reflect.DeepEqual(got, want) {
+			t.Errorf("%q: the base question's words parse to\n%v\nwant\n%v", c.question, got, want)
+		}
 	}
-	y = mustParse(t, "Who was married to Antonio Banderas?")
-	if _, ok := rewriteHowMany(y); ok {
-		t.Fatal("non-counting question rewritten")
+	if agg, op := s.aggregation(mustParse(t, "What is the longest river in Germany?")); !agg || op != nil {
+		t.Errorf("unregistered superlative: aggregation = %v, %+v; want an aggregation with no operator", agg, op)
+	}
+	if agg, _ := s.aggregation(mustParse(t, "Who was married to Antonio Banderas?")); agg {
+		t.Error("a question with no count and no superlative read as an aggregation")
 	}
 }

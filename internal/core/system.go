@@ -23,7 +23,7 @@ import (
 // does atomic updates.
 var (
 	questionsTotal = obs.DefaultCounter("gqa_core_questions_total",
-		"Natural-language questions answered (aggregation rewrites counted once).")
+		"Natural-language questions answered (one pipeline run each, aggregation questions included).")
 	failuresTotal = obs.DefaultCounter("gqa_core_failures_total",
 		"Questions that produced no answer (any Table 10 failure kind).")
 	stageSeconds = map[string]*obs.Histogram{
@@ -64,11 +64,6 @@ type System struct {
 	Opts   Options
 
 	superlatives map[string]Superlative // see RegisterSuperlative
-
-	// rewritten marks the System copy that answers a rewritten question
-	// inside the aggregation extension (answerNonAggregate), so the metrics
-	// count each user-visible question exactly once.
-	rewritten bool
 }
 
 // Options configures the online pipeline.
@@ -119,7 +114,9 @@ const (
 	// and no type-only fallback applied.
 	FailureRelationExtraction
 	// FailureAggregation: the question needs aggregation (superlatives,
-	// counts) that the approach cannot express (Table 10 category 3).
+	// counts) that the approach cannot express (Table 10 category 3) — with
+	// the extension on, one that does not reduce to a base question or
+	// whose base question has nothing to count or rank.
 	FailureAggregation
 	// FailureNoMatch: a query graph was built but no subgraph match exists.
 	FailureNoMatch
@@ -151,7 +148,9 @@ type Timing struct {
 
 // Result is the full outcome of answering one question.
 type Result struct {
-	Question  string
+	Question string
+	// Tree is the parse the pipeline understood: for an aggregation
+	// question the extension reduced, its base question's.
 	Tree      *nlp.DepTree
 	Relations []SemanticRelation
 	Query     *QueryGraph
@@ -162,10 +161,11 @@ type Result struct {
 	// Boolean is set for ASK-style questions (no select vertex).
 	Boolean *bool
 	// Count is set for counting questions when the aggregation extension
-	// is enabled ("How many …").
+	// is enabled ("How many …"); Answers is then empty.
 	Count *int
-	// Aggregated reports that the aggregation extension rewrote the
-	// question.
+	// Aggregated reports that the aggregation extension's operator produced
+	// Count or Answers from the base question's answers; Matches are the
+	// base question's.
 	Aggregated bool
 	Failure    FailureKind
 	Timing     Timing
@@ -198,43 +198,64 @@ func (s *System) Answer(question string) (*Result, error) {
 // carries the best partial top-k found so far and Degraded names the
 // exhausted resource. With a Background context and zero limits the
 // behavior is bit-identical to Answer before budgets existed.
+//
+// An aggregation question runs the pipeline once too: the parse stage
+// reduces it to its base question, and the operator is applied to the base
+// question's answers (aggregate.go).
 func (s *System) AnswerContext(ctx context.Context, question string) (out *Result, err error) {
 	if strings.TrimSpace(question) == "" {
 		return nil, errors.New("core: empty question")
 	}
 	tr := budget.New(ctx, s.Opts.Budget)
 	sp := obs.TraceFrom(ctx).Root()
-	if !s.rewritten {
-		questionsTotal.Inc()
-	}
+	questionsTotal.Inc()
 	defer func() { s.finishAnswer(sp, tr, out) }()
-	res := &Result{Question: question}
 	start := time.Now()
 
 	// ---- Stage 1: question understanding (§4.1).
 	psp := sp.Child("nlp.parse")
 	y, err := nlp.Parse(question)
+	var (
+		agg bool
+		op  *aggregate
+	)
+	if err == nil {
+		psp.SetInt("tokens", int64(y.Size()))
+		if agg, op = s.aggregation(y); op != nil {
+			y, err = nlp.ParseTokens(op.base)
+		}
+	}
+	psp.Finish()
 	if err != nil {
-		psp.Finish()
 		return nil, err
 	}
-	psp.SetInt("tokens", int64(y.Size()))
-	psp.Finish()
-	res.Tree = y
+	res := &Result{Question: question, Tree: y}
 	res.Timing.Parse = time.Since(start)
-
-	if s.isAggregation(y) {
-		if agg, err := s.tryAggregate(ctx, question, y); err != nil {
-			return nil, err
-		} else if agg != nil {
-			return agg, nil
+	if op != nil {
+		// One operator per question: a base question that is itself an
+		// aggregation is not reduced again.
+		if nested, _ := s.aggregation(y); nested {
+			op = nil
 		}
+	}
+	if agg && op == nil {
 		res.Failure = FailureAggregation
 		res.Timing.Understanding = time.Since(start)
 		res.Timing.Total = res.Timing.Understanding
 		return res, nil
 	}
+	view := s.evaluate(tr, sp, res, start)
+	if op != nil {
+		res = op.apply(res, view, tr, sp)
+		res.Timing.Total = time.Since(start)
+	}
+	return res, nil
+}
 
+// evaluate builds Q^S over res.Tree (§4.1) and matches it (§4.2), filling
+// res. It returns the view the search read, nil when none ran.
+func (s *System) evaluate(tr *budget.Tracker, sp *obs.Span, res *Result, start time.Time) store.View {
+	y := res.Tree
 	usp := sp.Child("core.understand")
 	res.Relations = ExtractRelations(y, s.Dict, ExtractOptions{
 		DisableHeuristicRules: s.Opts.DisableHeuristicRules,
@@ -249,7 +270,7 @@ func (s *System) AnswerContext(ctx context.Context, question string) (out *Resul
 			res.Failure = FailureRelationExtraction
 			res.Timing.Understanding = time.Since(start)
 			res.Timing.Total = res.Timing.Understanding
-			return res, nil
+			return nil
 		}
 	} else {
 		res.Query = BuildQueryGraph(y, res.Relations, s.Linker, BuildOptions{
@@ -274,7 +295,7 @@ func (s *System) AnswerContext(ctx context.Context, question string) (out *Resul
 		if !v.Unconstrained && len(v.Candidates) == 0 {
 			res.Failure = FailureEntityLinking
 			res.Timing.Total = time.Since(start)
-			return res, nil
+			return nil
 		}
 	}
 
@@ -283,12 +304,14 @@ func (s *System) AnswerContext(ctx context.Context, question string) (out *Resul
 	tr.Check()
 	evalStart := time.Now()
 	msp := sp.Child("core.match")
+	view := s.Graph.FrozenView()
 	matches, stats := FindTopKMatches(s.Graph, res.Query, MatchOptions{
 		TopK:           s.Opts.TopK,
 		DisablePruning: s.Opts.DisablePruning,
 		Exhaustive:     s.Opts.Exhaustive,
 		Budget:         tr,
 		Span:           msp,
+		View:           view,
 	})
 	msp.Finish()
 	res.Matches = matches
@@ -297,24 +320,11 @@ func (s *System) AnswerContext(ctx context.Context, question string) (out *Resul
 	res.Timing.Evaluation = time.Since(evalStart)
 	res.Timing.Total = time.Since(start)
 
-	// Per-match spans carry the rendered disambiguation — the single
-	// source Explain reads back (FindAttrs "match"/"render"), so explain
-	// output and trace output cannot drift. Rendering costs label lookups,
-	// so it runs only under an enabled trace.
-	if sp.Enabled() {
-		for i := range matches {
-			m := sp.Child("match")
-			m.SetFloat("score", matches[i].Score)
-			m.SetStr("render", RenderMatch(s.Graph, res.Query, &matches[i]))
-			m.Finish()
-		}
-	}
-
 	sel := res.Query.SelectVertex()
 	if sel < 0 {
 		b := len(matches) > 0
 		res.Boolean = &b
-		return res, nil
+		return view
 	}
 	// Answers come from the best-scoring matches only (ties included): the
 	// top score is the resolved disambiguation; lower-ranked matches are
@@ -336,25 +346,13 @@ func (s *System) AnswerContext(ctx context.Context, question string) (out *Resul
 	if len(res.Answers) == 0 {
 		res.Failure = FailureNoMatch
 	}
-	return res, nil
-}
-
-// answerNonAggregate runs the base pipeline on a rewritten question with
-// the aggregation extension suppressed, preventing rewrite loops.
-func (s *System) answerNonAggregate(ctx context.Context, question string) (*Result, error) {
-	s2 := *s
-	s2.Opts.EnableAggregation = false
-	s2.rewritten = true
-	return s2.AnswerContext(ctx, question)
+	return view
 }
 
 // finishAnswer flushes the per-question metrics and root-span attributes
-// once the pipeline has its result (deferred by AnswerContext). The
-// rewritten inner call of the aggregation extension skips both — the
-// user-visible question is counted once and owns the root span's
-// attributes; the inner call still contributes child spans.
+// once the pipeline has its result (deferred by AnswerContext).
 func (s *System) finishAnswer(sp *obs.Span, tr *budget.Tracker, res *Result) {
-	if res == nil || s.rewritten {
+	if res == nil {
 		return
 	}
 	if res.Timing.Parse > 0 {
@@ -377,6 +375,16 @@ func (s *System) finishAnswer(sp *obs.Span, tr *budget.Tracker, res *Result) {
 	}
 	if !sp.Enabled() {
 		return
+	}
+	// Per-match spans carry the rendered disambiguation — the single source
+	// Explain reads back (FindAttrs "match"/"render"), so explain output and
+	// trace output cannot drift. Rendering costs label lookups, so it runs
+	// only under an enabled trace.
+	for i := range res.Matches {
+		m := sp.Child("match")
+		m.SetFloat("score", res.Matches[i].Score)
+		m.SetStr("render", RenderMatch(s.Graph, res.Query, &res.Matches[i]))
+		m.Finish()
 	}
 	if res.Failure != FailureNone {
 		sp.SetStr("failure", res.Failure.String())
@@ -409,27 +417,6 @@ func RenderMatch(g *store.Graph, q *QueryGraph, m *Match) string {
 		line += fmt.Sprintf(" [%s via %s]", q.Edges[ei].Phrase.Text, p.Render(g))
 	}
 	return line
-}
-
-// isAggregation detects questions outside the approach's reach: counting
-// ("how many") and superlative selection ("the youngest player"), which
-// need SPARQL aggregation (Table 10, Q13-style failures). A superlative
-// that is part of a known relation phrase ("the largest city in" →
-// ⟨largestCity⟩) is exempt — the KB materializes the superlative as a
-// predicate, so the question is answerable (the paper's Q86).
-func (s *System) isAggregation(y *nlp.DepTree) bool {
-	for i := 0; i < y.Size(); i++ {
-		n := y.Node(i)
-		if n.Tag == "JJS" && len(s.Dict.PhrasesWithWord(n.Lemma)) == 0 {
-			return true
-		}
-		if n.Lower == "many" || n.Lower == "much" {
-			if i > 0 && y.Node(i-1).Lower == "how" {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // typeOnlyQuery builds a single-vertex Q^S from the question's focus NP

@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
+	"encoding/json"
 	"testing"
 
+	"gqa/internal/budget"
 	"gqa/internal/dict"
+	"gqa/internal/obs"
 	"gqa/internal/store"
 )
 
@@ -159,6 +163,63 @@ func TestAggregationDetected(t *testing.T) {
 	}
 	if res.Failure != FailureAggregation {
 		t.Fatalf("failure = %v, want aggregation", res.Failure)
+	}
+}
+
+// TestAggregationRunsThePipelineOnce: an aggregation question is one
+// pipeline run — one parse span (the base question is parsed inside it),
+// one understand, one match, one question counted — and its root span
+// carries what the one budget tracker spent.
+func TestAggregationRunsThePipelineOnce(t *testing.T) {
+	s, _ := figure1System(t, Options{EnableAggregation: true, Budget: budget.Limits{MaxSteps: 1000}})
+	tr := obs.NewTrace("answer", "")
+	before := questionsTotal.Value()
+	res, err := s.AnswerContext(obs.WithTrace(context.Background(), tr), "How many movies did Antonio Banderas star in?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish()
+	if res.Count == nil || *res.Count != 1 || res.Failure != FailureNone {
+		t.Fatalf("count = %v, failure %v; want 1", res.Count, res.Failure)
+	}
+	if d := questionsTotal.Value() - before; d != 1 {
+		t.Errorf("gqa_core_questions_total moved by %d, want 1", d)
+	}
+	var trace struct {
+		Span struct {
+			Attrs map[string]any
+			Spans []struct{ Name string }
+		}
+	}
+	if err := json.Unmarshal([]byte(tr.JSON()), &trace); err != nil {
+		t.Fatal(err)
+	}
+	root := trace.Span
+	children := map[string]int{}
+	for _, c := range root.Spans {
+		children[c.Name]++
+	}
+	for _, stage := range []string{"nlp.parse", "core.understand", "core.match"} {
+		if children[stage] != 1 {
+			t.Errorf("root has %d %s children, want 1 (children %v)", children[stage], stage, children)
+		}
+	}
+	if _, ok := root.Attrs["budget_steps"]; !ok {
+		t.Errorf("root attributes %v carry no budget_steps", root.Attrs)
+	}
+}
+
+// TestNestedAggregationFails: one operator per question. A count whose
+// base question still holds an unmaterialized superlative would count every
+// actor's films, so it fails as aggregation instead.
+func TestNestedAggregationFails(t *testing.T) {
+	s, _ := figure1System(t, Options{EnableAggregation: true})
+	res, err := s.Answer("How many movies did the youngest actor star in?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Failure != FailureAggregation || res.Count != nil {
+		t.Fatalf("failure = %v, count %v; want the aggregation failure", res.Failure, res.Count)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // Parse-stage metrics (§4.1's dependency-tree construction).
 var (
 	parseTotal = obs.DefaultCounter("gqa_nlp_parse_total",
-		"Questions tokenized, tagged, and dependency-parsed.")
+		"Word lists tagged and dependency-parsed: one per question, and one more for an aggregation question's base question.")
 	parseErrors = obs.DefaultCounter("gqa_nlp_parse_errors_total",
 		"Parses rejected (empty input or an inconsistent tree).")
 	parseSeconds = obs.DefaultHistogram("gqa_nlp_parse_seconds",
@@ -23,10 +23,19 @@ var (
 // interrogative constructions described in the package comment; it always
 // produces a well-formed tree (worst case, unattachable tokens hang off the
 // root with the generic "dep" relation, as the Stanford parser also does).
-func Parse(question string) (*DepTree, error) {
+func Parse(question string) (*DepTree, error) { return ParseTokens(Tokenize(question)) }
+
+// ParseTokens tags and dependency-parses a word list that is already split,
+// with no re-tokenising: each token's Text and Lower are read, its Index,
+// Tag and Lemma are assigned here. The tagger reads context, so a word list
+// edited from a parsed tree is tagged afresh in its new positions.
+func ParseTokens(toks []Token) (*DepTree, error) {
 	start := time.Now()
 	parseTotal.Inc()
-	toks := Tagged(question)
+	for i := range toks {
+		toks[i].Index = i
+	}
+	Tag(toks)
 	if len(toks) == 0 {
 		parseErrors.Inc()
 		return nil, errors.New("nlp: empty question")

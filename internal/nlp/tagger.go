@@ -25,9 +25,6 @@ func Tag(toks []Token) []Token {
 	return toks
 }
 
-// Tagged tokenizes and tags a sentence in one step.
-func Tagged(s string) []Token { return Tag(Tokenize(s)) }
-
 func tagOne(toks []Token, i int) string {
 	t := toks[i]
 	// Numbers.

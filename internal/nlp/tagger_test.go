@@ -2,10 +2,13 @@ package nlp
 
 import "testing"
 
+// tagged tokenizes and tags a sentence in one step.
+func tagged(s string) []Token { return Tag(Tokenize(s)) }
+
 func tagsOf(t *testing.T, q string) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
-	for _, tok := range Tagged(q) {
+	for _, tok := range tagged(q) {
 		out[tok.Lower] = tok.Tag
 	}
 	return out
@@ -25,7 +28,7 @@ func TestTagClosedClasses(t *testing.T) {
 }
 
 func TestTagProperNouns(t *testing.T) {
-	toks := Tagged("Which cities does the Weser flow through?")
+	toks := tagged("Which cities does the Weser flow through?")
 	for _, tok := range toks {
 		switch tok.Lower {
 		case "weser":
@@ -49,7 +52,7 @@ func TestTagProperNouns(t *testing.T) {
 }
 
 func TestTagRelativePronoun(t *testing.T) {
-	toks := Tagged("an actor that played in Philadelphia")
+	toks := tagged("an actor that played in Philadelphia")
 	for _, tok := range toks {
 		if tok.Lower == "that" && tok.Tag != "WDT" {
 			t.Errorf("relative 'that' tagged %s, want WDT", tok.Tag)
@@ -59,7 +62,7 @@ func TestTagRelativePronoun(t *testing.T) {
 		}
 	}
 	// Determiner reading: "that movie" after a verb context.
-	toks = Tagged("Who directed that movie?")
+	toks = tagged("Who directed that movie?")
 	for _, tok := range toks {
 		if tok.Lower == "that" && tok.Tag != "DT" {
 			t.Errorf("determiner 'that' tagged %s, want DT", tok.Tag)
@@ -111,7 +114,7 @@ func TestTagSuperlatives(t *testing.T) {
 }
 
 func TestTagLemmasAssigned(t *testing.T) {
-	for _, tok := range Tagged("Who was married to an actor?") {
+	for _, tok := range tagged("Who was married to an actor?") {
 		if tok.Lemma == "" {
 			t.Fatalf("token %q has no lemma", tok.Text)
 		}

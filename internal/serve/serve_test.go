@@ -92,6 +92,28 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
+// TestServeAggregation: a server over a system opened with the aggregation
+// extension, as gqa-serve -aggregate opens it, answers a superlative: the
+// facade registers the superlatives, not each binary.
+func TestServeAggregation(t *testing.T) {
+	sys, err := gqa.Open(gqa.Source{}, gqa.Options{EnableAggregation: true})
+	if err != nil {
+		t.Fatalf("building benchmark system: %v", err)
+	}
+	base, _ := startServerWith(t, sys, Config{})
+	body := get(t, base+"/answer?q="+url.QueryEscape("Who is the youngest player in the Premier League?"))
+	var resp struct {
+		Labels  []string `json:"labels"`
+		Failure string   `json:"failure"`
+	}
+	if err := json.Unmarshal([]byte(body), &resp); err != nil {
+		t.Fatalf("decoding /answer response %q: %v", body, err)
+	}
+	if len(resp.Labels) != 1 || resp.Labels[0] != "Theo Walcott" {
+		t.Fatalf("served youngest player = %q (failure %q), want [Theo Walcott]", resp.Labels, resp.Failure)
+	}
+}
+
 // TestServeAnswerBadRequests: missing and oversized questions are both
 // rejected with 400 and a JSON error body, before any pipeline work.
 func TestServeAnswerBadRequests(t *testing.T) {
