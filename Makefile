@@ -76,11 +76,12 @@ snapshot-smoke:
 # Deterministic replay of the fuzz seed corpora (f.Add entries + any
 # checked-in testdata): runs each fuzz target as a plain test, no engine.
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' ./internal/rdf/ ./internal/sparql/ ./internal/nlp/ ./internal/store/ ./internal/serve/
+	$(GO) test -run 'Fuzz' ./internal/rdf/ ./internal/sparql/ ./internal/nlp/ ./internal/store/ ./internal/serve/ ./internal/core/
 
 # Short fuzz passes over the parser/evaluator targets (not part of tier1),
-# the question parser, and the lemmatiser whose token → lemma map the
-# linker's per-slot bound rests on. The nlp targets are anchored: -fuzz
+# the question parser, the lemmatiser whose token → lemma map the
+# linker's per-slot bound rests on, and Algorithm 2 over word IDs against
+# its string-keyed reference. The nlp and core targets are anchored: -fuzz
 # must match exactly one target per run.
 fuzz:
 	$(GO) test -fuzz FuzzParseSPARQL -fuzztime 30s ./internal/sparql/
@@ -92,6 +93,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRequestStringsStayJSON -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/nlp/
 	$(GO) test -fuzz '^FuzzLemma$$' -fuzztime 30s ./internal/nlp/
+	$(GO) test -fuzz '^FuzzFindEmbeddings$$' -fuzztime 30s ./internal/core/
 
 # Go micro-benchmarks, for measuring while you work (among them the cold
 # start pair, BenchmarkLoadFrozenKB/ntriples against /gqafrz1). A number

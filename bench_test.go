@@ -141,11 +141,10 @@ func BenchmarkAmbiguity50Deanna(b *testing.B)  { benchAmbiguity(b, 50, true) }
 func BenchmarkAmbiguity200Ours(b *testing.B)   { benchAmbiguity(b, 200, false) }
 func BenchmarkAmbiguity200Deanna(b *testing.B) { benchAmbiguity(b, 200, true) }
 
-// BenchmarkHeuristicRules (Table 9): extraction with and without the four
-// argument rules.
-func BenchmarkHeuristicRules(b *testing.B) {
-	g := bench.MustKB()
-	d, _, err := bench.BuildDictionary(g)
+// qaldTrees returns the mini-DBpedia's dictionary and the dependency trees
+// of the 99 workload questions.
+func qaldTrees(b *testing.B) (*dict.Dictionary, []*nlp.DepTree) {
+	d, _, err := bench.BuildDictionary(bench.MustKB())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -156,6 +155,25 @@ func BenchmarkHeuristicRules(b *testing.B) {
 			trees = append(trees, y)
 		}
 	}
+	return d, trees
+}
+
+// BenchmarkFindEmbeddings (§4.1.1): Algorithm 2 alone over the 99 trees,
+// one pass per op.
+func BenchmarkFindEmbeddings(b *testing.B) {
+	d, trees := qaldTrees(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, y := range trees {
+			core.FindEmbeddings(y, d)
+		}
+	}
+}
+
+// BenchmarkHeuristicRules (Table 9): extraction with and without the four
+// argument rules.
+func BenchmarkHeuristicRules(b *testing.B) {
+	d, trees := qaldTrees(b)
 	b.Run("with-rules", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, y := range trees {

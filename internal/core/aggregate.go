@@ -68,7 +68,10 @@ func (s *System) aggregation(y *nlp.DepTree) (bool, *aggregate) {
 	for i := 0; i < y.Size(); i++ {
 		n := y.Node(i)
 		if n.Tag == "JJS" {
-			agg = agg || len(s.Dict.PhrasesWithWord(n.Lemma)) == 0
+			if !agg {
+				_, inPhrase := s.Dict.Probe(n.Lemma)
+				agg = !inPhrase
+			}
 			if _, ok := s.superlatives[n.Lower]; ok && supAt < 0 {
 				supAt = i
 			}

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"gqa/internal/dict"
 	"gqa/internal/nlp"
@@ -73,7 +74,8 @@ func expandConjArguments(y *nlp.DepTree, rels []SemanticRelation) []SemanticRela
 // remaining gaps.
 func findArguments(y *nlp.DepTree, emb embeddingCandidate, opts ExtractOptions) (SemanticRelation, bool) {
 	rel := SemanticRelation{Phrase: emb.phrase, Root: emb.root, Embedding: emb.nodes}
-	inEmb := make(map[int]bool, len(emb.nodes))
+	var buf [64]bool
+	inEmb := scratch(buf[:], y.Size())
 	for _, n := range emb.nodes {
 		inEmb[n] = true
 	}
@@ -174,7 +176,7 @@ func findArguments(y *nlp.DepTree, emb embeddingCandidate, opts ExtractOptions) 
 // scanChildren finds, over the embedding nodes, children outside the
 // embedding related by an accepted grammatical relation; among multiple
 // candidates the one nearest to the embedding root wins (§4.1.2).
-func scanChildren(y *nlp.DepTree, nodes []int, inEmb map[int]bool, root int, accept func(string) bool) int {
+func scanChildren(y *nlp.DepTree, nodes []int, inEmb []bool, root int, accept func(string) bool) int {
 	best, bestDist := -1, 1<<30
 	for _, n := range nodes {
 		for _, c := range y.ChildrenOf(n) {
@@ -196,8 +198,8 @@ func scanChildren(y *nlp.DepTree, nodes []int, inEmb map[int]bool, root int, acc
 }
 
 // extendWithLightWords returns the embedding plus any light-word children
-// (Rule 1); the extension map is updated so later scans skip them.
-func extendWithLightWords(y *nlp.DepTree, nodes []int, inEmb map[int]bool) []int {
+// (Rule 1); inEmb is updated so later scans skip them.
+func extendWithLightWords(y *nlp.DepTree, nodes []int, inEmb []bool) []int {
 	out := append([]int(nil), nodes...)
 	for _, n := range nodes {
 		for _, c := range y.ChildrenOf(n) {
@@ -211,12 +213,12 @@ func extendWithLightWords(y *nlp.DepTree, nodes []int, inEmb map[int]bool) []int
 			}
 		}
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
 // nearestWh returns the wh-word outside the embedding nearest to root.
-func nearestWh(y *nlp.DepTree, inEmb map[int]bool, root int) int {
+func nearestWh(y *nlp.DepTree, inEmb []bool, root int) int {
 	best, bestDist := -1, 1<<30
 	for i := 0; i < y.Size(); i++ {
 		if inEmb[i] || !y.Node(i).IsWh() {
@@ -243,12 +245,10 @@ func firstNoun(y *nlp.DepTree, nodes []int) int {
 // they are wh-flavored.
 func makeArgument(y *nlp.DepTree, node int) Argument {
 	n := y.Node(node)
-	arg := Argument{Node: node, Text: argumentText(y, node)}
 	if n.IsWh() {
-		arg.Wh = true
-		arg.Text = n.Lower
-		return arg
+		return Argument{Node: node, Text: n.Lower, Wh: true}
 	}
+	arg := Argument{Node: node, Text: argumentText(y, node)}
 	// A wh-determined NP ("which movies") is a typed variable: flagged wh
 	// but keeps its content text for class linking.
 	for _, c := range y.ChildrenOf(node) {
@@ -263,27 +263,27 @@ func makeArgument(y *nlp.DepTree, node int) Argument {
 // prepositional attachments and other clause-level material — "an actor
 // that played in Philadelphia" contributes just "actor".
 func argumentText(y *nlp.DepTree, node int) string {
-	var words []int
-	var walk func(int)
-	walk = func(n int) {
-		words = append(words, n)
-		for _, c := range y.ChildrenOf(n) {
-			switch y.Node(c).Rel {
-			case nlp.RelNn, nlp.RelAmod:
-				walk(c)
-			}
+	var buf [8]int
+	words := npWords(y, node, buf[:0])
+	slices.Sort(words)
+	var textBuf [8]string
+	texts := textBuf[:0]
+	for _, w := range words {
+		texts = append(texts, y.Node(w).Text)
+	}
+	return strings.Join(texts, " ")
+}
+
+// npWords appends node n and its nn/amod descendants to words.
+func npWords(y *nlp.DepTree, n int, words []int) []int {
+	words = append(words, n)
+	for _, c := range y.ChildrenOf(n) {
+		switch y.Node(c).Rel {
+		case nlp.RelNn, nlp.RelAmod:
+			words = npWords(y, c, words)
 		}
 	}
-	walk(node)
-	sort.Ints(words)
-	text := ""
-	for i, w := range words {
-		if i > 0 {
-			text += " "
-		}
-		text += y.Node(w).Text
-	}
-	return text
+	return words
 }
 
 // inheritConjSubjects fills the arg1 of relations whose embedding root is a

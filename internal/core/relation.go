@@ -8,7 +8,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"gqa/internal/dict"
 	"gqa/internal/nlp"
@@ -47,111 +47,164 @@ type embeddingCandidate struct {
 	nodes  []int
 }
 
-// FindEmbeddings implements Algorithm 2: for every node of Y, probe the
-// inverted index and search depth-first for subtrees that contain exactly
-// the words of some relation phrase. Maximality (Definition 5 condition 2)
-// is enforced afterwards: embeddings whose node sets are contained in a
-// larger accepted embedding are dropped, and overlapping embeddings are
-// resolved in favor of the larger phrase.
 // canonLemma maps a tree node's lemma into the dictionary's lemma space.
 // The tagger lemmatizes by POS ("founded"/VBN → "found"), while dictionary
 // phrase words are lemmatized without POS ("found" → "find"); applying the
 // untagged lemmatizer to the tree lemma lands both on the same key.
 func canonLemma(n *nlp.Node) string { return nlp.Lemma(n.Lemma, "") }
 
+// noWord is the word ID of a tree node whose lemma no phrase has.
+const noWord = ^uint32(0)
+
+// FindEmbeddings implements Algorithm 2: for every node of Y, probe the
+// inverted index and search depth-first for subtrees that contain exactly
+// the words of some relation phrase. Maximality (Definition 5 condition 2)
+// is enforced afterwards: embeddings whose node sets are contained in a
+// larger accepted embedding are dropped, and overlapping embeddings are
+// resolved in favor of the larger phrase.
+//
+// It runs on the dictionary's word IDs. One pass over Y gives each node
+// two word IDs: its canonical lemma's, which embedAt matches it by, and
+// its probe key's, whose phrases Algorithm 2 tries with it as the root.
+// The probe key lemmatizes the canonical lemma once more; that is not the
+// identity (nlp's TestUntaggedLemmaTwice). A phrase is tried only when its
+// words are a sub-multiset of the question's, since an embedding takes
+// each word from a node of its own.
 func FindEmbeddings(y *nlp.DepTree, d *dict.Dictionary) []embeddingCandidate {
+	size := y.Size()
+	var buf [96]uint32
+	scr := scratch(buf[:], 3*size)
+	ids, probes, question := scr[:size], scr[size:2*size], scr[2*size:2*size]
+	for i := range size {
+		canon := canonLemma(y.Node(i))
+		id, ok := d.WordID(canon)
+		if ok {
+			question = append(question, id)
+		} else {
+			id = noWord
+		}
+		ids[i] = id
+		if probes[i], ok = d.Probe(canon); !ok {
+			probes[i] = noWord
+		}
+	}
+	slices.Sort(question)
 	var found []embeddingCandidate
-	for root := 0; root < y.Size(); root++ {
-		rootLemma := canonLemma(y.Node(root))
-		for _, phrase := range d.PhrasesWithWord(rootLemma) {
-			nodes, ok := embedAt(y, root, phrase)
-			if ok {
+	for root, w := range probes {
+		if w == noWord {
+			continue
+		}
+		for _, s := range d.SlotsWith(w) {
+			phrase, words := d.Slot(s)
+			if !subMultiset(words, question) {
+				continue
+			}
+			if nodes, ok := embedAt(y, ids, root, words); ok {
 				found = append(found, embeddingCandidate{phrase: phrase, root: root, nodes: nodes})
 			}
 		}
 	}
-	return filterMaximal(found)
+	return filterMaximal(found, size)
 }
 
-// embedAt checks whether an embedding of phrase rooted at root exists: a
-// connected subtree each of whose nodes carries a word of the phrase,
-// jointly covering all phrase words. It returns the chosen node set.
-func embedAt(y *nlp.DepTree, root int, phrase *dict.Phrase) ([]int, bool) {
-	want := make(map[string]int)
-	for _, w := range phrase.Lemmas {
-		want[w]++
+// scratch returns n zero values, in buf (which must be zero) when they fit.
+func scratch[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
 	}
-	if want[canonLemma(y.Node(root))] == 0 {
-		return nil, false
-	}
-	// Depth-first probe (the Probe function of Algorithm 2): descend only
-	// into children whose lemma is still needed.
-	need := make(map[string]int, len(want))
-	for w, c := range want {
-		need[w] = c
-	}
-	var nodes []int
-	var probe func(n int)
-	take := func(n int) bool {
-		l := canonLemma(y.Node(n))
-		if need[l] == 0 {
+	return make([]T, n)
+}
+
+// subMultiset reports whether the sorted multiset a is contained in the
+// sorted multiset b.
+func subMultiset(a, b []uint32) bool {
+	j := 0
+	for _, w := range a {
+		for j < len(b) && b[j] < w {
+			j++
+		}
+		if j == len(b) || b[j] != w {
 			return false
 		}
-		need[l]--
-		nodes = append(nodes, n)
-		return true
+		j++
 	}
-	probe = func(n int) {
-		for _, c := range y.ChildrenOf(n) {
-			if take(c) {
-				probe(c)
-			}
-		}
-	}
-	if !take(root) {
+	return true
+}
+
+// embedAt checks whether an embedding of a phrase with the given words (a
+// sorted multiset of word IDs) rooted at root exists: a connected subtree
+// each of whose nodes carries a word of the phrase, jointly covering all
+// phrase words. ids holds each node's canonical word ID (noWord if none).
+// It returns the chosen node set.
+func embedAt(y *nlp.DepTree, ids []uint32, root int, words []uint32) ([]int, bool) {
+	var usedBuf [8]bool
+	var nodeBuf [8]int
+	used := scratch(usedBuf[:], len(words)) // used[i]: a chosen node carries words[i]
+	if !take(ids[root], words, used) {
 		return nil, false
 	}
-	probe(root)
-	for _, c := range need {
-		if c > 0 {
-			return nil, false
+	nodes := probe(y, ids, words, used, append(nodeBuf[:0], root), root)
+	if len(nodes) < len(words) {
+		return nil, false
+	}
+	out := slices.Clone(nodes)
+	slices.Sort(out)
+	return out, true
+}
+
+// probe is the Probe function of Algorithm 2: a depth-first descent from n
+// only into children whose word is still needed, appending them to nodes.
+func probe(y *nlp.DepTree, ids, words []uint32, used []bool, nodes []int, n int) []int {
+	for _, c := range y.ChildrenOf(n) {
+		if take(ids[c], words, used) {
+			nodes = probe(y, ids, words, used, append(nodes, c), c)
 		}
 	}
-	sort.Ints(nodes)
-	return nodes, true
+	return nodes
+}
+
+// take marks word w used if the phrase still needs it.
+func take(w uint32, words []uint32, used []bool) bool {
+	for i, x := range words {
+		if x == w && !used[i] {
+			used[i] = true
+			return true
+		}
+	}
+	return false
 }
 
 // filterMaximal keeps, among overlapping embeddings, the ones covering the
 // most words (ties: the one whose phrase has more words, then earliest
-// root), and drops embeddings strictly contained in an accepted one.
-func filterMaximal(cands []embeddingCandidate) []embeddingCandidate {
-	sort.SliceStable(cands, func(i, j int) bool {
-		if len(cands[i].nodes) != len(cands[j].nodes) {
-			return len(cands[i].nodes) > len(cands[j].nodes)
+// root), and drops embeddings strictly contained in an accepted one. size
+// is |Y|. Beyond that the order of cands breaks ties, which the stable sort
+// keeps: FindEmbeddings lists a root's phrases in the order they were first
+// added to the dictionary.
+func filterMaximal(cands []embeddingCandidate, size int) []embeddingCandidate {
+	slices.SortStableFunc(cands, func(a, b embeddingCandidate) int {
+		if len(a.nodes) != len(b.nodes) {
+			return len(b.nodes) - len(a.nodes)
 		}
-		if len(cands[i].phrase.Lemmas) != len(cands[j].phrase.Lemmas) {
-			return len(cands[i].phrase.Lemmas) > len(cands[j].phrase.Lemmas)
+		if len(a.phrase.Lemmas) != len(b.phrase.Lemmas) {
+			return len(b.phrase.Lemmas) - len(a.phrase.Lemmas)
 		}
-		return cands[i].root < cands[j].root
+		return a.root - b.root
 	})
-	used := make(map[int]bool)
-	var out []embeddingCandidate
+	var buf [64]bool
+	used := scratch(buf[:], size)
+	out := cands[:0]
+next:
 	for _, c := range cands {
-		overlap := false
 		for _, n := range c.nodes {
 			if used[n] {
-				overlap = true
-				break
+				continue next
 			}
-		}
-		if overlap {
-			continue
 		}
 		for _, n := range c.nodes {
 			used[n] = true
 		}
 		out = append(out, c)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].root < out[j].root })
+	slices.SortStableFunc(out, func(a, b embeddingCandidate) int { return a.root - b.root })
 	return out
 }

@@ -1,9 +1,15 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
+	"testing/quick"
 
+	"gqa/internal/dict"
 	"gqa/internal/nlp"
+	"gqa/internal/obs"
 )
 
 func mustParse(t *testing.T, q string) *nlp.DepTree {
@@ -187,5 +193,140 @@ func TestArgumentTextExcludesClauses(t *testing.T) {
 				t.Fatalf("argumentText = %q", got)
 			}
 		}
+	}
+}
+
+// embedWords is the random trees' and dictionaries' vocabulary: surface
+// forms that share a lemma ("was", "is", "be"), one whose untagged lemma
+// lemmatizes again ("things" → "thing" → "th"), and light words.
+var embedWords = []string{"be", "was", "is", "married", "to", "play", "plays", "in", "of", "film", "thing", "things"}
+
+// randomTree builds a valid dependency tree of one to nine nodes over
+// embedWords, each word its own tree lemma, rooted anywhere.
+func randomTree(rng *rand.Rand) *nlp.DepTree {
+	n := 1 + rng.Intn(9)
+	y := &nlp.DepTree{Nodes: make([]nlp.Node, n)}
+	for i := range y.Nodes {
+		w := embedWords[rng.Intn(len(embedWords))]
+		y.Nodes[i] = nlp.Node{Token: nlp.Token{Index: i, Text: w, Lower: w, Lemma: w}, Head: -1}
+	}
+	perm := rng.Perm(n)
+	y.Root = perm[0]
+	for k := 1; k < n; k++ {
+		c, h := perm[k], perm[rng.Intn(k)]
+		y.Nodes[c].Head = h
+		y.Nodes[h].Children = append(y.Nodes[h].Children, c)
+	}
+	for i := range y.Nodes {
+		slices.Sort(y.Nodes[i].Children)
+	}
+	return y
+}
+
+// TestQuickEmbeddingsMatchReference: over random dictionaries — phrases
+// with a repeated word, phrases sharing words, and Adds that replace an
+// existing key — and random trees, FindEmbeddings returns the reference's
+// candidates in the reference's order, and Phrases keeps first-Add order.
+func TestQuickEmbeddingsMatchReference(t *testing.T) {
+	var st struct{ repeated, shared, replaced, slotTies, probeKey int }
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		d, ref := dict.New(), newRefDict()
+		for range 1 + rng.Intn(12) {
+			ws := make([]string, 1+rng.Intn(4))
+			for i := range ws {
+				ws[i] = embedWords[rng.Intn(len(embedWords))]
+			}
+			before := d.Len()
+			ref.add(d.Add(strings.Join(ws, " "), []dict.Entry{{Score: 1}}))
+			if d.Len() == before {
+				st.replaced++
+			}
+		}
+		for i, p := range d.Phrases() {
+			if key := strings.Join(p.Lemmas, " "); key != ref.ordered[i] || p != ref.phrases[key] {
+				t.Errorf("seed %d: Phrases()[%d] = %q, the reference has %q", seed, i, key, ref.ordered[i])
+				return false
+			}
+		}
+		for _, keys := range ref.inverted {
+			if len(keys) > 1 {
+				st.shared++
+			}
+		}
+		for range 10 {
+			y := randomTree(rng)
+			got, want := FindEmbeddings(y, d), refFindEmbeddings(y, ref)
+			if !slices.EqualFunc(got, want, func(a, b embeddingCandidate) bool {
+				return a.phrase == b.phrase && a.root == b.root && slices.Equal(a.nodes, b.nodes)
+			}) {
+				t.Errorf("seed %d: tree\n%s got  %v\n want %v", seed, y, got, want)
+				return false
+			}
+			for _, c := range want {
+				if len(refDedupeWords(c.phrase.Lemmas)) < len(c.phrase.Lemmas) {
+					st.repeated++
+				}
+			}
+			// Two candidates at one root of equal size that overlap: which
+			// one filterMaximal keeps is the word list's insertion order.
+			var at []embeddingCandidate
+			for root := range y.Size() {
+				if l := canonLemma(y.Node(root)); nlp.Lemma(l, "") != l {
+					st.probeKey++
+				}
+				at = at[:0]
+				for _, p := range ref.PhrasesWithWord(canonLemma(y.Node(root))) {
+					if nodes, ok := refEmbedAt(y, root, p); ok {
+						at = append(at, embeddingCandidate{p, root, nodes})
+					}
+				}
+				for i := range at {
+					for j := range i {
+						a, b := at[i], at[j]
+						if len(a.nodes) == len(b.nodes) && len(a.phrase.Lemmas) == len(b.phrase.Lemmas) &&
+							slices.ContainsFunc(a.nodes, func(n int) bool { return slices.Contains(b.nodes, n) }) {
+							st.slotTies++
+						}
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if st.repeated == 0 || st.shared == 0 || st.replaced == 0 || st.slotTies == 0 || st.probeKey == 0 {
+		t.Errorf("the property missed a shape it is there for: %+v", st)
+	}
+	t.Logf("%+v", st)
+}
+
+// TestWordProbesCountEveryNode: Algorithm 2 counts one inverted-index word
+// probe per tree node, whether or not the node's word is in a phrase.
+func TestWordProbesCountEveryNode(t *testing.T) {
+	_, ids := figure1System(t, Options{})
+	d := figure1Dict(ids)
+	y := mustParse(t, "Who was married to an actor that played in Philadelphia?")
+	probes := obs.DefaultCounter("gqa_dict_word_probes_total", "")
+	before := probes.Value()
+	FindEmbeddings(y, d)
+	if got := probes.Value() - before; got != int64(y.Size()) {
+		t.Fatalf("%d word probes for %d nodes", got, y.Size())
+	}
+}
+
+// TestExtractRelationsAllocs bounds what extracting the running example's
+// relations allocates: the two embeddings' node lists and the growth of
+// the candidate and relation slices (two each). A map, a key string or a
+// phrase list per probe would break the bound.
+func TestExtractRelationsAllocs(t *testing.T) {
+	_, ids := figure1System(t, Options{})
+	d := figure1Dict(ids)
+	y := mustParse(t, "Who was married to an actor that played in Philadelphia?")
+	const ceiling = 6
+	if allocs := testing.AllocsPerRun(100, func() { ExtractRelations(y, d, ExtractOptions{}) }); allocs > ceiling {
+		t.Fatalf("ExtractRelations allocates %v times, at most %d", allocs, ceiling)
 	}
 }

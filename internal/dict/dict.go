@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -45,89 +46,119 @@ func Key(text string) string { return strings.Join(nlp.LemmatizePhrase(text), " 
 // Dictionary is the paraphrase dictionary D (§3, Figure 3): relation
 // phrases mapped to top-k predicates / predicate paths, plus the inverted
 // word index used by Algorithm 2.
+//
+// Phrase words are interned at Add: vocab gives every phrase lemma a word
+// ID, a phrase lives in a slot (slots are in insertion order), and byWord
+// lists, per word ID, the slots whose phrase has that word, in insertion
+// order. Algorithm 2's tie order rests on that order (core.filterMaximal
+// sorts stably).
 type Dictionary struct {
-	phrases  map[string]*Phrase  // lemma key → phrase
-	inverted map[string][]string // lemma word → phrase keys containing it
-	ordered  []string            // insertion-ordered keys, for determinism
+	phrases map[string]uint32 // lemma key → slot
+	slots   []slot
+	vocab   map[string]uint32 // phrase lemma → word ID
+	byWord  [][]uint32        // word ID → slots of the phrases having it
+}
+
+// slot is one phrase with its words as a sorted multiset of word IDs.
+type slot struct {
+	phrase *Phrase
+	words  []uint32
 }
 
 // New returns an empty dictionary.
 func New() *Dictionary {
 	return &Dictionary{
-		phrases:  make(map[string]*Phrase),
-		inverted: make(map[string][]string),
+		phrases: make(map[string]uint32),
+		vocab:   make(map[string]uint32),
 	}
 }
 
 // Add inserts (or replaces) a phrase with its entries; entries are sorted
-// by descending score. Scores must be positive.
+// by descending score. Scores must be positive. A replaced phrase keeps its
+// slot: its key, hence its words, are the same.
 func (d *Dictionary) Add(text string, entries []Entry) *Phrase {
-	key := Key(text)
 	sorted := append([]Entry(nil), entries...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Score > sorted[j].Score })
 	p := &Phrase{Text: text, Lemmas: nlp.LemmatizePhrase(text), Entries: sorted}
-	if _, exists := d.phrases[key]; !exists {
-		d.ordered = append(d.ordered, key)
-		for _, w := range dedupeWords(p.Lemmas) {
-			d.inverted[w] = append(d.inverted[w], key)
+	key := strings.Join(p.Lemmas, " ") // Key(text)
+	if s, exists := d.phrases[key]; exists {
+		d.slots[s].phrase = p
+		return p
+	}
+	s := uint32(len(d.slots))
+	words := make([]uint32, len(p.Lemmas))
+	for i, w := range p.Lemmas {
+		id, ok := d.vocab[w]
+		if !ok {
+			id = uint32(len(d.byWord))
+			d.vocab[w] = id
+			d.byWord = append(d.byWord, nil)
+		}
+		words[i] = id
+	}
+	slices.Sort(words)
+	for i, w := range words {
+		if i == 0 || w != words[i-1] {
+			d.byWord[w] = append(d.byWord[w], s)
 		}
 	}
-	d.phrases[key] = p
+	d.phrases[key] = s
+	d.slots = append(d.slots, slot{phrase: p, words: words})
 	return p
-}
-
-func dedupeWords(ws []string) []string {
-	seen := make(map[string]bool, len(ws))
-	var out []string
-	for _, w := range ws {
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	return out
 }
 
 // Lookup returns the phrase whose lemma key matches text, if any.
 func (d *Dictionary) Lookup(text string) (*Phrase, bool) {
-	p, ok := d.phrases[Key(text)]
-	dictLookups.Inc()
-	if ok {
-		dictLookupHits.Inc()
-	}
-	return p, ok
+	return d.lookup(Key(text))
 }
 
 // LookupLemmas returns the phrase for an exact lemma sequence.
 func (d *Dictionary) LookupLemmas(lemmas []string) (*Phrase, bool) {
-	p, ok := d.phrases[strings.Join(lemmas, " ")]
-	dictLookups.Inc()
-	if ok {
-		dictLookupHits.Inc()
-	}
-	return p, ok
+	return d.lookup(strings.Join(lemmas, " "))
 }
 
-// PhrasesWithWord returns every phrase containing the lemma w — the
-// inverted-index probe of Algorithm 2 (steps 1–2).
-func (d *Dictionary) PhrasesWithWord(w string) []*Phrase {
-	dictWordProbes.Inc()
-	keys := d.inverted[nlp.Lemma(strings.ToLower(w), "")]
-	out := make([]*Phrase, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, d.phrases[k])
+func (d *Dictionary) lookup(key string) (*Phrase, bool) {
+	s, ok := d.phrases[key]
+	dictLookups.Inc()
+	if !ok {
+		return nil, false
 	}
-	return out
+	dictLookupHits.Inc()
+	return d.slots[s].phrase, true
+}
+
+// Probe is the inverted-index probe of Algorithm 2 (steps 1–2): the word
+// ID of w's untagged lemma, if some phrase has that word. SlotsWith lists
+// those phrases.
+func (d *Dictionary) Probe(w string) (uint32, bool) {
+	dictWordProbes.Inc()
+	return d.WordID(nlp.Lemma(strings.ToLower(w), ""))
+}
+
+// WordID returns the word ID of a phrase lemma, if some phrase has it.
+func (d *Dictionary) WordID(lemma string) (uint32, bool) {
+	id, ok := d.vocab[lemma]
+	return id, ok
+}
+
+// SlotsWith returns the slots of the phrases having word w, in insertion
+// order. The caller must not modify it.
+func (d *Dictionary) SlotsWith(w uint32) []uint32 { return d.byWord[w] }
+
+// Slot returns the phrase in slot s and its words as a sorted multiset of
+// word IDs, which the caller must not modify.
+func (d *Dictionary) Slot(s uint32) (*Phrase, []uint32) {
+	return d.slots[s].phrase, d.slots[s].words
 }
 
 // Len returns the number of phrases |T|.
-func (d *Dictionary) Len() int { return len(d.phrases) }
+func (d *Dictionary) Len() int { return len(d.slots) }
 
 // Phrases returns all phrases in insertion order.
 func (d *Dictionary) Phrases() []*Phrase {
-	out := make([]*Phrase, 0, len(d.ordered))
-	for _, k := range d.ordered {
-		out = append(out, d.phrases[k])
+	out := make([]*Phrase, len(d.slots))
+	for i, s := range d.slots {
+		out[i] = s.phrase
 	}
 	return out
 }

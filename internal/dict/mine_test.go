@@ -186,21 +186,56 @@ func TestDictionaryLookupIsLemmaNormalized(t *testing.T) {
 	}
 }
 
+// phrasesWithWord returns every phrase having the word w lemmatizes to.
+func phrasesWithWord(d *Dictionary, w string) []*Phrase {
+	id, ok := d.Probe(w)
+	if !ok {
+		return nil
+	}
+	var out []*Phrase
+	for _, s := range d.SlotsWith(id) {
+		p, _ := d.Slot(s)
+		out = append(out, p)
+	}
+	return out
+}
+
 func TestInvertedIndex(t *testing.T) {
 	g, sets, _ := minedFixture(t)
 	d, _ := Mine(g, sets, MineOptions{})
 	_ = g
-	hits := d.PhrasesWithWord("married")
+	hits := phrasesWithWord(d, "married")
 	if len(hits) != 1 || hits[0].Text != "be married to" {
-		t.Fatalf("PhrasesWithWord(married) = %v", hits)
+		t.Fatalf("phrases with married = %v", hits)
 	}
 	// Surface forms are lemmatized before probing.
-	hits = d.PhrasesWithWord("plays")
+	hits = phrasesWithWord(d, "plays")
 	if len(hits) != 1 || hits[0].Text != "play in" {
-		t.Fatalf("PhrasesWithWord(plays) = %v", hits)
+		t.Fatalf("phrases with plays = %v", hits)
 	}
-	if got := d.PhrasesWithWord("zzz"); len(got) != 0 {
+	if got := phrasesWithWord(d, "zzz"); len(got) != 0 {
 		t.Fatalf("unexpected hits: %v", got)
+	}
+}
+
+// TestAddReplacesInPlace: an Add whose key is in the dictionary (the
+// Maintainer's rebuild meets "was married to" after "be married to")
+// replaces the phrase in its slot and lists it under its words once.
+func TestAddReplacesInPlace(t *testing.T) {
+	d := New()
+	d.Add("be married to", []Entry{{Score: 1}})
+	play := d.Add("play in", []Entry{{Score: 1}})
+	married := d.Add("was married to", []Entry{{Score: 2}})
+	if got := d.Phrases(); len(got) != 2 || got[0] != married || got[1] != play {
+		t.Fatalf("Phrases() = %v, want [was married to, play in]", got)
+	}
+	if p, _ := d.Lookup("is married to"); p != married {
+		t.Fatalf("Lookup = %v, want the replacing phrase", p)
+	}
+	for _, w := range []string{"be", "marry", "to"} {
+		if got := phrasesWithWord(d, w); len(got) != 1 || got[0] != married {
+			t.Errorf("phrases with %s = %v, want the replacing phrase once", w, got)
+		}
 	}
 }
 

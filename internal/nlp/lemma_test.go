@@ -2,6 +2,7 @@ package nlp
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -94,6 +95,37 @@ func TestLemmaIdempotentOnBaseForms(t *testing.T) {
 	for _, w := range []string{"marry", "play", "star", "create", "flow", "connect", "be", "do", "have"} {
 		if got := Lemma(w, "VB"); got != w {
 			t.Errorf("Lemma(%q, VB) = %q, want fixed point", w, got)
+		}
+	}
+}
+
+// TestUntaggedLemmaTwice pins whether lemmatizing an untagged lemma again
+// changes it: Lemma(ToLower(Lemma(x, "")), "") == Lemma(x, ""). It does not
+// always hold — a lemma can still end in a suffix the untagged lemmatizer
+// strips, or be an irregular form of another verb — so Algorithm 2's probe
+// key (core.FindEmbeddings, dict.Dictionary.Probe) keeps its second
+// application. The last rows are counter-examples: "ChildrenS" is the one
+// a fuzz pass over the equality finds first, "founded" and "released" are
+// words of the question corpus.
+func TestUntaggedLemmaTwice(t *testing.T) {
+	for _, c := range []struct {
+		x, once, twice string
+	}{
+		{"married", "marry", "marry"},
+		{"Plays", "play", "play"},
+		{"cities", "city", "city"},
+		{"was", "be", "be"},
+		{"ChildrenS", "children", "child"},
+		{"things", "thing", "th"},
+		{"beings", "being", "be"},
+		{"buildings", "building", "build"},
+		{"founded", "found", "find"},
+		{"released", "releas", "relea"},
+	} {
+		once := Lemma(strings.ToLower(c.x), "")
+		twice := Lemma(strings.ToLower(once), "")
+		if once != c.once || twice != c.twice {
+			t.Errorf("%q lemmatizes to %q, then to %q; want %q, then %q", c.x, once, twice, c.once, c.twice)
 		}
 	}
 }
