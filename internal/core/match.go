@@ -14,20 +14,6 @@ import (
 	"gqa/internal/store"
 )
 
-// Matcher metrics. The per-unit counts accumulate in the matcher during the
-// search and flush here once per FindTopKMatches call, so the hot extend
-// loop adds no registry traffic.
-var (
-	matchRoundsTotal = obs.DefaultCounter("gqa_core_match_rounds_total",
-		"TA rounds executed across all searches.")
-	matchSeedsTotal = obs.DefaultCounter("gqa_core_match_seeds_total",
-		"Seed explorations run (class candidates unrolled to instances).")
-	matchStepsTotal = obs.DefaultCounter("gqa_core_match_steps_total",
-		"Search extend() steps across all searches.")
-	matchRecordsTotal = obs.DefaultCounter("gqa_core_match_records_total",
-		"Complete matches offered to the top-k result set.")
-)
-
 // Match is a subgraph match of Q^S over the RDF graph (Definition 3): an
 // injective assignment of query vertices to graph entities, with the
 // predicate path chosen per edge and the score of Definition 6.
@@ -370,9 +356,9 @@ func (m *matcher) scoreTerms() {
 	}
 }
 
-// finishStats folds the matcher's counters into the caller's stats, flushes
-// the per-search deltas into the process metrics, and annotates the search
-// span (a no-op on the nil span). Runs once per search, on its one exit.
+// finishStats folds the matcher's counters into the caller's stats and
+// annotates the search span (a no-op on the nil span). Runs once per
+// search, on its one exit.
 func (m *matcher) finishStats(stats *MatchStats, returned int) {
 	stats.AnchorsProbed = m.probes
 	stats.Seeds = m.seeds
@@ -388,11 +374,6 @@ func (m *matcher) finishStats(stats *MatchStats, returned int) {
 	if stats.Truncated == "" && m.res.refused {
 		stats.Truncated = budget.ReasonMatches
 	}
-
-	matchRoundsTotal.Add(int64(stats.Rounds))
-	matchSeedsTotal.Add(stats.Seeds)
-	matchStepsTotal.Add(stats.Steps)
-	matchRecordsTotal.Add(stats.MatchesFound)
 
 	sp := m.opts.Span
 	if !sp.Enabled() {

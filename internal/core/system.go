@@ -24,8 +24,6 @@ import (
 var (
 	questionsTotal = obs.DefaultCounter("gqa_core_questions_total",
 		"Natural-language questions answered (one pipeline run each, aggregation questions included).")
-	failuresTotal = obs.DefaultCounter("gqa_core_failures_total",
-		"Questions that produced no answer (any Table 10 failure kind).")
 	stageSeconds = map[string]*obs.Histogram{
 		"parse":         stageHist("parse"),
 		"understanding": stageHist("understanding"),
@@ -366,9 +364,6 @@ func (s *System) finishAnswer(sp *obs.Span, tr *budget.Tracker, res *Result) {
 	}
 	if res.Timing.Total > 0 {
 		stageSeconds["total"].ObserveDuration(res.Timing.Total)
-	}
-	if res.Failure != FailureNone {
-		failuresTotal.Inc()
 	}
 	if c, ok := degradedTotal[res.Degraded]; ok {
 		c.Inc()

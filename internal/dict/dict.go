@@ -14,16 +14,9 @@ import (
 	"gqa/internal/store"
 )
 
-// Dictionary metrics: lookup traffic and hit rate of the paraphrase
-// dictionary (Algorithm 2's probes), plus the inverted-index word probes.
-var (
-	dictLookups = obs.DefaultCounter("gqa_dict_lookups_total",
-		"Paraphrase dictionary lookups (exact lemma-key probes).")
-	dictLookupHits = obs.DefaultCounter("gqa_dict_lookup_hits_total",
-		"Paraphrase dictionary lookups that found a phrase.")
-	dictWordProbes = obs.DefaultCounter("gqa_dict_word_probes_total",
-		"Inverted-index word probes (Algorithm 2 steps 1-2).")
-)
+// dictWordProbes counts the inverted-index word probes of Algorithm 2.
+var dictWordProbes = obs.DefaultCounter("gqa_dict_word_probes_total",
+	"Inverted-index word probes (Algorithm 2 steps 1-2).")
 
 // Entry is one candidate interpretation of a relation phrase: a predicate
 // path L with its confidence probability δ(rel, L) (Equation 1, normalized
@@ -119,11 +112,9 @@ func (d *Dictionary) LookupLemmas(lemmas []string) (*Phrase, bool) {
 
 func (d *Dictionary) lookup(key string) (*Phrase, bool) {
 	s, ok := d.phrases[key]
-	dictLookups.Inc()
 	if !ok {
 		return nil, false
 	}
-	dictLookupHits.Inc()
 	return d.slots[s].phrase, true
 }
 

@@ -57,7 +57,7 @@ func (p Path) Reverse() Path {
 	return out
 }
 
-// String renders the path with predicate local names, marking inverse steps
+// Render renders the path with predicate local names, marking inverse steps
 // with ⁻¹, e.g. "<hasChild>⁻¹·<hasChild>".
 func (p Path) Render(g *store.Graph) string {
 	parts := make([]string, len(p))

@@ -56,11 +56,9 @@ type Config struct {
 	// ring (default 256 each).
 	Recent int
 	// Objective is the per-request latency objective the SLO tracker
-	// measures against (default 250ms).
+	// measures against (default 250ms); 99 % of requests must meet it
+	// (sloTarget).
 	Objective time.Duration
-	// Target is the fraction of requests that must meet the objective
-	// (default 0.99); the error budget is 1-Target.
-	Target float64
 	// Interval is the runtime-collector / SLO tick cadence (default 10s).
 	Interval time.Duration
 }
@@ -80,9 +78,6 @@ func (c *Config) fill() {
 	}
 	if c.Objective <= 0 {
 		c.Objective = 250 * time.Millisecond
-	}
-	if c.Target <= 0 || c.Target >= 1 {
-		c.Target = 0.99
 	}
 	if c.Interval <= 0 {
 		c.Interval = 10 * time.Second
@@ -145,7 +140,6 @@ type Recorder struct {
 	cfg   Config
 	store *traceStore
 	slo   *sloTracker
-	rt    runtimeCollector
 
 	mu   sync.Mutex // guards f, size (worker + Close)
 	f    *os.File
@@ -172,7 +166,7 @@ func New(cfg Config) (*Recorder, error) {
 	r := &Recorder{
 		cfg:   cfg,
 		store: newTraceStore(cfg.Recent, cfg.Slowest),
-		slo:   newSLOTracker(cfg.Objective, cfg.Target, cfg.Interval),
+		slo:   newSLOTracker(cfg.Objective, cfg.Interval),
 		jobs:  make(chan job, 4096),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
@@ -189,7 +183,7 @@ func New(cfg Config) (*Recorder, error) {
 		}
 		r.f, r.size = f, st.Size()
 	}
-	r.rt.collect()
+	collectRuntime()
 	go r.run()
 	return r, nil
 }
@@ -215,7 +209,7 @@ func (r *Recorder) run() {
 		case j := <-r.jobs:
 			r.handle(j)
 		case <-t.C:
-			r.rt.collect()
+			collectRuntime()
 			r.slo.tick()
 		}
 	}

@@ -168,7 +168,8 @@ func TestLogRotationBounds(t *testing.T) {
 }
 
 // TestStoreRetention: the tail sampler keeps the K slowest successes and
-// every interesting (error/shed/degraded) request within its ring bound,
+// every interesting (error/shed/degraded) request within its ring bound, a
+// record the recent ring alone holds resolves by ID until the ring rotates,
 // and a record evicted from all retention classes stops resolving by ID.
 func TestStoreRetention(t *testing.T) {
 	s := newTraceStore(2, 2) // recent/kept rings of 2, top-2 slowest
@@ -193,6 +194,12 @@ func TestStoreRetention(t *testing.T) {
 			t.Errorf("slow success %q was evicted", id)
 		}
 	}
+	// A fast success only the recent ring holds resolves by ID until the
+	// ring rotates past it.
+	add("d", 5*time.Millisecond, Event{})
+	if s.get("d") == nil {
+		t.Error("a record held by the recent ring alone does not resolve")
+	}
 
 	add("e1", 1*time.Millisecond, Event{Status: "error", Err: "boom"})
 	add("e2", 2*time.Millisecond, Event{ShedTier: 1, Degraded: "shed:tier1"})
@@ -200,6 +207,9 @@ func TestStoreRetention(t *testing.T) {
 	// The kept ring holds 2; e1 fell off it and off the recent ring.
 	if s.get("e1") != nil {
 		t.Error("oldest interesting record outlived the kept ring")
+	}
+	if s.get("d") != nil {
+		t.Error("a fast success outlived the recent ring")
 	}
 	// b and c are no longer in the recent ring but the slow set still pins
 	// them.
@@ -328,7 +338,7 @@ func TestRecorderEndToEnd(t *testing.T) {
 func TestSLOTracker(t *testing.T) {
 	// Before the first tick only the construction baseline exists, so every
 	// window clamps to "since construction" — deterministic.
-	tr := newSLOTracker(100*time.Millisecond, 0.9, time.Minute)
+	tr := newSLOTracker(100*time.Millisecond, time.Minute)
 	for i := 0; i < 6; i++ {
 		tr.observe(50 * time.Millisecond)
 	}
@@ -336,7 +346,7 @@ func TestSLOTracker(t *testing.T) {
 		tr.observe(200 * time.Millisecond)
 	}
 	st := tr.status()
-	if st.ObjectiveMs != 100 || st.Target != 0.9 {
+	if st.ObjectiveMs != 100 || st.Target != 0.99 {
 		t.Fatalf("config echo wrong: %+v", st)
 	}
 	if len(st.Burn) != 3 {
@@ -346,9 +356,9 @@ func TestSLOTracker(t *testing.T) {
 		if w.Requests != 10 || w.Breaches != 4 {
 			t.Errorf("window %s: %d/%d, want 4/10", w.Window, w.Breaches, w.Requests)
 		}
-		// 40%% of requests breach against a 10%% error budget: burn 4.0.
-		if math.Abs(w.Rate-4.0) > 1e-9 {
-			t.Errorf("window %s burn = %v, want 4.0", w.Window, w.Rate)
+		// 40%% of requests breach against a 1%% error budget: burn 40.
+		if math.Abs(w.Rate-40) > 1e-9 {
+			t.Errorf("window %s burn = %v, want 40", w.Window, w.Rate)
 		}
 	}
 	// 50ms observations land in TimeBuckets (25ms, 50ms]; rank 5 of 10
@@ -367,8 +377,8 @@ func TestSLOTracker(t *testing.T) {
 
 	// tick() publishes the same numbers to the gqa_slo_* gauges.
 	tr.tick()
-	if got := sloBurn["30m"].Value(); math.Abs(got-4.0) > 1e-9 {
-		t.Errorf("gqa_slo_burn_rate{window=30m} = %v, want 4.0", got)
+	if got := sloBurn["30m"].Value(); math.Abs(got-40) > 1e-9 {
+		t.Errorf("gqa_slo_burn_rate{window=30m} = %v, want 40", got)
 	}
 	if got := sloQuantile["0.95"].Value(); math.Abs(got-0.23125) > 1e-9 {
 		t.Errorf("gqa_slo_latency_seconds{quantile=0.95} = %v, want 0.23125", got)
@@ -397,10 +407,37 @@ func TestRejectedSkipsSLO(t *testing.T) {
 	}
 }
 
-// TestRuntimeCollector: a collect() pass publishes live process stats.
+// TestDroppedEventsCounted: with the worker stuck in writeEvent (r.mu held),
+// Record overflows the ingest queue without blocking, and every event that
+// neither sits in the queue nor is in the worker's hands is counted in
+// gqa_flight_events_dropped_total.
+func TestDroppedEventsCounted(t *testing.T) {
+	rec, err := New(Config{Interval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	before := droppedTotal.Value()
+	rec.mu.Lock()
+	sent := cap(rec.jobs) + 2
+	for i := 0; i < sent; i++ {
+		rec.Record(Event{Status: "ok", TotalUs: 1}, nil)
+	}
+	dropped := droppedTotal.Value() - before
+	queued := int64(len(rec.jobs))
+	rec.mu.Unlock()
+	if dropped < 1 {
+		t.Fatalf("%d events into a %d-slot queue: no drop counted", sent, cap(rec.jobs))
+	}
+	// At most one event is in the worker's hands, blocked on r.mu.
+	if inFlight := int64(sent) - queued - dropped; inFlight != 0 && inFlight != 1 {
+		t.Errorf("sent %d = %d queued + %d dropped + %d in flight", sent, queued, dropped, inFlight)
+	}
+}
+
+// TestRuntimeCollector: a collectRuntime pass publishes live process stats.
 func TestRuntimeCollector(t *testing.T) {
-	var c runtimeCollector
-	c.collect()
+	collectRuntime()
 	if rtGoroutines.Value() <= 0 {
 		t.Errorf("gqa_runtime_goroutines = %d, want > 0", rtGoroutines.Value())
 	}

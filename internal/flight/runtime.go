@@ -7,49 +7,18 @@ import (
 )
 
 // Runtime telemetry: the process-level signals that attribute tail latency
-// when no request-level stage explains it (GC pauses, goroutine pileups,
-// heap growth). Published into obs.Default on the Recorder's ticker.
+// when no request-level stage explains it (goroutine pileups, heap growth).
+// Published into obs.Default on the Recorder's ticker.
 var (
 	rtGoroutines = obs.DefaultGauge("gqa_runtime_goroutines",
 		"live goroutines at the last collector tick")
 	rtHeapBytes = obs.DefaultGauge("gqa_runtime_heap_bytes",
 		"heap bytes in use (MemStats.HeapAlloc) at the last collector tick")
-	rtGCPauseSeconds = obs.DefaultHistogram("gqa_runtime_gc_pause_seconds",
-		"stop-the-world GC pause durations", gcPauseBuckets)
-	rtGCTotal = obs.DefaultCounter("gqa_runtime_gc_total",
-		"completed GC cycles")
 )
 
-// gcPauseBuckets resolve the 10µs–100ms band where Go GC pauses live;
-// TimeBuckets start at 100µs and would flatten them all into two buckets.
-var gcPauseBuckets = []float64{
-	1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
-	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1,
-}
-
-// runtimeCollector tracks how far into the MemStats pause ring the last
-// collection read, so each GC pause is observed exactly once.
-type runtimeCollector struct {
-	lastNumGC uint32
-}
-
-func (c *runtimeCollector) collect() {
+func collectRuntime() {
 	rtGoroutines.Set(int64(runtime.NumGoroutine()))
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	rtHeapBytes.Set(int64(ms.HeapAlloc))
-	if ms.NumGC > c.lastNumGC {
-		rtGCTotal.Add(int64(ms.NumGC - c.lastNumGC))
-		n := ms.NumGC - c.lastNumGC
-		// PauseNs is a ring of the last 256 pauses; older ones are gone.
-		if n > uint32(len(ms.PauseNs)) {
-			n = uint32(len(ms.PauseNs))
-		}
-		// Cycle c's pause is at PauseNs[(c-1) % len]; i iterates c-1 for the
-		// last n cycles.
-		for i := ms.NumGC - n; i < ms.NumGC; i++ {
-			rtGCPauseSeconds.Observe(float64(ms.PauseNs[i%uint32(len(ms.PauseNs))]) / 1e9)
-		}
-		c.lastNumGC = ms.NumGC
-	}
 }

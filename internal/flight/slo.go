@@ -18,8 +18,6 @@ var (
 		"requests counted against the latency SLO")
 	sloBreachesTotal = obs.DefaultCounter("gqa_slo_breaches_total",
 		"requests that exceeded the latency objective")
-	sloObjectiveSeconds = obs.DefaultFloatGauge("gqa_slo_objective_seconds",
-		"configured per-request latency objective")
 	sloQuantile = map[string]*obs.FloatGauge{
 		"0.5":  obs.DefaultFloatGauge("gqa_slo_latency_seconds", "rolling latency quantile over the largest burn window", obs.L("quantile", "0.5")),
 		"0.95": obs.DefaultFloatGauge("gqa_slo_latency_seconds", "rolling latency quantile over the largest burn window", obs.L("quantile", "0.95")),
@@ -39,6 +37,10 @@ var sloWindows = []struct {
 	d    time.Duration
 }{{"1m", time.Minute}, {"5m", 5 * time.Minute}, {"30m", 30 * time.Minute}}
 
+// sloTarget is the fraction of requests that must meet the objective; the
+// error budget is 1 - sloTarget.
+const sloTarget = 0.99
+
 // sloTracker measures answered requests against a latency objective. Each
 // tick it snapshots the cumulative histogram counts into a ring; windowed
 // stats are deltas between the newest and an older snapshot, so the
@@ -46,7 +48,6 @@ var sloWindows = []struct {
 // observation.
 type sloTracker struct {
 	objective time.Duration
-	target    float64
 	every     time.Duration
 
 	mu     sync.Mutex
@@ -61,13 +62,12 @@ type sloSnap struct {
 	breaches int64
 }
 
-func newSLOTracker(objective time.Duration, target float64, tick time.Duration) *sloTracker {
-	sloObjectiveSeconds.Set(objective.Seconds())
+func newSLOTracker(objective, tick time.Duration) *sloTracker {
 	n := int(sloWindows[len(sloWindows)-1].d/tick) + 1
 	if n < 2 {
 		n = 2
 	}
-	t := &sloTracker{objective: objective, target: target, every: tick, ring: make([]sloSnap, n)}
+	t := &sloTracker{objective: objective, every: tick, ring: make([]sloSnap, n)}
 	t.ring[0] = t.snapshot() // window baseline: the state at construction
 	t.pos, t.filled = 1, 1
 	return t
@@ -158,7 +158,7 @@ func (t *sloTracker) statusLocked() SLOStatus {
 	largest := sloWindows[len(sloWindows)-1].d
 	st := SLOStatus{
 		ObjectiveMs: t.objective.Seconds() * 1e3,
-		Target:      t.target,
+		Target:      sloTarget,
 		Requests:    cur.requests,
 		Breaches:    cur.breaches,
 		WindowMs:    largest.Milliseconds(),
@@ -173,7 +173,7 @@ func (t *sloTracker) statusLocked() SLOStatus {
 	st.P95Ms = obs.QuantileFromCounts(bounds, delta, 0.95) * 1e3
 	st.P99Ms = obs.QuantileFromCounts(bounds, delta, 0.99) * 1e3
 
-	budget := 1 - t.target
+	budget := 1 - sloTarget
 	for _, w := range sloWindows {
 		o := t.at(w.d)
 		req := cur.requests - o.requests

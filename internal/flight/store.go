@@ -56,11 +56,9 @@ func (s *traceStore) add(ev *Event, tr *obs.Trace, lat time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Later requests win ID collisions (IDs are random; a collision means
-	// a client resent one, and the fresher record is the useful one).
-	if old, ok := s.byID[ev.TraceID]; ok && old != rec {
-		delete(s.byID, ev.TraceID)
-		_ = old // dropped from the map; rings release it on rotation
-	}
+	// a client resent one, and the fresher record is the useful one). The
+	// older record stays in the rings until they release it, and release
+	// leaves the ID to whichever record holds it now.
 	s.byID[ev.TraceID] = rec
 	s.ringPut(s.recent, &s.recentPos, rec)
 	if interesting(ev) {

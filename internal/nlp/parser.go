@@ -3,19 +3,6 @@ package nlp
 import (
 	"errors"
 	"fmt"
-	"time"
-
-	"gqa/internal/obs"
-)
-
-// Parse-stage metrics (§4.1's dependency-tree construction).
-var (
-	parseTotal = obs.DefaultCounter("gqa_nlp_parse_total",
-		"Word lists tagged and dependency-parsed: one per question, and one more for an aggregation question's base question.")
-	parseErrors = obs.DefaultCounter("gqa_nlp_parse_errors_total",
-		"Parses rejected (empty input or an inconsistent tree).")
-	parseSeconds = obs.DefaultHistogram("gqa_nlp_parse_seconds",
-		"Dependency-parse latency.", nil)
 )
 
 // Parse tokenizes, tags and dependency-parses a question, returning its
@@ -30,23 +17,18 @@ func Parse(question string) (*DepTree, error) { return ParseTokens(Tokenize(ques
 // Tag and Lemma are assigned here. The tagger reads context, so a word list
 // edited from a parsed tree is tagged afresh in its new positions.
 func ParseTokens(toks []Token) (*DepTree, error) {
-	start := time.Now()
-	parseTotal.Inc()
 	for i := range toks {
 		toks[i].Index = i
 	}
 	Tag(toks)
 	if len(toks) == 0 {
-		parseErrors.Inc()
 		return nil, errors.New("nlp: empty question")
 	}
 	p := &parser{toks: toks}
 	tree := p.parse()
 	if err := tree.Validate(); err != nil {
-		parseErrors.Inc()
 		return nil, fmt.Errorf("nlp: internal parse inconsistency: %w", err)
 	}
-	parseSeconds.ObserveDuration(time.Since(start))
 	return tree, nil
 }
 

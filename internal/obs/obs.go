@@ -1,10 +1,10 @@
 // Package obs is the observability layer of the engine: a lock-cheap
 // metrics registry (atomic counters, gauges, and fixed-bucket latency
-// histograms with Prometheus text-format and expvar-style JSON exposition)
-// and per-question trace spans threaded through context.Context.
+// histograms with Prometheus text-format exposition) and per-question
+// trace spans threaded through context.Context.
 //
 // The package is stdlib-only and sits at the leaf of the dependency graph
-// so every pipeline package (nlp, linker, dict, store, sparql, core, the
+// so every pipeline package (linker, dict, store, sparql, core, the
 // facade) can instrument itself without cycles.
 //
 // # Metrics
@@ -13,12 +13,15 @@
 // /metrics on gqa-serve exposes. Instrumented packages create their metrics
 // once as package variables:
 //
-//	var parses = obs.DefaultCounter("gqa_nlp_parse_total", "questions parsed")
+//	var links = obs.DefaultCounter("gqa_linker_link_total", "mentions linked")
 //
 // and update them with a single atomic operation on the hot path. Metric
 // names follow gqa_<pkg>_<name>_<unit> (units: _total for counters,
 // _seconds for latency histograms). Constant labels distinguish series of
-// one name (e.g. the per-stage latency histogram's stage label).
+// one name (e.g. the per-stage latency histogram's stage label). A series
+// is served only if something reads it: TestMetricLedger holds the served
+// series to a ledger naming, for each, the benchmark/ file or test that
+// reads it.
 //
 // # Tracing
 //

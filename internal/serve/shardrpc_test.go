@@ -106,6 +106,9 @@ func TestShardRPCSmokeBinary(t *testing.T) {
 	line := waitForLine(t, "gqa-serve", bufio.NewScanner(stderr), "listening on http://", 60*time.Second)
 	base := "http://" + strings.TrimSpace(line[strings.Index(line, "listening on http://")+len("listening on http://"):])
 
+	// Dialing the shards sent frames already (meta, entities, predicates).
+	calls0, reads0 := metricValue(t, base, "gqa_rpc_calls_total"), metricValue(t, base, "gqa_rpc_reads_total")
+	errs0 := metricValue(t, base, "gqa_rpc_errors_total")
 	resp, err := http.Get(base + "/answer?q=" + url.QueryEscape("Who is the mayor of Berlin?"))
 	if err != nil {
 		t.Fatalf("GET /answer against the coordinator: %v", err)
@@ -159,6 +162,16 @@ func TestShardRPCSmokeBinary(t *testing.T) {
 		if !strings.Contains(metrics, "\n"+name+" ") || strings.Contains(metrics, "\n"+name+" 0\n") {
 			t.Errorf("%s is missing or 0 after a question over four gqa-shard processes", name)
 		}
+	}
+	// So the question sent fewer frames than it made per-vertex reads.
+	calls := metricValue(t, base, "gqa_rpc_calls_total") - calls0
+	reads := metricValue(t, base, "gqa_rpc_reads_total") - reads0
+	if calls >= reads {
+		t.Errorf("one question: %v frames (gqa_rpc_calls_total) for %v reads (gqa_rpc_reads_total), want fewer frames than reads", calls, reads)
+	}
+	t.Logf("one question: %v frames for %v reads", calls, reads)
+	if errs := metricValue(t, base, "gqa_rpc_errors_total") - errs0; errs != 0 {
+		t.Errorf("gqa_rpc_errors_total rose by %v over four healthy shards", errs)
 	}
 
 	// Clean SIGTERM shutdown: the coordinator drains, every shard exits 0.

@@ -6,24 +6,12 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"gqa/internal/budget"
 	"gqa/internal/faultpoint"
 	"gqa/internal/obs"
 	"gqa/internal/rdf"
 	"gqa/internal/store"
-)
-
-// Evaluation metrics: query traffic, rows produced after projection, and
-// join latency. Incremented once per evaluation, outside the join loop.
-var (
-	evalTotal = obs.DefaultCounter("gqa_sparql_eval_total",
-		"SPARQL queries evaluated (backtracking joins run).")
-	evalRows = obs.DefaultCounter("gqa_sparql_rows_total",
-		"Result rows produced across all evaluations (post-projection).")
-	evalSeconds = obs.DefaultHistogram("gqa_sparql_eval_seconds",
-		"SPARQL evaluation latency per query.", nil)
 )
 
 // Row is one solution: variable name → bound term.
@@ -65,13 +53,7 @@ func EvalContext(ctx context.Context, g *store.Graph, q *Query, l budget.Limits)
 }
 
 func evalTracked(g *store.Graph, q *Query, tr *budget.Tracker) (*Result, error) {
-	start := time.Now()
-	evalTotal.Inc()
 	res := &Result{Kind: q.Kind, Vars: q.Vars}
-	defer func() {
-		evalRows.Add(int64(len(res.Rows)))
-		evalSeconds.ObserveDuration(time.Since(start))
-	}()
 	if len(res.Vars) == 0 {
 		res.Vars = q.AllVars()
 	}

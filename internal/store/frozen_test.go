@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -106,122 +107,261 @@ func edgeTargets(span []Edge) []ID {
 	return sortedIDs(out)
 }
 
-// TestFrozenEquivalence compares every snapshot operation — at one part,
-// at four, and at four behind loopback shard servers — against the
-// builder's own structures read naively (adjacency scans, the triple set,
-// per-vertex classification) across random graphs that have seen both Add
-// and Remove: Match under all binding patterns, Has, HasAdjacentPred,
-// per-predicate neighbors and degrees, total degrees, PredCount,
-// IsEntity/IsClass, Entities, and Stats.
-func TestFrozenEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		g := randomRichGraph(r)
-		for _, spo := range collectVia(g.Match, Any, Any, Any) {
-			if r.Intn(4) == 0 {
-				g.Remove(spo.S, spo.P, spo.O)
-			}
-		}
-		// The shapes in turn: k1, k4, remote-k4.
-		k, remote := []int{1, 4, 4}[seed%3], seed%3 == 2
-		g.SetShards(k)
-		n := ID(g.NumTerms())
-		var pids []ID
-		for p := ID(0); p < n; p++ {
-			if g.PredCount(p) > 0 {
-				pids = append(pids, p)
-			}
-		}
-		wantAll := collectVia(g.Match, Any, Any, Any)
+// collectExact gathers a Match iteration without sorting — the order
+// contract is that every scan streams in exactly the single-part
+// snapshot's order at every shard count, not merely the same set.
+func collectExact(match func(s, p, o ID, fn func(Spo) bool), s, p, o ID) []Spo {
+	var out []Spo
+	match(s, p, o, func(t Spo) bool { out = append(out, t); return true })
+	return out
+}
 
-		sn := g.Freeze()
-		if remote {
-			addrs, _ := startLoopbackShards(t, g, k)
-			var err error
-			if sn, err = DialShards(addrs, g.Terms(), RemoteOptions{}); err != nil {
-				t.Fatalf("seed %d: DialShards: %v", seed, err)
+// hasRow is one membership probe and the answer it must get.
+type hasRow struct {
+	s, p, o ID
+	want    bool
+}
+
+// crossPartHasRows builds the probes whose endpoints live in different
+// parts of a k-way split of sn (the K=1 snapshot, the reference): for a
+// sample of cross-part edges (s, p, o), the present edge itself, the same
+// endpoints under a predicate that does not connect them, and the same
+// subject and predicate with an absent object on another part. Every such
+// probe is answered from s's out span in s's part, wherever o lives.
+func crossPartHasRows(t *testing.T, sn *Snapshot, k int) []hasRow {
+	t.Helper()
+	var rows []hasRow
+	n := ID(sn.NumTerms())
+	for s := ID(0); s < n && len(rows) < 60; s++ {
+		for _, e := range sn.Out(s) {
+			if int(e.To)%k == int(s)%k {
+				continue
 			}
-			t.Cleanup(sn.Close)
-		}
-		if sn.NumShards() != k {
-			t.Fatalf("seed %d: %d shards, want %d", seed, sn.NumShards(), k)
-		}
-		if sn.NumTerms() != int(n) || sn.NumTriples() != g.NumTriples() || sn.NumPredicates() != g.NumPredicates() {
-			t.Fatalf("seed %d: snapshot sizes %d/%d/%d, graph %d/%d/%d", seed,
-				sn.NumTerms(), sn.NumTriples(), sn.NumPredicates(), n, g.NumTriples(), g.NumPredicates())
-		}
-		for v := ID(0); v < n; v++ {
-			for _, p := range pids {
-				wantOut, wantIn := naivePred(g.Out(v), p), naivePred(g.In(v), p)
-				if got, want := sn.HasAdjacentPred(v, p), len(wantOut)+len(wantIn) > 0; got != want {
-					t.Fatalf("seed %d: HasAdjacentPred(%d,%d) = %v, builder %v", seed, v, p, got, want)
-				}
-				if got := sn.OutPredDegree(v, p); got != len(wantOut) {
-					t.Fatalf("seed %d: OutPredDegree(%d,%d) = %d, builder %d", seed, v, p, got, len(wantOut))
-				}
-				if got := sn.InPredDegree(v, p); got != len(wantIn) {
-					t.Fatalf("seed %d: InPredDegree(%d,%d) = %d, builder %d", seed, v, p, got, len(wantIn))
-				}
-				if got := edgeTargets(sn.OutPred(v, p)); !reflect.DeepEqual(got, wantOut) {
-					t.Fatalf("seed %d: OutPred(%d,%d) = %v, builder %v", seed, v, p, got, wantOut)
-				}
-				if got := edgeTargets(sn.InPred(v, p)); !reflect.DeepEqual(got, wantIn) {
-					t.Fatalf("seed %d: InPred(%d,%d) = %v, builder %v", seed, v, p, got, wantIn)
-				}
-				if got, want := collectVia(sn.Match, v, p, Any), collectVia(g.Match, v, p, Any); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d: Match(%d,%d,Any) = %v, builder %v", seed, v, p, got, want)
-				}
-				if got, want := collectVia(sn.Match, Any, p, v), collectVia(g.Match, Any, p, v); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d: Match(Any,%d,%d) = %v, builder %v", seed, p, v, got, want)
+			rows = append(rows, hasRow{s, e.Pred, e.To, true})
+			for _, p := range sn.predIDs {
+				if !sn.Has(s, p, e.To) {
+					rows = append(rows, hasRow{s, p, e.To, false})
+					break
 				}
 			}
-			if sn.OutDegree(v) != len(g.Out(v)) || sn.InDegree(v) != len(g.In(v)) || sn.Degree(v) != g.Degree(v) {
-				t.Fatalf("seed %d: degrees of %d diverge", seed, v)
+			for o := ID(0); o < n; o++ {
+				if int(o)%k != int(s)%k && !sn.Has(s, e.Pred, o) {
+					rows = append(rows, hasRow{s, e.Pred, o, false})
+					break
+				}
 			}
-			if got, want := collectVia(sn.Match, v, Any, Any), collectVia(g.Match, v, Any, Any); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d: Match(%d,Any,Any) differs", seed, v)
+			break
+		}
+	}
+	if len(rows) < 3 {
+		t.Fatalf("k %d: no cross-part edge to probe", k)
+	}
+	return rows
+}
+
+// snapshotShape is one deployment shape of the snapshot differential: k
+// parts, in process or behind loopback shard servers, over seeds random
+// graphs.
+type snapshotShape struct {
+	name   string
+	k      int
+	remote bool
+	seeds  int64
+}
+
+// checkShapes is the snapshot differential over deployment shapes. Each
+// shape's snapshot of a random graph (on even seeds, one that has seen
+// Remove) is checked twice: against the builder's own structures read
+// naively (adjacency scans, the triple set, per-vertex classification),
+// and against the one-part snapshot of the same graph in exact order —
+// every read returns what K = 1 returns, in the same order, not merely the
+// same set.
+func checkShapes(t *testing.T, shapes []snapshotShape) {
+	t.Helper()
+	for _, shape := range shapes {
+		for seed := int64(0); seed < shape.seeds; seed++ {
+			tag := fmt.Sprintf("%s seed %d", shape.name, seed)
+			r := rand.New(rand.NewSource(seed))
+			g := randomRichGraph(r)
+			if seed%2 == 0 {
+				for _, spo := range collectVia(g.Match, Any, Any, Any) {
+					if r.Intn(4) == 0 {
+						g.Remove(spo.S, spo.P, spo.O)
+					}
+				}
 			}
-			if got, want := collectVia(sn.Match, Any, Any, v), collectVia(g.Match, Any, Any, v); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d: Match(Any,Any,%d) differs", seed, v)
+			ref := g.Freeze()
+			if ref.NumShards() != 1 {
+				t.Fatalf("%s: unsharded Freeze has %d parts, want 1", tag, ref.NumShards())
 			}
-			if sn.IsEntity(v) != g.IsEntity(v) {
-				t.Fatalf("seed %d: IsEntity(%d) mismatch", seed, v)
+			var sn *Snapshot
+			if shape.remote {
+				addrs, _ := startLoopbackShards(t, g, shape.k)
+				var err error
+				if sn, err = DialShards(addrs, g.Terms(), RemoteOptions{}); err != nil {
+					t.Fatalf("%s: DialShards: %v", tag, err)
+				}
+			} else {
+				g.SetShards(shape.k)
+				sn = g.Freeze()
+				if g.FrozenView() != View(sn) {
+					t.Fatalf("%s: FrozenView is %T, not the frozen snapshot", tag, g.FrozenView())
+				}
 			}
-			if sn.IsClass(v) != g.IsClass(v) {
-				t.Fatalf("seed %d: IsClass(%d) mismatch", seed, v)
+			if sn.NumShards() != shape.k {
+				t.Fatalf("%s: %d shards, want %d", tag, sn.NumShards(), shape.k)
+			}
+			checkSnapshot(t, tag, g, ref, sn, r)
+			sn.Close()
+		}
+	}
+}
+
+// TestFrozenEquivalence is the differential at one part: the frozen
+// snapshot against the builder it was frozen from.
+func TestFrozenEquivalence(t *testing.T) {
+	checkShapes(t, []snapshotShape{{"k1", 1, false, 24}})
+}
+
+// TestShardCountEquivalence is the differential over in-process parts,
+// including k larger than the vertex count of some parts.
+func TestShardCountEquivalence(t *testing.T) {
+	checkShapes(t, []snapshotShape{
+		{"k2", 2, false, 24}, {"k3", 3, false, 24}, {"k4", 4, false, 24}, {"k8", 8, false, 24},
+	})
+}
+
+// TestRemoteShardSetEquivalence is the differential one process boundary
+// later: parts behind loopback shard servers. It runs fewer seeds: every
+// read is a frame.
+func TestRemoteShardSetEquivalence(t *testing.T) {
+	checkShapes(t, []snapshotShape{{"remote-k2", 2, true, 3}, {"remote-k4", 4, true, 4}})
+}
+
+// checkSnapshot is one row of checkShapes: sizes, Stats,
+// Entities, TypeID and Generation; per vertex Out, In, the degrees,
+// IsEntity and IsClass; per vertex and IRI OutPred, InPred, their degrees
+// and HasAdjacentPred; per IRI PredCount; Match under every binding
+// pattern (bound to each vertex, predicate and present triple, and to
+// random IDs), and its first streamed triple; Has on every present triple,
+// on random probes, on an out-of-range object and on the cross-part table.
+func checkSnapshot(t *testing.T, tag string, g *Graph, ref, sn *Snapshot, r *rand.Rand) {
+	t.Helper()
+	n := ID(g.NumTerms())
+	if sn.NumTerms() != int(n) || sn.NumTriples() != g.NumTriples() || sn.NumPredicates() != g.NumPredicates() {
+		t.Fatalf("%s: snapshot sizes %d/%d/%d, builder %d/%d/%d", tag,
+			sn.NumTerms(), sn.NumTriples(), sn.NumPredicates(), n, g.NumTriples(), g.NumPredicates())
+	}
+	if got, want := sn.Stats(), g.Stats(); got != want {
+		t.Fatalf("%s: Stats = %+v, builder %+v", tag, got, want)
+	}
+	if got, want := sn.Entities(), g.Entities(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Entities = %v, builder %v", tag, got, want)
+	}
+	if sn.TypeID() != ref.TypeID() || sn.Generation() != ref.Generation() {
+		t.Fatalf("%s: TypeID/Generation %d/%d, k1 %d/%d", tag, sn.TypeID(), sn.Generation(), ref.TypeID(), ref.Generation())
+	}
+
+	// match checks one pattern's scan against K = 1's in order and against
+	// the builder's as a set.
+	match := func(s, p, o ID) {
+		t.Helper()
+		got := collectExact(sn.Match, s, p, o)
+		if want := collectExact(ref.Match, s, p, o); !sposEqual(got, want) {
+			t.Fatalf("%s: Match(%d,%d,%d) = %v, k1 %v", tag, s, p, o, got, want)
+		}
+		if want := collectVia(g.Match, s, p, o); !reflect.DeepEqual(sortedSpos(slices.Clone(got)), want) {
+			t.Fatalf("%s: Match(%d,%d,%d) = %v, builder %v", tag, s, p, o, got, want)
+		}
+	}
+
+	var iris []ID
+	for v := ID(0); v < n; v++ {
+		if g.Term(v).IsIRI() {
+			iris = append(iris, v)
+		}
+	}
+	for v := ID(0); v < n; v++ {
+		if !edgesEqual(sn.Out(v), ref.Out(v)) || !edgesEqual(sn.In(v), ref.In(v)) {
+			t.Fatalf("%s: Out/In(%d) diverge from k1", tag, v)
+		}
+		if sn.OutDegree(v) != len(g.Out(v)) || sn.InDegree(v) != len(g.In(v)) || sn.Degree(v) != g.Degree(v) {
+			t.Fatalf("%s: degrees of %d diverge", tag, v)
+		}
+		if sn.IsEntity(v) != g.IsEntity(v) || sn.IsClass(v) != g.IsClass(v) {
+			t.Fatalf("%s: roles of %d diverge", tag, v)
+		}
+		match(v, Any, Any)
+		match(Any, Any, v)
+		for _, p := range iris {
+			wantOut, wantIn := naivePred(g.Out(v), p), naivePred(g.In(v), p)
+			if got, want := sn.HasAdjacentPred(v, p), len(wantOut)+len(wantIn) > 0; got != want {
+				t.Fatalf("%s: HasAdjacentPred(%d,%d) = %v, builder %v", tag, v, p, got, want)
+			}
+			if sn.OutPredDegree(v, p) != len(wantOut) || sn.InPredDegree(v, p) != len(wantIn) {
+				t.Fatalf("%s: OutPredDegree/InPredDegree(%d,%d) = %d/%d, builder %d/%d", tag, v, p,
+					sn.OutPredDegree(v, p), sn.InPredDegree(v, p), len(wantOut), len(wantIn))
+			}
+			out, in := sn.OutPred(v, p), sn.InPred(v, p)
+			if got := edgeTargets(out); !reflect.DeepEqual(got, wantOut) {
+				t.Fatalf("%s: OutPred(%d,%d) = %v, builder %v", tag, v, p, got, wantOut)
+			}
+			if got := edgeTargets(in); !reflect.DeepEqual(got, wantIn) {
+				t.Fatalf("%s: InPred(%d,%d) = %v, builder %v", tag, v, p, got, wantIn)
+			}
+			if !edgesEqual(out, ref.OutPred(v, p)) || !edgesEqual(in, ref.InPred(v, p)) {
+				t.Fatalf("%s: OutPred/InPred(%d,%d) diverge from k1", tag, v, p)
+			}
+			if g.PredCount(p) > 0 {
+				match(v, p, Any)
+				match(Any, p, v)
 			}
 		}
-		for _, p := range pids {
-			if got := sn.PredCount(p); got != g.PredCount(p) {
-				t.Fatalf("seed %d: PredCount(%d) = %d, builder %d", seed, p, got, g.PredCount(p))
-			}
-			if got := collectVia(sn.Match, Any, p, Any); !reflect.DeepEqual(got, collectVia(g.Match, Any, p, Any)) {
-				t.Fatalf("seed %d: Match(Any,%d,Any) differs", seed, p)
-			}
+	}
+	for _, p := range iris {
+		if got := sn.PredCount(p); got != g.PredCount(p) {
+			t.Fatalf("%s: PredCount(%d) = %d, builder %d", tag, p, got, g.PredCount(p))
 		}
-		if got := collectVia(sn.Match, Any, Any, Any); !reflect.DeepEqual(got, wantAll) {
-			t.Fatalf("seed %d: full scan differs", seed)
+		match(Any, p, Any)
+	}
+	match(Any, Any, Any)
+	for i := 0; i < 30; i++ {
+		s, p, o := ID(r.Intn(int(n))), ID(r.Intn(int(n))), ID(r.Intn(int(n)))
+		for _, pat := range [][3]ID{{s, p, o}, {s, p, Any}, {s, Any, o}, {s, Any, Any}, {Any, p, o}, {Any, p, Any}, {Any, Any, o}} {
+			match(pat[0], pat[1], pat[2])
 		}
-		for _, spo := range wantAll {
-			if !sn.Has(spo.S, spo.P, spo.O) {
-				t.Fatalf("seed %d: Has misses present triple %v", seed, spo)
+	}
+	// Early stop: the first streamed triple is K = 1's.
+	var first, want []Spo
+	sn.Match(Any, Any, Any, func(t Spo) bool { first = append(first, t); return false })
+	ref.Match(Any, Any, Any, func(t Spo) bool { want = append(want, t); return false })
+	if !sposEqual(first, want) {
+		t.Fatalf("%s: first streamed triple %v, k1 %v", tag, first, want)
+	}
+
+	all := collectVia(g.Match, Any, Any, Any)
+	for _, spo := range all {
+		if !sn.Has(spo.S, spo.P, spo.O) {
+			t.Fatalf("%s: Has misses present triple %v", tag, spo)
+		}
+		match(spo.S, spo.P, spo.O)
+		match(spo.S, Any, spo.O)
+	}
+	for i := 0; i < 200; i++ {
+		s, p, o := ID(r.Intn(int(n))), ID(r.Intn(int(n))), ID(r.Intn(int(n)))
+		if got, want := sn.Has(s, p, o), g.Has(s, p, o); got != want || got != ref.Has(s, p, o) {
+			t.Fatalf("%s: Has(%d,%d,%d) = %v, builder %v", tag, s, p, o, got, want)
+		}
+	}
+	if len(all) > 0 && sn.Has(all[0].S, all[0].P, None) {
+		t.Fatalf("%s: Has of an out-of-range object", tag)
+	}
+	// s and o in different parts: the probe is answered from s's part.
+	if k := sn.NumShards(); k > 1 {
+		for _, row := range crossPartHasRows(t, ref, k) {
+			if got := sn.Has(row.s, row.p, row.o); got != row.want {
+				t.Fatalf("%s: cross-part Has(%d,%d,%d) = %v, want %v", tag, row.s, row.p, row.o, got, row.want)
 			}
-			if got := collectVia(sn.Match, spo.S, spo.P, spo.O); len(got) != 1 || got[0] != spo {
-				t.Fatalf("seed %d: fully bound Match(%v) = %v", seed, spo, got)
-			}
-		}
-		// Negative probes.
-		for i := 0; i < 200; i++ {
-			s, p, o := ID(r.Intn(int(n))), ID(r.Intn(int(n))), ID(r.Intn(int(n)))
-			if got, want := sn.Has(s, p, o), g.Has(s, p, o); got != want {
-				t.Fatalf("seed %d: Has(%d,%d,%d) = %v, want %v", seed, s, p, o, got, want)
-			}
-		}
-		if got, want := sn.Entities(), g.Entities(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: Entities = %v, builder %v", seed, got, want)
-		}
-		if got, want := sn.Stats(), g.Stats(); got != want {
-			t.Fatalf("seed %d: Stats = %+v, builder %+v", seed, got, want)
 		}
 	}
 }

@@ -60,21 +60,8 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"io"
-	"time"
 
-	"gqa/internal/obs"
 	"gqa/internal/rdf"
-)
-
-var (
-	frozenSaveSeconds = obs.DefaultHistogram("gqa_store_frozen_save_seconds",
-		"Time to serialize one GQAFRZ1 frozen snapshot (excluding the freeze itself).", nil)
-	frozenLoadSeconds = obs.DefaultHistogram("gqa_store_frozen_load_seconds",
-		"Time to load and validate one GQAFRZ1 frozen snapshot into a servable graph.", nil)
-	frozenLoads = obs.DefaultCounter("gqa_store_frozen_loads_total",
-		"GQAFRZ1 frozen snapshots loaded successfully.")
-	frozenLoadErrors = obs.DefaultCounter("gqa_store_frozen_load_errors_total",
-		"GQAFRZ1 frozen snapshot loads rejected (corrupt, truncated, or inconsistent).")
 )
 
 const (
@@ -229,12 +216,7 @@ func SaveFrozen(w io.Writer, g *Graph) error {
 		// boot: build the one-part layout without installing it.
 		sn, _ = g.buildSnapshot(1, nil)
 	}
-	start := time.Now()
-	if err := sn.Part(0).Save(w); err != nil {
-		return err
-	}
-	frozenSaveSeconds.ObserveDuration(time.Since(start))
-	return nil
+	return sn.Part(0).Save(w)
 }
 
 // SaveShardPart freezes the sharded graph (a pointer load when already
@@ -361,19 +343,15 @@ func encodeFrzSpos(v []Spo) []byte {
 // positioned error; LoadFrozen never panics on hostile bytes and never
 // returns a graph that answers differently from the one that was saved.
 func LoadFrozen(r io.Reader) (*Graph, error) {
-	start := time.Now()
 	pr := &partReader{r: r}
 	sp, err := pr.load(false)
-	var g *Graph
-	if err == nil {
-		g, err = assembleFrozen(sp, pr)
-	}
 	if err != nil {
-		frozenLoadErrors.Inc()
 		return nil, err
 	}
-	frozenLoads.Inc()
-	frozenLoadSeconds.ObserveDuration(time.Since(start))
+	g, err := assembleFrozen(sp, pr)
+	if err != nil {
+		return nil, err
+	}
 	snapshotBytes.Set(sp.part.bytes)
 	return g, nil
 }

@@ -53,8 +53,6 @@ var (
 		"Shard-RPC attempts that were retries after a transient transport error.")
 	rpcErrorsTotal = obs.DefaultCounter("gqa_rpc_errors_total",
 		"Shard-RPC calls that failed after exhausting their retries.")
-	rpcDegradedTotal = obs.DefaultCounter("gqa_rpc_degraded_total",
-		"Reads degraded to empty results because a shard stayed unreachable.")
 	rpcReadsTotal = obs.DefaultCounter("gqa_rpc_reads_total",
 		"Per-vertex reads asked of request-bound shard-RPC readers (served from the read set or the wire).")
 	rpcReadHitsTotal = obs.DefaultCounter("gqa_rpc_read_hits_total",
@@ -429,7 +427,6 @@ func (r *rpcReader) call(shard int, req []byte) ([]byte, error) {
 // and the read returns empty. On an unbudgeted caller (nil tracker) the
 // read still returns empty — degraded, never hung.
 func (r *rpcReader) degrade() {
-	rpcDegradedTotal.Inc()
 	if r.req != nil {
 		r.req.errs.Add(1)
 		r.req.b.FailShardUnavailable()

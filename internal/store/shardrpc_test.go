@@ -142,110 +142,6 @@ func TestShardPartRoundtrip(t *testing.T) {
 // rpcOf returns the shard-RPC reader behind a dialed (or bound) snapshot.
 func rpcOf(sn *Snapshot) *rpcReader { return sn.rd.(*rpcReader) }
 
-// TestRemoteShardSetEquivalence is the wire-level differential: every
-// read on a snapshot over loopback shard servers returns exactly what the
-// one-part local snapshot returns, in the same order — the same contract
-// TestShardCountEquivalence pins for in-process parts, one process
-// boundary later.
-func TestRemoteShardSetEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 3; seed++ {
-		for _, k := range []int{2, 4} {
-			r := rand.New(rand.NewSource(seed))
-			g := randomRichGraph(r)
-			sn := g.Freeze()
-			addrs, _ := startLoopbackShards(t, g, k)
-			rss, err := DialShards(addrs, g.Terms(), RemoteOptions{})
-			if err != nil {
-				t.Fatalf("seed %d k %d: DialShards: %v", seed, k, err)
-			}
-			t.Cleanup(rss.Close)
-
-			if rss.NumShards() != k {
-				t.Fatalf("NumShards = %d, want %d", rss.NumShards(), k)
-			}
-			if rss.Generation() != sn.Generation() || rss.NumTerms() != sn.NumTerms() ||
-				rss.NumTriples() != sn.NumTriples() || rss.TypeID() != sn.TypeID() {
-				t.Fatalf("seed %d k %d: identity metadata diverges", seed, k)
-			}
-			if !reflect.DeepEqual(rss.Stats(), sn.Stats()) {
-				t.Fatalf("seed %d k %d: Stats %+v, want %+v", seed, k, rss.Stats(), sn.Stats())
-			}
-			if !reflect.DeepEqual(rss.Entities(), sn.Entities()) {
-				t.Fatalf("seed %d k %d: Entities diverge", seed, k)
-			}
-
-			n := ID(g.NumTerms())
-			preds := make([]ID, 0, 8)
-			for v := ID(0); v < n; v++ {
-				if g.Term(v).IsIRI() {
-					preds = append(preds, v)
-				}
-			}
-			for v := ID(0); v < n; v++ {
-				if rss.OutDegree(v) != sn.OutDegree(v) || rss.InDegree(v) != sn.InDegree(v) ||
-					rss.Degree(v) != sn.Degree(v) {
-					t.Fatalf("seed %d k %d: degrees diverge at %d", seed, k, v)
-				}
-				if rss.IsEntity(v) != sn.IsEntity(v) || rss.IsClass(v) != sn.IsClass(v) {
-					t.Fatalf("seed %d k %d: roles diverge at %d", seed, k, v)
-				}
-				for _, p := range preds {
-					if !edgesEqual(rss.OutPred(v, p), sn.OutPred(v, p)) {
-						t.Fatalf("seed %d k %d: OutPred(%d,%d) diverges", seed, k, v, p)
-					}
-					if !edgesEqual(rss.InPred(v, p), sn.InPred(v, p)) {
-						t.Fatalf("seed %d k %d: InPred(%d,%d) diverges", seed, k, v, p)
-					}
-					if rss.HasAdjacentPred(v, p) != sn.HasAdjacentPred(v, p) {
-						t.Fatalf("seed %d k %d: HasAdjacentPred(%d,%d) diverges", seed, k, v, p)
-					}
-					if rss.OutPredDegree(v, p) != sn.OutPredDegree(v, p) ||
-						rss.InPredDegree(v, p) != sn.InPredDegree(v, p) {
-						t.Fatalf("seed %d k %d: pred degrees diverge at (%d,%d)", seed, k, v, p)
-					}
-				}
-			}
-
-			// Every Match pattern shape, exact order.
-			check := func(s, p, o ID) {
-				t.Helper()
-				if got, want := collectExact(rss.Match, s, p, o), collectExact(sn.Match, s, p, o); !sposEqual(got, want) {
-					t.Fatalf("seed %d k %d: Match(%v,%v,%v) = %v, want %v", seed, k, s, p, o, got, want)
-				}
-			}
-			check(Any, Any, Any)
-			for _, p := range preds {
-				check(Any, p, Any)
-			}
-			all := collectExact(sn.Match, Any, Any, Any)
-			for i, tr := range all {
-				if i%5 != 0 {
-					continue
-				}
-				check(tr.S, Any, Any)
-				check(Any, Any, tr.O)
-				check(tr.S, tr.P, Any)
-				check(tr.S, Any, tr.O)
-				check(Any, tr.P, tr.O)
-				check(tr.S, tr.P, tr.O)
-				if !rss.Has(tr.S, tr.P, tr.O) {
-					t.Fatalf("seed %d k %d: Has(%v) = false for a present triple", seed, k, tr)
-				}
-			}
-			if rss.Has(all[0].S, all[0].P, None) {
-				t.Fatalf("seed %d k %d: Has of an absent triple", seed, k)
-			}
-			// s and o on different shard servers: the probe goes to s's.
-			for _, row := range crossPartHasRows(t, sn, k) {
-				if got := rss.Has(row.s, row.p, row.o); got != row.want {
-					t.Fatalf("seed %d k %d: cross-part Has(%d,%d,%d) = %v, want %v", seed, k, row.s, row.p, row.o, got, row.want)
-				}
-			}
-			rss.Close()
-		}
-	}
-}
-
 // TestRemoteFailureModes is the failure-mode table: each injected fault —
 // a straggling server past the call timeout, a refused dial, a mid-stream
 // connection cut, a server-side panic — must end in bounded, budget-
