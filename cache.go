@@ -10,42 +10,28 @@ package gqa
 //     and silently retires every cached result; changing TopK, candidate
 //     caps, heuristics, or aggregation changes the fingerprint; replacing
 //     the dictionary or registering a superlative bumps the salt.
-//   - Entries are immutable deep copies: the pipeline's answer is cloned
-//     into the cache, and every hit clones back out, so no caller can
-//     mutate a shared Answer.
+//   - Entries are immutable copies: the pipeline's answer is cloned into
+//     the cache, and every hit clones back out, so no caller can mutate a
+//     shared Answer.
 //   - Degraded/truncated results are never cached. They reflect the
 //     caller's budget, not the data — a cached one would serve someone
 //     else's timeout forever.
 //   - Identical in-flight questions coalesce: N concurrent calls run the
 //     pipeline once and share the (cloned) result.
 //
-// A cache hit also replays the per-match "match" spans (score + rendered
-// disambiguation) onto the caller's trace, so ExplainContext over a cached
-// answer returns exactly the lines an uncached run would.
+// The stored value is the answer itself, its resolved Q^S and matches
+// included, so ExplainContext over a cached answer renders exactly the lines
+// an uncached run would.
 
 import (
 	"context"
 	"fmt"
 	"strings"
+	"time"
 
 	"gqa/internal/core"
 	"gqa/internal/obs"
 )
-
-// cachedAnswer is one stored question result: the immutable master copy of
-// the answer plus the rendered explain line of each top match, kept so a
-// hit can replay them onto an enabled trace.
-type cachedAnswer struct {
-	ans     *Answer
-	renders []matchRender
-}
-
-// matchRender is one top match's trace payload: what the pipeline would
-// have recorded as a "match" span under an enabled trace.
-type matchRender struct {
-	score  float64
-	render string
-}
 
 // normalizeQuestion canonicalizes insignificant whitespace — the tokenizer
 // splits on it, so "who  is" and "who is" are the same question. Case is
@@ -67,9 +53,10 @@ func (s *System) cacheKey(input string) string {
 		o.TopK, o.MaxVertexCandidates, o.DisableHeuristicRules, o.EnableAggregation)
 }
 
-// clone returns a deep copy of the answer sharing no mutable state with
-// the receiver. The trace is dropped: it belongs to the call that recorded
-// it, never to the cache.
+// clone returns a copy of the answer sharing no mutable state with the
+// receiver; the resolved Q^S and matches, which nothing mutates, are
+// shared. The trace is dropped: it belongs to the call that recorded it,
+// never to the cache.
 func (a *Answer) clone() *Answer {
 	cp := *a
 	cp.Labels = append([]string(nil), a.Labels...)
@@ -91,6 +78,7 @@ func (a *Answer) clone() *Answer {
 // written at tier 0 serve tier-3 callers and vice versa, which is exactly
 // what keeps an overloaded server fast.
 func (s *System) answerCached(ctx context.Context, question string, eng *core.System, tier int) (*Answer, error) {
+	start := time.Now()
 	key := s.cacheKey(normalizeQuestion(question))
 	sp := obs.TraceFrom(ctx).Root().Child("cache.lookup")
 	var leaderAns *Answer
@@ -104,14 +92,7 @@ func (s *System) answerCached(ctx context.Context, question string, eng *core.Sy
 			// Budget-shaped: correct for this caller, poison for the next.
 			return nil, false, nil
 		}
-		ent := &cachedAnswer{ans: leaderAns.clone()}
-		for i := range res.Matches {
-			ent.renders = append(ent.renders, matchRender{
-				score:  res.Matches[i].Score,
-				render: core.RenderMatch(s.graph, res.Query, &res.Matches[i]),
-			})
-		}
-		return ent, true, nil
+		return leaderAns.clone(), true, nil
 	})
 	sp.SetStr("outcome", string(outcome))
 	sp.Finish()
@@ -125,17 +106,9 @@ func (s *System) answerCached(ctx context.Context, question string, eng *core.Sy
 		// private to this caller.
 		return shedAnnotate(leaderAns, tier), nil
 	}
-	ent := v.(*cachedAnswer)
-	// Hit or coalesced: replay the match spans so Explain over a cached
-	// answer renders identically to an uncached run, then hand out a
-	// private copy of the shared entry.
-	if root := obs.TraceFrom(ctx).Root(); root.Enabled() {
-		for _, r := range ent.renders {
-			m := root.Child("match")
-			m.SetFloat("score", r.score)
-			m.SetStr("render", r.render)
-			m.Finish()
-		}
-	}
-	return ent.ans.clone(), nil
+	// Hit or coalesced: a private copy of the shared entry, timed as this
+	// call, which understood nothing.
+	ans := v.(*Answer).clone()
+	ans.Understanding, ans.Total = 0, time.Since(start)
+	return ans, nil
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -37,7 +38,7 @@ func answerSignature(ans *Answer, lines []string) string {
 	if ans.Boolean != nil {
 		fmt.Fprintf(&b, "boolean=%v\n", *ans.Boolean)
 	}
-	fmt.Fprintf(&b, "qg=%s\nsparql=%s\n", ans.QueryGraph, ans.SPARQL)
+	fmt.Fprintf(&b, "qg=%s\nsparql=%s\n", ans.QueryGraph(), ans.SPARQL)
 	for _, l := range lines {
 		fmt.Fprintf(&b, "explain: %s\n", l)
 	}
@@ -47,8 +48,8 @@ func answerSignature(ans *Answer, lines []string) string {
 // TestCacheDifferentialByteIdentical runs the whole benchmark workload
 // three ways over one graph and dictionary — uncached baseline, cache-cold
 // (miss), and cache-warm (hit) — and requires identical signatures, Explain lines
-// included: a hit must replay the match spans the pipeline would have
-// recorded.
+// included: a hit must render the same matches the pipeline found, which the
+// entry keeps.
 func TestCacheDifferentialByteIdentical(t *testing.T) {
 	sys := benchmarkSystem(t)
 	qs := bench.Workload()
@@ -333,8 +334,10 @@ func TestDeadShardAnswerNotCached(t *testing.T) {
 // at once (MaxMatches, 10000), asked for by a type-only question, so every
 // instance is a match tied at the cut. The answer must say it is partial
 // (Degraded "matches"), be counted under that reason, and not be cached.
-// (That the reason reaches the wide event is internal/serve's
-// TestDegradedReasonReachesWideEvent.)
+// Its trace records the pipeline's stages, not one span per match: served
+// traced and kept by the flight recorder as degraded, it stays a handful of
+// spans while Explain still lists every match. (That the reason reaches the
+// wide event is internal/serve's TestDegradedReasonReachesWideEvent.)
 func TestMatchCapIsLoud(t *testing.T) {
 	g := store.New()
 	typ := g.Intern(rdf.NewIRI(rdf.RDFType))
@@ -348,13 +351,19 @@ func TestMatchCapIsLoud(t *testing.T) {
 	degraded := obs.DefaultCounter("gqa_core_degraded_total", "", obs.L("reason", "matches"))
 	d0, m0 := degraded.Value(), cacheMetric("gqa_cache_misses_total")
 	for ask := 1; ask <= 2; ask++ {
-		ans, err := sys.AnswerContext(context.Background(), "Give me all widgets.")
+		ans, lines, err := sys.ExplainContext(context.Background(), "Give me all widgets.")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ans.Degraded != "matches" || len(ans.IRIs) != 10000 {
-			t.Fatalf("ask %d: Degraded = %q with %d answers, want \"matches\" with the 10000 held",
-				ask, ans.Degraded, len(ans.IRIs))
+		if ans.Degraded != "matches" || len(ans.IRIs) != 10000 || len(lines) != 10000 {
+			t.Fatalf("ask %d: Degraded = %q with %d answers and %d explain lines, want \"matches\" with the 10000 held",
+				ask, ans.Degraded, len(ans.IRIs), len(lines))
+		}
+		if hasMatchSpan(ans.Trace) {
+			t.Errorf("ask %d: the trace records match spans", ask)
+		}
+		if n := strings.Count(ans.Trace.JSON(), `"name":`); n > 64 {
+			t.Errorf("ask %d: the trace records %d spans, want at most 64", ask, n)
 		}
 	}
 	if d := cacheMetric("gqa_cache_misses_total") - m0; d != 2 {
@@ -362,6 +371,94 @@ func TestMatchCapIsLoud(t *testing.T) {
 	}
 	if d := degraded.Value() - d0; d != 2 {
 		t.Errorf("gqa_core_degraded_total{reason=\"matches\"} moved by %d, want 2", d)
+	}
+}
+
+// hasMatchSpan reports whether a trace recorded a per-match "match" span.
+func hasMatchSpan(tr *obs.Trace) bool { return strings.Contains(tr.JSON(), `"name":"match"`) }
+
+// TestCachedExplainRendersTheEntry: a traced miss, the callers coalesced
+// onto it and a later hit each return the uncached run's Explain lines, and
+// none of their traces records a match span — the lines come from the
+// matches the answer (and the cache entry) keeps, not from the trace. A hit
+// or coalesced answer understood nothing and reports so.
+func TestCachedExplainRendersTheEntry(t *testing.T) {
+	_, want, err := benchmarkSystem(t).Explain(runningExample)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("uncached explain: %d lines, %v", len(want), err)
+	}
+	sys := cachedSystem(t, 64)
+	faultpoint.Reset()
+	defer faultpoint.Reset()
+	faultpoint.Set(faultpoint.MatcherExtend, faultpoint.Fault{Delay: 5 * time.Millisecond})
+
+	const K = 4
+	answers := make([]*Answer, K+1)
+	lines := make([][]string, K+1)
+	errs := make([]error, K+1)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < K; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			answers[i], lines[i], errs[i] = sys.ExplainContext(context.Background(), runningExample)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	answers[K], lines[K], errs[K] = sys.ExplainContext(context.Background(), runningExample)
+
+	seen := map[string]int{}
+	for i, ans := range answers {
+		if errs[i] != nil {
+			t.Fatalf("call %d: %v", i, errs[i])
+		}
+		outs := ans.Trace.FindAttrs("cache.lookup", "outcome")
+		if len(outs) != 1 {
+			t.Fatalf("call %d: cache outcomes %q, want one", i, outs)
+		}
+		outcome := outs[0]
+		seen[outcome]++
+		if hasMatchSpan(ans.Trace) {
+			t.Errorf("call %d (%s): the trace records match spans", i, outcome)
+		}
+		if !slices.Equal(lines[i], want) {
+			t.Errorf("call %d (%s): explain lines differ from the uncached run:\n%q\nvs\n%q", i, outcome, lines[i], want)
+		}
+		if outcome != "miss" && ans.Understanding != 0 {
+			t.Errorf("call %d (%s): Understanding = %v, want 0", i, outcome, ans.Understanding)
+		}
+	}
+	if seen["miss"] != 1 || seen["coalesced"] != K-1 || seen["hit"] != 1 {
+		t.Errorf("outcomes %v, want 1 miss, %d coalesced, 1 hit", seen, K-1)
+	}
+}
+
+// TestHitTimesItsOwnCall: a cache hit reports its own call's time, not the
+// time of the miss that stored the entry — /answer's total_ms and the CLI
+// print it.
+func TestHitTimesItsOwnCall(t *testing.T) {
+	sys := cachedSystem(t, 64)
+	faultpoint.Reset()
+	defer faultpoint.Reset()
+	const delay = 20 * time.Millisecond
+	faultpoint.Set(faultpoint.MatcherExtend, faultpoint.Fault{Delay: delay})
+	miss, err := sys.Answer(runningExample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if miss.Total < delay {
+		t.Fatalf("miss Total = %v under a %v matcher delay", miss.Total, delay)
+	}
+	hit, err := sys.Answer(runningExample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.Total <= 0 || hit.Total >= delay || hit.Understanding != 0 {
+		t.Errorf("hit: Total = %v, Understanding = %v; want a Total of the hit itself (under %v) and Understanding 0",
+			hit.Total, hit.Understanding, delay)
 	}
 }
 

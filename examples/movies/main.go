@@ -63,7 +63,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("Q:", q)
-	fmt.Println("semantic query graph:", ans.QueryGraph)
+	fmt.Println("semantic query graph:", ans.QueryGraph())
 	fmt.Println("A:", strings.Join(ans.Labels, "; "))
 	fmt.Println("matches (the disambiguation, resolved by the data):")
 	for _, m := range matches {

@@ -247,9 +247,6 @@ type Answer struct {
 	// Failure explains an unanswered question: "aggregation",
 	// "entity-linking", "relation-extraction", "no-match", or "".
 	Failure string
-	// QueryGraph renders the semantic query graph Q^S built for the
-	// question — the structural representation of the query intention.
-	QueryGraph string
 	// SPARQL is the fully disambiguated SPARQL query corresponding to the
 	// best match (Algorithm 3's "top-k SPARQL queries" artifact), when one
 	// exists. It evaluates to the same answers on the same graph and can
@@ -275,7 +272,9 @@ type Answer struct {
 	// graded overload. Cache hits report 0 — they cost no pipeline work,
 	// so no shedding applied.
 	ShedTier int
-	// Understanding and Total are the stage timings of Figure 6.
+	// Understanding and Total are the stage timings of Figure 6. A cache
+	// hit or coalesced answer times its own call: Understanding 0 (it
+	// understood nothing) and Total the call's wall time.
 	Understanding time.Duration
 	Total         time.Duration
 	// Trace is the question's span tree — per-stage timings and counters
@@ -289,6 +288,23 @@ type Answer struct {
 	// header, which the flight recorder logs on the wide event and
 	// /debug/flight/trace/<id> resolves. Empty otherwise.
 	TraceID string
+
+	// query and matches are the resolved Q^S and its top-k matches (the
+	// base question's for an aggregation), kept unrendered: QueryGraph and
+	// ExplainContext render them only when read. Both are immutable once
+	// the pipeline returns, so copies of the answer share them.
+	query   *core.QueryGraph
+	matches []core.Match
+}
+
+// QueryGraph renders the semantic query graph Q^S built for the question —
+// the structural representation of the query intention — or "" when the
+// pipeline stopped before building one.
+func (a *Answer) QueryGraph() string {
+	if a.query == nil {
+		return ""
+	}
+	return a.query.String()
 }
 
 // Answer runs the full online pipeline on a natural-language question.
@@ -305,9 +321,8 @@ func (s *System) buildAnswer(res *core.Result) *Answer {
 		Degraded:      res.Degraded,
 		Understanding: res.Timing.Understanding,
 		Total:         res.Timing.Total,
-	}
-	if res.Query != nil {
-		out.QueryGraph = res.Query.String()
+		query:         res.Query,
+		matches:       res.Matches,
 	}
 	if res.Failure != core.FailureNone {
 		out.Failure = res.Failure.String()
@@ -345,17 +360,21 @@ func (s *System) Explain(question string) (*Answer, []string, error) {
 }
 
 // ExplainContext is Explain under a context (deadline, cancellation) and
-// the system's Budget. The explain lines are read back from the answer's
-// trace — the pipeline records one "match" span per top match with the
-// rendered disambiguation as its "render" attribute — so the explain
-// output and the trace output are the same object and cannot drift.
+// the system's Budget; the answer carries its trace, as AnswerTraced's
+// does. The explain lines render the matches of that same answer — the
+// top-k of this call, under this call's budget, or a cached entry's, which
+// holds the matches themselves — so the lines cannot drift from the answer
+// they explain.
 func (s *System) ExplainContext(ctx context.Context, question string) (ans *Answer, lines []string, err error) {
 	defer recoverPipeline("explain", question, &err)
 	ans, err = s.AnswerTraced(ctx, question)
 	if err != nil {
 		return nil, nil, err
 	}
-	return ans, ans.Trace.FindAttrs("match", "render"), nil
+	for i := range ans.matches {
+		lines = append(lines, core.RenderMatch(s.graph, ans.query, &ans.matches[i]))
+	}
+	return ans, lines, nil
 }
 
 // SaveGraph serializes a graph as N-Triples, sorted deterministically.

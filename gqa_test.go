@@ -38,7 +38,7 @@ func TestFacadeRunningExample(t *testing.T) {
 	if !ans.OK || len(ans.Labels) == 0 || ans.Labels[0] != "Melanie Griffith" {
 		t.Fatalf("answer = %+v", ans)
 	}
-	if ans.QueryGraph == "" {
+	if ans.QueryGraph() == "" {
 		t.Error("query graph rendering missing")
 	}
 	if ans.Total <= 0 || ans.Understanding <= 0 {

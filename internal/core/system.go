@@ -348,7 +348,9 @@ func (s *System) evaluate(tr *budget.Tracker, sp *obs.Span, res *Result, start t
 }
 
 // finishAnswer flushes the per-question metrics and root-span attributes
-// once the pipeline has its result (deferred by AnswerContext).
+// once the pipeline has its result (deferred by AnswerContext). The trace
+// records stages, not matches: a question can tie 10 000 of them, and the
+// caller that reads them (the facade's Explain) renders them itself.
 func (s *System) finishAnswer(sp *obs.Span, tr *budget.Tracker, res *Result) {
 	if res == nil {
 		return
@@ -370,16 +372,6 @@ func (s *System) finishAnswer(sp *obs.Span, tr *budget.Tracker, res *Result) {
 	}
 	if !sp.Enabled() {
 		return
-	}
-	// Per-match spans carry the rendered disambiguation — the single source
-	// Explain reads back (FindAttrs "match"/"render"), so explain output and
-	// trace output cannot drift. Rendering costs label lookups, so it runs
-	// only under an enabled trace.
-	for i := range res.Matches {
-		m := sp.Child("match")
-		m.SetFloat("score", res.Matches[i].Score)
-		m.SetStr("render", RenderMatch(s.Graph, res.Query, &res.Matches[i]))
-		m.Finish()
 	}
 	if res.Failure != FailureNone {
 		sp.SetStr("failure", res.Failure.String())

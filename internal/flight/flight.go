@@ -244,12 +244,11 @@ func (r *Recorder) handle(j job) {
 	}
 	if ev.Stages == nil && tr != nil {
 		for _, st := range tr.Stages() {
-			// cache.lookup wraps the whole compute (its duration would
-			// double-count the stages it covers — the outcome is already
-			// the event's cache field) and per-match render spans are
-			// instantaneous noise; both are dropped so the remaining
+			// cache.lookup wraps the whole compute: its duration would
+			// double-count the stages it covers (the outcome is already the
+			// event's cache field), so it is dropped and the remaining
 			// stages sum to within the root span's duration.
-			if st.Name == "cache.lookup" || st.Name == "match" {
+			if st.Name == "cache.lookup" {
 				continue
 			}
 			ev.Stages = append(ev.Stages, Stage{Name: st.Name, Us: st.Dur.Microseconds()})

@@ -275,10 +275,10 @@ type StageDur struct {
 
 // Stages aggregates the durations of the root span's direct children by
 // name, in first-seen order — the per-stage breakdown a wide event
-// carries. Children of children (matcher rounds, cache-replayed match
-// spans) are not walked: only top-level stages, so callers that drop
-// wrapper spans (cache.lookup covers the whole pipeline) can make the
-// remainder sum to within the root duration. Returns nil on a nil trace.
+// carries. Children of children (matcher rounds) are not walked: only
+// top-level stages, so callers that drop wrapper spans (cache.lookup covers
+// the whole pipeline) can make the remainder sum to within the root
+// duration. Returns nil on a nil trace.
 func (t *Trace) Stages() []StageDur {
 	if t == nil {
 		return nil
@@ -384,9 +384,8 @@ func (s *Span) writeTree(b *strings.Builder, prefix, branch string, root bool, i
 }
 
 // FindAttrs walks the span tree in order and collects the string values of
-// attribute key on every span named spanName. It is how Explain reads its
-// per-match lines back out of the trace — the explain output and the trace
-// are the same object and cannot drift.
+// attribute key on every span named spanName: how the flight recorder reads
+// a request's cache outcome and RPC counters off its trace.
 func (t *Trace) FindAttrs(spanName, key string) []string {
 	if t == nil {
 		return nil

@@ -63,7 +63,8 @@ func TestTraceTreeAndJSON(t *testing.T) {
 	}
 }
 
-// TestFindAttrs: Explain's extraction path walks spans in creation order.
+// TestFindAttrs: the flight recorder's extraction path walks spans in
+// creation order.
 func TestFindAttrs(t *testing.T) {
 	tr := NewTrace("explain", "q")
 	m := tr.Root().Child("core.match")

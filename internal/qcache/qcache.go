@@ -17,8 +17,8 @@
 //     result. The pipeline runs once, the metrics count one question.
 //
 // The cache stores opaque values; callers own immutability (the facade
-// stores deep copies and hands copies out, so no caller can mutate a
-// shared answer). Values that depend on the caller's budget rather than
+// stores a copy of each answer and hands copies out, so no caller can
+// mutate a shared answer). Values that depend on the caller's budget rather than
 // the data — degraded/truncated answers — must never be cached: compute
 // functions report cacheability per result, and an uncacheable result is
 // neither stored nor shared with coalesced waiters (each retries under its
