@@ -87,7 +87,8 @@ fuzz-seeds:
 # Short fuzz passes over the parser/evaluator targets (not part of tier1),
 # the question parser, the lemmatiser whose token → lemma map the
 # linker's per-slot bound rests on, and Algorithm 2 over word IDs against
-# its string-keyed reference. The nlp and core targets are anchored: -fuzz
+# its string-keyed reference, and the top-k result set against the
+# parent's string-keyed one. The nlp and core targets are anchored: -fuzz
 # must match exactly one target per run.
 fuzz:
 	$(GO) test -fuzz FuzzParseSPARQL -fuzztime 30s ./internal/sparql/
@@ -100,6 +101,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/nlp/
 	$(GO) test -fuzz '^FuzzLemma$$' -fuzztime 30s ./internal/nlp/
 	$(GO) test -fuzz '^FuzzFindEmbeddings$$' -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz '^FuzzResultSet$$' -fuzztime 30s ./internal/core/
 
 # Go micro-benchmarks, for measuring while you work (among them the cold
 # start pair, BenchmarkLoadFrozenKB/ntriples against /gqafrz1). A number

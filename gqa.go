@@ -329,6 +329,10 @@ func (s *System) buildAnswer(res *core.Result) *Answer {
 		return out
 	}
 	out.OK = res.Boolean != nil || len(res.Answers) > 0 || res.Count != nil
+	if n := len(res.Answers); n > 0 {
+		// Only when there are answers: a nil slice is /answer's JSON null.
+		out.Labels, out.IRIs = make([]string, 0, n), make([]string, 0, n)
+	}
 	for _, id := range res.Answers {
 		out.Labels = append(out.Labels, s.graph.LabelOf(id))
 		out.IRIs = append(out.IRIs, s.graph.Term(id).String())

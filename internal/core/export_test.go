@@ -32,3 +32,12 @@ func Embeddings(y *nlp.DepTree, d *dict.Dictionary) []Embedding {
 func ReferenceEmbeddings(y *nlp.DepTree, d *dict.Dictionary) []Embedding {
 	return embeddings(refFindEmbeddings(y, refDictOf(d)))
 }
+
+// newCollidingResultSet is a result set whose assignment hash keeps two
+// bits, so that distinct assignments share found's chains, which a 64-bit
+// hash over test-sized inputs never shows.
+func newCollidingResultSet(topK, maxMatches int) *resultSet {
+	rs := newResultSet(topK, maxMatches)
+	rs.hashMask = 3
+	return rs
+}

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
+	"cmp"
 	"math"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
 	"gqa/internal/budget"
 	"gqa/internal/dict"
@@ -23,15 +22,6 @@ type Match struct {
 	EdgePaths  []dict.Path // per query edge: the chosen predicate path
 	EdgeRev    uint64      // bit ei: edge ei's path was matched running To → From (Definition 3 allows either); edges past 63 have no bit
 	Score      float64     // Definition 6 (log-space, ≤ 0)
-}
-
-func (m *Match) key() string {
-	var b strings.Builder
-	for _, u := range m.Assignment {
-		b.WriteString(strconv.FormatUint(uint64(u), 36))
-		b.WriteByte('.')
-	}
-	return b.String()
 }
 
 // MatchOptions tunes the top-k search.
@@ -636,6 +626,11 @@ func (m *matcher) thresholdReached(anchors []int, round int) bool {
 // θ only rises, and a match that falls below it is let go, so what is held
 // at the end is the returned set: the k best matches, ties at the cut
 // included.
+//
+// Holding a match costs one copy into memory the search owns: a held struct
+// and its Assignment, Via and EdgePaths are carved from slabs that start
+// small and double, each slice capped at its length, and a match let go
+// lends its storage to the next new one.
 type resultSet struct {
 	topK       int
 	maxMatches int
@@ -643,42 +638,72 @@ type resultSet struct {
 	theta      float64 // the cut θ: −∞ until topK matches are held
 	refused    bool    // the MaxMatches cap turned a match away
 
-	found   map[string]*Match // by assignmentKey
-	results []*Match          // maintained sorted by descending score
+	found   map[uint64]*held // by assignment hash; next chains the assignments that share one
+	results []*held          // maintained sorted by descending score
+	free    *held            // matches let go, chained through next
+
+	hashMask uint64 // all ones; a test narrows it to force collisions
+	heldSlab []held
+	idSlab   []store.ID
+	pathSlab []dict.Path
+}
+
+// held is one held match, its link in found's chain, and its sort key
+// (harvest).
+type held struct {
+	Match
+	hash    uint64
+	next    *held
+	sortKey []uint64
 }
 
 func newResultSet(topK, maxMatches int) *resultSet {
-	return &resultSet{topK: topK, maxMatches: maxMatches, theta: math.Inf(-1), found: make(map[string]*Match)}
+	return &resultSet{topK: topK, maxMatches: maxMatches, theta: math.Inf(-1),
+		found: make(map[uint64]*held), hashMask: ^uint64(0)}
 }
 
-// assignmentKey appends an assignment's fixed-width binary form to buf:
-// the key of found. A lookup indexes the map with string(key) in place,
-// which does not allocate; only holding a new match copies it.
-func assignmentKey(buf []byte, assignment []store.ID) []byte {
+// hashAssignment is found's key for an assignment (collisions are chained).
+func hashAssignment(assignment []store.ID) uint64 {
+	h := uint64(len(assignment))
 	for _, u := range assignment {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(u))
+		h = (h ^ uint64(u)) * 0x9e3779b97f4a7c15
 	}
-	return buf
+	return h ^ h>>32
+}
+
+// carve takes n elements from the chunk at the end of *slab, capped at n so
+// that appending to them can never write into a neighbour's. A chunk with
+// no room left is replaced by one twice its size (the old one stays with
+// the slices carved from it).
+func carve[T any](slab *[]T, n int) []T {
+	s := *slab
+	if cap(s)-len(s) < n {
+		s = make([]T, 0, max(2*cap(s), 4*n))
+	}
+	*slab = s[:len(s)+n]
+	return s[len(s) : len(s)+n : len(s)+n]
 }
 
 // record registers a discovered match, deduplicating by assignment and
 // keeping the best-scoring justification per assignment. A match below θ
 // is dropped at the door. A new assignment that arrives while MaxMatches
 // are held is refused, which ends the search (MatchStats.Truncated =
-// "matches").
+// "matches"). match points at the search's live backtracking state, which
+// mutates after record returns, so what is held is copied.
 func (rs *resultSet) record(match *Match) {
 	rs.attempts++
 	if match.Score < rs.theta {
 		return
 	}
-	var kb [64]byte
-	key := assignmentKey(kb[:0], match.Assignment)
-	if prev, ok := rs.found[string(key)]; ok {
+	hash := hashAssignment(match.Assignment) & rs.hashMask
+	prev := rs.found[hash]
+	for prev != nil && !slices.Equal(prev.Assignment, match.Assignment) {
+		prev = prev.next
+	}
+	if prev != nil {
 		if match.Score > prev.Score {
 			// Same assignment, better justification: move the one entry up
-			// to behind the matches already at its new score. The slices
-			// must be copied, not aliased: match points at the search's
-			// live backtracking state, which mutates after record returns.
+			// to behind the matches already at its new score.
 			i := sort.Search(len(rs.results), func(i int) bool { return rs.results[i].Score <= prev.Score })
 			for rs.results[i] != prev {
 				i++
@@ -698,29 +723,52 @@ func (rs *resultSet) record(match *Match) {
 		rs.refused = true
 		return
 	}
-	cp := *match
-	cp.Assignment = append([]store.ID(nil), match.Assignment...)
-	cp.Via = append([]store.ID(nil), match.Via...)
-	cp.EdgePaths = append([]dict.Path(nil), match.EdgePaths...)
-	rs.found[string(key)] = &cp
-	pos := sort.Search(len(rs.results), func(i int) bool { return rs.results[i].Score < cp.Score })
+	h := rs.free
+	if h != nil {
+		rs.free = h.next
+	} else {
+		h = &carve(&rs.heldSlab, 1)[0]
+		ids := carve(&rs.idSlab, len(match.Assignment)+len(match.Via))
+		h.Assignment, h.Via = ids[:0:len(match.Assignment)], ids[len(match.Assignment):len(match.Assignment)]
+		h.EdgePaths = carve(&rs.pathSlab, len(match.EdgePaths))[:0]
+	}
+	h.Assignment = append(h.Assignment[:0], match.Assignment...)
+	h.Via = append(h.Via[:0], match.Via...)
+	h.EdgePaths = append(h.EdgePaths[:0], match.EdgePaths...)
+	h.EdgeRev, h.Score = match.EdgeRev, match.Score
+	h.hash, h.next = hash, rs.found[hash]
+	rs.found[hash] = h
+	pos := sort.Search(len(rs.results), func(i int) bool { return rs.results[i].Score < h.Score })
 	rs.results = append(rs.results, nil)
 	copy(rs.results[pos+1:], rs.results[pos:])
-	rs.results[pos] = &cp
+	rs.results[pos] = h
 	rs.raiseCut()
 }
 
 // raiseCut lifts θ to the score of the k-th best held match, if that is
-// above it, and lets go of the matches now below. Called after results
+// above it, and lets go of the matches now below: each is unlinked from its
+// chain and its storage goes on the free list. Called after results
 // changed.
 func (rs *resultSet) raiseCut() {
 	if len(rs.results) >= rs.topK {
 		if kth := rs.results[rs.topK-1].Score; kth > rs.theta {
 			rs.theta = kth
 			n := len(rs.results)
-			var kb [64]byte
 			for ; rs.results[n-1].Score < kth; n-- {
-				delete(rs.found, string(assignmentKey(kb[:0], rs.results[n-1].Assignment)))
+				h := rs.results[n-1]
+				if p := rs.found[h.hash]; p == h {
+					if h.next != nil {
+						rs.found[h.hash] = h.next
+					} else {
+						delete(rs.found, h.hash)
+					}
+				} else {
+					for p.next != h {
+						p = p.next
+					}
+					p.next = h.next
+				}
+				h.next, rs.free = rs.free, h
 				rs.results[n-1] = nil
 			}
 			rs.results = rs.results[:n]
@@ -730,37 +778,49 @@ func (rs *resultSet) raiseCut() {
 
 // harvest returns the held matches — the top k, ties at the cut included —
 // in canonical order: descending score, ties by ascending assignment key,
-// so the order matches tied in score were found in does not show.
+// so the order matches tied in score were found in does not show. The key
+// is the assignment's IDs in base 36, each followed by '.' ("1.z.10.");
+// it is compared as key36 numbers, one per ID, computed once per match.
 func (rs *resultSet) harvest() []Match {
-	var out []Match
-	for _, r := range rs.results {
-		out = append(out, *r)
+	if len(rs.results) == 0 {
+		return nil
 	}
-	keys := make([]string, len(out))
-	for i := range out {
-		keys[i] = out[i].key()
+	keys := make([]uint64, 0, len(rs.results)*len(rs.results[0].Assignment))
+	for _, h := range rs.results {
+		from := len(keys)
+		for _, u := range h.Assignment {
+			keys = append(keys, key36(u))
+		}
+		h.sortKey = keys[from:len(keys):len(keys)]
 	}
-	sort.Sort(&canonicalOrder{matches: out, keys: keys})
+	slices.SortFunc(rs.results, func(a, b *held) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
+		}
+		return slices.Compare(a.sortKey, b.sortKey)
+	})
+	out := make([]Match, len(rs.results))
+	for i, h := range rs.results {
+		out[i] = h.Match
+	}
 	return out
 }
 
-// canonicalOrder sorts matches by descending score, ties by ascending
-// assignment key (keys are unique: found dedups by assignment).
-type canonicalOrder struct {
-	matches []Match
-	keys    []string
-}
-
-func (s *canonicalOrder) Len() int { return len(s.matches) }
-func (s *canonicalOrder) Less(i, j int) bool {
-	if s.matches[i].Score != s.matches[j].Score {
-		return s.matches[i].Score > s.matches[j].Score
+// key36 maps an ID to a number that orders as the ID's key segment — its
+// base-36 digits, then '.' — orders as a string. Digits are ASCII-ordered
+// by value and '.' sorts below every digit, so two segments compare as
+// their digits left-aligned (a uint32 has at most seven), and when those
+// are equal the shorter, a prefix of the other, sorts first: the digits
+// padded to seven places, then the digit count.
+func key36(u store.ID) uint64 {
+	v, digits := uint64(u), uint64(1)
+	for p := uint64(36); p <= uint64(u); p *= 36 {
+		digits++
 	}
-	return s.keys[i] < s.keys[j]
-}
-func (s *canonicalOrder) Swap(i, j int) {
-	s.matches[i], s.matches[j] = s.matches[j], s.matches[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+	for n := digits; n < 7; n++ {
+		v *= 36
+	}
+	return v<<3 | digits
 }
 
 // searchState is the search's partial assignment. vterm and eterm hold the

@@ -339,9 +339,9 @@ func TestResultSetAgainstModel(t *testing.T) {
 			want = want[:n]
 		}
 		got := rs.harvest()
-		if len(got) != len(want) || len(rs.found) != len(want) {
-			t.Fatalf("seed %d k=%d: holds %d matches (index %d), want %d",
-				seed, k, len(got), len(rs.found), len(want))
+		if len(got) != len(want) || len(rs.results) != len(want) {
+			t.Fatalf("seed %d k=%d: harvests %d matches (holds %d), want %d",
+				seed, k, len(got), len(rs.results), len(want))
 		}
 		for i := range want {
 			if got[i].key() != want[i].key() || got[i].Score != want[i].Score || got[i].Via[0] != want[i].Via[0] {

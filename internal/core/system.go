@@ -329,11 +329,12 @@ func (s *System) evaluate(tr *budget.Tracker, sp *obs.Span, res *Result, start t
 	// alternative readings kept for inspection. ("Which city is the
 	// capital of Germany?" must answer Berlin, not also the cities a
 	// weaker candidate path reaches.)
-	seen := make(map[store.ID]struct{})
-	for _, m := range matches {
-		if m.Score != matches[0].Score {
-			break
-		}
+	top := 0
+	for top < len(matches) && matches[top].Score == matches[0].Score {
+		top++
+	}
+	seen := make(map[store.ID]struct{}, top)
+	for _, m := range matches[:top] {
 		u := m.Assignment[sel]
 		if _, dup := seen[u]; dup {
 			continue

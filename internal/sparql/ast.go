@@ -10,7 +10,7 @@
 package sparql
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"gqa/internal/rdf"
@@ -43,13 +43,39 @@ func (t Term) String() string {
 	return t.Const.String()
 }
 
+// writeTo writes what String returns.
+func (t Term) writeTo(b *strings.Builder) {
+	switch {
+	case t.IsVar():
+		b.WriteByte('?')
+		b.WriteString(t.Var)
+	case t.Const.IsIRI():
+		b.WriteByte('<')
+		b.WriteString(t.Const.Value())
+		b.WriteByte('>')
+	default:
+		b.WriteString(t.Const.String())
+	}
+}
+
 // Pattern is one triple pattern of a basic graph pattern.
 type Pattern struct {
 	S, P, O Term
 }
 
 func (p Pattern) String() string {
-	return fmt.Sprintf("%s %s %s .", p.S, p.P, p.O)
+	var b strings.Builder
+	p.writeTo(&b)
+	return b.String()
+}
+
+func (p Pattern) writeTo(b *strings.Builder) {
+	p.S.writeTo(b)
+	b.WriteByte(' ')
+	p.P.writeTo(b)
+	b.WriteByte(' ')
+	p.O.writeTo(b)
+	b.WriteString(" .")
 }
 
 // FilterOp is a comparison operator in a FILTER expression.
@@ -91,7 +117,19 @@ type Filter struct {
 }
 
 func (f Filter) String() string {
-	return fmt.Sprintf("FILTER(%s %s %s)", f.Left, f.Op, f.Right)
+	var b strings.Builder
+	f.writeTo(&b)
+	return b.String()
+}
+
+func (f Filter) writeTo(b *strings.Builder) {
+	b.WriteString("FILTER(")
+	f.Left.writeTo(b)
+	b.WriteByte(' ')
+	b.WriteString(f.Op.String())
+	b.WriteByte(' ')
+	f.Right.writeTo(b)
+	b.WriteByte(')')
 }
 
 // OrderKey is one ORDER BY key.
@@ -112,9 +150,12 @@ type Query struct {
 	Offset   int
 }
 
-// String renders the query in SPARQL syntax.
+// String renders the query in SPARQL syntax, into one builder.
 func (q *Query) String() string {
+	// A pattern of two full IRIs and a variable renders to ~110 bytes: grow
+	// once, with room to spare, rather than double the builder as it fills.
 	var b strings.Builder
+	b.Grow(64 + 160*len(q.Patterns) + 48*len(q.Filters))
 	switch q.Kind {
 	case KindAsk:
 		b.WriteString("ASK")
@@ -130,17 +171,18 @@ func (q *Query) String() string {
 				if i > 0 {
 					b.WriteByte(' ')
 				}
-				b.WriteString("?" + v)
+				b.WriteByte('?')
+				b.WriteString(v)
 			}
 		}
 	}
 	b.WriteString(" WHERE { ")
 	for _, p := range q.Patterns {
-		b.WriteString(p.String())
+		p.writeTo(&b)
 		b.WriteByte(' ')
 	}
 	for _, f := range q.Filters {
-		b.WriteString(f.String())
+		f.writeTo(&b)
 		b.WriteByte(' ')
 	}
 	b.WriteString("}")
@@ -148,17 +190,21 @@ func (q *Query) String() string {
 		b.WriteString(" ORDER BY")
 		for _, k := range q.OrderBy {
 			if k.Desc {
-				fmt.Fprintf(&b, " DESC(?%s)", k.Var)
+				b.WriteString(" DESC(?")
 			} else {
-				fmt.Fprintf(&b, " ASC(?%s)", k.Var)
+				b.WriteString(" ASC(?")
 			}
+			b.WriteString(k.Var)
+			b.WriteByte(')')
 		}
 	}
 	if q.Limit > 0 {
-		fmt.Fprintf(&b, " LIMIT %d", q.Limit)
+		b.WriteString(" LIMIT ")
+		b.WriteString(strconv.Itoa(q.Limit))
 	}
 	if q.Offset > 0 {
-		fmt.Fprintf(&b, " OFFSET %d", q.Offset)
+		b.WriteString(" OFFSET ")
+		b.WriteString(strconv.Itoa(q.Offset))
 	}
 	return b.String()
 }
