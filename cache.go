@@ -5,11 +5,11 @@ package gqa
 // before running the pipeline (SPARQL results are not cached: no endpoint
 // serves SPARQL, and QueryContext evaluates every time):
 //
-//   - Keys are (normalized input, graph mutation generation, options
-//     fingerprint, engine salt). Any graph mutation bumps the generation
-//     and silently retires every cached result; changing TopK, candidate
-//     caps, heuristics, or aggregation changes the fingerprint; replacing
-//     the dictionary or registering a superlative bumps the salt.
+//   - Keys are (normalized input, graph mutation generation, engine salt).
+//     Any graph mutation bumps the generation and silently retires every
+//     cached result; replacing the dictionary or registering a superlative
+//     bumps the salt. The options need no part in the key: each System owns
+//     its cache, and its options are fixed at NewSystem.
 //   - Entries are immutable copies: the pipeline's answer is cloned into
 //     the cache, and every hit clones back out, so no caller can mutate a
 //     shared Answer.
@@ -25,7 +25,7 @@ package gqa
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -43,14 +43,16 @@ func normalizeQuestion(q string) string {
 // cacheKey assembles the cache key for one normalized question. The
 // graph's mutation generation and the salt are the invalidation tokens
 // (any Add/Remove retires every entry — how the store is laid out in parts
-// changes no answer, so it is not in the key); the fingerprint covers
-// every option that shapes a non-degraded result (Budget is deliberately
-// absent — budget-shaped answers are degraded and never cached).
+// changes no answer, so it is not in the key). The budget is absent too:
+// budget-shaped answers are degraded and never cached.
 func (s *System) cacheKey(input string) string {
-	o := s.core.Opts
-	return fmt.Sprintf("%s\x00g%d.s%d\x00k%d.c%d.h%t.a%t",
-		input, s.graph.Generation(), s.cacheSalt.Load(),
-		o.TopK, o.MaxVertexCandidates, o.DisableHeuristicRules, o.EnableAggregation)
+	b := make([]byte, 0, len(input)+24)
+	b = append(b, input...)
+	b = append(b, 0, 'g')
+	b = strconv.AppendUint(b, s.core.Graph.Generation(), 10)
+	b = append(b, '.', 's')
+	b = strconv.AppendUint(b, s.cacheSalt.Load(), 10)
+	return string(b)
 }
 
 // clone returns a copy of the answer sharing no mutable state with the

@@ -331,7 +331,7 @@ func TestDeadShardAnswerNotCached(t *testing.T) {
 }
 
 // TestMatchCapIsLoud: a class with one instance more than the matcher holds
-// at once (MaxMatches, 10000), asked for by a type-only question, so every
+// at once (core.maxHeldMatches, 10 000), asked for by a type-only question, so every
 // instance is a match tied at the cut. The answer must say it is partial
 // (Degraded "matches"), be counted under that reason, and not be cached.
 // Its trace records the pipeline's stages, not one span per match: served
@@ -526,22 +526,46 @@ func TestQueryCacheAndTruncationRule(t *testing.T) {
 
 // TestCacheSaltInvalidation: engine mutations the graph generation cannot
 // see — dictionary replacement, superlative registration — must also
-// retire cached answers.
+// retire cached answers. With the options fixed per System, the generation
+// and the salt are all the key has to invalidate with.
 func TestCacheSaltInvalidation(t *testing.T) {
-	sys := cachedSystem(t, 64)
-	ctx := context.Background()
 	const q = "Who is the mayor of Berlin?"
-	if _, err := sys.AnswerContext(ctx, q); err != nil {
-		t.Fatal(err)
-	}
-	if !sys.RegisterSuperlative("oldest", "http://dbpedia.org/ontology/age", true) {
-		t.Fatal("RegisterSuperlative: predicate not in the benchmark KB")
-	}
-	m0 := cacheMetric("gqa_cache_misses_total")
-	if _, err := sys.AnswerContext(ctx, q); err != nil {
-		t.Fatal(err)
-	}
-	if d := cacheMetric("gqa_cache_misses_total") - m0; d != 1 {
-		t.Errorf("ask after RegisterSuperlative: misses delta %d, want 1 (salt must retire entries)", d)
+	for _, tc := range []struct {
+		name   string
+		mutate func(t *testing.T, sys *System)
+	}{
+		{"RegisterSuperlative", func(t *testing.T, sys *System) {
+			if !sys.RegisterSuperlative("oldest", "http://dbpedia.org/ontology/age", true) {
+				t.Fatal("RegisterSuperlative: predicate not in the benchmark KB")
+			}
+		}},
+		{"MineDictionary", func(t *testing.T, sys *System) {
+			sets, err := bench.SupportSets(sys.Graph())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.MineDictionary(sets, 4, 3)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := cachedSystem(t, 64)
+			ctx := context.Background()
+			before, err := sys.AnswerContext(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(t, sys)
+			m0 := cacheMetric("gqa_cache_misses_total")
+			after, err := sys.AnswerContext(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := cacheMetric("gqa_cache_misses_total") - m0; d != 1 {
+				t.Errorf("ask after %s: misses delta %d, want 1 (salt must retire entries)", tc.name, d)
+			}
+			if !slices.Equal(after.Labels, before.Labels) {
+				t.Errorf("ask after %s: %v, want %v", tc.name, after.Labels, before.Labels)
+			}
+		})
 	}
 }

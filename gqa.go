@@ -46,18 +46,11 @@ import (
 	"gqa/internal/store"
 )
 
-// Options configures a System.
+// Options configures a System. The search keeps the top k = 10 matches,
+// the paper's k, ties with the tenth included, and answers come from the
+// best score alone; the experiments that vary k, the candidate cap or the
+// argument heuristics build a core.System with its own core.Options.
 type Options struct {
-	// TopK is k: the search keeps the k best matches, counted in matches,
-	// together with every match tied with the k-th (default 10, as in the
-	// paper's experiments). Answers come from the best score alone.
-	TopK int
-	// MaxCandidates caps each argument's entity-linking candidate list
-	// (default 10).
-	MaxCandidates int
-	// DisableHeuristicRules turns off the four argument heuristics of
-	// §4.1.2 (the Table 9 ablation).
-	DisableHeuristicRules bool
 	// EnableAggregation turns on the counting/superlative extension (the
 	// paper's future work). The mini-DBpedia's superlatives (youngest and
 	// oldest by ⟨age⟩, highest by ⟨elevation⟩, tallest by ⟨height⟩) are
@@ -86,8 +79,6 @@ type CacheConfig struct {
 // System is a ready-to-query Q/A engine: an RDF graph, a paraphrase
 // dictionary, and the online pipeline. Safe for concurrent use once built.
 type System struct {
-	graph  *store.Graph
-	dict   *dict.Dictionary
 	core   *core.System
 	budget Budget
 	cache  *qcache.Cache
@@ -112,18 +103,13 @@ func NewSystem(g *store.Graph, d *dict.Dictionary, opts Options) *System {
 	}
 	g.Freeze()
 	eng := core.NewSystem(g, d, core.Options{
-		TopK:                  opts.TopK,
-		MaxVertexCandidates:   opts.MaxCandidates,
-		DisableHeuristicRules: opts.DisableHeuristicRules,
-		EnableAggregation:     opts.EnableAggregation,
-		Budget:                opts.Budget.limits(),
+		EnableAggregation: opts.EnableAggregation,
+		Budget:            opts.Budget.limits(),
 	})
 	if opts.EnableAggregation {
 		bench.RegisterSuperlatives(eng, g)
 	}
 	return &System{
-		graph:  g,
-		dict:   d,
 		budget: opts.Budget,
 		cache:  qcache.New(opts.Cache.Entries),
 		core:   eng,
@@ -134,7 +120,7 @@ func NewSystem(g *store.Graph, d *dict.Dictionary, opts Options) *System {
 // superlative adjective: rank candidate answers by the numeric object of
 // predIRI, taking the maximum (max=true: "oldest") or minimum ("youngest").
 func (s *System) RegisterSuperlative(adjective, predIRI string, max bool) bool {
-	id, ok := s.graph.LookupIRI(predIRI)
+	id, ok := s.core.Graph.LookupIRI(predIRI)
 	if !ok {
 		return false
 	}
@@ -210,9 +196,7 @@ func readFile[T any](path string, load func(io.Reader) (T, error)) (T, error) {
 // graph with the given relation-phrase support sets and replaces the
 // system's dictionary with the result.
 func (s *System) MineDictionary(sets []dict.SupportSet, maxPathLen, topK int) {
-	d, _ := dict.Mine(s.graph, sets, dict.MineOptions{MaxPathLen: maxPathLen, TopK: topK})
-	s.dict = d
-	s.core.Dict = d
+	s.core.Dict, _ = dict.Mine(s.core.Graph, sets, dict.MineOptions{MaxPathLen: maxPathLen, TopK: topK})
 	s.cacheSalt.Add(1)
 }
 
@@ -229,10 +213,10 @@ func (s *System) WriteMetrics(w io.Writer) error {
 }
 
 // Graph exposes the underlying triple store (read-only use expected).
-func (s *System) Graph() *store.Graph { return s.graph }
+func (s *System) Graph() *store.Graph { return s.core.Graph }
 
 // Dictionary exposes the paraphrase dictionary.
-func (s *System) Dictionary() *dict.Dictionary { return s.dict }
+func (s *System) Dictionary() *dict.Dictionary { return s.core.Dict }
 
 // Answer holds the outcome of one question.
 type Answer struct {
@@ -334,15 +318,15 @@ func (s *System) buildAnswer(res *core.Result) *Answer {
 		out.Labels, out.IRIs = make([]string, 0, n), make([]string, 0, n)
 	}
 	for _, id := range res.Answers {
-		out.Labels = append(out.Labels, s.graph.LabelOf(id))
-		out.IRIs = append(out.IRIs, s.graph.Term(id).String())
+		out.Labels = append(out.Labels, s.core.Graph.LabelOf(id))
+		out.IRIs = append(out.IRIs, s.core.Graph.Term(id).String())
 	}
 	if res.Count != nil {
 		out.Labels = append(out.Labels, fmt.Sprintf("%d", *res.Count))
 		out.IRIs = append(out.IRIs, fmt.Sprintf(`"%d"`, *res.Count))
 	}
 	if len(res.Matches) > 0 && res.Query != nil && !res.Aggregated {
-		if sq, err := core.ResolvedSPARQL(s.graph, res.Query, &res.Matches[0]); err == nil {
+		if sq, err := core.ResolvedSPARQL(s.core.Graph, res.Query, &res.Matches[0]); err == nil {
 			out.SPARQL = sq.String()
 		}
 	}
@@ -376,7 +360,7 @@ func (s *System) ExplainContext(ctx context.Context, question string) (ans *Answ
 		return nil, nil, err
 	}
 	for i := range ans.matches {
-		lines = append(lines, core.RenderMatch(s.graph, ans.query, &ans.matches[i]))
+		lines = append(lines, core.RenderMatch(s.core.Graph, ans.query, &ans.matches[i]))
 	}
 	return ans, lines, nil
 }

@@ -135,12 +135,6 @@ type Config struct {
 	// ClientBurst is the per-client bucket capacity. Default
 	// max(2×ClientQPS, 1) when ClientQPS is set.
 	ClientBurst float64
-	// SeedServiceTime pre-seeds the p50 service-time estimate before any
-	// request has completed, so deadline-aware drop works from the first
-	// burst. Zero leaves the estimate at 0 until observed.
-	SeedServiceTime time.Duration
-	// Now is the clock (test hook). Default time.Now.
-	Now func() time.Time
 }
 
 // waiter is one queued request. done flips exactly once, under the
@@ -165,7 +159,11 @@ type Controller struct {
 	clients  map[string]*list.Element
 	lru      *list.List // front = most recently seen client
 
+	// svc estimates the p50 service time from completed requests; it is 0
+	// until one completes, and deadline-aware drop starts then.
 	svc svcEstimator
+	// now is the clock, time.Now; a test installs its own before use.
+	now func() time.Time
 }
 
 // New builds a Controller, applying defaults for unset Config fields.
@@ -179,18 +177,12 @@ func New(cfg Config) *Controller {
 	if cfg.ClientQPS > 0 && cfg.ClientBurst <= 0 {
 		cfg.ClientBurst = max(2*cfg.ClientQPS, 1)
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-	c := &Controller{
+	return &Controller{
 		cfg:     cfg,
 		clients: make(map[string]*list.Element),
 		lru:     list.New(),
+		now:     time.Now,
 	}
-	if cfg.SeedServiceTime > 0 {
-		c.svc.observe(cfg.SeedServiceTime)
-	}
-	return c
 }
 
 // Ticket is one admitted request's hold on a pipeline slot. Release it
@@ -225,7 +217,7 @@ func (t *Ticket) Release() {
 	t.released = true
 	t.mu.Unlock()
 	c := t.c
-	c.svc.observe(c.cfg.Now().Sub(t.start))
+	c.svc.observe(c.now().Sub(t.start))
 	c.mu.Lock()
 	c.inflight--
 	inflightGauge.Set(int64(c.inflight))
@@ -239,7 +231,7 @@ func (t *Ticket) Release() {
 // blocks only while the request waits in the FIFO queue; ctx cancellation
 // or expiry while queued abandons the wait and returns a rejection.
 func (c *Controller) Admit(ctx context.Context, client string) (*Ticket, error) {
-	now := c.cfg.Now()
+	now := c.now()
 	// A dead context never gets a slot, even with the gate open.
 	if err := ctx.Err(); err != nil {
 		return nil, c.reject(ctxReason(err), 0)
@@ -293,7 +285,7 @@ func (c *Controller) Admit(ctx context.Context, client string) (*Ticket, error) 
 		if err != nil {
 			return nil, err
 		}
-		wait := c.cfg.Now().Sub(w.enqueued)
+		wait := c.now().Sub(w.enqueued)
 		queueWaitSeconds.ObserveDuration(wait)
 		return c.granted(w.tier, wait), nil
 	case <-ctx.Done():
@@ -357,7 +349,7 @@ func (c *Controller) granted(tier int, wait time.Duration) *Ticket {
 	if ctr, ok := shedTotal[tier]; ok {
 		ctr.Inc()
 	}
-	return &Ticket{c: c, tier: tier, wait: wait, start: c.cfg.Now()}
+	return &Ticket{c: c, tier: tier, wait: wait, start: c.now()}
 }
 
 // reject counts and builds a rejection.
@@ -378,7 +370,7 @@ func ctxReason(err error) string {
 // rejecting any whose remaining deadline no longer covers the observed
 // p50 service time — a doomed request must never consume a slot.
 func (c *Controller) dispatchLocked() {
-	now := c.cfg.Now()
+	now := c.now()
 	p50 := c.svc.p50()
 	for c.inflight < c.cfg.MaxInFlight && len(c.queue) > 0 {
 		w := c.queue[0]

@@ -111,7 +111,8 @@ func TestQueueFIFO(t *testing.T) {
 // TestQueueFullReject: a full queue rejects immediately with queue-full
 // and a positive Retry-After hint once a service time is known.
 func TestQueueFullReject(t *testing.T) {
-	c := New(Config{MaxInFlight: 1, MaxQueue: 2, SeedServiceTime: 10 * time.Millisecond})
+	c := New(Config{MaxInFlight: 1, MaxQueue: 2})
+	c.svc.observe(10 * time.Millisecond) // a known p50 before any request completes
 	holder := admit(t, c, "")
 	defer holder.Release()
 	results := make(chan error, 2)
@@ -140,7 +141,8 @@ func TestQueueFullReject(t *testing.T) {
 // would have to queue but only has 10ms of deadline left is rejected
 // up front — it could never finish in time.
 func TestDeadlineDoomedAtEnqueue(t *testing.T) {
-	c := New(Config{MaxInFlight: 1, MaxQueue: 8, SeedServiceTime: 50 * time.Millisecond})
+	c := New(Config{MaxInFlight: 1, MaxQueue: 8})
+	c.svc.observe(50 * time.Millisecond) // a known p50 before any request completes
 	holder := admit(t, c, "")
 	defer holder.Release()
 
@@ -157,7 +159,8 @@ func TestDeadlineDoomedAtEnqueue(t *testing.T) {
 // deadline decayed below p50 while it waited is rejected when its turn
 // comes, without ever holding a slot.
 func TestDeadlineDoomedAtDispatch(t *testing.T) {
-	c := New(Config{MaxInFlight: 1, MaxQueue: 8, SeedServiceTime: 60 * time.Millisecond})
+	c := New(Config{MaxInFlight: 1, MaxQueue: 8})
+	c.svc.observe(60 * time.Millisecond) // a known p50 before any request completes
 	holder := admit(t, c, "")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
@@ -219,7 +222,8 @@ func TestAbandonedWaiterLeavesQueue(t *testing.T) {
 func TestClientRateFairness(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	c := New(Config{MaxInFlight: 16, MaxQueue: 16, ClientQPS: 1, ClientBurst: 2, Now: clock})
+	c := New(Config{MaxInFlight: 16, MaxQueue: 16, ClientQPS: 1, ClientBurst: 2})
+	c.now = clock
 
 	// Burst capacity: two admissions, then the hot client is rejected.
 	admit(t, c, "hot").Release()

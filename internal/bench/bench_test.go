@@ -163,20 +163,20 @@ func TestSynthGraphDeterministic(t *testing.T) {
 
 func TestSynthPhrasesSupportIsReal(t *testing.T) {
 	sg := NewSynthGraph(SynthOptions{Seed: 3, Entities: 300})
-	ps := NewSynthPhrases(sg, SynthPhraseOptions{Seed: 3, Phrases: 12, Support: 5, NoisePairs: 2})
+	ps := NewSynthPhrases(sg, SynthPhraseOptions{Seed: 3, Phrases: 12, Support: 5})
 	if len(ps.Sets) != 12 {
 		t.Fatalf("sets = %d", len(ps.Sets))
 	}
 	for _, set := range ps.Sets {
 		gold := ps.Gold[set.Phrase]
-		// The first Support pairs must be connected by the gold path.
+		// At the default GoldFraction of 1 every pair realizes the gold path.
 		connected := 0
 		for _, pair := range set.Pairs {
 			if _, ok := dict.PathConnects(sg.Graph.FrozenView(), pair[0], pair[1], gold); ok {
 				connected++
 			}
 		}
-		if connected < 5 {
+		if connected != 5 || len(set.Pairs) != 5 {
 			t.Errorf("phrase %q: only %d/%d pairs realize the gold path",
 				set.Phrase, connected, len(set.Pairs))
 		}

@@ -20,8 +20,10 @@ type SynthOptions struct {
 	Entities   int
 	Predicates int
 	AvgDegree  int // average out-degree per entity
-	Classes    int
 }
+
+// synthClasses is the number of classes the entities are typed with.
+const synthClasses = 5
 
 func (o *SynthOptions) defaults() {
 	if o.Entities == 0 {
@@ -32,9 +34,6 @@ func (o *SynthOptions) defaults() {
 	}
 	if o.AvgDegree == 0 {
 		o.AvgDegree = 4
-	}
-	if o.Classes == 0 {
-		o.Classes = 5
 	}
 }
 
@@ -58,7 +57,7 @@ func NewSynthGraph(opts SynthOptions) *SynthGraph {
 	for i := 0; i < opts.Predicates; i++ {
 		sg.Preds = append(sg.Preds, g.Intern(rdf.Ontology(fmt.Sprintf("p%03d", i))))
 	}
-	classes := make([]store.ID, opts.Classes)
+	classes := make([]store.ID, synthClasses)
 	for i := range classes {
 		classes[i] = g.Intern(rdf.Ontology(fmt.Sprintf("C%02d", i)))
 	}
@@ -120,8 +119,6 @@ type SynthPhraseOptions struct {
 	// MaxGoldLen plants phrases whose gold mapping is a path of length
 	// 1..MaxGoldLen (default 3), reproducing Exp 1's length axis.
 	MaxGoldLen int
-	// NoisePairs per phrase that support nothing (Patty's ~33% miss rate).
-	NoisePairs int
 	// GoldFraction is the per-hop probability that a supporting pair's
 	// canonical KB path is intact (default 1.0). Patty-style extraction
 	// is imperfect, and a length-l canonical path aggregates l facts each
@@ -213,12 +210,6 @@ func NewSynthPhrases(sg *SynthGraph, opts SynthPhraseOptions) *SynthPhraseSet {
 				continue
 			}
 			set.Pairs = append(set.Pairs, [2]store.ID{start, ends[rng.Intn(len(ends))]})
-		}
-		for j := 0; j < opts.NoisePairs; j++ {
-			set.Pairs = append(set.Pairs, [2]store.ID{
-				sg.Entities[rng.Intn(len(sg.Entities))],
-				sg.Entities[rng.Intn(len(sg.Entities))],
-			})
 		}
 		out.Sets = append(out.Sets, set)
 		out.Gold[phrase] = path

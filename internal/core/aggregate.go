@@ -26,13 +26,13 @@ import (
 	"gqa/internal/store"
 )
 
-// Superlative registers the meaning of a superlative adjective: entities
-// are ranked by the numeric object of Pred; Max selects the largest value
-// ("oldest", "highest"), otherwise the smallest ("youngest").
+// Superlative registers the meaning of a superlative adjective (the key it
+// is registered under, lowercase: "youngest"): entities are ranked by the
+// numeric object of Pred; Max selects the largest value ("oldest",
+// "highest"), otherwise the smallest ("youngest").
 type Superlative struct {
-	Adjective string // lowercase surface form, e.g. "youngest"
-	Pred      store.ID
-	Max       bool
+	Pred store.ID
+	Max  bool
 }
 
 // RegisterSuperlative adds a superlative interpretation to the system.
@@ -40,8 +40,7 @@ func (s *System) RegisterSuperlative(adj string, pred store.ID, max bool) {
 	if s.superlatives == nil {
 		s.superlatives = make(map[string]Superlative)
 	}
-	adj = strings.ToLower(adj)
-	s.superlatives[adj] = Superlative{Adjective: adj, Pred: pred, Max: max}
+	s.superlatives[strings.ToLower(adj)] = Superlative{Pred: pred, Max: max}
 }
 
 // aggregate is the operator an aggregation question applies to the answers

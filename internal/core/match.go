@@ -40,11 +40,6 @@ type MatchOptions struct {
 	// and what the brute-force oracle is compared with). What is returned
 	// follows the same top-k rule.
 	Exhaustive bool
-	// MaxMatches caps the matches held at once (default 10000). Only
-	// matches at or above the cut are held, so the cap is met only by more
-	// than MaxMatches matches tied at the cut; the search then ends with
-	// MatchStats.Truncated = "matches".
-	MaxMatches int
 	// Parallelism is accepted and ignored: the search runs on the caller's
 	// goroutine, one seed after another. The field outlives the worker pool
 	// it sized only because benchmark/trace.go sets it (twice, for
@@ -73,12 +68,15 @@ type MatchOptions struct {
 	View store.View
 }
 
+// maxHeldMatches caps the matches a search holds at once. Only matches at
+// or above the cut are held, so the cap is met only by more than
+// maxHeldMatches matches tied at the cut; the search then ends with
+// MatchStats.Truncated = "matches".
+const maxHeldMatches = 10000
+
 func (o *MatchOptions) defaults() {
 	if o.TopK <= 0 {
 		o.TopK = 10
-	}
-	if o.MaxMatches == 0 {
-		o.MaxMatches = 10000
 	}
 }
 
@@ -158,7 +156,7 @@ type MatchStats struct {
 	MatchesKept int
 	// Truncated is why the search was cut short — a budget-exhaustion
 	// reason ("deadline", "canceled", "steps", "candidates"), a failed
-	// remote read ("shard-unavailable"), or "matches" when the MaxMatches
+	// remote read ("shard-unavailable"), or "matches" when the maxHeldMatches
 	// cap refused a match — and "" for a complete search. A truncated
 	// search still returns the best partial top-k discovered before it
 	// stopped.
@@ -181,7 +179,7 @@ type MatchStats struct {
 // score, ties by ascending assignment key — so matches and MatchStats are
 // byte-identical across store layouts whenever the search ran to completion
 // (MatchStats.Truncated is empty — no budget ran out, no remote read
-// failed, the MaxMatches cap refused nothing).
+// failed, the maxHeldMatches cap refused nothing).
 //
 // A panic (matcher bug, armed faultpoint) unwinds through the caller, where
 // the facade turns it into a *PipelineError.
@@ -192,7 +190,7 @@ func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match,
 		view = g.FrozenView()
 	}
 	m := &matcher{view: view, q: q, opts: opts, bounded: !opts.Exhaustive,
-		res: newResultSet(opts.TopK, opts.MaxMatches)}
+		res: newResultSet(opts.TopK, maxHeldMatches)}
 	// A snapshot over remote parts binds to this request so its RPC calls
 	// inherit the request budget's deadline and failures degrade (never
 	// hang) the search; over local parts binding is the identity.
@@ -510,7 +508,7 @@ func (m *matcher) state() *searchState {
 }
 
 // aborted reports whether the search should stop running seeds: the budget
-// tripped, or the MaxMatches cap refused a match.
+// tripped, or the maxHeldMatches cap refused a match.
 func (m *matcher) aborted() bool {
 	return m.opts.Budget.Done() || m.res.refused
 }
@@ -636,7 +634,7 @@ type resultSet struct {
 	maxMatches int
 	attempts   int64   // record calls (complete matches offered)
 	theta      float64 // the cut θ: −∞ until topK matches are held
-	refused    bool    // the MaxMatches cap turned a match away
+	refused    bool    // the maxHeldMatches cap turned a match away
 
 	found   map[uint64]*held // by assignment hash; next chains the assignments that share one
 	results []*held          // maintained sorted by descending score
@@ -686,7 +684,7 @@ func carve[T any](slab *[]T, n int) []T {
 
 // record registers a discovered match, deduplicating by assignment and
 // keeping the best-scoring justification per assignment. A match below θ
-// is dropped at the door. A new assignment that arrives while MaxMatches
+// is dropped at the door. A new assignment that arrives while maxHeldMatches
 // are held is refused, which ends the search (MatchStats.Truncated =
 // "matches"). match points at the search's live backtracking state, which
 // mutates after record returns, so what is held is copied.
@@ -1373,7 +1371,7 @@ func (m *matcher) finish(st *searchState) {
 // whom?") by trying every graph vertex as the binding of vertex 0. Such
 // queries carry no candidate-list signal, so exhaustive anchoring is the
 // only sound strategy, and with one score per candidate path every match of
-// the best path ties: past MaxMatches of them the search stops, truncated
+// the best path ties: past maxHeldMatches of them the search stops, truncated
 // ("matches"), and says so.
 func (m *matcher) enumerateUnanchored() {
 	if len(m.q.Vertices) == 0 {

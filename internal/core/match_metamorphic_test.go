@@ -13,10 +13,15 @@ import (
 	"gqa/internal/store"
 )
 
-// runAll runs the matcher over (g, q) with settings that avoid truncation
-// (huge MaxMatches), so the determinism guarantee applies.
-func runAll(g *store.Graph, q *QueryGraph) ([]Match, MatchStats) {
-	return FindTopKMatches(g, q, MatchOptions{TopK: 5, MaxMatches: 1 << 20})
+// runAll runs the matcher over (g, q) and fails t unless the search ran to
+// completion: the determinism guarantee holds only for an untruncated one.
+func runAll(t *testing.T, g *store.Graph, q *QueryGraph) ([]Match, MatchStats) {
+	t.Helper()
+	ms, st := FindTopKMatches(g, q, MatchOptions{TopK: 5})
+	if st.Truncated != "" {
+		t.Fatalf("search truncated (%s): the workload outgrew the matcher's cap", st.Truncated)
+	}
+	return ms, st
 }
 
 // rebuildRemapped reconstructs (g, q) with terms interned in internOrder
@@ -103,7 +108,7 @@ func TestQuickMetamorphicTripleShuffle(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g, q := randomQuerySetup(r)
-		base, _ := runAll(g, q)
+		base, _ := runAll(t, g, q)
 		want := resultSignature(base, identityMap(g))
 
 		order := make([]store.ID, g.NumTerms())
@@ -113,7 +118,7 @@ func TestQuickMetamorphicTripleShuffle(t *testing.T) {
 		ts := sortedTriples(g)
 		r.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
 		g2, q2, _ := rebuildRemapped(g, q, order, ts)
-		got, _ := runAll(g2, q2)
+		got, _ := runAll(t, g2, q2)
 		if sig := resultSignature(got, identityMap(g2)); !reflect.DeepEqual(sig, want) {
 			t.Fatalf("seed %d: triple shuffle changed results\n got %v\nwant %v", seed, sig, want)
 		}
@@ -128,7 +133,7 @@ func TestQuickMetamorphicVertexRelabel(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g, q := randomQuerySetup(r)
-		base, _ := runAll(g, q)
+		base, _ := runAll(t, g, q)
 
 		order := make([]store.ID, g.NumTerms())
 		for i := range order {
@@ -138,7 +143,7 @@ func TestQuickMetamorphicVertexRelabel(t *testing.T) {
 		ts := sortedTriples(g)
 		r.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
 		g2, q2, idMap := rebuildRemapped(g, q, order, ts)
-		got, _ := runAll(g2, q2)
+		got, _ := runAll(t, g2, q2)
 
 		// Compare in the relabeled ID space: push the baseline through
 		// idMap, leave the relabeled run as-is.

@@ -12,11 +12,12 @@ import (
 )
 
 // runSharded freezes g at k shards (k = 1 reverts to the monolithic
-// snapshot) and runs the matcher with a non-truncating budget.
-func runSharded(g *store.Graph, q *QueryGraph, k int) ([]Match, MatchStats) {
+// snapshot) and runs the matcher, failing t if the search was truncated.
+func runSharded(t *testing.T, g *store.Graph, q *QueryGraph, k int) ([]Match, MatchStats) {
+	t.Helper()
 	g.SetShards(k)
 	g.Freeze()
-	return runAll(g, q)
+	return runAll(t, g, q)
 }
 
 // TestShardedIdenticalToMonolithic is the store-layout differential
@@ -27,9 +28,9 @@ func TestShardedIdenticalToMonolithic(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g, q := randomQuerySetup(r)
-		want, wantStats := runSharded(g, q, 1)
+		want, wantStats := runSharded(t, g, q, 1)
 		for _, k := range []int{2, 8} {
-			got, gotStats := runSharded(g, q, k)
+			got, gotStats := runSharded(t, g, q, k)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: K=%d matches differ\n got %v\nwant %v", seed, k, got, want)
 			}
@@ -47,7 +48,7 @@ func TestShardMetamorphicInvariance(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g, q := randomQuerySetup(r)
-		base, _ := runSharded(g, q, 1)
+		base, _ := runSharded(t, g, q, 1)
 		want := resultSignature(base, identityMap(g))
 
 		order := make([]store.ID, g.NumTerms())
@@ -58,7 +59,7 @@ func TestShardMetamorphicInvariance(t *testing.T) {
 		r.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
 		g2, q2, _ := rebuildRemapped(g, q, order, ts)
 		for _, k := range []int{2, 3, 8} {
-			got, _ := runSharded(g2, q2, k)
+			got, _ := runSharded(t, g2, q2, k)
 			if sig := resultSignature(got, identityMap(g2)); !reflect.DeepEqual(sig, want) {
 				t.Fatalf("seed %d: shuffle+K=%d changed results\n got %v\nwant %v", seed, k, sig, want)
 			}
@@ -85,10 +86,10 @@ func TestShardConcurrentAddDuringMatch(t *testing.T) {
 	if sn, ok := view.(*store.Snapshot); !ok || sn.NumShards() != k {
 		t.Fatalf("FrozenView is %T, want a %d-shard *store.Snapshot", view, k)
 	}
-	opts := MatchOptions{TopK: 10, MaxMatches: 1 << 20, View: view}
+	opts := MatchOptions{TopK: 10, View: view}
 	want, wantStats := FindTopKMatches(g, q, opts)
-	if len(want) == 0 {
-		t.Fatal("workload produced no matches")
+	if len(want) == 0 || wantStats.Truncated != "" {
+		t.Fatalf("workload produced %d matches, truncated %q", len(want), wantStats.Truncated)
 	}
 
 	var wg sync.WaitGroup

@@ -42,7 +42,6 @@ type Edge struct {
 	From, To   int // vertex indices
 	Phrase     *dict.Phrase
 	Candidates []EdgeCandidate // sorted by descending Score
-	Relation   SemanticRelation
 }
 
 // QueryGraph is the semantic query graph Q^S.
@@ -136,7 +135,7 @@ func BuildQueryGraph(y *nlp.DepTree, rels []SemanticRelation, lk *linker.Linker,
 	for _, r := range rels {
 		v1 := getVertex(r.Arg1)
 		v2 := getVertex(r.Arg2)
-		edge := Edge{From: v1, To: v2, Phrase: r.Phrase, Relation: r}
+		edge := Edge{From: v1, To: v2, Phrase: r.Phrase}
 		for _, e := range r.Phrase.Entries {
 			edge.Candidates = append(edge.Candidates, EdgeCandidate{Path: e.Path, Score: e.Score})
 		}

@@ -36,10 +36,11 @@ import (
 type Options struct {
 	// MaxEntityCandidates per phrase (default 10).
 	MaxEntityCandidates int
-	// CoherenceWeight λ blends pairwise coherence into the objective
-	// (default 1.0).
-	CoherenceWeight float64
 }
+
+// coherenceWeight is λ, the weight that blends pairwise coherence into the
+// objective.
+const coherenceWeight = 1.0
 
 // System is the assembled baseline engine.
 type System struct {
@@ -54,9 +55,6 @@ type System struct {
 func NewSystem(g *store.Graph, d *dict.Dictionary, opts Options) *System {
 	if opts.MaxEntityCandidates == 0 {
 		opts.MaxEntityCandidates = 10
-	}
-	if opts.CoherenceWeight == 0 {
-		opts.CoherenceWeight = 1.0
 	}
 	return &System{Graph: g, Dict: d, Linker: linker.New(g, linker.Options{}), Opts: opts}
 }
@@ -269,13 +267,13 @@ func (s *System) solveILP(q *core.QueryGraph, edges []edgeCands, res *Result) il
 		m := 0.0
 		if d.isEdge {
 			for _, sc := range edges[d.idx].scores {
-				if v := math.Log(sc) + s.Opts.CoherenceWeight*2; v > m {
+				if v := math.Log(sc) + coherenceWeight*2; v > m {
 					m = math.Max(m, v)
 				}
 			}
 		} else if !q.Vertices[d.idx].Unconstrained {
 			for _, c := range q.Vertices[d.idx].Candidates {
-				m = math.Max(m, math.Log(c.Score)+s.Opts.CoherenceWeight*2)
+				m = math.Max(m, math.Log(c.Score)+coherenceWeight*2)
 			}
 		}
 		ub[i] = ub[i+1] + m
@@ -299,7 +297,7 @@ func (s *System) solveILP(q *core.QueryGraph, edges []edgeCands, res *Result) il
 			for ci := range edges[d.idx].preds {
 				cur.edge[d.idx] = ci
 				delta := math.Log(edges[d.idx].scores[ci]) +
-					s.Opts.CoherenceWeight*edgeCoherence(dg, q, cur, d.idx, ci)
+					coherenceWeight*edgeCoherence(dg, q, cur, d.idx, ci)
 				rec(pos+1, score+delta)
 			}
 			return
@@ -312,7 +310,7 @@ func (s *System) solveILP(q *core.QueryGraph, edges []edgeCands, res *Result) il
 		for ci, c := range q.Vertices[d.idx].Candidates {
 			cur.vertex[d.idx] = ci
 			delta := math.Log(c.Score) +
-				s.Opts.CoherenceWeight*vertexCoherence(dg, cur, d.idx, ci)
+				coherenceWeight*vertexCoherence(dg, cur, d.idx, ci)
 			rec(pos+1, score+delta)
 		}
 		cur.vertex[d.idx] = -1

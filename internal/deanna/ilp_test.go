@@ -74,7 +74,7 @@ func randomILPSetup(r *rand.Rand) (*System, *core.QueryGraph, []edgeCands) {
 
 // bruteILP enumerates every joint assignment and returns the maximal
 // objective value under the same precomputed disambiguation graph.
-func bruteILP(s *System, q *core.QueryGraph, edges []edgeCands, dg *disambGraph) float64 {
+func bruteILP(q *core.QueryGraph, edges []edgeCands, dg *disambGraph) float64 {
 	nV, nE := len(q.Vertices), len(q.Edges)
 	best := math.Inf(-1)
 	cur := ilpChoice{vertex: make([]int, nV), edge: make([]int, nE)}
@@ -88,12 +88,12 @@ func bruteILP(s *System, q *core.QueryGraph, edges []edgeCands, dg *disambGraph)
 					continue
 				}
 				score += math.Log(q.Vertices[vi].Candidates[ci].Score)
-				score += s.Opts.CoherenceWeight * vertexCoherence(dg, cur, vi, ci)
+				score += coherenceWeight * vertexCoherence(dg, cur, vi, ci)
 			}
 			for ei := range q.Edges {
 				ci := cur.edge[ei]
 				score += math.Log(edges[ei].scores[ci])
-				score += s.Opts.CoherenceWeight * edgeCoherence(dg, q, cur, ei, ci)
+				score += coherenceWeight * edgeCoherence(dg, q, cur, ei, ci)
 			}
 			if score > best {
 				best = score
@@ -123,7 +123,7 @@ func bruteILP(s *System, q *core.QueryGraph, edges []edgeCands, dg *disambGraph)
 }
 
 // scoreChoice evaluates a specific choice under the objective.
-func scoreChoice(s *System, q *core.QueryGraph, edges []edgeCands, dg *disambGraph, c ilpChoice) float64 {
+func scoreChoice(q *core.QueryGraph, edges []edgeCands, dg *disambGraph, c ilpChoice) float64 {
 	score := 0.0
 	for vi := range q.Vertices {
 		ci := c.vertex[vi]
@@ -131,12 +131,12 @@ func scoreChoice(s *System, q *core.QueryGraph, edges []edgeCands, dg *disambGra
 			continue
 		}
 		score += math.Log(q.Vertices[vi].Candidates[ci].Score)
-		score += s.Opts.CoherenceWeight * vertexCoherence(dg, c, vi, ci)
+		score += coherenceWeight * vertexCoherence(dg, c, vi, ci)
 	}
 	for ei := range q.Edges {
 		ci := c.edge[ei]
 		score += math.Log(edges[ei].scores[ci])
-		score += s.Opts.CoherenceWeight * edgeCoherence(dg, q, c, ei, ci)
+		score += coherenceWeight * edgeCoherence(dg, q, c, ei, ci)
 	}
 	return score
 }
@@ -151,8 +151,8 @@ func TestQuickILPBranchAndBoundIsOptimal(t *testing.T) {
 		dg := sys.buildDisambiguationGraph(q, edges, res)
 		choice := sys.solveILP(q, edges, &Result{})
 		// solveILP rebuilds its own dg; rebuild here for scoring only.
-		got := scoreChoice(sys, q, edges, dg, choice)
-		want := bruteILP(sys, q, edges, dg)
+		got := scoreChoice(q, edges, dg, choice)
+		want := bruteILP(q, edges, dg)
 		if math.Abs(got-want) > 1e-9 {
 			t.Logf("seed %d: B&B %f, brute force %f", seed, got, want)
 			return false

@@ -43,46 +43,37 @@ type Config struct {
 	// Path is the wide-event JSONL log file ("" = no file; events still
 	// feed the trace store and SLO tracker).
 	Path string
-	// MaxBytes rotates the log file when it would exceed this size
-	// (default 8 MiB).
-	MaxBytes int64
-	// MaxFiles is the total number of log files kept, the active one
-	// included (default 4: path, path.1, path.2, path.3).
-	MaxFiles int
 	// Slowest is K: how many of the slowest successful traces to retain
 	// (default 32).
 	Slowest int
-	// Recent sizes the recent-trace ring and the error/shed/degraded
-	// ring (default 256 each).
-	Recent int
 	// Objective is the per-request latency objective the SLO tracker
 	// measures against (default 250ms); 99 % of requests must meet it
 	// (sloTarget).
 	Objective time.Duration
-	// Interval is the runtime-collector / SLO tick cadence (default 10s).
-	Interval time.Duration
 }
 
 func (c *Config) fill() {
-	if c.MaxBytes <= 0 {
-		c.MaxBytes = 8 << 20
-	}
-	if c.MaxFiles <= 0 {
-		c.MaxFiles = 4
-	}
 	if c.Slowest <= 0 {
 		c.Slowest = 32
-	}
-	if c.Recent <= 0 {
-		c.Recent = 256
 	}
 	if c.Objective <= 0 {
 		c.Objective = 250 * time.Millisecond
 	}
-	if c.Interval <= 0 {
-		c.Interval = 10 * time.Second
-	}
 }
+
+// The recorder's fixed sizes.
+const (
+	// logMaxBytes rotates the log file when a line would take it past
+	// this size; logMaxFiles is the number of log files kept, the active
+	// one included (path, path.1, path.2, path.3).
+	logMaxBytes = 8 << 20
+	logMaxFiles = 4
+	// recentTraces sizes the recent-trace ring and the error/shed/degraded
+	// ring.
+	recentTraces = 256
+	// tickInterval is the runtime-collector / SLO tick cadence.
+	tickInterval = 10 * time.Second
+)
 
 // Stage is one pipeline stage's duration inside a wide event.
 type Stage struct {
@@ -141,9 +132,13 @@ type Recorder struct {
 	store *traceStore
 	slo   *sloTracker
 
-	mu   sync.Mutex // guards f, size (worker + Close)
+	mu   sync.Mutex // guards f, size and the rotation bounds (worker + Close)
 	f    *os.File
 	size int64
+	// maxBytes and maxFiles are logMaxBytes and logMaxFiles, fields only so
+	// that a test can shrink them (under mu) to watch a rotation.
+	maxBytes int64
+	maxFiles int
 
 	jobs   chan job
 	closed atomic.Bool
@@ -164,12 +159,14 @@ type job struct {
 func New(cfg Config) (*Recorder, error) {
 	cfg.fill()
 	r := &Recorder{
-		cfg:   cfg,
-		store: newTraceStore(cfg.Recent, cfg.Slowest),
-		slo:   newSLOTracker(cfg.Objective, cfg.Interval),
-		jobs:  make(chan job, 4096),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
+		cfg:      cfg,
+		store:    newTraceStore(recentTraces, cfg.Slowest),
+		slo:      newSLOTracker(cfg.Objective, tickInterval),
+		maxBytes: logMaxBytes,
+		maxFiles: logMaxFiles,
+		jobs:     make(chan job, 4096),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	if cfg.Path != "" {
 		f, err := os.OpenFile(cfg.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -192,7 +189,7 @@ func New(cfg Config) (*Recorder, error) {
 // ticker, refreshes runtime stats and SLO gauges.
 func (r *Recorder) run() {
 	defer close(r.done)
-	t := time.NewTicker(r.cfg.Interval)
+	t := time.NewTicker(tickInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -389,7 +386,7 @@ func interesting(ev *Event) bool {
 }
 
 // writeEvent appends one JSONL line, rotating the file first when the
-// line would push it past MaxBytes.
+// line would push it past maxBytes.
 func (r *Recorder) writeEvent(ev *Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -402,7 +399,7 @@ func (r *Recorder) writeEvent(ev *Event) {
 		return // no Event value fails to encode
 	}
 	line = append(line, '\n')
-	if r.size+int64(len(line)) > r.cfg.MaxBytes && r.size > 0 {
+	if r.size+int64(len(line)) > r.maxBytes && r.size > 0 {
 		r.rotateLocked()
 	}
 	n, err := r.f.Write(line)
@@ -415,16 +412,16 @@ func (r *Recorder) writeEvent(ev *Event) {
 	}
 }
 
-// rotateLocked shifts path → path.1 → … → path.(MaxFiles-1), dropping the
+// rotateLocked shifts path → path.1 → … → path.(maxFiles-1), dropping the
 // oldest, and reopens a fresh active file. Rotation failures degrade to
 // truncating in place rather than growing without bound.
 func (r *Recorder) rotateLocked() {
 	r.f.Close()
-	os.Remove(r.cfg.Path + "." + strconv.Itoa(r.cfg.MaxFiles-1))
-	for i := r.cfg.MaxFiles - 1; i >= 2; i-- {
+	os.Remove(r.cfg.Path + "." + strconv.Itoa(r.maxFiles-1))
+	for i := r.maxFiles - 1; i >= 2; i-- {
 		os.Rename(r.cfg.Path+"."+strconv.Itoa(i-1), r.cfg.Path+"."+strconv.Itoa(i))
 	}
-	if r.cfg.MaxFiles > 1 {
+	if r.maxFiles > 1 {
 		os.Rename(r.cfg.Path, r.cfg.Path+".1")
 	}
 	f, err := os.OpenFile(r.cfg.Path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)

@@ -73,7 +73,7 @@ func TestEventJSONRoundTrip(t *testing.T) {
 	min := Event{Time: full.Time, TraceID: "id", Status: "ok", TotalUs: 10}
 
 	path := filepath.Join(t.TempDir(), "events.jsonl")
-	rec, err := New(Config{Path: path, Interval: time.Hour})
+	rec, err := New(Config{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,15 +112,18 @@ func TestEventJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLogRotationBounds: the JSONL log rotates at MaxBytes and never keeps
-// more than MaxFiles files, and every retained line stays parseable.
+// TestLogRotationBounds: the JSONL log rotates at maxBytes and never keeps
+// more than maxFiles files, and every retained line stays parseable.
 func TestLogRotationBounds(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "events.jsonl")
-	rec, err := New(Config{Path: path, MaxBytes: 256, MaxFiles: 3, Interval: time.Hour})
+	rec, err := New(Config{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec.mu.Lock()
+	rec.maxBytes, rec.maxFiles = 256, 3
+	rec.mu.Unlock()
 	for i := 0; i < 40; i++ {
 		rec.Record(Event{TraceID: NewID(), Status: "ok", TotalUs: int64(1000 + i)}, nil)
 	}
@@ -133,10 +136,10 @@ func TestLogRotationBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(names) > 3 {
-		t.Fatalf("rotation kept %d files %v, want <= MaxFiles=3", len(names), names)
+		t.Fatalf("rotation kept %d files %v, want <= maxFiles=3", len(names), names)
 	}
 	if _, err := os.Stat(path + ".3"); err == nil {
-		t.Fatal("rotation left a file beyond MaxFiles")
+		t.Fatal("rotation left a file beyond maxFiles")
 	}
 	lines := 0
 	for _, name := range names {
@@ -144,10 +147,10 @@ func TestLogRotationBounds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A file may exceed MaxBytes only by the single line that tripped
+		// A file may exceed maxBytes only by the single line that tripped
 		// rotation; with 256-byte cap and ~90-byte lines it never should.
 		if int64(len(data)) > 256+256 {
-			t.Errorf("%s is %d bytes, way past MaxBytes", name, len(data))
+			t.Errorf("%s is %d bytes, way past maxBytes", name, len(data))
 		}
 		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
 			var ev Event
@@ -261,7 +264,7 @@ func TestInteresting(t *testing.T) {
 // derives stage durations from the span tree (dropping the cache.lookup
 // wrapper), and the debug views serve the retained record back.
 func TestRecorderEndToEnd(t *testing.T) {
-	rec, err := New(Config{Slowest: 4, Recent: 8, Interval: time.Hour})
+	rec, err := New(Config{Slowest: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +392,7 @@ func TestSLOTracker(t *testing.T) {
 // must not count against the latency SLO (they would poison the quantiles
 // with near-zero samples).
 func TestRejectedSkipsSLO(t *testing.T) {
-	rec, err := New(Config{Interval: time.Hour})
+	rec, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +415,7 @@ func TestRejectedSkipsSLO(t *testing.T) {
 // neither sits in the queue nor is in the worker's hands is counted in
 // gqa_flight_events_dropped_total.
 func TestDroppedEventsCounted(t *testing.T) {
-	rec, err := New(Config{Interval: time.Hour})
+	rec, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

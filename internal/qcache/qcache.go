@@ -6,7 +6,7 @@
 // exploits both shapes:
 //
 //   - Repetition: entries are keyed by (normalized input, graph mutation
-//     generation, options fingerprint). The generation component (see
+//     generation, engine salt). The generation component (see
 //     store.Graph.Generation) makes invalidation free — a mutation bumps
 //     the generation, every old key stops matching, and stale entries age
 //     out of the LRU without any scan or lock on the mutation path.

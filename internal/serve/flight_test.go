@@ -74,7 +74,7 @@ func TestFlightRetentionEndToEnd(t *testing.T) {
 		t.Fatalf("building benchmark system: %v", err)
 	}
 	// No cache (the zero Options): every request does (slowed) pipeline work.
-	rec, err := flight.New(flight.Config{Slowest: 8, Recent: 64})
+	rec, err := flight.New(flight.Config{Slowest: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,10 +129,11 @@ func recoverPipeline(stage, input string, err *error) {
 	}
 }
 
-// withTimeout layers the budget's wall-clock timeout onto ctx.
-func (s *System) withTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
-	if s.budget.Timeout > 0 {
-		return context.WithTimeout(ctx, s.budget.Timeout)
+// withTimeout layers a budget's wall-clock timeout onto ctx; a timeout of
+// zero leaves ctx as it is.
+func withTimeout(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
+	if timeout > 0 {
+		return context.WithTimeout(ctx, timeout)
 	}
 	return ctx, func() {}
 }
@@ -168,15 +169,12 @@ func (s *System) AnswerShed(ctx context.Context, question string, tier int) (ans
 		shedEng.Opts.Budget = eff.limits()
 		eng = &shedEng
 	}
-	if eff.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, eff.Timeout)
-		defer cancel()
-	}
+	ctx, cancel := withTimeout(ctx, eff.Timeout)
+	defer cancel()
 	// Re-freeze at the current mutation generation: a pointer load when the
 	// graph is unchanged, a rebuild (traced as "store.freeze") after
 	// maintenance mutated it, so questions always run on the CSR snapshot.
-	s.graph.FreezeCtx(ctx)
+	s.core.Graph.FreezeCtx(ctx)
 	if s.cache != nil {
 		ans, err = s.answerCached(ctx, question, eng, tier)
 	} else {
@@ -234,12 +232,12 @@ func (s *System) AnswerTraced(ctx context.Context, question string) (*Answer, er
 // Result.Truncated set; panics surface as *PipelineError.
 func (s *System) QueryContext(ctx context.Context, query string) (res *sparql.Result, err error) {
 	defer recoverPipeline("query", query, &err)
-	ctx, cancel := s.withTimeout(ctx)
+	ctx, cancel := withTimeout(ctx, s.budget.Timeout)
 	defer cancel()
 	q, err := sparql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	s.graph.FreezeCtx(ctx)
-	return sparql.EvalContext(ctx, s.graph, q, s.budget.limits())
+	s.core.Graph.FreezeCtx(ctx)
+	return sparql.EvalContext(ctx, s.core.Graph, q, s.budget.limits())
 }
