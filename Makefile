@@ -10,9 +10,13 @@
 
 GO ?= go
 
-.PHONY: tier1 vet build bench-build test race fuzz fuzz-seeds bench loc serve-smoke snapshot-smoke flight-smoke shard-rpc-smoke
+.PHONY: tier1 fmt vet build bench-build test race fuzz fuzz-seeds bench loc serve-smoke snapshot-smoke flight-smoke shard-rpc-smoke
 
-tier1: vet build bench-build race fuzz-seeds snapshot-smoke flight-smoke shard-rpc-smoke
+tier1: fmt vet build bench-build race fuzz-seeds snapshot-smoke flight-smoke shard-rpc-smoke
+
+# Every Go file in the tree, benchmark/ included, is gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

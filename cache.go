@@ -27,7 +27,6 @@ import (
 	"context"
 	"strconv"
 	"strings"
-	"time"
 
 	"gqa/internal/core"
 	"gqa/internal/obs"
@@ -80,7 +79,6 @@ func (a *Answer) clone() *Answer {
 // written at tier 0 serve tier-3 callers and vice versa, which is exactly
 // what keeps an overloaded server fast.
 func (s *System) answerCached(ctx context.Context, question string, eng *core.System, tier int) (*Answer, error) {
-	start := time.Now()
 	key := s.cacheKey(normalizeQuestion(question))
 	sp := obs.TraceFrom(ctx).Root().Child("cache.lookup")
 	var leaderAns *Answer
@@ -108,9 +106,9 @@ func (s *System) answerCached(ctx context.Context, question string, eng *core.Sy
 		// private to this caller.
 		return shedAnnotate(leaderAns, tier), nil
 	}
-	// Hit or coalesced: a private copy of the shared entry, timed as this
-	// call, which understood nothing.
+	// Hit or coalesced: a private copy of the shared entry, for a call that
+	// understood nothing (AnswerShed times the call itself).
 	ans := v.(*Answer).clone()
-	ans.Understanding, ans.Total = 0, time.Since(start)
+	ans.Understanding = 0
 	return ans, nil
 }

@@ -569,3 +569,75 @@ func TestCacheSaltInvalidation(t *testing.T) {
 		})
 	}
 }
+
+// TestTotalIsTheCallsOwnTime: Answer.Total times the AnswerShed call itself
+// on every path — uncached, miss, coalesced and hit — so it covers every
+// stage the call's trace records and lies within the trace that wraps the
+// call; and Answer.Understanding is the nlp.parse and core.understand
+// spans' sum on a pipeline run, 0 on a call that ran none.
+func TestTotalIsTheCallsOwnTime(t *testing.T) {
+	check := func(path string, ans *Answer) {
+		t.Helper()
+		var understood, pipeline time.Duration
+		for _, st := range ans.Trace.Stages() {
+			if st.Dur > ans.Total {
+				t.Errorf("%s: Total %v under its %s stage's %v", path, ans.Total, st.Name, st.Dur)
+			}
+			switch st.Name {
+			case "nlp.parse", "core.understand":
+				understood += st.Dur
+				pipeline += st.Dur
+			case "core.match":
+				pipeline += st.Dur
+			}
+		}
+		if pipeline > ans.Total || ans.Total > ans.Trace.Duration() {
+			t.Errorf("%s: Total %v, want between the pipeline's %v and the trace's %v",
+				path, ans.Total, pipeline, ans.Trace.Duration())
+		}
+		if ans.Understanding != understood {
+			t.Errorf("%s: Understanding %v, want the spans' %v", path, ans.Understanding, understood)
+		}
+	}
+	ans, err := benchmarkSystem(t).AnswerTraced(context.Background(), runningExample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.Understanding <= 0 {
+		t.Errorf("uncached: Understanding %v, want the pipeline's", ans.Understanding)
+	}
+	check("uncached", ans)
+
+	sys := cachedSystem(t, 64)
+	faultpoint.Reset()
+	defer faultpoint.Reset()
+	faultpoint.Set(faultpoint.MatcherExtend, faultpoint.Fault{Delay: 5 * time.Millisecond})
+	const K = 4
+	answers := make([]*Answer, K+1)
+	errs := make([]error, K+1)
+	var wg sync.WaitGroup
+	for i := 0; i < K; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			answers[i], errs[i] = sys.AnswerTraced(context.Background(), runningExample)
+		}(i)
+	}
+	wg.Wait()
+	answers[K], errs[K] = sys.AnswerTraced(context.Background(), runningExample)
+	seen := map[string]bool{}
+	for i, ans := range answers {
+		if errs[i] != nil {
+			t.Fatalf("call %d: %v", i, errs[i])
+		}
+		outs := ans.Trace.FindAttrs("cache.lookup", "outcome")
+		if len(outs) != 1 {
+			t.Fatalf("call %d: cache outcomes %q, want one", i, outs)
+		}
+		seen[outs[0]] = true
+		check(outs[0], ans)
+	}
+	if !seen["miss"] || !seen["coalesced"] || !seen["hit"] {
+		t.Errorf("outcomes %v, want a miss, a coalesced call and a hit", seen)
+	}
+}

@@ -387,8 +387,9 @@ func table12() {
 			if err != nil {
 				continue
 			}
-			if best == 0 || res.Timing.Understanding < best {
-				best = res.Timing.Understanding
+			// Figure 6's understanding includes the parse.
+			if u := res.Timing.Parse + res.Timing.Understanding; best == 0 || u < best {
+				best = u
 			}
 		}
 		fmt.Printf("%16d  %s\n", words, best.Round(time.Microsecond))

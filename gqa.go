@@ -256,9 +256,10 @@ type Answer struct {
 	// graded overload. Cache hits report 0 — they cost no pipeline work,
 	// so no shedding applied.
 	ShedTier int
-	// Understanding and Total are the stage timings of Figure 6. A cache
-	// hit or coalesced answer times its own call: Understanding 0 (it
-	// understood nothing) and Total the call's wall time.
+	// Understanding is Figure 6's understanding, parse included
+	// (core.Timing's Parse + Understanding), or 0 when the call ran no
+	// pipeline (a cache hit or coalesced answer). Total is the call's own
+	// wall time on every path, whatever the cache did.
 	Understanding time.Duration
 	Total         time.Duration
 	// Trace is the question's span tree — per-stage timings and counters
@@ -267,11 +268,6 @@ type Answer struct {
 	// Nil on untraced calls: tracing is strictly opt-in and the disabled
 	// path costs nothing. Render it with Trace.Tree() or Trace.JSON().
 	Trace *obs.Trace
-	// TraceID is the correlation ID of the trace the call carried
-	// (obs.Trace.SetID): under gqa-serve the value of the X-Gqa-Trace-Id
-	// header, which the flight recorder logs on the wide event and
-	// /debug/flight/trace/<id> resolves. Empty otherwise.
-	TraceID string
 
 	// query and matches are the resolved Q^S and its top-k matches (the
 	// base question's for an aggregation), kept unrendered: QueryGraph and
@@ -303,8 +299,7 @@ func (s *System) buildAnswer(res *core.Result) *Answer {
 	out := &Answer{
 		Boolean:       res.Boolean,
 		Degraded:      res.Degraded,
-		Understanding: res.Timing.Understanding,
-		Total:         res.Timing.Total,
+		Understanding: res.Timing.Parse + res.Timing.Understanding,
 		query:         res.Query,
 		matches:       res.Matches,
 	}

@@ -11,12 +11,13 @@
 // on it and reports unlimited headroom, so budget-free runs take the exact
 // code path they took before budgets existed.
 //
-// A Tracker is safe for concurrent use: the parallel matcher shares one
-// Tracker across its worker pool, so the counters are atomics and
-// accounting stays exact — every unit of work performed is counted exactly
-// once, and with MaxSteps = n exactly n Step calls succeed regardless of
-// how many goroutines race on them. Exhaustion is sticky and propagates to
-// every worker on its next counting call.
+// A Tracker is safe for concurrent use: a remote request's per-shard
+// prefetch and scatter goroutines share its Tracker (each checks it before
+// a shard call, and a failed read marks it shard-unavailable), so the
+// counters are atomics and accounting stays exact — every unit of work
+// performed is counted exactly once, and with MaxSteps = n exactly n Step
+// calls succeed regardless of how many goroutines race on them. Exhaustion
+// is sticky and every goroutine sees it on its next check.
 package budget
 
 import (

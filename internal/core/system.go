@@ -24,12 +24,9 @@ import (
 var (
 	questionsTotal = obs.DefaultCounter("gqa_core_questions_total",
 		"Natural-language questions answered (one pipeline run each, aggregation questions included).")
-	stageSeconds = map[string]*obs.Histogram{
-		"parse":         stageHist("parse"),
-		"understanding": stageHist("understanding"),
-		"evaluation":    stageHist("evaluation"),
-		"total":         stageHist("total"),
-	}
+	// stageSeconds is indexed like Timing's fields.
+	stageSeconds = [...]*obs.Histogram{stageHist("parse"), stageHist("understanding"),
+		stageHist("evaluation"), stageHist("total")}
 	degradedTotal = map[string]*obs.Counter{
 		budget.ReasonDeadline:   degradedCounter(budget.ReasonDeadline),
 		budget.ReasonCanceled:   degradedCounter(budget.ReasonCanceled),
@@ -137,11 +134,43 @@ func (f FailureKind) String() string {
 }
 
 // Timing breaks the online time into the stages of Table 3 / Figure 6.
+// Parse, Understanding and Evaluation tile the question: without an
+// aggregation operator they sum to Total exactly, and with one Total also
+// covers applying it. Figure 6's understanding, which includes parsing, is
+// Parse + Understanding.
 type Timing struct {
 	Parse         time.Duration // dependency tree construction
-	Understanding time.Duration // relations + Q^S (includes Parse)
+	Understanding time.Duration // relations + Q^S, after the parse
 	Evaluation    time.Duration // phrase mapping + top-k matching
 	Total         time.Duration
+}
+
+// stageClock times one question's stages. Each boundary is read once: the
+// reading ends the open stage — its Timing field and, when traced, its
+// span — and starts the next, so the Timing, the stage histograms and the
+// spans are the same intervals.
+type stageClock struct {
+	root, span *obs.Span
+	open       *time.Duration // the open stage's Timing field; nil when none
+	start, at  time.Time
+}
+
+// next closes the open stage and opens the stage named name, timed into d.
+func (c *stageClock) next(name string, d *time.Duration) {
+	now := c.stop()
+	c.span, c.open = c.root.ChildAt(name, now), d
+}
+
+// stop closes the open stage, if any, and returns the reading it took.
+func (c *stageClock) stop() time.Time {
+	now := time.Now()
+	if c.open != nil {
+		*c.open = now.Sub(c.at)
+		c.span.FinishAt(now)
+		c.open = nil
+	}
+	c.at = now
+	return now
 }
 
 // Result is the full outcome of answering one question.
@@ -205,69 +234,60 @@ func (s *System) AnswerContext(ctx context.Context, question string) (out *Resul
 		return nil, errors.New("core: empty question")
 	}
 	tr := budget.New(ctx, s.Opts.Budget)
-	sp := obs.TraceFrom(ctx).Root()
+	clk := stageClock{root: obs.TraceFrom(ctx).Root()}
 	questionsTotal.Inc()
-	defer func() { s.finishAnswer(sp, tr, out) }()
-	start := time.Now()
+	defer func() { s.finishAnswer(&clk, tr, out) }()
 
-	// ---- Stage 1: question understanding (§4.1).
-	psp := sp.Child("nlp.parse")
+	// ---- Stage 1: question understanding (§4.1). The parse's first
+	// reading is the question's start.
+	res := &Result{Question: question}
+	clk.next("nlp.parse", &res.Timing.Parse)
+	clk.start = clk.at
 	y, err := nlp.Parse(question)
-	var (
-		agg bool
-		op  *aggregate
-	)
-	if err == nil {
-		psp.SetInt("tokens", int64(y.Size()))
-		if agg, op = s.aggregation(y); op != nil {
-			y, err = nlp.ParseTokens(op.base)
-		}
-	}
-	psp.Finish()
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Question: question, Tree: y}
-	res.Timing.Parse = time.Since(start)
+	clk.span.SetInt("tokens", int64(y.Size()))
+	agg, op := s.aggregation(y)
 	if op != nil {
+		if y, err = nlp.ParseTokens(op.base); err != nil {
+			return nil, err
+		}
 		// One operator per question: a base question that is itself an
 		// aggregation is not reduced again.
 		if nested, _ := s.aggregation(y); nested {
 			op = nil
 		}
 	}
+	res.Tree = y
 	if agg && op == nil {
 		res.Failure = FailureAggregation
-		res.Timing.Understanding = time.Since(start)
-		res.Timing.Total = res.Timing.Understanding
 		return res, nil
 	}
-	view := s.evaluate(tr, sp, res, start)
+	view := s.evaluate(tr, &clk, res)
 	if op != nil {
-		res = op.apply(res, view, tr, sp)
-		res.Timing.Total = time.Since(start)
+		// The operator's time counts in Total, outside every stage.
+		clk.stop()
+		res = op.apply(res, view, tr, clk.root)
 	}
 	return res, nil
 }
 
 // evaluate builds Q^S over res.Tree (§4.1) and matches it (§4.2), filling
-// res. It returns the view the search read, nil when none ran.
-func (s *System) evaluate(tr *budget.Tracker, sp *obs.Span, res *Result, start time.Time) store.View {
+// res, each stage opened on clk; an early exit leaves its stage open for
+// finishAnswer to close. It returns the view the search read, nil when
+// none ran.
+func (s *System) evaluate(tr *budget.Tracker, clk *stageClock, res *Result) store.View {
 	y := res.Tree
-	usp := sp.Child("core.understand")
+	clk.next("core.understand", &res.Timing.Understanding)
 	res.Relations = ExtractRelations(y, s.Dict, ExtractOptions{
 		DisableHeuristicRules: s.Opts.DisableHeuristicRules,
 	})
 	if len(res.Relations) == 0 {
 		// Type-only fallback: "Give me all Argentine films." has no
 		// relation phrase; the focus NP alone defines an instance query.
-		if q := s.typeOnlyQuery(y); q != nil {
-			res.Query = q
-		} else {
-			usp.Finish()
+		if res.Query = s.typeOnlyQuery(y); res.Query == nil {
 			res.Failure = FailureRelationExtraction
-			res.Timing.Understanding = time.Since(start)
-			res.Timing.Total = res.Timing.Understanding
 			return nil
 		}
 	} else {
@@ -275,7 +295,7 @@ func (s *System) evaluate(tr *budget.Tracker, sp *obs.Span, res *Result, start t
 			MaxVertexCandidates: s.Opts.MaxVertexCandidates,
 		})
 	}
-	if usp.Enabled() {
+	if usp := clk.span; usp.Enabled() {
 		usp.SetInt("relations", int64(len(res.Relations)))
 		usp.SetInt("vertices", int64(len(res.Query.Vertices)))
 		usp.SetInt("edges", int64(len(res.Query.Edges)))
@@ -285,14 +305,11 @@ func (s *System) evaluate(tr *budget.Tracker, sp *obs.Span, res *Result, start t
 		}
 		usp.SetInt("candidates", int64(cands))
 	}
-	usp.Finish()
-	res.Timing.Understanding = time.Since(start)
 
 	// Entity-linking failure: a constrained vertex with no candidates.
 	for _, v := range res.Query.Vertices {
 		if !v.Unconstrained && len(v.Candidates) == 0 {
 			res.Failure = FailureEntityLinking
-			res.Timing.Total = time.Since(start)
 			return nil
 		}
 	}
@@ -300,23 +317,19 @@ func (s *System) evaluate(tr *budget.Tracker, sp *obs.Span, res *Result, start t
 	// ---- Stage 2: query evaluation (§4.2). A deadline that expired during
 	// understanding is caught here, before the expensive search starts.
 	tr.Check()
-	evalStart := time.Now()
-	msp := sp.Child("core.match")
+	clk.next("core.match", &res.Timing.Evaluation)
 	view := s.Graph.FrozenView()
 	matches, stats := FindTopKMatches(s.Graph, res.Query, MatchOptions{
 		TopK:           s.Opts.TopK,
 		DisablePruning: s.Opts.DisablePruning,
 		Exhaustive:     s.Opts.Exhaustive,
 		Budget:         tr,
-		Span:           msp,
+		Span:           clk.span,
 		View:           view,
 	})
-	msp.Finish()
 	res.Matches = matches
 	res.Stats = stats
 	res.Degraded = stats.Truncated
-	res.Timing.Evaluation = time.Since(evalStart)
-	res.Timing.Total = time.Since(start)
 
 	sel := res.Query.SelectVertex()
 	if sel < 0 {
@@ -348,26 +361,24 @@ func (s *System) evaluate(tr *budget.Tracker, sp *obs.Span, res *Result, start t
 	return view
 }
 
-// finishAnswer flushes the per-question metrics and root-span attributes
+// finishAnswer closes the open stage — the one place every exit does —
+// and flushes the per-question timing, metrics and root-span attributes
 // once the pipeline has its result (deferred by AnswerContext). The trace
 // records stages, not matches: a question can tie 10 000 of them, and the
 // caller that reads them (the facade's Explain) renders them itself.
-func (s *System) finishAnswer(sp *obs.Span, tr *budget.Tracker, res *Result) {
+func (s *System) finishAnswer(clk *stageClock, tr *budget.Tracker, res *Result) {
+	end := clk.stop()
 	if res == nil {
 		return
 	}
-	if res.Timing.Parse > 0 {
-		stageSeconds["parse"].ObserveDuration(res.Timing.Parse)
+	t := &res.Timing
+	t.Total = end.Sub(clk.start)
+	for i, d := range [...]time.Duration{t.Parse, t.Understanding, t.Evaluation, t.Total} {
+		if d > 0 {
+			stageSeconds[i].ObserveDuration(d)
+		}
 	}
-	if res.Timing.Understanding > 0 {
-		stageSeconds["understanding"].ObserveDuration(res.Timing.Understanding)
-	}
-	if res.Timing.Evaluation > 0 {
-		stageSeconds["evaluation"].ObserveDuration(res.Timing.Evaluation)
-	}
-	if res.Timing.Total > 0 {
-		stageSeconds["total"].ObserveDuration(res.Timing.Total)
-	}
+	sp := clk.root
 	if c, ok := degradedTotal[res.Degraded]; ok {
 		c.Inc()
 	}

@@ -62,6 +62,8 @@ type QuestionResult struct {
 	Failure   core.FailureKind // ours only; FailureNone for the baseline
 	Processed bool             // a query was produced and evaluated
 
+	// Understanding is Figure 6's, which includes parsing: the sum of
+	// Timing.Parse and Timing.Understanding.
 	Understanding time.Duration
 	Total         time.Duration
 }
@@ -88,7 +90,7 @@ func RunOurs(s *core.System, qs []bench.Question) []QuestionResult {
 		if err == nil {
 			qr.Failure = res.Failure
 			qr.Processed = res.Query != nil && res.Failure != core.FailureEntityLinking
-			qr.Understanding = res.Timing.Understanding
+			qr.Understanding = res.Timing.Parse + res.Timing.Understanding
 			qr.Total = res.Timing.Total
 			for _, id := range res.Answers {
 				qr.Answers = append(qr.Answers, s.Graph.Term(id))
@@ -115,7 +117,7 @@ func RunDeanna(s *deanna.System, qs []bench.Question) []QuestionResult {
 		res, err := s.Answer(q.Text)
 		if err == nil {
 			qr.Processed = len(res.Queries) > 0
-			qr.Understanding = res.Timing.Understanding
+			qr.Understanding = res.Timing.Parse + res.Timing.Understanding
 			qr.Total = res.Timing.Total
 			for _, id := range res.Answers {
 				qr.Answers = append(qr.Answers, s.Graph.Term(id))

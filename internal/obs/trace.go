@@ -13,9 +13,11 @@ import (
 // Trace is one question's span tree. Build one with NewTrace, thread it
 // with WithTrace, and read it back after the call with Answer.Trace (or
 // TraceFrom on the same context). All methods are safe on a nil *Trace —
-// the disabled state — and safe for concurrent use on a live one (the
-// parallel matcher's coordinator and the SPARQL evaluator may touch it
-// from different call depths).
+// the disabled state — and safe for concurrent use on a live one: the
+// flight recorder's worker reads a served request's trace while the
+// handler renders it. (A remote request's per-shard prefetch and scatter
+// goroutines share its budget, not its trace: the rpc.gather span waits
+// for them on the caller's goroutine.)
 type Trace struct {
 	mu   sync.Mutex
 	name string
@@ -104,6 +106,14 @@ func (t *Trace) Input() string {
 	return t.attr
 }
 
+// Start returns the root span's start (the zero time on a nil trace).
+func (t *Trace) Start() time.Time {
+	if t == nil {
+		return time.Time{}
+	}
+	return t.root.start
+}
+
 // Duration returns the root span's duration (zero while unfinished or nil).
 func (t *Trace) Duration() time.Duration {
 	if t == nil {
@@ -115,38 +125,47 @@ func (t *Trace) Duration() time.Duration {
 }
 
 // Finish ends the root span if it is still open.
-func (t *Trace) Finish() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if t.root.end.IsZero() {
-		t.root.end = time.Now()
-	}
-	t.mu.Unlock()
-}
+func (t *Trace) Finish() { t.Root().Finish() }
 
-// Child opens a sub-span under s and returns it. Returns nil (the disabled
-// span) when s is nil.
+// Child opens a sub-span under s, starting now, and returns it. Returns nil
+// (the disabled span) when s is nil, without reading the clock.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{tr: s.tr, name: name, start: time.Now()}
+	return s.ChildAt(name, time.Now())
+}
+
+// ChildAt is Child starting at a clock reading the caller already took,
+// so a stage boundary read once can end one span and start the next.
+func (s *Span) ChildAt(name string, start time.Time) *Span {
+	if s == nil {
+		return nil
+	}
+	c := &Span{tr: s.tr, name: name, start: start}
 	s.tr.mu.Lock()
 	s.children = append(s.children, c)
 	s.tr.mu.Unlock()
 	return c
 }
 
-// Finish records the span's end time (first call wins).
+// Finish records the span's end time, now (first call wins). A nil span
+// reads no clock.
 func (s *Span) Finish() {
+	if s == nil {
+		return
+	}
+	s.FinishAt(time.Now())
+}
+
+// FinishAt is Finish at a clock reading the caller already took.
+func (s *Span) FinishAt(end time.Time) {
 	if s == nil {
 		return
 	}
 	s.tr.mu.Lock()
 	if s.end.IsZero() {
-		s.end = time.Now()
+		s.end = end
 	}
 	s.tr.mu.Unlock()
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestTraceTreeAndJSON: span structure, attributes, and both renderings.
@@ -97,13 +98,37 @@ func TestDisabledTraceZeroAllocs(t *testing.T) {
 		sp.Finish()
 		grand := sp.Child("deeper")
 		grand.Finish()
+		at := sp.ChildAt("stage", time.Time{})
+		at.FinishAt(time.Time{})
 		tr.Finish()
-		if tr.Tree() != "" || tr.JSON() != "null" {
+		if tr.Tree() != "" || tr.JSON() != "null" || !tr.Start().IsZero() {
 			t.Fatal("nil trace rendered content")
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracing allocates: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestSpansShareReadings: spans opened and finished at the caller's
+// readings tile the interval between them exactly, and the trace's start is
+// the root span's.
+func TestSpansShareReadings(t *testing.T) {
+	tr := NewTrace("answer", "q")
+	t0 := tr.Start()
+	t1, t2 := t0.Add(3*time.Microsecond), t0.Add(10*time.Microsecond)
+	a := tr.Root().ChildAt("a", t0)
+	a.FinishAt(t1)
+	a.FinishAt(t2) // first finish wins
+	b := tr.Root().ChildAt("b", t1)
+	b.FinishAt(t2)
+	tr.Root().FinishAt(t2)
+	st := tr.Stages()
+	if len(st) != 2 || st[0].Dur != 3*time.Microsecond || st[1].Dur != 7*time.Microsecond {
+		t.Fatalf("stages = %+v, want a 3µs then b 7µs", st)
+	}
+	if tr.Duration() != st[0].Dur+st[1].Dur {
+		t.Fatalf("root %v, want the stages' sum %v", tr.Duration(), st[0].Dur+st[1].Dur)
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/url"
 	"os"
@@ -96,8 +97,9 @@ func TestFlightRetentionEndToEnd(t *testing.T) {
 	}
 	slowID := resp.Header.Get("X-Gqa-Trace-Id")
 	var answer struct {
-		OK      bool   `json:"ok"`
-		TraceID string `json:"trace_id"`
+		OK      bool    `json:"ok"`
+		TraceID string  `json:"trace_id"`
+		TotalMs float64 `json:"total_ms"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&answer); err != nil {
 		t.Fatal(err)
@@ -187,6 +189,10 @@ func TestFlightRetentionEndToEnd(t *testing.T) {
 	}
 	if len(tracePage.Event.Stages) == 0 {
 		t.Fatalf("slow request retained without stage durations: %s", doc)
+	}
+	// One clock: the wide event's total is the answer's, to the microsecond.
+	if got := int64(math.Round(answer.TotalMs * 1000)); tracePage.Event.TotalUs != got {
+		t.Errorf("event total_us %d, want the body's total_ms %v × 1000", tracePage.Event.TotalUs, answer.TotalMs)
 	}
 	var stageSum int64
 	for _, st := range tracePage.Event.Stages {

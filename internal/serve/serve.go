@@ -34,6 +34,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -182,7 +183,7 @@ func jsonError(w http.ResponseWriter, status int, msg string) {
 // of stampeding right back.
 func writeReject(w http.ResponseWriter, rej *admission.RejectError) {
 	secs := retryAfterSeconds(rej.RetryAfter)
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
+	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusTooManyRequests)
 	json.NewEncoder(w).Encode(map[string]any{ //nolint:errcheck
@@ -221,8 +222,8 @@ func clientKey(r *http.Request) string {
 // queue wait, tier, trace, answer, error). Only a request that fails
 // validation, before it has a trace ID, is not recorded.
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	q := r.URL.Query().Get("q")
+	query := r.URL.Query()
+	q := query.Get("q")
 	if q == "" {
 		jsonError(w, http.StatusBadRequest, "missing q parameter")
 		return
@@ -244,9 +245,12 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
 		defer cancel()
 	}
+	// The handler keeps no clock: the event starts with the trace, and its
+	// total is the answer's own (Answer.Total), or, for a request that got
+	// none, the trace's duration, which the recorder fills in.
 	tr := obs.NewTrace("answer", q)
 	tr.SetID(id)
-	ev := flight.Event{TraceID: id, Client: client, Status: "ok"}
+	ev := flight.Event{Time: tr.Start(), TraceID: id, Client: client, Status: "ok"}
 
 	// Admission: a rejected request never consumes a pipeline slot.
 	var (
@@ -260,7 +264,6 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		// /debug/flight/trace/<id> like any other retained request.
 		tr.Root().SetStr("rejected", rej.Reason)
 		ev.Status = "rejected:" + rej.Reason
-		ev.TotalUs = time.Since(start).Microseconds()
 	case err != nil:
 		jsonError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -268,14 +271,13 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		defer ticket.Release()
 		ev.ShedTier, ev.QueueWaitUs = ticket.Tier(), ticket.QueueWait().Microseconds()
 		if ev.ShedTier > 0 {
-			w.Header().Set("X-Gqa-Shed-Tier", fmt.Sprintf("%d", ev.ShedTier))
+			w.Header().Set("X-Gqa-Shed-Tier", strconv.Itoa(ev.ShedTier))
 		}
-		ev.Time = time.Now()
 		ans, err = s.sys.AnswerShed(obs.WithTrace(ctx, tr), q, ev.ShedTier)
-		ev.TotalUs = time.Since(ev.Time).Microseconds()
 		if err != nil {
 			ev.Status, ev.Err = "error", err.Error()
 		} else {
+			ev.TotalUs = ans.Total.Microseconds()
 			ev.Degraded, ev.Failure, ev.Results = ans.Degraded, ans.Failure, len(ans.Labels)
 			if ans.Boolean != nil && ev.Results == 0 {
 				ev.Results = 1
@@ -311,9 +313,9 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		ShedTier: ans.ShedTier,
 		SPARQL:   ans.SPARQL,
 		TotalMs:  float64(ans.Total.Microseconds()) / 1000,
-		TraceID:  ans.TraceID,
+		TraceID:  id,
 	}
-	if r.URL.Query().Get("trace") == "1" {
+	if query.Get("trace") == "1" {
 		resp.Trace = json.RawMessage(ans.Trace.JSON())
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -109,7 +109,8 @@ func (g *Graph) FrozenView() View {
 func (g *Graph) Freeze() *Snapshot { return g.FreezeCtx(context.Background()) }
 
 // FreezeCtx is Freeze with a trace span ("store.freeze") recorded on the
-// context's trace when a build happens.
+// context's trace when a build happens; the span and the build histogram
+// are the same interval.
 func (g *Graph) FreezeCtx(ctx context.Context) *Snapshot {
 	if sn := g.Frozen(); sn != nil {
 		return sn
@@ -119,14 +120,15 @@ func (g *Graph) FreezeCtx(ctx context.Context) *Snapshot {
 	if sn := g.Frozen(); sn != nil {
 		return sn
 	}
-	sp := obs.TraceFrom(ctx).Root().Child("store.freeze")
 	start := time.Now()
+	sp := obs.TraceFrom(ctx).Root().ChildAt("store.freeze", start)
 	sn, rebuilt := g.buildSnapshot(max(g.shardK, 1), g.lastSharded)
 	if sn.k > 1 {
 		g.lastSharded = sn
 	}
 	g.snap.Store(sn)
-	snapshotBuildSeconds.ObserveDuration(time.Since(start))
+	end := time.Now()
+	snapshotBuildSeconds.ObserveDuration(end.Sub(start))
 	snapshotBytes.Set(sn.bytes)
 	snapshotBuilds.Inc()
 	if sp.Enabled() {
@@ -136,7 +138,7 @@ func (g *Graph) FreezeCtx(ctx context.Context) *Snapshot {
 		sp.SetInt("shards", int64(sn.k))
 		sp.SetInt("shards_rebuilt", int64(rebuilt))
 	}
-	sp.Finish()
+	sp.FinishAt(end)
 	return sn
 }
 

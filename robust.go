@@ -159,6 +159,7 @@ func (s *System) AnswerContext(ctx context.Context, question string) (*Answer, e
 // (budgets only truncate when exhausted), so the cache layer stores it
 // under its normal key and serves it at any tier.
 func (s *System) AnswerShed(ctx context.Context, question string, tier int) (ans *Answer, err error) {
+	start := time.Now()
 	defer recoverPipeline("answer", question, &err)
 	eff, eng := s.budget, s.core
 	if tier > 0 {
@@ -186,7 +187,7 @@ func (s *System) AnswerShed(ctx context.Context, question string, tier int) (ans
 		}
 	}
 	if ans != nil {
-		ans.TraceID = obs.TraceFrom(ctx).ID()
+		ans.Total = time.Since(start)
 	}
 	return ans, err
 }
