@@ -1038,7 +1038,9 @@ func (m *matcher) frontierReads(reads []store.Read, u store.ID, ei int) []store.
 }
 
 // hintNeighborhood tells a remote view the adjacency probes the pruning
-// pass is about to make: passesNeighborhood's, for every entity candidate.
+// pass is about to make: passesNeighborhood's, for every entity candidate —
+// each probe reads the candidate's p-runs in both directions, which are
+// also the first hop a seed on that candidate walks.
 func (m *matcher) hintNeighborhood() {
 	var reads []store.Read
 	for vi := range m.q.Vertices {
@@ -1049,9 +1051,9 @@ func (m *matcher) hintNeighborhood() {
 			for _, ei := range m.adj[vi] {
 				for _, pc := range m.q.Edges[ei].Candidates {
 					if len(pc.Path) > 0 {
-						reads = append(reads,
-							store.ReadHasAdjacentPred(c.ID, pc.Path[0].Pred),
-							store.ReadHasAdjacentPred(c.ID, pc.Path[len(pc.Path)-1].Pred))
+						first, last := pc.Path[0].Pred, pc.Path[len(pc.Path)-1].Pred
+						reads = append(reads, store.ReadPred(c.ID, first, true), store.ReadPred(c.ID, first, false),
+							store.ReadPred(c.ID, last, true), store.ReadPred(c.ID, last, false))
 					}
 				}
 			}
@@ -1125,7 +1127,9 @@ func (m *matcher) hintFrontier(st *searchState, next, bridge int, targets []stor
 	if len(targets) == 0 {
 		return
 	}
-	tid := m.view.TypeID()
+	// vertexAccepts tests each class candidate with one search of w's out span.
+	typed := !m.q.Vertices[next].Unconstrained && m.view.TypeID() != store.None &&
+		slices.ContainsFunc(m.cands[next], func(c VertexCandidate) bool { return c.IsClass })
 	var open []int // edges at next whose other end stays unbound
 	for _, ei := range m.adj[next] {
 		e := &m.q.Edges[ei]
@@ -1144,12 +1148,8 @@ func (m *matcher) hintFrontier(st *searchState, next, bridge int, targets []stor
 			continue
 		}
 		fresh = append(fresh, w)
-		if !m.q.Vertices[next].Unconstrained && tid != store.None {
-			for _, c := range m.cands[next] {
-				if c.IsClass {
-					reads = append(reads, store.ReadHas(w, tid, c.ID))
-				}
-			}
+		if typed {
+			reads = append(reads, store.ReadOut(w))
 		}
 		for _, ei := range open {
 			reads = m.frontierReads(reads, w, ei)

@@ -268,26 +268,14 @@ func (sn *Snapshot) Generation() uint64 { return sn.gen }
 // NumShards returns K, the number of parts (1 for an unsharded graph).
 func (sn *Snapshot) NumShards() int { return sn.k }
 
-// Bytes returns the approximate heap size of the local parts' arrays.
-func (sn *Snapshot) Bytes() int64 { return sn.bytes }
-
 // NumTerms returns the number of interned terms at freeze time.
 func (sn *Snapshot) NumTerms() int { return len(sn.terms) }
-
-// NumTriples returns the number of distinct triples at freeze time.
-func (sn *Snapshot) NumTriples() int { return sn.nTriples }
-
-// NumPredicates returns the number of distinct predicates at freeze time.
-func (sn *Snapshot) NumPredicates() int { return len(sn.predIDs) }
 
 // Term returns the term for id (IDs are stable across freezes).
 func (sn *Snapshot) Term(id ID) rdf.Term { return sn.terms[id] }
 
 // TypeID returns the interned ID of rdf:type at freeze time, or None.
 func (sn *Snapshot) TypeID() ID { return sn.rdfType }
-
-// Stats returns the freeze-time summary statistics (Table 4 shape).
-func (sn *Snapshot) Stats() Stats { return sn.stats }
 
 // Entities returns all entity vertex IDs in ascending order. The returned
 // slice is a copy and may be retained or modified by the caller.
@@ -298,13 +286,8 @@ func (sn *Snapshot) Entities() []ID {
 	return append([]ID(nil), sn.entities...)
 }
 
-// Out and In return v's full adjacency spans sorted by (Pred, To); for In,
-// Edge.To is the subject of the underlying triple. The slices may alias
-// the snapshot's arrays and must not be modified.
-func (sn *Snapshot) Out(v ID) []Edge { return sn.rd.outSpan(v) }
-func (sn *Snapshot) In(v ID) []Edge  { return sn.rd.inSpan(v) }
-
-// OutPred and InPred return v's edges labeled p, sorted by To.
+// OutPred and InPred return v's edges labeled p, sorted by To. The slices
+// may alias the snapshot's arrays and must not be modified.
 func (sn *Snapshot) OutPred(v, p ID) []Edge { return sn.rd.outPred(v, p) }
 func (sn *Snapshot) InPred(v, p ID) []Edge  { return sn.rd.inPred(v, p) }
 
@@ -314,29 +297,20 @@ func (sn *Snapshot) OutPredDegree(v, p ID) int { return len(sn.rd.outPred(v, p))
 func (sn *Snapshot) InPredDegree(v, p ID) int  { return len(sn.rd.inPred(v, p)) }
 
 // OutDegree, InDegree and Degree are span widths.
-func (sn *Snapshot) OutDegree(v ID) int { out, _ := sn.rd.degrees(v); return out }
-func (sn *Snapshot) InDegree(v ID) int  { _, in := sn.rd.degrees(v); return in }
-func (sn *Snapshot) Degree(v ID) int    { out, in := sn.rd.degrees(v); return out + in }
+func (sn *Snapshot) OutDegree(v ID) int { return len(sn.rd.outSpan(v)) }
+func (sn *Snapshot) InDegree(v ID) int  { return len(sn.rd.inSpan(v)) }
+func (sn *Snapshot) Degree(v ID) int    { return sn.OutDegree(v) + sn.InDegree(v) }
 
 // HasAdjacentPred reports whether v has any incident edge (either
-// direction) labeled p — the §4.2.2 neighborhood pruning test.
-func (sn *Snapshot) HasAdjacentPred(v, p ID) bool { return sn.rd.hasAdjacentPred(v, p) }
-
-// Has reports whether the triple is present.
-func (sn *Snapshot) Has(s, p, o ID) bool { return sn.rd.has(s, p, o) }
-
-// IsClass and IsEntity read the role bitmap computed at freeze time.
-func (sn *Snapshot) IsClass(v ID) bool  { return sn.rd.role(v)&roleClass != 0 }
-func (sn *Snapshot) IsEntity(v ID) bool { return sn.rd.role(v)&roleEntity != 0 }
-
-// PredCount returns the number of triples using predicate p.
-func (sn *Snapshot) PredCount(p ID) int {
-	n := 0
-	for _, gr := range sn.rd.predGroups(p) {
-		n += len(gr)
-	}
-	return n
+// direction) labeled p — the §4.2.2 neighborhood pruning test: v's out
+// p-run, then its in p-run.
+func (sn *Snapshot) HasAdjacentPred(v, p ID) bool {
+	return len(sn.rd.outPred(v, p)) > 0 || len(sn.rd.inPred(v, p)) > 0
 }
+
+// Has reports whether the triple is present: one search of s's out span,
+// wherever o lives.
+func (sn *Snapshot) Has(s, p, o ID) bool { return spanHas(sn.rd.outSpan(s), p, o) }
 
 // Match calls fn for every triple matching the (s, p, o) pattern (Any is
 // the wildcard), stopping early if fn returns false. Every bound position
@@ -348,7 +322,7 @@ func (sn *Snapshot) Match(s, p, o ID, fn func(Spo) bool) {
 	faultpoint.Hit(faultpoint.StoreMatch)
 	switch {
 	case s != Any && p != Any && o != Any:
-		if sn.rd.has(s, p, o) {
+		if sn.Has(s, p, o) {
 			fn(Spo{s, p, o})
 		}
 	case s != Any:
@@ -387,13 +361,6 @@ func (sn *Snapshot) Match(s, p, o ID, fn func(Spo) bool) {
 			}
 		}
 	}
-}
-
-// Count returns the number of triples matching the pattern.
-func (sn *Snapshot) Count(s, p, o ID) int {
-	n := 0
-	sn.Match(s, p, o, func(Spo) bool { n++; return true })
-	return n
 }
 
 // ---------------------------------------------------- per-request binding
@@ -455,8 +422,7 @@ func (sn *Snapshot) Prefetched(r Read) (span []Edge, ok bool) {
 	if rr == nil {
 		return nil, false
 	}
-	rep, ok := rr.req.lookup(r)
-	return rep.edges, ok
+	return rr.req.lookup(r)
 }
 
 // DegradeReason reports "shard-unavailable" once any read of this bound

@@ -223,7 +223,7 @@ func TestFrozenLoadedGraphMutates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: LoadFrozen: %v", seed, err)
 		}
-		nBefore := sn.NumTriples()
+		nBefore := sn.nTriples
 
 		mutate := func(gg *Graph) {
 			spos := append([]Spo(nil), sn.parts[0].predTriples...)
@@ -248,7 +248,7 @@ func TestFrozenLoadedGraphMutates(t *testing.T) {
 		}
 		// The snapshot handed out before mutation is immutable: it must
 		// still describe the pre-mutation triple count.
-		if sn.NumTriples() != nBefore {
+		if sn.nTriples != nBefore {
 			t.Fatalf("seed %d: pre-mutation snapshot changed under mutation", seed)
 		}
 	}

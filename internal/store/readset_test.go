@@ -1,11 +1,13 @@
 package store_test
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"sync/atomic"
 	"testing"
 
+	"gqa/internal/bench"
 	"gqa/internal/core"
 	"gqa/internal/dict"
 	"gqa/internal/obs"
@@ -148,8 +150,9 @@ func TestRemoteReadSet(t *testing.T) {
 	// show in the frame count: 8 targets and 60 cost the same frames. And a
 	// hinted level costs at most one frame per shard. This search hints
 	// seven: four n vertices wide (the seeds' costs, the x's behind the
-	// t-seeds, the x's behind M, the type probes of the t's) and three one
-	// vertex wide (A's pruning probe, M's spans over each of the two edges).
+	// t-seeds, the x's behind M, the out spans the t's type probes search)
+	// and three one vertex wide (A's pruning runs, M's spans over each of
+	// the two edges).
 	if frames[0] != frames[1] || batches[0] != batches[1] {
 		t.Errorf("8 targets took %d frames (%d batches), 60 targets %d (%d): the frame count grew with the frontier",
 			frames[0], batches[0], frames[1], batches[1])
@@ -202,5 +205,64 @@ func TestRemoteReadSet(t *testing.T) {
 	none.Prefetch(hint)
 	if none.Prefetches() {
 		t.Error("a nil snapshot asks for hints")
+	}
+}
+
+// cinemaFrameBound is what bench.NewCinemaKB's questions cost on the wire
+// over four shard servers: the frames their searches send (the rpc_calls
+// the core.match spans carry), summed over the questions. It is the count
+// measured when the reader's reads became spans alone; a hint that stops
+// reaching its reads, or a read that stops being hinted, sends more.
+const cinemaFrameBound = 61
+
+// TestCinemaRPCFrames pins the frames a real workload's searches send: the
+// cinema questions, answered by the whole pipeline over four counted
+// loopback shards, must cost at most cinemaFrameBound frames, give the
+// answers a local K = 1 system gives, and account for every read as a hit
+// in the request's read set or a single-read frame of its own.
+func TestCinemaRPCFrames(t *testing.T) {
+	ref := bench.NewCinemaKB()
+	local := core.NewSystem(ref.Graph, ref.Dict, core.Options{TopK: 10})
+	kb := bench.NewCinemaKB()
+	sn, w := countedShards(t, kb.Graph)
+	sys := core.NewSystem(kb.Graph, kb.Dict, core.Options{TopK: 10})
+	kb.Graph.SetRemoteView(sn)
+
+	var frames int64
+	for _, q := range kb.Questions {
+		want, err := local.Answer(q.Text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.reset()
+		tr := obs.NewTrace("question", q.Text)
+		got, err := sys.AnswerContext(obs.WithTrace(context.Background(), tr), q.Text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Degraded != "" || fmt.Sprint(got.Answers) != fmt.Sprint(want.Answers) {
+			t.Fatalf("%s: remote answers %v (degraded %q), local %v", q.ID, got.Answers, got.Degraded, want.Answers)
+		}
+		attr := func(key string) int64 {
+			vs := tr.FindAttrs("core.match", key)
+			if len(vs) != 1 {
+				t.Fatalf("%s: span attribute %s recorded %d times", q.ID, key, len(vs))
+			}
+			v, _ := strconv.ParseInt(vs[0], 10, 64)
+			return v
+		}
+		calls, reads, hits := attr("rpc_calls"), attr("rpc_reads"), attr("rpc_read_hits")
+		singles := w.singles.Load()
+		t.Logf("%s: %d frames (%d single, %d batch), %d reads, %d hits", q.ID, calls, singles, w.batches.Load(), reads, hits)
+		if calls != w.frames() {
+			t.Errorf("%s: the request counted %d frames, the wire %d", q.ID, calls, w.frames())
+		}
+		if reads != hits+singles {
+			t.Errorf("%s: %d reads != %d hits + %d single-read frames", q.ID, reads, hits, singles)
+		}
+		frames += calls
+	}
+	if frames > cinemaFrameBound {
+		t.Errorf("the cinema questions sent %d frames, the bound is %d", frames, cinemaFrameBound)
 	}
 }

@@ -5,8 +5,8 @@ package store
 // merged entity and predicate lists, stats) and routes every primitive
 // read — one per method of the reader interface — over the shard RPC
 // protocol (shardrpc.go) to the gqa-shard server owning the vertex, so the
-// matcher's scatter-gather rounds, the SPARQL evaluator and the dict path
-// walks run unchanged over the wire. Each server answers from the exact
+// matcher's search, the SPARQL evaluator and the dict path walks run
+// unchanged over the wire. Each server answers from the exact
 // arrays its part file froze, through the same localParts reader an
 // in-process snapshot uses, and the View above merges predicate-major
 // groups with the same merge — so remote answers are byte-identical to
@@ -205,28 +205,28 @@ type rpcReq struct {
 	// held counts entries plus the edges they hold; past readSetCap nothing
 	// more is added, which bounds an unbudgeted request's memory.
 	mu   sync.RWMutex
-	set  map[Read]readReply
+	set  map[Read][]Edge
 	held int
 }
 
 // readSetCap bounds a read set: entries plus held edges (8 bytes each).
 const readSetCap = 1 << 20
 
-func (st *rpcReq) lookup(k Read) (readReply, bool) {
+func (st *rpcReq) lookup(k Read) ([]Edge, bool) {
 	st.mu.RLock()
-	rep, ok := st.set[k]
+	span, ok := st.set[k]
 	st.mu.RUnlock()
-	return rep, ok
+	return span, ok
 }
 
-func (st *rpcReq) store(k Read, rep readReply) {
+func (st *rpcReq) store(k Read, span []Edge) {
 	st.mu.Lock()
 	if _, dup := st.set[k]; !dup && st.held < readSetCap {
 		if st.set == nil {
-			st.set = make(map[Read]readReply)
+			st.set = make(map[Read][]Edge)
 		}
-		st.set[k] = rep
-		st.held += 1 + len(rep.edges)
+		st.set[k] = span
+		st.held += 1 + len(span)
 	}
 	st.mu.Unlock()
 }
@@ -435,16 +435,16 @@ func (r *rpcReader) degrade() {
 
 // ------------------------------------------------------ the reader methods
 
-// Read names one per-vertex read of a frozen graph — one of the reader
-// primitives with its arguments — for Snapshot.Prefetch. It is also the
+// Read names one per-vertex read of a frozen graph — one of the reader's
+// span reads with its arguments — for Snapshot.Prefetch. It is also the
 // read set's key and, through appendTo, the read's request payload.
 type Read struct {
-	op      byte
-	v, p, o ID // arguments the op does not take stay zero
+	op   byte
+	v, p ID // p stays zero on a full span read
 }
 
 // ReadPred is the read behind OutPred(v, p) / OutPredDegree (out) or
-// InPred(v, p) / InPredDegree (!out).
+// InPred(v, p) / InPredDegree (!out); HasAdjacentPred(v, p) reads both.
 func ReadPred(v, p ID, out bool) Read {
 	if out {
 		return Read{op: shrOpOutPred, v: v, p: p}
@@ -452,53 +452,27 @@ func ReadPred(v, p ID, out bool) Read {
 	return Read{op: shrOpInPred, v: v, p: p}
 }
 
-// ReadHas is the read behind Has(s, p, o).
-func ReadHas(s, p, o ID) Read { return Read{op: shrOpHas, v: s, p: p, o: o} }
-
-// ReadHasAdjacentPred is the read behind HasAdjacentPred(v, p).
-func ReadHasAdjacentPred(v, p ID) Read { return Read{op: shrOpHasAdj, v: v, p: p} }
-
-// readReply is a decoded reply: the span of a span-returning op, or the
-// fixed bytes (1, or 8 for degrees) of the others.
-type readReply struct {
-	edges []Edge
-	fixed [8]byte
-}
+// ReadOut is the read behind v's full out span: OutDegree(v), and
+// Has(v, p, o) for every p and o.
+func ReadOut(v ID) Read { return Read{op: shrOpOut, v: v} }
 
 // appendTo appends the read's request payload: the op byte and the IDs it
 // takes.
 func (k Read) appendTo(b []byte) []byte {
 	b = appendID(append(b, k.op), k.v)
-	switch k.op {
-	case shrOpOutPred, shrOpInPred, shrOpHasAdj:
+	if k.op == shrOpOutPred || k.op == shrOpInPred {
 		b = appendID(b, k.p)
-	case shrOpHas:
-		b = appendID(appendID(b, k.p), k.o)
 	}
 	return b
 }
 
-// decode turns the body of an OK reply to k into its readReply; a body the
-// op cannot have answered is an error.
-func (k Read) decode(body []byte) (readReply, error) {
-	var rep readReply
-	switch k.op {
-	case shrOpOut, shrOpIn, shrOpOutPred, shrOpInPred:
-		if len(body)%8 != 0 {
-			return rep, fmt.Errorf("span reply of %d bytes", len(body))
-		}
-		rep.edges = decodeFrzEdges(body)
-	default:
-		want := 1
-		if k.op == shrOpDegrees {
-			want = 8
-		}
-		if len(body) != want {
-			return rep, fmt.Errorf("reply of %d bytes, want %d", len(body), want)
-		}
-		copy(rep.fixed[:], body)
+// decodeSpan decodes the body of an OK reply to a span read; a body no
+// span can have is an error.
+func decodeSpan(body []byte) ([]Edge, error) {
+	if len(body)%8 != 0 {
+		return nil, fmt.Errorf("span reply of %d bytes", len(body))
 	}
-	return rep, nil
+	return decodeFrzEdges(body), nil
 }
 
 func appendID(b []byte, v ID) []byte {
@@ -510,48 +484,36 @@ func appendID(b []byte, v ID) []byte {
 // to the shard owning k.v. Only a successful reply enters the set; a
 // failed read degrades the request and answers empty, and the next ask
 // goes to the wire again.
-func (r *rpcReader) read(k Read) readReply {
+func (r *rpcReader) read(k Read) []Edge {
 	st := r.req
 	if st != nil {
 		st.reads.Add(1)
 		rpcReadsTotal.Inc()
-		if rep, ok := st.lookup(k); ok {
+		if span, ok := st.lookup(k); ok {
 			st.readHits.Add(1)
 			rpcReadHitsTotal.Inc()
-			return rep
+			return span
 		}
 	}
-	var rep readReply
+	var span []Edge
 	body, err := r.call(int(k.v)%r.k, k.appendTo(make([]byte, 0, maxReadReq)))
 	if err == nil {
-		rep, err = k.decode(body)
+		span, err = decodeSpan(body)
 	}
 	if err != nil {
 		r.degrade()
-		return readReply{}
+		return nil
 	}
 	if st != nil {
-		st.store(k, rep)
+		st.store(k, span)
 	}
-	return rep
+	return span
 }
 
-func (r *rpcReader) outSpan(v ID) []Edge    { return r.read(Read{op: shrOpOut, v: v}).edges }
-func (r *rpcReader) inSpan(v ID) []Edge     { return r.read(Read{op: shrOpIn, v: v}).edges }
-func (r *rpcReader) outPred(v, p ID) []Edge { return r.read(ReadPred(v, p, true)).edges }
-func (r *rpcReader) inPred(v, p ID) []Edge  { return r.read(ReadPred(v, p, false)).edges }
-func (r *rpcReader) role(v ID) uint8        { return r.read(Read{op: shrOpRole, v: v}).fixed[0] }
-
-func (r *rpcReader) degrees(v ID) (out, in int) {
-	f := r.read(Read{op: shrOpDegrees, v: v}).fixed
-	return int(binary.LittleEndian.Uint32(f[:])), int(binary.LittleEndian.Uint32(f[4:]))
-}
-
-func (r *rpcReader) hasAdjacentPred(v, p ID) bool {
-	return r.read(ReadHasAdjacentPred(v, p)).fixed[0] != 0
-}
-
-func (r *rpcReader) has(s, p, o ID) bool { return r.read(ReadHas(s, p, o)).fixed[0] != 0 }
+func (r *rpcReader) outSpan(v ID) []Edge    { return r.read(ReadOut(v)) }
+func (r *rpcReader) inSpan(v ID) []Edge     { return r.read(Read{op: shrOpIn, v: v}) }
+func (r *rpcReader) outPred(v, p ID) []Edge { return r.read(ReadPred(v, p, true)) }
+func (r *rpcReader) inPred(v, p ID) []Edge  { return r.read(ReadPred(v, p, false)) }
 
 // prefetch fetches the reads not yet in the request's read set, one batch
 // frame per owning shard (a shard with more than maxBatchReads of them
@@ -640,9 +602,9 @@ func (r *rpcReader) fetchBatch(shard int, reads []Read) bool {
 	if err != nil {
 		return false
 	}
-	replies := make([]readReply, len(reads))
+	replies := make([][]Edge, len(reads))
 	answered := make([]bool, len(reads))
-	for i, k := range reads {
+	for i := range reads {
 		if len(body) < 4 {
 			return true
 		}
@@ -656,7 +618,7 @@ func (r *rpcReader) fetchBatch(shard int, reads []Read) bool {
 		if len(sub) == 0 || sub[0] != shrStatusOK {
 			continue
 		}
-		if replies[i], err = k.decode(sub[1:]); err != nil {
+		if replies[i], err = decodeSpan(sub[1:]); err != nil {
 			return true
 		}
 		answered[i] = true

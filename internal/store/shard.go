@@ -16,8 +16,8 @@ package store
 
 import "sort"
 
-// Vertex role bits precomputed at freeze so Entities/Stats/IsEntity are
-// array reads instead of per-vertex map probes.
+// Vertex role bits precomputed at freeze, so the entity list and the
+// stats are array reads instead of per-vertex map probes.
 const (
 	roleIRI     = 1 << iota // term is an IRI
 	roleLiteral             // term is a literal
@@ -269,24 +269,6 @@ func (ps localParts) inSpan(v ID) []Edge {
 
 func (ps localParts) outPred(v, p ID) []Edge { return predSpan(ps.outSpan(v), p) }
 func (ps localParts) inPred(v, p ID) []Edge  { return predSpan(ps.inSpan(v), p) }
-
-func (ps localParts) degrees(v ID) (out, in int) {
-	return len(ps.outSpan(v)), len(ps.inSpan(v))
-}
-
-func (ps localParts) hasAdjacentPred(v, pred ID) bool {
-	return spanHasPred(ps.outSpan(v), pred) || spanHasPred(ps.inSpan(v), pred)
-}
-
-func (ps localParts) has(s, pred, o ID) bool { return spanHas(ps.outSpan(s), pred, o) }
-
-func (ps localParts) role(v ID) uint8 {
-	p, l := ps.locate(v)
-	if p == nil {
-		return 0
-	}
-	return p.roles[l]
-}
 
 func (ps localParts) predGroups(pred ID) [][]Spo {
 	var groups [][]Spo

@@ -78,8 +78,8 @@ func TestZeroVertexGraphSharding(t *testing.T) {
 	if sn.NumShards() != 1 {
 		t.Fatalf("empty graph froze into %d parts, want 1", sn.NumShards())
 	}
-	if sn.NumTerms() != 0 || sn.NumTriples() != 0 {
-		t.Fatalf("empty snapshot has %d terms / %d triples", sn.NumTerms(), sn.NumTriples())
+	if sn.NumTerms() != 0 || sn.nTriples != 0 {
+		t.Fatalf("empty snapshot has %d terms / %d triples", sn.NumTerms(), sn.nTriples)
 	}
 	calls := 0
 	sn.Match(Any, Any, Any, func(Spo) bool { calls++; return true })

@@ -5,10 +5,11 @@ package store
 // The protocol is deliberately minimal — length-prefixed binary frames
 // over TCP, one outstanding request per connection — because what it
 // carries is the reader interface (view.go), one opcode per method: tiny
-// fixed-size requests (an op byte plus at most three IDs) and responses
+// fixed-size requests (an op byte plus at most two IDs) and responses
 // that are raw little-endian dumps of the spans the in-process localParts
-// reader returns, in the same order. Identity of the served bytes is what
-// keeps remote answers byte-identical to local ones.
+// reader returns, in the same order: every per-vertex reply is a span.
+// Identity of the served bytes is what keeps remote answers
+// byte-identical to local ones.
 //
 // Framing: every message is [u32 length][payload], length = len(payload),
 // little-endian. A request payload is [op byte][args]; a response payload
@@ -41,7 +42,10 @@ import (
 	"gqa/internal/faultpoint"
 )
 
-// Op codes. Order is wire contract; add new ops at the end only.
+// Op codes. Order is wire contract; add new ops at the end only. A retired
+// op keeps its number as a gap, so no other op's frames change, and a
+// server answers it "unknown op": *Snapshot derives the four scalar reads
+// 7–10 once named from the spans.
 const (
 	shrOpPing     = iota + 1 // health probe; empty response
 	shrOpMeta                // part identity + global facts (shardMeta encoding)
@@ -49,22 +53,22 @@ const (
 	shrOpIn                  // v → full in span
 	shrOpOutPred             // v, p → per-predicate out run
 	shrOpInPred              // v, p → per-predicate in run
-	shrOpDegrees             // v → outDeg u32, inDeg u32
-	shrOpHasAdj              // v, p → bool byte
-	shrOpHas                 // s, p, o → bool byte (s owned by this shard)
-	shrOpRole                // v → role byte
+	_                        // 7 retired: degrees
+	_                        // 8 retired: has-adjacent-predicate
+	_                        // 9 retired: has
+	_                        // 10 retired: role
 	shrOpPredGrp             // p → this shard's (S,O)-sorted triple group
 	shrOpPredIDs             // → this shard's ascending predicate list
 	shrOpEntities            // → this shard's ascending owned-entity list
-	shrOpBatch               // up to maxBatchReads per-vertex reads (shrOpOut … shrOpRole) → their replies
+	shrOpBatch               // up to maxBatchReads per-vertex reads (shrOpOut … shrOpInPred) → their replies
 )
 
 const (
 	shrStatusOK  = 0
 	shrStatusErr = 1
 
-	// maxReadReq is the longest single data read: an op byte and three IDs.
-	maxReadReq = 13
+	// maxReadReq is the longest single data read: an op byte and two IDs.
+	maxReadReq = 9
 	// maxBatchReads caps the sub-reads of one batch; maxShardReqFrame is
 	// the batch that cap and maxReadReq allow, and the largest request a
 	// server reads at all.
@@ -273,28 +277,6 @@ func (s *ShardServer) answer(req []byte) []byte {
 			return shardErrResp("inPred: want 2 args")
 		}
 		return append(out, encodeFrzEdges(rd.inPred(arg(0), arg(1)))...)
-	case shrOpDegrees:
-		if !need(1) {
-			return shardErrResp("degrees: want 1 arg")
-		}
-		od, id := rd.degrees(arg(0))
-		out = binary.LittleEndian.AppendUint32(out, uint32(od))
-		return binary.LittleEndian.AppendUint32(out, uint32(id))
-	case shrOpHasAdj:
-		if !need(2) {
-			return shardErrResp("hasAdj: want 2 args")
-		}
-		return append(out, boolByte(rd.hasAdjacentPred(arg(0), arg(1))))
-	case shrOpHas:
-		if !need(3) {
-			return shardErrResp("has: want 3 args")
-		}
-		return append(out, boolByte(rd.has(arg(0), arg(1), arg(2))))
-	case shrOpRole:
-		if !need(1) {
-			return shardErrResp("role: want 1 arg")
-		}
-		return append(out, rd.role(arg(0)))
 	case shrOpPredGrp:
 		if !need(1) {
 			return shardErrResp("predGroup: want 1 arg")
@@ -332,7 +314,7 @@ func (s *ShardServer) answerBatch(subs []byte) []byte {
 		}
 		sub := subs[1 : 1+l]
 		subs = subs[1+l:]
-		if op := sub[0]; op < shrOpOut || op > shrOpRole {
+		if op := sub[0]; op < shrOpOut || op > shrOpInPred {
 			return shardErrResp(fmt.Sprintf("batch: read %d: op %d is not a per-vertex read", n, op))
 		}
 		if len(out) > maxBatchReply {
@@ -348,11 +330,4 @@ func (s *ShardServer) answerBatch(subs []byte) []byte {
 
 func shardErrResp(msg string) []byte {
 	return append([]byte{shrStatusErr}, msg...)
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
 }

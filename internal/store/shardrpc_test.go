@@ -290,7 +290,7 @@ func TestRemoteFailureModes(t *testing.T) {
 		}
 		return srv.handle(req)
 	})
-	hints := []Read{ReadPred(probe.S, probe.P, true), ReadHas(probe.S, probe.P, probe.O)}
+	hints := []Read{ReadPred(probe.S, probe.P, true), ReadOut(probe.S)} // OutPred's read, and Has's
 	want := sn.OutPred(probe.S, probe.P)
 	batchCases := []struct {
 		name       string
@@ -319,7 +319,8 @@ func TestRemoteFailureModes(t *testing.T) {
 		}, 3, 0, 0, false},
 		{"batch sub-reply of a wrong length", func(srv *ShardServer, req []byte) ([]byte, bool) {
 			resp, ok := srv.handle(req)
-			binary.LittleEndian.PutUint32(resp[len(resp)-6:], 1) // has answers 2 bytes: now 1, and 1 stray
+			n := binary.LittleEndian.Uint32(resp[1:])
+			binary.LittleEndian.PutUint32(resp[1:], n-1) // the first span one byte short, and 1 stray
 			return resp, ok
 		}, 3, 0, 0, false},
 		{"batch answered", func(srv *ShardServer, req []byte) ([]byte, bool) { return srv.handle(req) }, 1, 0, 2, false},
@@ -374,6 +375,34 @@ func TestRemoteFailureModes(t *testing.T) {
 	}
 }
 
+// TestRetiredReadsAreUnknown: the four scalar reads a coordinator no
+// longer sends (ops 7–10) are not answered. A request for one gets an
+// "unknown op" error frame, and the client takes that as the server's
+// deterministic answer: one attempt, no retry, and the shard stays up.
+func TestRetiredReadsAreUnknown(t *testing.T) {
+	g := randomRichGraph(rand.New(rand.NewSource(5)))
+	addrs, _ := startLoopbackShards(t, g, 2)
+	rss, err := DialShards(addrs, g.Terms(), RemoteOptions{Retries: 2, RetryBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rss.Close()
+	for _, req := range retiredReads(4) {
+		rr := rpcOf(rss.BindRequest(nil, nil))
+		_, err := rr.call(0, req)
+		var srv *errServer
+		if !errors.As(err, &srv) || !strings.Contains(srv.msg, fmt.Sprintf("unknown op %d", req[0])) {
+			t.Errorf("op %d: err = %v, want the server's unknown-op error frame", req[0], err)
+		}
+		if calls, retries := rr.req.calls.Load(), rr.req.retries.Load(); calls != 1 || retries != 0 {
+			t.Errorf("op %d: %d attempts, %d retries; want 1, 0", req[0], calls, retries)
+		}
+		if rr.pools[0].isDown() {
+			t.Errorf("op %d: an error frame marked the shard down", req[0])
+		}
+	}
+}
+
 // TestShardServerBatch pins the batch envelope at the server: a well-formed
 // batch is answered read by read with what each read is answered alone
 // (a read that is wrong in itself gets its own error reply), and a frame
@@ -386,9 +415,9 @@ func TestShardServerBatch(t *testing.T) {
 	v := ID(0)
 
 	subs := [][]byte{
-		ReadPred(v, 1, true).appendTo(nil), Read{op: shrOpDegrees, v: v}.appendTo(nil),
-		{shrOpOut, 1, 2},                        // bad argument count: that read's own error
-		Read{op: shrOpRole, v: 1}.appendTo(nil), // a vertex another shard owns: empty, not an error
+		ReadPred(v, 1, true).appendTo(nil), Read{op: shrOpIn, v: v}.appendTo(nil),
+		{shrOpOut, 1, 2},         // bad argument count: that read's own error
+		ReadOut(1).appendTo(nil), // a vertex another shard owns: empty, not an error
 	}
 	resp := srv.answer(batchReq(subs...))
 	if resp[0] != shrStatusOK {
@@ -396,6 +425,7 @@ func TestShardServerBatch(t *testing.T) {
 	}
 	checkBatchReply(t, srv, batchReq(subs...)[1:], resp[1:])
 
+	retired := retiredReads(v)
 	refused := []struct {
 		name string
 		req  []byte
@@ -406,6 +436,10 @@ func TestShardServerBatch(t *testing.T) {
 		{"empty read", append(batchReq(subs[0]), 0), "is empty"},
 		{"read past the frame", append(batchReq(subs[0]), 9, shrOpIn, 0), "past the frame"},
 		{"one read too many", batchReq(repeatReq(subs[0], maxBatchReads+1)...), "more than 256 reads"},
+		{"retired degrees read", batchReq(subs[0], retired[0]), "op 7 is not a per-vertex read"},
+		{"retired has-adjacent read", batchReq(subs[0], retired[1]), "op 8 is not a per-vertex read"},
+		{"retired has read", batchReq(subs[0], retired[2]), "op 9 is not a per-vertex read"},
+		{"retired role read", batchReq(subs[0], retired[3]), "op 10 is not a per-vertex read"},
 	}
 	for _, tc := range refused {
 		resp := srv.answer(tc.req)
@@ -413,7 +447,7 @@ func TestShardServerBatch(t *testing.T) {
 			t.Errorf("%s: answered %q, want an error naming %q", tc.name, resp, tc.want)
 		}
 	}
-	if full := batchReq(repeatReq(ReadHas(v, v, v).appendTo(nil), maxBatchReads)...); len(full) != maxShardReqFrame {
+	if full := batchReq(repeatReq(ReadPred(v, v, false).appendTo(nil), maxBatchReads)...); len(full) != maxShardReqFrame {
 		t.Errorf("a full batch of the longest read is %d bytes, the request cap is %d", len(full), maxShardReqFrame)
 	} else if resp := srv.answer(full); resp[0] != shrStatusOK {
 		t.Errorf("a full batch was refused: %s", resp[1:])
@@ -483,7 +517,7 @@ func TestBatchReplyCap(t *testing.T) {
 	}
 	bv.Prefetch(reads)
 	for _, h := range hub {
-		if !edgesEqual(bv.InPred(h, p), local.InPred(h, p)) || !edgesEqual(bv.In(h), local.In(h)) {
+		if !edgesEqual(bv.InPred(h, p), local.InPred(h, p)) || !edgesEqual(bv.rd.inSpan(h), local.rd.inSpan(h)) {
 			t.Fatalf("in-spans of hub %d diverge after a capped batch", h)
 		}
 	}
@@ -575,9 +609,6 @@ func TestOutOfRangeVerticesReadEmpty(t *testing.T) {
 				if n := view.OutPredDegree(v, known.P) + view.InPredDegree(v, known.P) +
 					view.OutDegree(v) + view.InDegree(v) + view.Degree(v); n != 0 {
 					t.Errorf("vertex %d: degrees sum to %d", v, n)
-				}
-				if view.IsEntity(v) || view.IsClass(v) {
-					t.Errorf("vertex %d: has a role", v)
 				}
 				if v == None {
 					continue // None in a Match position is the wildcard
