@@ -91,9 +91,10 @@ fuzz-seeds:
 # Short fuzz passes over the parser/evaluator targets (not part of tier1),
 # the question parser, the lemmatiser whose token → lemma map the
 # linker's per-slot bound rests on, and Algorithm 2 over word IDs against
-# its string-keyed reference, and the top-k result set against the
-# parent's string-keyed one. The nlp and core targets are anchored: -fuzz
-# must match exactly one target per run.
+# its string-keyed reference, the top-k result set against the parent's
+# string-keyed one, and the path walker against the parent's closure walk.
+# The nlp and core targets are anchored: -fuzz must match exactly one
+# target per run.
 fuzz:
 	$(GO) test -fuzz FuzzParseSPARQL -fuzztime 30s ./internal/sparql/
 	$(GO) test -fuzz FuzzEvalBudget -fuzztime 30s ./internal/sparql/
@@ -106,6 +107,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzLemma$$' -fuzztime 30s ./internal/nlp/
 	$(GO) test -fuzz '^FuzzFindEmbeddings$$' -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz '^FuzzResultSet$$' -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz '^FuzzFollowPath$$' -fuzztime 30s ./internal/core/
 
 # Go micro-benchmarks, for measuring while you work (among them the cold
 # start pair, BenchmarkLoadFrozenKB/ntriples against /gqafrz1). A number

@@ -33,6 +33,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -310,11 +311,11 @@ func (s *System) buildAnswer(res *core.Result) *Answer {
 	out.OK = res.Boolean != nil || len(res.Answers) > 0 || res.Count != nil
 	if n := len(res.Answers); n > 0 {
 		// Only when there are answers: a nil slice is /answer's JSON null.
-		out.Labels, out.IRIs = make([]string, 0, n), make([]string, 0, n)
+		out.Labels = make([]string, 0, n)
+		out.IRIs = appendTerms(make([]string, 0, n), s.core.Graph, res.Answers)
 	}
 	for _, id := range res.Answers {
 		out.Labels = append(out.Labels, s.core.Graph.LabelOf(id))
-		out.IRIs = append(out.IRIs, s.core.Graph.Term(id).String())
 	}
 	if res.Count != nil {
 		out.Labels = append(out.Labels, fmt.Sprintf("%d", *res.Count))
@@ -326,6 +327,39 @@ func (s *System) buildAnswer(res *core.Result) *Answer {
 		}
 	}
 	return out
+}
+
+// appendTerms appends the terms ids name, in N-Triples syntax, to dst. The
+// IRIs ("<" + IRI + ">") are rendered into one string and each is sliced
+// out of it; any other term renders on its own (rdf.Term.String).
+func appendTerms(dst []string, g *store.Graph, ids []store.ID) []string {
+	size := 0
+	for _, id := range ids {
+		if t := g.Term(id); t.IsIRI() {
+			size += len(t.Value()) + 2
+		}
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, id := range ids {
+		if t := g.Term(id); t.IsIRI() {
+			b.WriteByte('<')
+			b.WriteString(t.Value())
+			b.WriteByte('>')
+		}
+	}
+	block, off := b.String(), 0
+	for _, id := range ids {
+		t := g.Term(id)
+		if !t.IsIRI() {
+			dst = append(dst, t.String())
+			continue
+		}
+		n := len(t.Value()) + 2
+		dst = append(dst, block[off:off+n])
+		off += n
+	}
+	return dst
 }
 
 // Query evaluates a SPARQL query (SELECT/ASK over basic graph patterns)

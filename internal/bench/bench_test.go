@@ -167,12 +167,14 @@ func TestSynthPhrasesSupportIsReal(t *testing.T) {
 	if len(ps.Sets) != 12 {
 		t.Fatalf("sets = %d", len(ps.Sets))
 	}
+	var w dict.Walker
+	w.Reset(sg.Graph.FrozenView())
 	for _, set := range ps.Sets {
 		gold := ps.Gold[set.Phrase]
 		// At the default GoldFraction of 1 every pair realizes the gold path.
 		connected := 0
 		for _, pair := range set.Pairs {
-			if _, ok := dict.PathConnects(sg.Graph.FrozenView(), pair[0], pair[1], gold); ok {
+			if _, ok := w.Connects(pair[0], pair[1], gold); ok {
 				connected++
 			}
 		}

@@ -222,7 +222,7 @@ func NewSynthPhrases(sg *SynthGraph, opts SynthPhraseOptions) *SynthPhraseSet {
 // simple routes, walking the builder's adjacency in insertion order. The
 // generator interleaves these walks with planting edges, so it reads the
 // mutable graph directly rather than freezing after every plant (the
-// query-time walk over a frozen view is dict.FollowPath).
+// query-time walk over a frozen view is dict.Walker.Follow).
 func walkPath(g *store.Graph, v store.ID, path dict.Path) []store.ID {
 	var ends []store.ID
 	route := []store.ID{v}

@@ -9,6 +9,7 @@ import (
 	"gqa/internal/core"
 	"gqa/internal/dict"
 	"gqa/internal/nlp"
+	"gqa/internal/store"
 )
 
 // differ describes how Algorithm 2 over word IDs and the reference differ
@@ -33,15 +34,17 @@ func differ(y *nlp.DepTree, d *dict.Dictionary) (string, bool) {
 
 type questionSet struct {
 	name      string
+	g         *store.Graph
 	d         *dict.Dictionary
 	questions []bench.Question
 }
 
 // questionSets are the workloads TestWorkloadIdentity answers, each with
-// its own dictionary.
+// its own graph and dictionary.
 func questionSets(t *testing.T) []questionSet {
 	t.Helper()
-	qald, _, err := bench.BuildDictionary(bench.MustKB())
+	qaldKB := bench.MustKB()
+	qald, _, err := bench.BuildDictionary(qaldKB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +62,10 @@ func questionSets(t *testing.T) []questionSet {
 	}
 	cinema := bench.NewCinemaKB()
 	return []questionSet{
-		{"qald", qald, bench.Workload()},
-		{"yago", yago, bench.YagoWorkload()},
-		{"nlscale", nl.Dict, nl.Questions},
-		{"cinema", cinema.Dict, cinema.Questions},
+		{"qald", qaldKB, qald, bench.Workload()},
+		{"yago", yagoKB, yago, bench.YagoWorkload()},
+		{"nlscale", nl.Graph, nl.Dict, nl.Questions},
+		{"cinema", cinema.Graph, cinema.Dict, cinema.Questions},
 	}
 }
 

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"slices"
+	"strconv"
+
 	"gqa/internal/dict"
 	"gqa/internal/nlp"
+	"gqa/internal/store"
 )
 
 // Embedding is one candidate Algorithm 2 returns, named for the
@@ -40,4 +44,35 @@ func newCollidingResultSet(topK, maxMatches int) *resultSet {
 	rs := newResultSet(topK, maxMatches)
 	rs.hashMask = 3
 	return rs
+}
+
+// RaceEnabled is raceEnabled, for package core_test.
+const RaceEnabled = raceEnabled
+
+// WalkDiff walks every candidate path of every edge of q, in both
+// orientations, from each of starts, with the matcher's reachable and with
+// the parent's (walk_reference_test.go), and says how they first differ
+// ("" when they never do). It returns how many walks it compared, and in
+// how many both orientations reached a common target.
+func WalkDiff(view store.View, q *QueryGraph, starts []store.ID) (walks, both int, diff string) {
+	m := walkMatcher(view, q)
+	for ei := range q.Edges {
+		for ci, pc := range q.Edges[ei].Candidates {
+			for _, u := range starts {
+				for _, rev := range []bool{false, true} {
+					got, gotN := m.reachable(0, u, ei, ci, rev)
+					want, wantN := m.refReachable(u, pc.Path, rev)
+					if !slices.Equal(got, want) || gotN != wantN {
+						return walks, both, "edge " + strconv.Itoa(ei) + " path " + pc.Path.Key() + " from " + strconv.Itoa(int(u)) +
+							": targets or nFwd differ from the reference's"
+					}
+					walks++
+					if len(refFollowPath(view, u, pc.Path))+len(refFollowPath(view, u, pc.Path.Reverse())) > len(want) {
+						both++
+					}
+				}
+			}
+		}
+	}
+	return walks, both, ""
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"gqa/internal/budget"
 	"gqa/internal/dict"
@@ -106,6 +107,9 @@ type matcher struct {
 
 	cands [][]VertexCandidate // pruned candidate lists per vertex
 	adj   [][]int             // vertex → incident edge indices
+	// rev[ei][ci] is edge ei's candidate path ci read backwards, the other
+	// orientation reachable walks: built once per search, not per walk.
+	rev [][]dict.Path
 
 	// The terms of Definition 6, taken once per search. vlog[vi][i] is what
 	// binding vertex vi through cands[vi][i] adds to a match's score and
@@ -121,16 +125,48 @@ type matcher struct {
 	// result set's cut (everywhere but under MatchOptions.Exhaustive).
 	bounded bool
 
-	// st is the search's one partial assignment, allocated once the score
-	// terms are known and reset (state) by each of its users in turn: every
-	// seed, and between seeds hintSeeds and thresholdReached.
-	st  *searchState
-	res *resultSet // the top-k held so far
+	// st is the search's one partial assignment, sized once the score terms
+	// are known and reset (state) by each of its users in turn: every seed,
+	// and between seeds hintSeeds and thresholdReached.
+	st  searchState
+	res resultSet // the top-k held so far
 
 	probes int   // anchored searches performed (stats)
 	seeds  int64 // runSeed calls (class candidates unrolled)
 	steps  int64 // extend() invocations
 	cuts   int64 // branches skipped because their bound was below the cut
+
+	// The rest is working memory a pooled matcher keeps from one search to
+	// the next: the anchors and their costs, a round's seeds, the targets
+	// of the walks at each extend depth, the edges finish fills, and the
+	// path walker with its route and dedupe set.
+	anchors, anchorCost []int
+	tasks               []seedTask
+	frontier            [][]store.ID
+	depth               int
+	filled              []int
+	walker              dict.Walker
+}
+
+// matcherPool keeps matchers between searches, with the working memory they
+// grew, so that a search allocates only the matches it returns.
+var matcherPool = sync.Pool{New: func() any { return new(matcher) }}
+
+// poolMaxHeld is the largest result set a pooled matcher keeps: a matcher
+// whose set grew past it is left to the collector. The cinema templates
+// hold at most 96 and ~200 tied matches at once and qald a handful, so
+// every workload question fits; an all-wh question that ties thousands
+// (maxHeldMatches) does not pin that memory in the pool.
+const poolMaxHeld = 1024
+
+// grow returns s resized to n elements, reusing its array when it is large
+// enough and keeping the elements it had, which for a slice of slices are
+// buffers the caller reuses in turn.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
 }
 
 // MatchStats reports search effort, used by the ablation benchmarks and
@@ -189,8 +225,10 @@ func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match,
 	if view == nil {
 		view = g.FrozenView()
 	}
-	m := &matcher{view: view, q: q, opts: opts, bounded: !opts.Exhaustive,
-		res: newResultSet(opts.TopK, maxHeldMatches)}
+	m := matcherPool.Get().(*matcher)
+	m.view, m.bound, m.hints, m.q, m.opts, m.bounded = view, nil, false, q, opts, !opts.Exhaustive
+	m.probes, m.seeds, m.steps, m.cuts, m.depth = 0, 0, 0, 0, 0
+	m.res.reset(opts.TopK, maxHeldMatches)
 	// A snapshot over remote parts binds to this request so its RPC calls
 	// inherit the request budget's deadline and failures degrade (never
 	// hang) the search; over local parts binding is the identity.
@@ -199,25 +237,30 @@ func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match,
 		m.view = m.bound
 		m.hints = m.bound.Prefetches()
 	}
+	m.walker.Reset(m.view)
 	var stats MatchStats
 
-	m.adj = make([][]int, len(q.Vertices))
+	m.adj = grow(m.adj, len(q.Vertices))
+	for vi := range m.adj {
+		m.adj[vi] = m.adj[vi][:0]
+	}
 	for ei, e := range q.Edges {
 		m.adj[e.From] = append(m.adj[e.From], ei)
 		if e.To != e.From {
 			m.adj[e.To] = append(m.adj[e.To], ei)
 		}
 	}
+	m.reversePaths()
 
 	// Neighborhood-based pruning (§4.2.2): drop entity candidates lacking
 	// an adjacent predicate compatible with every incident edge.
-	m.cands = make([][]VertexCandidate, len(q.Vertices))
+	m.cands = grow(m.cands, len(q.Vertices))
 	if m.hints {
 		m.walks = make([][]dict.Path, len(q.Edges))
 		for ei := range q.Edges {
-			for _, pc := range q.Edges[ei].Candidates {
+			for ci, pc := range q.Edges[ei].Candidates {
 				if len(pc.Path) > 1 {
-					m.walks[ei] = append(m.walks[ei], pc.Path, pc.Path.Reverse())
+					m.walks[ei] = append(m.walks[ei], pc.Path, m.rev[ei][ci])
 				}
 			}
 		}
@@ -227,6 +270,7 @@ func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match,
 	}
 	matchable := true
 	for vi := range q.Vertices {
+		m.cands[vi] = m.cands[vi][:0]
 		for _, c := range q.Vertices[vi].Candidates {
 			if !opts.DisablePruning && !c.IsClass && !m.passesNeighborhood(vi, c.ID) {
 				stats.CandidatesCut++
@@ -249,13 +293,46 @@ func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match,
 	// the pruning pass.
 	matches := m.res.harvest()
 	m.finishStats(&stats, len(matches))
+	m.release()
 	return matches, stats
+}
+
+// release returns m to the pool, unless its result set grew past
+// poolMaxHeld. It first clears every reference into the finished search —
+// the query's paths in the held rows and the search state, the view, the
+// options — so that a pooled matcher keeps no QueryGraph or graph alive.
+func (m *matcher) release() {
+	if cap(m.res.rows) > poolMaxHeld {
+		return
+	}
+	clear(m.res.paths)
+	clear(m.st.paths)
+	m.view, m.bound, m.walks, m.q, m.opts = nil, nil, nil, nil, MatchOptions{}
+	m.walker.Release()
+	matcherPool.Put(m)
+}
+
+// reversePaths fills rev: every candidate path of every edge, read
+// backwards into the matcher's own arrays.
+func (m *matcher) reversePaths() {
+	m.rev = grow(m.rev, len(m.q.Edges))
+	for ei := range m.q.Edges {
+		cands := m.q.Edges[ei].Candidates
+		m.rev[ei] = grow(m.rev[ei], len(cands))
+		for ci, pc := range cands {
+			r := grow(m.rev[ei][ci], len(pc.Path))
+			for i, st := range pc.Path {
+				r[len(r)-1-i] = dict.Step{Pred: st.Pred, Forward: !st.Forward}
+			}
+			m.rev[ei][ci] = r
+		}
+	}
 }
 
 // search runs the rounds of Algorithm 3 over the pruned candidate lists.
 func (m *matcher) search(stats *MatchStats) {
 	m.scoreTerms()
-	m.st = newSearchState(len(m.q.Vertices), len(m.q.Edges))
+	m.st.size(len(m.q.Vertices), len(m.q.Edges))
 
 	anchors := m.anchorVertices()
 	if len(anchors) == 0 {
@@ -323,20 +400,22 @@ func (m *matcher) scoreTerms() {
 		return b
 	}
 	nv, ne := len(m.q.Vertices), len(m.q.Edges)
-	m.vlog, m.vbest = make([][]float64, nv), make([]float64, nv)
+	m.vlog, m.vbest = grow(m.vlog, nv), grow(m.vbest, nv)
 	for vi := range m.q.Vertices {
+		m.vlog[vi] = m.vlog[vi][:0]
 		if m.q.Vertices[vi].Unconstrained {
-			continue // binds anything with δ = 1: term 0
+			m.vbest[vi] = 0 // binds anything with δ = 1: term 0
+			continue
 		}
-		m.vlog[vi] = make([]float64, len(m.cands[vi]))
+		m.vlog[vi] = grow(m.vlog[vi], len(m.cands[vi]))
 		for i, c := range m.cands[vi] {
 			m.vlog[vi][i] = vertexTerm(c.Score)
 		}
 		m.vbest[vi] = best(m.vlog[vi])
 	}
-	m.elog, m.ebest = make([][]float64, ne), make([]float64, ne)
+	m.elog, m.ebest = grow(m.elog, ne), grow(m.ebest, ne)
 	for ei := range m.q.Edges {
-		m.elog[ei] = make([]float64, len(m.q.Edges[ei].Candidates))
+		m.elog[ei] = grow(m.elog[ei], len(m.q.Edges[ei].Candidates))
 		for i, pc := range m.q.Edges[ei].Candidates {
 			m.elog[ei][i] = math.Log(pc.Score)
 		}
@@ -348,6 +427,7 @@ func (m *matcher) scoreTerms() {
 // annotates the search span (a no-op on the nil span). Runs once per
 // search, on its one exit.
 func (m *matcher) finishStats(stats *MatchStats, returned int) {
+	m.walker.Flush()
 	stats.AnchorsProbed = m.probes
 	stats.Seeds = m.seeds
 	stats.Steps = m.steps
@@ -412,7 +492,7 @@ type seedTask struct {
 // is a pure graph statistic, so every store layout sees the same task
 // order.
 func (m *matcher) roundTasks(anchors []int, round int) []seedTask {
-	var tasks []seedTask
+	tasks := m.tasks[:0]
 	for _, vi := range anchors {
 		if round >= len(m.cands[vi]) {
 			continue
@@ -420,8 +500,8 @@ func (m *matcher) roundTasks(anchors []int, round int) []seedTask {
 		c, term := m.cands[vi][round], m.vlog[vi][round]
 		m.probes++
 		if c.IsClass {
-			for _, u := range m.instancesOf(c.ID) {
-				tasks = append(tasks, seedTask{vi: vi, u: u, via: c.ID, term: term})
+			for _, e := range m.instancesOf(c.ID) {
+				tasks = append(tasks, seedTask{vi: vi, u: e.To, via: c.ID, term: term})
 			}
 		} else {
 			tasks = append(tasks, seedTask{vi: vi, u: c.ID, via: store.None, term: term})
@@ -433,24 +513,21 @@ func (m *matcher) roundTasks(anchors []int, round int) []seedTask {
 	for i := range tasks {
 		tasks[i].cost = m.seedCost(tasks[i].vi, tasks[i].u)
 	}
-	sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].cost < tasks[j].cost })
+	slices.SortStableFunc(tasks, func(a, b seedTask) int { return cmp.Compare(a.cost, b.cost) })
+	m.tasks = tasks
 	return tasks
 }
 
-// instancesOf returns the instance entities of class c (the subjects of
-// ⟨s, rdf:type, c⟩ triples): the class's in-span over rdf:type — the same
-// (Pred,To)-sorted run at every shard count, so the seed order is too.
-func (m *matcher) instancesOf(c store.ID) []store.ID {
+// instancesOf returns the class's in-span over rdf:type, whose To ends are
+// the instance entities of class c (the subjects of ⟨s, rdf:type, c⟩
+// triples) — the same (Pred,To)-sorted run at every shard count, so the
+// seed order is too.
+func (m *matcher) instancesOf(c store.ID) []store.Edge {
 	tid := m.view.TypeID()
 	if tid == store.None {
 		return nil
 	}
-	span := m.view.InPred(c, tid)
-	out := make([]store.ID, len(span))
-	for i := range span {
-		out[i] = span[i].To
-	}
-	return out
+	return m.view.InPred(c, tid)
 }
 
 // instanceCount is len(instancesOf(c)) without materializing the slice —
@@ -504,7 +581,7 @@ func (m *matcher) runSeed(t *seedTask) {
 // state returns the search's one searchState as the empty assignment.
 func (m *matcher) state() *searchState {
 	m.st.reset(m)
-	return m.st
+	return &m.st
 }
 
 // aborted reports whether the search should stop running seeds: the budget
@@ -521,11 +598,7 @@ func (m *matcher) aborted() bool {
 // keeps the skipped vertices' best scores in the upper bound, so the
 // stopping rule stays sound.
 func (m *matcher) anchorVertices() []int {
-	type av struct {
-		vi   int
-		cost int
-	}
-	var all []av
+	m.anchors, m.anchorCost = m.anchors[:0], m.anchorCost[:0]
 	for vi := range m.q.Vertices {
 		if m.q.Vertices[vi].Unconstrained || len(m.cands[vi]) == 0 {
 			continue
@@ -538,25 +611,16 @@ func (m *matcher) anchorVertices() []int {
 				cost++
 			}
 		}
-		all = append(all, av{vi, cost})
+		m.anchors, m.anchorCost = append(m.anchors, vi), append(m.anchorCost, cost)
 	}
-	if len(all) <= 1 {
-		out := make([]int, len(all))
-		for i, a := range all {
-			out[i] = a.vi
-		}
-		return out
+	if len(m.anchors) <= 1 {
+		return m.anchors
 	}
-	minCost := all[0].cost
-	for _, a := range all {
-		if a.cost < minCost {
-			minCost = a.cost
-		}
-	}
-	var out []int
-	for _, a := range all {
-		if a.cost <= 64*(minCost+1) {
-			out = append(out, a.vi)
+	minCost := slices.Min(m.anchorCost)
+	out := m.anchors[:0]
+	for i, vi := range m.anchors {
+		if m.anchorCost[i] <= 64*(minCost+1) {
+			out = append(out, vi)
 		}
 	}
 	return out
@@ -625,10 +689,13 @@ func (m *matcher) thresholdReached(anchors []int, round int) bool {
 // at the end is the returned set: the k best matches, ties at the cut
 // included.
 //
-// Holding a match costs one copy into memory the search owns: a held struct
-// and its Assignment, Via and EdgePaths are carved from slabs that start
-// small and double, each slice capped at its length, and a match let go
-// lends its storage to the next new one.
+// A held match is a row: its Assignment then its Via in ids and its edge
+// paths in paths, each at the fixed stride of the search's query, and its
+// score, orientation bits, hash and chain link in a pointer-free heldRow.
+// Rows are deduplicated by assignment hash through int32 bucket heads
+// chained through the rows. A row let go goes on a free list the next new
+// match takes, so a search needs as many rows as it ever holds at once, and
+// a pooled matcher keeps them for the next search (poolMaxHeld).
 type resultSet struct {
 	topK       int
 	maxMatches int
@@ -636,31 +703,53 @@ type resultSet struct {
 	theta      float64 // the cut θ: −∞ until topK matches are held
 	refused    bool    // the maxHeldMatches cap turned a match away
 
-	found   map[uint64]*held // by assignment hash; next chains the assignments that share one
-	results []*held          // maintained sorted by descending score
-	free    *held            // matches let go, chained through next
+	// The strides, taken from the first match a search holds: every match
+	// of one query has one shape.
+	na, idStride, ne int
+
+	rows    []heldRow
+	ids     []store.ID  // row r's Assignment, then its Via, at r*idStride
+	paths   []dict.Path // row r's EdgePaths at r*ne
+	heads   []int32     // bucket → first row of its chain, or -1; a power of two long
+	results []int32     // the held rows, by descending score
+	free    int32       // the first row let go, chained through next; -1 when none
 
 	hashMask uint64 // all ones; a test narrows it to force collisions
-	heldSlab []held
-	idSlab   []store.ID
-	pathSlab []dict.Path
+	keys     []harvestKey
 }
 
-// held is one held match, its link in found's chain, and its sort key
-// (harvest).
-type held struct {
-	Match
-	hash    uint64
-	next    *held
-	sortKey []uint64
+// heldRow is one held match's scalars and its link: the next row of its
+// bucket's chain while held, of the free list once let go, -1 at the end.
+type heldRow struct {
+	score float64
+	rev   uint64
+	hash  uint64
+	next  int32
 }
+
+// minBuckets is the bucket count a search starts with; the heads double
+// whenever the set holds more rows than there are buckets.
+const minBuckets = 16
 
 func newResultSet(topK, maxMatches int) *resultSet {
-	return &resultSet{topK: topK, maxMatches: maxMatches, theta: math.Inf(-1),
-		found: make(map[uint64]*held), hashMask: ^uint64(0)}
+	rs := new(resultSet)
+	rs.reset(topK, maxMatches)
+	return rs
 }
 
-// hashAssignment is found's key for an assignment (collisions are chained).
+// reset empties the set for a new search, keeping its arrays.
+func (rs *resultSet) reset(topK, maxMatches int) {
+	rs.topK, rs.maxMatches = topK, maxMatches
+	rs.attempts, rs.theta, rs.refused = 0, math.Inf(-1), false
+	rs.rows, rs.ids, rs.paths, rs.results = rs.rows[:0], rs.ids[:0], rs.paths[:0], rs.results[:0]
+	rs.heads = grow(rs.heads[:0], minBuckets)
+	for i := range rs.heads {
+		rs.heads[i] = -1
+	}
+	rs.free, rs.hashMask = -1, ^uint64(0)
+}
+
+// hashAssignment is an assignment's bucket key (collisions are chained).
 func hashAssignment(assignment []store.ID) uint64 {
 	h := uint64(len(assignment))
 	for _, u := range assignment {
@@ -669,17 +758,21 @@ func hashAssignment(assignment []store.ID) uint64 {
 	return h ^ h>>32
 }
 
-// carve takes n elements from the chunk at the end of *slab, capped at n so
-// that appending to them can never write into a neighbour's. A chunk with
-// no room left is replaced by one twice its size (the old one stays with
-// the slices carved from it).
-func carve[T any](slab *[]T, n int) []T {
-	s := *slab
-	if cap(s)-len(s) < n {
-		s = make([]T, 0, max(2*cap(s), 4*n))
-	}
-	*slab = s[:len(s)+n]
-	return s[len(s) : len(s)+n : len(s)+n]
+func (rs *resultSet) bucket(hash uint64) *int32 { return &rs.heads[hash&uint64(len(rs.heads)-1)] }
+
+func (rs *resultSet) assignment(r int32) []store.ID {
+	o := int(r) * rs.idStride
+	return rs.ids[o : o+rs.na]
+}
+
+func (rs *resultSet) via(r int32) []store.ID {
+	o := int(r) * rs.idStride
+	return rs.ids[o+rs.na : o+rs.idStride]
+}
+
+func (rs *resultSet) edgePaths(r int32) []dict.Path {
+	o := int(r) * rs.ne
+	return rs.paths[o : o+rs.ne]
 }
 
 // record registers a discovered match, deduplicating by assignment and
@@ -694,25 +787,25 @@ func (rs *resultSet) record(match *Match) {
 		return
 	}
 	hash := hashAssignment(match.Assignment) & rs.hashMask
-	prev := rs.found[hash]
-	for prev != nil && !slices.Equal(prev.Assignment, match.Assignment) {
-		prev = prev.next
+	head := rs.bucket(hash)
+	r := *head
+	for r >= 0 && (rs.rows[r].hash != hash || !slices.Equal(rs.assignment(r), match.Assignment)) {
+		r = rs.rows[r].next
 	}
-	if prev != nil {
-		if match.Score > prev.Score {
+	if r >= 0 {
+		if prev := &rs.rows[r]; match.Score > prev.score {
 			// Same assignment, better justification: move the one entry up
 			// to behind the matches already at its new score.
-			i := sort.Search(len(rs.results), func(i int) bool { return rs.results[i].Score <= prev.Score })
-			for rs.results[i] != prev {
+			i := sort.Search(len(rs.results), func(i int) bool { return rs.rows[rs.results[i]].score <= prev.score })
+			for rs.results[i] != r {
 				i++
 			}
-			prev.Score = match.Score
-			prev.Via = append(prev.Via[:0], match.Via...)
-			prev.EdgePaths = append(prev.EdgePaths[:0], match.EdgePaths...)
-			prev.EdgeRev = match.EdgeRev
-			pos := sort.Search(i, func(j int) bool { return rs.results[j].Score < prev.Score })
+			prev.score, prev.rev = match.Score, match.EdgeRev
+			copy(rs.via(r), match.Via)
+			copy(rs.edgePaths(r), match.EdgePaths)
+			pos := sort.Search(i, func(j int) bool { return rs.rows[rs.results[j]].score < prev.score })
 			copy(rs.results[pos+1:i+1], rs.results[pos:i])
-			rs.results[pos] = prev
+			rs.results[pos] = r
 			rs.raiseCut()
 		}
 		return
@@ -721,85 +814,123 @@ func (rs *resultSet) record(match *Match) {
 		rs.refused = true
 		return
 	}
-	h := rs.free
-	if h != nil {
-		rs.free = h.next
+	if r = rs.free; r >= 0 {
+		rs.free = rs.rows[r].next
+		copy(rs.assignment(r), match.Assignment)
+		copy(rs.via(r), match.Via)
+		copy(rs.edgePaths(r), match.EdgePaths)
 	} else {
-		h = &carve(&rs.heldSlab, 1)[0]
-		ids := carve(&rs.idSlab, len(match.Assignment)+len(match.Via))
-		h.Assignment, h.Via = ids[:0:len(match.Assignment)], ids[len(match.Assignment):len(match.Assignment)]
-		h.EdgePaths = carve(&rs.pathSlab, len(match.EdgePaths))[:0]
+		if len(rs.rows) == 0 {
+			rs.na, rs.idStride, rs.ne = len(match.Assignment), len(match.Assignment)+len(match.Via), len(match.EdgePaths)
+		}
+		r = int32(len(rs.rows))
+		rs.rows = append(rs.rows, heldRow{})
+		rs.ids = append(append(rs.ids, match.Assignment...), match.Via...)
+		rs.paths = append(rs.paths, match.EdgePaths...)
 	}
-	h.Assignment = append(h.Assignment[:0], match.Assignment...)
-	h.Via = append(h.Via[:0], match.Via...)
-	h.EdgePaths = append(h.EdgePaths[:0], match.EdgePaths...)
-	h.EdgeRev, h.Score = match.EdgeRev, match.Score
-	h.hash, h.next = hash, rs.found[hash]
-	rs.found[hash] = h
-	pos := sort.Search(len(rs.results), func(i int) bool { return rs.results[i].Score < h.Score })
-	rs.results = append(rs.results, nil)
+	rs.rows[r] = heldRow{score: match.Score, rev: match.EdgeRev, hash: hash, next: *head}
+	*head = r
+	pos := sort.Search(len(rs.results), func(i int) bool { return rs.rows[rs.results[i]].score < match.Score })
+	rs.results = append(rs.results, 0)
 	copy(rs.results[pos+1:], rs.results[pos:])
-	rs.results[pos] = h
+	rs.results[pos] = r
+	if len(rs.results) > len(rs.heads) {
+		rs.rehash()
+	}
 	rs.raiseCut()
+}
+
+// rehash doubles the buckets and chains every held row anew.
+func (rs *resultSet) rehash() {
+	rs.heads = grow(rs.heads, 2*len(rs.heads))
+	for i := range rs.heads {
+		rs.heads[i] = -1
+	}
+	for _, r := range rs.results {
+		head := rs.bucket(rs.rows[r].hash)
+		rs.rows[r].next, *head = *head, r
+	}
 }
 
 // raiseCut lifts θ to the score of the k-th best held match, if that is
 // above it, and lets go of the matches now below: each is unlinked from its
-// chain and its storage goes on the free list. Called after results
-// changed.
+// chain and its row goes on the free list. Called after results changed.
 func (rs *resultSet) raiseCut() {
-	if len(rs.results) >= rs.topK {
-		if kth := rs.results[rs.topK-1].Score; kth > rs.theta {
-			rs.theta = kth
-			n := len(rs.results)
-			for ; rs.results[n-1].Score < kth; n-- {
-				h := rs.results[n-1]
-				if p := rs.found[h.hash]; p == h {
-					if h.next != nil {
-						rs.found[h.hash] = h.next
-					} else {
-						delete(rs.found, h.hash)
-					}
-				} else {
-					for p.next != h {
-						p = p.next
-					}
-					p.next = h.next
-				}
-				h.next, rs.free = rs.free, h
-				rs.results[n-1] = nil
-			}
-			rs.results = rs.results[:n]
-		}
+	if len(rs.results) < rs.topK {
+		return
 	}
+	kth := rs.rows[rs.results[rs.topK-1]].score
+	if kth <= rs.theta {
+		return
+	}
+	rs.theta = kth
+	n := len(rs.results)
+	for ; rs.rows[rs.results[n-1]].score < kth; n-- {
+		r := rs.results[n-1]
+		link := rs.bucket(rs.rows[r].hash)
+		for *link != r {
+			link = &rs.rows[*link].next
+		}
+		*link = rs.rows[r].next
+		rs.rows[r].next, rs.free = rs.free, r
+	}
+	rs.results = rs.results[:n]
+}
+
+// harvestKey is what harvest sorts a held row by: its score, then the key36
+// of its first ID; rows equal on both compare their whole key36 sequences.
+type harvestKey struct {
+	score float64
+	first uint64
+	row   int32
 }
 
 // harvest returns the held matches — the top k, ties at the cut included —
 // in canonical order: descending score, ties by ascending assignment key,
 // so the order matches tied in score were found in does not show. The key
 // is the assignment's IDs in base 36, each followed by '.' ("1.z.10.");
-// it is compared as key36 numbers, one per ID, computed once per match.
+// it is compared as key36 numbers, one per ID. The matches are copied out
+// of the rows into three arrays of exactly their size — the matches, their
+// IDs and their paths — every slice capped at its length, so they outlive
+// the set and the set can serve the next search.
 func (rs *resultSet) harvest() []Match {
-	if len(rs.results) == 0 {
+	n := len(rs.results)
+	if n == 0 {
 		return nil
 	}
-	keys := make([]uint64, 0, len(rs.results)*len(rs.results[0].Assignment))
-	for _, h := range rs.results {
-		from := len(keys)
-		for _, u := range h.Assignment {
-			keys = append(keys, key36(u))
-		}
-		h.sortKey = keys[from:len(keys):len(keys)]
+	keys := grow(rs.keys, n)
+	for i, r := range rs.results {
+		keys[i] = harvestKey{score: rs.rows[r].score, first: key36(rs.ids[int(r)*rs.idStride]), row: r}
 	}
-	slices.SortFunc(rs.results, func(a, b *held) int {
-		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+	slices.SortFunc(keys, func(a, b harvestKey) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
 			return c
 		}
-		return slices.Compare(a.sortKey, b.sortKey)
+		if c := cmp.Compare(a.first, b.first); c != 0 {
+			return c
+		}
+		x, y := rs.assignment(a.row), rs.assignment(b.row)
+		for i := 1; i < len(x); i++ {
+			if c := cmp.Compare(key36(x[i]), key36(y[i])); c != 0 {
+				return c
+			}
+		}
+		return 0
 	})
-	out := make([]Match, len(rs.results))
-	for i, h := range rs.results {
-		out[i] = h.Match
+	rs.keys = keys
+	out := make([]Match, n)
+	ids := make([]store.ID, n*rs.idStride)
+	var paths []dict.Path
+	if rs.ne > 0 {
+		paths = make([]dict.Path, n*rs.ne)
+	}
+	for i, k := range keys {
+		row := &rs.rows[k.row]
+		a := ids[i*rs.idStride : (i+1)*rs.idStride : (i+1)*rs.idStride]
+		copy(a, rs.ids[int(k.row)*rs.idStride:])
+		p := paths[i*rs.ne : (i+1)*rs.ne : (i+1)*rs.ne]
+		copy(p, rs.edgePaths(k.row))
+		out[i] = Match{Assignment: a[:rs.na:rs.na], Via: a[rs.na:], EdgePaths: p, EdgeRev: row.rev, Score: row.score}
 	}
 	return out
 }
@@ -834,15 +965,13 @@ type searchState struct {
 	done   []bool
 }
 
-func newSearchState(nVerts, nEdges int) *searchState {
-	return &searchState{
-		assign: make([]store.ID, nVerts),
-		via:    make([]store.ID, nVerts),
-		vterm:  make([]float64, nVerts),
-		paths:  make([]dict.Path, nEdges),
-		eterm:  make([]float64, nEdges),
-		done:   make([]bool, nVerts),
-	}
+// size shapes the state for a query of nVerts vertices and nEdges edges,
+// reusing its arrays; reset then empties it.
+func (st *searchState) size(nVerts, nEdges int) {
+	st.assign, st.via, st.vterm = grow(st.assign, nVerts), grow(st.via, nVerts), grow(st.vterm, nVerts)
+	st.done = grow(st.done, nVerts)
+	st.paths, st.eterm = grow(st.paths, nEdges), grow(st.eterm, nEdges)
+	st.rev = 0
 }
 
 // setRev records the orientation edge ei's path was matched in.
@@ -930,13 +1059,20 @@ func (m *matcher) extend(st *searchState) {
 		from = st.assign[e.To]
 		reversedEdge = true
 	}
+	// The walks of this level append to their own buffer, which the levels
+	// below leave alone.
+	depth := m.depth
+	m.depth++
+	if depth == len(m.frontier) {
+		m.frontier = append(m.frontier, nil)
+	}
 	for ci, pc := range e.Candidates {
 		st.paths[bridge], st.eterm[bridge] = pc.Path, m.elog[bridge][ci]
 		if m.below(st) {
 			m.cuts++
 			continue
 		}
-		targets, nFwd := m.reachable(from, pc.Path, reversedEdge)
+		targets, nFwd := m.reachable(depth, from, bridge, ci, reversedEdge)
 		if m.hints {
 			m.hintFrontier(st, next, bridge, targets)
 		}
@@ -958,6 +1094,7 @@ func (m *matcher) extend(st *searchState) {
 			st.assign[next], st.via[next], st.vterm[next], st.done[next] = store.None, store.None, m.vbest[next], false
 		}
 	}
+	m.depth--
 	st.paths[bridge], st.eterm[bridge] = nil, m.ebest[bridge]
 }
 
@@ -971,24 +1108,33 @@ func (m *matcher) startComponent(st *searchState, next int) {
 			m.cuts++
 			continue
 		}
-		us := []store.ID{c.ID}
-		via := store.None
-		if c.IsClass {
-			us = m.instancesOf(c.ID)
-			via = c.ID
-		}
-		for _, u := range us {
-			if !m.opts.Budget.Candidate() {
+		if !c.IsClass {
+			if !m.startAt(st, next, c.ID, store.None) {
 				return
 			}
-			if m.used(st, u) {
-				continue
+			continue
+		}
+		for _, e := range m.instancesOf(c.ID) {
+			if !m.startAt(st, next, e.To, c.ID) {
+				return
 			}
-			st.assign[next], st.via[next], st.done[next] = u, via, true
-			m.extend(st)
-			st.assign[next], st.via[next], st.done[next] = store.None, store.None, false
 		}
 	}
+}
+
+// startAt binds next to u, justified by the class via (or directly when via
+// is store.None), and extends from there; false when the budget refused the
+// candidate, which ends the component.
+func (m *matcher) startAt(st *searchState, next int, u, via store.ID) bool {
+	if !m.opts.Budget.Candidate() {
+		return false
+	}
+	if !m.used(st, u) {
+		st.assign[next], st.via[next], st.done[next] = u, via, true
+		m.extend(st)
+		st.assign[next], st.via[next], st.done[next] = store.None, store.None, false
+	}
+	return true
 }
 
 // predDegree returns the exact out- or in-degree of u over predicate p —
@@ -1240,48 +1386,25 @@ func (m *matcher) chooseNext(st *searchState) (vertex, bridge int) {
 	return -1, -1
 }
 
-// reachable returns the vertices connected to u by path p in either
-// orientation (Definition 3 condition 3). reversed means u sits at the
-// edge's To side, so the recorded path is read backwards first. The first
-// nFwd targets are those p reaches running From → To; the rest it reaches
-// only running To → From.
-func (m *matcher) reachable(u store.ID, p dict.Path, reversed bool) (targets []store.ID, nFwd int) {
+// reachable returns the vertices connected to u by candidate path ci of
+// edge ei in either orientation (Definition 3 condition 3). reversed means
+// u sits at the edge's To side, so the recorded path is read backwards
+// first. The first nFwd targets are those the path reaches running
+// From → To; the rest it reaches only running To → From. Both walks append
+// to the buffer of extend depth depth, the second deduped against the
+// first, so the targets are valid until the next walk at that depth.
+func (m *matcher) reachable(depth int, u store.ID, ei, ci int, reversed bool) (targets []store.ID, nFwd int) {
 	if !m.opts.Budget.Step() {
 		return nil, 0
 	}
-	a := p
-	b := p.Reverse()
+	a, b := m.q.Edges[ei].Candidates[ci].Path, m.rev[ei][ci]
 	if reversed {
 		a, b = b, a
 	}
-	out := dict.FollowPath(m.view, u, a)
+	out := m.walker.Follow(m.frontier[depth][:0], u, a)
 	nFwd = len(out)
-	more := dict.FollowPath(m.view, u, b)
-	// Each FollowPath result is already distinct; only the cross-direction
-	// overlap needs deduping. Typical frontiers are small, so a nested scan
-	// beats allocating a map; large ones fall back to one.
-	if len(out)+len(more) <= 64 {
-	cross:
-		for _, w := range more {
-			for _, x := range out {
-				if x == w {
-					continue cross
-				}
-			}
-			out = append(out, w)
-		}
-		return out, nFwd
-	}
-	seen := make(map[store.ID]struct{}, len(out))
-	for _, w := range out {
-		seen[w] = struct{}{}
-	}
-	for _, w := range more {
-		if _, dup := seen[w]; !dup {
-			seen[w] = struct{}{}
-			out = append(out, w)
-		}
-	}
+	out = m.walker.Follow(out, u, b)
+	m.frontier[depth] = out
 	return out, nFwd
 }
 
@@ -1332,12 +1455,8 @@ func (m *matcher) used(st *searchState, u store.ID) bool {
 // match with its Definition 6 score. Paths it chooses itself are reset
 // before returning so backtracking state stays consistent.
 func (m *matcher) finish(st *searchState) {
-	var filled []int
-	defer func() {
-		for _, ei := range filled {
-			st.paths[ei], st.eterm[ei] = nil, m.ebest[ei]
-		}
-	}()
+	m.filled = m.filled[:0]
+	complete := true
 	for ei := range m.q.Edges {
 		if st.paths[ei] != nil {
 			continue
@@ -1346,25 +1465,31 @@ func (m *matcher) finish(st *searchState) {
 		e := &m.q.Edges[ei]
 		found := false
 		for ci, pc := range e.Candidates {
-			if fwd, ok := dict.PathConnects(m.view, st.assign[e.From], st.assign[e.To], pc.Path); ok {
+			if fwd, ok := m.walker.Connects(st.assign[e.From], st.assign[e.To], pc.Path); ok {
 				st.paths[ei], st.eterm[ei] = pc.Path, m.elog[ei][ci]
 				st.setRev(ei, !fwd)
-				filled = append(filled, ei)
+				m.filled = append(m.filled, ei)
 				found = true
 				break
 			}
 		}
 		if !found {
-			return
+			complete = false
+			break
 		}
 	}
-	m.res.record(&Match{
-		Assignment: st.assign,
-		Via:        st.via,
-		EdgePaths:  st.paths,
-		EdgeRev:    st.rev,
-		Score:      st.total(),
-	})
+	if complete {
+		m.res.record(&Match{
+			Assignment: st.assign,
+			Via:        st.via,
+			EdgePaths:  st.paths,
+			EdgeRev:    st.rev,
+			Score:      st.total(),
+		})
+	}
+	for _, ei := range m.filled {
+		st.paths[ei], st.eterm[ei] = nil, m.ebest[ei]
+	}
 }
 
 // enumerateUnanchored handles the degenerate all-wh query ("Who married

@@ -237,6 +237,12 @@ func randomStream(rng *rand.Rand) []byte {
 	return data
 }
 
+// heldMatch is the i-th held match, read off its row.
+func (rs *resultSet) heldMatch(i int) Match {
+	r := rs.results[i]
+	return Match{Assignment: rs.assignment(r), Via: rs.via(r), EdgePaths: rs.edgePaths(r), EdgeRev: rs.rows[r].rev, Score: rs.rows[r].score}
+}
+
 func sameMatch(a, b *Match) bool {
 	return slices.Equal(a.Assignment, b.Assignment) && slices.Equal(a.Via, b.Via) &&
 		slices.EqualFunc(a.EdgePaths, b.EdgePaths, func(p, q dict.Path) bool { return slices.Equal(p, q) }) &&
@@ -272,7 +278,7 @@ func compareResultSet(s recordStream, shapes *streamShapes) string {
 				shapes.worse++
 			}
 		} else if offer.Score >= rs.theta {
-			for h := rs.found[hashAssignment(offer.Assignment)&rs.hashMask]; h != nil; h = h.next {
+			for r := *rs.bucket(hashAssignment(offer.Assignment) & rs.hashMask); r >= 0; r = rs.rows[r].next {
 				shapes.collided++
 			}
 		}
@@ -288,15 +294,15 @@ func compareResultSet(s recordStream, shapes *streamShapes) string {
 			return "offer " + strconv.Itoa(n) + ": held/θ/attempts/refused differ"
 		}
 		for i := range ref.results {
-			if !sameMatch(&rs.results[i].Match, ref.results[i]) {
+			if held := rs.heldMatch(i); !sameMatch(&held, ref.results[i]) {
 				return "offer " + strconv.Itoa(n) + ": held match " + strconv.Itoa(i) + " differs"
 			}
 		}
 		chained := 0
-		for hash, h := range rs.found {
-			for ; h != nil; h = h.next {
-				if h.hash != hash || !slices.Contains(rs.results, h) {
-					return "offer " + strconv.Itoa(n) + ": a chain holds a match that is not held"
+		for b, r := range rs.heads {
+			for ; r >= 0; r = rs.rows[r].next {
+				if rs.bucket(rs.rows[r].hash) != &rs.heads[b] || !slices.Contains(rs.results, r) {
+					return "offer " + strconv.Itoa(n) + ": a chain holds a match that is not held, or is in another's bucket"
 				}
 				chained++
 			}

@@ -9,18 +9,20 @@ package dict
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"gqa/internal/obs"
 	"gqa/internal/store"
 )
 
-// followPathCalls counts predicate-path evaluations — the matcher's
-// per-edge traversal unit and the dominant cost of query evaluation. One
-// atomic op per call; the call itself allocates route state, so the
-// counter is noise next to the work it counts.
+// followPathCalls counts predicate-path walks (Walker.Follow calls) — the
+// matcher's per-edge traversal unit and the dominant cost of query
+// evaluation. Each walker counts its own walks and Flush adds them here,
+// one atomic add per search rather than one per walk, so concurrent
+// searches do not meet on the counter's cache line.
 var followPathCalls = obs.DefaultCounter("gqa_dict_followpath_total",
-	"Predicate-path traversals (FollowPath calls) during matching.")
+	"Predicate-path traversals (Walker.Follow calls) during matching.")
 
 // Step is one edge of a predicate path: the predicate and whether the edge
 // is traversed along its direction (Forward) or against it.
@@ -228,103 +230,154 @@ func routesIntersect(f, b halfPath, meet, from, to store.ID) bool {
 	return false
 }
 
-// followPathDedupeScan is the result-set size up to which FollowPath
-// dedupes targets by linear scan before switching to a map; most paths
-// reach a handful of vertices and never pay a map allocation.
-const followPathDedupeScan = 32
+// walkDedupeScan is the number of targets up to which a walk dedupes by
+// linear scan before switching to its set; most walks reach a handful of
+// vertices and never touch the set.
+const walkDedupeScan = 32
 
-// FollowPath returns every vertex reachable from v by walking the path
-// (respecting step directions), visiting only simple routes. It is used at
-// query time to evaluate predicate-path edges of the semantic query graph.
+// walkerMaxSeen is the largest dedupe set a walker keeps between walks; a
+// walk that outgrew it leaves its set for the collector.
+const walkerMaxSeen = 4096
+
+// Walker evaluates predicate paths over one view at query time (the
+// predicate-path edges of the semantic query graph), reusing its route and
+// dedupe set from walk to walk: a walk allocates nothing but the growth of
+// the buffer its caller hands it. A Walker is for one goroutine at a time;
+// the zero value is ready once Reset gives it a view.
+type Walker struct {
+	view store.View
+	sn   *store.Snapshot // view, when it fetches over the wire; else nil
+	// walks counts Follow calls since the last Flush.
+	walks int64
+
+	// The walk in progress: its path, the caller's buffer it appends to,
+	// the vertices of the current route, and whether seen holds out.
+	p     Path
+	out   []store.ID
+	route []store.ID
+	seen  map[store.ID]struct{}
+	inSet bool
+	// scratch is Connects' target buffer.
+	scratch []store.ID
+}
+
+// Reset points the walker at view, keeping its buffers.
+func (w *Walker) Reset(view store.View) {
+	w.view, w.sn = view, nil
+	if sn, ok := view.(*store.Snapshot); ok && sn.Prefetches() {
+		w.sn = sn
+	}
+}
+
+// Release drops the walker's view and a dedupe set that grew past
+// walkerMaxSeen, so a walker kept for reuse holds no graph alive.
+func (w *Walker) Release() {
+	w.view, w.sn = nil, nil
+	if len(w.seen) > walkerMaxSeen {
+		w.seen = nil
+	}
+}
+
+// Flush adds the walks made since the last Flush to
+// gqa_dict_followpath_total.
+func (w *Walker) Flush() {
+	followPathCalls.Add(w.walks)
+	w.walks = 0
+}
+
+// Follow appends to dst every vertex reachable from v by walking the path
+// (respecting step directions) over a simple route, unless dst holds it
+// already, and returns the extended buffer. An empty path reaches v itself.
 //
-// The walk is a DFS over one shared route buffer (the earlier BFS copied
-// the route per frontier state, which dominated matcher allocations).
-// Every step reads one per-predicate span of the view — never the mutable
-// graph — so a caller holding a captured View (the matcher, the
-// concurrent-mutation tests) walks a consistent frozen surface while the
-// graph mutates underneath. Target order follows the traversal and is not
-// significant; results are a set (first-reached order).
+// The walk is a DFS over the walker's one route buffer. Every step reads
+// one per-predicate span of the view — never the mutable graph — so a
+// caller holding a captured View (the matcher, the concurrent-mutation
+// tests) walks a consistent frozen surface while the graph mutates
+// underneath. Targets are appended in first-reached order.
 //
 // A multi-step path over a view that fetches over the wire is first walked
 // hop by hop (PrefetchPaths), so each hop costs a frame per shard, not one
 // per vertex. A one-step path, and any view over local parts, builds no
 // hint.
-func FollowPath(view store.View, v store.ID, p Path) []store.ID {
-	followPathCalls.Inc()
+func (w *Walker) Follow(dst []store.ID, v store.ID, p Path) []store.ID {
+	w.walks++
+	w.out, w.inSet = dst, false
 	if len(p) == 0 {
-		return []store.ID{v}
+		w.add(v)
+	} else {
+		if len(p) > 1 && w.sn != nil {
+			PrefetchPaths(w.sn, []store.ID{v}, []Path{p})
+		}
+		w.p, w.route = p, append(w.route[:0], v)
+		w.walk(v, 0)
+		w.p = nil
 	}
-	if len(p) > 1 {
-		if sn, ok := view.(*store.Snapshot); ok && sn.Prefetches() {
-			PrefetchPaths(sn, []store.ID{v}, []Path{p})
-		}
-	}
-	route := make([]store.ID, 1, len(p)+1)
-	route[0] = v
-	var out []store.ID
-	var seen map[store.ID]struct{}
-	add := func(u store.ID) {
-		if seen == nil {
-			if len(out) < followPathDedupeScan {
-				for _, x := range out {
-					if x == u {
-						return
-					}
-				}
-				out = append(out, u)
-				return
-			}
-			seen = make(map[store.ID]struct{}, 2*len(out))
-			for _, x := range out {
-				seen[x] = struct{}{}
-			}
-		}
-		if _, dup := seen[u]; dup {
-			return
-		}
-		seen[u] = struct{}{}
-		out = append(out, u)
-	}
-	var walk func(u store.ID, depth int)
-	visit := func(w store.ID, depth int) {
-		for _, r := range route {
-			if r == w {
-				return // not simple
-			}
-		}
-		if depth == len(p)-1 {
-			add(w)
-			return
-		}
-		route = append(route, w)
-		walk(w, depth+1)
-		route = route[:len(route)-1]
-	}
-	walk = func(u store.ID, depth int) {
-		st := p[depth]
-		var span []store.Edge
-		if st.Forward {
-			span = view.OutPred(u, st.Pred)
-		} else {
-			span = view.InPred(u, st.Pred)
-		}
-		for i := range span {
-			visit(span[i].To, depth)
-		}
-	}
-	walk(v, 0)
+	out := w.out
+	w.out = nil
 	return out
 }
 
+// walk follows step depth of the walk's path out of u.
+func (w *Walker) walk(u store.ID, depth int) {
+	st := w.p[depth]
+	var span []store.Edge
+	if st.Forward {
+		span = w.view.OutPred(u, st.Pred)
+	} else {
+		span = w.view.InPred(u, st.Pred)
+	}
+	last := depth == len(w.p)-1
+	for i := range span {
+		x := span[i].To
+		if slices.Contains(w.route, x) {
+			continue // not simple
+		}
+		if last {
+			w.add(x)
+			continue
+		}
+		w.route = append(w.route, x)
+		w.walk(x, depth+1)
+		w.route = w.route[:len(w.route)-1]
+	}
+}
+
+// add appends x to the walk's output unless it is there already: by scan
+// while the output is short, and past walkDedupeScan by the walker's set,
+// filled once per walk from what the output holds.
+func (w *Walker) add(x store.ID) {
+	if !w.inSet {
+		if len(w.out) < walkDedupeScan {
+			if !slices.Contains(w.out, x) {
+				w.out = append(w.out, x)
+			}
+			return
+		}
+		if w.seen == nil {
+			w.seen = make(map[store.ID]struct{}, 2*len(w.out))
+		} else {
+			clear(w.seen)
+		}
+		for _, y := range w.out {
+			w.seen[y] = struct{}{}
+		}
+		w.inSet = true
+	}
+	if _, dup := w.seen[x]; !dup {
+		w.seen[x] = struct{}{}
+		w.out = append(w.out, x)
+	}
+}
+
 // PrefetchPaths tells a snapshot that fetches over the wire (one for which
-// sn.Prefetches() holds) the reads FollowPath makes walking every one of
+// sn.Prefetches() holds) the reads Walker.Follow makes walking every one of
 // paths from every one of starts. It walks them breadth-first and in step:
 // hop d of all the walks is hinted as one store.Prefetch — a frame per
 // owning shard — and what arrived is then followed to the level hop d+1
 // leaves from. It follows only what the snapshot holds (Prefetched), so it
-// makes no read of its own: whatever did not arrive is left to FollowPath,
+// makes no read of its own: whatever did not arrive is left to the walk,
 // and to fail there if it must. The levels ignore route simplicity, so
-// they cover every span FollowPath reads and at most a few it prunes.
+// they cover every span a walk reads and at most a few it prunes.
 func PrefetchPaths(sn *store.Snapshot, starts []store.ID, paths []Path) {
 	levels := make([][]store.ID, len(paths))
 	for i := range levels {
@@ -363,20 +416,15 @@ func PrefetchPaths(sn *store.Snapshot, starts []store.ID, paths []Path) {
 	}
 }
 
-// PathConnects reports whether the path connects u and w via a simple
-// route — the either-orientation edge test Definition 3 needs — and, when
-// it does, whether it leads from u to w (forward: the recorded direction)
-// or only from w to u.
-func PathConnects(view store.View, u, w store.ID, p Path) (forward, ok bool) {
-	for _, dst := range FollowPath(view, u, p) {
-		if dst == w {
-			return true, true
-		}
+// Connects reports whether the path connects u and x via a simple route —
+// the either-orientation edge test Definition 3 needs — and, when it does,
+// whether it leads from u to x (forward: the recorded direction) or only
+// from x to u. It walks once or twice, as Follow.
+func (w *Walker) Connects(u, x store.ID, p Path) (forward, ok bool) {
+	w.scratch = w.Follow(w.scratch[:0], u, p)
+	if slices.Contains(w.scratch, x) {
+		return true, true
 	}
-	for _, dst := range FollowPath(view, w, p) {
-		if dst == u {
-			return false, true
-		}
-	}
-	return false, false
+	w.scratch = w.Follow(w.scratch[:0], x, p)
+	return false, slices.Contains(w.scratch, u)
 }

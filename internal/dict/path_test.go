@@ -162,12 +162,14 @@ func TestFollowPath(t *testing.T) {
 		{Pred: hasChild, Forward: true},
 		{Pred: hasChild, Forward: true},
 	}
-	got := FollowPath(g.FrozenView(), ids["Ted_Kennedy"], uncle)
+	var w Walker
+	w.Reset(g.FrozenView())
+	got := w.Follow(nil, ids["Ted_Kennedy"], uncle)
 	if len(got) != 1 || got[0] != ids["John_F_Kennedy_Jr"] {
-		t.Fatalf("FollowPath = %v", got)
+		t.Fatalf("Follow = %v", got)
 	}
 	// No route from JFK Jr forward along "uncle".
-	if got := FollowPath(g.FrozenView(), ids["John_F_Kennedy_Jr"], uncle); got != nil {
+	if got := w.Follow(nil, ids["John_F_Kennedy_Jr"], uncle); got != nil {
 		t.Fatalf("unexpected routes: %v", got)
 	}
 }
@@ -180,29 +182,33 @@ func TestPathConnectsEitherOrientation(t *testing.T) {
 		{Pred: hasChild, Forward: true},
 		{Pred: hasChild, Forward: true},
 	}
-	if fwd, ok := PathConnects(g.FrozenView(), ids["Ted_Kennedy"], ids["John_F_Kennedy_Jr"], uncle); !ok || !fwd {
+	var w Walker
+	w.Reset(g.FrozenView())
+	if fwd, ok := w.Connects(ids["Ted_Kennedy"], ids["John_F_Kennedy_Jr"], uncle); !ok || !fwd {
 		t.Fatalf("uncle path should connect Ted → JFK Jr, forward (got ok=%t forward=%t)", ok, fwd)
 	}
 	// Also from the other side (Definition 3 allows either direction).
-	if fwd, ok := PathConnects(g.FrozenView(), ids["John_F_Kennedy_Jr"], ids["Ted_Kennedy"], uncle); !ok || fwd {
+	if fwd, ok := w.Connects(ids["John_F_Kennedy_Jr"], ids["Ted_Kennedy"], uncle); !ok || fwd {
 		t.Fatalf("uncle path should connect with swapped endpoints, reversed (got ok=%t forward=%t)", ok, fwd)
 	}
-	if _, ok := PathConnects(g.FrozenView(), ids["Joseph_Kennedy"], ids["male"], uncle); ok {
+	if _, ok := w.Connects(ids["Joseph_Kennedy"], ids["male"], uncle); ok {
 		t.Fatal("uncle path must not connect Joseph → male")
 	}
 }
 
 // TestQuickFollowPathMatchesSimplePaths: if a simple path p exists between
-// u and w, FollowPath(u, p) must reach w.
+// u and w, a walk of p from u must reach w.
 func TestQuickFollowPathMatchesSimplePaths(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g, verts := randomTestGraph(r)
 		from := verts[r.Intn(len(verts))]
 		to := verts[r.Intn(len(verts))]
+		var w Walker
+		w.Reset(g.FrozenView())
 		for _, p := range SimplePathsDFS(g, from, to, 3) {
 			found := false
-			for _, dst := range FollowPath(g.FrozenView(), from, p) {
+			for _, dst := range w.Follow(nil, from, p) {
 				if dst == to {
 					found = true
 					break
