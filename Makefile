@@ -10,9 +10,9 @@
 
 GO ?= go
 
-.PHONY: tier1 fmt vet build bench-build test race fuzz fuzz-seeds bench loc serve-smoke snapshot-smoke flight-smoke shard-rpc-smoke
+.PHONY: tier1 fmt vet build bench-build test race allocs fuzz fuzz-seeds bench loc serve-smoke snapshot-smoke flight-smoke shard-rpc-smoke
 
-tier1: fmt vet build bench-build race fuzz-seeds snapshot-smoke flight-smoke shard-rpc-smoke
+tier1: fmt vet build bench-build race allocs fuzz-seeds snapshot-smoke flight-smoke shard-rpc-smoke
 
 # Every Go file in the tree, benchmark/ included, is gofmt-clean.
 fmt:
@@ -57,6 +57,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The allocation ceilings and the matcher pool's tests, without the race
+# detector: under it sync.Pool drops a random share of what it is given
+# and the instrumentation allocates, so race skips them and only this
+# step holds a search to what it returns and the pool to its cap.
+allocs:
+	$(GO) test -run 'Allocs|TestPool' ./internal/core/ .
 
 # End-to-end serving smoke test: boot the gqa-serve handler on a random
 # port, answer one question over HTTP, scrape /metrics, and assert the

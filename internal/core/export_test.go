@@ -37,6 +37,13 @@ func ReferenceEmbeddings(y *nlp.DepTree, d *dict.Dictionary) []Embedding {
 	return embeddings(refFindEmbeddings(y, refDictOf(d)))
 }
 
+// newResultSet is an empty result set, as a search resets its own.
+func newResultSet(topK, maxMatches int) *resultSet {
+	rs := new(resultSet)
+	rs.reset(topK, maxMatches)
+	return rs
+}
+
 // newCollidingResultSet is a result set whose assignment hash keeps two
 // bits, so that distinct assignments share found's chains, which a 64-bit
 // hash over test-sized inputs never shows.

@@ -152,11 +152,13 @@ type matcher struct {
 // grew, so that a search allocates only the matches it returns.
 var matcherPool = sync.Pool{New: func() any { return new(matcher) }}
 
-// poolMaxHeld is the largest result set a pooled matcher keeps: a matcher
-// whose set grew past it is left to the collector. The cinema templates
-// hold at most 96 and ~200 tied matches at once and qald a handful, so
-// every workload question fits; an all-wh question that ties thousands
-// (maxHeldMatches) does not pin that memory in the pool.
+// poolMaxHeld is the most entries any buffer of a pooled matcher may have
+// grown to hold: the result set's rows, a round's seeds, a depth's targets
+// and the walker's dedupe set. A matcher with a larger one is left to the
+// collector. On the qald, yago, nl-scale (20 000 people) and cinema
+// questions none of them passes 128, so every workload question's matcher
+// is kept; an all-wh question that ties thousands (maxHeldMatches), or a
+// class with thousands of instances, does not pin that memory in the pool.
 const poolMaxHeld = 1024
 
 // grow returns s resized to n elements, reusing its array when it is large
@@ -297,13 +299,18 @@ func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match,
 	return matches, stats
 }
 
-// release returns m to the pool, unless its result set grew past
+// release returns m to the pool, unless one of its buffers grew past
 // poolMaxHeld. It first clears every reference into the finished search —
 // the query's paths in the held rows and the search state, the view, the
 // options — so that a pooled matcher keeps no QueryGraph or graph alive.
 func (m *matcher) release() {
-	if cap(m.res.rows) > poolMaxHeld {
+	if cap(m.res.rows) > poolMaxHeld || cap(m.tasks) > poolMaxHeld || m.walker.Largest() > poolMaxHeld {
 		return
+	}
+	for _, targets := range m.frontier {
+		if cap(targets) > poolMaxHeld {
+			return
+		}
 	}
 	clear(m.res.paths)
 	clear(m.st.paths)
@@ -730,12 +737,6 @@ type heldRow struct {
 // minBuckets is the bucket count a search starts with; the heads double
 // whenever the set holds more rows than there are buckets.
 const minBuckets = 16
-
-func newResultSet(topK, maxMatches int) *resultSet {
-	rs := new(resultSet)
-	rs.reset(topK, maxMatches)
-	return rs
-}
 
 // reset empties the set for a new search, keeping its arrays.
 func (rs *resultSet) reset(topK, maxMatches int) {

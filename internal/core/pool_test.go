@@ -57,6 +57,53 @@ func TestPoolDropsOversizedResultSet(t *testing.T) {
 	}
 }
 
+// TestPoolDropsOversizedBuffers: a matcher any of whose buffers grew past
+// poolMaxHeld — a round's seeds, a depth's targets, the walker's dedupe
+// set, the result set's rows — is not pooled, while one whose buffers all
+// fit is handed to the next search.
+func TestPoolDropsOversizedBuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops what it is given at random")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	hub := store.New()
+	p, h := hub.Intern(rdf.Ontology("p")), hub.Intern(rdf.Resource("hub"))
+	for i := range poolMaxHeld + 1 {
+		hub.AddSPO(h, p, hub.Intern(rdf.Resource(fmt.Sprintf("o%d", i))))
+	}
+	// The first walk grows the dedupe set past the cap; the second reaches
+	// nothing and leaves the set as large as the first made it.
+	walks := func(m *matcher) {
+		m.walker.Reset(hub.FrozenView())
+		if out := m.walker.Follow(nil, h, dict.Path{{Pred: p, Forward: true}}); len(out) != poolMaxHeld+1 {
+			t.Fatalf("the hub walk reached %d targets", len(out))
+		}
+		m.walker.Follow(nil, h, dict.Path{{Pred: p, Forward: false}})
+	}
+	for _, c := range []struct {
+		name string
+		grow func(*matcher)
+		kept bool
+	}{
+		{"small buffers", func(m *matcher) {
+			m.tasks, m.frontier = make([]seedTask, poolMaxHeld), [][]store.ID{nil, make([]store.ID, poolMaxHeld)}
+		}, true},
+		{"seeds", func(m *matcher) { m.tasks = make([]seedTask, 0, poolMaxHeld+1) }, false},
+		{"targets", func(m *matcher) { m.frontier = [][]store.ID{nil, make([]store.ID, 0, poolMaxHeld+1)} }, false},
+		{"rows", func(m *matcher) { m.res.rows = make([]heldRow, 0, poolMaxHeld+1) }, false},
+		{"dedupe set", walks, false},
+	} {
+		m := new(matcher)
+		c.grow(m)
+		matcherPool.Get() // empty this P's private slot, which release fills
+		m.release()
+		got := matcherPool.Get().(*matcher)
+		if kept := got == m; kept != c.kept {
+			t.Errorf("%s: pooled %v, want %v", c.name, kept, c.kept)
+		}
+	}
+}
+
 // TestPooledMatcherFreesQueryGraph: a finished search's QueryGraph, and
 // the candidate paths its held matches carried, can be collected while the
 // matcher that ran it sits in the pool.
@@ -145,9 +192,6 @@ func chainQuery() (*store.Graph, *QueryGraph) {
 // local search it serves next: the local search reads what a fresh
 // matcher reads.
 func TestPooledMatcherForgetsRemoteHints(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's sync.Pool drops what it is given at random")
-	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	g, q := chainQuery()
 	local := func() int {

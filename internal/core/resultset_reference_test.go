@@ -278,8 +278,11 @@ func compareResultSet(s recordStream, shapes *streamShapes) string {
 				shapes.worse++
 			}
 		} else if offer.Score >= rs.theta {
-			for r := *rs.bucket(hashAssignment(offer.Assignment) & rs.hashMask); r >= 0; r = rs.rows[r].next {
-				shapes.collided++
+			hash := hashAssignment(offer.Assignment) & rs.hashMask
+			for r := *rs.bucket(hash); r >= 0; r = rs.rows[r].next {
+				if rs.rows[r].hash == hash {
+					shapes.collided++
+				}
 			}
 		}
 		rs.record(&offer)

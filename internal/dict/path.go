@@ -235,10 +235,6 @@ func routesIntersect(f, b halfPath, meet, from, to store.ID) bool {
 // vertices and never touch the set.
 const walkDedupeScan = 32
 
-// walkerMaxSeen is the largest dedupe set a walker keeps between walks; a
-// walk that outgrew it leaves its set for the collector.
-const walkerMaxSeen = 4096
-
 // Walker evaluates predicate paths over one view at query time (the
 // predicate-path edges of the semantic query graph), reusing its route and
 // dedupe set from walk to walk: a walk allocates nothing but the growth of
@@ -249,6 +245,9 @@ type Walker struct {
 	sn   *store.Snapshot // view, when it fetches over the wire; else nil
 	// walks counts Follow calls since the last Flush.
 	walks int64
+	// largest is the longest output a walk returned since Reset. The
+	// dedupe set and the scratch buffer never held more targets than that.
+	largest int
 
 	// The walk in progress: its path, the caller's buffer it appends to,
 	// the vertices of the current route, and whether seen holds out.
@@ -263,20 +262,21 @@ type Walker struct {
 
 // Reset points the walker at view, keeping its buffers.
 func (w *Walker) Reset(view store.View) {
-	w.view, w.sn = view, nil
+	w.view, w.sn, w.largest = view, nil, 0
 	if sn, ok := view.(*store.Snapshot); ok && sn.Prefetches() {
 		w.sn = sn
 	}
 }
 
-// Release drops the walker's view and a dedupe set that grew past
-// walkerMaxSeen, so a walker kept for reuse holds no graph alive.
+// Release drops the walker's view, so a walker kept for reuse holds no
+// graph alive.
 func (w *Walker) Release() {
 	w.view, w.sn = nil, nil
-	if len(w.seen) > walkerMaxSeen {
-		w.seen = nil
-	}
 }
+
+// Largest is the most targets one walk returned since Reset: a bound on
+// what the walker's dedupe set and scratch buffer have grown to hold.
+func (w *Walker) Largest() int { return w.largest }
 
 // Flush adds the walks made since the last Flush to
 // gqa_dict_followpath_total.
@@ -313,7 +313,7 @@ func (w *Walker) Follow(dst []store.ID, v store.ID, p Path) []store.ID {
 		w.p = nil
 	}
 	out := w.out
-	w.out = nil
+	w.out, w.largest = nil, max(w.largest, len(out))
 	return out
 }
 
