@@ -61,9 +61,10 @@ race:
 # The allocation ceilings and the matcher pool's tests, without the race
 # detector: under it sync.Pool drops a random share of what it is given
 # and the instrumentation allocates, so race skips them and only this
-# step holds a search to what it returns and the pool to its cap.
+# step holds a search to what it returns, the pool to its cap and a name
+# link to the linker's 14 allocations.
 allocs:
-	$(GO) test -run 'Allocs|TestPool' ./internal/core/ .
+	$(GO) test -run 'Allocs|TestPool' ./internal/core/ ./internal/linker/ .
 
 # End-to-end serving smoke test: boot the gqa-serve handler on a random
 # port, answer one question over HTTP, scrape /metrics, and assert the
@@ -93,14 +94,15 @@ snapshot-smoke:
 # Deterministic replay of the fuzz seed corpora (f.Add entries + any
 # checked-in testdata): runs each fuzz target as a plain test, no engine.
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' ./internal/rdf/ ./internal/sparql/ ./internal/nlp/ ./internal/store/ ./internal/serve/ ./internal/core/
+	$(GO) test -run 'Fuzz' ./internal/rdf/ ./internal/sparql/ ./internal/nlp/ ./internal/store/ ./internal/serve/ ./internal/core/ ./internal/linker/
 
 # Short fuzz passes over the parser/evaluator targets (not part of tier1),
 # the question parser, the lemmatiser whose token → lemma map the
 # linker's per-slot bound rests on, and Algorithm 2 over word IDs against
 # its string-keyed reference, the top-k result set against the parent's
-# string-keyed one, and the path walker against the parent's closure walk.
-# The nlp and core targets are anchored: -fuzz must match exactly one
+# string-keyed one, the path walker against the parent's closure walk, and
+# the linker's T-occurrence skip against the parent's k-way merge.
+# The nlp, core and linker targets are anchored: -fuzz must match exactly one
 # target per run.
 fuzz:
 	$(GO) test -fuzz FuzzParseSPARQL -fuzztime 30s ./internal/sparql/
@@ -115,6 +117,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzFindEmbeddings$$' -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz '^FuzzResultSet$$' -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz '^FuzzFollowPath$$' -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz '^FuzzLink$$' -fuzztime 30s ./internal/linker/
 
 # Go micro-benchmarks, for measuring while you work (among them the cold
 # start pair, BenchmarkLoadFrozenKB/ntriples against /gqafrz1). A number

@@ -31,10 +31,12 @@ func nlScaleKB(b *testing.B) *bench.NLScaleKB {
 // BenchmarkLink times one Link at the cap BuildQueryGraph links with, on
 // the two links of nl-scale's heavy template ("Which people live in
 // Ciudad 0123?": "people" reaches every person and stops at the tenth kept;
-// the place reaches every city but the per-slot bound reads one, the only
-// city sharing both tokens), a three-token name (both name tokens shared by
-// ~830 people, of whom the bound reads the ~35 sharing both) and a miss;
-// and "people" with no limit, which reads every slot it reaches.
+// the place's two tokens are on the postings of 42 cities and one, and the
+// skip jumps to the one city on both), a three-token name (its 833 + 840
+// + 1 postings hold the ~35 people who share two tokens, and the skip
+// gallops from one of them to the next in about a hundred turns) and a
+// miss; and "people" with no limit, which reads every slot it reaches.
+// "people" is a one-token mention, so its walks are a plain k-way merge.
 func BenchmarkLink(b *testing.B) {
 	lk := linker.New(nlScaleKB(b).Graph, linker.Options{})
 	for _, m := range []struct {
@@ -67,5 +69,27 @@ func BenchmarkLinkerBuild(b *testing.B) {
 		if linker.New(g, linker.Options{}) == nil {
 			b.Fatal("nil Linker")
 		}
+	}
+}
+
+// TestLinkAllocs: a warm name link allocates no more than the k-way merge
+// did, 14 times (the mention's token and ID sets, and the kept slice as it
+// grows), so the skip's head buffers stay on the stack.
+func TestLinkAllocs(t *testing.T) {
+	if linker.RaceEnabled {
+		t.Skip("under the race detector less stays on the stack")
+	}
+	kb, err := nlScale()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk := linker.New(kb.Graph, linker.Options{})
+	link := func() { sink = lk.Link("Jonas Kowalski 12345", 10) }
+	link()
+	const ceiling = 14
+	allocs := testing.AllocsPerRun(100, link)
+	t.Logf("%d candidates, %v allocations a link", len(sink), allocs)
+	if allocs > ceiling {
+		t.Errorf("a warm name link allocates %v times, at most %d", allocs, ceiling)
 	}
 }

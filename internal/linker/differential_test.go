@@ -117,6 +117,56 @@ func TestLinkMatchesReferenceOnWorkloads(t *testing.T) {
 	}
 }
 
+// differMerge returns the first limit at which the skip and the parent's
+// merge differ for mention — in the candidates (== on every field, and
+// order) or in the slots whose labels they read — and a description.
+func differMerge(lk *linker.Linker, mg *linker.Merger, mention string) (string, bool) {
+	for _, limit := range limits {
+		got, gotScored := lk.Link(mention, limit), lk.Scored(mention, limit)
+		want, wantScored, _ := mg.Link(mention, limit)
+		if !slices.Equal(got, want) || gotScored != wantScored {
+			return fmt.Sprintf("Link(%q, %d)\n got  %v (%d scored)\n want %v (%d scored)",
+				mention, limit, got, gotScored, want, wantScored), true
+		}
+	}
+	return "", false
+}
+
+// nlScaleBenchmarkKB is the nl-scale benchmark's KB at its default seed:
+// 20 000 people, and the 98 questions the benchmark draws its 40 from.
+var nlScaleBenchmarkKB = sync.OnceValues(func() (*bench.NLScaleKB, error) {
+	return bench.NewNLScaleKB(20000, 98, 1)
+})
+
+// TestLinkMatchesMerge is the identity gate of the T-occurrence skip: on
+// every mention of the four test workloads, and on every 1–4-gram of the
+// questions the nl-scale benchmark asks of its 20 000-person KB, the skip
+// returns exactly what the parent's k-way merge returned and reads the
+// labels of exactly the slots it read, at every limit.
+func TestLinkMatchesMerge(t *testing.T) {
+	kbs := workloadKBs(t)
+	big, err := nlScaleBenchmarkKB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kbs = append(kbs, workloadKB{name: "nlscale-20000", g: big.Graph, questions: big.Questions})
+	for _, kb := range kbs {
+		lk := linker.New(kb.g, linker.Options{})
+		mg := linker.NewMerger(lk)
+		ms := mentionsOf(kb)
+		failed := 0
+		for _, m := range ms {
+			if d, bad := differMerge(lk, mg, m); bad {
+				t.Errorf("%s: %s", kb.name, d)
+				if failed++; failed == 5 {
+					break
+				}
+			}
+		}
+		t.Logf("%s: %d mentions × %d limits compared", kb.name, len(ms), len(limits))
+	}
+}
+
 // TestLinkConcurrentUse: one Linker shared by eight goroutines returns
 // what it returns sequentially (run under -race in tier 1).
 func TestLinkConcurrentUse(t *testing.T) {
@@ -157,6 +207,15 @@ func TestLinkConcurrentUse(t *testing.T) {
 // 1/4, below minSimilarity, so at any limit only the few who share both
 // are read. "Ciudad 0012" reaches all 42 cities and reads the one whose
 // label shares both tokens.
+//
+// The postings rows pin the T-occurrence skip by the posting entries a
+// link inspects: heads compared plus gallop probes, 149 for the name and
+// 20 for the city. ("people" is one token, so its walk is a merge; its row
+// holds the class stop, which the slots read cannot see: a walk that went
+// on past the stop would skip every later slot, but read them all.) A slot must be on two of the mention's lists to pass,
+// so the walk gallops past the slots on one. The parent's k-way merge
+// advanced through all 180 postings of the name's lists and all 44 of
+// the city's, one turn each.
 func TestLinkStopsAtTheKth(t *testing.T) {
 	nl, err := bench.NewNLScaleKB(2000, 30, 3)
 	if err != nil {
@@ -179,6 +238,21 @@ func TestLinkStopsAtTheKth(t *testing.T) {
 			t.Errorf("Link(%q, %d) read %d slots, want %d to %d", c.mention, c.limit, n, c.lo, c.hi)
 		}
 	}
+	for _, c := range []struct {
+		mention string
+		limit   int
+		read    int
+	}{
+		{"people", 10, 11},
+		{"Jonas Kowalski 249", 10, 149},
+		{"Jonas Kowalski 249", 0, 149},
+		{"Ciudad 0012", 10, 20},
+		{"Ciudad 0012", 0, 20},
+	} {
+		if n := lk.Read(c.mention, c.limit); n != c.read {
+			t.Errorf("Link(%q, %d) read %d posting entries, want %d", c.mention, c.limit, n, c.read)
+		}
+	}
 }
 
 // words is the random graphs' vocabulary: singular/plural pairs (so a match
@@ -195,10 +269,17 @@ var mentionWords = append(slices.Clone(words), "zanzibar")
 // quickStats counts the shapes the property must have met at least once.
 // straddle counts mentions whose full list ties at a cut: equal scores at
 // positions k−1 and k for a limit k the differential compares at. slack
-// counts mentions with a candidate whose lemma overlap exceeds the lemma
-// postings it is on, which the per-slot bound admits only through the
-// slot's lemma-only IDs.
-type quickStats struct{ dual, ties, straddle, lemmaOnly, slack, dataLiteral int }
+// counts mentions with a candidate on the lemma-only postings of one of
+// the mention's lemmas, which the per-slot bound counts only through those
+// postings. The rest are the skip's: jumped counts links where a gallop
+// passed a posting beyond a list's head, unreached those where a slot met
+// a threshold only on lemma-only lists and so was not visited, uneven
+// those that walked a class with tRaw ≠ tLem, and single those that walked
+// a class with a threshold of 1.
+type quickStats struct {
+	dual, ties, straddle, lemmaOnly, slack, dataLiteral int
+	jumped, unreached, uneven, single                   int
+}
 
 // randomGraph builds a labelled graph from rng: entities named by one to
 // three words, rdfs:label literals (shared across vertices and repeating a
@@ -267,27 +348,45 @@ func randomGraph(rng *rand.Rand, st *quickStats) *store.Graph {
 	return g
 }
 
+// randomMention joins one to four words of mentionWords.
+func randomMention(rng *rand.Rand) string {
+	ws := make([]string, 1+rng.Intn(4))
+	for i := range ws {
+		ws[i] = mentionWords[rng.Intn(len(mentionWords))]
+	}
+	return strings.Join(ws, " ")
+}
+
 // TestQuickLinkMatchesReference: on random labelled graphs, every label
 // of the graph and random 1–4-word mentions (stop words, tokens no label
-// has) link identically through the index and the reference.
+// has) link identically through the index, the reference and the parent's
+// merge, which also reads the labels of the same slots.
 func TestQuickLinkMatchesReference(t *testing.T) {
 	var st quickStats
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, &st)
 		lk, ref := linker.New(g, linker.Options{}), linker.NewReference(g)
+		mg := linker.NewMerger(lk)
 		ms := append(labels(g), "", "the of", "movies", "zanzibar", "Zanzibar movies")
 		for range 20 {
-			ws := make([]string, 1+rng.Intn(4))
-			for i := range ws {
-				ws[i] = mentionWords[rng.Intn(len(mentionWords))]
-			}
-			ms = append(ms, strings.Join(ws, " "))
+			ms = append(ms, randomMention(rng))
 		}
 		for _, m := range ms {
 			if d, bad := differ(lk, ref, m); bad {
 				t.Errorf("seed %d: %s", seed, d)
 				return false
+			}
+			if d, bad := differMerge(lk, mg, m); bad {
+				t.Errorf("seed %d, against the merge: %s", seed, d)
+				return false
+			}
+			for _, limit := range limits {
+				sh := lk.Shapes(m, limit)
+				st.jumped += min(sh.Jumped, 1)
+				st.unreached += min(sh.Unreached, 1)
+				st.uneven += min(sh.Uneven, 1)
+				st.single += min(sh.Single, 1)
 			}
 			cands := lk.Link(m, 0)
 			for i := 1; i < len(cands); i++ {
@@ -314,8 +413,29 @@ func TestQuickLinkMatchesReference(t *testing.T) {
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-	if st.dual == 0 || st.ties == 0 || st.straddle == 0 || st.lemmaOnly == 0 || st.slack == 0 || st.dataLiteral == 0 {
+	if st.dual == 0 || st.ties == 0 || st.straddle == 0 || st.lemmaOnly == 0 || st.slack == 0 || st.dataLiteral == 0 ||
+		st.jumped == 0 || st.unreached == 0 || st.uneven == 0 || st.single == 0 {
 		t.Errorf("the property missed a shape it is there for: %+v", st)
 	}
 	t.Logf("%+v", st)
+}
+
+// FuzzLink compares the skip with the parent's merge on a graph drawn
+// from the fuzzed seed, for the fuzzed mention and for a random one.
+func FuzzLink(f *testing.F) {
+	for seed := range int64(8) {
+		f.Add(seed, "movies")
+		f.Add(seed, "Philadelphia 76ers cities")
+	}
+	f.Add(int64(42), "New York box II")
+	f.Fuzz(func(t *testing.T, seed int64, mention string) {
+		rng := rand.New(rand.NewSource(seed))
+		lk := linker.New(randomGraph(rng, &quickStats{}), linker.Options{})
+		mg := linker.NewMerger(lk)
+		for _, m := range []string{mention, randomMention(rng)} {
+			if d, bad := differMerge(lk, mg, m); bad {
+				t.Fatalf("seed %d: %s", seed, d)
+			}
+		}
+	})
 }

@@ -14,31 +14,77 @@ type Reference = reference
 // NewReference builds the reference over g.
 func NewReference(g *store.Graph) *Reference { return newReference(g) }
 
+// RaceEnabled is raceEnabled, for package linker_test.
+const RaceEnabled = raceEnabled
+
 // Scored is how many slots' labels Link(mention, limit) reads: slots the
 // class stop leaves unvisited and slots the per-slot bound skips are not
 // counted. It is the work both save, counted without a clock.
 func (l *Linker) Scored(mention string, limit int) int {
-	_, n := l.link(mention, limit)
-	return n
+	_, w := l.link(mention, limit)
+	return w.scored
 }
 
-// LemmaSlack reports whether a candidate Link(mention, 0) returns has a
-// label sharing more lemmas with the mention than there are lemma postings
-// of the mention that its slot is on: a match the per-slot bound admits
-// only through the slot's lemma-only IDs.
+// Read is how many posting entries Link(mention, limit) inspects: the
+// heads it compares on every turn plus the entries its gallops probe.
+func (l *Linker) Read(mention string, limit int) int {
+	_, w := l.link(mention, limit)
+	return w.read
+}
+
+// Shapes counts what one Link(mention, limit) met that the skip's proof
+// has a case for: postings a gallop passed beyond a list's head, slots
+// that met a threshold only on lemma-only lists (and so were not reached),
+// classes the walk orders with tRaw ≠ tLem, and ones with a threshold of 1.
+type Shapes struct{ Jumped, Unreached, Uneven, Single int }
+
+// Shapes returns what Link(mention, limit) met.
+func (l *Linker) Shapes(mention string, limit int) Shapes {
+	_, w := l.link(mention, limit)
+	sh := Shapes{Jumped: w.jumped, Unreached: w.unreached}
+	if m := l.query(mention); m.nRaw > 0 {
+		for i := range l.classes {
+			c := &l.classes[i]
+			if max(c.reach(m.nRaw), c.reach(m.nLem)) < minSimilarity {
+				continue
+			}
+			tRaw, tLem := c.threshold(m.nRaw), c.threshold(m.nLem)
+			if tRaw != tLem {
+				sh.Uneven++
+			}
+			if min(tRaw, tLem) == 1 {
+				sh.Single++
+			}
+		}
+	}
+	return sh
+}
+
+// Merger is the parent's k-way merge (merge_test.go), named for package
+// linker_test.
+type Merger = merger
+
+// NewMerger rebuilds the merge's per-slot lemma-only lists over l.
+func NewMerger(l *Linker) *Merger { return newMerger(l) }
+
+// Link returns what the merge returns for Link(mention, limit), how many
+// slots' labels it read, and how many postings it advanced through.
+func (l *Merger) Link(mention string, limit int) ([]Candidate, int, int) {
+	return l.mergeLink(mention, limit)
+}
+
+// LemmaSlack reports whether a candidate Link(mention, 0) returns is on
+// the lemma-only postings of one of the mention's lemmas: a label shares
+// a lemma that no raw token of the slot spells, which the walk counts only
+// through those postings.
 func (l *Linker) LemmaSlack(mention string) bool {
 	m := l.query(mention)
 	cands, _ := l.link(mention, 0)
+	n := uint32(len(l.vocab))
 	for _, c := range cands {
 		s := uint32(slices.Index(l.id, c.ID))
-		onLists := 0
 		for _, t := range m.lem {
-			if _, ok := slices.BinarySearch(l.postings[l.postOff[t]:l.postOff[t+1]], s); ok {
-				onLists++
-			}
-		}
-		for i := l.lab[s][0]; i < l.lab[s][1]; i++ {
-			if intersect(m.lem, l.toks[l.lemOff[i]:l.tokOff[i+1]]) > onLists {
+			if _, ok := slices.BinarySearch(l.postings[l.postOff[n+t]:l.postOff[n+t+1]], s); ok {
 				return true
 			}
 		}

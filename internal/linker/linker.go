@@ -13,7 +13,7 @@
 // label token and every noun lemma of one a token ID; each linkable vertex
 // is a slot holding its ID, class flag, degree prior and labels; each label
 // is two sorted sets of token IDs, raw and lemma; and each token has the
-// ascending slots whose labels contain it. Link merges the postings of the
+// ascending slots whose labels contain it. Link walks the postings of the
 // mention's tokens and scores the slots it meets from intersection counts.
 //
 // Link stops at the k-th, as the paper's top-k search does (Algorithm 3):
@@ -25,15 +25,21 @@
 // leaves a class at the first slot whose bound cannot rank above the k-th
 // candidate kept.
 //
-// Link reads only the labels that can pass. The merge counts, per slot,
-// how many of the mention's raw-token and lemma postings it is on; a label
-// shares no more raw tokens than the first count, and no more lemmas than
-// the second plus the slot's lemma-only IDs the mention has (a lemma no
-// raw token of the slot spells, as "city" of "cities", is on no list of
-// that slot). With the class's smallest set size those counts cap the
-// similarity of every label of the slot, and Link skips a slot whose cap
-// is below minSimilarity or cannot rank above the k-th: a name whose three
-// tokens a slot shares one of is skipped unread.
+// Link reads only the labels that can pass, and visits only the slots
+// that can. A token also has lemma-only postings: the slots with it in a
+// label's lemma set and in no label's raw set ("city" of "cities"). The
+// walk counts, per slot, how many of the mention's raw-token lists it is
+// on and how many of its lemma lists, raw and lemma-only postings of the
+// mention's lemmas alike; a label shares no more raw tokens than the first
+// count and no more lemmas than the second. With the class's smallest set
+// size those counts cap the similarity of every label of the slot, and
+// Link skips a slot whose cap is below minSimilarity or cannot rank above
+// the k-th. The cap reaches minSimilarity only on at least tRaw raw lists
+// or tLem lemma lists, so the walk jumps to the next slot on that many and
+// gallops the lists behind over the slots between (the T-occurrence skip
+// of approximate string search): a slot that shares one of a name's three
+// tokens is neither read nor visited. As in a lookup by token, a slot is
+// visited only through raw postings, never through lemma-only ones.
 //
 // Snapshot rule: a Linker is the graph as it was when New ran — labels,
 // class flags and degrees alike. It holds no reference to the graph, so a
@@ -76,8 +82,12 @@ type Candidate struct {
 type Linker struct {
 	vocab map[string]uint32 // label token or noun lemma → token ID
 
-	// postings[postOff[t]:postOff[t+1]] are the ascending slots with a
-	// label that contains raw token t.
+	// For a token t of the n in the vocabulary, postings[postOff[t]:
+	// postOff[t+1]] are the ascending slots with a label that contains raw
+	// token t, and postings[postOff[n+t]:postOff[n+t+1]] its lemma-only
+	// postings: the ascending slots with t in a label's lemma set and in no
+	// label's raw set ("city" of a slot labelled "cities"). Most of the
+	// latter are empty.
 	postOff, postings []uint32
 
 	// Slot s is one linkable vertex: its ID, whether it links as a class,
@@ -94,12 +104,6 @@ type Linker struct {
 	// Label i's raw token IDs are toks[tokOff[i]:lemOff[i]] and its lemma
 	// IDs toks[lemOff[i]:tokOff[i+1]], each sorted and de-duplicated.
 	tokOff, lemOff, toks []uint32
-
-	// lemOnly[lemOnlyOff[s]:lemOnlyOff[s+1]] are the ascending lemma IDs of
-	// slot s's labels that are none of its raw tokens ("city" of a slot
-	// labelled "cities"): a mention lemma a label of s can share without s
-	// being on that lemma's postings. Most slots have none.
-	lemOnlyOff, lemOnly []uint32
 }
 
 // sizeClass is the slots start:end whose label sets, raw and lemma alike,
@@ -286,51 +290,43 @@ func (b *builder) renumber() {
 	}
 }
 
-// post lays out the postings: a counting pass over every slot's raw sets,
-// then a filling one. Slots are visited in ascending order, so each list
-// comes out sorted, and a token met twice in one slot counts once. The
-// filling pass also collects each slot's lemma-only IDs: once a slot's raw
-// tokens are marked, a lemma still unmarked is none of them.
+// post lays out the postings: a counting pass over every slot's label
+// sets, then a filling one. Slots are visited in ascending order, so each
+// list comes out sorted. A slot's raw sets are visited before its lemma
+// sets, and a token met twice in one slot counts once, so a lemma still
+// unmarked after the raw sets is lemma-only.
 func (b *builder) post() {
 	n := len(b.vocab)
 	last := make([]uint32, n) // token ID → slot+1 that last reached it
-	each := func(visit func(t, s uint32), done func(s uint32)) {
+	each := func(visit func(list int, s uint32)) {
 		clear(last)
 		for s, r := range b.lab {
-			for i := r[0]; i < r[1]; i++ {
-				for _, t := range b.toks[b.tokOff[i]:b.lemOff[i]] {
-					if last[t] != uint32(s)+1 {
-						last[t] = uint32(s) + 1
-						visit(t, uint32(s))
+			for side := range 2 { // 0: raw sets, 1: lemma sets
+				for i := r[0]; i < r[1]; i++ {
+					set := b.toks[b.tokOff[i]:b.lemOff[i]]
+					if side == 1 {
+						set = b.toks[b.lemOff[i]:b.tokOff[i+1]]
+					}
+					for _, t := range set {
+						if last[t] != uint32(s)+1 {
+							last[t] = uint32(s) + 1
+							visit(side*n+int(t), uint32(s))
+						}
 					}
 				}
 			}
-			done(uint32(s))
 		}
 	}
-	b.postOff = make([]uint32, n+1)
-	each(func(t, _ uint32) { b.postOff[t+1]++ }, func(uint32) {})
-	for t := range n {
-		b.postOff[t+1] += b.postOff[t]
+	b.postOff = make([]uint32, 2*n+1)
+	each(func(list int, _ uint32) { b.postOff[list+1]++ })
+	for i := range 2 * n {
+		b.postOff[i+1] += b.postOff[i]
 	}
-	b.postings = make([]uint32, b.postOff[n])
-	next := slices.Clone(b.postOff[:n])
-	b.lemOnlyOff = make([]uint32, 1, len(b.lab)+1)
-	each(func(t, s uint32) {
-		b.postings[next[t]] = s
-		next[t]++
-	}, func(s uint32) {
-		start := len(b.lemOnly)
-		for i := b.lab[s][0]; i < b.lab[s][1]; i++ {
-			for _, t := range b.toks[b.lemOff[i]:b.tokOff[i+1]] {
-				if last[t] != s+1 {
-					last[t] = s + 1
-					b.lemOnly = append(b.lemOnly, t)
-				}
-			}
-		}
-		slices.Sort(b.lemOnly[start:])
-		b.lemOnlyOff = append(b.lemOnlyOff, uint32(len(b.lemOnly)))
+	b.postings = make([]uint32, b.postOff[2*n])
+	next := slices.Clone(b.postOff[:2*n])
+	each(func(list int, s uint32) {
+		b.postings[next[list]] = s
+		next[list]++
 	})
 }
 
@@ -388,24 +384,34 @@ func (l *Linker) Link(mention string, limit int) []Candidate {
 	return out
 }
 
-// link is Link without its metrics; it also returns how many slots'
-// labels it read.
-func (l *Linker) link(text string, limit int) ([]Candidate, int) {
+// work is what one link did, counted without a clock: the slots whose
+// labels it read, the posting entries it inspected (heads compared plus
+// gallop probes), the postings its gallops passed beyond a list's head,
+// and the slots that met a threshold only on lemma-only lists.
+type work struct{ scored, read, jumped, unreached int }
+
+// link is Link without its metrics; it also returns what it did.
+func (l *Linker) link(text string, limit int) ([]Candidate, work) {
+	var w work
 	m := l.query(text)
 	if m.nRaw == 0 {
-		return nil, 0
+		return nil, w
 	}
 
-	// A list is what is left of one mention token's postings,
-	// postings[at:end]. A token that is both a raw token and a lemma of the
-	// mention has one list, counted on both sides.
+	// A list is what is left of one postings list, postings[at:end]: a
+	// mention token's raw postings, counted on the raw side when the token
+	// is one of the mention's raw tokens and on the lemma side when it is
+	// one of its lemmas, or a mention lemma's lemma-only postings, counted
+	// on the lemma side. Only raw postings reach a slot: a slot is visited
+	// through a token of its raw sets, never through lemma-only postings.
 	type list struct {
 		at, end  uint32
-		raw, lem int32 // 1 when the token is among the mention's raw tokens, its lemmas
+		raw, lem int32 // 1 when the list counts on that side
+		reaches  bool
 	}
 	lists := make([]list, 0, 8)
 	for _, t := range sortedSet(slices.Concat(m.raw, m.lem)) {
-		ls := list{at: l.postOff[t], end: l.postOff[t+1]}
+		ls := list{at: l.postOff[t], end: l.postOff[t+1], reaches: true}
 		if ls.at == ls.end {
 			continue
 		}
@@ -418,13 +424,20 @@ func (l *Linker) link(text string, limit int) ([]Candidate, int) {
 		lists = append(lists, ls)
 	}
 	if len(lists) == 0 {
-		return nil, 0
+		return nil, w
+	}
+	n := uint32(len(l.vocab))
+	for _, t := range m.lem {
+		if at, end := l.postOff[n+t], l.postOff[n+t+1]; at < end {
+			lists = append(lists, list{at: at, end: end, lem: 1})
+		}
 	}
 	// A class whose reach is below minSimilarity holds no candidate; the
 	// others go best reach first, so the kept slice fills with high scores.
-	// lists, order and sub get constant capacities so that they live on the
-	// stack for the few classes and mention tokens a call usually has: on a
-	// small KB their allocations cost more than the walk saves.
+	// lists, order, sub and the head buffers get constant capacities so
+	// that they live on the stack for the few classes and mention tokens a
+	// call usually has: on a small KB their allocations cost more than the
+	// walk saves.
 	type visit struct {
 		*sizeClass
 		reach float64
@@ -439,11 +452,10 @@ func (l *Linker) link(text string, limit int) ([]Candidate, int) {
 	slices.SortStableFunc(order, func(a, b visit) int { return cmp.Compare(b.reach, a.reach) })
 
 	var out []Candidate
-	scored := 0
 	sub := make([]list, 0, 8)
+	var rawHeads, lemHeads [len(noSlots)]uint32
 	for _, v := range order {
-		// A k-way merge of the class's stretch of every mention token's
-		// postings visits each slot that shares a token once, in slot order.
+		// The class's stretch of every list.
 		sub = sub[:0]
 		for _, ls := range lists {
 			p := l.postings[ls.at:ls.end]
@@ -453,36 +465,81 @@ func (l *Linker) link(text string, limit int) ([]Candidate, int) {
 				sub = append(sub, ls)
 			}
 		}
+		if len(sub) == 0 {
+			continue // no list reaches the class: skip its thresholds
+		}
+		// A slot of the class can pass only on at least tRaw raw lists or
+		// tLem lemma lists (see threshold). The walk may use any smaller
+		// counts, so they are cut to the head buffers' length.
+		tRaw, tLem := min(v.threshold(m.nRaw), len(rawHeads)), min(v.threshold(m.nLem), len(lemHeads))
+		rawTop, lemTop := rawHeads[:tRaw], lemHeads[:tLem]
 		counts, sim := [2]int{-1, -1}, 0.0
-		for len(sub) > 0 {
-			s := l.postings[sub[0].at]
-			for _, ls := range sub[1:] {
-				s = min(s, l.postings[ls.at])
+		for {
+			// The T-occurrence skip (MergeSkip, Li, Lu and Lu, ICDE 2008):
+			// the next slot to look at, h, is the smaller of the tRaw-th
+			// least raw-list head and the tLem-th least lemma-list head. A
+			// slot below h is on fewer than tRaw raw lists and fewer than
+			// tLem lemma lists, so its cap is below minSimilarity and the
+			// skip below would pass it unread. With t = 1 on both sides, h
+			// is the least head and the walk is a k-way merge.
+			rawHeads, lemHeads = noSlots, noSlots
+			for _, ls := range sub {
+				head := l.postings[ls.at]
+				if ls.raw == 1 && head < rawTop[tRaw-1] {
+					keepLeast(rawTop, head)
+				}
+				if ls.lem == 1 && head < lemTop[tLem-1] {
+					keepLeast(lemTop, head)
+				}
 			}
-			// Advance and count the lists s heads; drop the spent ones.
+			w.read += len(sub)
+			h := min(rawTop[tRaw-1], lemTop[tLem-1])
+			if h == noSlot {
+				break // too few lists are left on either side
+			}
+			// Every list below h gallops to it; the lists on h are counted
+			// and step past it; the spent ones are dropped.
 			var cRaw, cLem int32
+			reached := false
 			for i := 0; i < len(sub); {
 				ls := &sub[i]
-				if l.postings[ls.at] == s {
-					cRaw, cLem = cRaw+ls.raw, cLem+ls.lem
-					if ls.at++; ls.at == ls.end {
-						sub[i] = sub[len(sub)-1]
-						sub = sub[:len(sub)-1]
-						continue
-					}
+				if l.postings[ls.at] < h {
+					at, probes := gallop(l.postings, ls.at, ls.end, h)
+					w.read, w.jumped = w.read+probes, w.jumped+int(at-ls.at-1)
+					ls.at = at
+				}
+				if ls.at < ls.end && l.postings[ls.at] == h {
+					cRaw, cLem, reached = cRaw+ls.raw, cLem+ls.lem, reached || ls.reaches
+					ls.at++
+				}
+				if ls.at == ls.end {
+					sub[i] = sub[len(sub)-1]
+					sub = sub[:len(sub)-1]
+					continue
 				}
 				i++
 			}
-			// A label of s shares at most cRaw raw tokens with the
-			// mention, one per raw-token list s is on, and at most cLem
-			// lemmas through lemma lists plus the lemma-only IDs of s the
-			// mention has: a lemma no raw token of s spells puts s on no
-			// list ("cities" under "city box"). bound turns the counts into
-			// a cap on every label's similarity. The cap depends on s only
-			// through its counts, which most slots of a class share, so it
-			// is recomputed when they change.
-			lemOnly := l.lemOnly[l.lemOnlyOff[s]:l.lemOnlyOff[s+1]]
-			if c := [2]int{int(cRaw), int(cLem) + intersect(m.lem, lemOnly)}; c != counts {
+			// Short of both thresholds, h's cap is below minSimilarity, and
+			// the test spares the cap's divisions. On lemma-only lists alone
+			// h is not reached: none of the mention's tokens and lemmas is
+			// a raw token of h.
+			if int(cRaw) < tRaw && int(cLem) < tLem {
+				continue
+			}
+			if !reached {
+				w.unreached++
+				continue
+			}
+			// A label of s shares at most cRaw raw tokens with the mention,
+			// one per raw-token list s is on, and at most cLem lemmas, one
+			// per lemma list: a shared lemma that s spells raw puts s on its
+			// raw postings, one it does not on its lemma-only postings.
+			// bound turns the counts into a cap on every label's
+			// similarity. The cap depends on s only through its counts,
+			// which most slots of a class share, so it is recomputed when
+			// they change.
+			s := h
+			if c := [2]int{int(cRaw), int(cLem)}; c != counts {
 				counts, sim = c, max(v.bound(c[0], m.nRaw), v.bound(c[1], m.nLem))
 			}
 			// The skip is exact: score rounds monotonically in sim, so a
@@ -509,7 +566,7 @@ func (l *Linker) link(text string, limit int) ([]Candidate, int) {
 				}
 				continue
 			}
-			scored++
+			w.scored++
 			if c, ok := l.candidate(s, &m); ok {
 				out = keep(out, c, limit)
 			}
@@ -518,7 +575,67 @@ func (l *Linker) link(text string, limit int) ([]Candidate, int) {
 	if limit <= 0 {
 		slices.SortFunc(out, rank)
 	}
-	return out, scored
+	return out, w
+}
+
+// noSlot is greater than every slot: a head buffer's empty entry.
+const noSlot = math.MaxUint32
+
+// noSlots is an empty head buffer.
+var noSlots = [8]uint32{noSlot, noSlot, noSlot, noSlot, noSlot, noSlot, noSlot, noSlot}
+
+// keepLeast adds x, which is below top's last entry, to top, the ascending
+// least heads seen so far: an insertion select, since a side has only a
+// few lists.
+func keepLeast(top []uint32, x uint32) {
+	i := len(top) - 1
+	for ; i > 0 && top[i-1] > x; i-- {
+		top[i] = top[i-1]
+	}
+	top[i] = x
+}
+
+// gallop returns the first index in [at, end) whose posting is at least
+// h, or end, given postings p[at] < h, and how many postings it read. It
+// doubles its step from at until a probe reaches h, then bisects the last
+// step, so a jump over d postings reads about 2·log2(d) of them.
+func gallop(p []uint32, at, end, h uint32) (uint32, int) {
+	lo, hi, step, reads := at, end, uint32(1), 0
+	// p[lo] < h, and hi == end or p[hi] ≥ h.
+	for step < end-lo {
+		reads++
+		if p[lo+step] >= h {
+			hi = lo + step
+			break
+		}
+		lo += step
+		step *= 2
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		reads++
+		if p[mid] >= h {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi, reads
+}
+
+// threshold is the T of the T-occurrence skip for a side of n mention
+// tokens: the smallest k ≥ 1 with bound(k, n) ≥ minSimilarity, below
+// which the side's cap of every slot of c is under minSimilarity. It
+// takes the minimum over k, so it needs bound to be monotone in nothing.
+// When no k ≤ n qualifies it is n+1, which no slot meets: a slot is on at
+// most n lists of a side, since a mention lemma's raw and lemma-only
+// postings never share a slot.
+func (c *sizeClass) threshold(n int) int {
+	k := 1
+	for k <= n && c.bound(k, n) < minSimilarity {
+		k++
+	}
+	return k
 }
 
 // reach bounds the similarity of a set of n tokens to any label set of c:
