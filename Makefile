@@ -60,11 +60,12 @@ race:
 
 # The allocation ceilings and the matcher pool's tests, without the race
 # detector: under it sync.Pool drops a random share of what it is given
-# and the instrumentation allocates, so race skips them and only this
-# step holds a search to what it returns, the pool to its cap and a name
-# link to the linker's 14 allocations.
+# and the instrumentation allocates, so race skips the pooled ones and
+# only this step holds a search to what it returns and the pool to its
+# cap. The understanding ceilings (a parse's 5 allocations, extraction's
+# 3, building Q^S's 15, a name link's 6) run in both.
 allocs:
-	$(GO) test -run 'Allocs|TestPool' ./internal/core/ ./internal/linker/ .
+	$(GO) test -run 'Allocs|TestPool' ./internal/nlp/ ./internal/core/ ./internal/linker/ .
 
 # End-to-end serving smoke test: boot the gqa-serve handler on a random
 # port, answer one question over HTTP, scrape /metrics, and assert the
@@ -97,11 +98,13 @@ fuzz-seeds:
 	$(GO) test -run 'Fuzz' ./internal/rdf/ ./internal/sparql/ ./internal/nlp/ ./internal/store/ ./internal/serve/ ./internal/core/ ./internal/linker/
 
 # Short fuzz passes over the parser/evaluator targets (not part of tier1),
-# the question parser, the lemmatiser whose token → lemma map the
-# linker's per-slot bound rests on, and Algorithm 2 over word IDs against
-# its string-keyed reference, the top-k result set against the parent's
-# string-keyed one, the path walker against the parent's closure walk, and
-# the linker's T-occurrence skip against the parent's k-way merge.
+# the question parser against the parent's (whose attach kept children
+# sorted as it went), the lemmatiser whose token → lemma map the linker's
+# per-slot bound rests on, and Algorithm 2 over word IDs against its
+# string-keyed reference (and Q^S against the parent's map-keyed build),
+# the top-k result set against the parent's string-keyed one, the path
+# walker against the parent's closure walk, and the linker's T-occurrence
+# skip (and its mention tokeniser) against the parent's k-way merge.
 # The nlp, core and linker targets are anchored: -fuzz must match exactly one
 # target per run.
 fuzz:

@@ -20,8 +20,13 @@ type ExtractOptions struct {
 // relation-phrase embeddings (Algorithm 2), then recognize arg1/arg2 for
 // each embedding (§4.1.2). Embeddings whose arguments cannot be found are
 // discarded, as the paper prescribes.
+//
+// Beyond FindEmbeddings it allocates only what it returns: the relations,
+// sized once, and the argument texts of more than one word. Its working
+// memory is on the stack while it fits there.
 func ExtractRelations(y *nlp.DepTree, d *dict.Dictionary, opts ExtractOptions) []SemanticRelation {
-	var out []SemanticRelation
+	var buf [8]SemanticRelation
+	out := buf[:0]
 	for _, emb := range FindEmbeddings(y, d) {
 		rel, ok := findArguments(y, emb, opts)
 		if !ok {
@@ -36,7 +41,10 @@ func ExtractRelations(y *nlp.DepTree, d *dict.Dictionary, opts ExtractOptions) [
 	// Conjoined argument NPs read intersectively: "films star X and Y"
 	// yields one relation per conjunct, sharing the other argument.
 	out = expandConjArguments(y, out)
-	return out
+	if len(out) == 0 {
+		return nil
+	}
+	return append(make([]SemanticRelation, 0, len(out)), out...)
 }
 
 // expandConjArguments duplicates a relation for each conj dependent of its
@@ -88,7 +96,8 @@ func findArguments(y *nlp.DepTree, emb embeddingCandidate, opts ExtractOptions) 
 		// Rule 1: extend the embedding with light words (prepositions,
 		// auxiliaries) and rescan from the new nodes.
 		if arg1 < 0 || arg2 < 0 {
-			ext := extendWithLightWords(y, nodes, inEmb)
+			var buf [16]int
+			ext := extendWithLightWords(y, nodes, inEmb, buf[:0])
 			if len(ext) > len(nodes) {
 				if arg1 < 0 {
 					arg1 = scanChildren(y, ext, inEmb, emb.root, nlp.IsSubjectRel)
@@ -198,9 +207,9 @@ func scanChildren(y *nlp.DepTree, nodes []int, inEmb []bool, root int, accept fu
 }
 
 // extendWithLightWords returns the embedding plus any light-word children
-// (Rule 1); inEmb is updated so later scans skip them.
-func extendWithLightWords(y *nlp.DepTree, nodes []int, inEmb []bool) []int {
-	out := append([]int(nil), nodes...)
+// (Rule 1), in out; inEmb is updated so later scans skip them.
+func extendWithLightWords(y *nlp.DepTree, nodes []int, inEmb []bool, out []int) []int {
+	out = append(out, nodes...)
 	for _, n := range nodes {
 		for _, c := range y.ChildrenOf(n) {
 			if inEmb[c] {

@@ -8,17 +8,19 @@ import (
 	"gqa/internal/bench"
 	"gqa/internal/core"
 	"gqa/internal/dict"
+	"gqa/internal/linker"
 	"gqa/internal/nlp"
 	"gqa/internal/store"
 )
 
 // differ describes how Algorithm 2 over word IDs and the reference differ
 // on y — phrase pointers, roots and node lists compared with ==, and their
-// order — or reports false.
+// order — or reports false. A node list shares a slab with the others, so
+// its capacity must be its length.
 func differ(y *nlp.DepTree, d *dict.Dictionary) (string, bool) {
 	got, want := core.Embeddings(y, d), core.ReferenceEmbeddings(y, d)
 	if slices.EqualFunc(got, want, func(a, b core.Embedding) bool {
-		return a.Phrase == b.Phrase && a.Root == b.Root && slices.Equal(a.Nodes, b.Nodes)
+		return a.Phrase == b.Phrase && a.Root == b.Root && slices.Equal(a.Nodes, b.Nodes) && cap(a.Nodes) == len(a.Nodes)
 	}) {
 		return "", false
 	}
@@ -93,12 +95,15 @@ func TestEmbeddingsMatchReferenceOnWorkloads(t *testing.T) {
 }
 
 // FuzzFindEmbeddings: on any question the parser accepts, Algorithm 2 over
-// word IDs agrees with the reference over the mini-DBpedia's dictionary.
+// word IDs agrees with the reference over the mini-DBpedia's dictionary,
+// and BuildQueryGraph with the parent's.
 func FuzzFindEmbeddings(f *testing.F) {
-	d, _, err := bench.BuildDictionary(bench.MustKB())
+	kb := bench.MustKB()
+	d, _, err := bench.BuildDictionary(kb)
 	if err != nil {
 		f.Fatal(err)
 	}
+	lk := linker.New(kb, linker.Options{})
 	for _, q := range bench.Workload() {
 		f.Add(q.Text)
 	}
@@ -108,6 +113,9 @@ func FuzzFindEmbeddings(f *testing.F) {
 			return
 		}
 		if diff, bad := differ(y, d); bad {
+			t.Fatalf("%q:%s", q, diff)
+		}
+		if diff, bad := differQueryGraph(q, d, lk); bad {
 			t.Fatalf("%q:%s", q, diff)
 		}
 	})

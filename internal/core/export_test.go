@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"gqa/internal/dict"
+	"gqa/internal/linker"
 	"gqa/internal/nlp"
 	"gqa/internal/store"
 )
@@ -35,6 +36,12 @@ func Embeddings(y *nlp.DepTree, d *dict.Dictionary) []Embedding {
 // finds over d's phrases.
 func ReferenceEmbeddings(y *nlp.DepTree, d *dict.Dictionary) []Embedding {
 	return embeddings(refFindEmbeddings(y, refDictOf(d)))
+}
+
+// ReferenceQueryGraph is what the parent's BuildQueryGraph
+// (querygraph_reference_test.go) builds.
+func ReferenceQueryGraph(y *nlp.DepTree, rels []SemanticRelation, lk *linker.Linker, opts BuildOptions) *QueryGraph {
+	return refBuildQueryGraph(y, rels, lk, opts)
 }
 
 // newResultSet is an empty result set, as a search resets its own.

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"gqa/internal/dict"
 	"gqa/internal/linker"
@@ -95,6 +97,8 @@ type BuildOptions struct {
 // (entity linking) and edge (paraphrase dictionary), and mark the select
 // vertex. Relations whose argument nodes coincide after coreference
 // resolution share endpoints; nothing is disambiguated here.
+//
+// Q^S is sized once: its vertices, its edges and each candidate list.
 func BuildQueryGraph(y *nlp.DepTree, rels []SemanticRelation, lk *linker.Linker, opts BuildOptions) *QueryGraph {
 	if opts.MaxVertexCandidates == 0 {
 		opts.MaxVertexCandidates = 10
@@ -107,11 +111,15 @@ func BuildQueryGraph(y *nlp.DepTree, rels []SemanticRelation, lk *linker.Linker,
 		return node
 	}
 
-	q := &QueryGraph{}
-	vertexOf := make(map[int]int) // canonical tree node → vertex index
+	// A vertex is a canonical tree node, found by a scan: there are at
+	// most 2·|rels| of them.
+	q := &QueryGraph{Vertices: make([]Vertex, 0, 2*len(rels)), Edges: make([]Edge, len(rels))}
 	getVertex := func(arg Argument) int {
 		node := canon(arg.Node)
-		if vi, ok := vertexOf[node]; ok {
+		for vi := range q.Vertices {
+			if q.Vertices[vi].Arg.Node != node {
+				continue
+			}
 			// Prefer the content-bearing argument text over a pronoun's.
 			if q.Vertices[vi].Arg.Wh && !arg.Wh {
 				arg2 := arg
@@ -120,7 +128,6 @@ func BuildQueryGraph(y *nlp.DepTree, rels []SemanticRelation, lk *linker.Linker,
 			}
 			return vi
 		}
-		vi := len(q.Vertices)
 		a := arg
 		a.Node = node
 		// If coref redirected us to the antecedent, re-render its text.
@@ -128,18 +135,20 @@ func BuildQueryGraph(y *nlp.DepTree, rels []SemanticRelation, lk *linker.Linker,
 			a = makeArgument(y, node)
 		}
 		q.Vertices = append(q.Vertices, Vertex{Arg: a})
-		vertexOf[node] = vi
-		return vi
+		return len(q.Vertices) - 1
 	}
 
-	for _, r := range rels {
-		v1 := getVertex(r.Arg1)
-		v2 := getVertex(r.Arg2)
-		edge := Edge{From: v1, To: v2, Phrase: r.Phrase}
-		for _, e := range r.Phrase.Entries {
-			edge.Candidates = append(edge.Candidates, EdgeCandidate{Path: e.Path, Score: e.Score})
+	for i, r := range rels {
+		edge := &q.Edges[i]
+		edge.From = getVertex(r.Arg1)
+		edge.To = getVertex(r.Arg2)
+		edge.Phrase = r.Phrase
+		if len(r.Phrase.Entries) > 0 {
+			edge.Candidates = make([]EdgeCandidate, len(r.Phrase.Entries))
+			for j, e := range r.Phrase.Entries {
+				edge.Candidates[j] = EdgeCandidate{Path: e.Path, Score: e.Score}
+			}
 		}
-		q.Edges = append(q.Edges, edge)
 	}
 
 	// Vertex candidate lists.
@@ -149,9 +158,11 @@ func BuildQueryGraph(y *nlp.DepTree, rels []SemanticRelation, lk *linker.Linker,
 			v.Unconstrained = true
 			continue
 		}
-		cands := lk.Link(v.Arg.Text, opts.MaxVertexCandidates)
-		for _, c := range cands {
-			v.Candidates = append(v.Candidates, VertexCandidate{ID: c.ID, IsClass: c.IsClass, Score: c.Score})
+		if cands := lk.Link(v.Arg.Text, opts.MaxVertexCandidates); len(cands) > 0 {
+			v.Candidates = make([]VertexCandidate, len(cands))
+			for j, c := range cands {
+				v.Candidates[j] = VertexCandidate{ID: c.ID, IsClass: c.IsClass, Score: c.Score}
+			}
 		}
 		if len(v.Candidates) == 0 {
 			// Unlinkable argument. A wh-determined NP ("which movies" when
@@ -170,8 +181,20 @@ func BuildQueryGraph(y *nlp.DepTree, rels []SemanticRelation, lk *linker.Linker,
 	return q
 }
 
+// isPureWh reports whether the argument is a bare wh-word or "that", in
+// any case. Its text is lowered into a stack buffer: a text that lowers
+// to a non-ASCII rune, or to more than eight bytes, is none of them.
 func isPureWh(a Argument) bool {
-	switch strings.ToLower(a.Text) {
+	var buf [8]byte
+	lower := buf[:0]
+	for _, r := range a.Text {
+		r = unicode.ToLower(r)
+		if r >= utf8.RuneSelf || len(lower) == len(buf) {
+			return false
+		}
+		lower = append(lower, byte(r))
+	}
+	switch string(lower) {
 	case "who", "whom", "what", "which", "where", "when", "how", "whose", "that":
 		return true
 	}

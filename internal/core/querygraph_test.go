@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"gqa/internal/linker"
 	"gqa/internal/nlp"
@@ -177,5 +178,57 @@ func TestAggregationReducesToTheBaseQuestion(t *testing.T) {
 	}
 	if agg, _ := s.aggregation(mustParse(t, "Who was married to Antonio Banderas?")); agg {
 		t.Error("a question with no count and no superlative read as an aggregation")
+	}
+}
+
+// TestBuildQueryGraphAllocs bounds what building the running example's Q^S
+// allocates: the graph, its vertices and its edges, the candidate lists of
+// its two edges and of its two linked vertices, the coreference map ("that"
+// → "actor": its header and its one group), and the two links, "actor"
+// (two: its candidates, grown once) and "Philadelphia" (four: its lowered
+// text and its candidates, grown twice). A vertex map or a list grown by
+// append would break the bound.
+func TestBuildQueryGraphAllocs(t *testing.T) {
+	s, _ := figure1System(t, Options{})
+	y := mustParse(t, "Who was married to an actor that played in Philadelphia?")
+	rels := ExtractRelations(y, s.Dict, ExtractOptions{})
+	build := func() { BuildQueryGraph(y, rels, s.Linker, BuildOptions{}) }
+	build()
+	const ceiling = 15
+	if allocs := testing.AllocsPerRun(100, build); allocs > ceiling {
+		t.Fatalf("BuildQueryGraph allocates %v times, at most %d", allocs, ceiling)
+	}
+}
+
+// TestQuickIsPureWhMatchesReference: on random texts — wh-words and "that"
+// in mixed case, U+0130 and U+212A (which lower to ASCII 'i' and 'k'),
+// U+0169 (which does not, but whose low byte is 'i'),
+// texts longer than any wh-word, and bytes that are not UTF-8 — isPureWh
+// answers as the parent's did by lowering a copy of the text.
+func TestQuickIsPureWhMatchesReference(t *testing.T) {
+	pieces := []string{"w", "W", "h", "H", "o", "O", "i", "\u0130", "\u0169", "c", "C", "e", "n", "m", "s", "a", "t", "T",
+		"who", "WHICH", "That", "whose", "\u212a", "\xff", "\xc4", " ", "x"}
+	pure := 0
+	prop := func(picks []uint8) bool {
+		var b strings.Builder
+		for _, p := range picks[:len(picks)%9] {
+			b.WriteString(pieces[int(p)%len(pieces)])
+		}
+		a := Argument{Text: b.String()}
+		if isPureWh(a) {
+			pure++
+		}
+		return isPureWh(a) == refIsPureWh(a)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range []string{"wh\u0130ch", "wh\u0169ch", "WHO", "That", "whom", "which ", "\u212a", ""} {
+		if a := (Argument{Text: text}); isPureWh(a) != refIsPureWh(a) {
+			t.Errorf("isPureWh(%q) = %v", text, isPureWh(a))
+		}
+	}
+	if pure == 0 {
+		t.Error("no random text was a bare wh-word")
 	}
 }

@@ -47,6 +47,14 @@ type embeddingCandidate struct {
 	nodes  []int
 }
 
+// found is an embeddingCandidate while Algorithm 2 runs: its nodes are
+// nodes[from:to] of a buffer of FindEmbeddings.
+type found struct {
+	phrase   *dict.Phrase
+	root     int
+	from, to int
+}
+
 // canonLemma maps a tree node's lemma into the dictionary's lemma space.
 // The tagger lemmatizes by POS ("founded"/VBN → "found"), while dictionary
 // phrase words are lemmatized without POS ("found" → "find"); applying the
@@ -70,6 +78,9 @@ const noWord = ^uint32(0)
 // identity (nlp's TestUntaggedLemmaTwice). A phrase is tried only when its
 // words are a sub-multiset of the question's, since an embedding takes
 // each word from a node of its own.
+//
+// It allocates only what it returns: the candidates, and their node lists
+// in one slab. Its working memory is on the stack while it fits there.
 func FindEmbeddings(y *nlp.DepTree, d *dict.Dictionary) []embeddingCandidate {
 	size := y.Size()
 	var buf [96]uint32
@@ -89,22 +100,43 @@ func FindEmbeddings(y *nlp.DepTree, d *dict.Dictionary) []embeddingCandidate {
 		}
 	}
 	slices.Sort(question)
-	var found []embeddingCandidate
-	for root, w := range probes {
-		if w == noWord {
+	var (
+		foundBuf [16]found
+		nodeBuf  [64]int
+	)
+	all, nodes := foundBuf[:0], nodeBuf[:0]
+	for root, word := range probes {
+		if word == noWord {
 			continue
 		}
-		for _, s := range d.SlotsWith(w) {
+		for _, s := range d.SlotsWith(word) {
 			phrase, words := d.Slot(s)
 			if !subMultiset(words, question) {
 				continue
 			}
-			if nodes, ok := embedAt(y, ids, root, words); ok {
-				found = append(found, embeddingCandidate{phrase: phrase, root: root, nodes: nodes})
+			from := len(nodes)
+			var ok bool
+			if nodes, ok = embedAt(y, ids, root, words, nodes); ok {
+				all = append(all, found{phrase: phrase, root: root, from: from, to: len(nodes)})
 			}
 		}
 	}
-	return filterMaximal(found, size)
+	kept := filterMaximal(all, size, nodes)
+	if len(kept) == 0 {
+		return nil
+	}
+	n := 0
+	for _, f := range kept {
+		n += f.to - f.from
+	}
+	slab := make([]int, 0, n)
+	out := make([]embeddingCandidate, len(kept))
+	for i, f := range kept {
+		at := len(slab)
+		slab = append(slab, nodes[f.from:f.to]...)
+		out[i] = embeddingCandidate{phrase: f.phrase, root: f.root, nodes: slab[at:len(slab):len(slab)]}
+	}
+	return out
 }
 
 // scratch returns n zero values, in buf (which must be zero) when they fit.
@@ -135,21 +167,21 @@ func subMultiset(a, b []uint32) bool {
 // sorted multiset of word IDs) rooted at root exists: a connected subtree
 // each of whose nodes carries a word of the phrase, jointly covering all
 // phrase words. ids holds each node's canonical word ID (noWord if none).
-// It returns the chosen node set.
-func embedAt(y *nlp.DepTree, ids []uint32, root int, words []uint32) ([]int, bool) {
+// It appends the chosen node set, ascending, to nodes; nodes comes back
+// as it was when there is none.
+func embedAt(y *nlp.DepTree, ids []uint32, root int, words []uint32, nodes []int) ([]int, bool) {
 	var usedBuf [8]bool
-	var nodeBuf [8]int
 	used := scratch(usedBuf[:], len(words)) // used[i]: a chosen node carries words[i]
 	if !take(ids[root], words, used) {
-		return nil, false
+		return nodes, false
 	}
-	nodes := probe(y, ids, words, used, append(nodeBuf[:0], root), root)
-	if len(nodes) < len(words) {
-		return nil, false
+	from := len(nodes)
+	nodes = probe(y, ids, words, used, append(nodes, root), root)
+	if len(nodes)-from < len(words) {
+		return nodes[:from], false
 	}
-	out := slices.Clone(nodes)
-	slices.Sort(out)
-	return out, true
+	slices.Sort(nodes[from:])
+	return nodes, true
 }
 
 // probe is the Probe function of Algorithm 2: a depth-first descent from n
@@ -177,13 +209,14 @@ func take(w uint32, words []uint32, used []bool) bool {
 // filterMaximal keeps, among overlapping embeddings, the ones covering the
 // most words (ties: the one whose phrase has more words, then earliest
 // root), and drops embeddings strictly contained in an accepted one. size
-// is |Y|. Beyond that the order of cands breaks ties, which the stable sort
-// keeps: FindEmbeddings lists a root's phrases in the order they were first
-// added to the dictionary.
-func filterMaximal(cands []embeddingCandidate, size int) []embeddingCandidate {
-	slices.SortStableFunc(cands, func(a, b embeddingCandidate) int {
-		if len(a.nodes) != len(b.nodes) {
-			return len(b.nodes) - len(a.nodes)
+// is |Y|, and nodes holds the embeddings' node lists. Beyond that the
+// order of cands breaks ties, which the stable sort keeps: FindEmbeddings
+// lists a root's phrases in the order they were first added to the
+// dictionary.
+func filterMaximal(cands []found, size int, nodes []int) []found {
+	slices.SortStableFunc(cands, func(a, b found) int {
+		if la, lb := a.to-a.from, b.to-b.from; la != lb {
+			return lb - la
 		}
 		if len(a.phrase.Lemmas) != len(b.phrase.Lemmas) {
 			return len(b.phrase.Lemmas) - len(a.phrase.Lemmas)
@@ -195,16 +228,16 @@ func filterMaximal(cands []embeddingCandidate, size int) []embeddingCandidate {
 	out := cands[:0]
 next:
 	for _, c := range cands {
-		for _, n := range c.nodes {
+		for _, n := range nodes[c.from:c.to] {
 			if used[n] {
 				continue next
 			}
 		}
-		for _, n := range c.nodes {
+		for _, n := range nodes[c.from:c.to] {
 			used[n] = true
 		}
 		out = append(out, c)
 	}
-	slices.SortStableFunc(out, func(a, b embeddingCandidate) int { return a.root - b.root })
+	slices.SortStableFunc(out, func(a, b found) int { return a.root - b.root })
 	return out
 }

@@ -318,15 +318,18 @@ func TestWordProbesCountEveryNode(t *testing.T) {
 }
 
 // TestExtractRelationsAllocs bounds what extracting the running example's
-// relations allocates: the two embeddings' node lists and the growth of
-// the candidate and relation slices (two each). A map, a key string or a
-// phrase list per probe would break the bound.
+// relations allocates: the candidates, their node lists in one slab, and
+// the relations. A map, a key string or a phrase list per probe, or a
+// working buffer off the stack, would break the bound.
 func TestExtractRelationsAllocs(t *testing.T) {
 	_, ids := figure1System(t, Options{})
 	d := figure1Dict(ids)
 	y := mustParse(t, "Who was married to an actor that played in Philadelphia?")
-	const ceiling = 6
+	const ceiling = 3
 	if allocs := testing.AllocsPerRun(100, func() { ExtractRelations(y, d, ExtractOptions{}) }); allocs > ceiling {
 		t.Fatalf("ExtractRelations allocates %v times, at most %d", allocs, ceiling)
+	}
+	if rels := ExtractRelations(y, d, ExtractOptions{}); len(rels) != 2 || cap(rels) != len(rels) {
+		t.Fatalf("%d relations, capacity %d: want 2, sized once", len(rels), cap(rels))
 	}
 }

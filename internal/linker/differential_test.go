@@ -117,6 +117,28 @@ func TestLinkMatchesReferenceOnWorkloads(t *testing.T) {
 	}
 }
 
+// TestQueryMatchesReference: on every mention TestLinkMatchesMerge links,
+// the mention tokeniser returns the parent's raw and lemma IDs and token
+// counts.
+func TestQueryMatchesReference(t *testing.T) {
+	kbs := workloadKBs(t)
+	big, err := nlScaleBenchmarkKB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kbs = append(kbs, workloadKB{name: "nlscale-20000", g: big.Graph, questions: big.Questions})
+	for _, kb := range kbs {
+		lk := linker.New(kb.g, linker.Options{})
+		ms := append(mentionsOf(kb), "", "The Of", "São Paulo's", "a\xffb", "İstanbul", "\u212a2")
+		for _, m := range ms {
+			if d := lk.QueryDiff(m); d != "" {
+				t.Fatalf("%s: %s", kb.name, d)
+			}
+		}
+		t.Logf("%s: %d mentions compared", kb.name, len(ms))
+	}
+}
+
 // differMerge returns the first limit at which the skip and the parent's
 // merge differ for mention — in the candidates (== on every field, and
 // order) or in the slots whose labels they read — and a description.
@@ -377,6 +399,10 @@ func TestQuickLinkMatchesReference(t *testing.T) {
 				t.Errorf("seed %d: %s", seed, d)
 				return false
 			}
+			if d := lk.QueryDiff(m); d != "" {
+				t.Errorf("seed %d: %s", seed, d)
+				return false
+			}
 			if d, bad := differMerge(lk, mg, m); bad {
 				t.Errorf("seed %d, against the merge: %s", seed, d)
 				return false
@@ -420,8 +446,9 @@ func TestQuickLinkMatchesReference(t *testing.T) {
 	t.Logf("%+v", st)
 }
 
-// FuzzLink compares the skip with the parent's merge on a graph drawn
-// from the fuzzed seed, for the fuzzed mention and for a random one.
+// FuzzLink compares the skip with the parent's merge, and the mention
+// tokeniser with the parent's, on a graph drawn from the fuzzed seed, for
+// the fuzzed mention and for a random one.
 func FuzzLink(f *testing.F) {
 	for seed := range int64(8) {
 		f.Add(seed, "movies")
@@ -434,6 +461,9 @@ func FuzzLink(f *testing.F) {
 		mg := linker.NewMerger(lk)
 		for _, m := range []string{mention, randomMention(rng)} {
 			if d, bad := differMerge(lk, mg, m); bad {
+				t.Fatalf("seed %d: %s", seed, d)
+			}
+			if d := lk.QueryDiff(m); d != "" {
 				t.Fatalf("seed %d: %s", seed, d)
 			}
 		}

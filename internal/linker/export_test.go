@@ -1,6 +1,7 @@
 package linker
 
 import (
+	"fmt"
 	"slices"
 
 	"gqa/internal/store"
@@ -13,9 +14,6 @@ type Reference = reference
 
 // NewReference builds the reference over g.
 func NewReference(g *store.Graph) *Reference { return newReference(g) }
-
-// RaceEnabled is raceEnabled, for package linker_test.
-const RaceEnabled = raceEnabled
 
 // Scored is how many slots' labels Link(mention, limit) reads: slots the
 // class stop leaves unvisited and slots the per-slot bound skips are not
@@ -42,7 +40,7 @@ type Shapes struct{ Jumped, Unreached, Uneven, Single int }
 func (l *Linker) Shapes(mention string, limit int) Shapes {
 	_, w := l.link(mention, limit)
 	sh := Shapes{Jumped: w.jumped, Unreached: w.unreached}
-	if m := l.query(mention); m.nRaw > 0 {
+	if m := l.query(mention, nil); m.nRaw > 0 {
 		for i := range l.classes {
 			c := &l.classes[i]
 			if max(c.reach(m.nRaw), c.reach(m.nLem)) < minSimilarity {
@@ -73,12 +71,23 @@ func (l *Merger) Link(mention string, limit int) ([]Candidate, int, int) {
 	return l.mergeLink(mention, limit)
 }
 
+// QueryDiff describes how the mention tokeniser differs from the parent's
+// (query_reference_test.go) on mention — raw and lemma IDs, token and lemma
+// counts — or returns "".
+func (l *Linker) QueryDiff(mention string) string {
+	got, want := l.query(mention, nil), l.refQuery(mention)
+	if !slices.Equal(got.raw, want.raw) || !slices.Equal(got.lem, want.lem) || got.nRaw != want.nRaw || got.nLem != want.nLem {
+		return fmt.Sprintf("query(%q) = %+v, parent %+v", mention, got, want)
+	}
+	return ""
+}
+
 // LemmaSlack reports whether a candidate Link(mention, 0) returns is on
 // the lemma-only postings of one of the mention's lemmas: a label shares
 // a lemma that no raw token of the slot spells, which the walk counts only
 // through those postings.
 func (l *Linker) LemmaSlack(mention string) bool {
-	m := l.query(mention)
+	m := l.query(mention, nil)
 	cands, _ := l.link(mention, 0)
 	n := uint32(len(l.vocab))
 	for _, c := range cands {

@@ -332,17 +332,33 @@ func (b *builder) post() {
 
 // appendTokens appends the tokens of s to dst: lowercased, split around
 // every rune that is neither a letter nor a digit, stop words dropped.
+// Each token is a slice of s lowered once.
 func appendTokens(dst []string, s string) []string {
-	for _, f := range strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
-		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
-	}) {
-		switch f {
-		case "the", "a", "an", "of":
-			continue
+	s = strings.ToLower(s)
+	start := -1 // the first byte of the token being read, or -1
+	for i, r := range s {
+		in := unicode.IsLetter(r) || unicode.IsDigit(r)
+		switch {
+		case in && start < 0:
+			start = i
+		case !in && start >= 0:
+			dst = appendToken(dst, s[start:i])
+			start = -1
 		}
-		dst = append(dst, f)
+	}
+	if start >= 0 {
+		dst = appendToken(dst, s[start:])
 	}
 	return dst
+}
+
+// appendToken appends token f to dst unless it is a stop word.
+func appendToken(dst []string, f string) []string {
+	switch f {
+	case "the", "a", "an", "of":
+		return dst
+	}
+	return append(dst, f)
 }
 
 // sortedSet sorts s in place and returns its distinct prefix.
@@ -359,18 +375,24 @@ type query struct {
 	nRaw, nLem int
 }
 
-// query tokenises text; a text with no token gives nRaw == 0.
-func (l *Linker) query(text string) query {
-	toks := sortedSet(appendTokens(nil, text))
+// query tokenises text; a text with no token gives nRaw == 0. The raw
+// and lemma IDs are appended to ids, one set after the other. The token
+// and lemma strings are on the stack while they fit there.
+func (l *Linker) query(text string, ids []uint32) query {
+	var tokBuf, lemBuf [8]string
+	toks := sortedSet(appendTokens(tokBuf[:0], text))
 	if len(toks) == 0 {
 		return query{}
 	}
-	lems := make([]string, len(toks))
-	for i, t := range toks {
-		lems[i] = nlp.Lemma(t, "NNS")
+	lems := lemBuf[:0]
+	for _, t := range toks {
+		lems = append(lems, nlp.Lemma(t, "NNS"))
 	}
 	lems = sortedSet(lems)
-	return query{raw: l.ids(toks), lem: l.ids(lems), nRaw: len(toks), nLem: len(lems)}
+	ids = l.appendIDs(ids, toks)
+	nRaw := len(ids)
+	ids = l.appendIDs(ids, lems)
+	return query{raw: ids[:nRaw], lem: ids[nRaw:], nRaw: len(toks), nLem: len(lems)}
 }
 
 // Link returns up to limit candidates for the mention, ranked by
@@ -393,7 +415,8 @@ type work struct{ scored, read, jumped, unreached int }
 // link is Link without its metrics; it also returns what it did.
 func (l *Linker) link(text string, limit int) ([]Candidate, work) {
 	var w work
-	m := l.query(text)
+	var ids [16]uint32
+	m := l.query(text, ids[:0])
 	if m.nRaw == 0 {
 		return nil, w
 	}
@@ -410,7 +433,8 @@ func (l *Linker) link(text string, limit int) ([]Candidate, work) {
 		reaches  bool
 	}
 	lists := make([]list, 0, 8)
-	for _, t := range sortedSet(slices.Concat(m.raw, m.lem)) {
+	var union [16]uint32
+	for _, t := range sortedSet(append(append(union[:0], m.raw...), m.lem...)) {
 		ls := list{at: l.postOff[t], end: l.postOff[t+1], reaches: true}
 		if ls.at == ls.end {
 			continue
@@ -668,17 +692,17 @@ func (c *sizeClass) bound(inter, n int) float64 {
 	return min(float64(min(inter, n))/float64(n), c.reach(n))
 }
 
-// ids returns the sorted token IDs of the distinct tokens toks that the
-// vocabulary knows.
-func (l *Linker) ids(toks []string) []uint32 {
-	out := make([]uint32, 0, len(toks))
+// appendIDs appends to ids the sorted token IDs of the distinct tokens
+// toks that the vocabulary knows.
+func (l *Linker) appendIDs(ids []uint32, toks []string) []uint32 {
+	from := len(ids)
 	for _, t := range toks {
 		if id, ok := l.vocab[t]; ok {
-			out = append(out, id)
+			ids = append(ids, id)
 		}
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(ids[from:])
+	return ids
 }
 
 // candidate scores slot s against the mention: the best similarity over

@@ -9,7 +9,8 @@ import (
 // every mention token's postings that visits each slot sharing a token,
 // with each slot's lemma-only IDs kept per slot (lemOnlyOff/lemOnly)
 // rather than as postings. mergeLink is the parent's link verbatim but for
-// its receiver and the count of merged postings it also returns. The
+// its receiver, the count of merged postings it also returns, and its
+// mention tokeniser, which is the parent's too (refQuery). The
 // differential tests hold the skip to it: the same candidates, bit for
 // bit, and the same slots scored.
 type merger struct {
@@ -43,7 +44,7 @@ func newMerger(l *Linker) *merger {
 // mergeLink is the parent's link: it also returns how many postings its
 // merge advanced through.
 func (l *merger) mergeLink(text string, limit int) ([]Candidate, int, int) {
-	m := l.query(text)
+	m := l.refQuery(text)
 	if m.nRaw == 0 {
 		return nil, 0, 0
 	}

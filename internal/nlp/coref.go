@@ -7,9 +7,11 @@ package nlp
 // running example).
 //
 // The returned map sends the token index of each resolvable pronoun to the
-// token index of its antecedent.
+// token index of its antecedent. It is nil when no pronoun corefers.
 func ResolveCoref(y *DepTree) map[int]int {
-	out := make(map[int]int)
+	var out map[int]int
+	var buf [64]bool
+	in := scratch(buf[:], len(y.Nodes))
 	for i := range y.Nodes {
 		n := &y.Nodes[i]
 		if n.Rel != RelRcmod || n.Head < 0 {
@@ -18,9 +20,13 @@ func ResolveCoref(y *DepTree) map[int]int {
 		antecedent := n.Head
 		// Every wh-pronoun inside the clause subtree corefers with the
 		// antecedent.
-		for _, j := range y.Subtree(i) {
-			t := y.Nodes[j]
-			if (t.Tag == "WDT" || t.Tag == "WP") && j != antecedent {
+		clear(in)
+		y.mark(i, in)
+		for j, ok := range in {
+			if t := &y.Nodes[j]; ok && (t.Tag == "WDT" || t.Tag == "WP") && j != antecedent {
+				if out == nil {
+					out = make(map[int]int)
+				}
 				out[j] = antecedent
 			}
 		}

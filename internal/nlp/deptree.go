@@ -2,7 +2,7 @@ package nlp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -76,40 +76,40 @@ func (y *DepTree) Node(i int) *Node { return &y.Nodes[i] }
 // ChildrenOf returns the dependent indices of node i.
 func (y *DepTree) ChildrenOf(i int) []int { return y.Nodes[i].Children }
 
-// Subtree returns all node indices in the subtree rooted at i (including
-// i), ascending.
-func (y *DepTree) Subtree(i int) []int {
-	var out []int
-	seen := make(map[int]bool) // guards against malformed (cyclic) input
-	var walk func(int)
-	walk = func(n int) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		out = append(out, n)
+// mark sets in[j] for every node j of the subtree rooted at i, following
+// Children, and returns how many it set; in must be false throughout. A
+// node is visited once, so a cycle in malformed input ends the walk.
+func (y *DepTree) mark(i int, in []bool) int {
+	var buf [32]int
+	stack := append(buf[:0], i)
+	in[i] = true
+	count := 1
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		for _, c := range y.Nodes[n].Children {
-			walk(c)
+			if !in[c] {
+				in[c] = true
+				count++
+				stack = append(stack, c)
+			}
 		}
 	}
-	walk(i)
-	sort.Ints(out)
-	return out
+	return count
 }
 
-// SubtreeText returns the surface text of the subtree rooted at i in
-// sentence order. Used to render arguments ("the former Dutch queen").
-func (y *DepTree) SubtreeText(i int) string {
-	idx := y.Subtree(i)
-	words := make([]string, len(idx))
-	for k, j := range idx {
-		words[k] = y.Nodes[j].Text
+// scratch returns n zero values, in buf (which must be zero) when they fit.
+func scratch[T any](buf []T, n int) []T {
+	if n <= len(buf) {
+		return buf[:n]
 	}
-	return strings.Join(words, " ")
+	return make([]T, n)
 }
 
-// Validate checks tree well-formedness: exactly one root, consistent
-// head/child links, acyclicity, and every node reachable from the root.
+// Validate checks tree well-formedness: exactly one root, Children that
+// are the heads read backwards (each list strictly ascending, naming
+// exactly the nodes whose Head is its owner), acyclicity, and every node
+// reachable from the root.
 func (y *DepTree) Validate() error {
 	if len(y.Nodes) == 0 {
 		return fmt.Errorf("deptree: empty tree")
@@ -118,6 +118,14 @@ func (y *DepTree) Validate() error {
 	for i, n := range y.Nodes {
 		if n.Index != i {
 			return fmt.Errorf("deptree: node %d has Index %d", i, n.Index)
+		}
+		for k, c := range n.Children {
+			if c < 0 || c >= len(y.Nodes) || y.Nodes[c].Head != i {
+				return fmt.Errorf("deptree: node %d lists child %d, whose head is not %d", i, c, i)
+			}
+			if k > 0 && c <= n.Children[k-1] {
+				return fmt.Errorf("deptree: children of node %d are not strictly ascending", i)
+			}
 		}
 		if n.Head == -1 {
 			roots++
@@ -132,21 +140,15 @@ func (y *DepTree) Validate() error {
 		if n.Head == i {
 			return fmt.Errorf("deptree: node %d is its own head", i)
 		}
-		found := false
-		for _, c := range y.Nodes[n.Head].Children {
-			if c == i {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(y.Nodes[n.Head].Children, i) {
 			return fmt.Errorf("deptree: node %d missing from children of head %d", i, n.Head)
 		}
 	}
 	if roots != 1 {
 		return fmt.Errorf("deptree: %d roots, want 1", roots)
 	}
-	if got := len(y.Subtree(y.Root)); got != len(y.Nodes) {
+	var buf [64]bool
+	if got := y.mark(y.Root, scratch(buf[:], len(y.Nodes))); got != len(y.Nodes) {
 		return fmt.Errorf("deptree: only %d of %d nodes reachable from root", got, len(y.Nodes))
 	}
 	return nil
@@ -166,15 +168,49 @@ func (y *DepTree) String() string {
 	return b.String()
 }
 
-// attach links child to head with the given relation, maintaining the
-// Children lists sorted.
+// attach links child to head with the given relation. Children are
+// filled from the heads once the parse ends (fillChildren), so a child
+// attached twice is listed only under its last head.
 func (y *DepTree) attach(child, head int, rel string) {
 	n := &y.Nodes[child]
 	n.Head = head
 	n.Rel = rel
-	h := &y.Nodes[head]
-	pos := sort.SearchInts(h.Children, child)
-	h.Children = append(h.Children, 0)
-	copy(h.Children[pos+1:], h.Children[pos:])
-	h.Children[pos] = child
+}
+
+// fillChildren sets the Children of a tree whose nodes have none yet from
+// the heads: the nodes whose Head is it, ascending. The lists share one
+// slab, each with its length as its capacity, so an append to one cannot
+// write into the next; a leaf's stays nil. Heads out of range are skipped
+// (Validate names them).
+func (y *DepTree) fillChildren() {
+	n := len(y.Nodes)
+	var buf [65]int
+	end := scratch(buf[:], n+1) // end[h+1]: where h's list ends in the slab
+	for i := range y.Nodes {
+		if h := y.Nodes[i].Head; h >= 0 && h < n {
+			end[h+1]++
+		}
+	}
+	for h := range n {
+		end[h+1] += end[h]
+	}
+	if end[n] == 0 {
+		return
+	}
+	slab := make([]int, end[n])
+	for i := range y.Nodes {
+		if h := y.Nodes[i].Head; h >= 0 && h < n {
+			slab[end[h]] = i
+			end[h]++
+		}
+	}
+	// Each end[h] has moved up to where h's list ends; h's list starts
+	// where h-1's ends.
+	start := 0
+	for h := range y.Nodes {
+		if stop := end[h]; stop > start {
+			y.Nodes[h].Children = slab[start:stop:stop]
+			start = stop
+		}
+	}
 }

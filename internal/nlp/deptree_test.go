@@ -1,11 +1,39 @@
 package nlp
 
 import (
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// buildTree constructs a tree by hand for structural tests.
+// Subtree returns all node indices in the subtree rooted at i (including
+// i), ascending.
+func (y *DepTree) Subtree(i int) []int {
+	var buf [64]bool
+	in := scratch(buf[:], len(y.Nodes))
+	out := make([]int, 0, y.mark(i, in))
+	for j, ok := range in {
+		if ok {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// SubtreeText returns the surface text of the subtree rooted at i in
+// sentence order ("the former Dutch queen").
+func (y *DepTree) SubtreeText(i int) string {
+	idx := y.Subtree(i)
+	words := make([]string, len(idx))
+	for k, j := range idx {
+		words[k] = y.Nodes[j].Text
+	}
+	return strings.Join(words, " ")
+}
+
+// buildTree constructs a tree by hand for structural tests, finishing it
+// as the parser does: heads first, then children filled from them.
 func buildTree(words []string, heads []int, rels []string) *DepTree {
 	y := &DepTree{Nodes: make([]Node, len(words))}
 	for i, w := range words {
@@ -26,6 +54,7 @@ func buildTree(words []string, heads []int, rels []string) *DepTree {
 			y.attach(i, h, rels[i])
 		}
 	}
+	y.fillChildren()
 	return y
 }
 
@@ -61,6 +90,38 @@ func TestValidateRejectsBadTrees(t *testing.T) {
 	y = buildTree([]string{"a", "b", "c"}, []int{-1, 2, 1}, []string{"", RelDep, RelDep})
 	if err := y.Validate(); err == nil {
 		t.Fatal("cyclic tree accepted")
+	}
+	// Children that are not the heads read backwards: a child listed
+	// twice, a list out of order, a child listed under a head it left.
+	y = buildTree([]string{"a", "b", "c"}, []int{-1, 0, 0}, []string{"", RelDep, RelDep})
+	y.Nodes[0].Children = []int{1, 1, 2}
+	if err := y.Validate(); err == nil {
+		t.Fatal("child listed twice accepted")
+	}
+	y.Nodes[0].Children = []int{2, 1}
+	if err := y.Validate(); err == nil {
+		t.Fatal("descending children accepted")
+	}
+	y = buildTree([]string{"a", "b", "c"}, []int{-1, 0, 1}, []string{"", RelDep, RelDep})
+	y.Nodes[0].Children = []int{1, 2}
+	if err := y.Validate(); err == nil {
+		t.Fatal("stale child accepted")
+	}
+}
+
+// TestFillChildrenSlab: the hand-built trees get their children as the
+// parser's do, ascending, each list's capacity its length, nil for a leaf.
+func TestFillChildrenSlab(t *testing.T) {
+	y := buildTree(
+		[]string{"Who", "created", "the", "game"},
+		[]int{1, -1, 3, 1},
+		[]string{RelNsubj, "", RelDet, RelDobj},
+	)
+	for i, want := range [][]int{nil, {0, 3}, nil, {2}} {
+		got := y.Nodes[i].Children
+		if !slices.Equal(got, want) || (got == nil) != (want == nil) || cap(got) != len(got) {
+			t.Errorf("node %d: children %v (capacity %d), want %v", i, got, cap(got), want)
+		}
 	}
 }
 
@@ -114,13 +175,33 @@ func TestSubjectObjectRelClassifiers(t *testing.T) {
 	}
 }
 
+// TestResolveCorefNestedClauses: a relative clause inside another ("an
+// actor who played a film that won"): each pronoun corefers with the noun
+// its own clause modifies, the inner clause's pronoun being in both
+// clauses' subtrees and the later clause winning, as before.
+func TestResolveCorefNestedClauses(t *testing.T) {
+	y := buildTree(
+		[]string{"actor", "who", "played", "film", "that", "won"},
+		[]int{-1, 2, 0, 2, 5, 3},
+		[]string{"", RelNsubj, RelRcmod, RelDobj, RelNsubj, RelRcmod},
+	)
+	y.Nodes[1].Tag, y.Nodes[4].Tag = "WP", "WDT"
+	want := map[int]int{1: 0, 4: 3}
+	if got := ResolveCoref(y); !maps.Equal(got, want) {
+		t.Fatalf("coref %v, want %v", got, want)
+	}
+	if got := refResolveCoref(y); !maps.Equal(got, want) {
+		t.Fatalf("the parent's coref %v, want %v", got, want)
+	}
+}
+
 func TestResolveCorefNoClauses(t *testing.T) {
 	y := buildTree(
 		[]string{"Who", "created", "Minecraft"},
 		[]int{1, -1, 1},
 		[]string{RelNsubj, "", RelDobj},
 	)
-	if got := ResolveCoref(y); len(got) != 0 {
+	if got := ResolveCoref(y); got != nil {
 		t.Fatalf("unexpected coref: %v", got)
 	}
 }

@@ -6,7 +6,8 @@ import (
 )
 
 // FuzzParse: the parser must never panic and must always return either an
-// error or a valid tree, for arbitrary input.
+// error or a valid tree, for arbitrary input, and agree with the parent's
+// parser (reference_test.go).
 func FuzzParse(f *testing.F) {
 	for _, q := range corpusQuestions[:30] {
 		f.Add(q)
@@ -17,6 +18,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("Who who who did did did in in in and and and?")
 	f.Add("'s 's 's")
 	f.Add("\x00\x01\x02")
+	f.Add(staleSeed)
 	f.Fuzz(func(t *testing.T, q string) {
 		y, err := Parse(q)
 		if err != nil {
@@ -28,6 +30,9 @@ func FuzzParse(f *testing.F) {
 		// Token count equals node count.
 		if len(Tokenize(q)) != y.Size() {
 			t.Fatalf("Parse(%q): %d tokens, %d nodes", q, len(Tokenize(q)), y.Size())
+		}
+		if d, _, bad := differ(q); bad {
+			t.Fatalf("%q: %s", q, d)
 		}
 	})
 }

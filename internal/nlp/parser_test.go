@@ -349,3 +349,16 @@ func TestParseNPCoordination(t *testing.T) {
 		{RelConj, "born", "died"},
 	})
 }
+
+// TestParseAllocs bounds what parsing the running example allocates: the
+// tree, its nodes, the one slab of their children, and the lowered forms of
+// its two capitalised words. The tokens and the parser's chunks and verb
+// lists are on the stack; a map or a closure per subtree walk, or a token
+// built rune by rune, would break the bound.
+func TestParseAllocs(t *testing.T) {
+	const q = "Who was married to an actor that played in Philadelphia?"
+	const ceiling = 5
+	if allocs := testing.AllocsPerRun(100, func() { Parse(q) }); allocs > ceiling {
+		t.Fatalf("Parse allocates %v times, at most %d", allocs, ceiling)
+	}
+}

@@ -47,58 +47,65 @@ func IsNounTag(tag string) bool { return strings.HasPrefix(tag, "NN") }
 // that it delimits words; possessive "'s" becomes its own token (tag POS);
 // hyphenated words are kept whole.
 func Tokenize(s string) []Token {
-	var toks []Token
-	add := func(w string) {
-		if w == "" {
-			return
-		}
-		toks = append(toks, Token{Index: len(toks), Text: w, Lower: strings.ToLower(w)})
+	var buf [32]Token
+	toks := appendTokens(buf[:0], s)
+	if len(toks) == 0 {
+		return nil
 	}
-	var cur strings.Builder
-	flush := func() {
-		w := cur.String()
-		cur.Reset()
-		if w == "" {
-			return
-		}
-		// Split possessive and common contractions.
-		lower := strings.ToLower(w)
+	return append(make([]Token, 0, len(toks)), toks...)
+}
+
+// appendTokens appends the tokens of s to toks. A word is a run of bytes
+// of s, so a token's Text is a slice of s and its Lower allocates only for
+// a word with a capital: every rune a word keeps is valid UTF-8 and spells
+// itself, and any other rune ends the word, U+FFFD for a byte that is not
+// UTF-8 among them.
+func appendTokens(toks []Token, s string) []Token {
+	start := -1 // the first byte of the word being read, or -1
+	for i, r := range s {
+		// Hyphens stay inside words, and dots inside abbreviations like
+		// "U.S." or "J.F.", so entity mentions survive.
+		keep := unicode.IsLetter(r) || unicode.IsDigit(r) || r == '\'' || r == '-' ||
+			r == '.' && start >= 0 && isAbbrevSoFar(s[start:i])
 		switch {
-		case strings.HasSuffix(lower, "'s") && len(w) > 2:
-			add(w[:len(w)-2])
-			add(w[len(w)-2:])
-		case strings.HasSuffix(lower, "n't") && len(w) > 3:
-			add(w[:len(w)-3])
-			add("not")
-		default:
-			add(w)
+		case keep && start < 0:
+			start = i
+		case !keep && start >= 0:
+			toks = appendWord(toks, s[start:i])
+			start = -1
 		}
 	}
-	for _, r := range s {
-		switch {
-		case unicode.IsLetter(r) || unicode.IsDigit(r):
-			cur.WriteRune(r)
-		case r == '\'':
-			cur.WriteRune(r)
-		case r == '-' || r == '.' && cur.Len() > 0 && isAbbrevSoFar(cur.String()):
-			// Keep hyphens inside words and dots inside abbreviations
-			// like "U.S." or "J.F." so entity mentions survive.
-			cur.WriteRune(r)
-		default:
-			flush()
-		}
+	if start >= 0 {
+		toks = appendWord(toks, s[start:])
 	}
-	flush()
 	// Strip a sentence-final period from the last token ("MI6." → "MI6")
 	// while preserving internal abbreviation dots ("John F. Kennedy").
 	if n := len(toks); n > 0 {
 		t := &toks[n-1]
-		if strings.HasSuffix(t.Text, ".") && !strings.Contains(strings.TrimSuffix(t.Text, "."), ".") {
-			t.Text = strings.TrimSuffix(t.Text, ".")
-			t.Lower = strings.ToLower(t.Text)
+		if body, ok := strings.CutSuffix(t.Text, "."); ok && !strings.Contains(body, ".") {
+			t.Text, t.Lower = body, t.Lower[:len(t.Lower)-1]
 		}
 	}
 	return toks
+}
+
+// appendWord appends the tokens of word w, splitting off a possessive
+// "'s" and the "n't" of a contraction. Only 'S' and 's' lower to 's', and
+// so on for the other letters, so the suffixes are tested on w's bytes.
+func appendWord(toks []Token, w string) []Token {
+	n := len(w)
+	switch {
+	case n > 2 && w[n-2] == '\'' && (w[n-1] == 's' || w[n-1] == 'S'):
+		return appendToken(appendToken(toks, w[:n-2]), w[n-2:])
+	case n > 3 && (w[n-3] == 'n' || w[n-3] == 'N') && w[n-2] == '\'' && (w[n-1] == 't' || w[n-1] == 'T'):
+		return appendToken(appendToken(toks, w[:n-3]), "not")
+	}
+	return appendToken(toks, w)
+}
+
+// appendToken appends w as the next token.
+func appendToken(toks []Token, w string) []Token {
+	return append(toks, Token{Index: len(toks), Text: w, Lower: strings.ToLower(w)})
 }
 
 // isAbbrevSoFar reports whether the partial word looks like an

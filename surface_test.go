@@ -47,7 +47,6 @@ var testOnlySurface = map[string]string{
 	// Conveniences whose only callers today are tests.
 	"internal/core.Result.AnswerLabels":     "answers as labels; the facade builds its own from IDs",
 	"internal/dict.Dictionary.LookupLemmas": "lookup by lemma key; the pipeline finds phrases through Probe and SlotsWith",
-	"internal/nlp.DepTree.SubtreeText":      "a subtree's surface text, for parser tests",
 	"internal/obs.Histogram.Quantile":       "a live histogram's quantile; code takes QuantileFromCounts over deltas",
 	"internal/rdf.ParseString":              "Decoder over a string, for parser tests and fuzz seeds",
 	"internal/rdf.Term.IsBlank":             "completes IsIRI/IsLiteral",
