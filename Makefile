@@ -63,9 +63,10 @@ race:
 # and the instrumentation allocates, so race skips the pooled ones and
 # only this step holds a search to what it returns and the pool to its
 # cap. The understanding ceilings (a parse's 5 allocations, extraction's
-# 3, building Q^S's 15, a name link's 6) run in both.
+# 3, building Q^S's 15, a name link's 2) and the load of the cinema test
+# KB's GQAFRZ1 file (no graph mirror) run in both.
 allocs:
-	$(GO) test -run 'Allocs|TestPool' ./internal/nlp/ ./internal/core/ ./internal/linker/ .
+	$(GO) test -run 'Allocs|TestPool' ./internal/nlp/ ./internal/core/ ./internal/linker/ ./internal/store/ .
 
 # End-to-end serving smoke test: boot the gqa-serve handler on a random
 # port, answer one question over HTTP, scrape /metrics, and assert the
@@ -114,6 +115,7 @@ fuzz:
 	$(GO) test -fuzz FuzzLoadFrozen -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzLoadShardPart -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzShardServerHandle -fuzztime 30s ./internal/store/
+	$(GO) test -fuzz FuzzWriteAfterFreeze -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzRequestStringsStayJSON -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/nlp/
 	$(GO) test -fuzz '^FuzzLemma$$' -fuzztime 30s ./internal/nlp/

@@ -142,7 +142,7 @@ func TestMatcherClassExpansion(t *testing.T) {
 		if m.Via[1] != ids["Actor"] {
 			t.Fatalf("via = %v", m.Via)
 		}
-		if !g.HasType(m.Assignment[1], ids["Actor"]) {
+		if !g.Has(m.Assignment[1], g.TypeID(), ids["Actor"]) {
 			t.Fatal("matched entity is not an Actor")
 		}
 	}

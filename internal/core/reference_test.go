@@ -3,9 +3,10 @@ package core
 // A brute-force reference implementation of Definition 3/6 and property
 // tests checking that the TA-style matcher agrees with it on random query
 // graphs over random RDF graphs — the strongest correctness evidence for
-// the paper's central algorithm. The reference reads only the mutable
-// builder (Out/In/InstancesOf/HasType) and walks paths itself, so it
-// shares no code with the frozen read path the matcher runs on.
+// the paper's central algorithm. The reference reads only a twin of the
+// graph that is never frozen — same triples, same order — through the
+// insertion-order lists (Out/In/Has) and walks paths itself, so
+// it shares no code with the frozen read path the matcher runs on.
 
 import (
 	"bytes"
@@ -27,8 +28,13 @@ import (
 
 // bruteForceMatches enumerates every injective assignment of query
 // vertices to graph vertices, checks Definition 3 directly, and scores by
-// Definition 6 (best path/candidate justification per edge/vertex).
-func bruteForceMatches(g *store.Graph, q *QueryGraph) []Match {
+// Definition 6 (best path/candidate justification per edge/vertex). g must
+// never have been frozen: a frozen graph reads the snapshot under test.
+func bruteForceMatches(t testing.TB, g *store.Graph, q *QueryGraph) []Match {
+	t.Helper()
+	if g.Frozen() != nil {
+		t.Fatal("the brute-force reference was handed a frozen graph: it would read the snapshot under test")
+	}
 	n := len(q.Vertices)
 	if n == 0 {
 		return nil
@@ -55,8 +61,8 @@ func bruteForceMatches(g *store.Graph, q *QueryGraph) []Match {
 			seen := map[store.ID]bool{}
 			for _, c := range v.Candidates {
 				if c.IsClass {
-					for _, inst := range g.InstancesOf(c.ID) {
-						if !seen[inst] {
+					for _, e := range g.In(c.ID) {
+						if inst := e.To; e.Pred == g.TypeID() && !seen[inst] {
 							seen[inst] = true
 							candidates = append(candidates, inst)
 						}
@@ -109,7 +115,7 @@ func bruteAccept(g *store.Graph, v *Vertex, u store.ID) (acceptance, bool) {
 			if c.Score > best.score {
 				best = acceptance{via: store.None, score: c.Score}
 			}
-		case c.IsClass && g.HasType(u, c.ID):
+		case c.IsClass && g.Has(u, g.TypeID(), c.ID):
 			if c.Score > best.score {
 				best = acceptance{via: c.ID, score: c.Score}
 			}
@@ -150,8 +156,8 @@ func checkAssignment(g *store.Graph, q *QueryGraph, assign, via []store.ID, scor
 }
 
 // naivePathConnects is Definition 3 condition 3 by exhaustive walk over the
-// builder's adjacency lists: some simple route realizes p from u to w, or
-// from w to u.
+// never-frozen twin's adjacency lists: some simple route realizes p from u
+// to w, or from w to u.
 func naivePathConnects(g *store.Graph, u, w store.ID, p dict.Path) bool {
 	return naiveReaches(g, []store.ID{u}, w, p) || naiveReaches(g, []store.ID{w}, u, p)
 }
@@ -293,6 +299,13 @@ func randomQuerySetup(r *rand.Rand) (*store.Graph, *QueryGraph) {
 	return g, q
 }
 
+// referenceTwin rebuilds seed's random graph for the brute-force
+// reference: a twin of the graph the matcher runs on that is never frozen.
+func referenceTwin(seed int64) *store.Graph {
+	g, _ := randomQuerySetup(rand.New(rand.NewSource(seed)))
+	return g
+}
+
 func matchKey(m Match) string {
 	s := ""
 	for _, u := range m.Assignment {
@@ -342,8 +355,8 @@ func TestQuickMatcherAgreesWithBruteForce(t *testing.T) {
 func matcherAgreesWithBruteForce(t *testing.T, seed int64, view viewOf) bool {
 	r := rand.New(rand.NewSource(seed))
 	g, q := randomQuerySetup(r)
-	ref := bruteForceMatches(g, q)
 	got, _ := FindTopKMatches(g, q, MatchOptions{TopK: 1000, Exhaustive: true, View: view(t, g)})
+	ref := bruteForceMatches(t, referenceTwin(seed), q)
 
 	refByKey := make(map[string]float64, len(ref))
 	for _, m := range ref {
@@ -386,7 +399,7 @@ func TestQuickTopKIsBruteForceTopK(t *testing.T) {
 		got, stats := FindTopKMatches(g, q, MatchOptions{TopK: k, View: view(t, g)})
 
 		best := map[string]Match{}
-		for _, m := range bruteForceMatches(g, q) {
+		for _, m := range bruteForceMatches(t, referenceTwin(seed), q) {
 			if old, ok := best[matchKey(m)]; !ok || m.Score > old.Score {
 				best[matchKey(m)] = m
 			}

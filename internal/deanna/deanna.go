@@ -229,8 +229,8 @@ func (s *System) buildDisambiguationGraph(q *core.QueryGraph, edges []edgeCands,
 					res.CoherenceEvals++
 					co := 0.0
 					if c.IsClass {
-						for _, inst := range s.Graph.InstancesOf(c.ID) {
-							if view.HasAdjacentPred(inst, pred) {
+						for _, inst := range view.InPred(c.ID, view.TypeID()) {
+							if view.HasAdjacentPred(inst.To, pred) {
 								co = 1
 								break
 							}

@@ -73,7 +73,7 @@ func BenchmarkLinkerBuild(b *testing.B) {
 }
 
 // TestLinkAllocs: a warm name link allocates its lowered text and its
-// ten candidates, grown five times, and nothing else: the mention's
+// ten candidates, in one array sized from the limit, and nothing else: the mention's
 // tokens, lemmas and ID sets and the skip's head buffers stay on the
 // stack, under the race detector too.
 func TestLinkAllocs(t *testing.T) {
@@ -84,7 +84,7 @@ func TestLinkAllocs(t *testing.T) {
 	lk := linker.New(kb.Graph, linker.Options{})
 	link := func() { sink = lk.Link("Jonas Kowalski 12345", 10) }
 	link()
-	const ceiling = 6
+	const ceiling = 2
 	allocs := testing.AllocsPerRun(100, link)
 	t.Logf("%d candidates, %v allocations a link", len(sink), allocs)
 	if allocs > ceiling {

@@ -750,17 +750,22 @@ func rank(a, b Candidate) int {
 }
 
 // keep adds c to out. With limit > 0, out holds the best limit candidates
-// seen so far, in rank order; otherwise it collects everything unsorted.
+// seen so far, in rank order, in one array of capacity limit made on the
+// first keep; otherwise it collects everything unsorted.
 func keep(out []Candidate, c Candidate, limit int) []Candidate {
-	if limit <= 0 {
+	switch {
+	case limit <= 0:
 		return append(out, c)
-	}
-	if len(out) == limit && rank(c, out[limit-1]) > 0 {
-		return out
+	case out == nil:
+		out = make([]Candidate, 0, limit)
+	case len(out) == limit:
+		if rank(c, out[limit-1]) > 0 {
+			return out
+		}
+		out = out[:limit-1] // the last leaves, so the insert stays in place
 	}
 	i, _ := slices.BinarySearchFunc(out, c, rank)
-	out = slices.Insert(out, i, c)
-	return out[:min(len(out), limit)]
+	return slices.Insert(out, i, c)
 }
 
 // intersect counts the elements two sorted, de-duplicated sets share.

@@ -1,24 +1,26 @@
 package store
 
-// The frozen graph. The mutable Graph is a load-optimized builder — maps
-// and unsorted adjacency slices; every query reads a Snapshot instead: the
-// graph recompacted into K ≥ 1 immutable parts (shard.go) of flat CSR
-// arrays, so the hot operations of §4.2.2 neighborhood pruning —
-// HasAdjacentPred, per-predicate neighbor runs, bound-s / bound-o pattern
-// scans — are binary searches over contiguous memory with no map hashing
-// and no lock. The same type serves a graph whose parts live in other
-// processes: its reader is then the shard-RPC client (remote.go) and
-// nothing above the reader can tell.
+// The frozen graph. Every query reads a Snapshot: the graph compacted into
+// K ≥ 1 immutable parts (shard.go) of flat CSR arrays, so the hot
+// operations of §4.2.2 neighborhood pruning — HasAdjacentPred,
+// per-predicate neighbor runs, bound-s / bound-o pattern scans — are
+// binary searches over contiguous memory with no map hashing and no lock.
+// The same type serves a graph whose parts live in other processes: its
+// reader is then the shard-RPC client (remote.go) and nothing above the
+// reader can tell.
 //
 // Contract: FrozenView/Freeze never return nil — they return the snapshot
-// at the graph's current mutation generation, building it first when the
-// graph mutated since the last one (one build however many readers ask at
-// once; on a sharded graph only the parts whose shard generation moved are
-// rebuilt). A *Snapshot already handed out stays valid and self-contained
-// forever: it shares nothing mutable with the graph, so its readers are
-// safe while the Graph is mutated. Freezing itself reads the mutable
-// structures and follows the graph's single-writer contract: it must not
-// run concurrently with Add/Remove.
+// at the graph's current mutation generation and shard count, building it
+// first when the graph mutated since the last one (one build however many
+// readers ask at once; on a sharded graph only the parts whose shard
+// generation moved are rebuilt). The first freeze reads the graph's
+// insertion-order lists and releases them; the snapshot it builds is from
+// then on the graph's base, and each later freeze reads the base's spans
+// and the rows writes since have thawed (graph.go), then becomes the new
+// base. A *Snapshot already handed out stays valid and self-contained
+// forever: nothing writes to it, so its readers are safe while the Graph
+// is mutated. Freezing follows the graph's single-writer contract: it must
+// not run concurrently with Add/Remove.
 
 import (
 	"context"
@@ -65,9 +67,10 @@ type Snapshot struct {
 }
 
 // SetShards configures vertex-hash sharding: k > 1 partitions the next
-// freeze into k parts; k <= 1 restores the single-part layout. Switching
-// drops the installed snapshot. Not safe to call concurrently with reads
-// or mutation.
+// freeze into k parts; k <= 1 restores the single-part layout. A graph
+// already frozen keeps its snapshot as the base the next freeze
+// re-partitions from; no part of it is reused. Not safe to call
+// concurrently with reads or mutation.
 //
 // The requested count is validated, not trusted: a negative k is treated
 // as 0, and k is clamped to the current vertex count — residue classes
@@ -85,8 +88,7 @@ func (g *Graph) SetShards(k int) int {
 	}
 	g.shardK = k
 	g.shardGens = make([]atomic.Uint64, k)
-	g.snap.Store(nil)
-	g.lastSharded = nil
+	g.resharded = true
 	return k
 }
 
@@ -122,11 +124,10 @@ func (g *Graph) FreezeCtx(ctx context.Context) *Snapshot {
 	}
 	start := time.Now()
 	sp := obs.TraceFrom(ctx).Root().ChildAt("store.freeze", start)
-	sn, rebuilt := g.buildSnapshot(max(g.shardK, 1), g.lastSharded)
-	if sn.k > 1 {
-		g.lastSharded = sn
-	}
+	sn, rebuilt := g.buildSnapshot(max(g.shardK, 1), g.snap.Load())
 	g.snap.Store(sn)
+	g.resharded = false
+	g.out, g.in, g.byPred, g.thawOut, g.thawIn = nil, nil, nil, nil, nil
 	end := time.Now()
 	snapshotBuildSeconds.ObserveDuration(end.Sub(start))
 	snapshotBytes.Set(sn.bytes)
@@ -143,17 +144,19 @@ func (g *Graph) FreezeCtx(ctx context.Context) *Snapshot {
 }
 
 // Frozen returns the installed snapshot, or nil when the graph has never
-// been frozen or has mutated since — a peek that never builds.
+// been frozen, has mutated since or was re-sharded — a peek that never
+// builds.
 func (g *Graph) Frozen() *Snapshot {
-	if sn := g.snap.Load(); sn != nil && sn.gen == g.gen.Load() {
+	if sn := g.snap.Load(); sn != nil && sn.gen == g.gen.Load() && sn.k == max(g.shardK, 1) {
 		return sn
 	}
 	return nil
 }
 
 // buildSnapshot freezes the graph into k parts at its current generation,
-// reusing prev's parts wherever the shard's generation has not moved, and
-// reports how many parts it rebuilt.
+// reusing prev's parts wherever the shard's generation has not moved (and
+// none after a SetShards), and reports how many parts it rebuilt. It
+// installs nothing.
 func (g *Graph) buildSnapshot(k int, prev *Snapshot) (*Snapshot, int) {
 	gen := g.gen.Load()
 	parts := make(localParts, k)
@@ -163,7 +166,7 @@ func (g *Graph) buildSnapshot(k int, prev *Snapshot) (*Snapshot, int) {
 		if k > 1 {
 			pgen = g.shardGens[i].Load()
 		}
-		if prev != nil && prev.k == k && prev.parts[i].gen == pgen {
+		if prev != nil && prev.k == k && !g.resharded && prev.parts[i].gen == pgen {
 			parts[i] = prev.parts[i]
 			continue
 		}
@@ -173,7 +176,7 @@ func (g *Graph) buildSnapshot(k int, prev *Snapshot) (*Snapshot, int) {
 	}
 	sn := &Snapshot{
 		gen: gen, k: k, terms: g.terms, rd: parts, parts: parts,
-		rdfType: g.rdfType, nTriples: len(g.triples),
+		rdfType: g.rdfType, nTriples: g.nTriples,
 	}
 	// Global assembly. Triples/Predicates/Classes are O(1) reads of the
 	// live graph; literals are recounted over the term table so a literal
@@ -188,7 +191,7 @@ func (g *Graph) buildSnapshot(k int, prev *Snapshot) (*Snapshot, int) {
 	sn.stats = Stats{
 		Entities:   len(sn.entities),
 		Classes:    len(g.classes),
-		Triples:    len(g.triples),
+		Triples:    sn.nTriples,
 		Predicates: len(g.preds),
 	}
 	for _, t := range sn.terms {

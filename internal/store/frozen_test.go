@@ -169,9 +169,25 @@ type snapshotShape struct {
 	seeds  int64
 }
 
+// neverFrozen fails the test when ref, a differential's reference, has a
+// snapshot: a frozen graph reads its snapshot, so comparing a Snapshot
+// with it would test nothing. A reference is a twin that is never frozen.
+func neverFrozen(t testing.TB, ref *Graph) {
+	t.Helper()
+	if ref.snap.Load() != nil || len(ref.out) != ref.NumTerms() {
+		t.Fatal("the reference graph has been frozen: it reads its snapshot, not its own lists")
+	}
+}
+
+// twinGraphs builds randomRichGraph twice from seed: the graph a test
+// freezes and its never-frozen twin — same triples, same order.
+func twinGraphs(seed int64) (g, twin *Graph) {
+	return randomRichGraph(rand.New(rand.NewSource(seed))), randomRichGraph(rand.New(rand.NewSource(seed)))
+}
+
 // checkShapes is the snapshot differential over deployment shapes. Each
 // shape's snapshot of a random graph (on even seeds, one that has seen
-// Remove) is checked twice: against the builder's own structures read
+// Remove) is checked twice: against a never-frozen twin of the graph read
 // naively (adjacency scans, the triple set, per-vertex classification),
 // and against the one-part snapshot of the same graph in exact order —
 // every read returns what K = 1 returns, in the same order, not merely the
@@ -181,12 +197,14 @@ func checkShapes(t *testing.T, shapes []snapshotShape) {
 	for _, shape := range shapes {
 		for seed := int64(0); seed < shape.seeds; seed++ {
 			tag := fmt.Sprintf("%s seed %d", shape.name, seed)
+			g, twin := twinGraphs(seed)
 			r := rand.New(rand.NewSource(seed))
-			g := randomRichGraph(r)
+			randomRichGraph(r) // r continues where the graphs' draws end
 			if seed%2 == 0 {
 				for _, spo := range collectVia(g.Match, Any, Any, Any) {
 					if r.Intn(4) == 0 {
 						g.Remove(spo.S, spo.P, spo.O)
+						twin.Remove(spo.S, spo.P, spo.O)
 					}
 				}
 			}
@@ -211,14 +229,14 @@ func checkShapes(t *testing.T, shapes []snapshotShape) {
 			if sn.NumShards() != shape.k {
 				t.Fatalf("%s: %d shards, want %d", tag, sn.NumShards(), shape.k)
 			}
-			checkSnapshot(t, tag, g, ref, sn, r)
+			checkSnapshot(t, tag, twin, ref, sn, r)
 			sn.Close()
 		}
 	}
 }
 
 // TestFrozenEquivalence is the differential at one part: the frozen
-// snapshot against the builder it was frozen from.
+// snapshot against a never-frozen twin of the graph it was frozen from.
 func TestFrozenEquivalence(t *testing.T) {
 	checkShapes(t, []snapshotShape{{"k1", 1, false, 24}})
 }
@@ -244,9 +262,10 @@ func TestRemoteShardSetEquivalence(t *testing.T) {
 // under every binding pattern (bound to each vertex, predicate and present
 // triple, and to random IDs), and its first streamed triple; Has on every
 // present triple, on random probes, on an out-of-range object and on the
-// cross-part table.
+// cross-part table. g is the graph's never-frozen twin.
 func checkSnapshot(t *testing.T, tag string, g *Graph, ref, sn *Snapshot, r *rand.Rand) {
 	t.Helper()
+	neverFrozen(t, g)
 	n := ID(g.NumTerms())
 	if sn.NumTerms() != int(n) || sn.nTriples != g.NumTriples() || len(sn.predIDs) != g.NumPredicates() {
 		t.Fatalf("%s: snapshot sizes %d/%d/%d, builder %d/%d/%d", tag,

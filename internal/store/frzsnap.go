@@ -4,10 +4,10 @@ package store
 // (shard.go): the part's flat CSR arrays, role bitmap and owned-entity
 // list, dumped in their in-memory layout so a load is a bulk read instead
 // of a rebuild. A whole graph is the K = 1 case and is the only one that
-// carries the term dictionary (SaveFrozen / LoadFrozen, which also rebuilds
-// the mutable mirror); a part of a K ≥ 2 export (SaveShardPart /
-// LoadShardPart) is what gqa-shard serves, and its coordinator owns the
-// dictionary.
+// carries the term dictionary (SaveFrozen / LoadFrozen, whose graph is
+// the loaded snapshot and holds no second copy); a part of a K ≥ 2 export
+// (SaveShardPart / LoadShardPart) is what gqa-shard serves, and its
+// coordinator owns the dictionary.
 //
 // Layout (all integers little-endian, fixed width — the format is
 // canonical: a file that loads re-serializes byte-identically):
@@ -334,11 +334,11 @@ func encodeFrzSpos(v []Spo) []byte {
 	return b
 }
 
-// LoadFrozen reads a K = 1 file into a fresh, fully servable graph: the
-// snapshot is installed at its saved generation (the first Frozen() call
-// is a pointer load) and every mutable structure — term index, adjacency,
-// triple set, predicate index, class/instance maps — is rebuilt from the
-// flat arrays, so Add/Remove work exactly as after an N-Triples load.
+// LoadFrozen reads a K = 1 file into a fresh, fully servable graph: a
+// graph that has been frozen, whose snapshot is the file's arrays
+// installed at its saved generation (the first Frozen() call is a pointer
+// load), with the term index rebuilt and no other copy of the graph, so
+// Add/Remove work exactly as after an N-Triples load and a freeze.
 // Corrupt, truncated, or internally inconsistent input is rejected with a
 // positioned error; LoadFrozen never panics on hostile bytes and never
 // returns a graph that answers differently from the one that was saved.
@@ -795,11 +795,11 @@ func validatePart(p *shardPart, m *shardMeta, pr *partReader) error {
 // assembleFrozen is the K = 1 pass: it checks what only the whole graph
 // can — the term dictionary, the vocabulary ID, the role bits that follow
 // from term kinds and the predicate list, rdfs:subClassOf endpoints, the
-// generations and the stats — and then rebuilds the mutable mirror
-// structures (term index, adjacency, triple set, predicate index,
-// class/instance maps) so the returned graph behaves exactly like one
-// built by Intern+Add — including further mutation — with the validated
-// snapshot installed at its saved generation.
+// generations and the stats — and returns a graph that has been frozen:
+// the validated snapshot installed at its saved generation as its base,
+// with its term index and class and predicate sets, and no pending writes.
+// It behaves exactly like a graph built by Intern+Add and frozen —
+// including further mutation, which thaws rows from the base.
 func assembleFrozen(sp *ShardPart, pr *partReader) (*Graph, error) {
 	pt, terms, m := sp.part, sp.terms, &sp.meta
 	n := len(terms)
@@ -834,7 +834,9 @@ func assembleFrozen(sp *ShardPart, pr *partReader) (*Graph, error) {
 	// exactly; the class bit is genuine state, but it must at least cover
 	// the classes the surviving triples imply (validatePart checked the
 	// rdf:type objects).
+	// The graph's class and predicate sets come out of the same pass.
 	stats := Stats{Entities: len(pt.entities), Literals: pt.literals, Triples: len(pt.predTriples), Predicates: len(pt.predIDs)}
+	classes, preds := make(map[ID]struct{}), make(map[ID]int, len(pt.predIDs))
 	pi := 0
 	for v, t := range terms {
 		var want uint8
@@ -846,65 +848,34 @@ func assembleFrozen(sp *ShardPart, pr *partReader) (*Graph, error) {
 		}
 		if pi < len(pt.predIDs) && pt.predIDs[pi] == ID(v) {
 			want |= rolePred
+			preds[ID(v)] = int(pt.predOff[pi+1] - pt.predOff[pi])
 			pi++
 		}
 		if got := pt.roles[v] & (roleIRI | roleLiteral | rolePred); got != want {
 			return nil, pr.fail(frzRoles, "vertex %d has kind/predicate roles %#02x, derived %#02x", v, got, want)
 		}
 		if pt.roles[v]&roleClass != 0 {
-			stats.Classes++
+			classes[ID(v)] = struct{}{}
 		}
 	}
-	// K = 1: a predicate has at most one group.
-	group := func(p ID) []Spo {
-		if gs := parts.predGroups(p); len(gs) > 0 {
-			return gs[0]
-		}
-		return nil
-	}
-	for _, spo := range group(subClass) {
-		if pt.roles[spo.S]&roleClass == 0 || pt.roles[spo.O]&roleClass == 0 {
-			return nil, pr.fail(frzRoles, "rdfs:subClassOf endpoints %d/%d lack the class role", spo.S, spo.O)
+	stats.Classes = len(classes)
+	for _, group := range parts.predGroups(subClass) { // K = 1: at most one
+		for _, spo := range group {
+			if pt.roles[spo.S]&roleClass == 0 || pt.roles[spo.O]&roleClass == 0 {
+				return nil, pr.fail(frzRoles, "rdfs:subClassOf endpoints %d/%d lack the class role", spo.S, spo.O)
+			}
 		}
 	}
 	if m.stats != stats || m.shardGen != m.gen {
 		return nil, pr.fail(frzMeta, "stats %+v at generations %d/%d, derived %+v at one generation", m.stats, m.gen, m.shardGen, stats)
 	}
 
-	// Mutable mirror. Adjacency and predicate-major backing arrays are
-	// copies: Remove shifts entries in place within a vertex's own window,
-	// which must never write through to the immutable snapshot.
-	g := New()
-	g.terms = terms
-	g.index = index
-	g.rdfType, g.subClass, g.labelPred = rdfType, subClass, labelPred
-	outBack := append([]Edge(nil), pt.outEdges...)
-	inBack := append([]Edge(nil), pt.inEdges...)
-	g.out = make([][]Edge, n)
-	g.in = make([][]Edge, n)
-	for v := 0; v < n; v++ {
-		a, b := pt.outOff[v], pt.outOff[v+1]
-		g.out[v] = outBack[a:b:b]
-		a, b = pt.inOff[v], pt.inOff[v+1]
-		g.in[v] = inBack[a:b:b]
-	}
-	g.triples = make(map[Spo]struct{}, len(pt.predTriples))
-	for _, spo := range pt.predTriples {
-		g.triples[spo] = struct{}{}
-	}
-	predBack := append([]Spo(nil), pt.predTriples...)
-	for i, p := range pt.predIDs {
-		a, b := pt.predOff[i], pt.predOff[i+1]
-		g.byPred[p] = predBack[a:b:b]
-		g.preds[p] = int(b - a)
-	}
-	for v := 0; v < n; v++ {
-		if pt.roles[v]&roleClass != 0 {
-			g.classes[ID(v)] = struct{}{}
-		}
-	}
-	for _, spo := range group(rdfType) {
-		g.instances[spo.O] = append(g.instances[spo.O], spo.S)
+	// The graph is the snapshot: no insertion-order lists, no thawed rows, just
+	// the term index, the vocabulary IDs and the class and predicate sets
+	// later writes keep up to date.
+	g := &Graph{
+		terms: terms, index: index, rdfType: rdfType, subClass: subClass, labelPred: labelPred,
+		classes: classes, preds: preds, nTriples: len(pt.predTriples),
 	}
 	g.gen.Store(m.gen)
 	g.snap.Store(&Snapshot{

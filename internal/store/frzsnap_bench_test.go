@@ -63,3 +63,26 @@ func BenchmarkSaveFrozenKB(b *testing.B) {
 		}
 	}
 }
+
+// TestLoadFrozenAllocs: loading the cinema test KB's GQAFRZ1 file
+// allocates the decoded sections, each term's strings and index key, the
+// class and predicate sets and the snapshot, and no second copy of the
+// graph: rebuilding adjacency lists, a triple set or a predicate index
+// beside the snapshot takes it past the ceiling.
+func TestLoadFrozenAllocs(t *testing.T) {
+	g := bench.NewCinemaKB().Graph
+	var frz bytes.Buffer
+	if err := store.SaveFrozen(&frz, g); err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 4234 // measured: 4 222, and 4 234 under -race
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := store.LoadFrozen(bytes.NewReader(frz.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d terms, %d triples: %v allocations a load", g.NumTerms(), g.NumTriples(), allocs)
+	if allocs > ceiling {
+		t.Errorf("LoadFrozen of the cinema test KB allocates %v times, at most %d", allocs, ceiling)
+	}
+}

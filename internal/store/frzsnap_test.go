@@ -104,18 +104,19 @@ func sectionRange(b []byte, sec int) (int, int) {
 // graphs → SaveFrozen → LoadFrozen must reproduce the in-memory Snapshot
 // field-for-field (reflect.DeepEqual over every CSR array, role,
 // stat, and the generation), re-serialize byte-identically (the format is
-// canonical), and rebuild a mutable mirror that answers every read
-// operation like the original.
+// canonical), and give a graph that answers every read operation like a
+// never-frozen twin of the original.
 func TestFrozenDiskDifferential(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		g := randomRichGraph(r)
+		g, twin := twinGraphs(seed)
 		// A few removals so monotone class state and retracted instances are
 		// part of what round-trips.
 		sn0 := g.Freeze()
 		spos := append([]Spo(nil), sn0.parts[0].predTriples...)
 		for i := 0; i < 3 && i < len(spos); i++ {
-			g.Remove(spos[i*len(spos)/3].S, spos[i*len(spos)/3].P, spos[i*len(spos)/3].O)
+			spo := spos[i*len(spos)/3]
+			g.Remove(spo.S, spo.P, spo.O)
+			twin.Remove(spo.S, spo.P, spo.O)
 		}
 		sn := g.Freeze()
 
@@ -139,51 +140,51 @@ func TestFrozenDiskDifferential(t *testing.T) {
 			t.Fatalf("seed %d: re-serialized snapshot is not byte-identical", seed)
 		}
 
-		// Mutable mirror: every read op must agree with the original graph.
-		n := g.NumTerms()
-		if g2.NumTerms() != n || g2.NumTriples() != g.NumTriples() || g2.NumPredicates() != g.NumPredicates() {
+		// The loaded graph: every read op must agree with the twin.
+		neverFrozen(t, twin)
+		n := twin.NumTerms()
+		if g2.NumTerms() != n || g2.NumTriples() != twin.NumTriples() || g2.NumPredicates() != twin.NumPredicates() {
 			t.Fatalf("seed %d: size mismatch after load", seed)
+		}
+		sortedCopy := func(es []Edge) []Edge {
+			es = append([]Edge(nil), es...)
+			sortEdges(es)
+			return es
 		}
 		for v := 0; v < n; v++ {
 			id := ID(v)
-			if got, ok := g2.Lookup(g.Term(id)); !ok || got != id {
+			if got, ok := g2.Lookup(twin.Term(id)); !ok || got != id {
 				t.Fatalf("seed %d: term %d not found at same ID after load", seed, v)
 			}
-			wantOut := append([]Edge(nil), g.Out(id)...)
-			sortEdges(wantOut)
-			if !edgesEqual(wantOut, g2.Out(id)) {
+			if !edgesEqual(sortedCopy(twin.Out(id)), g2.Out(id)) {
 				t.Fatalf("seed %d: out adjacency of %d differs", seed, v)
 			}
-			wantIn := append([]Edge(nil), g.In(id)...)
-			sortEdges(wantIn)
-			if !edgesEqual(wantIn, g2.In(id)) {
+			if !edgesEqual(sortedCopy(twin.In(id)), g2.In(id)) {
 				t.Fatalf("seed %d: in adjacency of %d differs", seed, v)
 			}
-			if g.IsClass(id) != g2.IsClass(id) || g.IsEntity(id) != g2.IsEntity(id) {
-				t.Fatalf("seed %d: role of %d differs", seed, v)
+			if twin.IsClass(id) != g2.IsClass(id) || twin.IsEntity(id) != g2.IsEntity(id) || twin.Degree(id) != g2.Degree(id) {
+				t.Fatalf("seed %d: role or degree of %d differs", seed, v)
 			}
-			if !reflect.DeepEqual(sortedIDs(append([]ID(nil), g.TypesOf(id)...)), sortedIDs(append([]ID(nil), g2.TypesOf(id)...))) {
-				t.Fatalf("seed %d: TypesOf(%d) differs", seed, v)
+			if !reflect.DeepEqual(sortedIDs(typesOf(twin, id)), typesOf(g2, id)) {
+				t.Fatalf("seed %d: types of %d differ", seed, v)
 			}
-			if g.PredCount(id) != g2.PredCount(id) {
-				t.Fatalf("seed %d: PredCount(%d) differs", seed, v)
-			}
-		}
-		for _, c := range g.Classes() {
-			want := sortedIDs(append([]ID(nil), g.InstancesOf(c)...))
-			got := sortedIDs(append([]ID(nil), g2.InstancesOf(c)...))
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("seed %d: InstancesOf(%d) differs", seed, c)
+			if twin.LabelOf(id) != g2.LabelOf(id) || twin.PredCount(id) != g2.PredCount(id) {
+				t.Fatalf("seed %d: LabelOf/PredCount(%d) differs", seed, v)
 			}
 		}
-		g.Match(Any, Any, Any, func(spo Spo) bool {
+		for _, c := range twin.Classes() {
+			if want, got := sortedIDs(instancesOf(twin, c)), instancesOf(g2, c); !reflect.DeepEqual(want, got) {
+				t.Fatalf("seed %d: instances of %d = %v, twin %v", seed, c, got, want)
+			}
+		}
+		twin.Match(Any, Any, Any, func(spo Spo) bool {
 			if !g2.Has(spo.S, spo.P, spo.O) {
 				t.Fatalf("seed %d: triple %v missing after load", seed, spo)
 			}
 			return true
 		})
-		if !reflect.DeepEqual(g.Stats(), g2.Stats()) {
-			t.Fatalf("seed %d: stats differ", seed)
+		if !reflect.DeepEqual(twin.Stats(), g2.Stats()) || !reflect.DeepEqual(twin.Entities(), g2.Entities()) {
+			t.Fatalf("seed %d: stats or entities differ", seed)
 		}
 	}
 }

@@ -5,15 +5,17 @@
 // subgraph matching (§4.2.2) and bidirectional BFS during offline path
 // mining (§3).
 //
-// Terms are interned to dense uint32 IDs. For every vertex the store keeps
-// outgoing and incoming (predicate, neighbor) lists, a predicate-major
-// index for SPARQL-style pattern scans, and the rdf:type machinery used to
-// classify class vertices (Definition 3, condition 2).
+// Terms are interned to dense uint32 IDs. A graph is built as outgoing and
+// incoming (predicate, neighbor) lists and a predicate-major index, and
+// frozen into sorted CSR arrays (frozen.go, shard.go) that from then on
+// are its one copy of the adjacency; the class set records the rdf:type
+// machinery used to classify class vertices (Definition 3, condition 2).
 package store
 
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,40 +42,52 @@ type Spo struct {
 	S, P, O ID
 }
 
-// Graph is the mutable in-memory RDF graph: the builder. It interns terms,
-// accepts Add/Remove, and enumerates its triples in insertion order for the
-// offline miner; every query reads the frozen Snapshot it compacts into
-// (FrozenView, see frozen.go). Its read methods — Match, Has, Out, In,
-// Degree, IsClass, IsEntity, Entities, Stats, TypesOf, HasType, HasTriple —
-// are written over the adjacency lists, independently of the frozen arrays,
-// and are the tests' reference for them: TestFrozenEquivalence, the
-// shard-count and remote equivalence tables, the matcher's brute-force
-// reference and the file-format differentials compare a Snapshot against
-// them. The last three have no other caller and stay for that alone
-// (surface_test.go lists them). The zero value is not usable; call New.
+// Graph is the RDF graph: it interns terms and accepts Add/Remove, and
+// once frozen it is the Snapshot it froze into. Before the
+// first freeze it holds its own insertion-order lists — out/in adjacency
+// and the predicate-major index — and its read methods scan them in that
+// order, which the offline miners' first-N sampling depends on. Freeze
+// (frozen.go) keeps the built snapshot as the graph's base and releases
+// those lists: from then on Out, In, Has, Degree, LabelOf, Match,
+// UndirectedNeighbors, Triples, IsEntity, Entities and Stats read the
+// current local snapshot (re-freezing first when a write is pending), in
+// its sorted order. A write after a freeze thaws only the vertices it
+// touches: their base spans are copied into per-vertex rows and edited
+// there, and the next freeze reads those rows and the base spans
+// everywhere else. The tests' references are twin graphs that are never
+// frozen. The zero value is not usable; call New.
 // Graph is safe for concurrent reads after loading completes; mutation is
-// not synchronized.
+// not synchronized, and the first freeze, which releases the lists, must
+// not run concurrently with reads of them.
 type Graph struct {
 	terms []rdf.Term
 	index map[string]ID // rdf.Term.Key() → ID
 
-	out [][]Edge // out[s]: edges s --p--> o
-	in  [][]Edge // in[o]: edges s --p--> o stored as (p, s)
+	// The insertion-order lists, nil once the graph has been frozen. A
+	// duplicate Add is found by a scan of the subject's out row: O(degree),
+	// like every write.
+	out    [][]Edge     // out[s]: edges s --p--> o, insertion order
+	in     [][]Edge     // in[o]: edges s --p--> o stored as (p, s)
+	byPred map[ID][]Spo // predicate-major index, insertion order
 
-	triples map[Spo]struct{} // set for dedup + O(1) Has
-	byPred  map[ID][]Spo     // predicate-major index
+	// The rows of the vertices written since the last freeze, one map per
+	// side: each starts as a copy of the vertex's base span. Nil until a
+	// write after a freeze; the next freeze folds them in and drops them.
+	thawOut, thawIn map[ID][]Edge
 
 	rdfType   ID // ID of rdf:type, or None
 	subClass  ID // ID of rdfs:subClassOf, or None
 	labelPred ID // ID of rdfs:label, or None
 
-	classes   map[ID]struct{} // vertices that are classes
-	instances map[ID][]ID     // class → direct instances
-	preds     map[ID]int      // predicate → triple count
+	classes  map[ID]struct{} // vertices that are classes
+	preds    map[ID]int      // predicate → triple count
+	nTriples int             // distinct triples
 
 	// gen counts mutations (every Add/Remove bumps it); snap holds the
-	// snapshot frozen at some generation, cleared on mutation. Builds are
-	// serialized by freezeMu. See frozen.go for the freeze contract.
+	// snapshot most recently built, nil until the first freeze: it is
+	// current while its generation is the graph's, and the base a write
+	// thaws from either way. Builds are serialized by freezeMu. See
+	// frozen.go for the freeze contract.
 	gen      atomic.Uint64
 	snap     atomic.Pointer[Snapshot]
 	freezeMu sync.Mutex
@@ -82,10 +96,11 @@ type Graph struct {
 	// unsharded, one part); shardGens carries one mutation generation per
 	// shard — Add/Remove bumps only the endpoint shards' entries, so the
 	// next freeze rebuilds exactly the dirty parts and takes the clean ones
-	// from lastSharded, the most recent sharded snapshot (under freezeMu).
-	shardK      int
-	shardGens   []atomic.Uint64
-	lastSharded *Snapshot
+	// from snap. resharded is set by SetShards (under freezeMu): the
+	// generations restarted, so no part of snap may be reused.
+	shardK    int
+	shardGens []atomic.Uint64
+	resharded bool
 
 	// remoteView, when set, overrides FrozenView with a snapshot whose
 	// parts are served by other processes (see remote.go and
@@ -113,13 +128,11 @@ func (g *Graph) SetRemoteView(v View) {
 func New() *Graph {
 	return &Graph{
 		index:     make(map[string]ID),
-		triples:   make(map[Spo]struct{}),
 		byPred:    make(map[ID][]Spo),
 		rdfType:   None,
 		subClass:  None,
 		labelPred: None,
 		classes:   make(map[ID]struct{}),
-		instances: make(map[ID][]ID),
 		preds:     make(map[ID]int),
 	}
 }
@@ -133,8 +146,10 @@ func (g *Graph) Intern(t rdf.Term) ID {
 	id := ID(len(g.terms))
 	g.terms = append(g.terms, t)
 	g.index[key] = id
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
+	if g.snap.Load() == nil {
+		g.out = append(g.out, nil)
+		g.in = append(g.in, nil)
+	}
 	switch t.Value() {
 	case rdf.RDFType:
 		g.rdfType = id
@@ -185,39 +200,81 @@ func (g *Graph) Add(t rdf.Triple) error {
 func (g *Graph) AddSPO(s, p, o ID) { g.addIDs(s, p, o) }
 
 func (g *Graph) addIDs(s, p, o ID) {
-	spo := Spo{s, p, o}
-	if _, dup := g.triples[spo]; dup {
+	if slices.Contains(g.outRow(s), Edge{Pred: p, To: o}) {
 		return
 	}
-	g.triples[spo] = struct{}{}
+	g.edit(s, p, o, func(row []Edge, e Edge) []Edge { return append(row, e) })
+	if g.byPred != nil {
+		g.byPred[p] = append(g.byPred[p], Spo{s, p, o})
+	}
 	g.invalidateFrozen()
 	// First use of predicate p flips its vertex's rolePred bit, so its
 	// shard must re-run the role pass too, not just the endpoints'.
 	g.dirtyShards(s, o, p, g.preds[p] == 0)
-	g.out[s] = append(g.out[s], Edge{Pred: p, To: o})
-	g.in[o] = append(g.in[o], Edge{Pred: p, To: s})
-	g.byPred[p] = append(g.byPred[p], spo)
 	g.preds[p]++
+	g.nTriples++
 	if p == g.rdfType && g.rdfType != None {
-		g.markClass(o)
-		g.instances[o] = append(g.instances[o], s)
+		g.classes[o] = struct{}{}
 	}
 	if p == g.subClass && g.subClass != None {
-		g.markClass(s)
-		g.markClass(o)
+		g.classes[s], g.classes[o] = struct{}{}, struct{}{}
 	}
 }
 
-func (g *Graph) markClass(c ID) {
-	g.classes[c] = struct{}{}
+// edit applies fn to s's out row, with edge (p, o), and to o's in row,
+// with (p, s): to the insertion-order lists before the first freeze; after it to
+// thawed rows, thawing each from the base on the first write to it.
+func (g *Graph) edit(s, p, o ID, fn func(row []Edge, e Edge) []Edge) {
+	if g.snap.Load() == nil {
+		g.out[s], g.in[o] = fn(g.out[s], Edge{Pred: p, To: o}), fn(g.in[o], Edge{Pred: p, To: s})
+		return
+	}
+	if g.thawOut == nil {
+		g.thawOut, g.thawIn = make(map[ID][]Edge), make(map[ID][]Edge)
+	}
+	g.thawOut[s] = fn(thaw(g.thawOut, s, g.outRow(s)), Edge{Pred: p, To: o})
+	g.thawIn[o] = fn(thaw(g.thawIn, o, g.inRow(o)), Edge{Pred: p, To: s})
 }
 
-// invalidateFrozen bumps the mutation generation and drops the installed
-// frozen snapshot (snapshots already handed out remain valid views of the
-// pre-mutation graph; see frozen.go).
+// thaw returns v's editable row on one side: the row itself once a write
+// since the last freeze made one, else a copy of row, v's base span (which
+// belongs to the immutable snapshot and is never written).
+func thaw(rows map[ID][]Edge, v ID, row []Edge) []Edge {
+	if _, ok := rows[v]; ok {
+		return row
+	}
+	return slices.Clone(row)
+}
+
+// outRow and inRow return v's adjacency on one side as the next freeze
+// reads it: the insertion-order list before the first freeze; after it, v's
+// thawed row when a write since touched v, else v's base span.
+func (g *Graph) outRow(v ID) []Edge {
+	if row, ok := g.thawOut[v]; ok {
+		return row
+	}
+	if base := g.snap.Load(); base != nil {
+		return base.rd.outSpan(v)
+	}
+	return g.out[v]
+}
+
+func (g *Graph) inRow(v ID) []Edge {
+	if row, ok := g.thawIn[v]; ok {
+		return row
+	}
+	if base := g.snap.Load(); base != nil {
+		return base.rd.inSpan(v)
+	}
+	return g.in[v]
+}
+
+// invalidateFrozen bumps the mutation generation, which retires the
+// installed snapshot: Frozen and Freeze no longer return it, but it stays
+// the base later writes thaw from, and snapshots already handed out remain
+// valid views of the pre-mutation graph (see frozen.go).
 func (g *Graph) invalidateFrozen() {
 	g.gen.Add(1)
-	g.snap.Store(nil)
 }
 
 // dirtyShards bumps the shard generations a mutation of triple (s, p, o)
@@ -248,30 +305,27 @@ func (g *Graph) dirtyShards(s, o, p ID, predFlip bool) {
 func (g *Graph) Generation() uint64 { return g.gen.Load() }
 
 // Remove deletes the encoded triple, returning whether it was present.
-// Terms stay interned (IDs remain stable); adjacency, predicate counts and
-// class-instance lists are updated. Removal is O(degree).
+// Terms stay interned (IDs remain stable); adjacency and predicate counts
+// are updated. Removal is O(degree).
 func (g *Graph) Remove(s, p, o ID) bool {
-	spo := Spo{s, p, o}
-	if _, ok := g.triples[spo]; !ok {
+	if !slices.Contains(g.outRow(s), Edge{Pred: p, To: o}) {
 		return false
 	}
-	delete(g.triples, spo)
+	g.edit(s, p, o, removeFirst[Edge])
+	if g.byPred != nil {
+		g.byPred[p] = removeFirst(g.byPred[p], Spo{s, p, o})
+	}
 	g.invalidateFrozen()
 	// Last use of predicate p clears its vertex's rolePred bit (the preds
-	// entry is deleted below), so its shard re-runs the role pass.
+	// entry is deleted below), so its shard re-runs the role pass. A class
+	// stays a class: classification is monotone, matching how the paper
+	// treats vocabulary (a class does not stop being a class because one
+	// instance was retracted).
 	g.dirtyShards(s, o, p, g.preds[p] == 1)
-	g.out[s] = removeEdge(g.out[s], Edge{Pred: p, To: o})
-	g.in[o] = removeEdge(g.in[o], Edge{Pred: p, To: s})
-	g.byPred[p] = removeSpo(g.byPred[p], spo)
 	if g.preds[p]--; g.preds[p] == 0 {
 		delete(g.preds, p)
 	}
-	if p == g.rdfType && g.rdfType != None {
-		g.instances[o] = removeID(g.instances[o], s)
-		// o stays a class: classification is monotone, matching how the
-		// paper treats vocabulary (a class does not stop being a class
-		// because one instance was retracted).
-	}
+	g.nTriples--
 	return true
 }
 
@@ -289,38 +343,20 @@ func (g *Graph) RemoveTriple(t rdf.Triple) bool {
 // RemovePredicate deletes every triple using predicate p, returning the
 // number removed — the dictionary-maintenance trigger of §3.
 func (g *Graph) RemovePredicate(p ID) int {
-	spos := append([]Spo(nil), g.byPred[p]...)
+	var spos []Spo
+	g.Match(Any, p, Any, func(spo Spo) bool { spos = append(spos, spo); return true })
 	for _, spo := range spos {
 		g.Remove(spo.S, spo.P, spo.O)
 	}
 	return len(spos)
 }
 
-func removeEdge(es []Edge, e Edge) []Edge {
-	for i := range es {
-		if es[i] == e {
-			return append(es[:i], es[i+1:]...)
-		}
+// removeFirst deletes the first x from list in place, keeping the order.
+func removeFirst[T comparable](list []T, x T) []T {
+	if i := slices.Index(list, x); i >= 0 {
+		return slices.Delete(list, i, i+1)
 	}
-	return es
-}
-
-func removeSpo(ts []Spo, t Spo) []Spo {
-	for i := range ts {
-		if ts[i] == t {
-			return append(ts[:i], ts[i+1:]...)
-		}
-	}
-	return ts
-}
-
-func removeID(ids []ID, id ID) []ID {
-	for i := range ids {
-		if ids[i] == id {
-			return append(ids[:i], ids[i+1:]...)
-		}
-	}
-	return ids
+	return list
 }
 
 // AddAll inserts every triple, stopping at the first invalid one.
@@ -350,46 +386,61 @@ func (g *Graph) Load(r io.Reader) error {
 	}
 }
 
+// current is the snapshot the read methods answer from once the graph has
+// been frozen — a pointer load, or a re-freeze when a write is pending —
+// and nil before the first freeze, when the insertion-order lists are the graph.
+// Its parts are local: the read methods use them directly.
+func (g *Graph) current() *Snapshot {
+	if g.snap.Load() == nil {
+		return nil
+	}
+	if sn := g.Frozen(); sn != nil {
+		return sn
+	}
+	return g.Freeze()
+}
+
 // Has reports whether the encoded triple is present.
 func (g *Graph) Has(s, p, o ID) bool {
-	_, ok := g.triples[Spo{s, p, o}]
-	return ok
+	if sn := g.current(); sn != nil {
+		return sn.Has(s, p, o)
+	}
+	return int(s) < len(g.out) && slices.Contains(g.out[s], Edge{Pred: p, To: o})
 }
 
-// HasTriple reports whether the term-level triple is present.
-func (g *Graph) HasTriple(t rdf.Triple) bool {
-	s, ok := g.Lookup(t.Subject)
-	if !ok {
-		return false
-	}
-	p, ok := g.Lookup(t.Predicate)
-	if !ok {
-		return false
-	}
-	o, ok := g.Lookup(t.Object)
-	if !ok {
-		return false
-	}
-	return g.Has(s, p, o)
-}
-
-// Out returns the outgoing adjacency list of v. The returned slice is owned
+// Out returns the outgoing adjacency list of v: in insertion order before
+// the first freeze, (Pred, To)-sorted after. The returned slice is owned
 // by the graph and must not be modified.
-func (g *Graph) Out(v ID) []Edge { return g.out[v] }
+func (g *Graph) Out(v ID) []Edge {
+	if sn := g.current(); sn != nil {
+		return sn.parts.outSpan(v)
+	}
+	return g.out[v]
+}
 
 // In returns the incoming adjacency list of v (each Edge.To is the
-// *subject* of the underlying triple).
-func (g *Graph) In(v ID) []Edge { return g.in[v] }
+// *subject* of the underlying triple), ordered as Out.
+func (g *Graph) In(v ID) []Edge {
+	if sn := g.current(); sn != nil {
+		return sn.parts.inSpan(v)
+	}
+	return g.in[v]
+}
 
 // Degree returns the total (in+out) degree of v. The paper uses degree as a
 // popularity prior during entity linking and in the complexity analysis.
-func (g *Graph) Degree(v ID) int { return len(g.out[v]) + len(g.in[v]) }
+func (g *Graph) Degree(v ID) int {
+	if sn := g.current(); sn != nil {
+		return len(sn.parts.outSpan(v)) + len(sn.parts.inSpan(v))
+	}
+	return len(g.out[v]) + len(g.in[v])
+}
 
 // NumTerms returns the number of interned terms.
 func (g *Graph) NumTerms() int { return len(g.terms) }
 
 // NumTriples returns the number of distinct triples.
-func (g *Graph) NumTriples() int { return len(g.triples) }
+func (g *Graph) NumTriples() int { return g.nTriples }
 
 // NumPredicates returns the number of distinct predicates in use.
 func (g *Graph) NumPredicates() int { return len(g.preds) }
@@ -411,34 +462,8 @@ func (g *Graph) IsEntity(v ID) bool {
 	if _, isPred := g.preds[v]; isPred {
 		return false
 	}
-	return len(g.out[v]) > 0 || len(g.in[v]) > 0
+	return g.Degree(v) > 0
 }
-
-// TypesOf returns the direct classes of entity v, in insertion order.
-func (g *Graph) TypesOf(v ID) []ID {
-	if g.rdfType == None {
-		return nil
-	}
-	var out []ID
-	for _, e := range g.out[v] {
-		if e.Pred == g.rdfType {
-			out = append(out, e.To)
-		}
-	}
-	return out
-}
-
-// HasType reports whether entity v has direct type c.
-func (g *Graph) HasType(v, c ID) bool {
-	if g.rdfType == None {
-		return false
-	}
-	return g.Has(v, g.rdfType, c)
-}
-
-// InstancesOf returns the direct instances of class c. The returned slice
-// is owned by the graph.
-func (g *Graph) InstancesOf(c ID) []ID { return g.instances[c] }
 
 // TypeID returns the interned ID of rdf:type, or None if the vocabulary
 // term never appeared.
@@ -457,11 +482,16 @@ func (g *Graph) IsSchemaPred(p ID) bool {
 func (g *Graph) LabelPredID() ID { return g.labelPred }
 
 // LabelOf returns the preferred human label of v: the first rdfs:label
-// literal if any, otherwise the IRI-derived label.
+// literal in Out's order if any — once frozen, in the rdfs:label run one
+// search finds — otherwise the IRI-derived label.
 func (g *Graph) LabelOf(v ID) string {
-	if g.labelPred != None {
-		for _, e := range g.out[v] {
-			if e.Pred == g.labelPred && g.terms[e.To].IsLiteral() {
+	if lp := g.labelPred; lp != None {
+		labels := g.Out(v)
+		if g.snap.Load() != nil {
+			labels = predSpan(labels, lp)
+		}
+		for _, e := range labels {
+			if e.Pred == lp && g.terms[e.To].IsLiteral() {
 				return g.terms[e.To].Value()
 			}
 		}
@@ -472,8 +502,8 @@ func (g *Graph) LabelOf(v ID) string {
 // PredCount returns the number of triples using predicate p.
 func (g *Graph) PredCount(p ID) int { return g.preds[p] }
 
-// Entities returns all entity vertex IDs in ascending order, by per-vertex
-// classification; readers take the precomputed View.Entities instead.
+// Entities returns all entity vertex IDs in ascending order; readers take
+// the precomputed View.Entities instead.
 func (g *Graph) Entities() []ID {
 	var out []ID
 	for v := range g.terms {
@@ -494,17 +524,15 @@ func (g *Graph) Classes() []ID {
 	return out
 }
 
-// Triples copies every triple out in unspecified order. Intended for
+// Triples copies every triple out, in Match(Any, Any, Any) order: none in
+// particular before the first freeze, (P, S, O) after. Intended for
 // serialization and tests, not hot paths.
 func (g *Graph) Triples() []rdf.Triple {
-	out := make([]rdf.Triple, 0, len(g.triples))
-	for spo := range g.triples {
-		out = append(out, rdf.Triple{
-			Subject:   g.terms[spo.S],
-			Predicate: g.terms[spo.P],
-			Object:    g.terms[spo.O],
-		})
-	}
+	out := make([]rdf.Triple, 0, g.NumTriples())
+	g.Match(Any, Any, Any, func(spo Spo) bool {
+		out = append(out, rdf.Triple{Subject: g.terms[spo.S], Predicate: g.terms[spo.P], Object: g.terms[spo.O]})
+		return true
+	})
 	return out
 }
 
@@ -517,8 +545,8 @@ type Stats struct {
 	Predicates int
 }
 
-// Stats computes summary statistics from the mutable structures; readers
-// take the precomputed View.Stats instead.
+// Stats computes summary statistics per vertex; readers take the
+// snapshot's, precomputed at freeze, instead.
 func (g *Graph) Stats() Stats {
 	st := Stats{
 		Triples:    g.NumTriples(),

@@ -36,6 +36,36 @@ func mustID(t *testing.T, g *Graph, term rdf.Term) ID {
 	return id
 }
 
+// typesOf returns v's direct classes, in Out's order.
+func typesOf(g *Graph, v ID) []ID {
+	var out []ID
+	for _, e := range g.Out(v) {
+		if e.Pred == g.TypeID() && g.TypeID() != None {
+			out = append(out, e.To)
+		}
+	}
+	return out
+}
+
+// instancesOf returns the direct instances of class c, in In's order.
+func instancesOf(g *Graph, c ID) []ID {
+	var out []ID
+	for _, e := range g.In(c) {
+		if e.Pred == g.TypeID() && g.TypeID() != None {
+			out = append(out, e.To)
+		}
+	}
+	return out
+}
+
+// hasTriple reports whether the term-level triple is present.
+func hasTriple(g *Graph, t rdf.Triple) bool {
+	s, ok1 := g.Lookup(t.Subject)
+	p, ok2 := g.Lookup(t.Predicate)
+	o, ok3 := g.Lookup(t.Object)
+	return ok1 && ok2 && ok3 && g.Has(s, p, o)
+}
+
 func TestInternIsIdempotent(t *testing.T) {
 	g := New()
 	a := g.Intern(rdf.Resource("X"))
@@ -122,16 +152,16 @@ func TestTypesAndInstances(t *testing.T) {
 	g := smallGraph(t)
 	banderas := mustID(t, g, rdf.Resource("Antonio_Banderas"))
 	actor := mustID(t, g, rdf.Ontology("Actor"))
-	types := g.TypesOf(banderas)
+	types := typesOf(g, banderas)
 	if len(types) != 1 || types[0] != actor {
-		t.Fatalf("TypesOf = %v", types)
+		t.Fatalf("types = %v", types)
 	}
-	if !g.HasType(banderas, actor) {
-		t.Fatal("HasType false")
+	if !g.Has(banderas, g.TypeID(), actor) {
+		t.Fatal("type triple missing")
 	}
-	inst := g.InstancesOf(actor)
+	inst := instancesOf(g, actor)
 	if len(inst) != 1 || inst[0] != banderas {
-		t.Fatalf("InstancesOf = %v", inst)
+		t.Fatalf("instances = %v", inst)
 	}
 }
 
@@ -221,7 +251,7 @@ func TestTriplesRoundTrip(t *testing.T) {
 		t.Fatal("round-trip changed triple count")
 	}
 	for _, tr := range all {
-		if !g2.HasTriple(tr) {
+		if !hasTriple(g2, tr) {
 			t.Fatalf("missing triple %v after round-trip", tr)
 		}
 	}
@@ -229,7 +259,7 @@ func TestTriplesRoundTrip(t *testing.T) {
 
 func TestHasTripleUnknownTerms(t *testing.T) {
 	g := smallGraph(t)
-	if g.HasTriple(rdf.T(rdf.Resource("Nobody"), rdf.Ontology("spouse"), rdf.Resource("Antonio_Banderas"))) {
-		t.Fatal("HasTriple with unknown subject should be false")
+	if hasTriple(g, rdf.T(rdf.Resource("Nobody"), rdf.Ontology("spouse"), rdf.Resource("Antonio_Banderas"))) {
+		t.Fatal("hasTriple with unknown subject should be false")
 	}
 }

@@ -1,10 +1,10 @@
 package store
 
-// Builder enumeration: the offline side of the pipeline — support-set
-// sampling, path mining, dictionary maintenance — walks the mutable graph
-// through Match and the neighbor walks below, in insertion order. Online
-// reads take the frozen View (frozen.go), whose Match has the same
-// dispatch over sorted spans.
+// Graph enumeration: the offline side of the pipeline — support-set
+// sampling, path mining, dictionary maintenance — walks the graph through
+// Match and the neighbor walks below: in insertion order before the first
+// freeze, in the snapshot's sorted order after (graph.go). Online reads
+// take the frozen View (frozen.go) directly.
 
 import "gqa/internal/faultpoint"
 
@@ -14,11 +14,16 @@ const Any ID = None
 // Match calls fn for every triple matching the (s, p, o) pattern, where any
 // position may be Any. Iteration stops early if fn returns false.
 //
-// A bound s scans out[s], a bound o scans in[o], a bound p alone scans the
+// Once the graph has been frozen it is the snapshot's Match. Before, a
+// bound s scans out[s], a bound o scans in[o], a bound p alone scans the
 // predicate-major index — each in insertion order, which the miners'
 // first-N sampling depends on — and the unbound pattern ranges over the
-// triple set in no particular order.
+// predicate groups in no particular order.
 func (g *Graph) Match(s, p, o ID, fn func(Spo) bool) {
+	if sn := g.current(); sn != nil {
+		sn.Match(s, p, o, fn)
+		return
+	}
 	faultpoint.Hit(faultpoint.StoreMatch)
 	switch {
 	case s != Any && p != Any && o != Any:
@@ -59,9 +64,11 @@ func (g *Graph) Match(s, p, o ID, fn func(Spo) bool) {
 			}
 		}
 	default:
-		for spo := range g.triples {
-			if !fn(spo) {
-				return
+		for _, spos := range g.byPred {
+			for _, spo := range spos {
+				if !fn(spo) {
+					return
+				}
 			}
 		}
 	}
@@ -79,14 +86,15 @@ type Neighbor struct {
 }
 
 // UndirectedNeighbors calls fn for every edge incident to v, in both
-// directions. Iteration stops early if fn returns false.
+// directions, out edges first, each side in Out's order. Iteration stops
+// early if fn returns false.
 func (g *Graph) UndirectedNeighbors(v ID, fn func(Neighbor) bool) {
-	for _, e := range g.out[v] {
+	for _, e := range g.Out(v) {
 		if !fn(Neighbor{Pred: e.Pred, To: e.To, Forward: true}) {
 			return
 		}
 	}
-	for _, e := range g.in[v] {
+	for _, e := range g.In(v) {
 		if !fn(Neighbor{Pred: e.Pred, To: e.To, Forward: false}) {
 			return
 		}

@@ -22,15 +22,15 @@ func randomGraph(r *rand.Rand, nVerts, nTriples int) (*Graph, []Spo) {
 	for i := range preds {
 		preds[i] = g.Intern(rdf.Ontology(fmt.Sprintf("p%d", i)))
 	}
-	for i := 0; i < nTriples; i++ {
-		s := verts[r.Intn(len(verts))]
-		p := preds[r.Intn(len(preds))]
-		o := verts[r.Intn(len(verts))]
-		g.AddSPO(s, p, o)
-	}
+	seen := make(map[Spo]bool)
 	var all []Spo
-	for spo := range g.triples {
-		all = append(all, spo)
+	for i := 0; i < nTriples; i++ {
+		spo := Spo{verts[r.Intn(len(verts))], preds[r.Intn(len(preds))], verts[r.Intn(len(verts))]}
+		g.AddSPO(spo.S, spo.P, spo.O)
+		if !seen[spo] {
+			seen[spo] = true
+			all = append(all, spo)
+		}
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]

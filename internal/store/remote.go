@@ -294,24 +294,23 @@ func DialShards(addrs []string, terms []rdf.Term, opts RemoteOptions) (*Snapshot
 	if int(m0.nTerms) != len(terms) {
 		return nil, fmt.Errorf("store: DialShards: shard set froze %d terms, coordinator holds %d — generation mismatch", m0.nTerms, len(terms))
 	}
-	entityLists := make([][]ID, k)
-	predLists := make([][]ID, k)
+	// lists[0] holds each shard's entity list, lists[1] its predicate list.
+	lists := [2][][]ID{make([][]ID, k), make([][]ID, k)}
 	for i := 0; i < k; i++ {
-		resp, err := r.call(i, []byte{shrOpEntities})
-		if err != nil {
-			return nil, fmt.Errorf("store: DialShards: shard %d entities: %w", i, err)
+		for j, op := range [2]byte{shrOpEntities, shrOpPredIDs} {
+			resp, err := r.call(i, []byte{op})
+			if err == nil {
+				lists[j][i], err = decodeReply(i, op, resp, 4, decodeFrzIDs)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("store: DialShards: shard %d %s: %w", i, [2]string{"entities", "predicates"}[j], err)
+			}
 		}
-		entityLists[i] = decodeFrzIDs(resp)
-		resp, err = r.call(i, []byte{shrOpPredIDs})
-		if err != nil {
-			return nil, fmt.Errorf("store: DialShards: shard %d predicates: %w", i, err)
-		}
-		predLists[i] = decodeFrzIDs(resp)
 	}
 	return &Snapshot{
 		gen: m0.gen, k: k, terms: terms, rd: r,
 		rdfType: ID(m0.rdfType), nTriples: int(m0.nTriples), stats: m0.stats,
-		entities: mergeIDLists(entityLists), predIDs: mergeIDLists(predLists),
+		entities: mergeIDLists(lists[0]), predIDs: mergeIDLists(lists[1]),
 	}, nil
 }
 
@@ -466,13 +465,15 @@ func (k Read) appendTo(b []byte) []byte {
 	return b
 }
 
-// decodeSpan decodes the body of an OK reply to a span read; a body no
-// span can have is an error.
-func decodeSpan(body []byte) ([]Edge, error) {
-	if len(body)%8 != 0 {
-		return nil, fmt.Errorf("span reply of %d bytes", len(body))
+// decodeReply decodes the body of shard's OK reply to opcode op, size-byte
+// records. A body that is not a whole number of records is a broken reply,
+// not one to truncate: the error names the shard, the opcode and the
+// byte length.
+func decodeReply[T any](shard int, op byte, body []byte, size int, decode func([]byte) []T) ([]T, error) {
+	if len(body)%size != 0 {
+		return nil, fmt.Errorf("shard %d, opcode %d: reply of %d bytes is not a whole number of %d-byte records", shard, op, len(body), size)
 	}
-	return decodeFrzEdges(body), nil
+	return decode(body), nil
 }
 
 func appendID(b []byte, v ID) []byte {
@@ -496,9 +497,10 @@ func (r *rpcReader) read(k Read) []Edge {
 		}
 	}
 	var span []Edge
-	body, err := r.call(int(k.v)%r.k, k.appendTo(make([]byte, 0, maxReadReq)))
+	shard := int(k.v) % r.k
+	body, err := r.call(shard, k.appendTo(make([]byte, 0, maxReadReq)))
 	if err == nil {
-		span, err = decodeSpan(body)
+		span, err = decodeReply(shard, k.op, body, 8, decodeFrzEdges)
 	}
 	if err != nil {
 		r.degrade()
@@ -618,7 +620,7 @@ func (r *rpcReader) fetchBatch(shard int, reads []Read) bool {
 		if len(sub) == 0 || sub[0] != shrStatusOK {
 			continue
 		}
-		if replies[i], err = decodeSpan(sub[1:]); err != nil {
+		if replies[i], err = decodeReply(shard, reads[i].op, sub[1:], 8, decodeFrzEdges); err != nil {
 			return true
 		}
 		answered[i] = true
@@ -654,12 +656,13 @@ func (r *rpcReader) predGroups(p ID) [][]Spo {
 		go func(shard int) {
 			defer wg.Done()
 			resp, err := r.call(shard, req)
+			if err == nil {
+				results[shard], err = decodeReply(shard, shrOpPredGrp, resp, 12, decodeFrzSpos)
+			}
 			if err != nil {
 				failed.Add(1)
 				r.degrade()
-				return
 			}
-			results[shard] = decodeFrzSpos(resp)
 		}(i)
 	}
 	wg.Wait()

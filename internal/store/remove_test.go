@@ -50,14 +50,14 @@ func TestRemoveTypeTriple(t *testing.T) {
 	typ := g.Intern(rdf.NewIRI(rdf.RDFType))
 	c := g.Intern(rdf.Ontology("C"))
 	g.AddSPO(e, typ, c)
-	if !g.HasType(e, c) {
+	if !g.Has(e, typ, c) {
 		t.Fatal("type missing")
 	}
 	g.Remove(e, typ, c)
-	if g.HasType(e, c) {
+	if g.Has(e, typ, c) {
 		t.Fatal("type survives removal")
 	}
-	if len(g.InstancesOf(c)) != 0 {
+	if len(instancesOf(g, c)) != 0 {
 		t.Fatal("instance list not cleaned")
 	}
 	// The class designation is monotone by design.

@@ -14,7 +14,11 @@ package store
 // A cross-part edge (s, p, o) appears twice — in s's part's out-CSR and
 // o's part's in-CSR; a membership probe reads s's out span wherever o lives.
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // Vertex role bits precomputed at freeze, so the entity list and the
 // stats are array reads instead of per-vertex map probes.
@@ -62,14 +66,15 @@ func localCount(n, shard, k int) int {
 	return (n-shard-1)/k + 1
 }
 
-// buildShardPart recompacts one part from the mutable graph: the local
-// CSRs, owned-subject predicate CSR and roles.
+// buildShardPart recompacts one part from the graph's rows (graph.go: the
+// insertion-order lists before the first freeze; thawed rows and base spans
+// after): the local CSRs, owned-subject predicate CSR and roles.
 func buildShardPart(g *Graph, shard, k int, gen uint64) *shardPart {
 	n := len(g.terms)
 	nLocal := localCount(n, shard, k)
 	p := &shardPart{gen: gen, shard: shard, k: k, nTerms: n}
-	p.outOff, p.outEdges = buildLocalCSR(g.out, shard, k, nLocal)
-	p.inOff, p.inEdges = buildLocalCSR(g.in, shard, k, nLocal)
+	p.outOff, p.outEdges = buildLocalCSR(g.outRow, shard, k, nLocal)
+	p.inOff, p.inEdges = buildLocalCSR(g.inRow, shard, k, nLocal)
 
 	// Predicate-major CSR by counting sort: count the owned triples per
 	// predicate, turn the counts into group offsets, then scatter. The
@@ -136,24 +141,20 @@ func (p *shardPart) arrayBytes() int64 {
 		int64(len(p.entities)+len(p.predIDs))*4
 }
 
-// buildLocalCSR flattens the owned rows of a global adjacency table into
-// local-indexed offset+edge arrays, spans sorted (Pred, To).
-func buildLocalCSR(adj [][]Edge, shard, k, nLocal int) ([]uint32, []Edge) {
+// buildLocalCSR flattens the owned vertices' rows into local-indexed
+// offset+edge arrays, spans sorted (Pred, To).
+func buildLocalCSR(row func(ID) []Edge, shard, k, nLocal int) ([]uint32, []Edge) {
 	off := make([]uint32, nLocal+1)
 	total := 0
 	for l := 0; l < nLocal; l++ {
-		total += len(adj[shard+l*k])
+		total += len(row(ID(shard + l*k)))
 	}
 	edges := make([]Edge, 0, total)
 	for l := 0; l < nLocal; l++ {
 		start := len(edges)
-		edges = append(edges, adj[shard+l*k]...)
-		span := edges[start:]
-		sort.Slice(span, func(i, j int) bool {
-			if span[i].Pred != span[j].Pred {
-				return span[i].Pred < span[j].Pred
-			}
-			return span[i].To < span[j].To
+		edges = append(edges, row(ID(shard+l*k))...)
+		slices.SortFunc(edges[start:], func(a, b Edge) int {
+			return cmp.Or(cmp.Compare(a.Pred, b.Pred), cmp.Compare(a.To, b.To))
 		})
 		off[l+1] = uint32(len(edges))
 	}

@@ -373,6 +373,58 @@ func TestRemoteFailureModes(t *testing.T) {
 			}
 		})
 	}
+
+	// A reply that is not a whole number of records is a failed call, not
+	// one whose tail is dropped: at dial time DialShards fails with the
+	// shard, the opcode and the byte length; a predicate-group reply fails
+	// the read and degrades the request. Shard 1 adds one stray byte to
+	// every reply of one opcode.
+	var raggedOp atomic.Int32
+	raddrs := startFrameShards(t, g, 2, func(srv *ShardServer, req []byte) ([]byte, bool) {
+		resp, ok := srv.handle(req)
+		if srv.part.Shard() == 1 && int32(req[0]) == raggedOp.Load() {
+			resp = append(resp, 0xff)
+		}
+		return resp, ok
+	})
+	for _, tc := range []struct {
+		name string
+		op   byte
+		rec  int
+	}{{"ragged entity list", shrOpEntities, 4}, {"ragged predicate list", shrOpPredIDs, 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			raggedOp.Store(int32(tc.op))
+			defer raggedOp.Store(0)
+			_, err := DialShards(raddrs, g.Terms(), opts)
+			want := fmt.Sprintf("shard 1, opcode %d: reply of ", tc.op)
+			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), fmt.Sprintf("%d-byte records", tc.rec)) {
+				t.Fatalf("DialShards over a ragged reply: err = %v, want one naming %q", err, want)
+			}
+		})
+	}
+	t.Run("ragged predicate-group reply", func(t *testing.T) {
+		rss, err := DialShards(raddrs, g.Terms(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rss.Close()
+		raggedOp.Store(int32(shrOpPredGrp))
+		defer raggedOp.Store(0)
+		ctx, cancel := contextWithTimeout(2 * time.Second)
+		defer cancel()
+		tr := budget.New(ctx, budget.Limits{})
+		bv := rss.BindRequest(tr, nil)
+		var got []Spo
+		bv.Match(Any, probe.P, Any, func(spo Spo) bool { got = append(got, spo); return true })
+		for _, spo := range got {
+			if int(spo.S)%2 == 1 {
+				t.Fatalf("a triple %v of the ragged shard was read", spo)
+			}
+		}
+		if reason, errs := tr.Exhausted(), rpcOf(bv).req.errs.Load(); reason != budget.ReasonShard || errs == 0 {
+			t.Fatalf("budget reason = %q with %d errors, want %q", reason, errs, budget.ReasonShard)
+		}
+	})
 }
 
 // TestRetiredReadsAreUnknown: the four scalar reads a coordinator no

@@ -4,10 +4,11 @@ import "gqa/internal/rdf"
 
 // View is the read-only query surface of a frozen graph. Every read the
 // online pipeline performs — pattern scans, neighborhood pruning,
-// per-predicate degrees, membership tests — goes through it; the mutable
-// Graph only builds (Add/Remove/Intern) and enumerates in insertion order
-// for the offline miner. *Snapshot is the one implementation; the interface
-// exists so tests and the benchmark can wrap it in counting decorators.
+// per-predicate degrees, membership tests — goes through it; the Graph
+// builds (Add/Remove/Intern) and, before its first freeze, enumerates in
+// insertion order for the offline miner. *Snapshot is the one
+// implementation; the interface exists so tests and the benchmark can wrap
+// it in counting decorators.
 //
 // A View is immutable and self-contained: it stays a valid pre-mutation
 // read surface forever, even while the Graph it froze from is mutated.

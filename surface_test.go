@@ -30,11 +30,8 @@ var testOnlySurface = map[string]string{
 	"internal/serve.Server.Draining":           "lets the drain test see the flag BeginDrain set",
 
 	// Fixtures and references the tests compare the engine against.
-	"internal/bench.MustKB":          "BuildKB that panics: the fixture of tests and Go benchmarks",
-	"internal/bench.NewCinemaKB":     "the cinema row of TestWorkloadIdentity and TestCinemaGold: match-local's shape at test size",
-	"internal/store.Graph.HasTriple": "builder read kept as a reference: the N-Triples round trip checks membership through it",
-	"internal/store.Graph.HasType":   "builder read kept as a reference: the matcher's brute-force reference accepts class candidates through it",
-	"internal/store.Graph.TypesOf":   "builder read kept as a reference: the file-format differential compares types through it",
+	"internal/bench.MustKB":      "BuildKB that panics: the fixture of tests and Go benchmarks",
+	"internal/bench.NewCinemaKB": "the cinema row of TestWorkloadIdentity and TestCinemaGold: match-local's shape at test size",
 
 	// The paper's §3 maintenance paragraph: implemented and tested, wired
 	// into no binary yet.
