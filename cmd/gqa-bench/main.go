@@ -259,7 +259,7 @@ func fig6() {
 	fmt.Println()
 	fmt.Println("ambiguity scaling (two ambiguous mentions, m distractors each:")
 	fmt.Println(`"Did Antonio Banderas play in Philadelphia?")`)
-	fmt.Println("m     candidates  ours-total  deanna-total  deanna-coherence-evals  speedup")
+	fmt.Println("m     candidates  ours-steps  ours-total  deanna-total  deanna-coherence-evals  speedup")
 	const question = "Did Antonio Banderas play in Philadelphia?"
 	for _, m := range []int{0, 10, 25, 50, 100, 200} {
 		g := must(bench.AmbiguousKB(m))
@@ -273,6 +273,7 @@ func fig6() {
 		// Warm up, then take the best of 3.
 		var oursT, baseT time.Duration
 		var cohEvals int
+		var steps int64
 		for i := 0; i < 3; i++ {
 			ro := must(oursSys.Answer(question))
 			rb := must(baseSys.Answer(question))
@@ -282,10 +283,10 @@ func fig6() {
 			if baseT == 0 || rb.Timing.Total < baseT {
 				baseT = rb.Timing.Total
 			}
-			cohEvals = rb.CoherenceEvals
+			cohEvals, steps = rb.CoherenceEvals, ro.Stats.Steps
 		}
-		fmt.Printf("%-5d %10d %11s %13s %23d %7.1f×\n",
-			m, m+3, oursT.Round(time.Microsecond), baseT.Round(time.Microsecond),
+		fmt.Printf("%-5d %10d %11d %11s %13s %23d %7.1f×\n",
+			m, m+3, steps, oursT.Round(time.Microsecond), baseT.Round(time.Microsecond),
 			cohEvals, float64(baseT)/float64(oursT))
 	}
 }

@@ -9,10 +9,14 @@ import (
 
 // AmbiguousKB returns the mini-DBpedia augmented with m distractor
 // entities that all carry the label "Philadelphia" and participate in
-// plausible playForTeam subgraphs. It recreates, at a controllable
-// density, the ambiguity DBpedia exhibits for the paper's running example:
-// the mention "Philadelphia" then has 3+m candidates, all of which pass
-// neighborhood pruning, so both engines must do real disambiguation work.
+// plausible playForTeam subgraphs, and m more labeled "Antonio Banderas".
+// It recreates, at a controllable density, the ambiguity DBpedia exhibits
+// for the paper's running example: the mention "Philadelphia" then has 3+m
+// candidates and "Antonio Banderas" 1+m. DEANNA weighs every pair of them.
+// Neighborhood pruning does not keep them all: "play in" maps to starring
+// paths, so of the Philadelphias only Philadelphia_(film) passes, while
+// the m Banderas clones, each starring in a film, all pass (at m = 10, 12
+// candidates are kept and 12 cut).
 //
 // The correct answer is unaffected: no distractor is starred in by an
 // actor married to anyone, so the top match still binds the film.

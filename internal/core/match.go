@@ -100,7 +100,8 @@ type matcher struct {
 	// they cross in one frame per shard. On local parts no hint is built.
 	hints bool
 	// walks, per query edge, is what reachable walks over it: every
-	// multi-step candidate path in both orientations. Built with hints.
+	// multi-step candidate path in both orientations. Built with hints, and
+	// read only by hintSeeds, for a class's many seeds.
 	walks [][]dict.Path
 	q     *QueryGraph
 	opts  MatchOptions
@@ -663,28 +664,30 @@ func (m *matcher) hasAdjPred(u, p store.ID) bool {
 	return m.view.HasAdjacentPred(u, p)
 }
 
-// thresholdReached evaluates the TA stopping rule after a complete round:
-// stop when the cut — the score of the k-th best match found — is above the
-// upper bound on any undiscovered match. The bound is a search state's own
-// sum with every slot at its best, and every anchor at its next candidate
-// (the lists are sorted, so nothing further down is better): a match not
-// yet discovered binds each anchor past this round. Anchor-cost skipping
-// leaves the skipped vertices at their best term — sound, since nothing
-// bounds the position of their candidate in an undiscovered match. The test
-// is strict: an undiscovered match that ties the cut belongs to the result.
+// thresholdReached evaluates the TA stopping rule after a complete round.
+// First exhaustion: every match binds each anchor to one of its candidates,
+// so once any anchor's list is used up every match has been enumerated and
+// none is left to find, whether or not k are held. Then the cut: stop when
+// the score of the k-th best match found is above the upper bound on any
+// undiscovered match. The bound is a search state's own sum with every slot
+// at its best, and every anchor at its next candidate (the lists are
+// sorted, so nothing further down is better): a match not yet discovered
+// binds each anchor past this round. Anchor-cost skipping leaves the
+// skipped vertices at their best term — sound, since nothing bounds the
+// position of their candidate in an undiscovered match. The test is
+// strict: an undiscovered match that ties the cut belongs to the result.
 func (m *matcher) thresholdReached(anchors []int, round int) bool {
+	for _, vi := range anchors {
+		if round+1 >= len(m.cands[vi]) {
+			return true
+		}
+	}
 	theta := m.res.theta
 	if math.IsInf(theta, -1) {
 		return false
 	}
 	st := m.state()
 	for _, vi := range anchors {
-		if round+1 >= len(m.cands[vi]) {
-			// This list is exhausted: every match containing one of its
-			// candidates has been enumerated, so no undiscovered match
-			// exists at all.
-			return true
-		}
 		st.vterm[vi] = m.vlog[vi][round+1]
 	}
 	return theta > st.total()
@@ -1209,9 +1212,11 @@ func (m *matcher) hintNeighborhood() {
 	m.bound.Prefetch(reads)
 }
 
-// hintSeeds tells a remote view the reads that cost a round's seeds, and
-// the hops behind them that the seeds' first extension walks: a frame per
-// shard per hop per round, however many instances a class unrolled to.
+// hintSeeds tells a remote view the reads that cost a round's seeds — the
+// first hop of every walk a seed's first extension makes — and, for a class
+// unrolled to many seeds, the hops behind them: a frame per shard per hop
+// per round, however many instances the class has. A seed alone in its
+// group is left to the walker, which reads each walk ahead as it makes it.
 func (m *matcher) hintSeeds(tasks []seedTask) {
 	var reads []store.Read
 	for i := range tasks {
@@ -1229,13 +1234,15 @@ func (m *matcher) hintSeeds(tasks []seedTask) {
 		for ; hi < len(tasks) && tasks[hi].vi == vi; hi++ {
 			seeds = append(seeds, tasks[hi].u)
 		}
-		st.vterm[vi] = tasks[lo].term
-		var walks []dict.Path
-		for _, ei := range m.adj[vi] {
-			walks = m.liveWalks(walks, st, ei)
+		if len(seeds) > 1 {
+			st.vterm[vi] = tasks[lo].term
+			var walks []dict.Path
+			for _, ei := range m.adj[vi] {
+				walks = m.liveWalks(walks, st, ei)
+			}
+			st.vterm[vi] = m.vbest[vi]
+			dict.PrefetchPaths(m.bound, seeds, walks)
 		}
-		st.vterm[vi] = m.vbest[vi]
-		dict.PrefetchPaths(m.bound, seeds, walks)
 		lo = hi
 	}
 }
@@ -1261,15 +1268,12 @@ func (m *matcher) liveWalks(walks []dict.Path, st *searchState, ei int) []dict.P
 }
 
 // hintFrontier tells a remote view what extend is about to read for every
-// target of a frontier bound to query vertex next. First the type probes
+// target of a frontier bound to query vertex next: the type probes
 // vertexAccepts makes and — for the edges at next that will still have an
 // open end once next is bound — the spans frontierCost and then reachable
-// read one level down; then, for the targets those probes accept and the cut
-// lets extend descend under, the further hops of the multi-step walks the
-// cut leaves to that level. The probes it makes itself to tell which
-// targets are accepted are the ones extend's own loop makes next, and it
-// asks the cut what extend asks, so a hint never reads what the search
-// would not.
+// read one level down, a walk's first hop. The further hops of a
+// multi-step walk are the walker's to read ahead (dict.Walker.Follow), hop
+// by hop as it makes the walk, under the cut of that moment.
 func (m *matcher) hintFrontier(st *searchState, next, bridge int, targets []store.ID) {
 	if len(targets) == 0 {
 		return
@@ -1288,13 +1292,11 @@ func (m *matcher) hintFrontier(st *searchState, next, bridge int, targets []stor
 			open = append(open, ei)
 		}
 	}
-	var fresh []store.ID // the targets extend will try: not bound already
 	var reads []store.Read
 	for _, w := range targets {
 		if m.used(st, w) {
 			continue
 		}
-		fresh = append(fresh, w)
 		if typed {
 			reads = append(reads, store.ReadOut(w))
 		}
@@ -1303,48 +1305,6 @@ func (m *matcher) hintFrontier(st *searchState, next, bridge int, targets []stor
 		}
 	}
 	m.bound.Prefetch(reads)
-
-	multiStep := false
-	for _, ei := range open {
-		multiStep = multiStep || len(m.walks[ei]) > 0
-	}
-	if !multiStep {
-		return
-	}
-	type target struct {
-		w    store.ID
-		term float64
-	}
-	var accepted []target
-	for _, w := range fresh {
-		if vc, ok := m.vertexAccepts(next, w); ok {
-			accepted = append(accepted, target{w, vc.term})
-		}
-	}
-	// The cut sees a target only through its term (nearly always one term
-	// for the whole frontier): one hint per group of equal terms.
-	for len(accepted) > 0 {
-		term := accepted[0].term
-		var group []store.ID
-		rest := accepted[:0]
-		for _, t := range accepted {
-			if t.term == term {
-				group = append(group, t.w)
-			} else {
-				rest = append(rest, t)
-			}
-		}
-		accepted = rest
-		st.vterm[next] = term
-		if !m.below(st) {
-			var walks []dict.Path
-			for _, ei := range open {
-				walks = m.liveWalks(walks, st, ei)
-			}
-			dict.PrefetchPaths(m.bound, group, walks)
-		}
-	}
-	st.vterm[next] = m.vbest[next]
 }
 
 // chooseNext picks the next unmatched vertex. Among query edges bridging

@@ -402,3 +402,35 @@ func TestTAEarlyStops(t *testing.T) {
 		t.Fatalf("exhaustive should probe more: %d vs %d", ex.AnchorsProbed, stats.AnchorsProbed)
 	}
 }
+
+// TestExhaustedAnchorStopsTheSearch: once an anchor's candidate list is
+// used up every match has been enumerated, so the search stops there even
+// while it holds fewer than k matches (θ still −∞). "Did Antonio Banderas
+// play in Philadelphia?" anchors Banderas (one candidate) and Philadelphia
+// (three, pruning off): one round is the whole search, and it finds what
+// the exhaustive search finds.
+func TestExhaustedAnchorStopsTheSearch(t *testing.T) {
+	g, ids := figure1Graph(t)
+	q := phillyQuery(ids)
+	q.Vertices[0] = Vertex{Arg: Argument{Text: "Antonio Banderas"},
+		Candidates: []VertexCandidate{{ID: ids["Antonio_Banderas"], Score: 1}}}
+	opts := MatchOptions{TopK: 10, DisablePruning: true}
+	ta, stats := FindTopKMatches(g, q, opts)
+	opts.Exhaustive = true
+	ex, exStats := FindTopKMatches(g, q, opts)
+	if stats.Rounds != 1 || !stats.EarlyStopped {
+		t.Errorf("TA ran %d rounds (early stopped %v), want 1 (true); exhaustive ran %d",
+			stats.Rounds, stats.EarlyStopped, exStats.Rounds)
+	}
+	if len(ta) == 0 || len(ta) >= opts.TopK {
+		t.Fatalf("TA found %d matches, want between 1 and %d", len(ta), opts.TopK-1)
+	}
+	if len(ta) != len(ex) {
+		t.Fatalf("TA %d matches, exhaustive %d", len(ta), len(ex))
+	}
+	for i := range ta {
+		if ta[i].key() != ex[i].key() || ta[i].Score != ex[i].Score {
+			t.Fatalf("match %d: TA %s (%g), exhaustive %s (%g)", i, ta[i].key(), ta[i].Score, ex[i].key(), ex[i].Score)
+		}
+	}
+}

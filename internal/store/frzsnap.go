@@ -668,6 +668,23 @@ func decodeFrzSpos(b []byte) []Spo {
 	return out
 }
 
+// checkSpan is what every span a reader hands out must be, read from a
+// file or from a shard's reply: each entry's predicate and target are terms
+// (below nTerms), and the entries are strictly (Pred,To)-sorted, as the CSR
+// keeps them and as spanHas's binary search needs. It returns the index of
+// the first entry that is not, and why; -1 for a sound span.
+func checkSpan(span []Edge, nTerms ID) (int, string) {
+	for j, e := range span {
+		if e.Pred >= nTerms || e.To >= nTerms {
+			return j, fmt.Sprintf("references a term out of range (%d terms)", nTerms)
+		}
+		if j > 0 && (e.Pred < span[j-1].Pred || (e.Pred == span[j-1].Pred && e.To <= span[j-1].To)) {
+			return j, "breaks the strict (Pred,To) order"
+		}
+	}
+	return -1, ""
+}
+
 // validatePart is the semantic pass over a decoded part, at every K: it
 // re-derives everything buildShardPart derives from the out and in spans
 // and compares, so a file with consistent checksums cannot hand the
@@ -706,13 +723,8 @@ func validatePart(p *shardPart, m *shardMeta, pr *partReader) error {
 	}{{frzOutEdges, p.outOff, p.outEdges}, {frzInEdges, p.inOff, p.inEdges}} {
 		for l := range p.roles {
 			span := c.edges[c.off[l]:c.off[l+1]]
-			for j, e := range span {
-				if e.Pred >= nTerms || e.To >= nTerms {
-					return pr.fail(c.sec, "edge %d of local vertex %d references a term out of range (%d terms)", j, l, nTerms)
-				}
-				if j > 0 && (e.Pred < span[j-1].Pred || (e.Pred == span[j-1].Pred && e.To <= span[j-1].To)) {
-					return pr.fail(c.sec, "span of local vertex %d not strictly (Pred,To)-sorted at index %d", l, j)
-				}
+			if j, why := checkSpan(span, nTerms); j >= 0 {
+				return pr.fail(c.sec, "edge %d of local vertex %d %s", j, l, why)
 			}
 		}
 	}

@@ -211,9 +211,10 @@ func TestRemoteReadSet(t *testing.T) {
 // cinemaFrameBound is what bench.NewCinemaKB's questions cost on the wire
 // over four shard servers: the frames their searches send (the rpc_calls
 // the core.match spans carry), summed over the questions. It is the count
-// measured when the reader's reads became spans alone; a hint that stops
-// reaching its reads, or a read that stops being hinted, sends more.
-const cinemaFrameBound = 61
+// measured with the walker alone reading a walk's further hops ahead; a
+// hint that stops reaching its reads, a read that stops being hinted, or a
+// second read-ahead of the same hops sends more.
+const cinemaFrameBound = 45
 
 // TestCinemaRPCFrames pins the frames a real workload's searches send: the
 // cinema questions, answered by the whole pipeline over four counted

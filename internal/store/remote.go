@@ -234,9 +234,10 @@ func (st *rpcReq) store(k Read, span []Edge) {
 // shardClient is the connection state shared by every reader over one set
 // of shard servers; safe for concurrent use by many requests.
 type shardClient struct {
-	k     int
-	opts  RemoteOptions
-	pools []*shardConnPool
+	k      int
+	nTerms ID // the frozen graph's term count: every ID a reply carries is below it
+	opts   RemoteOptions
+	pools  []*shardConnPool
 }
 
 // rpcReader is the reader over K shard servers. req is nil on the shared
@@ -294,6 +295,7 @@ func DialShards(addrs []string, terms []rdf.Term, opts RemoteOptions) (*Snapshot
 	if int(m0.nTerms) != len(terms) {
 		return nil, fmt.Errorf("store: DialShards: shard set froze %d terms, coordinator holds %d — generation mismatch", m0.nTerms, len(terms))
 	}
+	r.nTerms = ID(m0.nTerms)
 	// lists[0] holds each shard's entity list, lists[1] its predicate list.
 	lists := [2][][]ID{make([][]ID, k), make([][]ID, k)}
 	for i := 0; i < k; i++ {
@@ -476,13 +478,27 @@ func decodeReply[T any](shard int, op byte, body []byte, size int, decode func([
 	return decode(body), nil
 }
 
+// decodeSpan decodes shard's OK reply to span read k and checks it as a
+// file's span is checked (checkSpan). A reply that fails is a failed call,
+// and its error names the shard, the opcode, the vertex and the entry.
+func (r *rpcReader) decodeSpan(shard int, k Read, body []byte) ([]Edge, error) {
+	span, err := decodeReply(shard, k.op, body, 8, decodeFrzEdges)
+	if err != nil {
+		return nil, err
+	}
+	if j, why := checkSpan(span, r.nTerms); j >= 0 {
+		return nil, fmt.Errorf("shard %d, opcode %d, vertex %d: entry %d %s", shard, k.op, k.v, j, why)
+	}
+	return span, nil
+}
+
 func appendID(b []byte, v ID) []byte {
 	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
 // read answers one per-vertex read: from the request's read set when this
 // request has made (or prefetched) it before, otherwise by one round trip
-// to the shard owning k.v. Only a successful reply enters the set; a
+// to the shard owning k.v (fetch). Only a sound reply enters the set; a
 // failed read degrades the request and answers empty, and the next ask
 // goes to the wire again.
 func (r *rpcReader) read(k Read) []Edge {
@@ -496,12 +512,7 @@ func (r *rpcReader) read(k Read) []Edge {
 			return span
 		}
 	}
-	var span []Edge
-	shard := int(k.v) % r.k
-	body, err := r.call(shard, k.appendTo(make([]byte, 0, maxReadReq)))
-	if err == nil {
-		span, err = decodeReply(shard, k.op, body, 8, decodeFrzEdges)
-	}
+	span, err := r.fetch(k)
 	if err != nil {
 		r.degrade()
 		return nil
@@ -510,6 +521,16 @@ func (r *rpcReader) read(k Read) []Edge {
 		st.store(k, span)
 	}
 	return span
+}
+
+// fetch makes read k as one call to the shard owning k.v.
+func (r *rpcReader) fetch(k Read) ([]Edge, error) {
+	shard := int(k.v) % r.k
+	body, err := r.call(shard, k.appendTo(make([]byte, 0, maxReadReq)))
+	if err != nil {
+		return nil, err
+	}
+	return r.decodeSpan(shard, k, body)
 }
 
 func (r *rpcReader) outSpan(v ID) []Edge    { return r.read(ReadOut(v)) }
@@ -620,7 +641,7 @@ func (r *rpcReader) fetchBatch(shard int, reads []Read) bool {
 		if len(sub) == 0 || sub[0] != shrStatusOK {
 			continue
 		}
-		if replies[i], err = decodeReply(shard, reads[i].op, sub[1:], 8, decodeFrzEdges); err != nil {
+		if replies[i], err = r.decodeSpan(shard, reads[i], sub[1:]); err != nil {
 			return true
 		}
 		answered[i] = true

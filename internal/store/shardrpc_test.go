@@ -425,6 +425,96 @@ func TestRemoteFailureModes(t *testing.T) {
 			t.Fatalf("budget reason = %q with %d errors, want %q", reason, errs, budget.ReasonShard)
 		}
 	})
+
+	// A span reply must be what a file's span must be (checkSpan): every ID
+	// a term, the entries strictly (Pred,To)-sorted. Shard 1 answers every
+	// span read, alone or in a batch, with a broken span: one with an ID
+	// past the term count (which the first Term of that edge would index
+	// with), and one out of order (which spanHas's binary search would
+	// misread). The read fails as a call does — the request degrades as
+	// shard-unavailable, with no retry and the shard left up — and the
+	// call's error names the shard, the opcode, the vertex and the entry.
+	// A batch carrying a broken sub-reply stores nothing, so the read
+	// behind it goes to the wire and fails the same.
+	var brokenSpan atomic.Pointer[[]byte]
+	saddrs := startFrameShards(t, g, 2, func(srv *ShardServer, req []byte) ([]byte, bool) {
+		resp, ok := srv.handle(req)
+		bad := brokenSpan.Load()
+		if bad == nil || srv.part.Shard() != 1 || resp[0] != shrStatusOK {
+			return resp, ok
+		}
+		switch req[0] {
+		case shrOpOut, shrOpIn, shrOpOutPred, shrOpInPred:
+			return append([]byte{shrStatusOK}, *bad...), ok
+		case shrOpBatch:
+			out := []byte{shrStatusOK}
+			for rest := resp[1:]; len(rest) >= 4; rest = rest[4+binary.LittleEndian.Uint32(rest):] {
+				out = binary.LittleEndian.AppendUint32(out, uint32(1+len(*bad)))
+				out = append(append(out, shrStatusOK), *bad...)
+			}
+			return out, ok
+		}
+		return resp, ok
+	})
+	var owned Spo // a triple whose subject shard 1 owns
+	sn.Match(Any, Any, Any, func(s Spo) bool { owned = s; return int(s.S)%2 == 0 })
+	read := ReadPred(owned.S, owned.P, true)
+	for _, tc := range []struct {
+		name  string
+		span  []Edge
+		entry int
+		why   string
+	}{
+		{"span reply out of range", []Edge{{Pred: 5, To: 0xFFFFFF00}, {Pred: 1, To: 3}}, 0, "out of range"},
+		{"unsorted span reply", []Edge{{Pred: 1, To: 3}, {Pred: 1, To: 2}}, 1, "(Pred,To) order"},
+	} {
+		for _, batched := range []bool{false, true} {
+			name := tc.name + ", single read"
+			if batched {
+				name = tc.name + ", batch"
+			}
+			t.Run(name, func(t *testing.T) {
+				rss, err := DialShards(saddrs, g.Terms(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rss.Close()
+				bad := encodeFrzEdges(tc.span)
+				brokenSpan.Store(&bad)
+				defer brokenSpan.Store(nil)
+				ctx, cancel := contextWithTimeout(2 * time.Second)
+				defer cancel()
+				tr := budget.New(ctx, budget.Limits{})
+				bv := rss.BindRequest(tr, nil)
+				st := rpcOf(bv).req
+				wantCalls := int64(1)
+				if batched {
+					bv.Prefetch([]Read{read})
+					if reason, errs := tr.Exhausted(), st.errs.Load(); reason != "" || errs != 0 {
+						t.Fatalf("the prefetch alone degraded the request: reason %q, %d errors", reason, errs)
+					}
+					wantCalls++
+				}
+				if span := bv.OutPred(owned.S, owned.P); len(span) != 0 {
+					t.Fatalf("a broken reply was read as %d edges", len(span))
+				}
+				if reason, errs := tr.Exhausted(), st.errs.Load(); reason != budget.ReasonShard || errs != 1 {
+					t.Fatalf("budget reason = %q with %d errors, want %q with 1", reason, errs, budget.ReasonShard)
+				}
+				if calls, retries, hits := st.calls.Load(), st.retries.Load(), st.readHits.Load(); calls != wantCalls || retries != 0 || hits != 0 {
+					t.Fatalf("calls = %d, retries = %d, hits = %d; want %d, 0, 0", calls, retries, hits, wantCalls)
+				}
+				if rpcOf(rss).pools[1].isDown() {
+					t.Fatal("a broken reply marked the shard down")
+				}
+				_, err = rpcOf(rss.BindRequest(nil, nil)).fetch(read) // this request's budget is spent
+				want := fmt.Sprintf("shard 1, opcode %d, vertex %d: entry %d", shrOpOutPred, owned.S, tc.entry)
+				if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), tc.why) {
+					t.Fatalf("err = %v, want one naming %q and %q", err, want, tc.why)
+				}
+			})
+		}
+	}
 }
 
 // TestRetiredReadsAreUnknown: the four scalar reads a coordinator no
