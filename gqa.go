@@ -72,8 +72,8 @@ type Options struct {
 
 // CacheConfig sizes the answer cache (see Options.Cache).
 type CacheConfig struct {
-	// Entries is the maximum number of cached results (answers and SPARQL
-	// result sets share the capacity). Zero disables caching.
+	// Entries is the maximum number of cached answers (SPARQL results are
+	// not cached). Zero disables caching.
 	Entries int
 }
 

@@ -177,10 +177,10 @@ func TestLoadSystemErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old[8] = 2
-	if _, err := Open(Source{Frozen: write("v2.frz", string(old))}, Options{}); err == nil ||
-		!strings.Contains(err.Error(), "version 2 is not readable by this build (version 3)") {
-		t.Errorf("Open(version 2 snapshot) = %v, want the version refusal", err)
+	old[8] = 3
+	if _, err := Open(Source{Frozen: write("v3.frz", string(old))}, Options{}); err == nil ||
+		!strings.Contains(err.Error(), "version 3 is not readable by this build (version 4)") {
+		t.Errorf("Open(version 3 snapshot) = %v, want the version refusal", err)
 	}
 	// gqa-serve tells "no snapshot yet" from "snapshot rejected" by this.
 	for _, src := range []Source{{Frozen: filepath.Join(dir, "absent.frz")}, {Graph: filepath.Join(dir, "absent.nt")}, {Dict: filepath.Join(dir, "absent.tsv")}} {

@@ -1,6 +1,7 @@
 package linker_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -75,7 +76,10 @@ func BenchmarkLinkerBuild(b *testing.B) {
 // TestLinkAllocs: a warm name link allocates its lowered text and its
 // ten candidates, in one array sized from the limit, and nothing else: the mention's
 // tokens, lemmas and ID sets and the skip's head buffers stay on the
-// stack, under the race detector too.
+// stack, under the race detector too. A link that can find only one
+// candidate — a director's unique name on the cinema KB, as match-local
+// links — sizes that array for one: 8 bytes of lowered text and one
+// 16-byte candidate, where an array sized from the limit took 160.
 func TestLinkAllocs(t *testing.T) {
 	kb, err := nlScale()
 	if err != nil {
@@ -90,4 +94,28 @@ func TestLinkAllocs(t *testing.T) {
 	if allocs > ceiling {
 		t.Errorf("a warm name link allocates %v times, at most %d", allocs, ceiling)
 	}
+
+	cinema := linker.New(bench.NewCinemaKB().Graph, linker.Options{})
+	unique := func() { sink = cinema.Link("Zuvabix", 10) }
+	unique()
+	if len(sink) != 1 {
+		t.Fatalf("the cinema director's name links %d candidates, want its one", len(sink))
+	}
+	const byteCeiling = 32 // measured: 24, and 32 under -race
+	if b := bytesPerRun(100, unique); b > byteCeiling {
+		t.Errorf("a unique-hit link allocates %d bytes, at most %d", b, byteCeiling)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call
+// of f allocates, averaged over runs, on one P.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }

@@ -434,11 +434,13 @@ func (l *Linker) link(text string, limit int) ([]Candidate, work) {
 	}
 	lists := make([]list, 0, 8)
 	var union [16]uint32
+	size := 0 // the postings that reach a slot: at least the slots a call keeps
 	for _, t := range sortedSet(append(append(union[:0], m.raw...), m.lem...)) {
 		ls := list{at: l.postOff[t], end: l.postOff[t+1], reaches: true}
 		if ls.at == ls.end {
 			continue
 		}
+		size += int(ls.end - ls.at)
 		if slices.Contains(m.raw, t) {
 			ls.raw = 1
 		}
@@ -592,7 +594,7 @@ func (l *Linker) link(text string, limit int) ([]Candidate, work) {
 			}
 			w.scored++
 			if c, ok := l.candidate(s, &m); ok {
-				out = keep(out, c, limit)
+				out = keep(out, c, limit, min(limit, size))
 			}
 		}
 	}
@@ -750,14 +752,16 @@ func rank(a, b Candidate) int {
 }
 
 // keep adds c to out. With limit > 0, out holds the best limit candidates
-// seen so far, in rank order, in one array of capacity limit made on the
-// first keep; otherwise it collects everything unsorted.
-func keep(out []Candidate, c Candidate, limit int) []Candidate {
+// seen so far, in rank order, in one array of capacity size made on the
+// first keep, where size ≤ limit bounds how many candidates the call can
+// find, so the array never grows; otherwise it collects everything
+// unsorted.
+func keep(out []Candidate, c Candidate, limit, size int) []Candidate {
 	switch {
 	case limit <= 0:
 		return append(out, c)
 	case out == nil:
-		out = make([]Candidate, 0, limit)
+		out = make([]Candidate, 0, size)
 	case len(out) == limit:
 		if rank(c, out[limit-1]) > 0 {
 			return out

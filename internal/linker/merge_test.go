@@ -165,7 +165,7 @@ func (l *merger) mergeLink(text string, limit int) ([]Candidate, int, int) {
 			}
 			scored++
 			if c, ok := l.candidate(s, &m); ok {
-				out = keep(out, c, limit)
+				out = keep(out, c, limit, limit)
 			}
 		}
 	}

@@ -24,29 +24,31 @@ package store
 //	EOF (trailing bytes are rejected)
 //
 // Sections, in order: meta, terms, outOff, outEdges, inOff, inEdges,
-// predIDs, predOff, predTriples, roles, entities. meta is the 92-byte
-// shardMeta encoding the shard RPC's meta reply also uses; terms is a
-// uint32 count followed by records (kind byte, then value/datatype/lang
-// each as uint32 length + bytes) when K = 1 and empty otherwise; the rest
-// are raw element dumps whose lengths are cross-checked against the term,
-// triple and owned-vertex counts in meta before a payload byte is read.
+// predIDs, roles, entities. meta is the 92-byte shardMeta encoding the
+// shard RPC's meta reply also uses; terms is a uint32 count followed by
+// records (kind byte, then value/datatype/lang each as uint32 length +
+// bytes) when K = 1 and empty otherwise; the rest are raw element dumps
+// whose lengths are cross-checked against the term, triple and
+// owned-vertex counts in meta before a payload byte is read.
 //
 // Trust model: the CRCs catch accidental corruption; validatePart catches
 // files whose checksums are consistent but whose content is not — at every
 // K it re-derives what a part can know about itself (offsets, span order
-// and range, the predicate-major groups from the out spans, the entity
-// role, entity list and literal count, in-edges whose subject the part
-// owns) and compares. What a part cannot re-derive is authoritative and
-// CRC-only: the term bytes, the class role (classification is monotone: a
-// class survives its last type edge), and for K ≥ 2 the term-kind and
-// predicate role bits, in-edges from subjects another part owns (the
-// edges, and which owned vertex's span holds them), and the global facts
-// in meta (generations, counts, rdf:type, stats) — those the coordinator
-// cross-checks between parts at dial time. At K = 1
-// assembleFrozen closes every one of them but the first two against the
-// term dictionary. A file that loads answers queries exactly like the graph
-// that saved it, or it is rejected with an error naming the section and its
-// byte offset; it never panics.
+// and range, the predicate list from the out spans, the entity role,
+// entity list and literal count, in-edges whose subject the part owns)
+// and compares. A part holds each edge once per direction and has no
+// predicate-major copy: a predicate scan walks the out spans. What a part
+// cannot re-derive is authoritative and CRC-only: the term bytes, the
+// class role (classification is monotone: a class survives its last type
+// edge), and for K ≥ 2 the term-kind and predicate role bits, in-edges
+// from subjects another part owns and out-edges to objects another part
+// owns (the edges, and which owned vertex's span holds them: their other
+// copy is in the other part), and the global facts in meta (generations,
+// counts, rdf:type, stats) — those the coordinator cross-checks between
+// parts at dial time. At K = 1 assembleFrozen closes every one of them
+// but the first two against the term dictionary. A file that loads
+// answers queries exactly like the graph that saved it, or it is rejected
+// with an error naming the section and its byte offset; it never panics.
 //
 // Version-bump policy: any change to the section list, section encodings or
 // header layout bumps frozenVersion, and no reader for an older version is
@@ -60,13 +62,14 @@ import (
 	"hash/crc32"
 	"hash/fnv"
 	"io"
+	"slices"
 
 	"gqa/internal/rdf"
 )
 
 const (
 	frozenMagic   = "GQAFRZ1\n"
-	frozenVersion = 3
+	frozenVersion = 4
 )
 
 // Section indexes. The order is part of the format: the directory and the
@@ -79,8 +82,6 @@ const (
 	frzInOff
 	frzInEdges
 	frzPredIDs
-	frzPredOff
-	frzPredTriples
 	frzRoles
 	frzEntities
 	frzSectionCount
@@ -88,13 +89,13 @@ const (
 
 var frzSectionNames = [frzSectionCount]string{
 	"meta", "terms", "outOff", "outEdges", "inOff", "inEdges",
-	"predIDs", "predOff", "predTriples", "roles", "entities",
+	"predIDs", "roles", "entities",
 }
 
 // frzElemSize is the element width of each array section.
 var frzElemSize = [frzSectionCount]uint64{
 	frzOutOff: 4, frzOutEdges: 8, frzInOff: 4, frzInEdges: 8, frzPredIDs: 4,
-	frzPredOff: 4, frzPredTriples: 12, frzRoles: 1, frzEntities: 4,
+	frzRoles: 1, frzEntities: 4,
 }
 
 const (
@@ -245,11 +246,9 @@ func (sp *ShardPart) Save(w io.Writer) error {
 	secs[frzOutEdges] = encodeFrzEdges(p.outEdges)
 	secs[frzInOff] = encodeFrzU32s(p.inOff)
 	secs[frzInEdges] = encodeFrzEdges(p.inEdges)
-	secs[frzPredIDs] = encodeFrzIDs(p.predIDs)
-	secs[frzPredOff] = encodeFrzU32s(p.predOff)
-	secs[frzPredTriples] = encodeFrzSpos(p.predTriples)
+	secs[frzPredIDs] = encodeFrzU32s(p.predIDs)
 	secs[frzRoles] = p.roles
-	secs[frzEntities] = encodeFrzIDs(p.entities)
+	secs[frzEntities] = encodeFrzU32s(p.entities)
 
 	var dir []byte
 	for _, s := range secs {
@@ -299,15 +298,9 @@ func encodeFrozenTerms(terms []rdf.Term) []byte {
 	return tb
 }
 
-func encodeFrzU32s(v []uint32) []byte {
-	b := make([]byte, 0, 4*len(v))
-	for _, x := range v {
-		b = binary.LittleEndian.AppendUint32(b, x)
-	}
-	return b
-}
-
-func encodeFrzIDs(v []ID) []byte {
+// encodeFrzU32s and decodeFrzU32s are the codec of the uint32 sections:
+// offsets and ID lists.
+func encodeFrzU32s[T ~uint32](v []T) []byte {
 	b := make([]byte, 0, 4*len(v))
 	for _, x := range v {
 		b = binary.LittleEndian.AppendUint32(b, uint32(x))
@@ -489,21 +482,19 @@ func (pr *partReader) load(wantShard bool) (*ShardPart, error) {
 	// length included, is rejected here, not after a huge allocation.
 	count := func(sec int) uint64 { return pr.dir[sec].length / frzElemSize[sec] }
 	nLocal := uint64(localCount(int(m.nTerms), int(m.shard), int(m.k)))
-	nOut, nPreds := count(frzOutEdges), count(frzPredIDs)
+	nOut := count(frzOutEdges)
 	minEdges := uint64(0)
 	if m.k == 1 {
 		minEdges = m.nTriples
 	}
 	bounds := [frzSectionCount][2]uint64{
-		frzOutOff:      {nLocal + 1, nLocal + 1},
-		frzOutEdges:    {minEdges, m.nTriples},
-		frzInOff:       {nLocal + 1, nLocal + 1},
-		frzInEdges:     {minEdges, m.nTriples},
-		frzPredIDs:     {min(nOut, 1), min(nOut, m.nTerms)},
-		frzPredOff:     {nPreds + 1, nPreds + 1},
-		frzPredTriples: {nOut, nOut},
-		frzRoles:       {nLocal, nLocal},
-		frzEntities:    {0, nLocal},
+		frzOutOff:   {nLocal + 1, nLocal + 1},
+		frzOutEdges: {minEdges, m.nTriples},
+		frzInOff:    {nLocal + 1, nLocal + 1},
+		frzInEdges:  {minEdges, m.nTriples},
+		frzPredIDs:  {min(nOut, 1), min(nOut, m.nTerms)},
+		frzRoles:    {nLocal, nLocal},
+		frzEntities: {0, nLocal},
 	}
 	for sec := frzOutOff; sec < frzSectionCount; sec++ {
 		if pr.dir[sec].length%frzElemSize[sec] != 0 {
@@ -529,21 +520,19 @@ func (pr *partReader) load(wantShard bool) (*ShardPart, error) {
 	}
 
 	p := &shardPart{
-		gen:         m.shardGen,
-		shard:       int(m.shard),
-		k:           int(m.k),
-		nTerms:      int(m.nTerms),
-		outOff:      decodeFrzU32s(payloads[frzOutOff]),
-		outEdges:    decodeFrzEdges(payloads[frzOutEdges]),
-		inOff:       decodeFrzU32s(payloads[frzInOff]),
-		inEdges:     decodeFrzEdges(payloads[frzInEdges]),
-		predIDs:     decodeFrzIDs(payloads[frzPredIDs]),
-		predOff:     decodeFrzU32s(payloads[frzPredOff]),
-		predTriples: decodeFrzSpos(payloads[frzPredTriples]),
-		roles:       append(make([]uint8, 0, nLocal), payloads[frzRoles]...),
-		literals:    int(m.literals),
+		gen:      m.shardGen,
+		shard:    int(m.shard),
+		k:        int(m.k),
+		nTerms:   int(m.nTerms),
+		outOff:   decodeFrzU32s[uint32](payloads[frzOutOff]),
+		outEdges: decodeFrzEdges(payloads[frzOutEdges]),
+		inOff:    decodeFrzU32s[uint32](payloads[frzInOff]),
+		inEdges:  decodeFrzEdges(payloads[frzInEdges]),
+		predIDs:  decodeFrzU32s[ID](payloads[frzPredIDs]),
+		roles:    append(make([]uint8, 0, nLocal), payloads[frzRoles]...),
+		literals: int(m.literals),
 	}
-	if ents := decodeFrzIDs(payloads[frzEntities]); len(ents) > 0 {
+	if ents := decodeFrzU32s[ID](payloads[frzEntities]); len(ents) > 0 {
 		p.entities = ents
 	}
 	p.bytes = p.arrayBytes()
@@ -629,18 +618,10 @@ func decodeFrozenTerms(b []byte, want uint64) ([]rdf.Term, error) {
 	return terms, nil
 }
 
-func decodeFrzU32s(b []byte) []uint32 {
-	out := make([]uint32, len(b)/4)
+func decodeFrzU32s[T ~uint32](b []byte) []T {
+	out := make([]T, len(b)/4)
 	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	return out
-}
-
-func decodeFrzIDs(b []byte) []ID {
-	out := make([]ID, len(b)/4)
-	for i := range out {
-		out[i] = ID(binary.LittleEndian.Uint32(b[4*i:]))
+		out[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return out
 }
@@ -694,37 +675,26 @@ func checkSpan(span []Edge, nTerms ID) (int, string) {
 // per-triple map.
 func validatePart(p *shardPart, m *shardMeta, pr *partReader) error {
 	nTerms := ID(p.nTerms)
-	for _, c := range [3]struct {
-		sec    int
-		off    []uint32
-		end    int
-		strict bool // every predicate has at least one triple
-	}{
-		{frzOutOff, p.outOff, len(p.outEdges), false},
-		{frzInOff, p.inOff, len(p.inEdges), false},
-		{frzPredOff, p.predOff, len(p.predTriples), true},
-	} {
+	for _, c := range [2]struct {
+		sec, edgeSec int
+		off          []uint32
+		edges        []Edge
+	}{{frzOutOff, frzOutEdges, p.outOff, p.outEdges}, {frzInOff, frzInEdges, p.inOff, p.inEdges}} {
 		if c.off[0] != 0 {
 			return pr.fail(c.sec, "first offset %d, want 0", c.off[0])
 		}
 		for i := 1; i < len(c.off); i++ {
-			if c.off[i] < c.off[i-1] || (c.strict && c.off[i] == c.off[i-1]) {
+			if c.off[i] < c.off[i-1] {
 				return pr.fail(c.sec, "offset %d does not increase (%d after %d)", i, c.off[i], c.off[i-1])
 			}
 		}
-		if last := c.off[len(c.off)-1]; int(last) != c.end {
-			return pr.fail(c.sec, "final offset %d, want element count %d", last, c.end)
+		if last := c.off[len(c.off)-1]; int(last) != len(c.edges) {
+			return pr.fail(c.sec, "final offset %d, want element count %d", last, len(c.edges))
 		}
-	}
-	for _, c := range [2]struct {
-		sec   int
-		off   []uint32
-		edges []Edge
-	}{{frzOutEdges, p.outOff, p.outEdges}, {frzInEdges, p.inOff, p.inEdges}} {
 		for l := range p.roles {
 			span := c.edges[c.off[l]:c.off[l+1]]
 			if j, why := checkSpan(span, nTerms); j >= 0 {
-				return pr.fail(c.sec, "edge %d of local vertex %d %s", j, l, why)
+				return pr.fail(c.edgeSec, "edge %d of local vertex %d %s", j, l, why)
 			}
 		}
 	}
@@ -734,24 +704,24 @@ func validatePart(p *shardPart, m *shardMeta, pr *partReader) error {
 		}
 	}
 
-	// One walk over the owned vertices, ascending: the predicate-major
-	// groups must be exactly what the walk scatters (the cursor fill of
-	// buildShardPart, replayed as a comparison), and an edge with both
+	// One walk over the owned vertices, ascending: the predicate list must
+	// be exactly the out edges' predicates — each out edge's predicate is on
+	// it, and each entry labels an out edge — and an edge with both
 	// endpoints owned must be in both CSRs.
-	cursor := append([]uint32(nil), p.predOff[:len(p.predIDs)]...)
+	used := make([]bool, len(p.predIDs))
 	bothOut, bothIn := 0, 0
 	for l := range p.roles {
 		v := ID(p.shard + l*p.k)
 		gi := 0
 		for _, e := range p.outEdges[p.outOff[l]:p.outOff[l+1]] {
 			if gi < len(p.predIDs) && p.predIDs[gi] != e.Pred {
-				gi += lowerBoundID(p.predIDs[gi:], e.Pred)
+				off, _ := slices.BinarySearch(p.predIDs[gi:], e.Pred)
+				gi += off
 			}
-			if gi == len(p.predIDs) || p.predIDs[gi] != e.Pred || cursor[gi] == p.predOff[gi+1] ||
-				p.predTriples[cursor[gi]] != (Spo{S: v, P: e.Pred, O: e.To}) {
-				return pr.fail(frzPredTriples, "out edge (%d,%d,%d) is not the next triple of its predicate group", v, e.Pred, e.To)
+			if gi == len(p.predIDs) || p.predIDs[gi] != e.Pred {
+				return pr.fail(frzPredIDs, "out edge (%d,%d,%d) has a predicate the list lacks", v, e.Pred, e.To)
 			}
-			cursor[gi]++
+			used[gi] = true
 			if int(e.To)%p.k == p.shard {
 				bothOut++
 			}
@@ -763,6 +733,11 @@ func validatePart(p *shardPart, m *shardMeta, pr *partReader) error {
 					return pr.fail(frzInEdges, "in edge (%d,%d,%d) is not in its owned subject's out span", e.To, e.Pred, v)
 				}
 			}
+		}
+	}
+	for i, u := range used {
+		if !u {
+			return pr.fail(frzPredIDs, "predicate %d labels no out edge", p.predIDs[i])
 		}
 	}
 	if bothIn != bothOut {
@@ -846,9 +821,14 @@ func assembleFrozen(sp *ShardPart, pr *partReader) (*Graph, error) {
 	// exactly; the class bit is genuine state, but it must at least cover
 	// the classes the surviving triples imply (validatePart checked the
 	// rdf:type objects).
-	// The graph's class and predicate sets come out of the same pass.
-	stats := Stats{Entities: len(pt.entities), Literals: pt.literals, Triples: len(pt.predTriples), Predicates: len(pt.predIDs)}
+	// The graph's class and predicate sets come out of the same pass, the
+	// predicates' triple counts out of one pass over the out edges.
+	stats := Stats{Entities: len(pt.entities), Literals: pt.literals, Triples: len(pt.outEdges), Predicates: len(pt.predIDs)}
 	classes, preds := make(map[ID]struct{}), make(map[ID]int, len(pt.predIDs))
+	perPred := make([]int, n)
+	for _, e := range pt.outEdges {
+		perPred[e.Pred]++
+	}
 	pi := 0
 	for v, t := range terms {
 		var want uint8
@@ -860,7 +840,7 @@ func assembleFrozen(sp *ShardPart, pr *partReader) (*Graph, error) {
 		}
 		if pi < len(pt.predIDs) && pt.predIDs[pi] == ID(v) {
 			want |= rolePred
-			preds[ID(v)] = int(pt.predOff[pi+1] - pt.predOff[pi])
+			preds[ID(v)] = perPred[v]
 			pi++
 		}
 		if got := pt.roles[v] & (roleIRI | roleLiteral | rolePred); got != want {
@@ -871,11 +851,9 @@ func assembleFrozen(sp *ShardPart, pr *partReader) (*Graph, error) {
 		}
 	}
 	stats.Classes = len(classes)
-	for _, group := range parts.predGroups(subClass) { // K = 1: at most one
-		for _, spo := range group {
-			if pt.roles[spo.S]&roleClass == 0 || pt.roles[spo.O]&roleClass == 0 {
-				return nil, pr.fail(frzRoles, "rdfs:subClassOf endpoints %d/%d lack the class role", spo.S, spo.O)
-			}
+	for _, spo := range pt.predGroup(subClass) {
+		if pt.roles[spo.S]&roleClass == 0 || pt.roles[spo.O]&roleClass == 0 {
+			return nil, pr.fail(frzRoles, "rdfs:subClassOf endpoints %d/%d lack the class role", spo.S, spo.O)
 		}
 	}
 	if m.stats != stats || m.shardGen != m.gen {
@@ -887,12 +865,12 @@ func assembleFrozen(sp *ShardPart, pr *partReader) (*Graph, error) {
 	// later writes keep up to date.
 	g := &Graph{
 		terms: terms, index: index, rdfType: rdfType, subClass: subClass, labelPred: labelPred,
-		classes: classes, preds: preds, nTriples: len(pt.predTriples),
+		classes: classes, preds: preds, nTriples: len(pt.outEdges),
 	}
 	g.gen.Store(m.gen)
 	g.snap.Store(&Snapshot{
 		gen: m.gen, k: 1, terms: terms, rd: parts, parts: parts,
-		rdfType: rdfType, nTriples: len(pt.predTriples), predIDs: pt.predIDs,
+		rdfType: rdfType, nTriples: len(pt.outEdges), predIDs: pt.predIDs,
 		entities: pt.entities, stats: stats, bytes: pt.bytes,
 	})
 	return g, nil

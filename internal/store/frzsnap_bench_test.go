@@ -75,7 +75,12 @@ func TestLoadFrozenAllocs(t *testing.T) {
 	if err := store.SaveFrozen(&frz, g); err != nil {
 		t.Fatal(err)
 	}
-	const ceiling = 4234 // measured: 4 222, and 4 234 under -race
+	// Measured: 4 219, and 4 228 under -race; the two predicate-major
+	// sections a part no longer carries took 4 222 and 4 234.
+	ceiling := 4219.0
+	if raceEnabled {
+		ceiling = 4228
+	}
 	allocs := testing.AllocsPerRun(10, func() {
 		if _, err := store.LoadFrozen(bytes.NewReader(frz.Bytes())); err != nil {
 			t.Fatal(err)
@@ -83,6 +88,6 @@ func TestLoadFrozenAllocs(t *testing.T) {
 	})
 	t.Logf("%d terms, %d triples: %v allocations a load", g.NumTerms(), g.NumTriples(), allocs)
 	if allocs > ceiling {
-		t.Errorf("LoadFrozen of the cinema test KB allocates %v times, at most %d", allocs, ceiling)
+		t.Errorf("LoadFrozen of the cinema test KB allocates %v times, at most %v", allocs, ceiling)
 	}
 }

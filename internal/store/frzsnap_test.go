@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -112,7 +113,8 @@ func TestFrozenDiskDifferential(t *testing.T) {
 		// A few removals so monotone class state and retracted instances are
 		// part of what round-trips.
 		sn0 := g.Freeze()
-		spos := append([]Spo(nil), sn0.parts[0].predTriples...)
+		var spos []Spo // in (P, S, O) order
+		sn0.Match(Any, Any, Any, func(spo Spo) bool { spos = append(spos, spo); return true })
 		for i := 0; i < 3 && i < len(spos); i++ {
 			spo := spos[i*len(spos)/3]
 			g.Remove(spo.S, spo.P, spo.O)
@@ -227,7 +229,8 @@ func TestFrozenLoadedGraphMutates(t *testing.T) {
 		nBefore := sn.nTriples
 
 		mutate := func(gg *Graph) {
-			spos := append([]Spo(nil), sn.parts[0].predTriples...)
+			var spos []Spo // in (P, S, O) order
+			sn.Match(Any, Any, Any, func(spo Spo) bool { spos = append(spos, spo); return true })
 			for i := 0; i < 4 && i < len(spos); i++ {
 				spo := spos[i*len(spos)/4]
 				if !gg.Remove(spo.S, spo.P, spo.O) {
@@ -282,9 +285,10 @@ func TestFrozenEmptyGraph(t *testing.T) {
 // edge — so a flipped class bit that leaves the entity derivation unchanged
 // describes a different valid graph); for a part of K>1, which has no term
 // dictionary to check against, also the term-kind and predicate role bits,
-// in-edges whose subject another part owns (their bytes, and which owned
-// vertex's span an offset puts them in), and the global facts in meta
-// (generations, term/triple counts, rdf:type ID, stats).
+// in-edges whose subject another part owns and out-edges whose object
+// another part owns (their bytes, and which owned vertex's span an offset
+// puts them in: the part holds each of them once), and the global facts in
+// meta (generations, term/triple counts, rdf:type ID, stats).
 func TestFrozenCorruptionMatrix(t *testing.T) {
 	const partK, partShard = 3, 1
 	loadFrozen := func(b []byte) error { _, err := LoadFrozen(bytes.NewReader(b)); return err }
@@ -306,15 +310,15 @@ func TestFrozenCorruptionMatrix(t *testing.T) {
 					return (off >= 8 && off < 44) || off >= 52
 				case frzRoles:
 					return uint8(1<<bit) < roleEntity
-				case frzInEdges:
-					lo, _ := sectionRange(valid, frzInEdges)
-					subject := binary.LittleEndian.Uint32(valid[lo+off/8*8+4:])
-					return subject%partK != partShard
-				case frzInOff: // a boundary moved across in-edges of foreign subjects only
-					lo, _ := sectionRange(valid, frzInOff)
+				case frzInEdges, frzOutEdges: // an edge whose other end is foreign
+					lo, _ := sectionRange(valid, sec)
+					other := binary.LittleEndian.Uint32(valid[lo+off/8*8+4:])
+					return other%partK != partShard
+				case frzInOff, frzOutOff: // a boundary moved across edges whose other end is foreign only
+					lo, _ := sectionRange(valid, sec)
 					old := binary.LittleEndian.Uint32(valid[lo+off/4*4:])
 					moved := old ^ 1<<(off%4*8+bit)
-					elo, ehi := sectionRange(valid, frzInEdges)
+					elo, ehi := sectionRange(valid, sec+1)
 					if int(max(old, moved)) > (ehi-elo)/8 {
 						return false
 					}
@@ -406,7 +410,7 @@ func TestFrozenCorruptionMatrix(t *testing.T) {
 			}
 
 			// Version and magic tampering with a re-fixed header CRC: the file
-			// of the previous version (it had a twelfth section) and of the next
+			// of the previous version (it had eleven sections) and of the next
 			// are refused by the version message, which names both versions;
 			// a foreign magic is named in the error.
 			for _, v := range []uint32{frozenVersion - 1, frozenVersion + 1} {
@@ -424,6 +428,51 @@ func TestFrozenCorruptionMatrix(t *testing.T) {
 				t.Fatalf("wrong magic: err = %v, want one naming the magic found", err)
 			}
 		})
+	}
+}
+
+// TestFrozenPredicateListCoverage: a part's predicate list is derived
+// state — exactly its out edges' predicates, ascending. A file whose list
+// has an entry that labels no out edge, or lacks one an out edge has, is
+// refused with a positioned error at K = 1 and for a part of K = 3, though
+// its checksums and lengths are consistent: Save writes the part as given.
+func TestFrozenPredicateListCoverage(t *testing.T) {
+	g := randomRichGraph(rand.New(rand.NewSource(3)))
+	for _, k := range []int{1, 3} {
+		g.SetShards(k)
+		sp := g.Freeze().Part(k / 2)
+		ids := sp.part.predIDs
+		unused := ID(0) // the least term that labels none of the part's out edges
+		for i := 0; i < len(ids) && ids[i] == unused; i++ {
+			unused++
+		}
+		extra := slices.Insert(slices.Clone(ids), int(unused), unused)
+		for _, tc := range []struct {
+			name string
+			ids  []ID
+			want string
+		}{
+			{"an entry that labels no out edge", extra, fmt.Sprintf("predicate %d labels no out edge", unused)},
+			{"no entry for an out edge's predicate", ids[1:], "has a predicate the list lacks"},
+		} {
+			part := *sp.part
+			part.predIDs = tc.ids
+			bad := *sp
+			bad.part = &part
+			var buf bytes.Buffer
+			if err := bad.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if k == 1 {
+				_, err = LoadFrozen(&buf)
+			} else {
+				_, err = LoadShardPart(&buf)
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "section predIDs (byte offset ") {
+				t.Errorf("K=%d, a predicate list with %s: err = %v, want one naming %q in section predIDs", k, tc.name, err, tc.want)
+			}
+		}
 	}
 }
 

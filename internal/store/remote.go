@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -302,7 +303,7 @@ func DialShards(addrs []string, terms []rdf.Term, opts RemoteOptions) (*Snapshot
 		for j, op := range [2]byte{shrOpEntities, shrOpPredIDs} {
 			resp, err := r.call(i, []byte{op})
 			if err == nil {
-				lists[j][i], err = decodeReply(i, op, resp, 4, decodeFrzIDs)
+				lists[j][i], err = decodeReply(i, op, resp, 4, decodeFrzU32s[ID])
 			}
 			if err != nil {
 				return nil, fmt.Errorf("store: DialShards: shard %d %s: %w", i, [2]string{"entities", "predicates"}[j], err)
@@ -479,17 +480,54 @@ func decodeReply[T any](shard int, op byte, body []byte, size int, decode func([
 }
 
 // decodeSpan decodes shard's OK reply to span read k and checks it as a
-// file's span is checked (checkSpan). A reply that fails is a failed call,
-// and its error names the shard, the opcode, the vertex and the entry.
+// file's span is checked (checkSpan); a per-predicate run must also carry
+// only the predicate asked for. A reply that fails is a failed call, and
+// its error names the shard, the opcode, the vertex and the entry.
 func (r *rpcReader) decodeSpan(shard int, k Read, body []byte) ([]Edge, error) {
 	span, err := decodeReply(shard, k.op, body, 8, decodeFrzEdges)
 	if err != nil {
 		return nil, err
 	}
-	if j, why := checkSpan(span, r.nTerms); j >= 0 {
+	j, why := checkSpan(span, r.nTerms)
+	if j < 0 && (k.op == shrOpOutPred || k.op == shrOpInPred) {
+		if j = slices.IndexFunc(span, func(e Edge) bool { return e.Pred != k.p }); j >= 0 {
+			why = fmt.Sprintf("is not of predicate %d", k.p)
+		}
+	}
+	if j >= 0 {
 		return nil, fmt.Errorf("shard %d, opcode %d, vertex %d: entry %d %s", shard, k.op, k.v, j, why)
 	}
 	return span, nil
+}
+
+// fetchGroup reads shard's group of predicate p as one call and checks the
+// reply: each triple's subject and object are terms, its predicate is p (a
+// term), its subject is one the shard owns, and the triples are strictly
+// (S, O)-sorted, as mergeSpoGroups needs. A broken reply is a failed call
+// whose error names the shard, the opcode, the predicate and the entry.
+func (r *rpcReader) fetchGroup(shard int, p ID) ([]Spo, error) {
+	body, err := r.call(shard, Read{op: shrOpPredGrp, v: p}.appendTo(nil))
+	if err != nil {
+		return nil, err
+	}
+	group, err := decodeReply(shard, shrOpPredGrp, body, 12, decodeFrzSpos)
+	for j, t := range group {
+		why := ""
+		switch {
+		case t.S >= r.nTerms || t.O >= r.nTerms:
+			why = fmt.Sprintf("references a term out of range (%d terms)", r.nTerms)
+		case t.P != p:
+			why = "is of another predicate"
+		case int(t.S)%r.k != shard:
+			why = "has a subject the shard does not own"
+		case j > 0 && (t.S < group[j-1].S || (t.S == group[j-1].S && t.O <= group[j-1].O)):
+			why = "breaks the strict (S,O) order"
+		default:
+			continue
+		}
+		return nil, fmt.Errorf("shard %d, opcode %d, predicate %d: entry %d %s", shard, shrOpPredGrp, p, j, why)
+	}
+	return group, err
 }
 
 func appendID(b []byte, v ID) []byte {
@@ -658,17 +696,17 @@ func (r *rpcReader) fetchBatch(shard int, reads []Read) bool {
 }
 
 // predGroups is the over-the-wire scatter-gather of a predicate-major
-// scan: every shard's (S,O)-sorted group for p is fetched concurrently. A
-// failed leg degrades the request;
-// the caller merges whatever arrived, so a doomed scan still terminates
-// promptly with partial (budget-flagged) results.
+// scan: every shard's (S,O)-sorted group for p is fetched concurrently,
+// and each reply is checked (fetchGroup). A failed leg — a failed call or
+// a broken reply, which is not retried — degrades the request; the caller
+// merges whatever arrived, so a doomed scan still terminates promptly with
+// partial (budget-flagged) results.
 func (r *rpcReader) predGroups(p ID) [][]Spo {
 	var parent *obs.Span
 	if r.req != nil {
 		parent = r.req.sp
 	}
 	sp := parent.Child("rpc.gather")
-	req := Read{op: shrOpPredGrp, v: p}.appendTo(nil)
 	results := make([][]Spo, r.k)
 	var failed atomic.Int64
 	var wg sync.WaitGroup
@@ -676,14 +714,12 @@ func (r *rpcReader) predGroups(p ID) [][]Spo {
 		wg.Add(1)
 		go func(shard int) {
 			defer wg.Done()
-			resp, err := r.call(shard, req)
-			if err == nil {
-				results[shard], err = decodeReply(shard, shrOpPredGrp, resp, 12, decodeFrzSpos)
-			}
+			group, err := r.fetchGroup(shard, p)
 			if err != nil {
 				failed.Add(1)
 				r.degrade()
 			}
+			results[shard] = group
 		}(i)
 	}
 	wg.Wait()

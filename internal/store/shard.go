@@ -5,19 +5,21 @@ package store
 // holds their full out- and in-adjacency as CSR arrays with every span
 // sorted by (Pred, To). A monolithic snapshot is simply K = 1. Because a
 // vertex lives wholly in one part, every per-vertex read is one-part and
-// returns the same sorted span at every K; the predicate-major index is
-// restricted to owned subjects, and since subjects partition by residue a
-// k-way merge of the per-part (S, O)-sorted groups reproduces the global
-// order exactly. That order identity is what keeps answers byte-identical
-// across shard counts and across the process boundary.
+// returns the same sorted span at every K. A predicate-major scan is not
+// an index of its own: a part's group of predicate p is the p-runs of its
+// owned subjects' out spans, walked in ascending subject order, which is
+// (S, O) order; since subjects partition by residue a k-way merge of the
+// per-part groups reproduces the global order exactly. That order identity
+// is what keeps answers byte-identical across shard counts and across the
+// process boundary.
 //
-// A cross-part edge (s, p, o) appears twice — in s's part's out-CSR and
-// o's part's in-CSR; a membership probe reads s's out span wherever o lives.
+// Each edge (s, p, o) is stored twice, once per direction: in s's part's
+// out-CSR and o's part's in-CSR; a membership probe reads s's out span
+// wherever o lives.
 
 import (
 	"cmp"
 	"slices"
-	"sort"
 )
 
 // Vertex role bits precomputed at freeze, so the entity list and the
@@ -46,11 +48,8 @@ type shardPart struct {
 	inOff    []uint32
 	inEdges  []Edge
 
-	// Predicate-major CSR restricted to owned subjects: predIDs
-	// ascending, groups sorted (S, O).
-	predIDs     []ID
-	predOff     []uint32
-	predTriples []Spo
+	// The predicates of the owned subjects' out edges, ascending.
+	predIDs []ID
 
 	roles    []uint8 // role bitmap, local-indexed
 	entities []ID    // owned entity vertices, ascending global IDs
@@ -68,7 +67,7 @@ func localCount(n, shard, k int) int {
 
 // buildShardPart recompacts one part from the graph's rows (graph.go: the
 // insertion-order lists before the first freeze; thawed rows and base spans
-// after): the local CSRs, owned-subject predicate CSR and roles.
+// after): the local CSRs, the out edges' predicate list and roles.
 func buildShardPart(g *Graph, shard, k int, gen uint64) *shardPart {
 	n := len(g.terms)
 	nLocal := localCount(n, shard, k)
@@ -76,29 +75,14 @@ func buildShardPart(g *Graph, shard, k int, gen uint64) *shardPart {
 	p.outOff, p.outEdges = buildLocalCSR(g.outRow, shard, k, nLocal)
 	p.inOff, p.inEdges = buildLocalCSR(g.inRow, shard, k, nLocal)
 
-	// Predicate-major CSR by counting sort: count the owned triples per
-	// predicate, turn the counts into group offsets, then scatter. The
-	// scatter walks subjects ascending and each span in (Pred, To) order, so
-	// every group fills in (S, O) order with no comparison sort.
-	cursor := make([]uint32, n) // per predicate: triple count, then next free slot
+	used := make([]bool, n)
 	for _, e := range p.outEdges {
-		cursor[e.Pred]++
+		used[e.Pred] = true
 	}
-	p.predIDs, p.predOff = []ID{}, []uint32{0}
-	for id, c := range cursor {
-		if c > 0 {
-			start := p.predOff[len(p.predOff)-1]
+	p.predIDs = []ID{}
+	for id, u := range used {
+		if u {
 			p.predIDs = append(p.predIDs, ID(id))
-			p.predOff = append(p.predOff, start+c)
-			cursor[id] = start
-		}
-	}
-	p.predTriples = make([]Spo, len(p.outEdges))
-	for l := 0; l < nLocal; l++ {
-		s := ID(shard + l*k)
-		for _, e := range p.outEdges[p.outOff[l]:p.outOff[l+1]] {
-			p.predTriples[cursor[e.Pred]] = Spo{S: s, P: e.Pred, O: e.To}
-			cursor[e.Pred]++
 		}
 	}
 
@@ -135,8 +119,7 @@ func buildShardPart(g *Graph, shard, k int, gen uint64) *shardPart {
 // arrayBytes is the approximate heap size of the part's arrays.
 func (p *shardPart) arrayBytes() int64 {
 	return int64(len(p.outEdges)+len(p.inEdges))*8 +
-		int64(len(p.outOff)+len(p.inOff)+len(p.predOff))*4 +
-		int64(len(p.predTriples))*12 +
+		int64(len(p.outOff)+len(p.inOff))*4 +
 		int64(len(p.roles)) +
 		int64(len(p.entities)+len(p.predIDs))*4
 }
@@ -226,12 +209,6 @@ func spanHas(span []Edge, p, o ID) bool {
 	return lo < len(span) && span[lo].Pred == p && span[lo].To == o
 }
 
-// lowerBoundID returns the first index in an ascending ID list with
-// ids[i] >= id.
-func lowerBoundID(ids []ID, id ID) int {
-	return sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-}
-
 // ------------------------------------------------------- the local reader
 
 // localParts is the in-process reader: element i is part i of
@@ -277,10 +254,26 @@ func (ps localParts) predGroups(pred ID) [][]Spo {
 		if p == nil {
 			continue
 		}
-		i := lowerBoundID(p.predIDs, pred)
-		if i < len(p.predIDs) && p.predIDs[i] == pred && p.predOff[i+1] > p.predOff[i] {
-			groups = append(groups, p.predTriples[p.predOff[i]:p.predOff[i+1]])
+		if group := p.predGroup(pred); len(group) > 0 {
+			groups = append(groups, group)
 		}
 	}
 	return groups
+}
+
+// predGroup is the part's (S, O)-sorted group of predicate pred: it walks
+// the owned subjects in ascending order and takes each out span's
+// pred-run; empty for a predicate no out edge has.
+func (p *shardPart) predGroup(pred ID) []Spo {
+	if _, ok := slices.BinarySearch(p.predIDs, pred); !ok {
+		return nil
+	}
+	var group []Spo
+	for l := range p.roles {
+		s := ID(p.shard + l*p.k)
+		for _, e := range predSpan(p.outEdges[p.outOff[l]:p.outOff[l+1]], pred) {
+			group = append(group, Spo{S: s, P: pred, O: e.To})
+		}
+	}
+	return group
 }

@@ -281,15 +281,11 @@ func (s *ShardServer) answer(req []byte) []byte {
 		if !need(1) {
 			return shardErrResp("predGroup: want 1 arg")
 		}
-		var group []Spo
-		if gs := rd.predGroups(arg(0)); len(gs) > 0 {
-			group = gs[0]
-		}
-		return append(out, encodeFrzSpos(group)...)
+		return append(out, encodeFrzSpos(p.predGroup(arg(0)))...)
 	case shrOpPredIDs:
-		return append(out, encodeFrzIDs(p.predIDs)...)
+		return append(out, encodeFrzU32s(p.predIDs)...)
 	case shrOpEntities:
-		return append(out, encodeFrzIDs(p.entities)...)
+		return append(out, encodeFrzU32s(p.entities)...)
 	default:
 		return shardErrResp(fmt.Sprintf("unknown op %d", op))
 	}

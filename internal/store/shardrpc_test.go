@@ -427,46 +427,58 @@ func TestRemoteFailureModes(t *testing.T) {
 	})
 
 	// A span reply must be what a file's span must be (checkSpan): every ID
-	// a term, the entries strictly (Pred,To)-sorted. Shard 1 answers every
+	// a term, the entries strictly (Pred,To)-sorted; a per-predicate run
+	// must also hold only the predicate asked for. Shard 1 answers every
 	// span read, alone or in a batch, with a broken span: one with an ID
 	// past the term count (which the first Term of that edge would index
-	// with), and one out of order (which spanHas's binary search would
-	// misread). The read fails as a call does — the request degrades as
-	// shard-unavailable, with no retry and the shard left up — and the
-	// call's error names the shard, the opcode, the vertex and the entry.
-	// A batch carrying a broken sub-reply stores nothing, so the read
+	// with), one out of order (which spanHas's binary search would misread),
+	// and one of another predicate (which an OutPred or InPred caller would
+	// take for its own). The read fails as a call does — the request
+	// degrades as shard-unavailable, with no retry and the shard left up —
+	// and the call's error names the shard, the opcode, the vertex and the
+	// entry. A batch carrying a broken sub-reply stores nothing, so the read
 	// behind it goes to the wire and fails the same.
 	var brokenSpan atomic.Pointer[[]byte]
+	var brokenGroup atomic.Pointer[[]byte]
 	saddrs := startFrameShards(t, g, 2, func(srv *ShardServer, req []byte) ([]byte, bool) {
 		resp, ok := srv.handle(req)
-		bad := brokenSpan.Load()
-		if bad == nil || srv.part.Shard() != 1 || resp[0] != shrStatusOK {
+		if srv.part.Shard() != 1 || resp[0] != shrStatusOK {
 			return resp, ok
 		}
-		switch req[0] {
-		case shrOpOut, shrOpIn, shrOpOutPred, shrOpInPred:
+		bad, badGroup := brokenSpan.Load(), brokenGroup.Load()
+		switch {
+		case bad != nil && req[0] >= shrOpOut && req[0] <= shrOpInPred:
 			return append([]byte{shrStatusOK}, *bad...), ok
-		case shrOpBatch:
+		case bad != nil && req[0] == shrOpBatch:
 			out := []byte{shrStatusOK}
 			for rest := resp[1:]; len(rest) >= 4; rest = rest[4+binary.LittleEndian.Uint32(rest):] {
 				out = binary.LittleEndian.AppendUint32(out, uint32(1+len(*bad)))
 				out = append(append(out, shrStatusOK), *bad...)
 			}
 			return out, ok
+		case badGroup != nil && req[0] == shrOpPredGrp:
+			return append([]byte{shrStatusOK}, *badGroup...), ok
 		}
 		return resp, ok
 	})
-	var owned Spo // a triple whose subject shard 1 owns
+	var owned, ownedIn Spo // triples whose subject, and whose object, shard 1 owns
 	sn.Match(Any, Any, Any, func(s Spo) bool { owned = s; return int(s.S)%2 == 0 })
-	read := ReadPred(owned.S, owned.P, true)
+	sn.Match(Any, Any, Any, func(s Spo) bool { ownedIn = s; return int(s.O)%2 == 0 })
+	other := (owned.P + 1) % ID(g.NumTerms()) // a term, and not owned.P
+	outRead, inRead := ReadPred(owned.S, owned.P, true), ReadPred(ownedIn.O, ownedIn.P, false)
 	for _, tc := range []struct {
 		name  string
+		read  Read
 		span  []Edge
 		entry int
 		why   string
 	}{
-		{"span reply out of range", []Edge{{Pred: 5, To: 0xFFFFFF00}, {Pred: 1, To: 3}}, 0, "out of range"},
-		{"unsorted span reply", []Edge{{Pred: 1, To: 3}, {Pred: 1, To: 2}}, 1, "(Pred,To) order"},
+		{"span reply out of range", outRead, []Edge{{Pred: 5, To: 0xFFFFFF00}, {Pred: 1, To: 3}}, 0, "out of range"},
+		{"unsorted span reply", outRead, []Edge{{Pred: 1, To: 3}, {Pred: 1, To: 2}}, 1, "(Pred,To) order"},
+		{"out-run reply of another predicate", outRead, []Edge{{Pred: owned.P, To: 0}, {Pred: max(owned.P, other) + 1, To: 0}}, 1,
+			fmt.Sprintf("is not of predicate %d", owned.P)},
+		{"in-run reply of another predicate", inRead, []Edge{{Pred: other, To: 0}}, 0,
+			fmt.Sprintf("is not of predicate %d", ownedIn.P)},
 	} {
 		for _, batched := range []bool{false, true} {
 			name := tc.name + ", single read"
@@ -489,13 +501,18 @@ func TestRemoteFailureModes(t *testing.T) {
 				st := rpcOf(bv).req
 				wantCalls := int64(1)
 				if batched {
-					bv.Prefetch([]Read{read})
+					bv.Prefetch([]Read{tc.read})
 					if reason, errs := tr.Exhausted(), st.errs.Load(); reason != "" || errs != 0 {
 						t.Fatalf("the prefetch alone degraded the request: reason %q, %d errors", reason, errs)
 					}
 					wantCalls++
 				}
-				if span := bv.OutPred(owned.S, owned.P); len(span) != 0 {
+				read := bv.InPred
+				if tc.read.op == shrOpOutPred {
+					read = bv.OutPred
+				}
+				span := read(tc.read.v, tc.read.p)
+				if len(span) != 0 {
 					t.Fatalf("a broken reply was read as %d edges", len(span))
 				}
 				if reason, errs := tr.Exhausted(), st.errs.Load(); reason != budget.ReasonShard || errs != 1 {
@@ -507,13 +524,77 @@ func TestRemoteFailureModes(t *testing.T) {
 				if rpcOf(rss).pools[1].isDown() {
 					t.Fatal("a broken reply marked the shard down")
 				}
-				_, err = rpcOf(rss.BindRequest(nil, nil)).fetch(read) // this request's budget is spent
-				want := fmt.Sprintf("shard 1, opcode %d, vertex %d: entry %d", shrOpOutPred, owned.S, tc.entry)
+				_, err = rpcOf(rss.BindRequest(nil, nil)).fetch(tc.read) // this request's budget is spent
+				want := fmt.Sprintf("shard 1, opcode %d, vertex %d: entry %d", tc.read.op, tc.read.v, tc.entry)
 				if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), tc.why) {
 					t.Fatalf("err = %v, want one naming %q and %q", err, want, tc.why)
 				}
 			})
 		}
+	}
+
+	// A predicate-group reply must be what the shard's group is: every ID
+	// a term, every triple of the predicate asked for and of a subject the
+	// shard owns (S mod K), strictly (S,O)-sorted, as the merge needs. Shard
+	// 1 answers a group read with one broken group; the scan keeps shard 0's
+	// group, the request degrades as shard-unavailable with no retry and the
+	// shard left up, and the error names the shard, the opcode, the
+	// predicate and the entry.
+	p := owned.P
+	var wantGroup []Spo // shard 0's group
+	sn.Match(Any, p, Any, func(spo Spo) bool {
+		if spo.S%2 == 0 {
+			wantGroup = append(wantGroup, spo)
+		}
+		return true
+	})
+	for _, tc := range []struct {
+		name  string
+		group []Spo
+		entry int
+		why   string
+	}{
+		{"group reply with an object out of range", []Spo{{S: 1, P: p, O: 0xFFFFFF00}}, 0, "out of range"},
+		{"group reply with a subject out of range", []Spo{{S: 1, P: p, O: 2}, {S: 0xFFFFFF01, P: p, O: 0}}, 1, "out of range"},
+		{"group reply of another predicate", []Spo{{S: 1, P: p, O: 2}, {S: 3, P: other, O: 0}}, 1, "of another predicate"},
+		{"group reply with a foreign subject", []Spo{{S: 1, P: p, O: 2}, {S: 2, P: p, O: 0}}, 1, "subject the shard does not own"},
+		{"unsorted group reply", []Spo{{S: 1, P: p, O: 3}, {S: 1, P: p, O: 3}}, 1, "(S,O) order"},
+		{"group reply out of subject order", []Spo{{S: 3, P: p, O: 0}, {S: 1, P: p, O: 3}}, 1, "(S,O) order"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rss, err := DialShards(saddrs, g.Terms(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rss.Close()
+			bad := encodeFrzSpos(tc.group)
+			brokenGroup.Store(&bad)
+			defer brokenGroup.Store(nil)
+			ctx, cancel := contextWithTimeout(2 * time.Second)
+			defer cancel()
+			tr := budget.New(ctx, budget.Limits{})
+			bv := rss.BindRequest(tr, nil)
+			st := rpcOf(bv).req
+			var got []Spo
+			bv.Match(Any, p, Any, func(spo Spo) bool { got = append(got, spo); return true })
+			if !reflect.DeepEqual(got, wantGroup) {
+				t.Fatalf("the scan read %v, want shard 0's group %v", got, wantGroup)
+			}
+			if reason, errs := tr.Exhausted(), st.errs.Load(); reason != budget.ReasonShard || errs != 1 {
+				t.Fatalf("budget reason = %q with %d errors, want %q with 1", reason, errs, budget.ReasonShard)
+			}
+			if calls, retries := st.calls.Load(), st.retries.Load(); calls != 2 || retries != 0 {
+				t.Fatalf("calls = %d, retries = %d; want 2, 0", calls, retries)
+			}
+			if rpcOf(rss).pools[1].isDown() {
+				t.Fatal("a broken reply marked the shard down")
+			}
+			_, err = rpcOf(rss.BindRequest(nil, nil)).fetchGroup(1, p)
+			want := fmt.Sprintf("shard 1, opcode %d, predicate %d: entry %d", shrOpPredGrp, p, tc.entry)
+			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), tc.why) {
+				t.Fatalf("err = %v, want one naming %q and %q", err, want, tc.why)
+			}
+		})
 	}
 }
 

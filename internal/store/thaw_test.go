@@ -24,7 +24,8 @@ import (
 // (its last instance goes; it stays a class); re-freeze g mid-script;
 // switch g between 1 and 4 parts; and, unsharded only, add an edge to a
 // term interned after the freeze. It then re-freezes g and fails unless
-// every part equals the twin's first freeze at the same shard count.
+// every part equals the twin's first freeze at the same shard count and
+// every predicate scan reads what the reference scatter builds from it.
 func runWriteScript(t testing.TB, seed int64, k int, script []byte) {
 	t.Helper()
 	g, twin := twinGraphs(seed)
@@ -90,6 +91,9 @@ func runWriteScript(t testing.TB, seed int64, k int, script []byte) {
 	neverFrozen(t, twin)
 	twin.SetShards(g.NumShards())
 	sameSnapshot(t, fmt.Sprintf("seed %d k %d", seed, k), got, twin.Freeze())
+	if err := checkPredGroups(got); err != nil {
+		t.Fatalf("seed %d k %d: %v", seed, k, err)
+	}
 }
 
 // sameSnapshot fails unless got and want hold the same global facts and,
