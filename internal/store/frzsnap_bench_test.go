@@ -75,8 +75,8 @@ func TestLoadFrozenAllocs(t *testing.T) {
 	if err := store.SaveFrozen(&frz, g); err != nil {
 		t.Fatal(err)
 	}
-	// Measured: 4 219, and 4 228 under -race; the two predicate-major
-	// sections a part no longer carries took 4 222 and 4 234.
+	// Measured: 4 219, and 4 228 under -race. A load that decoded the
+	// predicate-major sections again would take 4 222 and 4 234.
 	ceiling := 4219.0
 	if raceEnabled {
 		ceiling = 4228

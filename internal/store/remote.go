@@ -510,7 +510,7 @@ func (r *rpcReader) fetchGroup(shard int, p ID) ([]Spo, error) {
 	if err != nil {
 		return nil, err
 	}
-	group, err := decodeReply(shard, shrOpPredGrp, body, 12, decodeFrzSpos)
+	group, err := decodeReply(shard, shrOpPredGrp, body, 12, decodeFrzSpos) // nil on a ragged reply
 	for j, t := range group {
 		why := ""
 		switch {
