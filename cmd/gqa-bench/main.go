@@ -345,7 +345,9 @@ func table10() {
 	for k, n := range fb {
 		rows = append(rows, rowT{k, n})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].n > rows[j].n })
+	// By count, ties by kind: the rows come from a map, so a tie left to
+	// the sort would print in a different order from run to run.
+	sort.Slice(rows, func(i, j int) bool { return rows[i].n > rows[j].n || rows[i].n == rows[j].n && rows[i].k < rows[j].k })
 	for _, r := range rows {
 		fmt.Printf("%-24s %3d %8.0f%%\n", r.k, r.n, 100*float64(r.n)/float64(total))
 	}

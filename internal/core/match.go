@@ -212,7 +212,10 @@ type MatchStats struct {
 // included.
 //
 // Each round's cursor candidates expand to seed entities, explored one
-// after another on the caller's goroutine, cheapest first. The search tree
+// after another on the caller's goroutine in the order they were expanded.
+// Every vertex no query edge reaches from the bound ones — a seed, the
+// first vertex of a disconnected component, the first vertex of an all-wh
+// question — is bound the same way (startAt). The search tree
 // and the order it is walked in depend only on the query and on pure graph
 // statistics, and matches are returned in canonical order — descending
 // score, ties by ascending assignment key — so matches and MatchStats are
@@ -271,7 +274,8 @@ func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match,
 			m.hintNeighborhood()
 		}
 	}
-	matchable := true
+	// An empty query has no subgraph to match.
+	matchable := len(q.Vertices) > 0
 	for vi := range q.Vertices {
 		m.cands[vi] = m.cands[vi][:0]
 		for _, c := range q.Vertices[vi].Candidates {
@@ -344,9 +348,11 @@ func (m *matcher) search(stats *MatchStats) {
 
 	anchors := m.anchorVertices()
 	if len(anchors) == 0 {
-		// Every vertex is unconstrained (an all-wh question): enumerate
-		// graph vertices as the anchor for vertex 0.
-		m.enumerateUnanchored()
+		// Every vertex is unconstrained (an all-wh question): there is no
+		// cursor to advance, so the search extends the empty assignment
+		// once, and startComponent binds vertex 0 to every graph vertex.
+		m.probes++
+		m.extend(m.state())
 		return
 	}
 
@@ -480,25 +486,20 @@ func (m *matcher) finishStats(stats *MatchStats, returned int) {
 
 // seedTask is one unit of a round's work: enumerate every match in which
 // query vertex vi is bound to entity u, justified by the class via (or
-// directly when via is store.None), which adds term to the score. cost is
-// the seed's cheapest incident-edge frontier, used to order the round.
+// directly when via is store.None), which adds term to the score.
 type seedTask struct {
 	vi   int
 	u    store.ID
 	via  store.ID
 	term float64
-	cost int
 }
 
 // roundTasks expands the TA cursors at position round into per-seed work
 // items — the searchFromAnchor calls of Algorithm 3, with class candidates
-// unrolled to their instances. Seeds run cheapest-first: each is costed by
-// the smallest frontier among its vertex's incident edges (the first
-// extension chooseNext would take), so selective seeds fill the top-k early
-// and the cut rises sooner. The sort is stable over a deterministic
-// expansion (anchors in order, instances in adjacency order) and the cost
-// is a pure graph statistic, so every store layout sees the same task
-// order.
+// unrolled to their instances. Like Algorithm 3 it orders nothing inside
+// the round: seeds run as they were expanded, anchors in vertex order and a
+// class's instances in the order of its rdf:type in-span, which is the same
+// at every store layout.
 func (m *matcher) roundTasks(anchors []int, round int) []seedTask {
 	tasks := m.tasks[:0]
 	for _, vi := range anchors {
@@ -518,10 +519,6 @@ func (m *matcher) roundTasks(anchors []int, round int) []seedTask {
 	if m.hints {
 		m.hintSeeds(tasks)
 	}
-	for i := range tasks {
-		tasks[i].cost = m.seedCost(tasks[i].vi, tasks[i].u)
-	}
-	slices.SortStableFunc(tasks, func(a, b seedTask) int { return cmp.Compare(a.cost, b.cost) })
 	m.tasks = tasks
 	return tasks
 }
@@ -555,35 +552,13 @@ func (m *matcher) hasType(w, c store.ID) bool {
 	return tid != store.None && m.view.Has(w, tid, c)
 }
 
-// seedCost estimates the first extension a seed (vi, u) pays: the smallest
-// frontier among vi's incident edges, mirroring the choice chooseNext will
-// make from the seed state.
-func (m *matcher) seedCost(vi int, u store.ID) int {
-	best := -1
-	for _, ei := range m.adj[vi] {
-		if c := m.frontierCost(u, ei); best < 0 || c < best {
-			best = c
-		}
-	}
-	if best < 0 {
-		return 0
-	}
-	return best
-}
-
 // runSeed explores every match rooted at one seed assignment.
 func (m *matcher) runSeed(t *seedTask) {
 	faultpoint.Hit(faultpoint.MatcherWorker)
 	m.seeds++
-	if !m.opts.Budget.Candidate() {
-		return
-	}
 	st := m.state()
-	st.assign[t.vi] = t.u
-	st.via[t.vi] = t.via
 	st.vterm[t.vi] = t.term
-	st.done[t.vi] = true
-	m.extend(st)
+	m.startAt(st, t.vi, t.u, t.via)
 }
 
 // state returns the search's one searchState as the empty assignment.
@@ -1045,12 +1020,7 @@ func (m *matcher) extend(st *searchState) {
 		return
 	}
 	if bridge < 0 {
-		// Disconnected component: start it from its own candidate list.
-		if m.q.Vertices[next].Unconstrained {
-			// An unconstrained vertex in its own component would match
-			// everything; such degenerate queries yield no useful match.
-			return
-		}
+		// No edge reaches next from the bound vertices: start it afresh.
 		m.startComponent(st, next)
 		st.vterm[next] = m.vbest[next]
 		return
@@ -1103,9 +1073,22 @@ func (m *matcher) extend(st *searchState) {
 }
 
 // startComponent binds next, the first vertex of a component no edge joins
-// to the matched region, from its own candidate list. The caller restores
-// the vertex's term.
+// to the matched region (of the whole query, for an all-wh question). A
+// constrained vertex is bound from its own candidate list. An unconstrained
+// one carries no candidate-list signal, so every graph IRI with an edge is a
+// candidate, in ID order; with one score per candidate path every match of
+// the best path ties, and past maxHeldMatches of them the search stops,
+// truncated ("matches"). The caller restores the vertex's term.
 func (m *matcher) startComponent(st *searchState, next int) {
+	if m.q.Vertices[next].Unconstrained {
+		for v, n := 0, m.view.NumTerms(); v < n; v++ {
+			u := store.ID(v)
+			if m.view.Term(u).IsIRI() && m.view.Degree(u) > 0 && !m.startAt(st, next, u, store.None) {
+				return
+			}
+		}
+		return
+	}
 	for ci, c := range m.cands[next] {
 		st.vterm[next] = m.vlog[next][ci]
 		if m.below(st) {
@@ -1127,10 +1110,13 @@ func (m *matcher) startComponent(st *searchState, next int) {
 }
 
 // startAt binds next to u, justified by the class via (or directly when via
-// is store.None), and extends from there; false when the budget refused the
-// candidate, which ends the component.
+// is store.None), and extends from there. It is the one way the search
+// binds a vertex no bridge edge reaches: a round's seed, the first vertex of
+// a disconnected component, the first vertex of an all-wh question. It
+// returns false when the search can start nothing more — the budget refused
+// the candidate, or the maxHeldMatches cap refused a match.
 func (m *matcher) startAt(st *searchState, next int, u, via store.ID) bool {
-	if !m.opts.Budget.Candidate() {
+	if m.res.refused || !m.opts.Budget.Candidate() {
 		return false
 	}
 	if !m.used(st, u) {
@@ -1212,8 +1198,9 @@ func (m *matcher) hintNeighborhood() {
 	m.bound.Prefetch(reads)
 }
 
-// hintSeeds tells a remote view the reads that cost a round's seeds — the
-// first hop of every walk a seed's first extension makes — and, for a class
+// hintSeeds tells a remote view the reads a round's seeds make first — the
+// frontier costs chooseNext reads at each seed, which are also the first hop
+// of every walk its first extension makes — and, for a class
 // unrolled to many seeds, the hops behind them: a frame per shard per hop
 // per round, however many instances the class has. A seed alone in its
 // group is left to the walker, which reads each walk ahead as it makes it.
@@ -1315,8 +1302,9 @@ func (m *matcher) hintFrontier(st *searchState, next, bridge int, targets []stor
 // Ties keep declaration order, and the cost is a pure function of the
 // partial assignment, so the search tree stays deterministic; the
 // canonical harvest keeps the final output byte-identical regardless.
-// With no bridge edge it falls back to the first unmatched vertex (a
-// disconnected component).
+// With no bridge edge it falls back to an unmatched vertex of another
+// component: the first constrained one, whose candidate list starts it,
+// else the first unconstrained one, which starts from the whole graph.
 func (m *matcher) chooseNext(st *searchState) (vertex, bridge int) {
 	bestV, bestE, bestCost := -1, -1, 0
 	for ei := range m.q.Edges {
@@ -1340,11 +1328,15 @@ func (m *matcher) chooseNext(st *searchState) (vertex, bridge int) {
 		return bestV, bestE
 	}
 	for vi := range m.q.Vertices {
-		if !st.done[vi] {
+		switch {
+		case st.done[vi]:
+		case !m.q.Vertices[vi].Unconstrained:
 			return vi, -1
+		case bestV < 0:
+			bestV = vi
 		}
 	}
-	return -1, -1
+	return bestV, -1
 }
 
 // reachable returns the vertices connected to u by candidate path ci of
@@ -1450,32 +1442,5 @@ func (m *matcher) finish(st *searchState) {
 	}
 	for _, ei := range m.filled {
 		st.paths[ei], st.eterm[ei] = nil, m.ebest[ei]
-	}
-}
-
-// enumerateUnanchored handles the degenerate all-wh query ("Who married
-// whom?") by trying every graph vertex as the binding of vertex 0. Such
-// queries carry no candidate-list signal, so exhaustive anchoring is the
-// only sound strategy, and with one score per candidate path every match of
-// the best path ties: past maxHeldMatches of them the search stops, truncated
-// ("matches"), and says so.
-func (m *matcher) enumerateUnanchored() {
-	if len(m.q.Vertices) == 0 {
-		return
-	}
-	m.probes++
-	st := m.state()
-	for v, n := 0, m.view.NumTerms(); v < n && !m.res.refused; v++ {
-		u := store.ID(v)
-		if !m.view.Term(u).IsIRI() || m.view.Degree(u) == 0 {
-			continue
-		}
-		if !m.opts.Budget.Candidate() {
-			return
-		}
-		// extend backtracks everything it bound, so only the anchor slot
-		// needs rebinding between iterations.
-		st.assign[0], st.done[0] = u, true
-		m.extend(st)
 	}
 }

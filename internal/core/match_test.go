@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"gqa/internal/budget"
 	"gqa/internal/dict"
 	"gqa/internal/rdf"
 	"gqa/internal/store"
@@ -432,5 +434,67 @@ func TestExhaustedAnchorStopsTheSearch(t *testing.T) {
 		if ta[i].key() != ex[i].key() || ta[i].Score != ex[i].Score {
 			t.Fatalf("match %d: TA %s (%g), exhaustive %s (%g)", i, ta[i].key(), ta[i].Score, ex[i].key(), ex[i].Score)
 		}
+	}
+}
+
+// TestMatchCapEndsTheWholeGraphStart: an all-wh question whose ties pass
+// maxHeldMatches stops binding vertex 0 at the match the cap refused. Every
+// graph vertex of allWhQuery starts one match, so the search spends one
+// candidate past the cap, not one per vertex, and says "matches", though its
+// candidate budget would have run out had it walked on.
+func TestMatchCapEndsTheWholeGraphStart(t *testing.T) {
+	g, q := allWhQuery(maxHeldMatches + 1)
+	tr := budget.New(context.Background(), budget.Limits{MaxCandidates: 3 * maxHeldMatches / 2})
+	if _, stats := FindTopKMatches(g, q, MatchOptions{Budget: tr}); stats.Truncated != budget.ReasonMatches {
+		t.Fatalf("truncated %q, want the matches cap", stats.Truncated)
+	}
+	if _, cands, _ := tr.Spent(); cands != maxHeldMatches+1 {
+		t.Fatalf("the search spent %d candidates, want the cap's %d and the one it refused", cands, maxHeldMatches+1)
+	}
+}
+
+// degreeCounter counts the whole-graph degree reads a search makes: only
+// an unconstrained vertex started from the whole graph makes them.
+type degreeCounter struct {
+	store.View
+	reads int
+}
+
+func (c *degreeCounter) Degree(u store.ID) int { c.reads++; return c.View.Degree(u) }
+
+// TestComponentStartsFromItsCandidates: x —p→ ? and ? —p→ y are two
+// components, each with one wh-vertex ahead of an entity. Whichever anchor
+// a seed binds, the other component starts from its entity, never from
+// every graph vertex at its wh-vertex.
+func TestComponentStartsFromItsCandidates(t *testing.T) {
+	g := store.New()
+	p := g.Intern(rdf.Ontology("p"))
+	id := func(name string) store.ID { return g.Intern(rdf.Resource(name)) }
+	g.AddSPO(id("x"), p, id("a"))
+	g.AddSPO(id("b"), p, id("y"))
+	for i := range 8 {
+		g.AddSPO(id(fmt.Sprintf("c%d", i)), p, id(fmt.Sprintf("d%d", i)))
+	}
+	path := dict.Path{{Pred: p, Forward: true}}
+	q := &QueryGraph{
+		Vertices: []Vertex{
+			{Unconstrained: true, Select: true},
+			{Candidates: []VertexCandidate{{ID: id("a"), Score: 1}}},
+			{Unconstrained: true},
+			{Candidates: []VertexCandidate{{ID: id("y"), Score: 1}}},
+		},
+		Edges: []Edge{
+			{From: 0, To: 1, Candidates: []EdgeCandidate{{Path: path, Score: 1}}},
+			{From: 2, To: 3, Candidates: []EdgeCandidate{{Path: path, Score: 1}}},
+		},
+	}
+	view := &degreeCounter{View: g.FrozenView()}
+	matches, _ := FindTopKMatches(g, q, MatchOptions{View: view})
+	want := []store.ID{id("x"), id("a"), id("b"), id("y")}
+	if len(matches) != 1 || fmt.Sprint(matches[0].Assignment) != fmt.Sprint(want) {
+		t.Fatalf("matches %v, want the one assignment %v", matches, want)
+	}
+	if view.reads != 0 {
+		t.Errorf("the search read %d whole-graph degrees; a component with an entity starts from it", view.reads)
 	}
 }

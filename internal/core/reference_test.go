@@ -224,9 +224,34 @@ func loopbackView(t *testing.T, g *store.Graph) store.View {
 	return sn
 }
 
-// randomQuerySetup builds a random graph and a random 2–3 vertex query
-// graph with candidate lists drawn from it.
+// The shapes of Q^S randomQuerySetup draws: a path of two or three
+// vertices; a star, three edges at vertex 0; a triangle, whose third edge
+// joins two bound vertices, so only finish can check it; parallel edges,
+// two relations between one pair; and two components, an edge and a lone
+// vertex or a second edge, which no edge joins, so the second starts from
+// its own candidates or, when none of its vertices is constrained, from
+// the whole graph.
+const (
+	shapePath = iota
+	shapeStar
+	shapeTriangle
+	shapeParallel
+	shapeTwoComponents
+	numQueryShapes
+)
+
+var queryShapeNames = [numQueryShapes]string{"path", "star", "triangle", "parallel", "two-components"}
+
+// randomQuerySetup builds a random graph and a random query graph of a
+// random shape with candidate lists drawn from it.
 func randomQuerySetup(r *rand.Rand) (*store.Graph, *QueryGraph) {
+	return randomShapeSetup(r, -1)
+}
+
+// randomShapeSetup builds randomQuerySetup's graph and a query of the given
+// shape over it; shape −1 draws one. The graph is drawn first, so
+// referenceTwin rebuilds it from the seed whatever the shape.
+func randomShapeSetup(r *rand.Rand, shape int) (*store.Graph, *QueryGraph) {
 	g := store.New()
 	nv := 6 + r.Intn(10)
 	verts := make([]store.ID, nv)
@@ -251,13 +276,54 @@ func randomQuerySetup(r *rand.Rand) (*store.Graph, *QueryGraph) {
 			g.AddSPO(s, preds[r.Intn(np)], o)
 		}
 	}
+	// A literal, which no vertex binds: wh-arguments match entities and
+	// classes (§2.2), and no candidate path walks its predicate.
+	g.AddSPO(verts[0], g.Intern(rdf.Ontology("label")), g.Intern(rdf.NewLiteral("v0")))
 
-	// Query: 2 or 3 vertices in a path shape.
-	qn := 2 + r.Intn(2)
+	if shape < 0 {
+		shape = r.Intn(numQueryShapes)
+	}
+	// The vertex count and the edges of the shape, each as its two ends.
+	var qn int
+	var ends [][2]int
+	switch shape {
+	case shapePath:
+		qn = 2 + r.Intn(2)
+		for i := 1; i < qn; i++ {
+			ends = append(ends, [2]int{i - 1, i})
+		}
+	case shapeStar:
+		qn, ends = 4, [][2]int{{0, 1}, {0, 2}, {0, 3}}
+	case shapeTriangle:
+		qn, ends = 3, [][2]int{{0, 1}, {1, 2}, {2, 0}}
+	case shapeParallel:
+		qn, ends = 2, [][2]int{{0, 1}, {0, 1}}
+	case shapeTwoComponents:
+		qn, ends = 3, [][2]int{{0, 1}}
+		if r.Intn(2) == 0 {
+			qn, ends = 4, append(ends, [2]int{2, 3})
+		}
+	}
+	if shape != shapePath {
+		// Definition 3 matches an edge in either orientation, but the
+		// search binds its From and To ends differently.
+		for i := range ends {
+			if r.Intn(2) == 0 {
+				ends[i][0], ends[i][1] = ends[i][1], ends[i][0]
+			}
+		}
+	}
+
 	q := &QueryGraph{}
 	for i := 0; i < qn; i++ {
 		v := Vertex{Arg: Argument{Text: fmt.Sprintf("a%d", i)}}
-		switch r.Intn(3) {
+		kind := r.Intn(3)
+		if i == qn-1 && qn == 4 && kind == 0 && !slices.ContainsFunc(q.Vertices, func(v Vertex) bool { return !v.Unconstrained }) {
+			// Four wh-vertices can tie past maxHeldMatches; three, or a
+			// constrained vertex among four, cannot on these graphs.
+			kind = 1
+		}
+		switch kind {
 		case 0:
 			v.Unconstrained = true
 			v.Arg.Wh = true
@@ -278,7 +344,7 @@ func randomQuerySetup(r *rand.Rand) (*store.Graph, *QueryGraph) {
 	}
 	q.Vertices[0].Select = true
 	d := dict.New()
-	for i := 1; i < qn; i++ {
+	for i, end := range ends {
 		var cands []EdgeCandidate
 		k := 1 + r.Intn(2)
 		for j := 0; j < k; j++ {
@@ -293,8 +359,8 @@ func randomQuerySetup(r *rand.Rand) (*store.Graph, *QueryGraph) {
 			cands = append(cands, EdgeCandidate{Path: p, Score: 0.2 + 0.8*r.Float64()})
 		}
 		sort.SliceStable(cands, func(a, b int) bool { return cands[a].Score > cands[b].Score })
-		phrase := d.Add(fmt.Sprintf("rel%d", i), nil)
-		q.Edges = append(q.Edges, Edge{From: i - 1, To: i, Phrase: phrase, Candidates: cands})
+		phrase := d.Add(fmt.Sprintf("rel%d", i+1), nil)
+		q.Edges = append(q.Edges, Edge{From: end[0], To: end[1], Phrase: phrase, Candidates: cands})
 	}
 	return g, q
 }
@@ -349,12 +415,30 @@ func quickOverShapes(t *testing.T, count int, property func(t *testing.T, seed i
 // retained score range, with identical scores — in every deployment shape
 // of the store.
 func TestQuickMatcherAgreesWithBruteForce(t *testing.T) {
-	quickOverShapes(t, 60, matcherAgreesWithBruteForce)
+	quickOverShapes(t, 60, func(t *testing.T, seed int64, view viewOf) bool {
+		return matcherAgreesWithBruteForce(t, seed, view, -1)
+	})
 }
 
-func matcherAgreesWithBruteForce(t *testing.T, seed int64, view viewOf) bool {
+// TestQuickEveryQueryShape runs both brute-force oracles on each query
+// shape in turn, in every deployment shape of the store: a short run of
+// random draws can leave a shape out, and each reaches code the others do
+// not (finish's cycle check, startComponent's two ways to start).
+func TestQuickEveryQueryShape(t *testing.T) {
+	for shape, name := range queryShapeNames {
+		t.Run(name, func(t *testing.T) {
+			quickOverShapes(t, 30, func(t *testing.T, seed int64, view viewOf) bool {
+				return matcherAgreesWithBruteForce(t, seed, view, shape) && topKIsBruteForceTopK(t, seed, view, shape)
+			})
+		})
+	}
+}
+
+// matcherAgreesWithBruteForce is the exhaustive oracle on one random query
+// of the given shape (−1: a random one).
+func matcherAgreesWithBruteForce(t *testing.T, seed int64, view viewOf, shape int) bool {
 	r := rand.New(rand.NewSource(seed))
-	g, q := randomQuerySetup(r)
+	g, q := randomShapeSetup(r, shape)
 	got, _ := FindTopKMatches(g, q, MatchOptions{TopK: 1000, Exhaustive: true, View: view(t, g)})
 	ref := bruteForceMatches(t, referenceTwin(seed), q)
 
@@ -393,49 +477,55 @@ func matcherAgreesWithBruteForce(t *testing.T, seed int64, view viewOf) bool {
 // the same scores, in canonical order — in every deployment shape.
 func TestQuickTopKIsBruteForceTopK(t *testing.T) {
 	quickOverShapes(t, 90, func(t *testing.T, seed int64, view viewOf) bool {
-		r := rand.New(rand.NewSource(seed))
-		g, q := randomQuerySetup(r)
-		k := 1 + r.Intn(5)
-		got, stats := FindTopKMatches(g, q, MatchOptions{TopK: k, View: view(t, g)})
+		return topKIsBruteForceTopK(t, seed, view, -1)
+	})
+}
 
-		best := map[string]Match{}
-		for _, m := range bruteForceMatches(t, referenceTwin(seed), q) {
-			if old, ok := best[matchKey(m)]; !ok || m.Score > old.Score {
-				best[matchKey(m)] = m
-			}
+// topKIsBruteForceTopK is the top-k oracle on one random query of the given
+// shape (−1: a random one) for a random k.
+func topKIsBruteForceTopK(t *testing.T, seed int64, view viewOf, shape int) bool {
+	r := rand.New(rand.NewSource(seed))
+	g, q := randomShapeSetup(r, shape)
+	k := 1 + r.Intn(5)
+	got, stats := FindTopKMatches(g, q, MatchOptions{TopK: k, View: view(t, g)})
+
+	best := map[string]Match{}
+	for _, m := range bruteForceMatches(t, referenceTwin(seed), q) {
+		if old, ok := best[matchKey(m)]; !ok || m.Score > old.Score {
+			best[matchKey(m)] = m
 		}
-		var want []Match
-		for _, m := range best {
-			want = append(want, m)
+	}
+	var want []Match
+	for _, m := range best {
+		want = append(want, m)
+	}
+	canonical := func(a, b Match) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		canonical := func(a, b Match) int {
-			if c := cmp.Compare(b.Score, a.Score); c != 0 {
-				return c
-			}
-			return cmp.Compare(base36Key(a), base36Key(b))
+		return cmp.Compare(base36Key(a), base36Key(b))
+	}
+	slices.SortFunc(want, canonical)
+	if len(want) > k {
+		n := k
+		for n < len(want) && want[n].Score == want[k-1].Score {
+			n++
 		}
-		slices.SortFunc(want, canonical)
-		if len(want) > k {
-			n := k
-			for n < len(want) && want[n].Score == want[k-1].Score {
-				n++
-			}
-			want = want[:n]
-		}
-		if len(got) != len(want) || stats.MatchesKept != len(want) || stats.Truncated != "" {
-			t.Logf("seed %d k=%d: got %d matches (%d kept, truncated %q), brute force says %d (query %s)",
-				seed, k, len(got), stats.MatchesKept, stats.Truncated, len(want), q)
+		want = want[:n]
+	}
+	if len(got) != len(want) || stats.MatchesKept != len(want) || stats.Truncated != "" {
+		t.Logf("seed %d k=%d: got %d matches (%d kept, truncated %q), brute force says %d (query %s)",
+			seed, k, len(got), stats.MatchesKept, stats.Truncated, len(want), q)
+		return false
+	}
+	for i := range want {
+		if matchKey(got[i]) != matchKey(want[i]) || math.Abs(got[i].Score-want[i].Score) > 1e-9 {
+			t.Logf("seed %d k=%d: match %d is %s at %f, brute force says %s at %f",
+				seed, k, i, matchKey(got[i]), got[i].Score, matchKey(want[i]), want[i].Score)
 			return false
 		}
-		for i := range want {
-			if matchKey(got[i]) != matchKey(want[i]) || math.Abs(got[i].Score-want[i].Score) > 1e-9 {
-				t.Logf("seed %d k=%d: match %d is %s at %f, brute force says %s at %f",
-					seed, k, i, matchKey(got[i]), got[i].Score, matchKey(want[i]), want[i].Score)
-				return false
-			}
-		}
-		return true
-	})
+	}
+	return true
 }
 
 // base36Key is the documented tie order of the canonical result: the

@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"gqa/internal/sparql"
 	"gqa/internal/store"
@@ -23,6 +24,10 @@ import (
 //   - each edge is rendered in the orientation the match recorded
 //     (Match.EdgeRev), predicate paths expanding to chains over fresh
 //     intermediate variables.
+//
+// An unconstrained vertex that no edge touches binds any IRI with an edge
+// in either direction, which a pattern without UNION cannot say, so a
+// query with one has no rendering (an error, not a wrong query).
 //
 // It reads the graph's term table only — never an edge, so on a remote
 // store it sends nothing. Evaluating the result over the same graph
@@ -76,6 +81,9 @@ func ResolvedSPARQL(g *store.Graph, q *QueryGraph, m *Match) (*sparql.Query, err
 	if len(q.Edges) > 64 {
 		return nil, fmt.Errorf("core: a match of %d edges has no SPARQL rendering (orientation is kept for 64)", len(q.Edges))
 	}
+	if vi := loneWh(q); vi >= 0 {
+		return nil, fmt.Errorf("core: unconstrained vertex %d has no edge, so no SPARQL rendering", vi)
+	}
 	fresh := 0
 	for ei, e := range q.Edges {
 		path := m.EdgePaths[ei]
@@ -113,4 +121,15 @@ func ResolvedSPARQL(g *store.Graph, q *QueryGraph, m *Match) (*sparql.Query, err
 	}
 	addDistinct(terms)
 	return out, nil
+}
+
+// loneWh returns the first unconstrained vertex of q that no edge touches,
+// or −1.
+func loneWh(q *QueryGraph) int {
+	for vi := range q.Vertices {
+		if q.Vertices[vi].Unconstrained && !slices.ContainsFunc(q.Edges, func(e Edge) bool { return e.From == vi || e.To == vi }) {
+			return vi
+		}
+	}
+	return -1
 }

@@ -64,6 +64,51 @@ func TestFlightDebugDisabled(t *testing.T) {
 	}
 }
 
+// TestCacheOutcomeReachesWideEvent: the wide event's cache field is read
+// off the trace's cache.lookup span, which only a system with an answer
+// cache opens. Asked one question twice, such a system records a miss and
+// then a hit.
+func TestCacheOutcomeReachesWideEvent(t *testing.T) {
+	sys, err := gqa.Open(gqa.Source{}, gqa.Options{Cache: gqa.CacheConfig{Entries: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(t.TempDir(), "events.jsonl")
+	rec, err := flight.New(flight.Config{Path: logPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { rec.Close() })
+	base, _ := startServerWith(t, sys, Config{Timeout: 30 * time.Second, Flight: rec})
+	for range 2 {
+		resp, err := http.Get(base + "/answer?q=" + url.QueryEscape("Who is the mayor of Berlin?"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+	}
+	rec.Sync()
+	f, err := os.Open(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var got []string
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		var ev flight.Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, ev.CacheOutcome)
+	}
+	if strings.Join(got, ",") != "miss,hit" {
+		t.Fatalf("the wide events' cache fields read %q, want miss then hit", got)
+	}
+}
+
 // TestFlightRetentionEndToEnd drives the real HTTP server with a slowed
 // matcher and a tiny admission gate, then asserts the flight recorder's
 // retention contract: the slow request and a shed request are both in

@@ -254,11 +254,12 @@ type rpcReader struct {
 // DialShards connects to one shard server per address (addrs[i] must
 // serve shard i of K=len(addrs)), validates that every part describes
 // the same frozen graph — matching global generation, term count, triple
-// count, and stats — and that it matches the coordinator's term table,
-// then assembles the snapshot's global structures (merged entity and
-// predicate lists) as a local freeze does. terms is the coordinator's
-// interned term table; Term lookups are served from it locally (the
-// dictionary never crosses the wire). Close the snapshot when done.
+// count, stats and rdf:type — and that it matches the coordinator's term
+// table, then assembles the snapshot's global structures (merged entity and
+// predicate lists) as a local freeze does, from lists that must be what a
+// part's are (checkIDList). terms is the coordinator's interned term table;
+// Term lookups are served from it locally (the dictionary never crosses the
+// wire). Every refusal names the shard. Close the snapshot when done.
 func DialShards(addrs []string, terms []rdf.Term, opts RemoteOptions) (*Snapshot, error) {
 	k := len(addrs)
 	if k < 2 {
@@ -290,11 +291,11 @@ func DialShards(addrs []string, terms []rdf.Term, opts RemoteOptions) (*Snapshot
 			return nil, fmt.Errorf("store: DialShards: address %d serves shard %d — addresses must be in shard order", i, m.shard)
 		}
 		if m.gen != m0.gen || m.nTerms != m0.nTerms || m.nTriples != m0.nTriples || m.stats != m0.stats || m.rdfType != m0.rdfType {
-			return nil, fmt.Errorf("store: DialShards: shard %d disagrees with shard 0 on the frozen graph (gen %d vs %d) — parts from different exports?", i, m.gen, m0.gen)
+			return nil, fmt.Errorf("store: DialShards: shard %d disagrees with shard 0 on the frozen graph's generation, term or triple count, stats or rdf:type — parts from different exports?", i)
 		}
-	}
-	if int(m0.nTerms) != len(terms) {
-		return nil, fmt.Errorf("store: DialShards: shard set froze %d terms, coordinator holds %d — generation mismatch", m0.nTerms, len(terms))
+		if int(m.nTerms) != len(terms) {
+			return nil, fmt.Errorf("store: DialShards: shard %d froze %d terms, the coordinator holds %d — generation mismatch", i, m.nTerms, len(terms))
+		}
 	}
 	r.nTerms = ID(m0.nTerms)
 	// lists[0] holds each shard's entity list, lists[1] its predicate list.
@@ -304,6 +305,9 @@ func DialShards(addrs []string, terms []rdf.Term, opts RemoteOptions) (*Snapshot
 			resp, err := r.call(i, []byte{op})
 			if err == nil {
 				lists[j][i], err = decodeReply(i, op, resp, 4, decodeFrzU32s[ID])
+			}
+			if err == nil {
+				err = r.checkIDList(i, op, lists[j][i])
 			}
 			if err != nil {
 				return nil, fmt.Errorf("store: DialShards: shard %d %s: %w", i, [2]string{"entities", "predicates"}[j], err)
@@ -315,6 +319,19 @@ func DialShards(addrs []string, terms []rdf.Term, opts RemoteOptions) (*Snapshot
 		rdfType: ID(m0.rdfType), nTriples: int(m0.nTriples), stats: m0.stats,
 		entities: mergeIDLists(lists[0]), predIDs: mergeIDLists(lists[1]),
 	}, nil
+}
+
+// checkIDList checks shard's dial-time list of opcode op as a part's list
+// is checked: every ID a term and the list strictly ascending, and an
+// entity list only of vertices the shard owns (ID mod K). The error names
+// the shard, the opcode and the entry.
+func (r *rpcReader) checkIDList(shard int, op byte, ids []ID) error {
+	for j, v := range ids {
+		if v >= r.nTerms || (j > 0 && v <= ids[j-1]) || (op == shrOpEntities && int(v)%r.k != shard) {
+			return fmt.Errorf("shard %d, opcode %d: entry %d (ID %d of %d terms) is out of range, out of order or, in an entity list, another shard's", shard, op, j, v, r.nTerms)
+		}
+	}
+	return nil
 }
 
 // Close tears down every pooled connection of a snapshot over remote

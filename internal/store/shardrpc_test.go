@@ -402,6 +402,109 @@ func TestRemoteFailureModes(t *testing.T) {
 			}
 		})
 	}
+	// DialShards refuses a shard set it cannot serve, and its error names
+	// the shard (a set of one, its size): shard 1 answers its meta or one of
+	// its dial-time lists doctored, or the addresses or the coordinator's
+	// term table are what is wrong. A list must be what a part's list is:
+	// terms, strictly ascending, and an entity list only of entities the
+	// shard owns (ID mod K).
+	type doctorFunc = func(op byte, resp []byte) []byte
+	var doctor atomic.Pointer[doctorFunc]
+	daddrs := startFrameShards(t, g, 2, func(srv *ShardServer, req []byte) ([]byte, bool) {
+		resp, ok := srv.handle(req)
+		if d := doctor.Load(); d != nil && srv.part.Shard() == 1 && resp[0] == shrStatusOK {
+			resp = (*d)(req[0], resp)
+		}
+		return resp, ok
+	})
+	meta := func(edit func(m *shardMeta)) doctorFunc {
+		return func(op byte, resp []byte) []byte {
+			if op != shrOpMeta {
+				return resp
+			}
+			m, err := decodeShardMeta(resp[1:])
+			if err != nil {
+				return resp // the dial then fails on what the row did not ask for
+			}
+			edit(&m)
+			return append([]byte{shrStatusOK}, encodeShardMeta(&m)...)
+		}
+	}
+	list := func(list byte, edit func(ids []ID) []ID) doctorFunc {
+		return func(op byte, resp []byte) []byte {
+			if op != list {
+				return resp
+			}
+			return append([]byte{shrStatusOK}, encodeFrzU32s(edit(decodeFrzU32s[ID](resp[1:])))...)
+		}
+	}
+	nTerms := ID(g.NumTerms())
+	ents, preds := sn.Part(1).part.entities, sn.Part(1).part.predIDs
+	if len(ents) == 0 || len(preds) == 0 {
+		t.Fatalf("shard 1 has %d entities and %d predicates: the list rows need both", len(ents), len(preds))
+	}
+	for _, tc := range []struct {
+		name   string
+		addrs  []string   // nil: daddrs
+		terms  []rdf.Term // nil: g.Terms()
+		doctor doctorFunc
+		want   string
+	}{
+		{"one address", daddrs[:1], nil, nil, "needs at least 2 shard addresses, have 1"},
+		{"meta call fails", nil, nil, func(op byte, resp []byte) []byte {
+			if op == shrOpMeta {
+				return shardErrResp("no meta")
+			}
+			return resp
+		}, "shard 1 (" + daddrs[1] + "): shard server: no meta"},
+		{"meta does not decode", nil, nil, func(op byte, resp []byte) []byte {
+			if op == shrOpMeta {
+				return resp[:len(resp)-1]
+			}
+			return resp
+		}, fmt.Sprintf("shard 1 (%s): shard meta is %d bytes", daddrs[1], shrMetaSize-1)},
+		{"part of another K", nil, nil, meta(func(m *shardMeta) { m.k = 3 }), "shard server 1 is part of a 3-shard set, dialing 2"},
+		{"addresses out of shard order", []string{daddrs[1], daddrs[0]}, nil, nil, "address 0 serves shard 1"},
+		{"generation disagrees", nil, nil, meta(func(m *shardMeta) { m.gen++ }), "shard 1 disagrees with shard 0 on the frozen graph"},
+		{"term count disagrees", nil, nil, meta(func(m *shardMeta) { m.nTerms++ }), "shard 1 disagrees with shard 0 on the frozen graph"},
+		{"triple count disagrees", nil, nil, meta(func(m *shardMeta) { m.nTriples++ }), "shard 1 disagrees with shard 0 on the frozen graph"},
+		{"stats disagree", nil, nil, meta(func(m *shardMeta) { m.stats.Classes++ }), "shard 1 disagrees with shard 0 on the frozen graph"},
+		{"rdf:type disagrees", nil, nil, meta(func(m *shardMeta) { m.rdfType++ }), "shard 1 disagrees with shard 0 on the frozen graph"},
+		{"term count unlike the coordinator's", nil, g.Terms()[:nTerms-1], nil,
+			fmt.Sprintf("shard 0 froze %d terms, the coordinator holds %d", nTerms, nTerms-1)},
+		{"entity out of range", nil, nil, list(shrOpEntities, func(ids []ID) []ID { return append(ids, nTerms|1) }),
+			fmt.Sprintf("shard 1, opcode %d: entry %d (ID %d of", shrOpEntities, len(ents), nTerms|1)},
+		{"entity list out of order", nil, nil, list(shrOpEntities, func(ids []ID) []ID { return append(ids, ids[len(ids)-1]) }),
+			fmt.Sprintf("shard 1, opcode %d: entry %d (ID %d of", shrOpEntities, len(ents), ents[len(ents)-1])},
+		{"entity of another shard", nil, nil, list(shrOpEntities, func(ids []ID) []ID { return append([]ID{0}, ids...) }),
+			fmt.Sprintf("shard 1, opcode %d: entry 0 (ID 0 of", shrOpEntities)},
+		{"predicate out of range", nil, nil, list(shrOpPredIDs, func(ids []ID) []ID { return append(ids, nTerms) }),
+			fmt.Sprintf("shard 1, opcode %d: entry %d (ID %d of", shrOpPredIDs, len(preds), nTerms)},
+		{"predicate list out of order", nil, nil, list(shrOpPredIDs, func(ids []ID) []ID { return append(ids, ids[0]) }),
+			fmt.Sprintf("shard 1, opcode %d: entry %d (ID %d of", shrOpPredIDs, len(preds), preds[0])},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addrs, terms := tc.addrs, tc.terms
+			if addrs == nil {
+				addrs = daddrs
+			}
+			if terms == nil {
+				terms = g.Terms()
+			}
+			if tc.doctor != nil {
+				doctor.Store(&tc.doctor)
+				defer doctor.Store(nil)
+			}
+			rss, err := DialShards(addrs, terms, opts)
+			if err == nil {
+				rss.Close()
+				t.Fatalf("DialShards accepted the set; want an error naming %q", tc.want)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
 	t.Run("ragged predicate-group reply", func(t *testing.T) {
 		rss, err := DialShards(raddrs, g.Terms(), opts)
 		if err != nil {
