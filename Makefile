@@ -63,10 +63,13 @@ race:
 # and the instrumentation allocates, so race skips the pooled ones and
 # only this step holds a search to what it returns and the pool to its
 # cap. The understanding ceilings (a parse's 5 allocations, extraction's
-# 3, building Q^S's 15, a name link's 2) and the load of the cinema test
-# KB's GQAFRZ1 file (no graph mirror) run in both.
+# 3, building Q^S's 15, a name link's 2 and a one-candidate city link's
+# 48 bytes), the load of the cinema test KB's GQAFRZ1 file (37: no string
+# a term, no graph mirror) and the term table's (no allocation to read,
+# look up or re-intern a term; at most 50 bytes a term on the cinema test
+# KB) run in both.
 allocs:
-	$(GO) test -run 'Allocs|TestPool' ./internal/nlp/ ./internal/core/ ./internal/linker/ ./internal/store/ .
+	$(GO) test -run 'Allocs|TestPool|TestTermTableBytes' ./internal/nlp/ ./internal/core/ ./internal/linker/ ./internal/store/ .
 
 # End-to-end serving smoke test: boot the gqa-serve handler on a random
 # port, answer one question over HTTP, scrape /metrics, and assert the
@@ -96,7 +99,7 @@ snapshot-smoke:
 # Deterministic replay of the fuzz seed corpora (f.Add entries + any
 # checked-in testdata): runs each fuzz target as a plain test, no engine.
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' ./internal/rdf/ ./internal/sparql/ ./internal/nlp/ ./internal/store/ ./internal/serve/ ./internal/core/ ./internal/linker/
+	$(GO) test -run 'Fuzz' ./internal/rdf/ ./internal/sparql/ ./internal/nlp/ ./internal/store/ ./internal/serve/ ./internal/core/ ./internal/linker/ ./internal/dict/
 
 # Short fuzz passes over the parser/evaluator targets (not part of tier1),
 # the question parser against the parent's (whose attach kept children
@@ -105,9 +108,11 @@ fuzz-seeds:
 # string-keyed reference (and Q^S against the parent's map-keyed build),
 # the top-k result set against the parent's string-keyed one, the path
 # walker against the parent's closure walk, and the linker's T-occurrence
-# skip (and its mention tokeniser) against the parent's k-way merge.
-# The nlp, core and linker targets are anchored: -fuzz must match exactly one
-# target per run.
+# skip (and its mention tokeniser) against the parent's k-way merge, the
+# term table against the parent's []rdf.Term and Key()-keyed map, and the
+# dictionary file's decoder (refusals name their line; what it accepts
+# re-encodes to itself). The nlp, core, linker, term-table and dictionary
+# targets are anchored: -fuzz must match exactly one target per run.
 fuzz:
 	$(GO) test -fuzz FuzzParseSPARQL -fuzztime 30s ./internal/sparql/
 	$(GO) test -fuzz FuzzEvalBudget -fuzztime 30s ./internal/sparql/
@@ -116,6 +121,8 @@ fuzz:
 	$(GO) test -fuzz FuzzLoadShardPart -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzShardServerHandle -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzWriteAfterFreeze -fuzztime 30s ./internal/store/
+	$(GO) test -fuzz '^FuzzTermTable$$' -fuzztime 30s ./internal/store/
+	$(GO) test -fuzz '^FuzzDecodeDictionary$$' -fuzztime 30s ./internal/dict/
 	$(GO) test -fuzz FuzzRequestStringsStayJSON -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/nlp/
 	$(GO) test -fuzz '^FuzzLemma$$' -fuzztime 30s ./internal/nlp/

@@ -34,11 +34,15 @@ func main() {
 	graphPath := flag.String("graph", "", "N-Triples graph file")
 	phrasesPath := flag.String("phrases", "", "relation-phrase support file")
 	builtin := flag.Bool("builtin", false, "use the bundled mini-DBpedia and phrase dataset")
-	theta := flag.Int("theta", 4, "maximum predicate path length θ")
+	theta := flag.Int("theta", dict.ThetaMax, fmt.Sprintf("maximum predicate path length θ, 1 to %d (what a dictionary file may hold)", dict.ThetaMax))
 	topk := flag.Int("topk", 3, "entries kept per phrase")
 	out := flag.String("o", "", "output file (default stdout)")
 	unidirectional := flag.Bool("unidirectional", false, "use the reference DFS instead of bidirectional BFS")
 	flag.Parse()
+	if *theta < 1 || *theta > dict.ThetaMax {
+		fmt.Fprintf(os.Stderr, "gqa-mine: -theta %d: a dictionary file holds paths of 1 to %d steps\n", *theta, dict.ThetaMax)
+		os.Exit(2)
+	}
 
 	var (
 		g    *store.Graph

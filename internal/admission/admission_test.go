@@ -244,6 +244,28 @@ func TestClientRateFairness(t *testing.T) {
 	rejectReason(t, err, ReasonClientRate)
 }
 
+// TestRejectErrorNamesReasonAndRetry: a rejection's message names its
+// reason, and its Retry-After hint when it has one: a hot client's
+// client-rate rejection says when to come back, a draining server's says
+// nothing of retrying.
+func TestRejectErrorNamesReasonAndRetry(t *testing.T) {
+	now := time.Unix(1000, 0)
+	c := New(Config{MaxInFlight: 4, MaxQueue: 4, ClientQPS: 2, ClientBurst: 1})
+	c.now = func() time.Time { return now }
+	admit(t, c, "hot").Release()
+	_, err := c.Admit(context.Background(), "hot")
+	rej := rejectReason(t, err, ReasonClientRate)
+	if want := "admission: rejected (client-rate), retry after 500ms"; err.Error() != want || rej.RetryAfter != 500*time.Millisecond {
+		t.Errorf("client-rate rejection reads %q, want %q", err, want)
+	}
+	c.Drain()
+	_, err = c.Admit(context.Background(), "")
+	rejectReason(t, err, ReasonDraining)
+	if want := "admission: rejected (draining)"; err.Error() != want {
+		t.Errorf("draining rejection reads %q, want %q", err, want)
+	}
+}
+
 // TestShedTiersRiseAndRestore: tiers grade up with occupancy and return
 // to zero once the pressure subsides.
 func TestShedTiersRiseAndRestore(t *testing.T) {

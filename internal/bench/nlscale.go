@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"gqa/internal/dict"
 	"gqa/internal/rdf"
@@ -126,7 +127,14 @@ func NewNLScaleKB(nPeople, nQuestions int, seed int64) (*NLScaleKB, error) {
 	add("reside in", livesIn)
 	d, _ := dict.Mine(g, sets, dict.MineOptions{MaxPathLen: 3, TopK: 3})
 
-	// Templated questions over random residents.
+	// Templated questions over random residents. A city's residents, in
+	// people order, are the gold of a question about it: gathered once,
+	// not by a scan of every person a question.
+	residents := make([][]rdf.Term, nCities)
+	for i := range people {
+		c := people[i].city
+		residents[c] = append(residents[c], people[i].term)
+	}
 	var qs []Question
 	for len(qs) < nQuestions {
 		i := rng.Intn(nPeople)
@@ -151,19 +159,13 @@ func NewNLScaleKB(nPeople, nQuestions int, seed int64) (*NLScaleKB, error) {
 			})
 		default:
 			ci := rng.Intn(nCities)
-			var gold []rdf.Term
-			for _, r := range people {
-				if r.city == ci {
-					gold = append(gold, r.term)
-				}
-			}
-			if len(gold) == 0 || len(gold) > 120 {
+			if n := len(residents[ci]); n == 0 || n > 120 {
 				continue
 			}
 			qs = append(qs, Question{
 				ID:       fmt.Sprintf("N%d", len(qs)),
 				Text:     fmt.Sprintf("Which people live in Ciudad %04d?", ci),
-				Gold:     gold,
+				Gold:     slices.Clone(residents[ci]),
 				Category: CatSimple,
 			})
 		}

@@ -141,6 +141,28 @@ func TestRuleExtendedNounParent(t *testing.T) {
 	}
 }
 
+// TestRule4FirstNoun: rule 4's noun fallback. "Is he the mayor of?" has
+// no object outside the embedding of "be the mayor of" and no wh-word, so
+// arg2 is the first noun inside the embedding, "mayor"; arg1 is the
+// subject the base scan finds.
+func TestRule4FirstNoun(t *testing.T) {
+	_, ids := figure1System(t, Options{})
+	d := figure1Dict(ids)
+	d.Add("be the mayor of", d.Phrases()[3].Entries)
+	y := mustParse(t, "Is he the mayor of?")
+	rels := ExtractRelations(y, d, ExtractOptions{})
+	if len(rels) != 1 {
+		t.Fatalf("got %d relations: %+v", len(rels), rels)
+	}
+	r := rels[0]
+	if r.Arg1.Text != "he" || r.Rule[0] != 0 {
+		t.Fatalf("arg1 = %+v rule %v", r.Arg1, r.Rule)
+	}
+	if r.Arg2.Text != "mayor" || r.Arg2.Wh || r.Rule[1] != 4 || !slices.Contains(r.Embedding, r.Arg2.Node) {
+		t.Fatalf("arg2 = %+v rule %v, want the embedding's noun by rule 4", r.Arg2, r.Rule)
+	}
+}
+
 func TestRulesDisabledDropsRelations(t *testing.T) {
 	_, ids := figure1System(t, Options{})
 	d := figure1Dict(ids)

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"gqa/internal/nlp"
 	"gqa/internal/obs"
@@ -182,30 +183,64 @@ func (d *Dictionary) Encode(w io.Writer, g *store.Graph) error {
 	return bw.Flush()
 }
 
-// Decode reads the Encode format, interning predicate IRIs into g.
+// minScore is the least score a dictionary file may hold: Encode writes
+// six decimals, and a smaller score would read back as 0. Mine's scores
+// are in (0, 1], a phrase's best path at 1.
+const minScore = 1e-6
+
+// Decode reads the Encode format, resolving predicate IRIs through g. It
+// refuses what Mine cannot produce, naming the line and the field: a score
+// outside [1e-6, 1] (NaN and the infinities included), a phrase with
+// no words, a path of more than ThetaMax steps, a phrase and path given
+// twice, and two phrase texts with one lemma key, which Add would fold
+// into one slot.
 func Decode(r io.Reader, g *store.Graph) (*Dictionary, error) {
 	d := New()
 	s := bufio.NewScanner(r)
 	s.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	pending := make(map[string][]Entry)
 	var order []string
+	type seen struct {
+		text string
+		line int
+	}
+	keys := make(map[string]seen) // lemma key → its phrase text's first line
+	paths := make(map[string]int) // lemma key and path → line
 	line := 0
 	for s.Scan() {
 		line++
-		text := strings.TrimSpace(s.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		// Only the right end is trimmed, so an empty first field stays a
+		// phrase with no words, not a missing field.
+		text := strings.TrimRightFunc(s.Text(), unicode.IsSpace)
+		if t := strings.TrimSpace(text); t == "" || strings.HasPrefix(t, "#") {
 			continue
 		}
 		parts := strings.Split(text, "\t")
 		if len(parts) != 3 {
 			return nil, fmt.Errorf("dict: line %d: want 3 tab-separated fields, got %d", line, len(parts))
 		}
+		phrase, key := parts[0], Key(parts[0])
+		if key == "" {
+			return nil, fmt.Errorf("dict: line %d: phrase %q has no words", line, phrase)
+		}
+		if k, ok := keys[key]; !ok {
+			keys[key] = seen{phrase, line}
+		} else if k.text != phrase {
+			return nil, fmt.Errorf("dict: line %d: phrase %q has the lemma key %q of phrase %q (line %d)", line, phrase, key, k.text, k.line)
+		}
 		score, err := strconv.ParseFloat(parts[1], 64)
 		if err != nil {
 			return nil, fmt.Errorf("dict: line %d: bad score: %v", line, err)
 		}
+		if !(score >= minScore && score <= 1) {
+			return nil, fmt.Errorf("dict: line %d: score %s is not in [%g, 1]", line, parts[1], minScore)
+		}
+		steps := strings.Split(parts[2], ",")
+		if len(steps) > ThetaMax {
+			return nil, fmt.Errorf("dict: line %d: path of %d steps, at most %d", line, len(steps), ThetaMax)
+		}
 		var path Path
-		for _, step := range strings.Split(parts[2], ",") {
+		for _, step := range steps {
 			if len(step) < 2 || (step[0] != '+' && step[0] != '-') {
 				return nil, fmt.Errorf("dict: line %d: bad step %q", line, step)
 			}
@@ -215,10 +250,15 @@ func Decode(r io.Reader, g *store.Graph) (*Dictionary, error) {
 			}
 			path = append(path, Step{Pred: id, Forward: step[0] == '+'})
 		}
-		if _, seen := pending[parts[0]]; !seen {
-			order = append(order, parts[0])
+		pk := key + "\t" + path.Key()
+		if at, ok := paths[pk]; ok {
+			return nil, fmt.Errorf("dict: line %d: path %s of phrase %q is on line %d too", line, parts[2], phrase, at)
 		}
-		pending[parts[0]] = append(pending[parts[0]], Entry{Path: path, Score: score})
+		paths[pk] = line
+		if _, seen := pending[phrase]; !seen {
+			order = append(order, phrase)
+		}
+		pending[phrase] = append(pending[phrase], Entry{Path: path, Score: score})
 	}
 	if err := s.Err(); err != nil {
 		return nil, err

@@ -11,6 +11,11 @@ type SupportSet struct {
 	Pairs  [][2]store.ID
 }
 
+// ThetaMax is θ's default, MineOptions.MaxPathLen when unset, and the
+// longest path a dictionary file may hold: Decode refuses a longer one,
+// and gqa-mine a larger θ.
+const ThetaMax = 4
+
 // MineOptions tunes Algorithm 1.
 type MineOptions struct {
 	// MaxPathLen is θ, the simple-path length bound. The paper defaults to
@@ -26,7 +31,7 @@ type MineOptions struct {
 
 func (o *MineOptions) defaults() {
 	if o.MaxPathLen == 0 {
-		o.MaxPathLen = 4
+		o.MaxPathLen = ThetaMax
 	}
 	if o.TopK == 0 {
 		o.TopK = 3

@@ -3,6 +3,7 @@ package dict
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -272,19 +273,106 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 func TestDecodeErrors(t *testing.T) {
 	g := store.New()
 	g.Intern(rdf.Ontology("p"))
-	cases := []string{
-		"only two\tfields",
-		"phrase\tnotanumber\t+http://dbpedia.org/ontology/p",
-		"phrase\t0.5\tnosign",
-		"phrase\t0.5\t+http://unknown/pred",
+	const p = "+http://dbpedia.org/ontology/p"
+	cases := []struct{ in, want string }{
+		{"only two\tfields", "line 1: want 3 tab-separated fields, got 2"},
+		{"phrase\tnotanumber\t" + p, "line 1: bad score"},
+		{"phrase\t0.5\tnosign", `line 1: bad step "nosign"`},
+		{"phrase\t0.5\t+http://unknown/pred", `line 1: unknown predicate "http://unknown/pred"`},
+		// What Mine cannot produce.
+		{"phrase\tNaN\t" + p, "line 1: score NaN is not in [1e-06, 1]"},
+		{"phrase\t+Inf\t" + p, "line 1: score +Inf is not in [1e-06, 1]"},
+		{"phrase\t-Inf\t" + p, "line 1: score -Inf is not in [1e-06, 1]"},
+		{"phrase\t-1\t" + p, "line 1: score -1 is not in [1e-06, 1]"},
+		{"phrase\t0\t" + p, "line 1: score 0 is not in [1e-06, 1]"},
+		{"phrase\t1e308\t" + p, "line 1: score 1e308 is not in [1e-06, 1]"},
+		{"phrase\t1.000001\t" + p, "line 1: score 1.000001 is not in [1e-06, 1]"},
+		{"phrase\t0.0000004\t" + p, "line 1: score 0.0000004 is not in [1e-06, 1]"},
+		{"\t0.5\t" + p, `line 1: phrase "" has no words`},
+		{"# comment\n  \t0.5\t" + p, `line 2: phrase "  " has no words`},
+		{"phrase\t0.5\t" + strings.Repeat(p+",", 4) + p, "line 1: path of 5 steps, at most 4"},
+		{"phrase\t0.5\t" + p + "\nother\t1\t" + p + "\nphrase\t0.25\t" + p,
+			`line 3: path ` + p + ` of phrase "phrase" is on line 1 too`},
+		{"is married to\t0.5\t" + p + "\nbe married to\t1\t" + p,
+			`line 2: phrase "be married to" has the lemma key "be marry to" of phrase "is married to" (line 1)`},
 	}
 	for _, c := range cases {
-		if _, err := Decode(strings.NewReader(c), g); err == nil {
-			t.Errorf("Decode(%q) should fail", c)
+		_, err := Decode(strings.NewReader(c.in), g)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Decode(%q) = %v, want an error naming %q", c.in, err, c.want)
 		}
 	}
-	// Comments and blank lines are fine.
-	if d, err := Decode(strings.NewReader("# comment\n\n"), g); err != nil || d.Len() != 0 {
+	// Comments and blank lines are fine; so are one phrase's paths on
+	// lines apart, a path at θ's bound, and the bounds of the score.
+	if d, err := Decode(strings.NewReader("# comment\n\n   # indented comment\n"), g); err != nil || d.Len() != 0 {
 		t.Errorf("comment-only decode: %v, %d", err, d.Len())
 	}
+	ok := "phrase\t1\t" + p + "\nother\t0.000001\t" + p + "\nphrase\t0.5\t" + strings.Repeat(p+",", 3) + p
+	if d, err := Decode(strings.NewReader(ok), g); err != nil || d.Len() != 2 {
+		t.Errorf("Decode(%q) = %v, %v", ok, d, err)
+	}
+}
+
+// FuzzDecodeDictionary: Decode never panics, a refusal names its line,
+// and what it accepts re-encodes to a file that decodes to the same
+// dictionary — the same phrases, paths and order — and re-encodes to the
+// same bytes. Each step's predicate resolves through the graph's term
+// index (store.Graph.LookupIRI), whose IRIs share their values with
+// literals and blank nodes, so the fuzzer drives the index's probes too.
+func FuzzDecodeDictionary(f *testing.F) {
+	g, sets, _ := minedFixture(f)
+	for i := range 64 {
+		v := fmt.Sprintf("http://e/p%d", i)
+		g.Intern(rdf.NewIRI(v))
+		g.Intern(rdf.NewLiteral(v))
+		g.Intern(rdf.NewBlank(v))
+	}
+	mined, _ := Mine(g, sets, MineOptions{})
+	var buf bytes.Buffer
+	if err := mined.Encode(&buf, g); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Add("be married to\t1\t+http://e/p1,-http://e/p2\nwed\t0.25\t-http://e/p63\n# c\n")
+	f.Add("x\t1e-6\t+http://e/p0\nx\t0x1p-1\t+http://e/p0,+http://e/p0\n")
+	f.Add("\t1\t+http://e/p0")
+	f.Fuzz(func(t *testing.T, in string) {
+		d, err := Decode(strings.NewReader(in), g)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "dict: line ") && !strings.Contains(err.Error(), "too long") {
+				t.Fatalf("refusal names no line: %v", err)
+			}
+			return
+		}
+		var enc bytes.Buffer
+		if err := d.Encode(&enc, g); err != nil {
+			t.Fatal(err)
+		}
+		d2, err := Decode(bytes.NewReader(enc.Bytes()), g)
+		if err != nil {
+			t.Fatalf("the re-encoded dictionary is refused: %v\n%s", err, enc.String())
+		}
+		ps, ps2 := d.Phrases(), d2.Phrases()
+		if len(ps) != len(ps2) {
+			t.Fatalf("%d phrases re-decode as %d", len(ps), len(ps2))
+		}
+		for i, p := range ps {
+			q := ps2[i]
+			if p.Text != q.Text || len(p.Entries) != len(q.Entries) {
+				t.Fatalf("phrase %d: %q with %d entries re-decodes as %q with %d", i, p.Text, len(p.Entries), q.Text, len(q.Entries))
+			}
+			for j, e := range p.Entries {
+				if e.Path.Key() != q.Entries[j].Path.Key() || math.Abs(e.Score-q.Entries[j].Score) > 5e-7 {
+					t.Fatalf("phrase %q entry %d: %v re-decodes as %v", p.Text, j, e, q.Entries[j])
+				}
+			}
+		}
+		var enc2 bytes.Buffer
+		if err := d2.Encode(&enc2, g); err != nil {
+			t.Fatal(err)
+		}
+		if enc.String() != enc2.String() {
+			t.Fatalf("re-encoding is not a fixed point:\n%s\n%s", enc.String(), enc2.String())
+		}
+	})
 }

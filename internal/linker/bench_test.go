@@ -79,7 +79,10 @@ func BenchmarkLinkerBuild(b *testing.B) {
 // stack, under the race detector too. A link that can find only one
 // candidate — a director's unique name on the cinema KB, as match-local
 // links — sizes that array for one: 8 bytes of lowered text and one
-// 16-byte candidate, where an array sized from the limit took 160.
+// 16-byte candidate, where an array sized from the limit took 160. A
+// city's name on nl-scale's KB reaches 42 cities and one company, and
+// the array is sized for what the walk can still pass after the first
+// keep, not for those 43 postings.
 func TestLinkAllocs(t *testing.T) {
 	kb, err := nlScale()
 	if err != nil {
@@ -104,6 +107,21 @@ func TestLinkAllocs(t *testing.T) {
 	const byteCeiling = 32 // measured: 24, and 32 under -race
 	if b := bytesPerRun(100, unique); b > byteCeiling {
 		t.Errorf("a unique-hit link allocates %d bytes, at most %d", b, byteCeiling)
+	}
+
+	place := func() { sink = lk.Link("Ciudad 0123", 10) }
+	place()
+	if len(sink) != 1 {
+		t.Fatalf("the city links %d candidates, want its one", len(sink))
+	}
+	// Measured: 48 — its lowered text and two slots. The parent sized the
+	// array from every posting the mention reaches, ten slots (176 bytes);
+	// the first keep now counts what the rest of the walk can pass: after
+	// the city, the class's stretch holds one more slot on "0123"
+	// (Compagnie 0123), and nothing in it says that slot lacks "ciudad".
+	const placeCeiling = 48
+	if b := bytesPerRun(100, place); b > placeCeiling {
+		t.Errorf("a one-candidate city link allocates %d bytes, at most %d", b, placeCeiling)
 	}
 }
 

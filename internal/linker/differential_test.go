@@ -150,6 +150,9 @@ func differMerge(lk *linker.Linker, mg *linker.Merger, mention string) (string, 
 			return fmt.Sprintf("Link(%q, %d)\n got  %v (%d scored)\n want %v (%d scored)",
 				mention, limit, got, gotScored, want, wantScored), true
 		}
+		if n := lk.Grown(mention, limit); n != 0 {
+			return fmt.Sprintf("Link(%q, %d) grew the array its first keep sized %d times", mention, limit, n), true
+		}
 	}
 	return "", false
 }

@@ -30,6 +30,14 @@ func (l *Linker) Read(mention string, limit int) int {
 	return w.read
 }
 
+// Grown is how many times Link(mention, limit)'s kept array grew past the
+// size its first keep gave it: 0 while that size bounds what the walk can
+// keep.
+func (l *Linker) Grown(mention string, limit int) int {
+	_, w := l.link(mention, limit)
+	return w.grown
+}
+
 // Shapes counts what one Link(mention, limit) met that the skip's proof
 // has a case for: postings a gallop passed beyond a list's head, slots
 // that met a threshold only on lemma-only lists (and so were not reached),

@@ -409,8 +409,10 @@ func (l *Linker) Link(mention string, limit int) []Candidate {
 // work is what one link did, counted without a clock: the slots whose
 // labels it read, the posting entries it inspected (heads compared plus
 // gallop probes), the postings its gallops passed beyond a list's head,
-// and the slots that met a threshold only on lemma-only lists.
-type work struct{ scored, read, jumped, unreached int }
+// the slots that met a threshold only on lemma-only lists, and how often
+// the kept array outgrew the size its first keep gave it (never, while
+// that size is a bound).
+type work struct{ scored, read, jumped, unreached, grown int }
 
 // link is Link without its metrics; it also returns what it did.
 func (l *Linker) link(text string, limit int) ([]Candidate, work) {
@@ -421,26 +423,15 @@ func (l *Linker) link(text string, limit int) ([]Candidate, work) {
 		return nil, w
 	}
 
-	// A list is what is left of one postings list, postings[at:end]: a
-	// mention token's raw postings, counted on the raw side when the token
-	// is one of the mention's raw tokens and on the lemma side when it is
-	// one of its lemmas, or a mention lemma's lemma-only postings, counted
-	// on the lemma side. Only raw postings reach a slot: a slot is visited
-	// through a token of its raw sets, never through lemma-only postings.
-	type list struct {
-		at, end  uint32
-		raw, lem int32 // 1 when the list counts on that side
-		reaches  bool
-	}
 	lists := make([]list, 0, 8)
 	var union [16]uint32
-	size := 0 // the postings that reach a slot: at least the slots a call keeps
+	reach := 0 // the postings that reach a slot: at least the slots a call keeps
 	for _, t := range sortedSet(append(append(union[:0], m.raw...), m.lem...)) {
 		ls := list{at: l.postOff[t], end: l.postOff[t+1], reaches: true}
 		if ls.at == ls.end {
 			continue
 		}
-		size += int(ls.end - ls.at)
+		reach += int(ls.end - ls.at)
 		if slices.Contains(m.raw, t) {
 			ls.raw = 1
 		}
@@ -493,6 +484,12 @@ func (l *Linker) link(text string, limit int) ([]Candidate, work) {
 		}
 		if len(sub) == 0 {
 			continue // no list reaches the class: skip its thresholds
+		}
+		classReach := 0 // the postings of the class's stretch that reach a slot
+		for _, ls := range sub {
+			if ls.reaches {
+				classReach += int(ls.end - ls.at)
+			}
 		}
 		// A slot of the class can pass only on at least tRaw raw lists or
 		// tLem lemma lists (see threshold). The walk may use any smaller
@@ -594,7 +591,18 @@ func (l *Linker) link(text string, limit int) ([]Candidate, work) {
 			}
 			w.scored++
 			if c, ok := l.candidate(s, &m); ok {
+				size := 0
+				if out == nil {
+					// The slots the walk can still pass: this one, what the
+					// rest of the class's stretch can pass, and every
+					// reaching posting outside the stretch.
+					size = 1 + passable(sub, tRaw, tLem) + reach - classReach
+				}
+				at := cap(out)
 				out = keep(out, c, limit, min(limit, size))
+				if limit > 0 && at > 0 && cap(out) != at {
+					w.grown++
+				}
 			}
 		}
 	}
@@ -602,6 +610,44 @@ func (l *Linker) link(text string, limit int) ([]Candidate, work) {
 		slices.SortFunc(out, rank)
 	}
 	return out, w
+}
+
+// A list is what is left of one postings list, postings[at:end]: a
+// mention token's raw postings, counted on the raw side when the token is
+// one of the mention's raw tokens and on the lemma side when it is one of
+// its lemmas, or a mention lemma's lemma-only postings, counted on the
+// lemma side. Only raw postings reach a slot: a slot is visited through a
+// token of its raw sets, never through lemma-only postings.
+type list struct {
+	at, end  uint32
+	raw, lem int32 // 1 when the list counts on that side
+	reaches  bool
+}
+
+// passable bounds how many slots of one class's stretch of lists a walk
+// with thresholds tRaw and tLem can pass. A slot that passes is on a
+// reaching list, and on at least t = min(tRaw, tLem) of the lists, so it
+// takes a posting from one outside the t−1 longest.
+func passable(lists []list, tRaw, tLem int) int {
+	var lens [32]int
+	k, all, reach := 0, 0, 0
+	for _, ls := range lists {
+		n := int(ls.end - ls.at)
+		if ls.reaches {
+			reach += n
+		}
+		all += n
+		if k < len(lens) {
+			lens[k], k = n, k+1
+		}
+	}
+	// Past 32 lists the longest are sought among the first 32 only, which
+	// leaves a larger bound.
+	slices.Sort(lens[:k])
+	for _, n := range lens[max(k-(min(tRaw, tLem)-1), 0):k] {
+		all -= n
+	}
+	return min(reach, all)
 }
 
 // noSlot is greater than every slot: a head buffer's empty entry.

@@ -83,6 +83,14 @@ func NewLangLiteral(lexical, lang string) Term {
 // prefix).
 func NewBlank(label string) Term { return Term{kind: KindBlank, value: label} }
 
+// NewTerm assembles a term from its parts, the inverse of Kind, Value,
+// Datatype and Lang: a store that keeps the parts apart (the store's term
+// table) rebuilds the term with no allocation. Only a literal carries a
+// datatype or a language tag, and at most one of them.
+func NewTerm(kind Kind, value, datatype, lang string) Term {
+	return Term{kind: kind, value: value, datatype: datatype, lang: lang}
+}
+
 // Resource returns an IRI under the DBpedia-style resource namespace. It is
 // a convenience used pervasively by the benchmark datasets; spaces in name
 // are replaced by underscores as DBpedia does.

@@ -206,3 +206,25 @@ func TestQueryStringRoundTrip(t *testing.T) {
 		t.Fatalf("unstable rendering:\n%s\n%s", q.String(), q2.String())
 	}
 }
+
+// TestTermStringIsItsRender: a term's String is what a query's render
+// writes for it — a variable as ?name, an IRI in angle brackets, a literal
+// in N-Triples syntax with its language tag or datatype.
+func TestTermStringIsItsRender(t *testing.T) {
+	for _, c := range []struct {
+		term Term
+		want string
+	}{
+		{Term{Var: "x"}, "?x"},
+		{Term{Const: rdf.Resource("Berlin")}, "<http://dbpedia.org/resource/Berlin>"},
+		{Term{Const: rdf.NewLangLiteral("Berlin", "de")}, `"Berlin"@de`},
+		{Term{Const: rdf.NewTypedLiteral("3", rdf.XSDInteger)}, `"3"^^<` + rdf.XSDInteger + `>`},
+		{Term{Const: rdf.NewLiteral(`say "hi"`)}, `"say \"hi\""`},
+	} {
+		var b strings.Builder
+		c.term.writeTo(&b)
+		if got := c.term.String(); got != c.want || b.String() != c.want {
+			t.Errorf("%#v renders %q and writes %q, want %q", c.term, got, b.String(), c.want)
+		}
+	}
+}

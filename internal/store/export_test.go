@@ -1,5 +1,7 @@
 package store
 
+import "gqa/internal/rdf"
+
 // Test-only exports for the external tests (package store_test), which
 // drive the real matcher over loopback shards or build the workload KBs and
 // so cannot live inside the package (core and bench import store): the
@@ -15,3 +17,21 @@ var (
 )
 
 func (s *ShardServer) Handle(req []byte) ([]byte, bool) { return s.handle(req) }
+
+// CheckTermTable holds the term table to the parent's dictionary on a
+// graph's terms (terms_test.go). InternTerms interns terms into a bare
+// table and returns the bytes its arrays hold at their capacities: the
+// arena, the offset and tag columns, the index and the extras' text.
+var CheckTermTable = checkTermTable
+
+func InternTerms(terms []rdf.Term) int64 {
+	var t termTable
+	for _, x := range terms {
+		t.intern(x)
+	}
+	n := int64(t.buf.Cap()) + 4*int64(cap(t.off)+cap(t.tag)+cap(t.index))
+	for _, x := range t.extras {
+		n += int64(len(x))
+	}
+	return n
+}

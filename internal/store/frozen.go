@@ -40,7 +40,7 @@ var (
 	snapshotBuildSeconds = obs.DefaultHistogram("gqa_store_snapshot_build_seconds",
 		"Time to build one frozen CSR snapshot from the mutable graph.", nil)
 	snapshotBytes = obs.DefaultGauge("gqa_store_snapshot_bytes",
-		"Size of the most recently built snapshot's CSR arrays in bytes.")
+		"Resident size of the most recently built or loaded snapshot in bytes: its CSR arrays and the graph's term table (arena, columns and index).")
 	snapshotBuilds = obs.DefaultCounter("gqa_store_snapshot_builds_total",
 		"Frozen CSR snapshots built (freezes after load or mutation).")
 	shardFreezes = obs.DefaultCounter("gqa_store_shard_freezes_total",
@@ -54,7 +54,7 @@ var (
 type Snapshot struct {
 	gen   uint64
 	k     int
-	terms []rdf.Term // frozen slice header; term storage is append-only
+	terms termTable // the dictionary's frozen copy (terms.go)
 	rd    reader
 	parts localParts // the arrays behind rd; nil when the parts are remote
 
@@ -63,7 +63,7 @@ type Snapshot struct {
 	predIDs  []ID // ascending union of the parts' predicate lists
 	entities []ID // ascending union of the parts' entity lists
 	stats    Stats
-	bytes    int64
+	bytes    int64 // resident size: the parts' arrays and the graph's term table
 }
 
 // SetShards configures vertex-hash sharding: k > 1 partitions the next
@@ -80,7 +80,7 @@ type Snapshot struct {
 func (g *Graph) SetShards(k int) int {
 	g.freezeMu.Lock()
 	defer g.freezeMu.Unlock()
-	if n := len(g.terms); k > n {
+	if n := g.terms.len(); k > n {
 		k = n
 	}
 	if k <= 1 {
@@ -133,7 +133,7 @@ func (g *Graph) FreezeCtx(ctx context.Context) *Snapshot {
 	snapshotBytes.Set(sn.bytes)
 	snapshotBuilds.Inc()
 	if sp.Enabled() {
-		sp.SetInt("terms", int64(len(sn.terms)))
+		sp.SetInt("terms", int64(sn.terms.len()))
 		sp.SetInt("triples", int64(sn.nTriples))
 		sp.SetInt("bytes", sn.bytes)
 		sp.SetInt("shards", int64(sn.k))
@@ -175,12 +175,13 @@ func (g *Graph) buildSnapshot(k int, prev *Snapshot) (*Snapshot, int) {
 		shardFreezes.Inc()
 	}
 	sn := &Snapshot{
-		gen: gen, k: k, terms: g.terms, rd: parts, parts: parts,
+		gen: gen, k: k, terms: g.terms.frozen(), rd: parts, parts: parts,
 		rdfType: g.rdfType, nTriples: g.nTriples,
 	}
 	// Global assembly. Triples/Predicates/Classes are O(1) reads of the
 	// live graph; literals are recounted over the term table so a literal
 	// interned since a clean part's build still shows up.
+	sn.bytes = g.terms.bytes()
 	entityLists, predLists := make([][]ID, k), make([][]ID, k)
 	for i, p := range parts {
 		entityLists[i], predLists[i] = p.entities, p.predIDs
@@ -194,11 +195,7 @@ func (g *Graph) buildSnapshot(k int, prev *Snapshot) (*Snapshot, int) {
 		Triples:    sn.nTriples,
 		Predicates: len(g.preds),
 	}
-	for _, t := range sn.terms {
-		if t.IsLiteral() {
-			sn.stats.Literals++
-		}
-	}
+	sn.stats.Literals = sn.terms.literals()
 	return sn, rebuilt
 }
 
@@ -272,10 +269,10 @@ func (sn *Snapshot) Generation() uint64 { return sn.gen }
 func (sn *Snapshot) NumShards() int { return sn.k }
 
 // NumTerms returns the number of interned terms at freeze time.
-func (sn *Snapshot) NumTerms() int { return len(sn.terms) }
+func (sn *Snapshot) NumTerms() int { return sn.terms.len() }
 
 // Term returns the term for id (IDs are stable across freezes).
-func (sn *Snapshot) Term(id ID) rdf.Term { return sn.terms[id] }
+func (sn *Snapshot) Term(id ID) rdf.Term { return sn.terms.term(id) }
 
 // TypeID returns the interned ID of rdf:type at freeze time, or None.
 func (sn *Snapshot) TypeID() ID { return sn.rdfType }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -532,6 +533,39 @@ func TestFreezeMetricsExposed(t *testing.T) {
 	}
 	if sn := g.Frozen(); sn.bytes <= 0 {
 		t.Fatal("snapshot must report a positive byte size")
+	}
+}
+
+// TestSnapshotBytesIsResidentSize: gqa_store_snapshot_bytes is the
+// graph's resident size, the parts' arrays and the term table's exact
+// bytes, after a freeze and after a load of the saved file.
+func TestSnapshotBytesIsResidentSize(t *testing.T) {
+	g := New()
+	if err := g.AddAll([]rdf.Triple{
+		rdf.T(rdf.NewIRI("s"), rdf.NewIRI("p"), rdf.NewLangLiteral("o", "en")),
+		rdf.T(rdf.NewIRI("s"), rdf.NewIRI("p"), rdf.NewTypedLiteral("42", rdf.XSDInteger)),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sn := g.Freeze()
+	// Four terms: 5 bytes of values in the arena, five offsets, four tags,
+	// an index of 8 slots, and the extras "en" and xsd:integer.
+	terms := int64(5 + 4*5 + 4*4 + 4*8 + 2 + len(rdf.XSDInteger))
+	want := sn.parts[0].arrayBytes() + terms
+	if sn.bytes != want || snapshotBytes.Value() != want {
+		t.Fatalf("a freeze reports %d bytes (gauge %d), want %d", sn.bytes, snapshotBytes.Value(), want)
+	}
+	var buf bytes.Buffer
+	if err := SaveFrozen(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	snapshotBytes.Set(0)
+	lg, err := LoadFrozen(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lg.Frozen().bytes; got != want || snapshotBytes.Value() != want {
+		t.Fatalf("a load reports %d bytes (gauge %d), want %d", got, snapshotBytes.Value(), want)
 	}
 }
 

@@ -168,7 +168,7 @@ func decodeShardMeta(b []byte) (shardMeta, error) {
 type ShardPart struct {
 	part  *shardPart
 	meta  shardMeta
-	terms []rdf.Term // the term dictionary, carried exactly when K = 1
+	terms termTable // the term dictionary, carried exactly when K = 1
 }
 
 // Shard returns this part's shard index; K its set's shard count.
@@ -194,7 +194,7 @@ func (sn *Snapshot) Part(i int) *ShardPart {
 			k:        uint32(sn.k),
 			gen:      sn.gen,
 			shardGen: p.gen,
-			nTerms:   uint64(len(sn.terms)),
+			nTerms:   uint64(sn.terms.len()),
 			nTriples: uint64(sn.nTriples),
 			rdfType:  uint32(sn.rdfType),
 			literals: uint64(p.literals),
@@ -240,7 +240,7 @@ func (sp *ShardPart) Save(w io.Writer) error {
 	var secs [frzSectionCount][]byte
 	secs[frzMeta] = encodeShardMeta(&sp.meta)
 	if sp.meta.k == 1 {
-		secs[frzTerms] = encodeFrozenTerms(sp.terms)
+		secs[frzTerms] = encodeFrozenTerms(&sp.terms)
 	}
 	secs[frzOutOff] = encodeFrzU32s(p.outOff)
 	secs[frzOutEdges] = encodeFrzEdges(p.outEdges)
@@ -284,18 +284,6 @@ func frzContentHash(dir []byte) uint64 {
 	ch := fnv.New64a()
 	ch.Write(dir)
 	return ch.Sum64()
-}
-
-func encodeFrozenTerms(terms []rdf.Term) []byte {
-	tb := binary.LittleEndian.AppendUint32(nil, uint32(len(terms)))
-	for _, t := range terms {
-		tb = append(tb, byte(t.Kind()))
-		for _, s := range [3]string{t.Value(), t.Datatype(), t.Lang()} {
-			tb = binary.LittleEndian.AppendUint32(tb, uint32(len(s)))
-			tb = append(tb, s...)
-		}
-	}
-	return tb
 }
 
 // encodeFrzU32s and decodeFrzU32s are the codec of the uint32 sections:
@@ -345,7 +333,7 @@ func LoadFrozen(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	snapshotBytes.Set(sp.part.bytes)
+	snapshotBytes.Set(g.snap.Load().bytes)
 	return g, nil
 }
 
@@ -543,81 +531,6 @@ func (pr *partReader) load(wantShard bool) (*ShardPart, error) {
 	return sp, nil
 }
 
-// decodeFrozenTerms decodes the terms payload, which must hold exactly
-// want records.
-func decodeFrozenTerms(b []byte, want uint64) ([]rdf.Term, error) {
-	count := uint64(binary.LittleEndian.Uint32(b))
-	if count != want {
-		return nil, fmt.Errorf("%d terms, meta says %d", count, want)
-	}
-	// Every record is at least 13 bytes (kind + three length fields), so an
-	// inflated count is rejected before any allocation proportional to it.
-	if count*13 > uint64(len(b)-4) {
-		return nil, fmt.Errorf("term count %d exceeds payload size %d", count, len(b))
-	}
-	var terms []rdf.Term
-	if count > 0 {
-		terms = make([]rdf.Term, 0, count)
-	}
-	off := 4
-	readStr := func() (string, bool) {
-		if off+4 > len(b) {
-			return "", false
-		}
-		l := int(binary.LittleEndian.Uint32(b[off:]))
-		off += 4
-		if l > len(b)-off {
-			return "", false
-		}
-		s := string(b[off : off+l])
-		off += l
-		return s, true
-	}
-	for i := 0; i < int(count); i++ {
-		if off >= len(b) {
-			return nil, fmt.Errorf("term %d truncated", i)
-		}
-		kind := b[off]
-		off++
-		value, ok1 := readStr()
-		datatype, ok2 := readStr()
-		lang, ok3 := readStr()
-		if !ok1 || !ok2 || !ok3 {
-			return nil, fmt.Errorf("term %d truncated", i)
-		}
-		var t rdf.Term
-		switch rdf.Kind(kind) {
-		case rdf.KindIRI, rdf.KindBlank:
-			if datatype != "" || lang != "" {
-				return nil, fmt.Errorf("term %d: non-literal carries datatype/lang", i)
-			}
-			if rdf.Kind(kind) == rdf.KindIRI {
-				t = rdf.NewIRI(value)
-			} else {
-				t = rdf.NewBlank(value)
-			}
-		case rdf.KindLiteral:
-			switch {
-			case datatype != "" && lang != "":
-				return nil, fmt.Errorf("term %d: literal carries both datatype and lang", i)
-			case lang != "":
-				t = rdf.NewLangLiteral(value, lang)
-			case datatype != "":
-				t = rdf.NewTypedLiteral(value, datatype)
-			default:
-				t = rdf.NewLiteral(value)
-			}
-		default:
-			return nil, fmt.Errorf("term %d has unknown kind %d", i, kind)
-		}
-		terms = append(terms, t)
-	}
-	if off != len(b) {
-		return nil, fmt.Errorf("%d trailing bytes", len(b)-off)
-	}
-	return terms, nil
-}
-
 func decodeFrzU32s[T ~uint32](b []byte) []T {
 	out := make([]T, len(b)/4)
 	for i := range out {
@@ -788,23 +701,23 @@ func validatePart(p *shardPart, m *shardMeta, pr *partReader) error {
 // It behaves exactly like a graph built by Intern+Add and frozen —
 // including further mutation, which thaws rows from the base.
 func assembleFrozen(sp *ShardPart, pr *partReader) (*Graph, error) {
-	pt, terms, m := sp.part, sp.terms, &sp.meta
-	n := len(terms)
+	pt, m := sp.part, &sp.meta
+	terms := &sp.terms
+	n := terms.len()
 	parts := localParts{pt}
 
 	// Term index. A duplicate means the file disagrees with the interner:
-	// the same key could not have been assigned two IDs. The vocabulary IDs
+	// the same term could not have been assigned two IDs. The vocabulary IDs
 	// are what Intern would have produced for this term sequence (the last
 	// term whose value matches wins, mirroring Intern's switch).
-	index := make(map[string]ID, n)
-	rdfType, subClass, labelPred := None, None, None
-	for i, t := range terms {
-		k := t.Key()
-		if prev, dup := index[k]; dup {
-			return nil, pr.fail(frzTerms, "term %d duplicates term %d (%s)", i, prev, t)
+	if n > 0 {
+		if i, prev := terms.rehash(indexSize(n)); i >= 0 {
+			return nil, pr.fail(frzTerms, "term %d duplicates term %d (%s)", i, prev, terms.term(ID(i)))
 		}
-		index[k] = ID(i)
-		switch t.Value() {
+	}
+	rdfType, subClass, labelPred := None, None, None
+	for i := range n {
+		switch terms.value(ID(i)) {
 		case rdf.RDFType:
 			rdfType = ID(i)
 		case rdf.RDFSSubClass:
@@ -830,12 +743,12 @@ func assembleFrozen(sp *ShardPart, pr *partReader) (*Graph, error) {
 		perPred[e.Pred]++
 	}
 	pi := 0
-	for v, t := range terms {
+	for v := range n {
 		var want uint8
-		switch {
-		case t.IsIRI():
+		switch terms.kind(ID(v)) {
+		case rdf.KindIRI:
 			want = roleIRI
-		case t.IsLiteral():
+		case rdf.KindLiteral:
 			want = roleLiteral
 		}
 		if pi < len(pt.predIDs) && pt.predIDs[pi] == ID(v) {
@@ -864,14 +777,14 @@ func assembleFrozen(sp *ShardPart, pr *partReader) (*Graph, error) {
 	// the term index, the vocabulary IDs and the class and predicate sets
 	// later writes keep up to date.
 	g := &Graph{
-		terms: terms, index: index, rdfType: rdfType, subClass: subClass, labelPred: labelPred,
+		terms: *terms, rdfType: rdfType, subClass: subClass, labelPred: labelPred,
 		classes: classes, preds: preds, nTriples: len(pt.outEdges),
 	}
 	g.gen.Store(m.gen)
 	g.snap.Store(&Snapshot{
-		gen: m.gen, k: 1, terms: terms, rd: parts, parts: parts,
+		gen: m.gen, k: 1, terms: terms.frozen(), rd: parts, parts: parts,
 		rdfType: rdfType, nTriples: len(pt.outEdges), predIDs: pt.predIDs,
-		entities: pt.entities, stats: stats, bytes: pt.bytes,
+		entities: pt.entities, stats: stats, bytes: pt.bytes + terms.bytes(),
 	})
 	return g, nil
 }

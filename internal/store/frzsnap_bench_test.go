@@ -65,21 +65,22 @@ func BenchmarkSaveFrozenKB(b *testing.B) {
 }
 
 // TestLoadFrozenAllocs: loading the cinema test KB's GQAFRZ1 file
-// allocates the decoded sections, each term's strings and index key, the
-// class and predicate sets and the snapshot, and no second copy of the
-// graph: rebuilding adjacency lists, a triple set or a predicate index
-// beside the snapshot takes it past the ceiling.
+// allocates the decoded sections, the term table's arena, columns and
+// index, the class and predicate sets and the snapshot, and nothing a
+// term: no string, no index key, and no second copy of the graph —
+// rebuilding adjacency lists, a triple set or a predicate index beside the
+// snapshot takes it past the ceiling.
 func TestLoadFrozenAllocs(t *testing.T) {
 	g := bench.NewCinemaKB().Graph
 	var frz bytes.Buffer
 	if err := store.SaveFrozen(&frz, g); err != nil {
 		t.Fatal(err)
 	}
-	// Measured: 4 219, and 4 228 under -race. A load that decoded the
-	// predicate-major sections again would take 4 222 and 4 234.
-	ceiling := 4219.0
+	// Measured: 37, and 46 under -race. The dictionary as a []rdf.Term and a
+	// map keyed by Term.Key() took 4 219 (4 228): two a term.
+	ceiling := 37.0
 	if raceEnabled {
-		ceiling = 4228
+		ceiling = 46
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		if _, err := store.LoadFrozen(bytes.NewReader(frz.Bytes())); err != nil {

@@ -60,8 +60,7 @@ type Spo struct {
 // not synchronized, and the first freeze, which releases the lists, must
 // not run concurrently with reads of them.
 type Graph struct {
-	terms []rdf.Term
-	index map[string]ID // rdf.Term.Key() → ID
+	terms termTable // the dictionary (terms.go)
 
 	// The insertion-order lists, nil once the graph has been frozen. A
 	// duplicate Add is found by a scan of the subject's out row: O(degree),
@@ -127,7 +126,6 @@ func (g *Graph) SetRemoteView(v View) {
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
-		index:     make(map[string]ID),
 		byPred:    make(map[ID][]Spo),
 		rdfType:   None,
 		subClass:  None,
@@ -139,13 +137,10 @@ func New() *Graph {
 
 // Intern returns the ID for term, assigning a fresh one on first sight.
 func (g *Graph) Intern(t rdf.Term) ID {
-	key := t.Key()
-	if id, ok := g.index[key]; ok {
+	id, fresh := g.terms.intern(t)
+	if !fresh {
 		return id
 	}
-	id := ID(len(g.terms))
-	g.terms = append(g.terms, t)
-	g.index[key] = id
 	if g.snap.Load() == nil {
 		g.out = append(g.out, nil)
 		g.in = append(g.in, nil)
@@ -163,8 +158,8 @@ func (g *Graph) Intern(t rdf.Term) ID {
 
 // Lookup returns the ID for term if it has been interned.
 func (g *Graph) Lookup(t rdf.Term) (ID, bool) {
-	id, ok := g.index[t.Key()]
-	return id, ok
+	id := g.terms.lookup(t)
+	return id, id != None
 }
 
 // LookupIRI returns the ID for the IRI string if present.
@@ -174,14 +169,12 @@ func (g *Graph) LookupIRI(iri string) (ID, bool) {
 
 // Term returns the term for id. It panics on out-of-range IDs, which always
 // indicate a programming error.
-func (g *Graph) Term(id ID) rdf.Term { return g.terms[id] }
+func (g *Graph) Term(id ID) rdf.Term { return g.terms.term(id) }
 
 // Terms returns a copy of the interned term table (index = ID) — the
 // coordinator hands it to DialShards so remote views resolve Term lookups
 // locally instead of over the wire.
-func (g *Graph) Terms() []rdf.Term {
-	return append([]rdf.Term(nil), g.terms...)
-}
+func (g *Graph) Terms() []rdf.Term { return g.terms.terms() }
 
 // Add inserts a triple, interning its terms. Duplicate triples are ignored.
 // It returns an error only for RDF-invalid triples.
@@ -437,7 +430,7 @@ func (g *Graph) Degree(v ID) int {
 }
 
 // NumTerms returns the number of interned terms.
-func (g *Graph) NumTerms() int { return len(g.terms) }
+func (g *Graph) NumTerms() int { return g.terms.len() }
 
 // NumTriples returns the number of distinct triples.
 func (g *Graph) NumTriples() int { return g.nTriples }
@@ -456,7 +449,7 @@ func (g *Graph) IsClass(v ID) bool {
 // subject or object and is neither a class nor used as a predicate. This
 // is the definition the freeze's role pass precomputes (View.IsEntity).
 func (g *Graph) IsEntity(v ID) bool {
-	if !g.terms[v].IsIRI() || g.IsClass(v) {
+	if g.terms.kind(v) != rdf.KindIRI || g.IsClass(v) {
 		return false
 	}
 	if _, isPred := g.preds[v]; isPred {
@@ -491,12 +484,12 @@ func (g *Graph) LabelOf(v ID) string {
 			labels = predSpan(labels, lp)
 		}
 		for _, e := range labels {
-			if e.Pred == lp && g.terms[e.To].IsLiteral() {
-				return g.terms[e.To].Value()
+			if e.Pred == lp && g.terms.kind(e.To) == rdf.KindLiteral {
+				return g.terms.value(e.To)
 			}
 		}
 	}
-	return g.terms[v].Label()
+	return g.terms.term(v).Label()
 }
 
 // PredCount returns the number of triples using predicate p.
@@ -506,7 +499,7 @@ func (g *Graph) PredCount(p ID) int { return g.preds[p] }
 // the precomputed View.Entities instead.
 func (g *Graph) Entities() []ID {
 	var out []ID
-	for v := range g.terms {
+	for v := range g.terms.len() {
 		if g.IsEntity(ID(v)) {
 			out = append(out, ID(v))
 		}
@@ -530,7 +523,7 @@ func (g *Graph) Classes() []ID {
 func (g *Graph) Triples() []rdf.Triple {
 	out := make([]rdf.Triple, 0, g.NumTriples())
 	g.Match(Any, Any, Any, func(spo Spo) bool {
-		out = append(out, rdf.Triple{Subject: g.terms[spo.S], Predicate: g.terms[spo.P], Object: g.terms[spo.O]})
+		out = append(out, rdf.Triple{Subject: g.Term(spo.S), Predicate: g.Term(spo.P), Object: g.Term(spo.O)})
 		return true
 	})
 	return out
@@ -553,10 +546,10 @@ func (g *Graph) Stats() Stats {
 		Predicates: g.NumPredicates(),
 		Classes:    len(g.classes),
 	}
-	for v := range g.terms {
+	for v := range g.terms.len() {
 		id := ID(v)
 		switch {
-		case g.terms[id].IsLiteral():
+		case g.terms.kind(id) == rdf.KindLiteral:
 			st.Literals++
 		case g.IsEntity(id):
 			st.Entities++

@@ -315,7 +315,7 @@ func DialShards(addrs []string, terms []rdf.Term, opts RemoteOptions) (*Snapshot
 		}
 	}
 	return &Snapshot{
-		gen: m0.gen, k: k, terms: terms, rd: r,
+		gen: m0.gen, k: k, terms: newTermTable(terms), rd: r,
 		rdfType: ID(m0.rdfType), nTriples: int(m0.nTriples), stats: m0.stats,
 		entities: mergeIDLists(lists[0]), predIDs: mergeIDLists(lists[1]),
 	}, nil

@@ -20,6 +20,8 @@ package store
 import (
 	"cmp"
 	"slices"
+
+	"gqa/internal/rdf"
 )
 
 // Vertex role bits precomputed at freeze, so the entity list and the
@@ -69,7 +71,7 @@ func localCount(n, shard, k int) int {
 // insertion-order lists before the first freeze; thawed rows and base spans
 // after): the local CSRs, the out edges' predicate list and roles.
 func buildShardPart(g *Graph, shard, k int, gen uint64) *shardPart {
-	n := len(g.terms)
+	n := g.terms.len()
 	nLocal := localCount(n, shard, k)
 	p := &shardPart{gen: gen, shard: shard, k: k, nTerms: n}
 	p.outOff, p.outEdges = buildLocalCSR(g.outRow, shard, k, nLocal)
@@ -92,10 +94,10 @@ func buildShardPart(g *Graph, shard, k int, gen uint64) *shardPart {
 	for l := 0; l < nLocal; l++ {
 		id := ID(shard + l*k)
 		var r uint8
-		switch t := g.terms[id]; {
-		case t.IsIRI():
+		switch g.terms.kind(id) {
+		case rdf.KindIRI:
 			r |= roleIRI
-		case t.IsLiteral():
+		case rdf.KindLiteral:
 			r |= roleLiteral
 			p.literals++
 		}

@@ -110,7 +110,8 @@ func startFrameShards(t *testing.T, g *Graph, k int, answer func(srv *ShardServe
 }
 
 // TestShardPartRoundtrip pins the part files: every part of a sharded
-// freeze survives save/load exactly (same arrays and roles),
+// freeze survives save/load exactly (same arrays and roles, and the
+// identity it was exported with: shard, K, generation, term count),
 // and the format is canonical — Save(Load(b)) is b — at every K.
 func TestShardPartRoundtrip(t *testing.T) {
 	for _, k := range []int{2, 3, 4} {
@@ -125,6 +126,11 @@ func TestShardPartRoundtrip(t *testing.T) {
 			}
 			if want := ss.Part(i); !reflect.DeepEqual(want, loaded) {
 				t.Fatalf("part %d/%d diverges after roundtrip:\nwant %+v\ngot  %+v", i, k, want.part, loaded.part)
+			}
+			// The part's identity is the snapshot's it was exported from.
+			if loaded.Shard() != i || loaded.K() != k || loaded.Generation() != ss.Generation() || loaded.NumTerms() != ss.NumTerms() {
+				t.Fatalf("part %d/%d loads as part %d/%d at generation %d of %d terms, exported from generation %d of %d",
+					i, k, loaded.Shard(), loaded.K(), loaded.Generation(), loaded.NumTerms(), ss.Generation(), ss.NumTerms())
 			}
 			var again bytes.Buffer
 			if err := loaded.Save(&again); err != nil {
