@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: tier1 fmt vet build bench-build test race allocs fuzz fuzz-seeds bench loc cover serve-smoke snapshot-smoke flight-smoke shard-rpc-smoke
+.PHONY: tier1 fmt vet build bench-build test race allocs fuzz fuzz-seeds bench loc cover reach serve-smoke snapshot-smoke flight-smoke shard-rpc-smoke
 
 tier1: fmt vet build bench-build race allocs fuzz-seeds snapshot-smoke flight-smoke shard-rpc-smoke
 
@@ -109,10 +109,12 @@ fuzz-seeds:
 # the top-k result set against the parent's string-keyed one, the path
 # walker against the parent's closure walk, and the linker's T-occurrence
 # skip (and its mention tokeniser) against the parent's k-way merge, the
-# term table against the parent's []rdf.Term and Key()-keyed map, and the
+# term table against the parent's []rdf.Term and Key()-keyed map, the
 # dictionary file's decoder (refusals name their line; what it accepts
-# re-encodes to itself). The nlp, core, linker, term-table and dictionary
-# targets are anchored: -fuzz must match exactly one target per run.
+# re-encodes to itself), and the running example answered over whatever
+# dictionary the decoder accepts (an answer or a named failure, never a
+# panic). The nlp, core, linker, term-table and dictionary targets are
+# anchored: -fuzz must match exactly one target per run.
 fuzz:
 	$(GO) test -fuzz FuzzParseSPARQL -fuzztime 30s ./internal/sparql/
 	$(GO) test -fuzz FuzzEvalBudget -fuzztime 30s ./internal/sparql/
@@ -129,6 +131,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzFindEmbeddings$$' -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz '^FuzzResultSet$$' -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz '^FuzzFollowPath$$' -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz '^FuzzAnswerOverDictionary$$' -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz '^FuzzLink$$' -fuzztime 30s ./internal/linker/
 
 # Go micro-benchmarks, for measuring while you work (among them the cold
@@ -158,14 +161,37 @@ loc:
 		"$$(sed -n '/^type reader interface/,/^}/p' internal/store/view.go | grep -cE '^[[:space:]]+[a-z][A-Za-z]*\(')" \
 		"$$(sed -n '/^const (/,/^)/p' internal/store/shardrpc.go | grep -cE '^[[:space:]]+shrOp[A-Z]')"
 
+# The filter make cover and make reach share: from go tool cover -func's
+# lines, each function outside cmd/ and examples/ that nothing executed
+# (0.0 %), as "file:line: name".
+UNEXECUTED = grep -E '[[:space:]]0\.0%$$' | grep -vE '^gqa/(cmd|examples)/' | awk '{print $$1, $$2}'
+
 # The code no test reaches (CHANGES.md quotes it beside loc): every
 # package's tests run with coverage counted over the whole module, and the
 # listing is each non-test function outside cmd/, examples/ and benchmark/
-# that none of them executes (0.0 %). It is a listing to read, not a gate.
+# that none of them executes. It is a listing to read, not a gate.
 cover:
 	@mkdir -p .bench_build
 	@$(GO) test -coverpkg=./... -coverprofile=.bench_build/cover.out ./... >.bench_build/cover.log || { cat .bench_build/cover.log; exit 1; }
-	@$(GO) tool cover -func=.bench_build/cover.out | grep -E '[[:space:]]0\.0%$$' | grep -vE '^gqa/(cmd|examples)/' | awk '{print $$1, $$2}'
+	@$(GO) tool cover -func=.bench_build/cover.out | $(UNEXECUTED)
+
+# The code no real run reaches (CHANGES.md quotes its count beside cover):
+# scripts/reach.sh builds the binaries, the examples and the benchmark
+# harness with coverage counted over the module and runs them as one shell
+# sequence — no Go test, so no test's in-process call counts — and the
+# listing is each non-test function outside cmd/, examples/ and benchmark/
+# that none of those runs executes. Each listed function has one reason
+# row, on the reach ledger (reach_test.go) or on testOnlySurface
+# (surface_test.go); TestReachLedger, handed the listing, fails on a listed
+# function without a row and on a ledger row whose function was reached.
+# Not a tier-1 step: it takes about a minute.
+reach:
+	@mkdir -p .bench_build
+	@bash scripts/reach.sh >.bench_build/reach.log 2>&1 || { cat .bench_build/reach.log; exit 1; }
+	@$(GO) tool cover -func=.bench_build/reach/reach.out | $(UNEXECUTED) >.bench_build/reach/unreached.txt
+	@cat .bench_build/reach/unreached.txt
+	@echo "functions no run reaches: $$(wc -l <.bench_build/reach/unreached.txt)"
+	@$(GO) test -count=1 -run '^TestReachLedger$$' . -args -reach=.bench_build/reach/unreached.txt
 
 # Flight-recorder smoke (tier-1): build the real gqa-serve binary, boot it
 # with -flight-log, ask one question over HTTP, and assert the wide event

@@ -23,11 +23,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
+	"gqa"
 	"gqa/internal/bench"
 	"gqa/internal/dict"
-	"gqa/internal/rdf"
 	"gqa/internal/store"
 )
 
@@ -66,7 +65,9 @@ func main() {
 		if err != nil {
 			die(err)
 		}
-		writeGraph(w, g)
+		if err := gqa.SaveGraph(w, g); err != nil {
+			die(err)
+		}
 	case "frozen":
 		g, err := bench.BuildKB()
 		if err != nil {
@@ -107,7 +108,9 @@ func main() {
 				die(err)
 			}
 		} else {
-			writeGraph(w, sg.Graph)
+			if err := gqa.SaveGraph(w, sg.Graph); err != nil {
+				die(err)
+			}
 		}
 	case "synthphrases":
 		sg := bench.NewSynthGraph(bench.SynthOptions{
@@ -141,14 +144,6 @@ func usage() {
 func die(err error) {
 	fmt.Fprintln(os.Stderr, "gqa-gen:", err)
 	os.Exit(1)
-}
-
-func writeGraph(w *bufio.Writer, g *store.Graph) {
-	triples := g.Triples()
-	sort.Slice(triples, func(i, j int) bool { return triples[i].Compare(triples[j]) < 0 })
-	if err := rdf.Write(w, triples); err != nil {
-		die(err)
-	}
 }
 
 func writePhrases(w *bufio.Writer, g *store.Graph, sets []dict.SupportSet) {

@@ -197,8 +197,8 @@ func TestMineDictionaryReplaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.MineDictionary(sets[:5], 2, 3)
-	if s.Dictionary().Len() > 5 {
-		t.Fatalf("dictionary not replaced: %d phrases", s.Dictionary().Len())
+	if len(s.Dictionary().Phrases()) > 5 {
+		t.Fatalf("dictionary not replaced: %d phrases", len(s.Dictionary().Phrases()))
 	}
 	var _ *dict.Dictionary = s.Dictionary()
 }

@@ -1,11 +1,31 @@
 package bench
 
 import (
+	"bytes"
 	"testing"
 
 	"gqa/internal/dict"
 	"gqa/internal/rdf"
+	"gqa/internal/store"
 )
+
+// TestBuildKBIsDeterministic: two builds of the KB write byte-identical
+// GQAFRZ1 files — every term gets the same ID on every build.
+func TestBuildKBIsDeterministic(t *testing.T) {
+	var files [2]bytes.Buffer
+	for i := range files {
+		g, err := BuildKB()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.SaveFrozen(&files[i], g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(files[0].Bytes(), files[1].Bytes()) {
+		t.Fatal("two builds of the KB wrote different frozen files")
+	}
+}
 
 func TestBuildKB(t *testing.T) {
 	g, err := BuildKB()

@@ -13,6 +13,7 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 
 	"gqa/internal/rdf"
 	"gqa/internal/store"
@@ -298,8 +299,15 @@ func BuildKB() (*store.Graph, error) {
 			return nil, err
 		}
 	}
-	for class, labels := range classLabels {
-		for _, l := range labels {
+	// In sorted order: a map's would give the label literals different term
+	// IDs on every build, and so a different file.
+	classes := make([]string, 0, len(classLabels))
+	for class := range classLabels {
+		classes = append(classes, class)
+	}
+	sort.Strings(classes)
+	for _, class := range classes {
+		for _, l := range classLabels[class] {
 			if err := g.Add(rdf.T(rdf.Ontology(class), lbl, lit(l))); err != nil {
 				return nil, err
 			}

@@ -90,3 +90,12 @@ func WalkDiff(view store.View, q *QueryGraph, starts []store.ID) (walks, both in
 	}
 	return walks, both, ""
 }
+
+// answerLabels renders a result's answers with the graph's labels.
+func answerLabels(r *Result, g *store.Graph) []string {
+	out := make([]string, len(r.Answers))
+	for i, id := range r.Answers {
+		out[i] = g.LabelOf(id)
+	}
+	return out
+}

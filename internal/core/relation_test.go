@@ -259,9 +259,9 @@ func TestQuickEmbeddingsMatchReference(t *testing.T) {
 			for i := range ws {
 				ws[i] = embedWords[rng.Intn(len(embedWords))]
 			}
-			before := d.Len()
+			before := len(d.Phrases())
 			ref.add(d.Add(strings.Join(ws, " "), []dict.Entry{{Score: 1}}))
-			if d.Len() == before {
+			if len(d.Phrases()) == before {
 				st.replaced++
 			}
 		}
@@ -282,7 +282,7 @@ func TestQuickEmbeddingsMatchReference(t *testing.T) {
 			if !slices.EqualFunc(got, want, func(a, b embeddingCandidate) bool {
 				return a.phrase == b.phrase && a.root == b.root && slices.Equal(a.nodes, b.nodes)
 			}) {
-				t.Errorf("seed %d: tree\n%s got  %v\n want %v", seed, y, got, want)
+				t.Errorf("seed %d: tree nodes %+v\n got  %v\n want %v", seed, y.Nodes, got, want)
 				return false
 			}
 			for _, c := range want {

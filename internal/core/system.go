@@ -204,15 +204,6 @@ type Result struct {
 	Degraded string
 }
 
-// AnswerLabels renders the answers with the graph's labels.
-func (r *Result) AnswerLabels(g *store.Graph) []string {
-	out := make([]string, len(r.Answers))
-	for i, id := range r.Answers {
-		out[i] = g.LabelOf(id)
-	}
-	return out
-}
-
 // Answer runs the full online pipeline of §4 on one natural-language
 // question with no budget.
 func (s *System) Answer(question string) (*Result, error) {

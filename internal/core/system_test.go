@@ -29,7 +29,7 @@ func TestRunningExampleEndToEnd(t *testing.T) {
 	}
 	if res.Answers[0] != ids["Melanie_Griffith"] {
 		t.Fatalf("top answer = %s, want Melanie_Griffith (all: %v)",
-			s.Graph.Term(res.Answers[0]), res.AnswerLabels(s.Graph))
+			s.Graph.Term(res.Answers[0]), answerLabels(res, s.Graph))
 	}
 	// Disambiguation: no match may bind any vertex to the 76ers or the
 	// city — the data rules both out.
@@ -99,7 +99,7 @@ func TestSimpleFactQuestion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Answers) != 1 || res.Answers[0] != ids["Philadelphia_(film)"] {
-		t.Fatalf("answers = %v", res.AnswerLabels(s.Graph))
+		t.Fatalf("answers = %v", answerLabels(res, s.Graph))
 	}
 }
 
@@ -115,7 +115,7 @@ func TestPrepositionFrontingSameAnswer(t *testing.T) {
 	}
 	if len(a.Answers) != len(b.Answers) || len(a.Answers) == 0 || a.Answers[0] != b.Answers[0] {
 		t.Fatalf("fronting changed the answer: %v vs %v",
-			a.AnswerLabels(s.Graph), b.AnswerLabels(s.Graph))
+			answerLabels(a, s.Graph), answerLabels(b, s.Graph))
 	}
 }
 
@@ -126,7 +126,7 @@ func TestReducedRelative(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.Answers) != 1 || res.Answers[0] != ids["Philadelphia_(film)"] {
-		t.Fatalf("answers = %v (failure %v, query %v)", res.AnswerLabels(s.Graph), res.Failure, res.Query)
+		t.Fatalf("answers = %v (failure %v, query %v)", answerLabels(res, s.Graph), res.Failure, res.Query)
 	}
 }
 
@@ -253,7 +253,7 @@ func TestNoMatchFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Failure != FailureNoMatch {
-		t.Fatalf("failure = %v, answers %v", res.Failure, res.AnswerLabels(s.Graph))
+		t.Fatalf("failure = %v, answers %v", res.Failure, answerLabels(res, s.Graph))
 	}
 }
 
@@ -264,7 +264,7 @@ func TestTypeOnlyFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Failure != FailureNone || len(res.Answers) != 1 || res.Answers[0] != ids["Philadelphia_(film)"] {
-		t.Fatalf("type-only: failure %v answers %v", res.Failure, res.AnswerLabels(s.Graph))
+		t.Fatalf("type-only: failure %v answers %v", res.Failure, answerLabels(res, s.Graph))
 	}
 }
 
@@ -325,6 +325,6 @@ func TestConjunctiveArguments(t *testing.T) {
 		t.Fatalf("relations = %d: %+v", len(res.Relations), res.Relations)
 	}
 	if len(res.Answers) != 1 || res.Answers[0] != zorro {
-		t.Fatalf("answers = %v (query %v)", res.AnswerLabels(g), res.Query)
+		t.Fatalf("answers = %v (query %v)", answerLabels(res, g), res.Query)
 	}
 }

@@ -106,11 +106,6 @@ func (d *Dictionary) Lookup(text string) (*Phrase, bool) {
 	return d.lookup(Key(text))
 }
 
-// LookupLemmas returns the phrase for an exact lemma sequence.
-func (d *Dictionary) LookupLemmas(lemmas []string) (*Phrase, bool) {
-	return d.lookup(strings.Join(lemmas, " "))
-}
-
 func (d *Dictionary) lookup(key string) (*Phrase, bool) {
 	s, ok := d.phrases[key]
 	if !ok {
@@ -142,9 +137,6 @@ func (d *Dictionary) SlotsWith(w uint32) []uint32 { return d.byWord[w] }
 func (d *Dictionary) Slot(s uint32) (*Phrase, []uint32) {
 	return d.slots[s].phrase, d.slots[s].words
 }
-
-// Len returns the number of phrases |T|.
-func (d *Dictionary) Len() int { return len(d.slots) }
 
 // Phrases returns all phrases in insertion order.
 func (d *Dictionary) Phrases() []*Phrase {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gqa/internal/rdf"
@@ -80,11 +81,11 @@ func encoded(t *testing.T, d *Dictionary, g *store.Graph) string {
 
 func assertSameDict(t *testing.T, a, b *Dictionary, g *store.Graph) {
 	t.Helper()
-	if a.Len() != b.Len() {
-		t.Fatalf("dict sizes differ: %d vs %d", a.Len(), b.Len())
+	if len(a.slots) != len(b.slots) {
+		t.Fatalf("dict sizes differ: %d vs %d", len(a.slots), len(b.slots))
 	}
 	for _, pa := range a.Phrases() {
-		pb, ok := b.LookupLemmas(pa.Lemmas)
+		pb, ok := b.lookup(strings.Join(pa.Lemmas, " "))
 		if !ok {
 			t.Fatalf("phrase %q missing", pa.Text)
 		}

@@ -156,11 +156,11 @@ func TestMineUnidirectionalMatchesBidirectional(t *testing.T) {
 	g, sets, _ := minedFixture(t)
 	a, _ := Mine(g, sets, MineOptions{})
 	b, _ := Mine(g, sets, MineOptions{Unidirectional: true})
-	if a.Len() != b.Len() {
-		t.Fatalf("phrase counts differ: %d vs %d", a.Len(), b.Len())
+	if len(a.slots) != len(b.slots) {
+		t.Fatalf("phrase counts differ: %d vs %d", len(a.slots), len(b.slots))
 	}
 	for _, pa := range a.Phrases() {
-		pb, ok := b.LookupLemmas(pa.Lemmas)
+		pb, ok := b.lookup(strings.Join(pa.Lemmas, " "))
 		if !ok {
 			t.Fatalf("phrase %q missing from unidirectional mine", pa.Text)
 		}
@@ -251,11 +251,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d2.Len() != d.Len() {
-		t.Fatalf("round trip: %d phrases, want %d", d2.Len(), d.Len())
+	if len(d2.Phrases()) != len(d.Phrases()) {
+		t.Fatalf("round trip: %d phrases, want %d", len(d2.Phrases()), len(d.Phrases()))
 	}
 	for _, p := range d.Phrases() {
-		q, ok := d2.LookupLemmas(p.Lemmas)
+		q, ok := d2.lookup(strings.Join(p.Lemmas, " "))
 		if !ok {
 			t.Fatalf("phrase %q lost in round trip", p.Text)
 		}
@@ -304,11 +304,11 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	// Comments and blank lines are fine; so are one phrase's paths on
 	// lines apart, a path at θ's bound, and the bounds of the score.
-	if d, err := Decode(strings.NewReader("# comment\n\n   # indented comment\n"), g); err != nil || d.Len() != 0 {
-		t.Errorf("comment-only decode: %v, %d", err, d.Len())
+	if d, err := Decode(strings.NewReader("# comment\n\n   # indented comment\n"), g); err != nil || len(d.Phrases()) != 0 {
+		t.Errorf("comment-only decode: %v, %d", err, len(d.Phrases()))
 	}
 	ok := "phrase\t1\t" + p + "\nother\t0.000001\t" + p + "\nphrase\t0.5\t" + strings.Repeat(p+",", 3) + p
-	if d, err := Decode(strings.NewReader(ok), g); err != nil || d.Len() != 2 {
+	if d, err := Decode(strings.NewReader(ok), g); err != nil || len(d.Phrases()) != 2 {
 		t.Errorf("Decode(%q) = %v, %v", ok, d, err)
 	}
 }

@@ -34,22 +34,6 @@ const (
 	OutcomeAbstained
 )
 
-func (o Outcome) String() string {
-	switch o {
-	case OutcomeRight:
-		return "right"
-	case OutcomePartial:
-		return "partial"
-	case OutcomeWrong:
-		return "wrong"
-	case OutcomeFailed:
-		return "failed"
-	case OutcomeAbstained:
-		return "abstained"
-	}
-	return "unknown"
-}
-
 // QuestionResult is one scored question.
 type QuestionResult struct {
 	Question  bench.Question

@@ -18,11 +18,11 @@ func TestWorkloadEndToEnd(t *testing.T) {
 	t.Logf("ours: %+v", sum)
 	for _, r := range results {
 		if r.Question.Answerable() && r.Outcome != OutcomeRight {
-			t.Logf("MISS %-4s [%s] %-60q outcome=%s failure=%s answers=%v",
+			t.Logf("MISS %-4s [%s] %-60q outcome=%d failure=%s answers=%v",
 				r.Question.ID, r.Question.Category, r.Question.Text, r.Outcome, r.Failure, r.Answers)
 		}
 		if !r.Question.Answerable() && r.Outcome != OutcomeAbstained {
-			t.Logf("LEAK %-4s [%s] %-60q outcome=%s answers=%v",
+			t.Logf("LEAK %-4s [%s] %-60q outcome=%d answers=%v",
 				r.Question.ID, r.Question.Category, r.Question.Text, r.Outcome, r.Answers)
 		}
 	}

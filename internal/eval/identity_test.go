@@ -198,7 +198,7 @@ func observe(t *testing.T, sys *core.System, question string) observed {
 		fmt.Fprintf(&fp, " bool=%v", *res.Boolean)
 	}
 	fmt.Fprintf(&fp, " answers=%v\n", res.Answers)
-	fmt.Fprintf(&rd, "labels=%q\n", res.AnswerLabels(sys.Graph))
+	fmt.Fprintf(&rd, "labels=%q\n", labelsOf(sys.Graph, res.Answers))
 	if res.Count != nil {
 		fmt.Fprintf(&rd, "count=%d\n", *res.Count)
 	}
@@ -320,4 +320,13 @@ func TestWorkloadIdentity(t *testing.T) {
 			})
 		}
 	}
+}
+
+// labelsOf renders answer IDs with the graph's labels, in order.
+func labelsOf(g *store.Graph, ids []store.ID) []string {
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = g.LabelOf(id)
+	}
+	return out
 }

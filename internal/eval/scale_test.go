@@ -36,7 +36,7 @@ func TestNLScale(t *testing.T) {
 
 	for _, r := range results {
 		if r.Outcome != OutcomeRight {
-			t.Errorf("%s %q: %s (failure %v, %d answers)",
+			t.Errorf("%s %q: outcome %d (failure %v, %d answers)",
 				r.Question.ID, r.Question.Text, r.Outcome, r.Failure, len(r.Answers))
 		}
 	}
@@ -55,7 +55,7 @@ func TestCinemaGold(t *testing.T) {
 	sys := core.NewSystem(kb.Graph, kb.Dict, core.Options{TopK: 10})
 	for _, r := range RunOurs(sys, kb.Questions) {
 		if r.Outcome != OutcomeRight {
-			t.Errorf("%s %q: %s (failure %v, %d answers, %d gold)",
+			t.Errorf("%s %q: outcome %d (failure %v, %d answers, %d gold)",
 				r.Question.ID, r.Question.Text, r.Outcome, r.Failure, len(r.Answers), len(r.Question.Gold))
 		}
 	}

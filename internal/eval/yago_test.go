@@ -25,7 +25,7 @@ func TestYagoWorkload(t *testing.T) {
 	t.Logf("yago2: %+v", sum)
 	for _, r := range results {
 		if r.Outcome != OutcomeRight {
-			t.Errorf("%s %q: %s (answers %v, failure %v)",
+			t.Errorf("%s %q: outcome %d (answers %v, failure %v)",
 				r.Question.ID, r.Question.Text, r.Outcome, r.Answers, r.Failure)
 		}
 	}

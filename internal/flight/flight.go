@@ -325,10 +325,6 @@ func (r *Recorder) Close() error {
 	return nil
 }
 
-// Enabled reports whether the recorder records anything — the hot-path
-// guard mirroring obs.Span.Enabled.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Record ingests one wide event and its trace (tr may be nil), assigning
 // a trace ID when the event carries none, and returns that ID. It
 // finishes the trace's root span (idempotent) synchronously, then hands

@@ -1,7 +1,6 @@
 package nlp
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -108,7 +107,7 @@ func TestCorpusAlwaysParses(t *testing.T) {
 			continue
 		}
 		if err := y.Validate(); err != nil {
-			t.Errorf("Parse(%q): invalid tree: %v\n%s", q, err, y)
+			t.Errorf("Parse(%q): invalid tree: %v\n%s", q, err, treeString(y))
 		}
 	}
 }
@@ -139,7 +138,7 @@ func TestCorpusTreesHaveSaneShape(t *testing.T) {
 			}
 		}
 		if !hasArgRel {
-			t.Errorf("%q: no subject/object dependency at all\n%s", q, y)
+			t.Errorf("%q: no subject/object dependency at all\n%s", q, treeString(y))
 		}
 	}
 }
@@ -155,7 +154,7 @@ func TestCorpusDeterminism(t *testing.T) {
 		if err1 != nil {
 			continue
 		}
-		if fmt.Sprint(a) == "" || a.String() != b.String() {
+		if treeString(a) == "" || treeString(a) != treeString(b) {
 			t.Fatalf("%q: nondeterministic parse", q)
 		}
 	}

@@ -3,7 +3,6 @@ package nlp
 import (
 	"fmt"
 	"slices"
-	"strings"
 )
 
 // Typed dependency labels, following the Stanford dependencies manual [8]
@@ -152,20 +151,6 @@ func (y *DepTree) Validate() error {
 		return fmt.Errorf("deptree: only %d of %d nodes reachable from root", got, len(y.Nodes))
 	}
 	return nil
-}
-
-// String renders the tree one dependency per line, in the conventional
-// rel(head-h, dependent-d) notation.
-func (y *DepTree) String() string {
-	var b strings.Builder
-	for i, n := range y.Nodes {
-		if n.Head == -1 {
-			fmt.Fprintf(&b, "root(ROOT-0, %s-%d)\n", n.Text, i+1)
-			continue
-		}
-		fmt.Fprintf(&b, "%s(%s-%d, %s-%d)\n", n.Rel, y.Nodes[n.Head].Text, n.Head+1, n.Text, i+1)
-	}
-	return b.String()
 }
 
 // attach links child to head with the given relation. Children are

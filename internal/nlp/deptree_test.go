@@ -1,6 +1,7 @@
 package nlp
 
 import (
+	"fmt"
 	"maps"
 	"slices"
 	"strings"
@@ -145,18 +146,18 @@ func TestSubtreeOrderAndContent(t *testing.T) {
 	}
 }
 
-func TestStringRendering(t *testing.T) {
-	y := buildTree(
-		[]string{"Who", "created", "Minecraft"},
-		[]int{1, -1, 1},
-		[]string{RelNsubj, "", RelDobj},
-	)
-	s := y.String()
-	for _, want := range []string{"root(ROOT-0, created-2)", "nsubj(created-2, Who-1)", "dobj(created-2, Minecraft-3)"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("rendering missing %q:\n%s", want, s)
+// treeString renders the tree one dependency per line, in the conventional
+// rel(head-h, dependent-d) notation, for failure messages.
+func treeString(y *DepTree) string {
+	var b strings.Builder
+	for i, n := range y.Nodes {
+		if n.Head == -1 {
+			fmt.Fprintf(&b, "root(ROOT-0, %s-%d)\n", n.Text, i+1)
+			continue
 		}
+		fmt.Fprintf(&b, "%s(%s-%d, %s-%d)\n", n.Rel, y.Nodes[n.Head].Text, n.Head+1, n.Text, i+1)
 	}
+	return b.String()
 }
 
 func TestSubjectObjectRelClassifiers(t *testing.T) {

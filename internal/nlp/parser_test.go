@@ -17,7 +17,7 @@ func dep(t *testing.T, y *DepTree, word string) (rel, head string) {
 			return n.Rel, y.Nodes[n.Head].Lower
 		}
 	}
-	t.Fatalf("word %q not in tree:\n%s", word, y)
+	t.Fatalf("word %q not in tree:\n%s", word, treeString(y))
 	return "", ""
 }
 
@@ -28,7 +28,7 @@ func parseOK(t *testing.T, q string) *DepTree {
 		t.Fatalf("Parse(%q): %v", q, err)
 	}
 	if err := y.Validate(); err != nil {
-		t.Fatalf("Parse(%q) produced invalid tree: %v\n%s", q, err, y)
+		t.Fatalf("Parse(%q) produced invalid tree: %v\n%s", q, err, treeString(y))
 	}
 	return y
 }
@@ -40,7 +40,7 @@ func expectDeps(t *testing.T, q string, want [][3]string) *DepTree {
 		rel, head := dep(t, y, w[2])
 		if rel != w[0] || head != strings.ToLower(w[1]) {
 			t.Errorf("%q: want %s(%s, %s), got %s(%s, %s)\n%s",
-				q, w[0], w[1], w[2], rel, head, w[2], y)
+				q, w[0], w[1], w[2], rel, head, w[2], treeString(y))
 		}
 	}
 	return y
@@ -232,7 +232,7 @@ func TestParseConjoinedClauses(t *testing.T) {
 		}
 	}
 	if secondIn == nil {
-		t.Fatalf("second 'in' not attached to died:\n%s", y)
+		t.Fatalf("second 'in' not attached to died:\n%s", treeString(y))
 	}
 	for _, c := range secondIn.Children {
 		if y.Nodes[c].Lower != "berlin" {

@@ -118,7 +118,7 @@ func TestParseFillsChildrenFromHeads(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ref.Root != 2 || ref.Nodes[1].Head != 2 || !slices.Equal(ref.Nodes[1].Children, []int{2}) {
-		t.Fatalf("the parent's tree is no longer the one this test is for:\n%s%v", ref, ref.Nodes[1].Children)
+		t.Fatalf("the parent's tree is no longer the one this test is for:\n%s%v", treeString(ref), ref.Nodes[1].Children)
 	}
 	if ref.refValidate() != nil {
 		t.Fatal("the parent's Validate refuses its own tree")

@@ -202,9 +202,6 @@ func (g *Gauge) meta() *metricMeta { return g.m }
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adds n (negative to decrement).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -296,18 +293,13 @@ func (h *Histogram) Counts() []int64 {
 // mutate).
 func (h *Histogram) Bounds() []float64 { return h.bounds }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of everything observed so
-// far, interpolating linearly within the owning bucket. Observations that
-// landed in the +Inf bucket clamp to the largest finite bound — the
-// histogram cannot say more. Returns 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	return QuantileFromCounts(h.bounds, h.Counts(), q)
-}
-
-// QuantileFromCounts is Histogram.Quantile over an explicit bucket-count
-// vector (len(bounds)+1 entries, +Inf last): the shared implementation the
-// SLO tracker uses on windowed count deltas so rolling quantiles need no
-// second sampling structure.
+// QuantileFromCounts estimates the q-quantile (0 ≤ q ≤ 1) of a histogram
+// from its bucket-count vector (len(bounds)+1 entries, +Inf last, as
+// Histogram.Counts returns it), interpolating linearly within the owning
+// bucket. Observations in the +Inf bucket clamp to the largest finite
+// bound — the histogram cannot say more. Returns 0 for no observations.
+// The SLO tracker feeds it windowed count deltas, so rolling quantiles
+// need no second sampling structure.
 func QuantileFromCounts(bounds []float64, counts []int64, q float64) float64 {
 	total := int64(0)
 	for _, c := range counts {

@@ -37,8 +37,7 @@ func buildFixtureRegistry() *Registry {
 a newline.`, L("q", "say \"hi\"\\\nbye")).Inc()
 
 	g := r.Gauge("gqa_test_pool_workers", "Live matcher workers.")
-	g.Set(7)
-	g.Add(-3)
+	g.Set(4)
 
 	// Occupancy gauges in the gqa_cache_entries / gqa_admission_clients
 	// shape: plain, unlabeled, refreshed by Set.

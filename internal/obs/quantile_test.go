@@ -28,7 +28,7 @@ func TestQuantileUniform(t *testing.T) {
 		{0.25, 2.5}, // rank 2.5: half an observation into (2,5]
 	}
 	for _, c := range cases {
-		if got := h.Quantile(c.q); math.Abs(got-c.want) > 1e-9 {
+		if got := QuantileFromCounts(h.Bounds(), h.Counts(), c.q); math.Abs(got-c.want) > 1e-9 {
 			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
@@ -42,7 +42,7 @@ func TestQuantileInfClamp(t *testing.T) {
 	h.Observe(50) // +Inf bucket
 	h.Observe(75) // +Inf bucket
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := h.Quantile(q); got != 1 {
+		if got := QuantileFromCounts(h.Bounds(), h.Counts(), q); got != 1 {
 			t.Errorf("Quantile(%v) = %v, want clamp to 1", q, got)
 		}
 	}
@@ -52,7 +52,7 @@ func TestQuantileInfClamp(t *testing.T) {
 func TestQuantileEmpty(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("gqa_test_empty_seconds", "q", []float64{1, 2})
-	if got := h.Quantile(0.5); got != 0 {
+	if got := QuantileFromCounts(h.Bounds(), h.Counts(), 0.5); got != 0 {
 		t.Fatalf("Quantile on empty histogram = %v, want 0", got)
 	}
 	if got := QuantileFromCounts(nil, nil, 0.5); got != 0 {
@@ -86,7 +86,7 @@ func TestQuantileFromCountsDelta(t *testing.T) {
 	if got := QuantileFromCounts(h.Bounds(), delta, 0.9); math.Abs(got-1.9) > 1e-9 {
 		t.Fatalf("windowed p90 = %v, want 1.9", got)
 	}
-	if got := h.Quantile(0.9); got <= 2 {
+	if got := QuantileFromCounts(h.Bounds(), h.Counts(), 0.9); got <= 2 {
 		t.Fatalf("whole-histogram p90 = %v, want > 2", got)
 	}
 }

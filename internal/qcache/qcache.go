@@ -248,22 +248,3 @@ func (s *shard) insert(key string, val any) {
 		evictionsTotal.Inc()
 	}
 }
-
-// Get returns the stored value for key without computing or coalescing
-// (test and introspection hook; it still promotes the entry and counts a
-// hit or miss).
-func (c *Cache) Get(key string) (any, bool) {
-	if c == nil {
-		return nil, false
-	}
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.byKey[key]; ok {
-		s.order.MoveToFront(el)
-		hitsTotal.Inc()
-		return el.Value.(*entry).val, true
-	}
-	missesTotal.Inc()
-	return nil, false
-}

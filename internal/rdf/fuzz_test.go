@@ -18,12 +18,12 @@ func FuzzParseNTriples(f *testing.F) {
 	f.Add(`<http://e/s> <http://e/p> "x"@1en .`)
 	f.Add(`<http://e/s> <http://e/p> "x"@en-US .`)
 	f.Fuzz(func(t *testing.T, line string) {
-		ts, err := ParseString(line)
+		ts, err := parseAll(line)
 		if err != nil {
 			return
 		}
 		for _, tr := range ts {
-			again, err := ParseString(tr.String())
+			again, err := parseAll(tr.String())
 			if err != nil {
 				t.Fatalf("re-parse of %q failed: %v", tr.String(), err)
 			}

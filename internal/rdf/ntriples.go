@@ -54,25 +54,6 @@ func (d *Decoder) Decode() (Triple, error) {
 	return Triple{}, io.EOF
 }
 
-// ParseAll reads every triple from r, failing on the first syntax error.
-func ParseAll(r io.Reader) ([]Triple, error) {
-	d := NewDecoder(r)
-	var out []Triple
-	for {
-		t, err := d.Decode()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-}
-
-// ParseString parses N-Triples text held in a string.
-func ParseString(s string) ([]Triple, error) { return ParseAll(strings.NewReader(s)) }
-
 // Write serializes triples to w in N-Triples syntax.
 func Write(w io.Writer, triples []Triple) error {
 	bw := bufio.NewWriter(w)

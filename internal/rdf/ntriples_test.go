@@ -7,6 +7,22 @@ import (
 	"testing"
 )
 
+// parseAll decodes every triple of s, failing on the first syntax error.
+func parseAll(s string) ([]Triple, error) {
+	d := NewDecoder(strings.NewReader(s))
+	var out []Triple
+	for {
+		t, err := d.Decode()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+	}
+}
+
 func TestParseSimpleTriples(t *testing.T) {
 	src := `
 # a comment line
@@ -17,7 +33,7 @@ func TestParseSimpleTriples(t *testing.T) {
 <http://e.org/A> <http://e.org/label> "Alicia"@es .
 _:b0 <http://e.org/p> _:b1 .
 `
-	got, err := ParseString(src)
+	got, err := parseAll(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,14 +49,14 @@ _:b0 <http://e.org/p> _:b1 .
 	if got[3].Object.Lang() != "es" {
 		t.Errorf("lang literal: %v", got[3].Object)
 	}
-	if !got[4].Subject.IsBlank() || !got[4].Object.IsBlank() {
+	if got[4].Subject.Kind() != KindBlank || got[4].Object.Kind() != KindBlank {
 		t.Errorf("blank nodes: %v", got[4])
 	}
 }
 
 func TestParseEscapes(t *testing.T) {
 	src := `<http://e/s> <http://e/p> "a\tb\nc\"d\\eé\U0001F600" .`
-	got, err := ParseString(src)
+	got, err := parseAll(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +98,7 @@ func TestParseErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := ParseString(c.src); err == nil {
+			if _, err := parseAll(c.src); err == nil {
 				t.Fatalf("expected error for %q", c.src)
 			} else if _, ok := err.(*ParseError); !ok {
 				t.Fatalf("want *ParseError, got %T: %v", err, err)
@@ -95,7 +111,7 @@ func TestParseErrors(t *testing.T) {
 // the backslash inside the literal, not at the token start.
 func TestEscapeErrorsArePositioned(t *testing.T) {
 	src := `<http://e/s> <http://e/p> "ab\uD800" .`
-	_, err := ParseString(src)
+	_, err := parseAll(src)
 	pe, ok := err.(*ParseError)
 	if !ok {
 		t.Fatalf("want *ParseError, got %T: %v", err, err)
@@ -113,7 +129,7 @@ func TestEscapeErrorsArePositioned(t *testing.T) {
 // ranges must still parse, and well-formed language subtags survive.
 func TestScalarBoundaryEscapes(t *testing.T) {
 	src := `<http://e/s> <http://e/p> "퟿\U0010FFFF"@en-US .`
-	got, err := ParseString(src)
+	got, err := parseAll(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +143,7 @@ func TestScalarBoundaryEscapes(t *testing.T) {
 
 func TestParseErrorReportsLine(t *testing.T) {
 	src := "<http://e/s> <http://e/p> <http://e/o> .\nbad line\n"
-	_, err := ParseString(src)
+	_, err := parseAll(src)
 	pe, ok := err.(*ParseError)
 	if !ok {
 		t.Fatalf("want ParseError, got %v", err)
@@ -151,7 +167,7 @@ func TestWriteRoundTrip(t *testing.T) {
 	if err := Write(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := ParseAll(&buf)
+	out, err := parseAll(buf.String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,9 +113,6 @@ func (t Term) IsIRI() bool { return t.kind == KindIRI }
 // IsLiteral reports whether the term is a literal.
 func (t Term) IsLiteral() bool { return t.kind == KindLiteral }
 
-// IsBlank reports whether the term is a blank node.
-func (t Term) IsBlank() bool { return t.kind == KindBlank }
-
 // Value returns the IRI string, the literal lexical form, or the blank-node
 // label, depending on kind.
 func (t Term) Value() string { return t.value }

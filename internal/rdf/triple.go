@@ -1,7 +1,5 @@
 package rdf
 
-import "strings"
-
 // Triple is an RDF statement ⟨subject, predicate, object⟩.
 type Triple struct {
 	Subject   Term
@@ -39,16 +37,4 @@ func (t Triple) Compare(u Triple) int {
 		return c
 	}
 	return t.Object.Compare(u.Object)
-}
-
-// Key returns a unique string key for the triple.
-func (t Triple) Key() string {
-	var b strings.Builder
-	b.Grow(len(t.Subject.Value()) + len(t.Predicate.Value()) + len(t.Object.Value()) + 8)
-	b.WriteString(t.Subject.Key())
-	b.WriteByte('\x01')
-	b.WriteString(t.Predicate.Key())
-	b.WriteByte('\x01')
-	b.WriteString(t.Object.Key())
-	return b.String()
 }

@@ -36,13 +36,6 @@ type Term struct {
 // IsVar reports whether the term is a variable.
 func (t Term) IsVar() bool { return t.Var != "" }
 
-func (t Term) String() string {
-	if t.IsVar() {
-		return "?" + t.Var
-	}
-	return t.Const.String()
-}
-
 // writeTo writes what String returns.
 func (t Term) writeTo(b *strings.Builder) {
 	switch {
@@ -61,12 +54,6 @@ func (t Term) writeTo(b *strings.Builder) {
 // Pattern is one triple pattern of a basic graph pattern.
 type Pattern struct {
 	S, P, O Term
-}
-
-func (p Pattern) String() string {
-	var b strings.Builder
-	p.writeTo(&b)
-	return b.String()
 }
 
 func (p Pattern) writeTo(b *strings.Builder) {
@@ -114,12 +101,6 @@ type Filter struct {
 	Left  Term
 	Op    FilterOp
 	Right Term
-}
-
-func (f Filter) String() string {
-	var b strings.Builder
-	f.writeTo(&b)
-	return b.String()
 }
 
 func (f Filter) writeTo(b *strings.Builder) {

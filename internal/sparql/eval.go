@@ -229,15 +229,6 @@ func containsVar(q *Query, v string) bool {
 	return false
 }
 
-// EvalString parses and evaluates in one step.
-func EvalString(g *store.Graph, src string) (*Result, error) {
-	q, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return Eval(g, q)
-}
-
 // resolve maps a pattern term to a concrete ID (bound variable or interned
 // constant) or the wildcard. ok=false means a constant that cannot match.
 func resolve(g *store.Graph, binding map[string]store.ID, t Term) (store.ID, bool) {
@@ -384,18 +375,4 @@ func numericValue(t rdf.Term) (float64, bool) {
 	}
 	v, err := strconv.ParseFloat(t.Value(), 64)
 	return v, err == nil
-}
-
-// SortRows orders rows deterministically by the projected variables —
-// useful for tests and stable CLI output.
-func SortRows(res *Result) {
-	sort.SliceStable(res.Rows, func(i, j int) bool {
-		for _, v := range res.Vars {
-			c := res.Rows[i][v].Compare(res.Rows[j][v])
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
 }

@@ -30,14 +30,14 @@ func ageGraph(t testing.TB) *store.Graph {
 
 func TestFilterNumericComparison(t *testing.T) {
 	g := ageGraph(t)
-	res, err := EvalString(g, `SELECT ?p WHERE { ?p dbo:age ?a . FILTER(?a > 25) }`)
+	res, err := evalString(g, `SELECT ?p WHERE { ?p dbo:age ?a . FILTER(?a > 25) }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
-	res, err = EvalString(g, `SELECT ?p WHERE { ?p dbo:age ?a . FILTER(?a <= 24) }`)
+	res, err = evalString(g, `SELECT ?p WHERE { ?p dbo:age ?a . FILTER(?a <= 24) }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestFilterNumericComparison(t *testing.T) {
 
 func TestFilterInequalityOnTerms(t *testing.T) {
 	g := ageGraph(t)
-	res, err := EvalString(g, `SELECT ?x ?y WHERE { ?x dbo:team ?t . ?y dbo:team ?t . FILTER(?x != ?y) }`)
+	res, err := evalString(g, `SELECT ?x ?y WHERE { ?x dbo:team ?t . ?y dbo:team ?t . FILTER(?x != ?y) }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestFilterInequalityOnTerms(t *testing.T) {
 
 func TestOrderByAscDesc(t *testing.T) {
 	g := ageGraph(t)
-	res, err := EvalString(g, `SELECT ?p WHERE { ?p dbo:age ?a } ORDER BY DESC(?a) LIMIT 1`)
+	res, err := evalString(g, `SELECT ?p WHERE { ?p dbo:age ?a } ORDER BY DESC(?a) LIMIT 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestOrderByAscDesc(t *testing.T) {
 	}
 	// The paper's canonical aggregation rewrite: youngest = ORDER BY ASC
 	// OFFSET 0 LIMIT 1.
-	res, err = EvalString(g, `SELECT ?p WHERE { ?p dbo:age ?a } ORDER BY ?a OFFSET 0 LIMIT 1`)
+	res, err = evalString(g, `SELECT ?p WHERE { ?p dbo:age ?a } ORDER BY ?a OFFSET 0 LIMIT 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestOrderByAscDesc(t *testing.T) {
 
 func TestOrderByUnprojectedKey(t *testing.T) {
 	g := ageGraph(t)
-	res, err := EvalString(g, `SELECT ?p WHERE { ?p dbo:age ?a } ORDER BY ASC(?a)`)
+	res, err := evalString(g, `SELECT ?p WHERE { ?p dbo:age ?a } ORDER BY ASC(?a)`)
 	if err != nil {
 		t.Fatal(err)
 	}

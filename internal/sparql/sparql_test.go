@@ -8,6 +8,15 @@ import (
 	"gqa/internal/store"
 )
 
+// evalString parses and evaluates in one step.
+func evalString(g *store.Graph, src string) (*Result, error) {
+	q, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return Eval(g, q)
+}
+
 func movieGraph(t testing.TB) *store.Graph {
 	t.Helper()
 	g := store.New()
@@ -73,29 +82,28 @@ func TestParseErrors(t *testing.T) {
 		}
 	}
 	g := movieGraph(t)
-	if _, err := EvalString(g, cases[8]); err == nil {
+	if _, err := evalString(g, cases[8]); err == nil {
 		t.Error("projection of unused variable should fail at eval")
 	}
 }
 
 func TestEvalBasicJoin(t *testing.T) {
 	g := movieGraph(t)
-	res, err := EvalString(g, `SELECT ?f WHERE { ?f dbo:starring dbr:Antonio_Banderas . ?f a dbo:Film }`)
+	res, err := evalString(g, `SELECT ?f WHERE { ?f dbo:starring dbr:Antonio_Banderas . ?f a dbo:Film }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 2 {
 		t.Fatalf("got %d rows: %v", len(res.Rows), res.Rows)
 	}
-	SortRows(res)
-	if res.Rows[0]["f"].LocalName() != "Desperado" {
-		t.Fatalf("row 0 = %v", res.Rows[0])
+	if a, b := res.Rows[0]["f"].LocalName(), res.Rows[1]["f"].LocalName(); min(a, b) != "Desperado" {
+		t.Fatalf("rows = %v", res.Rows)
 	}
 }
 
 func TestEvalMultiHopJoin(t *testing.T) {
 	g := movieGraph(t)
-	res, err := EvalString(g, `SELECT ?who WHERE { ?who dbo:spouse ?actor . ?f dbo:starring ?actor . ?f dbo:director dbr:Jonathan_Demme }`)
+	res, err := evalString(g, `SELECT ?who WHERE { ?who dbo:spouse ?actor . ?f dbo:starring ?actor . ?f dbo:director dbr:Jonathan_Demme }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,21 +114,21 @@ func TestEvalMultiHopJoin(t *testing.T) {
 
 func TestEvalDistinctAndLimit(t *testing.T) {
 	g := movieGraph(t)
-	res, err := EvalString(g, `SELECT DISTINCT ?a WHERE { ?f dbo:starring ?a }`)
+	res, err := evalString(g, `SELECT DISTINCT ?a WHERE { ?f dbo:starring ?a }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 1 {
 		t.Fatalf("distinct failed: %v", res.Rows)
 	}
-	res, err = EvalString(g, `SELECT ?f WHERE { ?f dbo:starring ?a } LIMIT 1`)
+	res, err = evalString(g, `SELECT ?f WHERE { ?f dbo:starring ?a } LIMIT 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) != 1 {
 		t.Fatalf("limit failed: %v", res.Rows)
 	}
-	res, err = EvalString(g, `SELECT ?f WHERE { ?f dbo:starring ?a } OFFSET 5`)
+	res, err = evalString(g, `SELECT ?f WHERE { ?f dbo:starring ?a } OFFSET 5`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +139,14 @@ func TestEvalDistinctAndLimit(t *testing.T) {
 
 func TestEvalAsk(t *testing.T) {
 	g := movieGraph(t)
-	res, err := EvalString(g, `ASK { dbr:Melanie_Griffith dbo:spouse dbr:Antonio_Banderas }`)
+	res, err := evalString(g, `ASK { dbr:Melanie_Griffith dbo:spouse dbr:Antonio_Banderas }`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Boolean {
 		t.Fatal("ASK should be true")
 	}
-	res, err = EvalString(g, `ASK { dbr:Melanie_Griffith dbo:spouse dbr:Jonathan_Demme }`)
+	res, err = evalString(g, `ASK { dbr:Melanie_Griffith dbo:spouse dbr:Jonathan_Demme }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +157,7 @@ func TestEvalAsk(t *testing.T) {
 
 func TestEvalUnknownConstant(t *testing.T) {
 	g := movieGraph(t)
-	res, err := EvalString(g, `SELECT ?x WHERE { ?x dbo:starring dbr:Nobody_Here }`)
+	res, err := evalString(g, `SELECT ?x WHERE { ?x dbo:starring dbr:Nobody_Here }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +168,7 @@ func TestEvalUnknownConstant(t *testing.T) {
 
 func TestEvalSelectStar(t *testing.T) {
 	g := movieGraph(t)
-	res, err := EvalString(g, `SELECT * WHERE { ?f dbo:director ?d }`)
+	res, err := evalString(g, `SELECT * WHERE { ?f dbo:director ?d }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +180,7 @@ func TestEvalSelectStar(t *testing.T) {
 func TestEvalSharedVariableConsistency(t *testing.T) {
 	g := movieGraph(t)
 	// ?x both subject and object: no triple satisfies x starring x.
-	res, err := EvalString(g, `SELECT ?x WHERE { ?x dbo:starring ?x }`)
+	res, err := evalString(g, `SELECT ?x WHERE { ?x dbo:starring ?x }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +191,7 @@ func TestEvalSharedVariableConsistency(t *testing.T) {
 
 func TestEvalLiteralObject(t *testing.T) {
 	g := movieGraph(t)
-	res, err := EvalString(g, `SELECT ?who WHERE { ?who rdfs:label "Antonio Banderas" }`)
+	res, err := evalString(g, `SELECT ?who WHERE { ?who rdfs:label "Antonio Banderas" }`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +215,10 @@ func TestQueryStringRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTermStringIsItsRender: a term's String is what a query's render
-// writes for it — a variable as ?name, an IRI in angle brackets, a literal
-// in N-Triples syntax with its language tag or datatype.
-func TestTermStringIsItsRender(t *testing.T) {
+// TestTermRender: a query's render writes a variable as ?name, an IRI in
+// angle brackets, a literal in N-Triples syntax with its language tag or
+// datatype.
+func TestTermRender(t *testing.T) {
 	for _, c := range []struct {
 		term Term
 		want string
@@ -223,8 +231,8 @@ func TestTermStringIsItsRender(t *testing.T) {
 	} {
 		var b strings.Builder
 		c.term.writeTo(&b)
-		if got := c.term.String(); got != c.want || b.String() != c.want {
-			t.Errorf("%#v renders %q and writes %q, want %q", c.term, got, b.String(), c.want)
+		if b.String() != c.want {
+			t.Errorf("%#v writes %q, want %q", c.term, b.String(), c.want)
 		}
 	}
 }

@@ -109,7 +109,7 @@ const (
 )
 
 // shardMeta is the fixed-size meta section, and the shard RPC's meta
-// reply: the part's identity within its snapshot and the assembly-time
+// reply before its protocol revision: the part's identity within its snapshot and the assembly-time
 // global facts every part of one export must agree on.
 type shardMeta struct {
 	shard    uint32
@@ -139,11 +139,9 @@ func encodeShardMeta(m *shardMeta) []byte {
 	return mb
 }
 
-func decodeShardMeta(b []byte) (shardMeta, error) {
+// decodeShardMeta decodes a meta section; b is shrMetaSize bytes.
+func decodeShardMeta(b []byte) shardMeta {
 	var m shardMeta
-	if len(b) != shrMetaSize {
-		return m, fmt.Errorf("shard meta is %d bytes, want %d", len(b), shrMetaSize)
-	}
 	m.shard = binary.LittleEndian.Uint32(b[0:])
 	m.k = binary.LittleEndian.Uint32(b[4:])
 	m.gen = binary.LittleEndian.Uint64(b[8:])
@@ -159,7 +157,7 @@ func decodeShardMeta(b []byte) (shardMeta, error) {
 		Triples:    int(binary.LittleEndian.Uint64(b[76:])),
 		Predicates: int(binary.LittleEndian.Uint64(b[84:])),
 	}
-	return m, nil
+	return m
 }
 
 // ShardPart is one part of a frozen graph with its identity: the unit a
@@ -437,7 +435,7 @@ func (pr *partReader) load(wantShard bool) (*ShardPart, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, _ := decodeShardMeta(mb)
+	m := decodeShardMeta(mb)
 	switch {
 	case m.k == 0 || m.shard >= m.k:
 		return nil, pr.fail(frzMeta, "part %d of %d", m.shard, m.k)

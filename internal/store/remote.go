@@ -276,11 +276,20 @@ func DialShards(addrs []string, terms []rdf.Term, opts RemoteOptions) (*Snapshot
 		if err != nil {
 			return nil, fmt.Errorf("store: DialShards: shard %d (%s): %w", i, addrs[i], err)
 		}
-		m, err := decodeShardMeta(resp)
-		if err != nil {
-			return nil, fmt.Errorf("store: DialShards: shard %d (%s): %w", i, addrs[i], err)
+		// The revision follows the meta, where a later revision that appends
+		// more keeps it, so a skewed fleet is refused by name, not by length.
+		// A server from before revisions sends the meta alone: revision 0.
+		meta, rev := resp, uint32(0)
+		if len(resp) >= shrMetaSize+4 {
+			meta, rev = resp[:shrMetaSize], binary.LittleEndian.Uint32(resp[shrMetaSize:])
 		}
-		metas[i] = m
+		if rev != shardProtocol && len(meta) == shrMetaSize {
+			return nil, fmt.Errorf("store: DialShards: shard %d (%s) speaks shard protocol revision %d, this build %d: run one build across the fleet", i, addrs[i], rev, shardProtocol)
+		}
+		if len(resp) != shrMetaSize+4 {
+			return nil, fmt.Errorf("store: DialShards: shard %d (%s): meta reply is %d bytes, want %d", i, addrs[i], len(resp), shrMetaSize+4)
+		}
+		metas[i] = decodeShardMeta(meta)
 	}
 	m0 := metas[0]
 	for i, m := range metas {

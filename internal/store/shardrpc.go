@@ -42,13 +42,21 @@ import (
 	"gqa/internal/faultpoint"
 )
 
+// shardProtocol is the shard protocol's revision, the last four bytes of
+// the meta reply. DialShards refuses a shard that speaks another, so that
+// a fleet upgraded by halves fails at dial time, naming the shard, instead
+// of degrading answers on the first read its server no longer answers.
+// Bump it with any change to a request or a reply. A server from before
+// revisions answers the meta without it: revision 0.
+const shardProtocol = 1
+
 // Op codes. Order is wire contract; add new ops at the end only. A retired
 // op keeps its number as a gap, so no other op's frames change, and a
 // server answers it "unknown op": *Snapshot derives the four scalar reads
 // 7–10 once named from the spans.
 const (
 	shrOpPing     = iota + 1 // health probe; empty response
-	shrOpMeta                // part identity + global facts (shardMeta encoding)
+	shrOpMeta                // part identity + global facts (shardMeta encoding), then shardProtocol
 	shrOpOut                 // v → full out span
 	shrOpIn                  // v → full in span
 	shrOpOutPred             // v, p → per-predicate out run
@@ -256,7 +264,7 @@ func (s *ShardServer) answer(req []byte) []byte {
 	case shrOpPing:
 		return out
 	case shrOpMeta:
-		return append(out, encodeShardMeta(&s.part.meta)...)
+		return binary.LittleEndian.AppendUint32(append(out, encodeShardMeta(&s.part.meta)...), shardProtocol)
 	case shrOpOut:
 		if !need(1) {
 			return shardErrResp("out: want 1 arg")

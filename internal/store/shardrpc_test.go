@@ -428,12 +428,9 @@ func TestRemoteFailureModes(t *testing.T) {
 			if op != shrOpMeta {
 				return resp
 			}
-			m, err := decodeShardMeta(resp[1:])
-			if err != nil {
-				return resp // the dial then fails on what the row did not ask for
-			}
+			m := decodeShardMeta(resp[1 : 1+shrMetaSize])
 			edit(&m)
-			return append([]byte{shrStatusOK}, encodeShardMeta(&m)...)
+			return append(append([]byte{shrStatusOK}, encodeShardMeta(&m)...), resp[1+shrMetaSize:]...)
 		}
 	}
 	list := func(list byte, edit func(ids []ID) []ID) doctorFunc {
@@ -468,7 +465,21 @@ func TestRemoteFailureModes(t *testing.T) {
 				return resp[:len(resp)-1]
 			}
 			return resp
-		}, fmt.Sprintf("shard 1 (%s): shard meta is %d bytes", daddrs[1], shrMetaSize-1)},
+		}, fmt.Sprintf("shard 1 (%s): meta reply is %d bytes, want %d", daddrs[1], shrMetaSize+3, shrMetaSize+4)},
+		// Version skew: a shard of another revision, and one from before
+		// revisions, whose meta reply ends at the meta.
+		{"protocol revision differs", nil, nil, func(op byte, resp []byte) []byte {
+			if op == shrOpMeta {
+				binary.LittleEndian.PutUint32(resp[len(resp)-4:], shardProtocol+1)
+			}
+			return resp
+		}, fmt.Sprintf("shard 1 (%s) speaks shard protocol revision %d, this build %d", daddrs[1], shardProtocol+1, shardProtocol)},
+		{"server from before revisions", nil, nil, func(op byte, resp []byte) []byte {
+			if op == shrOpMeta {
+				return resp[:1+shrMetaSize]
+			}
+			return resp
+		}, fmt.Sprintf("shard 1 (%s) speaks shard protocol revision 0, this build %d", daddrs[1], shardProtocol)},
 		{"part of another K", nil, nil, meta(func(m *shardMeta) { m.k = 3 }), "shard server 1 is part of a 3-shard set, dialing 2"},
 		{"addresses out of shard order", []string{daddrs[1], daddrs[0]}, nil, nil, "address 0 serves shard 1"},
 		{"generation disagrees", nil, nil, meta(func(m *shardMeta) { m.gen++ }), "shard 1 disagrees with shard 0 on the frozen graph"},

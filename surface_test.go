@@ -17,8 +17,6 @@ import (
 // it is there. An entry is a decision; anything else the test finds is
 // drift.
 var testOnlySurface = map[string]string{
-	"gqa.SaveGraph": "library API: the N-Triples counterpart of SaveFrozenSnapshot (gqa-gen writes its files through internal/rdf)",
-
 	// Test seams: there so a test can arm, observe or wait, not for code.
 	"internal/admission.Controller.InFlight":   "lets an overload test wait for a slot to be held instead of sleeping",
 	"internal/admission.Controller.QueueDepth": "lets an overload test wait for the queue to fill instead of sleeping",
@@ -40,15 +38,6 @@ var testOnlySurface = map[string]string{
 	"internal/dict.Maintainer.PredicateRemoved": "§3 dictionary maintenance",
 	"internal/store.Graph.RemovePredicate":      "§3 dictionary maintenance: the graph mutation PredicateRemoved follows",
 	"internal/store.Graph.RemoveTriple":         "term-level Remove, the counterpart of Add",
-
-	// Conveniences whose only callers today are tests.
-	"internal/core.Result.AnswerLabels":     "answers as labels; the facade builds its own from IDs",
-	"internal/dict.Dictionary.LookupLemmas": "lookup by lemma key; the pipeline finds phrases through Probe and SlotsWith",
-	"internal/obs.Histogram.Quantile":       "a live histogram's quantile; code takes QuantileFromCounts over deltas",
-	"internal/rdf.ParseString":              "Decoder over a string, for parser tests and fuzz seeds",
-	"internal/rdf.Term.IsBlank":             "completes IsIRI/IsLiteral",
-	"internal/sparql.EvalString":            "Parse + Eval in one call, for evaluator tests",
-	"internal/sparql.SortRows":              "deterministic row order for evaluator tests",
 
 	// Option fields only tests set.
 	"gqa.Options.Budget":                        "the robustness contract (README \"Budgets\"); ROADMAP 5(c) decides the budget and shed machinery behind it",
