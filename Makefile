@@ -67,9 +67,10 @@ race:
 # 48 bytes), the load of the cinema test KB's GQAFRZ1 file (37: no string
 # a term, no graph mirror) and the term table's (no allocation to read,
 # look up or re-intern a term; at most 50 bytes a term on the cinema test
-# KB) run in both.
+# KB) and the linker index's (at most 125 bytes a slot on the cinema test
+# KB, 150 on nl-scale's, each array at its capacity) run in both.
 allocs:
-	$(GO) test -run 'Allocs|TestPool|TestTermTableBytes' ./internal/nlp/ ./internal/core/ ./internal/linker/ ./internal/store/ .
+	$(GO) test -run 'Allocs|TestPool|TestTermTableBytes|TestLinkerBytes' ./internal/nlp/ ./internal/core/ ./internal/linker/ ./internal/store/ .
 
 # End-to-end serving smoke test: boot the gqa-serve handler on a random
 # port, answer one question over HTTP, scrape /metrics, and assert the
@@ -109,7 +110,8 @@ fuzz-seeds:
 # the top-k result set against the parent's string-keyed one, the path
 # walker against the parent's closure walk, and the linker's T-occurrence
 # skip (and its mention tokeniser) against the parent's k-way merge, the
-# term table against the parent's []rdf.Term and Key()-keyed map, the
+# linker's token vocabulary against the parent's map and cloned strings,
+# the term table against the parent's []rdf.Term and Key()-keyed map, the
 # dictionary file's decoder (refusals name their line; what it accepts
 # re-encodes to itself), and the running example answered over whatever
 # dictionary the decoder accepts (an answer or a named failure, never a
@@ -133,6 +135,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzFollowPath$$' -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz '^FuzzAnswerOverDictionary$$' -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz '^FuzzLink$$' -fuzztime 30s ./internal/linker/
+	$(GO) test -fuzz '^FuzzVocab$$' -fuzztime 30s ./internal/linker/
 
 # Go micro-benchmarks, for measuring while you work (among them the cold
 # start pair, BenchmarkLoadFrozenKB/ntriples against /gqafrz1). A number

@@ -251,8 +251,11 @@ func (r *Recorder) handle(j job) {
 			ev.Stages = append(ev.Stages, Stage{Name: st.Name, Us: st.Dur.Microseconds()})
 		}
 	}
+	// An answered event keeps the answer's own clock, under a microsecond
+	// for a cache hit; the trace, handler work included, stands in only
+	// for an event with no answer (refused or failed).
 	lat := time.Duration(ev.TotalUs) * time.Microsecond
-	if lat <= 0 {
+	if ev.Status != "ok" && lat <= 0 {
 		lat = tr.Duration()
 		ev.TotalUs = lat.Microseconds()
 	}

@@ -280,8 +280,10 @@ func TestRecorderEndToEnd(t *testing.T) {
 	m.SetInt("rpc_read_hits", 1040)
 	m.Finish()
 	wrap.Finish()
+	tr.Finish()
 
-	id := rec.Record(Event{Status: "ok", Results: 2}, tr)
+	// The handler stamps an answered event with the answer's own clock.
+	id := rec.Record(Event{Status: "ok", Results: 2, TotalUs: tr.Duration().Microseconds()}, tr)
 	if len(id) != 16 {
 		t.Fatalf("assigned ID %q, want 16 hex chars", id)
 	}
@@ -404,6 +406,46 @@ func TestRejectedSkipsSLO(t *testing.T) {
 	rec.Sync()
 	if got := sloRequestsTotal.Value(); got != before+1 {
 		t.Errorf("errored request must count toward the SLO: %d -> %d", before, got)
+	}
+}
+
+// TestAnsweredEventKeepsItsClock: an answered event is recorded with the
+// answer's own clock even when that read 0 µs (a cache hit), not with its
+// trace's duration, which covers the handler's work around the answer; an
+// event with no answer (a failed request) takes the trace's.
+func TestAnsweredEventKeepsItsClock(t *testing.T) {
+	rec, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	for _, c := range []struct {
+		status string
+		min    int64
+		max    int64
+	}{
+		{"ok", 0, 0},
+		{"error", 5000, math.MaxInt64},
+	} {
+		tr := obs.NewTrace("answer", "who?")
+		time.Sleep(5 * time.Millisecond)
+		tr.Finish()
+		id := rec.Record(Event{Status: c.status}, tr)
+		rec.Sync()
+		out, ok := rec.TraceJSON(id)
+		if !ok {
+			t.Fatalf("%s event not retained", c.status)
+		}
+		var doc struct {
+			Event Event `json:"event"`
+		}
+		if err := json.Unmarshal(out, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if us := doc.Event.TotalUs; us < c.min || us > c.max {
+			t.Errorf("a %q event with total 0 and a %v trace is recorded at %d µs, want [%d, %d]",
+				c.status, tr.Duration(), us, c.min, c.max)
+		}
 	}
 }
 

@@ -137,3 +137,31 @@ func bytesPerRun(runs int, f func()) uint64 {
 	runtime.ReadMemStats(&after)
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
+
+// TestLinkerBytes: the index holds at most a ceiling of bytes a slot on
+// the cinema test KB and on nl-scale's 20 000-person KB — the vocabulary's
+// one arena, offsets and ID index, the label arrays, the postings and the
+// slot columns, each at its capacity, so append slack counts. The
+// vocabulary map it replaced (a map[string]uint32 and a cloned string per
+// token) held about 47 bytes a token on match-local's cinema KB, where
+// the arena, its offsets and the index hold about 17.
+func TestLinkerBytes(t *testing.T) {
+	kb, err := nlScale()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		lk      *linker.Linker
+		ceiling float64
+	}{
+		{"cinema", linker.New(bench.NewCinemaKB().Graph, linker.Options{}), 125}, // measured: 119.4
+		{"nl-scale", linker.New(kb.Graph, linker.Options{}), 150},                // measured: 142.9
+	} {
+		perSlot := float64(c.lk.Bytes()) / float64(c.lk.Slots())
+		t.Logf("%s: %d slots, %d bytes, %.1f bytes a slot", c.name, c.lk.Slots(), c.lk.Bytes(), perSlot)
+		if perSlot > c.ceiling {
+			t.Errorf("%s: the index holds %.1f bytes a slot, at most %v", c.name, perSlot, c.ceiling)
+		}
+	}
+}

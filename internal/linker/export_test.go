@@ -3,6 +3,7 @@ package linker
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"gqa/internal/store"
 )
@@ -97,7 +98,7 @@ func (l *Linker) QueryDiff(mention string) string {
 func (l *Linker) LemmaSlack(mention string) bool {
 	m := l.query(mention, nil)
 	cands, _ := l.link(mention, 0)
-	n := uint32(len(l.vocab))
+	n := uint32(l.vocab.len())
 	for _, c := range cands {
 		s := uint32(slices.Index(l.id, c.ID))
 		for _, t := range m.lem {
@@ -107,4 +108,23 @@ func (l *Linker) LemmaSlack(mention string) bool {
 		}
 	}
 	return false
+}
+
+// Bytes is the index's resident size, its arrays at their capacities so
+// that growth slack counts: the vocabulary's arena, offsets and index, the
+// label arrays, the postings, and the slot columns with their size
+// classes.
+func (l *Linker) Bytes() int64 {
+	return int64(len(l.vocab.words)) + capBytes(l.vocab.off) + capBytes(l.vocab.index) +
+		capBytes(l.toks) + capBytes(l.tokOff) + capBytes(l.lemOff) +
+		capBytes(l.postOff) + capBytes(l.postings) +
+		capBytes(l.id) + capBytes(l.isClass) + capBytes(l.prior) + capBytes(l.lab) + capBytes(l.classes)
+}
+
+// Slots is the number of linkable vertices the index holds.
+func (l *Linker) Slots() int { return len(l.id) }
+
+func capBytes[E any](s []E) int64 {
+	var e E
+	return int64(cap(s)) * int64(unsafe.Sizeof(e))
 }

@@ -9,12 +9,17 @@
 // prior (vertex degree), which reproduces the service's observable
 // behaviour: multi-candidate ambiguity with plausible confidence ordering.
 //
-// The index is flat arrays built once by New. A vocabulary gives every
-// label token and every noun lemma of one a token ID; each linkable vertex
-// is a slot holding its ID, class flag, degree prior and labels; each label
-// is two sorted sets of token IDs, raw and lemma; and each token has the
-// ascending slots whose labels contain it. Link walks the postings of the
-// mention's tokens and scores the slots it meets from intersection counts.
+// The index is flat arrays built once by New, each copied to its length.
+// A vocabulary gives every label token and every noun lemma of one a
+// token ID in first-seen order: the tokens are back to back in one string
+// with their offsets, and an open-addressed index of IDs, probed with the
+// token's full bytes, finds one — the term table's shape (store's
+// terms.go) for one string key, with no map and no string per token. Each
+// linkable vertex is a slot holding its ID, class flag, degree prior and
+// labels; each label is two sorted sets of token IDs, raw and lemma; and
+// each token has the ascending slots whose labels contain it. Link walks
+// the postings of the mention's tokens and scores the slots it meets from
+// intersection counts.
 //
 // Link stops at the k-th, as the paper's top-k search does (Algorithm 3):
 // a slot's size class [lo, hi] spans the sizes of all its label sets, and
@@ -48,6 +53,7 @@ package linker
 
 import (
 	"cmp"
+	"hash/maphash"
 	"math"
 	"slices"
 	"strings"
@@ -80,7 +86,7 @@ type Candidate struct {
 // Linker links mentions to graph vertices. Build one per graph with New;
 // it is safe for concurrent use after construction.
 type Linker struct {
-	vocab map[string]uint32 // label token or noun lemma → token ID
+	vocab vocab // label token or noun lemma → token ID
 
 	// For a token t of the n in the vocabulary, postings[postOff[t]:
 	// postOff[t+1]] are the ascending slots with a label that contains raw
@@ -123,12 +129,91 @@ const minSimilarity = 0.34
 // (benchmark/trace.go); ROADMAP item 7(f) removes it.
 type Options struct{}
 
+// vocab gives every label token and noun lemma of one a token ID, its
+// position in first-seen order. It is the term table's shape (store's
+// terms.go) cut down to one string key: the tokens back to back in one
+// string, their offsets, and an open-addressed index of IDs.
+type vocab struct {
+	words string   // token i is words[off[i]:off[i+1]]
+	off   []uint32 // len+1 offsets into words once a token is in
+
+	// index is open-addressed with linear probing: a slot holds ID+1, 0 is
+	// empty; a power of two at most ¾ full.
+	index []uint32
+	seed  maphash.Seed
+}
+
+// len is the number of tokens.
+func (v *vocab) len() int { return max(len(v.off)-1, 0) }
+
+// word returns token id's text.
+func (v *vocab) word(id uint32) string { return v.words[v.off[id]:v.off[id+1]] }
+
+// lookup returns t's token ID, or false when t is not in the vocabulary.
+func (v *vocab) lookup(t string) (uint32, bool) {
+	if len(v.index) == 0 {
+		return 0, false
+	}
+	_, e := v.find(t)
+	return e - 1, e != 0
+}
+
+// find probes for t: the slot holding its ID+1 and that entry, or the
+// empty slot where t would go and 0. A probe compares the full bytes.
+func (v *vocab) find(t string) (int, uint32) {
+	mask := len(v.index) - 1
+	for slot := int(maphash.String(v.seed, t)) & mask; ; slot = (slot + 1) & mask {
+		e := v.index[slot]
+		if e == 0 || v.word(e-1) == t {
+			return slot, e
+		}
+	}
+}
+
+// intern returns t's token ID, appending t to words (whose bytes v.words
+// holds) on first sight.
+func (v *vocab) intern(words *strings.Builder, t string) uint32 {
+	if n := v.len() + 1; 4*n > 3*len(v.index) {
+		v.rehash(n)
+	}
+	slot, e := v.find(t)
+	if e != 0 {
+		return e - 1
+	}
+	if len(v.off) == 0 {
+		v.off = append(v.off, 0)
+	}
+	words.WriteString(t)
+	v.words = words.String()
+	v.off = append(v.off, uint32(len(v.words)))
+	v.index[slot] = uint32(v.len())
+	return uint32(v.len() - 1)
+}
+
+// rehash rebuilds the index at the least power of two, at least 8, that n
+// IDs fill at most ¾ of.
+func (v *vocab) rehash(n int) {
+	size := 8
+	for 4*n > 3*size {
+		size *= 2
+	}
+	if v.index == nil {
+		v.seed = maphash.MakeSeed()
+	}
+	v.index = make([]uint32, size)
+	for id := range v.len() {
+		slot, _ := v.find(v.word(uint32(id)))
+		v.index[slot] = uint32(id) + 1
+	}
+}
+
 // builder is what New needs and the Linker does not keep.
 type builder struct {
 	*Linker
 	g     *store.Graph
-	slot  []uint32 // vertex ID → slot+1; 0 while the vertex has none
-	lemma []uint32 // token ID → its lemma's token ID, once seen in a label
+	slot  []uint32        // vertex ID → slot+1; 0 while the vertex has none
+	words strings.Builder // the vocabulary's words while it grows
+	lemma []uint32        // token ID → its lemma's token ID, once seen in a label
 	buf   []string
 }
 
@@ -139,7 +224,7 @@ const noLemma = ^uint32(0)
 // package comment), and g may be mutated or dropped after New returns.
 func New(g *store.Graph, _ Options) *Linker {
 	b := &builder{
-		Linker: &Linker{vocab: make(map[string]uint32), tokOff: []uint32{0}},
+		Linker: &Linker{tokOff: []uint32{0}},
 		g:      g,
 		slot:   make([]uint32, g.NumTerms()),
 	}
@@ -183,7 +268,13 @@ func New(g *store.Graph, _ Options) *Linker {
 	}
 	b.renumber()
 	b.post()
-	return b.Linker
+	// The arrays New appended to are copied to their length: the Linker
+	// keeps no growth slack.
+	l := b.Linker
+	l.vocab.words, l.vocab.off = strings.Clone(l.vocab.words), slices.Clone(l.vocab.off)
+	l.toks, l.tokOff, l.lemOff = slices.Clone(l.toks), slices.Clone(l.tokOff), slices.Clone(l.lemOff)
+	l.id, l.isClass, l.lab = slices.Clone(l.id), slices.Clone(l.isClass), slices.Clone(l.lab)
+	return l
 }
 
 // index gives id a slot holding its distinct labels. A vertex indexed
@@ -247,10 +338,8 @@ func (b *builder) addLabel(first int, label string) {
 
 // tokenID returns t's token ID, adding t to the vocabulary if it is new.
 func (b *builder) tokenID(t string) uint32 {
-	id, ok := b.vocab[t]
-	if !ok {
-		id = uint32(len(b.vocab))
-		b.vocab[strings.Clone(t)] = id
+	id := b.vocab.intern(&b.words, t)
+	if int(id) == len(b.lemma) {
 		b.lemma = append(b.lemma, noLemma)
 	}
 	return id
@@ -296,7 +385,7 @@ func (b *builder) renumber() {
 // sets, and a token met twice in one slot counts once, so a lemma still
 // unmarked after the raw sets is lemma-only.
 func (b *builder) post() {
-	n := len(b.vocab)
+	n := b.vocab.len()
 	last := make([]uint32, n) // token ID → slot+1 that last reached it
 	each := func(visit func(list int, s uint32)) {
 		clear(last)
@@ -443,7 +532,7 @@ func (l *Linker) link(text string, limit int) ([]Candidate, work) {
 	if len(lists) == 0 {
 		return nil, w
 	}
-	n := uint32(len(l.vocab))
+	n := uint32(l.vocab.len())
 	for _, t := range m.lem {
 		if at, end := l.postOff[n+t], l.postOff[n+t+1]; at < end {
 			lists = append(lists, list{at: at, end: end, lem: 1})
@@ -745,7 +834,7 @@ func (c *sizeClass) bound(inter, n int) float64 {
 func (l *Linker) appendIDs(ids []uint32, toks []string) []uint32 {
 	from := len(ids)
 	for _, t := range toks {
-		if id, ok := l.vocab[t]; ok {
+		if id, ok := l.vocab.lookup(t); ok {
 			ids = append(ids, id)
 		}
 	}

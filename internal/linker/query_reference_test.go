@@ -48,7 +48,7 @@ func (l *Linker) refQuery(text string) query {
 func (l *Linker) refIDs(toks []string) []uint32 {
 	out := make([]uint32, 0, len(toks))
 	for _, t := range toks {
-		if id, ok := l.vocab[t]; ok {
+		if id, ok := l.vocab.lookup(t); ok {
 			out = append(out, id)
 		}
 	}
