@@ -61,14 +61,16 @@ race:
 # The allocation ceilings and the matcher pool's tests, without the race
 # detector: under it sync.Pool drops a random share of what it is given
 # and the instrumentation allocates, so race skips the pooled ones and
-# only this step holds a search to what it returns and the pool to its
-# cap. The understanding ceilings (a parse's 5 allocations, extraction's
-# 3, building Q^S's 15, a name link's 2 and a one-candidate city link's
-# 48 bytes), the load of the cinema test KB's GQAFRZ1 file (37: no string
-# a term, no graph mirror) and the term table's (no allocation to read,
-# look up or re-intern a term; at most 50 bytes a term on the cinema test
-# KB) and the linker index's (at most 125 bytes a slot on the cinema test
-# KB, 150 on nl-scale's, each array at its capacity) run in both.
+# only this step holds a search to what it returns (the two arrays of its
+# block, in count and bytes), a warm cast-of-director question through
+# the facade to 12 KiB, and the pool to its cap. The understanding
+# ceilings (a parse's 5 allocations, extraction's 3, building Q^S's 15, a
+# name link's 2 and a one-candidate city link's 48 bytes), the load of
+# the cinema test KB's GQAFRZ1 file (37: no string a term, no graph
+# mirror) and the term table's (no allocation to read, look up or
+# re-intern a term; at most 50 bytes a term on the cinema test KB) and the
+# linker index's (at most 125 bytes a slot on the cinema test KB, 150 on
+# nl-scale's, each array at its capacity) run in both.
 allocs:
 	$(GO) test -run 'Allocs|TestPool|TestTermTableBytes|TestLinkerBytes' ./internal/nlp/ ./internal/core/ ./internal/linker/ ./internal/store/ .
 
@@ -107,7 +109,9 @@ fuzz-seeds:
 # sorted as it went), the lemmatiser whose token → lemma map the linker's
 # per-slot bound rests on, and Algorithm 2 over word IDs against its
 # string-keyed reference (and Q^S against the parent's map-keyed build),
-# the top-k result set against the parent's string-keyed one, the path
+# the top-k result set against the parent's string-keyed one and its
+# harvested block, read through Matches.At, against the parent's []Match
+# harvest and map-deduped answers, the path
 # walker against the parent's closure walk, and the linker's T-occurrence
 # skip (and its mention tokeniser) against the parent's k-way merge, the
 # linker's token vocabulary against the parent's map and cloned strings,

@@ -380,12 +380,18 @@ func hasMatchSpan(tr *obs.Trace) bool { return strings.Contains(tr.JSON(), `"nam
 // TestCachedExplainRendersTheEntry: a traced miss, the callers coalesced
 // onto it and a later hit each return the uncached run's Explain lines, and
 // none of their traces records a match span — the lines come from the
-// matches the answer (and the cache entry) keeps, not from the trace. A hit
-// or coalesced answer understood nothing and reports so.
+// matches the answer (and the cache entry) keeps, not from the trace. The
+// question ties two matches at its top score, so the block the entry keeps
+// must render them in the uncached order. A hit or coalesced answer
+// understood nothing and reports so.
 func TestCachedExplainRendersTheEntry(t *testing.T) {
-	_, want, err := benchmarkSystem(t).Explain(runningExample)
-	if err != nil || len(want) == 0 {
+	const question = "Who acted in Desperado?"
+	_, want, err := benchmarkSystem(t).Explain(question)
+	if err != nil || len(want) < 2 {
 		t.Fatalf("uncached explain: %d lines, %v", len(want), err)
+	}
+	if score, _, _ := strings.Cut(want[0], ":"); !strings.HasPrefix(want[1], score+":") {
+		t.Fatalf("%q ties no two matches at its top score: %q", question, want)
 	}
 	sys := cachedSystem(t, 64)
 	faultpoint.Reset()
@@ -403,12 +409,12 @@ func TestCachedExplainRendersTheEntry(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			answers[i], lines[i], errs[i] = sys.ExplainContext(context.Background(), runningExample)
+			answers[i], lines[i], errs[i] = sys.ExplainContext(context.Background(), question)
 		}(i)
 	}
 	close(start)
 	wg.Wait()
-	answers[K], lines[K], errs[K] = sys.ExplainContext(context.Background(), runningExample)
+	answers[K], lines[K], errs[K] = sys.ExplainContext(context.Background(), question)
 
 	seen := map[string]int{}
 	for i, ans := range answers {

@@ -275,7 +275,7 @@ type Answer struct {
 	// ExplainContext render them only when read. Both are immutable once
 	// the pipeline returns, so copies of the answer share them.
 	query   *core.QueryGraph
-	matches []core.Match
+	matches core.Matches
 }
 
 // QueryGraph renders the semantic query graph Q^S built for the question —
@@ -321,8 +321,8 @@ func (s *System) buildAnswer(res *core.Result) *Answer {
 		out.Labels = append(out.Labels, fmt.Sprintf("%d", *res.Count))
 		out.IRIs = append(out.IRIs, fmt.Sprintf(`"%d"`, *res.Count))
 	}
-	if len(res.Matches) > 0 && res.Query != nil && !res.Aggregated {
-		if sq, err := core.ResolvedSPARQL(s.core.Graph, res.Query, &res.Matches[0]); err == nil {
+	if res.Matches.Len() > 0 && res.Query != nil && !res.Aggregated {
+		if sq, err := core.ResolvedSPARQL(s.core.Graph, res.Matches, 0); err == nil {
 			out.SPARQL = sq.String()
 		}
 	}
@@ -388,8 +388,9 @@ func (s *System) ExplainContext(ctx context.Context, question string) (ans *Answ
 	if err != nil {
 		return nil, nil, err
 	}
-	for i := range ans.matches {
-		lines = append(lines, core.RenderMatch(s.core.Graph, ans.query, &ans.matches[i]))
+	for i := range ans.matches.Len() {
+		m := ans.matches.At(i)
+		lines = append(lines, core.RenderMatch(s.core.Graph, ans.query, &m))
 	}
 	return ans, lines, nil
 }

@@ -44,20 +44,44 @@ func ReferenceQueryGraph(y *nlp.DepTree, rels []SemanticRelation, lk *linker.Lin
 	return refBuildQueryGraph(y, rels, lk, opts)
 }
 
-// newResultSet is an empty result set, as a search resets its own.
-func newResultSet(topK, maxMatches int) *resultSet {
+// newResultSet is an empty result set for a query of nv vertices and ne
+// edges, as a search resets its own.
+func newResultSet(topK, maxMatches, nv, ne int) *resultSet {
 	rs := new(resultSet)
-	rs.reset(topK, maxMatches)
+	rs.reset(topK, maxMatches, nv, ne)
 	return rs
 }
 
 // newCollidingResultSet is a result set whose assignment hash keeps two
 // bits, so that distinct assignments share found's chains, which a 64-bit
 // hash over test-sized inputs never shows.
-func newCollidingResultSet(topK, maxMatches int) *resultSet {
-	rs := newResultSet(topK, maxMatches)
+func newCollidingResultSet(topK, maxMatches, nv, ne int) *resultSet {
+	rs := newResultSet(topK, maxMatches, nv, ne)
 	rs.hashMask = 3
 	return rs
+}
+
+// offer records m as a search would, its edge ei realized by candidate
+// path cands[ei].
+func (rs *resultSet) offer(m *Match, cands ...store.ID) {
+	row := append(append(append([]store.ID(nil), m.Assignment...), m.Via...), cands...)
+	rs.record(row, m.EdgeRev, m.Score)
+}
+
+// All is every match of ms, assembled by At.
+func (ms Matches) All() []Match {
+	var out []Match
+	for i := range ms.Len() {
+		out = append(out, ms.At(i))
+	}
+	return out
+}
+
+// findAll is FindTopKMatches with its matches assembled, for the tests
+// that read them as a []Match.
+func findAll(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match, MatchStats) {
+	ms, stats := FindTopKMatches(g, q, opts)
+	return ms.All(), stats
 }
 
 // RaceEnabled is raceEnabled, for package core_test.

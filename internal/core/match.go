@@ -25,6 +25,61 @@ type Match struct {
 	Score      float64     // Definition 6 (log-space, ≤ 0)
 }
 
+// Matches is what one search returns: its matches in canonical order, as
+// one block. Match i is a row of the query's stride in ids — its
+// Assignment, its Via, then for each query edge the index of its chosen
+// path in that edge's Candidates — and a score and orientation bits in
+// rows. Neither array holds a pointer, so the collector does not scan
+// them; At assembles a Match where one is rendered. The zero value holds
+// no match.
+type Matches struct {
+	q          *QueryGraph
+	na, stride int
+	ids        []store.ID
+	rows       []matchRow
+}
+
+// matchRow is one match's scalars.
+type matchRow struct {
+	score float64
+	rev   uint64
+}
+
+// Len is the number of matches.
+func (ms Matches) Len() int { return len(ms.rows) }
+
+// Score is match i's Definition 6 score.
+func (ms Matches) Score(i int) float64 { return ms.rows[i].score }
+
+// Assignment is match i's entity per query vertex, capped at its length.
+func (ms Matches) Assignment(i int) []store.ID {
+	o := i * ms.stride
+	return ms.ids[o : o+ms.na : o+ms.na]
+}
+
+func (ms Matches) via(i int) []store.ID {
+	o := i*ms.stride + ms.na
+	return ms.ids[o : o+ms.na : o+ms.na]
+}
+
+// path is the predicate path match i chose for query edge ei.
+func (ms Matches) path(i, ei int) dict.Path {
+	return ms.q.Edges[ei].Candidates[ms.ids[i*ms.stride+2*ms.na+ei]].Path
+}
+
+// At assembles match i: its Assignment and Via are the block's, capped at
+// their length; its EdgePaths, the query's paths, are a new slice.
+func (ms Matches) At(i int) Match {
+	m := Match{Assignment: ms.Assignment(i), Via: ms.via(i), EdgeRev: ms.rows[i].rev, Score: ms.rows[i].score}
+	if ne := len(ms.q.Edges); ne > 0 {
+		m.EdgePaths = make([]dict.Path, ne)
+		for ei := range m.EdgePaths {
+			m.EdgePaths[ei] = ms.path(i, ei)
+		}
+	}
+	return m
+}
+
 // MatchOptions tunes the top-k search.
 type MatchOptions struct {
 	// TopK is k, counted in matches: the search returns every match whose
@@ -74,6 +129,10 @@ type MatchOptions struct {
 // maxHeldMatches matches tied at the cut; the search then ends with
 // MatchStats.Truncated = "matches".
 const maxHeldMatches = 10000
+
+// harvest's sort key holds a held row's position in posBits bits, so the
+// cap must fit them (a compile error otherwise).
+const _ = uint(1<<posBits - maxHeldMatches)
 
 func (o *MatchOptions) defaults() {
 	if o.TopK <= 0 {
@@ -225,16 +284,29 @@ type MatchStats struct {
 //
 // A panic (matcher bug, armed faultpoint) unwinds through the caller, where
 // the facade turns it into a *PipelineError.
-func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match, MatchStats) {
+func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) (Matches, MatchStats) {
+	m := matcherPool.Get().(*matcher)
+	stats := m.run(g, q, opts)
+	// The one exit: a search that found nothing to search still says why —
+	// the candidates may be gone only because a remote shard did not answer
+	// the pruning pass.
+	matches := m.res.harvest(q)
+	m.finishStats(&stats, matches.Len())
+	m.release()
+	return matches, stats
+}
+
+// run is the search up to its harvest: what m holds afterwards is the
+// result set.
+func (m *matcher) run(g *store.Graph, q *QueryGraph, opts MatchOptions) MatchStats {
 	opts.defaults()
 	view := opts.View
 	if view == nil {
 		view = g.FrozenView()
 	}
-	m := matcherPool.Get().(*matcher)
 	m.view, m.bound, m.hints, m.q, m.opts, m.bounded = view, nil, false, q, opts, !opts.Exhaustive
 	m.probes, m.seeds, m.steps, m.cuts, m.depth = 0, 0, 0, 0, 0
-	m.res.reset(opts.TopK, maxHeldMatches)
+	m.res.reset(opts.TopK, maxHeldMatches, len(q.Vertices), len(q.Edges))
 	// A snapshot over remote parts binds to this request so its RPC calls
 	// inherit the request budget's deadline and failures degrade (never
 	// hang) the search; over local parts binding is the identity.
@@ -295,19 +367,14 @@ func FindTopKMatches(g *store.Graph, q *QueryGraph, opts MatchOptions) ([]Match,
 	if matchable {
 		m.search(&stats)
 	}
-	// The one exit: a search that found nothing to search still says why —
-	// the candidates may be gone only because a remote shard did not answer
-	// the pruning pass.
-	matches := m.res.harvest()
-	m.finishStats(&stats, len(matches))
-	m.release()
-	return matches, stats
+	return stats
 }
 
 // release returns m to the pool, unless one of its buffers grew past
 // poolMaxHeld. It first clears every reference into the finished search —
-// the query's paths in the held rows and the search state, the view, the
-// options — so that a pooled matcher keeps no QueryGraph or graph alive.
+// the view, the walks, the query, the options — so that a pooled matcher
+// keeps no QueryGraph or graph alive. The held rows and the search state
+// name a path by its index, so they hold none.
 func (m *matcher) release() {
 	if cap(m.res.rows) > poolMaxHeld || cap(m.tasks) > poolMaxHeld || m.walker.Largest() > poolMaxHeld {
 		return
@@ -317,8 +384,6 @@ func (m *matcher) release() {
 			return
 		}
 	}
-	clear(m.res.paths)
-	clear(m.st.paths)
 	m.view, m.bound, m.walks, m.q, m.opts = nil, nil, nil, nil, MatchOptions{}
 	m.walker.Release()
 	matcherPool.Put(m)
@@ -674,9 +739,10 @@ func (m *matcher) thresholdReached(anchors []int, round int) bool {
 // at the end is the returned set: the k best matches, ties at the cut
 // included.
 //
-// A held match is a row: its Assignment then its Via in ids and its edge
-// paths in paths, each at the fixed stride of the search's query, and its
-// score, orientation bits, hash and chain link in a pointer-free heldRow.
+// A held match is a row: in ids, at the fixed stride of the search's query,
+// the search state's row (searchState.row: its Assignment, its Via, and
+// its chosen candidate path per edge), and its score, orientation bits,
+// hash and chain link in a pointer-free heldRow.
 // Rows are deduplicated by assignment hash through int32 bucket heads
 // chained through the rows. A row let go goes on a free list the next new
 // match takes, so a search needs as many rows as it ever holds at once, and
@@ -688,19 +754,17 @@ type resultSet struct {
 	theta      float64 // the cut θ: −∞ until topK matches are held
 	refused    bool    // the maxHeldMatches cap turned a match away
 
-	// The strides, taken from the first match a search holds: every match
-	// of one query has one shape.
-	na, idStride, ne int
+	// The query's shape: na vertices, and a row of stride IDs.
+	na, stride int
 
 	rows    []heldRow
-	ids     []store.ID  // row r's Assignment, then its Via, at r*idStride
-	paths   []dict.Path // row r's EdgePaths at r*ne
-	heads   []int32     // bucket → first row of its chain, or -1; a power of two long
-	results []int32     // the held rows, by descending score
-	free    int32       // the first row let go, chained through next; -1 when none
+	ids     []store.ID // row r at r*stride
+	heads   []int32    // bucket → first row of its chain, or -1; a power of two long
+	results []int32    // the held rows, by descending score
+	free    int32      // the first row let go, chained through next; -1 when none
 
-	hashMask uint64 // all ones; a test narrows it to force collisions
-	keys     []harvestKey
+	hashMask uint64   // all ones; a test narrows it to force collisions
+	keys     []uint64 // harvest's sort keys
 }
 
 // heldRow is one held match's scalars and its link: the next row of its
@@ -716,11 +780,13 @@ type heldRow struct {
 // whenever the set holds more rows than there are buckets.
 const minBuckets = 16
 
-// reset empties the set for a new search, keeping its arrays.
-func (rs *resultSet) reset(topK, maxMatches int) {
+// reset empties the set for a new search over a query of nv vertices and
+// ne edges, keeping its arrays.
+func (rs *resultSet) reset(topK, maxMatches, nv, ne int) {
 	rs.topK, rs.maxMatches = topK, maxMatches
+	rs.na, rs.stride = nv, rowStride(nv, ne)
 	rs.attempts, rs.theta, rs.refused = 0, math.Inf(-1), false
-	rs.rows, rs.ids, rs.paths, rs.results = rs.rows[:0], rs.ids[:0], rs.paths[:0], rs.results[:0]
+	rs.rows, rs.ids, rs.results = rs.rows[:0], rs.ids[:0], rs.results[:0]
 	rs.heads = grow(rs.heads[:0], minBuckets)
 	for i := range rs.heads {
 		rs.heads[i] = -1
@@ -739,49 +805,43 @@ func hashAssignment(assignment []store.ID) uint64 {
 
 func (rs *resultSet) bucket(hash uint64) *int32 { return &rs.heads[hash&uint64(len(rs.heads)-1)] }
 
-func (rs *resultSet) assignment(r int32) []store.ID {
-	o := int(r) * rs.idStride
-	return rs.ids[o : o+rs.na]
+// row is held row r: its Assignment, its Via and its candidate indices.
+func (rs *resultSet) row(r int32) []store.ID {
+	o := int(r) * rs.stride
+	return rs.ids[o : o+rs.stride]
 }
 
-func (rs *resultSet) via(r int32) []store.ID {
-	o := int(r) * rs.idStride
-	return rs.ids[o+rs.na : o+rs.idStride]
-}
+func (rs *resultSet) assignment(r int32) []store.ID { return rs.row(r)[:rs.na] }
 
-func (rs *resultSet) edgePaths(r int32) []dict.Path {
-	o := int(r) * rs.ne
-	return rs.paths[o : o+rs.ne]
-}
-
-// record registers a discovered match, deduplicating by assignment and
+// record registers a discovered match — row as searchState.row lays it out,
+// its orientation bits and its score — deduplicating by assignment and
 // keeping the best-scoring justification per assignment. A match below θ
 // is dropped at the door. A new assignment that arrives while maxHeldMatches
 // are held is refused, which ends the search (MatchStats.Truncated =
-// "matches"). match points at the search's live backtracking state, which
-// mutates after record returns, so what is held is copied.
-func (rs *resultSet) record(match *Match) {
+// "matches"). row is the search's live backtracking state, which mutates
+// after record returns, so what is held is copied.
+func (rs *resultSet) record(row []store.ID, rev uint64, score float64) {
 	rs.attempts++
-	if match.Score < rs.theta {
+	if score < rs.theta {
 		return
 	}
-	hash := hashAssignment(match.Assignment) & rs.hashMask
+	assignment := row[:rs.na]
+	hash := hashAssignment(assignment) & rs.hashMask
 	head := rs.bucket(hash)
 	r := *head
-	for r >= 0 && (rs.rows[r].hash != hash || !slices.Equal(rs.assignment(r), match.Assignment)) {
+	for r >= 0 && (rs.rows[r].hash != hash || !slices.Equal(rs.assignment(r), assignment)) {
 		r = rs.rows[r].next
 	}
 	if r >= 0 {
-		if prev := &rs.rows[r]; match.Score > prev.score {
+		if prev := &rs.rows[r]; score > prev.score {
 			// Same assignment, better justification: move the one entry up
 			// to behind the matches already at its new score.
 			i := sort.Search(len(rs.results), func(i int) bool { return rs.rows[rs.results[i]].score <= prev.score })
 			for rs.results[i] != r {
 				i++
 			}
-			prev.score, prev.rev = match.Score, match.EdgeRev
-			copy(rs.via(r), match.Via)
-			copy(rs.edgePaths(r), match.EdgePaths)
+			prev.score, prev.rev = score, rev
+			copy(rs.row(r)[rs.na:], row[rs.na:])
 			pos := sort.Search(i, func(j int) bool { return rs.rows[rs.results[j]].score < prev.score })
 			copy(rs.results[pos+1:i+1], rs.results[pos:i])
 			rs.results[pos] = r
@@ -795,21 +855,15 @@ func (rs *resultSet) record(match *Match) {
 	}
 	if r = rs.free; r >= 0 {
 		rs.free = rs.rows[r].next
-		copy(rs.assignment(r), match.Assignment)
-		copy(rs.via(r), match.Via)
-		copy(rs.edgePaths(r), match.EdgePaths)
+		copy(rs.row(r), row)
 	} else {
-		if len(rs.rows) == 0 {
-			rs.na, rs.idStride, rs.ne = len(match.Assignment), len(match.Assignment)+len(match.Via), len(match.EdgePaths)
-		}
 		r = int32(len(rs.rows))
 		rs.rows = append(rs.rows, heldRow{})
-		rs.ids = append(append(rs.ids, match.Assignment...), match.Via...)
-		rs.paths = append(rs.paths, match.EdgePaths...)
+		rs.ids = append(rs.ids, row...)
 	}
-	rs.rows[r] = heldRow{score: match.Score, rev: match.EdgeRev, hash: hash, next: *head}
+	rs.rows[r] = heldRow{score: score, rev: rev, hash: hash, next: *head}
 	*head = r
-	pos := sort.Search(len(rs.results), func(i int) bool { return rs.rows[rs.results[i]].score < match.Score })
+	pos := sort.Search(len(rs.results), func(i int) bool { return rs.rows[rs.results[i]].score < score })
 	rs.results = append(rs.results, 0)
 	copy(rs.results[pos+1:], rs.results[pos:])
 	rs.results[pos] = r
@@ -856,62 +910,75 @@ func (rs *resultSet) raiseCut() {
 	rs.results = rs.results[:n]
 }
 
-// harvestKey is what harvest sorts a held row by: its score, then the key36
-// of its first ID; rows equal on both compare their whole key36 sequences.
-type harvestKey struct {
-	score float64
-	first uint64
-	row   int32
-}
+// harvest's sort key for a held row: the key36 of its first ID (below
+// 2^40) above posBits bits of its position in results.
+const (
+	posBits = 24
+	posMask = 1<<posBits - 1
+)
 
 // harvest returns the held matches — the top k, ties at the cut included —
 // in canonical order: descending score, ties by ascending assignment key,
 // so the order matches tied in score were found in does not show. The key
 // is the assignment's IDs in base 36, each followed by '.' ("1.z.10.");
-// it is compared as key36 numbers, one per ID. The matches are copied out
-// of the rows into three arrays of exactly their size — the matches, their
-// IDs and their paths — every slice capped at its length, so they outlive
-// the set and the set can serve the next search.
-func (rs *resultSet) harvest() []Match {
+// it is compared as key36 numbers, one per ID. results is already by
+// descending score, so only a run of equal scores is sorted: as one
+// integer a row, the key36 of its first ID above its position, and where
+// first IDs tie, by the rest of their key36 numbers. The rows are copied
+// into a block of two arrays of exactly their size, so it outlives the set
+// and the set can serve the next search.
+func (rs *resultSet) harvest(q *QueryGraph) Matches {
 	n := len(rs.results)
 	if n == 0 {
-		return nil
+		return Matches{}
 	}
 	keys := grow(rs.keys, n)
 	for i, r := range rs.results {
-		keys[i] = harvestKey{score: rs.rows[r].score, first: key36(rs.ids[int(r)*rs.idStride]), row: r}
+		keys[i] = key36(rs.ids[int(r)*rs.stride])<<posBits | uint64(i)
 	}
-	slices.SortFunc(keys, func(a, b harvestKey) int {
-		if c := cmp.Compare(b.score, a.score); c != 0 {
-			return c
+	for lo := 0; lo < n; {
+		hi, score := lo+1, rs.rows[rs.results[lo]].score
+		for hi < n && rs.rows[rs.results[hi]].score == score {
+			hi++
 		}
-		if c := cmp.Compare(a.first, b.first); c != 0 {
-			return c
+		if hi-lo > 1 {
+			rs.sortRun(keys[lo:hi])
 		}
-		x, y := rs.assignment(a.row), rs.assignment(b.row)
-		for i := 1; i < len(x); i++ {
-			if c := cmp.Compare(key36(x[i]), key36(y[i])); c != 0 {
-				return c
-			}
-		}
-		return 0
-	})
+		lo = hi
+	}
 	rs.keys = keys
-	out := make([]Match, n)
-	ids := make([]store.ID, n*rs.idStride)
-	var paths []dict.Path
-	if rs.ne > 0 {
-		paths = make([]dict.Path, n*rs.ne)
-	}
+	ms := Matches{q: q, na: rs.na, stride: rs.stride, ids: make([]store.ID, n*rs.stride), rows: make([]matchRow, n)}
 	for i, k := range keys {
-		row := &rs.rows[k.row]
-		a := ids[i*rs.idStride : (i+1)*rs.idStride : (i+1)*rs.idStride]
-		copy(a, rs.ids[int(k.row)*rs.idStride:])
-		p := paths[i*rs.ne : (i+1)*rs.ne : (i+1)*rs.ne]
-		copy(p, rs.edgePaths(k.row))
-		out[i] = Match{Assignment: a[:rs.na:rs.na], Via: a[rs.na:], EdgePaths: p, EdgeRev: row.rev, Score: row.score}
+		r := rs.results[k&posMask]
+		copy(ms.ids[i*rs.stride:], rs.row(r))
+		ms.rows[i] = matchRow{score: rs.rows[r].score, rev: rs.rows[r].rev}
 	}
-	return out
+	return ms
+}
+
+// sortRun orders the keys of one run of equal scores: by the first ID's
+// key36, then, among rows whose first IDs tie, by the rest of their
+// assignments' key36 numbers (no two held assignments are equal).
+func (rs *resultSet) sortRun(run []uint64) {
+	slices.Sort(run)
+	for lo := 0; lo < len(run); {
+		hi := lo + 1
+		for hi < len(run) && run[hi]>>posBits == run[lo]>>posBits {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(run[lo:hi], func(a, b uint64) int {
+				x, y := rs.assignment(rs.results[a&posMask]), rs.assignment(rs.results[b&posMask])
+				for i := 1; i < len(x); i++ {
+					if c := cmp.Compare(key36(x[i]), key36(y[i])); c != 0 {
+						return c
+					}
+				}
+				return 0
+			})
+		}
+		lo = hi
+	}
 }
 
 // key36 maps an ID to a number that orders as the ID's key segment — its
@@ -931,25 +998,38 @@ func key36(u store.ID) uint64 {
 	return v<<3 | digits
 }
 
-// searchState is the search's partial assignment. vterm and eterm hold the
-// Definition 6 term of every vertex and edge slot: the bound candidate's,
-// or the slot's best (matcher.vbest, ebest) while it is unbound.
+// searchState is the search's partial assignment. row is what the result
+// set holds of a match, and assign, via and cand are its three parts: per
+// vertex the bound entity and the class justifying it (store.None while
+// unbound, and for via when none does), then per edge the index of its
+// chosen path in the edge's Candidates (noCand while unchosen). vterm and
+// eterm hold the Definition 6 term of every vertex and edge slot: the
+// bound candidate's, or the slot's best (matcher.vbest, ebest) while it is
+// unbound.
 type searchState struct {
-	assign []store.ID
-	via    []store.ID
-	vterm  []float64
-	paths  []dict.Path
-	rev    uint64 // per edge with a path: the orientation it was matched in (Match.EdgeRev)
-	eterm  []float64
-	done   []bool
+	row         []store.ID
+	assign, via []store.ID
+	cand        []store.ID
+	vterm       []float64
+	rev         uint64 // per edge with a path: the orientation it was matched in (Match.EdgeRev)
+	eterm       []float64
+	done        []bool
 }
+
+// noCand is an edge slot of searchState.cand with no path chosen.
+const noCand = store.None
+
+// rowStride is the length of a match's row for a query of nVerts vertices
+// and nEdges edges.
+func rowStride(nVerts, nEdges int) int { return 2*nVerts + nEdges }
 
 // size shapes the state for a query of nVerts vertices and nEdges edges,
 // reusing its arrays; reset then empties it.
 func (st *searchState) size(nVerts, nEdges int) {
-	st.assign, st.via, st.vterm = grow(st.assign, nVerts), grow(st.via, nVerts), grow(st.vterm, nVerts)
-	st.done = grow(st.done, nVerts)
-	st.paths, st.eterm = grow(st.paths, nEdges), grow(st.eterm, nEdges)
+	st.row = grow(st.row, rowStride(nVerts, nEdges))
+	st.assign, st.via, st.cand = st.row[:nVerts], st.row[nVerts:2*nVerts], st.row[2*nVerts:]
+	st.vterm, st.done = grow(st.vterm, nVerts), grow(st.done, nVerts)
+	st.eterm = grow(st.eterm, nEdges)
 	st.rev = 0
 }
 
@@ -964,10 +1044,10 @@ func (st *searchState) setRev(ei int, rev bool) {
 // reset puts a new or used state into the empty assignment of m's query:
 // nothing bound, every slot at its best term.
 func (st *searchState) reset(m *matcher) {
-	for i := range st.assign {
-		st.assign[i], st.via[i], st.done[i] = store.None, store.None, false
+	for i := range st.row {
+		st.row[i] = store.None
 	}
-	clear(st.paths)
+	clear(st.done)
 	copy(st.vterm, m.vbest)
 	copy(st.eterm, m.ebest)
 }
@@ -1040,8 +1120,8 @@ func (m *matcher) extend(st *searchState) {
 	if depth == len(m.frontier) {
 		m.frontier = append(m.frontier, nil)
 	}
-	for ci, pc := range e.Candidates {
-		st.paths[bridge], st.eterm[bridge] = pc.Path, m.elog[bridge][ci]
+	for ci := range e.Candidates {
+		st.cand[bridge], st.eterm[bridge] = store.ID(ci), m.elog[bridge][ci]
 		if m.below(st) {
 			m.cuts++
 			continue
@@ -1069,7 +1149,7 @@ func (m *matcher) extend(st *searchState) {
 		}
 	}
 	m.depth--
-	st.paths[bridge], st.eterm[bridge] = nil, m.ebest[bridge]
+	st.cand[bridge], st.eterm[bridge] = noCand, m.ebest[bridge]
 }
 
 // startComponent binds next, the first vertex of a component no edge joins
@@ -1411,7 +1491,7 @@ func (m *matcher) finish(st *searchState) {
 	m.filled = m.filled[:0]
 	complete := true
 	for ei := range m.q.Edges {
-		if st.paths[ei] != nil {
+		if st.cand[ei] != noCand {
 			continue
 		}
 		// Choose the best candidate path connecting the endpoints.
@@ -1419,7 +1499,7 @@ func (m *matcher) finish(st *searchState) {
 		found := false
 		for ci, pc := range e.Candidates {
 			if fwd, ok := m.walker.Connects(st.assign[e.From], st.assign[e.To], pc.Path); ok {
-				st.paths[ei], st.eterm[ei] = pc.Path, m.elog[ei][ci]
+				st.cand[ei], st.eterm[ei] = store.ID(ci), m.elog[ei][ci]
 				st.setRev(ei, !fwd)
 				m.filled = append(m.filled, ei)
 				found = true
@@ -1432,15 +1512,9 @@ func (m *matcher) finish(st *searchState) {
 		}
 	}
 	if complete {
-		m.res.record(&Match{
-			Assignment: st.assign,
-			Via:        st.via,
-			EdgePaths:  st.paths,
-			EdgeRev:    st.rev,
-			Score:      st.total(),
-		})
+		m.res.record(st.row, st.rev, st.total())
 	}
 	for _, ei := range m.filled {
-		st.paths[ei], st.eterm[ei] = nil, m.ebest[ei]
+		st.cand[ei], st.eterm[ei] = noCand, m.ebest[ei]
 	}
 }

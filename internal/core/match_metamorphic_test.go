@@ -17,7 +17,7 @@ import (
 // completion: the determinism guarantee holds only for an untruncated one.
 func runAll(t *testing.T, g *store.Graph, q *QueryGraph) ([]Match, MatchStats) {
 	t.Helper()
-	ms, st := FindTopKMatches(g, q, MatchOptions{TopK: 5})
+	ms, st := findAll(g, q, MatchOptions{TopK: 5})
 	if st.Truncated != "" {
 		t.Fatalf("search truncated (%s): the workload outgrew the matcher's cap", st.Truncated)
 	}
@@ -176,7 +176,7 @@ func TestSeedPanicReachesCaller(t *testing.T) {
 		t.Fatal("armed faultpoint did not panic")
 	}()
 
-	matches, _ := FindTopKMatches(g, q, MatchOptions{TopK: 10})
+	matches, _ := findAll(g, q, MatchOptions{TopK: 10})
 	if len(matches) == 0 {
 		t.Fatal("no matches after the fault cleared")
 	}
@@ -236,7 +236,7 @@ func BenchmarkFindTopKMatches(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		matches, _ := FindTopKMatches(g, q, MatchOptions{TopK: 10})
-		if len(matches) == 0 {
+		if matches.Len() == 0 {
 			b.Fatal("no matches")
 		}
 	}

@@ -87,7 +87,7 @@ func TestShardConcurrentAddDuringMatch(t *testing.T) {
 		t.Fatalf("FrozenView is %T, want a %d-shard *store.Snapshot", view, k)
 	}
 	opts := MatchOptions{TopK: 10, View: view}
-	want, wantStats := FindTopKMatches(g, q, opts)
+	want, wantStats := findAll(g, q, opts)
 	if len(want) == 0 || wantStats.Truncated != "" {
 		t.Fatalf("workload produced %d matches, truncated %q", len(want), wantStats.Truncated)
 	}
@@ -108,7 +108,7 @@ func TestShardConcurrentAddDuringMatch(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 20; i++ {
-		got, gotStats := FindTopKMatches(g, q, opts)
+		got, gotStats := findAll(g, q, opts)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("iter %d: concurrent mutation changed pinned-view matches", i)
 		}

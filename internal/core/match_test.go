@@ -45,7 +45,7 @@ func phillyQuery(ids map[string]store.ID) *QueryGraph {
 func TestMatcherDataDrivenDisambiguation(t *testing.T) {
 	g, ids := figure1Graph(t)
 	q := phillyQuery(ids)
-	matches, _ := FindTopKMatches(g, q, MatchOptions{TopK: 10})
+	matches, _ := findAll(g, q, MatchOptions{TopK: 10})
 	if len(matches) == 0 {
 		t.Fatal("no matches")
 	}
@@ -84,8 +84,8 @@ func TestMatcherDataDrivenDisambiguation(t *testing.T) {
 func TestMatcherExhaustiveAgreesWithTA(t *testing.T) {
 	g, ids := figure1Graph(t)
 	q := phillyQuery(ids)
-	ta, _ := FindTopKMatches(g, q, MatchOptions{TopK: 3})
-	ex, _ := FindTopKMatches(g, q, MatchOptions{TopK: 3, Exhaustive: true})
+	ta, _ := findAll(g, q, MatchOptions{TopK: 3})
+	ex, _ := findAll(g, q, MatchOptions{TopK: 3, Exhaustive: true})
 	if len(ta) != len(ex) {
 		t.Fatalf("TA %d matches, exhaustive %d", len(ta), len(ex))
 	}
@@ -102,8 +102,8 @@ func TestMatcherExhaustiveAgreesWithTA(t *testing.T) {
 func TestMatcherPruningPreservesResults(t *testing.T) {
 	g, ids := figure1Graph(t)
 	q := phillyQuery(ids)
-	with, sWith := FindTopKMatches(g, q, MatchOptions{TopK: 10})
-	without, sWithout := FindTopKMatches(g, q, MatchOptions{TopK: 10, DisablePruning: true})
+	with, sWith := findAll(g, q, MatchOptions{TopK: 10})
+	without, sWithout := findAll(g, q, MatchOptions{TopK: 10, DisablePruning: true})
 	if len(with) != len(without) {
 		t.Fatalf("pruning changed result count: %d vs %d", len(with), len(without))
 	}
@@ -135,7 +135,7 @@ func TestMatcherClassExpansion(t *testing.T) {
 		Edges: []Edge{{From: 0, To: 1, Phrase: phrase,
 			Candidates: []EdgeCandidate{{Path: p1(ids["spouse"]), Score: 1}}}},
 	}
-	matches, _ := FindTopKMatches(g, q, MatchOptions{TopK: 10})
+	matches, _ := findAll(g, q, MatchOptions{TopK: 10})
 	if len(matches) == 0 {
 		t.Fatal("no matches")
 	}
@@ -153,7 +153,7 @@ func TestMatcherClassExpansion(t *testing.T) {
 func TestMatcherInjective(t *testing.T) {
 	g, ids := figure1Graph(t)
 	q := phillyQuery(ids)
-	matches, _ := FindTopKMatches(g, q, MatchOptions{TopK: 10})
+	matches, _ := findAll(g, q, MatchOptions{TopK: 10})
 	for _, m := range matches {
 		if m.Assignment[0] == m.Assignment[1] {
 			t.Fatal("assignment not injective")
@@ -184,7 +184,7 @@ func TestMatcherPathEdge(t *testing.T) {
 		Edges: []Edge{{From: 0, To: 1, Phrase: phrase,
 			Candidates: []EdgeCandidate{{Path: unclePath, Score: 1}}}},
 	}
-	matches, _ := FindTopKMatches(g, q, MatchOptions{TopK: 5})
+	matches, _ := findAll(g, q, MatchOptions{TopK: 5})
 	if len(matches) != 1 {
 		t.Fatalf("got %d matches", len(matches))
 	}
@@ -265,7 +265,7 @@ func (c *spanCounter) InPred(v, p store.ID) []store.Edge {
 // never walked.
 func TestTopKCountsMatchesTiesIncluded(t *testing.T) {
 	g, q, _ := fanQuery([]float64{1}, []fanPath{{"likes", 1, []int{7}}})
-	matches, _ := FindTopKMatches(g, q, MatchOptions{TopK: 1})
+	matches, _ := findAll(g, q, MatchOptions{TopK: 1})
 	if len(matches) != 7 {
 		t.Fatalf("got %d matches, want all 7 tied with the first", len(matches))
 	}
@@ -278,7 +278,7 @@ func TestTopKCountsMatchesTiesIncluded(t *testing.T) {
 	g, q, preds := fanQuery([]float64{1}, []fanPath{{"likes", 0.9, []int{12}}, {"knows", 0.3, []int{30}}})
 	for _, exhaustive := range []bool{false, true} {
 		view := &spanCounter{View: g.FrozenView(), pred: preds[1]}
-		matches, stats := FindTopKMatches(g, q, MatchOptions{TopK: 10, Exhaustive: exhaustive, View: view})
+		matches, stats := findAll(g, q, MatchOptions{TopK: 10, Exhaustive: exhaustive, View: view})
 		if len(matches) != 12 || stats.MatchesKept != 12 || matches[11].Score != matches[0].Score {
 			t.Fatalf("exhaustive=%v: got %d matches (%d kept), want the 12 at the best score", exhaustive, len(matches), stats.MatchesKept)
 		}
@@ -297,7 +297,7 @@ func TestTopKCountsMatchesTiesIncluded(t *testing.T) {
 // result: the search must go on (it would stop on cut ≥ bound).
 func TestTieAtRoundBound(t *testing.T) {
 	g, q, _ := fanQuery([]float64{0.8, 0.8}, []fanPath{{"likes", 1, []int{3, 2}}})
-	matches, stats := FindTopKMatches(g, q, MatchOptions{TopK: 3})
+	matches, stats := findAll(g, q, MatchOptions{TopK: 3})
 	if len(matches) != 5 || stats.Rounds != 2 {
 		t.Fatalf("got %d matches in %d rounds, want all 5 tied matches from 2 rounds", len(matches), stats.Rounds)
 	}
@@ -313,15 +313,15 @@ func TestResultSetAgainstModel(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		k := 1 + r.Intn(4)
-		rs := newResultSet(k, 1000)
+		rs := newResultSet(k, 1000, 2, 0)
 		best := map[[2]store.ID]Match{}
 		for i := 0; i < 5+r.Intn(60); i++ {
 			a := [2]store.ID{store.ID(r.Intn(5)), store.ID(40 + r.Intn(5))}
-			offer := Match{Assignment: a[:], Via: []store.ID{store.ID(i)}, Score: -float64(1 + r.Intn(4))}
+			offer := Match{Assignment: a[:], Via: []store.ID{store.ID(i), store.None}, Score: -float64(1 + r.Intn(4))}
 			if old, ok := best[a]; !ok || offer.Score > old.Score {
 				best[a] = offer
 			}
-			rs.record(&offer)
+			rs.offer(&offer)
 		}
 		var want []Match
 		for _, m := range best {
@@ -340,7 +340,7 @@ func TestResultSetAgainstModel(t *testing.T) {
 			}
 			want = want[:n]
 		}
-		got := rs.harvest()
+		got := rs.harvest(&QueryGraph{}).All()
 		if len(got) != len(want) || len(rs.results) != len(want) {
 			t.Fatalf("seed %d k=%d: harvests %d matches (holds %d), want %d",
 				seed, k, len(got), len(rs.results), len(want))
@@ -359,7 +359,7 @@ func TestResultSetAgainstModel(t *testing.T) {
 func TestEmptyQueryGraphNoMatches(t *testing.T) {
 	g, _ := figure1Graph(t)
 	q := &QueryGraph{}
-	matches, _ := FindTopKMatches(g, q, MatchOptions{})
+	matches, _ := findAll(g, q, MatchOptions{})
 	if len(matches) != 0 {
 		t.Fatalf("got %d matches from empty query", len(matches))
 	}
@@ -389,14 +389,14 @@ func TestTAEarlyStops(t *testing.T) {
 		Edges: []Edge{{From: 0, To: 1, Phrase: phrase,
 			Candidates: []EdgeCandidate{{Path: p, Score: 1}}}},
 	}
-	_, stats := FindTopKMatches(g, q, MatchOptions{TopK: 1})
+	_, stats := findAll(g, q, MatchOptions{TopK: 1})
 	if !stats.EarlyStopped {
 		t.Fatalf("TA did not stop early: %+v", stats)
 	}
 	if stats.Rounds >= 50 {
 		t.Fatalf("TA used %d rounds", stats.Rounds)
 	}
-	_, ex := FindTopKMatches(g, q, MatchOptions{TopK: 1, Exhaustive: true})
+	_, ex := findAll(g, q, MatchOptions{TopK: 1, Exhaustive: true})
 	if ex.EarlyStopped {
 		t.Fatal("exhaustive mode stopped early")
 	}
@@ -417,9 +417,9 @@ func TestExhaustedAnchorStopsTheSearch(t *testing.T) {
 	q.Vertices[0] = Vertex{Arg: Argument{Text: "Antonio Banderas"},
 		Candidates: []VertexCandidate{{ID: ids["Antonio_Banderas"], Score: 1}}}
 	opts := MatchOptions{TopK: 10, DisablePruning: true}
-	ta, stats := FindTopKMatches(g, q, opts)
+	ta, stats := findAll(g, q, opts)
 	opts.Exhaustive = true
-	ex, exStats := FindTopKMatches(g, q, opts)
+	ex, exStats := findAll(g, q, opts)
 	if stats.Rounds != 1 || !stats.EarlyStopped {
 		t.Errorf("TA ran %d rounds (early stopped %v), want 1 (true); exhaustive ran %d",
 			stats.Rounds, stats.EarlyStopped, exStats.Rounds)
@@ -445,7 +445,7 @@ func TestExhaustedAnchorStopsTheSearch(t *testing.T) {
 func TestMatchCapEndsTheWholeGraphStart(t *testing.T) {
 	g, q := allWhQuery(maxHeldMatches + 1)
 	tr := budget.New(context.Background(), budget.Limits{MaxCandidates: 3 * maxHeldMatches / 2})
-	if _, stats := FindTopKMatches(g, q, MatchOptions{Budget: tr}); stats.Truncated != budget.ReasonMatches {
+	if _, stats := findAll(g, q, MatchOptions{Budget: tr}); stats.Truncated != budget.ReasonMatches {
 		t.Fatalf("truncated %q, want the matches cap", stats.Truncated)
 	}
 	if _, cands, _ := tr.Spent(); cands != maxHeldMatches+1 {
@@ -489,7 +489,7 @@ func TestComponentStartsFromItsCandidates(t *testing.T) {
 		},
 	}
 	view := &degreeCounter{View: g.FrozenView()}
-	matches, _ := FindTopKMatches(g, q, MatchOptions{View: view})
+	matches, _ := findAll(g, q, MatchOptions{View: view})
 	want := []store.ID{id("x"), id("a"), id("b"), id("y")}
 	if len(matches) != 1 || fmt.Sprint(matches[0].Assignment) != fmt.Sprint(want) {
 		t.Fatalf("matches %v, want the one assignment %v", matches, want)

@@ -37,8 +37,8 @@ func TestPoolDropsOversizedResultSet(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	small, smallQ := allWhQuery(3)
 	big, bigQ := allWhQuery(maxHeldMatches + 1)
-	if matches, _ := FindTopKMatches(small, smallQ, MatchOptions{}); len(matches) != 6 {
-		t.Fatalf("the small search returned %d matches, want 6", len(matches))
+	if matches, _ := FindTopKMatches(small, smallQ, MatchOptions{}); matches.Len() != 6 {
+		t.Fatalf("the small search returned %d matches, want 6", matches.Len())
 	}
 	m := matcherPool.Get().(*matcher)
 	if len(m.res.rows) != 6 {
@@ -105,8 +105,8 @@ func TestPoolDropsOversizedBuffers(t *testing.T) {
 }
 
 // TestPooledMatcherFreesQueryGraph: a finished search's QueryGraph, and
-// the candidate paths its held matches carried, can be collected while the
-// matcher that ran it sits in the pool.
+// the candidate paths its held matches chose (a held row names one by its
+// index), can be collected while the matcher that ran it sits in the pool.
 func TestPooledMatcherFreesQueryGraph(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops what it is given at random")
@@ -118,7 +118,7 @@ func TestPooledMatcherFreesQueryGraph(t *testing.T) {
 		runtime.SetFinalizer(&c.Path[0], func(*dict.Step) { freed.Add(1) })
 	}
 	runtime.SetFinalizer(q, func(*QueryGraph) { freed.Add(1) })
-	if matches, _ := FindTopKMatches(g, q, MatchOptions{TopK: 3}); len(matches) == 0 {
+	if matches, _ := FindTopKMatches(g, q, MatchOptions{TopK: 3}); matches.Len() == 0 {
 		t.Fatal("no matches")
 	}
 	q = nil
@@ -196,14 +196,14 @@ func TestPooledMatcherForgetsRemoteHints(t *testing.T) {
 	g, q := chainQuery()
 	local := func() int {
 		rc := &readCounter{View: g.FrozenView()}
-		if matches, _ := FindTopKMatches(g, q, MatchOptions{View: rc}); len(matches) == 0 {
+		if matches, _ := FindTopKMatches(g, q, MatchOptions{View: rc}); matches.Len() == 0 {
 			t.Fatal("no matches")
 		}
 		return rc.reads
 	}
 	fresh := local()
 	remote, _ := chainQuery()
-	if matches, _ := FindTopKMatches(remote, q, MatchOptions{View: loopbackView(t, remote)}); len(matches) == 0 {
+	if matches, _ := FindTopKMatches(remote, q, MatchOptions{View: loopbackView(t, remote)}); matches.Len() == 0 {
 		t.Fatal("no matches over the remote shards")
 	}
 	if after := local(); after != fresh {

@@ -439,7 +439,7 @@ func TestQuickEveryQueryShape(t *testing.T) {
 func matcherAgreesWithBruteForce(t *testing.T, seed int64, view viewOf, shape int) bool {
 	r := rand.New(rand.NewSource(seed))
 	g, q := randomShapeSetup(r, shape)
-	got, _ := FindTopKMatches(g, q, MatchOptions{TopK: 1000, Exhaustive: true, View: view(t, g)})
+	got, _ := findAll(g, q, MatchOptions{TopK: 1000, Exhaustive: true, View: view(t, g)})
 	ref := bruteForceMatches(t, referenceTwin(seed), q)
 
 	refByKey := make(map[string]float64, len(ref))
@@ -487,7 +487,7 @@ func topKIsBruteForceTopK(t *testing.T, seed int64, view viewOf, shape int) bool
 	r := rand.New(rand.NewSource(seed))
 	g, q := randomShapeSetup(r, shape)
 	k := 1 + r.Intn(5)
-	got, stats := FindTopKMatches(g, q, MatchOptions{TopK: k, View: view(t, g)})
+	got, stats := findAll(g, q, MatchOptions{TopK: k, View: view(t, g)})
 
 	best := map[string]Match{}
 	for _, m := range bruteForceMatches(t, referenceTwin(seed), q) {
@@ -547,8 +547,8 @@ func TestQuickTATopKIsPrefixOfExhaustive(t *testing.T) {
 		g, q := randomQuerySetup(r)
 		k := 1 + r.Intn(3)
 		v := view(t, g)
-		ta, _ := FindTopKMatches(g, q, MatchOptions{TopK: k, View: v})
-		ex, _ := FindTopKMatches(g, q, MatchOptions{TopK: k, Exhaustive: true, View: v})
+		ta, _ := findAll(g, q, MatchOptions{TopK: k, View: v})
+		ex, _ := findAll(g, q, MatchOptions{TopK: k, Exhaustive: true, View: v})
 		if len(ta) != len(ex) {
 			t.Logf("seed %d k=%d: TA %d matches, exhaustive %d", seed, k, len(ta), len(ex))
 			return false
@@ -585,8 +585,8 @@ func TestQuickPruningNeverChangesResults(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g, q := randomQuerySetup(r)
 		v := view(t, g)
-		a, _ := FindTopKMatches(g, q, MatchOptions{TopK: 1000, Exhaustive: true, View: v})
-		b, _ := FindTopKMatches(g, q, MatchOptions{TopK: 1000, Exhaustive: true, DisablePruning: true, View: v})
+		a, _ := findAll(g, q, MatchOptions{TopK: 1000, Exhaustive: true, View: v})
+		b, _ := findAll(g, q, MatchOptions{TopK: 1000, Exhaustive: true, DisablePruning: true, View: v})
 		if len(a) != len(b) {
 			t.Logf("seed %d: %d vs %d matches", seed, len(a), len(b))
 			return false

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"gqa/internal/dict"
 	"gqa/internal/store"
@@ -163,21 +164,46 @@ func (s *refCanonicalOrder) Swap(i, j int) {
 }
 
 // keyPool is the ID pool assignments are drawn from: the ends of each
-// base-36 digit count (35/36, 1295/1296, 46655/46656), and 1 and 2 around
-// 36–71 ("10"–"1z"), which as strings sort between them and as numbers
-// after both.
-var keyPool = []store.ID{0, 1, 2, 9, 10, 35, 36, 37, 50, 71, 72, 1295, 1296, 1297, 46655, 46656}
+// base-36 digit count (35/36, 1295/1296, 46655/46656, 36^6 - 1/36^6), 1
+// and 2 around 36–71 ("10"–"1z"), which as strings sort between them and
+// as numbers after both, and the largest ID, whose seven digits are the
+// most key36 pads to.
+var keyPool = []store.ID{0, 1, 2, 9, 10, 35, 36, 37, 50, 71, 72, 1295, 1296, 1297, 46655, 46656,
+	2176782335, 2176782336, 2176782337, math.MaxUint32}
 
 var pathPool = []dict.Path{nil, {{Pred: 7, Forward: true}}, {{Pred: 7}, {Pred: 8, Forward: true}}}
 
 // recordStream is one result set's input: its k, its MaxMatches, whether
 // its hash is narrowed to two bits (newCollidingResultSet), and the offers
-// in the order they are recorded. Every offer has the one shape a search's
-// query gives it.
+// in the order they are recorded, each with the index in pathPool of its
+// every edge's path. Every offer has the one shape q, the stream's query,
+// gives it: nv vertices, and ne edges whose candidate paths are pathPool.
 type recordStream struct {
 	k, maxMatches int
 	collide       bool
+	q             *QueryGraph
 	offers        []Match
+	cands         [][]store.ID
+}
+
+// row is offer i as the search state lays it out (searchState.row).
+func (s *recordStream) row(i int) []store.ID {
+	m := &s.offers[i]
+	return append(append(append([]store.ID(nil), m.Assignment...), m.Via...), s.cands[i]...)
+}
+
+// streamQuery is a query of nv vertices and ne edges whose every edge has
+// pathPool as its candidate paths.
+func streamQuery(nv, ne int) *QueryGraph {
+	q := &QueryGraph{Vertices: make([]Vertex, nv)}
+	for range ne {
+		e := Edge{}
+		for _, p := range pathPool {
+			e.Candidates = append(e.Candidates, EdgeCandidate{Path: p, Score: 1})
+		}
+		q.Edges = append(q.Edges, e)
+	}
+	return q
 }
 
 // decodeStream reads a stream from bytes: a header of k, cap, collision and
@@ -197,6 +223,7 @@ func decodeStream(data []byte) recordStream {
 	}
 	s.collide = next()%2 == 0
 	nv, ne := 1+int(next()%3), int(next()%3)
+	s.q = streamQuery(nv, ne)
 	for len(data) > 0 {
 		m := Match{Assignment: make([]store.ID, nv), Via: make([]store.ID, nv)}
 		for i := range m.Assignment {
@@ -205,12 +232,14 @@ func decodeStream(data []byte) recordStream {
 		for i := range m.Via {
 			m.Via[i] = store.ID(next())
 		}
-		for range ne {
-			m.EdgePaths = append(m.EdgePaths, pathPool[int(next())%len(pathPool)])
+		cands := make([]store.ID, ne)
+		for ei := range cands {
+			cands[ei] = store.ID(int(next()) % len(pathPool))
+			m.EdgePaths = append(m.EdgePaths, pathPool[cands[ei]])
 		}
 		b := next()
 		m.Score, m.EdgeRev = -float64(1+b%4), uint64(b/4%4)
-		s.offers = append(s.offers, m)
+		s.offers, s.cands = append(s.offers, m), append(s.cands, cands)
 	}
 	return s
 }
@@ -237,10 +266,15 @@ func randomStream(rng *rand.Rand) []byte {
 	return data
 }
 
-// heldMatch is the i-th held match, read off its row.
-func (rs *resultSet) heldMatch(i int) Match {
+// heldMatch is the i-th held match of a search of q, read off its row.
+func (rs *resultSet) heldMatch(q *QueryGraph, i int) Match {
 	r := rs.results[i]
-	return Match{Assignment: rs.assignment(r), Via: rs.via(r), EdgePaths: rs.edgePaths(r), EdgeRev: rs.rows[r].rev, Score: rs.rows[r].score}
+	row := rs.row(r)
+	m := Match{Assignment: row[:rs.na], Via: row[rs.na : 2*rs.na], EdgeRev: rs.rows[r].rev, Score: rs.rows[r].score}
+	for ei, ci := range row[2*rs.na:] {
+		m.EdgePaths = append(m.EdgePaths, q.Edges[ei].Candidates[ci].Path)
+	}
+	return m
 }
 
 func sameMatch(a, b *Match) bool {
@@ -260,11 +294,13 @@ type streamShapes struct {
 // compareResultSet records s into a resultSet and the reference, and says
 // how they first differ ("" when they never do): after every record the
 // held matches in order, θ, the attempt count, the refusal, and that every
-// held match is on its hash's chain exactly once; at the end the harvest.
+// held match is on its hash's chain exactly once; at the end the harvest,
+// read through Matches.At.
 func compareResultSet(s recordStream, shapes *streamShapes) string {
-	rs, ref := newResultSet(s.k, s.maxMatches), newRefResultSet(s.k, s.maxMatches)
+	nv, ne := len(s.q.Vertices), len(s.q.Edges)
+	rs, ref := newResultSet(s.k, s.maxMatches, nv, ne), newRefResultSet(s.k, s.maxMatches)
 	if s.collide {
-		rs = newCollidingResultSet(s.k, s.maxMatches)
+		rs = newCollidingResultSet(s.k, s.maxMatches, nv, ne)
 	}
 	for n, offer := range s.offers {
 		before := map[string]bool{}
@@ -285,7 +321,7 @@ func compareResultSet(s recordStream, shapes *streamShapes) string {
 				}
 			}
 		}
-		rs.record(&offer)
+		rs.record(s.row(n), offer.EdgeRev, offer.Score)
 		ref.record(&offer)
 		for _, r := range ref.results {
 			delete(before, r.key())
@@ -297,7 +333,7 @@ func compareResultSet(s recordStream, shapes *streamShapes) string {
 			return "offer " + strconv.Itoa(n) + ": held/θ/attempts/refused differ"
 		}
 		for i := range ref.results {
-			if held := rs.heldMatch(i); !sameMatch(&held, ref.results[i]) {
+			if held := rs.heldMatch(s.q, i); !sameMatch(&held, ref.results[i]) {
 				return "offer " + strconv.Itoa(n) + ": held match " + strconv.Itoa(i) + " differs"
 			}
 		}
@@ -317,13 +353,13 @@ func compareResultSet(s recordStream, shapes *streamShapes) string {
 	if ref.refused {
 		shapes.refused++
 	}
-	got, want := rs.harvest(), ref.harvest()
-	if len(got) != len(want) {
+	got, want := rs.harvest(s.q), ref.harvest()
+	if got.Len() != len(want) {
 		return "harvest lengths differ"
 	}
 	for i := range want {
-		if !sameMatch(&got[i], &want[i]) {
-			return "harvest " + strconv.Itoa(i) + ": " + got[i].key() + " where the reference has " + want[i].key()
+		if m := got.At(i); !sameMatch(&m, &want[i]) {
+			return "harvest " + strconv.Itoa(i) + ": " + m.key() + " where the reference has " + want[i].key()
 		}
 	}
 	for i := range want {
@@ -376,15 +412,24 @@ func TestQuickResultSetMatchesReference(t *testing.T) {
 	t.Logf("%+v", shapes)
 }
 
-// FuzzResultSet is the same comparison over fuzzed record streams.
+// FuzzResultSet is the same comparison over fuzzed record streams, and
+// the harvested block's against the parent's harvest through At
+// (compareStreamHarvest); four of its seeds are tiedStreams.
 func FuzzResultSet(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for range 16 {
 		f.Add(randomStream(rng))
 	}
+	for range 4 {
+		f.Add(tiedStream(rng))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if diff := compareResultSet(decodeStream(data), &streamShapes{}); diff != "" {
+		s := decodeStream(data)
+		if diff := compareResultSet(s, &streamShapes{}); diff != "" {
 			t.Fatal(diff)
+		}
+		if diff := compareStreamHarvest(s, &HarvestShapes{}); diff != "" {
+			t.Fatal("against the parent's harvest: " + diff)
 		}
 	})
 }
@@ -441,54 +486,100 @@ func TestKey36IsKeyStringOrder(t *testing.T) {
 	}
 }
 
-// TestHarvestedMatchesDoNotAlias: every slice a harvested match carries is
-// capped at its length, so appending to one slice of one match moves no
-// other slice of any match, though they all share the search's slabs.
+// TestHarvestedMatchesDoNotAlias: a search's block shares no array with
+// another search's block or with the matcher the pool keeps, so the next
+// search, over another query, changes no match of the last; and every
+// slice At hands out is capped at its length, so appending to one slice of
+// one match moves no other slice of any match.
 func TestHarvestedMatchesDoNotAlias(t *testing.T) {
 	g, q, _ := fanQuery([]float64{0.8, 0.8}, []fanPath{{"likes", 1, []int{3, 2}}})
 	matches, _ := FindTopKMatches(g, q, MatchOptions{TopK: 3})
-	if len(matches) < 2 {
-		t.Fatalf("got %d matches, want several", len(matches))
+	if matches.Len() < 2 {
+		t.Fatalf("got %d matches, want several", matches.Len())
 	}
 	clone := func() []Match {
-		out := make([]Match, len(matches))
-		for i, m := range matches {
+		out := make([]Match, matches.Len())
+		for i, m := range matches.All() {
 			out[i] = Match{Assignment: slices.Clone(m.Assignment), Via: slices.Clone(m.Via),
 				EdgePaths: slices.Clone(m.EdgePaths), EdgeRev: m.EdgeRev, Score: m.Score}
 		}
 		return out
 	}
-	for i, m := range matches {
+	before := clone()
+	g2, q2, _ := fanQuery([]float64{0.9, 0.7, 0.6}, []fanPath{{"likes", 0.5, []int{1, 2, 3}}, {"knows", 0.9, []int{2, 2, 1}}})
+	other, _ := FindTopKMatches(g2, q2, MatchOptions{TopK: 5})
+	if other.Len() == 0 {
+		t.Fatal("the second search found nothing")
+	}
+	m := matcherPool.Get().(*matcher)
+	defer matcherPool.Put(m)
+	arrays := []arraySpan{
+		span("the first block's IDs", matches.ids), span("the first block's rows", matches.rows),
+		span("the second block's IDs", other.ids), span("the second block's rows", other.rows),
+		span("the pooled set's IDs", m.res.ids), span("the pooled set's rows", m.res.rows),
+		span("the pooled set's keys", m.res.keys), span("the pooled set's results", m.res.results),
+		span("the pooled state's row", m.st.row),
+	}
+	for i, x := range arrays {
+		for _, y := range arrays[:i] {
+			if x.size > 0 && y.size > 0 && x.p < y.p+y.size && y.p < x.p+x.size {
+				t.Fatalf("%s and %s share an array", x.name, y.name)
+			}
+		}
+	}
+	for i := range other.Len() {
+		for j := range other.Assignment(i) {
+			other.Assignment(i)[j] = 99
+		}
+	}
+	for i, want := range before {
+		if got := matches.At(i); !sameMatch(&got, &want) {
+			t.Fatalf("another search changed match %d", i)
+		}
+	}
+	all := matches.All()
+	for i, m := range all {
 		if cap(m.Assignment) != len(m.Assignment) || cap(m.Via) != len(m.Via) || cap(m.EdgePaths) != len(m.EdgePaths) {
 			t.Fatalf("match %d: caps %d/%d/%d for lengths %d/%d/%d", i, cap(m.Assignment), cap(m.Via), cap(m.EdgePaths),
 				len(m.Assignment), len(m.Via), len(m.EdgePaths))
 		}
 	}
-	for i := range matches {
-		want := clone()
-		_ = append(matches[i].Assignment, 99)
-		_ = append(matches[i].Via, 99)
-		_ = append(matches[i].EdgePaths, dict.Path{{Pred: 99}})
-		for j := range want {
-			if !sameMatch(&matches[j], &want[j]) {
+	for i := range all {
+		_ = append(all[i].Assignment, 99)
+		_ = append(all[i].Via, 99)
+		_ = append(all[i].EdgePaths, dict.Path{{Pred: 99}})
+		for j := range before {
+			if got := matches.At(j); !sameMatch(&got, &before[j]) {
 				t.Fatalf("appending to match %d changed match %d", i, j)
 			}
 		}
 	}
 }
 
+// arraySpan is a slice's backing array: its address and size in bytes.
+type arraySpan struct {
+	name    string
+	p, size uintptr
+}
+
+func span[T any](name string, s []T) arraySpan {
+	var zero T
+	return arraySpan{name, uintptr(unsafe.Pointer(unsafe.SliceData(s))), uintptr(cap(s)) * unsafe.Sizeof(zero)}
+}
+
 // TestResultSetHoldingFewIsCheap: a search that holds one match allocates
 // for one, not for the 96 a tied template holds — the slabs start small.
 func TestResultSetHoldingFewIsCheap(t *testing.T) {
 	offer := Match{Assignment: []store.ID{1, 2, 3}, Via: []store.ID{4, 5, 6}, EdgePaths: []dict.Path{nil, nil}, Score: -1}
+	q := streamQuery(3, 2)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const runs = 200
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range runs {
-		rs := newResultSet(10, 10000)
-		rs.record(&offer)
-		if len(rs.harvest()) != 1 {
+		rs := newResultSet(10, 10000, 3, 2)
+		rs.offer(&offer, 0, 0)
+		if rs.harvest(q).Len() != 1 {
 			t.Fatal("the match was not held")
 		}
 	}

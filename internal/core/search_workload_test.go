@@ -3,7 +3,9 @@ package core_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,8 +17,10 @@ import (
 
 // TestSearchAllocs: a warm search allocates only what it returns. On the
 // cinema KB's cast-of-director question a search takes its working memory
-// from the matcher pool and allocates the three arrays its matches are
-// copied into — the matches, their IDs, their paths — and nothing else.
+// from the matcher pool and allocates the two arrays of the block its
+// matches are copied into — their IDs and candidate indices, their scores
+// and orientation bits — and nothing else, at most 16 bytes an ID and 32
+// a match of the block's own size.
 func TestSearchAllocs(t *testing.T) {
 	if core.RaceEnabled {
 		t.Skip("the race detector's sync.Pool drops what it is given at random")
@@ -27,19 +31,42 @@ func TestSearchAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Query == nil || len(res.Matches) < 20 {
-		t.Fatalf("%q: %d matches, want the cast-of-director template's tie", kb.Questions[0].Text, len(res.Matches))
+	n := res.Matches.Len()
+	if res.Query == nil || n < 20 {
+		t.Fatalf("%q: %d matches, want the cast-of-director template's tie", kb.Questions[0].Text, n)
 	}
 	search := func() { core.FindTopKMatches(kb.Graph, res.Query, core.MatchOptions{}) }
 	search()
 	// One allocation of slack: a collection during the runs empties the
 	// pool, and the search that follows grows a matcher anew.
-	const ceiling = 3 + 1
+	const ceiling = 2 + 1
 	allocs := testing.AllocsPerRun(100, search)
-	t.Logf("%d matches, %v allocations a search", len(res.Matches), allocs)
+	// The block is n rows of 2 IDs a vertex and one index an edge (4 bytes
+	// each) and n scores and orientation words (16 bytes each).
+	stride := 2*len(res.Query.Vertices) + len(res.Query.Edges)
+	block := n * (4*stride + 16)
+	bytes := bytesPerRun(100, search)
+	t.Logf("%d matches, %v allocations and %d bytes a search (the block is %d bytes)", n, allocs, bytes, block)
 	if allocs > ceiling {
 		t.Errorf("a warm search allocates %v times, at most %d", allocs, ceiling)
 	}
+	if bytes > uint64(block+block/4) {
+		t.Errorf("a warm search allocates %d bytes, more than its %d-byte block and a quarter", bytes, block)
+	}
+}
+
+// bytesPerRun is what one call of f allocates, averaged over runs calls
+// on one P after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // TestSearchCountsItsWalks: a search adds the walks it made to
@@ -113,8 +140,8 @@ func TestWalksMatchReferenceOnWorkloads(t *testing.T) {
 				}
 			}
 		}
-		for _, m := range s.res.Matches {
-			starts = append(starts, m.Assignment...)
+		for i := range s.res.Matches.Len() {
+			starts = append(starts, s.res.Matches.Assignment(i)...)
 		}
 		slices.Sort(starts)
 		n, b, diff := core.WalkDiff(view, s.q, slices.Compact(starts))
@@ -138,7 +165,7 @@ func TestWalksMatchReferenceOnWorkloads(t *testing.T) {
 func TestConcurrentSearchesMatchSequential(t *testing.T) {
 	searches := workloadSearches(t)
 	type result struct {
-		matches []core.Match
+		matches core.Matches
 		stats   core.MatchStats
 	}
 	want := make([]result, len(searches))
@@ -177,4 +204,37 @@ func TestConcurrentSearchesMatchSequential(t *testing.T) {
 		t.Error(e)
 	}
 	t.Logf("%d searches in %d shapes", len(searches), len(shapes))
+}
+
+// TestHarvestMatchesParentOnWorkloads: on every question of qald, yago,
+// nlscale and cinema, the block a search harvests holds the parent's
+// harvest of the same held matches, each whole Match equal through At, and
+// the answer keeps the parent's bindings for every select vertex. It logs
+// what each workload met: harvests, rows, score runs, rows in first-ID
+// ties, and bindings the answer dedupe dropped.
+func TestHarvestMatchesParentOnWorkloads(t *testing.T) {
+	var all core.HarvestShapes
+	sets := map[string]*core.HarvestShapes{}
+	var names []string
+	for _, s := range workloadSearches(t) {
+		set := strings.SplitN(s.name, ":", 2)[0]
+		if sets[set] == nil {
+			sets[set] = new(core.HarvestShapes)
+			names = append(names, set)
+		}
+		if diff := core.HarvestDiff(s.g, s.q, sets[set]); diff != "" {
+			t.Fatalf("%s: %s", s.name, diff)
+		}
+	}
+	for _, name := range names {
+		sh := sets[name]
+		t.Logf("%s: %d harvests, %d rows, %d score runs (%d of several rows, %d rows), %d rows in first-ID ties, %d answers kept, %d deduped",
+			name, sh.Harvests, sh.Rows, sh.Runs, sh.TiedRuns, sh.TiedRows, sh.FirstTies, sh.Answers, sh.Deduped)
+		all.TiedRuns += sh.TiedRuns
+		all.FirstTies += sh.FirstTies
+		all.Deduped += sh.Deduped
+	}
+	if all.TiedRuns == 0 || all.FirstTies == 0 || all.Deduped == 0 {
+		t.Errorf("the workloads met no tied run, no first-ID tie or no repeated binding: %+v", all)
+	}
 }

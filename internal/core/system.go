@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -181,7 +182,7 @@ type Result struct {
 	Tree      *nlp.DepTree
 	Relations []SemanticRelation
 	Query     *QueryGraph
-	Matches   []Match
+	Matches   Matches
 	// Answers are the bindings of the select vertex across the top-k
 	// matches, best first, deduplicated.
 	Answers []store.ID
@@ -324,32 +325,64 @@ func (s *System) evaluate(tr *budget.Tracker, clk *stageClock, res *Result) stor
 
 	sel := res.Query.SelectVertex()
 	if sel < 0 {
-		b := len(matches) > 0
+		b := matches.Len() > 0
 		res.Boolean = &b
 		return view
 	}
-	// Answers come from the best-scoring matches only (ties included): the
-	// top score is the resolved disambiguation; lower-ranked matches are
-	// alternative readings kept for inspection. ("Which city is the
-	// capital of Germany?" must answer Berlin, not also the cities a
-	// weaker candidate path reaches.)
-	top := 0
-	for top < len(matches) && matches[top].Score == matches[0].Score {
-		top++
-	}
-	seen := make(map[store.ID]struct{}, top)
-	for _, m := range matches[:top] {
-		u := m.Assignment[sel]
-		if _, dup := seen[u]; dup {
-			continue
-		}
-		seen[u] = struct{}{}
-		res.Answers = append(res.Answers, u)
-	}
-	if len(res.Answers) == 0 {
+	if res.Answers = selectAnswers(matches, sel); len(res.Answers) == 0 {
 		res.Failure = FailureNoMatch
 	}
 	return view
+}
+
+// selectAnswers returns the select vertex sel's bindings across the
+// best-scoring matches only (ties included), each once, in the order they
+// first occur: the top score is the resolved disambiguation; lower-ranked
+// matches are alternative readings kept for inspection. ("Which city is
+// the capital of Germany?" must answer Berlin, not also the cities a
+// weaker candidate path reaches.)
+//
+// Matches of one score are in assignment-key order, whose first segment
+// is vertex 0's binding, so for sel = 0 a repeat follows its first
+// occurrence. Otherwise it dedupes by sorting packed (binding, match
+// index) keys, keeping the first of each binding, and sorting those back
+// into match order.
+func selectAnswers(ms Matches, sel int) []store.ID {
+	top := 0
+	for top < ms.Len() && ms.Score(top) == ms.Score(0) {
+		top++
+	}
+	if top == 0 {
+		return nil
+	}
+	if sel == 0 || top == 1 {
+		out := make([]store.ID, 0, top)
+		for i := range top {
+			if u := ms.Assignment(i)[sel]; len(out) == 0 || u != out[len(out)-1] {
+				out = append(out, u)
+			}
+		}
+		return out
+	}
+	keys := make([]uint64, top)
+	for i := range keys {
+		keys[i] = uint64(ms.Assignment(i)[sel])<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	n, prev := 0, uint64(1)<<32 // above every binding
+	for _, k := range keys {
+		if u := k >> 32; u != prev {
+			keys[n], prev = k<<32|u, u
+			n++
+		}
+	}
+	keys = keys[:n]
+	slices.Sort(keys)
+	out := make([]store.ID, n)
+	for i, k := range keys {
+		out[i] = store.ID(k)
+	}
+	return out
 }
 
 // finishAnswer closes the open stage — the one place every exit does —

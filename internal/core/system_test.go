@@ -33,7 +33,7 @@ func TestRunningExampleEndToEnd(t *testing.T) {
 	}
 	// Disambiguation: no match may bind any vertex to the 76ers or the
 	// city — the data rules both out.
-	for _, m := range res.Matches {
+	for _, m := range res.Matches.All() {
 		for _, u := range m.Assignment {
 			if u == ids["Philadelphia_76ers"] || u == ids["Philadelphia"] {
 				t.Fatalf("false-positive mapping survived: %s", s.Graph.Term(u))
@@ -71,10 +71,10 @@ func TestRunningExampleStructure(t *testing.T) {
 	}
 	// The top match maps the shared vertex to Antonio Banderas via class
 	// Actor and the Philadelphia vertex to the film.
-	if len(res.Matches) == 0 {
+	if res.Matches.Len() == 0 {
 		t.Fatal("no matches")
 	}
-	m := res.Matches[0]
+	m := res.Matches.At(0)
 	foundBanderas, foundFilm := false, false
 	for _, u := range m.Assignment {
 		if u == ids["Antonio_Banderas"] {

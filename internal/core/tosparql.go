@@ -14,7 +14,7 @@ import (
 	"gqa/internal/store"
 )
 
-// ResolvedSPARQL renders a match of q as a SPARQL query:
+// ResolvedSPARQL renders match i of ms as a SPARQL query over ms's Q^S:
 //
 //   - the select vertex (and any other unconstrained vertex) stays a
 //     variable;
@@ -32,7 +32,8 @@ import (
 // It reads the graph's term table only — never an edge, so on a remote
 // store it sends nothing. Evaluating the result over the same graph
 // reproduces the match's bindings (property-tested).
-func ResolvedSPARQL(g *store.Graph, q *QueryGraph, m *Match) (*sparql.Query, error) {
+func ResolvedSPARQL(g *store.Graph, ms Matches, i int) (*sparql.Query, error) {
+	q, assign, via, rev := ms.q, ms.Assignment(i), ms.via(i), ms.rows[i].rev
 	out := &sparql.Query{Kind: sparql.KindSelect, Distinct: true}
 	sel := q.SelectVertex()
 	if sel < 0 {
@@ -48,16 +49,16 @@ func ResolvedSPARQL(g *store.Graph, q *QueryGraph, m *Match) (*sparql.Query, err
 			out.Vars = []string{"answer"}
 		case v.Unconstrained:
 			terms[vi] = sparql.Term{Var: fmt.Sprintf("v%d", vi)}
-		case m.Via[vi] != store.None:
+		case via[vi] != store.None:
 			terms[vi] = sparql.Term{Var: fmt.Sprintf("v%d", vi)}
 		default:
-			terms[vi] = sparql.Term{Const: g.Term(m.Assignment[vi])}
+			terms[vi] = sparql.Term{Const: g.Term(assign[vi])}
 		}
-		if m.Via[vi] != store.None {
+		if via[vi] != store.None {
 			out.Patterns = append(out.Patterns, sparql.Pattern{
 				S: terms[vi],
 				P: sparql.Term{Const: g.Term(g.TypeID())},
-				O: sparql.Term{Const: g.Term(m.Via[vi])},
+				O: sparql.Term{Const: g.Term(via[vi])},
 			})
 		}
 	}
@@ -86,14 +87,14 @@ func ResolvedSPARQL(g *store.Graph, q *QueryGraph, m *Match) (*sparql.Query, err
 	}
 	fresh := 0
 	for ei, e := range q.Edges {
-		path := m.EdgePaths[ei]
+		path := ms.path(i, ei)
 		if len(path) == 0 {
 			return nil, fmt.Errorf("core: match has no path for edge %d", ei)
 		}
 		// The orientation is the one the matcher matched the path in: it
 		// runs From→To, or To→From (Definition 3 allows either).
 		src, dst := terms[e.From], terms[e.To]
-		if m.EdgeRev>>ei&1 != 0 {
+		if rev>>ei&1 != 0 {
 			src, dst = dst, src
 		}
 		chain := []sparql.Term{src, dst}

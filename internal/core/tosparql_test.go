@@ -19,10 +19,10 @@ func TestResolvedSPARQLRunningExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Matches) == 0 {
+	if res.Matches.Len() == 0 {
 		t.Fatal("no matches")
 	}
-	q, err := ResolvedSPARQL(s.Graph, res.Query, &res.Matches[0])
+	q, err := ResolvedSPARQL(s.Graph, res.Matches, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +78,10 @@ func TestResolvedSPARQLPathEdge(t *testing.T) {
 			Candidates: []EdgeCandidate{{Path: unclePath, Score: 1}}}},
 	}
 	matches, _ := FindTopKMatches(gg, q, MatchOptions{TopK: 5})
-	if len(matches) != 1 {
-		t.Fatalf("matches = %d", len(matches))
+	if matches.Len() != 1 {
+		t.Fatalf("matches = %d", matches.Len())
 	}
-	sq, err := ResolvedSPARQL(gg, q, &matches[0])
+	sq, err := ResolvedSPARQL(gg, matches, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +111,9 @@ func TestQuickResolvedSPARQLReproducesMatch(t *testing.T) {
 		if sel < 0 {
 			return true
 		}
-		for _, m := range matches {
-			sq, err := ResolvedSPARQL(g, q, &m)
+		for i := range matches.Len() {
+			m := matches.At(i)
+			sq, err := ResolvedSPARQL(g, matches, i)
 			if (err != nil) != (loneWh(q) >= 0) {
 				t.Logf("seed %d: rendered %v, error %v (query %s)", seed, sq, err, q)
 				return false
@@ -169,10 +170,10 @@ func TestResolvedSPARQLOrientationWidth(t *testing.T) {
 			q.Edges = append(q.Edges, Edge{From: i - 1, To: i, Phrase: phrase, Candidates: []EdgeCandidate{{Path: path, Score: 1}}})
 		}
 		matches, _ := FindTopKMatches(g, q, MatchOptions{TopK: 5})
-		if len(matches) != 1 {
-			t.Fatalf("%d edges: %d matches, want the chain", nEdges, len(matches))
+		if matches.Len() != 1 {
+			t.Fatalf("%d edges: %d matches, want the chain", nEdges, matches.Len())
 		}
-		sq, err := ResolvedSPARQL(g, q, &matches[0])
+		sq, err := ResolvedSPARQL(g, matches, 0)
 		if nEdges > 64 {
 			if err == nil {
 				t.Errorf("%d edges rendered; orientation is kept for 64", nEdges)
@@ -182,8 +183,8 @@ func TestResolvedSPARQLOrientationWidth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if matches[0].EdgeRev != 1<<63 {
-			t.Errorf("EdgeRev = %b, want only the last edge reversed", matches[0].EdgeRev)
+		if rev := matches.At(0).EdgeRev; rev != 1<<63 {
+			t.Errorf("EdgeRev = %b, want only the last edge reversed", rev)
 		}
 		out, err := sparql.Eval(g, sq)
 		if err != nil {

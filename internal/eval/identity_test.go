@@ -207,16 +207,16 @@ func observe(t *testing.T, sys *core.System, question string) observed {
 	// never see.
 	frames := obs.DefaultCounter("gqa_rpc_calls_total", "")
 	sent := frames.Value()
-	for i := range res.Matches {
-		m := &res.Matches[i]
+	for i := range res.Matches.Len() {
+		m := res.Matches.At(i)
 		fmt.Fprintf(&fp, "  assign=%v via=%v score=%.15f paths=[", m.Assignment, m.Via, m.Score)
 		for _, p := range m.EdgePaths {
 			fmt.Fprintf(&fp, "%s|", p.Key())
 		}
 		fp.WriteString("]\n")
-		rd.WriteString(core.RenderMatch(sys.Graph, res.Query, m))
+		rd.WriteString(core.RenderMatch(sys.Graph, res.Query, &m))
 		rd.WriteByte('\n')
-		sq, err := core.ResolvedSPARQL(sys.Graph, res.Query, m)
+		sq, err := core.ResolvedSPARQL(sys.Graph, res.Matches, i)
 		if err != nil {
 			t.Fatalf("%q: match %d has no SPARQL: %v", question, i, err)
 		}
@@ -242,10 +242,10 @@ func boundCuts(t *testing.T, kb workloadKB, qs []bench.Question, want []observed
 			t.Fatalf("%q: %v", q.Text, err)
 		}
 		classes := make(map[float64]bool)
-		for _, m := range res.Matches {
-			classes[m.Score] = true
+		for i := range res.Matches.Len() {
+			classes[res.Matches.Score(i)] = true
 		}
-		if len(res.Matches) > 10 && len(classes) >= 2 && res.Stats.Steps >= 10*want[i].stats.Steps {
+		if res.Matches.Len() > 10 && len(classes) >= 2 && res.Stats.Steps >= 10*want[i].stats.Steps {
 			return true
 		}
 	}

@@ -175,8 +175,8 @@ func TestRenderMatchesReferenceOnWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%q: %v", q.Text, err)
 			}
-			for i := range res.Matches {
-				if sq, err := core.ResolvedSPARQL(g, res.Query, &res.Matches[i]); err == nil {
+			for i := range res.Matches.Len() {
+				if sq, err := core.ResolvedSPARQL(g, res.Matches, i); err == nil {
 					sameRender(t, fmt.Sprintf("%q match %d", q.Text, i), sq)
 					rendered++
 				}

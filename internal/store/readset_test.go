@@ -108,8 +108,8 @@ func TestRemoteReadSet(t *testing.T) {
 	for i, n := range []int{8, 60} {
 		g, q := fanGraph(n)
 		want, _ := core.FindTopKMatches(g, q, core.MatchOptions{})
-		if len(want) != n {
-			t.Fatalf("n=%d: the local search found %d matches", n, len(want))
+		if want.Len() != n {
+			t.Fatalf("n=%d: the local search found %d matches", n, want.Len())
 		}
 		sn, w := countedShards(t, g)
 		tr := obs.NewTrace("question", "")
