@@ -117,10 +117,13 @@ fuzz-seeds:
 # linker's token vocabulary against the parent's map and cloned strings,
 # the term table against the parent's []rdf.Term and Key()-keyed map, the
 # dictionary file's decoder (refusals name their line; what it accepts
-# re-encodes to itself), and the running example answered over whatever
+# re-encodes to itself), the running example answered over whatever
 # dictionary the decoder accepts (an answer or a named failure, never a
-# panic). The nlp, core, linker, term-table and dictionary targets are
-# anchored: -fuzz must match exactly one target per run.
+# panic), and a shard's replies to one kind of request forged (a read
+# returns what a well-formed reply says or degrades as shard-unavailable,
+# and a cinema question over it never panics). The nlp, core, linker,
+# term-table, dictionary and remote-reply targets are anchored: -fuzz must
+# match exactly one target per run.
 fuzz:
 	$(GO) test -fuzz FuzzParseSPARQL -fuzztime 30s ./internal/sparql/
 	$(GO) test -fuzz FuzzEvalBudget -fuzztime 30s ./internal/sparql/
@@ -130,6 +133,7 @@ fuzz:
 	$(GO) test -fuzz FuzzShardServerHandle -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz FuzzWriteAfterFreeze -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz '^FuzzTermTable$$' -fuzztime 30s ./internal/store/
+	$(GO) test -fuzz '^FuzzRemoteReply$$' -fuzztime 30s ./internal/store/
 	$(GO) test -fuzz '^FuzzDecodeDictionary$$' -fuzztime 30s ./internal/dict/
 	$(GO) test -fuzz FuzzRequestStringsStayJSON -fuzztime 30s ./internal/serve/
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/nlp/

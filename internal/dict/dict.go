@@ -180,6 +180,14 @@ func (d *Dictionary) Encode(w io.Writer, g *store.Graph) error {
 // are in (0, 1], a phrase's best path at 1.
 const minScore = 1e-6
 
+// onGrid returns the score a dictionary file holds for x: what its six-decimal
+// rendering parses back to, and never less than minScore. Mine puts every
+// score there, so a dictionary decoded from Encode's text is the mined one.
+func onGrid(x float64) float64 {
+	y, _ := strconv.ParseFloat(strconv.FormatFloat(x, 'f', 6, 64), 64)
+	return max(y, minScore)
+}
+
 // Decode reads the Encode format, resolving predicate IRIs through g. It
 // refuses what Mine cannot produce, naming the line and the field: a score
 // outside [1e-6, 1] (NaN and the infinities included), a phrase with

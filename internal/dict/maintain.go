@@ -88,7 +88,8 @@ func (m *Maintainer) minePhrase(i int) {
 
 // rebuild scores every phrase's paths by tf-idf from the tables (Definition
 // 4), keeps each phrase's top k with confidences normalized into (0, 1] as
-// the paper's Table 6 does, and swaps in a fresh dictionary.
+// the paper's Table 6 does, on the grid a dictionary file holds (onGrid),
+// and swaps in a fresh dictionary.
 func (m *Maintainer) rebuild() {
 	m.stats.Phrases, m.stats.DistinctPath = len(m.sets), len(m.df)
 	d := New()
@@ -139,7 +140,7 @@ func (m *Maintainer) rebuild() {
 		if len(entries) > 0 {
 			max := entries[0].Score
 			for j := range entries {
-				entries[j].Score /= max
+				entries[j].Score = onGrid(entries[j].Score / max)
 			}
 			d.Add(set.Phrase, entries)
 		}

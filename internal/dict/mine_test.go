@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"gqa/internal/rdf"
 	"gqa/internal/store"
@@ -266,7 +268,30 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			if p.Entries[i].Path.Key() != q.Entries[i].Path.Key() {
 				t.Fatalf("phrase %q entry %d path changed", p.Text, i)
 			}
+			if p.Entries[i].Score != q.Entries[i].Score {
+				t.Fatalf("phrase %q entry %d score %v decodes as %v", p.Text, i, p.Entries[i].Score, q.Entries[i].Score)
+			}
 		}
+	}
+}
+
+// TestQuickOnGrid: a score on the grid renders to six decimals and parses
+// back to itself, lies within half a unit of the sixth decimal of the
+// score it came from, and is never below minScore.
+func TestQuickOnGrid(t *testing.T) {
+	onGridHolds := func(x float64) bool {
+		y := onGrid(x)
+		back, err := strconv.ParseFloat(strconv.FormatFloat(y, 'f', 6, 64), 64)
+		return err == nil && back == y && y >= minScore && (y == minScore || math.Abs(y-x) <= 5e-7+1e-15)
+	}
+	for _, x := range []float64{0, 1, 5e-7, 4.9e-7, 1e-6, 0.1234565, 0.9999995} {
+		if !onGridHolds(x) {
+			t.Fatalf("onGrid(%v) = %v", x, onGrid(x))
+		}
+	}
+	f := func(bits uint64) bool { return onGridHolds(float64(bits>>11) / (1 << 53)) } // [0, 1)
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -138,11 +138,37 @@ func inProcess(k int) func(*testing.T, workloadKB) *core.System {
 // boots from: the KB saved as a GQAFRZ1 file and loaded back. The loaded
 // graph must arrive frozen, at the exact mutation generation it was saved
 // at, so generation-keyed cache entries stay coherent across restarts. The
-// dictionary is the in-memory one, as in every other shape (the file keeps
-// the term-ID assignment, so it applies unchanged): its own text encoding
-// rounds scores at ~1e-7, which is no property of a graph layout.
+// dictionary is the in-memory one (the file keeps the term-ID assignment,
+// so it applies unchanged), so a divergence here is the graph file's.
 func fromDisk(t *testing.T, kb workloadKB) *core.System {
 	g, d := kb.mustBuild(t)
+	return core.NewSystem(loadFrozenCopy(t, g), d, core.Options{TopK: 10})
+}
+
+// fromFiles is the system `gqa-serve -snapshot … -dict` boots: the graph
+// from its GQAFRZ1 file and the dictionary decoded from Encode's text,
+// resolved against the loaded graph. Mine keeps its scores on the grid
+// the text holds, so the booted dictionary is the mined one; where this
+// row diverges and disk-k1 does not, the dictionary's round trip is at
+// fault.
+func fromFiles(t *testing.T, kb workloadKB) *core.System {
+	g, d := kb.mustBuild(t)
+	loaded := loadFrozenCopy(t, g)
+	var text bytes.Buffer
+	if err := d.Encode(&text, g); err != nil {
+		t.Fatal(err)
+	}
+	booted, err := dict.Decode(&text, loaded)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	return core.NewSystem(loaded, booted, core.Options{TopK: 10})
+}
+
+// loadFrozenCopy saves g as a GQAFRZ1 file and loads it back, holding the
+// load to g's generation and to an installed snapshot.
+func loadFrozenCopy(t *testing.T, g *store.Graph) *store.Graph {
+	t.Helper()
 	var frz bytes.Buffer
 	if err := store.SaveFrozen(&frz, g); err != nil {
 		t.Fatal(err)
@@ -157,7 +183,7 @@ func fromDisk(t *testing.T, kb workloadKB) *core.System {
 	if loaded.Frozen() == nil {
 		t.Fatal("frozen boot did not install the snapshot (first Frozen() must be free)")
 	}
-	return core.NewSystem(loaded, d, core.Options{TopK: 10})
+	return loaded
 }
 
 // remoteK4 is the multi-process shape minus the process boundary: 4 shard
@@ -254,7 +280,8 @@ func boundCuts(t *testing.T, kb workloadKB, qs []bench.Question, want []observed
 
 // TestWorkloadIdentity is the one identity gate over deployment shapes:
 // however the frozen graph is laid out (one part, 4 or 8 in-process parts,
-// a file loaded from disk, 4 shard servers over loopback), every question
+// a file loaded from disk, with or without the dictionary read back from
+// its text, 4 shard servers over loopback), every question
 // of the four workloads must produce byte-identical answers, byte-identical
 // labels and Explain lines, and the whole MatchStats of the one-part run:
 // the search tree is one in every shape. The wire may add latency, retries
@@ -274,6 +301,7 @@ func TestWorkloadIdentity(t *testing.T) {
 		{"k4", inProcess(4)},
 		{"k8", inProcess(8)},
 		{"disk-k1", fromDisk},
+		{"files", fromFiles},
 		{"remote-k4", remoteK4},
 	}
 	for _, kb := range []workloadKB{qaldKB, qaldAggKB, yagoKB, nlscaleKB, cinemaKB} {

@@ -70,7 +70,6 @@ var readers = map[string]string{
 	"gqa_slo_latency_seconds":          "internal/flight/flight_test.go",
 	"gqa_slo_request_seconds":          "internal/flight/slo.go",
 	"gqa_slo_requests_total":           "internal/flight/slo.go",
-	"gqa_store_shard_freezes_total":    "internal/store/shard_test.go",
 	"gqa_store_snapshot_build_seconds": "internal/store/frozen_test.go",
 	"gqa_store_snapshot_builds_total":  "internal/store/frozen_test.go",
 	"gqa_store_snapshot_bytes":         "benchmark/trace.go",

@@ -10,6 +10,17 @@ import "gqa/internal/rdf"
 // reference scatter.
 const OpBatch = shrOpBatch
 
+// The opcodes and the status byte a forged reply is built from
+// (FuzzRemoteReply).
+const (
+	OpOut      = shrOpOut
+	OpInPred   = shrOpInPred
+	OpPredGrp  = shrOpPredGrp
+	OpPredIDs  = shrOpPredIDs
+	OpEntities = shrOpEntities
+	StatusOK   = shrStatusOK
+)
+
 var (
 	StartFrameShards  = startFrameShards
 	CheckPredGroups   = checkPredGroups
@@ -17,6 +28,9 @@ var (
 )
 
 func (s *ShardServer) Handle(req []byte) ([]byte, bool) { return s.handle(req) }
+
+// Shard is the index of the part the server serves.
+func (s *ShardServer) Shard() int { return s.part.Shard() }
 
 // CheckTermTable holds the term table to the parent's dictionary on a
 // graph's terms (terms_test.go). InternTerms interns terms into a bare

@@ -12,8 +12,8 @@ package store
 // Contract: FrozenView/Freeze never return nil — they return the snapshot
 // at the graph's current mutation generation and shard count, building it
 // first when the graph mutated since the last one (one build however many
-// readers ask at once; on a sharded graph only the parts whose shard
-// generation moved are rebuilt). The first freeze reads the graph's
+// readers ask at once, and every build compacts all K parts at the graph's
+// one generation). The first freeze reads the graph's
 // insertion-order lists and releases them; the snapshot it builds is from
 // then on the graph's base, and each later freeze reads the base's spans
 // and the rows writes since have thawed (graph.go), then becomes the new
@@ -24,7 +24,6 @@ package store
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"gqa/internal/budget"
@@ -34,8 +33,7 @@ import (
 )
 
 // Freeze metrics: how long a freeze takes, how much memory the frozen
-// arrays hold, and how many parts were actually rebuilt (clean parts are
-// reused and not counted).
+// arrays hold, and how many freezes there were.
 var (
 	snapshotBuildSeconds = obs.DefaultHistogram("gqa_store_snapshot_build_seconds",
 		"Time to build one frozen CSR snapshot from the mutable graph.", nil)
@@ -43,8 +41,6 @@ var (
 		"Resident size of the most recently built or loaded snapshot in bytes: its CSR arrays and the graph's term table (arena, columns and index).")
 	snapshotBuilds = obs.DefaultCounter("gqa_store_snapshot_builds_total",
 		"Frozen CSR snapshots built (freezes after load or mutation).")
-	shardFreezes = obs.DefaultCounter("gqa_store_shard_freezes_total",
-		"Part CSRs rebuilt during freezes (clean shards are reused, not counted).")
 )
 
 // Snapshot is the frozen read surface and the one View implementation:
@@ -69,8 +65,8 @@ type Snapshot struct {
 // SetShards configures vertex-hash sharding: k > 1 partitions the next
 // freeze into k parts; k <= 1 restores the single-part layout. A graph
 // already frozen keeps its snapshot as the base the next freeze
-// re-partitions from; no part of it is reused. Not safe to call
-// concurrently with reads or mutation.
+// re-partitions from, as every freeze builds all of its parts. Not safe to
+// call concurrently with reads or mutation.
 //
 // The requested count is validated, not trusted: a negative k is treated
 // as 0, and k is clamped to the current vertex count — residue classes
@@ -87,8 +83,6 @@ func (g *Graph) SetShards(k int) int {
 		k = 0
 	}
 	g.shardK = k
-	g.shardGens = make([]atomic.Uint64, k)
-	g.resharded = true
 	return k
 }
 
@@ -124,9 +118,8 @@ func (g *Graph) FreezeCtx(ctx context.Context) *Snapshot {
 	}
 	start := time.Now()
 	sp := obs.TraceFrom(ctx).Root().ChildAt("store.freeze", start)
-	sn, rebuilt := g.buildSnapshot(max(g.shardK, 1), g.snap.Load())
+	sn := g.buildSnapshot(max(g.shardK, 1))
 	g.snap.Store(sn)
-	g.resharded = false
 	g.out, g.in, g.byPred, g.thawOut, g.thawIn = nil, nil, nil, nil, nil
 	end := time.Now()
 	snapshotBuildSeconds.ObserveDuration(end.Sub(start))
@@ -137,7 +130,6 @@ func (g *Graph) FreezeCtx(ctx context.Context) *Snapshot {
 		sp.SetInt("triples", int64(sn.nTriples))
 		sp.SetInt("bytes", sn.bytes)
 		sp.SetInt("shards", int64(sn.k))
-		sp.SetInt("shards_rebuilt", int64(rebuilt))
 	}
 	sp.FinishAt(end)
 	return sn
@@ -153,50 +145,39 @@ func (g *Graph) Frozen() *Snapshot {
 	return nil
 }
 
-// buildSnapshot freezes the graph into k parts at its current generation,
-// reusing prev's parts wherever the shard's generation has not moved (and
-// none after a SetShards), and reports how many parts it rebuilt. It
-// installs nothing.
-func (g *Graph) buildSnapshot(k int, prev *Snapshot) (*Snapshot, int) {
-	gen := g.gen.Load()
+// buildSnapshot freezes the graph into k parts, each built from the
+// graph's rows at its current generation and term count. It installs
+// nothing.
+func (g *Graph) buildSnapshot(k int) *Snapshot {
 	parts := make(localParts, k)
-	rebuilt := 0
 	for i := range parts {
-		pgen := gen
-		if k > 1 {
-			pgen = g.shardGens[i].Load()
-		}
-		if prev != nil && prev.k == k && !g.resharded && prev.parts[i].gen == pgen {
-			parts[i] = prev.parts[i]
-			continue
-		}
-		parts[i] = buildShardPart(g, i, k, pgen)
-		rebuilt++
-		shardFreezes.Inc()
+		parts[i] = buildShardPart(g, i, k)
 	}
 	sn := &Snapshot{
-		gen: gen, k: k, terms: g.terms.frozen(), rd: parts, parts: parts,
+		gen: g.gen.Load(), k: k, terms: g.terms.frozen(), rd: parts, parts: parts,
 		rdfType: g.rdfType, nTriples: g.nTriples,
 	}
 	// Global assembly. Triples/Predicates/Classes are O(1) reads of the
-	// live graph; literals are recounted over the term table so a literal
-	// interned since a clean part's build still shows up.
+	// live graph; the parts between them own every term, so their literal
+	// counts sum to the table's.
 	sn.bytes = g.terms.bytes()
 	entityLists, predLists := make([][]ID, k), make([][]ID, k)
+	literals := 0
 	for i, p := range parts {
 		entityLists[i], predLists[i] = p.entities, p.predIDs
 		sn.bytes += p.bytes
+		literals += p.literals
 	}
 	sn.entities = mergeIDLists(entityLists)
 	sn.predIDs = mergeIDLists(predLists)
 	sn.stats = Stats{
 		Entities:   len(sn.entities),
 		Classes:    len(g.classes),
+		Literals:   literals,
 		Triples:    sn.nTriples,
 		Predicates: len(g.preds),
 	}
-	sn.stats.Literals = sn.terms.literals()
-	return sn, rebuilt
+	return sn
 }
 
 // mergeIDLists k-way-merges ascending ID lists into one ascending,

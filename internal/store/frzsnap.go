@@ -115,7 +115,7 @@ type shardMeta struct {
 	shard    uint32
 	k        uint32
 	gen      uint64 // global mutation generation at export
-	shardGen uint64 // this shard's generation at build (gen when K = 1)
+	shardGen uint64 // repeats gen (every part is built at it); item 10's version bump drops it
 	nTerms   uint64 // global term count
 	nTriples uint64 // global triple count
 	rdfType  uint32 // interned rdf:type ID (None when absent)
@@ -191,7 +191,7 @@ func (sn *Snapshot) Part(i int) *ShardPart {
 			shard:    uint32(i),
 			k:        uint32(sn.k),
 			gen:      sn.gen,
-			shardGen: p.gen,
+			shardGen: sn.gen,
 			nTerms:   uint64(sn.terms.len()),
 			nTriples: uint64(sn.nTriples),
 			rdfType:  uint32(sn.rdfType),
@@ -213,7 +213,7 @@ func SaveFrozen(w io.Writer, g *Graph) error {
 	if sn.k > 1 {
 		// Sharding is a runtime layout, reapplied via SetShards after
 		// boot: build the one-part layout without installing it.
-		sn, _ = g.buildSnapshot(1, nil)
+		sn = g.buildSnapshot(1)
 	}
 	return sn.Part(0).Save(w)
 }
@@ -376,17 +376,10 @@ func (pr *partReader) fail(sec int, format string, args ...any) error {
 // field cannot force a giant upfront allocation: a truncated file fails
 // after at most one chunk beyond the bytes actually present.
 func (pr *partReader) section(sec int) ([]byte, error) {
-	const chunk = 1 << 20
 	pr.start[sec] = pr.n
-	length := pr.dir[sec].length
-	var buf []byte
-	for uint64(len(buf)) < length {
-		step := min(length-uint64(len(buf)), chunk)
-		at := len(buf)
-		buf = append(buf, make([]byte, step)...)
-		if _, err := io.ReadFull(pr, buf[at:]); err != nil {
-			return nil, fmt.Errorf("store: frozen file: section %s truncated at byte offset %d: %w", frzSectionNames[sec], pr.n, err)
-		}
+	buf, err := readGrowing(pr, pr.dir[sec].length)
+	if err != nil {
+		return nil, fmt.Errorf("store: frozen file: section %s truncated at byte offset %d: %w", frzSectionNames[sec], pr.n, err)
 	}
 	if got := crc32.ChecksumIEEE(buf); got != pr.dir[sec].crc {
 		return nil, pr.fail(sec, "checksum mismatch (got %08x, want %08x)", got, pr.dir[sec].crc)
@@ -506,7 +499,6 @@ func (pr *partReader) load(wantShard bool) (*ShardPart, error) {
 	}
 
 	p := &shardPart{
-		gen:      m.shardGen,
 		shard:    int(m.shard),
 		k:        int(m.k),
 		nTerms:   int(m.nTerms),

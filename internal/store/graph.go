@@ -91,15 +91,9 @@ type Graph struct {
 	snap     atomic.Pointer[Snapshot]
 	freezeMu sync.Mutex
 
-	// Vertex-hash sharding. shardK is the configured shard count (0 =
-	// unsharded, one part); shardGens carries one mutation generation per
-	// shard — Add/Remove bumps only the endpoint shards' entries, so the
-	// next freeze rebuilds exactly the dirty parts and takes the clean ones
-	// from snap. resharded is set by SetShards (under freezeMu): the
-	// generations restarted, so no part of snap may be reused.
-	shardK    int
-	shardGens []atomic.Uint64
-	resharded bool
+	// Vertex-hash sharding: the configured shard count (0 = unsharded, one
+	// part) each freeze partitions into.
+	shardK int
 
 	// remoteView, when set, overrides FrozenView with a snapshot whose
 	// parts are served by other processes (see remote.go and
@@ -201,9 +195,6 @@ func (g *Graph) addIDs(s, p, o ID) {
 		g.byPred[p] = append(g.byPred[p], Spo{s, p, o})
 	}
 	g.invalidateFrozen()
-	// First use of predicate p flips its vertex's rolePred bit, so its
-	// shard must re-run the role pass too, not just the endpoints'.
-	g.dirtyShards(s, o, p, g.preds[p] == 0)
 	g.preds[p]++
 	g.nTriples++
 	if p == g.rdfType && g.rdfType != None {
@@ -270,25 +261,6 @@ func (g *Graph) invalidateFrozen() {
 	g.gen.Add(1)
 }
 
-// dirtyShards bumps the shard generations a mutation of triple (s, p, o)
-// invalidates — the endpoint shards, plus p's shard when the mutation
-// flips p's existence as a predicate (predFlip). The next freeze rebuilds
-// only the parts bumped here.
-func (g *Graph) dirtyShards(s, o, p ID, predFlip bool) {
-	k := g.shardK
-	if k <= 1 {
-		return
-	}
-	ss, os := int(s)%k, int(o)%k
-	g.shardGens[ss].Add(1)
-	if os != ss {
-		g.shardGens[os].Add(1)
-	}
-	if ps := int(p) % k; predFlip && ps != ss && ps != os {
-		g.shardGens[ps].Add(1)
-	}
-}
-
 // Generation returns the graph's mutation generation: a counter bumped by
 // every Add/Remove (Intern alone does not count — interning a term changes
 // no triple). It is the invalidation token for anything derived from the
@@ -309,12 +281,9 @@ func (g *Graph) Remove(s, p, o ID) bool {
 		g.byPred[p] = removeFirst(g.byPred[p], Spo{s, p, o})
 	}
 	g.invalidateFrozen()
-	// Last use of predicate p clears its vertex's rolePred bit (the preds
-	// entry is deleted below), so its shard re-runs the role pass. A class
-	// stays a class: classification is monotone, matching how the paper
-	// treats vocabulary (a class does not stop being a class because one
-	// instance was retracted).
-	g.dirtyShards(s, o, p, g.preds[p] == 1)
+	// A class stays a class: classification is monotone, matching how the
+	// paper treats vocabulary (a class does not stop being a class because
+	// one instance was retracted).
 	if g.preds[p]--; g.preds[p] == 0 {
 		delete(g.preds, p)
 	}

@@ -35,10 +35,8 @@ const (
 )
 
 // shardPart is one part's frozen arrays. All fields are immutable after
-// build; a part built at generation gen is reused verbatim by later
-// freezes while its shard stays clean.
+// build.
 type shardPart struct {
-	gen    uint64 // shard mutation generation at build (the graph's, when K = 1)
 	shard  int
 	k      int
 	nTerms int // global term count at build
@@ -70,10 +68,10 @@ func localCount(n, shard, k int) int {
 // buildShardPart recompacts one part from the graph's rows (graph.go: the
 // insertion-order lists before the first freeze; thawed rows and base spans
 // after): the local CSRs, the out edges' predicate list and roles.
-func buildShardPart(g *Graph, shard, k int, gen uint64) *shardPart {
+func buildShardPart(g *Graph, shard, k int) *shardPart {
 	n := g.terms.len()
 	nLocal := localCount(n, shard, k)
-	p := &shardPart{gen: gen, shard: shard, k: k, nTerms: n}
+	p := &shardPart{shard: shard, k: k, nTerms: n}
 	p.outOff, p.outEdges = buildLocalCSR(g.outRow, shard, k, nLocal)
 	p.inOff, p.inEdges = buildLocalCSR(g.inRow, shard, k, nLocal)
 

@@ -2,16 +2,16 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
-	"gqa/internal/obs"
 	"gqa/internal/rdf"
 )
 
-// TestShardDeltaOverlay pins the incremental re-freeze: after one
-// intra-shard Add, exactly the dirtied shard rebuilds and every clean
-// shard's part pointer is reused verbatim.
-func TestShardDeltaOverlay(t *testing.T) {
+// TestRefreezeCleanAndHandedOut pins what a re-freeze keeps at K = 4: a
+// clean re-freeze is a pointer load, and a snapshot handed out before a
+// write does not see it.
+func TestRefreezeCleanAndHandedOut(t *testing.T) {
 	const k = 4
 	g := New()
 	p := g.Intern(rdf.Ontology("p"))
@@ -30,39 +30,9 @@ func TestShardDeltaOverlay(t *testing.T) {
 		t.Fatal("clean Freeze rebuilt the snapshot")
 	}
 
-	// Pick an intra-shard pair not already connected.
-	var s, o ID
-	found := false
-	for i := 0; i < len(verts) && !found; i++ {
-		for j := 0; j < len(verts); j++ {
-			if i == j || int(verts[i])%k != int(verts[j])%k || g.Has(verts[i], p, verts[j]) {
-				continue
-			}
-			s, o, found = verts[i], verts[j], true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("no intra-shard pair available")
-	}
-	before := obs.DefaultCounter("gqa_store_shard_freezes_total", "").Value()
+	s, o := verts[0], verts[2]
 	g.AddSPO(s, p, o)
 	ss2 := g.Freeze()
-	if rebuilt := obs.DefaultCounter("gqa_store_shard_freezes_total", "").Value() - before; rebuilt != 1 {
-		t.Fatalf("re-freeze rebuilt %d shards, want 1", rebuilt)
-	}
-	dirty := int(s) % k
-	for i := 0; i < k; i++ {
-		if i == dirty {
-			if ss2.parts[i] == ss1.parts[i] {
-				t.Fatalf("dirty shard %d was not rebuilt", i)
-			}
-			continue
-		}
-		if ss2.parts[i] != ss1.parts[i] {
-			t.Fatalf("clean shard %d was rebuilt", i)
-		}
-	}
 	if !ss2.Has(s, p, o) {
 		t.Fatal("new triple missing from re-frozen set")
 	}
@@ -70,26 +40,39 @@ func TestShardDeltaOverlay(t *testing.T) {
 	if ss1.Has(s, p, o) {
 		t.Fatal("pre-mutation snapshot sees the new triple")
 	}
+}
 
-	// A cross-shard Add dirties both endpoint shards.
-	var cs, co ID
-	found = false
-	for i := 0; i < len(verts) && !found; i++ {
-		for j := 0; j < len(verts); j++ {
-			if int(verts[i])%k == int(verts[j])%k || g.Has(verts[i], p, verts[j]) {
-				continue
-			}
-			cs, co, found = verts[i], verts[j], true
-			break
+// TestRefreezeBuildsEveryPart: a literal interned after a K = 4 freeze and
+// an edge to it re-freeze into a snapshot whose every part is built at the
+// new term count, whose new vertex's span is read from its own part, and
+// whose stats are a never-frozen twin's.
+func TestRefreezeBuildsEveryPart(t *testing.T) {
+	const k = 4
+	g, twin := twinGraphs(5)
+	g.SetShards(k)
+	g.Freeze()
+	s, _ := g.Lookup(rdf.Resource("v0"))
+	p, _ := g.Lookup(rdf.Ontology("p0"))
+	lit := rdf.NewLiteral("interned after the freeze")
+	g.AddSPO(s, p, g.Intern(lit))
+	v := twin.Intern(lit)
+	twin.AddSPO(s, p, v)
+
+	sn := g.Freeze()
+	for i, part := range sn.parts {
+		if part.nTerms != sn.NumTerms() {
+			t.Fatalf("part %d built at %d terms, the snapshot has %d", i, part.nTerms, sn.NumTerms())
 		}
 	}
-	if !found {
-		t.Fatal("no cross-shard pair available")
+	part, l := sn.parts.locate(v)
+	if part != sn.parts[int(v)%k] {
+		t.Fatalf("vertex %d is not located in its part %d", v, int(v)%k)
 	}
-	before = obs.DefaultCounter("gqa_store_shard_freezes_total", "").Value()
-	g.AddSPO(cs, p, co)
-	g.Freeze()
-	if rebuilt := obs.DefaultCounter("gqa_store_shard_freezes_total", "").Value() - before; rebuilt != 2 {
-		t.Fatalf("cross-shard re-freeze rebuilt %d shards, want 2", rebuilt)
+	if in := part.inEdges[part.inOff[l]:part.inOff[l+1]]; !slices.Equal(in, []Edge{{Pred: p, To: s}}) {
+		t.Fatalf("part %d reads the new vertex's in span as %v", int(v)%k, in)
+	}
+	neverFrozen(t, twin)
+	if want := twin.Stats(); sn.stats != want {
+		t.Fatalf("re-frozen stats %+v, the never-frozen twin's %+v", sn.stats, want)
 	}
 }

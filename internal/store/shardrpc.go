@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 
 	"gqa/internal/faultpoint"
@@ -110,9 +111,21 @@ func readFrame(r io.Reader, limit uint32) ([]byte, error) {
 	if n > limit {
 		return nil, fmt.Errorf("frame length %d exceeds limit %d", n, limit)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	return readGrowing(r, uint64(n))
+}
+
+// readGrowing reads n bytes into a buffer it grows 1 MiB at a time as the
+// bytes arrive, so a length prefix that lies — a frame's or a file
+// section's — costs what the peer sent, not what it claimed.
+func readGrowing(r io.Reader, n uint64) ([]byte, error) {
+	const chunk = 1 << 20
+	buf := make([]byte, 0, min(n, chunk))
+	for at := uint64(0); at < n; at = uint64(len(buf)) {
+		end := min(n, at+chunk)
+		buf = slices.Grow(buf, int(end-at))[:end]
+		if _, err := io.ReadFull(r, buf[at:]); err != nil {
+			return nil, err
+		}
 	}
 	return buf, nil
 }

@@ -26,7 +26,7 @@ func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
 // exportShardParts saves every shard part of the (sharded, frozen) graph
 // through the file format and loads it back — the exact bytes a
 // gqa-shard process would serve from.
-func exportShardParts(t *testing.T, g *Graph, k int) []*ShardPart {
+func exportShardParts(t testing.TB, g *Graph, k int) []*ShardPart {
 	t.Helper()
 	parts := make([]*ShardPart, k)
 	for i := 0; i < k; i++ {
@@ -70,7 +70,7 @@ func startLoopbackShards(t *testing.T, g *Graph, k int) ([]string, []*ShardServe
 // sent back (ok=false severs the connection unanswered). It is how a test
 // breaks one kind of frame — a batch — and leaves the others alone, which
 // the process-wide rpc.call faultpoint cannot.
-func startFrameShards(t *testing.T, g *Graph, k int, answer func(srv *ShardServer, req []byte) (resp []byte, ok bool)) []string {
+func startFrameShards(t testing.TB, g *Graph, k int, answer func(srv *ShardServer, req []byte) (resp []byte, ok bool)) []string {
 	t.Helper()
 	g.SetShards(k)
 	g.Freeze()
@@ -107,6 +107,30 @@ func startFrameShards(t *testing.T, g *Graph, k int, answer func(srv *ShardServe
 		}()
 	}
 	return addrs
+}
+
+// TestReadFrameAllocatesWhatArrives: a reply header that claims 1 GiB and
+// is followed by EOF fails, and the buffer grows only as bytes arrive —
+// under 2 MiB, not the claimed length. A frame longer than one growth
+// step still reads back whole.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], 1<<30)
+	allocBound(t, 2<<20, func() {
+		if _, err := readFrame(bytes.NewReader(hdr[:]), maxShardRespFrame); err == nil {
+			t.Error("a 1 GiB header followed by EOF read as a frame")
+		}
+	})
+	payload := make([]byte, 5<<19) // 2.5 MiB: three growth steps
+	rand.New(rand.NewSource(1)).Read(payload)
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, payload); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readFrame(&buf, maxShardRespFrame)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("a %d-byte frame read back as %d bytes, %v", len(payload), len(got), err)
+	}
 }
 
 // TestShardPartRoundtrip pins the part files: every part of a sharded

@@ -247,17 +247,6 @@ func (t *termTable) bytes() int64 {
 	return n
 }
 
-// literals counts the literal terms.
-func (t *termTable) literals() int {
-	n := 0
-	for _, tag := range t.tag {
-		if rdf.Kind(tag&tagKind) == rdf.KindLiteral {
-			n++
-		}
-	}
-	return n
-}
-
 // terms copies the table out as rdf.Terms, index = ID.
 func (t *termTable) terms() []rdf.Term {
 	out := make([]rdf.Term, t.len())
