@@ -62,11 +62,12 @@ race:
 # detector: under it sync.Pool drops a random share of what it is given
 # and the instrumentation allocates, so race skips the pooled ones and
 # only this step holds a search to what it returns (the two arrays of its
-# block, in count and bytes), a warm cast-of-director question through
-# the facade to 12 KiB, and the pool to its cap. The understanding
+# block, in count and bytes), an answer's assembly to its four arrays and
+# strings, a warm cast-of-director question through the facade to 7 KiB,
+# and the pool to its cap. The understanding
 # ceilings (a parse's 5 allocations, extraction's 3, building Q^S's 15, a
 # name link's 2 and a one-candidate city link's 48 bytes), the load of
-# the cinema test KB's GQAFRZ1 file (37: no string a term, no graph
+# the cinema test KB's GQAFRZ1 file (38: no string a term, no graph
 # mirror) and the term table's (no allocation to read, look up or
 # re-intern a term; at most 50 bytes a term on the cinema test KB) and the
 # linker index's (at most 125 bytes a slot on the cinema test KB, 150 on
@@ -102,7 +103,7 @@ snapshot-smoke:
 # Deterministic replay of the fuzz seed corpora (f.Add entries + any
 # checked-in testdata): runs each fuzz target as a plain test, no engine.
 fuzz-seeds:
-	$(GO) test -run 'Fuzz' ./internal/rdf/ ./internal/sparql/ ./internal/nlp/ ./internal/store/ ./internal/serve/ ./internal/core/ ./internal/linker/ ./internal/dict/
+	$(GO) test -run 'Fuzz' ./internal/rdf/ ./internal/sparql/ ./internal/nlp/ ./internal/store/ ./internal/serve/ ./internal/core/ ./internal/linker/ ./internal/dict/ .
 
 # Short fuzz passes over the parser/evaluator targets (not part of tier1),
 # the question parser against the parent's (whose attach kept children
@@ -121,9 +122,11 @@ fuzz-seeds:
 # dictionary the decoder accepts (an answer or a named failure, never a
 # panic), and a shard's replies to one kind of request forged (a read
 # returns what a well-formed reply says or degrades as shard-unavailable,
-# and a cinema question over it never panics). The nlp, core, linker,
-# term-table, dictionary and remote-reply targets are anchored: -fuzz must
-# match exactly one target per run.
+# and a cinema question over it never panics), the resolved SPARQL
+# rendered straight from a Matches row against the parent's rendered
+# query, and a question's answer against the reference buildAnswer. The
+# nlp, core, linker, term-table, dictionary, remote-reply and answer
+# targets are anchored: -fuzz must match exactly one target per run.
 fuzz:
 	$(GO) test -fuzz FuzzParseSPARQL -fuzztime 30s ./internal/sparql/
 	$(GO) test -fuzz FuzzEvalBudget -fuzztime 30s ./internal/sparql/
@@ -142,6 +145,8 @@ fuzz:
 	$(GO) test -fuzz '^FuzzResultSet$$' -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz '^FuzzFollowPath$$' -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz '^FuzzAnswerOverDictionary$$' -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz '^FuzzResolvedSPARQL$$' -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz '^FuzzBuildAnswer$$' -fuzztime 30s .
 	$(GO) test -fuzz '^FuzzLink$$' -fuzztime 30s ./internal/linker/
 	$(GO) test -fuzz '^FuzzVocab$$' -fuzztime 30s ./internal/linker/
 

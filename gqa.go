@@ -33,7 +33,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -323,41 +322,18 @@ func (s *System) buildAnswer(res *core.Result) *Answer {
 	}
 	if res.Matches.Len() > 0 && res.Query != nil && !res.Aggregated {
 		if sq, err := core.ResolvedSPARQL(s.core.Graph, res.Matches, 0); err == nil {
-			out.SPARQL = sq.String()
+			out.SPARQL = sq
 		}
 	}
 	return out
 }
 
-// appendTerms appends the terms ids name, in N-Triples syntax, to dst. The
-// IRIs ("<" + IRI + ">") are rendered into one string and each is sliced
-// out of it; any other term renders on its own (rdf.Term.String).
+// appendTerms appends the terms ids name, in N-Triples syntax, to dst. An
+// IRI's is the term table's own bytes (store.Graph.TermString), so no byte
+// is copied; any other term renders on its own (rdf.Term.String).
 func appendTerms(dst []string, g *store.Graph, ids []store.ID) []string {
-	size := 0
 	for _, id := range ids {
-		if t := g.Term(id); t.IsIRI() {
-			size += len(t.Value()) + 2
-		}
-	}
-	var b strings.Builder
-	b.Grow(size)
-	for _, id := range ids {
-		if t := g.Term(id); t.IsIRI() {
-			b.WriteByte('<')
-			b.WriteString(t.Value())
-			b.WriteByte('>')
-		}
-	}
-	block, off := b.String(), 0
-	for _, id := range ids {
-		t := g.Term(id)
-		if !t.IsIRI() {
-			dst = append(dst, t.String())
-			continue
-		}
-		n := len(t.Value()) + 2
-		dst = append(dst, block[off:off+n])
-		off += n
+		dst = append(dst, g.TermString(id))
 	}
 	return dst
 }

@@ -123,3 +123,7 @@ func answerLabels(r *Result, g *store.Graph) []string {
 	}
 	return out
 }
+
+// SPARQLDiff reports how ResolvedSPARQL's text of row i differs from the
+// parent's AST rendering, or "" (tosparql_render_test.go).
+var SPARQLDiff = sparqlDiff

@@ -238,3 +238,30 @@ func TestHarvestMatchesParentOnWorkloads(t *testing.T) {
 		t.Errorf("the workloads met no tied run, no first-ID tie or no repeated binding: %+v", all)
 	}
 }
+
+// TestResolvedSPARQLMatchesReferenceOnWorkloads: every top-k match of
+// every question of the four workloads — k = 10, so not only the best
+// one an answer carries — renders, with the aggregation extension on, to
+// the parent's text (or fails with its error).
+func TestResolvedSPARQLMatchesReferenceOnWorkloads(t *testing.T) {
+	rendered := 0
+	for _, set := range questionSets(t) {
+		sys := core.NewSystem(set.g, set.d, core.Options{TopK: 10, EnableAggregation: true})
+		for _, q := range set.questions {
+			res, err := sys.Answer(q.Text)
+			if err != nil {
+				t.Fatalf("%s: %q: %v", set.name, q.Text, err)
+			}
+			for i := range res.Matches.Len() {
+				if d := core.SPARQLDiff(set.g, res.Matches, i); d != "" {
+					t.Fatalf("%s: %q: %s", set.name, q.Text, d)
+				}
+				rendered++
+			}
+		}
+	}
+	if rendered < 500 {
+		t.Fatalf("only %d matches rendered", rendered)
+	}
+	t.Logf("%d matches rendered", rendered)
+}

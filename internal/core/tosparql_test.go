@@ -22,11 +22,15 @@ func TestResolvedSPARQLRunningExample(t *testing.T) {
 	if res.Matches.Len() == 0 {
 		t.Fatal("no matches")
 	}
-	q, err := ResolvedSPARQL(s.Graph, res.Matches, 0)
+	rendered, err := ResolvedSPARQL(s.Graph, res.Matches, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rendered := q.String()
+	// It parses (valid SPARQL text).
+	q, err := sparql.Parse(rendered)
+	if err != nil {
+		t.Fatalf("rendered query does not parse: %v", err)
+	}
 	t.Logf("resolved SPARQL: %s", rendered)
 	// The resolved query mentions the disambiguated entities/predicates.
 	for _, want := range []string{"spouse", "starring", "answer"} {
@@ -48,10 +52,16 @@ func TestResolvedSPARQLRunningExample(t *testing.T) {
 	if !found {
 		t.Fatalf("evaluated rows %v lack Melanie_Griffith", out.Rows)
 	}
-	// And it reparses (valid SPARQL text).
-	if _, err := sparql.Parse(rendered); err != nil {
-		t.Fatalf("rendered query does not reparse: %v", err)
+}
+
+// resolvedQuery renders match i of ms and parses the text back: the query
+// the tests evaluate.
+func resolvedQuery(g *store.Graph, ms Matches, i int) (*sparql.Query, error) {
+	text, err := ResolvedSPARQL(g, ms, i)
+	if err != nil {
+		return nil, err
 	}
+	return sparql.Parse(text)
 }
 
 func TestResolvedSPARQLPathEdge(t *testing.T) {
@@ -81,7 +91,7 @@ func TestResolvedSPARQLPathEdge(t *testing.T) {
 	if matches.Len() != 1 {
 		t.Fatalf("matches = %d", matches.Len())
 	}
-	sq, err := ResolvedSPARQL(gg, matches, 0)
+	sq, err := resolvedQuery(gg, matches, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +123,7 @@ func TestQuickResolvedSPARQLReproducesMatch(t *testing.T) {
 		}
 		for i := range matches.Len() {
 			m := matches.At(i)
-			sq, err := ResolvedSPARQL(g, matches, i)
+			sq, err := resolvedQuery(g, matches, i)
 			if (err != nil) != (loneWh(q) >= 0) {
 				t.Logf("seed %d: rendered %v, error %v (query %s)", seed, sq, err, q)
 				return false
@@ -173,7 +183,7 @@ func TestResolvedSPARQLOrientationWidth(t *testing.T) {
 		if matches.Len() != 1 {
 			t.Fatalf("%d edges: %d matches, want the chain", nEdges, matches.Len())
 		}
-		sq, err := ResolvedSPARQL(g, matches, 0)
+		sq, err := resolvedQuery(g, matches, 0)
 		if nEdges > 64 {
 			if err == nil {
 				t.Errorf("%d edges rendered; orientation is kept for 64", nEdges)

@@ -246,7 +246,7 @@ func observe(t *testing.T, sys *core.System, question string) observed {
 		if err != nil {
 			t.Fatalf("%q: match %d has no SPARQL: %v", question, i, err)
 		}
-		rd.WriteString(sq.String())
+		rd.WriteString(sq)
 		rd.WriteByte('\n')
 	}
 	if n := frames.Value() - sent; n != 0 {

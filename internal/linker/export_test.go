@@ -98,12 +98,13 @@ func (l *Linker) QueryDiff(mention string) string {
 func (l *Linker) LemmaSlack(mention string) bool {
 	m := l.query(mention, nil)
 	cands, _ := l.link(mention, 0)
-	n := uint32(l.vocab.len())
 	for _, c := range cands {
 		s := uint32(slices.Index(l.id, c.ID))
 		for _, t := range m.lem {
-			if _, ok := slices.BinarySearch(l.postings[l.postOff[n+t]:l.postOff[n+t+1]], s); ok {
-				return true
+			if at, end := l.lemmaOnly(t); at < end {
+				if _, ok := slices.BinarySearch(l.postings[at:end], s); ok {
+					return true
+				}
 			}
 		}
 	}
@@ -112,13 +113,13 @@ func (l *Linker) LemmaSlack(mention string) bool {
 
 // Bytes is the index's resident size, its arrays at their capacities so
 // that growth slack counts: the vocabulary's arena, offsets and index, the
-// label arrays, the postings, and the slot columns with their size
-// classes.
+// label arrays, the postings and the lemma-only ranges, and the slot
+// columns with their size classes.
 func (l *Linker) Bytes() int64 {
 	return int64(len(l.vocab.words)) + capBytes(l.vocab.off) + capBytes(l.vocab.index) +
 		capBytes(l.toks) + capBytes(l.tokOff) + capBytes(l.lemOff) +
-		capBytes(l.postOff) + capBytes(l.postings) +
-		capBytes(l.id) + capBytes(l.isClass) + capBytes(l.prior) + capBytes(l.lab) + capBytes(l.classes)
+		capBytes(l.postOff) + capBytes(l.postings) + capBytes(l.lemRanges) +
+		capBytes(l.id) + capBytes(l.isClass) + capBytes(l.deg) + capBytes(l.lab) + capBytes(l.classes)
 }
 
 // Slots is the number of linkable vertices the index holds.

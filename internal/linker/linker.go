@@ -90,17 +90,20 @@ type Linker struct {
 
 	// For a token t of the n in the vocabulary, postings[postOff[t]:
 	// postOff[t+1]] are the ascending slots with a label that contains raw
-	// token t, and postings[postOff[n+t]:postOff[n+t+1]] its lemma-only
-	// postings: the ascending slots with t in a label's lemma set and in no
-	// label's raw set ("city" of a slot labelled "cities"). Most of the
-	// latter are empty.
+	// token t. A token's lemma-only postings, the ascending slots with t in
+	// a label's lemma set and in no label's raw set ("city" of a slot
+	// labelled "cities"), follow the raw ones in postings; most tokens have
+	// none, so only the tokens that have some are listed, in lemRanges.
 	postOff, postings []uint32
+	lemRanges         []lemmaRange
 
 	// Slot s is one linkable vertex: its ID, whether it links as a class,
-	// its degree prior, and its labels lab[s][0]:lab[s][1].
+	// its degree (its prior is deg[s]/maxDeg, see prior), and its labels
+	// lab[s][0]:lab[s][1].
 	id      []store.ID
 	isClass []bool
-	prior   []float64
+	deg     []uint32
+	maxDeg  float64
 	lab     [][2]uint32
 
 	// classes partition the slots in order of (lo, hi); inside one, slots
@@ -110,6 +113,30 @@ type Linker struct {
 	// Label i's raw token IDs are toks[tokOff[i]:lemOff[i]] and its lemma
 	// IDs toks[lemOff[i]:tokOff[i+1]], each sorted and de-duplicated.
 	tokOff, lemOff, toks []uint32
+}
+
+// lemmaRange is a token's lemma-only postings, postings[at:end].
+type lemmaRange struct{ tok, at, end uint32 }
+
+// lemmaOnly returns token t's lemma-only postings as a range of postings,
+// empty for a token with none.
+func (l *Linker) lemmaOnly(t uint32) (at, end uint32) {
+	i, ok := slices.BinarySearchFunc(l.lemRanges, t, func(r lemmaRange, t uint32) int { return cmp.Compare(r.tok, t) })
+	if !ok {
+		return 0, 0
+	}
+	return l.lemRanges[i].at, l.lemRanges[i].end
+}
+
+// prior is slot s's popularity prior: its degree over the largest, in
+// [0, 1], and 0 when no slot has an edge (a class keeps its slot after its
+// last type edge goes). The division rounds alike at every call, so the
+// stop rule's bound and a candidate's score read one prior for s.
+func (l *Linker) prior(s uint32) float64 {
+	if l.maxDeg == 0 {
+		return 0
+	}
+	return float64(l.deg[s]) / l.maxDeg
 }
 
 // sizeClass is the slots start:end whose label sets, raw and lemma alike,
@@ -256,15 +283,10 @@ func New(g *store.Graph, _ Options) *Linker {
 			b.index(id, false)
 		}
 	}
-	maxDeg := 0.0
-	for _, id := range b.id {
-		maxDeg = max(maxDeg, float64(g.Degree(id)))
-	}
-	b.prior = make([]float64, len(b.id))
-	if maxDeg > 0 {
-		for s, id := range b.id {
-			b.prior[s] = float64(g.Degree(id)) / maxDeg
-		}
+	b.deg = make([]uint32, len(b.id))
+	for s, id := range b.id {
+		b.deg[s] = uint32(g.Degree(id))
+		b.maxDeg = max(b.maxDeg, float64(b.deg[s]))
 	}
 	b.renumber()
 	b.post()
@@ -345,22 +367,23 @@ func (b *builder) tokenID(t string) uint32 {
 	return id
 }
 
-// renumber orders the slots by size class, then by descending prior, then
-// by ascending ID, and records each class's range. A label's lemma set is
+// renumber orders the slots by size class, then by descending prior (that
+// is, degree), then by ascending ID, and records each class's range. A label's lemma set is
 // the image of its raw set, never larger, so a slot's class runs from its
 // smallest lemma set to its largest raw set. The class is the slot's, not
 // a label's: a slot reached through one label is scored on all of them.
-// Inside a class a slot sorts as a candidate whose score is its prior.
 // Only the slot arrays move; the labels stay where addLabel put them.
 func (b *builder) renumber() {
 	type slot struct {
-		lo, hi int
-		c      Candidate // Score holds the prior
-		lab    [2]uint32
+		lo, hi  int
+		id      store.ID
+		isClass bool
+		deg     uint32
+		lab     [2]uint32
 	}
 	slots := make([]slot, len(b.id))
 	for s, r := range b.lab {
-		k := slot{lo: math.MaxInt, c: Candidate{b.id[s], b.isClass[s], b.prior[s]}, lab: r}
+		k := slot{lo: math.MaxInt, id: b.id[s], isClass: b.isClass[s], deg: b.deg[s], lab: r}
 		for i := r[0]; i < r[1]; i++ {
 			k.lo = min(k.lo, int(b.tokOff[i+1]-b.lemOff[i]))
 			k.hi = max(k.hi, int(b.lemOff[i]-b.tokOff[i]))
@@ -368,10 +391,10 @@ func (b *builder) renumber() {
 		slots[s] = k
 	}
 	slices.SortFunc(slots, func(x, y slot) int {
-		return cmp.Or(x.lo-y.lo, x.hi-y.hi, rank(x.c, y.c))
+		return cmp.Or(x.lo-y.lo, x.hi-y.hi, cmp.Compare(y.deg, x.deg), cmp.Compare(x.id, y.id))
 	})
 	for s, k := range slots {
-		b.id[s], b.isClass[s], b.prior[s], b.lab[s] = k.c.ID, k.c.IsClass, k.c.Score, k.lab
+		b.id[s], b.isClass[s], b.deg[s], b.lab[s] = k.id, k.isClass, k.deg, k.lab
 		if s == 0 || k.lo != slots[s-1].lo || k.hi != slots[s-1].hi {
 			b.classes = append(b.classes, sizeClass{lo: k.lo, hi: k.hi, start: uint32(s)})
 		}
@@ -383,7 +406,9 @@ func (b *builder) renumber() {
 // sets, then a filling one. Slots are visited in ascending order, so each
 // list comes out sorted. A slot's raw sets are visited before its lemma
 // sets, and a token met twice in one slot counts once, so a lemma still
-// unmarked after the raw sets is lemma-only.
+// unmarked after the raw sets is lemma-only. List side*n+t is token t's
+// raw (side 0) or lemma-only (side 1) list; the raw lists' offsets are
+// kept, and of the lemma-only ones only the non-empty ranges.
 func (b *builder) post() {
 	n := b.vocab.len()
 	last := make([]uint32, n) // token ID → slot+1 that last reached it
@@ -406,17 +431,24 @@ func (b *builder) post() {
 			}
 		}
 	}
-	b.postOff = make([]uint32, 2*n+1)
-	each(func(list int, _ uint32) { b.postOff[list+1]++ })
+	off := make([]uint32, 2*n+1)
+	each(func(list int, _ uint32) { off[list+1]++ })
 	for i := range 2 * n {
-		b.postOff[i+1] += b.postOff[i]
+		off[i+1] += off[i]
 	}
-	b.postings = make([]uint32, b.postOff[2*n])
-	next := slices.Clone(b.postOff[:2*n])
+	b.postings = make([]uint32, off[2*n])
+	next := slices.Clone(off[:2*n])
 	each(func(list int, s uint32) {
 		b.postings[next[list]] = s
 		next[list]++
 	})
+	b.postOff = slices.Clone(off[:n+1])
+	for t := range n {
+		if at, end := off[n+t], off[n+t+1]; at < end {
+			b.lemRanges = append(b.lemRanges, lemmaRange{tok: uint32(t), at: at, end: end})
+		}
+	}
+	b.lemRanges = slices.Clip(b.lemRanges)
 }
 
 // appendTokens appends the tokens of s to dst: lowercased, split around
@@ -532,9 +564,8 @@ func (l *Linker) link(text string, limit int) ([]Candidate, work) {
 	if len(lists) == 0 {
 		return nil, w
 	}
-	n := uint32(l.vocab.len())
 	for _, t := range m.lem {
-		if at, end := l.postOff[n+t], l.postOff[n+t+1]; at < end {
+		if at, end := l.lemmaOnly(t); at < end {
 			lists = append(lists, list{at: at, end: end, lem: 1})
 		}
 	}
@@ -662,10 +693,10 @@ func (l *Linker) link(text string, limit int) ([]Candidate, work) {
 				continue
 			}
 			if limit > 0 && len(out) == limit &&
-				rank(out[limit-1], Candidate{ID: l.id[s], Score: score(sim, l.prior[s])}) < 0 {
+				rank(out[limit-1], Candidate{ID: l.id[s], Score: score(sim, l.prior(s))}) < 0 {
 				// The stop is exact too. No slot from s on scores above
-				// score(reach, prior[s]): its similarity is at most reach,
-				// its prior at most prior[s], and score rounds monotonically
+				// score(reach, prior(s)): its similarity is at most reach,
+				// its prior at most prior(s), and score rounds monotonically
 				// in each. A later slot with an equal prior has a larger ID,
 				// so it ranks below that bound; one with a lower prior has a
 				// strictly lower bound: priors are deg/maxDeg with integer
@@ -673,7 +704,7 @@ func (l *Linker) link(text string, limit int) ([]Candidate, work) {
 				// above one ulp of a sum ≤ 1. Since sim ≤ reach, every slot
 				// the stop would leave the skip leaves too, so testing the
 				// stop only here reads the same slots.
-				if rank(out[limit-1], Candidate{ID: l.id[s], Score: score(v.reach, l.prior[s])}) < 0 {
+				if rank(out[limit-1], Candidate{ID: l.id[s], Score: score(v.reach, l.prior(s))}) < 0 {
 					break
 				}
 				continue
@@ -864,7 +895,7 @@ func (l *Linker) candidate(s uint32, m *query) (Candidate, bool) {
 	if l.isClass[s] && !contained {
 		return Candidate{}, false
 	}
-	return Candidate{ID: l.id[s], IsClass: l.isClass[s], Score: score(best, l.prior[s])}, true
+	return Candidate{ID: l.id[s], IsClass: l.isClass[s], Score: score(best, l.prior(s))}, true
 }
 
 // score blends similarity and prior. The stop rule's bound goes through it

@@ -323,8 +323,8 @@ func checkIndex(t *testing.T, name string, l *Linker) {
 					}
 				}
 			}
-			if s > c.start && (l.prior[s] > l.prior[s-1] || l.prior[s] == l.prior[s-1] && l.id[s] <= l.id[s-1]) {
-				t.Errorf("%s: slot %d (prior %v, ID %d) follows prior %v, ID %d", name, s, l.prior[s], l.id[s], l.prior[s-1], l.id[s-1])
+			if s > c.start && (l.deg[s] > l.deg[s-1] || l.deg[s] == l.deg[s-1] && l.id[s] <= l.id[s-1]) {
+				t.Errorf("%s: slot %d (degree %d, ID %d) follows degree %d, ID %d", name, s, l.deg[s], l.id[s], l.deg[s-1], l.id[s-1])
 			}
 		}
 	}
@@ -336,6 +336,22 @@ func checkIndex(t *testing.T, name string, l *Linker) {
 		if !slices.IsSorted(p) || len(slices.Compact(slices.Clone(p))) != len(p) {
 			t.Errorf("%s: token %d's postings %v are not strictly ascending", name, tok, p)
 		}
+	}
+	// The lemma-only ranges: non-empty, after the raw postings, by
+	// ascending token, back to back, each strictly ascending.
+	at := l.postOff[len(l.postOff)-1]
+	for i, r := range l.lemRanges {
+		p := l.postings[r.at:r.end]
+		if r.at != at || r.end <= r.at || i > 0 && r.tok <= l.lemRanges[i-1].tok || int(r.tok) >= len(l.postOff)-1 {
+			t.Errorf("%s: lemma-only range %d is token %d's postings[%d:%d], after token %d's ending at %d", name, i, r.tok, r.at, r.end, l.lemRanges[max(i-1, 0)].tok, at)
+		}
+		if !slices.IsSorted(p) || len(slices.Compact(slices.Clone(p))) != len(p) {
+			t.Errorf("%s: token %d's lemma-only postings %v are not strictly ascending", name, r.tok, p)
+		}
+		at = r.end
+	}
+	if int(at) != len(l.postings) {
+		t.Errorf("%s: the postings end at %d, the lists at %d", name, len(l.postings), at)
 	}
 }
 
@@ -380,5 +396,23 @@ func TestLinkScoresBounded(t *testing.T) {
 				t.Fatalf("mention %q: score %f out of range", mention, c.Score)
 			}
 		}
+	}
+}
+
+// TestLinkWithNoEdgeLeft: a class stays a class when its last type edge
+// goes (store's classification is monotone), so an index can hold only
+// slots of degree 0. Their prior is 0, not 0/0: the class links with its
+// similarity alone.
+func TestLinkWithNoEdgeLeft(t *testing.T) {
+	g := store.New()
+	if err := g.Add(rdf.T(rdf.Resource("Gotham"), rdf.NewIRI(rdf.RDFType), rdf.Ontology("City"))); err != nil {
+		t.Fatal(err)
+	}
+	if !g.RemoveTriple(rdf.T(rdf.Resource("Gotham"), rdf.NewIRI(rdf.RDFType), rdf.Ontology("City"))) {
+		t.Fatal("the type edge was not removed")
+	}
+	cands := New(g, Options{}).Link("city", 10)
+	if len(cands) != 1 || !cands[0].IsClass || cands[0].Score != 0.85 {
+		t.Fatalf("Link(city) = %v, want the class alone at 0.85", cands)
 	}
 }

@@ -147,7 +147,7 @@ func (l *merger) mergeLink(text string, limit int) ([]Candidate, int, int) {
 				continue
 			}
 			if limit > 0 && len(out) == limit &&
-				rank(out[limit-1], Candidate{ID: l.id[s], Score: score(sim, l.prior[s])}) < 0 {
+				rank(out[limit-1], Candidate{ID: l.id[s], Score: score(sim, l.prior(s))}) < 0 {
 				// The stop is exact too. No slot from s on scores above
 				// score(reach, prior[s]): its similarity is at most reach,
 				// its prior at most prior[s], and score rounds monotonically
@@ -158,7 +158,7 @@ func (l *merger) mergeLink(text string, limit int) ([]Candidate, int, int) {
 				// above one ulp of a sum ≤ 1. Since sim ≤ reach, every slot
 				// the stop would leave the skip leaves too, so testing the
 				// stop only here reads the same slots.
-				if rank(out[limit-1], Candidate{ID: l.id[s], Score: score(v.reach, l.prior[s])}) < 0 {
+				if rank(out[limit-1], Candidate{ID: l.id[s], Score: score(v.reach, l.prior(s))}) < 0 {
 					break
 				}
 				continue

@@ -176,10 +176,19 @@ func TestRenderMatchesReferenceOnWorkloads(t *testing.T) {
 				t.Fatalf("%q: %v", q.Text, err)
 			}
 			for i := range res.Matches.Len() {
-				if sq, err := core.ResolvedSPARQL(g, res.Matches, i); err == nil {
-					sameRender(t, fmt.Sprintf("%q match %d", q.Text, i), sq)
-					rendered++
+				text, err := core.ResolvedSPARQL(g, res.Matches, i)
+				if err != nil {
+					continue
 				}
+				sq, err := sparql.Parse(text)
+				if err != nil {
+					t.Fatalf("%q match %d: %s does not parse: %v", q.Text, i, text, err)
+				}
+				if got := sq.String(); got != text {
+					t.Fatalf("%q match %d: %s parses to %s", q.Text, i, text, got)
+				}
+				sameRender(t, fmt.Sprintf("%q match %d", q.Text, i), sq)
+				rendered++
 			}
 		}
 	}

@@ -49,3 +49,7 @@ func InternTerms(terms []rdf.Term) int64 {
 	}
 	return n
 }
+
+// CheckLabels holds LabelOf's column to the parent's scan on a graph in
+// every shape (labels_reference_test.go).
+var CheckLabels = checkLabels

@@ -58,8 +58,9 @@ type Snapshot struct {
 	nTriples int
 	predIDs  []ID // ascending union of the parts' predicate lists
 	entities []ID // ascending union of the parts' entity lists
+	labels   []ID // LabelOf's column (labelColumn); nil when remote or the graph has no rdfs:label
 	stats    Stats
-	bytes    int64 // resident size: the parts' arrays and the graph's term table
+	bytes    int64 // resident size: the parts' arrays, the label column and the graph's term table
 }
 
 // SetShards configures vertex-hash sharding: k > 1 partitions the next
@@ -155,12 +156,12 @@ func (g *Graph) buildSnapshot(k int) *Snapshot {
 	}
 	sn := &Snapshot{
 		gen: g.gen.Load(), k: k, terms: g.terms.frozen(), rd: parts, parts: parts,
-		rdfType: g.rdfType, nTriples: g.nTriples,
+		rdfType: g.rdfType, nTriples: g.nTriples, labels: labelColumn(parts, &g.terms, g.labelPred),
 	}
 	// Global assembly. Triples/Predicates/Classes are O(1) reads of the
 	// live graph; the parts between them own every term, so their literal
 	// counts sum to the table's.
-	sn.bytes = g.terms.bytes()
+	sn.bytes = g.terms.bytes() + 4*int64(len(sn.labels))
 	entityLists, predLists := make([][]ID, k), make([][]ID, k)
 	literals := 0
 	for i, p := range parts {
@@ -178,6 +179,29 @@ func (g *Graph) buildSnapshot(k int) *Snapshot {
 		Predicates: len(g.preds),
 	}
 	return sn
+}
+
+// labelColumn is LabelOf's column over the parts' terms: per term, the ID
+// of the first literal in its out span's rdfs:label run (lp's), or None.
+// It is nil when lp is None: no term has a label.
+func labelColumn(parts localParts, terms *termTable, lp ID) []ID {
+	if lp == None {
+		return nil
+	}
+	labels := make([]ID, parts[0].nTerms)
+	for _, p := range parts {
+		for l := range p.roles {
+			v := p.shard + l*p.k
+			labels[v] = None
+			for _, e := range predSpan(p.outEdges[p.outOff[l]:p.outOff[l+1]], lp) {
+				if terms.kind(e.To) == rdf.KindLiteral {
+					labels[v] = e.To
+					break
+				}
+			}
+		}
+	}
+	return labels
 }
 
 // mergeIDLists k-way-merges ascending ID lists into one ascending,

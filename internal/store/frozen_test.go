@@ -544,13 +544,15 @@ func TestSnapshotBytesIsResidentSize(t *testing.T) {
 	if err := g.AddAll([]rdf.Triple{
 		rdf.T(rdf.NewIRI("s"), rdf.NewIRI("p"), rdf.NewLangLiteral("o", "en")),
 		rdf.T(rdf.NewIRI("s"), rdf.NewIRI("p"), rdf.NewTypedLiteral("42", rdf.XSDInteger)),
+		rdf.T(rdf.NewIRI("s"), rdf.NewIRI(rdf.RDFSLabel), rdf.NewLangLiteral("o", "en")),
 	}); err != nil {
 		t.Fatal(err)
 	}
 	sn := g.Freeze()
-	// Four terms: 5 bytes of values in the arena, five offsets, four tags,
-	// an index of 8 slots, and the extras "en" and xsd:integer.
-	terms := int64(5 + 4*5 + 4*4 + 4*8 + 2 + len(rdf.XSDInteger))
+	// Five terms: the arena holds "<s>", "<p>", "o", "42" and rdfs:label
+	// between brackets; six offsets, five tags, an index of 8 slots, the
+	// extras "en" and xsd:integer, and a label column of five IDs.
+	terms := int64(3 + 3 + 1 + 2 + len(rdf.RDFSLabel) + 2 + 4*6 + 4*5 + 4*8 + 2 + len(rdf.XSDInteger) + 4*5)
 	want := sn.parts[0].arrayBytes() + terms
 	if sn.bytes != want || snapshotBytes.Value() != want {
 		t.Fatalf("a freeze reports %d bytes (gauge %d), want %d", sn.bytes, snapshotBytes.Value(), want)

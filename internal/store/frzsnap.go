@@ -771,10 +771,12 @@ func assembleFrozen(sp *ShardPart, pr *partReader) (*Graph, error) {
 		classes: classes, preds: preds, nTriples: len(pt.outEdges),
 	}
 	g.gen.Store(m.gen)
+	labels := labelColumn(parts, terms, labelPred)
 	g.snap.Store(&Snapshot{
 		gen: m.gen, k: 1, terms: terms.frozen(), rd: parts, parts: parts,
 		rdfType: rdfType, nTriples: len(pt.outEdges), predIDs: pt.predIDs,
-		entities: pt.entities, stats: stats, bytes: pt.bytes + terms.bytes(),
+		entities: pt.entities, labels: labels, stats: stats,
+		bytes: pt.bytes + 4*int64(len(labels)) + terms.bytes(),
 	})
 	return g, nil
 }

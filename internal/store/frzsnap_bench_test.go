@@ -66,7 +66,8 @@ func BenchmarkSaveFrozenKB(b *testing.B) {
 
 // TestLoadFrozenAllocs: loading the cinema test KB's GQAFRZ1 file
 // allocates the decoded sections, the term table's arena, columns and
-// index, the class and predicate sets and the snapshot, and nothing a
+// index, the class and predicate sets, the label column and the snapshot,
+// and nothing a
 // term: no string, no index key, and no second copy of the graph —
 // rebuilding adjacency lists, a triple set or a predicate index beside the
 // snapshot takes it past the ceiling.
@@ -76,11 +77,13 @@ func TestLoadFrozenAllocs(t *testing.T) {
 	if err := store.SaveFrozen(&frz, g); err != nil {
 		t.Fatal(err)
 	}
-	// Measured: 37, and 46 under -race. The dictionary as a []rdf.Term and a
-	// map keyed by Term.Key() took 4 219 (4 228): two a term.
-	ceiling := 37.0
+	// Measured: 38, the label column one of them; -race has added up to
+	// nine.
+	// The dictionary as a []rdf.Term and a map keyed by Term.Key() took
+	// 4 219 (4 228): two a term.
+	ceiling := 38.0
 	if raceEnabled {
-		ceiling = 46
+		ceiling = 47
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		if _, err := store.LoadFrozen(bytes.NewReader(frz.Bytes())); err != nil {

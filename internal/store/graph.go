@@ -165,6 +165,16 @@ func (g *Graph) LookupIRI(iri string) (ID, bool) {
 // indicate a programming error.
 func (g *Graph) Term(id ID) rdf.Term { return g.terms.term(id) }
 
+// TermString returns term id in N-Triples syntax, as Term(id).String()
+// does. An IRI's is a substring of the term table, so it allocates
+// nothing; any other term is rendered.
+func (g *Graph) TermString(id ID) string {
+	if g.terms.kind(id) == rdf.KindIRI {
+		return g.terms.bracketed(id)
+	}
+	return g.terms.term(id).String()
+}
+
 // Terms returns a copy of the interned term table (index = ID) — the
 // coordinator hands it to DialShards so remote views resolve Term lookups
 // locally instead of over the wire.
@@ -444,15 +454,17 @@ func (g *Graph) IsSchemaPred(p ID) bool {
 func (g *Graph) LabelPredID() ID { return g.labelPred }
 
 // LabelOf returns the preferred human label of v: the first rdfs:label
-// literal in Out's order if any — once frozen, in the rdfs:label run one
-// search finds — otherwise the IRI-derived label.
+// literal in Out's order if any — once frozen, the one the snapshot's label
+// column holds — otherwise the IRI-derived label.
 func (g *Graph) LabelOf(v ID) string {
-	if lp := g.labelPred; lp != None {
-		labels := g.Out(v)
-		if g.snap.Load() != nil {
-			labels = predSpan(labels, lp)
+	if sn := g.current(); sn != nil {
+		if int(v) < len(sn.labels) && sn.labels[v] != None {
+			return sn.terms.value(sn.labels[v])
 		}
-		for _, e := range labels {
+		return g.terms.term(v).Label()
+	}
+	if lp := g.labelPred; lp != None {
+		for _, e := range g.out[v] {
 			if e.Pred == lp && g.terms.kind(e.To) == rdf.KindLiteral {
 				return g.terms.value(e.To)
 			}

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -323,10 +324,25 @@ func DialShards(addrs []string, terms []rdf.Term, opts RemoteOptions) (*Snapshot
 			}
 		}
 	}
+	// A freeze sets stats.Entities and stats.Predicates from these very
+	// lists, so merged they must have those lengths; every shard's is
+	// named, since which one is wrong the lists alone cannot tell. (The
+	// merge consumes its list headers, hence the copies.)
+	entities, predIDs := mergeIDLists(slices.Clone(lists[0])), mergeIDLists(slices.Clone(lists[1]))
+	for j, merged := range [2][]ID{entities, predIDs} {
+		if want := [2]int{m0.stats.Entities, m0.stats.Predicates}[j]; len(merged) != want {
+			sent := make([]string, k)
+			for i, l := range lists[j] {
+				sent[i] = fmt.Sprintf("shard %d sent %d", i, len(l))
+			}
+			return nil, fmt.Errorf("store: DialShards: the %s lists merge to %d IDs, the shards' stats count %d (%s)",
+				[2]string{"entity", "predicate"}[j], len(merged), want, strings.Join(sent, ", "))
+		}
+	}
 	return &Snapshot{
 		gen: m0.gen, k: k, terms: newTermTable(terms), rd: r,
 		rdfType: ID(m0.rdfType), nTriples: int(m0.nTriples), stats: m0.stats,
-		entities: mergeIDLists(lists[0]), predIDs: mergeIDLists(lists[1]),
+		entities: entities, predIDs: predIDs,
 	}, nil
 }
 
@@ -396,7 +412,9 @@ func (r *rpcReader) attempt(shard int, req []byte) ([]byte, error) {
 	conn.SetDeadline(time.Time{}) //nolint:errcheck
 	pool.put(conn)
 	if len(resp) == 0 {
-		return nil, errors.New("empty response frame")
+		// No status byte: the server answered, so replaying the request
+		// replays the reply. It fails like an error-status reply.
+		return nil, &errServer{msg: "empty response frame"}
 	}
 	if resp[0] != shrStatusOK {
 		return nil, &errServer{msg: string(resp[1:])}

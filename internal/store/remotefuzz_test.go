@@ -31,8 +31,11 @@ import (
 // payload is the server's own, or it returns nothing and degrades its
 // request as shard-unavailable; a dial accepts a well-formed list or fails
 // naming shard 1. Well-formed is judged here, apart from remote.go: whole
-// records, every ID a term, strictly sorted, of the predicate asked for and
-// owned as the part owns it. A well-formed reply that is not the part's is
+// records, every ID a term, strictly sorted, of the predicate asked for,
+// owned as the part owns it, and a list that merges with shard 0's to the
+// length the stats give. A reply with no status byte, the empty payload,
+// is refused as an error status is: the read it answers fails, and the
+// shard stays up for the reads after it. A well-formed reply that is not the part's is
 // accepted: the coordinator has nothing to hold it to. Whatever the read
 // did, a cinema question answered over the fleet must not panic.
 func FuzzRemoteReply(f *testing.F) {
@@ -184,7 +187,9 @@ type replyFixture struct {
 	group1    []store.Spo // shard 1's
 	entities0 []store.ID  // shard 0's entity list
 	entities1 []store.ID
-	preds1    []store.ID // shard 1's predicate list: its subjects' out edges'
+	preds0    []store.ID // shard 0's predicate list: its subjects' out edges'
+	preds1    []store.ID
+	nPreds    int // the stats' predicate count: the merged list's length
 }
 
 func newReplyFixture(g *store.Graph) *replyFixture {
@@ -217,17 +222,21 @@ func newReplyFixture(g *store.Graph) *replyFixture {
 			fx.entities1 = append(fx.entities1, v)
 		}
 	}
-	preds := make(map[store.ID]bool)
+	var preds [2]map[store.ID]bool
+	preds[0], preds[1] = make(map[store.ID]bool), make(map[store.ID]bool)
 	sn.Match(store.Any, store.Any, store.Any, func(spo store.Spo) bool {
-		preds[spo.P] = preds[spo.P] || spo.S%2 == 1
+		preds[spo.S%2][spo.P] = true
 		return true
 	})
-	for v, ownedSubject := range preds {
-		if ownedSubject {
-			fx.preds1 = append(fx.preds1, v)
-		}
+	for v := range preds[0] {
+		fx.preds0 = append(fx.preds0, v)
 	}
+	for v := range preds[1] {
+		fx.preds1 = append(fx.preds1, v)
+	}
+	slices.Sort(fx.preds0)
 	slices.Sort(fx.preds1)
+	fx.nPreds = len(mergeIDs(fx.preds0, fx.preds1))
 	return fx
 }
 
@@ -306,17 +315,14 @@ func (fx *replyFixture) span(rd spanRead, payload []byte) ([]store.Edge, bool) {
 
 // batch returns what each batched read must answer: a well-formed
 // sub-reply of a frame that parses to exactly one sub-reply per read and
-// whose answered sub-replies are all well formed, else the true span. An
-// empty payload is a transport failure: the shard is marked down and
-// every read behind it is refused.
+// whose answered sub-replies are all well formed, else the true span (an
+// empty payload, like an error status, fails the batch alone). Nothing
+// is refused.
 func (fx *replyFixture) batch(payload []byte) ([][]store.Edge, bool) {
 	reads := fx.batched()
 	wants := make([][]store.Edge, len(reads))
 	for i, rd := range reads {
 		wants[i] = rd.want
-	}
-	if len(payload) == 0 {
-		return wants, true
 	}
 	b, ok := body(payload)
 	if !ok {
@@ -374,7 +380,9 @@ func (fx *replyFixture) group(payload []byte) ([]store.Spo, bool) {
 }
 
 // list is what a dial-time list payload says, when it is well formed:
-// terms, strictly ascending, and an entity list only of shard 1's.
+// terms, strictly ascending, an entity list only of shard 1's, and merged
+// with shard 0's list as long as the stats say: as many entities as the
+// two parts own, as many predicates as the graph has.
 func (fx *replyFixture) list(op byte, payload []byte) ([]store.ID, bool) {
 	b, ok := body(payload)
 	vs, whole := ids(b)
@@ -386,7 +394,10 @@ func (fx *replyFixture) list(op byte, payload []byte) ([]store.ID, bool) {
 			return nil, false
 		}
 	}
-	return vs, true
+	if op == store.OpEntities { // the parts' entity lists are disjoint
+		return vs, len(vs) == len(fx.entities1)
+	}
+	return vs, len(mergeIDs(fx.preds0, vs)) == fx.nPreds
 }
 
 func mergeIDs(a, b []store.ID) []store.ID {
@@ -441,7 +452,8 @@ func spoBytes(group []store.Spo) []byte {
 
 // seeds are each target's true replies and one break of each reply check:
 // a ragged body, an ID past the term count, an order break, a repeated
-// entry, another predicate, a vertex the shard does not own, an error
+// entry, another predicate, a vertex the shard does not own, a list one
+// entry short of the stats or one past them, an error
 // status (with a message, and with none, which would decode as an empty
 // reply), an empty payload, and for a batch each framing fault, a forged
 // sub-reply and a forged one behind a trailing byte.
@@ -513,6 +525,7 @@ func (fx *replyFixture) seeds() []replySeed {
 		add(fuzzList, uint8(pick), okReply(l), okReply(append(slices.Clone(l), 7)), okReply(u32s(append(slices.Clone(list), bad)...)),
 			okReply(u32s(append(slices.Clone(list), list[0])...)), okReply(nil), errReply, []byte{1}, nil)
 	}
-	add(fuzzList, 0, okReply(u32s(0)))
+	add(fuzzList, 0, okReply(u32s(0)), okReply(u32s(fx.entities1[:len(fx.entities1)-1]...)))
+	add(fuzzList, 1, okReply(u32s(append(slices.Clone(fx.preds1), fx.nTerms-1)...)))
 	return seeds
 }

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -353,6 +354,9 @@ func TestRemoteFailureModes(t *testing.T) {
 			binary.LittleEndian.PutUint32(resp[1:], n-1) // the first span one byte short, and 1 stray
 			return resp, ok
 		}, 3, 0, 0, false},
+		// An empty frame has no status byte, but the server did answer: it
+		// is deterministic too, so the reads after it go one by one.
+		{"batch answered with an empty frame", func(*ShardServer, []byte) ([]byte, bool) { return nil, true }, 3, 0, 0, false},
 		{"batch answered", func(srv *ShardServer, req []byte) ([]byte, bool) { return srv.handle(req) }, 1, 0, 2, false},
 	}
 	for _, tc := range batchCases {
@@ -403,6 +407,44 @@ func TestRemoteFailureModes(t *testing.T) {
 			}
 		})
 	}
+
+	// An empty reply frame to a single read fails that read — one attempt,
+	// the request degraded — but leaves the shard up: the next request's
+	// read of it is answered, with no wait for DownCooldown.
+	var emptyOp atomic.Int32
+	eaddrs := startFrameShards(t, g, 2, func(srv *ShardServer, req []byte) ([]byte, bool) {
+		if int32(req[0]) == emptyOp.Load() {
+			return nil, true
+		}
+		return srv.handle(req)
+	})
+	t.Run("empty reply frame is not retried and leaves the shard up", func(t *testing.T) {
+		rss, err := DialShards(eaddrs, g.Terms(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rss.Close()
+		emptyOp.Store(int32(shrOpOutPred))
+		ctx, cancel := contextWithTimeout(2 * time.Second)
+		defer cancel()
+		tr := budget.New(ctx, budget.Limits{})
+		bv := rss.BindRequest(tr, nil)
+		if span := bv.OutPred(probe.S, probe.P); len(span) != 0 || tr.Exhausted() != budget.ReasonShard {
+			t.Fatalf("a read answered with an empty frame read %v with reason %q, want nothing and %q", span, tr.Exhausted(), budget.ReasonShard)
+		}
+		if st := rpcOf(bv).req; st.calls.Load() != 1 || st.retries.Load() != 0 {
+			t.Fatalf("calls = %d, retries = %d; want 1, 0", st.calls.Load(), st.retries.Load())
+		}
+		if rpcOf(rss).pools[int(probe.S)%2].isDown() {
+			t.Fatal("the shard was marked down over one empty frame")
+		}
+		emptyOp.Store(0)
+		tr = budget.New(ctx, budget.Limits{})
+		bv = rss.BindRequest(tr, nil)
+		if span := bv.OutPred(probe.S, probe.P); !edgesEqual(span, want) || tr.Exhausted() != "" {
+			t.Fatalf("the next request's read answered %v with reason %q, want %v", span, tr.Exhausted(), want)
+		}
+	})
 
 	// A reply that is not a whole number of records is a failed call, not
 	// one whose tail is dropped: at dial time DialShards fails with the
@@ -470,6 +512,12 @@ func TestRemoteFailureModes(t *testing.T) {
 	if len(ents) == 0 || len(preds) == 0 {
 		t.Fatalf("shard 1 has %d entities and %d predicates: the list rows need both", len(ents), len(preds))
 	}
+	ents0, preds0 := sn.Part(0).part.entities, sn.Part(0).part.predIDs
+	// A term past every predicate, which no part's list holds.
+	notPred := nTerms - 1
+	if notPred <= preds[len(preds)-1] || slices.Contains(preds0, notPred) {
+		t.Fatalf("term %d is a predicate: the predicate list row needs a term that is not", notPred)
+	}
 	for _, tc := range []struct {
 		name   string
 		addrs  []string   // nil: daddrs
@@ -523,6 +571,14 @@ func TestRemoteFailureModes(t *testing.T) {
 			fmt.Sprintf("shard 1, opcode %d: entry %d (ID %d of", shrOpPredIDs, len(preds), nTerms)},
 		{"predicate list out of order", nil, nil, list(shrOpPredIDs, func(ids []ID) []ID { return append(ids, ids[0]) }),
 			fmt.Sprintf("shard 1, opcode %d: entry %d (ID %d of", shrOpPredIDs, len(preds), preds[0])},
+		// Well-formed lists whose merged lengths the stats contradict: the
+		// error names every shard's count.
+		{"entity list short of the stats", nil, nil, list(shrOpEntities, func(ids []ID) []ID { return ids[:len(ids)-1] }),
+			fmt.Sprintf("the entity lists merge to %d IDs, the shards' stats count %d (shard 0 sent %d, shard 1 sent %d)",
+				len(ents0)+len(ents)-1, len(ents0)+len(ents), len(ents0), len(ents)-1)},
+		{"predicate list past the stats", nil, nil, list(shrOpPredIDs, func(ids []ID) []ID { return append(ids, notPred) }),
+			fmt.Sprintf("the predicate lists merge to %d IDs, the shards' stats count %d (shard 0 sent %d, shard 1 sent %d)",
+				g.NumPredicates()+1, g.NumPredicates(), len(preds0), len(preds)+1)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			addrs, terms := tc.addrs, tc.terms

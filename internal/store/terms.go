@@ -6,7 +6,9 @@ package store
 // rdf.Term: one string arena holding every term's value back to back, an
 // offset and a tag per term, and an open-addressed index of IDs. HDT's
 // dictionary (Fernández et al., JWS 2013) is the published form of a term
-// table as one block.
+// table as one block. An IRI is held in its N-Triples form, between "<"
+// and ">", so an answer or a SPARQL rendering takes its bracketed bytes
+// as a substring of the arena; its value is the substring inside them.
 //
 // Contract: the arena is append-only. Interning writes past the arena's
 // length and never rewrites a byte below it, and the columns only grow, so
@@ -41,7 +43,7 @@ const (
 // table.
 type termTable struct {
 	buf   *strings.Builder // the arena interning appends to; nil in a frozen copy
-	arena string           // buf's bytes: term i's value is arena[off[i]:off[i+1]]
+	arena string           // buf's bytes: term i is arena[off[i]:off[i+1]], an IRI bracketed
 	off   []uint32         // len(tag)+1 offsets into arena once a term is in
 	tag   []uint32         // per term: kind, language flag, extras index
 
@@ -69,9 +71,19 @@ func termParts(x rdf.Term) (kl uint32, value, extra string) {
 // len is the number of terms.
 func (t *termTable) len() int { return len(t.tag) }
 
-// value returns term id's value: an IRI, a literal's lexical form or a
-// blank node's label, a substring of the arena.
-func (t *termTable) value(id ID) string { return t.arena[t.off[id]:t.off[id+1]] }
+// value returns term id's value: an IRI (inside its brackets), a
+// literal's lexical form or a blank node's label, a substring of the arena.
+func (t *termTable) value(id ID) string {
+	lo, hi := t.off[id], t.off[id+1]
+	if t.tag[id]&tagKind == uint32(rdf.KindIRI) {
+		lo, hi = lo+1, hi-1
+	}
+	return t.arena[lo:hi]
+}
+
+// bracketed returns IRI id in N-Triples syntax, "<" + IRI + ">": the
+// arena's own bytes, so it allocates nothing. id must be an IRI.
+func (t *termTable) bracketed(id ID) string { return t.arena[t.off[id]:t.off[id+1]] }
 
 // kind returns term id's kind.
 func (t *termTable) kind(id ID) rdf.Kind { return rdf.Kind(t.tag[id] & tagKind) }
@@ -116,12 +128,14 @@ func (t *termTable) intern(x rdf.Term) (ID, bool) {
 	return id, true
 }
 
-// add appends a term to the columns and the arena, not to the index.
+// add appends a term to the columns and the arena, an IRI between its
+// brackets, not to the index.
 func (t *termTable) add(kl uint32, value string, extra uint32) ID {
 	if t.buf == nil {
 		t.buf = new(strings.Builder)
 	}
-	if t.buf.Len()+len(value) > math.MaxUint32 {
+	iri := kl&tagKind == uint32(rdf.KindIRI)
+	if t.buf.Len()+len(value)+2 > math.MaxUint32 {
 		panic("store: the term arena exceeds 4 GiB")
 	}
 	if len(t.off) == 0 {
@@ -130,7 +144,13 @@ func (t *termTable) add(kl uint32, value string, extra uint32) ID {
 	if t.extras == nil {
 		t.extras = noExtras
 	}
-	t.buf.WriteString(value)
+	if iri {
+		t.buf.WriteByte('<')
+		t.buf.WriteString(value)
+		t.buf.WriteByte('>')
+	} else {
+		t.buf.WriteString(value)
+	}
 	t.arena = t.buf.String()
 	t.off = append(t.off, uint32(len(t.arena)))
 	t.tag = append(t.tag, kl|extra<<tagExtraAt)
@@ -225,8 +245,9 @@ func (t *termTable) frozen() termTable {
 	return termTable{arena: t.arena, off: t.off, tag: t.tag, extras: t.extras}
 }
 
-// newTermTable builds a table of terms in order, IDs their positions: a
-// remote coordinator's copy of its graph's dictionary (DialShards). It has
+// newTermTable builds a table of terms in order, IDs their positions, IRIs
+// bracketed: a remote coordinator's copy of its graph's dictionary
+// (DialShards). It has
 // no index: a snapshot resolves IDs, it does not look terms up.
 func newTermTable(terms []rdf.Term) termTable {
 	var t termTable
@@ -258,7 +279,8 @@ func (t *termTable) terms() []rdf.Term {
 
 // encodeFrozenTerms is the GQAFRZ1 terms section: a uint32 count, then per
 // term its kind byte and its value, datatype and language tag, each a
-// uint32 length and the bytes.
+// uint32 length and the bytes. An IRI's value is written without its
+// brackets.
 func encodeFrozenTerms(t *termTable) []byte {
 	tb := binary.LittleEndian.AppendUint32(nil, uint32(t.len()))
 	for i := range t.len() {
@@ -275,8 +297,9 @@ func encodeFrozenTerms(t *termTable) []byte {
 // decodeFrozenTerms decodes the terms payload, which must hold exactly
 // want records, into a table without an index (assembleFrozen builds it
 // and refuses a repeated term). A first pass checks every record and
-// fills the offset and tag columns; the second writes each value into one
-// arena grown once to their size: no string per term.
+// fills the offset and tag columns; the second writes each value, an IRI
+// between brackets, into one arena grown once to their size: no string per
+// term.
 func decodeFrozenTerms(b []byte, want uint64) (termTable, error) {
 	var t termTable
 	count := uint64(binary.LittleEndian.Uint32(b))
@@ -335,6 +358,9 @@ func decodeFrozenTerms(b []byte, want uint64) (termTable, error) {
 			return t, fmt.Errorf("term %d has unknown kind %d", i, kind)
 		}
 		end := uint64(t.off[i]) + uint64(len(value))
+		if kind == rdf.KindIRI {
+			end += 2
+		}
 		if end > math.MaxUint32 {
 			return t, fmt.Errorf("term %d: the values exceed the arena's 4 GiB", i)
 		}
@@ -349,9 +375,16 @@ func decodeFrozenTerms(b []byte, want uint64) (termTable, error) {
 	t.buf = new(strings.Builder)
 	t.buf.Grow(int(t.off[count]))
 	for off = 4; off < len(b); {
-		off++ // the kind
+		iri := rdf.Kind(b[off]) == rdf.KindIRI
+		off++
 		value, _ := field()
-		t.buf.Write(value)
+		if iri {
+			t.buf.WriteByte('<')
+			t.buf.Write(value)
+			t.buf.WriteByte('>')
+		} else {
+			t.buf.Write(value)
+		}
 		field() // the datatype
 		field() // the language tag
 	}

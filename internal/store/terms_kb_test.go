@@ -55,3 +55,39 @@ func TestTermTableBytes(t *testing.T) {
 		t.Errorf("the term table holds %.1f bytes a term, at most %d", perTerm, ceiling)
 	}
 }
+
+// TestLabelColumnOnKBs holds LabelOf to the parent's on every term of the
+// workload KBs: never frozen, frozen at K = 1 and K = 4, loaded from
+// GQAFRZ1, and after label writes since a freeze.
+func TestLabelColumnOnKBs(t *testing.T) {
+	for _, kb := range []struct {
+		name  string
+		build func() (*store.Graph, error)
+	}{
+		{"qald", bench.BuildKB},
+		{"yago", bench.BuildYagoKB},
+		{"nlscale", func() (*store.Graph, error) {
+			kb, err := bench.NewNLScaleKB(20000, 9, 3)
+			if err != nil {
+				return nil, err
+			}
+			return kb.Graph, nil
+		}},
+		{"cinema", func() (*store.Graph, error) { return bench.NewCinemaKB().Graph, nil }},
+	} {
+		t.Run(kb.name, func(t *testing.T) {
+			g, err := kb.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			labelled, err := store.CheckLabels(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if labelled == 0 {
+				t.Fatal("no term has an rdfs:label")
+			}
+			t.Logf("%d of %d terms labelled", labelled, g.NumTerms())
+		})
+	}
+}

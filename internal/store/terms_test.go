@@ -304,15 +304,20 @@ func FuzzTermTable(f *testing.F) {
 	})
 }
 
-// TestTermTableAllocs: assembling a term, looking one up (hit or miss) and
-// interning a known one allocate nothing, on the graph and its snapshot.
+// TestTermTableAllocs: assembling a term, looking one up (hit or miss),
+// interning a known one, an IRI's N-Triples form and a frozen vertex's
+// label allocate nothing, on the graph and its snapshot.
 func TestTermTableAllocs(t *testing.T) {
 	g := New()
+	label := g.Intern(rdf.NewIRI(rdf.RDFSLabel))
 	for i := range 500 {
-		g.Intern(rdf.NewIRI(fmt.Sprintf("http://e/%d", i)))
-		g.Intern(rdf.NewLangLiteral(fmt.Sprintf("label %d", i), "en"))
+		v := g.Intern(rdf.NewIRI(fmt.Sprintf("http://e/%d", i)))
+		g.AddSPO(v, label, g.Intern(rdf.NewLangLiteral(fmt.Sprintf("label %d", i), "en")))
 	}
 	sn := g.Freeze()
+	if g.TermString(401) != "<http://e/200>" || g.LabelOf(401) != "label 200" {
+		t.Fatalf("term 401 is %s labelled %q, want <http://e/200> labelled \"label 200\"", g.TermString(401), g.LabelOf(401))
+	}
 	hit, miss := rdf.NewLangLiteral("label 250", "en"), rdf.NewLiteral("label 250")
 	var sink rdf.Term
 	for name, f := range map[string]func(){
@@ -321,6 +326,8 @@ func TestTermTableAllocs(t *testing.T) {
 		"Lookup hit":    func() { g.Lookup(hit) },
 		"Lookup miss":   func() { g.Lookup(miss) },
 		"Intern known":  func() { g.Intern(hit) },
+		"TermString":    func() { _ = g.TermString(401) },
+		"LabelOf":       func() { _ = g.LabelOf(401) },
 	} {
 		if a := testing.AllocsPerRun(100, f); a != 0 {
 			t.Errorf("%s allocates %v times", name, a)

@@ -22,10 +22,12 @@ import (
 // Kinds: add a triple; remove a present one; remove every triple of a
 // predicate (its last edge goes); remove every type edge into a class
 // (its last instance goes; it stays a class); re-freeze g mid-script;
-// switch g between 1 and 4 parts; and, unsharded only, add an edge to a
-// term interned after the freeze. It then re-freezes g and fails unless
-// every part equals the twin's first freeze at the same shard count and
-// every predicate scan reads what the reference scatter builds from it.
+// switch g between 1 and 4 parts; and add an edge to an IRI interned
+// after the freeze, and on an odd pick an rdfs:label literal, also new, to
+// that IRI. It then re-freezes g and fails unless every part, the term
+// table and the label column equal the twin's first freeze at the same
+// shard count, every predicate scan reads what the reference scatter
+// builds from it, and LabelOf reads the parent's label of every term.
 func runWriteScript(t testing.TB, seed int64, k int, script []byte) {
 	t.Helper()
 	g, twin := twinGraphs(seed)
@@ -78,13 +80,16 @@ func runWriteScript(t testing.TB, seed int64, k int, script []byte) {
 		case 8:
 			g.SetShards(5 - max(g.NumShards(), 1)) // 1 ↔ 4
 		case 9:
-			if g.NumShards() > 1 {
-				continue
-			}
 			term := rdf.Resource(fmt.Sprintf("fresh-%d", fresh))
-			fresh++
-			g.AddSPO(s, p, g.Intern(term))
+			u := g.Intern(term)
+			g.AddSPO(s, p, u)
 			twin.AddSPO(s, p, twin.Intern(term))
+			if c%2 == 1 {
+				label := rdf.NewLangLiteral(fmt.Sprintf("fresh %d", fresh), "en")
+				g.AddSPO(u, g.LabelPredID(), g.Intern(label))
+				twin.AddSPO(u, twin.LabelPredID(), twin.Intern(label))
+			}
+			fresh++
 		}
 	}
 	got := g.Freeze()
@@ -94,16 +99,26 @@ func runWriteScript(t testing.TB, seed int64, k int, script []byte) {
 	if err := checkPredGroups(got); err != nil {
 		t.Fatalf("seed %d k %d: %v", seed, k, err)
 	}
+	if err := labelDiff(g, fmt.Sprintf("seed %d k %d", seed, k)); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// sameSnapshot fails unless got and want hold the same global facts and,
-// part by part, the same arrays.
+// sameSnapshot fails unless got and want hold the same global facts, term
+// table and label column and, part by part, the same arrays.
 func sameSnapshot(t testing.TB, tag string, got, want *Snapshot) {
 	t.Helper()
 	if got.k != want.k || got.nTriples != want.nTriples || got.stats != want.stats ||
 		!slices.Equal(got.predIDs, want.predIDs) || !slices.Equal(got.entities, want.entities) {
 		t.Fatalf("%s: snapshot K %d, %d triples, stats %+v; fresh build K %d, %d triples, stats %+v",
 			tag, got.k, got.nTriples, got.stats, want.k, want.nTriples, want.stats)
+	}
+	if got.terms.arena != want.terms.arena || !slices.Equal(got.terms.off, want.terms.off) || !slices.Equal(got.terms.tag, want.terms.tag) {
+		t.Fatalf("%s: the term table (%d terms, %d arena bytes) differs from a fresh build's (%d, %d)",
+			tag, got.terms.len(), len(got.terms.arena), want.terms.len(), len(want.terms.arena))
+	}
+	if !slices.Equal(got.labels, want.labels) {
+		t.Fatalf("%s: label column\n got %v\nwant %v", tag, got.labels, want.labels)
 	}
 	for i := range got.parts {
 		a, b := *got.parts[i], *want.parts[i]
@@ -137,6 +152,7 @@ func FuzzWriteAfterFreeze(f *testing.F) {
 	f.Add(int64(1), uint8(4), []byte{0, 1, 2, 3, 6, 0, 0, 0, 3, 9, 9, 9, 7, 0, 0, 0, 0, 4, 5, 6})
 	f.Add(int64(2), uint8(4), []byte{8, 0, 0, 0, 9, 2, 1, 0, 0, 3, 3, 3, 8, 0, 0, 0, 4, 7, 7, 7})
 	f.Add(int64(3), uint8(1), []byte{9, 0, 0, 0, 9, 1, 1, 1, 5, 0, 0, 0, 5, 0, 1, 0, 5, 0, 2, 0, 6, 1, 0, 0})
+	f.Add(int64(4), uint8(1), []byte{9, 0, 0, 1, 7, 0, 0, 0, 9, 1, 1, 3, 0, 2, 2, 2, 8, 0, 0, 0, 9, 3, 0, 5})
 	f.Fuzz(func(t *testing.T, seed int64, k uint8, script []byte) {
 		if len(script) > 4*256 {
 			script = script[:4*256]
