@@ -68,8 +68,10 @@ race:
 # ceilings (a parse's 5 allocations, extraction's 3, building Q^S's 15, a
 # name link's 2 and a one-candidate city link's 48 bytes), the load of
 # the cinema test KB's GQAFRZ1 file (38: no string a term, no graph
-# mirror) and the term table's (no allocation to read, look up or
-# re-intern a term; at most 50 bytes a term on the cinema test KB) and the
+# mirror), the term table's (no allocation to read, look up or
+# re-intern a term; at most 50 bytes a term on the cinema test KB), a
+# local predicate scan's (TestPredScanAllocs: Match(Any, p, Any) and
+# Match(Any, Any, Any) allocate nothing at K = 1 and K = 4) and the
 # linker index's (at most 125 bytes a slot on the cinema test KB, 150 on
 # nl-scale's, each array at its capacity) run in both.
 allocs:

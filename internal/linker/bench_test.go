@@ -36,7 +36,8 @@ func nlScaleKB(b *testing.B) *bench.NLScaleKB {
 // skip jumps to the one city on both), a three-token name (its 833 + 840
 // + 1 postings hold the ~35 people who share two tokens, and the skip
 // gallops from one of them to the next in about a hundred turns) and a
-// miss; and "people" with no limit, which reads every slot it reaches.
+// miss; and "people" at a cap of every slot, which cuts nothing, so it
+// reads every slot it reaches.
 // "people" is a one-token mention, so its walks are a plain k-way merge.
 func BenchmarkLink(b *testing.B) {
 	lk := linker.New(nlScaleKB(b).Graph, linker.Options{})
@@ -48,7 +49,7 @@ func BenchmarkLink(b *testing.B) {
 		{"place", "Ciudad 0123", 10},
 		{"name", "Jonas Kowalski 12345", 10},
 		{"miss", "Zanzibar", 10},
-		{"people-all", "people", 0},
+		{"people-all", "people", lk.Slots()},
 	} {
 		b.Run(m.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -15,15 +15,19 @@ import (
 	"gqa/internal/store"
 )
 
-// limits are the candidate caps every differential compares at: none, the
-// two smallest cuts, and the one BuildQueryGraph links with.
-var limits = []int{0, 1, 2, 10}
+// cuts are the two smallest candidate caps and the one BuildQueryGraph
+// links with.
+var cuts = []int{1, 2, 10}
+
+// limits are the caps every differential compares lk at: the cuts, and
+// every slot, a cap that cuts nothing.
+func limits(lk *linker.Linker) []int { return append(slices.Clone(cuts), lk.Slots()) }
 
 // differ returns the first limit at which the index and the reference
 // return different candidates for mention — IDs, IsClass, Score compared
 // with ==, and order — and a description of the difference.
 func differ(lk *linker.Linker, ref *linker.Reference, mention string) (string, bool) {
-	for _, limit := range limits {
+	for _, limit := range limits(lk) {
 		got, want := lk.Link(mention, limit), ref.Link(mention, limit)
 		if !slices.Equal(got, want) {
 			return fmt.Sprintf("Link(%q, %d)\n got  %v\n want %v", mention, limit, got, want), true
@@ -113,7 +117,7 @@ func TestLinkMatchesReferenceOnWorkloads(t *testing.T) {
 				}
 			}
 		}
-		t.Logf("%s: %d mentions × %d limits compared", kb.name, len(ms), len(limits))
+		t.Logf("%s: %d mentions × %d limits compared", kb.name, len(ms), len(limits(lk)))
 	}
 }
 
@@ -143,7 +147,7 @@ func TestQueryMatchesReference(t *testing.T) {
 // merge differ for mention — in the candidates (== on every field, and
 // order) or in the slots whose labels they read — and a description.
 func differMerge(lk *linker.Linker, mg *linker.Merger, mention string) (string, bool) {
-	for _, limit := range limits {
+	for _, limit := range limits(lk) {
 		got, gotScored := lk.Link(mention, limit), lk.Scored(mention, limit)
 		want, wantScored, _ := mg.Link(mention, limit)
 		if !slices.Equal(got, want) || gotScored != wantScored {
@@ -188,7 +192,7 @@ func TestLinkMatchesMerge(t *testing.T) {
 				}
 			}
 		}
-		t.Logf("%s: %d mentions × %d limits compared", kb.name, len(ms), len(limits))
+		t.Logf("%s: %d mentions × %d limits compared", kb.name, len(ms), len(limits(lk)))
 	}
 }
 
@@ -226,8 +230,8 @@ func TestLinkConcurrentUse(t *testing.T) {
 // slots whose labels Link reads. On nl-scale's KB the mention "people"
 // (lemma "person") reaches the class ⟨Person⟩ and every person's IRI: at
 // limit 10 the walk reads the class, then persons in prior order until the
-// tenth kept beats the class bound; with no limit it reads every slot it
-// reaches. A three-token name reaches ~170 people who share its first or
+// tenth kept beats the class bound; at a cap of every slot it reads every
+// slot it reaches. A three-token name reaches ~170 people who share its first or
 // last name, but one shared token of three caps a label of two or more at
 // 1/4, below minSimilarity, so at any limit only the few who share both
 // are read. "Ciudad 0012" reaches all 42 cities and reads the one whose
@@ -247,17 +251,18 @@ func TestLinkStopsAtTheKth(t *testing.T) {
 		t.Fatal(err)
 	}
 	lk := linker.New(nl.Graph, linker.Options{})
+	all := lk.Slots()
 	for _, c := range []struct {
 		mention string
 		limit   int
 		lo, hi  int
 	}{
 		{"people", 10, 1, 10},
-		{"people", 0, 2001, 2001},
+		{"people", all, 2001, 2001},
 		{"Jonas Kowalski 249", 10, 1, 5},
-		{"Jonas Kowalski 249", 0, 1, 5},
+		{"Jonas Kowalski 249", all, 1, 5},
 		{"Ciudad 0012", 10, 1, 1},
-		{"Ciudad 0012", 0, 1, 1},
+		{"Ciudad 0012", all, 1, 1},
 	} {
 		if n := lk.Scored(c.mention, c.limit); n < c.lo || n > c.hi {
 			t.Errorf("Link(%q, %d) read %d slots, want %d to %d", c.mention, c.limit, n, c.lo, c.hi)
@@ -270,9 +275,9 @@ func TestLinkStopsAtTheKth(t *testing.T) {
 	}{
 		{"people", 10, 11},
 		{"Jonas Kowalski 249", 10, 149},
-		{"Jonas Kowalski 249", 0, 149},
+		{"Jonas Kowalski 249", all, 149},
 		{"Ciudad 0012", 10, 20},
-		{"Ciudad 0012", 0, 20},
+		{"Ciudad 0012", all, 20},
 	} {
 		if n := lk.Read(c.mention, c.limit); n != c.read {
 			t.Errorf("Link(%q, %d) read %d posting entries, want %d", c.mention, c.limit, n, c.read)
@@ -293,7 +298,7 @@ var mentionWords = append(slices.Clone(words), "zanzibar")
 
 // quickStats counts the shapes the property must have met at least once.
 // straddle counts mentions whose full list ties at a cut: equal scores at
-// positions k−1 and k for a limit k the differential compares at. slack
+// positions k−1 and k for a cut k the differential compares at. slack
 // counts mentions with a candidate on the lemma-only postings of one of
 // the mention's lemmas, which the per-slot bound counts only through those
 // postings. The rest are the skip's: jumped counts links where a gallop
@@ -410,20 +415,20 @@ func TestQuickLinkMatchesReference(t *testing.T) {
 				t.Errorf("seed %d, against the merge: %s", seed, d)
 				return false
 			}
-			for _, limit := range limits {
+			for _, limit := range limits(lk) {
 				sh := lk.Shapes(m, limit)
 				st.jumped += min(sh.Jumped, 1)
 				st.unreached += min(sh.Unreached, 1)
 				st.uneven += min(sh.Uneven, 1)
 				st.single += min(sh.Single, 1)
 			}
-			cands := lk.Link(m, 0)
+			cands := lk.Link(m, lk.Slots())
 			for i := 1; i < len(cands); i++ {
 				if cands[i].Score == cands[i-1].Score {
 					st.ties++
 				}
 			}
-			if slices.ContainsFunc(limits[1:], func(k int) bool {
+			if slices.ContainsFunc(cuts, func(k int) bool {
 				return k < len(cands) && cands[k-1].Score == cands[k].Score
 			}) {
 				st.straddle++

@@ -91,13 +91,13 @@ func (l *Linker) QueryDiff(mention string) string {
 	return ""
 }
 
-// LemmaSlack reports whether a candidate Link(mention, 0) returns is on
+// LemmaSlack reports whether a candidate Link returns uncut is on
 // the lemma-only postings of one of the mention's lemmas: a label shares
 // a lemma that no raw token of the slot spells, which the walk counts only
 // through those postings.
 func (l *Linker) LemmaSlack(mention string) bool {
 	m := l.query(mention, nil)
-	cands, _ := l.link(mention, 0)
+	cands, _ := l.link(mention, len(l.id))
 	for _, c := range cands {
 		s := uint32(slices.Index(l.id, c.ID))
 		for _, t := range m.lem {

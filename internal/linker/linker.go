@@ -406,13 +406,16 @@ func (b *builder) renumber() {
 // sets, then a filling one. Slots are visited in ascending order, so each
 // list comes out sorted. A slot's raw sets are visited before its lemma
 // sets, and a token met twice in one slot counts once, so a lemma still
-// unmarked after the raw sets is lemma-only. List side*n+t is token t's
-// raw (side 0) or lemma-only (side 1) list; the raw lists' offsets are
-// kept, and of the lemma-only ones only the non-empty ranges.
+// unmarked after the raw sets is lemma-only. The raw lists are counted
+// straight into postOff and the lemma-only ones apart, in lem; each count
+// becomes its list's start, which the fill advances to the list's end.
+// The raw ends, shifted up one, are the raw offsets; the lemma-only lists
+// follow the raw ones in postings, so each starts where the one before it
+// ends, and only the non-empty ones are kept as ranges.
 func (b *builder) post() {
 	n := b.vocab.len()
 	last := make([]uint32, n) // token ID → slot+1 that last reached it
-	each := func(visit func(list int, s uint32)) {
+	each := func(visit func(lemmaOnly bool, t, s uint32)) {
 		clear(last)
 		for s, r := range b.lab {
 			for side := range 2 { // 0: raw sets, 1: lemma sets
@@ -424,29 +427,46 @@ func (b *builder) post() {
 					for _, t := range set {
 						if last[t] != uint32(s)+1 {
 							last[t] = uint32(s) + 1
-							visit(side*n+int(t), uint32(s))
+							visit(side == 1, t, uint32(s))
 						}
 					}
 				}
 			}
 		}
 	}
-	off := make([]uint32, 2*n+1)
-	each(func(list int, _ uint32) { off[list+1]++ })
-	for i := range 2 * n {
-		off[i+1] += off[i]
-	}
-	b.postings = make([]uint32, off[2*n])
-	next := slices.Clone(off[:2*n])
-	each(func(list int, s uint32) {
-		b.postings[next[list]] = s
-		next[list]++
+	b.postOff = make([]uint32, n+1)
+	lem := make([]uint32, n)
+	each(func(lemmaOnly bool, t, _ uint32) {
+		if lemmaOnly {
+			lem[t]++
+		} else {
+			b.postOff[t+1]++
+		}
 	})
-	b.postOff = slices.Clone(off[:n+1])
 	for t := range n {
-		if at, end := off[n+t], off[n+t+1]; at < end {
+		b.postOff[t+1] += b.postOff[t]
+	}
+	at := b.postOff[n]
+	for t, c := range lem {
+		lem[t], at = at, at+c
+	}
+	b.postings = make([]uint32, at)
+	each(func(lemmaOnly bool, t, s uint32) {
+		next := &b.postOff[t]
+		if lemmaOnly {
+			next = &lem[t]
+		}
+		b.postings[*next] = s
+		*next++
+	})
+	copy(b.postOff[1:], b.postOff[:n])
+	b.postOff[0] = 0
+	at = b.postOff[n]
+	for t, end := range lem {
+		if at < end {
 			b.lemRanges = append(b.lemRanges, lemmaRange{tok: uint32(t), at: at, end: end})
 		}
+		at = end
 	}
 	b.lemRanges = slices.Clip(b.lemRanges)
 }
@@ -517,7 +537,9 @@ func (l *Linker) query(text string, ids []uint32) query {
 }
 
 // Link returns up to limit candidates for the mention, ranked by
-// descending confidence, ties by ascending ID. A limit ≤ 0 means no cap.
+// descending confidence, ties by ascending ID; none when limit ≤ 0. A
+// caller that wants every candidate passes a limit of at least the
+// linkable vertices.
 func (l *Linker) Link(mention string, limit int) []Candidate {
 	start := time.Now()
 	out, _ := l.link(mention, limit)
@@ -538,6 +560,9 @@ type work struct{ scored, read, jumped, unreached, grown int }
 // link is Link without its metrics; it also returns what it did.
 func (l *Linker) link(text string, limit int) ([]Candidate, work) {
 	var w work
+	if limit <= 0 {
+		return nil, w
+	}
 	var ids [16]uint32
 	m := l.query(text, ids[:0])
 	if m.nRaw == 0 {
@@ -692,7 +717,7 @@ func (l *Linker) link(text string, limit int) ([]Candidate, work) {
 			if sim < minSimilarity {
 				continue
 			}
-			if limit > 0 && len(out) == limit &&
+			if len(out) == limit &&
 				rank(out[limit-1], Candidate{ID: l.id[s], Score: score(sim, l.prior(s))}) < 0 {
 				// The stop is exact too. No slot from s on scores above
 				// score(reach, prior(s)): its similarity is at most reach,
@@ -720,14 +745,11 @@ func (l *Linker) link(text string, limit int) ([]Candidate, work) {
 				}
 				at := cap(out)
 				out = keep(out, c, limit, min(limit, size))
-				if limit > 0 && at > 0 && cap(out) != at {
+				if at > 0 && cap(out) != at {
 					w.grown++
 				}
 			}
 		}
-	}
-	if limit <= 0 {
-		slices.SortFunc(out, rank)
 	}
 	return out, w
 }
@@ -917,15 +939,12 @@ func rank(a, b Candidate) int {
 	return 1
 }
 
-// keep adds c to out. With limit > 0, out holds the best limit candidates
-// seen so far, in rank order, in one array of capacity size made on the
-// first keep, where size ≤ limit bounds how many candidates the call can
-// find, so the array never grows; otherwise it collects everything
-// unsorted.
+// keep adds c to out, which holds the best limit candidates seen so far,
+// in rank order, in one array of capacity size made on the first keep,
+// where size ≤ limit bounds how many candidates the call can find, so the
+// array never grows.
 func keep(out []Candidate, c Candidate, limit, size int) []Candidate {
 	switch {
-	case limit <= 0:
-		return append(out, c)
 	case out == nil:
 		out = make([]Candidate, 0, size)
 	case len(out) == limit:

@@ -140,6 +140,16 @@ func TestLinkLimitAndOrdering(t *testing.T) {
 			t.Fatal("candidates not sorted by score")
 		}
 	}
+	// A limit below 1 keeps no candidate; every one is kept at a limit of
+	// every slot.
+	for _, limit := range []int{0, -1} {
+		if got := l.Link("Philadelphia", limit); got != nil {
+			t.Fatalf("Link(Philadelphia, %d) = %v, want none", limit, got)
+		}
+	}
+	if all := l.Link("Philadelphia", len(l.id)); len(all) <= len(cands) || !slices.Equal(all[:2], cands) {
+		t.Fatalf("Link(Philadelphia, %d) = %v, want more than the 2 of the cap of 2 and those first", len(l.id), all)
+	}
 }
 
 func TestLinkMisses(t *testing.T) {
@@ -190,14 +200,14 @@ func TestSimilarity(t *testing.T) {
 func TestLinkIsASnapshotOfNew(t *testing.T) {
 	g, ids := phillyGraph(t)
 	l := New(g, Options{})
-	before := l.Link("Philadelphia 76ers", 0)
+	before := l.Link("Philadelphia 76ers", len(l.id))
 	for i := range 20 {
 		if err := g.Add(rdf.T(rdf.Resource("Philadelphia_76ers"), rdf.Ontology("player"),
 			rdf.Resource(fmt.Sprintf("Player_%d", i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	after := l.Link("Philadelphia 76ers", 0)
+	after := l.Link("Philadelphia 76ers", len(l.id))
 	if len(after) == 0 || after[0].ID != ids["Philadelphia_76ers"] {
 		t.Fatalf("Philadelphia 76ers: %v", after)
 	}
@@ -247,7 +257,7 @@ func TestLinkLemmaOnlyMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	l, ref := New(g, Options{}), newReference(g)
-	for _, limit := range []int{0, 1} {
+	for _, limit := range []int{len(l.id), 1} {
 		got, want := l.Link("city box", limit), ref.Link("city box", limit)
 		if !slices.Equal(got, want) {
 			t.Errorf("Link(city box, %d) = %v, the reference %v", limit, got, want)
@@ -391,7 +401,7 @@ func TestLinkScoresBounded(t *testing.T) {
 	g, _ := phillyGraph(t)
 	l := New(g, Options{})
 	for _, mention := range []string{"Philadelphia", "actor", "Antonio Banderas", "film"} {
-		for _, c := range l.Link(mention, 0) {
+		for _, c := range l.Link(mention, len(l.id)) {
 			if c.Score <= 0 || c.Score > 1 {
 				t.Fatalf("mention %q: score %f out of range", mention, c.Score)
 			}

@@ -15,9 +15,9 @@ import (
 // TraceFrom on the same context). All methods are safe on a nil *Trace —
 // the disabled state — and safe for concurrent use on a live one: the
 // flight recorder's worker reads a served request's trace while the
-// handler renders it. (A remote request's per-shard prefetch and scatter
-// goroutines share its budget, not its trace: the rpc.gather span waits
-// for them on the caller's goroutine.)
+// handler renders it. (A remote request's per-shard prefetch goroutines
+// share its budget, not its trace: they record no span, and the prefetch
+// waits for them on the caller's goroutine.)
 type Trace struct {
 	mu   sync.Mutex
 	name string

@@ -15,16 +15,15 @@ const OpBatch = shrOpBatch
 const (
 	OpOut      = shrOpOut
 	OpInPred   = shrOpInPred
-	OpPredGrp  = shrOpPredGrp
 	OpPredIDs  = shrOpPredIDs
 	OpEntities = shrOpEntities
 	StatusOK   = shrStatusOK
 )
 
 var (
-	StartFrameShards  = startFrameShards
-	CheckPredGroups   = checkPredGroups
-	CheckRemoteGroups = checkRemoteGroups
+	StartFrameShards = startFrameShards
+	CheckLocalScans  = checkLocalScans
+	CheckRemoteScans = checkRemoteScans
 )
 
 func (s *ShardServer) Handle(req []byte) ([]byte, bool) { return s.handle(req) }

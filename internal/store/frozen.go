@@ -24,6 +24,7 @@ package store
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"gqa/internal/budget"
@@ -71,8 +72,8 @@ type Snapshot struct {
 //
 // The requested count is validated, not trusted: a negative k is treated
 // as 0, and k is clamped to the current vertex count — residue classes
-// beyond NumTerms would be permanently empty parts that every k-way merge
-// still pays for. The effective shard count is returned
+// beyond NumTerms would be permanently empty parts that every freeze
+// still builds. The effective shard count is returned
 // (0 when unsharded); callers that care can log the clamp.
 func (g *Graph) SetShards(k int) int {
 	g.freezeMu.Lock()
@@ -234,36 +235,6 @@ func mergeIDLists(lists [][]ID) []ID {
 	}
 }
 
-// mergeSpoGroups streams the union of (S, O)-sorted groups in global
-// (S, O) order (subjects partition by shard, so heads never tie). It
-// returns false when fn stopped the iteration.
-func mergeSpoGroups(groups [][]Spo, fn func(Spo) bool) bool {
-	for {
-		best := -1
-		for i, gr := range groups {
-			if len(gr) == 0 {
-				continue
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			a, b := gr[0], groups[best][0]
-			if a.S < b.S || (a.S == b.S && a.O < b.O) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return true
-		}
-		spo := groups[best][0]
-		groups[best] = groups[best][1:]
-		if !fn(spo) {
-			return false
-		}
-	}
-}
-
 // ----------------------------------------------------------- the View
 
 // Generation returns the graph mutation generation the snapshot was built
@@ -318,11 +289,11 @@ func (sn *Snapshot) HasAdjacentPred(v, p ID) bool {
 func (sn *Snapshot) Has(s, p, o ID) bool { return spanHas(sn.rd.outSpan(s), p, o) }
 
 // Match calls fn for every triple matching the (s, p, o) pattern (Any is
-// the wildcard), stopping early if fn returns false. Every bound position
-// resolves to one span read in the owning part; predicate-major scans
-// merge the parts' groups back into global (S, O) order, so the iteration
-// order — (Pred, To) within a vertex, (P, S, O) across the graph — is the
-// same at every K.
+// the wildcard), stopping early if fn returns false. Every read is a span
+// read in the part owning its vertex: a bound position reads that vertex's
+// span, and a predicate-major scan walks the subjects (scanPred), so the
+// iteration order — (Pred, To) within a vertex, (P, S, O) across the graph
+// — is the same at every K and over the wire.
 func (sn *Snapshot) Match(s, p, o ID, fn func(Spo) bool) {
 	faultpoint.Hit(faultpoint.StoreMatch)
 	switch {
@@ -358,14 +329,31 @@ func (sn *Snapshot) Match(s, p, o ID, fn func(Spo) bool) {
 			}
 		}
 	case p != Any:
-		mergeSpoGroups(sn.rd.predGroups(p), fn)
+		sn.scanPred(p, fn)
 	default:
 		for _, pid := range sn.predIDs {
-			if !mergeSpoGroups(sn.rd.predGroups(pid), fn) {
+			if !sn.scanPred(pid, fn) {
 				return
 			}
 		}
 	}
+}
+
+// scanPred calls fn for every triple of predicate p in (S, O) order: each
+// subject's out p-run, subjects ascending. A predicate no edge has reads
+// nothing. It returns false when fn stopped the scan.
+func (sn *Snapshot) scanPred(p ID, fn func(Spo) bool) bool {
+	if _, ok := slices.BinarySearch(sn.predIDs, p); !ok {
+		return true
+	}
+	for v := range ID(sn.terms.len()) {
+		for _, e := range sn.rd.outPred(v, p) {
+			if !fn(Spo{v, p, e.To}) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // ---------------------------------------------------- per-request binding

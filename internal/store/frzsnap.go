@@ -303,16 +303,6 @@ func encodeFrzEdges(v []Edge) []byte {
 	return b
 }
 
-func encodeFrzSpos(v []Spo) []byte {
-	b := make([]byte, 0, 12*len(v))
-	for _, t := range v {
-		b = binary.LittleEndian.AppendUint32(b, uint32(t.S))
-		b = binary.LittleEndian.AppendUint32(b, uint32(t.P))
-		b = binary.LittleEndian.AppendUint32(b, uint32(t.O))
-	}
-	return b
-}
-
 // LoadFrozen reads a K = 1 file into a fresh, fully servable graph: a
 // graph that has been frozen, whose snapshot is the file's arrays
 // installed at its saved generation (the first Frozen() call is a pointer
@@ -540,18 +530,6 @@ func decodeFrzEdges(b []byte) []Edge {
 	return out
 }
 
-func decodeFrzSpos(b []byte) []Spo {
-	out := make([]Spo, len(b)/12)
-	for i := range out {
-		out[i] = Spo{
-			S: ID(binary.LittleEndian.Uint32(b[12*i:])),
-			P: ID(binary.LittleEndian.Uint32(b[12*i+4:])),
-			O: ID(binary.LittleEndian.Uint32(b[12*i+8:])),
-		}
-	}
-	return out
-}
-
 // checkSpan is what every span a reader hands out must be, read from a
 // file or from a shard's reply: each entry's predicate and target are terms
 // (below nTerms), and the entries are strictly (Pred,To)-sorted, as the CSR
@@ -754,9 +732,11 @@ func assembleFrozen(sp *ShardPart, pr *partReader) (*Graph, error) {
 		}
 	}
 	stats.Classes = len(classes)
-	for _, spo := range pt.predGroup(subClass) {
-		if pt.roles[spo.S]&roleClass == 0 || pt.roles[spo.O]&roleClass == 0 {
-			return nil, pr.fail(frzRoles, "rdfs:subClassOf endpoints %d/%d lack the class role", spo.S, spo.O)
+	for v := range n {
+		for _, e := range parts.outPred(ID(v), subClass) {
+			if pt.roles[v]&roleClass == 0 || pt.roles[e.To]&roleClass == 0 {
+				return nil, pr.fail(frzRoles, "rdfs:subClassOf endpoints %d/%d lack the class role", v, e.To)
+			}
 		}
 	}
 	if m.stats != stats || m.shardGen != m.gen {

@@ -511,3 +511,28 @@ func TestFrozenGenerationPreserved(t *testing.T) {
 		t.Fatalf("snapshot generation %d, want %d", g2.Frozen().Generation(), gen)
 	}
 }
+
+// TestFrozenSubClassOfEndsKeepTheClassRole: both ends of an rdfs:subClassOf
+// edge are classes, and a K = 1 file whose roles say otherwise is refused.
+// Here both ends are predicates as well, so a cleared class bit leaves the
+// entity derivation as it was and only the subClassOf check can see it.
+func TestFrozenSubClassOfEndsKeepTheClassRole(t *testing.T) {
+	g := New()
+	x, y := g.Intern(rdf.Ontology("X")), g.Intern(rdf.Ontology("Y"))
+	g.AddSPO(x, g.Intern(rdf.NewIRI(rdf.RDFSSubClass)), y)
+	g.AddSPO(x, x, y)
+	g.AddSPO(y, y, x)
+	valid := saveFrozenBytes(t, g)
+	if _, err := LoadFrozen(bytes.NewReader(valid)); err != nil {
+		t.Fatalf("valid file refused: %v", err)
+	}
+	lo, _ := sectionRange(valid, frzRoles)
+	for _, v := range []ID{x, y} {
+		mut := append([]byte(nil), valid...)
+		mut[lo+int(v)] &^= roleClass
+		refixChecksums(mut)
+		if _, err := LoadFrozen(bytes.NewReader(mut)); err == nil || !strings.Contains(err.Error(), "rdfs:subClassOf endpoints") {
+			t.Errorf("vertex %d's class bit cleared: err = %v, want the subClassOf refusal", v, err)
+		}
+	}
+}

@@ -141,9 +141,8 @@ func FuzzLoadShardPart(f *testing.F) {
 		// send for any vertex stays in bounds.
 		srv := NewShardServer(sp)
 		for v := ID(0); int(v) <= sp.NumTerms(); v++ {
-			for _, op := range []byte{shrOpOut, shrOpIn, shrOpPredGrp} {
-				mustAnswer(t, srv, reqV(op, v))
-			}
+			mustAnswer(t, srv, reqV(shrOpOut, v))
+			mustAnswer(t, srv, reqV(shrOpIn, v))
 			mustAnswer(t, srv, reqVP(shrOpOutPred, v, v))
 			mustAnswer(t, srv, reqVP(shrOpInPred, v, v))
 		}
@@ -156,11 +155,11 @@ func reqV(op byte, v ID) []byte         { return appendID([]byte{op}, v) }
 func reqVP(op byte, v, p ID) []byte     { return appendID(reqV(op, v), p) }
 func reqSPO(op byte, s, p, o ID) []byte { return appendID(reqVP(op, s, p), o) }
 
-// retiredReads are requests for the four retired scalar reads, ops 7–10
-// (degrees, has-adjacent-predicate, has, role), in the argument shapes an
-// older coordinator sends them.
+// retiredReads are requests for the retired reads, ops 7–11 (degrees,
+// has-adjacent-predicate, has, role, predicate group), in the argument
+// shapes an older coordinator sends them.
 func retiredReads(v ID) [][]byte {
-	return [][]byte{reqV(7, v), reqVP(8, v, v), reqSPO(9, v, v, v), reqV(10, v)}
+	return [][]byte{reqV(7, v), reqVP(8, v, v), reqSPO(9, v, v, v), reqV(10, v), reqV(11, v)}
 }
 
 // mustAnswer sends one request payload through the server's handler and
@@ -220,14 +219,14 @@ func FuzzShardServerHandle(f *testing.F) {
 	f.Add(frame(batchReq(mixed...)))
 	f.Add(frame(batchReq(reqV(shrOpOut, owned), reqVP(shrOpOut, owned, owned))))              // a sub-read with a bad argument count
 	f.Add(frame(batchReq(reqV(shrOpOut, owned), batchReq(reqV(shrOpIn, owned)))))             // nested batch
-	f.Add(frame(batchReq(reqV(shrOpPredGrp, owned))))                                         // an op that is not a per-vertex read
+	f.Add(frame(batchReq(reqV(shrOpPredIDs, owned))))                                         // an op that is not a per-vertex read
 	f.Add(frame(append(batchReq(reqV(shrOpOut, owned)), 0)))                                  // zero-length sub-request
 	f.Add(frame(append(batchReq(reqV(shrOpOut, owned)), 9, shrOpIn, 4, 0)))                   // sub-length running past the frame
 	f.Add(frame(batchReq(repeatReq(reqV(shrOpOut, owned), maxBatchReads)...)))                // a full batch
 	f.Add(frame(batchReq(repeatReq(reqV(shrOpOut, owned), maxBatchReads+1)...)))              // 257 reads
 	f.Add(frame(append(batchReq(repeatReq(reqVP(shrOpOutPred, 4, 4), maxBatchReads)...), 0))) // one byte over the request cap
 	f.Add(frame(batchReq(repeatReq(reqVP(shrOpInPred, owned, owned), maxBatchReads)...)))     // the longest reads at the cap
-	// The retired scalar reads in the shapes they took, alone and batched.
+	// The retired reads in the shapes they took, alone and batched.
 	for _, req := range retiredReads(owned) {
 		f.Add(frame(req))
 		f.Add(frame(batchReq(reqV(shrOpOut, owned), req)))

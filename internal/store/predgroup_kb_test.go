@@ -9,10 +9,10 @@ import (
 
 // TestPredGroupsOnWorkloadKBs holds every predicate scan of the workload
 // KBs — qald's mini-DBpedia, yago, the small nl-scale people KB and the
-// cinema KB — to the reference scatter at K ∈ {1, 2, 4, 8}: each part's
-// groups and shard-server reply bytes, and Match(Any, p, Any) across the
-// parts; then again after writes that follow a freeze, and in the group
-// replies of loopback shards at K = 4.
+// cinema KB — to the reference scatter at K ∈ {1, 2, 4, 8}: Match(Any, p,
+// Any) for every predicate and Match(Any, Any, Any); then again after
+// writes that follow a freeze, and through a coordinator over loopback
+// shards at K = 4.
 func TestPredGroupsOnWorkloadKBs(t *testing.T) {
 	for _, kb := range []struct {
 		name  string
@@ -36,7 +36,7 @@ func TestPredGroupsOnWorkloadKBs(t *testing.T) {
 			}
 			for _, k := range []int{1, 2, 4, 8} {
 				g.SetShards(k)
-				if err := store.CheckPredGroups(g.Freeze()); err != nil {
+				if err := store.CheckLocalScans(g.Freeze()); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -56,11 +56,11 @@ func TestPredGroupsOnWorkloadKBs(t *testing.T) {
 			}
 			for _, k := range []int{8, 4, 2, 1} {
 				g.SetShards(k)
-				if err := store.CheckPredGroups(g.Freeze()); err != nil {
+				if err := store.CheckLocalScans(g.Freeze()); err != nil {
 					t.Fatalf("after writes: %v", err)
 				}
 			}
-			store.CheckRemoteGroups(t, g, 4)
+			store.CheckRemoteScans(t, g, 4)
 		})
 	}
 }

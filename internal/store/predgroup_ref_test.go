@@ -1,19 +1,21 @@
 package store
 
 import (
-	"bytes"
-	"encoding/binary"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
+
+	"gqa/internal/rdf"
 )
 
-// Predicate-major scans walk the out spans (localParts.predGroups). A part
-// used to carry the result as an index of its own, a predicate-major CSR
-// that buildShardPart filled by a counting sort; these tests keep that
-// build as the reference the walk is held to, byte for byte.
+// A predicate-major scan walks the subjects and reads each one's out run
+// (Snapshot.scanPred). A part used to carry the result as an index of its
+// own, a predicate-major CSR that buildShardPart filled by a counting
+// sort, whose groups the snapshot then merged across the parts; these
+// tests keep that build as the reference both Match scans are held to,
+// triple for triple and in order.
 
 // scatterGroups is the parent's counting-sort scatter, verbatim but for
 // reading the part's fields and returning the CSR it built: count the owned
@@ -68,133 +70,144 @@ func (sc scatter) group(pred ID) []Spo {
 	return nil
 }
 
-// checkPredGroups holds a local snapshot's predicate scans to the
-// reference: for every part, its predicate list, each predicate's group as
-// the part reads it, and the bytes the part's shard server answers a group
-// read with; across the parts, Match(Any, p, Any) for every predicate and
-// Match(Any, Any, Any). Probes of terms that label no edge read empty.
-func checkPredGroups(sn *Snapshot) error {
-	scs := make([]scatter, sn.k)
-	for i, p := range sn.parts {
-		scs[i] = scatterOf(p)
+// refScan is the reference scan of predicate pred: the parts' groups
+// together, in (S, O) order. Subjects partition by part, so no two groups
+// share a subject and the order is the parts' merge.
+func refScan(scs []scatter, pred ID) []Spo {
+	var want []Spo
+	for _, sc := range scs {
+		want = append(want, sc.group(pred)...)
 	}
-	var all []Spo
-	for _, pid := range sn.predIDs {
-		refs := make([][]Spo, 0, sn.k)
-		for _, sc := range scs {
-			if g := sc.group(pid); len(g) > 0 {
-				refs = append(refs, g)
-			}
-		}
-		var want []Spo
-		mergeSpoGroups(refs, func(spo Spo) bool { want = append(want, spo); return true })
-		all = append(all, want...)
-		var got []Spo
-		sn.Match(Any, pid, Any, func(spo Spo) bool { got = append(got, spo); return true })
-		if !slices.Equal(got, want) {
-			return fmt.Errorf("K=%d: Match(Any, %d, Any) reads %d triples, the reference %d: not the same triples in the same order", sn.k, pid, len(got), len(want))
-		}
-	}
-	var got []Spo
-	sn.Match(Any, Any, Any, func(spo Spo) bool { got = append(got, spo); return true })
-	if !slices.Equal(got, all) {
-		return fmt.Errorf("K=%d: Match(Any, Any, Any) reads %d triples, the reference %d: not the same triples in the same order", sn.k, len(got), len(all))
-	}
+	slices.SortFunc(want, func(a, b Spo) int { return cmp.Or(cmp.Compare(a.S, b.S), cmp.Compare(a.O, b.O)) })
+	return want
+}
 
-	for i, p := range sn.parts {
+// checkPredScans holds sn's predicate scans to the reference built from
+// parts, the arrays sn reads locally or a loopback fleet serves it:
+// Match(Any, p, Any) for every predicate, and for terms that label no
+// edge, which read nothing, then Match(Any, Any, Any), the predicates'
+// scans one after another in ascending predicate order.
+func checkPredScans(sn *Snapshot, parts localParts) error {
+	scs := make([]scatter, len(parts))
+	var refIDs []ID
+	for i, p := range parts {
+		scs[i] = scatterOf(p)
 		if !slices.Equal(p.predIDs, scs[i].ids) {
 			return fmt.Errorf("K=%d part %d: predicate list %v, the reference %v", sn.k, i, p.predIDs, scs[i].ids)
 		}
-		srv := NewShardServer(sn.Part(i))
-		probes := append(append([]ID(nil), sn.predIDs...), None, ID(sn.NumTerms()))
-		if sn.NumTerms() > 0 {
-			probes = append(probes, 0, ID(sn.NumTerms()-1))
+		refIDs = append(refIDs, scs[i].ids...)
+	}
+	slices.Sort(refIDs)
+	if refIDs = slices.Compact(refIDs); !slices.Equal(sn.predIDs, refIDs) {
+		return fmt.Errorf("K=%d: predicate list %v, the reference %v", sn.k, sn.predIDs, refIDs)
+	}
+	var all []Spo
+	for _, pid := range sn.predIDs {
+		want := refScan(scs, pid)
+		all = append(all, want...)
+		if got := collectScan(sn, pid); !slices.Equal(got, want) {
+			return fmt.Errorf("K=%d: Match(Any, %d, Any) reads %d triples, the reference %d: not the same triples in the same order", sn.k, pid, len(got), len(want))
 		}
-		for _, pid := range probes {
-			want := scs[i].group(pid)
-			var got []Spo
-			switch gs := srv.rd.predGroups(pid); {
-			case len(gs) > 1:
-				return fmt.Errorf("K=%d part %d: predicate %d reads %d groups from one part", sn.k, i, pid, len(gs))
-			case len(gs) == 1:
-				if len(gs[0]) == 0 {
-					return fmt.Errorf("K=%d part %d: predicate %d reads an empty group", sn.k, i, pid)
-				}
-				got = gs[0]
-			}
-			if !bytes.Equal(encodeFrzSpos(got), encodeFrzSpos(want)) {
-				return fmt.Errorf("K=%d part %d: predicate %d's group differs from the reference (%d triples, want %d)", sn.k, i, pid, len(got), len(want))
-			}
-			reply := srv.answer(reqV(shrOpPredGrp, pid))
-			if wantReply := append([]byte{shrStatusOK}, encodeFrzSpos(want)...); !bytes.Equal(reply, wantReply) {
-				return fmt.Errorf("K=%d part %d: the server answers a group read of predicate %d with %d bytes, the reference %d", sn.k, i, pid, len(reply), len(wantReply))
+	}
+	for _, pid := range []ID{0, ID(sn.NumTerms() - 1), ID(sn.NumTerms())} {
+		if !slices.Contains(sn.predIDs, pid) {
+			if got := collectScan(sn, pid); len(got) != 0 {
+				return fmt.Errorf("K=%d: Match(Any, %d, Any) of a term no edge labels reads %d triples", sn.k, pid, len(got))
 			}
 		}
+	}
+	if got := collectScan(sn, Any); !slices.Equal(got, all) {
+		return fmt.Errorf("K=%d: Match(Any, Any, Any) reads %d triples, the reference %d: not the same triples in the same order", sn.k, len(got), len(all))
 	}
 	return nil
 }
 
-// checkRemoteGroups serves g's k-part freeze from loopback shards, scans
-// every predicate through a coordinator, and holds each shard's group reply
-// to the reference's bytes and each remote scan to the local one.
-func checkRemoteGroups(t *testing.T, g *Graph, k int) {
+// collectScan is what Match(Any, p, Any) reads, in its order.
+func collectScan(sn *Snapshot, p ID) []Spo {
+	var got []Spo
+	sn.Match(Any, p, Any, func(spo Spo) bool { got = append(got, spo); return true })
+	return got
+}
+
+// checkLocalScans holds a local snapshot's scans to the reference over its
+// own parts.
+func checkLocalScans(sn *Snapshot) error { return checkPredScans(sn, sn.parts) }
+
+// checkRemoteScans serves g's k-part freeze from loopback shards and holds
+// a coordinator's scans to the reference over the parts the shards serve.
+// A scan of a term that labels no edge sends no frame: the predicate list
+// answers it.
+func checkRemoteScans(t *testing.T, g *Graph, k int) {
 	t.Helper()
-	var mu sync.Mutex
-	replies := make(map[[2]ID][]byte) // (shard, predicate) → the reply
-	addrs := startFrameShards(t, g, k, func(srv *ShardServer, req []byte) ([]byte, bool) {
-		resp, ok := srv.handle(req)
-		if len(req) == 5 && req[0] == shrOpPredGrp {
-			mu.Lock()
-			replies[[2]ID{ID(srv.part.Shard()), ID(binary.LittleEndian.Uint32(req[1:]))}] = resp
-			mu.Unlock()
-		}
-		return resp, ok
-	})
-	sn := g.Freeze()
+	addrs, _ := startLoopbackShards(t, g, k)
 	rss, err := DialShards(addrs, g.Terms(), RemoteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rss.Close()
-	for _, p := range sn.predIDs {
-		local, remote := collectVia(sn.Match, Any, p, Any), collectVia(rss.Match, Any, p, Any)
-		if !slices.Equal(local, remote) {
-			t.Fatalf("K=%d: a remote scan of predicate %d reads %d triples, a local one %d", k, p, len(remote), len(local))
-		}
-		for shard, part := range sn.parts {
-			want := append([]byte{shrStatusOK}, encodeFrzSpos(scatterOf(part).group(p))...)
-			if got := replies[[2]ID{ID(shard), p}]; !bytes.Equal(got, want) {
-				t.Fatalf("K=%d: shard %d answers a group read of predicate %d with %d bytes, the reference %d", k, shard, p, len(got), len(want))
-			}
-		}
+	if err := checkPredScans(rss, g.Freeze().parts); err != nil {
+		t.Fatalf("over loopback: %v", err)
+	}
+	bv := rss.BindRequest(nil, nil)
+	if got, calls := collectScan(bv, ID(rss.NumTerms())), rpcOf(bv).req.calls.Load(); len(got) != 0 || calls != 0 {
+		t.Fatalf("K=%d: a scan of a term no edge labels read %d triples in %d frames, want none in none", k, len(got), calls)
 	}
 }
 
 // TestPredGroupsMatchScatter: on random rich graphs at K ∈ {1, 2, 3, 4, 8},
-// after a freeze and after writes that follow it, every predicate scan
-// reads what the reference scatter built, and so does every shard of a
-// loopback set at K ∈ {2, 3}.
+// after a freeze and after writes that follow it (one of them an edge out
+// of a new, last term), both Match scans read
+// what the reference scatter built, and so does a coordinator over a
+// loopback set at every K above 1.
 func TestPredGroupsMatchScatter(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		for _, k := range []int{1, 2, 3, 4, 8} {
 			g := randomRichGraph(rand.New(rand.NewSource(seed)))
 			g.SetShards(k)
-			if err := checkPredGroups(g.Freeze()); err != nil {
+			if err := checkLocalScans(g.Freeze()); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			var spos []Spo
-			g.Freeze().Match(Any, Any, Any, func(spo Spo) bool { spos = append(spos, spo); return true })
+			spos := collectScan(g.Freeze(), Any)
 			for i := 0; i < len(spos); i += 5 {
 				g.Remove(spos[i].S, spos[i].P, spos[i].O)
 			}
 			for i := 1; i+1 < len(spos); i += 7 {
 				g.AddSPO(spos[i+1].S, spos[i].P, spos[i-1].O)
 			}
-			if err := checkPredGroups(g.Freeze()); err != nil {
+			// The last term is a subject too, so a walk that stops short
+			// of it reads less.
+			g.AddSPO(g.Intern(rdf.Resource("last")), spos[0].P, spos[0].O)
+			if err := checkLocalScans(g.Freeze()); err != nil {
 				t.Fatalf("seed %d, after writes: %v", seed, err)
 			}
-			if k == 2 || k == 3 {
-				checkRemoteGroups(t, g, k)
+			if k > 1 {
+				checkRemoteScans(t, g, k)
+			}
+		}
+	}
+}
+
+// TestPredScanAllocs: a local predicate scan is a walk over the frozen
+// arrays and allocates nothing, at K = 1 and across four parts: no group
+// is built per part and none is merged. Match(Any, Any, Any), one such
+// walk per predicate, allocates nothing either.
+func TestPredScanAllocs(t *testing.T) {
+	for _, k := range []int{1, 4} {
+		g := randomRichGraph(rand.New(rand.NewSource(7)))
+		g.SetShards(k)
+		sn := g.Freeze()
+		p := sn.predIDs[0]
+		for _, scan := range []ID{p, Any} {
+			n := 0
+			f := func() {
+				n = 0
+				sn.Match(Any, scan, Any, func(Spo) bool { n++; return true })
+			}
+			if a := testing.AllocsPerRun(100, f); a != 0 {
+				t.Errorf("K=%d: Match(Any, %d, Any) allocates %v times a scan, want 0", k, scan, a)
+			}
+			if n == 0 {
+				t.Fatalf("K=%d: Match(Any, %d, Any) read nothing", k, scan)
 			}
 		}
 	}

@@ -8,9 +8,11 @@ package store
 // matcher's search, the SPARQL evaluator and the dict path walks run
 // unchanged over the wire. Each server answers from the exact
 // arrays its part file froze, through the same localParts reader an
-// in-process snapshot uses, and the View above merges predicate-major
-// groups with the same merge — so remote answers are byte-identical to
-// local ones.
+// in-process snapshot uses, and the View above derives the rest
+// (membership, degrees, the predicate scan's subject walk) from those
+// spans as it does locally, so remote answers are byte-identical to local
+// ones. A predicate scan is one span read per term: correct and slow, and
+// no question makes one, so nothing reads ahead for it.
 //
 // The robustness work lives here, not in the server: per-call deadlines
 // derived from the request budget (a call never outlives the request it
@@ -544,36 +546,6 @@ func (r *rpcReader) decodeSpan(shard int, k Read, body []byte) ([]Edge, error) {
 	return span, nil
 }
 
-// fetchGroup reads shard's group of predicate p as one call and checks the
-// reply: each triple's subject and object are terms, its predicate is p (a
-// term), its subject is one the shard owns, and the triples are strictly
-// (S, O)-sorted, as mergeSpoGroups needs. A broken reply is a failed call
-// whose error names the shard, the opcode, the predicate and the entry.
-func (r *rpcReader) fetchGroup(shard int, p ID) ([]Spo, error) {
-	body, err := r.call(shard, Read{op: shrOpPredGrp, v: p}.appendTo(nil))
-	if err != nil {
-		return nil, err
-	}
-	group, err := decodeReply(shard, shrOpPredGrp, body, 12, decodeFrzSpos) // nil on a ragged reply
-	for j, t := range group {
-		why := ""
-		switch {
-		case t.S >= r.nTerms || t.O >= r.nTerms:
-			why = fmt.Sprintf("references a term out of range (%d terms)", r.nTerms)
-		case t.P != p:
-			why = "is of another predicate"
-		case int(t.S)%r.k != shard:
-			why = "has a subject the shard does not own"
-		case j > 0 && (t.S < group[j-1].S || (t.S == group[j-1].S && t.O <= group[j-1].O)):
-			why = "breaks the strict (S,O) order"
-		default:
-			continue
-		}
-		return nil, fmt.Errorf("shard %d, opcode %d, predicate %d: entry %d %s", shard, shrOpPredGrp, p, j, why)
-	}
-	return group, err
-}
-
 func appendID(b []byte, v ID) []byte {
 	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
@@ -737,46 +709,4 @@ func (r *rpcReader) fetchBatch(shard int, reads []Read) bool {
 		}
 	}
 	return true
-}
-
-// predGroups is the over-the-wire scatter-gather of a predicate-major
-// scan: every shard's (S,O)-sorted group for p is fetched concurrently,
-// and each reply is checked (fetchGroup). A failed leg — a failed call or
-// a broken reply, which is not retried — degrades the request; the caller
-// merges whatever arrived, so a doomed scan still terminates promptly with
-// partial (budget-flagged) results.
-func (r *rpcReader) predGroups(p ID) [][]Spo {
-	var parent *obs.Span
-	if r.req != nil {
-		parent = r.req.sp
-	}
-	sp := parent.Child("rpc.gather")
-	results := make([][]Spo, r.k)
-	var failed atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < r.k; i++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			group, err := r.fetchGroup(shard, p)
-			if err != nil {
-				failed.Add(1)
-				r.degrade()
-			}
-			results[shard] = group
-		}(i)
-	}
-	wg.Wait()
-	groups := make([][]Spo, 0, r.k)
-	for _, g := range results {
-		if len(g) > 0 {
-			groups = append(groups, g)
-		}
-	}
-	if sp.Enabled() {
-		sp.SetInt("shards", int64(r.k))
-		sp.SetInt("failed", failed.Load())
-	}
-	sp.Finish()
-	return groups
 }

@@ -23,7 +23,8 @@ import (
 //     chooses which of the four reads is checked;
 //   - fuzzBatch: every batch frame; a prefetch of three reads is followed
 //     by the reads;
-//   - fuzzGroup: every predicate-group read, behind a predicate scan;
+//   - fuzzScan: every single span read, behind a predicate scan, which
+//     reads one out run per term;
 //   - fuzzList: the dial-time entity (even pick) or predicate list.
 //
 // The forged payload is the whole reply, status byte included. A read
@@ -32,11 +33,14 @@ import (
 // request as shard-unavailable; a dial accepts a well-formed list or fails
 // naming shard 1. Well-formed is judged here, apart from remote.go: whole
 // records, every ID a term, strictly sorted, of the predicate asked for,
-// owned as the part owns it, and a list that merges with shard 0's to the
-// length the stats give. A reply with no status byte, the empty payload,
-// is refused as an error status is: the read it answers fails, and the
-// shard stays up for the reads after it. A well-formed reply that is not the part's is
-// accepted: the coordinator has nothing to hold it to. Whatever the read
+// an entity owned as the part owns it, and a list that merges with shard
+// 0's to the length the stats give. A scan reads shard 0's subjects' runs
+// and, for each of shard 1's terms, the forged run when it is well formed;
+// a refused run degrades the scan's request and reads nothing. A reply
+// with no status byte, the empty payload, is refused as an error status
+// is: the read it answers fails, and the shard stays up for the reads
+// after it. A well-formed reply that is not the part's is accepted: the
+// coordinator has nothing to hold it to. Whatever the read
 // did, a cinema question answered over the fleet must not panic.
 func FuzzRemoteReply(f *testing.F) {
 	kb := bench.NewCinemaKB()
@@ -100,21 +104,26 @@ func FuzzRemoteReply(f *testing.F) {
 			for i, rd := range fx.batched() {
 				fx.check(t, tr, rd.do(bound), wants[i], refused)
 			}
-		case fuzzGroup:
+		case fuzzScan:
+			// Bound with no budget, so a refusal does not end the scan:
+			// every term is read, and the refusal shows as the request's
+			// degrade reason.
+			scan := sn.BindRequest(nil, nil)
 			var got []store.Spo
-			bound.Match(store.Any, fx.p, store.Any, func(spo store.Spo) bool { got = append(got, spo); return true })
-			// A refused group degrades the scan to what shard 0 sent, which
-			// is nothing when the refusal tripped the budget before shard
-			// 0's call went out.
-			group, wellFormed := fx.group(payload)
-			want := mergeSpos(fx.group0, group)
-			if !wellFormed && len(got) == 0 {
-				want = nil
-			} else if !wellFormed {
-				want = fx.group0
+			scan.Match(store.Any, fx.p, store.Any, func(spo store.Spo) bool { got = append(got, spo); return true })
+			run, wellFormed := fx.span(spanRead{p: fx.p, out: true}, payload)
+			want := fx.group0
+			if wellFormed {
+				var forged []store.Spo
+				for v := store.ID(1); v < fx.nTerms; v += 2 {
+					for _, e := range run {
+						forged = append(forged, store.Spo{S: v, P: fx.p, O: e.To})
+					}
+				}
+				want = mergeSpos(fx.group0, forged)
 			}
-			if reason := tr.Exhausted(); !slices.Equal(got, want) || (reason == budget.ReasonShard) == wellFormed {
-				t.Fatalf("the scan read %d triples with budget reason %q; want %d, degraded %v", len(got), reason, len(want), !wellFormed)
+			if reason := scan.DegradeReason(); !slices.Equal(got, want) || (reason == budget.ReasonShard) == wellFormed {
+				t.Fatalf("the scan read %d triples with degrade reason %q; want %d, degraded %v", len(got), reason, len(want), !wellFormed)
 			}
 		}
 
@@ -127,7 +136,7 @@ func FuzzRemoteReply(f *testing.F) {
 const (
 	fuzzSpan = iota
 	fuzzBatch
-	fuzzGroup
+	fuzzScan
 	fuzzList
 	fuzzTargets
 )
@@ -142,12 +151,10 @@ type replyForgery struct {
 
 func (fz *replyForgery) forges(op byte) bool {
 	switch fz.target {
-	case fuzzSpan:
+	case fuzzSpan, fuzzScan:
 		return op >= store.OpOut && op <= store.OpInPred
 	case fuzzBatch:
 		return op == store.OpBatch
-	case fuzzGroup:
-		return op == store.OpPredGrp
 	}
 	return op == fz.op
 }
@@ -183,8 +190,7 @@ type replyFixture struct {
 	nTerms    store.ID
 	p         store.ID    // starring: the runs' and the scan's predicate
 	reads     [4]spanRead // out span, in span, out run, in run
-	group0    []store.Spo // shard 0's group of p
-	group1    []store.Spo // shard 1's
+	group0    []store.Spo // shard 0's subjects' triples of p, in (S, O) order
 	entities0 []store.ID  // shard 0's entity list
 	entities1 []store.ID
 	preds0    []store.ID // shard 0's predicate list: its subjects' out edges'
@@ -200,11 +206,8 @@ func newReplyFixture(g *store.Graph) *replyFixture {
 	sn.Match(store.Any, p, store.Any, func(spo store.Spo) bool {
 		if spo.S%2 == 0 {
 			fx.group0 = append(fx.group0, spo)
-		} else {
-			fx.group1 = append(fx.group1, spo)
-			if outV == store.None {
-				outV = spo.S
-			}
+		} else if outV == store.None {
+			outV = spo.S
 		}
 		if spo.O%2 == 1 && inV == store.None {
 			inV = spo.O
@@ -356,29 +359,6 @@ func (fx *replyFixture) batch(payload []byte) ([][]store.Edge, bool) {
 	return wants, false
 }
 
-// group is what a predicate-group payload says, when it is well formed:
-// triples of p whose subjects shard 1 owns, every ID a term, strictly
-// (S, O)-sorted.
-func (fx *replyFixture) group(payload []byte) ([]store.Spo, bool) {
-	b, ok := body(payload)
-	vs, whole := ids(b)
-	if !ok || !whole || len(vs)%3 != 0 {
-		return nil, false
-	}
-	var out []store.Spo
-	for i := 0; i < len(vs); i += 3 {
-		t := store.Spo{S: vs[i], P: vs[i+1], O: vs[i+2]}
-		if t.S >= fx.nTerms || t.O >= fx.nTerms || t.P != fx.p || t.S%2 != 1 {
-			return nil, false
-		}
-		if n := len(out); n > 0 && (t.S < out[n-1].S || (t.S == out[n-1].S && t.O <= out[n-1].O)) {
-			return nil, false
-		}
-		out = append(out, t)
-	}
-	return out, true
-}
-
 // list is what a dial-time list payload says, when it is well formed:
 // terms, strictly ascending, an entity list only of shard 1's, and merged
 // with shard 0's list as long as the stats say: as many entities as the
@@ -442,14 +422,6 @@ func edgeBytes(span []store.Edge) []byte {
 	return b
 }
 
-func spoBytes(group []store.Spo) []byte {
-	var b []byte
-	for _, t := range group {
-		b = append(b, u32s(t.S, t.P, t.O)...)
-	}
-	return b
-}
-
 // seeds are each target's true replies and one break of each reply check:
 // a ragged body, an ID past the term count, an order break, a repeated
 // entry, another predicate, a vertex the shard does not own, a list one
@@ -508,16 +480,17 @@ func (fx *replyFixture) seeds() []replySeed {
 		subs(sub[0], okReply(nil), sub[2]), append(subs(sub[0], okReply(nil), sub[2]), 0),
 		subs(sub[0], []byte{1}, sub[2]), errReply, nil)
 
-	g := spoBytes(fx.group1)
-	swapped := slices.Clone(fx.group1)
-	swapped[0], swapped[1] = swapped[1], swapped[0]
-	first := fx.group1[0]
-	add(fuzzGroup, 0, okReply(g), okReply(append(slices.Clone(g), 1)), okReply(spoBytes(swapped)),
-		okReply(spoBytes([]store.Spo{first, first})),
-		okReply(spoBytes([]store.Spo{{S: first.S, P: fx.p, O: bad}})),
-		okReply(spoBytes([]store.Spo{{S: bad, P: fx.p, O: 0}})),
-		okReply(spoBytes([]store.Spo{{S: first.S, P: other, O: 0}})),
-		okReply(spoBytes([]store.Spo{{S: first.S - 1, P: fx.p, O: 0}})),
+	// A scan's seeds: one shard-1 subject's true run, answered for every
+	// shard-1 term, and each break of it.
+	run := fx.reads[2].want
+	swappedRun := slices.Clone(run)
+	swappedRun[0], swappedRun[1] = swappedRun[1], swappedRun[0]
+	add(fuzzScan, 0, okReply(edgeBytes(run)), okReply(append(edgeBytes(run), 1)), okReply(edgeBytes(swappedRun)),
+		okReply(edgeBytes([]store.Edge{run[0], run[0]})),
+		okReply(edgeBytes([]store.Edge{{Pred: fx.p, To: bad}})),
+		okReply(edgeBytes([]store.Edge{{Pred: bad, To: 0}})),
+		okReply(edgeBytes([]store.Edge{{Pred: other, To: 0}})),
+		okReply(edgeBytes([]store.Edge{{Pred: min(fx.p, other), To: 0}, {Pred: max(fx.p, other), To: 0}})),
 		okReply(nil), errReply, []byte{1}, nil)
 
 	for pick, list := range [2][]store.ID{fx.entities1, fx.preds1} {

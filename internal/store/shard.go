@@ -6,12 +6,10 @@ package store
 // sorted by (Pred, To). A monolithic snapshot is simply K = 1. Because a
 // vertex lives wholly in one part, every per-vertex read is one-part and
 // returns the same sorted span at every K. A predicate-major scan is not
-// an index of its own: a part's group of predicate p is the p-runs of its
-// owned subjects' out spans, walked in ascending subject order, which is
-// (S, O) order; since subjects partition by residue a k-way merge of the
-// per-part groups reproduces the global order exactly. That order identity
-// is what keeps answers byte-identical across shard counts and across the
-// process boundary.
+// an index of its own: the snapshot walks every subject in ascending ID
+// order and reads its out p-run, which is (S, O) order whichever part owns
+// each subject. That order identity is what keeps answers byte-identical
+// across shard counts and across the process boundary.
 //
 // Each edge (s, p, o) is stored twice, once per direction: in s's part's
 // out-CSR and o's part's in-CSR; a membership probe reads s's out span
@@ -247,33 +245,3 @@ func (ps localParts) inSpan(v ID) []Edge {
 
 func (ps localParts) outPred(v, p ID) []Edge { return predSpan(ps.outSpan(v), p) }
 func (ps localParts) inPred(v, p ID) []Edge  { return predSpan(ps.inSpan(v), p) }
-
-func (ps localParts) predGroups(pred ID) [][]Spo {
-	var groups [][]Spo
-	for _, p := range ps {
-		if p == nil {
-			continue
-		}
-		if group := p.predGroup(pred); len(group) > 0 {
-			groups = append(groups, group)
-		}
-	}
-	return groups
-}
-
-// predGroup is the part's (S, O)-sorted group of predicate pred: it walks
-// the owned subjects in ascending order and takes each out span's
-// pred-run; empty for a predicate no out edge has.
-func (p *shardPart) predGroup(pred ID) []Spo {
-	if _, ok := slices.BinarySearch(p.predIDs, pred); !ok {
-		return nil
-	}
-	var group []Spo
-	for l := range p.roles {
-		s := ID(p.shard + l*p.k)
-		for _, e := range predSpan(p.outEdges[p.outOff[l]:p.outOff[l+1]], pred) {
-			group = append(group, Spo{S: s, P: pred, O: e.To})
-		}
-	}
-	return group
-}

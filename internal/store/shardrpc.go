@@ -7,9 +7,9 @@ package store
 // carries is the reader interface (view.go), one opcode per method: tiny
 // fixed-size requests (an op byte plus at most two IDs) and responses
 // that are raw little-endian dumps of the spans the in-process localParts
-// reader returns, in the same order: every per-vertex reply is a span.
-// Identity of the served bytes is what keeps remote answers
-// byte-identical to local ones.
+// reader returns, in the same order. Every data read is a span read; only
+// the dial (meta and the two ID lists) is not. Identity of the served
+// bytes is what keeps remote answers byte-identical to local ones.
 //
 // Framing: every message is [u32 length][payload], length = len(payload),
 // little-endian. A request payload is [op byte][args]; a response payload
@@ -48,13 +48,14 @@ import (
 // a fleet upgraded by halves fails at dial time, naming the shard, instead
 // of degrading answers on the first read its server no longer answers.
 // Bump it with any change to a request or a reply. A server from before
-// revisions answers the meta without it: revision 0.
-const shardProtocol = 1
+// revisions answers the meta without it: revision 0. Revision 2 retired
+// op 11, the predicate group: a revision-1 coordinator would still send it.
+const shardProtocol = 2
 
 // Op codes. Order is wire contract; add new ops at the end only. A retired
 // op keeps its number as a gap, so no other op's frames change, and a
 // server answers it "unknown op": *Snapshot derives the four scalar reads
-// 7–10 once named from the spans.
+// 7–10 and the predicate group 11 once named from the spans.
 const (
 	shrOpPing     = iota + 1 // health probe; empty response
 	shrOpMeta                // part identity + global facts (shardMeta encoding), then shardProtocol
@@ -66,7 +67,7 @@ const (
 	_                        // 8 retired: has-adjacent-predicate
 	_                        // 9 retired: has
 	_                        // 10 retired: role
-	shrOpPredGrp             // p → this shard's (S,O)-sorted triple group
+	_                        // 11 retired: predicate group
 	shrOpPredIDs             // → this shard's ascending predicate list
 	shrOpEntities            // → this shard's ascending owned-entity list
 	shrOpBatch               // up to maxBatchReads per-vertex reads (shrOpOut … shrOpInPred) → their replies
@@ -298,11 +299,6 @@ func (s *ShardServer) answer(req []byte) []byte {
 			return shardErrResp("inPred: want 2 args")
 		}
 		return append(out, encodeFrzEdges(rd.inPred(arg(0), arg(1)))...)
-	case shrOpPredGrp:
-		if !need(1) {
-			return shardErrResp("predGroup: want 1 arg")
-		}
-		return append(out, encodeFrzSpos(p.predGroup(arg(0)))...)
 	case shrOpPredIDs:
 		return append(out, encodeFrzU32s(p.predIDs)...)
 	case shrOpEntities:

@@ -448,8 +448,7 @@ func TestRemoteFailureModes(t *testing.T) {
 
 	// A reply that is not a whole number of records is a failed call, not
 	// one whose tail is dropped: at dial time DialShards fails with the
-	// shard, the opcode and the byte length; a predicate-group reply fails
-	// the read and degrades the request. Shard 1 adds one stray byte to
+	// shard, the opcode and the byte length. Shard 1 adds one stray byte to
 	// every reply of one opcode.
 	var raggedOp atomic.Int32
 	raddrs := startFrameShards(t, g, 2, func(srv *ShardServer, req []byte) ([]byte, bool) {
@@ -546,6 +545,14 @@ func TestRemoteFailureModes(t *testing.T) {
 			}
 			return resp
 		}, fmt.Sprintf("shard 1 (%s) speaks shard protocol revision %d, this build %d", daddrs[1], shardProtocol+1, shardProtocol)},
+		// Revision 1 still served op 11, the predicate group, which this
+		// build never sends: a fleet half on it is refused all the same.
+		{"shard of revision 1", nil, nil, func(op byte, resp []byte) []byte {
+			if op == shrOpMeta {
+				binary.LittleEndian.PutUint32(resp[len(resp)-4:], 1)
+			}
+			return resp
+		}, fmt.Sprintf("shard 1 (%s) speaks shard protocol revision 1, this build %d", daddrs[1], shardProtocol)},
 		{"server from before revisions", nil, nil, func(op byte, resp []byte) []byte {
 			if op == shrOpMeta {
 				return resp[:1+shrMetaSize]
@@ -602,30 +609,6 @@ func TestRemoteFailureModes(t *testing.T) {
 			}
 		})
 	}
-	t.Run("ragged predicate-group reply", func(t *testing.T) {
-		rss, err := DialShards(raddrs, g.Terms(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rss.Close()
-		raggedOp.Store(int32(shrOpPredGrp))
-		defer raggedOp.Store(0)
-		ctx, cancel := contextWithTimeout(2 * time.Second)
-		defer cancel()
-		tr := budget.New(ctx, budget.Limits{})
-		bv := rss.BindRequest(tr, nil)
-		var got []Spo
-		bv.Match(Any, probe.P, Any, func(spo Spo) bool { got = append(got, spo); return true })
-		for _, spo := range got {
-			if int(spo.S)%2 == 1 {
-				t.Fatalf("a triple %v of the ragged shard was read", spo)
-			}
-		}
-		if reason, errs := tr.Exhausted(), rpcOf(bv).req.errs.Load(); reason != budget.ReasonShard || errs == 0 {
-			t.Fatalf("budget reason = %q with %d errors, want %q", reason, errs, budget.ReasonShard)
-		}
-	})
-
 	// A span reply must be what a file's span must be (checkSpan): every ID
 	// a term, the entries strictly (Pred,To)-sorted; a per-predicate run
 	// must also hold only the predicate asked for. Shard 1 answers every
@@ -639,13 +622,12 @@ func TestRemoteFailureModes(t *testing.T) {
 	// entry. A batch carrying a broken sub-reply stores nothing, so the read
 	// behind it goes to the wire and fails the same.
 	var brokenSpan atomic.Pointer[[]byte]
-	var brokenGroup atomic.Pointer[[]byte]
 	saddrs := startFrameShards(t, g, 2, func(srv *ShardServer, req []byte) ([]byte, bool) {
 		resp, ok := srv.handle(req)
 		if srv.part.Shard() != 1 || resp[0] != shrStatusOK {
 			return resp, ok
 		}
-		bad, badGroup := brokenSpan.Load(), brokenGroup.Load()
+		bad := brokenSpan.Load()
 		switch {
 		case bad != nil && req[0] >= shrOpOut && req[0] <= shrOpInPred:
 			return append([]byte{shrStatusOK}, *bad...), ok
@@ -656,8 +638,6 @@ func TestRemoteFailureModes(t *testing.T) {
 				out = append(append(out, shrStatusOK), *bad...)
 			}
 			return out, ok
-		case badGroup != nil && req[0] == shrOpPredGrp:
-			return append([]byte{shrStatusOK}, *badGroup...), ok
 		}
 		return resp, ok
 	})
@@ -733,73 +713,72 @@ func TestRemoteFailureModes(t *testing.T) {
 		}
 	}
 
-	// A predicate-group reply must be what the shard's group is: every ID
-	// a term, every triple of the predicate asked for and of a subject the
-	// shard owns (S mod K), strictly (S,O)-sorted, as the merge needs. Shard
-	// 1 answers a group read with one broken group; the scan keeps shard 0's
-	// group, the request degrades as shard-unavailable with no retry and the
-	// shard left up, and the error names the shard, the opcode, the
-	// predicate and the entry.
-	p := owned.P
-	var wantGroup []Spo // shard 0's group
-	sn.Match(Any, p, Any, func(spo Spo) bool {
-		if spo.S%2 == 0 {
-			wantGroup = append(wantGroup, spo)
+	// A predicate scan is one out-run read per term, so over shard 1's
+	// broken span replies it reads the triples of shard 0's subjects, in
+	// order, and the request degrades as shard-unavailable. With no budget
+	// to trip, every term is read: each of shard 1's is a refused reply,
+	// none retried, and the shard stays up. With a budget, the first
+	// refusal trips it and the scan sends no frame after it.
+	t.Run("predicate scan over broken span replies", func(t *testing.T) {
+		rss, err := DialShards(saddrs, g.Terms(), opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return true
-	})
-	for _, tc := range []struct {
-		name  string
-		group []Spo
-		entry int
-		why   string
-	}{
-		{"group reply with an object out of range", []Spo{{S: 1, P: p, O: 0xFFFFFF00}}, 0, "out of range"},
-		{"group reply with a subject out of range", []Spo{{S: 1, P: p, O: 2}, {S: 0xFFFFFF01, P: p, O: 0}}, 1, "out of range"},
-		{"group reply of another predicate", []Spo{{S: 1, P: p, O: 2}, {S: 3, P: other, O: 0}}, 1, "of another predicate"},
-		{"group reply with a foreign subject", []Spo{{S: 1, P: p, O: 2}, {S: 2, P: p, O: 0}}, 1, "subject the shard does not own"},
-		{"unsorted group reply", []Spo{{S: 1, P: p, O: 3}, {S: 1, P: p, O: 3}}, 1, "(S,O) order"},
-		{"group reply out of subject order", []Spo{{S: 3, P: p, O: 0}, {S: 1, P: p, O: 3}}, 1, "(S,O) order"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rss, err := DialShards(saddrs, g.Terms(), opts)
-			if err != nil {
-				t.Fatal(err)
+		defer rss.Close()
+		bad := encodeFrzEdges([]Edge{{Pred: owned.P, To: 0xFFFFFF00}})
+		brokenSpan.Store(&bad)
+		defer brokenSpan.Store(nil)
+		var want []Spo // shard 0's subjects' triples
+		sn.Match(Any, owned.P, Any, func(spo Spo) bool {
+			if spo.S%2 == 0 {
+				want = append(want, spo)
 			}
-			defer rss.Close()
-			bad := encodeFrzSpos(tc.group)
-			brokenGroup.Store(&bad)
-			defer brokenGroup.Store(nil)
-			ctx, cancel := contextWithTimeout(2 * time.Second)
-			defer cancel()
-			tr := budget.New(ctx, budget.Limits{})
-			bv := rss.BindRequest(tr, nil)
-			st := rpcOf(bv).req
-			var got []Spo
-			bv.Match(Any, p, Any, func(spo Spo) bool { got = append(got, spo); return true })
-			if !reflect.DeepEqual(got, wantGroup) {
-				t.Fatalf("the scan read %v, want shard 0's group %v", got, wantGroup)
-			}
-			if reason, errs := tr.Exhausted(), st.errs.Load(); reason != budget.ReasonShard || errs != 1 {
-				t.Fatalf("budget reason = %q with %d errors, want %q with 1", reason, errs, budget.ReasonShard)
-			}
-			if calls, retries := st.calls.Load(), st.retries.Load(); calls != 2 || retries != 0 {
-				t.Fatalf("calls = %d, retries = %d; want 2, 0", calls, retries)
-			}
-			if rpcOf(rss).pools[1].isDown() {
-				t.Fatal("a broken reply marked the shard down")
-			}
-			_, err = rpcOf(rss.BindRequest(nil, nil)).fetchGroup(1, p)
-			want := fmt.Sprintf("shard 1, opcode %d, predicate %d: entry %d", shrOpPredGrp, p, tc.entry)
-			if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), tc.why) {
-				t.Fatalf("err = %v, want one naming %q and %q", err, want, tc.why)
-			}
+			return true
 		})
-	}
+		if len(want) == 0 {
+			t.Fatalf("shard 0 owns no subject of predicate %d: the row needs one", owned.P)
+		}
+		scan := func(bv *Snapshot) []Spo {
+			var got []Spo
+			bv.Match(Any, owned.P, Any, func(spo Spo) bool { got = append(got, spo); return true })
+			return got
+		}
+		bv := rss.BindRequest(nil, nil)
+		if got := scan(bv); !slices.Equal(got, want) {
+			t.Fatalf("the scan read %v, want shard 0's subjects' %v", got, want)
+		}
+		st, n := rpcOf(bv).req, int64(g.NumTerms())
+		if reason, errs := bv.DegradeReason(), st.errs.Load(); reason != budget.ReasonShard || errs != n/2 {
+			t.Fatalf("degrade reason %q with %d errors, want %q with one a term of shard 1's (%d)", reason, errs, budget.ReasonShard, n/2)
+		}
+		if calls, retries := st.calls.Load(), st.retries.Load(); calls != n || retries != 0 {
+			t.Fatalf("calls = %d, retries = %d; want one a term (%d), 0", calls, retries, n)
+		}
+		if rpcOf(rss).pools[1].isDown() {
+			t.Fatal("a broken reply marked the shard down")
+		}
+
+		ctx, cancel := contextWithTimeout(2 * time.Second)
+		defer cancel()
+		tr := budget.New(ctx, budget.Limits{})
+		bv = rss.BindRequest(tr, nil)
+		var first []Spo // term 0's triples: read before term 1's refusal
+		for _, spo := range want {
+			if spo.S == 0 {
+				first = append(first, spo)
+			}
+		}
+		if got := scan(bv); !slices.Equal(got, first) {
+			t.Fatalf("the budgeted scan read %v, want term 0's %v", got, first)
+		}
+		if reason, calls := tr.Exhausted(), rpcOf(bv).req.calls.Load(); reason != budget.ReasonShard || calls != 2 {
+			t.Fatalf("budget reason %q after %d calls, want %q after 2", reason, calls, budget.ReasonShard)
+		}
+	})
 }
 
-// TestRetiredReadsAreUnknown: the four scalar reads a coordinator no
-// longer sends (ops 7–10) are not answered. A request for one gets an
+// TestRetiredReadsAreUnknown: the reads a coordinator no longer sends
+// (ops 7–11) are not answered. A request for one gets an
 // "unknown op" error frame, and the client takes that as the server's
 // deterministic answer: one attempt, no retry, and the shard stays up.
 func TestRetiredReadsAreUnknown(t *testing.T) {
@@ -855,7 +834,6 @@ func TestShardServerBatch(t *testing.T) {
 		want string
 	}{
 		{"nested batch", batchReq(subs[0], batchReq(subs[1])), "not a per-vertex read"},
-		{"predicate-major scan", batchReq(Read{op: shrOpPredGrp, v: 1}.appendTo(nil)), "not a per-vertex read"},
 		{"empty read", append(batchReq(subs[0]), 0), "is empty"},
 		{"read past the frame", append(batchReq(subs[0]), 9, shrOpIn, 0), "past the frame"},
 		{"one read too many", batchReq(repeatReq(subs[0], maxBatchReads+1)...), "more than 256 reads"},
@@ -863,6 +841,7 @@ func TestShardServerBatch(t *testing.T) {
 		{"retired has-adjacent read", batchReq(subs[0], retired[1]), "op 8 is not a per-vertex read"},
 		{"retired has read", batchReq(subs[0], retired[2]), "op 9 is not a per-vertex read"},
 		{"retired role read", batchReq(subs[0], retired[3]), "op 10 is not a per-vertex read"},
+		{"retired predicate-group read", batchReq(subs[0], retired[4]), "op 11 is not a per-vertex read"},
 	}
 	for _, tc := range refused {
 		resp := srv.answer(tc.req)

@@ -96,7 +96,7 @@ func runWriteScript(t testing.TB, seed int64, k int, script []byte) {
 	neverFrozen(t, twin)
 	twin.SetShards(g.NumShards())
 	sameSnapshot(t, fmt.Sprintf("seed %d k %d", seed, k), got, twin.Freeze())
-	if err := checkPredGroups(got); err != nil {
+	if err := checkLocalScans(got); err != nil {
 		t.Fatalf("seed %d k %d: %v", seed, k, err)
 	}
 	if err := labelDiff(g, fmt.Sprintf("seed %d k %d", seed, k)); err != nil {

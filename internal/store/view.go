@@ -47,21 +47,18 @@ type View interface {
 	TypeID() ID
 }
 
-// reader is the primitive read set every View method is written over: five
+// reader is the primitive read set every View method is written over: four
 // span reads, one per data opcode of the shard-RPC protocol (shardrpc.go).
-// Membership, the adjacency test and the degrees are not reads of their
-// own; *Snapshot derives them from the spans once, for both readers. It
-// has exactly two implementers: localParts, the in-process frozen arrays
-// (also what a shard server answers from), and *rpcReader, the client that
-// sends each read to the shard server owning the vertex. Spans are
-// (Pred, To)-sorted and may alias immutable storage; an unknown vertex
-// reads empty.
+// Membership, the adjacency test, the degrees and the predicate-major scan
+// are not reads of their own; *Snapshot derives them from the spans once,
+// for both readers (a scan walks the subjects' out runs). It has exactly
+// two implementers: localParts, the in-process frozen arrays (also what a
+// shard server answers from), and *rpcReader, the client that sends each
+// read to the shard server owning the vertex. Spans are (Pred, To)-sorted
+// and may alias immutable storage; an unknown vertex reads empty.
 type reader interface {
 	outSpan(v ID) []Edge
 	inSpan(v ID) []Edge
 	outPred(v, p ID) []Edge
 	inPred(v, p ID) []Edge
-	// predGroups returns every shard's (S, O)-sorted triple group of
-	// predicate p, empty groups omitted.
-	predGroups(p ID) [][]Spo
 }

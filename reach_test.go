@@ -83,14 +83,10 @@ var reachLedger = map[string]string{
 	"internal/store.removeFirst":          "the parked write path",
 
 	// store.View methods that wait for ROADMAP 3(a), which narrows it.
-	"internal/store.Snapshot.NumTerms":    "View: only startComponent reads it",
-	"internal/store.Snapshot.OutDegree":   "View",
-	"internal/store.Snapshot.Degree":      "View",
-	"internal/store.rpcReader.inSpan":     "View over the wire: InDegree and Degree",
-	"internal/store.rpcReader.predGroups": "View over the wire: Match with only the predicate bound",
-	"internal/store.rpcReader.fetchGroup": "View over the wire: Match with only the predicate bound",
-	"internal/store.encodeFrzSpos":        "View over the wire: Match with only the predicate bound",
-	"internal/store.decodeFrzSpos":        "View over the wire: Match with only the predicate bound",
+	"internal/store.Snapshot.NumTerms":  "View: only startComponent reads it",
+	"internal/store.Snapshot.OutDegree": "View",
+	"internal/store.Snapshot.Degree":    "View",
+	"internal/store.rpcReader.inSpan":   "View over the wire: InDegree and Degree",
 
 	// The SPARQL printer. Since ResolvedSPARQL writes its text straight
 	// from the match block, no run prints a parsed query; the tests hold
